@@ -121,4 +121,12 @@ grep -q '"dead_ranks": 1' ci.ft.json || { echo "kill not detected"; exit 1; }
 grep -q '"recovered_tasks": 0' ci.ft.json && { echo "no leases recovered"; exit 1; }
 rm -rf ci_ft_reads.fastq ci_ft_base.fasta ci_ft_killed.fasta ci.ft.json
 
+echo "==> benchmark harness build + smoke (every output check on)"
+# benchmark/ is its own package outside the workspace, so nothing above
+# compiles it, yet it links the root crate's public API and replays the
+# pipeline through it. Build it and run every workload at quarter size:
+# an API break or a changed pair stream / contig set fails here, not in
+# the next benchmark run.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
+
 echo "CI OK"

@@ -83,7 +83,8 @@ fn main() {
     h.bench("alignment/overlap_full_500bp", 20, || overlap_align(a.codes(), b.codes(), &s));
     h.bench("alignment/overlap_banded_500bp", 20, || banded_overlap_align(a.codes(), b.codes(), 300, 24, &s));
 
-    // GST construction at two scales.
+    // GST construction at two scales (recorded numbers predate PR 12's
+    // sort-based builder).
     for n in [100usize, 400] {
         let store = overlapping_reads(n, 7).with_reverse_complements();
         h.bench(&format!("gst_build/{n}_reads"), 10, || Gst::build(&store, GstConfig { w: 11, psi: 20 }));

@@ -42,7 +42,7 @@ use crate::engine::{
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
-use pgasm_gst::{bucket_suffixes, GenMode, Gst, GstConfig, PairGenerator, PromisingPair, Suffix};
+use pgasm_gst::{enumerate_suffixes, sort_by_bucket, GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
 use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
 use pgasm_mpisim::{thread_cpu_seconds, CoalescePolicy, Comm, CommStats, CostModel};
 use pgasm_seq::{FragmentStore, SeqId};
@@ -703,19 +703,19 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
         tracer.begin_arg(TraceCategory::Fault, names::EV_ADOPT_REBUILD, "dead", dead_rank as u64);
         // Bucket ownership is a pure hash of the bucket key, so this
         // rank can recompute exactly which buckets the dead rank owned
-        // and rebuild its GST portion from the shared fragment store.
+        // and rebuild its GST portion from the shared fragment store,
+        // keeping only that rank's suffixes while enumerating.
         // In-bucket suffix order may differ from the redistributed
         // build's, which permutes pair order within the scope — the
         // master's cluster-check absorbs reordering and duplicates, so
         // the final partition is unchanged.
         let builders = self.world - 1;
-        let mut keyed: Vec<(u64, Vec<Suffix>)> = bucket_suffixes(self.store, self.gst_config.w)
-            .into_iter()
+        let seqs = (0..self.store.num_seqs() as u32).map(SeqId);
+        let mut suffixes: Vec<_> = enumerate_suffixes(self.store, seqs, self.gst_config.w)
             .filter(|(key, _)| bucket_owner(*key, builders, 1) == dead_rank)
             .collect();
-        keyed.sort_by_key(|(key, _)| *key);
-        let buckets: Vec<Vec<Suffix>> = keyed.into_iter().map(|(_, b)| b).collect();
-        let gst = Gst::build_from_buckets(self.store, buckets, self.gst_config);
+        sort_by_bucket(&mut suffixes);
+        let gst = Gst::build_from_sorted(self.store, &suffixes, self.gst_config);
         let canonical = self.canonical;
         let skip: Box<dyn FnMut(SeqId, SeqId) -> bool> =
             Box::new(move |a, b| same_fragment_skip(a, b) || (canonical && canonical_skip(a, b)));

@@ -2,27 +2,29 @@
 //!
 //! Phases, per rank:
 //!
-//! 1. **Bucket**: enumerate the suffixes of the rank's own fragments and
-//!    bucket them by their w-length prefixes.
-//! 2. **Assign**: bucket sizes are gathered; buckets are assigned to
-//!    builder ranks balancing total suffix counts; the assignment is
-//!    broadcast.
-//! 3. **Redistribute**: suffixes travel to their bucket's builder via
-//!    the paper's customised all-to-all built from p − 1 point-to-point
-//!    rounds (bounding send-buffer space).
-//! 4. **Fetch fragments**: each builder requests the fragment sequences
+//! 1. **Bucket**: enumerate the suffixes of the rank's own fragments
+//!    into one flat array and sort it by w-mer key; a bucket is a run.
+//! 2. **Redistribute**: each bucket's builder is a static hash of its
+//!    key ([`bucket_owner`]), so no assignment is negotiated; suffixes
+//!    travel to their builder, one `(key, count, suffixes)` record per
+//!    run, via the paper's customised all-to-all built from p − 1
+//!    point-to-point rounds (bounding send-buffer space). The receiver
+//!    concatenates the records in source-rank order and sorts them by
+//!    key again (stably: in-bucket order is source-rank order).
+//! 3. **Fetch fragments**: each builder requests the fragment sequences
 //!    its received suffixes refer to "through two collective
 //!    communication steps — the first to request the processors that
 //!    have the required fragments, and the second to service the
 //!    request".
-//! 5. **Build**: each bucket becomes a compacted-trie subtree of the
-//!    conceptual global GST (built depth-first, §6).
+//! 4. **Build**: each bucket becomes a compacted-trie subtree of the
+//!    conceptual global GST, by the same sort + LCP builder as the
+//!    serial path ([`Gst::build_from_sorted`]).
 //!
 //! Ownership discipline: a rank reads only its *own* fragments from the
 //! shared store; every foreign byte it uses arrives through a message,
 //! so the traffic counters are exact.
 
-use pgasm_gst::{bucket_suffixes_of, Gst, GstConfig, Suffix, TextSource};
+use pgasm_gst::{enumerate_suffixes, sort_by_bucket, Gst, GstConfig, Suffix, TextSource};
 use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
 use pgasm_seq::{FragmentStore, SeqId};
@@ -124,57 +126,52 @@ pub fn rank_build_gst<'s>(
     // overstate computation (see `thread_cpu_seconds`).
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUCKET);
     let t = thread_cpu_seconds();
-    let my_seqs: Vec<SeqId> =
-        (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == rank).map(SeqId).collect();
-    let local_buckets = bucket_suffixes_of(store, &my_seqs, config.w);
+    let my_seqs = (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == rank).map(SeqId);
+    let mut local: Vec<(u64, Suffix)> = enumerate_suffixes(store, my_seqs, config.w).collect();
+    sort_by_bucket(&mut local);
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUCKET);
 
-    // Phase 2: bucket → builder assignment is *static* (a hash of the
-    // bucket key), relying on the paper's observation that for diverse
-    // sequence data the |Σ|^w buckets are close to uniformly occupied
-    // ("a value between 10 and 12 for w can be expected to generate
-    // millions of buckets sufficient to be distributed in a load
-    // balanced manner"). No communication is needed to agree on owners.
-
-    // Phase 3: redistribute suffixes (customised all-to-all, §6).
+    // Phase 2: redistribute suffixes (customised all-to-all, §6). The
+    // bucket → builder assignment is *static* (a hash of the bucket
+    // key), relying on the paper's observation that for diverse sequence
+    // data the |Σ|^w buckets are close to uniformly occupied ("a value
+    // between 10 and 12 for w can be expected to generate millions of
+    // buckets sufficient to be distributed in a load balanced manner").
+    // No communication is needed to agree on owners.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
     let mut per_dest: Vec<Encoder> = (0..p).map(|_| Encoder::new()).collect();
-    for (key, sufs) in &local_buckets {
-        let dest = bucket_owner(*key, builders, first_builder);
-        let e = &mut per_dest[dest];
-        e.put_u64(*key);
-        e.put_u32(checked_len(sufs.len()));
-        for s in sufs {
+    for run in local.chunk_by(|a, b| a.0 == b.0) {
+        let key = run[0].0;
+        let e = &mut per_dest[bucket_owner(key, builders, first_builder)];
+        e.put_u64(key);
+        e.put_u32(checked_len(run.len()));
+        for (_, s) in run {
             e.put_u32(s.seq);
             e.put_u32(s.pos);
             e.put_u32(s.rem);
         }
     }
+    drop(local);
     let received = comm.all_to_allv_p2p(per_dest.into_iter().map(Encoder::finish).collect());
-    let mut my_buckets: HashMap<u64, Vec<Suffix>> = HashMap::new();
+    let mut mine: Vec<(u64, Suffix)> = Vec::new();
     for payload in received {
         let mut d = Decoder::new(payload);
         while !d.is_empty() {
             let key = d.get_u64();
             let n = d.get_u32();
-            let bucket = my_buckets.entry(key).or_default();
-            for _ in 0..n {
-                bucket.push(Suffix { seq: d.get_u32(), pos: d.get_u32(), rem: d.get_u32() });
-            }
+            mine.extend(
+                (0..n).map(|_| (key, Suffix { seq: d.get_u32(), pos: d.get_u32(), rem: d.get_u32() })),
+            );
         }
     }
-
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
 
-    // Phase 4: fetch foreign fragments (two collective steps).
+    // Phase 3: fetch foreign fragments (two collective steps).
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH);
     let t = thread_cpu_seconds();
-    let mut needed: Vec<u32> = my_buckets
-        .values()
-        .flat_map(|b| b.iter().map(|s| s.seq))
-        .filter(|&s| owner[s as usize] as usize != rank)
-        .collect();
+    let mut needed: Vec<u32> =
+        mine.iter().map(|(_, s)| s.seq).filter(|&s| owner[s as usize] as usize != rank).collect();
     needed.sort_unstable();
     needed.dedup();
     compute += thread_cpu_seconds() - t;
@@ -206,16 +203,14 @@ pub fn rank_build_gst<'s>(
     let text = LocalText { store, owner, rank, fetched };
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_FETCH);
 
-    // Phase 5: build the local forest.
+    // Phase 4: build the local forest. The stable sort keeps each
+    // bucket in arrival (source-rank) order.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUILD);
     let t = thread_cpu_seconds();
-    let suffixes_built: usize = my_buckets.values().map(|b| b.len()).sum();
-    let buckets: Vec<Vec<Suffix>> = {
-        let mut keys: Vec<u64> = my_buckets.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|k| my_buckets.remove(&k).expect("key present")).collect()
-    };
-    let gst = Gst::build_from_buckets(&text, buckets, config);
+    sort_by_bucket(&mut mine);
+    let suffixes_built = mine.len();
+    let gst = Gst::build_from_sorted(&text, &mine, config);
+    drop(mine);
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUILD);
 
@@ -341,6 +336,38 @@ mod tests {
             let mut combined: Vec<_> = per_rank.into_iter().flatten().collect();
             let combined = all_pairs_sorted(std::mem::take(&mut combined));
             assert_eq!(combined, serial, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn rank_forest_is_the_direct_build_of_its_buckets() {
+        // What a rank builds through bucket / redistribute / fetch is
+        // byte for byte what the shared builder makes of the same
+        // suffixes in the same in-bucket (source-rank) order, read
+        // straight from the store.
+        let store = reads().with_reverse_complements();
+        let config = GstConfig { w: 8, psi: 16 };
+        for p in [2usize, 3] {
+            let owner = compute_owners(&store, p, 0);
+            let (owner, store_ref) = (&owner, &store);
+            let per_rank = pgasm_mpisim::run(p, move |comm| {
+                rank_build_gst(comm, store_ref, owner, config, 0).0.encode()
+            });
+            for (rank, encoded) in per_rank.iter().enumerate() {
+                let mut arrived = Vec::new();
+                for source in 0..p {
+                    let owned =
+                        (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == source);
+                    arrived.extend(
+                        enumerate_suffixes(&store, owned.map(SeqId), config.w)
+                            .filter(|(key, _)| bucket_owner(*key, p, 0) == rank),
+                    );
+                }
+                sort_by_bucket(&mut arrived);
+                let direct = Gst::build_from_sorted(&store, &arrived, config);
+                assert!(direct.stats().eligible_nodes > 0, "rank {rank} of {p} built nothing");
+                assert!(*encoded == direct.encode(), "rank {rank} of {p}");
+            }
         }
     }
 

@@ -5,8 +5,11 @@
 //! The encoding is the checked length-prefixed framing of
 //! [`pgasm_seq::wire`]: flat little-endian arrays mirroring the arena
 //! layout, no pointers to fix up. Decoding re-checks every structural
-//! invariant (array lengths agree, node/suffix/lset indices in range)
-//! so a corrupt frame errors instead of producing a tree that panics
+//! invariant the pair generator relies on — array lengths agree,
+//! node/suffix/lset indices in range, child/sibling/list links point
+//! forward (so every walk terminates), every node in the processing
+//! order and each of its children owns an lset slot — so a corrupt frame
+//! errors instead of producing a tree that panics or hangs
 //! mid-generation.
 
 use crate::tree::{Gst, GstConfig, GstStats, Node, NONE, NUM_CLASSES};
@@ -104,22 +107,25 @@ impl Gst {
         if suf_pos.len() != ns || suf_next.len() != ns {
             return Err(WireError::Malformed("suffix arrays disagree on length"));
         }
-        let node_ok = |i: u32| i == NONE || (i as usize) < nodes.len();
+        // Nodes are numbered in pre-order and a leaf's suffix entries in
+        // insertion order, so a link is NONE or points forward, in range.
+        let forward =
+            |from: usize, to: u32, len: usize| to == NONE || (from < to as usize && (to as usize) < len);
         let suf_ok = |i: u32| i == NONE || (i as usize) < ns;
-        for n in &nodes {
-            if !node_ok(n.first_child) || !node_ok(n.next_sibling) {
-                return Err(WireError::Malformed("node child/sibling index out of range"));
+        for (id, n) in nodes.iter().enumerate() {
+            if !forward(id, n.first_child, nodes.len()) || !forward(id, n.next_sibling, nodes.len()) {
+                return Err(WireError::Malformed("node child/sibling link out of range or not forward"));
             }
             if n.lset != NONE && n.lset as usize >= lset_head.len() {
                 return Err(WireError::Malformed("node lset slot out of range"));
             }
         }
-        for (&seq, &next) in suf_seq.iter().zip(&suf_next) {
+        for (entry, (&seq, &next)) in suf_seq.iter().zip(&suf_next).enumerate() {
             if seq as usize >= num_seqs {
                 return Err(WireError::Malformed("suffix sequence id out of range"));
             }
-            if !suf_ok(next) {
-                return Err(WireError::Malformed("suffix list pointer out of range"));
+            if !forward(entry, next, ns) {
+                return Err(WireError::Malformed("suffix list link out of range or not forward"));
             }
         }
         for slot in 0..lset_head.len() {
@@ -129,8 +135,24 @@ impl Gst {
                 }
             }
         }
-        if order.iter().any(|&i| i as usize >= nodes.len()) {
-            return Err(WireError::Malformed("processing order references unknown node"));
+        // The generator reads the lset of every node in the order and of
+        // each of its children. has_lsets[c]: c and its later siblings
+        // all own a slot (sibling links point forward, so one reverse
+        // sweep settles every chain). The order is by depth, so it is
+        // only used to mark nodes; the sweep reads them in sequence.
+        let mut listed = vec![false; nodes.len()];
+        for &id in &order {
+            *listed
+                .get_mut(id as usize)
+                .ok_or(WireError::Malformed("processing order references unknown node"))? = true;
+        }
+        let mut has_lsets = vec![false; nodes.len()];
+        for (id, n) in nodes.iter().enumerate().rev() {
+            has_lsets[id] = n.lset != NONE && (n.next_sibling == NONE || has_lsets[n.next_sibling as usize]);
+            if listed[id] && (n.lset == NONE || (n.first_child != NONE && !has_lsets[n.first_child as usize]))
+            {
+                return Err(WireError::Malformed("processing order lists a node or child without lsets"));
+            }
         }
 
         Ok(Gst { config, nodes, suf_seq, suf_pos, suf_next, lset_head, lset_tail, order, num_seqs, stats })
@@ -207,6 +229,78 @@ mod tests {
         for cut in (0..bytes.len()).step_by(7) {
             assert!(Gst::decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
         }
+    }
+
+    /// Byte offset of field `field` (depth, first_child, next_sibling,
+    /// lset) of node `id`: w(4) psi(4) num_seqs(8) node_count(4) nodes….
+    fn node_field(id: usize, field: usize) -> usize {
+        4 + 4 + 8 + 4 + 16 * id + 4 * field
+    }
+
+    fn patched(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        out
+    }
+
+    fn malformed(bytes: &[u8]) -> bool {
+        matches!(Gst::decode(bytes), Err(WireError::Malformed(_)))
+    }
+
+    #[test]
+    fn links_that_do_not_point_forward_are_rejected() {
+        let store = sample_store().with_reverse_complements();
+        let gst = Gst::build(&store, GstConfig { w: 8, psi: 16 });
+        let bytes = gst.encode();
+        assert!(Gst::decode(&bytes).is_ok());
+        // A sibling cycle (the root's first child names itself as its
+        // next sibling) or a child link back to the parent would have
+        // the generator walk forever.
+        let inner = gst.nodes.iter().position(|n| n.first_child != NONE).expect("an internal node");
+        let child = gst.nodes[inner].first_child;
+        assert!(malformed(&patched(&bytes, node_field(child as usize, 2), child)), "sibling self-loop");
+        assert!(malformed(&patched(&bytes, node_field(child as usize, 1), inner as u32)), "child → parent");
+        assert!(malformed(&patched(&bytes, node_field(inner, 1), inner as u32)), "node its own child");
+    }
+
+    #[test]
+    fn suffix_lists_that_loop_are_rejected() {
+        // Two copies of one read: each leaf lists both copies' suffixes
+        // in one class, so there are list links to bend.
+        let read = DnaSeq::from("ACGTTGCAAGCT");
+        let store = FragmentStore::from_seqs(vec![read.clone(), read]);
+        let gst = Gst::build(&store, GstConfig { w: 4, psi: 4 });
+        let bytes = gst.encode();
+        assert!(Gst::decode(&bytes).is_ok());
+        let entry = gst.suf_next.iter().rposition(|&n| n != NONE).expect("a two-suffix list");
+        assert!(entry > 0);
+        let suf_next_at = node_field(gst.nodes.len(), 0) + 2 * (4 + 4 * gst.suf_seq.len()) + 4;
+        let at = suf_next_at + 4 * entry;
+        assert_eq!(bytes[at..at + 4], gst.suf_next[entry].to_le_bytes(), "offset arithmetic");
+        assert!(malformed(&patched(&bytes, at, entry as u32)), "entry its own successor");
+        assert!(malformed(&patched(&bytes, at, entry as u32 - 1)), "link backwards");
+    }
+
+    #[test]
+    fn order_entries_without_lsets_are_rejected() {
+        let store = sample_store().with_reverse_complements();
+        let gst = Gst::build(&store, GstConfig { w: 8, psi: 16 });
+        let bytes = gst.encode();
+        // The generator indexes lset_head by the lset of every node in
+        // the order and of each of its children; NONE there is an
+        // out-of-bounds panic.
+        let listed = gst.order[0] as usize;
+        assert!(malformed(&patched(&bytes, node_field(listed, 3), NONE)), "listed node without lsets");
+        let parent =
+            *gst.order.iter().find(|&&id| gst.nodes[id as usize].first_child != NONE).expect("internal");
+        let first = gst.nodes[parent as usize].first_child as usize;
+        let last = gst.children(parent).pop().expect("children") as usize;
+        assert!(malformed(&patched(&bytes, node_field(first, 3), NONE)), "first child without lsets");
+        assert!(malformed(&patched(&bytes, node_field(last, 3), NONE)), "last child without lsets");
+        // A shallow node may lack lsets as long as the order skips it.
+        let shallow = Gst::build(&store, GstConfig { w: 4, psi: 16 });
+        assert!(shallow.nodes.iter().any(|n| n.lset == NONE));
+        assert!(Gst::decode(&shallow.encode()).is_ok());
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! Implements §5–§6 of the paper:
 //!
-//! - [`suffix`] — suffix enumeration and bucketing by w-length prefixes,
-//!   shared by the serial builder and the parallel construction driver
-//!   in `pgasm-core`.
+//! - [`suffix`] — suffix enumeration into one flat `(w-mer key, suffix)`
+//!   array and its stable sort by key; a bucket is a run of that array.
+//!   Shared by the serial builder, the parallel construction driver and
+//!   scope adoption in `pgasm-core`.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
-//!   forest of compacted tries, one per w-prefix bucket, built
-//!   depth-first by character partitioning. The portion of the GST above
-//!   string-depth `w` is never materialised ("the top portion of the GST
-//!   is not needed for pair generation").
+//!   forest of compacted tries, one per w-prefix bucket. Each bucket is
+//!   sorted on its text beyond depth `w` and its nodes are emitted in
+//!   pre-order from (sorted order, adjacent LCPs) — one builder, with
+//!   per-build scratch and no allocation per level, node or bucket. The
+//!   portion of the GST above string-depth `w` is never materialised
+//!   ("the top portion of the GST is not needed for pair generation").
 //! - [`pairs`] — the on-demand *promising pair* generator: fragment
 //!   pairs sharing a maximal match of length ≥ ψ, produced in
 //!   non-increasing order of maximal-match length, O(1) time per pair,
@@ -33,5 +36,5 @@ pub mod tree;
 
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
-pub use suffix::{bucket_suffixes, bucket_suffixes_of, enumerate_suffixes, Suffix};
+pub use suffix::{enumerate_suffixes, sort_by_bucket, Suffix};
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

@@ -90,11 +90,12 @@ pub struct PromisingPair {
 
 struct NodeCursor {
     node: u32,
-    children: Vec<u32>,
     is_leaf: bool,
-    /// Child indices (leaf: both 0).
-    ci: usize,
-    cj: usize,
+    /// The two children whose lsets are being crossed, `cb` a later
+    /// sibling of `ca` (leaf: both the node itself). The sibling links
+    /// are walked in place; generation never changes them.
+    ca: u32,
+    cb: u32,
     /// Class-pair index; `usize::MAX` = before the first combo.
     cp: usize,
     /// Current elements in the two lists.
@@ -163,62 +164,34 @@ impl<F: FnMut(SeqId, SeqId) -> bool> PairGenerator<F> {
             return false;
         };
         self.order_idx += 1;
-        let is_leaf = self.gst.nodes[node as usize].first_child == NONE;
-        let children = if is_leaf { vec![node] } else { self.gst.children(node) };
+        let first = self.gst.nodes[node as usize].first_child;
+        let is_leaf = first == NONE;
         if self.mode == GenMode::DupElim {
-            self.dedup_children(&children);
+            self.dedup_children(node);
         }
-        let mut cur = NodeCursor {
-            node,
-            children,
-            is_leaf,
-            ci: 0,
-            cj: if is_leaf { 0 } else { 1 },
-            cp: usize::MAX,
-            pa: NONE,
-            pb: NONE,
-        };
-        if self.next_combo(&mut cur) {
+        let (ca, cb) =
+            if is_leaf { (node, node) } else { (first, self.gst.nodes[first as usize].next_sibling) };
+        let mut cur = NodeCursor { node, is_leaf, ca, cb, cp: usize::MAX, pa: NONE, pb: NONE };
+        if cb != NONE && self.next_combo(&mut cur) {
             self.cursor = Some(cur);
         } else {
             // No pairs at this node: still merge lsets upward.
-            self.finalize_node(node, is_leaf);
+            self.finalize_node(node);
         }
         true
     }
 
     /// Retain one arbitrary occurrence per sequence across all lsets of
-    /// all `children` (paper's boolean-array scheme, §5).
-    fn dedup_children(&mut self, children: &[u32]) {
-        for &child in children {
-            let slot = self.gst.nodes[child as usize].lset;
-            debug_assert_ne!(slot, NONE, "eligible node's child must have an lset slot");
-            for class in 0..NUM_CLASSES {
-                let mut head = self.gst.lset_head[slot as usize][class];
-                let mut prev = NONE;
-                let mut e = head;
-                let mut tail = NONE;
-                while e != NONE {
-                    let next = self.gst.suf_next[e as usize];
-                    let seq = self.gst.suf_seq[e as usize] as usize;
-                    if self.seen[seq] {
-                        // Splice out.
-                        if prev == NONE {
-                            head = next;
-                        } else {
-                            self.gst.suf_next[prev as usize] = next;
-                        }
-                    } else {
-                        self.seen[seq] = true;
-                        self.touched.push(seq as u32);
-                        prev = e;
-                        tail = e;
-                    }
-                    e = next;
-                }
-                self.gst.lset_head[slot as usize][class] = head;
-                self.gst.lset_tail[slot as usize][class] = tail;
-            }
+    /// all children of `node` — of `node` itself when it is a leaf
+    /// (paper's boolean-array scheme, §5).
+    fn dedup_children(&mut self, node: u32) {
+        let mut child = self.gst.nodes[node as usize].first_child;
+        if child == NONE {
+            self.dedup_lsets(node);
+        }
+        while child != NONE {
+            self.dedup_lsets(child);
+            child = self.gst.nodes[child as usize].next_sibling;
         }
         for &s in &self.touched {
             self.seen[s as usize] = false;
@@ -226,7 +199,40 @@ impl<F: FnMut(SeqId, SeqId) -> bool> PairGenerator<F> {
         self.touched.clear();
     }
 
-    /// Advance `(ci, cj, cp)` to the next combo with a non-empty element
+    /// Splice out of `child`'s lsets every suffix of a sequence already
+    /// seen at the current node.
+    fn dedup_lsets(&mut self, child: u32) {
+        let slot = self.gst.nodes[child as usize].lset;
+        debug_assert_ne!(slot, NONE, "eligible node's child must have an lset slot");
+        for class in 0..NUM_CLASSES {
+            let mut head = self.gst.lset_head[slot as usize][class];
+            let mut prev = NONE;
+            let mut e = head;
+            let mut tail = NONE;
+            while e != NONE {
+                let next = self.gst.suf_next[e as usize];
+                let seq = self.gst.suf_seq[e as usize] as usize;
+                if self.seen[seq] {
+                    // Splice out.
+                    if prev == NONE {
+                        head = next;
+                    } else {
+                        self.gst.suf_next[prev as usize] = next;
+                    }
+                } else {
+                    self.seen[seq] = true;
+                    self.touched.push(seq as u32);
+                    prev = e;
+                    tail = e;
+                }
+                e = next;
+            }
+            self.gst.lset_head[slot as usize][class] = head;
+            self.gst.lset_tail[slot as usize][class] = tail;
+        }
+    }
+
+    /// Advance `(ca, cb, cp)` to the next combo with a non-empty element
     /// pair and position `(pa, pb)` at its first pair. Returns false when
     /// the node is exhausted.
     fn next_combo(&mut self, cur: &mut NodeCursor) -> bool {
@@ -240,19 +246,19 @@ impl<F: FnMut(SeqId, SeqId) -> bool> PairGenerator<F> {
                 if cur.is_leaf {
                     return false; // single pseudo-child pair only
                 }
-                cur.cj += 1;
-                if cur.cj >= cur.children.len() {
-                    cur.ci += 1;
-                    cur.cj = cur.ci + 1;
-                    if cur.cj >= cur.children.len() {
+                cur.cb = self.gst.nodes[cur.cb as usize].next_sibling;
+                if cur.cb == NONE {
+                    cur.ca = self.gst.nodes[cur.ca as usize].next_sibling;
+                    cur.cb = self.gst.nodes[cur.ca as usize].next_sibling;
+                    if cur.cb == NONE {
                         return false;
                     }
                 }
                 // Re-enter with cp = 0 (wrapping_add above already set it).
             }
             let (c, cprime) = class_pairs[cur.cp];
-            let slot_a = self.gst.nodes[cur.children[cur.ci] as usize].lset as usize;
-            let slot_b = self.gst.nodes[cur.children[cur.cj] as usize].lset as usize;
+            let slot_a = self.gst.nodes[cur.ca as usize].lset as usize;
+            let slot_b = self.gst.nodes[cur.cb as usize].lset as usize;
             let head_a = self.gst.lset_head[slot_a][c];
             if head_a == NONE {
                 continue;
@@ -297,7 +303,7 @@ impl<F: FnMut(SeqId, SeqId) -> bool> PairGenerator<F> {
         cur.pb = if same_list {
             self.gst.suf_next[cur.pa as usize]
         } else {
-            let slot_b = self.gst.nodes[cur.children[cur.cj] as usize].lset as usize;
+            let slot_b = self.gst.nodes[cur.cb as usize].lset as usize;
             self.gst.lset_head[slot_b][cprime]
         };
         cur.pb != NONE
@@ -305,17 +311,16 @@ impl<F: FnMut(SeqId, SeqId) -> bool> PairGenerator<F> {
 
     /// After all pairs at a node: concatenate children lsets into the
     /// node (internal nodes only; a leaf's lsets already live on it).
-    fn finalize_node(&mut self, node: u32, is_leaf: bool) {
-        if is_leaf {
-            return;
-        }
+    fn finalize_node(&mut self, node: u32) {
         let slot = self.gst.nodes[node as usize].lset;
         debug_assert_ne!(slot, NONE);
-        for child in self.gst.children(node) {
+        let mut child = self.gst.nodes[node as usize].first_child;
+        while child != NONE {
             let cslot = self.gst.nodes[child as usize].lset;
             for class in 0..NUM_CLASSES {
                 self.gst.lset_concat(slot, cslot, class);
             }
+            child = self.gst.nodes[child as usize].next_sibling;
         }
     }
 
@@ -339,13 +344,12 @@ impl<F: FnMut(SeqId, SeqId) -> bool> Iterator for PairGenerator<F> {
             let (pa, pb) = (cur.pa, cur.pb);
             let depth = self.gst.nodes[cur.node as usize].depth;
             let node = cur.node;
-            let is_leaf = cur.is_leaf;
             // Advance before emitting so the cursor is always "next".
             let more = self.step_elements(&mut cur) || self.next_combo(&mut cur);
             if more {
                 self.cursor = Some(cur);
             } else {
-                self.finalize_node(node, is_leaf);
+                self.finalize_node(node);
             }
             // Materialise and filter the candidate.
             let (sa, pa_pos) = (self.gst.suf_seq[pa as usize], self.gst.suf_pos[pa as usize]);

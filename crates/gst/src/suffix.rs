@@ -5,11 +5,12 @@
 //! into |Σ|^w buckets based on their first w characters." A bucket key is
 //! the 2-bit-packed w-mer; only suffixes with at least `w` unmasked
 //! characters remaining in their run can seed a maximal match of length
-//! ≥ ψ ≥ w, so shorter suffixes are dropped at enumeration time.
+//! ≥ ψ ≥ w, so shorter suffixes are dropped at enumeration time. Buckets
+//! are never materialised one by one: suffixes live in one flat
+//! `Vec<(key, Suffix)>` sorted by key, and a bucket is a run of it.
 
 use pgasm_seq::{FragmentStore, KmerIter, SeqId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,10 +29,10 @@ pub struct Suffix {
 /// packed w-mer starting there.
 pub fn enumerate_suffixes<'a>(
     store: &'a FragmentStore,
-    seqs: &'a [SeqId],
+    seqs: impl IntoIterator<Item = SeqId> + 'a,
     w: usize,
 ) -> impl Iterator<Item = (u64, Suffix)> + 'a {
-    seqs.iter().flat_map(move |&sid| {
+    seqs.into_iter().flat_map(move |sid| {
         let codes = store.get(sid);
         // Precompute run end for each position by scanning runs.
         RunSuffixes::new(codes, w)
@@ -70,48 +71,14 @@ impl Iterator for RunSuffixes<'_> {
     }
 }
 
-/// Bucket all suffixes of all sequences in `store` by their w-prefix.
-/// Buckets with fewer than two suffixes cannot produce pairs and are
-/// dropped (valid here because the view is *global*). Returns
-/// `(key, suffixes)` in ascending key order for determinism.
-pub fn bucket_suffixes(store: &FragmentStore, w: usize) -> Vec<(u64, Vec<Suffix>)> {
-    let seqs: Vec<SeqId> = (0..store.num_seqs() as u32).map(SeqId).collect();
-    let mut out = bucket_suffixes_of(store, &seqs, w);
-    out.retain(|(_, v)| v.len() >= 2);
-    out
-}
-
-/// As [`bucket_suffixes`] but restricted to the given sequences (the
-/// per-rank form used by the parallel construction driver). Buckets
-/// with a single *local* suffix are kept: another rank may contribute
-/// further suffixes to the same bucket after redistribution.
-pub fn bucket_suffixes_of(store: &FragmentStore, seqs: &[SeqId], w: usize) -> Vec<(u64, Vec<Suffix>)> {
-    let mut map: HashMap<u64, Vec<Suffix>> = HashMap::new();
-    for (key, suf) in enumerate_suffixes(store, seqs, w) {
-        map.entry(key).or_default().push(suf);
-    }
-    let mut out: Vec<(u64, Vec<Suffix>)> = map.into_iter().collect();
-    out.sort_unstable_by_key(|(k, _)| *k);
-    out
-}
-
-/// Assign buckets to `p` parts balancing total suffix count — the
-/// load-balance step of §6 ("the suffixes are then globally redistributed
-/// such that those belonging to the same bucket are in the same
-/// processor"). Greedy longest-processing-time assignment; returns for
-/// each bucket index the part it belongs to.
-pub fn assign_buckets(bucket_sizes: &[usize], p: usize) -> Vec<usize> {
-    assert!(p > 0);
-    let mut order: Vec<usize> = (0..bucket_sizes.len()).collect();
-    order.sort_unstable_by_key(|&i| std::cmp::Reverse(bucket_sizes[i]));
-    let mut loads = vec![0usize; p];
-    let mut assignment = vec![0usize; bucket_sizes.len()];
-    for i in order {
-        let (part, _) = loads.iter().enumerate().min_by_key(|&(_, &l)| l).expect("p > 0");
-        assignment[i] = part;
-        loads[part] += bucket_sizes[i];
-    }
-    assignment
+/// Group enumerated suffixes into buckets: a *stable* sort by key, so
+/// the runs of equal key come out in ascending key order and each run
+/// keeps its input order — `(seq, pos)` for a fresh enumeration,
+/// source-rank order for suffixes received in the §6 redistribution.
+/// That in-bucket order is what breaks ties between identical suffixes
+/// in [`crate::Gst::build_from_sorted`].
+pub fn sort_by_bucket(suffixes: &mut [(u64, Suffix)]) {
+    suffixes.sort_by_key(|&(key, _)| key);
 }
 
 #[cfg(test)]
@@ -126,8 +93,7 @@ mod tests {
     #[test]
     fn enumerates_all_long_enough_suffixes() {
         let st = store(&["ACGTACG"]);
-        let seqs = [SeqId(0)];
-        let sufs: Vec<_> = enumerate_suffixes(&st, &seqs, 3).collect();
+        let sufs: Vec<_> = enumerate_suffixes(&st, [SeqId(0)], 3).collect();
         // Positions 0..=4 have ≥3 bases remaining.
         assert_eq!(sufs.len(), 5);
         assert_eq!(sufs[0].1, Suffix { seq: 0, pos: 0, rem: 7 });
@@ -139,46 +105,25 @@ mod tests {
         let mut s = DnaSeq::from("ACGTXACGT");
         s.mask_range(4, 5);
         let st = FragmentStore::from_seqs(vec![s]);
-        let seqs = [SeqId(0)];
-        let sufs: Vec<_> = enumerate_suffixes(&st, &seqs, 3).collect();
+        let sufs: Vec<_> = enumerate_suffixes(&st, [SeqId(0)], 3).collect();
         // First run [0,4): positions 0,1 (rem 4,3); second run [5,9): 5,6.
         let rems: Vec<(u32, u32)> = sufs.iter().map(|(_, s)| (s.pos, s.rem)).collect();
         assert_eq!(rems, vec![(0, 4), (1, 3), (5, 4), (6, 3)]);
     }
 
     #[test]
-    fn identical_prefixes_share_bucket() {
-        let st = store(&["ACGTAAA", "ACGTTTT"]);
-        let buckets = bucket_suffixes(&st, 4);
-        let acgt_key = pgasm_seq::pack_kmer(DnaSeq::from("ACGT").codes()).unwrap();
-        let b = buckets.iter().find(|(k, _)| *k == acgt_key).expect("shared ACGT bucket");
-        assert_eq!(b.1.len(), 2);
-        assert_eq!(b.1[0].seq, 0);
-        assert_eq!(b.1[1].seq, 1);
-    }
-
-    #[test]
-    fn singleton_buckets_dropped() {
-        let st = store(&["AAAACCCC"]);
-        let buckets = bucket_suffixes(&st, 4);
-        // Suffix AAAA.., AAAC.., AACC.., ACCC.., CCCC — all distinct w-mers.
-        assert!(buckets.is_empty());
-    }
-
-    #[test]
-    fn bucket_assignment_balances() {
-        let sizes = vec![10, 1, 1, 1, 1, 1, 1, 1, 1, 2];
-        let a = assign_buckets(&sizes, 2);
-        let load0: usize = sizes.iter().zip(&a).filter(|(_, &p)| p == 0).map(|(s, _)| s).sum();
-        let load1: usize = sizes.iter().zip(&a).filter(|(_, &p)| p == 1).map(|(s, _)| s).sum();
-        assert_eq!(load0 + load1, 20);
-        assert!(load0.abs_diff(load1) <= 2, "loads {load0} vs {load1}");
-    }
-
-    #[test]
-    fn assignment_with_more_parts_than_buckets() {
-        let a = assign_buckets(&[5, 5], 8);
-        assert_eq!(a.len(), 2);
-        assert_ne!(a[0], a[1]);
+    fn sort_groups_by_key_and_keeps_input_order_within_a_bucket() {
+        let st = store(&["ACGTAAA", "ACGTTTT", "AAAACGT"]);
+        let mut sufs: Vec<_> = enumerate_suffixes(&st, (0..3).map(SeqId), 4).collect();
+        sufs.reverse(); // any input order, not just (seq, pos)
+        let input = sufs.clone();
+        sort_by_bucket(&mut sufs);
+        assert!(sufs.windows(2).all(|p| p[0].0 <= p[1].0), "keys ascending");
+        let acgt = pgasm_seq::pack_kmer(DnaSeq::from("ACGT").codes()).unwrap();
+        let bucket = |v: &[(u64, Suffix)]| -> Vec<Suffix> {
+            v.iter().filter(|(k, _)| *k == acgt).map(|&(_, s)| s).collect()
+        };
+        assert_eq!(bucket(&sufs).len(), 3);
+        assert_eq!(bucket(&sufs), bucket(&input), "stable within the bucket");
     }
 }

@@ -1,12 +1,18 @@
 //! The generalized suffix tree, stored as an arena forest.
 //!
-//! One compacted trie per w-prefix bucket, built depth-first by
-//! character partitioning (§6: "partition all suffixes in the bucket into
-//! at most |Σ| sub-buckets based on their respective (w+1)-th characters
-//! … recursively applied … until all suffixes are separated or their
-//! lengths exhausted"). Suffixes that exhaust at the same point form a
-//! *leaf* holding several suffixes — the arena equivalent of the classic
-//! per-string `$` terminator leaves.
+//! One compacted trie per w-prefix bucket. §6 builds a bucket by
+//! partitioning its suffixes on their (w+1)-th character, recursively,
+//! "until all suffixes are separated or their lengths exhausted"; the
+//! same tree falls out of *sorting* the bucket (a bucket is a run of the
+//! flat key-sorted suffix array, see [`crate::suffix`]) and reading the
+//! branching structure off adjacent LCPs, which is how it is built here:
+//! sort the run on the text beyond depth `w`, find every LCP-interval
+//! (= internal node) by its left end in one stack pass over the adjacent
+//! LCPs, then emit the arena nodes in pre-order in a second — an internal
+//! node at each interval's minimum LCP, its exhausted-suffix leaf first,
+//! then its children in A/C/G/T order. Suffixes that exhaust at the same
+//! point form a *leaf* holding several suffixes — the arena equivalent
+//! of the classic per-string `$` terminator leaves.
 //!
 //! Every node at string-depth ≥ ψ carries `lsets`: per preceding
 //! character class (A, C, G, T, or λ for "no left extension possible"),
@@ -14,9 +20,9 @@
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::Suffix;
+use crate::suffix::{enumerate_suffixes, sort_by_bucket, Suffix};
 use pgasm_seq::alphabet::{is_base_code, SIGMA};
-use pgasm_seq::FragmentStore;
+use pgasm_seq::{FragmentStore, SeqId};
 use serde::{Deserialize, Serialize};
 
 /// Sentinel for "no node / no suffix / no slot".
@@ -77,7 +83,7 @@ impl TextSource for FragmentStore {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Node {
     /// String depth (path-label length) of this node.
     pub depth: u32,
@@ -131,34 +137,48 @@ pub struct Gst {
 impl Gst {
     /// Build the GST over every sequence of `store` (serial path).
     pub fn build(store: &FragmentStore, config: GstConfig) -> Gst {
-        let buckets = crate::suffix::bucket_suffixes(store, config.w);
-        let bucket_vec: Vec<Vec<Suffix>> = buckets.into_iter().map(|(_, v)| v).collect();
-        Gst::build_from_buckets(store, bucket_vec, config)
+        let seqs = (0..store.num_seqs() as u32).map(SeqId);
+        let mut suffixes: Vec<(u64, Suffix)> = enumerate_suffixes(store, seqs, config.w).collect();
+        sort_by_bucket(&mut suffixes);
+        Gst::build_from_sorted(store, &suffixes, config)
     }
 
-    /// Build from pre-bucketed suffixes (the per-rank parallel path).
-    /// Each bucket's suffixes must share their first `w` characters.
-    pub fn build_from_buckets<T: TextSource>(text: &T, buckets: Vec<Vec<Suffix>>, config: GstConfig) -> Gst {
-        let config = config.validated();
-        let total_suffixes: usize = buckets.iter().map(|b| b.len()).sum();
+    /// Build from suffixes grouped into buckets by [`sort_by_bucket`]:
+    /// every run of equal keys shares its first `w` characters and
+    /// becomes one subtree (runs of one suffix cannot produce a pair and
+    /// are skipped). Identical suffixes keep their order within the run.
+    /// Shared by the serial path, the per-rank parallel path and scope
+    /// adoption.
+    pub fn build_from_sorted<T: TextSource>(text: &T, sorted: &[(u64, Suffix)], config: GstConfig) -> Gst {
+        let mut scratch = BucketScratch::default();
+        Gst::build_buckets(text.num_seqs(), sorted, config, |gst, run| scratch.build_bucket(gst, text, run))
+    }
+
+    /// The forest whose subtrees `build_bucket` appends, one per run of
+    /// two or more equal keys, with its statistics and processing order.
+    fn build_buckets(
+        num_seqs: usize,
+        sorted: &[(u64, Suffix)],
+        config: GstConfig,
+        mut build_bucket: impl FnMut(&mut Gst, &[(u64, Suffix)]),
+    ) -> Gst {
+        let buckets = || sorted.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() >= 2);
+        let suffixes: usize = buckets().map(<[_]>::len).sum();
         let mut gst = Gst {
-            config,
-            nodes: Vec::with_capacity(total_suffixes * 2),
-            suf_seq: Vec::with_capacity(total_suffixes),
-            suf_pos: Vec::with_capacity(total_suffixes),
-            suf_next: Vec::with_capacity(total_suffixes),
+            config: config.validated(),
+            nodes: Vec::with_capacity(suffixes * 2),
+            suf_seq: Vec::with_capacity(suffixes),
+            suf_pos: Vec::with_capacity(suffixes),
+            suf_next: Vec::with_capacity(suffixes),
             lset_head: Vec::new(),
             lset_tail: Vec::new(),
             order: Vec::new(),
-            num_seqs: text.num_seqs(),
+            num_seqs,
             stats: GstStats::default(),
         };
-        gst.stats.buckets = buckets.len();
-        for bucket in buckets {
-            if bucket.len() < 2 {
-                continue;
-            }
-            gst.build_bucket(text, bucket);
+        for run in buckets() {
+            gst.stats.buckets += 1;
+            build_bucket(&mut gst, run);
         }
         gst.stats.nodes = gst.nodes.len();
         gst.stats.suffixes = gst.suf_seq.len();
@@ -194,60 +214,6 @@ impl Gst {
             + self.order.len() * 4
     }
 
-    fn build_bucket<T: TextSource>(&mut self, text: &T, suffixes: Vec<Suffix>) {
-        let w = self.config.w as u32;
-        self.build_rec(text, suffixes, w);
-    }
-
-    /// Recursively build the subtree for `sufs`, which all share their
-    /// first `depth` characters. Returns the subtree root node id.
-    fn build_rec<T: TextSource>(&mut self, text: &T, mut sufs: Vec<Suffix>, mut depth: u32) -> u32 {
-        loop {
-            if sufs.len() == 1 {
-                let s = sufs[0];
-                return self.new_leaf(text, s.rem, &sufs);
-            }
-            // Partition by the character at `depth` (or exhaustion).
-            let mut groups: [Vec<Suffix>; SIGMA] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-            let mut exhausted: Vec<Suffix> = Vec::new();
-            for &s in &sufs {
-                if s.rem == depth {
-                    exhausted.push(s);
-                } else {
-                    let c = text.seq_codes(s.seq)[(s.pos + depth) as usize];
-                    debug_assert!(is_base_code(c), "suffix runs past its unmasked run");
-                    groups[c as usize].push(s);
-                }
-            }
-            let nonempty = groups.iter().filter(|g| !g.is_empty()).count();
-            if exhausted.is_empty() && nonempty == 1 {
-                // Path compression: single outgoing edge, extend depth.
-                sufs = groups.into_iter().find(|g| !g.is_empty()).expect("nonempty == 1");
-                depth += 1;
-                continue;
-            }
-            if nonempty == 0 {
-                // All suffixes identical and exhausted: one leaf.
-                return self.new_leaf(text, depth, &exhausted);
-            }
-            // Branching point (or exhaustion alongside continuation):
-            // create an internal node at `depth`.
-            let node = self.new_internal(depth);
-            let mut last_child = NONE;
-            if !exhausted.is_empty() {
-                let leaf = self.new_leaf(text, depth, &exhausted);
-                self.attach_child(node, leaf, &mut last_child);
-            }
-            for g in groups {
-                if !g.is_empty() {
-                    let child = self.build_rec(text, g, depth + 1);
-                    self.attach_child(node, child, &mut last_child);
-                }
-            }
-            return node;
-        }
-    }
-
     fn attach_child(&mut self, parent: u32, child: u32, last_child: &mut u32) {
         if *last_child == NONE {
             self.nodes[parent as usize].first_child = child;
@@ -267,12 +233,12 @@ impl Gst {
     /// Create a leaf at string-depth `depth` holding `sufs` (all with
     /// `rem == depth`-equivalent content). The leaf's lsets are built
     /// immediately from the suffixes' preceding characters (paper S3).
-    fn new_leaf<T: TextSource>(&mut self, text: &T, depth: u32, sufs: &[Suffix]) -> u32 {
+    fn new_leaf<T: TextSource>(&mut self, text: &T, depth: u32, sufs: impl Iterator<Item = Suffix>) -> u32 {
         let lset = self.alloc_lset(depth);
         let id = self.nodes.len() as u32;
         self.nodes.push(Node { depth, first_child: NONE, next_sibling: NONE, lset });
         if lset != NONE {
-            for &s in sufs {
+            for s in sufs {
                 let entry = self.suf_seq.len() as u32;
                 self.suf_seq.push(s.seq);
                 self.suf_pos.push(s.pos);
@@ -342,6 +308,7 @@ impl Gst {
     }
 
     /// Children of a node, in attachment order.
+    #[cfg(test)]
     pub(crate) fn children(&self, node: u32) -> Vec<u32> {
         let mut out = Vec::new();
         let mut c = self.nodes[node as usize].first_child;
@@ -355,25 +322,26 @@ impl Gst {
     /// Counting sort of eligible nodes by decreasing depth, ties by
     /// decreasing creation index (children were created after parents).
     fn finish_order(&mut self) {
-        let max_depth = self.stats.max_depth;
         let psi = self.config.psi;
-        if max_depth < psi {
-            self.order = Vec::new();
-            return;
+        let eligible = |n: &Node| (n.depth as usize).checked_sub(psi);
+        // next[d - ψ]: where the next node of depth d goes — first the
+        // count of nodes at that depth, then the count of deeper ones.
+        let mut next = vec![0u32; (self.stats.max_depth + 1).saturating_sub(psi)];
+        for d in self.nodes.iter().filter_map(eligible) {
+            next[d] += 1;
         }
-        let mut by_depth: Vec<Vec<u32>> = vec![Vec::new(); max_depth + 1];
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.depth as usize >= psi {
-                by_depth[n.depth as usize].push(i as u32);
+        let mut deeper = 0;
+        for slot in next.iter_mut().rev() {
+            deeper += std::mem::replace(slot, deeper);
+        }
+        self.order = vec![NONE; deeper as usize];
+        for (id, n) in self.nodes.iter().enumerate().rev() {
+            if let Some(d) = eligible(n) {
+                self.order[next[d] as usize] = id as u32;
+                next[d] += 1;
             }
         }
-        let mut order = Vec::new();
-        for d in (psi..=max_depth).rev() {
-            // Reverse creation order within equal depth.
-            order.extend(by_depth[d].iter().rev().copied());
-        }
-        self.stats.eligible_nodes = order.len();
-        self.order = order;
+        self.stats.eligible_nodes = self.order.len();
     }
 
     /// Iterate the eligible nodes in processing order (for tests).
@@ -381,6 +349,142 @@ impl Gst {
         self.order.iter().map(move |&id| (id, self.nodes[id as usize].depth))
     }
 }
+
+/// LCP marker: this sorted suffix is identical to the one before it and
+/// joins its leaf.
+const SAME_LEAF: u32 = u32::MAX;
+
+/// Scratch of the per-bucket builder, reused across the buckets of one
+/// build: it grows to the largest bucket and nothing is allocated per
+/// level, per node or per bucket.
+#[derive(Default)]
+struct BucketScratch<'t> {
+    /// Per suffix of the bucket: its text beyond depth `w` (bounded by
+    /// `rem`) and its index in the input run; sorted, ties in input order.
+    tails: Vec<(&'t [u8], u32)>,
+    /// Per sorted position: string depth shared with the previous
+    /// position (0 at the first), or [`SAME_LEAF`].
+    lcp: Vec<u32>,
+    /// Per sorted position that starts a leaf: how many internal nodes
+    /// have it as their leftmost leaf.
+    opens: Vec<u32>,
+    /// Depths of those internal nodes, filled right to left (deepest
+    /// first per position), drained left to right from the back.
+    open_depths: Vec<u32>,
+    /// Right-to-left pass: LCP values whose interval is still open,
+    /// strictly increasing towards the top.
+    lcp_stack: Vec<u32>,
+    /// Left-to-right pass: (internal node, its last attached child) from
+    /// the bucket root down to the current leaf's parent.
+    path: Vec<(u32, u32)>,
+    /// Sort comparisons plus loop iterations of the two passes (bytes
+    /// read inside one comparison are not counted): what the linear-work
+    /// test bounds.
+    steps: u64,
+}
+
+impl<'t> BucketScratch<'t> {
+    /// Build the subtree of one bucket: `run` holds ≥ 2 suffixes sharing
+    /// their first `w` characters.
+    fn build_bucket<T: TextSource>(&mut self, gst: &mut Gst, text: &'t T, run: &[(u64, Suffix)]) {
+        let w = gst.config.w;
+        let n = run.len();
+        self.tails.clear();
+        self.tails.extend(run.iter().enumerate().map(|(i, (_, s))| {
+            (&text.seq_codes(s.seq)[s.pos as usize + w..(s.pos + s.rem) as usize], i as u32)
+        }));
+        let steps = &mut self.steps;
+        self.tails.sort_unstable_by(|a, b| {
+            *steps += 1;
+            a.cmp(b)
+        });
+
+        // Right to left: adjacent LCPs, and from them the LCP-intervals
+        // (internal nodes) by their left end. An interval's depth sits on
+        // the stack until a smaller LCP closes it on the left.
+        self.lcp.clear();
+        self.lcp.resize(n, 0);
+        self.opens.clear();
+        self.opens.resize(n, 0);
+        self.open_depths.clear();
+        self.lcp_stack.clear();
+        for i in (0..n).rev() {
+            self.steps += 1;
+            let here = self.tails[i].0;
+            let lcp = match i.checked_sub(1).map(|prev| self.tails[prev].0) {
+                None => 0,
+                Some(prev) => match common_prefix(prev, here) {
+                    l if l == prev.len() && l == here.len() => SAME_LEAF,
+                    l => (w + l) as u32,
+                },
+            };
+            self.lcp[i] = lcp;
+            if lcp == SAME_LEAF {
+                continue;
+            }
+            while let Some(&open) = self.lcp_stack.last().filter(|&&open| open >= lcp) {
+                self.steps += 1;
+                self.lcp_stack.pop();
+                if open > lcp {
+                    self.open_depths.push(open);
+                    self.opens[i] += 1;
+                }
+            }
+            self.lcp_stack.push(lcp);
+        }
+
+        // Left to right: emit in pre-order. Before each leaf, close the
+        // internal nodes deeper than its LCP with the previous leaf, then
+        // open the ones it is the leftmost leaf of, shallowest first. A
+        // suffix that is a proper prefix of its successors has LCP = its
+        // own length with them, so it becomes the first child ("exhausted"
+        // leaf) of the node opened at that depth.
+        self.path.clear();
+        let mut i = 0;
+        while i < n {
+            self.steps += 1;
+            while self.path.last().is_some_and(|&(node, _)| gst.nodes[node as usize].depth > self.lcp[i]) {
+                self.steps += 1;
+                self.path.pop();
+            }
+            for _ in 0..self.opens[i] {
+                self.steps += 1;
+                let depth = self.open_depths.pop().expect("one depth per counted interval");
+                let node = gst.new_internal(depth);
+                if let Some((parent, last_child)) = self.path.last_mut() {
+                    gst.attach_child(*parent, node, last_child);
+                }
+                self.path.push((node, NONE));
+            }
+            let end = (i + 1..n).find(|&j| self.lcp[j] != SAME_LEAF).unwrap_or(n);
+            self.steps += (end - i) as u64;
+            let members = self.tails[i..end].iter().map(|&(_, k)| run[k as usize].1);
+            let leaf = gst.new_leaf(text, run[self.tails[i].1 as usize].1.rem, members);
+            if let Some((parent, last_child)) = self.path.last_mut() {
+                gst.attach_child(*parent, leaf, last_child);
+            }
+            i = end;
+        }
+    }
+}
+
+/// Length of the longest common prefix of two code slices, eight bytes
+/// at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut at = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("chunk of 8"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunk of 8"));
+        if x != y {
+            return at + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    at + a[at..].iter().zip(&b[at..]).take_while(|(x, y)| x == y).count()
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
