@@ -6,17 +6,20 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Every test step runs under `timeout` (generous multiples of what the
+# step takes on a 2-core host): a test that hangs without a watchdog of
+# its own fails the gate instead of wedging it.
 echo "==> cargo test"
-cargo test -q --workspace
+timeout 3600 cargo test -q --workspace
 
 echo "==> distributed tests"
-cargo test -q --test distributed --test adversarial_protocol --test telemetry_e2e --test assembly_balance
+timeout 1200 cargo test -q --test distributed --test adversarial_protocol --test telemetry_e2e --test assembly_balance
 
 echo "==> fault-tolerance matrix (release: the full victim sweep is heavy in dev)"
-cargo test -q --release --test fault_tolerance -- --include-ignored
+timeout 1800 cargo test -q --release --test fault_tolerance -- --include-ignored
 
 echo "==> force-scalar feature matrix (SIMD fallback must stay bit-identical)"
-cargo test -q -p pgasm-align --features force-scalar
+timeout 900 cargo test -q -p pgasm-align --features force-scalar
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

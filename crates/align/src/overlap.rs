@@ -9,7 +9,10 @@
 //! Four kernels are provided:
 //!
 //! - [`overlap_align_quality`] — full O(mn) DP with optional
-//!   quality-weighted identity (assembly-phase acceptance).
+//!   quality-weighted identity. **Test oracle only**: no production path
+//!   calls it. It is the unbanded reference the banded kernels (and the
+//!   assembler's seed-anchored overlap stage, which runs
+//!   [`overlap_align_simd`] with quality tracks) are checked against.
 //! - [`banded_overlap_align`] — single-pass banded DP anchored at the
 //!   maximal match that generated the pair; allocates its own matrices
 //!   and always runs traceback. Kept as the *legacy* reference kernel
@@ -22,8 +25,9 @@
 //!   must have. Phase 2 re-fills only the band window up to the best end
 //!   cell to recover the traceback, and runs only when the phase-1 score
 //!   can still satisfy the [`AcceptCriteria`] gate.
-//! - [`overlap_align_simd`] — the production hot path: the two-phase
-//!   kernel with a lane-chunked phase 1 (see [`crate::simd`]) and
+//! - [`overlap_align_simd`] — the production hot path of both phases
+//!   (clustering's promising pairs, assembly's overlap candidates): the
+//!   two-phase kernel with a lane-chunked phase 1 (see [`crate::simd`]) and
 //!   optional per-row adaptive X-drop band shrinking driven by the same
 //!   acceptance-floor pricing the early exit uses. See DESIGN.md §5 for
 //!   the lane layout and the shrink rule.
@@ -101,6 +105,11 @@ pub struct OverlapResult {
     pub b_range: (usize, usize),
     /// Geometry of the overlap.
     pub kind: OverlapKind,
+    /// Lowest and highest diagonal (`i − j`) the traceback path visits,
+    /// end cell included; `(0, 0)` when no traceback ran. A banded caller
+    /// compares this with its band's outermost diagonals to tell whether
+    /// the band constrained the path.
+    pub path_diags: (i64, i64),
     /// DP cells evaluated (work accounting for the parallel runtime).
     ///
     /// Accounting contract: `cells == cells_phase1 + cells_phase2`,
@@ -141,6 +150,7 @@ impl OverlapResult {
             a_range: (0, 0),
             b_range: (0, 0),
             kind: OverlapKind::SuffixPrefix,
+            path_diags: (0, 0),
             cells: cells_phase1,
             cells_phase1,
             cells_phase2: 0,
@@ -167,6 +177,7 @@ impl OverlapResult {
             a_range: (0, 0),
             b_range: (0, 0),
             kind: OverlapKind::SuffixPrefix,
+            path_diags: (0, 0),
             cells: cells_phase1,
             cells_phase1,
             cells_phase2: 0,
@@ -351,9 +362,18 @@ fn acceptance_floor(c: &AcceptCriteria, s: &Scoring) -> Option<i32> {
     Some((c.min_overlap as f64 * per_col).ceil() as i32)
 }
 
-/// Walk a traceback matrix from `end` back to the alignment start.
-/// Returns `(a_range, b_range, cols, identity)`; with `quals` the
-/// identity is quality-weighted exactly as in [`overlap_align_quality`].
+/// What [`walk_traceback`] recovers from a traceback matrix.
+struct Walk {
+    a_range: (usize, usize),
+    b_range: (usize, usize),
+    cols: usize,
+    identity: f64,
+    path_diags: (i64, i64),
+}
+
+/// Walk a traceback matrix from `end` back to the alignment start; with
+/// `quals` the identity is quality-weighted exactly as in
+/// [`overlap_align_quality`].
 fn walk_traceback(
     a: &[u8],
     b: &[u8],
@@ -361,9 +381,11 @@ fn walk_traceback(
     tb: &[u8],
     idx: impl Fn(usize, usize) -> usize,
     end: (usize, usize),
-) -> ((usize, usize), (usize, usize), usize, f64) {
+) -> Walk {
     let (mut i, mut j) = end;
     let mut cols = 0usize;
+    let end_diag = i as i64 - j as i64;
+    let (mut d_min, mut d_max) = (end_diag, end_diag);
     // Quality-weighted tallies; without quality every weight is 1.0 and
     // the ratio reduces to plain matches / columns.
     let (mut w_match, mut w_total) = (0.0f64, 0.0f64);
@@ -397,16 +419,24 @@ fn walk_traceback(
                 cols += 1;
                 w_total += weight(Some(i - 1), None);
                 i -= 1;
+                d_min = d_min.min(i as i64 - j as i64);
             }
             2 => {
                 cols += 1;
                 w_total += weight(None, Some(j - 1));
                 j -= 1;
+                d_max = d_max.max(i as i64 - j as i64);
             }
             _ => break,
         }
     }
-    ((i, end.0), (j, end.1), cols, if w_total == 0.0 { 0.0 } else { w_match / w_total })
+    Walk {
+        a_range: (i, end.0),
+        b_range: (j, end.1),
+        cols,
+        identity: if w_total == 0.0 { 0.0 } else { w_match / w_total },
+        path_diags: (d_min, d_max),
+    }
 }
 
 /// Full O(mn) suffix–prefix alignment of `a` vs `b`.
@@ -433,8 +463,8 @@ pub fn overlap_align_quality(
 }
 
 /// As [`overlap_align_quality`], but running on a caller-provided
-/// [`AlignScratch`] so batch callers (e.g. the assembly overlap stage)
-/// pay for the O(mn) matrices once instead of per pair.
+/// [`AlignScratch`] so a test sweeping many pairs through the oracle pays
+/// for the O(mn) matrices once instead of per pair.
 pub fn overlap_align_quality_with(
     a: &[u8],
     b: &[u8],
@@ -493,7 +523,8 @@ pub fn overlap_align_quality_with(
             end = (i, n);
         }
     }
-    let (a_range, b_range, cols, identity) = walk_traceback(a, b, quals, tb, |i, j| i * w + j, end);
+    let Walk { a_range, b_range, cols, identity, path_diags } =
+        walk_traceback(a, b, quals, tb, |i, j| i * w + j, end);
     OverlapResult {
         score: best_score,
         identity,
@@ -501,6 +532,7 @@ pub fn overlap_align_quality_with(
         a_range,
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
+        path_diags,
         cells: (m * n) as u64,
         cells_phase1: (m * n) as u64,
         cells_phase2: 0,
@@ -593,7 +625,7 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
     if best_score <= NEG / 2 {
         return OverlapResult::empty(cells);
     }
-    let (a_range, b_range, cols, identity) =
+    let Walk { a_range, b_range, cols, identity, path_diags } =
         walk_traceback(a, b, None, &tb, |i, j| i * w + bw.slot(i, j as i64), end);
     OverlapResult {
         score: best_score,
@@ -602,6 +634,7 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
         a_range,
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
+        path_diags,
         cells,
         cells_phase1: cells,
         cells_phase2: 0,
@@ -808,7 +841,7 @@ pub fn overlap_align_two_phase(
         best_score,
         "phase-2 window must reproduce the phase-1 end cell"
     );
-    let (a_range, b_range, cols, identity) =
+    let Walk { a_range, b_range, cols, identity, path_diags } =
         walk_traceback(a, b, quals, tb, |i, j| i * w + bw.slot(i, j as i64), (ei, ej));
     OverlapResult {
         score: best_score,
@@ -817,6 +850,7 @@ pub fn overlap_align_two_phase(
         a_range,
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
+        path_diags,
         cells: cells1 + cells2,
         cells_phase1: cells1,
         cells_phase2: cells2,
@@ -1343,7 +1377,7 @@ fn simd_body(
         best_score,
         "phase-2 window must reproduce the phase-1 end cell"
     );
-    let (a_range, b_range, cols, identity) =
+    let Walk { a_range, b_range, cols, identity, path_diags } =
         walk_traceback(a, b, quals, tb, |i, j| i * w + bw.slot(i, j as i64), (ei, ej));
     OverlapResult {
         score: best_score,
@@ -1352,6 +1386,7 @@ fn simd_body(
         a_range,
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
+        path_diags,
         cells: cells1 + cells2,
         cells_phase1: cells1,
         cells_phase2: cells2,

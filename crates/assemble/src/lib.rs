@@ -5,8 +5,10 @@
 //! higher stringency" than clustering). This crate is that stand-in: a
 //! greedy OLC assembler small enough to audit yet faithful in behaviour:
 //!
-//! - [`overlap`] — all candidate pairwise overlaps within a cluster
-//!   (w-mer seeded, both orientations, stringent acceptance).
+//! - [`overlap`] — all candidate pairwise overlaps within a cluster:
+//!   shared w-mers (both orientations) give each candidate its seed
+//!   diagonals, the clustering phase's banded kernel aligns around them,
+//!   and the stringent criteria decide.
 //! - [`layout`] — a transitive layout: reads are placed on contig
 //!   coordinates by walking consistent overlap edges; inconsistent
 //!   edges (repeat-induced) are rejected, which is exactly what lets the
@@ -28,6 +30,15 @@ pub mod scaffold;
 use pgasm_align::{AcceptCriteria, Scoring};
 use pgasm_seq::{DnaSeq, QualityTrack};
 use serde::{Deserialize, Serialize};
+
+/// Revision of the assembler's *algorithm*. Anything that stores contigs
+/// keyed by the assembler's inputs (the artifact cache) folds this in, so
+/// output written by another revision is never served as current. Bump it
+/// whenever a change could alter a contig for some input.
+///
+/// 2: seed-anchored banded overlap verification (1 was the full-matrix
+/// quality DP per candidate).
+pub const ASSEMBLER_REVISION: u32 = 2;
 
 /// Assembler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

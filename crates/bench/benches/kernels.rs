@@ -139,6 +139,8 @@ fn main() {
         at += 200;
     }
     let cfg = pgasm_assemble::AssemblyConfig::default();
+    // Recorded timings of this arm predate PR 14 (seed-anchored banded
+    // overlaps); it was not re-run.
     h.bench("assembler/cluster_of_14_reads", 20, || pgasm_assemble::assemble(&reads, &cfg));
 
     let report = h.finish();

@@ -175,15 +175,29 @@ pub fn gst_key(store: &FragmentStore, config: &GstConfig) -> u64 {
 /// Cache key of the assembly stage's output: every input the
 /// per-cluster assembler reads — the (soft-masked) fragments, their
 /// quality tracks, the clustering partition — plus the assembler
-/// parameters (via `Debug`, so any new knob changes the key).
+/// parameters (via `Debug`, so any new knob changes the key) and the
+/// assembler's own [`pgasm_assemble::ASSEMBLER_REVISION`].
 pub fn contigs_key(
     store: &FragmentStore,
     quals: Option<&[pgasm_seq::QualityTrack]>,
     clustering: &crate::clustering::Clustering,
     config: &pgasm_assemble::AssemblyConfig,
 ) -> u64 {
+    contigs_key_at_revision(store, quals, clustering, config, pgasm_assemble::ASSEMBLER_REVISION)
+}
+
+/// [`contigs_key`] for the assembler at `revision`: contigs cached by
+/// one revision of the algorithm must miss under every other.
+pub fn contigs_key_at_revision(
+    store: &FragmentStore,
+    quals: Option<&[pgasm_seq::QualityTrack]>,
+    clustering: &crate::clustering::Clustering,
+    config: &pgasm_assemble::AssemblyConfig,
+    revision: u32,
+) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("contigs");
+    h.update_u64(revision as u64);
     update_store(&mut h, store);
     match quals {
         Some(qs) => {

@@ -220,3 +220,21 @@ fn uncached_and_cached_results_agree() {
     assert_eq!(contig_bytes(&plain), contig_bytes(&warm));
     assert_eq!(plain.clustering, warm.clustering);
 }
+
+#[test]
+fn assembler_revision_is_part_of_the_contigs_key() {
+    use pgasm::assemble::{AssemblyConfig, ASSEMBLER_REVISION};
+    use pgasm::cluster::cache::{contigs_key, contigs_key_at_revision};
+    use pgasm::cluster::Clustering;
+
+    let (reads, _) = fixture_reads(12);
+    let store = reads.to_store();
+    let clustering = Clustering { clusters: vec![vec![0, 2], vec![1]] };
+    let config = AssemblyConfig::default();
+    let key = |revision| contigs_key_at_revision(&store, Some(&reads.quals), &clustering, &config, revision);
+    // Same reads, qualities, partition and parameters: contigs another
+    // revision of the assembler cached are never a warm hit.
+    assert_eq!(contigs_key(&store, Some(&reads.quals), &clustering, &config), key(ASSEMBLER_REVISION));
+    assert_ne!(key(ASSEMBLER_REVISION), key(ASSEMBLER_REVISION - 1));
+    assert_ne!(key(ASSEMBLER_REVISION), key(ASSEMBLER_REVISION + 1));
+}

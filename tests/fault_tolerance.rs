@@ -23,6 +23,38 @@ use pgasm::simgen::vector::VECTOR_SEQ;
 use pgasm::simgen::{ReadKind, ReadSet};
 use pgasm::telemetry::{RunContext, RunReport};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
+/// Longest any one scenario below may run (each takes under a second in
+/// release and under 25 s in dev on a 2-core host); the two full kill
+/// matrices, ~26 scenarios each, get [`MATRIX_LIMIT`].
+const SCENARIO_LIMIT: Duration = Duration::from_secs(120);
+const MATRIX_LIMIT: Duration = Duration::from_secs(900);
+
+/// Run a multi-rank test `body` on its own thread and fail the test, by
+/// `name`, if it has not finished within `limit`: a deadlocked rank must
+/// be a red test, not a `cargo test` that never returns. The stuck
+/// threads are left behind; the test process exits without them.
+fn with_watchdog(name: &str, limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            body();
+            let _ = done.send(());
+        })
+        .expect("spawn the test body");
+    match finished.recv_timeout(limit) {
+        Ok(()) => runner.join().expect("the body already finished"),
+        Err(RecvTimeoutError::Timeout) => panic!("{name}: still running after {limit:?}; a rank is hung"),
+        // The body panicked before sending: re-raise its own message.
+        Err(RecvTimeoutError::Disconnected) => match runner.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the sender is dropped only by a panic"),
+        },
+    }
+}
 
 fn fixture_reads(seed: u64) -> (ReadSet, Genome) {
     let genome = Genome::generate(
@@ -134,83 +166,93 @@ fn kill_matrix(stage: FaultStage, seed: u64) {
 #[test]
 #[ignore = "full kill matrix is heavy under the dev profile; ci.sh runs it in release"]
 fn killing_any_worker_during_clustering_preserves_the_contigs() {
-    kill_matrix(FaultStage::Cluster, 7);
+    with_watchdog("killing_any_worker_during_clustering_preserves_the_contigs", MATRIX_LIMIT, || {
+        kill_matrix(FaultStage::Cluster, 7);
+    });
 }
 
 #[test]
 #[ignore = "full kill matrix is heavy under the dev profile; ci.sh runs it in release"]
 fn killing_any_worker_during_assembly_preserves_the_contigs() {
-    kill_matrix(FaultStage::Assemble, 9);
+    with_watchdog("killing_any_worker_during_assembly_preserves_the_contigs", MATRIX_LIMIT, || {
+        kill_matrix(FaultStage::Assemble, 9);
+    });
 }
 
 /// Always-on slice of the kill matrix: one seeded victim per stage at
 /// p = 4, cheap enough for the dev-profile workspace test run.
 #[test]
 fn killing_a_worker_in_each_stage_preserves_the_contigs() {
-    let (reads, genome) = fixture_reads(21);
-    let p = 4;
-    let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
-    let expected = contig_bytes(&baseline);
-    assert!(!expected.is_empty(), "fixture must assemble something");
-    let mut recovered_any = false;
-    for stage in [FaultStage::Cluster, FaultStage::Assemble] {
-        let depths = probe_depths(p, stage, &reads, &genome);
-        let victim = 1 + (depths.iter().sum::<u64>() as usize % (p - 1));
-        let at = ar_send_event_near(depths[victim] / 2);
-        let recovery = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, stage),
-            ..StageRecovery::default()
-        };
-        let (report, run_report) = run(config(p, recovery), &reads, &genome);
-        assert_eq!(contig_bytes(&report), expected, "contigs changed ({stage:?}, victim {victim})");
-        let faults = run_report.faults.expect("faults section");
-        assert_eq!(faults.dead_ranks, 1);
-        recovered_any |= faults.recovered_tasks > 0;
-    }
-    assert!(recovered_any, "no kill recovered a lease");
+    with_watchdog("killing_a_worker_in_each_stage_preserves_the_contigs", SCENARIO_LIMIT, || {
+        let (reads, genome) = fixture_reads(21);
+        let p = 4;
+        let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+        let expected = contig_bytes(&baseline);
+        assert!(!expected.is_empty(), "fixture must assemble something");
+        let mut recovered_any = false;
+        for stage in [FaultStage::Cluster, FaultStage::Assemble] {
+            let depths = probe_depths(p, stage, &reads, &genome);
+            let victim = 1 + (depths.iter().sum::<u64>() as usize % (p - 1));
+            let at = ar_send_event_near(depths[victim] / 2);
+            let recovery = StageRecovery {
+                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, stage),
+                ..StageRecovery::default()
+            };
+            let (report, run_report) = run(config(p, recovery), &reads, &genome);
+            assert_eq!(contig_bytes(&report), expected, "contigs changed ({stage:?}, victim {victim})");
+            let faults = run_report.faults.expect("faults section");
+            assert_eq!(faults.dead_ranks, 1);
+            recovered_any |= faults.recovered_tasks > 0;
+        }
+        assert!(recovered_any, "no kill recovered a lease");
+    });
 }
 
 #[test]
 fn dropped_result_report_trips_liveness_and_recovers() {
-    let (reads, genome) = fixture_reads(11);
-    let p = 4;
-    let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+    with_watchdog("dropped_result_report_trips_liveness_and_recovers", SCENARIO_LIMIT, || {
+        let (reads, genome) = fixture_reads(11);
+        let p = 4;
+        let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-    // Worker 1's second result report (tag 1 = W2M AR) vanishes on the
-    // wire. Its lease can never be retired, so the stall timeout
-    // declares the silent worker dead and a survivor redoes the batch.
-    // The plan goes through the CLI grammar on purpose.
-    let recovery = StageRecovery {
-        faults: FaultPlan::parse("drop:src=1,dst=0,tag=1,nth=2").expect("grammar"),
-        stall_timeout: Some(50_000),
-        ..StageRecovery::default()
-    };
-    let (report, run_report) = run(config(p, recovery), &reads, &genome);
-    assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
-    let faults = run_report.faults.expect("faults section");
-    assert_eq!(faults.msgs_dropped, 1);
-    assert_eq!(faults.kills_injected, 0, "nobody was actually killed");
-    assert_eq!(faults.dead_ranks, 1, "liveness must declare the silent worker dead");
-    assert!(faults.recovered_tasks > 0);
+        // Worker 1's second result report (tag 1 = W2M AR) vanishes on the
+        // wire. Its lease can never be retired, so the stall timeout
+        // declares the silent worker dead and a survivor redoes the batch.
+        // The plan goes through the CLI grammar on purpose.
+        let recovery = StageRecovery {
+            faults: FaultPlan::parse("drop:src=1,dst=0,tag=1,nth=2").expect("grammar"),
+            stall_timeout: Some(50_000),
+            ..StageRecovery::default()
+        };
+        let (report, run_report) = run(config(p, recovery), &reads, &genome);
+        assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
+        let faults = run_report.faults.expect("faults section");
+        assert_eq!(faults.msgs_dropped, 1);
+        assert_eq!(faults.kills_injected, 0, "nobody was actually killed");
+        assert_eq!(faults.dead_ranks, 1, "liveness must declare the silent worker dead");
+        assert!(faults.recovered_tasks > 0);
+    });
 }
 
 #[test]
 fn delayed_result_report_is_absorbed_once_not_twice() {
-    let (reads, genome) = fixture_reads(13);
-    let p = 4;
-    let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+    with_watchdog("delayed_result_report_is_absorbed_once_not_twice", SCENARIO_LIMIT, || {
+        let (reads, genome) = fixture_reads(13);
+        let p = 4;
+        let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-    // Worker 1's second result report is overtaken by three later
-    // deliveries; the lease journal retires it exactly once.
-    let recovery = StageRecovery {
-        faults: FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2,by=3").expect("grammar"),
-        ..StageRecovery::default()
-    };
-    let (report, run_report) = run(config(p, recovery), &reads, &genome);
-    assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
-    let faults = run_report.faults.expect("faults section");
-    assert_eq!(faults.msgs_delayed, 1);
-    assert_eq!(faults.dead_ranks, 0);
+        // Worker 1's second result report is overtaken by three later
+        // deliveries; the lease journal retires it exactly once.
+        let recovery = StageRecovery {
+            faults: FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2,by=3").expect("grammar"),
+            ..StageRecovery::default()
+        };
+        let (report, run_report) = run(config(p, recovery), &reads, &genome);
+        assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
+        let faults = run_report.faults.expect("faults section");
+        assert_eq!(faults.msgs_delayed, 1);
+        assert_eq!(faults.dead_ranks, 0);
+    });
 }
 
 /// Scratch directory for checkpoint files, removed on drop.
@@ -275,10 +317,14 @@ fn checkpoint_resume(stage: FaultStage, stage_name: &str, seed: u64, tag: &str) 
 
 #[test]
 fn master_kill_during_clustering_resumes_to_identical_contigs() {
-    checkpoint_resume(FaultStage::Cluster, "cluster", 17, "ck-cluster");
+    with_watchdog("master_kill_during_clustering_resumes_to_identical_contigs", SCENARIO_LIMIT, || {
+        checkpoint_resume(FaultStage::Cluster, "cluster", 17, "ck-cluster");
+    });
 }
 
 #[test]
 fn master_kill_during_assembly_resumes_to_identical_contigs() {
-    checkpoint_resume(FaultStage::Assemble, "assemble", 19, "ck-assemble");
+    with_watchdog("master_kill_during_assembly_resumes_to_identical_contigs", SCENARIO_LIMIT, || {
+        checkpoint_resume(FaultStage::Assemble, "assemble", 19, "ck-assemble");
+    });
 }
