@@ -72,9 +72,9 @@ else
 fi
 
 echo "==> traced smoke run + trace validation"
-rm -f ci_reads.fastq ci.trace.json ci.metrics.json
+rm -f ci_reads.fastq ci_contigs.fasta ci.trace.json ci.metrics.json
 cargo run --release -q --bin pgasm -- generate --kind maize --out ci_reads.fastq --scale 0.2 --seed 7
-cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --ranks 4 \
+cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.fasta --ranks 4 \
   --trace-json ci.trace.json --metrics-json ci.metrics.json
 # 4 clustering ranks + the pipeline's own track + 4 distributed-assembly
 # tracks; the assemble category is mandatory now that `--ranks` runs the
@@ -89,25 +89,38 @@ echo "==> critical-path analysis of the traced smoke run"
 cargo run --release -q --bin pgasm -- analyze --trace-json ci.trace.json \
   --metrics-json ci.metrics.json --out ci.analysis.json --coverage-tol 0.05
 test -s ci.analysis.json || { echo "missing ci.analysis.json"; exit 1; }
-rm -f ci_reads.fastq ci.trace.json ci.metrics.json ci.analysis.json
+rm -f ci_contigs.fasta ci.trace.json ci.metrics.json ci.analysis.json
+
+echo "==> pgasm cluster: serial and --ranks 3 write the same partition"
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3
+cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "partition differs between serial and --ranks 3"; exit 1; }
+rm -f ci_reads.fastq ci_clusters.serial.txt ci_clusters.ranks3.txt
 
 echo "==> artifact-cache smoke (cold run populates, warm run hits)"
 # Serial (no --ranks) so the preprocess, GST, and contigs caches all
 # engage. The same command runs twice against a shared --cache-dir; the
 # second run must load all three artifacts (cache_hit = 3,
 # cache_miss = 0) and skip the GST build (no gst_build span).
-rm -rf ci_cache ci_cache_reads.fastq ci.cache-cold.json ci.cache-warm.json
-cargo run --release -q --bin pgasm -- generate --kind maize --out ci_cache_reads.fastq --scale 0.1 --seed 11
-cargo run --release -q --bin pgasm -- cluster --reads ci_cache_reads.fastq \
+rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs.fasta ci.cache-cold.json ci.cache-warm.json
+cargo run --release -q --bin pgasm -- generate --kind sargasso --out ci_cache_reads.fastq --scale 0.1 --seed 11
+cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.fasta \
   --cache-dir ci_cache --metrics-json ci.cache-cold.json
-cargo run --release -q --bin pgasm -- cluster --reads ci_cache_reads.fastq \
+# Only buckets that can emit a pair reach the tree, so on this sparse
+# sample the stored GST is smaller than the reads it indexes (it was
+# dozens of times larger when every suffix was indexed): a filter that
+# stopped filtering fails here.
+gst_bytes=$(stat -c %s ci_cache/gst-*.pgac)
+fastq_bytes=$(stat -c %s ci_cache_reads.fastq)
+[ "$gst_bytes" -lt "$fastq_bytes" ] || { echo "gst entry ($gst_bytes B) not smaller than its FASTQ ($fastq_bytes B)"; exit 1; }
+cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.fasta \
   --cache-dir ci_cache --metrics-json ci.cache-warm.json
 grep -q '"cache_miss": 3' ci.cache-cold.json || { echo "cold run should miss three times"; exit 1; }
 grep -q '"gst_build"' ci.cache-cold.json || { echo "cold run should record a gst_build span"; exit 1; }
 grep -q '"cache_hit": 3' ci.cache-warm.json || { echo "warm run should hit three times"; exit 1; }
 grep -q '"cache_miss": 3' ci.cache-warm.json && { echo "warm run must not miss"; exit 1; }
 grep -q '"gst_build"' ci.cache-warm.json && { echo "warm run must not rebuild the GST"; exit 1; }
-rm -rf ci_cache ci_cache_reads.fastq ci.cache-cold.json ci.cache-warm.json
+rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs.fasta ci.cache-cold.json ci.cache-warm.json
 
 echo "==> fault-injection smoke (kill 1 of 8 workers; contigs must not change)"
 # A deterministic kill removes worker 3 early in the clustering phase;

@@ -84,17 +84,17 @@ fn main() {
     h.bench("alignment/overlap_banded_500bp", 20, || banded_overlap_align(a.codes(), b.codes(), 300, 24, &s));
 
     // GST construction at two scales (recorded numbers predate PR 12's
-    // sort-based builder).
+    // sort-based builder and PR 15's bucket admission).
     for n in [100usize, 400] {
         let store = overlapping_reads(n, 7).with_reverse_complements();
-        h.bench(&format!("gst_build/{n}_reads"), 10, || Gst::build(&store, GstConfig { w: 11, psi: 20 }));
+        h.bench(&format!("gst_build/{n}_reads"), 10, || Gst::build(&store, GstConfig { psi: 20 }));
     }
 
     // Pair generation, both modes.
     let store = overlapping_reads(400, 9).with_reverse_complements();
     for mode in [GenMode::AllMatches, GenMode::DupElim] {
         h.bench(&format!("pair_generation/{mode:?}"), 10, || {
-            let gst = Gst::build(&store, GstConfig { w: 11, psi: 20 });
+            let gst = Gst::build(&store, GstConfig { psi: 20 });
             PairGenerator::new(gst, mode, |_, _| false).count()
         });
     }

@@ -36,7 +36,7 @@ impl Prepared {
 /// ψ = 20 promising-pair cutoff, duplicate elimination on, lenient
 /// clustering acceptance.
 pub fn default_params() -> ClusterParams {
-    ClusterParams { gst: GstConfig { w: 11, psi: 20 }, mode: GenMode::DupElim, ..ClusterParams::default() }
+    ClusterParams { gst: GstConfig { psi: 20 }, mode: GenMode::DupElim, ..ClusterParams::default() }
 }
 
 fn preprocess(name: &str, reads: ReadSet, genomes: Vec<Genome>, stat: bool) -> Prepared {
@@ -279,7 +279,6 @@ mod tests {
     #[test]
     fn default_params_match_paper_scale() {
         let p = default_params();
-        assert_eq!(p.gst.w, 11);
-        assert!(p.gst.psi >= p.gst.w);
+        assert_eq!(p.gst.psi, 20);
     }
 }

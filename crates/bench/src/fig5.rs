@@ -34,7 +34,7 @@ fn point_span(input_bp: usize, p: usize) -> String {
 /// Run the experiment; returns the measured series.
 pub fn run(scale: f64) -> Vec<Point> {
     let model = CostModel::BLUEGENE_L;
-    let config = GstConfig { w: 11, psi: 20 };
+    let config = GstConfig { psi: 20 };
     let sizes = [(250_000.0 * scale) as usize, (500_000.0 * scale) as usize];
     let ps = [1usize, 2, 4, 8];
     let (points, run_report) = with_run_report("fig5", |ctx| {

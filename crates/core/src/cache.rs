@@ -414,8 +414,8 @@ mod tests {
         assert_ne!(base, preprocess_key(&more, &[], &[], &cfg));
 
         let store = FragmentStore::from_seqs(vec![DnaSeq::from("ACGTACGT")]).with_reverse_complements();
-        let g1 = gst_key(&store, &GstConfig { w: 8, psi: 16 });
-        let g2 = gst_key(&store, &GstConfig { w: 8, psi: 20 });
+        let g1 = gst_key(&store, &GstConfig { psi: 16 });
+        let g2 = gst_key(&store, &GstConfig { psi: 20 });
         assert_ne!(g1, g2, "psi is part of the key");
     }
 }

@@ -438,7 +438,7 @@ mod tests {
 
     fn params() -> ClusterParams {
         ClusterParams {
-            gst: GstConfig { w: 8, psi: 16 },
+            gst: GstConfig { psi: 16 },
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 30 },
             ..Default::default()
         }

@@ -711,7 +711,7 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
         // the final partition is unchanged.
         let builders = self.world - 1;
         let seqs = (0..self.store.num_seqs() as u32).map(SeqId);
-        let mut suffixes: Vec<_> = enumerate_suffixes(self.store, seqs, self.gst_config.w)
+        let mut suffixes: Vec<_> = enumerate_suffixes(self.store, seqs, self.gst_config.bucket_len())
             .filter(|(key, _)| bucket_owner(*key, builders, 1) == dead_rank)
             .collect();
         sort_by_bucket(&mut suffixes);
@@ -935,7 +935,7 @@ mod tests {
 
     fn params() -> ClusterParams {
         ClusterParams {
-            gst: GstConfig { w: 8, psi: 16 },
+            gst: GstConfig { psi: 16 },
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 30 },
             ..Default::default()
         }

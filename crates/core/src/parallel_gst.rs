@@ -3,28 +3,34 @@
 //! Phases, per rank:
 //!
 //! 1. **Bucket**: enumerate the suffixes of the rank's own fragments
-//!    into one flat array and sort it by w-mer key; a bucket is a run.
+//!    into one flat array and sort it by ψ-mer key; a bucket is a run.
+//!    A rank sees only its share of a bucket, so it cannot judge here
+//!    whether the bucket can emit a pair.
 //! 2. **Redistribute**: each bucket's builder is a static hash of its
 //!    key ([`bucket_owner`]), so no assignment is negotiated; suffixes
-//!    travel to their builder, one `(key, count, suffixes)` record per
-//!    run, via the paper's customised all-to-all built from p − 1
-//!    point-to-point rounds (bounding send-buffer space). The receiver
-//!    concatenates the records in source-rank order and sorts them by
-//!    key again (stably: in-bucket order is source-rank order).
+//!    travel to their builder with their left class, one `(key, count,
+//!    suffixes)` record per run, via the paper's customised all-to-all
+//!    built from p − 1 point-to-point rounds (bounding send-buffer
+//!    space). The receiver concatenates the records in source-rank
+//!    order and sorts them by key again (stably: in-bucket order is
+//!    source-rank order). Now whole, each bucket is admitted or dropped
+//!    ([`admitted_runs`]) from the records alone — no text is needed.
 //! 3. **Fetch fragments**: each builder requests the fragment sequences
-//!    its received suffixes refer to "through two collective
+//!    its *admitted* suffixes refer to "through two collective
 //!    communication steps — the first to request the processors that
 //!    have the required fragments, and the second to service the
 //!    request".
-//! 4. **Build**: each bucket becomes a compacted-trie subtree of the
-//!    conceptual global GST, by the same sort + LCP builder as the
-//!    serial path ([`Gst::build_from_sorted`]).
+//! 4. **Build**: each admitted bucket becomes a compacted-trie subtree
+//!    of the conceptual global GST, by the same sort + LCP builder as
+//!    the serial path ([`Gst::build_from_sorted`]).
 //!
 //! Ownership discipline: a rank reads only its *own* fragments from the
 //! shared store; every foreign byte it uses arrives through a message,
 //! so the traffic counters are exact.
 
-use pgasm_gst::{enumerate_suffixes, sort_by_bucket, Gst, GstConfig, Suffix, TextSource};
+use pgasm_gst::{
+    admitted_runs, enumerate_suffixes, sort_by_bucket, Gst, GstConfig, GstStats, Suffix, TextSource,
+};
 use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
 use pgasm_seq::{FragmentStore, SeqId};
@@ -65,8 +71,10 @@ pub struct RankGstReport {
     pub compute_seconds: f64,
     /// Traffic during construction.
     pub comm: CommStats,
-    /// Suffixes this rank built trees over.
-    pub suffixes_built: usize,
+    /// The local forest's statistics: suffixes this rank received
+    /// (`enumerated`; over all ranks, every suffix of the store once),
+    /// suffixes it admitted and nodes it built.
+    pub gst: GstStats,
     /// Foreign fragments fetched.
     pub fragments_fetched: usize,
     /// Estimated resident bytes of the local forest.
@@ -127,7 +135,7 @@ pub fn rank_build_gst<'s>(
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUCKET);
     let t = thread_cpu_seconds();
     let my_seqs = (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == rank).map(SeqId);
-    let mut local: Vec<(u64, Suffix)> = enumerate_suffixes(store, my_seqs, config.w).collect();
+    let mut local: Vec<(u64, Suffix)> = enumerate_suffixes(store, my_seqs, config.bucket_len()).collect();
     sort_by_bucket(&mut local);
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUCKET);
@@ -135,10 +143,11 @@ pub fn rank_build_gst<'s>(
     // Phase 2: redistribute suffixes (customised all-to-all, §6). The
     // bucket → builder assignment is *static* (a hash of the bucket
     // key), relying on the paper's observation that for diverse sequence
-    // data the |Σ|^w buckets are close to uniformly occupied ("a value
+    // data the buckets are close to uniformly occupied ("a value
     // between 10 and 12 for w can be expected to generate millions of
-    // buckets sufficient to be distributed in a load balanced manner").
-    // No communication is needed to agree on owners.
+    // buckets sufficient to be distributed in a load balanced manner";
+    // ψ-mer keys only spread finer). No communication is needed to
+    // agree on owners.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
     let mut per_dest: Vec<Encoder> = (0..p).map(|_| Encoder::new()).collect();
     for run in local.chunk_by(|a, b| a.0 == b.0) {
@@ -150,6 +159,7 @@ pub fn rank_build_gst<'s>(
             e.put_u32(s.seq);
             e.put_u32(s.pos);
             e.put_u32(s.rem);
+            e.put_u8(s.left);
         }
     }
     drop(local);
@@ -160,18 +170,24 @@ pub fn rank_build_gst<'s>(
         while !d.is_empty() {
             let key = d.get_u64();
             let n = d.get_u32();
-            mine.extend(
-                (0..n).map(|_| (key, Suffix { seq: d.get_u32(), pos: d.get_u32(), rem: d.get_u32() })),
-            );
+            mine.extend((0..n).map(|_| {
+                (key, Suffix { seq: d.get_u32(), pos: d.get_u32(), rem: d.get_u32(), left: d.get_u8() })
+            }));
         }
     }
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
 
-    // Phase 3: fetch foreign fragments (two collective steps).
+    // Phase 3: fetch the foreign fragments of admitted buckets (two
+    // collective steps). The stable sort keeps each bucket in arrival
+    // (source-rank) order.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH);
     let t = thread_cpu_seconds();
-    let mut needed: Vec<u32> =
-        mine.iter().map(|(_, s)| s.seq).filter(|&s| owner[s as usize] as usize != rank).collect();
+    sort_by_bucket(&mut mine);
+    let mut needed: Vec<u32> = admitted_runs(&mine)
+        .flatten()
+        .map(|(_, s)| s.seq)
+        .filter(|&s| owner[s as usize] as usize != rank)
+        .collect();
     needed.sort_unstable();
     needed.dedup();
     compute += thread_cpu_seconds() - t;
@@ -203,12 +219,9 @@ pub fn rank_build_gst<'s>(
     let text = LocalText { store, owner, rank, fetched };
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_FETCH);
 
-    // Phase 4: build the local forest. The stable sort keeps each
-    // bucket in arrival (source-rank) order.
+    // Phase 4: build the local forest.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUILD);
     let t = thread_cpu_seconds();
-    sort_by_bucket(&mut mine);
-    let suffixes_built = mine.len();
     let gst = Gst::build_from_sorted(&text, &mine, config);
     drop(mine);
     compute += thread_cpu_seconds() - t;
@@ -223,7 +236,7 @@ pub fn rank_build_gst<'s>(
         wait_ns: after.wait_ns - stats_before.wait_ns,
         barrier_ns: after.barrier_ns - stats_before.barrier_ns,
     };
-    let memory_bytes = gst.memory_bytes();
+    let (stats, memory_bytes) = (gst.stats(), gst.memory_bytes());
     (
         gst,
         text,
@@ -231,7 +244,7 @@ pub fn rank_build_gst<'s>(
             rank,
             compute_seconds: compute,
             comm: comm_delta,
-            suffixes_built,
+            gst: stats,
             fragments_fetched,
             memory_bytes,
         },
@@ -320,7 +333,7 @@ mod tests {
         // The union of pairs generated from the per-rank forests must
         // equal the serial GST's pairs (AllMatches mode = exact set).
         let store = reads().with_reverse_complements();
-        let config = GstConfig { w: 8, psi: 16 };
+        let config = GstConfig { psi: 16 };
         let serial = {
             let gst = Gst::build(&store, config);
             all_pairs_sorted(PairGenerator::new(gst, GenMode::AllMatches, |_, _| false).collect())
@@ -346,7 +359,7 @@ mod tests {
         // suffixes in the same in-bucket (source-rank) order, read
         // straight from the store.
         let store = reads().with_reverse_complements();
-        let config = GstConfig { w: 8, psi: 16 };
+        let config = GstConfig { psi: 16 };
         for p in [2usize, 3] {
             let owner = compute_owners(&store, p, 0);
             let (owner, store_ref) = (&owner, &store);
@@ -359,7 +372,7 @@ mod tests {
                     let owned =
                         (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == source);
                     arrived.extend(
-                        enumerate_suffixes(&store, owned.map(SeqId), config.w)
+                        enumerate_suffixes(&store, owned.map(SeqId), config.bucket_len())
                             .filter(|(key, _)| bucket_owner(*key, p, 0) == rank),
                     );
                 }
@@ -374,7 +387,7 @@ mod tests {
     #[test]
     fn first_builder_excludes_master() {
         let store = reads().with_reverse_complements();
-        let config = GstConfig { w: 8, psi: 16 };
+        let config = GstConfig { psi: 16 };
         let owner = compute_owners(&store, 3, 1);
         // Rank 0 owns nothing.
         assert!(owner.iter().all(|&o| o >= 1));
@@ -391,7 +404,7 @@ mod tests {
     #[test]
     fn traffic_is_accounted() {
         let store = reads().with_reverse_complements();
-        let report = build_distributed_gst(&store, 4, GstConfig { w: 8, psi: 16 });
+        let report = build_distributed_gst(&store, 4, GstConfig { psi: 16 });
         assert_eq!(report.per_rank.len(), 4);
         let total_sent: u64 = report.per_rank.iter().map(|r| r.comm.bytes_sent).sum();
         assert!(total_sent > 0, "distribution must move bytes");

@@ -9,10 +9,10 @@
 use crate::assemble_dist::{assemble_parallel_ft, AssignPolicy};
 use crate::cache::{self, ArtifactCache};
 use crate::checkpoint::StageRecovery;
-use crate::clustering::{cluster_serial, cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering};
+use crate::clustering::{cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering};
 use crate::master_worker::{cluster_parallel_ft, MasterWorkerConfig};
 use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig, Contig, Placement};
-use pgasm_gst::{Gst, GST_CODEC_SCHEMA};
+use pgasm_gst::{Gst, GstStats, GST_CODEC_SCHEMA};
 use pgasm_mpisim::FaultStage;
 use pgasm_preprocess::pipeline::PreprocessOutput;
 use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCESS_CODEC_SCHEMA};
@@ -326,7 +326,7 @@ impl Stage for ClusterStage<'_> {
 
     fn run(&self, state: &mut StageState<'_>, ctx: &mut RunContext) {
         let store = state.store.as_ref().expect("preprocess stage ran");
-        let (clustering, stats) = match self.config.parallel_ranks {
+        let (clustering, stats, gst) = match self.config.parallel_ranks {
             Some(p) => {
                 let recovery = stage_recovery(&self.config.recovery, FaultStage::Cluster, "cluster");
                 let report = cluster_parallel_ft(
@@ -358,16 +358,25 @@ impl Stage for ClusterStage<'_> {
                     ctx.set_traces(report.traces);
                     ctx.add_series(report.series);
                 }
-                (report.clustering, report.stats)
-            }
-            None => match &state.cache {
-                Some(_) => {
-                    let gst = self.cached_gst(state, ctx, store);
-                    cluster_serial_with_gst(store, &self.config.cluster, Some(gst))
+                let mut gst = GstStats::default();
+                for rank in &report.gst_reports {
+                    gst.enumerated += rank.gst.enumerated;
+                    gst.suffixes += rank.gst.suffixes;
+                    gst.nodes += rank.gst.nodes;
                 }
-                None => cluster_serial(store, &self.config.cluster),
-            },
+                (report.clustering, report.stats, gst)
+            }
+            None => {
+                let gst = self.serial_gst(state, ctx, store);
+                let gst_stats = gst.stats();
+                let (clustering, stats) = cluster_serial_with_gst(store, &self.config.cluster, Some(gst));
+                (clustering, stats, gst_stats)
+            }
         };
+        // How much of the input reached the tree.
+        ctx.set(names::GST_SUFFIXES_ENUMERATED, gst.enumerated as u64);
+        ctx.set(names::GST_SUFFIXES_INDEXED, gst.suffixes as u64);
+        ctx.set(names::GST_NODES, gst.nodes as u64);
         ctx.set(names::PAIRS_GENERATED, stats.generated);
         ctx.set(names::PAIRS_ALIGNED, stats.aligned);
         ctx.set(names::PAIRS_ACCEPTED, stats.accepted);
@@ -388,49 +397,48 @@ impl Stage for ClusterStage<'_> {
 }
 
 impl ClusterStage<'_> {
-    /// The GST for a cache-enabled serial run: loaded from the artifact
-    /// cache when a valid entry for this exact fragment set and GST
-    /// parameters exists, otherwise built (under a `gst_build` span, so
-    /// warm and cold runs are distinguishable in the report) and stored
-    /// for the next run.
-    fn cached_gst(&self, state: &StageState<'_>, ctx: &mut RunContext, store: &FragmentStore) -> Gst {
-        let cache = state.cache.as_ref().expect("caller checked");
+    /// The GST of a serial run, built under a `gst_build` span. With the
+    /// artifact cache on it is loaded instead when a valid entry for this
+    /// exact fragment set and GST parameters exists (no `gst_build` span,
+    /// so warm and cold runs are distinguishable in the report), and
+    /// stored for the next run when it had to be built.
+    fn serial_gst(&self, state: &StageState<'_>, ctx: &mut RunContext, store: &FragmentStore) -> Gst {
         let gst_config = self.config.cluster.gst;
         let ds = store.with_reverse_complements();
-        let key = cache::gst_key(&ds, &gst_config);
-        ctx.push("cache");
-        let mut loaded: Option<Gst> = None;
-        if let Some(payload) = cache.load("gst", GST_CODEC_SCHEMA, key) {
-            if let Ok(g) = Gst::decode(&payload) {
-                // Decode checks internal consistency; the entry must
-                // also be *for* this store and parameters (the key
-                // already encodes both — this guards hash collisions
-                // and hand-edited files).
-                if g.config() == gst_config && g.num_seqs() == ds.num_seqs() {
-                    ctx.add(names::CACHE_BYTES_READ, payload.len() as u64);
-                    loaded = Some(g);
+        let key = state.cache.as_ref().map(|cache| (cache, cache::gst_key(&ds, &gst_config)));
+        if let Some((cache, key)) = key {
+            ctx.push("cache");
+            // Decode checks internal consistency; the entry must also
+            // be *for* this store and parameters (the key already
+            // encodes both — this guards hash collisions and
+            // hand-edited files).
+            let loaded = cache.load("gst", GST_CODEC_SCHEMA, key).and_then(|payload| {
+                let g = Gst::decode(&payload).ok()?;
+                (g.config() == gst_config && g.num_seqs() == ds.num_seqs()).then_some((payload.len(), g))
+            });
+            match &loaded {
+                Some((bytes, _)) => {
+                    ctx.add(names::CACHE_HIT, 1);
+                    ctx.add(names::CACHE_BYTES_READ, *bytes as u64);
                 }
+                None => ctx.add(names::CACHE_MISS, 1),
+            }
+            ctx.pop();
+            if let Some((_, g)) = loaded {
+                return g;
             }
         }
-        match &loaded {
-            Some(_) => ctx.add(names::CACHE_HIT, 1),
-            None => ctx.add(names::CACHE_MISS, 1),
-        }
+        ctx.push("gst_build");
+        let g = Gst::build(&ds, gst_config);
         ctx.pop();
-        match loaded {
-            Some(g) => g,
-            None => {
-                ctx.push("gst_build");
-                let g = Gst::build(&ds, gst_config);
-                ctx.pop();
-                ctx.push("cache");
-                if let Ok(n) = cache.store("gst", GST_CODEC_SCHEMA, key, &g.encode()) {
-                    ctx.add(names::CACHE_BYTES_WRITTEN, n);
-                }
-                ctx.pop();
-                g
+        if let Some((cache, key)) = key {
+            ctx.push("cache");
+            if let Ok(n) = cache.store("gst", GST_CODEC_SCHEMA, key, &g.encode()) {
+                ctx.add(names::CACHE_BYTES_WRITTEN, n);
             }
+            ctx.pop();
         }
+        g
     }
 }
 
@@ -640,6 +648,30 @@ impl Pipeline {
         known_repeats: &[DnaSeq],
         ctx: &mut RunContext,
     ) -> PipelineReport {
+        self.run_stages(reads, vectors, known_repeats, ctx, true)
+    }
+
+    /// As [`Pipeline::run_with_context`], stopping after the cluster
+    /// stage: the report's `assemblies` stay empty and the run records no
+    /// `assemble` span.
+    pub fn cluster_with_context(
+        &self,
+        reads: &ReadSet,
+        vectors: &[DnaSeq],
+        known_repeats: &[DnaSeq],
+        ctx: &mut RunContext,
+    ) -> PipelineReport {
+        self.run_stages(reads, vectors, known_repeats, ctx, false)
+    }
+
+    fn run_stages(
+        &self,
+        reads: &ReadSet,
+        vectors: &[DnaSeq],
+        known_repeats: &[DnaSeq],
+        ctx: &mut RunContext,
+        assemble: bool,
+    ) -> PipelineReport {
         let mut state = StageState::new(reads, vectors, known_repeats);
         // An unopenable cache directory degrades to a cold, uncached
         // run — caching is an optimisation, never a failure mode.
@@ -658,7 +690,7 @@ impl Pipeline {
         // points per run, each one meaningful).
         let mut sampler = self.config.trace.sampler(self.config.parallel_ranks.unwrap_or(0), "pipeline");
         let g_cache = sampler.register(names::GAUGE_CACHE_BYTES);
-        for stage in stages {
+        for stage in &stages[..if assemble { 3 } else { 2 }] {
             tracer.begin(TraceCategory::Stage, stage.name());
             ctx.push(stage.name());
             stage.run(&mut state, ctx);
@@ -761,6 +793,7 @@ pub fn assemble_clusters_q(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clustering::cluster_serial;
     use pgasm_simgen::genome::{Genome, GenomeSpec};
     use pgasm_simgen::sampler::{Sampler, SamplerConfig};
     use pgasm_simgen::vector::VECTOR_SEQ;
@@ -784,7 +817,7 @@ mod tests {
         use pgasm_align::AcceptCriteria;
         use pgasm_gst::GstConfig;
         let cluster = ClusterParams {
-            gst: GstConfig { w: 10, psi: 20 },
+            gst: GstConfig { psi: 20 },
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 40 },
             ..Default::default()
         };

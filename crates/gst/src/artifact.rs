@@ -15,14 +15,17 @@
 use crate::tree::{Gst, GstConfig, GstStats, Node, NONE, NUM_CLASSES};
 use pgasm_seq::wire::{Reader, WireError, Writer};
 
-/// Bump when the encoding below changes shape — a cache entry written
+/// Bump when the encoding below changes shape, or when the same
+/// parameters start to mean a different forest — a cache entry written
 /// by a different schema is rejected and rebuilt, never misparsed.
-pub const GST_CODEC_SCHEMA: u32 = 1;
+/// 2: only admitted buckets are built; the header has no `w`, the stats
+/// gain `enumerated`.
+pub const GST_CODEC_SCHEMA: u32 = 2;
 
 impl Gst {
     /// Serialize the forest into `w`. Inverse of [`Gst::decode_from`].
     pub fn encode_into(&self, w: &mut Writer) {
-        w.put_u32(self.config.w as u32).put_u32(self.config.psi as u32);
+        w.put_u32(self.config.psi as u32);
         w.put_u64(self.num_seqs as u64);
         w.put_u32(pgasm_seq::wire::checked_len(self.nodes.len()));
         for n in &self.nodes {
@@ -42,19 +45,18 @@ impl Gst {
         }
         w.put_u32_slice(&self.order);
         let s = self.stats;
-        for v in [s.buckets, s.nodes, s.leaves, s.suffixes, s.max_depth, s.eligible_nodes] {
+        for v in [s.buckets, s.nodes, s.leaves, s.enumerated, s.suffixes, s.max_depth, s.eligible_nodes] {
             w.put_u64(v as u64);
         }
     }
 
     /// Decode a forest previously written by [`Gst::encode_into`].
     pub fn decode_from(r: &mut Reader<'_>) -> Result<Gst, WireError> {
-        let w_cfg = r.get_u32()? as usize;
         let psi = r.get_u32()? as usize;
-        if !(1..=31).contains(&w_cfg) || psi < w_cfg {
+        if psi == 0 {
             return Err(WireError::Malformed("GST config out of range"));
         }
-        let config = GstConfig { w: w_cfg, psi };
+        let config = GstConfig { psi };
         let num_seqs = r.get_u64()? as usize;
         let num_nodes = r.get_u32()? as usize;
         let mut nodes = Vec::new();
@@ -88,18 +90,13 @@ impl Gst {
             lset_tail.push(tail);
         }
         let order = r.get_u32_slice()?;
-        let mut stats_fields = [0u64; 6];
+        let mut stats_fields = [0usize; 7];
         for f in stats_fields.iter_mut() {
-            *f = r.get_u64()?;
+            *f = r.get_u64()? as usize;
         }
-        let stats = GstStats {
-            buckets: stats_fields[0] as usize,
-            nodes: stats_fields[1] as usize,
-            leaves: stats_fields[2] as usize,
-            suffixes: stats_fields[3] as usize,
-            max_depth: stats_fields[4] as usize,
-            eligible_nodes: stats_fields[5] as usize,
-        };
+        let [buckets, nodes_built, leaves, enumerated, suffixes, max_depth, eligible_nodes] = stats_fields;
+        let stats =
+            GstStats { buckets, nodes: nodes_built, leaves, enumerated, suffixes, max_depth, eligible_nodes };
 
         // Structural validation: every cross-array index must be NONE or
         // in range, or traversal would index out of bounds later.
@@ -201,7 +198,7 @@ mod tests {
     #[test]
     fn decoded_gst_generates_identical_pairs() {
         let store = sample_store().with_reverse_complements();
-        let config = GstConfig { w: 8, psi: 16 };
+        let config = GstConfig { psi: 16 };
         let original = Gst::build(&store, config);
         let stats = original.stats();
         let bytes = original.encode();
@@ -217,7 +214,7 @@ mod tests {
     #[test]
     fn empty_gst_round_trips() {
         let store = FragmentStore::new();
-        let gst = Gst::build(&store, GstConfig { w: 4, psi: 4 });
+        let gst = Gst::build(&store, GstConfig { psi: 4 });
         let decoded = Gst::decode(&gst.encode()).unwrap();
         assert_eq!(decoded.stats(), gst.stats());
     }
@@ -225,16 +222,16 @@ mod tests {
     #[test]
     fn truncation_never_panics() {
         let store = sample_store().with_reverse_complements();
-        let bytes = Gst::build(&store, GstConfig { w: 8, psi: 16 }).encode();
+        let bytes = Gst::build(&store, GstConfig { psi: 16 }).encode();
         for cut in (0..bytes.len()).step_by(7) {
             assert!(Gst::decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
         }
     }
 
     /// Byte offset of field `field` (depth, first_child, next_sibling,
-    /// lset) of node `id`: w(4) psi(4) num_seqs(8) node_count(4) nodes….
+    /// lset) of node `id`: psi(4) num_seqs(8) node_count(4) nodes….
     fn node_field(id: usize, field: usize) -> usize {
-        4 + 4 + 8 + 4 + 16 * id + 4 * field
+        4 + 8 + 4 + 16 * id + 4 * field
     }
 
     fn patched(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
@@ -250,7 +247,7 @@ mod tests {
     #[test]
     fn links_that_do_not_point_forward_are_rejected() {
         let store = sample_store().with_reverse_complements();
-        let gst = Gst::build(&store, GstConfig { w: 8, psi: 16 });
+        let gst = Gst::build(&store, GstConfig { psi: 16 });
         let bytes = gst.encode();
         assert!(Gst::decode(&bytes).is_ok());
         // A sibling cycle (the root's first child names itself as its
@@ -265,11 +262,12 @@ mod tests {
 
     #[test]
     fn suffix_lists_that_loop_are_rejected() {
-        // Two copies of one read: each leaf lists both copies' suffixes
-        // in one class, so there are list links to bend.
+        // Three copies of one read: only the bucket of the read starts
+        // is admitted, a single leaf listing all three in class λ, so
+        // there are two list links to bend.
         let read = DnaSeq::from("ACGTTGCAAGCT");
-        let store = FragmentStore::from_seqs(vec![read.clone(), read]);
-        let gst = Gst::build(&store, GstConfig { w: 4, psi: 4 });
+        let store = FragmentStore::from_seqs(vec![read.clone(), read.clone(), read]);
+        let gst = Gst::build(&store, GstConfig { psi: 4 });
         let bytes = gst.encode();
         assert!(Gst::decode(&bytes).is_ok());
         let entry = gst.suf_next.iter().rposition(|&n| n != NONE).expect("a two-suffix list");
@@ -284,7 +282,7 @@ mod tests {
     #[test]
     fn order_entries_without_lsets_are_rejected() {
         let store = sample_store().with_reverse_complements();
-        let gst = Gst::build(&store, GstConfig { w: 8, psi: 16 });
+        let gst = Gst::build(&store, GstConfig { psi: 16 });
         let bytes = gst.encode();
         // The generator indexes lset_head by the lset of every node in
         // the order and of each of its children; NONE there is an
@@ -297,20 +295,31 @@ mod tests {
         let last = gst.children(parent).pop().expect("children") as usize;
         assert!(malformed(&patched(&bytes, node_field(first, 3), NONE)), "first child without lsets");
         assert!(malformed(&patched(&bytes, node_field(last, 3), NONE)), "last child without lsets");
-        // A shallow node may lack lsets as long as the order skips it.
-        let shallow = Gst::build(&store, GstConfig { w: 4, psi: 16 });
-        assert!(shallow.nodes.iter().any(|n| n.lset == NONE));
+        // A shallow node (ψ > 31: the bucket prefix stops short of ψ)
+        // may lack lsets as long as the order skips it. A read start
+        // that shares 35 bases with the inside of another read branches
+        // at depth 35 < 40.
+        let tiles = sample_store();
+        let mut reads: Vec<DnaSeq> = (0..tiles.num_seqs() as u32)
+            .map(|i| DnaSeq::from_codes(tiles.get(pgasm_seq::SeqId(i)).to_vec()))
+            .collect();
+        let mut probe = reads[0].codes()[20..55].to_vec();
+        probe.extend((0..10).map(|i| 3 - reads[0].codes()[55 + i]));
+        reads.push(DnaSeq::from_codes(probe));
+        let shallow = Gst::build(&FragmentStore::from_seqs(reads), GstConfig { psi: 40 });
+        assert!(shallow.nodes.iter().any(|n| n.lset == NONE && n.depth == 35));
+        assert!(shallow.stats().eligible_nodes > 0);
         assert!(Gst::decode(&shallow.encode()).is_ok());
     }
 
     #[test]
     fn corrupt_index_rejected() {
         let store = sample_store().with_reverse_complements();
-        let gst = Gst::build(&store, GstConfig { w: 8, psi: 16 });
+        let gst = Gst::build(&store, GstConfig { psi: 16 });
         let mut bad = gst.encode();
         // Overwrite the first node's first_child with a huge index.
-        // Layout: w(4) psi(4) num_seqs(8) node_count(4) depth(4) first_child…
-        let off = 4 + 4 + 8 + 4 + 4;
+        // Layout: psi(4) num_seqs(8) node_count(4) depth(4) first_child…
+        let off = node_field(0, 1);
         bad[off..off + 4].copy_from_slice(&0x7FFF_FFF0u32.to_le_bytes());
         assert!(Gst::decode(&bad).is_err());
     }

@@ -2,18 +2,21 @@
 //!
 //! Implements §5–§6 of the paper:
 //!
-//! - [`suffix`] — suffix enumeration into one flat `(w-mer key, suffix)`
-//!   array and its stable sort by key; a bucket is a run of that array.
-//!   Shared by the serial builder, the parallel construction driver and
-//!   scope adoption in `pgasm-core`.
+//! - [`suffix`] — suffix enumeration into one flat `(ψ-mer key, suffix)`
+//!   array, each suffix carrying its left class, and its stable sort by
+//!   key; a bucket is a run of that array, *admitted* to the tree only
+//!   if it can emit a pair (two suffixes or more, not all after the same
+//!   real base). Shared by the serial builder, the parallel construction
+//!   driver and scope adoption in `pgasm-core`.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
-//!   forest of compacted tries, one per w-prefix bucket. Each bucket is
-//!   sorted on its text beyond depth `w` and its nodes are emitted in
-//!   pre-order from (sorted order, adjacent LCPs) — one builder, with
-//!   per-build scratch and no allocation per level, node or bucket. The
-//!   portion of the GST above string-depth `w` is never materialised
-//!   ("the top portion of the GST is not needed for pair generation").
+//!   forest of compacted tries, one per admitted bucket. Each bucket is
+//!   sorted on its text beyond the bucket prefix and its nodes are
+//!   emitted in pre-order from (sorted order, adjacent LCPs) — one
+//!   builder, with per-build scratch and no allocation per level, node
+//!   or bucket. The portion of the GST above string-depth ψ is never
+//!   materialised ("the top portion of the GST is not needed for pair
+//!   generation").
 //! - [`pairs`] — the on-demand *promising pair* generator: fragment
 //!   pairs sharing a maximal match of length ≥ ψ, produced in
 //!   non-increasing order of maximal-match length, O(1) time per pair,
@@ -36,5 +39,5 @@ pub mod tree;
 
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
-pub use suffix::{enumerate_suffixes, sort_by_bucket, Suffix};
+pub use suffix::{admitted_runs, enumerate_suffixes, sort_by_bucket, Suffix};
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

@@ -381,15 +381,15 @@ mod tests {
         FragmentStore::from_seqs(seqs.iter().map(|s| DnaSeq::from(*s)))
     }
 
-    fn generate_all(st: &FragmentStore, w: usize, psi: usize, mode: GenMode) -> Vec<PromisingPair> {
-        let gst = Gst::build(st, GstConfig { w, psi });
+    fn generate_all(st: &FragmentStore, psi: usize, mode: GenMode) -> Vec<PromisingPair> {
+        let gst = Gst::build(st, GstConfig { psi });
         PairGenerator::new(gst, mode, |_, _| false).collect()
     }
 
     #[test]
     fn simple_overlap_pair_found() {
         let st = store(&["TTTTACGTACGT", "ACGTACGTGGGG"]);
-        let pairs = generate_all(&st, 4, 8, GenMode::DupElim);
+        let pairs = generate_all(&st, 8, GenMode::DupElim);
         assert!(!pairs.is_empty());
         assert!(pairs.iter().any(|p| p.a == SeqId(0) && p.b == SeqId(1) && p.match_len >= 8));
     }
@@ -398,7 +398,7 @@ mod tests {
     fn all_matches_mode_equals_brute_force() {
         let st = store(&["AAACGTACGTTTCCGG", "CCACGTACGTAAGGCC", "GGGGTTTTACGTACGT", "TTACGTACTTACGTAC"]);
         let psi = 5;
-        let pairs = generate_all(&st, 3, psi, GenMode::AllMatches);
+        let pairs = generate_all(&st, psi, GenMode::AllMatches);
         let got: HashSet<(u32, u32, u32, u32, u32)> =
             pairs.iter().map(|p| (p.a.0, p.b.0, p.a_pos, p.b_pos, p.match_len)).collect();
         assert_eq!(got.len(), pairs.len(), "AllMatches must not emit duplicates");
@@ -413,7 +413,7 @@ mod tests {
     fn dup_elim_covers_all_distinct_pairs() {
         let st = store(&["AAACGTACGTTTCCGGAACCGGTT", "CCACGTACGTAAGGCCAACCGGTT", "GGGGTTTTACGTACGTAACCGGTT"]);
         let psi = 5;
-        let pairs = generate_all(&st, 3, psi, GenMode::DupElim);
+        let pairs = generate_all(&st, psi, GenMode::DupElim);
         let got_pairs: HashSet<(u32, u32)> = pairs.iter().map(|p| (p.a.0, p.b.0)).collect();
         let matches = brute::all_maximal_matches(&st, psi);
         let expected: HashSet<(u32, u32)> = brute::distinct_pairs(&matches).into_iter().collect();
@@ -442,7 +442,7 @@ mod tests {
             "ACGTACGTACGTACGTAACCGGTT",
         ]);
         for mode in [GenMode::AllMatches, GenMode::DupElim] {
-            let pairs = generate_all(&st, 3, 4, mode);
+            let pairs = generate_all(&st, 4, mode);
             for w in pairs.windows(2) {
                 assert!(w[0].match_len >= w[1].match_len, "order violated in {mode:?}: {w:?}");
             }
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn seed_positions_are_real_matches() {
         let st = store(&["AAACGTACGTTTCCGG", "CCACGTACGTAAGGCC"]);
-        let pairs = generate_all(&st, 3, 5, GenMode::AllMatches);
+        let pairs = generate_all(&st, 5, GenMode::AllMatches);
         for p in &pairs {
             let a = st.get(p.a);
             let b = st.get(p.b);
@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn skip_filter_applied() {
         let st = store(&["TTTTACGTACGT", "ACGTACGTGGGG"]);
-        let gst = Gst::build(&st, GstConfig { w: 4, psi: 8 });
+        let gst = Gst::build(&st, GstConfig { psi: 8 });
         let pairs: Vec<_> = PairGenerator::new(gst, GenMode::DupElim, |_, _| true).collect();
         assert!(pairs.is_empty());
     }
@@ -477,7 +477,7 @@ mod tests {
     fn same_sequence_pairs_never_emitted() {
         // Repeated region within one sequence.
         let st = store(&["ACGTACGTAAACGTACGT", "ACGTACGTCCACGTACGT"]);
-        let pairs = generate_all(&st, 4, 6, GenMode::AllMatches);
+        let pairs = generate_all(&st, 6, GenMode::AllMatches);
         for p in &pairs {
             assert_ne!(p.a, p.b);
         }
@@ -486,9 +486,9 @@ mod tests {
     #[test]
     fn batch_interface_resumes_correctly() {
         let st = store(&["AAACGTACGTTTCCGGAACCGGTT", "CCACGTACGTAAGGCCAACCGGTT", "GGGGTTTTACGTACGTAACCGGTT"]);
-        let gst = Gst::build(&st, GstConfig { w: 3, psi: 4 });
+        let gst = Gst::build(&st, GstConfig { psi: 4 });
         let all: Vec<_> = PairGenerator::new(gst, GenMode::AllMatches, |_, _| false).collect();
-        let gst2 = Gst::build(&st, GstConfig { w: 3, psi: 4 });
+        let gst2 = Gst::build(&st, GstConfig { psi: 4 });
         let mut g = PairGenerator::new(gst2, GenMode::AllMatches, |_, _| false);
         let mut batched = Vec::new();
         loop {
@@ -506,7 +506,7 @@ mod tests {
         let mut a = DnaSeq::from("ACGTACGTACGT");
         a.mask_range(0, 12);
         let st = FragmentStore::from_seqs(vec![a, DnaSeq::from("ACGTACGTACGT")]);
-        let pairs = generate_all(&st, 4, 4, GenMode::AllMatches);
+        let pairs = generate_all(&st, 4, GenMode::AllMatches);
         assert!(pairs.is_empty());
     }
 
@@ -516,7 +516,7 @@ mod tests {
         let f0 = DnaSeq::from("TTTTACGTTGCAGCAT");
         let f1 = f0.reverse_complement(); // identical overlap on opposite strand
         let st = FragmentStore::from_seqs(vec![f0, f1]).with_reverse_complements();
-        let pairs = generate_all(&st, 4, 10, GenMode::DupElim);
+        let pairs = generate_all(&st, 10, GenMode::DupElim);
         // seq 0 (f0 fwd) matches seq 3 (f1 rev) fully; mirrored as (1, 2).
         assert!(pairs.iter().any(|p| (p.a.0, p.b.0) == (0, 3)), "{pairs:?}");
         assert!(pairs.iter().any(|p| (p.a.0, p.b.0) == (1, 2)), "{pairs:?}");

@@ -1,15 +1,25 @@
-//! Suffix enumeration and w-prefix bucketing.
+//! Suffix enumeration, ψ-prefix bucketing and bucket admission.
 //!
 //! §6: "The first step is to sort all suffixes based on their w-length
 //! prefixes … each processor partitions the suffixes of its fragments
-//! into |Σ|^w buckets based on their first w characters." A bucket key is
-//! the 2-bit-packed w-mer; only suffixes with at least `w` unmasked
-//! characters remaining in their run can seed a maximal match of length
-//! ≥ ψ ≥ w, so shorter suffixes are dropped at enumeration time. Buckets
-//! are never materialised one by one: suffixes live in one flat
-//! `Vec<(key, Suffix)>` sorted by key, and a bucket is a run of it.
+//! into |Σ|^w buckets based on their first w characters." The paper
+//! needs a small `w` because its bucket *table* is the unit of
+//! distribution; here a bucket is a run of one flat `Vec<(key, Suffix)>`
+//! sorted by key, so the prefix can be as long as a key holds. It is
+//! `min(ψ, 31)` bases ([`GstConfig::bucket_len`](crate::GstConfig)): no
+//! node shallower than ψ emits a pair, and a suffix with fewer unmasked
+//! characters left in its run cannot seed a match of length ≥ ψ, so
+//! shorter suffixes are dropped at enumeration time.
+//!
+//! A bucket is *admitted* to the tree only if it can emit a pair
+//! ([`LeftClasses::can_pair`]): it holds two suffixes, and they do not
+//! all follow the same real base. A bucket root has no parent, so the
+//! suffixes of a rejected bucket would never meet any others; every
+//! match inside it extends to the left and is generated from the bucket
+//! where that extension ends.
 
-use pgasm_seq::{FragmentStore, KmerIter, SeqId};
+use crate::tree::{LAMBDA, NUM_CLASSES};
+use pgasm_seq::{is_base_code, FragmentStore, KmerIter, SeqId};
 use serde::{Deserialize, Serialize};
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
@@ -22,25 +32,70 @@ pub struct Suffix {
     /// Remaining length: distance from `pos` to the end of the unmasked
     /// run containing it (matches cannot cross masked bases).
     pub rem: u32,
+    /// lset class: the code of the preceding base, or λ
+    /// ([`LAMBDA`]) at position 0 or after a masked base — no left
+    /// extension is possible in either case, which is what
+    /// left-maximality needs.
+    pub left: u8,
 }
 
-/// Enumerate `(bucket_key, suffix)` for the given sequences of `store`:
-/// every suffix position whose next `w` bases are unmasked, keyed by the
-/// packed w-mer starting there.
-pub fn enumerate_suffixes<'a>(
-    store: &'a FragmentStore,
-    seqs: impl IntoIterator<Item = SeqId> + 'a,
-    w: usize,
-) -> impl Iterator<Item = (u64, Suffix)> + 'a {
-    seqs.into_iter().flat_map(move |sid| {
-        let codes = store.get(sid);
-        // Precompute run end for each position by scanning runs.
-        RunSuffixes::new(codes, w)
-            .map(move |(pos, rem, key)| (key, Suffix { seq: sid.0, pos: pos as u32, rem: rem as u32 }))
+/// The left classes seen in a set of suffixes, and whether it holds two.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LeftClasses(u8);
+
+impl LeftClasses {
+    const TWO: u8 = 1 << NUM_CLASSES;
+    const REAL: u8 = (1 << LAMBDA) - 1;
+
+    /// Add a suffix of class `left` to the set.
+    #[inline]
+    pub fn add(&mut self, left: u8) {
+        self.0 |= 1 << left | if self.0 == 0 { 0 } else { Self::TWO };
+    }
+
+    /// Can a node over (a subset of) these suffixes emit a pair? Pairs
+    /// form across two different classes or within λ (condition C4), so
+    /// a single suffix, or any number that all follow the same real
+    /// base, never can — in either [`GenMode`](crate::GenMode).
+    #[inline]
+    pub fn can_pair(self) -> bool {
+        let two = self.0 & Self::TWO != 0;
+        let lambda = self.0 & 1 << LAMBDA != 0;
+        two && (lambda || (self.0 & Self::REAL).count_ones() >= 2)
+    }
+}
+
+/// The buckets of a key-sorted suffix array that are admitted to the
+/// tree: runs of equal key that [can pair](LeftClasses::can_pair).
+pub fn admitted_runs(sorted: &[(u64, Suffix)]) -> impl Iterator<Item = &[(u64, Suffix)]> + Clone {
+    sorted.chunk_by(|a, b| a.0 == b.0).filter(|run| {
+        let mut seen = LeftClasses::default();
+        run.iter().for_each(|(_, s)| seen.add(s.left));
+        seen.can_pair()
     })
 }
 
-/// Iterator over (pos, run_remaining, packed w-mer) for one sequence.
+/// Enumerate `(bucket_key, suffix)` for the given sequences of `store`:
+/// every suffix position whose next `bucket_len` bases are unmasked,
+/// keyed by the packed `bucket_len`-mer starting there.
+pub fn enumerate_suffixes<'a>(
+    store: &'a FragmentStore,
+    seqs: impl IntoIterator<Item = SeqId> + 'a,
+    bucket_len: usize,
+) -> impl Iterator<Item = (u64, Suffix)> + 'a {
+    seqs.into_iter().flat_map(move |sid| {
+        let codes = store.get(sid);
+        RunSuffixes::new(codes, bucket_len).map(move |(pos, rem, key)| {
+            let left = match codes[..pos].last() {
+                Some(&c) if is_base_code(c) => c,
+                _ => LAMBDA as u8,
+            };
+            (key, Suffix { seq: sid.0, pos: pos as u32, rem: rem as u32, left })
+        })
+    })
+}
+
+/// Iterator over (pos, run_remaining, packed key) for one sequence.
 struct RunSuffixes<'a> {
     codes: &'a [u8],
     kmers: KmerIter<'a>,
@@ -49,8 +104,8 @@ struct RunSuffixes<'a> {
 }
 
 impl<'a> RunSuffixes<'a> {
-    fn new(codes: &'a [u8], w: usize) -> Self {
-        RunSuffixes { codes, kmers: KmerIter::new(codes, w), run_end: 0 }
+    fn new(codes: &'a [u8], bucket_len: usize) -> Self {
+        RunSuffixes { codes, kmers: KmerIter::new(codes, bucket_len), run_end: 0 }
     }
 }
 
@@ -62,7 +117,7 @@ impl Iterator for RunSuffixes<'_> {
         if pos >= self.run_end {
             // Find the end of the unmasked run containing `pos`.
             let mut e = pos;
-            while e < self.codes.len() && pgasm_seq::is_base_code(self.codes[e]) {
+            while e < self.codes.len() && is_base_code(self.codes[e]) {
                 e += 1;
             }
             self.run_end = e;
@@ -96,19 +151,56 @@ mod tests {
         let sufs: Vec<_> = enumerate_suffixes(&st, [SeqId(0)], 3).collect();
         // Positions 0..=4 have ≥3 bases remaining.
         assert_eq!(sufs.len(), 5);
-        assert_eq!(sufs[0].1, Suffix { seq: 0, pos: 0, rem: 7 });
-        assert_eq!(sufs[4].1, Suffix { seq: 0, pos: 4, rem: 3 });
+        assert_eq!(sufs[0].1, Suffix { seq: 0, pos: 0, rem: 7, left: LAMBDA as u8 });
+        assert_eq!(sufs[4].1, Suffix { seq: 0, pos: 4, rem: 3, left: 3 });
     }
 
     #[test]
-    fn masked_runs_bound_rem() {
+    fn masked_runs_bound_rem_and_reset_the_left_class() {
         let mut s = DnaSeq::from("ACGTXACGT");
         s.mask_range(4, 5);
         let st = FragmentStore::from_seqs(vec![s]);
         let sufs: Vec<_> = enumerate_suffixes(&st, [SeqId(0)], 3).collect();
         // First run [0,4): positions 0,1 (rem 4,3); second run [5,9): 5,6.
-        let rems: Vec<(u32, u32)> = sufs.iter().map(|(_, s)| (s.pos, s.rem)).collect();
-        assert_eq!(rems, vec![(0, 4), (1, 3), (5, 4), (6, 3)]);
+        // Position 5 follows the masked base: λ, like position 0.
+        let seen: Vec<(u32, u32, u8)> = sufs.iter().map(|(_, s)| (s.pos, s.rem, s.left)).collect();
+        let lambda = LAMBDA as u8;
+        assert_eq!(seen, vec![(0, 4, lambda), (1, 3, 0), (5, 4, lambda), (6, 3, 0)]);
+    }
+
+    #[test]
+    fn a_bucket_pairs_only_with_two_suffixes_and_two_classes_or_lambda() {
+        let can_pair = |lefts: &[u8]| {
+            let mut seen = LeftClasses::default();
+            lefts.iter().for_each(|&l| seen.add(l));
+            seen.can_pair()
+        };
+        let lambda = LAMBDA as u8;
+        assert!(!can_pair(&[]));
+        assert!(!can_pair(&[1]) && !can_pair(&[lambda]), "a single suffix pairs with nothing");
+        assert!(!can_pair(&[1, 1]) && !can_pair(&[3, 3, 3, 3]), "all after the same real base");
+        assert!(can_pair(&[1, 2]) && can_pair(&[1, 1, 1, 0]), "two real classes");
+        assert!(can_pair(&[1, lambda]) && can_pair(&[lambda, lambda]), "λ pairs with everything");
+    }
+
+    #[test]
+    fn admitted_runs_are_the_runs_that_can_pair() {
+        let key = |s: &str| pgasm_seq::pack_kmer(DnaSeq::from(s).codes()).unwrap();
+        let admitted = |seqs: Vec<DnaSeq>| -> Vec<(u64, usize)> {
+            let st = FragmentStore::from_seqs(seqs);
+            let mut sufs: Vec<_> = enumerate_suffixes(&st, (0..3).map(SeqId), 4).collect();
+            sort_by_bucket(&mut sufs);
+            admitted_runs(&sufs).map(|run| (run[0].0, run.len())).collect()
+        };
+        // ACGT occurs after A, after C and at a read start; CGTT three
+        // times after A; AACG, CACG and GTTA once each.
+        let reads = || ["AACGTT", "CACGTT", "ACGTTA"].map(DnaSeq::from).to_vec();
+        assert_eq!(admitted(reads()), vec![(key("ACGT"), 3)]);
+        // Masking the A before read 1's CGTT makes that suffix λ (and
+        // removes read 1's ACGT): the same three CGTT suffixes now pair.
+        let mut masked = reads();
+        masked[1].mask_range(1, 2);
+        assert_eq!(admitted(masked), vec![(key("ACGT"), 2), (key("CGTT"), 3)]);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The generalized suffix tree, stored as an arena forest.
 //!
-//! One compacted trie per w-prefix bucket. §6 builds a bucket by
-//! partitioning its suffixes on their (w+1)-th character, recursively,
-//! "until all suffixes are separated or their lengths exhausted"; the
-//! same tree falls out of *sorting* the bucket (a bucket is a run of the
-//! flat key-sorted suffix array, see [`crate::suffix`]) and reading the
-//! branching structure off adjacent LCPs, which is how it is built here:
-//! sort the run on the text beyond depth `w`, find every LCP-interval
+//! One compacted trie per *admitted* ψ-prefix bucket: a run of the flat
+//! key-sorted suffix array that can emit a pair (two suffixes or more,
+//! not all after the same real base — see [`crate::suffix`]). Singleton
+//! and uniform-left buckets never reach the tree, the artifact or the
+//! pair generator. §6 builds a bucket by partitioning its suffixes on
+//! their next character, recursively, "until all suffixes are separated
+//! or their lengths exhausted"; the same tree falls out of *sorting* the
+//! bucket and reading the branching structure off adjacent LCPs, which
+//! is how it is built here: sort the run on the text beyond the bucket
+//! prefix, find every LCP-interval
 //! (= internal node) by its left end in one stack pass over the adjacent
 //! LCPs, then emit the arena nodes in pre-order in a second — an internal
 //! node at each interval's minimum LCP, its exhausted-suffix leaf first,
@@ -14,14 +17,15 @@
 //! point form a *leaf* holding several suffixes — the arena equivalent
 //! of the classic per-string `$` terminator leaves.
 //!
-//! Every node at string-depth ≥ ψ carries `lsets`: per preceding
+//! Every node at string-depth ≥ ψ — every node, unless ψ > 31 and the
+//! bucket prefix stops short of it — carries `lsets`: per preceding
 //! character class (A, C, G, T, or λ for "no left extension possible"),
 //! an index-linked list of the suffixes in its subtree. Lists support
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::{enumerate_suffixes, sort_by_bucket, Suffix};
-use pgasm_seq::alphabet::{is_base_code, SIGMA};
+use crate::suffix::{admitted_runs, enumerate_suffixes, sort_by_bucket, LeftClasses, Suffix};
+use pgasm_seq::alphabet::SIGMA;
 use pgasm_seq::{FragmentStore, SeqId};
 use serde::{Deserialize, Serialize};
 
@@ -38,27 +42,22 @@ pub const LAMBDA: usize = SIGMA;
 /// Configuration of GST construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GstConfig {
-    /// Prefix length used for bucketing (paper: w ≈ 11; must satisfy
-    /// `w ≤ psi`).
-    pub w: usize,
-    /// Minimum maximal-match length ψ for a pair to be *promising*.
+    /// Minimum maximal-match length ψ ≥ 1 for a pair to be *promising*.
     pub psi: usize,
 }
 
 impl GstConfig {
-    /// Validates the `w ≤ psi` requirement.
-    pub fn validated(self) -> GstConfig {
-        assert!(self.w >= 1 && self.w <= 31, "w must be in 1..=31");
-        assert!(self.psi >= self.w, "psi ({}) must be ≥ w ({})", self.psi, self.w);
-        self
+    /// Prefix length used for bucketing: ψ, capped at the 31 bases a
+    /// packed key holds.
+    pub fn bucket_len(self) -> usize {
+        self.psi.min(31)
     }
 }
 
 impl Default for GstConfig {
     fn default() -> Self {
-        // Paper: w = 11 empirically appropriate; ψ = 20 is a typical
-        // promising-pair cutoff at fragment scale.
-        GstConfig { w: 11, psi: 20 }
+        // ψ = 20 is a typical promising-pair cutoff at fragment scale.
+        GstConfig { psi: 20 }
     }
 }
 
@@ -104,7 +103,11 @@ pub struct GstStats {
     pub nodes: usize,
     /// Total leaves.
     pub leaves: usize,
-    /// Suffix entries indexed.
+    /// Suffixes seen before bucket admission (in the distributed path
+    /// those the building rank received: summed over ranks, every suffix
+    /// of the store once).
+    pub enumerated: usize,
+    /// Suffix entries indexed: those in admitted buckets.
     pub suffixes: usize,
     /// Maximum string depth observed.
     pub max_depth: usize,
@@ -135,37 +138,56 @@ pub struct Gst {
 }
 
 impl Gst {
-    /// Build the GST over every sequence of `store` (serial path).
+    /// Build the GST over every sequence of `store` (serial path). Most
+    /// suffixes of a sparse sample are alone in their bucket, so only
+    /// those that may be admitted are collected and sorted: a first pass
+    /// folds every suffix's left class into the slot its key hashes to,
+    /// and a slot — the union of its buckets — that cannot pair holds no
+    /// bucket that can. [`Gst::build_from_sorted`] then judges each
+    /// bucket exactly.
     pub fn build(store: &FragmentStore, config: GstConfig) -> Gst {
-        let seqs = (0..store.num_seqs() as u32).map(SeqId);
-        let mut suffixes: Vec<(u64, Suffix)> = enumerate_suffixes(store, seqs, config.w).collect();
-        sort_by_bucket(&mut suffixes);
-        Gst::build_from_sorted(store, &suffixes, config)
+        let suffixes =
+            || enumerate_suffixes(store, (0..store.num_seqs() as u32).map(SeqId), config.bucket_len());
+        // Sized from the input, one byte per slot: at most half full.
+        let bits = (2 * store.total_len()).next_power_of_two().trailing_zeros().max(1);
+        let slot = |key: u64| (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        let mut slots = vec![LeftClasses::default(); 1 << bits];
+        let mut enumerated = 0;
+        for (key, s) in suffixes() {
+            slots[slot(key)].add(s.left);
+            enumerated += 1;
+        }
+        let mut survivors: Vec<_> = suffixes().filter(|&(key, _)| slots[slot(key)].can_pair()).collect();
+        drop(slots);
+        sort_by_bucket(&mut survivors);
+        let mut gst = Gst::build_from_sorted(store, &survivors, config);
+        gst.stats.enumerated = enumerated;
+        gst
     }
 
     /// Build from suffixes grouped into buckets by [`sort_by_bucket`]:
-    /// every run of equal keys shares its first `w` characters and
-    /// becomes one subtree (runs of one suffix cannot produce a pair and
-    /// are skipped). Identical suffixes keep their order within the run.
+    /// every admitted run of equal keys ([`admitted_runs`]) becomes one
+    /// subtree. Identical suffixes keep their order within the run.
     /// Shared by the serial path, the per-rank parallel path and scope
     /// adoption.
     pub fn build_from_sorted<T: TextSource>(text: &T, sorted: &[(u64, Suffix)], config: GstConfig) -> Gst {
         let mut scratch = BucketScratch::default();
-        Gst::build_buckets(text.num_seqs(), sorted, config, |gst, run| scratch.build_bucket(gst, text, run))
+        let build = |gst: &mut Gst, run: &[(u64, Suffix)]| scratch.build_bucket(gst, text, run);
+        Gst::build_buckets(text.num_seqs(), sorted.len(), admitted_runs(sorted), config, build)
     }
 
-    /// The forest whose subtrees `build_bucket` appends, one per run of
-    /// two or more equal keys, with its statistics and processing order.
-    fn build_buckets(
+    /// The forest whose subtrees `build_bucket` appends, one per run,
+    /// with its statistics and processing order.
+    fn build_buckets<'r>(
         num_seqs: usize,
-        sorted: &[(u64, Suffix)],
+        enumerated: usize,
+        runs: impl Iterator<Item = &'r [(u64, Suffix)]> + Clone,
         config: GstConfig,
         mut build_bucket: impl FnMut(&mut Gst, &[(u64, Suffix)]),
     ) -> Gst {
-        let buckets = || sorted.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() >= 2);
-        let suffixes: usize = buckets().map(<[_]>::len).sum();
+        let suffixes: usize = runs.clone().map(<[_]>::len).sum();
         let mut gst = Gst {
-            config: config.validated(),
+            config,
             nodes: Vec::with_capacity(suffixes * 2),
             suf_seq: Vec::with_capacity(suffixes),
             suf_pos: Vec::with_capacity(suffixes),
@@ -174,9 +196,9 @@ impl Gst {
             lset_tail: Vec::new(),
             order: Vec::new(),
             num_seqs,
-            stats: GstStats::default(),
+            stats: GstStats { enumerated, ..GstStats::default() },
         };
-        for run in buckets() {
+        for run in runs {
             gst.stats.buckets += 1;
             build_bucket(&mut gst, run);
         }
@@ -204,9 +226,11 @@ impl Gst {
         self.num_seqs
     }
 
-    /// Estimated resident bytes of the forest (paper §7.1 reports
-    /// ~80 bytes per input character for their implementation; this
-    /// reports ours for the same comparison).
+    /// Estimated resident bytes of the forest: 16 per node, 12 per
+    /// indexed suffix, 40 per lset slot, 4 per eligible node. Only
+    /// admitted buckets are built, so this measures 0.14 (sparse sample)
+    /// to 2.7 (9× coverage) bytes per input character on the benchmark
+    /// inputs (paper §7.1 reports ~80 for a tree over every suffix).
     pub fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.suf_seq.len() * 12
@@ -232,8 +256,8 @@ impl Gst {
 
     /// Create a leaf at string-depth `depth` holding `sufs` (all with
     /// `rem == depth`-equivalent content). The leaf's lsets are built
-    /// immediately from the suffixes' preceding characters (paper S3).
-    fn new_leaf<T: TextSource>(&mut self, text: &T, depth: u32, sufs: impl Iterator<Item = Suffix>) -> u32 {
+    /// immediately from the suffixes' left classes (paper S3).
+    fn new_leaf(&mut self, depth: u32, sufs: impl Iterator<Item = Suffix>) -> u32 {
         let lset = self.alloc_lset(depth);
         let id = self.nodes.len() as u32;
         self.nodes.push(Node { depth, first_child: NONE, next_sibling: NONE, lset });
@@ -243,26 +267,10 @@ impl Gst {
                 self.suf_seq.push(s.seq);
                 self.suf_pos.push(s.pos);
                 self.suf_next.push(NONE);
-                let class = self.preceding_class(text, s);
-                self.lset_push(lset, class, entry);
+                self.lset_push(lset, s.left as usize, entry);
             }
         }
         id
-    }
-
-    /// The lset class of a suffix: its preceding character, or λ when at
-    /// position 0 or preceded by a masked base (no left extension is
-    /// possible in either case, which is what left-maximality needs).
-    fn preceding_class<T: TextSource>(&self, text: &T, s: Suffix) -> usize {
-        if s.pos == 0 {
-            return LAMBDA;
-        }
-        let c = text.seq_codes(s.seq)[(s.pos - 1) as usize];
-        if is_base_code(c) {
-            c as usize
-        } else {
-            LAMBDA
-        }
     }
 
     fn alloc_lset(&mut self, depth: u32) -> u32 {
@@ -359,8 +367,9 @@ const SAME_LEAF: u32 = u32::MAX;
 /// level, per node or per bucket.
 #[derive(Default)]
 struct BucketScratch<'t> {
-    /// Per suffix of the bucket: its text beyond depth `w` (bounded by
-    /// `rem`) and its index in the input run; sorted, ties in input order.
+    /// Per suffix of the bucket: its text beyond the bucket prefix
+    /// (bounded by `rem`) and its index in the input run; sorted, ties in
+    /// input order.
     tails: Vec<(&'t [u8], u32)>,
     /// Per sorted position: string depth shared with the previous
     /// position (0 at the first), or [`SAME_LEAF`].
@@ -385,9 +394,9 @@ struct BucketScratch<'t> {
 
 impl<'t> BucketScratch<'t> {
     /// Build the subtree of one bucket: `run` holds ≥ 2 suffixes sharing
-    /// their first `w` characters.
+    /// their first `w` = [`GstConfig::bucket_len`] characters.
     fn build_bucket<T: TextSource>(&mut self, gst: &mut Gst, text: &'t T, run: &[(u64, Suffix)]) {
-        let w = gst.config.w;
+        let w = gst.config.bucket_len();
         let n = run.len();
         self.tails.clear();
         self.tails.extend(run.iter().enumerate().map(|(i, (_, s))| {
@@ -459,7 +468,7 @@ impl<'t> BucketScratch<'t> {
             let end = (i + 1..n).find(|&j| self.lcp[j] != SAME_LEAF).unwrap_or(n);
             self.steps += (end - i) as u64;
             let members = self.tails[i..end].iter().map(|&(_, k)| run[k as usize].1);
-            let leaf = gst.new_leaf(text, run[self.tails[i].1 as usize].1.rem, members);
+            let leaf = gst.new_leaf(run[self.tails[i].1 as usize].1.rem, members);
             if let Some((parent, last_child)) = self.path.last_mut() {
                 gst.attach_child(*parent, leaf, last_child);
             }
@@ -498,7 +507,7 @@ mod tests {
     #[test]
     fn empty_store_builds_empty_forest() {
         let st = store(&[]);
-        let g = Gst::build(&st, GstConfig { w: 3, psi: 3 });
+        let g = Gst::build(&st, GstConfig { psi: 3 });
         assert_eq!(g.stats().nodes, 0);
         assert_eq!(g.processing_order().count(), 0);
     }
@@ -506,7 +515,7 @@ mod tests {
     #[test]
     fn shared_prefix_creates_branching_node() {
         let st = store(&["ACGTAAA", "ACGTTTT"]);
-        let g = Gst::build(&st, GstConfig { w: 3, psi: 3 });
+        let g = Gst::build(&st, GstConfig { psi: 3 });
         let s = g.stats();
         assert!(s.nodes > 0);
         assert!(s.max_depth >= 4, "ACGT shared: depth ≥ 4, got {}", s.max_depth);
@@ -522,7 +531,7 @@ mod tests {
     #[test]
     fn order_is_decreasing_depth_children_first() {
         let st = store(&["ACGTACGTAA", "ACGTACGTTT", "CGTACGTAAG"]);
-        let g = Gst::build(&st, GstConfig { w: 3, psi: 3 });
+        let g = Gst::build(&st, GstConfig { psi: 3 });
         let order: Vec<(u32, u32)> = g.processing_order().collect();
         assert!(!order.is_empty());
         for win in order.windows(2) {
@@ -544,7 +553,7 @@ mod tests {
     fn lsets_partition_by_preceding_char() {
         // "AACGT" and "CACGT" and "ACGT": suffix ACGT preceded by A, C, λ.
         let st = store(&["AACGT", "CACGT", "ACGT"]);
-        let g = Gst::build(&st, GstConfig { w: 4, psi: 4 });
+        let g = Gst::build(&st, GstConfig { psi: 4 });
         // Find the node whose subtree holds all three ACGT suffixes: the
         // bucket of ACGT. It has depth 4 and three suffixes exhausted.
         let mut found = false;
@@ -579,21 +588,15 @@ mod tests {
     #[test]
     fn psi_limits_eligible_nodes() {
         let st = store(&["ACGTACGTAA", "ACGTACGTTT"]);
-        let low = Gst::build(&st, GstConfig { w: 3, psi: 3 });
-        let high = Gst::build(&st, GstConfig { w: 3, psi: 8 });
+        let low = Gst::build(&st, GstConfig { psi: 3 });
+        let high = Gst::build(&st, GstConfig { psi: 8 });
         assert!(high.stats().eligible_nodes < low.stats().eligible_nodes);
-    }
-
-    #[test]
-    #[should_panic(expected = "psi")]
-    fn psi_must_be_at_least_w() {
-        GstConfig { w: 11, psi: 5 }.validated();
     }
 
     #[test]
     fn memory_estimate_nonzero() {
         let st = store(&["ACGTACGTAA", "ACGTACGTTT"]);
-        let g = Gst::build(&st, GstConfig { w: 3, psi: 3 });
+        let g = Gst::build(&st, GstConfig { psi: 3 });
         assert!(g.memory_bytes() > 0);
     }
 }

@@ -1,19 +1,23 @@
-//! The recursive character-partitioning builder the sort + LCP builder
-//! replaced, kept as a test oracle: §6 read literally, one fresh `Vec`
-//! per character class per level. The property tests hold the two
-//! builders equal field for field, so node ids, lset slots, suffix-entry
-//! ids, processing order and stats — and with them `Gst::encode()` and
-//! the pair stream — are those of the old builder.
+//! The unfiltered recursive character-partitioning builder, kept as a
+//! test oracle: §6 read literally — suffixes bucketed on a short
+//! `w`-prefix, *every* bucket of two or more built, one fresh `Vec` per
+//! character class per level. The production forest holds only the
+//! buckets that can emit a pair, so the two are not equal node for node;
+//! the property tests hold their *pair streams* equal, pair for pair and
+//! in order, in both generation modes.
 
 use super::*;
+use crate::pairs::{GenMode, PairGenerator, PromisingPair};
 use pgasm_seq::DnaSeq;
 use proptest::prelude::*;
 
 impl Gst {
-    /// As [`Gst::build_from_sorted`], by recursive partitioning.
-    fn build_reference<T: TextSource>(text: &T, sorted: &[(u64, Suffix)], config: GstConfig) -> Gst {
-        Gst::build_buckets(text.num_seqs(), sorted, config, |gst, run| {
-            gst.build_rec(text, run.iter().map(|&(_, s)| s).collect(), config.w as u32);
+    /// The forest over every run of two or more suffixes of `sorted`,
+    /// keyed on their `w`-prefix, by recursive partitioning.
+    fn build_reference<T: TextSource>(text: &T, sorted: &[(u64, Suffix)], config: GstConfig, w: u32) -> Gst {
+        let runs = sorted.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() >= 2);
+        Gst::build_buckets(text.num_seqs(), sorted.len(), runs, config, |gst, run| {
+            gst.build_rec(text, run.iter().map(|&(_, s)| s).collect(), w);
         })
     }
 
@@ -22,7 +26,7 @@ impl Gst {
     fn build_rec<T: TextSource>(&mut self, text: &T, mut sufs: Vec<Suffix>, mut depth: u32) -> u32 {
         loop {
             if sufs.len() == 1 {
-                return self.new_leaf(text, sufs[0].rem, sufs.iter().copied());
+                return self.new_leaf(sufs[0].rem, sufs.iter().copied());
             }
             // Partition by the character at `depth` (or exhaustion).
             let mut groups: [Vec<Suffix>; SIGMA] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
@@ -32,7 +36,7 @@ impl Gst {
                     exhausted.push(s);
                 } else {
                     let c = text.seq_codes(s.seq)[(s.pos + depth) as usize];
-                    assert!(is_base_code(c), "suffix runs past its unmasked run");
+                    assert!(pgasm_seq::is_base_code(c), "suffix runs past its unmasked run");
                     groups[c as usize].push(s);
                 }
             }
@@ -45,14 +49,14 @@ impl Gst {
             }
             if nonempty == 0 {
                 // All suffixes identical and exhausted: one leaf.
-                return self.new_leaf(text, depth, exhausted.iter().copied());
+                return self.new_leaf(depth, exhausted.iter().copied());
             }
             // Branching point (or exhaustion alongside continuation):
             // create an internal node at `depth`.
             let node = self.new_internal(depth);
             let mut last_child = NONE;
             if !exhausted.is_empty() {
-                let leaf = self.new_leaf(text, depth, exhausted.iter().copied());
+                let leaf = self.new_leaf(depth, exhausted.iter().copied());
                 self.attach_child(node, leaf, &mut last_child);
             }
             for g in groups {
@@ -66,20 +70,13 @@ impl Gst {
     }
 }
 
-fn assert_same_forest(got: &Gst, want: &Gst) {
-    assert_eq!(got.stats, want.stats);
-    assert_eq!(got.nodes, want.nodes);
-    assert_eq!(got.suf_seq, want.suf_seq);
-    assert_eq!(got.suf_pos, want.suf_pos);
-    assert_eq!(got.suf_next, want.suf_next);
-    assert_eq!(got.lset_head, want.lset_head);
-    assert_eq!(got.lset_tail, want.lset_tail);
-    assert_eq!(got.order, want.order);
-    assert_eq!((got.config, got.num_seqs), (want.config, want.num_seqs));
+/// The whole pair stream of `gst`, in generation order.
+fn stream(gst: Gst, mode: GenMode) -> Vec<PromisingPair> {
+    PairGenerator::new(gst, mode, |_, _| false).collect()
 }
 
-fn all_suffixes(store: &FragmentStore, w: usize) -> Vec<(u64, Suffix)> {
-    enumerate_suffixes(store, (0..store.num_seqs() as u32).map(SeqId), w).collect()
+fn all_suffixes(store: &FragmentStore, bucket_len: usize) -> Vec<(u64, Suffix)> {
+    enumerate_suffixes(store, (0..store.num_seqs() as u32).map(SeqId), bucket_len).collect()
 }
 
 /// The oracle recurses once per character of a low-complexity read, so
@@ -98,7 +95,7 @@ fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = DnaSeq> {
 /// `prop_pairs.rs`'s fragment set — random reads over a small alphabet
 /// region with planted copies and masked ranges — extended with what
 /// the builders must agree on at the edges: duplicated reads, a fully
-/// masked read, reads shorter than `w`, and (one case in four) a poly-A
+/// masked read, reads shorter than ψ, and (one case in four) a poly-A
 /// or dinucleotide-repeat read of ≥ 2 kb.
 fn fragment_set() -> impl Strategy<Value = FragmentStore> {
     let planted = (
@@ -155,14 +152,20 @@ fn fragment_set() -> impl Strategy<Value = FragmentStore> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The sort + LCP builder produces the recursive builder's arena.
+    /// Admission drops no pair and reorders none: the production build
+    /// (ψ-prefix buckets, hash pre-filter, admitted runs only) generates
+    /// the stream of the oracle that builds every w-prefix bucket.
     #[test]
-    fn sorted_build_equals_recursive_reference(st in fragment_set(), w in 1usize..=4, extra in 0usize..=8) {
-        let config = GstConfig { w, psi: (w + extra).min(9) };
+    fn production_stream_equals_the_unfiltered_reference(st in fragment_set(), w in 1usize..=4, extra in 0usize..=8) {
+        let psi = (w + extra).min(9);
+        let config = GstConfig { psi };
         on_a_deep_stack(move || {
             let mut sorted = all_suffixes(&st, w);
             sort_by_bucket(&mut sorted);
-            assert_same_forest(&Gst::build(&st, config), &Gst::build_reference(&st, &sorted, config));
+            for mode in [GenMode::AllMatches, GenMode::DupElim] {
+                let reference = Gst::build_reference(&st, &sorted, config, w as u32);
+                assert_eq!(stream(Gst::build(&st, config), mode), stream(reference, mode), "{mode:?}");
+            }
         });
     }
 }
@@ -172,12 +175,12 @@ proptest! {
 
     /// The per-rank path at p ∈ {2, 3}: each rank builds the buckets it
     /// owns from suffixes that arrive grouped by source rank, not in
-    /// `(seq, pos)` order. Given that same in-bucket order the two
-    /// builders still agree, and every rank's buckets are the serial
-    /// build's buckets.
+    /// `(seq, pos)` order. Given that same in-bucket order the rank's
+    /// stream is the oracle's, and the ranks' admitted buckets are the
+    /// serial build's.
     #[test]
-    fn per_rank_input_order_builds_the_reference_forest(st in fragment_set(), w in 1usize..=4, extra in 0usize..=8) {
-        let config = GstConfig { w, psi: (w + extra).min(9) };
+    fn per_rank_input_order_generates_the_reference_stream(st in fragment_set(), psi in 1usize..=9) {
+        let config = GstConfig { psi };
         on_a_deep_stack(move || {
             let serial = Gst::build(&st, config);
             for p in [2u64, 3] {
@@ -187,13 +190,16 @@ proptest! {
                     for source in 0..p {
                         let owned = (0..st.num_seqs() as u32).filter(|s| (*s as u64 * 7 + 3) % 5 % p == source);
                         received.extend(
-                            enumerate_suffixes(&st, owned.map(SeqId), w).filter(|(key, _)| key % p == rank),
+                            enumerate_suffixes(&st, owned.map(SeqId), psi).filter(|(key, _)| key % p == rank),
                         );
                     }
                     sort_by_bucket(&mut received);
-                    let forest = Gst::build_from_sorted(&st, &received, config);
-                    assert_same_forest(&forest, &Gst::build_reference(&st, &received, config));
-                    buckets += forest.stats.buckets;
+                    for mode in [GenMode::AllMatches, GenMode::DupElim] {
+                        let forest = Gst::build_from_sorted(&st, &received, config);
+                        let reference = Gst::build_reference(&st, &received, config, psi as u32);
+                        assert_eq!(stream(forest, mode), stream(reference, mode), "rank {rank} of {p}, {mode:?}");
+                    }
+                    buckets += Gst::build_from_sorted(&st, &received, config).stats.buckets;
                 }
                 assert_eq!(buckets, serial.stats.buckets, "p = {p}");
             }
@@ -201,7 +207,8 @@ proptest! {
     }
 }
 
-/// A 20 kb poly-A read is one bucket whose tree is a 20 000-deep chain:
+/// A 20 kb poly-A read is one bucket (its first suffix is λ, the rest
+/// follow an A) whose tree is a 20 000-deep chain:
 /// the recursive builder re-partitioned the whole bucket per level, and
 /// a builder that rescans a range for its minimum LCP would too. The
 /// sort sees reversed input and the two passes touch each suffix a
@@ -210,13 +217,15 @@ proptest! {
 fn poly_a_builds_in_linear_steps() {
     let st = FragmentStore::from_seqs(vec![DnaSeq::from_codes(vec![0; 20_000])]);
     let config = GstConfig::default();
-    let mut sorted = all_suffixes(&st, config.w);
+    let mut sorted = all_suffixes(&st, config.bucket_len());
     sort_by_bucket(&mut sorted);
     let mut scratch = BucketScratch::default();
-    let gst = Gst::build_buckets(1, &sorted, config, |gst, run| scratch.build_bucket(gst, &st, run));
+    let gst = Gst::build_buckets(1, sorted.len(), admitted_runs(&sorted), config, |gst, run| {
+        scratch.build_bucket(gst, &st, run)
+    });
     let steps = scratch.steps;
     let n = sorted.len() as u64;
-    assert_eq!(n, 20_000 - config.w as u64 + 1);
+    assert_eq!(n, 20_000 - config.bucket_len() as u64 + 1);
     assert_eq!(gst.stats.nodes as u64, 2 * n - 1, "a chain: one exhausted leaf per internal node");
     assert_eq!(gst.stats.max_depth, 20_000);
     assert!(steps <= 64 * n, "{steps} steps for {n} suffixes");

@@ -56,8 +56,8 @@ fn fragment_set() -> impl Strategy<Value = FragmentStore> {
         })
 }
 
-fn generate(st: &FragmentStore, w: usize, psi: usize, mode: GenMode) -> Vec<PromisingPair> {
-    let gst = Gst::build(st, GstConfig { w, psi });
+fn generate(st: &FragmentStore, psi: usize, mode: GenMode) -> Vec<PromisingPair> {
+    let gst = Gst::build(st, GstConfig { psi });
     PairGenerator::new(gst, mode, |_, _| false).collect()
 }
 
@@ -68,8 +68,7 @@ proptest! {
     /// occurrences found by brute force — no more, no fewer.
     #[test]
     fn all_matches_equals_oracle(st in fragment_set(), psi in 4usize..8) {
-        let w = 3.min(psi);
-        let pairs = generate(&st, w, psi, GenMode::AllMatches);
+        let pairs = generate(&st, psi, GenMode::AllMatches);
         let got: HashSet<(u32, u32, u32, u32, u32)> =
             pairs.iter().map(|p| (p.a.0, p.b.0, p.a_pos, p.b_pos, p.match_len)).collect();
         prop_assert_eq!(got.len(), pairs.len(), "duplicate emissions");
@@ -83,8 +82,7 @@ proptest! {
     /// and never exceeds the pair's distinct-maximal-match count.
     #[test]
     fn dup_elim_complete_and_bounded(st in fragment_set(), psi in 4usize..8) {
-        let w = 3.min(psi);
-        let pairs = generate(&st, w, psi, GenMode::DupElim);
+        let pairs = generate(&st, psi, GenMode::DupElim);
         let matches = brute::all_maximal_matches(&st, psi);
         let expected: HashSet<(u32, u32)> = brute::distinct_pairs(&matches).into_iter().collect();
         let got: HashSet<(u32, u32)> = pairs.iter().map(|p| (p.a.0, p.b.0)).collect();
@@ -106,9 +104,8 @@ proptest! {
     /// every seed is a genuine exact match of the claimed length.
     #[test]
     fn ordering_and_seed_validity(st in fragment_set(), psi in 4usize..8) {
-        let w = 3.min(psi);
         for mode in [GenMode::AllMatches, GenMode::DupElim] {
-            let pairs = generate(&st, w, psi, mode);
+            let pairs = generate(&st, psi, mode);
             for win in pairs.windows(2) {
                 prop_assert!(win[0].match_len >= win[1].match_len);
             }
@@ -130,8 +127,8 @@ proptest! {
     /// iteration (resumability property the master–worker design needs).
     #[test]
     fn batching_is_transparent(st in fragment_set(), batch in 1usize..7) {
-        let whole = generate(&st, 3, 5, GenMode::DupElim);
-        let gst = Gst::build(&st, GstConfig { w: 3, psi: 5 });
+        let whole = generate(&st, 5, GenMode::DupElim);
+        let gst = Gst::build(&st, GstConfig { psi: 5 });
         let mut g = PairGenerator::new(gst, GenMode::DupElim, |_, _| false);
         let mut batched = Vec::new();
         while g.next_batch(batch, &mut batched) > 0 {}

@@ -33,6 +33,12 @@ impl Encoder {
         Encoder { buf: BytesMut::with_capacity(cap) }
     }
 
+    /// Append a `u8`.
+    pub fn put_u8(&mut self, v: u8) -> &mut Self {
+        self.buf.put_u8(v);
+        self
+    }
+
     /// Append a `u32`.
     pub fn put_u32(&mut self, v: u32) -> &mut Self {
         self.buf.put_u32_le(v);
@@ -99,6 +105,11 @@ impl Decoder {
         Decoder { buf }
     }
 
+    /// Read a `u8`.
+    pub fn get_u8(&mut self) -> u8 {
+        self.buf.get_u8()
+    }
+
     /// Read a `u32`.
     pub fn get_u32(&mut self) -> u32 {
         self.buf.get_u32_le()
@@ -150,8 +161,9 @@ mod tests {
     #[test]
     fn roundtrip_scalars() {
         let mut e = Encoder::new();
-        e.put_u32(7).put_u64(1 << 40).put_f64(0.25);
+        e.put_u8(4).put_u32(7).put_u64(1 << 40).put_f64(0.25);
         let mut d = Decoder::new(e.finish());
+        assert_eq!(d.get_u8(), 4);
         assert_eq!(d.get_u32(), 7);
         assert_eq!(d.get_u64(), 1 << 40);
         assert_eq!(d.get_f64(), 0.25);

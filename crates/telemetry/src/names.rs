@@ -42,6 +42,13 @@ pub const ALIGN_SCRATCH_BYTES_PEAK: &str = "align_scratch_bytes_peak";
 /// Times the alignment scratch had to grow after its pre-sizing
 /// (should stay 0 — the zero-allocation hot-loop invariant).
 pub const ALIGN_SCRATCH_GROWS: &str = "align_scratch_grows";
+/// Suffixes enumerated for the GST, before bucket admission.
+pub const GST_SUFFIXES_ENUMERATED: &str = "gst_suffixes_enumerated";
+/// Suffixes that reached the tree: those of buckets that can emit a
+/// pair.
+pub const GST_SUFFIXES_INDEXED: &str = "gst_suffixes_indexed";
+/// Nodes of the GST forest (summed over ranks in the distributed path).
+pub const GST_NODES: &str = "gst_nodes";
 /// Total clusters in the final partition.
 pub const CLUSTERS: &str = "clusters";
 /// Clusters with at least two members.

@@ -24,7 +24,7 @@ fn main() {
 
     let pipeline = Pipeline::new(PipelineConfig {
         preprocess: Some(PreprocessConfig::default()),
-        cluster: ClusterParams { gst: GstConfig { w: 11, psi: 20 }, ..Default::default() },
+        cluster: ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() },
         parallel_ranks: None,
         assembly_threads: 2,
         ..Default::default()

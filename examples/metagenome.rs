@@ -29,7 +29,7 @@ fn main() {
     let store = out.store;
     println!("fragments after preprocessing: {}", store.num_fragments());
 
-    let params = ClusterParams { gst: GstConfig { w: 11, psi: 20 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() };
     let (clustering, stats) = cluster_serial(&store, &params);
 
     println!(

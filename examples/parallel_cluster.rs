@@ -24,7 +24,7 @@ fn main() {
     let store = pp.run(&dataset.reads).store;
     println!("fragments after preprocessing: {}", store.num_fragments());
 
-    let params = ClusterParams { gst: GstConfig { w: 11, psi: 20 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() };
     let (serial, serial_stats) = cluster_serial(&store, &params);
     println!(
         "serial: {} clusters / {} singletons, {} aligned of {} generated",

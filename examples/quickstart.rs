@@ -41,7 +41,7 @@ fn main() {
 
     // 3. Cluster-then-assemble. No preprocessing needed — the reads are
     //    clean — so run clustering directly.
-    let cluster = ClusterParams { gst: GstConfig { w: 11, psi: 20 }, ..Default::default() };
+    let cluster = ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() };
     let pipeline = Pipeline::new(PipelineConfig {
         preprocess: None,
         cluster,

@@ -61,7 +61,7 @@ USAGE:
   pgasm generate --kind <maize|drosophila|sargasso> --out <reads.fastq>
                  [--genome-out <genome.fasta>] [--scale <f64>] [--seed <u64>]
   pgasm cluster  --reads <reads.fastq> [--out <clusters.txt>] [--ranks <p>]
-                 [--w <n>] [--psi <n>] [--min-identity <f>] [--min-overlap <n>]
+                 [--psi <n>] [--min-identity <f>] [--min-overlap <n>]
                  [--kernel <legacy|two-phase|simd>] [--band <n>]
                  [--no-adaptive-band]
                  [--no-preprocess] [--metrics-json <report.json>]
@@ -76,9 +76,9 @@ USAGE:
                  [--out <analysis.json>] [--top <k>] [--coverage-tol <f>]
 
 generate writes a synthetic sequencing project (reads as FASTQ; optionally
-the reference genome(s) as FASTA). cluster runs preprocessing + clustering
-and writes one cluster per line. assemble additionally runs the per-cluster
-serial assembler and writes contigs as FASTA. With --ranks <p> (p >= 2) the
+the reference genome(s) as FASTA). cluster runs preprocessing + clustering,
+stops there, and writes one cluster per line. assemble additionally runs the
+per-cluster serial assembler and writes contigs as FASTA. With --ranks <p> (p >= 2) the
 clustering AND assembly phases both run distributed on p simulated ranks:
 assembly schedules whole clusters largest-first onto worker ranks and ships
 contigs back, so per-rank idle time and per-tag traffic cover both phases;
@@ -253,8 +253,10 @@ fn read_reads(path: &str) -> Result<ReadSet, String> {
 
 fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     let mut cluster = ClusterParams::default();
-    cluster.gst.w = opts.parse_or("w", cluster.gst.w)?;
     cluster.gst.psi = opts.parse_or("psi", cluster.gst.psi)?;
+    if cluster.gst.psi == 0 {
+        return Err("--psi must be >= 1".to_string());
+    }
     cluster.criteria.min_identity = opts.parse_or("min-identity", cluster.criteria.min_identity)?;
     cluster.criteria.min_overlap = opts.parse_or("min-overlap", cluster.criteria.min_overlap)?;
     cluster.kernel = match opts.get("kernel") {
@@ -317,13 +319,24 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     })
 }
 
-fn run_pipeline(opts: &Opts, label: &str) -> Result<(pgasm::cluster::PipelineReport, ReadSet), String> {
+/// Run the pipeline over `--reads`, through the assemble stage or (for
+/// `pgasm cluster`) only through clustering.
+fn run_pipeline(
+    opts: &Opts,
+    label: &str,
+    assemble: bool,
+) -> Result<(pgasm::cluster::PipelineReport, ReadSet), String> {
     let reads = read_reads(opts.require("reads")?)?;
     let config = pipeline_config(opts)?;
     let caching = config.cache_dir.is_some();
     let pipeline = Pipeline::new(config);
     let mut ctx = pgasm::telemetry::RunContext::new(label);
-    let report = pipeline.run_with_context(&reads, &[DnaSeq::from(VECTOR_SEQ)], &[], &mut ctx);
+    let vectors = [DnaSeq::from(VECTOR_SEQ)];
+    let report = if assemble {
+        pipeline.run_with_context(&reads, &vectors, &[], &mut ctx)
+    } else {
+        pipeline.cluster_with_context(&reads, &vectors, &[], &mut ctx)
+    };
     if caching {
         use pgasm::telemetry::names;
         println!(
@@ -440,7 +453,7 @@ fn kernel_label(opts: &Opts) -> Result<&'static str, String> {
 }
 
 fn cluster(opts: &Opts) -> Result<(), String> {
-    let (report, _reads) = run_pipeline(opts, "pgasm cluster")?;
+    let (report, _reads) = run_pipeline(opts, "pgasm cluster", false)?;
     let s = report.cluster_stats;
     println!(
         "clustered {} fragments: {} clusters, {} singletons (largest {:.1}%)",
@@ -482,7 +495,7 @@ fn cluster(opts: &Opts) -> Result<(), String> {
 
 fn assemble(opts: &Opts) -> Result<(), String> {
     let out = opts.require("out")?.to_string();
-    let (report, _reads) = run_pipeline(opts, "pgasm assemble")?;
+    let (report, _reads) = run_pipeline(opts, "pgasm assemble", true)?;
     let mut records = Vec::new();
     for (ci, assembly) in report.assemblies.iter().enumerate() {
         for (j, contig) in assembly.contigs.iter().enumerate() {

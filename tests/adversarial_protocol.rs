@@ -32,7 +32,7 @@ fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
 }
 
 fn params(geometric: bool) -> ClusterParams {
-    ClusterParams { gst: GstConfig { w: 8, psi: 14 }, resolve_inconsistent: geometric, ..Default::default() }
+    ClusterParams { gst: GstConfig { psi: 14 }, resolve_inconsistent: geometric, ..Default::default() }
 }
 
 /// Run one adversarial configuration in both modes and both coalescing

@@ -47,7 +47,7 @@ fn fixture() -> (FragmentStore, Clustering) {
     }
     let store = FragmentStore::from_seqs(reads);
     let params = ClusterParams {
-        gst: GstConfig { w: 8, psi: 16 },
+        gst: GstConfig { psi: 16 },
         criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 30 },
         ..Default::default()
     };

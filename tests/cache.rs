@@ -55,7 +55,7 @@ fn cached_config(dir: &Path) -> PipelineConfig {
     PipelineConfig {
         preprocess: Some(PreprocessConfig { stat_repeats: None, min_unmasked_run: 40, ..Default::default() }),
         cluster: ClusterParams {
-            gst: GstConfig { w: 10, psi: 18 },
+            gst: GstConfig { psi: 18 },
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 35 },
             ..Default::default()
         },
@@ -237,4 +237,38 @@ fn assembler_revision_is_part_of_the_contigs_key() {
     assert_eq!(contigs_key(&store, Some(&reads.quals), &clustering, &config), key(ASSEMBLER_REVISION));
     assert_ne!(key(ASSEMBLER_REVISION), key(ASSEMBLER_REVISION - 1));
     assert_ne!(key(ASSEMBLER_REVISION), key(ASSEMBLER_REVISION + 1));
+}
+
+#[test]
+fn gst_entries_key_on_psi_and_on_the_codec_schema() {
+    use pgasm::cluster::cache::{gst_key, ArtifactCache};
+    use pgasm::gst::GST_CODEC_SCHEMA;
+
+    let dir = CacheDir::new("gst-schema");
+    let (reads, genome) = fixture_reads(13);
+    // Same reads, ψ 16 vs 20: a different forest, a different key.
+    let ds = reads.to_store().with_reverse_complements();
+    assert_ne!(gst_key(&ds, &GstConfig { psi: 16 }), gst_key(&ds, &GstConfig { psi: 20 }));
+
+    // An entry under this run's own key but written by the previous
+    // codec schema (every suffix indexed, `w` in the header) is ignored,
+    // not trusted: the tree is rebuilt and the entry replaced.
+    let (cold, _) = run(cached_config(&dir.0), &reads, &genome);
+    let entry = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .find(|name| name.starts_with("gst-"))
+        .expect("the cold run stored a gst entry");
+    let key = u64::from_str_radix(&entry["gst-".len()..entry.len() - ".pgac".len()], 16).unwrap();
+    let cache = ArtifactCache::open(&dir.0).unwrap();
+    let payload = cache.load("gst", GST_CODEC_SCHEMA, key).expect("current entry loads");
+    cache.store("gst", GST_CODEC_SCHEMA - 1, key, &payload).unwrap();
+    assert!(cache.load("gst", GST_CODEC_SCHEMA, key).is_none());
+
+    let (again, again_run) = run(cached_config(&dir.0), &reads, &genome);
+    assert_eq!(again_run.counter(names::CACHE_HIT), 2, "preprocess and contigs still hit");
+    assert_eq!(again_run.counter(names::CACHE_MISS), 1, "the stale gst entry must miss");
+    assert!(again_run.span("cluster").unwrap().find("cluster/gst_build").is_some());
+    assert_eq!(again.clustering, cold.clustering);
+    assert_eq!(cache.load("gst", GST_CODEC_SCHEMA, key), Some(payload));
 }

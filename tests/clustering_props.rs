@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 fn params() -> ClusterParams {
     ClusterParams {
-        gst: GstConfig { w: 6, psi: 12 },
+        gst: GstConfig { psi: 12 },
         criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 20 },
         // Band wider than any test sequence: the engine's banded DP then
         // computes exactly the full-matrix alignment the reference uses.

@@ -31,7 +31,7 @@ fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
 
 #[test]
 fn distributed_gst_pairs_equal_serial_on_simulated_reads() {
-    let config = GstConfig { w: 8, psi: 14 };
+    let config = GstConfig { psi: 14 };
     let ds = test_reads(1, 40).with_reverse_complements();
     let serial: Vec<_> = {
         let gst = Gst::build(&ds, config);
@@ -59,7 +59,7 @@ fn distributed_gst_pairs_equal_serial_on_simulated_reads() {
 #[test]
 fn gst_traffic_shrinks_per_rank_as_ranks_grow() {
     let ds = test_reads(2, 60).with_reverse_complements();
-    let config = GstConfig { w: 8, psi: 14 };
+    let config = GstConfig { psi: 14 };
     let r2 = build_distributed_gst(&ds, 2, config);
     let r8 = build_distributed_gst(&ds, 8, config);
     let max_bytes_2 = r2.per_rank.iter().map(|r| r.comm.bytes_recv).max().unwrap();
@@ -74,7 +74,7 @@ fn gst_traffic_shrinks_per_rank_as_ranks_grow() {
 #[test]
 fn master_worker_scales_worker_count_without_changing_result() {
     let store = test_reads(3, 50);
-    let params = ClusterParams { gst: GstConfig { w: 8, psi: 14 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
     let (serial, serial_stats) = cluster_serial(&store, &params);
     for workers in [1usize, 3, 6] {
         let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
@@ -93,7 +93,7 @@ fn count_rejected(report: &pgasm::cluster::ParallelClusterReport) -> usize {
 #[test]
 fn modelled_comm_time_is_finite_and_positive() {
     let store = test_reads(4, 30);
-    let params = ClusterParams { gst: GstConfig { w: 8, psi: 14 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
     let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
     let report = cluster_parallel(&store, 3, &params, &cfg);
     let model = CostModel::BLUEGENE_L;

@@ -15,7 +15,7 @@ use pgasm::simgen::ReadKind;
 
 fn test_params() -> ClusterParams {
     ClusterParams {
-        gst: GstConfig { w: 10, psi: 18 },
+        gst: GstConfig { psi: 18 },
         criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 35 },
         ..Default::default()
     }
@@ -204,4 +204,61 @@ fn repeat_masking_prevents_chaining() {
         masked.clustering.max_cluster_fraction(),
         unmasked.clustering.max_cluster_fraction()
     );
+}
+
+#[test]
+fn cli_cluster_stops_after_the_cluster_stage() {
+    use pgasm::simgen::{Provenance, ReadSet};
+    use pgasm::telemetry::{names, RunReport};
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("pgasm-e2e-cluster-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let pgasm = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_pgasm")).args(args).output().expect("pgasm runs");
+        assert!(out.status.success(), "pgasm {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    let (fastq, clusters, metrics) = (path("reads.fastq"), path("clusters.txt"), path("metrics.json"));
+    pgasm(&["generate", "--kind", "maize", "--out", &fastq, "--scale", "0.1", "--seed", "5"]);
+    pgasm(&["cluster", "--reads", &fastq, "--out", &clusters, "--metrics-json", &metrics]);
+
+    // The run report: preprocess and cluster (with its GST build and
+    // how much of the input reached the tree), no assemble stage.
+    let report = RunReport::from_json_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert!(report.span("assemble").is_none(), "pgasm cluster must not assemble");
+    assert!(report.span("cluster").unwrap().find("cluster/gst_build").is_some());
+    let (enumerated, indexed) =
+        (report.counter(names::GST_SUFFIXES_ENUMERATED), report.counter(names::GST_SUFFIXES_INDEXED));
+    assert!(0 < indexed && indexed < enumerated / 10, "{indexed} of {enumerated} suffixes indexed");
+    assert!(report.counter(names::GST_NODES) > 0 && report.counter(names::CONTIGS) == 0);
+
+    // `--out` is the partition the full pipeline assembles from.
+    let records =
+        pgasm::seq::fasta::read_fastq(std::io::BufReader::new(std::fs::File::open(&fastq).unwrap()));
+    let mut reads = ReadSet::default();
+    for r in records.unwrap() {
+        let end = r.seq.len() as u32;
+        reads.provenance.push(Provenance { genome: 0, start: 0, end, reverse: false, kind: ReadKind::Wgs });
+        reads.seqs.push(r.seq);
+        reads.quals.push(r.qual);
+    }
+    let full = Pipeline::new(PipelineConfig { assembly_threads: 2, ..Default::default() }).run(
+        &reads,
+        &[DnaSeq::from(VECTOR_SEQ)],
+        &[],
+    );
+    assert!(full.total_contigs() > 0, "fixture must assemble something");
+    let expected: String = full
+        .clustering
+        .clusters
+        .iter()
+        .map(|c| {
+            c.iter().map(|&f| format!("read{}", full.origin[f as usize])).collect::<Vec<_>>().join("\t")
+                + "\n"
+        })
+        .collect();
+    assert_eq!(std::fs::read_to_string(&clusters).unwrap(), expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -79,7 +79,7 @@ fn config(p: usize, recovery: StageRecovery) -> PipelineConfig {
     PipelineConfig {
         preprocess: Some(PreprocessConfig { stat_repeats: None, min_unmasked_run: 40, ..Default::default() }),
         cluster: ClusterParams {
-            gst: GstConfig { w: 10, psi: 18 },
+            gst: GstConfig { psi: 18 },
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 35 },
             ..Default::default()
         },

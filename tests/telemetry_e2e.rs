@@ -40,7 +40,7 @@ fn test_store(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
 fn work_counters_identical_between_serial_and_parallel() {
     let store = test_store(11, 60);
     let params = ClusterParams {
-        gst: GstConfig { w: 8, psi: 14 },
+        gst: GstConfig { psi: 14 },
         mode: GenMode::AllMatches,
         resolve_inconsistent: true,
         ..Default::default()
@@ -70,7 +70,7 @@ fn work_counters_identical_between_serial_and_parallel() {
 fn modelled_seconds_sum_prices_each_message_once() {
     use pgasm::mpisim::CostModel;
     let store = test_store(31, 50);
-    let params = ClusterParams { gst: GstConfig { w: 8, psi: 14 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
     let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
     let report = cluster_parallel(&store, 4, &params, &config);
 
@@ -111,7 +111,7 @@ fn pipeline_run_report_survives_json_round_trip() {
     let reads = sampler.wgs(50);
     let config = PipelineConfig {
         preprocess: None,
-        cluster: ClusterParams { gst: GstConfig { w: 10, psi: 18 }, ..Default::default() },
+        cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
         parallel_ranks: Some(3),
         master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() },
         assembly_threads: 2,

@@ -34,7 +34,7 @@ fn traced_pipeline_exports_valid_chrome_trace() {
     let ranks = 3;
     let config = PipelineConfig {
         preprocess: None,
-        cluster: ClusterParams { gst: GstConfig { w: 10, psi: 18 }, ..Default::default() },
+        cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
         parallel_ranks: Some(ranks),
         master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() },
         assembly_threads: 2,
@@ -95,7 +95,7 @@ fn traced_pipeline_exports_valid_chrome_trace() {
 #[test]
 fn event_blocked_time_matches_wait_ns_accounting() {
     let store = test_reads(19, 120).to_store();
-    let params = ClusterParams { gst: GstConfig { w: 10, psi: 18 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
     let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
     let report = cluster_parallel_traced(&store, 4, &params, &config, TraceSpec::on());
 
@@ -123,7 +123,7 @@ fn event_blocked_time_matches_wait_ns_accounting() {
 #[test]
 fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
     let store = test_reads(29, 150).to_store();
-    let params = ClusterParams { gst: GstConfig { w: 10, psi: 18 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
     let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
 
     // How many trace-call sites does this workload actually execute?
@@ -159,7 +159,7 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
 #[test]
 fn untraced_run_carries_no_trace_artifacts() {
     let store = test_reads(23, 60).to_store();
-    let params = ClusterParams { gst: GstConfig { w: 10, psi: 18 }, ..Default::default() };
+    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
     let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
     let report = cluster_parallel_traced(&store, 3, &params, &config, TraceSpec::off());
     assert!(report.traces.iter().all(|t| t.events.is_empty() && t.dropped_events == 0));
