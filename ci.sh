@@ -32,11 +32,6 @@ rm -f BENCH_ablation_coalescing.json
 PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_coalescing
 test -s BENCH_ablation_coalescing.json || { echo "missing BENCH_ablation_coalescing.json"; exit 1; }
 
-echo "==> alignment-kernel smoke bench"
-rm -f BENCH_ablation_align_kernel.json
-PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_align_kernel
-test -s BENCH_ablation_align_kernel.json || { echo "missing BENCH_ablation_align_kernel.json"; exit 1; }
-
 echo "==> SIMD + adaptive-band smoke bench"
 rm -f BENCH_ablation_simd_band.json
 PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_simd_band

@@ -6,31 +6,22 @@
 //! (or a containment). Identity over the aligned columns and the overlap
 //! length feed the [`crate::scoring::AcceptCriteria`] decision.
 //!
-//! Four kernels are provided:
+//! Three kernels are provided:
 //!
+//! - [`overlap_align_simd`] — the production kernel of both phases
+//!   (clustering's promising pairs, assembly's overlap candidates): one
+//!   lane-chunked banded pass (see [`crate::simd`]) that records a
+//!   traceback direction per cell as it goes, an early exit and per-row
+//!   adaptive X-drop band shrinking priced from the acceptance floor, all
+//!   on a reusable [`AlignScratch`]. See DESIGN.md §5.
+//! - [`banded_overlap_align`] — single-pass scalar banded DP with its own
+//!   score and direction matrices: no lanes, no gate, no adaptivity.
+//!   **Test oracle only** — the independent banded reference the
+//!   production kernel is checked against.
 //! - [`overlap_align_quality`] — full O(mn) DP with optional
-//!   quality-weighted identity. **Test oracle only**: no production path
-//!   calls it. It is the unbanded reference the banded kernels (and the
-//!   assembler's seed-anchored overlap stage, which runs
-//!   [`overlap_align_simd`] with quality tracks) are checked against.
-//! - [`banded_overlap_align`] — single-pass banded DP anchored at the
-//!   maximal match that generated the pair; allocates its own matrices
-//!   and always runs traceback. Kept as the *legacy* reference kernel
-//!   for the `ablation_align_kernel` bench and the property tests.
-//! - [`overlap_align_two_phase`] — the scalar two-phase kernel. Phase 1
-//!   is a score-only banded forward pass over two rolling rows held in a
-//!   reusable [`AlignScratch`] (no per-pair allocation, no traceback
-//!   matrix), with an early-exit bound that bails as soon as no
-//!   remaining in-band path can reach the score any acceptable overlap
-//!   must have. Phase 2 re-fills only the band window up to the best end
-//!   cell to recover the traceback, and runs only when the phase-1 score
-//!   can still satisfy the [`AcceptCriteria`] gate.
-//! - [`overlap_align_simd`] — the production hot path of both phases
-//!   (clustering's promising pairs, assembly's overlap candidates): the
-//!   two-phase kernel with a lane-chunked phase 1 (see [`crate::simd`]) and
-//!   optional per-row adaptive X-drop band shrinking driven by the same
-//!   acceptance-floor pricing the early exit uses. See DESIGN.md §5 for
-//!   the lane layout and the shrink rule.
+//!   quality-weighted identity. **Test oracle only**: the unbanded
+//!   reference for the banded kernels and for the assembler's
+//!   seed-anchored overlap stage.
 //!
 //! Gap costs are linear (`gap_extend` per column). At the 1–2% error
 //! rates of Sanger-style fragments the accept/reject decision is
@@ -43,11 +34,11 @@ use serde::{Deserialize, Serialize};
 
 const NEG: i32 = i32::MIN / 4;
 
-/// Rolling-row length that lets the lane-chunked phase-1 passes load a
-/// full lane starting at any cell slot (including the staggered
-/// `prev[slot + 1]` up-neighbour loads) without bounds branches: the row
-/// width plus one is rounded up to a lane multiple, plus one extra lane
-/// of NEG padding past the last slot.
+/// Rolling-row length that lets the lane-chunked passes load a full lane
+/// starting at any cell slot (including the staggered `prev[slot + 1]`
+/// up-neighbour loads) without bounds branches: the row width plus one is
+/// rounded up to a lane multiple, plus one extra lane of NEG padding past
+/// the last slot.
 #[inline]
 fn lane_padded(w: usize) -> usize {
     (w + 1).div_ceil(LANES) * LANES + LANES
@@ -65,29 +56,6 @@ pub enum OverlapKind {
     AContained,
     /// `b` is contained within `a`.
     BContained,
-}
-
-/// Which overlap kernel the clustering engines run per promising pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AlignKernel {
-    /// Single-pass banded DP with full traceback matrices allocated per
-    /// pair (pre-two-phase behaviour; the ablation baseline).
-    Legacy,
-    /// Score-only rolling pass with early exit, plus a lazy traceback
-    /// window for pairs that can still pass the acceptance gate.
-    TwoPhase,
-    /// The two-phase kernel with a lane-chunked (SIMD) phase 1 and
-    /// adaptive X-drop band shrinking — the production default.
-    Simd,
-}
-
-// Not `#[derive(Default)]`: the in-tree serde derive does not understand
-// the `#[default]` variant attribute that would require.
-#[allow(clippy::derivable_impls)]
-impl Default for AlignKernel {
-    fn default() -> Self {
-        AlignKernel::Simd
-    }
 }
 
 /// Result of a suffix–prefix alignment.
@@ -110,30 +78,19 @@ pub struct OverlapResult {
     /// compares this with its band's outermost diagonals to tell whether
     /// the band constrained the path.
     pub path_diags: (i64, i64),
-    /// DP cells evaluated (work accounting for the parallel runtime).
-    ///
-    /// Accounting contract: `cells == cells_phase1 + cells_phase2`,
-    /// where a cell is counted once each time its recurrence is
-    /// evaluated; boundary cells (free leading gaps) and traceback
-    /// walking are never counted. Single-pass kernels report all work
-    /// as phase 1, so historical `dp_cells` totals remain directly
-    /// comparable; the two-phase kernel counts its forward pass as
-    /// phase 1 and the lazily re-filled traceback window as phase 2.
+    /// DP cells evaluated (work accounting for the parallel runtime): a
+    /// cell is counted once, when its recurrence is evaluated; boundary
+    /// cells (free leading gaps) and traceback walking are never counted.
     pub cells: u64,
-    /// Cells evaluated by the (score-only) forward pass.
-    pub cells_phase1: u64,
-    /// Cells re-evaluated by the traceback-window pass (0 when skipped).
-    pub cells_phase2: u64,
-    /// Phase 1 bailed before the last row: no in-band continuation could
+    /// The pass bailed before the last row: no in-band continuation could
     /// reach the acceptance score floor.
     pub early_exited: bool,
-    /// Phase 2 never ran: the final phase-1 score already misses the
+    /// The traceback was never walked: the final score misses the
     /// acceptance floor, so identity/ranges are not computed.
     pub traceback_skipped: bool,
-    /// In-band phase-1 cells *not* evaluated because adaptive X-drop
-    /// banding proved them unable to reach the acceptance floor. These
-    /// are savings on top of `cells`; the `cells == phase1 + phase2`
-    /// contract counts evaluated cells only.
+    /// In-band cells *not* evaluated because adaptive X-drop banding
+    /// proved them unable to reach the acceptance floor — savings on top
+    /// of `cells`, which counts evaluated cells only.
     pub cells_saved_adaptive: u64,
     /// Rows whose candidate column range the adaptive shrink actually
     /// tightened relative to the fixed band (including rows abandoned
@@ -142,7 +99,7 @@ pub struct OverlapResult {
 }
 
 impl OverlapResult {
-    fn empty(cells_phase1: u64) -> OverlapResult {
+    fn empty(cells: u64) -> OverlapResult {
         OverlapResult {
             score: 0,
             identity: 0.0,
@@ -151,9 +108,7 @@ impl OverlapResult {
             b_range: (0, 0),
             kind: OverlapKind::SuffixPrefix,
             path_diags: (0, 0),
-            cells: cells_phase1,
-            cells_phase1,
-            cells_phase2: 0,
+            cells,
             early_exited: false,
             traceback_skipped: false,
             cells_saved_adaptive: 0,
@@ -165,26 +120,18 @@ impl OverlapResult {
     /// computed, so downstream acceptance must (and does) fail.
     fn rejected(
         score: i32,
-        cells_phase1: u64,
+        cells: u64,
         early_exited: bool,
         cells_saved_adaptive: u64,
         band_rows_shrunk: u64,
     ) -> OverlapResult {
         OverlapResult {
             score,
-            identity: 0.0,
-            overlap_len: 0,
-            a_range: (0, 0),
-            b_range: (0, 0),
-            kind: OverlapKind::SuffixPrefix,
-            path_diags: (0, 0),
-            cells: cells_phase1,
-            cells_phase1,
-            cells_phase2: 0,
             early_exited,
             traceback_skipped: true,
             cells_saved_adaptive,
             band_rows_shrunk,
+            ..OverlapResult::empty(cells)
         }
     }
 
@@ -211,18 +158,19 @@ impl OverlapResult {
 /// that.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
-    /// Rolling rows for the phase-1 score-only pass, lane-padded so the
-    /// chunked passes can load full lanes from any cell slot.
+    /// Rolling score rows, lane-padded so the chunked passes can load
+    /// full lanes from any cell slot.
     prev: Vec<i32>,
     curr: Vec<i32>,
     /// Per-slot tail-segment weights for the lane-chunked completion
     /// pricing: `wj[sl] = -match_score · sl` (see [`overlap_align_simd`]).
     wj: Vec<i32>,
     wj_match: i32,
-    /// Band-window (or full-matrix) score + traceback matrices for the
-    /// phase-2 / quality passes.
-    dp: Vec<i32>,
-    tb: Vec<u8>,
+    /// Traceback directions (0 diagonal, 1 up, 2 left), one byte per
+    /// cell: `(m + 1) × w` band-shaped for [`overlap_align_simd`],
+    /// `(m + 1) × (n + 1)` for the full-matrix oracle. Never cleared: a
+    /// traceback only visits cells whose byte the same call wrote.
+    dirs: Vec<u8>,
     grows: u64,
 }
 
@@ -242,7 +190,7 @@ impl AlignScratch {
         // The tail weights depend on the (not yet known) match score;
         // pre-size the buffer so the first fill is a rewrite, not a grow.
         s.wj.resize(lane_padded(width + 2), 0);
-        s.ensure_window((max_len + 1) * (width + 2));
+        s.ensure_dirs((max_len + 1) * (width + 2));
         s.grows = 0;
         s
     }
@@ -272,11 +220,10 @@ impl AlignScratch {
         }
     }
 
-    fn ensure_window(&mut self, len: usize) {
-        if self.dp.len() < len {
+    fn ensure_dirs(&mut self, len: usize) {
+        if self.dirs.len() < len {
             self.grows += 1;
-            self.dp.resize(len, NEG);
-            self.tb.resize(len, 3);
+            self.dirs.resize(len, 3);
         }
     }
 
@@ -284,8 +231,7 @@ impl AlignScratch {
     /// this is monotone; a flat reading across batches means the hot
     /// loop allocated nothing.
     pub fn high_water_bytes(&self) -> u64 {
-        (4 * (self.prev.capacity() + self.curr.capacity() + self.wj.capacity() + self.dp.capacity())
-            + self.tb.capacity()) as u64
+        (4 * (self.prev.capacity() + self.curr.capacity() + self.wj.capacity()) + self.dirs.capacity()) as u64
     }
 
     /// Number of times any buffer grew since construction / pre-sizing.
@@ -481,22 +427,24 @@ pub fn overlap_align_quality_with(
         assert_eq!(qb.len(), n, "quality track must match sequence length");
     }
     let w = n + 1;
-    scratch.ensure_window((m + 1) * w);
-    let dp = &mut scratch.dp[..(m + 1) * w];
-    let tb = &mut scratch.tb[..(m + 1) * w];
-    // Only the boundary needs reinitialising: every interior dp/tb cell
-    // is overwritten below before it is read, boundary tb is never read
-    // (traceback stops at i == 0 or j == 0), and the end scans only read
-    // boundary dp on row 0 / column 0, which are zeroed here.
-    dp[..w].fill(0);
+    scratch.ensure_rows(w);
+    scratch.ensure_dirs((m + 1) * w);
+    let mut prev: &mut [i32] = &mut scratch.prev[..w];
+    let mut curr: &mut [i32] = &mut scratch.curr[..w];
+    let tb = &mut scratch.dirs[..(m + 1) * w];
+    // Row 0 and column 0 are the free leading gaps. Boundary directions
+    // are never read (the walk stops at i == 0 or j == 0) and every
+    // interior one is written below before the walk reads it.
+    prev.fill(0);
+    // Running best over column n: the first row attaining the maximum,
+    // as an ascending strict-`>` scan of the column finds it.
+    let (mut coln_best, mut coln_i) = (0, 0usize);
     for i in 1..=m {
-        dp[i * w] = 0;
-    }
-    for i in 1..=m {
+        curr[0] = 0;
         for j in 1..=n {
-            let diag = dp[(i - 1) * w + j - 1] + s.subst(a[i - 1], b[j - 1]);
-            let up = dp[(i - 1) * w + j] + s.gap_extend;
-            let left = dp[i * w + j - 1] + s.gap_extend;
+            let diag = prev[j - 1] + s.subst(a[i - 1], b[j - 1]);
+            let up = prev[j] + s.gap_extend;
+            let left = curr[j - 1] + s.gap_extend;
             let (best, dir) = if diag >= up && diag >= left {
                 (diag, 0u8)
             } else if up >= left {
@@ -504,24 +452,27 @@ pub fn overlap_align_quality_with(
             } else {
                 (left, 2)
             };
-            dp[i * w + j] = best;
+            curr[j] = best;
             tb[i * w + j] = dir;
         }
+        if curr[n] > coln_best {
+            (coln_best, coln_i) = (curr[n], i);
+        }
+        std::mem::swap(&mut prev, &mut curr);
     }
-    // Best end cell on the last row or last column (free trailing gaps).
+    // Best end cell (free trailing gaps): the last row by ascending
+    // column, then column n by ascending row; the first maximum wins.
     let mut best_score = NEG;
     let mut end = (0usize, 0usize);
-    for j in 0..=n {
-        if dp[m * w + j] > best_score {
-            best_score = dp[m * w + j];
+    for (j, &v) in prev.iter().enumerate() {
+        if v > best_score {
+            best_score = v;
             end = (m, j);
         }
     }
-    for i in 0..=m {
-        if dp[i * w + n] > best_score {
-            best_score = dp[i * w + n];
-            end = (i, n);
-        }
+    if coln_best > best_score {
+        best_score = coln_best;
+        end = (coln_i, n);
     }
     let Walk { a_range, b_range, cols, identity, path_diags } =
         walk_traceback(a, b, quals, tb, |i, j| i * w + j, end);
@@ -533,13 +484,7 @@ pub fn overlap_align_quality_with(
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
         path_diags,
-        cells: (m * n) as u64,
-        cells_phase1: (m * n) as u64,
-        cells_phase2: 0,
-        early_exited: false,
-        traceback_skipped: false,
-        cells_saved_adaptive: 0,
-        band_rows_shrunk: 0,
+        ..OverlapResult::empty((m * n) as u64)
     }
 }
 
@@ -550,10 +495,10 @@ pub fn overlap_align_quality_with(
 /// pairs with `band ≫ min(m, n)` stop paying the full `2·band + 1` row
 /// width.
 ///
-/// With a sufficiently wide band this equals [`overlap_align`]; this
-/// single-pass variant allocates per call and always runs traceback —
-/// it is the [`AlignKernel::Legacy`] reference that
-/// [`overlap_align_two_phase`] is checked against.
+/// With a sufficiently wide band this equals [`overlap_align`]. It
+/// allocates its own score and direction matrices per call and always
+/// walks the traceback: the independent banded oracle that
+/// [`overlap_align_simd`] is checked against, on no production path.
 pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: &Scoring) -> OverlapResult {
     let (m, n) = (a.len(), b.len());
     if m == 0 || n == 0 {
@@ -635,238 +580,16 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
         path_diags,
-        cells,
-        cells_phase1: cells,
-        cells_phase2: 0,
-        early_exited: false,
-        traceback_skipped: false,
-        cells_saved_adaptive: 0,
-        band_rows_shrunk: 0,
-    }
-}
-
-/// Two-phase banded suffix–prefix alignment — the production hot path.
-///
-/// **Phase 1** runs the banded forward recurrence over two rolling rows
-/// from `scratch`, tracking only scores: the running best over column
-/// `n`, and finally the best over the last row — the same end-cell
-/// selection (and tie-breaks) as [`banded_overlap_align`]. When `gate`
-/// is given (and `quals` is not — weighted identity is not monotone in
-/// score), each row also maintains an upper bound on any completable
-/// alignment: the best in-band cell plus a perfect-match extension over
-/// the remaining rectangle, a later in-band restart from column 0, or an
-/// already-seen column-`n` end. If that bound drops below the
-/// [`acceptance_floor`] the kernel bails (`early_exited`) — a pair the
-/// full kernel would accept can never be exited this way, because its
-/// optimal score is itself bounded by the exit bound.
-///
-/// **Phase 2** runs only when the phase-1 score can still pass the gate:
-/// it re-fills the band window up to the winning end cell (columns
-/// clamped to it) into `scratch`'s window matrices and walks the
-/// traceback, yielding exactly the legacy kernel's identity, ranges and
-/// classification. Gated-out pairs skip it (`traceback_skipped`) and
-/// report empty ranges with identity 0, which the gate rejects anyway.
-///
-/// With `gate: None` the result equals [`banded_overlap_align`] on every
-/// field except the phase split of `cells`.
-#[allow(clippy::too_many_arguments)]
-pub fn overlap_align_two_phase(
-    a: &[u8],
-    b: &[u8],
-    seed_diag: i64,
-    band: usize,
-    s: &Scoring,
-    gate: Option<&AcceptCriteria>,
-    quals: Option<(&[u8], &[u8])>,
-    scratch: &mut AlignScratch,
-) -> OverlapResult {
-    let (m, n) = (a.len(), b.len());
-    if m == 0 || n == 0 {
-        return OverlapResult::empty(0);
-    }
-    if let Some((qa, qb)) = quals {
-        assert_eq!(qa.len(), m, "quality track must match sequence length");
-        assert_eq!(qb.len(), n, "quality track must match sequence length");
-    }
-    let Some(bw) = Band::new(m, n, seed_diag, band) else {
-        return OverlapResult::empty(0);
-    };
-    let floor = match (gate, quals) {
-        (Some(c), None) => acceptance_floor(c, s),
-        _ => None,
-    };
-    let w = bw.w;
-    scratch.ensure_rows(w);
-    let mut cells1 = 0u64;
-    let mut best_score = NEG;
-    let mut end: Option<(usize, usize)> = None;
-    {
-        let mut prev: &mut [i32] = &mut scratch.prev[..w];
-        let mut curr: &mut [i32] = &mut scratch.curr[..w];
-        // Running best over column n, with the same first-index-of-max
-        // tie-break as the legacy kernel's ascending strict-`>` scan.
-        let mut coln_best = NEG;
-        let mut coln_i = 0usize;
-        let (lo0, hi0) = bw.row_range(0, n);
-        prev.fill(NEG);
-        for j in lo0..=hi0 {
-            prev[bw.slot(0, j)] = 0;
-        }
-        if (lo0..=hi0).contains(&(n as i64)) {
-            coln_best = 0;
-            coln_i = 0;
-        }
-        for i in 1..=m {
-            let (lo, hi) = bw.row_range(i, n);
-            curr.fill(NEG);
-            // Upper bound on any alignment whose path crosses row i.
-            let mut row_bound = NEG;
-            for j in lo..=hi {
-                let sl = bw.slot(i, j);
-                if j == 0 {
-                    // Free leading gap in b.
-                    curr[sl] = 0;
-                    if floor.is_some() {
-                        row_bound = row_bound.max(s.match_score * (m - i).min(n) as i32);
-                    }
-                    continue;
-                }
-                cells1 += 1;
-                let ju = j as usize;
-                let diag = prev[sl] + s.subst(a[i - 1], b[ju - 1]);
-                let up = prev[sl + 1] + s.gap_extend;
-                let left = curr[sl - 1] + s.gap_extend;
-                let best = if diag >= up && diag >= left {
-                    diag
-                } else if up >= left {
-                    up
-                } else {
-                    left
-                };
-                curr[sl] = best;
-                if ju == n && best > coln_best {
-                    coln_best = best;
-                    coln_i = i;
-                }
-                if floor.is_some() && best > NEG / 2 {
-                    row_bound = row_bound.max(best + s.match_score * (m - i).min(n - ju) as i32);
-                }
-            }
-            if let Some(f) = floor {
-                if i < m {
-                    // Alignments not crossing row i either already ended
-                    // on column n above it, or start at a later in-band
-                    // (i0, 0) — possible only while i < d_hi.
-                    let restart =
-                        if (i as i64) < bw.d_hi { s.match_score * (m - i - 1).min(n) as i32 } else { NEG };
-                    if row_bound.max(coln_best).max(restart) < f {
-                        return OverlapResult::rejected(0, cells1, true, 0, 0);
-                    }
-                }
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        // `prev` now holds row m: scan it, then fold in the column-n best.
-        let (lo, hi) = bw.row_range(m, n);
-        for j in lo..=hi {
-            let v = prev[bw.slot(m, j)];
-            if v > best_score {
-                best_score = v;
-                end = Some((m, j as usize));
-            }
-        }
-        if coln_best > best_score {
-            best_score = coln_best;
-            end = Some((coln_i, n));
-        }
-    }
-    let Some((ei, ej)) = end else {
-        return OverlapResult::empty(cells1);
-    };
-    if best_score <= NEG / 2 {
-        return OverlapResult::empty(cells1);
-    }
-    if let Some(f) = floor {
-        if best_score < f {
-            return OverlapResult::rejected(best_score, cells1, false, 0, 0);
-        }
-    }
-    // Phase 2: re-fill the band window through the end cell. Cells with
-    // i ≤ ei, j ≤ ej depend on nothing outside that rectangle, so the
-    // clamped window reproduces the legacy matrix (and traceback) there.
-    let rows = ei + 1;
-    scratch.ensure_window(rows * w);
-    let dp = &mut scratch.dp[..rows * w];
-    let tb = &mut scratch.tb[..rows * w];
-    let mut cells2 = 0u64;
-    {
-        let (lo, hi) = bw.row_range(0, n);
-        dp[..w].fill(NEG);
-        tb[..w].fill(3);
-        for j in lo..=hi.min(ej as i64) {
-            dp[bw.slot(0, j)] = 0;
-        }
-    }
-    for i in 1..=ei {
-        let (lo, hi) = bw.row_range(i, n);
-        let hi = hi.min(ej as i64);
-        let base = i * w;
-        let pbase = (i - 1) * w;
-        dp[base..base + w].fill(NEG);
-        tb[base..base + w].fill(3);
-        for j in lo..=hi {
-            let sl = bw.slot(i, j);
-            if j == 0 {
-                dp[base + sl] = 0;
-                continue;
-            }
-            cells2 += 1;
-            let ju = j as usize;
-            let diag = dp[pbase + sl] + s.subst(a[i - 1], b[ju - 1]);
-            let up = dp[pbase + sl + 1] + s.gap_extend;
-            let left = dp[base + sl - 1] + s.gap_extend;
-            let (best, dir) = if diag >= up && diag >= left {
-                (diag, 0u8)
-            } else if up >= left {
-                (up, 1)
-            } else {
-                (left, 2)
-            };
-            dp[base + sl] = best;
-            tb[base + sl] = dir;
-        }
-    }
-    debug_assert_eq!(
-        dp[ei * w + bw.slot(ei, ej as i64)],
-        best_score,
-        "phase-2 window must reproduce the phase-1 end cell"
-    );
-    let Walk { a_range, b_range, cols, identity, path_diags } =
-        walk_traceback(a, b, quals, tb, |i, j| i * w + bw.slot(i, j as i64), (ei, ej));
-    OverlapResult {
-        score: best_score,
-        identity,
-        overlap_len: cols,
-        a_range,
-        b_range,
-        kind: OverlapResult::classify(m, n, a_range, b_range),
-        path_diags,
-        cells: cells1 + cells2,
-        cells_phase1: cells1,
-        cells_phase2: cells2,
-        early_exited: false,
-        traceback_skipped: false,
-        cells_saved_adaptive: 0,
-        band_rows_shrunk: 0,
+        ..OverlapResult::empty(cells)
     }
 }
 
 /// Options for [`overlap_align_simd`].
 #[derive(Debug, Clone, Copy)]
 pub struct SimdOpts {
-    /// Run the phase-1 inner pass through the scalar fallback instead of
-    /// the lane-chunked pass. Results are bit-identical either way (the
-    /// `force-scalar` cargo feature forces this on regardless).
+    /// Run every row through the scalar instantiation of the lane loops.
+    /// Results are bit-identical either way (the `force-scalar` cargo
+    /// feature forces this on regardless).
     pub force_scalar: bool,
     /// Per-row adaptive X-drop band shrinking. Takes effect only when an
     /// [`acceptance_floor`] exists and `mismatch ≤ 0`, `gap_extend ≤ 0`
@@ -880,42 +603,67 @@ impl Default for SimdOpts {
     }
 }
 
-/// Lane-chunked two-phase banded suffix–prefix alignment with adaptive
-/// X-drop banding — the production hot path.
+/// One-pass lane-chunked banded suffix–prefix alignment with adaptive
+/// X-drop banding — the production kernel.
 ///
-/// Phase 1 follows [`overlap_align_two_phase`] exactly, but evaluates the
-/// in-band row in [`LANES`]-wide chunks: a vector pass computes
-/// `max(diag + subst, up + gap)` per lane (the two `prev`-row inputs have
-/// no intra-row dependency), then a scalar ascending pass folds in the
-/// `left + gap` dependency — by induction this equals the single-pass
-/// scalar recurrence cell for cell. Band edges are NEG-padded in the
-/// lane-padded rolling rows, so chunk loads need no bounds branches. The
-/// early-exit bound prices every computed cell's best completion
-/// `P(i, j) = value + match · min(m − i, n − j)` exactly, as the lanewise
-/// min of the row-constant head formula `match · (m − i)` and the
-/// per-slot tail formula `wj[sl] + match · (n − i + d_hi + 1)` (with
-/// `wj[sl] = −match · sl` precomputed in the scratch), reduced by a
-/// lanewise horizontal max.
+/// **Band.** Diagonals `seed_diag ± band` clamped to `[-n, m]` ([`Band`]);
+/// row `i` lives in slot coordinates where `(i − 1, j − 1)` and `(i, j)`
+/// share a slot, over two rolling NEG-padded rows from `scratch`, so
+/// `diag = prev[slot]`, `up = prev[slot + 1]`, `left = curr[slot − 1]` and
+/// chunk loads need no bounds branches.
 ///
-/// **Adaptive X-drop banding** reuses that pricing to shrink the band per
-/// row. `P` is non-increasing along any alignment path when
-/// `mismatch ≤ 0` and `gap_extend ≤ 0`, so once a cell's `P` drops below
-/// the acceptance floor, *every* path through it finishes below the
-/// floor: such cells are dead and their columns can be dropped from the
-/// next row's candidate range (kept at lane-chunk granularity). Restarts
-/// from column 0 stay alive while `match · min(m − i, n)` can still reach
-/// the floor, and a scalar right-extension past the candidate range keeps
-/// within-row left-gap chains alive while their `P` holds the floor.
-/// Every cell on a path whose end score meets the floor has `P ≥ floor`
-/// all along, so accepted pairs are computed bit-identically to the fixed
-/// band — only cells that provably cannot matter are skipped, counted in
-/// `cells_saved_adaptive` (and `band_rows_shrunk` for rows that were
-/// actually tightened). Rejected pairs may report a different (never
-/// higher) score than the fixed band; the gate rejects them either way.
+/// **Lanes.** Each row is evaluated in [`LANES`]-wide chunks, in one
+/// loop: a vertical step computes `max(diag + subst, up + gap)` per lane
+/// (the two `prev`-row inputs have no intra-row dependency), then the
+/// `left + gap` dependency is folded in as an exact max-plus prefix scan
+/// carried from chunk to chunk — by induction the single-pass scalar
+/// recurrence, cell for cell.
 ///
-/// With `gate: None` (no usable floor) adaptive shrinking is inert and
-/// the result equals [`banded_overlap_align`] on every field except the
-/// phase split of `cells`.
+/// **Direction window.** While a chunk is still in registers each cell's
+/// traceback direction goes into a band-shaped `(m + 1) × w` byte window
+/// in `scratch`: `2` where the scan raised the cell (left strictly won),
+/// else `diag ≥ up ? 0 : 1`. Since the value is the maximum of the
+/// three, that is the scalar kernels' `diag ≥ up ≥ left` tie order. The
+/// end cell is the best of the last row (ascending column), then of
+/// column `n` (ascending row), first maximum winning —
+/// [`banded_overlap_align`]'s selection — and the traceback is walked on
+/// the window from there: no cell is evaluated twice.
+///
+/// **Gate and adaptive pricing.** With `gate` (and no `quals` — weighted
+/// identity is not monotone in score) every computed cell's best
+/// completion `P(i, j) = value + match · min(m − i, n − j)` is priced
+/// lanewise, as the min of the row-constant head formula `match · (m − i)`
+/// and the per-slot tail formula `wj[sl] + match · (n − i + d_hi + 1)`.
+/// When no cell of a row, no later in-band restart from column 0 and no
+/// banked column-`n` end can reach the [`acceptance_floor`], the kernel
+/// bails (`early_exited`); a finished pass whose score misses the floor
+/// skips the walk (`traceback_skipped`). Either way ranges and identity
+/// stay empty, which the gate rejects. *Adaptive X-drop banding* shrinks
+/// the band per row with the same pricing: `P` is non-increasing along
+/// any path when `mismatch ≤ 0` and `gap_extend ≤ 0`, so a cell with
+/// `P < floor` is dead — every path through it ends below the floor — and
+/// its columns leave the next row's candidate range (at lane-chunk
+/// granularity; restarts from column 0 stay while they can price the
+/// floor, and a scalar right-extension keeps within-row left-gap chains
+/// alive while theirs holds). Skipped cells are counted in
+/// `cells_saved_adaptive` / `band_rows_shrunk`. Rejected pairs may report
+/// a different (never higher) score than the fixed band would.
+///
+/// **Why one pass is exact.** With `gate: None` the result equals
+/// [`banded_overlap_align`] on every field, and gated accepted pairs equal
+/// it too, because:
+/// 1. a cell's value and its three inputs depend only on cells with
+///    smaller `(i, j)`, so nothing computed after the end cell's row or
+///    right of its column can change a byte the walk reads;
+/// 2. under adaptive shrinking every predecessor that attains a live path
+///    cell's maximum is itself on a floor-reaching path, hence live and
+///    bit-identical to the fixed band, while a dead neighbour only ever
+///    reads *lower*, so it can neither win nor tie — directions on the
+///    walked path equal the fixed-band matrix's;
+/// 3. the walk starts at the end cell and steps only to the cell that
+///    attained a real (non-NEG) maximum, which this call computed, so
+///    bytes an earlier, larger pair left in the window are never read and
+///    the window is never cleared.
 ///
 /// The default rustc target baseline on x86-64 is SSE2, which has no
 /// packed 32-bit max — the autovectorised lane loops end up mostly
@@ -1001,7 +749,9 @@ fn simd_body(
     let padded = lane_padded(w);
     scratch.ensure_rows(padded);
     scratch.ensure_wj(padded, s.match_score);
-    let mut cells1 = 0u64;
+    scratch.ensure_dirs((m + 1) * w);
+    let dirs: &mut [u8] = &mut scratch.dirs[..(m + 1) * w];
+    let mut cells = 0u64;
     let mut saved = 0u64;
     let mut rows_shrunk = 0u64;
     let mut best_score = NEG;
@@ -1089,7 +839,7 @@ fn simd_body(
                         // (same dead cells, no floor-reaching restart),
                         // so the remaining rows are not credited as
                         // saved — it would never have computed them.
-                        return OverlapResult::rejected(0, cells1, true, saved, rows_shrunk);
+                        return OverlapResult::rejected(0, cells, true, saved, rows_shrunk);
                     }
                     // A banked column-n end keeps the fixed-band run
                     // alive through every remaining row; the adaptive
@@ -1124,52 +874,18 @@ fn simd_body(
                 let sl0 = bw.slot(i, jstart);
                 let len = (chi - jstart + 1) as usize;
                 ncomp = len as u64;
-                cells1 += len as u64;
+                cells += len as u64;
+                let drow = &mut dirs[i * w + sl0..i * w + sl0 + len];
                 let ai = a[i - 1];
                 let ai_is_base = pgasm_seq::is_base_code(ai);
                 let boff = (jstart - 1) as usize;
-                let mut k = 0usize;
-                if !use_scalar {
-                    // Vector pass: diag/up only — no intra-row dependency.
-                    let mvec = I32x8::splat(s.match_score);
-                    let xvec = I32x8::splat(s.mismatch);
-                    let gvec = I32x8::splat(s.gap_extend);
-                    let kvec = I32x8::splat(ai as i32);
-                    while k + LANES <= len {
-                        let p0 = I32x8::load(&prev[sl0 + k..]);
-                        let p1 = I32x8::load(&prev[sl0 + k + 1..]);
-                        let sub = if ai_is_base {
-                            I32x8::load_u8(&b[boff + k..]).eq_select(kvec, mvec, xvec)
-                        } else {
-                            xvec
-                        };
-                        p0.add(sub).max(p1.add(gvec)).store(&mut curr[sl0 + k..]);
-                        k += LANES;
-                    }
-                }
-                // Scalar tail — and the whole row when forced scalar.
-                while k < len {
-                    let sub = if ai_is_base && b[boff + k] == ai { s.match_score } else { s.mismatch };
-                    let diag = prev[sl0 + k] + sub;
-                    let up = prev[sl0 + k + 1] + s.gap_extend;
-                    curr[sl0 + k] = if diag >= up { diag } else { up };
-                    k += 1;
-                }
-                // Ascending left-dependency fold: after this,
-                // curr[sl] == max(diag, up, left) exactly as in the
-                // single-pass recurrence. The sequential fold
-                // out[k] = max(c[k], out[k−1] + g) expands to
-                // out[k] = max over t ≤ k of c[t] + (k−t)·g, which the
-                // vector path computes as a log-step max-plus prefix
-                // scan per chunk (shift-by-1/2/4, each adding the
-                // matching multiple of g) plus one carried splat from
-                // the previous chunk — the same integer sums in a
-                // different association, so the result is bit-identical
-                // to the scalar fold.
                 let g = s.gap_extend;
                 let mut leftv = curr[sl0 - 1];
                 let mut k = 0usize;
                 if !use_scalar {
+                    let mvec = I32x8::splat(s.match_score);
+                    let xvec = I32x8::splat(s.mismatch);
+                    let kvec = I32x8::splat(ai as i32);
                     let gv1 = I32x8::splat(g);
                     let gv2 = I32x8::splat(g.wrapping_mul(2));
                     let gv4 = I32x8::splat(g.wrapping_mul(4));
@@ -1179,22 +895,53 @@ fn simd_body(
                     }
                     let ramp = I32x8(ramp);
                     while k + LANES <= len {
-                        let mut v = I32x8::load(&curr[sl0 + k..]);
-                        v = v.max(v.shift_up::<1>(NEG).add(gv1));
+                        // Vertical step: diag/up have no intra-row
+                        // dependency.
+                        let p0 = I32x8::load(&prev[sl0 + k..]);
+                        let p1 = I32x8::load(&prev[sl0 + k + 1..]);
+                        let sub = if ai_is_base {
+                            I32x8::load_u8(&b[boff + k..]).eq_select(kvec, mvec, xvec)
+                        } else {
+                            xvec
+                        };
+                        let (d, u) = (p0.add(sub), p1.add(gv1));
+                        let c = d.max(u);
+                        // Left-gap dependency: the sequential fold
+                        // out[k] = max(c[k], out[k−1] + g) expands to
+                        // out[k] = max over t ≤ k of c[t] + (k−t)·g — a
+                        // log-step max-plus prefix scan within the chunk
+                        // (shift by 1/2/4, each adding the matching
+                        // multiple of g) plus one carried splat from the
+                        // previous chunk: the same integer sums in a
+                        // different association, bit-identical to the
+                        // scalar recurrence below.
+                        let mut v = c.max(c.shift_up::<1>(NEG).add(gv1));
                         v = v.max(v.shift_up::<2>(NEG).add(gv2));
                         v = v.max(v.shift_up::<4>(NEG).add(gv4));
                         v = v.max(I32x8::splat(leftv).add(ramp));
                         v.store(&mut curr[sl0 + k..]);
+                        // v is the max of the three: where the scan
+                        // raised it, left strictly won; else diag ≥ up.
+                        I32x8::store_directions(d, u, c, v, &mut drow[k..]);
                         leftv = v.0[LANES - 1];
                         k += LANES;
                     }
                 }
-                for c in curr[sl0 + k..sl0 + len].iter_mut() {
-                    let l = leftv + g;
-                    if l > *c {
-                        *c = l;
-                    }
-                    leftv = *c;
+                // Scalar tail — and the whole row when forced scalar.
+                while k < len {
+                    let sub = if ai_is_base && b[boff + k] == ai { s.match_score } else { s.mismatch };
+                    let diag = prev[sl0 + k] + sub;
+                    let up = prev[sl0 + k + 1] + g;
+                    let left = leftv + g;
+                    (leftv, drow[k]) = if diag >= up && diag >= left {
+                        (diag, 0)
+                    } else if up >= left {
+                        (up, 1)
+                    } else {
+                        (left, 2)
+                    };
+                    curr[sl0 + k] = leftv;
+                    k += 1;
                 }
                 if chi == n as i64 {
                     let v = curr[sl0 + len - 1];
@@ -1247,7 +994,8 @@ fn simd_body(
                                 break;
                             }
                             curr[sl] = v;
-                            cells1 += 1;
+                            dirs[i * w + sl] = 2;
+                            cells += 1;
                             ncomp += 1;
                             if p > row_bound {
                                 row_bound = p;
@@ -1292,7 +1040,7 @@ fn simd_body(
                     let restart =
                         if (i as i64) < bw.d_hi { s.match_score * (m - i - 1).min(n) as i32 } else { NEG };
                     if row_bound.max(coln_best).max(restart) < f {
-                        return OverlapResult::rejected(0, cells1, true, saved, rows_shrunk);
+                        return OverlapResult::rejected(0, cells, true, saved, rows_shrunk);
                     }
                 }
             }
@@ -1317,68 +1065,18 @@ fn simd_body(
         }
     }
     let Some((ei, ej)) = end else {
-        return OverlapResult::empty(cells1);
+        return OverlapResult::empty(cells);
     };
     if best_score <= NEG / 2 {
-        return OverlapResult::empty(cells1);
+        return OverlapResult::empty(cells);
     }
     if let Some(f) = floor {
         if best_score < f {
-            return OverlapResult::rejected(best_score, cells1, false, saved, rows_shrunk);
+            return OverlapResult::rejected(best_score, cells, false, saved, rows_shrunk);
         }
     }
-    // Phase 2: identical to the scalar two-phase kernel — re-fill the
-    // *fixed* band window through the end cell (adaptive shrinking never
-    // touches it, so accepted pairs reproduce the legacy matrix exactly).
-    let rows = ei + 1;
-    scratch.ensure_window(rows * w);
-    let dp = &mut scratch.dp[..rows * w];
-    let tb = &mut scratch.tb[..rows * w];
-    let mut cells2 = 0u64;
-    {
-        let (lo, hi) = bw.row_range(0, n);
-        dp[..w].fill(NEG);
-        tb[..w].fill(3);
-        for j in lo..=hi.min(ej as i64) {
-            dp[bw.slot(0, j)] = 0;
-        }
-    }
-    for i in 1..=ei {
-        let (lo, hi) = bw.row_range(i, n);
-        let hi = hi.min(ej as i64);
-        let base = i * w;
-        let pbase = (i - 1) * w;
-        dp[base..base + w].fill(NEG);
-        tb[base..base + w].fill(3);
-        for j in lo..=hi {
-            let sl = bw.slot(i, j);
-            if j == 0 {
-                dp[base + sl] = 0;
-                continue;
-            }
-            cells2 += 1;
-            let ju = j as usize;
-            let diag = dp[pbase + sl] + s.subst(a[i - 1], b[ju - 1]);
-            let up = dp[pbase + sl + 1] + s.gap_extend;
-            let left = dp[base + sl - 1] + s.gap_extend;
-            let (best, dir) = if diag >= up && diag >= left {
-                (diag, 0u8)
-            } else if up >= left {
-                (up, 1)
-            } else {
-                (left, 2)
-            };
-            dp[base + sl] = best;
-            tb[base + sl] = dir;
-        }
-    }
-    debug_assert_eq!(
-        dp[ei * w + bw.slot(ei, ej as i64)],
-        best_score,
-        "phase-2 window must reproduce the phase-1 end cell"
-    );
     let Walk { a_range, b_range, cols, identity, path_diags } =
-        walk_traceback(a, b, quals, tb, |i, j| i * w + bw.slot(i, j as i64), (ei, ej));
+        walk_traceback(a, b, quals, dirs, |i, j| i * w + bw.slot(i, j as i64), (ei, ej));
     OverlapResult {
         score: best_score,
         identity,
@@ -1387,13 +1085,9 @@ fn simd_body(
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
         path_diags,
-        cells: cells1 + cells2,
-        cells_phase1: cells1,
-        cells_phase2: cells2,
-        early_exited: false,
-        traceback_skipped: false,
         cells_saved_adaptive: saved,
         band_rows_shrunk: rows_shrunk,
+        ..OverlapResult::empty(cells)
     }
 }
 
@@ -1574,108 +1268,87 @@ mod tests {
     fn empty_inputs() {
         assert_eq!(overlap_align(&[], &[], &s()).overlap_len, 0);
         assert_eq!(banded_overlap_align(&[], DnaSeq::from("ACG").codes(), 0, 4, &s()).overlap_len, 0);
-        let mut scratch = AlignScratch::new();
-        let r =
-            overlap_align_two_phase(&[], DnaSeq::from("ACG").codes(), 0, 4, &s(), None, None, &mut scratch);
+        let r = simd(
+            &[],
+            DnaSeq::from("ACG").codes(),
+            0,
+            4,
+            &s(),
+            None,
+            &mut AlignScratch::new(),
+            opts(false, true),
+        );
         assert_eq!(r.overlap_len, 0);
         assert_eq!(r.cells, 0);
     }
 
-    fn assert_same_alignment(tp: &OverlapResult, legacy: &OverlapResult) {
-        assert_eq!(tp.score, legacy.score, "two-phase {tp:?} legacy {legacy:?}");
-        assert_eq!(tp.identity, legacy.identity, "two-phase {tp:?} legacy {legacy:?}");
-        assert_eq!(tp.overlap_len, legacy.overlap_len);
-        assert_eq!(tp.a_range, legacy.a_range);
-        assert_eq!(tp.b_range, legacy.b_range);
-        assert_eq!(tp.kind, legacy.kind);
-    }
-
-    #[test]
-    fn two_phase_ungated_matches_banded() {
-        let cases: Vec<(DnaSeq, DnaSeq, i64, usize)> = vec![
-            (DnaSeq::from("ATGAGGTACCCTTGCAAGT"), DnaSeq::from("CCTTGCAAGTGGATCGATT"), 9, 64),
-            (DnaSeq::from("TTTTTTATCGGATCGAGGCTAAGTC"), DnaSeq::from("ATCGGATCGTAGGCTAAGTCAAAAA"), 6, 8),
-            (DnaSeq::from("AAAAAAAAAAAAAAA"), DnaSeq::from("CCCCCCCCCCCCCCC"), 0, 6),
-            (DnaSeq::from("GGTACCCT"), DnaSeq::from("ATGAGGTACCCTTGCA"), -4, 24),
-        ];
-        let mut scratch = AlignScratch::new();
-        for (a, b, diag, band) in &cases {
-            let legacy = banded_overlap_align(a.codes(), b.codes(), *diag, *band, &s());
-            let tp =
-                overlap_align_two_phase(a.codes(), b.codes(), *diag, *band, &s(), None, None, &mut scratch);
-            assert_same_alignment(&tp, &legacy);
-            assert_eq!(tp.cells_phase1, legacy.cells, "phase 1 covers the same band");
-            assert_eq!(tp.cells, tp.cells_phase1 + tp.cells_phase2);
-            assert!(!tp.early_exited && !tp.traceback_skipped);
-        }
-    }
-
-    #[test]
-    fn two_phase_gate_preserves_accepted_pairs() {
-        // A clean 60-base dovetail passes AcceptCriteria::CLUSTERING; the
-        // gated kernel must return exactly the ungated (= legacy) result.
-        let shared = "ATCGGATCGTAGGCTAAGTCATCGGATCGTAGGCTAAGTCATCGGATCGTAGGCTAAGTC";
-        let a = DnaSeq::from(format!("TTGCATTGCA{shared}").as_str());
-        let b = DnaSeq::from(format!("{shared}GGATCGGATC").as_str());
-        let mut scratch = AlignScratch::new();
-        let gate = AcceptCriteria::CLUSTERING;
-        let legacy = banded_overlap_align(a.codes(), b.codes(), 10, 24, &s());
-        assert!(gate.accepts(legacy.identity, legacy.overlap_len), "test fixture must be acceptable");
-        let tp = overlap_align_two_phase(a.codes(), b.codes(), 10, 24, &s(), Some(&gate), None, &mut scratch);
-        assert_same_alignment(&tp, &legacy);
-        assert!(!tp.early_exited && !tp.traceback_skipped);
-    }
-
-    #[test]
-    fn two_phase_gate_rejects_junk_cheaply() {
-        // Unrelated sequences with a long tail: the early-exit bound
-        // must fire and charge fewer cells than the legacy kernel.
-        let a = DnaSeq::from("A".repeat(400).as_str());
-        let b = DnaSeq::from("C".repeat(400).as_str());
-        let gate = AcceptCriteria::CLUSTERING;
-        let mut scratch = AlignScratch::new();
-        let legacy = banded_overlap_align(a.codes(), b.codes(), 0, 24, &s());
-        assert!(!gate.accepts(legacy.identity, legacy.overlap_len));
-        let tp = overlap_align_two_phase(a.codes(), b.codes(), 0, 24, &s(), Some(&gate), None, &mut scratch);
-        assert!(tp.early_exited, "pure-mismatch pair must early-exit: {tp:?}");
-        assert!(tp.traceback_skipped);
-        assert_eq!(tp.cells_phase2, 0);
-        assert!(tp.cells < legacy.cells, "two-phase {} vs legacy {}", tp.cells, legacy.cells);
-        assert!(!gate.accepts(tp.identity, tp.overlap_len), "gated result must remain rejected");
-    }
-
-    #[test]
-    fn two_phase_scratch_never_grows_after_presize() {
-        let max_len = 64usize;
-        let band = 8usize;
-        let mut scratch = AlignScratch::for_sequences(max_len, band);
-        assert_eq!(scratch.grow_events(), 0);
-        let hw = scratch.high_water_bytes();
-        let a = DnaSeq::from("ATGAGGTACCCTTGCAAGTATGAGGTACCCTTGCAAGTATGAGGTACCCTTGCAAGT");
-        let b = DnaSeq::from("CCTTGCAAGTGGATCGATTCCTTGCAAGTGGATCGATTCCTTGCAAGTGGATCGATT");
-        for diag in -8..8 {
-            let _ = overlap_align_two_phase(a.codes(), b.codes(), diag, band, &s(), None, None, &mut scratch);
-            let _ = overlap_align_two_phase(
-                a.codes(),
-                b.codes(),
-                diag,
-                band,
-                &s(),
-                Some(&AcceptCriteria::CLUSTERING),
-                None,
-                &mut scratch,
-            );
-        }
-        assert_eq!(scratch.grow_events(), 0, "hot loop must not reallocate");
-        assert_eq!(scratch.high_water_bytes(), hw, "high-water must stay flat");
-    }
-
-    fn simd_opts(force_scalar: bool, adaptive: bool) -> SimdOpts {
+    fn opts(force_scalar: bool, adaptive: bool) -> SimdOpts {
         SimdOpts { force_scalar, adaptive }
     }
 
+    /// [`overlap_align_simd`] without quality tracks.
+    #[allow(clippy::too_many_arguments)]
+    fn simd(
+        a: &[u8],
+        b: &[u8],
+        diag: i64,
+        band: usize,
+        s: &Scoring,
+        gate: Option<&AcceptCriteria>,
+        scratch: &mut AlignScratch,
+        opts: SimdOpts,
+    ) -> OverlapResult {
+        overlap_align_simd(a, b, diag, band, s, gate, None, scratch, opts)
+    }
+
+    /// Every field but the work counters.
+    fn assert_same_alignment(got: &OverlapResult, oracle: &OverlapResult) {
+        assert_eq!(got.score, oracle.score, "one-pass {got:?} oracle {oracle:?}");
+        assert_eq!(got.identity.to_bits(), oracle.identity.to_bits(), "one-pass {got:?} oracle {oracle:?}");
+        assert_eq!(got.overlap_len, oracle.overlap_len);
+        assert_eq!(got.a_range, oracle.a_range);
+        assert_eq!(got.b_range, oracle.b_range);
+        assert_eq!(got.kind, oracle.kind);
+        assert_eq!(got.path_diags, oracle.path_diags);
+    }
+
+    /// Lanes and forced scalar × adaptive on and off, each on its own
+    /// reused scratch, against the banded oracle.
+    fn assert_all_arms_match_banded(
+        a: &[u8],
+        b: &[u8],
+        diag: i64,
+        band: usize,
+        s: &Scoring,
+        gate: Option<&AcceptCriteria>,
+    ) -> OverlapResult {
+        let oracle = banded_overlap_align(a, b, diag, band, s);
+        let mut scratch = AlignScratch::new();
+        for fs in [false, true] {
+            for ad in [false, true] {
+                let r = simd(a, b, diag, band, s, gate, &mut scratch, opts(fs, ad));
+                assert_same_alignment(&r, &oracle);
+                assert!(!r.early_exited && !r.traceback_skipped);
+            }
+        }
+        oracle
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    fn random_codes(next: &mut impl FnMut() -> u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| (next() % 4) as u8).collect()
+    }
+
     #[test]
-    fn simd_ungated_matches_banded() {
+    fn ungated_matches_banded() {
         let cases: Vec<(DnaSeq, DnaSeq, i64, usize)> = vec![
             (DnaSeq::from("ATGAGGTACCCTTGCAAGT"), DnaSeq::from("CCTTGCAAGTGGATCGATT"), 9, 64),
             (DnaSeq::from("TTTTTTATCGGATCGAGGCTAAGTC"), DnaSeq::from("ATCGGATCGTAGGCTAAGTCAAAAA"), 6, 8),
@@ -1684,91 +1357,59 @@ mod tests {
         ];
         let mut scratch = AlignScratch::new();
         for (a, b, diag, band) in &cases {
-            let legacy = banded_overlap_align(a.codes(), b.codes(), *diag, *band, &s());
+            let oracle = banded_overlap_align(a.codes(), b.codes(), *diag, *band, &s());
             for fs in [false, true] {
-                let sv = overlap_align_simd(
-                    a.codes(),
-                    b.codes(),
-                    *diag,
-                    *band,
-                    &s(),
-                    None,
-                    None,
-                    &mut scratch,
-                    simd_opts(fs, true),
-                );
-                assert_same_alignment(&sv, &legacy);
-                assert_eq!(sv.cells_phase1, legacy.cells, "ungated phase 1 covers the same band");
-                assert_eq!(sv.cells, sv.cells_phase1 + sv.cells_phase2);
-                assert_eq!(sv.cells_saved_adaptive, 0, "no floor, no shrinking");
+                let r = simd(a.codes(), b.codes(), *diag, *band, &s(), None, &mut scratch, opts(fs, true));
+                assert_same_alignment(&r, &oracle);
+                assert_eq!(r.cells, oracle.cells, "one pass over the same band");
+                assert_eq!(r.cells_saved_adaptive, 0, "no floor, no shrinking");
+                assert!(!r.early_exited && !r.traceback_skipped);
             }
         }
     }
 
     #[test]
-    fn simd_gate_preserves_accepted_pairs() {
+    fn gate_preserves_accepted_pairs() {
+        // A clean 60-base dovetail passes AcceptCriteria::CLUSTERING; the
+        // gated kernel must return exactly the oracle's result.
         let shared = "ATCGGATCGTAGGCTAAGTCATCGGATCGTAGGCTAAGTCATCGGATCGTAGGCTAAGTC";
         let a = DnaSeq::from(format!("TTGCATTGCA{shared}").as_str());
         let b = DnaSeq::from(format!("{shared}GGATCGGATC").as_str());
-        let mut scratch = AlignScratch::new();
         let gate = AcceptCriteria::CLUSTERING;
-        let legacy = banded_overlap_align(a.codes(), b.codes(), 10, 24, &s());
-        assert!(gate.accepts(legacy.identity, legacy.overlap_len));
-        for fs in [false, true] {
-            for ad in [false, true] {
-                let sv = overlap_align_simd(
-                    a.codes(),
-                    b.codes(),
-                    10,
-                    24,
-                    &s(),
-                    Some(&gate),
-                    None,
-                    &mut scratch,
-                    simd_opts(fs, ad),
-                );
-                assert_same_alignment(&sv, &legacy);
-                assert!(!sv.early_exited && !sv.traceback_skipped);
-            }
-        }
+        let oracle = assert_all_arms_match_banded(a.codes(), b.codes(), 10, 24, &s(), Some(&gate));
+        assert!(gate.accepts(oracle.identity, oracle.overlap_len), "test fixture must be acceptable");
     }
 
     #[test]
-    fn simd_gate_rejects_junk_cheaply() {
+    fn gate_rejects_junk_cheaply() {
+        // Unrelated sequences with a long tail: the early-exit bound
+        // must fire and charge fewer cells than the ungated oracle.
         let a = DnaSeq::from("A".repeat(400).as_str());
         let b = DnaSeq::from("C".repeat(400).as_str());
         let gate = AcceptCriteria::CLUSTERING;
-        let mut scratch = AlignScratch::new();
-        let legacy = banded_overlap_align(a.codes(), b.codes(), 0, 24, &s());
-        let sv = overlap_align_simd(
+        let oracle = banded_overlap_align(a.codes(), b.codes(), 0, 24, &s());
+        assert!(!gate.accepts(oracle.identity, oracle.overlap_len));
+        let r = simd(
             a.codes(),
             b.codes(),
             0,
             24,
             &s(),
             Some(&gate),
-            None,
-            &mut scratch,
+            &mut AlignScratch::new(),
             SimdOpts::default(),
         );
-        assert!(sv.early_exited, "pure-mismatch pair must early-exit: {sv:?}");
-        assert!(sv.traceback_skipped);
-        assert_eq!(sv.cells_phase2, 0);
-        assert!(sv.cells < legacy.cells);
-        assert!(!gate.accepts(sv.identity, sv.overlap_len));
+        assert!(r.early_exited, "pure-mismatch pair must early-exit: {r:?}");
+        assert!(r.traceback_skipped);
+        assert!(r.cells < oracle.cells, "gated {} vs oracle {}", r.cells, oracle.cells);
+        assert!(!gate.accepts(r.identity, r.overlap_len), "gated result must remain rejected");
     }
 
     #[test]
-    fn simd_scalar_fallback_bit_identical() {
+    fn scalar_fallback_bit_identical() {
         // Deterministically varied sequences over the full code range,
         // compared field-for-field between the lane and scalar paths.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x9e3779b97f4a7c15);
         let mut scratch_v = AlignScratch::new();
         let mut scratch_s = AlignScratch::new();
         let gate = AcceptCriteria::CLUSTERING;
@@ -1781,35 +1422,15 @@ mod tests {
             let band = 1 + (next() % 24) as usize;
             let gate_opt = if case % 2 == 0 { Some(&gate) } else { None };
             for ad in [false, true] {
-                let vec = overlap_align_simd(
-                    &a,
-                    &b,
-                    diag,
-                    band,
-                    &s(),
-                    gate_opt,
-                    None,
-                    &mut scratch_v,
-                    simd_opts(false, ad),
-                );
-                let sc = overlap_align_simd(
-                    &a,
-                    &b,
-                    diag,
-                    band,
-                    &s(),
-                    gate_opt,
-                    None,
-                    &mut scratch_s,
-                    simd_opts(true, ad),
-                );
+                let vec = simd(&a, &b, diag, band, &s(), gate_opt, &mut scratch_v, opts(false, ad));
+                let sc = simd(&a, &b, diag, band, &s(), gate_opt, &mut scratch_s, opts(true, ad));
                 assert_eq!(vec, sc, "lane vs scalar divergence: case {case} diag {diag} band {band}");
             }
         }
     }
 
     #[test]
-    fn simd_adaptive_saves_cells_and_keeps_accepted_result() {
+    fn adaptive_saves_cells_and_keeps_accepted_result() {
         // A 60-base true overlap between 200-base reads under a harsh
         // verification scoring (steep off-ridge decay): the winning
         // ridge sits near the floor, so off-ridge band columns price
@@ -1821,44 +1442,106 @@ mod tests {
         let a = DnaSeq::from(format!("{flank_a}{shared}").as_str());
         let b = DnaSeq::from(format!("{shared}{flank_b}").as_str());
         let gate = AcceptCriteria::CLUSTERING;
-        let mut scratch = AlignScratch::new();
         let diag = flank_a.len() as i64;
-        let legacy = banded_overlap_align(a.codes(), b.codes(), diag, 24, &s);
-        assert!(gate.accepts(legacy.identity, legacy.overlap_len), "fixture must be acceptable");
-        let fixed = overlap_align_simd(
-            a.codes(),
-            b.codes(),
-            diag,
-            24,
-            &s,
-            Some(&gate),
-            None,
-            &mut scratch,
-            simd_opts(false, false),
-        );
-        let adaptive = overlap_align_simd(
-            a.codes(),
-            b.codes(),
-            diag,
-            24,
-            &s,
-            Some(&gate),
-            None,
-            &mut scratch,
-            simd_opts(false, true),
-        );
-        assert_same_alignment(&adaptive, &legacy);
-        assert_same_alignment(&fixed, &legacy);
+        let oracle = assert_all_arms_match_banded(a.codes(), b.codes(), diag, 24, &s, Some(&gate));
+        assert!(gate.accepts(oracle.identity, oracle.overlap_len), "fixture must be acceptable");
+        let mut scratch = AlignScratch::new();
+        let fixed = simd(a.codes(), b.codes(), diag, 24, &s, Some(&gate), &mut scratch, opts(false, false));
+        let adaptive = simd(a.codes(), b.codes(), diag, 24, &s, Some(&gate), &mut scratch, opts(false, true));
         assert!(adaptive.cells_saved_adaptive > 0, "shrink must engage: {adaptive:?}");
         assert!(adaptive.band_rows_shrunk > 0);
         assert!(
-            adaptive.cells_phase1 + adaptive.cells_saved_adaptive <= fixed.cells_phase1,
-            "saved cells must come out of the fixed-band phase-1 budget: adaptive {adaptive:?} fixed {fixed:?}"
+            adaptive.cells + adaptive.cells_saved_adaptive <= fixed.cells,
+            "saved cells must come out of the fixed-band budget: adaptive {adaptive:?} fixed {fixed:?}"
         );
     }
 
     #[test]
-    fn simd_scratch_never_grows_after_presize() {
+    fn stale_scratch_bytes_are_never_read() {
+        // A 1500 × 1500 pair at band 200 leaves directions all over a
+        // large window; a 300 × 350 pair at band 24 on the same scratch
+        // lays a narrower window over those bytes and must not see them.
+        let mut next = xorshift(0x2545f4914f6cdd1d);
+        let big_a = random_codes(&mut next, 1_500);
+        let mut big_b = big_a.clone();
+        for _ in 0..60 {
+            let at = (next() % 1_490) as usize;
+            match next() % 3 {
+                0 => big_b[at] = (big_b[at] + 1) % 4,
+                1 => drop(big_b.remove(at)),
+                _ => big_b.insert(at, (next() % 4) as u8),
+            }
+        }
+        big_b.resize(1_500, 0);
+        let shared = random_codes(&mut next, 180);
+        let a = [random_codes(&mut next, 120), shared.clone()].concat();
+        let mut b = [shared, random_codes(&mut next, 170)].concat();
+        b[60] = (b[60] + 1) % 4;
+        b.remove(100);
+        b.push(0);
+        assert_eq!((a.len(), b.len()), (300, 350));
+        let gate = AcceptCriteria::CLUSTERING;
+        for gate_opt in [None, Some(&gate)] {
+            for fs in [false, true] {
+                let mut reused = AlignScratch::new();
+                let big = simd(&big_a, &big_b, 0, 200, &s(), gate_opt, &mut reused, opts(fs, true));
+                assert!(big.overlap_len > 1_000, "the first pair must fill its window: {big:?}");
+                let got = simd(&a, &b, 120, 24, &s(), gate_opt, &mut reused, opts(fs, true));
+                let fresh = simd(&a, &b, 120, 24, &s(), gate_opt, &mut AlignScratch::new(), opts(fs, true));
+                assert_eq!(got, fresh);
+                assert!(got.overlap_len >= 170, "the second pair must walk a traceback: {got:?}");
+                assert_same_alignment(&got, &banded_overlap_align(&a, &b, 120, 24, &s()));
+            }
+        }
+    }
+
+    #[test]
+    fn three_way_tie_takes_the_diagonal() {
+        // One substitution between two matching halves: at that cell the
+        // mismatch (−2) ties with gap-then-gap through either neighbour
+        // (−1 −1), and the path runs through it.
+        let mut next = xorshift(0x853c49e6748fea9b);
+        let (p, q) = (random_codes(&mut next, 40), random_codes(&mut next, 40));
+        let a = [p.clone(), vec![0], q.clone()].concat();
+        let b = [p, vec![1], q].concat();
+        let sc = s();
+        // The plain recurrence, to show the tie is really there.
+        let n = b.len();
+        let mut h = vec![vec![0i32; n + 1]; a.len() + 1];
+        for i in 1..=a.len() {
+            for j in 1..=n {
+                h[i][j] = (h[i - 1][j - 1] + sc.subst(a[i - 1], b[j - 1]))
+                    .max(h[i - 1][j] + sc.gap_extend)
+                    .max(h[i][j - 1] + sc.gap_extend);
+            }
+        }
+        let t = 41;
+        assert_eq!(h[t - 1][t - 1] + sc.mismatch, h[t - 1][t] + sc.gap_extend);
+        assert_eq!(h[t - 1][t - 1] + sc.mismatch, h[t][t - 1] + sc.gap_extend);
+        let oracle = assert_all_arms_match_banded(&a, &b, 0, 12, &sc, Some(&AcceptCriteria::CLUSTERING));
+        // Diagonal through the tie: 81 columns, one of them a mismatch.
+        assert_eq!((oracle.overlap_len, oracle.path_diags), (81, (0, 0)));
+        assert_eq!(oracle.identity, 80.0 / 81.0);
+    }
+
+    #[test]
+    fn band_entering_the_rectangle_late_restarts_exactly() {
+        // Seed diagonal m − 60: rows 1..m−84 have no in-band column, so
+        // the adaptive path skips them with an empty live hull and the
+        // restart cells (i, 0) of rows m−84..=m−36 re-seed it.
+        let mut next = xorshift(0xda942042e4dd58b5);
+        let shared = random_codes(&mut next, 60);
+        let a = [random_codes(&mut next, 240), shared.clone()].concat();
+        let b = [shared, random_codes(&mut next, 140)].concat();
+        let gate = AcceptCriteria::CLUSTERING;
+        let diag = a.len() as i64 - 60;
+        let oracle = assert_all_arms_match_banded(&a, &b, diag, 24, &s(), Some(&gate));
+        assert_eq!((oracle.a_range, oracle.b_range), ((240, 300), (0, 60)));
+        assert!(gate.accepts(oracle.identity, oracle.overlap_len));
+    }
+
+    #[test]
+    fn scratch_never_grows_after_presize() {
         let max_len = 64usize;
         let band = 8usize;
         let mut scratch = AlignScratch::for_sequences(max_len, band);
@@ -1867,28 +1550,9 @@ mod tests {
         let a = DnaSeq::from("ATGAGGTACCCTTGCAAGTATGAGGTACCCTTGCAAGTATGAGGTACCCTTGCAAGT");
         let b = DnaSeq::from("CCTTGCAAGTGGATCGATTCCTTGCAAGTGGATCGATTCCTTGCAAGTGGATCGATT");
         for diag in -8..8 {
-            let _ = overlap_align_simd(
-                a.codes(),
-                b.codes(),
-                diag,
-                band,
-                &s(),
-                None,
-                None,
-                &mut scratch,
-                SimdOpts::default(),
-            );
-            let _ = overlap_align_simd(
-                a.codes(),
-                b.codes(),
-                diag,
-                band,
-                &s(),
-                Some(&AcceptCriteria::CLUSTERING),
-                None,
-                &mut scratch,
-                SimdOpts::default(),
-            );
+            for gate in [None, Some(&AcceptCriteria::CLUSTERING)] {
+                let _ = simd(a.codes(), b.codes(), diag, band, &s(), gate, &mut scratch, SimdOpts::default());
+            }
         }
         assert_eq!(scratch.grow_events(), 0, "hot loop must not reallocate");
         assert_eq!(scratch.high_water_bytes(), hw, "high-water must stay flat");

@@ -2,7 +2,8 @@
 //!
 //! No target intrinsics and no external crates: each lane struct wraps a
 //! fixed-size array and exposes the handful of lanewise operations the
-//! phase-1 score pass needs (add, max, compare-select, horizontal max).
+//! banded kernel's row passes need (add, max, compare-select, horizontal
+//! max, compare-to-bytes for the traceback directions).
 //! Every method is a plain `for l in 0..LANES` loop over the array, which
 //! LLVM reliably autovectorises at `opt-level=3` into SSE2/AVX2 code —
 //! the arrays are fixed-width, the loops have no early exits, and there
@@ -29,7 +30,7 @@
 /// Lane count of the kernel's working type ([`I32x8`]).
 pub const LANES: usize = 8;
 
-/// Effective lane width of the phase-1 inner loop in this build: `LANES`
+/// Effective lane width of the kernel's row passes in this build: `LANES`
 /// normally, 1 when the `force-scalar` feature pins the kernel to its
 /// scalar fallback. Surfaced as the `simd_lanes` capability note in run
 /// reports so traces from different builds are comparable.
@@ -170,6 +171,17 @@ impl I32x8 {
         }
         I32x8(out)
     }
+
+    /// Traceback directions of eight cells with diagonal candidates `d`,
+    /// vertical candidates `u`, `c = max(d, u)` and final values
+    /// `v = max(c, left)`: `2` (left) where `v != c`, else `1` (up) where
+    /// `d < u`, else `0` (diagonal) — the `diag ≥ up ≥ left` tie order.
+    #[inline(always)]
+    pub fn store_directions(d: I32x8, u: I32x8, c: I32x8, v: I32x8, dst: &mut [u8]) {
+        for (l, dir) in dst[..8].iter_mut().enumerate() {
+            *dir = if v.0[l] != c.0[l] { 2 } else { (d.0[l] < u.0[l]) as u8 };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +222,19 @@ mod tests {
     fn load_u8_widens() {
         let src = [0u8, 3, 255, 4, 1, 2, 0, 9];
         assert_eq!(I32x8::load_u8(&src).0, [0, 3, 255, 4, 1, 2, 0, 9]);
+    }
+
+    #[test]
+    fn directions_follow_the_tie_order() {
+        let d = I32x8([5, 1, 3, 3, -9, 0, 7, 2]);
+        let u = I32x8([4, 2, 3, 4, -8, 0, 6, 3]);
+        let c = d.max(u);
+        let mut v = c;
+        v.0[2] += 1;
+        v.0[7] += 4;
+        let mut dirs = [9u8; 9];
+        I32x8::store_directions(d, u, c, v, &mut dirs);
+        assert_eq!(dirs, [0, 1, 2, 1, 1, 0, 0, 2, 9], "writes exactly LANES bytes");
     }
 
     #[test]

@@ -89,7 +89,7 @@ struct SweepWork {
     runs: u64,
     /// Re-alignments with a doubled band.
     widenings: u64,
-    /// DP cells evaluated over all alignments, traceback windows included.
+    /// DP cells evaluated over all alignments.
     cells: u64,
 }
 
@@ -213,7 +213,11 @@ fn sweep(
     index.sort_unstable();
 
     let criteria = if quals.is_some() { config.quality_criteria } else { config.criteria };
-    let mut verifier = Verifier { config, slack, scratch: AlignScratch::new(), work: SweepWork::default() };
+    // Sized for the longest read at the band of a seed run that sits on
+    // one diagonal; a run with spread, or a doubled band, grows it.
+    let max_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
+    let scratch = AlignScratch::for_sequences(max_len, slack);
+    let mut verifier = Verifier { config, slack, scratch, work: SweepWork::default() };
     let mut edges = Vec::new();
     let mut hits: Vec<Hit> = Vec::new();
     for j in 1..reads.len() {
@@ -460,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_tiling_matches_the_oracle_in_a_quarter_of_the_cells() {
+    fn deep_tiling_matches_the_oracle_in_an_eighth_of_the_cells() {
         let set = deep_tiling(3);
         let config = cfg();
         let (edges, work) = assert_matches_reference_at(&set.seqs, &set.quals, BAND_SLACK, "9x tiling");
@@ -470,8 +474,8 @@ mod tests {
             .map(|&(i, j, _)| (set.seqs[i].len() * set.seqs[j].len()) as u64)
             .sum();
         assert!(
-            work.cells * 4 <= full_matrix,
-            "banded cells {} exceed a quarter of the full-matrix {full_matrix}: {work:?}",
+            work.cells * 8 <= full_matrix,
+            "banded cells {} exceed an eighth of the full-matrix {full_matrix}: {work:?}",
             work.cells
         );
     }

@@ -10,7 +10,7 @@
 //! `BENCH_kernels.json` as a `RunReport`. Run with
 //! `cargo bench -p pgasm-bench`.
 
-use pgasm_align::{banded_overlap_align, overlap_align, Scoring};
+use pgasm_align::{banded_overlap_align, overlap_align, overlap_align_simd, AlignScratch, Scoring, SimdOpts};
 use pgasm_core::UnionFind;
 use pgasm_gst::{GenMode, Gst, GstConfig, PairGenerator};
 use pgasm_seq::{DnaSeq, FragmentStore};
@@ -72,7 +72,8 @@ impl Harness {
 fn main() {
     let mut h = Harness::new();
 
-    // Alignment: full and banded DP over a planted 200 bp overlap.
+    // Alignment: the two oracles and the production kernel (ungated, as
+    // the assembler calls it) over a planted 200 bp overlap.
     let mut rng = StdRng::seed_from_u64(1);
     let shared = random_dna(&mut rng, 200);
     let mut a = random_dna(&mut rng, 300);
@@ -82,6 +83,10 @@ fn main() {
     let s = Scoring::DEFAULT;
     h.bench("alignment/overlap_full_500bp", 20, || overlap_align(a.codes(), b.codes(), &s));
     h.bench("alignment/overlap_banded_500bp", 20, || banded_overlap_align(a.codes(), b.codes(), 300, 24, &s));
+    let mut scratch = AlignScratch::for_sequences(500, 24);
+    h.bench("alignment/overlap_simd_500bp", 200, || {
+        overlap_align_simd(a.codes(), b.codes(), 300, 24, &s, None, None, &mut scratch, SimdOpts::default())
+    });
 
     // GST construction at two scales (recorded numbers predate PR 12's
     // sort-based builder and PR 15's bucket admission).
@@ -139,8 +144,6 @@ fn main() {
         at += 200;
     }
     let cfg = pgasm_assemble::AssemblyConfig::default();
-    // Recorded timings of this arm predate PR 14 (seed-anchored banded
-    // overlaps); it was not re-run.
     h.bench("assembler/cluster_of_14_reads", 20, || pgasm_assemble::assemble(&reads, &cfg));
 
     let report = h.finish();

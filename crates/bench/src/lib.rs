@@ -11,7 +11,6 @@
 //! grow every experiment proportionally.
 
 pub mod ablations;
-pub mod align_kernel;
 pub mod assembly_balance;
 pub mod coalescing;
 pub mod datasets;

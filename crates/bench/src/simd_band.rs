@@ -1,12 +1,12 @@
-//! ABL8 — SIMD/X-drop ablation: scalar two-phase kernel vs the
-//! vectorised phase-1 kernel, with adaptive banding on and off.
+//! ABL8 — SIMD/X-drop ablation of the banded overlap kernel: its scalar
+//! instantiation vs its lane passes, with adaptive banding on and off.
 //!
 //! Two workloads bracket the kernel's regimes:
 //!
 //! - [`datasets::repeat_trap_store`] — rejection-heavy; the win is the
-//!   vector pass itself (the early exit already bounds the cell count,
-//!   so all kernels compute similar cells and the ns/cell ratio is the
-//!   honest speedup).
+//!   lane passes themselves (the early exit already bounds the cell
+//!   count, so all arms compute similar cells and the ns/cell ratio is
+//!   the honest speedup).
 //! - [`datasets::overlap_heavy_store`] — accepted-pair-heavy; the early
 //!   exit almost never fires, and the adaptive X-drop shrink is what
 //!   saves work: under harsh scoring the completion potential decays
@@ -15,24 +15,21 @@
 //!
 //! Hard acceptance bars, checked on every run:
 //!
-//! - all four arms produce *identical clusterings* at every rank count
+//! - all three arms produce *identical clusterings* at every rank count
 //!   (and match the serial run) — vectorisation is bit-exact and the
 //!   adaptive shrink only skips provably-dead cells;
 //! - the adaptive arm reports nonzero `cells_saved_adaptive` on the
 //!   accepted-heavy store, and its computed + saved cells never exceed
 //!   the fixed-band arm's computed cells;
-//! - the vectorised arms beat the scalar two-phase kernel by ≥ 1.5× in
-//!   ns per cell (interleaved best-of-N micro-probe; skipped in
-//!   `force-scalar` builds where the lane width is 1).
+//! - the lane arms beat the scalar instantiation by ≥ 1.5× in ns per
+//!   cell (interleaved best-of-N micro-probe; skipped in `force-scalar`
+//!   builds where the lane width is 1).
 
 use crate::datasets;
 use crate::util::*;
-use pgasm_align::{
-    overlap_align_simd, overlap_align_two_phase, AcceptCriteria, AlignScratch, Scoring, SimdOpts,
-};
+use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, Scoring, SimdOpts};
 use pgasm_core::{
-    cluster_parallel, cluster_serial, AlignKernel, ClusterParams, ClusterStats, Clustering,
-    MasterWorkerConfig,
+    cluster_parallel, cluster_serial, ClusterParams, ClusterStats, Clustering, MasterWorkerConfig,
 };
 use pgasm_seq::{FragmentStore, SeqId};
 
@@ -43,34 +40,24 @@ pub struct Point {
     pub store: &'static str,
     /// Total ranks (1 = the serial engine).
     pub p: usize,
-    /// Arm name (`two-phase`, `simd-scalar`, `simd-fixed`, `simd`).
+    /// Arm name (`simd-scalar`, `simd-fixed`, `simd`).
     pub arm: &'static str,
     /// Pairs actually aligned.
     pub aligned: u64,
-    /// Total DP cells computed (phase 1 + phase 2).
+    /// DP cells computed.
     pub cells: u64,
-    /// Score-only forward-pass cells.
-    pub cells_phase1: u64,
     /// Cells the adaptive shrink skipped.
     pub saved: u64,
     /// Rows whose live interior was narrower than the fixed band.
     pub rows_shrunk: u64,
 }
 
-/// (name, kernel, force_scalar, adaptive)
-const ARMS: [(&str, AlignKernel, bool, bool); 4] = [
-    ("two-phase", AlignKernel::TwoPhase, false, false),
-    ("simd-scalar", AlignKernel::Simd, true, true),
-    ("simd-fixed", AlignKernel::Simd, false, false),
-    ("simd", AlignKernel::Simd, false, true),
-];
+/// (name, force_scalar, adaptive)
+const ARMS: [(&str, bool, bool); 3] =
+    [("simd-scalar", true, true), ("simd-fixed", false, false), ("simd", false, true)];
 
-fn arm_params(base: &ClusterParams, arm: &(&str, AlignKernel, bool, bool)) -> ClusterParams {
-    let mut p = *base;
-    p.kernel = arm.1;
-    p.simd_force_scalar = arm.2;
-    p.adaptive_band = arm.3;
-    p
+fn arm_params(base: &ClusterParams, arm: &(&str, bool, bool)) -> ClusterParams {
+    ClusterParams { simd_force_scalar: arm.1, adaptive_band: arm.2, ..*base }
 }
 
 fn point(store: &'static str, p: usize, arm: &'static str, s: &ClusterStats) -> Point {
@@ -80,7 +67,6 @@ fn point(store: &'static str, p: usize, arm: &'static str, s: &ClusterStats) -> 
         arm,
         aligned: s.aligned,
         cells: s.dp_cells,
-        cells_phase1: s.dp_cells_phase1,
         saved: s.cells_saved_adaptive,
         rows_shrunk: s.band_rows_shrunk,
     }
@@ -103,9 +89,9 @@ fn probe_pairs(store: &FragmentStore) -> Vec<(Vec<u8>, Vec<u8>, i64)> {
     pairs
 }
 
-/// Interleaved best-of-N ns/cell for the scalar two-phase kernel and
-/// both vector arms. Returns (ns/cell, cells) per arm in ARMS order
-/// minus the simd-scalar arm: [two_phase, simd_fixed, simd_adaptive].
+/// Interleaved best-of-N ns/cell per arm, in ARMS order. The scalar arm
+/// runs adaptive like the production lanes arm, so arms 0 and 2 compute
+/// the same cells.
 fn throughput_probe(
     pairs: &[(Vec<u8>, Vec<u8>, i64)],
     band: usize,
@@ -122,23 +108,19 @@ fn throughput_probe(
         for (arm, (b, c)) in best.iter_mut().zip(cells.iter_mut()).enumerate() {
             let t = std::time::Instant::now();
             let mut total = 0u64;
+            let (_, force_scalar, adaptive) = ARMS[arm];
             for (a, bq, d) in pairs {
-                let r = match arm {
-                    0 => {
-                        overlap_align_two_phase(a, bq, *d, band, scoring, Some(criteria), None, &mut scratch)
-                    }
-                    _ => overlap_align_simd(
-                        a,
-                        bq,
-                        *d,
-                        band,
-                        scoring,
-                        Some(criteria),
-                        None,
-                        &mut scratch,
-                        SimdOpts { force_scalar: false, adaptive: arm == 2 },
-                    ),
-                };
+                let r = overlap_align_simd(
+                    a,
+                    bq,
+                    *d,
+                    band,
+                    scoring,
+                    Some(criteria),
+                    None,
+                    &mut scratch,
+                    SimdOpts { force_scalar, adaptive },
+                );
                 total += r.cells;
             }
             let dt = t.elapsed().as_secs_f64();
@@ -158,8 +140,8 @@ pub fn run(scale: f64) -> Vec<Point> {
     let n_overlap = ((60.0 * scale) as usize).max(16);
     let overlap = datasets::overlap_heavy_store(n_overlap, 1311);
     let mut base = datasets::default_params();
-    // Harsh verification scoring (see ablation_align_kernel): the floor
-    // drops to ≈ 21 but off-homology scores decay at 5–7 per column, so
+    // Harsh verification scoring: the acceptance floor drops to ≈ 21
+    // but off-homology scores decay at 5–7 per column, so
     // both the early exit and the X-drop shrink have bite.
     base.scoring = Scoring { match_score: 1, mismatch: -7, gap_open: -8, gap_extend: -5 };
 
@@ -190,14 +172,14 @@ pub fn run(scale: f64) -> Vec<Point> {
                 for (arm, c) in ARMS.iter().zip(&clusterings).skip(1) {
                     assert_eq!(
                         &clusterings[0], c,
-                        "{store_name}: arm {} must produce the two-phase clustering (p = {p})",
+                        "{store_name}: arm {} must produce the scalar arm's clustering (p = {p})",
                         arm.0
                     );
                 }
                 match &serial_clustering {
                     None => serial_clustering = Some(clusterings.pop().unwrap()),
                     Some(serial) => assert_eq!(
-                        serial, &clusterings[3],
+                        serial, &clusterings[2],
                         "{store_name}: parallel clustering must match serial (p = {p})"
                     ),
                 }
@@ -231,25 +213,19 @@ pub fn run(scale: f64) -> Vec<Point> {
         for store in ["trap", "overlap"] {
             let by =
                 |arm: &str| points.iter().find(|q| q.store == store && q.p == p && q.arm == arm).unwrap();
-            let (two, fixed, adapt, forced) =
-                (by("two-phase"), by("simd-fixed"), by("simd"), by("simd-scalar"));
-            assert_eq!(two.saved, 0, "{store}: scalar two-phase never reports saved cells (p = {p})");
+            let (fixed, adapt, forced) = (by("simd-fixed"), by("simd"), by("simd-scalar"));
             assert_eq!(fixed.saved, 0, "{store}: fixed-band arm never reports saved cells (p = {p})");
             assert_eq!(
-                fixed.cells_phase1, two.cells_phase1,
-                "{store}: fixed-band vector arm computes the two-phase cell set (p = {p})"
-            );
-            assert_eq!(
-                (forced.cells_phase1, forced.saved),
-                (adapt.cells_phase1, adapt.saved),
-                "{store}: force-scalar arm is bit-identical to the vector arm (p = {p})"
+                (forced.cells, forced.saved),
+                (adapt.cells, adapt.saved),
+                "{store}: force-scalar arm is bit-identical to the lanes arm (p = {p})"
             );
             assert!(
-                adapt.cells_phase1 + adapt.saved <= fixed.cells_phase1,
+                adapt.cells + adapt.saved <= fixed.cells,
                 "{store}: adaptive computed + saved must not exceed the fixed band (p = {p}): {} + {} > {}",
-                adapt.cells_phase1,
+                adapt.cells,
                 adapt.saved,
-                fixed.cells_phase1
+                fixed.cells
             );
         }
         let adapt = points.iter().find(|q| q.store == "overlap" && q.p == p && q.arm == "simd").unwrap();
@@ -259,17 +235,18 @@ pub fn run(scale: f64) -> Vec<Point> {
         );
     }
 
-    // Throughput probe: ns/cell, vector arms vs the scalar two-phase
-    // kernel, on the trap pair population.
+    // Throughput probe: ns/cell, lane arms vs the scalar instantiation,
+    // on the trap pair population.
     let pairs = probe_pairs(&trap);
     let band = base.band;
     let criteria = base.criteria;
     let probe = throughput_probe(&pairs, band, &base.scoring, &criteria);
     let lanes = pgasm_align::simd::effective_lanes();
     let speedup = |i: usize| probe[0].0 / probe[i].0;
-    let probe_rows: Vec<Vec<String>> = [("two-phase", 0usize), ("simd-fixed", 1), ("simd", 2)]
+    let probe_rows: Vec<Vec<String>> = ARMS
         .iter()
-        .map(|&(name, i)| {
+        .enumerate()
+        .map(|(i, &(name, _, _))| {
             vec![
                 name.into(),
                 format!("{:.2} ns", probe[i].0),
@@ -279,7 +256,7 @@ pub fn run(scale: f64) -> Vec<Point> {
         })
         .collect();
     print_table(
-        &format!("ABL8 probe: phase-1 throughput ({lanes} lanes, best of 8 interleaved reps)"),
+        &format!("ABL8 probe: kernel throughput ({lanes} lanes, best of 8 interleaved reps)"),
         &["arm", "ns/cell", "cells", "speedup"],
         &probe_rows,
     );
@@ -287,7 +264,7 @@ pub fn run(scale: f64) -> Vec<Point> {
         for (name, i) in [("simd-fixed", 1), ("simd", 2)] {
             assert!(
                 speedup(i) >= 1.5,
-                "{name} must beat the scalar two-phase kernel by >= 1.5x ns/cell: {:.2}x",
+                "{name} must beat the scalar instantiation by >= 1.5x ns/cell: {:.2}x",
                 speedup(i)
             );
         }

@@ -9,10 +9,7 @@
 
 use crate::geometry::{overlap_edge, GeomUnion, GeomUnionFind};
 use crate::unionfind::UnionFind;
-use pgasm_align::{
-    banded_overlap_align, overlap_align_simd, overlap_align_two_phase, AcceptCriteria, AlignKernel,
-    AlignScratch, OverlapResult, Scoring, SimdOpts,
-};
+use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, OverlapResult, Scoring, SimdOpts};
 use pgasm_gst::{GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
 use pgasm_seq::{FragId, FragmentStore, SeqId};
 use serde::{Deserialize, Serialize};
@@ -44,14 +41,10 @@ pub struct ClusterParams {
     pub resolve_inconsistent: bool,
     /// Translation tolerance (bases) for geometry consistency checks.
     pub geometry_tolerance: i64,
-    /// Which alignment kernel decides pairs (the SIMD two-phase kernel
-    /// in production; two-phase and legacy kept for the
-    /// `ablation_align_kernel` / `ablation_simd_band` comparisons).
-    pub kernel: AlignKernel,
-    /// Per-row adaptive X-drop band shrinking (SIMD kernel only; inert
-    /// for the others and whenever no acceptance floor exists).
+    /// Per-row adaptive X-drop band shrinking (inert whenever no
+    /// acceptance floor exists).
     pub adaptive_band: bool,
-    /// Pin the SIMD kernel to its bit-identical scalar fallback
+    /// Pin the kernel to its bit-identical scalar instantiation
     /// (ablation/debug aid; the `force-scalar` cargo feature of
     /// `pgasm-align` forces this regardless).
     pub simd_force_scalar: bool,
@@ -68,7 +61,6 @@ impl Default for ClusterParams {
             canonical_strands: true,
             resolve_inconsistent: false,
             geometry_tolerance: 48,
-            kernel: AlignKernel::default(),
             adaptive_band: true,
             simd_force_scalar: false,
         }
@@ -86,25 +78,18 @@ pub struct ClusterStats {
     pub accepted: u64,
     /// Accepted alignments that merged two clusters (≤ n − 1).
     pub merges: u64,
-    /// DP cells evaluated (alignment workload). Always
-    /// `dp_cells_phase1 + dp_cells_phase2`, so it stays comparable with
-    /// pre-split (single-pass-kernel) numbers.
+    /// DP cells evaluated (alignment workload).
     pub dp_cells: u64,
-    /// DP cells of the score-only forward passes (all cells for
-    /// single-pass kernels).
-    pub dp_cells_phase1: u64,
-    /// DP cells of the lazy traceback-window passes.
-    pub dp_cells_phase2: u64,
     /// Alignments abandoned mid-pass by the early-exit bound.
     pub early_exits: u64,
-    /// Alignments whose traceback pass was skipped after a full
-    /// forward pass.
+    /// Alignments whose traceback was never walked: a finished pass
+    /// whose score misses the acceptance floor.
     pub tracebacks_skipped: u64,
     /// Accepted overlaps refused because their implied geometry
     /// contradicted the cluster (only with
     /// [`ClusterParams::resolve_inconsistent`]).
     pub inconsistent: u64,
-    /// In-band phase-1 cells skipped by adaptive X-drop band shrinking
+    /// In-band cells skipped by adaptive X-drop band shrinking
     /// (savings on top of `dp_cells`, which counts evaluated cells).
     pub cells_saved_adaptive: u64,
     /// Rows whose candidate range the adaptive shrink tightened.
@@ -129,8 +114,6 @@ impl ClusterStats {
             accepted: self.accepted + o.accepted,
             merges: self.merges + o.merges,
             dp_cells: self.dp_cells + o.dp_cells,
-            dp_cells_phase1: self.dp_cells_phase1 + o.dp_cells_phase1,
-            dp_cells_phase2: self.dp_cells_phase2 + o.dp_cells_phase2,
             early_exits: self.early_exits + o.early_exits,
             tracebacks_skipped: self.tracebacks_skipped + o.tracebacks_skipped,
             inconsistent: self.inconsistent + o.inconsistent,
@@ -142,8 +125,6 @@ impl ClusterStats {
     /// Fold one alignment's work accounting into the counters.
     pub fn record_align(&mut self, r: &OverlapResult) {
         self.dp_cells += r.cells;
-        self.dp_cells_phase1 += r.cells_phase1;
-        self.dp_cells_phase2 += r.cells_phase2;
         self.early_exits += r.early_exited as u64;
         self.tracebacks_skipped += r.traceback_skipped as u64;
         self.cells_saved_adaptive += r.cells_saved_adaptive;
@@ -251,43 +232,29 @@ impl<'s> PairDecider<'s> {
         AlignScratch::for_sequences(max_len, self.params.band)
     }
 
-    /// Compute the banded suffix–prefix alignment for a pair with the
-    /// configured kernel. The two-phase kernel is gated by
+    /// Compute the banded suffix–prefix alignment for a pair, gated by
     /// `params.criteria`: pairs that cannot pass it come back with
     /// `traceback_skipped` set and empty ranges, which the acceptance
     /// check rejects (the geometry-aware engine only reads ranges of
-    /// accepted alignments, which always run phase 2).
+    /// accepted alignments, whose traceback is always walked).
     pub fn align_full(&self, p: &PromisingPair, scratch: &mut AlignScratch) -> OverlapResult {
         let a = self.store.get(p.a);
         let b = self.store.get(p.b);
         let diag = p.a_pos as i64 - p.b_pos as i64;
-        match self.params.kernel {
-            AlignKernel::Legacy => banded_overlap_align(a, b, diag, self.params.band, &self.params.scoring),
-            AlignKernel::TwoPhase => overlap_align_two_phase(
-                a,
-                b,
-                diag,
-                self.params.band,
-                &self.params.scoring,
-                Some(&self.params.criteria),
-                None,
-                scratch,
-            ),
-            AlignKernel::Simd => overlap_align_simd(
-                a,
-                b,
-                diag,
-                self.params.band,
-                &self.params.scoring,
-                Some(&self.params.criteria),
-                None,
-                scratch,
-                SimdOpts {
-                    force_scalar: self.params.simd_force_scalar || SimdOpts::default().force_scalar,
-                    adaptive: self.params.adaptive_band,
-                },
-            ),
-        }
+        overlap_align_simd(
+            a,
+            b,
+            diag,
+            self.params.band,
+            &self.params.scoring,
+            Some(&self.params.criteria),
+            None,
+            scratch,
+            SimdOpts {
+                force_scalar: self.params.simd_force_scalar || SimdOpts::default().force_scalar,
+                adaptive: self.params.adaptive_band,
+            },
+        )
     }
 
     /// The overlap-implied relative pose `x_a → x_b` (fragment-forward

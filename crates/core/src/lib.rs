@@ -72,6 +72,6 @@ pub use master_worker::{
     cluster_parallel, cluster_parallel_ft, cluster_parallel_traced, MasterWorkerConfig, ParallelClusterReport,
 };
 pub use parallel_gst::{build_distributed_gst, DistributedGstReport};
-pub use pgasm_align::{AlignKernel, AlignScratch};
+pub use pgasm_align::AlignScratch;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
 pub use unionfind::UnionFind;

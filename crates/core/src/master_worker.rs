@@ -13,7 +13,7 @@
 //!   generated pairs whose fragments already co-cluster;
 //! - ranks 1..p's [`ClusterSink`]: the per-rank GST pair generator
 //!   (decreasing maximal-match order, which "roughly approximates the
-//!   global sorted order in practice", §7), the two-phase alignment
+//!   global sorted order in practice", §7), the banded alignment
 //!   kernel with its reusable zero-allocation scratch, and the AR wire
 //!   format (per-pair verdicts plus the DP-cell / early-exit / skipped-
 //!   traceback work accounting);
@@ -372,13 +372,9 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
                 self.clusters.record_accept(self.ds, a, bq, a_start, b_start, overlap_len, &mut self.stats);
             }
         }
-        // Trailing work accounting: per-phase DP-cell split plus the
-        // early-exit / skipped-traceback tallies.
-        let c1 = d.get_u64();
-        let c2 = d.get_u64();
-        self.stats.dp_cells += c1 + c2;
-        self.stats.dp_cells_phase1 += c1;
-        self.stats.dp_cells_phase2 += c2;
+        // Trailing work accounting: DP cells plus the early-exit /
+        // skipped-traceback / adaptive-band tallies.
+        self.stats.dp_cells += d.get_u64();
         self.stats.early_exits += d.get_u64();
         self.stats.tracebacks_skipped += d.get_u64();
         self.stats.cells_saved_adaptive += d.get_u64();
@@ -411,8 +407,6 @@ impl ClusterSource<'_> {
             self.stats.accepted,
             self.stats.merges,
             self.stats.dp_cells,
-            self.stats.dp_cells_phase1,
-            self.stats.dp_cells_phase2,
             self.stats.early_exits,
             self.stats.tracebacks_skipped,
             self.stats.inconsistent,
@@ -456,8 +450,6 @@ impl ClusterSource<'_> {
         self.stats.accepted = d.get_u64();
         self.stats.merges = d.get_u64();
         self.stats.dp_cells = d.get_u64();
-        self.stats.dp_cells_phase1 = d.get_u64();
-        self.stats.dp_cells_phase2 = d.get_u64();
         self.stats.early_exits = d.get_u64();
         self.stats.tracebacks_skipped = d.get_u64();
         self.stats.inconsistent = d.get_u64();
@@ -547,8 +539,7 @@ fn master_loop(
         (names::PEAK_QUEUE_DEPTH.to_string(), em.peak_queue_depth),
         (names::BATCHES_DISPATCHED.to_string(), em.batches_dispatched),
         (names::INBOX_DRAIN_DEPTH_MAX.to_string(), em.inbox_drain_depth_max),
-        (names::ALIGN_PHASE1_CELLS.to_string(), stats.dp_cells_phase1),
-        (names::ALIGN_PHASE2_CELLS.to_string(), stats.dp_cells_phase2),
+        (names::DP_CELLS.to_string(), stats.dp_cells),
         (names::ALIGN_EARLY_EXIT.to_string(), stats.early_exits),
         (names::ALIGN_TRACEBACK_SKIPPED.to_string(), stats.tracebacks_skipped),
         (names::ALIGN_CELLS_SAVED_ADAPTIVE.to_string(), stats.cells_saved_adaptive),
@@ -590,7 +581,7 @@ fn master_loop(
 type AdoptedGenerator = PairGenerator<Box<dyn FnMut(SeqId, SeqId) -> bool>>;
 
 /// Worker-side clustering client: computes allocated alignment batches
-/// with the two-phase kernel (reusing one pre-sized scratch — the
+/// with the banded kernel (reusing one pre-sized scratch — the
 /// alignment hot loop performs no per-pair heap allocation) and
 /// generates pairs from the rank-local GST on request.
 struct ClusterSink<'a, F: FnMut(SeqId, SeqId) -> bool> {
@@ -608,15 +599,13 @@ struct ClusterSink<'a, F: FnMut(SeqId, SeqId) -> bool> {
     adopted: VecDeque<AdoptedGenerator>,
     results: Vec<(PromisingPair, bool, u32, u32, u32)>,
     // Per-round work-accounting deltas (reset after each AR report)...
-    cells1_delta: u64,
-    cells2_delta: u64,
+    cells_delta: u64,
     early_delta: u64,
     skip_delta: u64,
     saved_delta: u64,
     shrunk_delta: u64,
     // ...and whole-run totals for the rank counters.
-    cells_phase1: u64,
-    cells_phase2: u64,
+    dp_cells: u64,
     early_exits: u64,
     tracebacks_skipped: u64,
     cells_saved: u64,
@@ -634,8 +623,7 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
         }
         for pair in batch.drain(..) {
             let r = self.decider.align_full(&pair, &mut self.scratch);
-            self.cells1_delta += r.cells_phase1;
-            self.cells2_delta += r.cells_phase2;
+            self.cells_delta += r.cells;
             self.early_delta += r.early_exited as u64;
             self.skip_delta += r.traceback_skipped as u64;
             self.saved_delta += r.cells_saved_adaptive;
@@ -650,8 +638,8 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
             tracer.instant_args(
                 TraceCategory::Align,
                 names::EV_ALIGN_CELLS,
-                ("phase1", self.cells1_delta),
-                ("phase2", self.cells2_delta),
+                ("cells", self.cells_delta),
+                ("saved", self.saved_delta),
             );
         }
         // The AR report: per-pair verdicts, then the round's DP-cell /
@@ -665,19 +653,17 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
             e.put_u32(b_start);
             e.put_u32(overlap_len);
         }
-        e.put_u64(self.cells1_delta);
-        e.put_u64(self.cells2_delta);
+        e.put_u64(self.cells_delta);
         e.put_u64(self.early_delta);
         e.put_u64(self.skip_delta);
         e.put_u64(self.saved_delta);
         e.put_u64(self.shrunk_delta);
-        self.cells_phase1 += self.cells1_delta;
-        self.cells_phase2 += self.cells2_delta;
+        self.dp_cells += self.cells_delta;
         self.early_exits += self.early_delta;
         self.tracebacks_skipped += self.skip_delta;
         self.cells_saved += self.saved_delta;
         self.rows_shrunk += self.shrunk_delta;
-        (self.cells1_delta, self.cells2_delta, self.early_delta, self.skip_delta) = (0, 0, 0, 0);
+        (self.cells_delta, self.early_delta, self.skip_delta) = (0, 0, 0);
         (self.saved_delta, self.shrunk_delta) = (0, 0);
     }
 
@@ -762,14 +748,12 @@ fn worker_loop(
         canonical,
         adopted: VecDeque::new(),
         results: Vec::new(),
-        cells1_delta: 0,
-        cells2_delta: 0,
+        cells_delta: 0,
         early_delta: 0,
         skip_delta: 0,
         saved_delta: 0,
         shrunk_delta: 0,
-        cells_phase1: 0,
-        cells_phase2: 0,
+        dp_cells: 0,
         early_exits: 0,
         tracebacks_skipped: 0,
         cells_saved: 0,
@@ -783,8 +767,7 @@ fn worker_loop(
         (names::PAIRS_ALIGNED.to_string(), sink.pairs_aligned),
         (names::PAIRS_ACCEPTED.to_string(), sink.pairs_accepted),
         (names::BATCH_ROUND_TRIPS.to_string(), ew.round_trips),
-        (names::ALIGN_PHASE1_CELLS.to_string(), sink.cells_phase1),
-        (names::ALIGN_PHASE2_CELLS.to_string(), sink.cells_phase2),
+        (names::DP_CELLS.to_string(), sink.dp_cells),
         (names::ALIGN_EARLY_EXIT.to_string(), sink.early_exits),
         (names::ALIGN_TRACEBACK_SKIPPED.to_string(), sink.tracebacks_skipped),
         (names::ALIGN_CELLS_SAVED_ADAPTIVE.to_string(), sink.cells_saved),
@@ -1038,18 +1021,16 @@ mod tests {
         let store = test_store();
         let report = cluster_parallel(&store, 3, &params(), &config());
         let s = report.stats;
-        assert_eq!(s.dp_cells, s.dp_cells_phase1 + s.dp_cells_phase2, "cell accounting must split cleanly");
-        let w1: u64 = report.ranks[1..].iter().map(|r| r.counter("align_phase1_cells")).sum();
-        let w2: u64 = report.ranks[1..].iter().map(|r| r.counter("align_phase2_cells")).sum();
+        assert!(s.dp_cells > 0);
+        let cells: u64 = report.ranks[1..].iter().map(|r| r.counter("dp_cells")).sum();
         let skips: u64 = report.ranks[1..].iter().map(|r| r.counter("align_traceback_skipped")).sum();
-        assert_eq!(w1, s.dp_cells_phase1);
-        assert_eq!(w2, s.dp_cells_phase2);
+        assert_eq!(cells, s.dp_cells);
         assert_eq!(skips, s.tracebacks_skipped);
         let saved: u64 = report.ranks[1..].iter().map(|r| r.counter("align_cells_saved_adaptive")).sum();
         let shrunk: u64 = report.ranks[1..].iter().map(|r| r.counter("align_band_rows_shrunk")).sum();
         assert_eq!(saved, s.cells_saved_adaptive);
         assert_eq!(shrunk, s.band_rows_shrunk);
-        assert_eq!(report.ranks[0].counter("align_phase1_cells"), s.dp_cells_phase1);
+        assert_eq!(report.ranks[0].counter("dp_cells"), s.dp_cells);
         for r in &report.ranks[1..] {
             // The zero-allocation invariant: the pre-sized scratch never
             // grew, and its high-water mark is a real (non-zero) figure.

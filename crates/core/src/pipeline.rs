@@ -382,8 +382,6 @@ impl Stage for ClusterStage<'_> {
         ctx.set(names::PAIRS_ACCEPTED, stats.accepted);
         ctx.set(names::MERGES, stats.merges);
         ctx.set(names::DP_CELLS, stats.dp_cells);
-        ctx.set(names::ALIGN_PHASE1_CELLS, stats.dp_cells_phase1);
-        ctx.set(names::ALIGN_PHASE2_CELLS, stats.dp_cells_phase2);
         ctx.set(names::ALIGN_EARLY_EXIT, stats.early_exits);
         ctx.set(names::ALIGN_TRACEBACK_SKIPPED, stats.tracebacks_skipped);
         ctx.set(names::ALIGN_CELLS_SAVED_ADAPTIVE, stats.cells_saved_adaptive);

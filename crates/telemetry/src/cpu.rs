@@ -5,10 +5,18 @@
 /// Ranks are threads that may timeshare a smaller number of physical
 /// cores; wall-clock intervals then overstate a rank's computation.
 /// Thread CPU time is immune to oversubscription, so per-rank compute
-/// costs stay meaningful on any host. Linux-specific
-/// (`/proc/thread-self/stat`, utime + stime at the conventional 100 Hz
-/// tick); returns 0.0 if the proc file cannot be read.
+/// costs stay meaningful on any host. Linux-specific: the scheduler's
+/// on-CPU nanoseconds (first field of `/proc/thread-self/schedstat`,
+/// brought up to date at every scheduler tick and context switch — a few
+/// milliseconds at worst), or, on kernels built without schedstats,
+/// utime + stime from `/proc/thread-self/stat` at the conventional
+/// 100 Hz tick. Returns 0.0 if neither file can be read.
 pub fn thread_cpu_seconds() -> f64 {
+    if let Ok(schedstat) = std::fs::read_to_string("/proc/thread-self/schedstat") {
+        if let Some(ns) = schedstat.split_whitespace().next().and_then(|s| s.parse::<u64>().ok()) {
+            return ns as f64 * 1e-9;
+        }
+    }
     let Ok(stat) = std::fs::read_to_string("/proc/thread-self/stat") else {
         return 0.0;
     };
@@ -26,18 +34,34 @@ pub fn thread_cpu_seconds() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn monotone_and_advances_under_load() {
-        let before = thread_cpu_seconds();
-        // Burn enough CPU to tick the 100 Hz clock at least once.
+    fn burn(wall: Duration) {
+        let start = Instant::now();
         let mut acc = 0u64;
-        while thread_cpu_seconds() - before < 0.02 {
-            for i in 0..100_000u64 {
+        while start.elapsed() < wall {
+            for i in 0..10_000u64 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
             }
         }
         std::hint::black_box(acc);
-        assert!(thread_cpu_seconds() >= before + 0.02);
+    }
+
+    #[test]
+    fn monotone_and_advances_under_load() {
+        let start = Instant::now();
+        let before = thread_cpu_seconds();
+        // 2 ms of load at a time: with schedstat the clock moves at the
+        // next scheduler tick (1–4 ms away), not after a 10 ms stat tick
+        // or two. The bound is generous for hosts whose tick is slower.
+        let mut after = before;
+        while after == before && start.elapsed() < Duration::from_millis(60) {
+            burn(Duration::from_millis(2));
+            after = thread_cpu_seconds();
+        }
+        assert!(after > before, "no advance after {:?} of load", start.elapsed());
+        // A thread cannot have been on a CPU for longer than the wall
+        // time that passed (plus one tick of rounding in the fallback).
+        assert!(after - before <= start.elapsed().as_secs_f64() + 0.011, "{before} -> {after}");
     }
 }

@@ -11,7 +11,7 @@
 //! produces synthetic projects with the maize/drosophila/sargasso
 //! presets so the whole pipeline can be driven without external data.
 
-use pgasm::cluster::{AlignKernel, ClusterParams, Pipeline, PipelineConfig};
+use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig};
 use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::fasta::{write_fasta, write_fastq, FastaRecord, FastqRecord};
 use pgasm::seq::DnaSeq;
@@ -62,8 +62,7 @@ USAGE:
                  [--genome-out <genome.fasta>] [--scale <f64>] [--seed <u64>]
   pgasm cluster  --reads <reads.fastq> [--out <clusters.txt>] [--ranks <p>]
                  [--psi <n>] [--min-identity <f>] [--min-overlap <n>]
-                 [--kernel <legacy|two-phase|simd>] [--band <n>]
-                 [--no-adaptive-band]
+                 [--band <n>] [--no-adaptive-band]
                  [--no-preprocess] [--metrics-json <report.json>]
                  [--trace-json <out.trace.json>]
                  [--cache-dir <dir>] [--no-cache]
@@ -114,13 +113,11 @@ task state every n completions to <base>.cluster.pgck /
 master mid-stage, pgasm exits nonzero and tells you to rerun with
 --resume <base>, which reloads the snapshot and finishes only the
 remaining work — output identical to an uninterrupted run.
---kernel selects the pairwise overlap aligner: the legacy single-pass
-banded kernel, the two-phase (score-only + gated traceback) kernel, or
-the vectorised phase-1 kernel (default). --band <n> sets the half-width
-of the alignment band around the seed diagonal. The simd kernel also
-shrinks the band per row around cells that can still reach the
-acceptance floor (X-drop); --no-adaptive-band disables the shrink — the
-clustering is identical either way, the adaptive run just skips DP cells
+--band <n> sets the half-width of the alignment band around the seed
+diagonal. The aligner also shrinks the band per row around cells that
+can still reach the acceptance floor (X-drop); --no-adaptive-band
+disables the shrink — the clustering is identical either way, the
+adaptive run just skips DP cells
 (reported as align_cells_saved_adaptive / align_band_rows_shrunk, with
 the build's lane width in simd_lanes).
 
@@ -259,13 +256,6 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     }
     cluster.criteria.min_identity = opts.parse_or("min-identity", cluster.criteria.min_identity)?;
     cluster.criteria.min_overlap = opts.parse_or("min-overlap", cluster.criteria.min_overlap)?;
-    cluster.kernel = match opts.get("kernel") {
-        None => cluster.kernel,
-        Some("legacy") => AlignKernel::Legacy,
-        Some("two-phase") => AlignKernel::TwoPhase,
-        Some("simd") => AlignKernel::Simd,
-        Some(other) => return Err(format!("unknown --kernel '{other}' (legacy|two-phase|simd)")),
-    };
     cluster.band = opts.parse_or("band", cluster.band)?;
     if cluster.band == 0 {
         return Err("--band must be >= 1".to_string());
@@ -435,23 +425,6 @@ fn analyze(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Human-readable name of the alignment kernel this run used (the
-/// `--kernel` flag, or the build default when the flag is absent).
-fn kernel_label(opts: &Opts) -> Result<&'static str, String> {
-    let k = match opts.get("kernel") {
-        None => ClusterParams::default().kernel,
-        Some("legacy") => AlignKernel::Legacy,
-        Some("two-phase") => AlignKernel::TwoPhase,
-        Some("simd") => AlignKernel::Simd,
-        Some(other) => return Err(format!("unknown --kernel '{other}' (legacy|two-phase|simd)")),
-    };
-    Ok(match k {
-        AlignKernel::Legacy => "legacy",
-        AlignKernel::TwoPhase => "two-phase",
-        AlignKernel::Simd => "simd",
-    })
-}
-
 fn cluster(opts: &Opts) -> Result<(), String> {
     let (report, _reads) = run_pipeline(opts, "pgasm cluster", false)?;
     let s = report.cluster_stats;
@@ -470,12 +443,9 @@ fn cluster(opts: &Opts) -> Result<(), String> {
         s.accepted
     );
     println!(
-        "kernel: {} ({} lanes), {} DP cells (phase1 {}, phase2 {}), {} early exits, {} tracebacks skipped",
-        kernel_label(opts)?,
+        "alignment: {} lanes, {} DP cells, {} early exits, {} tracebacks skipped",
         pgasm::align::simd::effective_lanes(),
         s.dp_cells,
-        s.dp_cells_phase1,
-        s.dp_cells_phase2,
         s.early_exits,
         s.tracebacks_skipped
     );
