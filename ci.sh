@@ -6,14 +6,17 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark harness build (the root-crate API it pins must still compile)"
+# benchmark/ is its own package outside the workspace, so nothing else
+# compiles it, yet it links the root crate's public API. Build it before
+# any test can stop the script; its smoke run is the last step.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 # Every test step runs under `timeout` (generous multiples of what the
 # step takes on a 2-core host): a test that hangs without a watchdog of
 # its own fails the gate instead of wedging it.
 echo "==> cargo test"
 timeout 3600 cargo test -q --workspace
-
-echo "==> distributed tests"
-timeout 1200 cargo test -q --test distributed --test adversarial_protocol --test telemetry_e2e --test assembly_balance
 
 echo "==> fault-tolerance matrix (release: the full victim sweep is heavy in dev)"
 timeout 1800 cargo test -q --release --test fault_tolerance -- --include-ignored
@@ -132,12 +135,10 @@ grep -q '"dead_ranks": 1' ci.ft.json || { echo "kill not detected"; exit 1; }
 grep -q '"recovered_tasks": 0' ci.ft.json && { echo "no leases recovered"; exit 1; }
 rm -rf ci_ft_reads.fastq ci_ft_base.fasta ci_ft_killed.fasta ci.ft.json
 
-echo "==> benchmark harness build + smoke (every output check on)"
-# benchmark/ is its own package outside the workspace, so nothing above
-# compiles it, yet it links the root crate's public API and replays the
-# pipeline through it. Build it and run every workload at quarter size:
-# an API break or a changed pair stream / contig set fails here, not in
-# the next benchmark run.
+echo "==> benchmark harness smoke (every output check on)"
+# The harness (built above) replays the pipeline through the root
+# crate's public API. Run every workload at quarter size: a changed pair
+# stream / contig set fails here, not in the next benchmark run.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
 echo "CI OK"

@@ -23,7 +23,7 @@
 
 use pgasm_bench::datasets;
 use pgasm_bench::util::{env_scale, print_table, with_run_report};
-use pgasm_core::{cluster_parallel_traced, MasterWorkerConfig};
+use pgasm_core::{cluster_parallel_with, MasterWorkerConfig, RunOpts};
 use pgasm_mpisim::CoalescePolicy;
 use pgasm_telemetry::analyze;
 use pgasm_telemetry::trace::{Trace, TraceSpec};
@@ -38,7 +38,8 @@ fn main() {
 
     let (analysis, _report) = with_run_report("run_analyze", |ctx| {
         let report = ctx.scope("traced_cluster", |_| {
-            cluster_parallel_traced(&prepared.store, p, &params, &config, TraceSpec::with_capacity(1 << 17))
+            let opts = RunOpts { trace: TraceSpec::with_capacity(1 << 17), ..RunOpts::default() };
+            cluster_parallel_with(&prepared.store, p, &params, &config, &opts)
         });
         let trace = Trace::with_series(report.traces.clone(), report.series.clone());
         assert_eq!(trace.dropped_events(), 0, "trace buffers must not overflow (raise the capacity)");

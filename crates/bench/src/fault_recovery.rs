@@ -22,9 +22,9 @@
 
 use crate::datasets;
 use crate::util::*;
-use pgasm_core::{cluster_parallel_ft, MasterWorkerConfig, StageRecovery};
+use pgasm_core::{cluster_parallel_with, MasterWorkerConfig, RunOpts, StageRecovery};
 use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
-use pgasm_telemetry::{names, TraceSpec};
+use pgasm_telemetry::names;
 
 /// One measured arm.
 #[derive(Debug, Clone)]
@@ -57,17 +57,12 @@ pub fn run(scale: f64) -> Vec<Point> {
     let params = datasets::default_params();
     let config = MasterWorkerConfig { batch: 64, pending_cap: 4096, coalesce: None };
     let p = 8;
+    let run_with = |recovery: StageRecovery| {
+        let opts = RunOpts { recovery, ..RunOpts::default() };
+        cluster_parallel_with(&prepared.store, p, &params, &config, &opts)
+    };
     let (points, _run_report) = with_run_report("ablation_fault_recovery", |ctx| {
-        let clean = ctx.scope("p8_clean", |_| {
-            cluster_parallel_ft(
-                &prepared.store,
-                p,
-                &params,
-                &config,
-                TraceSpec::off(),
-                &StageRecovery::default(),
-            )
-        });
+        let clean = ctx.scope("p8_clean", |_| run_with(StageRecovery::default()));
 
         // Probe: armed but never-firing plan, so each rank's fault
         // clock depth lands in the per-rank counters.
@@ -75,8 +70,7 @@ pub fn run(scale: f64) -> Vec<Point> {
             faults: FaultPlan::default().with_kill(KillTarget::Rank(0), u64::MAX, FaultStage::Any),
             ..StageRecovery::default()
         };
-        let probe =
-            cluster_parallel_ft(&prepared.store, p, &params, &config, TraceSpec::off(), &probe_recovery);
+        let probe = run_with(probe_recovery);
         let depth = probe.ranks[1].counter(names::FAULT_EVENTS);
         let kill_at = ar_send_event_near(depth / 2);
 
@@ -114,9 +108,7 @@ pub fn run(scale: f64) -> Vec<Point> {
             seconds: clean.cluster_seconds,
         }];
         for (arm, recovery) in arms {
-            let report = ctx.scope(&format!("p8_{arm}"), |_| {
-                cluster_parallel_ft(&prepared.store, p, &params, &config, TraceSpec::off(), &recovery)
-            });
+            let report = ctx.scope(&format!("p8_{arm}"), |_| run_with(recovery));
             assert!(!report.killed, "a worker fault must never take the master down ({arm})");
             let kills = report.ranks.iter().map(|r| r.counter(names::FAULT_KILLS)).sum();
             let identical = report.clustering == clean.clustering;

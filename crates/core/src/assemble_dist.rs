@@ -1,16 +1,18 @@
-//! Distributed per-cluster assembly (paper §8) — the second client of
-//! the generic [`crate::engine`].
+//! Distributed per-cluster assembly (paper §8) — an
+//! [`engine::run_stage`](crate::engine::run_stage) client.
 //!
 //! "The subsequent assembly tasks are trivially parallel": once the
 //! clustering partition is known, each non-singleton cluster can be
-//! assembled independently. This module makes that phase a first-class
-//! distributed stage on the mpisim rank model rather than a static
-//! OS-thread loop: rank 0 (the master) owns the full task list and
-//! schedules whole clusters onto worker ranks; workers assemble their
-//! allocated clusters and ship the contigs back over the simulated
-//! wire, so flow control, parking, coalescing, per-tag traffic
-//! accounting, blocked-time attribution, and event tracing all apply
-//! exactly as they do to clustering.
+//! assembled independently. Rank 0 (the master) owns the full task list
+//! and schedules whole clusters onto worker ranks; workers assemble
+//! their allocated clusters and ship the contigs back over the
+//! simulated wire, so flow control, parking, coalescing, per-tag
+//! traffic accounting, blocked-time attribution, event tracing and
+//! fault recovery all apply exactly as they do to clustering. This
+//! module holds only what makes the stage *assembly*: the whole-cluster
+//! task, the master's slot table (`AssembleSource`) and its snapshot
+//! layout, the worker's assembler call (`AssembleSink`), the one
+//! [`Assembly`] wire form, and the report shape.
 //!
 //! Unlike clustering, assembly's task list is fully known up-front and
 //! workers generate nothing: the master seeds the engine's pending
@@ -27,20 +29,18 @@
 //! contiguous chunking (natural order, one ⌈n/(p−1)⌉-cluster block per
 //! worker) and exists as the ablation baseline.
 
-use crate::checkpoint::{self as ckpt, StageRecovery};
+use crate::checkpoint::STAGE_ASSEMBLE;
 use crate::clustering::Clustering;
 use crate::engine::{
-    run_master, run_master_ckpt, run_worker, CheckpointHook, EngineConfig, MasterReport, Task, TaskSink,
-    TaskSource, TAG_M2W_AW, TAG_M2W_R, TAG_W2M_AR, TAG_W2M_NP,
+    run_stage, Counters, EngineConfig, MasterReport, RunOpts, Snapshot, StageClient, StageSpec, Task,
+    TaskSink, TaskSource, WorkerReport,
 };
 use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig, Contig, Placement};
-use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
-use pgasm_mpisim::{thread_cpu_seconds, CoalescePolicy, CostModel};
+use pgasm_mpisim::{CoalescePolicy, Comm};
+use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
-use pgasm_telemetry::trace::{RankTrace, TraceCategory, TraceSpec, Tracer};
+use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, RankReport, RankSeries};
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// How the master orders clusters for dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,13 +108,13 @@ impl AssembleTask {
 }
 
 impl Task for AssembleTask {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.slot);
-        e.put_u32_slice(&self.members);
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(self.slot);
+        w.put_u32_slice(&self.members);
     }
 
-    fn decode(d: &mut Decoder) -> AssembleTask {
-        AssembleTask { slot: d.get_u32(), members: d.get_u32_slice() }
+    fn decode(r: &mut Reader<'_>) -> Result<AssembleTask, WireError> {
+        Ok(AssembleTask { slot: r.get_u32()?, members: r.get_u32_slice()? })
     }
 
     fn encoded_size_hint(&self) -> usize {
@@ -122,40 +122,52 @@ impl Task for AssembleTask {
     }
 }
 
-fn encode_assembly(e: &mut Encoder, a: &Assembly) {
-    e.put_u32(checked_len(a.contigs.len()));
+/// The one serial form of an [`Assembly`] — the `AR` result body, the
+/// assemble snapshot and the `contigs` cache artifact all frame this.
+/// Every count and index travels as a `u32`.
+pub fn encode_assembly(w: &mut Writer, a: &Assembly) {
+    w.put_u32(checked_len(a.contigs.len()));
     for c in &a.contigs {
-        e.put_bytes(&c.seq.to_ascii());
-        e.put_u32(checked_len(c.placements.len()));
+        w.put_bytes(&c.seq.to_ascii());
+        w.put_u32(checked_len(c.placements.len()));
         for pl in &c.placements {
-            e.put_u32(pl.read as u32);
-            e.put_u32(pl.offset as u32);
-            e.put_u32(pl.flipped as u32);
+            w.put_u32(checked_len(pl.read)).put_u32(checked_len(pl.offset)).put_u32(pl.flipped as u32);
         }
     }
-    let singletons: Vec<u32> = a.singletons.iter().map(|&s| s as u32).collect();
-    e.put_u32_slice(&singletons);
-    e.put_u32(a.inconsistent_edges as u32);
+    let singletons: Vec<u32> = a.singletons.iter().map(|&s| checked_len(s)).collect();
+    w.put_u32_slice(&singletons);
+    w.put_u32(checked_len(a.inconsistent_edges));
 }
 
-fn decode_assembly(d: &mut Decoder) -> Assembly {
-    let n_contigs = d.get_u32();
-    let contigs = (0..n_contigs)
-        .map(|_| {
-            let seq = DnaSeq::from_ascii(&d.get_bytes());
-            let n_placements = d.get_u32();
-            let placements = (0..n_placements)
-                .map(|_| Placement {
-                    read: d.get_u32() as usize,
-                    offset: d.get_u32() as usize,
-                    flipped: d.get_u32() == 1,
-                })
-                .collect();
-            Contig { seq, placements }
-        })
-        .collect();
-    let singletons = d.get_u32_slice().into_iter().map(|s| s as usize).collect();
-    Assembly { contigs, singletons, inconsistent_edges: d.get_u32() as usize }
+/// Inverse of [`encode_assembly`]; an `Err` — never a panic — on any
+/// truncated or malformed input.
+pub fn decode_assembly(r: &mut Reader<'_>) -> Result<Assembly, WireError> {
+    let mut contigs = Vec::new();
+    for _ in 0..r.get_u32()? {
+        let seq = DnaSeq::from_ascii(r.get_bytes()?);
+        let mut placements = Vec::new();
+        for _ in 0..r.get_u32()? {
+            placements.push(Placement {
+                read: r.get_u32()? as usize,
+                offset: r.get_u32()? as usize,
+                flipped: r.get_u32()? == 1,
+            });
+        }
+        contigs.push(Contig { seq, placements });
+    }
+    let singletons = r.get_u32_slice()?.into_iter().map(|s| s as usize).collect();
+    Ok(Assembly { contigs, singletons, inconsistent_edges: r.get_u32()? as usize })
+}
+
+/// `count`, then that many `(slot, assembly)` records: the `AR` body
+/// and the tail of the snapshot. A slot outside the table is malformed.
+fn decode_slots(r: &mut Reader<'_>, results: &mut [Option<Assembly>]) -> Result<(), WireError> {
+    for _ in 0..r.get_u32()? {
+        let slot = r.get_u32()? as usize;
+        *results.get_mut(slot).ok_or(WireError::Malformed("assembly slot out of range"))? =
+            Some(decode_assembly(r)?);
+    }
+    Ok(())
 }
 
 /// Master-side client: collects shipped assemblies into their slots.
@@ -165,12 +177,8 @@ struct AssembleSource {
 }
 
 impl TaskSource<AssembleTask> for AssembleSource {
-    fn absorb_results(&mut self, _src: usize, d: &mut Decoder) {
-        let count = d.get_u32();
-        for _ in 0..count {
-            let slot = d.get_u32() as usize;
-            self.results[slot] = Some(decode_assembly(d));
-        }
+    fn absorb_results(&mut self, _src: usize, r: &mut Reader<'_>) -> Result<(), WireError> {
+        decode_slots(r, &mut self.results)
     }
 
     fn select(&mut self, _task: &AssembleTask) -> bool {
@@ -178,39 +186,36 @@ impl TaskSource<AssembleTask> for AssembleSource {
     }
 }
 
-impl AssembleSource {
-    /// Serialize the completed slots — the only durable master state of
-    /// this stage (the task list is recomputed from the clustering).
-    fn snapshot(&self, rep: &MasterReport) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u64(rep.results_absorbed);
-        e.put_u32(checked_len(self.results.len()));
-        let done = self.results.iter().filter(|r| r.is_some()).count();
-        e.put_u32(checked_len(done));
+/// The completed slots are the only durable master state of this stage
+/// (the task list is recomputed from the clustering). Layout:
+/// `results_absorbed: u64`, slot count, then the completed
+/// `(slot, assembly)` records.
+impl Snapshot for AssembleSource {
+    fn snapshot(&mut self, rep: &MasterReport) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u64(rep.results_absorbed);
+        w.put_u32(checked_len(self.results.len()));
+        w.put_u32(checked_len(self.results.iter().flatten().count()));
         for (slot, result) in self.results.iter().enumerate() {
             if let Some(a) = result {
-                e.put_u32(slot as u32);
-                encode_assembly(&mut e, a);
+                w.put_u32(slot as u32);
+                encode_assembly(&mut w, a);
             }
         }
-        e.finish().to_vec()
+        w.finish()
     }
 
-    /// Restore completed slots from a snapshot. Returns `false` (no
-    /// state restored) when the snapshot was taken over a different
-    /// slot count — a different clustering — rather than mis-filling.
-    fn restore(&mut self, payload: &[u8]) -> bool {
-        let mut d = Decoder::new(payload.to_vec().into());
-        d.get_u64();
-        if d.get_u32() as usize != self.results.len() {
-            return false;
+    fn restore(&mut self, payload: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(payload);
+        r.get_u64()?;
+        if r.get_u32()? as usize != self.results.len() {
+            return Err(WireError::Malformed("snapshot of a different clustering"));
         }
-        let done = d.get_u32();
-        for _ in 0..done {
-            let slot = d.get_u32() as usize;
-            self.results[slot] = Some(decode_assembly(&mut d));
-        }
-        true
+        let mut results = vec![None; self.results.len()];
+        decode_slots(&mut r, &mut results)?;
+        r.expect_end()?;
+        self.results = results;
+        Ok(())
     }
 }
 
@@ -228,8 +233,8 @@ struct AssembleSink<'a> {
 }
 
 impl TaskSink<AssembleTask> for AssembleSink<'_> {
-    fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<AssembleTask>, e: &mut Encoder) {
-        e.put_u32(checked_len(batch.len()));
+    fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<AssembleTask>, w: &mut Writer) {
+        w.put_u32(checked_len(batch.len()));
         for task in batch.drain(..) {
             tracer.begin_arg(
                 TraceCategory::Assemble,
@@ -246,14 +251,14 @@ impl TaskSink<AssembleTask> for AssembleSink<'_> {
             self.reads_assembled += task.members.len() as u64;
             self.cost_units += task.cost_units();
             self.contig_bases += assembly.contigs.iter().map(|c| c.seq.len() as u64).sum::<u64>();
-            let before = e.len();
-            e.put_u32(task.slot);
-            encode_assembly(e, &assembly);
+            let before = w.len();
+            w.put_u32(task.slot);
+            encode_assembly(w, &assembly);
             tracer.instant_arg(
                 TraceCategory::Assemble,
                 names::EV_ASSEMBLE_SHIP,
                 "bytes",
-                (e.len() - before) as u64,
+                (w.len() - before) as u64,
             );
         }
     }
@@ -263,7 +268,69 @@ impl TaskSink<AssembleTask> for AssembleSink<'_> {
     }
 }
 
-/// [`assemble_parallel_traced`] without event tracing.
+/// The stage's work, as [`run_stage`] sees it. A rank's output is the
+/// master's slot table (`None` on workers).
+struct AssembleStage<'a> {
+    store: &'a FragmentStore,
+    quals: Option<&'a [QualityTrack]>,
+    config: &'a AssemblyConfig,
+    /// Every task, in dispatch order.
+    tasks: Vec<AssembleTask>,
+}
+
+impl<'a> StageClient for AssembleStage<'a> {
+    type Task = AssembleTask;
+    type Source = AssembleSource;
+    type Sink = AssembleSink<'a>;
+    type Pre = ();
+    type Output = Option<Vec<Option<Assembly>>>;
+
+    fn pre_phase(&self, _comm: &mut Comm) {}
+
+    fn source(&self, _pre: ()) -> AssembleSource {
+        AssembleSource { results: vec![None; self.tasks.len()] }
+    }
+
+    /// Already-completed slots (a resumed run) are not re-seeded; the
+    /// workers never see them again.
+    fn seed(&self, source: &AssembleSource) -> Vec<AssembleTask> {
+        self.tasks.iter().filter(|t| source.results[t.slot as usize].is_none()).cloned().collect()
+    }
+
+    fn master_output(&self, source: AssembleSource, em: &MasterReport) -> (Self::Output, Counters) {
+        let counters = vec![
+            (names::ASM_PEAK_QUEUE_DEPTH, em.peak_queue_depth),
+            (names::ASM_BATCHES_DISPATCHED, em.batches_dispatched),
+        ];
+        (Some(source.results), counters)
+    }
+
+    fn sink(&self, _comm: &Comm, _pre: ()) -> AssembleSink<'a> {
+        AssembleSink {
+            store: self.store,
+            quals: self.quals,
+            config: self.config,
+            clusters_assembled: 0,
+            reads_assembled: 0,
+            cost_units: 0,
+            contig_bases: 0,
+        }
+    }
+
+    fn worker_output(&self, sink: AssembleSink<'a>, ew: &WorkerReport) -> (Self::Output, Counters) {
+        let counters = vec![
+            (names::ASM_CLUSTERS_ASSEMBLED, sink.clusters_assembled),
+            (names::ASM_READS_ASSEMBLED, sink.reads_assembled),
+            (names::ASM_COST_UNITS, sink.cost_units),
+            (names::ASM_CONTIG_BASES, sink.contig_bases),
+            (names::ASM_BATCH_ROUND_TRIPS, ew.round_trips),
+        ];
+        (None, counters)
+    }
+}
+
+/// [`assemble_parallel_with`] under the default [`RunOpts`]: no
+/// tracing, no fault injection, no checkpoints.
 pub fn assemble_parallel(
     store: &FragmentStore,
     quals: Option<&[QualityTrack]>,
@@ -272,7 +339,7 @@ pub fn assemble_parallel(
     p: usize,
     policy: AssignPolicy,
 ) -> DistAssembleReport {
-    assemble_parallel_traced(store, quals, clustering, config, p, policy, TraceSpec::off())
+    assemble_parallel_with(store, quals, clustering, config, p, policy, &RunOpts::default())
 }
 
 /// Assemble every non-singleton cluster on `p ≥ 2` simulated ranks:
@@ -280,31 +347,14 @@ pub fn assemble_parallel(
 /// `policy`), workers assemble and ship contigs back. The result vector
 /// is index-parallel with `clustering.non_singletons()` and
 /// byte-identical to the threaded `assemble_clusters_q` path.
-pub fn assemble_parallel_traced(
+pub fn assemble_parallel_with(
     store: &FragmentStore,
     quals: Option<&[QualityTrack]>,
     clustering: &Clustering,
     config: &AssemblyConfig,
     p: usize,
     policy: AssignPolicy,
-    trace: TraceSpec,
-) -> DistAssembleReport {
-    assemble_parallel_ft(store, quals, clustering, config, p, policy, trace, &StageRecovery::default())
-}
-
-/// [`assemble_parallel_traced`] under a [`StageRecovery`]: scripted
-/// fault injection, master liveness timeout, and checkpoint/resume.
-/// The default recovery makes this byte-identical to the plain run.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_parallel_ft(
-    store: &FragmentStore,
-    quals: Option<&[QualityTrack]>,
-    clustering: &Clustering,
-    config: &AssemblyConfig,
-    p: usize,
-    policy: AssignPolicy,
-    trace: TraceSpec,
-    recovery: &StageRecovery,
+    opts: &RunOpts,
 ) -> DistAssembleReport {
     assert!(p >= 2, "distributed assembly needs at least 2 ranks");
     let mut tasks: Vec<AssembleTask> = clustering
@@ -324,185 +374,47 @@ pub fn assemble_parallel_ft(
         // order, one block per worker.
         AssignPolicy::Static => n.div_ceil(p - 1).max(1),
     };
-    let engine_cfg = EngineConfig { batch, pending_cap: n.max(1), stall_timeout: recovery.stall_timeout };
-    let (tasks, engine_cfg) = (&tasks, &engine_cfg);
-
-    struct RankOutcome {
-        assemblies: Option<Vec<Assembly>>,
-        wall: f64,
-        cpu: f64,
-        idle_fraction: f64,
-        rank_report: RankReport,
-        trace: RankTrace,
-        series: RankSeries,
-        recovered_tasks: u64,
-        dead_ranks: u64,
-        killed: bool,
-    }
-
-    let outcomes: Vec<RankOutcome> = pgasm_mpisim::run(p, move |comm| {
-        // Track ids are offset past the clustering ranks (0..p-1) and
-        // the pipeline's own track (p), so one traced run exports
-        // cluster, pipeline, and assemble tracks side by side.
-        let role = if comm.rank() == 0 { "asm_master" } else { "asm_worker" };
-        comm.set_tracer(trace.tracer(p + 1 + comm.rank(), role));
-        comm.set_sampler(trace.sampler(p + 1 + comm.rank(), role));
-        if !recovery.faults.is_empty() {
-            comm.set_fault_plan(&recovery.faults);
-        }
-        comm.set_coalesce(Some(CoalescePolicy::default()));
-        let cpu0 = thread_cpu_seconds();
-        let t0 = Instant::now();
-        let mut em_summary = (0u64, 0u64, false);
-        let (assemblies, mut counters) = if comm.rank() == 0 {
-            let mut source = AssembleSource { results: vec![None; n] };
-            if let Some(path) = &recovery.resume_from {
-                if let Some(payload) = ckpt::read_checkpoint(path, ckpt::STAGE_ASSEMBLE) {
-                    source.restore(&payload);
-                }
+    let spec = StageSpec {
+        name: STAGE_ASSEMBLE,
+        roles: ["asm_master", "asm_worker"],
+        // Past the clustering ranks (0..p-1) and the pipeline's own
+        // track (p), so one traced run exports cluster, pipeline, and
+        // assemble tracks side by side.
+        track_offset: p + 1,
+        tag_labels: [
+            names::TAG_ASM_W2M_RES,
+            names::TAG_ASM_M2W_GRANT,
+            names::TAG_ASM_W2M_RDY,
+            names::TAG_ASM_M2W_TASK,
+        ],
+        comm_counters: &[names::MSGS_COALESCED, names::ENVELOPES_SENT],
+        engine: EngineConfig { batch, pending_cap: n.max(1), stall_timeout: opts.recovery.stall_timeout },
+        coalesce: Some(CoalescePolicy::default()),
+    };
+    let mut run = run_stage(p, &spec, opts, &AssembleStage { store, quals, config, tasks });
+    // A killed master leaves holes; placeholders keep the slot indexing
+    // intact and `killed` tells the caller to resume.
+    let killed = run.killed;
+    let assemblies =
+        run.outputs.swap_remove(0).expect("master collected the assemblies").into_iter().map(|r| {
+            if killed {
+                r.unwrap_or(Assembly { contigs: Vec::new(), singletons: Vec::new(), inconsistent_edges: 0 })
+            } else {
+                r.expect("every cluster assembled")
             }
-            // Already-completed slots (a resumed run) are not re-seeded;
-            // the workers never see them again.
-            let seed: Vec<AssembleTask> =
-                tasks.iter().filter(|t| source.results[t.slot as usize].is_none()).cloned().collect();
-            let em = match recovery.ckpt_spec() {
-                Some((path, every)) => {
-                    let mut write = |src: &mut AssembleSource, rep: &MasterReport| {
-                        let payload = src.snapshot(rep);
-                        ckpt::write_checkpoint(path, ckpt::STAGE_ASSEMBLE, &payload).unwrap_or(0)
-                    };
-                    run_master_ckpt(
-                        comm,
-                        engine_cfg,
-                        &mut source,
-                        seed,
-                        Some(CheckpointHook { write: &mut write, every }),
-                    )
-                }
-                None => run_master(comm, engine_cfg, &mut source, seed),
-            };
-            // A killed master leaves holes; placeholders keep the slot
-            // indexing intact and `killed` tells the caller to resume.
-            let assemblies = source
-                .results
-                .into_iter()
-                .map(|r| {
-                    if em.killed {
-                        r.unwrap_or(Assembly {
-                            contigs: Vec::new(),
-                            singletons: Vec::new(),
-                            inconsistent_edges: 0,
-                        })
-                    } else {
-                        r.expect("every cluster assembled")
-                    }
-                })
-                .collect::<Vec<_>>();
-            let mut counters = BTreeMap::from([
-                (names::ASM_PEAK_QUEUE_DEPTH.to_string(), em.peak_queue_depth),
-                (names::ASM_BATCHES_DISPATCHED.to_string(), em.batches_dispatched),
-            ]);
-            for (name, value) in [
-                (names::RECOVERED_TASKS, em.recovered_tasks),
-                (names::DEAD_RANKS, em.dead_ranks),
-                (names::CKPT_WRITES, em.ckpt_writes),
-                (names::CKPT_BYTES, em.ckpt_bytes),
-            ] {
-                if value > 0 {
-                    counters.insert(name.to_string(), value);
-                }
-            }
-            em_summary = (em.recovered_tasks, em.dead_ranks, em.killed);
-            (Some(assemblies), counters)
-        } else {
-            let mut sink = AssembleSink {
-                store,
-                quals,
-                config,
-                clusters_assembled: 0,
-                reads_assembled: 0,
-                cost_units: 0,
-                contig_bases: 0,
-            };
-            let ew = run_worker(comm, engine_cfg, &mut sink);
-            let counters = BTreeMap::from([
-                (names::ASM_CLUSTERS_ASSEMBLED.to_string(), sink.clusters_assembled),
-                (names::ASM_READS_ASSEMBLED.to_string(), sink.reads_assembled),
-                (names::ASM_COST_UNITS.to_string(), sink.cost_units),
-                (names::ASM_CONTIG_BASES.to_string(), sink.contig_bases),
-                (names::ASM_BATCH_ROUND_TRIPS.to_string(), ew.round_trips),
-            ]);
-            (None, counters)
-        };
-        let wall = t0.elapsed().as_secs_f64();
-        let cpu = thread_cpu_seconds() - cpu0;
-        let stats = comm.stats();
-        let blocked = (stats.wait_ns + stats.barrier_ns) as f64 * 1e-9;
-        // Per-tag traffic with this phase's tags relabelled — the rows
-        // merge into the run's per-rank channels next to the clustering
-        // rows, staying attributable by label.
-        let mut comm_rows = comm.tag_stats(&CostModel::BLUEGENE_L);
-        for row in &mut comm_rows {
-            row.label = match row.tag {
-                TAG_W2M_AR => names::TAG_ASM_W2M_RES.to_string(),
-                TAG_W2M_NP => names::TAG_ASM_W2M_RDY.to_string(),
-                TAG_M2W_R => names::TAG_ASM_M2W_GRANT.to_string(),
-                TAG_M2W_AW => names::TAG_ASM_M2W_TASK.to_string(),
-                _ => std::mem::take(&mut row.label),
-            };
-        }
-        let cs = comm.coalesce_stats();
-        counters.insert(names::MSGS_COALESCED.to_string(), cs.msgs_coalesced);
-        counters.insert(names::ENVELOPES_SENT.to_string(), cs.envelopes_sent);
-        if comm.has_fault_plan() {
-            let fs = comm.fault_stats();
-            for (name, value) in [
-                (names::FAULT_KILLS, fs.kills),
-                (names::FAULT_MSGS_DROPPED, fs.msgs_dropped),
-                (names::FAULT_MSGS_DELAYED, fs.msgs_delayed),
-                (names::FAULT_DEATH_NOTICES, fs.death_notices),
-                (names::FAULT_MSGS_LOST, fs.msgs_lost),
-                (names::FAULT_EVENTS, fs.events),
-            ] {
-                if value > 0 {
-                    counters.insert(name.to_string(), value);
-                }
-            }
-        }
-        RankOutcome {
-            assemblies,
-            wall,
-            cpu,
-            idle_fraction: if wall > 0.0 { (blocked / wall).min(1.0) } else { 0.0 },
-            rank_report: RankReport {
-                rank: comm.rank(),
-                role: role.to_string(),
-                cpu_seconds: cpu,
-                idle_seconds: blocked,
-                counters,
-                comm: comm_rows,
-                idle_gaps: None,
-            },
-            trace: comm.take_trace(),
-            series: comm.take_series(),
-            recovered_tasks: em_summary.0,
-            dead_ranks: em_summary.1,
-            killed: em_summary.2,
-        }
-    });
-
+        });
     DistAssembleReport {
-        assemblies: outcomes[0].assemblies.clone().expect("master collected the assemblies"),
-        assemble_seconds: outcomes.iter().map(|o| o.wall).fold(0.0, f64::max),
-        cpu_seconds: outcomes.iter().map(|o| o.cpu).collect(),
-        worker_idle_fraction: outcomes[1..].iter().map(|o| o.idle_fraction).collect(),
-        master_availability: outcomes[0].idle_fraction,
-        ranks: outcomes.iter().map(|o| o.rank_report.clone()).collect(),
-        series: outcomes.iter().map(|o| o.series.clone()).collect(),
-        recovered_tasks: outcomes[0].recovered_tasks,
-        dead_ranks: outcomes[0].dead_ranks,
-        killed: outcomes[0].killed,
-        traces: outcomes.into_iter().map(|o| o.trace).collect(),
+        assemblies: assemblies.collect(),
+        assemble_seconds: run.seconds,
+        cpu_seconds: run.cpu_seconds,
+        worker_idle_fraction: run.worker_idle_fraction,
+        master_availability: run.master_availability,
+        ranks: run.ranks,
+        traces: run.traces,
+        series: run.series,
+        recovered_tasks: run.recovered_tasks,
+        dead_ranks: run.dead_ranks,
+        killed,
     }
 }
 
@@ -625,23 +537,34 @@ mod tests {
     }
 
     #[test]
-    fn assembly_round_trips_through_the_wire_codec() {
+    fn assembly_codec_round_trips_and_rejects_every_strict_prefix() {
         let a = Assembly {
-            contigs: vec![Contig {
-                seq: DnaSeq::from("ACGTACGT"),
-                placements: vec![
-                    Placement { read: 0, offset: 0, flipped: false },
-                    Placement { read: 3, offset: 4, flipped: true },
-                ],
-            }],
+            contigs: vec![
+                Contig {
+                    seq: DnaSeq::from("ACGTACGT"),
+                    placements: vec![
+                        Placement { read: 0, offset: 0, flipped: false },
+                        Placement { read: 3, offset: 4, flipped: true },
+                    ],
+                },
+                Contig { seq: DnaSeq::from("TTGA"), placements: Vec::new() },
+            ],
             singletons: vec![1, 2],
             inconsistent_edges: 5,
         };
-        let mut e = Encoder::new();
-        encode_assembly(&mut e, &a);
-        let mut d = Decoder::new(e.finish());
-        assert_eq!(decode_assembly(&mut d), a);
-        assert!(d.is_empty());
+        let mut w = Writer::new();
+        encode_assembly(&mut w, &a);
+        let bytes = w.finish();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_assembly(&mut r), Ok(a));
+        assert!(r.expect_end().is_ok(), "the decoder consumes exactly what the encoder wrote");
+        for cut in 0..bytes.len() {
+            let got = decode_assembly(&mut Reader::new(&bytes[..cut]));
+            assert!(
+                matches!(got, Err(WireError::Truncated { .. })),
+                "prefix of {cut} bytes decoded: {got:?}"
+            );
+        }
     }
 
     #[test]
@@ -656,6 +579,23 @@ mod tests {
     use crate::checkpoint::StageRecovery;
     use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
 
+    fn run_with(
+        store: &FragmentStore,
+        clustering: &Clustering,
+        recovery: StageRecovery,
+    ) -> DistAssembleReport {
+        let opts = RunOpts { recovery, ..RunOpts::default() };
+        assemble_parallel_with(
+            store,
+            None,
+            clustering,
+            &AssemblyConfig::default(),
+            4,
+            AssignPolicy::Lpt,
+            &opts,
+        )
+    }
+
     #[test]
     fn killed_worker_still_assembles_every_cluster() {
         // Kill each worker in turn early in the protocol; the master
@@ -663,24 +603,14 @@ mod tests {
         // assemblies must byte-match the fault-free run.
         let store = heavy_tailed_store();
         let (clustering, _) = cluster_serial(&store, &params());
-        let cfg = AssemblyConfig::default();
-        let expected = assemble_parallel(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt).assemblies;
+        let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
         let mut recovered_any = false;
         for victim in 1..4usize {
             let recovery = StageRecovery {
                 faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 5, FaultStage::Any),
                 ..StageRecovery::default()
             };
-            let dist = assemble_parallel_ft(
-                &store,
-                None,
-                &clustering,
-                &cfg,
-                4,
-                AssignPolicy::Lpt,
-                TraceSpec::off(),
-                &recovery,
-            );
+            let dist = run_with(&store, &clustering, recovery);
             assert_eq!(dist.assemblies, expected, "victim {victim}");
             assert_eq!(dist.dead_ranks, 1, "victim {victim}");
             assert!(!dist.killed);
@@ -693,8 +623,7 @@ mod tests {
     fn master_kill_checkpoint_resume_reproduces_assemblies() {
         let store = heavy_tailed_store();
         let (clustering, _) = cluster_serial(&store, &params());
-        let cfg = AssemblyConfig::default();
-        let expected = assemble_parallel(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt).assemblies;
+        let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
         let dir = std::env::temp_dir().join(format!("pgasm-asm-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -705,28 +634,10 @@ mod tests {
             checkpoint_path: Some(path.clone()),
             ..StageRecovery::default()
         };
-        let r1 = assemble_parallel_ft(
-            &store,
-            None,
-            &clustering,
-            &cfg,
-            4,
-            AssignPolicy::Lpt,
-            TraceSpec::off(),
-            &faulty,
-        );
+        let r1 = run_with(&store, &clustering, faulty);
         assert!(r1.killed, "the plan kills the master mid-protocol");
         let resume = StageRecovery { resume_from: Some(path.clone()), ..StageRecovery::default() };
-        let r2 = assemble_parallel_ft(
-            &store,
-            None,
-            &clustering,
-            &cfg,
-            4,
-            AssignPolicy::Lpt,
-            TraceSpec::off(),
-            &resume,
-        );
+        let r2 = run_with(&store, &clustering, resume);
         assert_eq!(r2.assemblies, expected);
         assert!(!r2.killed);
         let _ = std::fs::remove_dir_all(&dir);

@@ -11,7 +11,9 @@
 //! Entries are self-describing files: a versioned header (magic,
 //! container schema, artifact codec schema, kind, key, payload length,
 //! payload checksum) followed by the artifact payload in its own
-//! [`pgasm_seq::wire`] framing. Loading re-verifies all of it, so a
+//! [`pgasm_seq::wire`] framing — one container ([`write_entry`] /
+//! [`read_entry`]) that master checkpoints share, at a path of the
+//! caller's choosing. Loading re-verifies all of it, so a
 //! truncated, corrupted, foreign, or stale file degrades to a cold run
 //! — never a panic, never a wrong artifact. Writes go to a
 //! process-unique temp file first and are published with an atomic
@@ -27,7 +29,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// File magic for cache entries.
+/// File magic of the container (cache entries and checkpoints).
 pub const CACHE_MAGIC: [u8; 4] = *b"PGAC";
 
 /// Container-format version; bump when the header layout changes.
@@ -244,30 +246,7 @@ impl ArtifactCache {
     /// — when the entry is absent, truncated, corrupted, written by a
     /// different schema, or otherwise not *exactly* what was asked for.
     pub fn load(&self, kind: &str, schema: u32, key: u64) -> Option<Vec<u8>> {
-        let bytes = fs::read(self.entry_path(kind, key)).ok()?;
-        let mut r = Reader::new(&bytes);
-        let mut magic = [0u8; 4];
-        for m in magic.iter_mut() {
-            *m = r.get_u8().ok()?;
-        }
-        if magic != CACHE_MAGIC
-            || r.get_u32().ok()? != CACHE_CONTAINER_SCHEMA
-            || r.get_u32().ok()? != schema
-            || r.get_str().ok()? != kind
-            || r.get_u64().ok()? != key
-        {
-            return None;
-        }
-        let payload_len = r.get_u64().ok()? as usize;
-        let checksum = r.get_u64().ok()?;
-        if r.remaining() != payload_len {
-            return None;
-        }
-        let payload = r.get_raw(payload_len).ok()?.to_vec();
-        if fnv1a(&payload) != checksum {
-            return None;
-        }
-        Some(payload)
+        read_entry(&self.entry_path(kind, key), kind, schema, key)
     }
 
     /// Persist `payload` for `(kind, key)` atomically: the full entry is
@@ -275,18 +254,49 @@ impl ArtifactCache {
     /// place, so readers only ever observe absent or complete entries.
     /// Returns the total bytes written.
     pub fn store(&self, kind: &str, schema: u32, key: u64, payload: &[u8]) -> std::io::Result<u64> {
-        let mut w = Writer::with_capacity(payload.len() + 64);
-        for m in CACHE_MAGIC {
-            w.put_u8(m);
-        }
-        w.put_u32(CACHE_CONTAINER_SCHEMA).put_u32(schema);
-        w.put_str(kind);
-        w.put_u64(key);
-        w.put_u64(payload.len() as u64);
-        w.put_u64(fnv1a(payload));
-        let header = w.finish();
-        atomic_write(&self.entry_path(kind, key), &[&header, payload])
+        write_entry(&self.entry_path(kind, key), kind, schema, key, payload)
     }
+}
+
+/// Publish `payload` at `path` as one container entry — header (magic,
+/// container schema, `schema`, `kind`, `key`, payload length, FNV-1a
+/// payload checksum), then the payload — through [`atomic_write`].
+/// Returns the total bytes written. Cache entries and master
+/// checkpoints are both exactly this.
+pub fn write_entry(path: &Path, kind: &str, schema: u32, key: u64, payload: &[u8]) -> std::io::Result<u64> {
+    let mut w = Writer::with_capacity(64);
+    for m in CACHE_MAGIC {
+        w.put_u8(m);
+    }
+    w.put_u32(CACHE_CONTAINER_SCHEMA).put_u32(schema);
+    w.put_str(kind);
+    w.put_u64(key);
+    w.put_u64(payload.len() as u64);
+    w.put_u64(fnv1a(payload));
+    atomic_write(path, &[&w.finish(), payload])
+}
+
+/// Read the container entry at `path` and verify every header field
+/// against what the caller expects, the payload length, and the
+/// checksum. `None` on any mismatch or I/O failure.
+pub fn read_entry(path: &Path, kind: &str, schema: u32, key: u64) -> Option<Vec<u8>> {
+    let bytes = fs::read(path).ok()?;
+    let mut r = Reader::new(&bytes);
+    if r.get_raw(4).ok()? != CACHE_MAGIC
+        || r.get_u32().ok()? != CACHE_CONTAINER_SCHEMA
+        || r.get_u32().ok()? != schema
+        || r.get_str().ok()? != kind
+        || r.get_u64().ok()? != key
+    {
+        return None;
+    }
+    let payload_len = r.get_u64().ok()? as usize;
+    let checksum = r.get_u64().ok()?;
+    if r.remaining() != payload_len {
+        return None;
+    }
+    let payload = r.get_raw(payload_len).ok()?.to_vec();
+    (fnv1a(&payload) == checksum).then_some(payload)
 }
 
 #[cfg(test)]

@@ -9,65 +9,37 @@
 //! whatever the snapshot already absorbed, which keeps the final
 //! output byte-identical to a fault-free run.
 //!
-//! A checkpoint file is self-describing, mirroring the artifact cache
-//! container: magic, version, stage tag, payload length, FNV-1a payload
-//! checksum, payload. It is published with the cache's tmp + fsync +
-//! rename machinery ([`crate::cache::atomic_write`]), so a crash during
-//! a snapshot leaves the previous snapshot intact. Loading re-verifies
-//! everything; any mismatch reads as "no checkpoint" rather than a
-//! wrong restore.
+//! A checkpoint file is an artifact-cache container entry at an
+//! explicit path ([`crate::cache::write_entry`]): `kind` is the stage
+//! tag, `schema` the snapshot layout version, and it is published with
+//! the same tmp + fsync + rename machinery, so a crash during a
+//! snapshot leaves the previous snapshot intact. Loading re-verifies
+//! everything; any mismatch — and any payload the stage's
+//! [`crate::engine::Snapshot::restore`] rejects — reads as "no
+//! checkpoint" rather than a wrong restore.
 
-use crate::cache::{atomic_write, fnv1a};
+use crate::cache::{read_entry, write_entry};
 use pgasm_mpisim::{FaultPlan, FaultStage};
-use pgasm_seq::wire::{Reader, Writer};
-use std::fs;
 use std::path::{Path, PathBuf};
 
-/// File magic for checkpoint snapshots.
-pub const CKPT_MAGIC: [u8; 4] = *b"PGCK";
-
-/// Checkpoint container version; entries from any other version are
-/// rejected (workers regenerate, so an old snapshot is never required).
-pub const CKPT_VERSION: u32 = 1;
+/// Snapshot layout version, shared by both stages' payloads: bump it
+/// whenever either layout changes (workers regenerate, so an old
+/// snapshot is never required). 2: the cluster snapshot lost its two
+/// per-phase DP-cell tallies.
+pub const CKPT_VERSION: u32 = 2;
 
 /// Persist one snapshot of `stage`'s master state at `path`, atomically.
 /// Returns total bytes written.
 pub fn write_checkpoint(path: &Path, stage: &str, payload: &[u8]) -> std::io::Result<u64> {
-    let mut w = Writer::with_capacity(payload.len() + 64);
-    for m in CKPT_MAGIC {
-        w.put_u8(m);
-    }
-    w.put_u32(CKPT_VERSION);
-    w.put_str(stage);
-    w.put_u64(payload.len() as u64);
-    w.put_u64(fnv1a(payload));
-    let header = w.finish();
-    atomic_write(path, &[&header, payload])
+    write_entry(path, stage, CKPT_VERSION, 0, payload)
 }
 
 /// Load the payload of a checkpoint written for `stage`. Returns `None`
 /// — never an error — when the file is absent, truncated, corrupted,
-/// from another container version, or snapshots a different stage.
+/// from another container or snapshot version, or snapshots a different
+/// stage.
 pub fn read_checkpoint(path: &Path, stage: &str) -> Option<Vec<u8>> {
-    let bytes = fs::read(path).ok()?;
-    let mut r = Reader::new(&bytes);
-    let mut magic = [0u8; 4];
-    for m in magic.iter_mut() {
-        *m = r.get_u8().ok()?;
-    }
-    if magic != CKPT_MAGIC || r.get_u32().ok()? != CKPT_VERSION || r.get_str().ok()? != stage {
-        return None;
-    }
-    let payload_len = r.get_u64().ok()? as usize;
-    let checksum = r.get_u64().ok()?;
-    if r.remaining() != payload_len {
-        return None;
-    }
-    let payload = r.get_raw(payload_len).ok()?.to_vec();
-    if fnv1a(&payload) != checksum {
-        return None;
-    }
-    Some(payload)
+    read_entry(path, stage, CKPT_VERSION, 0)
 }
 
 /// Which stage a checkpoint file snapshots (its `stage` tag).
@@ -117,6 +89,7 @@ impl StageRecovery {
 mod tests {
     use super::*;
     use pgasm_mpisim::KillTarget;
+    use std::fs;
 
     struct TempDir(PathBuf);
 

@@ -1,6 +1,5 @@
 //! Generic distributed task engine — the event-driven master–worker
-//! protocol of §7, extracted from the clustering runtime so any
-//! workload can ride it.
+//! protocol of §7, which both distributed stages ride.
 //!
 //! The engine owns everything the paper's Figs. 6–8 describe about
 //! *work distribution* and nothing about the work itself:
@@ -10,27 +9,39 @@
 //!   ([`TAG_W2M_NP`]); the master answers with a flow-control grant
 //!   carrying termination ([`TAG_M2W_R`]) and a task batch
 //!   ([`TAG_M2W_AW`]);
-//! - the master's event pump: drain **all** queued reports through
-//!   `try_recv` before dispatching, block in `recv` only on a truly
-//!   empty inbox;
+//! - the master's event pump ([`run_master`]): drain **all** queued
+//!   reports through `try_recv` before dispatching, block in `recv`
+//!   only on a truly empty inbox;
 //! - the pending-task buffer, the [`compute_r`] flow-control rule, the
 //!   park/unpark service for passive workers, and clean termination
 //!   (every worker passive + parked, nothing pending or in flight);
 //! - protocol trace instrumentation (dispatch spans, handle/park/unpark
 //!   instants) and the protocol counters (peak queue depth, batches
-//!   dispatched, inbox drain depth, round-trips).
+//!   dispatched, inbox drain depth, round-trips);
+//! - the per-rank shell every stage runs inside ([`run_stage`]): comm
+//!   set-up, checkpoint resume and cadence, timing, and the folding of
+//!   traffic, fault and recovery tallies into one
+//!   [`pgasm_telemetry::RankReport`] per rank.
 //!
 //! What a *task* is, how it travels on the wire, how results are
 //! encoded, and which of the announced tasks are worth dispatching are
 //! the client's business, expressed through three small traits:
-//! [`Task`] (wire codec), [`TaskSource`] (master-side absorption and
+//! [`Task`] (wire form), [`TaskSource`] (master-side absorption and
 //! selection), and [`TaskSink`] (worker-side compute and generation).
-//! Clustering (`crate::master_worker`) is the first client —
-//! re-hosted with its wire format, counters, and trace events
-//! preserved bit-for-bit — and distributed per-cluster assembly
-//! (`crate::assemble_dist`) is the second, seeding the master's queue
-//! up-front with workers that never generate (a degenerate but fully
-//! legal instance of the same protocol).
+//! Clustering (`crate::master_worker`) generates its tasks on the
+//! workers; distributed per-cluster assembly (`crate::assemble_dist`)
+//! seeds the master's queue up-front with workers that never generate —
+//! a degenerate but fully legal instance of the same protocol.
+//!
+//! # Bytes
+//!
+//! Every body is written with [`pgasm_seq::wire::Writer`] and read
+//! with the checked [`Reader`]: a body that is short, long or
+//! structurally wrong — a client's sink and source disagreeing about a
+//! layout, say — becomes [`CommError::Malformed`] naming the sender and
+//! the tag, never an index panic inside a decoder. The rank that finds
+//! one tells its peers it is leaving ([`Comm::abort`]) and returns the
+//! error; [`run_stage`] turns it into the stage's one diagnostic panic.
 //!
 //! # Fault tolerance
 //!
@@ -58,9 +69,12 @@
 //! layer, per-tag traffic accounting, and blocked-time attribution all
 //! apply to any client unchanged.
 
-use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
-use pgasm_mpisim::comm::Event;
-use pgasm_mpisim::{Comm, CommError, Msg};
+mod stage;
+
+pub use stage::{run_stage, Counters, RunOpts, Snapshot, StageClient, StageRun, StageSpec};
+
+use pgasm_mpisim::{Comm, CommError, Event, Msg};
+use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_telemetry::names;
 use pgasm_telemetry::trace::{TraceCategory, Tracer};
 use std::collections::{BTreeMap, VecDeque};
@@ -82,10 +96,12 @@ pub const TAG_W2M_NP: u32 = 3;
 /// Master → worker: the allocated task batch (paper's `AW`), prefixed
 /// by its lease id (`0` when the batch is empty).
 pub const TAG_M2W_AW: u32 = 4;
+/// The four protocol tags, in the order [`StageSpec::tag_labels`] names
+/// them.
+pub const PROTOCOL_TAGS: [u32; 4] = [TAG_W2M_AR, TAG_M2W_R, TAG_W2M_NP, TAG_M2W_AW];
 
-/// Engine runtime knobs — the protocol-shape subset of what used to be
-/// `MasterWorkerConfig` (coalescing stays with the caller, which owns
-/// the `Comm`).
+/// Engine runtime knobs: the shape of the protocol (coalescing is a
+/// property of the `Comm`, set by [`run_stage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Task batch size `b` (tasks per AW message).
@@ -107,12 +123,12 @@ pub struct EngineConfig {
 /// the master journals every dispatched batch until its result report
 /// retires the lease (the copy is what recovery re-queues).
 pub trait Task: Sized + Clone {
-    /// Append this task's wire form to `e`.
-    fn encode(&self, e: &mut Encoder);
+    /// Append this task's wire form to `w`.
+    fn encode(&self, w: &mut Writer);
     /// Decode one task (must consume exactly what [`Task::encode`]
     /// wrote).
-    fn decode(d: &mut Decoder) -> Self;
-    /// Encoder pre-allocation hint, bytes per task.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+    /// Writer pre-allocation hint, bytes per task.
     fn encoded_size_hint(&self) -> usize {
         20
     }
@@ -125,8 +141,9 @@ pub trait TaskSource<T: Task> {
     /// [`TaskSink::run_batch`] encoded). Called per message as the
     /// inbox drains, so client state is maximally fresh when batches
     /// are cut. Never called twice for the same lease: late/duplicate
-    /// replays are dropped by the engine before they reach here.
-    fn absorb_results(&mut self, src: usize, d: &mut Decoder);
+    /// replays are dropped by the engine before they reach here. Must
+    /// consume the whole body; an `Err` ends the stage.
+    fn absorb_results(&mut self, src: usize, r: &mut Reader<'_>) -> Result<(), WireError>;
     /// A worker announced `task`; return `true` to queue it for
     /// dispatch. Called once per announced task, in arrival order.
     /// After a generator-scope adoption the same task may be announced
@@ -139,11 +156,11 @@ pub trait TaskSource<T: Task> {
 /// tasks on request.
 pub trait TaskSink<T: Task> {
     /// Compute the batch allocated last round (possibly empty — the
-    /// opening report) and append the result-report body to `e`. The
+    /// opening report) and append the result-report body to `w`. The
     /// body must always be well-formed: the matching
     /// [`TaskSource::absorb_results`] decodes every report, including
     /// the empty opening one.
-    fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<T>, e: &mut Encoder);
+    fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<T>, w: &mut Writer);
     /// Generate up to `r` new tasks into `out`; return whether the
     /// generator can still yield more (*active*). A sink with nothing
     /// to generate returns `false` immediately and the engine parks the
@@ -253,8 +270,15 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     /// absorption (AR) and task selection (NP) interleave with message
     /// progress instead of waiting for a dispatch turn. Messages from
     /// dead-declared ranks and reports whose lease is no longer
-    /// journaled are discarded whole: that is the replay dedup.
-    fn handle(&mut self, tracer: &mut Tracer, msg: &Msg) {
+    /// journaled are discarded whole: that is the replay dedup. A body
+    /// that does not decode is the sender's [`CommError::Malformed`].
+    fn on_msg(&mut self, comm: &mut Comm, msg: &Msg) -> Result<(), CommError> {
+        let name = if msg.tag == TAG_W2M_AR { names::EV_HANDLE_AR } else { names::EV_HANDLE_NP };
+        comm.tracer_mut().instant_arg(TraceCategory::Master, name, "src", msg.src as u64);
+        self.handle(comm.tracer_mut(), msg).map_err(|_| CommError::Malformed { src: msg.src, tag: msg.tag })
+    }
+
+    fn handle(&mut self, tracer: &mut Tracer, msg: &Msg) -> Result<(), WireError> {
         let i = msg.src;
         if self.dead[i] {
             tracer.instant_args(
@@ -263,12 +287,12 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
                 ("src", i as u64),
                 ("tag", msg.tag as u64),
             );
-            return;
+            return Ok(());
         }
-        let mut d = Decoder::new(msg.data.clone());
+        let mut r = Reader::new(&msg.data);
         match msg.tag {
             TAG_W2M_AR => {
-                let lease = d.get_u64();
+                let lease = r.get_u64()?;
                 if lease != 0 && self.journal.remove(&lease).is_none() {
                     // Late or duplicate replay of an already-recovered
                     // batch: absorbing it twice would double-count.
@@ -278,21 +302,20 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
                         ("src", i as u64),
                         ("lease", lease),
                     );
-                    return;
+                    return Ok(());
                 }
-                self.source.absorb_results(i, &mut d);
+                self.source.absorb_results(i, &mut r)?;
                 self.report.results_absorbed += 1;
             }
             TAG_W2M_NP => {
                 // Newly announced tasks: keep only those the source
                 // still wants *right now*.
-                let active = d.get_u32() == 1;
+                let active = r.get_u32()? == 1;
                 // A worker that exhausted its own generator stays
                 // active while an adoption grant is queued for it.
                 self.worker_active[i] = active || !self.pending_adoptions[i].is_empty();
-                let np_count = d.get_u32();
-                for _ in 0..np_count {
-                    let task = T::decode(&mut d);
+                for _ in 0..r.get_u32()? {
+                    let task = T::decode(&mut r)?;
                     self.report.tasks_announced += 1;
                     if self.source.select(&task) {
                         self.pending.push_back(task);
@@ -304,8 +327,9 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
                 self.need_reply[i] = true;
                 self.outstanding[i] = false;
             }
-            t => unreachable!("unexpected tag {t} at the master"),
+            _ => return Err(WireError::Malformed("tag is not a worker report")),
         }
+        r.expect_end()
     }
 
     /// Answer every worker whose round completed and feed parked
@@ -507,16 +531,19 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     }
 }
 
+/// What a [`CheckpointHook`] calls. Takes the source mutably so
+/// snapshotting may normalise internal state (e.g. Union–Find path
+/// compression) without an extra copy.
+pub type SnapshotWriter<'a, S> = dyn FnMut(&mut S, &MasterReport) -> u64 + 'a;
+
 /// Periodic master checkpointing: the engine invokes `write` with the
 /// client source and the running protocol report after every `every`
 /// absorbed result reports; the callback owns serialization and
 /// persistence and returns the bytes written (for the `ckpt_bytes`
 /// counter and the checkpoint trace instant).
 pub struct CheckpointHook<'a, S> {
-    /// Persist one snapshot; returns bytes written. Takes the source
-    /// mutably so snapshotting may normalise internal state (e.g.
-    /// Union–Find path compression) without an extra copy.
-    pub write: &'a mut dyn FnMut(&mut S, &MasterReport) -> u64,
+    /// Persist one snapshot; returns bytes written.
+    pub write: Box<SnapshotWriter<'a, S>>,
     /// Snapshot after every this many absorbed result reports.
     pub every: u64,
 }
@@ -524,27 +551,18 @@ pub struct CheckpointHook<'a, S> {
 /// Run the master's event loop (paper Fig. 7) on rank 0. `seed_tasks`
 /// pre-loads the pending buffer for workloads where the master owns the
 /// whole task list (distributed assembly); task-generating workloads
-/// (clustering) pass an empty seed. Returns when every worker has been
-/// sent its termination grant — or, under an armed fault plan, when
-/// the plan kills the master ([`MasterReport::killed`]).
+/// (clustering) pass an empty seed. `checkpoint`, when given, is
+/// invoked on the absorbed-results clock. Returns when every worker has
+/// been sent its termination grant — or, under an armed fault plan,
+/// when the plan kills the master ([`MasterReport::killed`]). Any other
+/// failure is announced to the workers ([`Comm::abort`]) and returned.
 pub fn run_master<T: Task, S: TaskSource<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
     source: &mut S,
     seed_tasks: Vec<T>,
-) -> MasterReport {
-    run_master_ckpt(comm, config, source, seed_tasks, None)
-}
-
-/// [`run_master`] with an optional periodic [`CheckpointHook`]. A
-/// separate entry point so the common path carries no hook plumbing.
-pub fn run_master_ckpt<T: Task, S: TaskSource<T>>(
-    comm: &mut Comm,
-    config: &EngineConfig,
-    source: &mut S,
-    seed_tasks: Vec<T>,
     checkpoint: Option<CheckpointHook<'_, S>>,
-) -> MasterReport {
+) -> Result<MasterReport, CommError> {
     let p = comm.size();
     let seeded = seed_tasks.len() as u64;
     let mut m = Master {
@@ -572,16 +590,20 @@ pub fn run_master_ckpt<T: Task, S: TaskSource<T>>(
         adopted_scopes: vec![Vec::new(); p],
         report: MasterReport { peak_queue_depth: seeded, ..MasterReport::default() },
     };
-    if master_pump(comm, config, &mut m, checkpoint).is_err() {
+    match master_pump(comm, config, &mut m, checkpoint) {
+        Ok(()) => {}
         // The fault plan killed this rank; workers observe the death
         // notice and exit. The partial report lets the caller recover.
-        m.report.killed = true;
+        Err(CommError::Killed { .. }) => m.report.killed = true,
+        Err(e) => {
+            comm.abort();
+            return Err(e);
+        }
     }
-    m.report
+    Ok(m.report)
 }
 
-/// The master's event pump, fallible under an armed fault plan (the
-/// only error source is the plan killing rank 0).
+/// The master's event pump.
 fn master_pump<T: Task, S: TaskSource<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
@@ -608,11 +630,10 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         // Event pump: consume everything already queued before any
         // dispatch decision — results from fast workers land before
         // batches are cut for slow ones.
-        match comm.try_recv_ft(None, None)? {
+        match comm.try_recv(None, None)? {
             Some(Event::Msg(msg)) => {
                 drain_depth += 1;
-                note_handled(comm, &msg);
-                m.handle(comm.tracer_mut(), &msg);
+                m.on_msg(comm, &msg)?;
                 let pending = m.pending.len() as u64;
                 let s = comm.sampler_mut();
                 s.sample(g_pending, pending);
@@ -685,7 +706,7 @@ fn master_pump<T: Task, S: TaskSource<T>>(
             comm.flush_all();
             let mut polls: u64 = 0;
             loop {
-                match comm.try_recv_ft(None, None)? {
+                match comm.try_recv(None, None)? {
                     Some(ev) => break ev,
                     None => {
                         polls += 1;
@@ -699,13 +720,12 @@ fn master_pump<T: Task, S: TaskSource<T>>(
                 }
             }
         } else {
-            comm.recv_ft(None, None)?
+            comm.recv(None, None)?
         };
         match ev {
             Event::Msg(msg) => {
                 drain_depth = 1;
-                note_handled(comm, &msg);
-                m.handle(comm.tracer_mut(), &msg);
+                m.on_msg(comm, &msg)?;
             }
             Event::Death(i) => {
                 drain_depth = 0;
@@ -714,12 +734,6 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         }
     }
     Ok(())
-}
-
-/// Mark a drained worker report on the master's track, by message kind.
-fn note_handled(comm: &mut Comm, msg: &Msg) {
-    let name = if msg.tag == TAG_W2M_AR { names::EV_HANDLE_AR } else { names::EV_HANDLE_NP };
-    comm.tracer_mut().instant_arg(TraceCategory::Master, name, "src", msg.src as u64);
 }
 
 fn drain_batch<T>(pending: &mut VecDeque<T>, b: usize) -> Vec<T> {
@@ -742,24 +756,42 @@ fn send_grant<T: Task>(
     adopt: &[usize],
     terminate: bool,
 ) -> Result<(), CommError> {
-    let mut e = Encoder::with_capacity(12 + 4 * adopt.len());
-    e.put_u32(terminate as u32);
+    let mut w = Writer::with_capacity(12 + 4 * adopt.len());
+    w.put_u32(terminate as u32);
     if terminate {
-        return comm.send_ft(dest, TAG_M2W_R, e.finish());
+        return comm.send(dest, TAG_M2W_R, w.finish().into());
     }
-    e.put_u32(r as u32);
-    e.put_u32(checked_len(adopt.len()));
+    w.put_u32(r as u32);
+    w.put_u32(checked_len(adopt.len()));
     for &scope in adopt {
-        e.put_u32(scope as u32);
+        w.put_u32(scope as u32);
     }
-    comm.send_ft(dest, TAG_M2W_R, e.finish())?;
-    let mut e = Encoder::with_capacity(12 + batch.iter().map(Task::encoded_size_hint).sum::<usize>());
-    e.put_u64(lease);
-    e.put_u32(checked_len(batch.len()));
+    comm.send(dest, TAG_M2W_R, w.finish().into())?;
+    let mut w = Writer::with_capacity(12 + batch.iter().map(Task::encoded_size_hint).sum::<usize>());
+    w.put_u64(lease);
+    w.put_u32(checked_len(batch.len()));
     for task in batch {
-        task.encode(&mut e);
+        task.encode(&mut w);
     }
-    comm.send_ft(dest, TAG_M2W_AW, e.finish())
+    comm.send(dest, TAG_M2W_AW, w.finish().into())
+}
+
+/// The worker's reading of an `R` body: `None` terminates the run,
+/// otherwise the next request size and the scopes to adopt.
+fn decode_grant(body: &[u8]) -> Result<Option<(usize, Vec<u32>)>, WireError> {
+    let mut r = Reader::new(body);
+    let grant = if r.get_u32()? == 1 { None } else { Some((r.get_u32()? as usize, r.get_u32_slice()?)) };
+    r.expect_end()?;
+    Ok(grant)
+}
+
+/// The worker's reading of an `AW` body: the lease id and its batch.
+fn decode_batch<T: Task>(body: &[u8]) -> Result<(u64, Vec<T>), WireError> {
+    let mut r = Reader::new(body);
+    let lease = r.get_u64()?;
+    let batch = (0..r.get_u32()?).map(|_| T::decode(&mut r)).collect::<Result<_, _>>()?;
+    r.expect_end()?;
+    Ok((lease, batch))
 }
 
 /// The paper's flow-control rule (§7): request enough tasks that about
@@ -789,28 +821,46 @@ pub fn compute_r(
 /// and idle until the master finds work or terminates the run. Under an
 /// armed fault plan the loop also ends when the plan kills this rank
 /// ([`WorkerReport::killed`]) or the master's death notice arrives
-/// ([`WorkerReport::master_died`]).
+/// ([`WorkerReport::master_died`]). Any other failure is announced to
+/// the peers ([`Comm::abort`]) and returned.
 pub fn run_worker<T: Task, S: TaskSink<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
     sink: &mut S,
-) -> WorkerReport {
+) -> Result<WorkerReport, CommError> {
     let mut report = WorkerReport::default();
     match worker_pump(comm, config, sink, &mut report) {
         Ok(master_died) => report.master_died = master_died,
-        Err(_) => report.killed = true,
+        Err(CommError::Killed { .. }) => report.killed = true,
+        Err(e) => {
+            comm.abort();
+            return Err(e);
+        }
     }
-    report
+    Ok(report)
 }
 
-/// The worker's round loop; `Ok(true)` means the master died mid-run,
-/// `Err` that the fault plan killed this rank.
+/// Next `tag` message from the master; `None` when the master died.
+/// Peer-worker deaths are the master's business, not a worker's — their
+/// notices are skipped.
+fn recv_from_master(comm: &mut Comm, tag: u32) -> Result<Option<Msg>, CommError> {
+    loop {
+        match comm.recv(Some(0), Some(tag))? {
+            Event::Death(0) => return Ok(None),
+            Event::Death(_) => continue,
+            Event::Msg(m) => return Ok(Some(m)),
+        }
+    }
+}
+
+/// The worker's round loop; `Ok(true)` means the master died mid-run.
 fn worker_pump<T: Task, S: TaskSink<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
     sink: &mut S,
     report: &mut WorkerReport,
 ) -> Result<bool, CommError> {
+    let malformed = |tag: u32| move |_: WireError| CommError::Malformed { src: 0, tag };
     let mut r = config.batch;
     let mut aw: Vec<T> = Vec::new();
     let mut np: Vec<T> = Vec::new();
@@ -822,12 +872,12 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
         // Compute the tasks allocated last round, encoding the result
         // report as the client defines it (after the engine's lease
         // prefix).
-        let mut e = Encoder::new();
-        e.put_u64(lease);
-        sink.run_batch(comm.tracer_mut(), &mut aw, &mut e);
+        let mut w = Writer::new();
+        w.put_u64(lease);
+        sink.run_batch(comm.tracer_mut(), &mut aw, &mut w);
         aw.clear();
         sink.sample_gauges(comm.sampler_mut());
-        let ar = e.finish();
+        let ar = w.finish();
         // Generate the requested number of new tasks.
         np.clear();
         active = sink.generate(comm.tracer_mut(), r, &mut np);
@@ -836,57 +886,38 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
         // fine-grained messages so the coalescing layer can fold them —
         // plus whatever other rounds are queued — into one envelope
         // toward the master.
-        comm.send_ft(0, TAG_W2M_AR, ar)?;
-        let mut e = Encoder::with_capacity(8 + np.iter().map(Task::encoded_size_hint).sum::<usize>());
-        e.put_u32(active as u32);
-        e.put_u32(checked_len(np.len()));
+        comm.send(0, TAG_W2M_AR, ar.into())?;
+        let mut w = Writer::with_capacity(8 + np.iter().map(Task::encoded_size_hint).sum::<usize>());
+        w.put_u32(active as u32);
+        w.put_u32(checked_len(np.len()));
         for task in &np {
-            task.encode(&mut e);
+            task.encode(&mut w);
         }
-        comm.send_ft(0, TAG_W2M_NP, e.finish())?;
+        comm.send(0, TAG_W2M_NP, w.finish().into())?;
         report.round_trips += 1;
         // Receive the next grant (possibly parking idle first). The R
         // message always arrives; a live grant is followed by its AW
-        // batch. Peer-worker deaths are the master's business, not
-        // ours — skip their notices; the master's own death ends the
-        // run.
+        // batch.
         loop {
-            let msg = match comm.recv_ft(Some(0), Some(TAG_M2W_R))? {
-                Event::Death(0) => return Ok(true),
-                Event::Death(_) => continue,
-                Event::Msg(m) => m,
-            };
-            let mut d = Decoder::new(msg.data);
-            let terminate = d.get_u32() == 1;
-            if terminate {
+            let Some(msg) = recv_from_master(comm, TAG_M2W_R)? else { return Ok(true) };
+            let Some((next_r, adopt)) = decode_grant(&msg.data).map_err(malformed(TAG_M2W_R))? else {
                 return Ok(false);
-            }
-            r = d.get_u32() as usize;
-            let adopt_count = d.get_u32();
-            for _ in 0..adopt_count {
-                let dead_rank = d.get_u32() as usize;
+            };
+            r = next_r;
+            for dead_rank in adopt {
                 comm.tracer_mut().instant_arg(
                     TraceCategory::Fault,
                     names::EV_ADOPT_SCOPE,
                     "dead",
                     dead_rank as u64,
                 );
-                sink.adopt_scope(comm.tracer_mut(), dead_rank);
+                sink.adopt_scope(comm.tracer_mut(), dead_rank as usize);
                 report.scopes_adopted += 1;
                 // The adopted scope makes this generator live again.
                 active = true;
             }
-            let msg = loop {
-                match comm.recv_ft(Some(0), Some(TAG_M2W_AW))? {
-                    Event::Death(0) => return Ok(true),
-                    Event::Death(_) => continue,
-                    Event::Msg(m) => break m,
-                }
-            };
-            let mut d = Decoder::new(msg.data);
-            lease = d.get_u64();
-            let count = d.get_u32();
-            aw = (0..count).map(|_| T::decode(&mut d)).collect();
+            let Some(msg) = recv_from_master(comm, TAG_M2W_AW)? else { return Ok(true) };
+            (lease, aw) = decode_batch(&msg.data).map_err(malformed(TAG_M2W_AW))?;
             if aw.is_empty() && !active {
                 // Passive with no work: park and wait for an
                 // unsolicited allocation or termination.
@@ -908,11 +939,11 @@ mod tests {
     /// Toy client: tasks are plain integers, workers square them.
     /// Exercises the protocol shell with no domain logic at all.
     impl Task for u32 {
-        fn encode(&self, e: &mut Encoder) {
-            e.put_u32(*self);
+        fn encode(&self, w: &mut Writer) {
+            w.put_u32(*self);
         }
-        fn decode(d: &mut Decoder) -> u32 {
-            d.get_u32()
+        fn decode(r: &mut Reader<'_>) -> Result<u32, WireError> {
+            r.get_u32()
         }
         fn encoded_size_hint(&self) -> usize {
             4
@@ -935,12 +966,12 @@ mod tests {
     }
 
     impl TaskSource<u32> for SumSource {
-        fn absorb_results(&mut self, _src: usize, d: &mut Decoder) {
-            let count = d.get_u32();
-            for _ in 0..count {
-                self.sum += d.get_u64();
+        fn absorb_results(&mut self, _src: usize, r: &mut Reader<'_>) -> Result<(), WireError> {
+            for _ in 0..r.get_u32()? {
+                self.sum += r.get_u64()?;
                 self.results += 1;
             }
+            Ok(())
         }
         fn select(&mut self, task: &u32) -> bool {
             self.seen.push(*task);
@@ -950,6 +981,7 @@ mod tests {
         }
     }
 
+    #[derive(Default)]
     struct RangeSink {
         next: u32,
         stop: u32,
@@ -958,14 +990,17 @@ mod tests {
         per_worker: u32,
         /// Ranges adopted from dead peers, drained after our own.
         adopted: std::collections::VecDeque<(u32, u32)>,
+        /// Results each report claims beyond those it carries (a sink
+        /// and a source that disagree about the `AR` layout).
+        overcount: u32,
     }
 
     impl TaskSink<u32> for RangeSink {
-        fn run_batch(&mut self, _tracer: &mut Tracer, batch: &mut Vec<u32>, e: &mut Encoder) {
-            e.put_u32(checked_len(batch.len()));
+        fn run_batch(&mut self, _tracer: &mut Tracer, batch: &mut Vec<u32>, w: &mut Writer) {
+            w.put_u32(checked_len(batch.len()) + self.overcount);
             for t in batch.drain(..) {
                 self.computed += 1;
-                e.put_u64(t as u64 * t as u64);
+                w.put_u64(t as u64 * t as u64);
             }
         }
         fn generate(&mut self, _tracer: &mut Tracer, r: usize, out: &mut Vec<u32>) -> bool {
@@ -993,13 +1028,7 @@ mod tests {
 
     fn toy_sink(rank: usize, per_worker: u32) -> RangeSink {
         let base = (rank as u32 - 1) * per_worker;
-        RangeSink {
-            next: base,
-            stop: base + per_worker,
-            computed: 0,
-            per_worker,
-            adopted: std::collections::VecDeque::new(),
-        }
+        RangeSink { next: base, stop: base + per_worker, per_worker, ..RangeSink::default() }
     }
 
     fn expected_sum(workers: u32, per_worker: u32) -> u64 {
@@ -1012,12 +1041,12 @@ mod tests {
             let cfg = EngineConfig { batch, pending_cap: cap, stall_timeout: None };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, Vec::new());
+                let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
                 assert_eq!(report.tasks_announced as usize, source.seen.len());
                 Some((source.sum, source.results, report))
             } else {
                 let mut sink = toy_sink(comm.rank(), per_worker);
-                run_worker(comm, &cfg, &mut sink);
+                run_worker(comm, &cfg, &mut sink).unwrap();
                 None
             }
         });
@@ -1052,20 +1081,14 @@ mod tests {
             let cfg = EngineConfig { batch: 1, pending_cap: 64, stall_timeout: None };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, seed.clone());
+                let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
                 assert_eq!(report.tasks_announced, 0, "passive workers announce nothing");
                 assert_eq!(report.peak_queue_depth, seed.len() as u64);
                 assert_eq!(source.results, seed.len() as u64);
                 (source.sum, 0)
             } else {
-                let mut sink = RangeSink {
-                    next: 0,
-                    stop: 0,
-                    computed: 0,
-                    per_worker: 0,
-                    adopted: std::collections::VecDeque::new(),
-                };
-                run_worker(comm, &cfg, &mut sink);
+                let mut sink = RangeSink::default();
+                run_worker(comm, &cfg, &mut sink).unwrap();
                 (0, sink.computed)
             }
         })
@@ -1086,10 +1109,10 @@ mod tests {
             comm.set_sampler(sampler);
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                run_master(comm, &cfg, &mut source, Vec::new());
+                run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
             } else {
                 let mut sink = toy_sink(comm.rank(), 40);
-                run_worker(comm, &cfg, &mut sink);
+                run_worker(comm, &cfg, &mut sink).unwrap();
             }
             comm.take_series()
         });
@@ -1130,11 +1153,11 @@ mod tests {
             let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, Vec::new());
+                let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
                 (Some((source.sum, report)), None)
             } else {
                 let mut sink = toy_sink(comm.rank(), per_worker);
-                (None, Some(run_worker(comm, &cfg, &mut sink)))
+                (None, Some(run_worker(comm, &cfg, &mut sink).unwrap()))
             }
         });
         let mut master = None;
@@ -1180,17 +1203,11 @@ mod tests {
             let cfg = EngineConfig { batch: 2, pending_cap: 64, stall_timeout: None };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, seed.clone());
+                let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
                 Some((source.sum, report))
             } else {
-                let mut sink = RangeSink {
-                    next: 0,
-                    stop: 0,
-                    computed: 0,
-                    per_worker: 0,
-                    adopted: std::collections::VecDeque::new(),
-                };
-                run_worker(comm, &cfg, &mut sink);
+                let mut sink = RangeSink::default();
+                run_worker(comm, &cfg, &mut sink).unwrap();
                 None
             }
         })
@@ -1237,16 +1254,48 @@ mod tests {
             let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout: None };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, Vec::new());
+                let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
                 (report.killed, false)
             } else {
                 let mut sink = toy_sink(comm.rank(), 40);
-                let report = run_worker(comm, &cfg, &mut sink);
+                let report = run_worker(comm, &cfg, &mut sink).unwrap();
                 (false, report.master_died)
             }
         });
         assert!(outcomes[0].0, "master reports its own kill");
         assert!(outcomes[1..].iter().all(|&(_, md)| md), "every worker observes the master's death");
+    }
+
+    #[test]
+    fn short_result_report_is_the_senders_malformed_error() {
+        // Worker 2's sink claims one more result than each report
+        // carries, so the master's source runs off the end of the body.
+        // That must reach the master's caller as an error naming the
+        // sender and the tag — no index panic inside a decoder — and,
+        // because the master announces that it is leaving, no worker is
+        // left waiting on it: each sees the master die. The watchdog
+        // turns a hang (or a rank's panic) into a failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcomes = pgasm_mpisim::run(3, |comm| {
+                let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout: None };
+                if comm.rank() == 0 {
+                    run_master(comm, &cfg, &mut SumSource::new(), Vec::<u32>::new(), None).err()
+                } else {
+                    let overcount = u32::from(comm.rank() == 2);
+                    let mut sink = RangeSink { overcount, ..toy_sink(comm.rank(), 40) };
+                    let report =
+                        run_worker(comm, &cfg, &mut sink).expect("a worker only sees the master leave");
+                    assert!(report.master_died);
+                    None
+                }
+            });
+            let _ = done.send(outcomes);
+        });
+        let outcomes = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a rank hung or panicked after the malformed report");
+        assert_eq!(outcomes[0], Some(CommError::Malformed { src: 2, tag: TAG_W2M_AR }));
     }
 
     #[test]
@@ -1272,28 +1321,26 @@ mod tests {
         };
         m.journal.insert(7, Lease { worker: 1, tasks: vec![2u32, 4] });
         let ar = |lease: u64, value: u64| {
-            let mut e = Encoder::new();
-            e.put_u64(lease);
-            e.put_u32(1);
-            e.put_u64(value);
-            Msg { src: 1, tag: TAG_W2M_AR, data: e.finish() }
+            let mut w = Writer::new();
+            w.put_u64(lease).put_u32(1).put_u64(value);
+            Msg { src: 1, tag: TAG_W2M_AR, data: w.finish().into() }
         };
         let mut tracer = Tracer::disabled();
         // Live lease: absorbed, journal retired.
-        m.handle(&mut tracer, &ar(7, 10));
+        m.handle(&mut tracer, &ar(7, 10)).unwrap();
         assert_eq!(m.source.sum, 10);
         assert!(m.journal.is_empty());
         // Replay of the same lease: dropped whole.
-        m.handle(&mut tracer, &ar(7, 10));
+        m.handle(&mut tracer, &ar(7, 10)).unwrap();
         assert_eq!(m.source.sum, 10, "duplicate replay absorbed twice");
         // Unknown lease: dropped. Lease 0 (opening report): absorbed.
-        m.handle(&mut tracer, &ar(99, 5));
+        m.handle(&mut tracer, &ar(99, 5)).unwrap();
         assert_eq!(m.source.sum, 10);
-        m.handle(&mut tracer, &ar(0, 3));
+        m.handle(&mut tracer, &ar(0, 3)).unwrap();
         assert_eq!(m.source.sum, 13);
         // Messages from a dead-declared rank are dropped before decode.
         m.dead[1] = true;
-        m.handle(&mut tracer, &ar(0, 100));
+        m.handle(&mut tracer, &ar(0, 100)).unwrap();
         assert_eq!(m.source.sum, 13);
     }
 

@@ -18,19 +18,18 @@
 //!   breakdown of Fig. 5.
 //! - [`engine`] — the generic distributed task engine: the §7
 //!   event-driven master–worker protocol (AR/NP/R/AW messages, flow
-//!   control, park/unpark, termination, protocol tracing) factored out
-//!   of clustering so any workload can ride it through the
-//!   `Task`/`TaskSource`/`TaskSink` traits.
+//!   control, park/unpark, termination, leases, protocol tracing)
+//!   behind the `Task`/`TaskSource`/`TaskSink` traits, and
+//!   `engine::run_stage`, the one per-rank shell (comm set-up,
+//!   checkpoints, timing, rank reports) both distributed stages run in.
 //! - [`master_worker`] — the single-master / many-workers clustering
-//!   runtime (§7, Figs. 6–8), re-hosted on [`engine`]: workers generate
-//!   promising pairs from their local GST portions and compute
-//!   alignments; the master owns the Union–Find, the pending-work
-//!   queue, the idle-worker list, and the flow-control formula for the
-//!   per-worker pair-request size `r`.
-//! - [`assemble_dist`] — the §8 "trivially parallel" assembly phase as
-//!   a second engine client: the master schedules whole clusters
-//!   largest-first (LPT) onto worker ranks, workers assemble and ship
-//!   contigs back, with the same telemetry surface as clustering.
+//!   stage (§7, Figs. 6–8): workers generate promising pairs from their
+//!   local GST portions and compute alignments; the master owns the
+//!   Union–Find and the cluster-check selection.
+//! - [`assemble_dist`] — the §8 "trivially parallel" assembly stage:
+//!   the master schedules whole clusters largest-first (LPT) onto
+//!   worker ranks, workers assemble and ship contigs back, with the
+//!   same telemetry surface as clustering.
 //! - [`pipeline`] — end-to-end convenience: preprocess → cluster →
 //!   per-cluster assembly, with the summary statistics §8 reports.
 //! - [`cache`] — content-addressed per-stage artifact cache: repeated
@@ -59,18 +58,14 @@ pub mod pipeline;
 pub mod unionfind;
 pub mod validation;
 
-pub use assemble_dist::{
-    assemble_parallel, assemble_parallel_ft, assemble_parallel_traced, AssignPolicy, DistAssembleReport,
-};
+pub use assemble_dist::{assemble_parallel, assemble_parallel_with, AssignPolicy, DistAssembleReport};
 pub use cache::{ArtifactCache, StableHasher};
 pub use checkpoint::StageRecovery;
 pub use clustering::{
     cluster_exhaustive, cluster_serial, cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering,
 };
-pub use engine::{EngineConfig, MasterReport, Task, TaskSink, TaskSource, WorkerReport};
-pub use master_worker::{
-    cluster_parallel, cluster_parallel_ft, cluster_parallel_traced, MasterWorkerConfig, ParallelClusterReport,
-};
+pub use engine::{EngineConfig, MasterReport, RunOpts, Task, TaskSink, TaskSource, WorkerReport};
+pub use master_worker::{cluster_parallel, cluster_parallel_with, MasterWorkerConfig, ParallelClusterReport};
 pub use parallel_gst::{build_distributed_gst, DistributedGstReport};
 pub use pgasm_align::AlignScratch;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};

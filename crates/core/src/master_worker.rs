@@ -1,29 +1,27 @@
 //! The single-master / multiple-worker parallel clustering runtime
-//! (paper §7, Figs. 6–8) — the first client of the generic
-//! [`crate::engine`] distributed task engine.
+//! (paper §7, Figs. 6–8) — an
+//! [`engine::run_stage`](crate::engine::run_stage) client.
 //!
-//! The protocol itself (the event-driven master pump, AR/NP/R/AW
-//! message shapes, `compute_r` flow control, park/unpark, coalescing
-//! interaction, termination) lives in [`crate::engine`]; this module
-//! supplies what makes it *clustering*:
+//! The protocol (the event-driven master pump, AR/NP/R/AW message
+//! shapes, `compute_r` flow control, park/unpark, termination) and the
+//! per-rank shell around it (comm set-up, the timed pre-phase window,
+//! checkpoint resume and cadence, timing, tag relabelling, counter
+//! folding, [`RankReport`] collection) live in [`crate::engine`]; this
+//! module supplies what makes the stage *clustering*:
 //!
-//! - rank 0's [`ClusterSource`]: the Union–Find cluster store (or the
+//! - the pre-phase: the distributed GST build over the worker ranks;
+//! - rank 0's `ClusterSource`: the Union–Find cluster store (or the
 //!   §10 geometry-aware variant), Union–Find merges applied per drained
-//!   `AR` report, and the cluster-check pair selection that discards
-//!   generated pairs whose fragments already co-cluster;
-//! - ranks 1..p's [`ClusterSink`]: the per-rank GST pair generator
+//!   `AR` report, the cluster-check pair selection that discards
+//!   generated pairs whose fragments already co-cluster, and the
+//!   snapshot layout of that state;
+//! - ranks 1..p's `ClusterSink`: the per-rank GST pair generator
 //!   (decreasing maximal-match order, which "roughly approximates the
 //!   global sorted order in practice", §7), the banded alignment
 //!   kernel with its reusable zero-allocation scratch, and the AR wire
 //!   format (per-pair verdicts plus the DP-cell / early-exit / skipped-
 //!   traceback work accounting);
-//! - the phase orchestration around the engine: distributed GST build,
-//!   protocol-message coalescing, per-rank timing/blocked-time capture,
-//!   tag relabelling, and the [`RankReport`] channels.
-//!
-//! The wire format, protocol tags, counters, and trace events are
-//! exactly those of the pre-extraction runtime — the re-hosting is
-//! behaviour-preserving bit-for-bit.
+//! - the report shape ([`ParallelClusterReport`]).
 //!
 //! Substitution note (see DESIGN.md): workers read fragment sequences
 //! for alignment from the shared read-only store; protocol traffic
@@ -31,26 +29,26 @@
 //! measured here, and fragment-byte movement is accounted once in the
 //! GST construction phase.
 
-use crate::checkpoint::{self as ckpt, StageRecovery};
+use crate::checkpoint::STAGE_CLUSTER;
 use crate::clustering::{
     canonical_skip, same_fragment_skip, ClusterParams, ClusterStats, Clustering, PairDecider,
 };
 use crate::engine::{
-    run_master, run_master_ckpt, run_worker, CheckpointHook, EngineConfig, MasterReport, Task, TaskSink,
-    TaskSource, TAG_M2W_AW, TAG_M2W_R, TAG_W2M_AR, TAG_W2M_NP,
+    run_stage, Counters, EngineConfig, MasterReport, RunOpts, Snapshot, StageClient, StageSpec, Task,
+    TaskSink, TaskSource, WorkerReport,
 };
+use crate::geometry::AffineMap;
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
-use pgasm_gst::{enumerate_suffixes, sort_by_bucket, GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
-use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
-use pgasm_mpisim::{thread_cpu_seconds, CoalescePolicy, Comm, CommStats, CostModel};
+use pgasm_gst::{enumerate_suffixes, sort_by_bucket, Gst, PairGenerator, PromisingPair};
+use pgasm_mpisim::{CoalescePolicy, Comm, CommStats};
+use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
-use pgasm_telemetry::trace::{RankTrace, TraceCategory, TraceSpec, Tracer};
+use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, GaugeSampler, RankReport, RankSeries};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
+use std::collections::VecDeque;
 
 /// Master–worker *runtime* configuration: protocol knobs only. What to
 /// cluster and how (GST window, scoring, acceptance, mode) lives in
@@ -73,15 +71,6 @@ pub struct MasterWorkerConfig {
 impl Default for MasterWorkerConfig {
     fn default() -> Self {
         MasterWorkerConfig { batch: 64, pending_cap: 4096, coalesce: Some(CoalescePolicy::default()) }
-    }
-}
-
-impl MasterWorkerConfig {
-    /// The engine-facing subset (coalescing stays with this module,
-    /// which owns the `Comm` setup; the stall timeout arrives with the
-    /// per-run [`StageRecovery`], not this serialisable config).
-    fn engine(&self, stall_timeout: Option<u64>) -> EngineConfig {
-        EngineConfig { batch: self.batch, pending_cap: self.pending_cap, stall_timeout }
     }
 }
 
@@ -132,216 +121,225 @@ pub struct ParallelClusterReport {
     pub killed: bool,
 }
 
-struct RankOutcome {
-    clustering: Option<Clustering>,
-    stats: Option<ClusterStats>,
-    gst_report: RankGstReport,
-    cluster_seconds: f64,
-    idle_fraction: f64,
-    comm: CommStats,
-    cpu_seconds: f64,
-    counters: BTreeMap<String, u64>,
-    rank_report: RankReport,
-    trace: RankTrace,
-    series: RankSeries,
-    recovered_tasks: u64,
-    dead_ranks: u64,
-    killed: bool,
-}
-
 /// A promising pair travels as five `u32`s (the engine's default
 /// 20-byte size hint is exact).
 impl Task for PromisingPair {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.a.0);
-        e.put_u32(self.b.0);
-        e.put_u32(self.a_pos);
-        e.put_u32(self.b_pos);
-        e.put_u32(self.match_len);
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(self.a.0).put_u32(self.b.0).put_u32(self.a_pos).put_u32(self.b_pos).put_u32(self.match_len);
     }
 
-    fn decode(d: &mut Decoder) -> PromisingPair {
-        PromisingPair {
-            a: SeqId(d.get_u32()),
-            b: SeqId(d.get_u32()),
-            a_pos: d.get_u32(),
-            b_pos: d.get_u32(),
-            match_len: d.get_u32(),
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<PromisingPair, WireError> {
+        Ok(PromisingPair {
+            a: SeqId(r.get_u32()?),
+            b: SeqId(r.get_u32()?),
+            a_pos: r.get_u32()?,
+            b_pos: r.get_u32()?,
+            match_len: r.get_u32()?,
+        })
     }
 }
 
-/// Run the master–worker clustering on `p ≥ 2` ranks. `params` says
-/// what to cluster and how; `config` tunes the runtime protocol.
+/// [`cluster_parallel_with`] under the default [`RunOpts`]: no tracing,
+/// no fault injection, no checkpoints.
 pub fn cluster_parallel(
     store: &FragmentStore,
     p: usize,
     params: &ClusterParams,
     config: &MasterWorkerConfig,
 ) -> ParallelClusterReport {
-    cluster_parallel_traced(store, p, params, config, TraceSpec::off())
+    cluster_parallel_with(store, p, params, config, &RunOpts::default())
 }
 
-/// [`cluster_parallel`] with per-rank event tracing. The [`TraceSpec`]
-/// is a separate argument (not a `MasterWorkerConfig` field) because it
-/// carries the run's shared clock epoch, which has no serial form.
-pub fn cluster_parallel_traced(
+/// Run the master–worker clustering on `p ≥ 2` ranks. `params` says
+/// what to cluster and how; `config` tunes the runtime protocol; `opts`
+/// carries the per-run tracing and recovery settings.
+pub fn cluster_parallel_with(
     store: &FragmentStore,
     p: usize,
     params: &ClusterParams,
     config: &MasterWorkerConfig,
-    trace: TraceSpec,
-) -> ParallelClusterReport {
-    cluster_parallel_ft(store, p, params, config, trace, &StageRecovery::default())
-}
-
-/// [`cluster_parallel_traced`] under a [`StageRecovery`]: scripted
-/// fault injection, master liveness timeout, and checkpoint/resume.
-/// The default recovery makes this byte-identical to the plain run —
-/// the comm layer is not even armed.
-pub fn cluster_parallel_ft(
-    store: &FragmentStore,
-    p: usize,
-    params: &ClusterParams,
-    config: &MasterWorkerConfig,
-    trace: TraceSpec,
-    recovery: &StageRecovery,
+    opts: &RunOpts,
 ) -> ParallelClusterReport {
     assert!(p >= 2, "master–worker needs at least 2 ranks");
     assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
-    let n = store.num_fragments();
     let ds = store.with_reverse_complements();
     let owner = compute_owners(&ds, p, 1);
-    let (ds, owner, params, config) = (&ds, &owner, *params, *config);
+    let spec = StageSpec {
+        name: STAGE_CLUSTER,
+        roles: ["master", "worker"],
+        track_offset: 0,
+        tag_labels: [names::TAG_W2M_AR, names::TAG_M2W_R, names::TAG_W2M_NP, names::TAG_M2W_AW],
+        comm_counters: &[
+            names::MSGS_COALESCED,
+            names::ENVELOPES_SENT,
+            names::FLUSH_BY_BYTES,
+            names::FLUSH_BY_MSGS,
+            names::FLUSH_ON_BLOCK,
+            names::FLUSH_EXPLICIT,
+            names::WAIT_NS_TOTAL,
+            names::BARRIER_NS_TOTAL,
+        ],
+        engine: EngineConfig {
+            batch: config.batch,
+            pending_cap: config.pending_cap,
+            stall_timeout: opts.recovery.stall_timeout,
+        },
+        coalesce: config.coalesce,
+    };
+    let client = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: *params };
+    let run = run_stage(p, &spec, opts, &client);
 
-    let outcomes: Vec<RankOutcome> = pgasm_mpisim::run(p, move |comm| {
-        // Tracing covers the whole rank body — GST collectives and the
-        // clustering protocol land on one per-rank track.
-        let role = if comm.rank() == 0 { "master" } else { "worker" };
-        comm.set_tracer(trace.tracer(comm.rank(), role));
-        comm.set_sampler(trace.sampler(comm.rank(), role));
-        // Arm scripted failures before any traffic. Kills only trip in
-        // the engine's fault-aware ops, so the GST collectives below
-        // stay plain and a scripted kill lands inside the protocol
-        // phase — after the last barrier any rank will ever pass.
-        if !recovery.faults.is_empty() {
-            comm.set_fault_plan(&recovery.faults);
-        }
-        // Phase 1: distributed GST over worker ranks.
-        let gst_t0 = Instant::now();
-        let (gst, _text, gst_report) = rank_build_gst(comm, ds, owner, params.gst, 1);
-        comm.barrier();
-        let gst_wall = gst_t0.elapsed().as_secs_f64();
-        let mut gst_report = gst_report;
+    let mut gst_reports = Vec::with_capacity(p);
+    let mut result = None;
+    for ((mut gst_report, rank_result), gst_wall) in run.outputs.into_iter().zip(run.pre_seconds) {
+        // Thread-CPU compute can overshoot the wall window by a clock
+        // tick; the window is the bound.
         gst_report.compute_seconds = gst_report.compute_seconds.min(gst_wall);
-
-        // Phase 2: clustering, with protocol-message coalescing on
-        // every rank (the GST collectives above bypass the queues).
-        comm.set_coalesce(config.coalesce);
-        let before = comm.stats();
-        let cpu0 = thread_cpu_seconds();
-        let t0 = Instant::now();
-        let mut outcome = if comm.rank() == 0 {
-            drop(gst);
-            master_loop(comm, ds, n, &params, &config, recovery)
-        } else {
-            worker_loop(comm, ds, gst, &params, &config, recovery)
-        };
-        let wall = t0.elapsed().as_secs_f64();
-        let cpu = thread_cpu_seconds() - cpu0;
-        let after = comm.stats();
-        let blocked =
-            ((after.wait_ns + after.barrier_ns) - (before.wait_ns + before.barrier_ns)) as f64 * 1e-9;
-        outcome.gst_report = gst_report;
-        outcome.cluster_seconds = wall;
-        outcome.cpu_seconds = cpu;
-        outcome.idle_fraction = if wall > 0.0 { (blocked / wall).min(1.0) } else { 0.0 };
-        outcome.comm = CommStats {
-            msgs_sent: after.msgs_sent - before.msgs_sent,
-            bytes_sent: after.bytes_sent - before.bytes_sent,
-            msgs_recv: after.msgs_recv - before.msgs_recv,
-            bytes_recv: after.bytes_recv - before.bytes_recv,
-            wait_ns: after.wait_ns - before.wait_ns,
-            barrier_ns: after.barrier_ns - before.barrier_ns,
-        };
-        // Fold this rank's channel for the RunReport: per-tag traffic
-        // (the whole run, GST collectives included) with protocol tags
-        // relabelled, plus the loop's own counters. Coalesced protocol
-        // envelopes appear under the `"coalesced"` row.
-        let mut comm_rows = comm.tag_stats(&CostModel::BLUEGENE_L);
-        for row in &mut comm_rows {
-            row.label = match row.tag {
-                TAG_W2M_AR => names::TAG_W2M_AR.to_string(),
-                TAG_W2M_NP => names::TAG_W2M_NP.to_string(),
-                TAG_M2W_R => names::TAG_M2W_R.to_string(),
-                TAG_M2W_AW => names::TAG_M2W_AW.to_string(),
-                _ => std::mem::take(&mut row.label),
-            };
-        }
-        // Coalescing-layer counters join the loop's own tallies, plus
-        // the whole-run blocked-time totals (GST phase included) that
-        // the trace-derived idle-gap histograms are checked against.
-        let cs = comm.coalesce_stats();
-        for (name, value) in [
-            (names::MSGS_COALESCED, cs.msgs_coalesced),
-            (names::ENVELOPES_SENT, cs.envelopes_sent),
-            (names::FLUSH_BY_BYTES, cs.flush_bytes),
-            (names::FLUSH_BY_MSGS, cs.flush_msgs),
-            (names::FLUSH_ON_BLOCK, cs.flush_block),
-            (names::FLUSH_EXPLICIT, cs.flush_explicit),
-            (names::WAIT_NS_TOTAL, after.wait_ns),
-            (names::BARRIER_NS_TOTAL, after.barrier_ns),
-        ] {
-            outcome.counters.insert(name.to_string(), value);
-        }
-        // Injected-fault tallies: only under an armed plan, and only the
-        // nonzero ones — fault-free runs keep byte-identical reports.
-        if comm.has_fault_plan() {
-            let fs = comm.fault_stats();
-            for (name, value) in [
-                (names::FAULT_KILLS, fs.kills),
-                (names::FAULT_MSGS_DROPPED, fs.msgs_dropped),
-                (names::FAULT_MSGS_DELAYED, fs.msgs_delayed),
-                (names::FAULT_DEATH_NOTICES, fs.death_notices),
-                (names::FAULT_MSGS_LOST, fs.msgs_lost),
-                (names::FAULT_EVENTS, fs.events),
-            ] {
-                if value > 0 {
-                    outcome.counters.insert(name.to_string(), value);
-                }
-            }
-        }
-        outcome.rank_report = RankReport {
-            rank: comm.rank(),
-            role: role.to_string(),
-            cpu_seconds: cpu,
-            idle_seconds: blocked,
-            counters: std::mem::take(&mut outcome.counters),
-            comm: comm_rows,
-            idle_gaps: None,
-        };
-        outcome.trace = comm.take_trace();
-        outcome.series = comm.take_series();
-        outcome
-    });
-
-    let master = &outcomes[0];
+        gst_reports.push(gst_report);
+        result = result.or(rank_result);
+    }
+    let (clustering, stats) = result.expect("master produced the clustering");
     ParallelClusterReport {
-        clustering: master.clustering.clone().expect("master produced the clustering"),
-        stats: master.stats.expect("master aggregated stats"),
-        gst_seconds: outcomes.iter().map(|o| o.gst_report.compute_seconds).fold(0.0, f64::max),
-        cluster_seconds: outcomes.iter().map(|o| o.cluster_seconds).fold(0.0, f64::max),
-        worker_idle_fraction: outcomes[1..].iter().map(|o| o.idle_fraction).collect(),
-        master_availability: master.idle_fraction,
-        comm: outcomes.iter().map(|o| o.comm).collect(),
-        cpu_seconds: outcomes.iter().map(|o| o.cpu_seconds).collect(),
-        ranks: outcomes.iter().map(|o| o.rank_report.clone()).collect(),
-        traces: outcomes.iter().map(|o| o.trace.clone()).collect(),
-        series: outcomes.iter().map(|o| o.series.clone()).collect(),
-        recovered_tasks: master.recovered_tasks,
-        dead_ranks: master.dead_ranks,
-        killed: master.killed,
-        gst_reports: outcomes.into_iter().map(|o| o.gst_report).collect(),
+        clustering,
+        stats,
+        gst_seconds: gst_reports.iter().map(|r| r.compute_seconds).fold(0.0, f64::max),
+        gst_reports,
+        cluster_seconds: run.seconds,
+        worker_idle_fraction: run.worker_idle_fraction,
+        master_availability: run.master_availability,
+        comm: run.comm,
+        cpu_seconds: run.cpu_seconds,
+        ranks: run.ranks,
+        traces: run.traces,
+        series: run.series,
+        recovered_tasks: run.recovered_tasks,
+        dead_ranks: run.dead_ranks,
+        killed: run.killed,
+    }
+}
+
+/// Which generated pairs a worker never announces: the two strands of
+/// one fragment, and — under canonical strands — the mirror image of a
+/// pair the run sees anyway. A plain `fn` so a rank's own generator and
+/// the ones it rebuilds for adopted scopes are one nameable type.
+type PairSkip = fn(SeqId, SeqId) -> bool;
+
+fn pair_skip(canonical: bool) -> PairSkip {
+    if canonical {
+        |a, b| same_fragment_skip(a, b) || canonical_skip(a, b)
+    } else {
+        same_fragment_skip
+    }
+}
+
+/// The stage's work, as [`run_stage`] sees it. Every rank hands back
+/// its GST construction report; rank 0 adds the clustering.
+struct ClusterStage<'a> {
+    /// The double-stranded store.
+    ds: &'a FragmentStore,
+    owner: &'a [u32],
+    /// Fragments (single-stranded count): the Union–Find's universe.
+    n: usize,
+    params: ClusterParams,
+}
+
+impl<'a> StageClient for ClusterStage<'a> {
+    type Task = PromisingPair;
+    type Source = ClusterSource<'a>;
+    type Sink = ClusterSink<'a>;
+    type Pre = (Gst, RankGstReport);
+    type Output = (RankGstReport, Option<(Clustering, ClusterStats)>);
+
+    /// Distributed GST over the worker ranks, closed by a barrier.
+    fn pre_phase(&self, comm: &mut Comm) -> Self::Pre {
+        let (gst, _text, report) = rank_build_gst(comm, self.ds, self.owner, self.params.gst, 1);
+        comm.barrier();
+        (gst, report)
+    }
+
+    fn source(&self, (_gst, gst_report): Self::Pre) -> ClusterSource<'a> {
+        ClusterSource {
+            ds: self.ds,
+            clusters: MasterClusters::new(self.n, &self.params),
+            stats: ClusterStats::default(),
+            gst_report,
+        }
+    }
+
+    fn seed(&self, _source: &ClusterSource<'a>) -> Vec<PromisingPair> {
+        Vec::new()
+    }
+
+    fn master_output(&self, source: ClusterSource<'a>, em: &MasterReport) -> (Self::Output, Counters) {
+        let ClusterSource { clusters, mut stats, gst_report, .. } = source;
+        // The engine counts announced tasks; for clustering that *is*
+        // the generated-pairs total (every NP pair is announced exactly
+        // once). A resumed run adds to the snapshot's tally.
+        stats.generated += em.tasks_announced;
+        let counters = vec![
+            (names::PAIRS_GENERATED, stats.generated),
+            (names::PAIRS_ALIGNED, stats.aligned),
+            (names::PAIRS_ACCEPTED, stats.accepted),
+            (names::PAIRS_SELECTED, em.tasks_selected),
+            (names::PEAK_QUEUE_DEPTH, em.peak_queue_depth),
+            (names::BATCHES_DISPATCHED, em.batches_dispatched),
+            (names::INBOX_DRAIN_DEPTH_MAX, em.inbox_drain_depth_max),
+            (names::DP_CELLS, stats.dp_cells),
+            (names::ALIGN_EARLY_EXIT, stats.early_exits),
+            (names::ALIGN_TRACEBACK_SKIPPED, stats.tracebacks_skipped),
+            (names::ALIGN_CELLS_SAVED_ADAPTIVE, stats.cells_saved_adaptive),
+            (names::ALIGN_BAND_ROWS_SHRUNK, stats.band_rows_shrunk),
+        ];
+        let clustering = clusters.finish(&mut stats);
+        ((gst_report, Some((clustering, stats))), counters)
+    }
+
+    fn sink(&self, comm: &Comm, (gst, gst_report): Self::Pre) -> ClusterSink<'a> {
+        let params = self.params;
+        let decider = PairDecider { store: self.ds, params };
+        ClusterSink {
+            gen: PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)),
+            // One scratch per worker, pre-sized for the longest sequence
+            // in the store: reused across every AW batch, so the
+            // alignment hot loop performs no per-pair heap allocation
+            // (grow_events stays 0).
+            scratch: decider.new_scratch(),
+            decider,
+            world: comm.size(),
+            adopted: VecDeque::new(),
+            results: Vec::new(),
+            cells_delta: 0,
+            early_delta: 0,
+            skip_delta: 0,
+            saved_delta: 0,
+            shrunk_delta: 0,
+            dp_cells: 0,
+            early_exits: 0,
+            tracebacks_skipped: 0,
+            cells_saved: 0,
+            rows_shrunk: 0,
+            pairs_aligned: 0,
+            pairs_accepted: 0,
+            gst_report,
+        }
+    }
+
+    fn worker_output(&self, sink: ClusterSink<'a>, ew: &WorkerReport) -> (Self::Output, Counters) {
+        let counters = vec![
+            (names::PAIRS_GENERATED, ew.tasks_generated),
+            (names::PAIRS_ALIGNED, sink.pairs_aligned),
+            (names::PAIRS_ACCEPTED, sink.pairs_accepted),
+            (names::BATCH_ROUND_TRIPS, ew.round_trips),
+            (names::DP_CELLS, sink.dp_cells),
+            (names::ALIGN_EARLY_EXIT, sink.early_exits),
+            (names::ALIGN_TRACEBACK_SKIPPED, sink.tracebacks_skipped),
+            (names::ALIGN_CELLS_SAVED_ADAPTIVE, sink.cells_saved),
+            (names::ALIGN_BAND_ROWS_SHRUNK, sink.rows_shrunk),
+            (names::SIMD_LANES, pgasm_align::simd::effective_lanes()),
+            (names::ALIGN_SCRATCH_BYTES_PEAK, sink.scratch.high_water_bytes()),
+            (names::ALIGN_SCRATCH_GROWS, sink.scratch.grow_events()),
+        ];
+        ((sink.gst_report, None), counters)
     }
 }
 
@@ -353,19 +351,23 @@ struct ClusterSource<'a> {
     ds: &'a FragmentStore,
     clusters: MasterClusters,
     stats: ClusterStats,
+    /// Rank 0's share of the GST pre-phase, carried to the report.
+    gst_report: RankGstReport,
 }
 
 impl TaskSource<PromisingPair> for ClusterSource<'_> {
-    fn absorb_results(&mut self, _src: usize, d: &mut Decoder) {
+    fn absorb_results(&mut self, _src: usize, r: &mut Reader<'_>) -> Result<(), WireError> {
         // Alignment results: merge clusters for accepted overlaps.
-        let ar_count = d.get_u32();
-        for _ in 0..ar_count {
-            let a = SeqId(d.get_u32());
-            let bq = SeqId(d.get_u32());
-            let accepted = d.get_u32() == 1;
-            let a_start = d.get_u32();
-            let b_start = d.get_u32();
-            let overlap_len = d.get_u32();
+        for _ in 0..r.get_u32()? {
+            let a = SeqId(r.get_u32()?);
+            let bq = SeqId(r.get_u32()?);
+            let accepted = r.get_u32()? == 1;
+            let a_start = r.get_u32()?;
+            let b_start = r.get_u32()?;
+            let overlap_len = r.get_u32()?;
+            if a.0.max(bq.0) as usize >= self.ds.num_seqs() {
+                return Err(WireError::Malformed("aligned pair names a sequence outside the store"));
+            }
             self.stats.aligned += 1;
             if accepted {
                 self.stats.accepted += 1;
@@ -374,11 +376,12 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
         }
         // Trailing work accounting: DP cells plus the early-exit /
         // skipped-traceback / adaptive-band tallies.
-        self.stats.dp_cells += d.get_u64();
-        self.stats.early_exits += d.get_u64();
-        self.stats.tracebacks_skipped += d.get_u64();
-        self.stats.cells_saved_adaptive += d.get_u64();
-        self.stats.band_rows_shrunk += d.get_u64();
+        self.stats.dp_cells += r.get_u64()?;
+        self.stats.early_exits += r.get_u64()?;
+        self.stats.tracebacks_skipped += r.get_u64()?;
+        self.stats.cells_saved_adaptive += r.get_u64()?;
+        self.stats.band_rows_shrunk += r.get_u64()?;
+        Ok(())
     }
 
     fn select(&mut self, pair: &PromisingPair) -> bool {
@@ -388,215 +391,125 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
     }
 }
 
-impl ClusterSource<'_> {
-    /// Serialize the master's durable state: the work statistics and
-    /// the cluster store (Union–Find roots, or the buffered geometric
-    /// edges). Engine counters ride along for forensics. Workers hold
-    /// nothing durable — on resume they regenerate their pairs and the
-    /// restored cluster-check discards what is already merged — so this
-    /// is the complete resume state of the clustering stage.
+/// The master's durable state: the work statistics and the cluster
+/// store (Union–Find roots, or the buffered geometric edges). Workers
+/// hold nothing durable — on resume they regenerate their pairs and the
+/// restored cluster-check discards what is already merged — so this is
+/// the complete resume state of the clustering stage. Layout: four
+/// engine counters (forensics only), the ten [`ClusterStats`] tallies,
+/// a store tag (`0` plain, `1` geometric) and that store's records.
+impl Snapshot for ClusterSource<'_> {
     fn snapshot(&mut self, rep: &MasterReport) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u64(rep.tasks_announced)
-            .put_u64(rep.tasks_selected)
-            .put_u64(rep.recovered_tasks)
-            .put_u64(rep.results_absorbed);
+        let mut w = Writer::new();
+        let st = &self.stats;
         for v in [
-            self.stats.generated,
-            self.stats.aligned,
-            self.stats.accepted,
-            self.stats.merges,
-            self.stats.dp_cells,
-            self.stats.early_exits,
-            self.stats.tracebacks_skipped,
-            self.stats.inconsistent,
-            self.stats.cells_saved_adaptive,
-            self.stats.band_rows_shrunk,
+            rep.tasks_announced,
+            rep.tasks_selected,
+            rep.recovered_tasks,
+            rep.results_absorbed,
+            st.generated,
+            st.aligned,
+            st.accepted,
+            st.merges,
+            st.dp_cells,
+            st.early_exits,
+            st.tracebacks_skipped,
+            st.inconsistent,
+            st.cells_saved_adaptive,
+            st.band_rows_shrunk,
         ] {
-            e.put_u64(v);
+            w.put_u64(v);
         }
         match &mut self.clusters {
             MasterClusters::Plain(uf) => {
                 let n = uf.len();
-                e.put_u32(0).put_u32(checked_len(n));
+                w.put_u32(0).put_u32(checked_len(n));
                 for i in 0..n as u32 {
-                    e.put_u32(uf.find(i));
+                    w.put_u32(uf.find(i));
                 }
             }
             MasterClusters::Geometric { n, edges, tol } => {
-                e.put_u32(1).put_u32(checked_len(*n)).put_u64(*tol as u64);
-                e.put_u32(checked_len(edges.len()));
+                w.put_u32(1).put_u32(checked_len(*n)).put_u64(*tol as u64);
+                w.put_u32(checked_len(edges.len()));
                 for (fa, fb, map, overlap_len) in edges.iter() {
-                    e.put_u32(*fa).put_u32(*fb);
-                    e.put_u64(map.s as i64 as u64).put_u64(map.t as u64);
-                    e.put_u32(*overlap_len);
+                    w.put_u32(*fa).put_u32(*fb);
+                    w.put_u64(map.s as i64 as u64).put_u64(map.t as u64);
+                    w.put_u32(*overlap_len);
                 }
             }
         }
-        e.finish().to_vec()
+        w.finish()
     }
 
-    /// Restore the state [`Self::snapshot`] captured. The checkpoint's
-    /// stage tag and checksum were already verified by the loader.
-    fn restore(&mut self, payload: &[u8]) {
-        let mut d = Decoder::new(payload.to_vec().into());
+    fn restore(&mut self, payload: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(payload);
         // Engine counters are diagnostic only; the resumed run tallies
         // its own protocol work.
         for _ in 0..4 {
-            d.get_u64();
+            r.get_u64()?;
         }
-        self.stats.generated = d.get_u64();
-        self.stats.aligned = d.get_u64();
-        self.stats.accepted = d.get_u64();
-        self.stats.merges = d.get_u64();
-        self.stats.dp_cells = d.get_u64();
-        self.stats.early_exits = d.get_u64();
-        self.stats.tracebacks_skipped = d.get_u64();
-        self.stats.inconsistent = d.get_u64();
-        self.stats.cells_saved_adaptive = d.get_u64();
-        self.stats.band_rows_shrunk = d.get_u64();
-        match d.get_u32() {
-            0 => {
-                let n = d.get_u32() as usize;
+        let stats = ClusterStats {
+            generated: r.get_u64()?,
+            aligned: r.get_u64()?,
+            accepted: r.get_u64()?,
+            merges: r.get_u64()?,
+            dp_cells: r.get_u64()?,
+            early_exits: r.get_u64()?,
+            tracebacks_skipped: r.get_u64()?,
+            inconsistent: r.get_u64()?,
+            cells_saved_adaptive: r.get_u64()?,
+            band_rows_shrunk: r.get_u64()?,
+        };
+        // The snapshot must be of this run's store and cluster mode;
+        // anything else (another input, other parameters) is not ours.
+        let (kind, n) = (r.get_u32()?, r.get_u32()? as usize);
+        let clusters = match (&self.clusters, kind) {
+            (MasterClusters::Plain(uf), 0) if uf.len() == n => {
                 let mut uf = UnionFind::new(n);
                 for i in 0..n as u32 {
-                    uf.union(i, d.get_u32());
+                    let root = r.get_u32()?;
+                    if root as usize >= n {
+                        return Err(WireError::Malformed("Union–Find root out of range"));
+                    }
+                    uf.union(i, root);
                 }
-                self.clusters = MasterClusters::Plain(uf);
+                MasterClusters::Plain(uf)
             }
-            _ => {
-                let n = d.get_u32() as usize;
-                let tol = d.get_u64() as i64;
-                let count = d.get_u32();
-                let mut edges = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let (fa, fb) = (d.get_u32(), d.get_u32());
-                    let s = d.get_u64() as i64 as i8;
-                    let t = d.get_u64() as i64;
-                    let overlap_len = d.get_u32();
-                    edges.push((fa, fb, crate::geometry::AffineMap { s, t }, overlap_len));
+            (MasterClusters::Geometric { n: fragments, .. }, 1) if *fragments == n => {
+                let tol = r.get_u64()? as i64;
+                let mut edges = Vec::new();
+                for _ in 0..r.get_u32()? {
+                    let (fa, fb) = (r.get_u32()?, r.get_u32()?);
+                    let map = AffineMap { s: r.get_u64()? as i64 as i8, t: r.get_u64()? as i64 };
+                    if fa.max(fb) as usize >= n {
+                        return Err(WireError::Malformed("geometric edge names a fragment out of range"));
+                    }
+                    edges.push((fa, fb, map, r.get_u32()?));
                 }
-                self.clusters = MasterClusters::Geometric { n, edges, tol };
+                MasterClusters::Geometric { n, edges, tol }
             }
-        }
+            _ => return Err(WireError::Malformed("snapshot of a different store or cluster mode")),
+        };
+        r.expect_end()?;
+        (self.stats, self.clusters) = (stats, clusters);
+        Ok(())
     }
 }
-
-/// The master's side of the run: host the engine's event loop with a
-/// [`ClusterSource`], then fold protocol tallies and cluster statistics
-/// into the rank counters.
-fn master_loop(
-    comm: &mut Comm,
-    ds: &FragmentStore,
-    n: usize,
-    params: &ClusterParams,
-    config: &MasterWorkerConfig,
-    recovery: &StageRecovery,
-) -> RankOutcome {
-    let mut source =
-        ClusterSource { ds, clusters: MasterClusters::new(n, params), stats: ClusterStats::default() };
-    let resumed = match &recovery.resume_from {
-        Some(path) => match ckpt::read_checkpoint(path, ckpt::STAGE_CLUSTER) {
-            Some(payload) => {
-                source.restore(&payload);
-                true
-            }
-            None => false,
-        },
-        None => false,
-    };
-    let engine_cfg = config.engine(recovery.stall_timeout);
-    let em = match recovery.ckpt_spec() {
-        Some((path, every)) => {
-            let mut write = |src: &mut ClusterSource, rep: &MasterReport| {
-                let payload = src.snapshot(rep);
-                ckpt::write_checkpoint(path, ckpt::STAGE_CLUSTER, &payload).unwrap_or(0)
-            };
-            run_master_ckpt(
-                comm,
-                &engine_cfg,
-                &mut source,
-                Vec::new(),
-                Some(CheckpointHook { write: &mut write, every }),
-            )
-        }
-        None => run_master(comm, &engine_cfg, &mut source, Vec::new()),
-    };
-    let ClusterSource { clusters, mut stats, .. } = source;
-    // The engine counts announced tasks; for clustering that *is* the
-    // generated-pairs total (every NP pair is announced exactly once).
-    // A resumed run keeps the snapshot's tally and adds its own.
-    if resumed {
-        stats.generated += em.tasks_announced;
-    } else {
-        stats.generated = em.tasks_announced;
-    }
-    let counters = BTreeMap::from([
-        (names::PAIRS_GENERATED.to_string(), stats.generated),
-        (names::PAIRS_ALIGNED.to_string(), stats.aligned),
-        (names::PAIRS_ACCEPTED.to_string(), stats.accepted),
-        (names::PAIRS_SELECTED.to_string(), em.tasks_selected),
-        (names::PEAK_QUEUE_DEPTH.to_string(), em.peak_queue_depth),
-        (names::BATCHES_DISPATCHED.to_string(), em.batches_dispatched),
-        (names::INBOX_DRAIN_DEPTH_MAX.to_string(), em.inbox_drain_depth_max),
-        (names::DP_CELLS.to_string(), stats.dp_cells),
-        (names::ALIGN_EARLY_EXIT.to_string(), stats.early_exits),
-        (names::ALIGN_TRACEBACK_SKIPPED.to_string(), stats.tracebacks_skipped),
-        (names::ALIGN_CELLS_SAVED_ADAPTIVE.to_string(), stats.cells_saved_adaptive),
-        (names::ALIGN_BAND_ROWS_SHRUNK.to_string(), stats.band_rows_shrunk),
-    ]);
-    let mut counters = counters;
-    // Recovery tallies: only when something actually happened, so the
-    // fault-free counter set stays byte-identical.
-    for (name, value) in [
-        (names::RECOVERED_TASKS, em.recovered_tasks),
-        (names::DEAD_RANKS, em.dead_ranks),
-        (names::CKPT_WRITES, em.ckpt_writes),
-        (names::CKPT_BYTES, em.ckpt_bytes),
-    ] {
-        if value > 0 {
-            counters.insert(name.to_string(), value);
-        }
-    }
-    RankOutcome {
-        clustering: Some(clusters.finish(&mut stats)),
-        stats: Some(stats),
-        gst_report: RankGstReport::default(),
-        cluster_seconds: 0.0,
-        idle_fraction: 0.0,
-        comm: CommStats::default(),
-        cpu_seconds: 0.0,
-        counters,
-        rank_report: RankReport::default(),
-        trace: RankTrace::default(),
-        series: RankSeries::default(),
-        recovered_tasks: em.recovered_tasks,
-        dead_ranks: em.dead_ranks,
-        killed: em.killed,
-    }
-}
-
-/// A pair generator rebuilt for an adopted scope — the dedup closure
-/// has to be boxed because each rebuilt generator captures its own.
-type AdoptedGenerator = PairGenerator<Box<dyn FnMut(SeqId, SeqId) -> bool>>;
 
 /// Worker-side clustering client: computes allocated alignment batches
 /// with the banded kernel (reusing one pre-sized scratch — the
 /// alignment hot loop performs no per-pair heap allocation) and
 /// generates pairs from the rank-local GST on request.
-struct ClusterSink<'a, F: FnMut(SeqId, SeqId) -> bool> {
-    gen: PairGenerator<F>,
+struct ClusterSink<'a> {
+    gen: PairGenerator<PairSkip>,
     decider: PairDecider<'a>,
     scratch: AlignScratch,
-    // Adoption state: the double-stranded store and enough of the run's
-    // shape to rebuild a dead peer's GST portion on demand, plus the
-    // chain of generators rebuilt so far (drained FIFO after `gen`).
-    store: &'a FragmentStore,
+    // Adoption state: the world size (with the decider's store and
+    // parameters, enough of the run's shape to rebuild a dead peer's
+    // GST portion on demand) and the chain of generators rebuilt so
+    // far (drained FIFO after `gen`).
     world: usize,
-    gst_config: GstConfig,
-    mode: GenMode,
-    canonical: bool,
-    adopted: VecDeque<AdoptedGenerator>,
+    adopted: VecDeque<PairGenerator<PairSkip>>,
     results: Vec<(PromisingPair, bool, u32, u32, u32)>,
     // Per-round work-accounting deltas (reset after each AR report)...
     cells_delta: u64,
@@ -612,10 +525,12 @@ struct ClusterSink<'a, F: FnMut(SeqId, SeqId) -> bool> {
     rows_shrunk: u64,
     pairs_aligned: u64,
     pairs_accepted: u64,
+    /// This rank's share of the GST pre-phase, carried to the report.
+    gst_report: RankGstReport,
 }
 
-impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_, F> {
-    fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<PromisingPair>, e: &mut Encoder) {
+impl TaskSink<PromisingPair> for ClusterSink<'_> {
+    fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<PromisingPair>, w: &mut Writer) {
         // Compute the alignments allocated last round.
         let had_aw = !batch.is_empty();
         if had_aw {
@@ -644,20 +559,13 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
         }
         // The AR report: per-pair verdicts, then the round's DP-cell /
         // early-exit / skipped-traceback deltas.
-        e.put_u32(checked_len(self.results.len()));
+        w.put_u32(checked_len(self.results.len()));
         for (pair, accepted, a_start, b_start, overlap_len) in self.results.drain(..) {
-            e.put_u32(pair.a.0);
-            e.put_u32(pair.b.0);
-            e.put_u32(accepted as u32);
-            e.put_u32(a_start);
-            e.put_u32(b_start);
-            e.put_u32(overlap_len);
+            w.put_u32(pair.a.0).put_u32(pair.b.0).put_u32(accepted as u32);
+            w.put_u32(a_start).put_u32(b_start).put_u32(overlap_len);
         }
-        e.put_u64(self.cells_delta);
-        e.put_u64(self.early_delta);
-        e.put_u64(self.skip_delta);
-        e.put_u64(self.saved_delta);
-        e.put_u64(self.shrunk_delta);
+        w.put_u64(self.cells_delta).put_u64(self.early_delta).put_u64(self.skip_delta);
+        w.put_u64(self.saved_delta).put_u64(self.shrunk_delta);
         self.dp_cells += self.cells_delta;
         self.early_exits += self.early_delta;
         self.tracebacks_skipped += self.skip_delta;
@@ -696,16 +604,14 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
         // master's cluster-check absorbs reordering and duplicates, so
         // the final partition is unchanged.
         let builders = self.world - 1;
-        let seqs = (0..self.store.num_seqs() as u32).map(SeqId);
-        let mut suffixes: Vec<_> = enumerate_suffixes(self.store, seqs, self.gst_config.bucket_len())
+        let (store, params) = (self.decider.store, self.decider.params);
+        let seqs = (0..store.num_seqs() as u32).map(SeqId);
+        let mut suffixes: Vec<_> = enumerate_suffixes(store, seqs, params.gst.bucket_len())
             .filter(|(key, _)| bucket_owner(*key, builders, 1) == dead_rank)
             .collect();
         sort_by_bucket(&mut suffixes);
-        let gst = Gst::build_from_sorted(self.store, &suffixes, self.gst_config);
-        let canonical = self.canonical;
-        let skip: Box<dyn FnMut(SeqId, SeqId) -> bool> =
-            Box::new(move |a, b| same_fragment_skip(a, b) || (canonical && canonical_skip(a, b)));
-        self.adopted.push_back(PairGenerator::new(gst, self.mode, skip));
+        let gst = Gst::build_from_sorted(store, &suffixes, params.gst);
+        self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
     }
 
@@ -717,73 +623,6 @@ impl<F: FnMut(SeqId, SeqId) -> bool> TaskSink<PromisingPair> for ClusterSink<'_,
     }
 }
 
-/// A worker's side of the run: host the engine's event loop with a
-/// [`ClusterSink`] over the rank-local GST.
-fn worker_loop(
-    comm: &mut Comm,
-    ds: &FragmentStore,
-    gst: pgasm_gst::Gst,
-    params: &ClusterParams,
-    config: &MasterWorkerConfig,
-    recovery: &StageRecovery,
-) -> RankOutcome {
-    let params = *params;
-    let canonical = params.canonical_strands;
-    let gen = PairGenerator::new(gst, params.mode, move |a, b| {
-        same_fragment_skip(a, b) || (canonical && canonical_skip(a, b))
-    });
-    let decider = PairDecider { store: ds, params };
-    // One scratch per worker, pre-sized for the longest sequence in the
-    // store: reused across every AW batch, so the alignment hot loop
-    // performs no per-pair heap allocation (grow_events stays 0).
-    let scratch = decider.new_scratch();
-    let mut sink = ClusterSink {
-        gen,
-        decider,
-        scratch,
-        store: ds,
-        world: comm.size(),
-        gst_config: params.gst,
-        mode: params.mode,
-        canonical,
-        adopted: VecDeque::new(),
-        results: Vec::new(),
-        cells_delta: 0,
-        early_delta: 0,
-        skip_delta: 0,
-        saved_delta: 0,
-        shrunk_delta: 0,
-        dp_cells: 0,
-        early_exits: 0,
-        tracebacks_skipped: 0,
-        cells_saved: 0,
-        rows_shrunk: 0,
-        pairs_aligned: 0,
-        pairs_accepted: 0,
-    };
-    let ew = run_worker(comm, &config.engine(recovery.stall_timeout), &mut sink);
-    let mut counters = BTreeMap::from([
-        (names::PAIRS_GENERATED.to_string(), ew.tasks_generated),
-        (names::PAIRS_ALIGNED.to_string(), sink.pairs_aligned),
-        (names::PAIRS_ACCEPTED.to_string(), sink.pairs_accepted),
-        (names::BATCH_ROUND_TRIPS.to_string(), ew.round_trips),
-        (names::DP_CELLS.to_string(), sink.dp_cells),
-        (names::ALIGN_EARLY_EXIT.to_string(), sink.early_exits),
-        (names::ALIGN_TRACEBACK_SKIPPED.to_string(), sink.tracebacks_skipped),
-        (names::ALIGN_CELLS_SAVED_ADAPTIVE.to_string(), sink.cells_saved),
-        (names::ALIGN_BAND_ROWS_SHRUNK.to_string(), sink.rows_shrunk),
-        (names::SIMD_LANES.to_string(), pgasm_align::simd::effective_lanes()),
-        (names::ALIGN_SCRATCH_BYTES_PEAK.to_string(), sink.scratch.high_water_bytes()),
-        (names::ALIGN_SCRATCH_GROWS.to_string(), sink.scratch.grow_events()),
-    ]);
-    if ew.scopes_adopted > 0 {
-        counters.insert(names::SCOPES_ADOPTED.to_string(), ew.scopes_adopted);
-    }
-    let mut outcome = worker_outcome(counters);
-    outcome.killed = ew.killed;
-    outcome
-}
-
 /// The master's cluster store: plain Union–Find, or the §10
 /// geometry-aware variant when `resolve_inconsistent` is on. In
 /// geometric mode every generated pair is selected for alignment (the
@@ -793,7 +632,7 @@ fn worker_loop(
 /// so the parallel result still equals the serial one.
 enum MasterClusters {
     Plain(UnionFind),
-    Geometric { n: usize, edges: Vec<(u32, u32, crate::geometry::AffineMap, u32)>, tol: i64 },
+    Geometric { n: usize, edges: Vec<(u32, u32, AffineMap, u32)>, tol: i64 },
 }
 
 impl MasterClusters {
@@ -854,25 +693,6 @@ impl MasterClusters {
                 crate::clustering::apply_geometric_edges(n, edges, tol, stats)
             }
         }
-    }
-}
-
-fn worker_outcome(counters: BTreeMap<String, u64>) -> RankOutcome {
-    RankOutcome {
-        clustering: None,
-        stats: None,
-        gst_report: RankGstReport::default(),
-        cluster_seconds: 0.0,
-        idle_fraction: 0.0,
-        comm: CommStats::default(),
-        cpu_seconds: 0.0,
-        counters,
-        rank_report: RankReport::default(),
-        trace: RankTrace::default(),
-        series: RankSeries::default(),
-        recovered_tasks: 0,
-        dead_ranks: 0,
-        killed: false,
     }
 }
 
@@ -1114,7 +934,14 @@ mod tests {
         cluster_parallel(&store, 1, &params(), &config());
     }
 
+    use crate::assemble_dist::{assemble_parallel_with, AssignPolicy};
+    use crate::checkpoint::StageRecovery;
     use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
+    use pgasm_telemetry::trace::TraceSpec;
+
+    fn run_with(store: &FragmentStore, p: usize, recovery: StageRecovery) -> ParallelClusterReport {
+        cluster_parallel_with(store, p, &params(), &config(), &RunOpts { recovery, ..RunOpts::default() })
+    }
 
     /// Measure each rank's fault-clock depth with an armed plan that
     /// never fires, so kill events can be aimed mid-protocol instead of
@@ -1125,11 +952,10 @@ mod tests {
             faults: FaultPlan::default().with_kill(KillTarget::Rank(0), u64::MAX, FaultStage::Any),
             ..StageRecovery::default()
         };
-        let report = cluster_parallel_ft(store, p, &params(), &config(), TraceSpec::off(), &armed);
-        report.ranks.iter().map(|r| r.counter(names::FAULT_EVENTS)).collect()
+        run_with(store, p, armed).ranks.iter().map(|r| r.counter(names::FAULT_EVENTS)).collect()
     }
 
-    /// The worker round is four fault-aware calls (send AR, send NP,
+    /// The worker round is four point-to-point calls (send AR, send NP,
     /// recv R, recv AW); events ≡ 1 (mod 4) land at the entry of an AR
     /// send, when the rank holds an unacknowledged lease.
     fn ar_send_event_near(mid: u64) -> u64 {
@@ -1137,34 +963,114 @@ mod tests {
     }
 
     #[test]
-    fn default_recovery_matches_plain_run() {
-        // The fault-tolerance entry point under a passive recovery must
-        // not perturb the run: same partition, no fault bookkeeping
-        // anywhere in the report. (Counter *values* are timing-dependent
-        // run to run, so the zero-drift claim is about which counters
-        // exist, checked here, plus the deterministic partition.)
-        let store = test_store();
-        let plain = cluster_parallel(&store, 3, &params(), &config());
-        let ft =
-            cluster_parallel_ft(&store, 3, &params(), &config(), TraceSpec::off(), &StageRecovery::default());
-        assert_eq!(ft.clustering, plain.clustering);
-        assert_eq!(ft.recovered_tasks, 0);
-        assert_eq!(ft.dead_ranks, 0);
-        assert!(!ft.killed);
-        for r in &ft.ranks {
-            let stray: Vec<_> = r
-                .counters
-                .keys()
-                .filter(|k| {
-                    k.starts_with("fault_")
-                        || k.as_str() == names::RECOVERED_TASKS
-                        || k.as_str() == names::DEAD_RANKS
-                        || k.as_str() == names::SCOPES_ADOPTED
-                        || k.as_str() == names::CKPT_WRITES
-                        || k.as_str() == names::CKPT_BYTES
-                })
-                .collect();
-            assert!(stray.is_empty(), "rank {}: fault counters in a fault-free run: {stray:?}", r.rank);
+    fn both_stages_report_the_pinned_names_roles_labels_and_tracks() {
+        // `run_stage` folds both stages' rank reports; what each carries
+        // is pinned here against lists copied from a run of the tree
+        // before the two per-stage shells were merged (fault-free, so no
+        // fault, recovery or checkpoint counter may appear at all).
+        const COMM: [&str; 8] = [
+            "barrier_ns_total",
+            "envelopes_sent",
+            "flush_by_bytes",
+            "flush_by_msgs",
+            "flush_explicit",
+            "flush_on_block",
+            "msgs_coalesced",
+            "wait_ns_total",
+        ];
+        const ALIGN: [&str; 7] = [
+            "align_band_rows_shrunk",
+            "align_cells_saved_adaptive",
+            "align_early_exit",
+            "align_traceback_skipped",
+            "dp_cells",
+            "pairs_accepted",
+            "pairs_aligned",
+        ];
+        let names = |lists: &[&[&str]]| -> Vec<String> {
+            let mut v: Vec<String> = lists.iter().flat_map(|l| l.iter().map(|s| s.to_string())).collect();
+            v.sort();
+            v
+        };
+        let cluster_master = names(&[
+            &COMM,
+            &ALIGN,
+            &[
+                "batches_dispatched",
+                "inbox_drain_depth_max",
+                "pairs_generated",
+                "pairs_selected",
+                "peak_queue_depth",
+            ],
+        ]);
+        let cluster_worker = names(&[
+            &COMM,
+            &ALIGN,
+            &[
+                "align_scratch_bytes_peak",
+                "align_scratch_grows",
+                "batch_round_trips",
+                "pairs_generated",
+                "simd_lanes",
+            ],
+        ]);
+        let asm_master =
+            names(&[&["asm_batches_dispatched", "asm_peak_queue_depth", "envelopes_sent", "msgs_coalesced"]]);
+        let asm_worker = names(&[&[
+            "asm_batch_round_trips",
+            "asm_clusters_assembled",
+            "asm_contig_bases",
+            "asm_cost_units",
+            "asm_reads_assembled",
+            "envelopes_sent",
+            "msgs_coalesced",
+        ]]);
+
+        let (store, p) = (test_store(), 3);
+        let opts = RunOpts { trace: TraceSpec::on(), ..RunOpts::default() };
+        let c = cluster_parallel_with(&store, p, &params(), &config(), &opts);
+        let a = assemble_parallel_with(
+            &store,
+            None,
+            &c.clustering,
+            &Default::default(),
+            p,
+            AssignPolicy::Lpt,
+            &opts,
+        );
+        type Pinned<'a> =
+            (&'a [RankReport], &'a [RankTrace], [&'a str; 2], [&'a Vec<String>; 2], usize, [&'a str; 4]);
+        let stages: [Pinned<'_>; 2] = [
+            (
+                &c.ranks,
+                &c.traces,
+                ["master", "worker"],
+                [&cluster_master, &cluster_worker],
+                0,
+                ["w2m_ar", "m2w_r", "w2m_np", "m2w_aw"],
+            ),
+            (
+                &a.ranks,
+                &a.traces,
+                ["asm_master", "asm_worker"],
+                [&asm_master, &asm_worker],
+                p + 1,
+                ["asm_w2m_res", "asm_m2w_grant", "asm_w2m_rdy", "asm_m2w_task"],
+            ),
+        ];
+        for (ranks, traces, roles, counters, track_offset, labels) in stages {
+            assert_eq!(ranks.len(), p);
+            let mut seen = std::collections::BTreeMap::new();
+            for (rank, (r, t)) in ranks.iter().zip(traces).enumerate() {
+                let role = usize::from(rank != 0);
+                assert_eq!((r.rank, r.role.as_str()), (rank, roles[role]));
+                assert_eq!((t.rank, t.label.as_str()), (track_offset + rank, roles[role]));
+                assert_eq!(&r.counters.keys().cloned().collect::<Vec<_>>(), counters[role], "{}", r.role);
+                seen.extend(r.comm.iter().filter(|t| t.tag <= 4).map(|t| (t.tag, t.label.clone())));
+            }
+            // Every rank receives two of the four protocol tags, so
+            // between them all four rows exist whatever was coalesced.
+            assert_eq!(seen.into_values().collect::<Vec<_>>(), labels);
         }
     }
 
@@ -1182,7 +1088,7 @@ mod tests {
                 faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, FaultStage::Any),
                 ..StageRecovery::default()
             };
-            let report = cluster_parallel_ft(&store, 4, &params(), &config(), TraceSpec::off(), &recovery);
+            let report = run_with(&store, 4, recovery);
             assert_eq!(report.clustering, serial, "victim {victim} (killed at event {at})");
             assert_eq!(report.dead_ranks, 1, "victim {victim} (killed at event {at})");
             assert!(report.recovered_tasks > 0, "victim {victim} died holding a lease (event {at})");
@@ -1203,7 +1109,7 @@ mod tests {
             faults: FaultPlan::default().with_kill(KillTarget::Rank(1), 5, FaultStage::Any),
             ..StageRecovery::default()
         };
-        let report = cluster_parallel_ft(&store, 4, &params(), &config(), TraceSpec::off(), &recovery);
+        let report = run_with(&store, 4, recovery);
         assert_eq!(report.clustering, serial);
         assert_eq!(report.dead_ranks, 1);
         let adopters: u64 = report.ranks[1..].iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum();
@@ -1229,13 +1135,13 @@ mod tests {
             checkpoint_path: Some(path.clone()),
             ..StageRecovery::default()
         };
-        let r1 = cluster_parallel_ft(&store, 3, &params(), &config(), TraceSpec::off(), &faulty);
+        let r1 = run_with(&store, 3, faulty);
         assert!(r1.killed, "the plan kills the master mid-protocol");
         assert!(path.exists(), "a checkpoint landed before the kill");
         assert!(r1.ranks[0].counter(names::CKPT_WRITES) > 0);
         // Resume from the snapshot, fault-free: identical partition.
         let resume = StageRecovery { resume_from: Some(path.clone()), ..StageRecovery::default() };
-        let r2 = cluster_parallel_ft(&store, 3, &params(), &config(), TraceSpec::off(), &resume);
+        let r2 = run_with(&store, 3, resume);
         assert_eq!(r2.clustering, serial);
         assert!(!r2.killed);
         let _ = std::fs::remove_dir_all(&dir);

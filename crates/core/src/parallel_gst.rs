@@ -31,8 +31,8 @@
 use pgasm_gst::{
     admitted_runs, enumerate_suffixes, sort_by_bucket, Gst, GstConfig, GstStats, Suffix, TextSource,
 };
-use pgasm_mpisim::codec::{checked_len, Decoder, Encoder};
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
+use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
 use pgasm_telemetry::names;
 use pgasm_telemetry::trace::TraceCategory;
@@ -149,31 +149,30 @@ pub fn rank_build_gst<'s>(
     // ψ-mer keys only spread finer). No communication is needed to
     // agree on owners.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
-    let mut per_dest: Vec<Encoder> = (0..p).map(|_| Encoder::new()).collect();
+    let mut per_dest: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
     for run in local.chunk_by(|a, b| a.0 == b.0) {
         let key = run[0].0;
-        let e = &mut per_dest[bucket_owner(key, builders, first_builder)];
-        e.put_u64(key);
-        e.put_u32(checked_len(run.len()));
+        let w = &mut per_dest[bucket_owner(key, builders, first_builder)];
+        w.put_u64(key);
+        w.put_u32(checked_len(run.len()));
         for (_, s) in run {
-            e.put_u32(s.seq);
-            e.put_u32(s.pos);
-            e.put_u32(s.rem);
-            e.put_u8(s.left);
+            w.put_u32(s.seq).put_u32(s.pos).put_u32(s.rem).put_u8(s.left);
         }
     }
     drop(local);
-    let received = comm.all_to_allv_p2p(per_dest.into_iter().map(Encoder::finish).collect());
+    let received = comm.all_to_allv_p2p(per_dest.into_iter().map(|w| w.finish().into()).collect());
     let mut mine: Vec<(u64, Suffix)> = Vec::new();
     for payload in received {
-        let mut d = Decoder::new(payload);
-        while !d.is_empty() {
-            let key = d.get_u64();
-            let n = d.get_u32();
-            mine.extend((0..n).map(|_| {
-                (key, Suffix { seq: d.get_u32(), pos: d.get_u32(), rem: d.get_u32(), left: d.get_u8() })
-            }));
-        }
+        read_records(&payload, "redistributed suffixes", |r| {
+            let key = r.get_u64()?;
+            for _ in 0..r.get_u32()? {
+                mine.push((
+                    key,
+                    Suffix { seq: r.get_u32()?, pos: r.get_u32()?, rem: r.get_u32()?, left: r.get_u8()? },
+                ));
+            }
+            Ok(())
+        });
     }
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
 
@@ -191,29 +190,27 @@ pub fn rank_build_gst<'s>(
     needed.sort_unstable();
     needed.dedup();
     compute += thread_cpu_seconds() - t;
-    let mut requests: Vec<Encoder> = (0..p).map(|_| Encoder::new()).collect();
+    let mut requests: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
     for &s in &needed {
         requests[owner[s as usize] as usize].put_u32(s);
     }
-    let incoming_requests = comm.all_to_allv(requests.into_iter().map(Encoder::finish).collect());
-    let mut responses: Vec<Encoder> = (0..p).map(|_| Encoder::new()).collect();
+    let incoming_requests = comm.all_to_allv(requests.into_iter().map(|w| w.finish().into()).collect());
+    let mut responses: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
     for (src, payload) in incoming_requests.into_iter().enumerate() {
-        let mut d = Decoder::new(payload);
-        while !d.is_empty() {
-            let s = d.get_u32();
+        read_records(&payload, "fragment requests", |r| {
+            let s = r.get_u32()?;
             debug_assert_eq!(owner[s as usize] as usize, rank, "request sent to wrong owner");
-            responses[src].put_u32(s);
-            responses[src].put_bytes(store.get(SeqId(s)));
-        }
+            responses[src].put_u32(s).put_bytes(store.get(SeqId(s)));
+            Ok(())
+        });
     }
-    let incoming_frags = comm.all_to_allv(responses.into_iter().map(Encoder::finish).collect());
+    let incoming_frags = comm.all_to_allv(responses.into_iter().map(|w| w.finish().into()).collect());
     let mut fetched: HashMap<u32, Vec<u8>> = HashMap::new();
     for payload in incoming_frags {
-        let mut d = Decoder::new(payload);
-        while !d.is_empty() {
-            let s = d.get_u32();
-            fetched.insert(s, d.get_bytes().to_vec());
-        }
+        read_records(&payload, "fetched fragments", |r| {
+            fetched.insert(r.get_u32()?, r.get_bytes()?.to_vec());
+            Ok(())
+        });
     }
     let fragments_fetched = fetched.len();
     let text = LocalText { store, owner, rank, fetched };
@@ -227,15 +224,7 @@ pub fn rank_build_gst<'s>(
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUILD);
 
-    let after = comm.stats();
-    let comm_delta = CommStats {
-        msgs_sent: after.msgs_sent - stats_before.msgs_sent,
-        bytes_sent: after.bytes_sent - stats_before.bytes_sent,
-        msgs_recv: after.msgs_recv - stats_before.msgs_recv,
-        bytes_recv: after.bytes_recv - stats_before.bytes_recv,
-        wait_ns: after.wait_ns - stats_before.wait_ns,
-        barrier_ns: after.barrier_ns - stats_before.barrier_ns,
-    };
+    let comm_delta = comm.stats().since(stats_before);
     let (stats, memory_bytes) = (gst.stats(), gst.memory_bytes());
     (
         gst,
@@ -249,6 +238,24 @@ pub fn rank_build_gst<'s>(
             memory_bytes,
         },
     )
+}
+
+/// Decode a collective's payload: `record` is applied until the payload
+/// is used up.
+///
+/// # Panics
+/// The collectives are not fault-tolerant and their payloads were
+/// framed a few lines away by this module, so one that does not decode
+/// is a bug here, not an input: it panics naming `what`.
+fn read_records(
+    payload: &[u8],
+    what: &str,
+    mut record: impl FnMut(&mut Reader<'_>) -> Result<(), WireError>,
+) {
+    let mut r = Reader::new(payload);
+    while !r.is_empty() {
+        record(&mut r).unwrap_or_else(|e| panic!("{what}: {e}"));
+    }
 }
 
 /// Driver: build the distributed GST over all sequences of `store`

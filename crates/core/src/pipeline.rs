@@ -6,17 +6,18 @@
 //! [`Pipeline::run_with_context`]; [`Pipeline::run`] wraps it with a
 //! private context for the common case.
 
-use crate::assemble_dist::{assemble_parallel_ft, AssignPolicy};
+use crate::assemble_dist::{assemble_parallel_with, decode_assembly, encode_assembly, AssignPolicy};
 use crate::cache::{self, ArtifactCache};
 use crate::checkpoint::StageRecovery;
 use crate::clustering::{cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering};
-use crate::master_worker::{cluster_parallel_ft, MasterWorkerConfig};
-use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig, Contig, Placement};
+use crate::engine::RunOpts;
+use crate::master_worker::{cluster_parallel_with, MasterWorkerConfig};
+use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig};
 use pgasm_gst::{Gst, GstStats, GST_CODEC_SCHEMA};
 use pgasm_mpisim::FaultStage;
 use pgasm_preprocess::pipeline::PreprocessOutput;
 use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCESS_CODEC_SCHEMA};
-use pgasm_seq::wire::{Reader, Writer};
+use pgasm_seq::wire::{checked_len, Reader, Writer};
 use pgasm_seq::QualityTrack;
 use pgasm_seq::{DnaSeq, FragmentStore, SeqId};
 use pgasm_simgen::ReadSet;
@@ -76,19 +77,19 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The recovery knobs for one distributed stage: the fault plan
-/// narrowed to that stage, checkpoint/resume paths pointed at the
-/// stage's own snapshot file.
-fn stage_recovery(base: &StageRecovery, stage: FaultStage, name: &str) -> StageRecovery {
+/// The run options of one distributed stage: the run's tracing, the
+/// fault plan narrowed to that stage, checkpoint/resume paths pointed
+/// at the stage's own snapshot file.
+fn stage_opts(config: &PipelineConfig, stage: FaultStage, name: &str) -> RunOpts {
     let derive = |p: &std::path::Path| {
         let mut s = p.as_os_str().to_os_string();
         s.push(format!(".{name}.pgck"));
         std::path::PathBuf::from(s)
     };
-    let mut r = base.for_stage(stage);
-    r.checkpoint_path = r.checkpoint_path.as_deref().map(derive);
-    r.resume_from = r.resume_from.as_deref().map(derive);
-    r
+    let mut recovery = config.recovery.for_stage(stage);
+    recovery.checkpoint_path = recovery.checkpoint_path.as_deref().map(derive);
+    recovery.resume_from = recovery.resume_from.as_deref().map(derive);
+    RunOpts { trace: config.trace, recovery }
 }
 
 /// Fold one distributed stage's fault/recovery tallies into the run's
@@ -328,15 +329,9 @@ impl Stage for ClusterStage<'_> {
         let store = state.store.as_ref().expect("preprocess stage ran");
         let (clustering, stats, gst) = match self.config.parallel_ranks {
             Some(p) => {
-                let recovery = stage_recovery(&self.config.recovery, FaultStage::Cluster, "cluster");
-                let report = cluster_parallel_ft(
-                    store,
-                    p,
-                    &self.config.cluster,
-                    &self.config.master_worker,
-                    self.config.trace,
-                    &recovery,
-                );
+                let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
+                let report =
+                    cluster_parallel_with(store, p, &self.config.cluster, &self.config.master_worker, &opts);
                 fold_fault_counters(ctx, &report.ranks, report.recovered_tasks, report.dead_ranks);
                 if report.killed {
                     state.interrupted = Some(self.name().to_string());
@@ -473,16 +468,14 @@ impl Stage for AssembleStage<'_> {
         }
         state.assemblies = match self.config.parallel_ranks {
             Some(p) => {
-                let recovery = stage_recovery(&self.config.recovery, FaultStage::Assemble, "assemble");
-                let report = assemble_parallel_ft(
+                let report = assemble_parallel_with(
                     assembly_store,
                     Some(&state.quals),
                     clustering,
                     &self.config.assembly,
                     p,
                     AssignPolicy::Lpt,
-                    self.config.trace,
-                    &recovery,
+                    &stage_opts(self.config, FaultStage::Assemble, "assemble"),
                 );
                 fold_fault_counters(ctx, &report.ranks, report.recovered_tasks, report.dead_ranks);
                 if report.killed {
@@ -521,7 +514,7 @@ impl Stage for AssembleStage<'_> {
             if let (Some(cache), Some(key)) = (&state.cache, key) {
                 ctx.push("cache");
                 if let Ok(n) =
-                    cache.store("contigs", CONTIGS_CODEC_SCHEMA, key, &encode_assemblies(&state.assemblies))
+                    cache.store("contigs", CONTIGS_CODEC_SCHEMA, key, &encode_contigs(&state.assemblies))
                 {
                     ctx.add(names::CACHE_BYTES_WRITTEN, n);
                 }
@@ -546,7 +539,7 @@ impl AssembleStage<'_> {
         ctx.push("cache");
         let out = cache
             .load("contigs", CONTIGS_CODEC_SCHEMA, key)
-            .and_then(|payload| decode_assemblies(&payload).map(|a| (payload.len(), a)));
+            .and_then(|payload| decode_contigs(&payload).map(|a| (payload.len(), a)));
         match &out {
             Some((bytes, _)) => {
                 ctx.add(names::CACHE_HIT, 1);
@@ -560,57 +553,26 @@ impl AssembleStage<'_> {
 }
 
 /// Artifact codec schema of the `contigs` cache kind; bump on any
-/// layout change so stale entries read as misses.
-pub const CONTIGS_CODEC_SCHEMA: u32 = 1;
+/// layout change so stale entries read as misses. 2: assemblies in the
+/// wire's `u32` form ([`encode_assembly`]).
+pub const CONTIGS_CODEC_SCHEMA: u32 = 2;
 
-/// Serialize the assemble stage's output for the artifact cache.
-fn encode_assemblies(assemblies: &[Assembly]) -> Vec<u8> {
+/// Serialize the assemble stage's output for the artifact cache: a
+/// count, then each assembly in its one serial form.
+fn encode_contigs(assemblies: &[Assembly]) -> Vec<u8> {
     let mut w = Writer::with_capacity(64 * assemblies.len() + 16);
-    w.put_u32(assemblies.len() as u32);
+    w.put_u32(checked_len(assemblies.len()));
     for a in assemblies {
-        w.put_u32(a.contigs.len() as u32);
-        for c in &a.contigs {
-            w.put_bytes(&c.seq.to_ascii());
-            w.put_u32(c.placements.len() as u32);
-            for p in &c.placements {
-                w.put_u64(p.read as u64);
-                w.put_u64(p.offset as u64);
-                w.put_u8(p.flipped as u8);
-            }
-        }
-        let singletons: Vec<u32> = a.singletons.iter().map(|&s| s as u32).collect();
-        w.put_u32_slice(&singletons);
-        w.put_u64(a.inconsistent_edges as u64);
+        encode_assembly(&mut w, a);
     }
     w.finish()
 }
 
-/// Inverse of [`encode_assemblies`]; `None` — never a panic — on any
+/// Inverse of [`encode_contigs`]; `None` — never a panic — on any
 /// truncated or malformed payload, so a damaged entry is just a miss.
-fn decode_assemblies(payload: &[u8]) -> Option<Vec<Assembly>> {
+fn decode_contigs(payload: &[u8]) -> Option<Vec<Assembly>> {
     let mut r = Reader::new(payload);
-    let n = r.get_u32().ok()?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let n_contigs = r.get_u32().ok()?;
-        let mut contigs = Vec::new();
-        for _ in 0..n_contigs {
-            let seq = DnaSeq::from_ascii(r.get_bytes().ok()?);
-            let n_placements = r.get_u32().ok()?;
-            let mut placements = Vec::new();
-            for _ in 0..n_placements {
-                placements.push(Placement {
-                    read: r.get_u64().ok()? as usize,
-                    offset: r.get_u64().ok()? as usize,
-                    flipped: r.get_u8().ok()? == 1,
-                });
-            }
-            contigs.push(Contig { seq, placements });
-        }
-        let singletons = r.get_u32_slice().ok()?.into_iter().map(|s| s as usize).collect();
-        let inconsistent_edges = r.get_u64().ok()? as usize;
-        out.push(Assembly { contigs, singletons, inconsistent_edges });
-    }
+    let out = (0..r.get_u32().ok()?).map(|_| decode_assembly(&mut r)).collect::<Result<_, _>>().ok()?;
     r.expect_end().ok()?;
     Some(out)
 }

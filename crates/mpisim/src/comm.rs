@@ -1,10 +1,9 @@
 //! Ranks, point-to-point messaging, collectives, and sender-side
 //! small-message coalescing.
 
-use crate::codec::{Decoder, Encoder};
 use crate::faults::{CommError, FaultPlan, FaultRuntime, FaultStats, Verdict};
 use crate::model::{CommStats, CostModel};
-use bytes::Bytes;
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, GaugeId, GaugeSampler, RankSeries, TagStat};
@@ -23,8 +22,8 @@ const TAG_ALLTOALL_P2P: u32 = RESERVED_TAG_BASE + 3;
 const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 4;
 const TAG_COALESCED: u32 = RESERVED_TAG_BASE + 5;
 /// Death notice a dying rank broadcasts to every peer (empty payload).
-/// Intercepted on ingest — application receives never see it; the
-/// fault-aware receives surface it as [`Event::Death`].
+/// Intercepted on ingest and surfaced as [`Event::Death`], never as a
+/// message.
 const TAG_DEATH: u32 = RESERVED_TAG_BASE + 6;
 
 /// Human-readable name for a tag: collectives get their primitive's
@@ -122,7 +121,7 @@ pub struct Msg {
     pub data: Bytes,
 }
 
-/// What a fault-aware receive delivered: an application message, or the
+/// What a receive delivered: an application message, or the
 /// observation that a peer died. Death events are surfaced regardless
 /// of the receive's src/tag filter — a failure is never something a
 /// caller can opt out of seeing.
@@ -154,14 +153,12 @@ pub struct Comm {
     /// Bytes currently staged across all destination queues (feeds the
     /// coalesce-queue gauge without re-summing per sample).
     staged_bytes: usize,
-    /// Armed fault plan for this rank (`None` = fault-free run; the
-    /// fault-aware operations then behave exactly like their plain
-    /// counterparts).
+    /// Armed fault plan for this rank (`None` = fault-free run: the
+    /// fault clock does not exist and nothing is injected).
     faults: Option<FaultRuntime>,
     /// Peers whose death notice this rank has ingested.
     dead_peers: Vec<bool>,
-    /// Deaths ingested but not yet surfaced through a fault-aware
-    /// receive.
+    /// Deaths ingested but not yet surfaced through a receive.
     pending_deaths: VecDeque<usize>,
 }
 
@@ -265,9 +262,9 @@ impl Comm {
 
     /// Arm `plan` on this rank. Every rank of the world must arm the
     /// same (stage-filtered) plan for consistent semantics: arming
-    /// switches the rank's fault-aware operations from pass-through to
-    /// injected mode and makes a vanished peer a counted loss instead
-    /// of a panic.
+    /// starts the rank's fault clock (one event per `send` / `recv` /
+    /// `try_recv`; collectives and `barrier` never tick) and makes a
+    /// vanished peer a counted loss instead of a panic.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = Some(FaultRuntime::new(plan, self.rank, self.size));
     }
@@ -289,9 +286,9 @@ impl Comm {
     }
 
     /// Advance this rank's fault clock by one event: trip a scripted
-    /// kill (entry of every fault-aware call, *before* any transmission
-    /// — a killed rank's current round never reaches the wire) and
-    /// release any held-back messages that have come due.
+    /// kill (entry of every point-to-point call, *before* any
+    /// transmission — a killed rank's current round never reaches the
+    /// wire) and release any held-back messages that have come due.
     fn fault_tick(&mut self) -> Result<(), CommError> {
         let Some(f) = &mut self.faults else { return Ok(()) };
         if f.dead {
@@ -313,21 +310,26 @@ impl Comm {
         Ok(())
     }
 
-    /// Crash this rank: staged (coalesced) messages are lost with it,
-    /// and every peer gets a death notice so survivors observe the
-    /// failure instead of hanging.
+    /// A scripted kill tripped: record it and leave the world.
     fn die(&mut self) -> CommError {
+        let err = self.faults.as_ref().expect("die() only under an armed plan").killed_error();
+        let CommError::Killed { event, .. } = err else { unreachable!("killed_error builds Killed") };
+        self.tracer.instant_arg(TraceCategory::Fault, names::EV_FAULT_KILL, "event", event);
+        self.abort();
+        err
+    }
+
+    /// Leave the world without finishing: staged (coalesced) messages
+    /// are lost with this rank, and every peer gets a death notice so
+    /// survivors observe an [`Event::Death`] instead of hanging. A
+    /// scripted kill ends here; a rank that hits an unrecoverable
+    /// [`CommError`] calls this before returning it.
+    pub fn abort(&mut self) {
         for q in &mut self.queues {
             q.msgs.clear();
             q.bytes = 0;
         }
         self.staged_bytes = 0;
-        let err = self.faults.as_ref().expect("die() only under an armed plan").killed_error();
-        let event = match err {
-            CommError::Killed { event, .. } => event,
-            CommError::Disconnected => 0,
-        };
-        self.tracer.instant_arg(TraceCategory::Fault, names::EV_FAULT_KILL, "event", event);
         for peer in 0..self.size {
             if peer == self.rank {
                 continue;
@@ -339,16 +341,24 @@ impl Comm {
                 f.stats.death_notices += 1;
             }
         }
-        err
     }
 
-    /// Fault-aware send: like [`Comm::send`], but scripted faults apply
-    /// (the plan may kill this rank at the call's entry, or drop/delay
-    /// this message), sends to known-dead peers are counted losses
-    /// instead of deliveries, and a tripped kill surfaces as
-    /// `Err(CommError::Killed)`. Without an armed plan this is exactly
-    /// `send`.
-    pub fn send_ft(&mut self, dest: usize, tag: u32, data: Bytes) -> Result<(), CommError> {
+    /// Asynchronous send (like `MPI_Isend` with unbounded buffering).
+    /// With a [`CoalescePolicy`] installed, the message is staged in
+    /// the destination's queue instead of going on the wire at once;
+    /// delivery is guaranteed by the flush points (thresholds, blocking
+    /// operations, explicit [`Comm::flush_all`]).
+    ///
+    /// Under an armed plan the call is one fault-clock event: the plan
+    /// may kill this rank at its entry (`Err(CommError::Killed)`) or
+    /// drop/delay this message. A send to a peer whose death notice has
+    /// arrived is a loss, not a delivery.
+    ///
+    /// # Panics
+    /// Panics on a reserved tag or an out-of-range destination.
+    pub fn send(&mut self, dest: usize, tag: u32, data: Bytes) -> Result<(), CommError> {
+        assert!(tag < RESERVED_TAG_BASE, "tag {tag:#x} is reserved for collectives");
+        assert!(dest < self.size, "destination {dest} out of range");
         self.fault_tick()?;
         match self.faults.as_mut().map(|f| f.filter(dest, tag)) {
             Some(Verdict::Drop) => {
@@ -372,100 +382,12 @@ impl Comm {
             }
             _ => {}
         }
-        if let Some(faults) = self.faults.as_mut() {
-            if self.dead_peers[dest] {
-                faults.stats.msgs_lost += 1;
-                return Ok(());
+        if self.dead_peers[dest] {
+            if let Some(f) = &mut self.faults {
+                f.stats.msgs_lost += 1;
             }
+            return Ok(());
         }
-        self.send(dest, tag, data);
-        Ok(())
-    }
-
-    /// Fault-aware blocking receive. Like [`Comm::recv`], but a peer's
-    /// death notice is delivered as [`Event::Death`] — regardless of
-    /// the src/tag filter — the scripted kill of *this* rank surfaces
-    /// as `Err(CommError::Killed)`, and a fully-exited world returns
-    /// `Err(CommError::Disconnected)` instead of panicking. Without an
-    /// armed plan only `Event::Msg` values are ever produced.
-    pub fn recv_ft(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Event, CommError> {
-        self.fault_tick()?;
-        if let Some(d) = self.pending_deaths.pop_front() {
-            return Ok(Event::Death(d));
-        }
-        if let Some(i) = self.backlog_find(src, tag) {
-            let m = self.backlog.remove(i).expect("index valid");
-            self.note_recv(&m);
-            return Ok(Event::Msg(m));
-        }
-        self.flush_before_block();
-        loop {
-            let m = match self.receiver.try_recv() {
-                Ok(m) => m,
-                Err(_) => {
-                    self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
-                    let start = Instant::now();
-                    let res = self.receiver.recv();
-                    self.stats.wait_ns += start.elapsed().as_nanos() as u64;
-                    self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
-                    match res {
-                        Ok(m) => m,
-                        Err(_) => return Err(CommError::Disconnected),
-                    }
-                }
-            };
-            let first_new = self.backlog.len();
-            self.ingest(m);
-            if let Some(d) = self.pending_deaths.pop_front() {
-                return Ok(Event::Death(d));
-            }
-            if let Some(i) = (first_new..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
-                let m = self.backlog.remove(i).expect("index valid");
-                self.note_recv(&m);
-                return Ok(Event::Msg(m));
-            }
-        }
-    }
-
-    /// Fault-aware non-blocking receive; `Ok(None)` when nothing
-    /// matching (and no death notice) is queued. Never flushes staged
-    /// sends, like [`Comm::try_recv`].
-    pub fn try_recv_ft(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Option<Event>, CommError> {
-        self.fault_tick()?;
-        if let Some(d) = self.pending_deaths.pop_front() {
-            return Ok(Some(Event::Death(d)));
-        }
-        if let Some(i) = self.backlog_find(src, tag) {
-            let m = self.backlog.remove(i).expect("index valid");
-            self.note_recv(&m);
-            return Ok(Some(Event::Msg(m)));
-        }
-        while let Ok(m) = self.receiver.try_recv() {
-            let first_new = self.backlog.len();
-            self.ingest(m);
-            if let Some(d) = self.pending_deaths.pop_front() {
-                return Ok(Some(Event::Death(d)));
-            }
-            if let Some(i) = (first_new..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
-                let m = self.backlog.remove(i).expect("index valid");
-                self.note_recv(&m);
-                return Ok(Some(Event::Msg(m)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Asynchronous send (like `MPI_Isend` with unbounded buffering).
-    /// With a [`CoalescePolicy`] installed, the message is staged in
-    /// the destination's queue instead of going on the wire at once;
-    /// delivery is guaranteed by the flush points (thresholds, blocking
-    /// operations, explicit [`Comm::flush_all`]).
-    ///
-    /// # Panics
-    /// Panics on a reserved tag or an out-of-range destination.
-    pub fn send(&mut self, dest: usize, tag: u32, data: Bytes) {
-        assert!(tag < RESERVED_TAG_BASE, "tag {tag:#x} is reserved for collectives");
-        assert!(dest < self.size, "destination {dest} out of range");
         if dest != self.rank {
             if let Some(policy) = self.coalesce {
                 // The logical send happens now even though the wire
@@ -484,10 +406,97 @@ impl Comm {
                 } else if self.queues[dest].bytes >= policy.max_bytes {
                     self.flush_dest(dest, FlushReason::Bytes);
                 }
-                return;
+                return Ok(());
             }
         }
         self.send_raw(dest, tag, data);
+        Ok(())
+    }
+
+    /// Blocking receive matching the given source and/or tag (`None` is
+    /// a wildcard). Non-matching messages are buffered for later
+    /// receives, preserving per-sender FIFO order. A peer's death
+    /// notice is delivered as [`Event::Death`] regardless of the
+    /// filter, a scripted kill of *this* rank surfaces as
+    /// `Err(CommError::Killed)` (the call is one fault-clock event),
+    /// and a fully-exited world is `Err(CommError::Disconnected)`.
+    ///
+    /// `wait_ns` is charged only while the underlying channel is
+    /// genuinely empty — draining and backlogging already-delivered
+    /// non-matching messages is bookkeeping, not blocked time.
+    pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Event, CommError> {
+        self.fault_tick()?;
+        Ok(self.receive(src, tag, true)?.expect("a blocking receive yields an event"))
+    }
+
+    /// Non-blocking [`Comm::recv`]; `Ok(None)` when nothing matching
+    /// (and no death notice) is queued. Never flushes staged sends (it
+    /// never blocks) — callers looping on `try_recv` fall through to a
+    /// blocking `recv` (or `flush_all`) once the inbox runs dry.
+    pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Option<Event>, CommError> {
+        self.fault_tick()?;
+        self.receive(src, tag, false)
+    }
+
+    /// The one receive loop, under the point-to-point calls and the
+    /// collectives alike. It never ticks the fault clock: the public
+    /// wrappers do, the collectives must not.
+    fn receive(
+        &mut self,
+        src: Option<usize>,
+        tag: Option<u32>,
+        block: bool,
+    ) -> Result<Option<Event>, CommError> {
+        // Backlog prefix already known to hold no match.
+        let mut scanned = 0;
+        // About to wait on the network: release anything this rank has
+        // staged first — the message we are waiting for may well be a
+        // reply to it.
+        let mut flush = block;
+        loop {
+            if let Some(d) = self.pending_deaths.pop_front() {
+                return Ok(Some(Event::Death(d)));
+            }
+            if let Some(i) = (scanned..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
+                let m = self.backlog.remove(i).expect("index valid");
+                self.note_recv(&m);
+                return Ok(Some(Event::Msg(m)));
+            }
+            scanned = self.backlog.len();
+            if std::mem::take(&mut flush) {
+                // A flush into a closed inbox drains ours (`transmit`),
+                // so look again before waiting.
+                self.flush_before_block();
+                continue;
+            }
+            let m = match self.receiver.try_recv() {
+                Ok(m) => m,
+                Err(_) if !block => return Ok(None),
+                Err(_) => {
+                    // The traced `wait` span brackets exactly the region
+                    // `wait_ns` measures, so the two accountings agree.
+                    self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
+                    let start = Instant::now();
+                    let res = self.receiver.recv();
+                    self.stats.wait_ns += start.elapsed().as_nanos() as u64;
+                    self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
+                    res.map_err(|_| CommError::Disconnected)?
+                }
+            };
+            self.ingest(m);
+        }
+    }
+
+    /// A collective's receive from one peer. Collectives are not
+    /// fault-tolerant: a peer lost mid-collective is a panic here, as
+    /// it is a hang on a real machine.
+    fn recv_collective(&mut self, src: usize, tag: u32) -> Bytes {
+        match self.receive(Some(src), Some(tag), true) {
+            Ok(Some(Event::Msg(m))) => m.data,
+            Ok(Some(Event::Death(peer))) => panic!("rank {peer} died inside a collective"),
+            Ok(None) => unreachable!("a blocking receive yields an event"),
+            Err(e) => panic!("collective receive from rank {src} failed: {e}"),
+        }
     }
 
     /// Ship everything staged for `dest` now (one envelope, or a plain
@@ -530,12 +539,16 @@ impl Comm {
             let (tag, data) = msgs.into_iter().next().expect("len checked");
             self.transmit(dest, tag, data);
         } else {
+            // Envelope frame: count, then (tag, length, payload) each,
+            // little-endian `u32`s — read back by `ingest` alone.
+            let wire_len = |n: usize| u32::try_from(n).expect("envelope field exceeds the u32 length prefix");
             let framed: usize = msgs.iter().map(|(_, d)| d.len() + 8).sum();
-            let mut e = Encoder::with_capacity(4 + framed);
-            e.put_u32(crate::codec::checked_len(msgs.len()));
+            let mut e = BytesMut::with_capacity(4 + framed);
+            e.put_u32_le(wire_len(msgs.len()));
             for (tag, data) in &msgs {
-                e.put_u32(*tag);
-                e.put_bytes(data);
+                e.put_u32_le(*tag);
+                e.put_u32_le(wire_len(data.len()));
+                e.put_slice(data);
             }
             self.cstats.msgs_coalesced += msgs.len() as u64;
             self.cstats.envelopes_sent += 1;
@@ -545,7 +558,7 @@ impl Comm {
                 ("msgs", msgs.len() as u64),
                 ("bytes", (4 + framed) as u64),
             );
-            self.transmit(dest, TAG_COALESCED, e.finish());
+            self.transmit(dest, TAG_COALESCED, e.freeze());
         }
     }
 
@@ -589,77 +602,20 @@ impl Comm {
             // fails fast instead of deadlocking the scope join.
             self.backlog.push_back(msg);
         } else if self.senders[dest].send(msg).is_err() {
-            // With fault tolerance armed a dead peer is an expected
-            // condition: the message is lost, the run continues. In a
-            // fault-free run a vanished peer is a bug worth failing on.
+            // The peer's inbox is gone. A peer that left through
+            // `abort` sent its death notice first, so it is in our
+            // inbox by now: the message is lost and the next receive
+            // reports the death. With a plan armed any vanished peer is
+            // a counted loss; otherwise it is a bug worth failing on.
+            while let Ok(m) = self.receiver.try_recv() {
+                self.ingest(m);
+            }
             match &mut self.faults {
                 Some(f) => f.stats.msgs_lost += 1,
+                None if self.dead_peers[dest] => {}
                 None => panic!("receiving rank exited before communication completed"),
             }
         }
-    }
-
-    /// Blocking receive matching the given source and/or tag (`None` is
-    /// a wildcard). Non-matching messages are buffered for later
-    /// receives, preserving per-sender FIFO order.
-    ///
-    /// `wait_ns` is charged only while the underlying channel is
-    /// genuinely empty — draining and backlogging already-delivered
-    /// non-matching messages is bookkeeping, not blocked time.
-    pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Msg {
-        if let Some(i) = self.backlog_find(src, tag) {
-            let m = self.backlog.remove(i).expect("index valid");
-            self.note_recv(&m);
-            return m;
-        }
-        // About to wait on the network: release anything this rank has
-        // staged first — the message we are waiting for may well be a
-        // reply to it.
-        self.flush_before_block();
-        loop {
-            let m = match self.receiver.try_recv() {
-                Ok(m) => m,
-                Err(_) => {
-                    // The traced `wait` span brackets exactly the region
-                    // `wait_ns` measures, so the two accountings agree.
-                    self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
-                    let start = Instant::now();
-                    let m = self.receiver.recv().expect("all ranks exited");
-                    self.stats.wait_ns += start.elapsed().as_nanos() as u64;
-                    self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
-                    m
-                }
-            };
-            let first_new = self.backlog.len();
-            self.ingest(m);
-            if let Some(i) = (first_new..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
-                let m = self.backlog.remove(i).expect("index valid");
-                self.note_recv(&m);
-                return m;
-            }
-        }
-    }
-
-    /// Non-blocking receive; `None` when no matching message is queued.
-    /// Never flushes staged sends (it never blocks) — callers looping on
-    /// `try_recv` fall through to a blocking `recv` (or `flush_all`)
-    /// once the inbox runs dry.
-    pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Option<Msg> {
-        if let Some(i) = self.backlog_find(src, tag) {
-            let m = self.backlog.remove(i).expect("index valid");
-            self.note_recv(&m);
-            return Some(m);
-        }
-        while let Ok(m) = self.receiver.try_recv() {
-            let first_new = self.backlog.len();
-            self.ingest(m);
-            if let Some(i) = (first_new..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
-                let m = self.backlog.remove(i).expect("index valid");
-                self.note_recv(&m);
-                return Some(m);
-            }
-        }
-        None
     }
 
     /// Move one wire message into the backlog, transparently splitting
@@ -668,8 +624,7 @@ impl Comm {
     fn ingest(&mut self, m: Msg) {
         if m.tag == TAG_DEATH {
             // A peer's death notice: record it, queue it for the next
-            // fault-aware receive, and keep it out of the application
-            // backlog — plain receives never observe the fault layer.
+            // receive, and keep it out of the message backlog.
             self.stats.msgs_recv += 1;
             self.tag_traffic.entry(TAG_DEATH).or_default().msgs_recv += 1;
             if !self.dead_peers[m.src] {
@@ -680,21 +635,15 @@ impl Comm {
             return;
         }
         if m.tag == TAG_COALESCED {
-            let src = m.src;
-            let mut d = Decoder::new(m.data);
-            let count = d.get_u32();
-            for _ in 0..count {
-                let tag = d.get_u32();
-                let data = d.get_bytes();
-                self.backlog.push_back(Msg { src, tag, data });
+            let (src, mut d) = (m.src, m.data);
+            for _ in 0..d.get_u32_le() {
+                let tag = d.get_u32_le();
+                let len = d.get_u32_le() as usize;
+                self.backlog.push_back(Msg { src, tag, data: d.split_to(len) });
             }
         } else {
             self.backlog.push_back(m);
         }
-    }
-
-    fn backlog_find(&self, src: Option<usize>, tag: Option<u32>) -> Option<usize> {
-        self.backlog.iter().position(|m| matches(m, src, tag))
     }
 
     fn note_recv(&mut self, m: &Msg) {
@@ -734,7 +683,7 @@ impl Comm {
             }
             data
         } else {
-            self.recv(Some(root), Some(TAG_BCAST)).data
+            self.recv_collective(root, TAG_BCAST)
         }
     }
 
@@ -748,8 +697,7 @@ impl Comm {
             // wildcard receives would race consecutive collectives.
             for (src, slot) in out.iter_mut().enumerate() {
                 if src != root {
-                    let m = self.recv(Some(src), Some(TAG_GATHER));
-                    *slot = Some(m.data);
+                    *slot = Some(self.recv_collective(src, TAG_GATHER));
                 }
             }
             Some(out.into_iter().map(|b| b.expect("all ranks gathered")).collect())
@@ -778,8 +726,7 @@ impl Comm {
             let to = (self.rank + round) % self.size;
             let from = (self.rank + self.size - round) % self.size;
             self.send_raw(to, TAG_ALLTOALL_P2P, std::mem::take(&mut bufs[to]));
-            let m = self.recv(Some(from), Some(TAG_ALLTOALL_P2P));
-            out[from] = Some(m.data);
+            out[from] = Some(self.recv_collective(from, TAG_ALLTOALL_P2P));
         }
         out.into_iter().map(|b| b.expect("complete exchange")).collect()
     }
@@ -799,8 +746,7 @@ impl Comm {
         // payload as this round's).
         for (src, slot) in out.iter_mut().enumerate() {
             if src != self.rank {
-                let m = self.recv(Some(src), Some(tag));
-                *slot = Some(m.data);
+                *slot = Some(self.recv_collective(src, tag));
             }
         }
         out.into_iter().map(|b| b.expect("complete exchange")).collect()
@@ -822,10 +768,7 @@ impl Comm {
         if self.rank == 0 {
             let mut acc = value;
             for src in 1..self.size {
-                let m = self.recv(Some(src), Some(TAG_REDUCE));
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(&m.data);
-                acc = op(acc, u64::from_le_bytes(buf));
+                acc = op(acc, self.recv_collective(src, TAG_REDUCE).get_u64_le());
             }
             let out = Bytes::copy_from_slice(&acc.to_le_bytes());
             for dest in 1..self.size {
@@ -834,10 +777,7 @@ impl Comm {
             acc
         } else {
             self.send_raw(0, TAG_REDUCE, payload);
-            let m = self.recv(Some(0), Some(TAG_REDUCE));
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&m.data);
-            u64::from_le_bytes(buf)
+            self.recv_collective(0, TAG_REDUCE).get_u64_le()
         }
     }
 }
@@ -915,6 +855,14 @@ where
 mod tests {
     use super::*;
 
+    /// Blocking receive in a world where nobody dies.
+    fn msg(c: &mut Comm, src: Option<usize>, tag: Option<u32>) -> Msg {
+        match c.recv(src, tag).unwrap() {
+            Event::Msg(m) => m,
+            Event::Death(peer) => panic!("unexpected death of rank {peer}"),
+        }
+    }
+
     #[test]
     fn single_rank_runs() {
         let out = run(1, |c| c.rank() + c.size());
@@ -926,8 +874,8 @@ mod tests {
         let out = run(4, |c| {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
-            c.send(next, 7, Bytes::copy_from_slice(&[c.rank() as u8]));
-            let m = c.recv(Some(prev), Some(7));
+            c.send(next, 7, Bytes::copy_from_slice(&[c.rank() as u8])).unwrap();
+            let m = msg(c, Some(prev), Some(7));
             m.data[0] as usize
         });
         assert_eq!(out, vec![3, 0, 1, 2]);
@@ -937,14 +885,14 @@ mod tests {
     fn tag_matching_out_of_order() {
         let out = run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 1, Bytes::from_static(b"first"));
-                c.send(1, 2, Bytes::from_static(b"second"));
+                c.send(1, 1, Bytes::from_static(b"first")).unwrap();
+                c.send(1, 2, Bytes::from_static(b"second")).unwrap();
                 0
             } else {
                 // Receive tag 2 before tag 1; the tag-1 message must be
                 // buffered and still be deliverable.
-                let b = c.recv(Some(0), Some(2));
-                let a = c.recv(Some(0), Some(1));
+                let b = msg(c, Some(0), Some(2));
+                let a = msg(c, Some(0), Some(1));
                 assert_eq!(&b.data[..], b"second");
                 assert_eq!(&a.data[..], b"first");
                 1
@@ -958,17 +906,17 @@ mod tests {
         let out = run(2, |c| {
             if c.rank() == 0 {
                 c.barrier();
-                c.send(1, 5, Bytes::from_static(b"x"));
+                c.send(1, 5, Bytes::from_static(b"x")).unwrap();
                 c.barrier();
                 true
             } else {
-                assert!(c.try_recv(None, None).is_none());
+                assert!(c.try_recv(None, None).unwrap().is_none());
                 c.barrier();
                 c.barrier();
                 // Message must be in flight or queued now.
                 let mut got = None;
                 for _ in 0..1000 {
-                    got = c.try_recv(Some(0), Some(5));
+                    got = c.try_recv(Some(0), Some(5)).unwrap();
                     if got.is_some() {
                         break;
                     }
@@ -1049,9 +997,9 @@ mod tests {
             c.broadcast(0, if c.rank() == 0 { Some(Bytes::from_static(b"abcd")) } else { None });
             let _ = c.allreduce_sum(1);
             if c.rank() == 0 {
-                c.send(1, 7, Bytes::from_static(b"xy"));
+                c.send(1, 7, Bytes::from_static(b"xy")).unwrap();
             } else if c.rank() == 1 {
-                c.recv(Some(0), Some(7));
+                msg(c, Some(0), Some(7));
             }
             (c.tag_stats(&CostModel::BLUEGENE_L), c.stats())
         });
@@ -1086,9 +1034,9 @@ mod tests {
     fn stats_count_traffic() {
         let stats = run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 3, Bytes::from_static(b"12345"));
+                c.send(1, 3, Bytes::from_static(b"12345")).unwrap();
             } else {
-                c.recv(Some(0), Some(3));
+                msg(c, Some(0), Some(3));
             }
             c.stats()
         });
@@ -1105,7 +1053,7 @@ mod tests {
             if c.rank() == 0 {
                 // Panics in `send` before anything is transmitted; rank 1
                 // exits immediately so the panic propagates cleanly.
-                c.send(1, RESERVED_TAG_BASE, Bytes::new());
+                c.send(1, RESERVED_TAG_BASE, Bytes::new()).unwrap();
             }
         });
     }
@@ -1114,8 +1062,8 @@ mod tests {
     fn self_send_is_received() {
         let out = run(2, |c| {
             let me = c.rank();
-            c.send(me, 9, Bytes::copy_from_slice(&[me as u8]));
-            c.recv(Some(me), Some(9)).data[0]
+            c.send(me, 9, Bytes::copy_from_slice(&[me as u8])).unwrap();
+            msg(c, Some(me), Some(9)).data[0]
         });
         assert_eq!(out, vec![0, 1]);
     }
@@ -1128,7 +1076,7 @@ mod tests {
                 panic!("rank 0 died");
             } else {
                 // Must not hang: rank 0's exit disconnects the channel.
-                c.recv(Some(0), None);
+                assert!(matches!(c.recv(Some(0), None), Err(CommError::Disconnected)));
             }
         });
     }
@@ -1138,9 +1086,9 @@ mod tests {
         let out = run(2, |c| {
             if c.rank() == 0 {
                 c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(1, 3, Bytes::from_static(b"aa"));
-                c.send(1, 4, Bytes::from_static(b"bbb"));
-                c.send(1, 3, Bytes::from_static(b"c"));
+                c.send(1, 3, Bytes::from_static(b"aa")).unwrap();
+                c.send(1, 4, Bytes::from_static(b"bbb")).unwrap();
+                c.send(1, 3, Bytes::from_static(b"c")).unwrap();
                 c.flush_all();
                 let s = c.stats();
                 // One envelope on the wire, three logical messages in it.
@@ -1153,9 +1101,9 @@ mod tests {
             } else {
                 // Tag-filtered receives see the logical stream, FIFO per
                 // tag, envelope never visible.
-                let m1 = c.recv(Some(0), Some(3));
-                let m2 = c.recv(Some(0), Some(4));
-                let m3 = c.recv(Some(0), Some(3));
+                let m1 = msg(c, Some(0), Some(3));
+                let m2 = msg(c, Some(0), Some(4));
+                let m3 = msg(c, Some(0), Some(3));
                 assert_eq!(c.stats().msgs_recv, 3);
                 vec![m1.data.to_vec(), m2.data.to_vec(), m3.data.to_vec()]
             }
@@ -1168,22 +1116,22 @@ mod tests {
         run(2, |c| {
             if c.rank() == 0 {
                 c.set_coalesce(Some(CoalescePolicy { max_bytes: 1 << 20, max_msgs: 2 }));
-                c.send(1, 1, Bytes::from_static(b"x"));
+                c.send(1, 1, Bytes::from_static(b"x")).unwrap();
                 assert_eq!(c.stats().msgs_sent, 0, "first send stays staged");
-                c.send(1, 1, Bytes::from_static(b"y"));
+                c.send(1, 1, Bytes::from_static(b"y")).unwrap();
                 assert_eq!(c.stats().msgs_sent, 1, "count threshold ships the envelope");
                 assert_eq!(c.coalesce_stats().flush_msgs, 1);
                 // Byte threshold: a large payload flushes immediately.
                 c.set_coalesce(Some(CoalescePolicy { max_bytes: 4, max_msgs: 100 }));
-                c.send(1, 2, Bytes::from_static(b"0123456789"));
+                c.send(1, 2, Bytes::from_static(b"0123456789")).unwrap();
                 assert_eq!(c.coalesce_stats().flush_bytes, 1);
                 // A lone staged message flushes as a plain tagged send,
                 // not an envelope.
                 assert_eq!(c.coalesce_stats().envelopes_sent, 1);
             } else {
-                c.recv(Some(0), Some(1));
-                c.recv(Some(0), Some(1));
-                let m = c.recv(Some(0), Some(2));
+                msg(c, Some(0), Some(1));
+                msg(c, Some(0), Some(1));
+                let m = msg(c, Some(0), Some(2));
                 assert_eq!(&m.data[..], b"0123456789");
             }
         });
@@ -1196,8 +1144,8 @@ mod tests {
         let out = run(2, |c| {
             c.set_coalesce(Some(CoalescePolicy::default()));
             let peer = 1 - c.rank();
-            c.send(peer, 11, Bytes::copy_from_slice(&[c.rank() as u8]));
-            let m = c.recv(Some(peer), Some(11));
+            c.send(peer, 11, Bytes::copy_from_slice(&[c.rank() as u8])).unwrap();
+            let m = msg(c, Some(peer), Some(11));
             assert!(c.coalesce_stats().flush_block >= 1);
             m.data[0]
         });
@@ -1209,13 +1157,15 @@ mod tests {
         run(2, |c| {
             if c.rank() == 0 {
                 c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(1, 6, Bytes::from_static(b"pre-barrier"));
+                c.send(1, 6, Bytes::from_static(b"pre-barrier")).unwrap();
                 c.barrier();
             } else {
                 c.barrier();
                 // The message was staged before the barrier, so it must
                 // already be in the channel now.
-                let m = c.try_recv(Some(0), Some(6)).expect("flushed by sender's barrier");
+                let Some(Event::Msg(m)) = c.try_recv(Some(0), Some(6)).unwrap() else {
+                    panic!("flushed by sender's barrier")
+                };
                 assert_eq!(&m.data[..], b"pre-barrier");
             }
         });
@@ -1226,12 +1176,12 @@ mod tests {
         run(2, |c| {
             if c.rank() == 0 {
                 c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(1, 8, Bytes::from_static(b"app"));
+                c.send(1, 8, Bytes::from_static(b"app")).unwrap();
                 // Broadcast goes through the direct path; the staged app
                 // message must be shipped first to preserve FIFO.
                 c.broadcast(0, Some(Bytes::from_static(b"bc")));
             } else {
-                let first = c.recv(Some(0), None);
+                let first = msg(c, Some(0), None);
                 assert_eq!(first.tag, 8, "staged app message arrives before the collective");
                 let got = c.broadcast(0, None);
                 assert_eq!(&got[..], b"bc");
@@ -1244,9 +1194,9 @@ mod tests {
         run(2, |c| {
             if c.rank() == 0 {
                 for _ in 0..100 {
-                    c.send(1, 1, Bytes::from_static(b"noise"));
+                    c.send(1, 1, Bytes::from_static(b"noise")).unwrap();
                 }
-                c.send(1, 2, Bytes::from_static(b"signal"));
+                c.send(1, 2, Bytes::from_static(b"signal")).unwrap();
                 c.barrier();
             } else {
                 c.barrier();
@@ -1254,7 +1204,7 @@ mod tests {
                 // before the barrier): receiving the tag-2 message must
                 // drain 100 non-matching messages without charging any
                 // blocked time to this receive.
-                let m = c.recv(Some(0), Some(2));
+                let m = msg(c, Some(0), Some(2));
                 assert_eq!(&m.data[..], b"signal");
                 assert_eq!(c.stats().wait_ns, 0, "drain/backlog time billed as waiting");
             }
@@ -1265,9 +1215,9 @@ mod tests {
     fn sender_side_pricing_counts_each_message_once() {
         let rows = run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 3, Bytes::from_static(b"12345678"));
+                c.send(1, 3, Bytes::from_static(b"12345678")).unwrap();
             } else {
-                c.recv(Some(0), Some(3));
+                msg(c, Some(0), Some(3));
             }
             c.tag_stats(&CostModel::BLUEGENE_L)
         });
@@ -1283,21 +1233,29 @@ mod tests {
     }
 
     #[test]
-    fn ft_ops_without_a_plan_are_plain_ops() {
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                c.send_ft(1, 3, Bytes::from_static(b"hi")).unwrap();
-                assert!(!c.has_fault_plan());
-                assert_eq!(c.fault_stats(), crate::faults::FaultStats::default());
-                0
-            } else {
-                match c.recv_ft(Some(0), Some(3)).unwrap() {
-                    Event::Msg(m) => m.data.len(),
-                    Event::Death(_) => unreachable!("no plan, no deaths"),
-                }
+    fn aborted_peer_is_a_death_event_and_a_late_send_to_it_is_lost() {
+        // No plan armed anywhere. Rank 1 aborts and exits; rank 0 sends
+        // into its closed inbox before having looked at its own — a
+        // loss, not the vanished-peer panic, because the death notice
+        // got there first — and then observes the death. The send is
+        // staged, so it is the blocking receive's own flush that finds
+        // the inbox closed.
+        run(2, |c| {
+            if c.rank() == 1 {
+                c.abort();
+                return;
             }
+            let probe = || Msg { src: 0, tag: 9, data: Bytes::new() };
+            while c.senders[1].send(probe()).is_ok() {
+                std::thread::yield_now();
+            }
+            c.set_coalesce(Some(CoalescePolicy::default()));
+            c.send(1, 4, Bytes::from_static(b"late")).unwrap();
+            assert!(matches!(c.recv(None, None), Ok(Event::Death(1))));
+            assert!(c.dead_peers()[1]);
+            assert!(!c.has_fault_plan());
+            assert_eq!(c.fault_stats(), FaultStats::default(), "no plan, no fault bookkeeping");
         });
-        assert_eq!(out, vec![0, 2]);
     }
 
     #[test]
@@ -1309,11 +1267,11 @@ mod tests {
             match c.rank() {
                 1 => {
                     // First op passes, second trips the kill.
-                    c.send_ft(0, 5, Bytes::from_static(b"one")).unwrap();
-                    let err = c.send_ft(0, 5, Bytes::from_static(b"two")).unwrap_err();
+                    c.send(0, 5, Bytes::from_static(b"one")).unwrap();
+                    let err = c.send(0, 5, Bytes::from_static(b"two")).unwrap_err();
                     assert_eq!(err, CommError::Killed { rank: 1, event: 2 });
                     // Every later op keeps failing.
-                    assert!(c.recv_ft(None, None).is_err());
+                    assert!(c.recv(None, None).is_err());
                     assert_eq!(c.fault_stats().kills, 1);
                     assert_eq!(c.fault_stats().death_notices, 2);
                     "killed"
@@ -1324,7 +1282,7 @@ mod tests {
                     let mut got_msg = false;
                     let mut got_death = false;
                     while !(got_msg && got_death) {
-                        match c.recv_ft(None, None).unwrap() {
+                        match c.recv(None, None).unwrap() {
                             Event::Msg(m) => {
                                 assert_eq!(&m.data[..], b"one");
                                 got_msg = true;
@@ -1337,11 +1295,11 @@ mod tests {
                     }
                     assert!(c.dead_peers()[1]);
                     // Sends to the dead peer blackhole instead of panic.
-                    c.send_ft(1, 9, Bytes::from_static(b"into the void")).unwrap();
+                    c.send(1, 9, Bytes::from_static(b"into the void")).unwrap();
                     assert_eq!(c.fault_stats().msgs_lost, 1);
                     "survivor"
                 }
-                _ => match c.recv_ft(None, None).unwrap() {
+                _ => match c.recv(None, None).unwrap() {
                     Event::Death(1) => "observed",
                     e => panic!("expected death of rank 1, got {e:?}"),
                 },
@@ -1357,16 +1315,16 @@ mod tests {
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
-                c.send_ft(1, 4, Bytes::from_static(b"a")).unwrap();
-                c.send_ft(1, 4, Bytes::from_static(b"b")).unwrap(); // dropped
-                c.send_ft(1, 4, Bytes::from_static(b"c")).unwrap();
+                c.send(1, 4, Bytes::from_static(b"a")).unwrap();
+                c.send(1, 4, Bytes::from_static(b"b")).unwrap(); // dropped
+                c.send(1, 4, Bytes::from_static(b"c")).unwrap();
                 assert_eq!(c.fault_stats().msgs_dropped, 1);
             } else {
-                let first = match c.recv_ft(Some(0), Some(4)).unwrap() {
+                let first = match c.recv(Some(0), Some(4)).unwrap() {
                     Event::Msg(m) => m.data,
                     e => panic!("{e:?}"),
                 };
-                let second = match c.recv_ft(Some(0), Some(4)).unwrap() {
+                let second = match c.recv(Some(0), Some(4)).unwrap() {
                     Event::Msg(m) => m.data,
                     e => panic!("{e:?}"),
                 };
@@ -1385,15 +1343,15 @@ mod tests {
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
-                c.send_ft(1, 6, Bytes::from_static(b"early")).unwrap(); // held
-                c.send_ft(1, 6, Bytes::from_static(b"later")).unwrap();
+                c.send(1, 6, Bytes::from_static(b"early")).unwrap(); // held
+                c.send(1, 6, Bytes::from_static(b"later")).unwrap();
                 // Two more events release the held message.
-                c.send_ft(1, 7, Bytes::from_static(b"tick")).unwrap();
-                c.send_ft(1, 7, Bytes::from_static(b"tick")).unwrap();
+                c.send(1, 7, Bytes::from_static(b"tick")).unwrap();
+                c.send(1, 7, Bytes::from_static(b"tick")).unwrap();
                 assert_eq!(c.fault_stats().msgs_delayed, 1);
             } else {
                 let order: Vec<Bytes> = (0..2)
-                    .map(|_| match c.recv_ft(Some(0), Some(6)).unwrap() {
+                    .map(|_| match c.recv(Some(0), Some(6)).unwrap() {
                         Event::Msg(m) => m.data,
                         e => panic!("{e:?}"),
                     })
@@ -1415,16 +1373,16 @@ mod tests {
             c.set_fault_plan(&plan);
             if c.rank() == 1 {
                 c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send_ft(0, 2, Bytes::from_static(b"staged")).unwrap();
-                c.send_ft(0, 2, Bytes::from_static(b"also staged")).unwrap();
+                c.send(0, 2, Bytes::from_static(b"staged")).unwrap();
+                c.send(0, 2, Bytes::from_static(b"also staged")).unwrap();
                 assert_eq!(c.stats().msgs_sent, 0, "both staged, nothing on the wire");
-                assert!(c.send_ft(0, 2, Bytes::from_static(b"never")).is_err());
+                assert!(c.send(0, 2, Bytes::from_static(b"never")).is_err());
             } else {
-                match c.recv_ft(None, None).unwrap() {
+                match c.recv(None, None).unwrap() {
                     Event::Death(1) => {}
                     e => panic!("expected only the death notice, got {e:?}"),
                 }
-                assert!(c.try_recv_ft(None, None).unwrap().is_none(), "staged messages died with the rank");
+                assert!(c.try_recv(None, None).unwrap().is_none(), "staged messages died with the rank");
             }
         });
     }

@@ -1,7 +1,7 @@
 //! Deterministic, seeded fault injection for the simulated machine.
 //!
 //! A [`FaultPlan`] scripts failures against rank-local *event counts*
-//! (one event per fault-aware communication call), never wall-clock
+//! (one event per point-to-point communication call), never wall-clock
 //! time, so a plan replays identically under any host scheduling. The
 //! plan can
 //!
@@ -15,7 +15,7 @@
 //!   later traffic the way a congested link would.
 //!
 //! Failures surface to callers as recoverable [`CommError`]s (a killed
-//! rank's next fault-aware call returns `Err(CommError::Killed)`), and
+//! rank's next point-to-point call returns `Err(CommError::Killed)`), and
 //! a dying rank broadcasts a *death notice* to every peer so survivors
 //! observe the failure as an event instead of a hang. Every injected
 //! fault is recorded on the `fault` trace category and in the
@@ -27,8 +27,7 @@
 
 use bytes::Bytes;
 
-/// A recoverable communication failure surfaced by the fault-aware
-/// operations (`send_ft` / `recv_ft` / `try_recv_ft`).
+/// A communication failure surfaced by `Comm::{send, recv, try_recv}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
     /// The fault plan killed *this* rank at the given rank-local event
@@ -42,9 +41,17 @@ pub enum CommError {
         event: u64,
     },
     /// Every other rank has exited: a blocking receive can never be
-    /// satisfied. Only reachable when fault tolerance is armed (the
-    /// plain `recv` panics instead, preserving the fail-fast default).
+    /// satisfied.
     Disconnected,
+    /// A message from `src` did not decode under the protocol its `tag`
+    /// belongs to. Raised by the layer that owns that protocol (the
+    /// comm layer treats payloads as opaque bytes).
+    Malformed {
+        /// The sending rank.
+        src: usize,
+        /// The tag the payload arrived under.
+        tag: u32,
+    },
 }
 
 impl std::fmt::Display for CommError {
@@ -54,6 +61,9 @@ impl std::fmt::Display for CommError {
                 write!(f, "rank {rank} killed by fault plan at event {event}")
             }
             CommError::Disconnected => write!(f, "all peers exited"),
+            CommError::Malformed { src, tag } => {
+                write!(f, "malformed message from rank {src} under tag {tag}")
+            }
         }
     }
 }
@@ -88,7 +98,7 @@ pub struct KillSpec {
     /// The victim.
     pub target: KillTarget,
     /// Rank-local event count the kill trips at (checked at the entry
-    /// of each fault-aware call, *before* any transmission, so a
+    /// of each point-to-point call, *before* any transmission, so a
     /// worker dies with its current round's report undelivered).
     pub at_event: u64,
     /// Stage scope.
@@ -108,7 +118,7 @@ pub struct MsgFaultSpec {
     pub nth: u64,
     /// `None` = drop the message; `Some(k)` = hold it back and deliver
     /// it once the sender's event counter has advanced `k` further
-    /// (checked at fault-aware call entries, so delivery lands after
+    /// (checked at point-to-point call entries, so delivery lands after
     /// whatever the sender did in between — a *late* message).
     pub delay_by: Option<u64>,
     /// Stage scope.
@@ -280,7 +290,7 @@ pub struct FaultStats {
     pub death_notices: u64,
     /// Sends blackholed because the destination was already dead.
     pub msgs_lost: u64,
-    /// Fault-aware calls this rank made (its event-clock reading) —
+    /// Point-to-point calls this rank made (its event-clock reading) —
     /// the coordinate `kill:…,event=` and `delay:…,by=` clauses are
     /// written in. Exposed so plans can be aimed from an observed run.
     pub events: u64,
@@ -324,7 +334,7 @@ pub(crate) struct FaultRuntime {
     rank: usize,
     /// Event count at which this rank dies, if scripted.
     kill_at: Option<u64>,
-    /// Rank-local event counter (advances once per fault-aware call).
+    /// Rank-local event counter (advances once per point-to-point call).
     events: u64,
     /// This rank has tripped its kill.
     pub(crate) dead: bool,

@@ -8,16 +8,16 @@
 //!
 //! Provided:
 //!
-//! - [`comm`] — point-to-point `send`/`recv` with source/tag matching,
-//!   barriers, and the collectives the paper uses: broadcast, gather,
+//! - [`comm`] — one fallible point-to-point API, `send` / `recv` /
+//!   `try_recv` with source/tag matching (a receive yields an
+//!   [`Event`]: a message, or the death of a peer), barriers, and the
+//!   collectives the paper uses: broadcast, gather,
 //!   `alltoallv`, and the *custom* `alltoallv` built from `p − 1`
 //!   point-to-point rounds that §6 introduces to bound send-buffer
 //!   space. Optional sender-side small-message coalescing
 //!   ([`CoalescePolicy`]): per-destination send queues shipped as
 //!   framed envelopes that the receiver splits transparently, paying
 //!   the α latency term once per envelope instead of once per message.
-//! - [`codec`] — a small length-prefixed binary codec for message
-//!   payloads (no external serialization framework needed).
 //! - [`model`] — per-rank traffic statistics and an α–β (latency ×
 //!   bandwidth) communication cost model with BlueGene/L parameters, so
 //!   experiments can report *modelled* network time next to measured
@@ -26,10 +26,12 @@
 //! - [`faults`] — deterministic, seeded failure injection: a
 //!   [`FaultPlan`] can kill a rank at a scripted event count or
 //!   drop/delay specific messages; failures surface to callers as
-//!   recoverable [`CommError`]s through the fault-aware
-//!   `send_ft`/`recv_ft`/`try_recv_ft` operations instead of hangs.
+//!   recoverable [`CommError`]s from the point-to-point calls instead
+//!   of hangs.
+//!
+//! Payloads are opaque [`bytes::Bytes`]; their layout belongs to the
+//! caller (`pgasm_seq::wire` is the workspace's one codec).
 
-pub mod codec;
 pub mod comm;
 pub mod faults;
 pub mod model;

@@ -40,6 +40,19 @@ impl CommStats {
         }
     }
 
+    /// Component-wise difference from an earlier reading of the same
+    /// rank's counters: the traffic of the phase in between.
+    pub fn since(self, before: CommStats) -> CommStats {
+        CommStats {
+            msgs_sent: self.msgs_sent - before.msgs_sent,
+            bytes_sent: self.bytes_sent - before.bytes_sent,
+            msgs_recv: self.msgs_recv - before.msgs_recv,
+            bytes_recv: self.bytes_recv - before.bytes_recv,
+            wait_ns: self.wait_ns - before.wait_ns,
+            barrier_ns: self.barrier_ns - before.barrier_ns,
+        }
+    }
+
     /// Total seconds this rank spent blocked (wait + barrier) — the
     /// measured idle time used for §7.2's idle-percentage analysis.
     pub fn blocked_seconds(&self) -> f64 {

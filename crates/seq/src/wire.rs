@@ -1,16 +1,15 @@
-//! Checked length-prefixed little-endian framing for persisted
-//! artifacts.
-//!
-//! Same framing style as `pgasm_mpisim::codec` (scalars and
-//! `u32`-length-prefixed slices, little-endian), with two differences
-//! that matter for on-disk data:
+//! Checked length-prefixed little-endian framing — the workspace's one
+//! byte codec, for messages on the simulated wire and artifacts on disk
+//! alike (scalars and `u32`-length-prefixed slices).
 //!
 //! - **writes guard their length conversions** — a slice longer than
 //!   `u32::MAX` panics with a clear message instead of silently
 //!   truncating the prefix and corrupting the frame;
 //! - **reads are fallible** — every accessor returns a [`WireError`]
 //!   instead of panicking, so a truncated or garbage cache file
-//!   degrades to a cache miss rather than aborting the run.
+//!   degrades to a cache miss, a skewed checkpoint to a cold start, and
+//!   a malformed message to an error naming its sender, rather than
+//!   aborting the run.
 
 use std::fmt;
 

@@ -12,6 +12,7 @@
 //! master must recover it).
 
 use pgasm::align::AcceptCriteria;
+use pgasm::cluster::checkpoint::{read_checkpoint, write_checkpoint};
 use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig, PipelineReport, StageRecovery};
 use pgasm::gst::GstConfig;
 use pgasm::mpisim::{FaultPlan, FaultStage, KillTarget};
@@ -274,7 +275,9 @@ impl Drop for CkptDir {
 }
 
 /// Kill the master mid-`stage` with checkpointing armed, then resume
-/// from the snapshot base and require byte-identical contigs.
+/// from the snapshot base and require byte-identical contigs — from the
+/// snapshot as written, and from the same snapshot re-framed to a
+/// layout this build does not restore.
 fn checkpoint_resume(stage: FaultStage, stage_name: &str, seed: u64, tag: &str) {
     let (reads, genome) = fixture_reads(seed);
     let p = 4;
@@ -309,10 +312,29 @@ fn checkpoint_resume(stage: FaultStage, stage_name: &str, seed: u64, tag: &str) 
     // deterministically, the interrupted stage reloads the journal and
     // finishes only the remaining work.
     let resume = StageRecovery { resume_from: Some(base), ..StageRecovery::default() };
-    let (r2, run2) = run(config(p, resume), &reads, &genome);
+    let (r2, run2) = run(config(p, resume.clone()), &reads, &genome);
     assert!(r2.interrupted.is_none());
     assert_eq!(contig_bytes(&r2), contig_bytes(&baseline), "resumed contigs differ from a clean run");
     assert!(run2.faults.is_none(), "the resumed run itself is fault-free");
+
+    // A snapshot another build wrote: the container verifies (stage,
+    // version, length, checksum all recomputed) but the payload is 16
+    // bytes shorter or longer than the layout restored here. It must
+    // read as "no checkpoint" — the stage starts cold and lands on the
+    // baseline — never as shifted fields or a decoder panic.
+    let payload = read_checkpoint(&snapshot, stage_name).expect("the killed run's snapshot verifies");
+    for skewed in [payload[..payload.len() - 16].to_vec(), [&payload[..], &[0u8; 16]].concat()] {
+        write_checkpoint(&snapshot, stage_name, &skewed).unwrap();
+        let (r3, _) = run(config(p, resume.clone()), &reads, &genome);
+        assert!(r3.interrupted.is_none());
+        assert_eq!(
+            contig_bytes(&r3),
+            contig_bytes(&baseline),
+            "resume from a {}-byte re-framing of a {}-byte {stage_name} snapshot",
+            skewed.len(),
+            payload.len()
+        );
+    }
 }
 
 #[test]

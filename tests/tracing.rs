@@ -3,8 +3,12 @@
 //! timestamps), and the event-derived blocked time agrees with the
 //! simulator's own `wait_ns`/`barrier_ns` accounting.
 
-use pgasm::cluster::{cluster_parallel_traced, ClusterParams, MasterWorkerConfig, Pipeline, PipelineConfig};
+use pgasm::cluster::{
+    cluster_parallel_with, ClusterParams, MasterWorkerConfig, ParallelClusterReport, Pipeline,
+    PipelineConfig, RunOpts,
+};
 use pgasm::gst::GstConfig;
+use pgasm::seq::FragmentStore;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::telemetry::{names, Json, RunContext, TraceSpec};
@@ -26,6 +30,13 @@ fn test_reads(seed: u64, n: usize) -> pgasm::simgen::ReadSet {
     cfg.read_len = (130, 210);
     let mut sampler = Sampler::new(&genome, cfg, seed + 1);
     sampler.wgs(n)
+}
+
+/// The cluster stage on `p` ranks under `trace`.
+fn cluster_traced(store: &FragmentStore, p: usize, trace: TraceSpec) -> ParallelClusterReport {
+    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
+    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
+    cluster_parallel_with(store, p, &params, &config, &RunOpts { trace, ..RunOpts::default() })
 }
 
 #[test]
@@ -95,9 +106,7 @@ fn traced_pipeline_exports_valid_chrome_trace() {
 #[test]
 fn event_blocked_time_matches_wait_ns_accounting() {
     let store = test_reads(19, 120).to_store();
-    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
-    let report = cluster_parallel_traced(&store, 4, &params, &config, TraceSpec::on());
+    let report = cluster_traced(&store, 4, TraceSpec::on());
 
     assert_eq!(report.traces.len(), 4);
     let event_blocked: u64 = report.traces.iter().map(|t| t.blocked_ns()).sum();
@@ -123,11 +132,9 @@ fn event_blocked_time_matches_wait_ns_accounting() {
 #[test]
 fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
     let store = test_reads(29, 150).to_store();
-    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
 
     // How many trace-call sites does this workload actually execute?
-    let traced = cluster_parallel_traced(&store, 4, &params, &config, TraceSpec::on());
+    let traced = cluster_traced(&store, 4, TraceSpec::on());
     let call_sites: u64 = traced.traces.iter().map(|t| t.events.len() as u64 + t.dropped_events).sum::<u64>();
     assert!(call_sites > 0);
 
@@ -143,7 +150,7 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
 
     // Wall time of the same workload with tracing off.
     let start = std::time::Instant::now();
-    cluster_parallel_traced(&store, 4, &params, &config, TraceSpec::off());
+    cluster_traced(&store, 4, TraceSpec::off());
     let wall = start.elapsed().as_secs_f64();
 
     let overhead = call_sites as f64 * per_call;
@@ -159,8 +166,6 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
 #[test]
 fn untraced_run_carries_no_trace_artifacts() {
     let store = test_reads(23, 60).to_store();
-    let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
-    let report = cluster_parallel_traced(&store, 3, &params, &config, TraceSpec::off());
+    let report = cluster_traced(&store, 3, TraceSpec::off());
     assert!(report.traces.iter().all(|t| t.events.is_empty() && t.dropped_events == 0));
 }
