@@ -15,16 +15,20 @@
 //!   chunks of `⌈n/(p−1)⌉` — the "preassign everything" strawman, which
 //!   strands the dominant cluster in a chunk with other work.
 //!
-//! Balance is measured with the deterministic per-worker
-//! `asm_cost_units` counter (busy-seconds are scheduler noise at bench
-//! scale); the assemblies themselves must be byte-identical across
-//! every arm and to the threaded in-process path.
+//! Balance is measured with the per-worker `asm_cost_units` counter
+//! (busy-seconds are scheduler noise at bench scale). Which worker
+//! back-fills the tail still depends on which thread woke first, so the
+//! LPT-vs-static acceptance bar is checked on the *schedule* instead:
+//! each policy's per-worker cost when workers ask for work in a fixed
+//! order ([`scheduled_costs`]). The assemblies themselves must be
+//! byte-identical across every arm and to the threaded in-process path.
 
 use crate::datasets;
 use crate::util::*;
 use pgasm_assemble::AssemblyConfig;
+use pgasm_core::assemble_dist::AssembleTask;
 use pgasm_core::pipeline::assemble_clusters_q;
-use pgasm_core::{assemble_parallel, cluster_serial, AssignPolicy};
+use pgasm_core::{assemble_parallel, cluster_serial, AssignPolicy, Clustering};
 use pgasm_telemetry::names;
 
 /// One measured arm.
@@ -51,8 +55,23 @@ fn policy_key(policy: AssignPolicy) -> &'static str {
     }
 }
 
+/// Per-worker cost units of `policy`'s dispatch plan — the engine's
+/// own — under a fixed arrival order: a cost unit is a unit of time,
+/// every grant goes to the worker that has been free longest, ties to
+/// the lowest rank. A function of the cluster sizes alone — what a run
+/// measures is this schedule plus thread-wake-up noise.
+fn scheduled_costs(clustering: &Clustering, workers: usize, policy: AssignPolicy) -> Vec<u64> {
+    let (tasks, grant) = policy.plan(clustering, workers);
+    let mut loads = vec![0u64; workers];
+    for batch in tasks.chunks(grant) {
+        let free = (0..workers).min_by_key(|&w| loads[w]).expect("at least one worker");
+        loads[free] += batch.iter().map(AssembleTask::cost_units).sum::<u64>();
+    }
+    loads
+}
+
 /// Run the ablation. Asserts byte-identical assemblies in every arm
-/// and, at p = 8, that LPT's cost-unit imbalance is no worse than
+/// and, at p = 8, that LPT's schedule balances cost units no worse than
 /// static chunking's.
 pub fn run(scale: f64) -> Vec<Point> {
     let store = datasets::heavy_tailed_store(scale, 11);
@@ -116,14 +135,14 @@ pub fn run(scale: f64) -> Vec<Point> {
     println!("      extra clusters on top of it while LPT leaves the tail to back-fill idle workers");
 
     // Acceptance bar at p = 8 (at p = 2 a single worker takes all the
-    // work, so both policies are trivially identical).
-    let lpt8 = points.iter().find(|q| q.p == 8 && q.policy == AssignPolicy::Lpt).unwrap();
-    let stat8 = points.iter().find(|q| q.p == 8 && q.policy == AssignPolicy::Static).unwrap();
+    // work, so both policies are trivially identical), on the schedule:
+    // same total, same worker count, so the larger maximum is the worse
+    // balance.
+    let max8 = |policy| scheduled_costs(&clustering, 7, policy).into_iter().max();
+    let (lpt8, stat8) = (max8(AssignPolicy::Lpt), max8(AssignPolicy::Static));
     assert!(
-        lpt8.imbalance <= stat8.imbalance + 1e-9,
-        "LPT must not balance worse than static chunking at p = 8: {:.3} vs {:.3}",
-        lpt8.imbalance,
-        stat8.imbalance
+        lpt8 <= stat8,
+        "LPT must not balance worse than static chunking at p = 8: {lpt8:?} vs {stat8:?} cost units"
     );
     points
 }

@@ -9,10 +9,12 @@
 //!   rounded to an AR-send round entry so it dies holding an
 //!   unacknowledged lease the master must recover.
 //! - *drop*: worker 1's second result report vanishes on the wire; the
-//!   stall timeout declares the silent worker dead and the lease is
-//!   re-executed by a survivor.
-//! - *delay*: worker 1's second result report is overtaken by three
-//!   later deliveries; the lease journal absorbs it exactly once.
+//!   run comes to rest with that lease unretired, the simulator reports
+//!   quiescence, the master declares the worker that holds it dead and
+//!   the lease is re-executed by a survivor.
+//! - *delay*: worker 1's second result report is held back and
+//!   overtaken by the round's `NP`; the lease journal absorbs it
+//!   exactly once.
 //!
 //! Every faulty arm must reproduce the clean partition bit-for-bit —
 //! that equality, not a speedup, is the artifact under test. The
@@ -33,7 +35,7 @@ pub struct Point {
     pub arm: &'static str,
     /// Ranks the fault plan actually removed.
     pub kills: u64,
-    /// Workers the master marked dead (notice or liveness).
+    /// Workers the master marked dead (notice or quiescence).
     pub dead_ranks: u64,
     /// Leases re-queued and re-executed by survivors.
     pub recovered_tasks: u64,
@@ -86,7 +88,6 @@ pub fn run(scale: f64) -> Vec<Point> {
                 "drop",
                 StageRecovery {
                     faults: FaultPlan::default().with_drop(1, 0, 1, 2, FaultStage::Any),
-                    stall_timeout: Some(50_000),
                     ..StageRecovery::default()
                 },
             ),
@@ -164,7 +165,7 @@ pub fn run(scale: f64) -> Vec<Point> {
     assert!(kill.recovered_tasks > 0, "the victim died holding a lease; someone must redo it");
     let drop = points.iter().find(|q| q.arm == "drop").unwrap();
     assert_eq!(drop.kills, 0, "drop arm: nobody is actually killed");
-    assert_eq!(drop.dead_ranks, 1, "drop arm: liveness must declare the silent worker dead");
+    assert_eq!(drop.dead_ranks, 1, "drop arm: quiescence must declare the stuck worker dead");
     assert!(drop.recovered_tasks > 0);
     let delay = points.iter().find(|q| q.arm == "delay").unwrap();
     assert_eq!(delay.dead_ranks, 0, "delay arm: a late report is not a death");

@@ -55,6 +55,31 @@ pub enum AssignPolicy {
     Static,
 }
 
+impl AssignPolicy {
+    /// The policy as the master carries it out: one whole-cluster task
+    /// per non-singleton cluster, in dispatch order, and how many of
+    /// them travel in each grant to one of `workers` workers.
+    pub fn plan(self, clustering: &Clustering, workers: usize) -> (Vec<AssembleTask>, usize) {
+        let mut tasks: Vec<AssembleTask> = clustering
+            .non_singletons()
+            .enumerate()
+            .map(|(slot, members)| AssembleTask { slot: slot as u32, members: members.clone() })
+            .collect();
+        let batch = match self {
+            // One cluster per grant: the master re-decides after every
+            // completion, which is what lets LPT back-fill.
+            AssignPolicy::Lpt => {
+                tasks.sort_by_key(|t| (std::cmp::Reverse(t.cost_units()), t.slot));
+                1
+            }
+            // The old thread-loop behaviour: contiguous blocks in
+            // natural order, one block per worker.
+            AssignPolicy::Static => tasks.len().div_ceil(workers).max(1),
+        };
+        (tasks, batch)
+    }
+}
+
 /// Outcome of a distributed assembly run.
 #[derive(Debug, Clone)]
 pub struct DistAssembleReport {
@@ -92,7 +117,7 @@ pub struct DistAssembleReport {
 /// One whole cluster: its slot in the `non_singletons()` order plus its
 /// member fragment ids.
 #[derive(Debug, Clone)]
-struct AssembleTask {
+pub struct AssembleTask {
     slot: u32,
     members: Vec<u32>,
 }
@@ -101,7 +126,7 @@ impl AssembleTask {
     /// Deterministic work proxy: the candidate overlap-pair count
     /// k·(k−1)/2 — quadratic in cluster size, like the assembler's
     /// all-pairs overlap stage, and independent of host scheduling.
-    fn cost_units(&self) -> u64 {
+    pub fn cost_units(&self) -> u64 {
         let k = self.members.len() as u64;
         k * (k - 1) / 2
     }
@@ -357,23 +382,8 @@ pub fn assemble_parallel_with(
     opts: &RunOpts,
 ) -> DistAssembleReport {
     assert!(p >= 2, "distributed assembly needs at least 2 ranks");
-    let mut tasks: Vec<AssembleTask> = clustering
-        .non_singletons()
-        .enumerate()
-        .map(|(slot, members)| AssembleTask { slot: slot as u32, members: members.clone() })
-        .collect();
+    let (tasks, batch) = policy.plan(clustering, p - 1);
     let n = tasks.len();
-    let batch = match policy {
-        // One cluster per grant: the master re-decides after every
-        // completion, which is what lets LPT back-fill.
-        AssignPolicy::Lpt => {
-            tasks.sort_by_key(|t| (std::cmp::Reverse(t.cost_units()), t.slot));
-            1
-        }
-        // The old thread-loop behaviour: contiguous blocks in natural
-        // order, one block per worker.
-        AssignPolicy::Static => n.div_ceil(p - 1).max(1),
-    };
     let spec = StageSpec {
         name: STAGE_ASSEMBLE,
         roles: ["asm_master", "asm_worker"],
@@ -388,7 +398,7 @@ pub fn assemble_parallel_with(
             names::TAG_ASM_M2W_TASK,
         ],
         comm_counters: &[names::MSGS_COALESCED, names::ENVELOPES_SENT],
-        engine: EngineConfig { batch, pending_cap: n.max(1), stall_timeout: opts.recovery.stall_timeout },
+        engine: EngineConfig { batch, pending_cap: n.max(1) },
         coalesce: Some(CoalescePolicy::default()),
     };
     let mut run = run_stage(p, &spec, opts, &AssembleStage { store, quals, config, tasks });
@@ -628,8 +638,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("assemble.pgck");
+        // The master's clock reads four per worker round (two reports
+        // in, one grant out as two sends): 3 opening rounds + 7 clusters
+        // + 3 termination grants = 43 under any schedule. 20 is mid-run.
         let faulty = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), 40, FaultStage::Any),
+            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), 20, FaultStage::Any),
             checkpoint_every: Some(1),
             checkpoint_path: Some(path.clone()),
             ..StageRecovery::default()

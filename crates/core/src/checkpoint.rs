@@ -1,4 +1,4 @@
-//! Master checkpoint snapshots and per-stage recovery knobs.
+//! Master checkpoint snapshots and per-stage recovery settings.
 //!
 //! The engine's master periodically persists its client's state (the
 //! Union–Find partition for clustering, the completed-assembly table
@@ -47,20 +47,17 @@ pub const STAGE_CLUSTER: &str = "cluster";
 /// See [`STAGE_CLUSTER`].
 pub const STAGE_ASSEMBLE: &str = "assemble";
 
-/// Fault-tolerance knobs for one distributed stage run: what failures
-/// to inject, how the master detects silence, and where snapshots go.
-/// `Default` is a fully passive configuration — no injection, blocking
-/// receives, no checkpointing — under which the engine byte-matches its
-/// pre-fault-tolerance behaviour.
+/// Fault-tolerance settings for one distributed stage run: what
+/// failures to inject and where snapshots go. (Detection needs no
+/// setting: a death is announced, a lost message leaves the run at rest
+/// and the simulator says so.) `Default` is a fully passive
+/// configuration — no injection, no checkpointing — under which the
+/// engine byte-matches its pre-fault-tolerance behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct StageRecovery {
     /// Failures to inject (empty plan = none; the comm layer is not
     /// even armed, so fault-free runs pay nothing).
     pub faults: FaultPlan,
-    /// Master liveness: declare the least-responsive worker dead after
-    /// this many consecutive empty inbox polls. `None` blocks forever
-    /// (the pre-fault-tolerance behaviour).
-    pub stall_timeout: Option<u64>,
     /// Snapshot the master after every this many absorbed result
     /// reports; requires `checkpoint_path`.
     pub checkpoint_every: Option<u64>,
@@ -79,7 +76,7 @@ impl StageRecovery {
         }
     }
 
-    /// Narrow the fault plan to `stage`, keeping the other knobs.
+    /// Narrow the fault plan to `stage`, keeping the other settings.
     pub fn for_stage(&self, stage: FaultStage) -> StageRecovery {
         StageRecovery { faults: self.faults.for_stage(stage), ..self.clone() }
     }
@@ -156,7 +153,6 @@ mod tests {
     fn recovery_defaults_are_passive_and_stage_filter_narrows() {
         let r = StageRecovery::default();
         assert!(r.faults.is_empty());
-        assert!(r.stall_timeout.is_none());
         assert!(r.ckpt_spec().is_none());
         // Cadence without a path (or vice versa) stays off.
         let half = StageRecovery { checkpoint_every: Some(8), ..StageRecovery::default() };
@@ -167,9 +163,9 @@ mod tests {
             50,
             FaultStage::Assemble,
         );
-        let r = StageRecovery { faults: plan, stall_timeout: Some(10), ..StageRecovery::default() };
+        let r = StageRecovery { faults: plan, checkpoint_every: Some(10), ..StageRecovery::default() };
         let cluster = r.for_stage(FaultStage::Cluster);
         assert_eq!(cluster.faults.kills.len(), 1);
-        assert_eq!(cluster.stall_timeout, Some(10), "other knobs survive the narrowing");
+        assert_eq!(cluster.checkpoint_every, Some(10), "other settings survive the narrowing");
     }
 }

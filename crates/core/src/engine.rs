@@ -10,8 +10,8 @@
 //!   carrying termination ([`TAG_M2W_R`]) and a task batch
 //!   ([`TAG_M2W_AW`]);
 //! - the master's event pump ([`run_master`]): drain **all** queued
-//!   reports through `try_recv` before dispatching, block in `recv`
-//!   only on a truly empty inbox;
+//!   reports through `try_recv` before dispatching, block in the one
+//!   `recv` only on a truly empty inbox;
 //! - the pending-task buffer, the [`compute_r`] flow-control rule, the
 //!   park/unpark service for passive workers, and clean termination
 //!   (every worker passive + parked, nothing pending or in flight);
@@ -51,13 +51,20 @@
 //! lease when the report arrives. A report whose lease is no longer
 //! journaled — a late or duplicate replay after recovery — is
 //! discarded whole, so every batch's results are absorbed **at most
-//! once**. When a worker's death notice arrives (or the optional
-//! [`EngineConfig::stall_timeout`] liveness check declares a silent
-//! worker dead), the master marks the rank dead, re-queues its
-//! outstanding leases to survivors, and — if the dead worker's task
-//! generator was still active — assigns its generator *scope* to the
-//! lowest live worker, which rebuilds it from scratch through
-//! [`TaskSink::adopt_scope`]. Regenerated duplicates are the client's
+//! once**. When a worker's death notice arrives, the master marks the
+//! rank dead, re-queues its outstanding leases to survivors, and — if
+//! the dead worker's task generator was still active — assigns its
+//! generator *scope* to the lowest live worker, which rebuilds it from
+//! scratch through [`TaskSink::adopt_scope`]. A *lost* message (a
+//! dropped report or grant) is detected from protocol state, never
+//! from a clock: the run comes to rest with the master unfinished, the
+//! simulator reports [`Event::Quiescent`], and the master recovers
+//! exactly the live workers that still hold a lease or an open round —
+//! at rest those can never be retired — the same way. With no fault
+//! plan armed, or nobody to blame, quiescence is an engine bug and the
+//! master panics with a dump of the outstanding leases; a worker that
+//! is told instead (the master left without a word) treats the master
+//! as lost. Regenerated duplicates are the client's
 //! problem by contract (idempotent absorption / selection dedup); the
 //! paper's clustering client gets this for free from its union–find
 //! and cluster-check skip. The run terminates cleanly at any survivor
@@ -109,14 +116,6 @@ pub struct EngineConfig {
     /// Capacity of the master's pending-task buffer (flow-control
     /// target; the buffer itself degrades gracefully if exceeded).
     pub pending_cap: usize,
-    /// Liveness check: after this many consecutive empty inbox polls
-    /// the master declares the lowest worker with outstanding work
-    /// dead (fault plan armed) or aborts with a diagnostic dump of the
-    /// outstanding leases (no plan — a silent worker is then an engine
-    /// bug, not an injected fault). `None` keeps the master blocking
-    /// in `recv`, the zero-overhead default. The unit is poll events,
-    /// not wall time, so a given interleaving trips deterministically.
-    pub stall_timeout: Option<u64>,
 }
 
 /// A unit of work that can cross the simulated wire. `Clone` because
@@ -198,7 +197,7 @@ pub struct MasterReport {
     /// Tasks recovered from dead workers' journaled leases and
     /// re-queued to survivors.
     pub recovered_tasks: u64,
-    /// Workers marked dead (death notice or liveness declaration).
+    /// Workers marked dead (death notice, or stuck at quiescence).
     pub dead_ranks: u64,
     /// Result reports absorbed (the checkpoint cadence clock).
     pub results_absorbed: u64,
@@ -250,7 +249,7 @@ struct Master<'s, T, S> {
     parked: Vec<bool>,
     /// An allocation is in flight to this worker (a report will come).
     outstanding: Vec<bool>,
-    /// Worker is dead (death notice or liveness declaration): excluded
+    /// Worker is dead (death notice, or stuck at quiescence): excluded
     /// from dispatch, its messages discarded.
     dead: Vec<bool>,
     /// Dispatched-but-unacknowledged batches, keyed by lease id.
@@ -413,8 +412,8 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
 
     /// Every live worker passive and parked, nothing pending, no lease
     /// unacknowledged, no adoption undelivered. The journal term is
-    /// what turns a dropped report into a detectable stall instead of
-    /// silent task loss.
+    /// what turns a dropped report into detectable quiescence instead
+    /// of silent task loss.
     fn finished(&self) -> bool {
         let p = self.worker_active.len();
         (1..p).all(|i| self.dead[i] || (!self.worker_active[i] && self.parked[i] && !self.outstanding[i]))
@@ -478,34 +477,37 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
         }
     }
 
-    /// The stall timeout tripped: with a fault plan armed, declare the
-    /// lowest worker with outstanding work dead (it may be silently
-    /// killed, or its report was dropped on the wire — either way its
-    /// work is recoverable); without one, a stall is an engine bug and
-    /// the diagnostic dump is worth more than a hang.
-    fn on_stall(&mut self, comm: &mut Comm) {
+    /// The run came to rest unfinished: no report is on its way, so a
+    /// live worker that holds a lease or an open round can never retire
+    /// it (its report or its grant was lost on the wire, or it left
+    /// without a death notice). With a fault plan armed, recover exactly
+    /// those workers; without one — or with nobody to blame — this is
+    /// an engine bug and the diagnostic dump is worth more than a hang.
+    fn on_quiescent(&mut self, comm: &mut Comm) {
         let p = self.worker_active.len();
-        let victim = (1..p).find(|&i| {
-            !self.dead[i] && (self.outstanding[i] || self.journal.values().any(|l| l.worker == i))
-        });
-        match victim {
-            Some(i) if comm.has_fault_plan() => {
-                comm.tracer_mut().instant_arg(
-                    TraceCategory::Fault,
-                    names::EV_LIVENESS_DECLARE,
-                    "worker",
-                    i as u64,
-                );
-                self.on_death(comm, i);
-            }
-            _ => panic!("{}", self.stall_dump()),
+        let stuck: Vec<usize> = (1..p)
+            .filter(|&i| {
+                !self.dead[i] && (self.outstanding[i] || self.journal.values().any(|l| l.worker == i))
+            })
+            .collect();
+        if stuck.is_empty() || !comm.has_fault_plan() {
+            panic!("{}", self.stall_dump());
+        }
+        for i in stuck {
+            comm.tracer_mut().instant_arg(
+                TraceCategory::Fault,
+                names::EV_LIVENESS_DECLARE,
+                "worker",
+                i as u64,
+            );
+            self.on_death(comm, i);
         }
     }
 
     /// Human-readable snapshot of the stalled protocol state.
     fn stall_dump(&self) -> String {
         let p = self.worker_active.len();
-        let mut s = String::from("engine stalled: no worker progress within stall_timeout\n");
+        let mut s = String::from("engine stalled: every rank is blocked and no message is in flight\n");
         let _ = writeln!(s, "  pending tasks: {}", self.pending.len());
         for (id, lease) in &self.journal {
             let _ = writeln!(
@@ -590,7 +592,7 @@ pub fn run_master<T: Task, S: TaskSource<T>>(
         adopted_scopes: vec![Vec::new(); p],
         report: MasterReport { peak_queue_depth: seeded, ..MasterReport::default() },
     };
-    match master_pump(comm, config, &mut m, checkpoint) {
+    match master_pump(comm, &mut m, checkpoint) {
         Ok(()) => {}
         // The fault plan killed this rank; workers observe the death
         // notice and exit. The partial report lets the caller recover.
@@ -606,12 +608,10 @@ pub fn run_master<T: Task, S: TaskSource<T>>(
 /// The master's event pump.
 fn master_pump<T: Task, S: TaskSource<T>>(
     comm: &mut Comm,
-    config: &EngineConfig,
     m: &mut Master<'_, T, S>,
     mut checkpoint: Option<CheckpointHook<'_, S>>,
 ) -> Result<(), CommError> {
     let p = comm.size();
-    let mut drain_depth: u64 = 0;
     let mut ckpt_marker: u64 = 0;
     // Protocol gauges: sampled (rate-limited) as the event pump turns,
     // so a time-series view shows queue pressure and worker occupancy
@@ -626,31 +626,10 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         )
     };
 
-    'pump: loop {
-        // Event pump: consume everything already queued before any
-        // dispatch decision — results from fast workers land before
-        // batches are cut for slow ones.
-        match comm.try_recv(None, None)? {
-            Some(Event::Msg(msg)) => {
-                drain_depth += 1;
-                m.on_msg(comm, &msg)?;
-                let pending = m.pending.len() as u64;
-                let s = comm.sampler_mut();
-                s.sample(g_pending, pending);
-                s.sample(g_inbox, drain_depth);
-                continue;
-            }
-            Some(Event::Death(i)) => {
-                m.on_death(comm, i);
-                continue;
-            }
-            None => {}
-        }
-        m.report.inbox_drain_depth_max = m.report.inbox_drain_depth_max.max(drain_depth);
-
-        // Checkpoint on the absorbed-results clock, at a quiescent point
-        // (inbox drained, no partial decode in flight) so the snapshot is
-        // a consistent cut of the client's master-side state.
+    loop {
+        // Checkpoint on the absorbed-results clock, at a point where
+        // the inbox is drained and no decode is partial, so the snapshot
+        // is a consistent cut of the client's master-side state.
         if let Some(hook) = checkpoint.as_mut() {
             if hook.every > 0 && m.report.results_absorbed >= ckpt_marker + hook.every {
                 ckpt_marker = m.report.results_absorbed;
@@ -685,8 +664,8 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         if m.finished() {
             // Every rank gets a termination grant, the dead-declared
             // included: a notice-dead peer's grant is a counted
-            // blackhole, while a merely *declared*-dead (stalled but
-            // alive) worker needs it to stop blocking and exit.
+            // blackhole, while a worker declared dead at quiescence is
+            // alive and needs it to stop blocking and exit.
             for i in 1..p {
                 debug_assert!(m.dead[i] || m.parked[i], "at termination every live worker is parked");
                 send_grant::<T>(comm, i, 0, 0, &[], &[], true)?;
@@ -694,46 +673,33 @@ fn master_pump<T: Task, S: TaskSource<T>>(
             // Replies may still sit in the coalescing queues; this rank
             // never blocks again, so push them out explicitly.
             comm.flush_all();
-            break;
+            return Ok(());
         }
 
-        // Nothing left to do until a worker reports: block — or, with
-        // a stall timeout configured, poll a bounded number of times
-        // so a silent worker cannot hang the run.
-        let ev = if let Some(limit) = config.stall_timeout {
-            // try_recv never flushes; push staged grants out before
-            // waiting on their answers.
-            comm.flush_all();
-            let mut polls: u64 = 0;
-            loop {
-                match comm.try_recv(None, None)? {
-                    Some(ev) => break ev,
-                    None => {
-                        polls += 1;
-                        if polls >= limit {
-                            m.on_stall(comm);
-                            drain_depth = 0;
-                            continue 'pump;
-                        }
-                        std::thread::yield_now();
-                    }
+        // Nothing left to do until a worker reports — or the simulator
+        // reports that none ever will: block. Then consume everything
+        // else already queued before the next dispatch decision, so
+        // results from fast workers land before batches are cut for
+        // slow ones.
+        let mut next = Some(comm.recv(None, None)?);
+        let mut drain_depth: u64 = 0;
+        while let Some(event) = next {
+            match event {
+                Event::Msg(msg) => {
+                    drain_depth += 1;
+                    m.on_msg(comm, &msg)?;
+                    let pending = m.pending.len() as u64;
+                    let s = comm.sampler_mut();
+                    s.sample(g_pending, pending);
+                    s.sample(g_inbox, drain_depth);
                 }
+                Event::Death(i) => m.on_death(comm, i),
+                Event::Quiescent => m.on_quiescent(comm),
             }
-        } else {
-            comm.recv(None, None)?
-        };
-        match ev {
-            Event::Msg(msg) => {
-                drain_depth = 1;
-                m.on_msg(comm, &msg)?;
-            }
-            Event::Death(i) => {
-                drain_depth = 0;
-                m.on_death(comm, i);
-            }
+            next = comm.try_recv(None, None)?;
         }
+        m.report.inbox_drain_depth_max = m.report.inbox_drain_depth_max.max(drain_depth);
     }
-    Ok(())
 }
 
 fn drain_batch<T>(pending: &mut VecDeque<T>, b: usize) -> Vec<T> {
@@ -820,7 +786,8 @@ pub fn compute_r(
 /// for, report both, receive the next allocation — parking when passive
 /// and idle until the master finds work or terminates the run. Under an
 /// armed fault plan the loop also ends when the plan kills this rank
-/// ([`WorkerReport::killed`]) or the master's death notice arrives
+/// ([`WorkerReport::killed`]); it ends, too, when the master's death
+/// notice arrives or the run comes to rest without the master
 /// ([`WorkerReport::master_died`]). Any other failure is announced to
 /// the peers ([`Comm::abort`]) and returned.
 pub fn run_worker<T: Task, S: TaskSink<T>>(
@@ -840,13 +807,14 @@ pub fn run_worker<T: Task, S: TaskSink<T>>(
     Ok(report)
 }
 
-/// Next `tag` message from the master; `None` when the master died.
+/// Next `tag` message from the master; `None` when the master died —
+/// or left without a word, which a worker learns as quiescence.
 /// Peer-worker deaths are the master's business, not a worker's — their
 /// notices are skipped.
 fn recv_from_master(comm: &mut Comm, tag: u32) -> Result<Option<Msg>, CommError> {
     loop {
         match comm.recv(Some(0), Some(tag))? {
-            Event::Death(0) => return Ok(None),
+            Event::Death(0) | Event::Quiescent => return Ok(None),
             Event::Death(_) => continue,
             Event::Msg(m) => return Ok(Some(m)),
         }
@@ -935,6 +903,7 @@ mod tests {
     use pgasm_mpisim::faults::FaultStage;
     use pgasm_mpisim::{FaultPlan, KillTarget};
     use std::collections::HashSet;
+    use std::sync::{Arc, Barrier};
 
     /// Toy client: tasks are plain integers, workers square them.
     /// Exercises the protocol shell with no domain logic at all.
@@ -993,10 +962,20 @@ mod tests {
         /// Results each report claims beyond those it carries (a sink
         /// and a source that disagree about the `AR` layout).
         overcount: u32,
+        /// Where every worker meets before its second round, so that no
+        /// second-round report reaches the master before every opening
+        /// report has been answered: the first grants are cut from the
+        /// opening announcements alone, under any thread schedule.
+        gate: Option<Arc<Barrier>>,
+        rounds: u32,
     }
 
     impl TaskSink<u32> for RangeSink {
         fn run_batch(&mut self, _tracer: &mut Tracer, batch: &mut Vec<u32>, w: &mut Writer) {
+            self.rounds += 1;
+            if let Some(gate) = self.gate.as_ref().filter(|_| self.rounds == 2) {
+                gate.wait();
+            }
             w.put_u32(checked_len(batch.len()) + self.overcount);
             for t in batch.drain(..) {
                 self.computed += 1;
@@ -1038,7 +1017,7 @@ mod tests {
 
     fn run_toy(p: usize, per_worker: u32, batch: usize, cap: usize) -> (u64, u64, MasterReport) {
         let outcomes = pgasm_mpisim::run(p, move |comm| {
-            let cfg = EngineConfig { batch, pending_cap: cap, stall_timeout: None };
+            let cfg = EngineConfig { batch, pending_cap: cap };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
                 let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
@@ -1078,7 +1057,7 @@ mod tests {
         let seed: Vec<u32> = (0..30).map(|i| i * 2).collect();
         let expected: u64 = seed.iter().map(|&t| t as u64 * t as u64).sum();
         let (sum, computed) = pgasm_mpisim::run(4, move |comm| {
-            let cfg = EngineConfig { batch: 1, pending_cap: 64, stall_timeout: None };
+            let cfg = EngineConfig { batch: 1, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
                 let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
@@ -1103,7 +1082,7 @@ mod tests {
         use pgasm_telemetry::trace::TraceSpec;
         let spec = TraceSpec::with_capacity(4096);
         let series = pgasm_mpisim::run(3, move |comm| {
-            let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout: None };
+            let cfg = EngineConfig { batch: 4, pending_cap: 64 };
             let mut sampler = spec.sampler(comm.rank(), if comm.rank() == 0 { "master" } else { "worker" });
             sampler.set_interval_ns(0); // sample every pump turn
             comm.set_sampler(sampler);
@@ -1145,18 +1124,19 @@ mod tests {
     fn run_toy_faulty(
         p: usize,
         per_worker: u32,
+        batch: usize,
         plan: FaultPlan,
-        stall_timeout: Option<u64>,
     ) -> (u64, MasterReport, Vec<WorkerReport>) {
+        let gate = Arc::new(Barrier::new(p - 1));
         let outcomes = pgasm_mpisim::run(p, move |comm| {
             comm.set_fault_plan(&plan);
-            let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout };
+            let cfg = EngineConfig { batch, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
                 let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
                 (Some((source.sum, report)), None)
             } else {
-                let mut sink = toy_sink(comm.rank(), per_worker);
+                let mut sink = RangeSink { gate: Some(gate.clone()), ..toy_sink(comm.rank(), per_worker) };
                 (None, Some(run_worker(comm, &cfg, &mut sink).unwrap()))
             }
         });
@@ -1176,15 +1156,19 @@ mod tests {
 
     #[test]
     fn killed_worker_recovers_to_exact_sum() {
-        // Kill each worker in turn, at an event count deep enough that
-        // it holds an unacknowledged lease; the run must finish with
-        // the exact fault-free sum every time.
+        // Kill each worker in turn at its second report (event 5). At
+        // one task per batch every opening `NP` announces exactly the
+        // first task of a range — even, so selected — and every grant
+        // takes one: with no second-round report ahead of them (`gate`)
+        // all three first grants carry a task. The victim dies holding
+        // an unacknowledged lease under any schedule, and the run must
+        // finish with the exact fault-free sum.
         for victim in 1..4usize {
-            let plan = FaultPlan::default().with_kill(KillTarget::Rank(victim), 9, FaultStage::Any);
-            let (sum, report, workers) = run_toy_faulty(4, 40, plan, None);
+            let plan = FaultPlan::default().with_kill(KillTarget::Rank(victim), 5, FaultStage::Any);
+            let (sum, report, workers) = run_toy_faulty(4, 40, 1, plan);
             assert_eq!(sum, expected_sum(3, 40), "victim = {victim}");
             assert_eq!(report.dead_ranks, 1, "victim = {victim}");
-            assert!(report.recovered_tasks > 0, "victim = {victim}: kill at an AR entry leaves a lease");
+            assert_eq!(report.recovered_tasks, 1, "victim = {victim}: kill at an AR entry leaves a lease");
             assert!(!report.killed);
             assert_eq!(workers.iter().filter(|w| w.killed).count(), 1);
             assert!(workers.iter().any(|w| w.scopes_adopted == 1), "the dead generator was adopted");
@@ -1194,19 +1178,23 @@ mod tests {
     #[test]
     fn killed_passive_worker_in_seeded_run_recovers() {
         // The distributed-assembly shape: master-seeded queue, passive
-        // workers. A worker death re-queues its leased slots.
+        // workers. A worker death re-queues its leased slots. The
+        // victim dies at its second report (event 5) — the first to
+        // carry a lease, which the others cannot have drained the queue
+        // of: they wait for it before computing theirs.
         let seed: Vec<u32> = (0..60).map(|i| i * 2).collect();
         let expected: u64 = seed.iter().map(|&t| t as u64 * t as u64).sum();
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(2), 9, FaultStage::Any);
+        let plan = FaultPlan::default().with_kill(KillTarget::Rank(2), 5, FaultStage::Any);
+        let gate = Arc::new(Barrier::new(3));
         let (sum, report) = pgasm_mpisim::run(4, move |comm| {
             comm.set_fault_plan(&plan);
-            let cfg = EngineConfig { batch: 2, pending_cap: 64, stall_timeout: None };
+            let cfg = EngineConfig { batch: 2, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
                 let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
                 Some((source.sum, report))
             } else {
-                let mut sink = RangeSink::default();
+                let mut sink = RangeSink { gate: Some(gate.clone()), ..RangeSink::default() };
                 run_worker(comm, &cfg, &mut sink).unwrap();
                 None
             }
@@ -1222,17 +1210,33 @@ mod tests {
 
     #[test]
     fn dropped_report_trips_liveness_and_recovers() {
-        // Worker 1's second result report vanishes on the wire: its
-        // lease can never be retired, so the master's stall timeout
-        // declares it dead, re-queues the batch, and the run still
-        // produces the exact sum. The falsely-declared worker is
-        // released by the termination grant (no killed flag set).
-        let plan = FaultPlan::default().with_drop(1, 0, TAG_W2M_AR, 2, FaultStage::Any);
-        let (sum, report, workers) = run_toy_faulty(3, 30, plan, Some(50_000));
-        assert_eq!(sum, expected_sum(2, 30));
-        assert_eq!(report.dead_ranks, 1, "liveness declared the silent worker dead");
-        assert!(report.recovered_tasks > 0);
-        assert!(workers.iter().all(|w| !w.killed), "nobody was actually killed");
+        // One message of worker 1's second round vanishes on the wire.
+        // The run comes to rest with the master unfinished; it declares
+        // exactly the worker that can no longer retire its round dead,
+        // recovers what that worker held, and the run still produces
+        // the exact sum. Nobody was killed: the declared worker leaves
+        // by the termination grant — or, stranded waiting for the lost
+        // `AW`, by learning that the master has gone.
+        //
+        // - `AR` lost: the lease is never retired (worker 1 plays on and
+        //   parks; its batch is re-queued).
+        // - `NP` lost: the lease was retired by the `AR` before it, but
+        //   the round never closes and the announced tasks are gone —
+        //   the survivor regenerates worker 1's scope instead.
+        // - `AW` lost: the grant's lease never reaches worker 1.
+        for (src, dst, tag) in [(1, 0, TAG_W2M_AR), (1, 0, TAG_W2M_NP), (0, 1, TAG_M2W_AW)] {
+            let plan = FaultPlan::default().with_drop(src, dst, tag, 2, FaultStage::Any);
+            let (sum, report, workers) = run_toy_faulty(3, 30, 4, plan);
+            assert_eq!(sum, expected_sum(2, 30), "tag {tag}");
+            assert_eq!(report.dead_ranks, 1, "tag {tag}: quiescence declared the stuck worker dead");
+            if tag == TAG_W2M_NP {
+                assert_eq!(workers[1].scopes_adopted, 1, "worker 1's generator was adopted");
+            } else {
+                assert!(report.recovered_tasks > 0, "tag {tag}");
+            }
+            assert!(workers.iter().all(|w| !w.killed), "tag {tag}: nobody was actually killed");
+            assert_eq!(workers[0].master_died, tag == TAG_M2W_AW, "tag {tag}");
+        }
     }
 
     #[test]
@@ -1241,7 +1245,7 @@ mod tests {
         // events and overtaken by later traffic; the lease journal
         // still retires it exactly once and the sum stays exact.
         let plan = FaultPlan::default().with_delay(1, 0, TAG_W2M_AR, 2, 3, FaultStage::Any);
-        let (sum, report, _) = run_toy_faulty(3, 30, plan, None);
+        let (sum, report, _) = run_toy_faulty(3, 30, 4, plan);
         assert_eq!(sum, expected_sum(2, 30));
         assert_eq!(report.dead_ranks, 0);
     }
@@ -1251,7 +1255,7 @@ mod tests {
         let plan = FaultPlan::default().with_kill(KillTarget::Rank(0), 7, FaultStage::Any);
         let outcomes = pgasm_mpisim::run(3, move |comm| {
             comm.set_fault_plan(&plan);
-            let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout: None };
+            let cfg = EngineConfig { batch: 4, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
                 let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
@@ -1278,7 +1282,7 @@ mod tests {
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let outcomes = pgasm_mpisim::run(3, |comm| {
-                let cfg = EngineConfig { batch: 4, pending_cap: 64, stall_timeout: None };
+                let cfg = EngineConfig { batch: 4, pending_cap: 64 };
                 if comm.rank() == 0 {
                     run_master(comm, &cfg, &mut SumSource::new(), Vec::<u32>::new(), None).err()
                 } else {

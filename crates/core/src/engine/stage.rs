@@ -30,8 +30,7 @@ use std::time::Instant;
 pub struct RunOpts {
     /// Per-rank event tracing and gauge sampling.
     pub trace: TraceSpec,
-    /// Scripted fault injection, master liveness timeout, and
-    /// checkpoint/resume.
+    /// Scripted fault injection and checkpoint/resume.
     pub recovery: StageRecovery,
 }
 
@@ -183,7 +182,7 @@ pub fn run_stage<C: StageClient>(
         comm.set_tracer(trace.tracer(spec.track_offset + rank, role));
         comm.set_sampler(trace.sampler(spec.track_offset + rank, role));
         // Arm scripted failures before any traffic. The fault clock
-        // ticks in point-to-point calls only, so a pre-phase made of
+        // ticks on point-to-point events only, so a pre-phase made of
         // collectives runs untouched and a scripted kill lands inside
         // the protocol — after the last barrier any rank will ever pass.
         if !recovery.faults.is_empty() {

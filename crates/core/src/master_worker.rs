@@ -164,30 +164,8 @@ pub fn cluster_parallel_with(
     assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
     let ds = store.with_reverse_complements();
     let owner = compute_owners(&ds, p, 1);
-    let spec = StageSpec {
-        name: STAGE_CLUSTER,
-        roles: ["master", "worker"],
-        track_offset: 0,
-        tag_labels: [names::TAG_W2M_AR, names::TAG_M2W_R, names::TAG_W2M_NP, names::TAG_M2W_AW],
-        comm_counters: &[
-            names::MSGS_COALESCED,
-            names::ENVELOPES_SENT,
-            names::FLUSH_BY_BYTES,
-            names::FLUSH_BY_MSGS,
-            names::FLUSH_ON_BLOCK,
-            names::FLUSH_EXPLICIT,
-            names::WAIT_NS_TOTAL,
-            names::BARRIER_NS_TOTAL,
-        ],
-        engine: EngineConfig {
-            batch: config.batch,
-            pending_cap: config.pending_cap,
-            stall_timeout: opts.recovery.stall_timeout,
-        },
-        coalesce: config.coalesce,
-    };
     let client = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: *params };
-    let run = run_stage(p, &spec, opts, &client);
+    let run = run_stage(p, &stage_spec(config), opts, &client);
 
     let mut gst_reports = Vec::with_capacity(p);
     let mut result = None;
@@ -215,6 +193,28 @@ pub fn cluster_parallel_with(
         recovered_tasks: run.recovered_tasks,
         dead_ranks: run.dead_ranks,
         killed: run.killed,
+    }
+}
+
+/// What the clustering stage is to [`run_stage`], under `config`.
+fn stage_spec(config: &MasterWorkerConfig) -> StageSpec {
+    StageSpec {
+        name: STAGE_CLUSTER,
+        roles: ["master", "worker"],
+        track_offset: 0,
+        tag_labels: [names::TAG_W2M_AR, names::TAG_M2W_R, names::TAG_W2M_NP, names::TAG_M2W_AW],
+        comm_counters: &[
+            names::MSGS_COALESCED,
+            names::ENVELOPES_SENT,
+            names::FLUSH_BY_BYTES,
+            names::FLUSH_BY_MSGS,
+            names::FLUSH_ON_BLOCK,
+            names::FLUSH_EXPLICIT,
+            names::WAIT_NS_TOTAL,
+            names::BARRIER_NS_TOTAL,
+        ],
+        engine: EngineConfig { batch: config.batch, pending_cap: config.pending_cap },
+        coalesce: config.coalesce,
     }
 }
 
@@ -938,6 +938,7 @@ mod tests {
     use crate::checkpoint::StageRecovery;
     use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
     use pgasm_telemetry::trace::TraceSpec;
+    use std::sync::{Arc, Barrier};
 
     fn run_with(store: &FragmentStore, p: usize, recovery: StageRecovery) -> ParallelClusterReport {
         cluster_parallel_with(store, p, &params(), &config(), &RunOpts { recovery, ..RunOpts::default() })
@@ -955,11 +956,64 @@ mod tests {
         run_with(store, p, armed).ranks.iter().map(|r| r.counter(names::FAULT_EVENTS)).collect()
     }
 
-    /// The worker round is four point-to-point calls (send AR, send NP,
-    /// recv R, recv AW); events ≡ 1 (mod 4) land at the entry of an AR
-    /// send, when the rank holds an unacknowledged lease.
-    fn ar_send_event_near(mid: u64) -> u64 {
-        (mid.saturating_sub(mid % 4) + 1).max(5)
+    /// The clustering stage with its workers in step for one round, as
+    /// `engine::tests`' `RangeSink::gate` steps the toy client: every
+    /// worker meets the others before its second round, so the master
+    /// answers every opening report before it has absorbed one result.
+    /// Its cluster-check then rejects nothing, and each worker's first
+    /// grant is a full batch of announced pairs under any schedule.
+    struct Gated<'a> {
+        stage: ClusterStage<'a>,
+        gate: Arc<Barrier>,
+    }
+
+    struct GatedSink<'a> {
+        sink: ClusterSink<'a>,
+        gate: Arc<Barrier>,
+        rounds: u32,
+    }
+
+    impl<'a> StageClient for Gated<'a> {
+        type Task = PromisingPair;
+        type Source = ClusterSource<'a>;
+        type Sink = GatedSink<'a>;
+        type Pre = (Gst, RankGstReport);
+        type Output = <ClusterStage<'a> as StageClient>::Output;
+
+        fn pre_phase(&self, comm: &mut Comm) -> Self::Pre {
+            self.stage.pre_phase(comm)
+        }
+        fn source(&self, pre: Self::Pre) -> ClusterSource<'a> {
+            self.stage.source(pre)
+        }
+        fn seed(&self, source: &ClusterSource<'a>) -> Vec<PromisingPair> {
+            self.stage.seed(source)
+        }
+        fn master_output(&self, source: ClusterSource<'a>, em: &MasterReport) -> (Self::Output, Counters) {
+            self.stage.master_output(source, em)
+        }
+        fn sink(&self, comm: &Comm, pre: Self::Pre) -> GatedSink<'a> {
+            GatedSink { sink: self.stage.sink(comm, pre), gate: self.gate.clone(), rounds: 0 }
+        }
+        fn worker_output(&self, sink: GatedSink<'a>, ew: &WorkerReport) -> (Self::Output, Counters) {
+            self.stage.worker_output(sink.sink, ew)
+        }
+    }
+
+    impl TaskSink<PromisingPair> for GatedSink<'_> {
+        fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<PromisingPair>, w: &mut Writer) {
+            self.rounds += 1;
+            if self.rounds == 2 {
+                self.gate.wait();
+            }
+            self.sink.run_batch(tracer, batch, w)
+        }
+        fn generate(&mut self, tracer: &mut Tracer, r: usize, out: &mut Vec<PromisingPair>) -> bool {
+            self.sink.generate(tracer, r, out)
+        }
+        fn adopt_scope(&mut self, tracer: &mut Tracer, dead_rank: usize) {
+            self.sink.adopt_scope(tracer, dead_rank)
+        }
     }
 
     #[test]
@@ -1076,24 +1130,33 @@ mod tests {
 
     #[test]
     fn killed_worker_yields_identical_partition() {
-        // Kill each worker in turn mid-protocol while it holds a lease
-        // and require the exact serial partition plus a lease recovery
-        // and a scope adoption.
+        // Kill each worker in turn at the entry of its second result
+        // report (event 5: send AR, send NP, recv R, recv AW, then this
+        // send). The report is for its first grant — a full batch by
+        // construction (`Gated`) — and its generator has barely started,
+        // so every victim dies holding a lease: require the exact serial
+        // partition, that lease's recovery and one scope adoption.
         let store = test_store();
         let (serial, _) = cluster_serial(&store, &params());
-        let depths = probe_events(&store, 4);
-        for (victim, &depth) in depths.iter().enumerate().skip(1) {
-            let at = ar_send_event_near(depth / 2);
+        let ds = store.with_reverse_complements();
+        let owner = compute_owners(&ds, 4, 1);
+        for victim in 1..4 {
             let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, FaultStage::Any),
+                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 5, FaultStage::Any),
                 ..StageRecovery::default()
             };
-            let report = run_with(&store, 4, recovery);
-            assert_eq!(report.clustering, serial, "victim {victim} (killed at event {at})");
-            assert_eq!(report.dead_ranks, 1, "victim {victim} (killed at event {at})");
-            assert!(report.recovered_tasks > 0, "victim {victim} died holding a lease (event {at})");
-            assert!(!report.killed);
-            assert_eq!(report.ranks[0].counter(names::DEAD_RANKS), 1);
+            let stage = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: params() };
+            let client = Gated { stage, gate: Arc::new(Barrier::new(3)) };
+            let opts = RunOpts { recovery, ..RunOpts::default() };
+            let run = run_stage(4, &stage_spec(&config()), &opts, &client);
+            let (clustering, _) = run.outputs[0].1.as_ref().expect("master produced the clustering");
+            assert_eq!(clustering, &serial, "victim {victim}");
+            assert_eq!(run.dead_ranks, 1, "victim {victim}");
+            assert_eq!(run.recovered_tasks, config().batch as u64, "victim {victim} died holding a lease");
+            assert!(!run.killed);
+            assert_eq!(run.ranks[0].counter(names::DEAD_RANKS), 1);
+            let adopted: u64 = run.ranks[1..].iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum();
+            assert_eq!(adopted, 1, "victim {victim}: one survivor adopts its generator scope");
         }
     }
 

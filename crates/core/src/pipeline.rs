@@ -51,13 +51,12 @@ pub struct PipelineConfig {
     /// parameters reload the preprocess output, (serial runs) the GST,
     /// and the assembled contigs from here instead of recomputing them.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Fault-tolerance knobs for the distributed stages: failures to
-    /// inject, the master's stall timeout, checkpoint cadence, and the
-    /// snapshot to resume from. The `checkpoint_path` / `resume_from`
-    /// paths are treated as a *base*: each stage derives its own file
-    /// (`<base>.cluster.pgck`, `<base>.assemble.pgck`), so one
-    /// `--checkpoint` flag covers both engine clients. Passive by
-    /// default.
+    /// Fault-tolerance settings for the distributed stages: failures
+    /// to inject, checkpoint cadence, and the snapshot to resume from.
+    /// The `checkpoint_path` / `resume_from` paths are treated as a
+    /// *base*: each stage derives its own file (`<base>.cluster.pgck`,
+    /// `<base>.assemble.pgck`), so one `--checkpoint` flag covers both
+    /// engine clients. Passive by default.
     pub recovery: StageRecovery,
 }
 

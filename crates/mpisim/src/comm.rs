@@ -9,33 +9,31 @@ use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, GaugeId, GaugeSampler, RankSeries, TagStat};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tags at or above this value are reserved for collectives.
 pub const RESERVED_TAG_BASE: u32 = 0xFFFF_0000;
 
-const TAG_BCAST: u32 = RESERVED_TAG_BASE;
-const TAG_GATHER: u32 = RESERVED_TAG_BASE + 1;
 const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 2;
 const TAG_ALLTOALL_P2P: u32 = RESERVED_TAG_BASE + 3;
-const TAG_REDUCE: u32 = RESERVED_TAG_BASE + 4;
 const TAG_COALESCED: u32 = RESERVED_TAG_BASE + 5;
 /// Death notice a dying rank broadcasts to every peer (empty payload).
 /// Intercepted on ingest and surfaced as [`Event::Death`], never as a
 /// message.
 const TAG_DEATH: u32 = RESERVED_TAG_BASE + 6;
+/// The simulator's notice that the world is quiescent (empty payload;
+/// `src` is the rank that saw it). Wakes the lowest live rank, surfaces
+/// as [`Event::Quiescent`], and is no part of the modelled traffic.
+const TAG_QUIESCENT: u32 = RESERVED_TAG_BASE + 7;
 
 /// Human-readable name for a tag: collectives get their primitive's
 /// name, application tags render as `"tag<N>"` (callers owning an
 /// application protocol can relabel rows in their reports).
 pub fn tag_label(tag: u32) -> String {
     match tag {
-        TAG_BCAST => "bcast".to_string(),
-        TAG_GATHER => "gather".to_string(),
         TAG_ALLTOALL => "alltoall".to_string(),
         TAG_ALLTOALL_P2P => "alltoall_p2p".to_string(),
-        TAG_REDUCE => "reduce".to_string(),
         TAG_COALESCED => "coalesced".to_string(),
         TAG_DEATH => names::TAG_DEATH.to_string(),
         t => format!("tag{t}"),
@@ -79,7 +77,7 @@ pub struct CoalesceStats {
     /// Non-empty queue flushes forced by this rank blocking
     /// (`recv` on an empty inbox, `barrier`).
     pub flush_block: u64,
-    /// Explicit flushes (`flush`/`flush_all`/`set_coalesce`) plus
+    /// Explicit flushes (`flush_all`/`set_coalesce`) plus
     /// ordering flushes forced by a direct (collective) send to a
     /// destination with staged messages.
     pub flush_explicit: u64,
@@ -121,16 +119,47 @@ pub struct Msg {
     pub data: Bytes,
 }
 
-/// What a receive delivered: an application message, or the
-/// observation that a peer died. Death events are surfaced regardless
-/// of the receive's src/tag filter — a failure is never something a
-/// caller can opt out of seeing.
+/// What a receive delivered: an application message, or something the
+/// simulator observed. Observations are surfaced regardless of the
+/// receive's src/tag filter — a failure is never something a caller
+/// can opt out of seeing.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// An application message matching the receive's filter.
     Msg(Msg),
     /// The given peer rank broadcast its death notice.
     Death(usize),
+    /// Every live rank is blocked in a receive and nothing is
+    /// undelivered, so no message can ever arrive: something was lost,
+    /// a peer left without a word, or the protocol deadlocked. Raised at
+    /// the lowest live rank only, and again each time the world comes
+    /// to rest — the receiver must send, leave or panic.
+    Quiescent,
+}
+
+/// What the simulator knows about the machine as a whole, shared by
+/// every rank's [`Comm`]. Every channel put and take happens under this
+/// lock, so "all blocked, nothing undelivered" is a fact when observed,
+/// not a guess from a clock.
+struct World {
+    /// Rank has not dropped its `Comm` yet.
+    live: Vec<bool>,
+    /// Rank is waiting in a blocking receive on an empty inbox.
+    blocked: Vec<bool>,
+    /// Channel puts no receiver has taken out yet.
+    undelivered: usize,
+    /// The first rank to leave by panic: the root cause [`run`] re-raises.
+    panicked: Option<usize>,
+}
+
+impl World {
+    /// The lowest live rank, when every live rank is blocked and
+    /// nothing is undelivered.
+    fn quiescent(&self) -> Option<usize> {
+        let at_rest = self.undelivered == 0
+            && self.live.iter().zip(&self.blocked).all(|(&live, &blocked)| blocked || !live);
+        self.live.iter().position(|&live| live).filter(|_| at_rest)
+    }
 }
 
 /// A rank's communicator handle. All methods take `&mut self`: a rank is
@@ -141,6 +170,7 @@ pub struct Comm {
     senders: Vec<Sender<Msg>>,
     receiver: Receiver<Msg>,
     backlog: VecDeque<Msg>,
+    world: Arc<Mutex<World>>,
     barrier: Arc<Barrier>,
     stats: CommStats,
     tag_traffic: BTreeMap<u32, TagTraffic>,
@@ -262,9 +292,10 @@ impl Comm {
 
     /// Arm `plan` on this rank. Every rank of the world must arm the
     /// same (stage-filtered) plan for consistent semantics: arming
-    /// starts the rank's fault clock (one event per `send` / `recv` /
-    /// `try_recv`; collectives and `barrier` never tick) and makes a
-    /// vanished peer a counted loss instead of a panic.
+    /// starts the rank's fault clock (one event per `send` and per
+    /// `recv` / `try_recv` that returns an event; an empty `try_recv`,
+    /// collectives and `barrier` never tick) and makes a vanished peer
+    /// a counted loss instead of a panic.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = Some(FaultRuntime::new(plan, self.rank, self.size));
     }
@@ -285,20 +316,33 @@ impl Comm {
         &self.dead_peers
     }
 
-    /// Advance this rank's fault clock by one event: trip a scripted
-    /// kill (entry of every point-to-point call, *before* any
-    /// transmission — a killed rank's current round never reaches the
-    /// wire) and release any held-back messages that have come due.
-    fn fault_tick(&mut self) -> Result<(), CommError> {
-        let Some(f) = &mut self.faults else { return Ok(()) };
-        if f.dead {
-            return Err(f.killed_error());
+    /// A rank the plan has killed fails every point-to-point call.
+    fn check_alive(&self) -> Result<(), CommError> {
+        match &self.faults {
+            Some(f) if f.dead => Err(f.killed_error()),
+            _ => Ok(()),
         }
-        let (killed, released) = f.tick();
-        if killed {
+    }
+
+    /// Advance this rank's fault clock by one event: trip a scripted
+    /// kill (*before* any transmission — a killed rank's current round
+    /// never reaches the wire) and release any held-back messages that
+    /// have come due.
+    fn fault_tick(&mut self) -> Result<(), CommError> {
+        self.check_alive()?;
+        let Some(f) = &mut self.faults else { return Ok(()) };
+        if f.tick() {
             return Err(self.die());
         }
-        for (dest, tag, data) in released {
+        self.release_held(false);
+        Ok(())
+    }
+
+    /// Put the held-back messages that have come due on the wire — or
+    /// `all` of them, when this rank is about to block.
+    fn release_held(&mut self, all: bool) {
+        let Some(f) = &mut self.faults else { return };
+        for (dest, tag, data) in f.release(all) {
             if self.dead_peers[dest] {
                 if let Some(f) = &mut self.faults {
                     f.stats.msgs_lost += 1;
@@ -307,7 +351,6 @@ impl Comm {
                 self.send_raw(dest, tag, data);
             }
         }
-        Ok(())
     }
 
     /// A scripted kill tripped: record it and leave the world.
@@ -330,13 +373,10 @@ impl Comm {
             q.bytes = 0;
         }
         self.staged_bytes = 0;
-        for peer in 0..self.size {
-            if peer == self.rank {
-                continue;
-            }
+        for peer in (0..self.size).filter(|&peer| peer != self.rank) {
             self.stats.msgs_sent += 1;
             self.tag_traffic.entry(TAG_DEATH).or_default().msgs_sent += 1;
-            let _ = self.senders[peer].send(Msg { src: self.rank, tag: TAG_DEATH, data: Bytes::new() });
+            self.put(&mut self.world(), peer, TAG_DEATH, Bytes::new());
             if let Some(f) = &mut self.faults {
                 f.stats.death_notices += 1;
             }
@@ -417,36 +457,37 @@ impl Comm {
     /// a wildcard). Non-matching messages are buffered for later
     /// receives, preserving per-sender FIFO order. A peer's death
     /// notice is delivered as [`Event::Death`] regardless of the
-    /// filter, a scripted kill of *this* rank surfaces as
-    /// `Err(CommError::Killed)` (the call is one fault-clock event),
-    /// and a fully-exited world is `Err(CommError::Disconnected)`.
+    /// filter, as is [`Event::Quiescent`] when no message can ever
+    /// arrive (every other rank having exited is one such world), and a
+    /// scripted kill of *this* rank surfaces as `Err(CommError::Killed)`
+    /// (the call is one fault-clock event, ticked at its entry).
     ///
     /// `wait_ns` is charged only while the underlying channel is
     /// genuinely empty — draining and backlogging already-delivered
     /// non-matching messages is bookkeeping, not blocked time.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Event, CommError> {
         self.fault_tick()?;
-        Ok(self.receive(src, tag, true)?.expect("a blocking receive yields an event"))
+        Ok(self.receive(src, tag, true).expect("a blocking receive yields an event"))
     }
 
     /// Non-blocking [`Comm::recv`]; `Ok(None)` when nothing matching
-    /// (and no death notice) is queued. Never flushes staged sends (it
-    /// never blocks) — callers looping on `try_recv` fall through to a
-    /// blocking `recv` (or `flush_all`) once the inbox runs dry.
+    /// (and no death notice) is queued — which is not a fault-clock
+    /// event: only a returned event ticks. Never flushes staged sends
+    /// (it never blocks) — callers looping on `try_recv` fall through
+    /// to a blocking `recv` (or `flush_all`) once the inbox runs dry.
     pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Option<Event>, CommError> {
-        self.fault_tick()?;
-        self.receive(src, tag, false)
+        self.check_alive()?;
+        let event = self.receive(src, tag, false);
+        if event.is_some() {
+            self.fault_tick()?;
+        }
+        Ok(event)
     }
 
     /// The one receive loop, under the point-to-point calls and the
     /// collectives alike. It never ticks the fault clock: the public
     /// wrappers do, the collectives must not.
-    fn receive(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<u32>,
-        block: bool,
-    ) -> Result<Option<Event>, CommError> {
+    fn receive(&mut self, src: Option<usize>, tag: Option<u32>, block: bool) -> Option<Event> {
         // Backlog prefix already known to hold no match.
         let mut scanned = 0;
         // About to wait on the network: release anything this rank has
@@ -455,12 +496,12 @@ impl Comm {
         let mut flush = block;
         loop {
             if let Some(d) = self.pending_deaths.pop_front() {
-                return Ok(Some(Event::Death(d)));
+                return Some(Event::Death(d));
             }
             if let Some(i) = (scanned..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
                 let m = self.backlog.remove(i).expect("index valid");
                 self.note_recv(&m);
-                return Ok(Some(Event::Msg(m)));
+                return Some(Event::Msg(m));
             }
             scanned = self.backlog.len();
             if std::mem::take(&mut flush) {
@@ -469,40 +510,80 @@ impl Comm {
                 self.flush_before_block();
                 continue;
             }
-            let m = match self.receiver.try_recv() {
-                Ok(m) => m,
-                Err(_) if !block => return Ok(None),
-                Err(_) => {
-                    // The traced `wait` span brackets exactly the region
-                    // `wait_ns` measures, so the two accountings agree.
-                    self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
-                    let start = Instant::now();
-                    let res = self.receiver.recv();
-                    self.stats.wait_ns += start.elapsed().as_nanos() as u64;
-                    self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
-                    res.map_err(|_| CommError::Disconnected)?
-                }
+            let m = match self.take() {
+                Some(m) => m,
+                None if !block => return None,
+                None => self.wait(),
             };
+            if m.tag == TAG_QUIESCENT {
+                return Some(Event::Quiescent);
+            }
             self.ingest(m);
         }
+    }
+
+    /// Take the next wire message out of this rank's inbox, if any.
+    fn take(&mut self) -> Option<Msg> {
+        let m = self.receiver.try_recv().ok()?;
+        self.world().undelivered -= 1;
+        Some(m)
+    }
+
+    /// Block on an empty inbox until a wire message arrives. Blocking
+    /// is what can bring the world to rest, so the rank that completes
+    /// the condition raises the quiescence notice — at the lowest live
+    /// rank, which may be itself.
+    fn wait(&mut self) -> Msg {
+        {
+            let mut w = self.world();
+            w.blocked[self.rank] = true;
+            self.notify_if_quiescent(&mut w);
+        }
+        // The traced `wait` span brackets exactly the region `wait_ns`
+        // measures, so the two accountings agree.
+        self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
+        let start = Instant::now();
+        let m = self.receiver.recv().expect("this rank holds a sender to its own inbox");
+        self.stats.wait_ns += start.elapsed().as_nanos() as u64;
+        self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
+        let mut w = self.world();
+        w.blocked[self.rank] = false;
+        w.undelivered -= 1;
+        m
+    }
+
+    /// No critical section panics and every update leaves the counts
+    /// valid on its own, so a poisoned lock is still good state.
+    fn world(&self) -> MutexGuard<'_, World> {
+        self.world.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Called by the rank that just blocked or left: if that brought
+    /// the world to rest, wake the lowest live rank with the notice.
+    fn notify_if_quiescent(&self, w: &mut World) {
+        if let Some(r) = w.quiescent() {
+            self.put(w, r, TAG_QUIESCENT, Bytes::new());
+        }
+    }
+
+    /// Put one wire message into `dest`'s inbox — the one place a
+    /// channel is written, so every put is counted. `false` when `dest`
+    /// has left the world.
+    fn put(&self, w: &mut World, dest: usize, tag: u32, data: Bytes) -> bool {
+        let live = w.live[dest] && self.senders[dest].send(Msg { src: self.rank, tag, data }).is_ok();
+        w.undelivered += usize::from(live);
+        live
     }
 
     /// A collective's receive from one peer. Collectives are not
     /// fault-tolerant: a peer lost mid-collective is a panic here, as
     /// it is a hang on a real machine.
     fn recv_collective(&mut self, src: usize, tag: u32) -> Bytes {
-        match self.receive(Some(src), Some(tag), true) {
-            Ok(Some(Event::Msg(m))) => m.data,
-            Ok(Some(Event::Death(peer))) => panic!("rank {peer} died inside a collective"),
-            Ok(None) => unreachable!("a blocking receive yields an event"),
-            Err(e) => panic!("collective receive from rank {src} failed: {e}"),
+        match self.receive(Some(src), Some(tag), true).expect("a blocking receive yields an event") {
+            Event::Msg(m) => m.data,
+            Event::Death(peer) => panic!("rank {peer} died inside a collective"),
+            Event::Quiescent => panic!("deadlock: rank {src} never sent its part of the collective"),
         }
-    }
-
-    /// Ship everything staged for `dest` now (one envelope, or a plain
-    /// send when only a single message is staged).
-    pub fn flush(&mut self, dest: usize) {
-        self.flush_dest(dest, FlushReason::Explicit);
     }
 
     /// Ship every staged queue now. Call before returning from a rank
@@ -514,10 +595,13 @@ impl Comm {
         }
     }
 
+    /// About to block: nothing this rank still holds — staged by the
+    /// coalescer or held back by the fault plan — may wait behind it.
     fn flush_before_block(&mut self) {
         for dest in 0..self.size {
             self.flush_dest(dest, FlushReason::Block);
         }
+        self.release_held(true);
     }
 
     fn flush_dest(&mut self, dest: usize, reason: FlushReason) {
@@ -594,20 +678,16 @@ impl Comm {
         let row = self.tag_traffic.entry(tag).or_default();
         row.msgs_sent += 1;
         row.bytes_sent += data.len() as u64;
-        let msg = Msg { src: self.rank, tag, data };
         if dest == self.rank {
-            // Self-sends bypass the channel. This also means a rank holds
-            // no sender to itself, so when every *other* rank exits (or
-            // panics), its channel disconnects and a blocked `recv`
-            // fails fast instead of deadlocking the scope join.
-            self.backlog.push_back(msg);
-        } else if self.senders[dest].send(msg).is_err() {
-            // The peer's inbox is gone. A peer that left through
+            // Self-sends bypass the channel.
+            self.backlog.push_back(Msg { src: self.rank, tag, data });
+        } else if !self.put(&mut self.world(), dest, tag, data) {
+            // The peer has left the world. A peer that left through
             // `abort` sent its death notice first, so it is in our
             // inbox by now: the message is lost and the next receive
             // reports the death. With a plan armed any vanished peer is
             // a counted loss; otherwise it is a bug worth failing on.
-            while let Ok(m) = self.receiver.try_recv() {
+            while let Some(m) = self.take() {
                 self.ingest(m);
             }
             match &mut self.faults {
@@ -671,48 +751,6 @@ impl Comm {
         self.tracer.end(TraceCategory::Comm, names::EV_BARRIER);
     }
 
-    /// Broadcast from `root`: the root passes `Some(data)`, everyone
-    /// receives the payload.
-    pub fn broadcast(&mut self, root: usize, data: Option<Bytes>) -> Bytes {
-        if self.rank == root {
-            let data = data.expect("root must supply broadcast data");
-            for dest in 0..self.size {
-                if dest != root {
-                    self.send_raw(dest, TAG_BCAST, data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv_collective(root, TAG_BCAST)
-        }
-    }
-
-    /// Gather to `root`: returns `Some(payloads_by_rank)` at the root,
-    /// `None` elsewhere.
-    pub fn gather(&mut self, root: usize, data: Bytes) -> Option<Vec<Bytes>> {
-        if self.rank == root {
-            let mut out: Vec<Option<Bytes>> = vec![None; self.size];
-            out[root] = Some(data);
-            // Per-source receives: see all_to_allv_tagged for why
-            // wildcard receives would race consecutive collectives.
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != root {
-                    *slot = Some(self.recv_collective(src, TAG_GATHER));
-                }
-            }
-            Some(out.into_iter().map(|b| b.expect("all ranks gathered")).collect())
-        } else {
-            self.send_raw(root, TAG_GATHER, data);
-            None
-        }
-    }
-
-    /// Collective all-to-all with per-destination payloads; returns the
-    /// payloads received, indexed by source.
-    pub fn all_to_allv(&mut self, bufs: Vec<Bytes>) -> Vec<Bytes> {
-        self.all_to_allv_tagged(bufs, TAG_ALLTOALL)
-    }
-
     /// The paper's customised `Alltoallv` (§6): `p − 1` explicit
     /// point-to-point rounds, rank `r` exchanging with `r ± round`, which
     /// bounds the space committed to send buffers to one destination at
@@ -731,13 +769,15 @@ impl Comm {
         out.into_iter().map(|b| b.expect("complete exchange")).collect()
     }
 
-    fn all_to_allv_tagged(&mut self, mut bufs: Vec<Bytes>, tag: u32) -> Vec<Bytes> {
+    /// Collective all-to-all with per-destination payloads; returns the
+    /// payloads received, indexed by source.
+    pub fn all_to_allv(&mut self, mut bufs: Vec<Bytes>) -> Vec<Bytes> {
         assert_eq!(bufs.len(), self.size, "one payload per destination required");
         let mut out: Vec<Option<Bytes>> = vec![None; self.size];
         out[self.rank] = Some(std::mem::take(&mut bufs[self.rank]));
         for (dest, buf) in bufs.iter_mut().enumerate() {
             if dest != self.rank {
-                self.send_raw(dest, tag, std::mem::take(buf));
+                self.send_raw(dest, TAG_ALLTOALL, std::mem::take(buf));
             }
         }
         // Receive per explicit source: per-sender FIFO then keeps two
@@ -746,39 +786,23 @@ impl Comm {
         // payload as this round's).
         for (src, slot) in out.iter_mut().enumerate() {
             if src != self.rank {
-                *slot = Some(self.recv_collective(src, tag));
+                *slot = Some(self.recv_collective(src, TAG_ALLTOALL));
             }
         }
         out.into_iter().map(|b| b.expect("complete exchange")).collect()
     }
+}
 
-    /// All-reduce of a `u64` by summation.
-    pub fn allreduce_sum(&mut self, value: u64) -> u64 {
-        self.allreduce(value, |a, b| a + b)
-    }
-
-    /// All-reduce of a `u64` by maximum.
-    pub fn allreduce_max(&mut self, value: u64) -> u64 {
-        self.allreduce(value, u64::max)
-    }
-
-    fn allreduce(&mut self, value: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        // Gather to rank 0, reduce, broadcast back.
-        let payload = Bytes::copy_from_slice(&value.to_le_bytes());
-        if self.rank == 0 {
-            let mut acc = value;
-            for src in 1..self.size {
-                acc = op(acc, self.recv_collective(src, TAG_REDUCE).get_u64_le());
-            }
-            let out = Bytes::copy_from_slice(&acc.to_le_bytes());
-            for dest in 1..self.size {
-                self.send_raw(dest, TAG_REDUCE, out.clone());
-            }
-            acc
-        } else {
-            self.send_raw(0, TAG_REDUCE, payload);
-            self.recv_collective(0, TAG_REDUCE).get_u64_le()
-        }
+impl Drop for Comm {
+    /// Leave the world, by return or by panic. What still sits in this
+    /// inbox will never be taken out, and this may have been the last
+    /// rank the others could hear from.
+    fn drop(&mut self) {
+        let mut w = self.world();
+        w.live[self.rank] = false;
+        w.panicked = w.panicked.or(std::thread::panicking().then_some(self.rank));
+        w.undelivered -= std::iter::from_fn(|| self.receiver.try_recv().ok()).count();
+        self.notify_if_quiescent(&mut w);
     }
 }
 
@@ -788,7 +812,7 @@ fn matches(m: &Msg, src: Option<usize>, tag: Option<u32>) -> bool {
 }
 
 /// Launch `p` ranks, run `f` on each, and return the per-rank results in
-/// rank order. Panics in any rank propagate.
+/// rank order. A panic propagates: that of the rank that panicked first.
 pub fn run<T, F>(p: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -803,51 +827,48 @@ where
         rxs.push(rx);
     }
     let barrier = Arc::new(Barrier::new(p));
+    let world = World { live: vec![true; p], blocked: vec![false; p], undelivered: 0, panicked: None };
+    let world = Arc::new(Mutex::new(world));
     let f = &f;
-    // A rank must not hold a sender to itself (see `send_raw`); give it a
-    // dangling sender whose receiver is dropped immediately.
-    let (dangling_tx, _) = unbounded::<Msg>();
     let comms: Vec<Comm> = rxs
         .into_iter()
         .enumerate()
-        .map(|(rank, receiver)| {
-            let mut senders = txs.clone();
-            senders[rank] = dangling_tx.clone();
-            Comm {
-                rank,
-                size: p,
-                senders,
-                receiver,
-                backlog: VecDeque::new(),
-                barrier: barrier.clone(),
-                stats: CommStats::default(),
-                tag_traffic: BTreeMap::new(),
-                coalesce: None,
-                queues: (0..p).map(|_| SendQueue::default()).collect(),
-                cstats: CoalesceStats::default(),
-                tracer: Tracer::disabled(),
-                sampler: GaugeSampler::disabled(),
-                g_coalesce: GaugeSampler::disabled().register(names::GAUGE_COALESCE_QUEUE_BYTES),
-                staged_bytes: 0,
-                faults: None,
-                dead_peers: vec![false; p],
-                pending_deaths: VecDeque::new(),
-            }
+        .map(|(rank, receiver)| Comm {
+            rank,
+            size: p,
+            // A rank's sender to its own inbox carries only the
+            // quiescence notice it raises at itself (self-sends bypass
+            // the channel), and keeps the channel connected: that every
+            // peer has gone is reported as quiescence.
+            senders: txs.clone(),
+            receiver,
+            backlog: VecDeque::new(),
+            world: world.clone(),
+            barrier: barrier.clone(),
+            stats: CommStats::default(),
+            tag_traffic: BTreeMap::new(),
+            coalesce: None,
+            queues: (0..p).map(|_| SendQueue::default()).collect(),
+            cstats: CoalesceStats::default(),
+            tracer: Tracer::disabled(),
+            sampler: GaugeSampler::disabled(),
+            g_coalesce: GaugeSampler::disabled().register(names::GAUGE_COALESCE_QUEUE_BYTES),
+            staged_bytes: 0,
+            faults: None,
+            dead_peers: vec![false; p],
+            pending_deaths: VecDeque::new(),
         })
         .collect();
-    drop(txs);
-    drop(dangling_tx);
     std::thread::scope(|scope| {
         let handles: Vec<_> = comms.into_iter().map(|mut comm| scope.spawn(move || f(&mut comm))).collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Preserve the original panic payload (message) of the
-                // failing rank.
-                Err(e) => std::panic::resume_unwind(e),
-            })
-            .collect()
+        let mut outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        // Re-raise the root cause, payload intact: the rank that panicked
+        // first. What its peers then panic with is their report of the
+        // world it left behind.
+        if let Some(first) = world.lock().unwrap_or_else(PoisonError::into_inner).panicked {
+            outcomes.swap(0, first);
+        }
+        outcomes.into_iter().map(|o| o.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
     })
 }
 
@@ -859,7 +880,7 @@ mod tests {
     fn msg(c: &mut Comm, src: Option<usize>, tag: Option<u32>) -> Msg {
         match c.recv(src, tag).unwrap() {
             Event::Msg(m) => m,
-            Event::Death(peer) => panic!("unexpected death of rank {peer}"),
+            e => panic!("expected a message, got {e:?}"),
         }
     }
 
@@ -929,28 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_everywhere() {
-        let out = run(4, |c| {
-            let data = if c.rank() == 2 { Some(Bytes::from_static(b"hello")) } else { None };
-            let got = c.broadcast(2, data);
-            got.to_vec()
-        });
-        for r in out {
-            assert_eq!(r, b"hello");
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = run(4, |c| {
-            let payload = Bytes::copy_from_slice(&[c.rank() as u8 * 10]);
-            c.gather(0, payload).map(|v| v.iter().map(|b| b[0]).collect::<Vec<u8>>())
-        });
-        assert_eq!(out[0], Some(vec![0, 10, 20, 30]));
-        assert_eq!(out[1], None);
-    }
-
-    #[test]
     fn alltoallv_exchanges_payloads() {
         let p = 4;
         let out = run(p, |c| {
@@ -984,18 +983,10 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_and_max() {
-        let sums = run(4, |c| c.allreduce_sum(c.rank() as u64 + 1));
-        assert_eq!(sums, vec![10, 10, 10, 10]);
-        let maxes = run(4, |c| c.allreduce_max((c.rank() as u64) * 7));
-        assert_eq!(maxes, vec![21, 21, 21, 21]);
-    }
-
-    #[test]
     fn tag_histogram_separates_collectives_and_app_tags() {
         let rows = run(3, |c| {
-            c.broadcast(0, if c.rank() == 0 { Some(Bytes::from_static(b"abcd")) } else { None });
-            let _ = c.allreduce_sum(1);
+            c.all_to_allv(vec![Bytes::from_static(b"abcd"); 3]);
+            c.all_to_allv_p2p(vec![Bytes::new(); 3]);
             if c.rank() == 0 {
                 c.send(1, 7, Bytes::from_static(b"xy")).unwrap();
             } else if c.rank() == 1 {
@@ -1004,15 +995,16 @@ mod tests {
             (c.tag_stats(&CostModel::BLUEGENE_L), c.stats())
         });
         let (rows, aggregates): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-        // Rank 0: bcast sends to 2 ranks, reduce traffic, app tag 7 send.
+        // Rank 0: alltoall sends to 2 ranks, p2p-round traffic, app tag
+        // 7 send.
         let r0 = &rows[0];
-        let bcast = r0.iter().find(|t| t.label == "bcast").expect("bcast row");
-        assert_eq!(bcast.msgs_sent, 2);
-        assert_eq!(bcast.bytes_sent, 8);
+        let alltoall = r0.iter().find(|t| t.label == "alltoall").expect("alltoall row");
+        assert_eq!(alltoall.msgs_sent, 2);
+        assert_eq!(alltoall.bytes_sent, 8);
         let app = r0.iter().find(|t| t.label == "tag7").expect("app row");
         assert_eq!(app.msgs_sent, 1);
         assert_eq!(app.bytes_sent, 2);
-        assert!(r0.iter().any(|t| t.label == "reduce"));
+        assert!(r0.iter().any(|t| t.label == "alltoall_p2p"));
         // Rows are ascending by tag and modelled time is positive where
         // traffic flowed.
         assert!(r0.windows(2).all(|w| w[0].tag < w[1].tag));
@@ -1069,14 +1061,120 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn blocked_recv_fails_when_peer_panics() {
+        for (p, culprit) in [(4, 0), (3, 2)] {
+            let caught = std::panic::catch_unwind(|| {
+                run(p, |c| {
+                    if c.rank() == culprit {
+                        panic!("rank {culprit} died");
+                    }
+                    // Must not hang, though the others keep each other's
+                    // inboxes open: each in turn becomes the lowest live
+                    // rank of a world at rest.
+                    assert!(matches!(c.recv(Some(culprit), None), Ok(Event::Quiescent)));
+                    // What an engine master does with that, no plan
+                    // armed: the consequence must not mask the cause.
+                    assert_ne!(c.rank(), 0, "stalled");
+                })
+            });
+            let payload = caught.expect_err("the culprit's panic propagates");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&format!("rank {culprit} died")), "p = {p}");
+        }
+    }
+
+    /// Spin until `ready` holds of the shared world state: the tests'
+    /// way of placing a rank *after* its peers have blocked.
+    fn await_world(c: &Comm, ready: impl Fn(&World) -> bool) {
+        while !ready(&c.world()) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn one_lost_message_is_one_quiescent_event_at_the_lowest_rank() {
+        use crate::faults::FaultStage;
+        // Rank 1's request to rank 2 is dropped, and each waits for the
+        // other; rank 0 waits on both. Rank 0 alone is told, once, and
+        // its sends then wake the other two with plain messages.
+        let plan = FaultPlan::default().with_drop(1, 2, 5, 1, FaultStage::Any);
+        let seen = run(3, move |c| {
+            c.set_fault_plan(&plan);
+            let mut quiescent = 0;
+            match c.rank() {
+                0 => loop {
+                    match c.recv(None, None).unwrap() {
+                        Event::Quiescent => {
+                            quiescent += 1;
+                            c.send(1, 6, Bytes::new()).unwrap();
+                            c.send(2, 6, Bytes::new()).unwrap();
+                        }
+                        Event::Msg(m) if m.src == 2 => break,
+                        e => assert!(matches!(e, Event::Msg(_)), "{e:?}"),
+                    }
+                },
+                1 => {
+                    c.send(2, 5, Bytes::from_static(b"request")).unwrap();
+                    assert_eq!(msg(c, None, None).tag, 6);
+                    c.send(0, 7, Bytes::new()).unwrap();
+                }
+                _ => {
+                    assert_eq!(msg(c, None, None).tag, 6, "the request never arrives");
+                    c.send(0, 7, Bytes::new()).unwrap();
+                }
+            }
+            quiescent
+        });
+        assert_eq!(seen, vec![1, 0, 0]);
+    }
+
+    #[test]
+    fn a_computing_or_barrier_waiting_rank_keeps_the_world_awake() {
+        // Rank 2 blocks on rank 0, rank 1 waits in the barrier, rank 0
+        // computes: two of three ranks are idle, yet a message is still
+        // coming, so nobody may be told otherwise.
+        run(3, |c| {
+            match c.rank() {
+                0 => {
+                    await_world(c, |w| w.blocked[2]);
+                    assert_eq!(c.world().quiescent(), None);
+                    c.send(2, 3, Bytes::new()).unwrap();
+                }
+                1 => {}
+                _ => assert_eq!(msg(c, Some(0), None).tag, 3),
+            }
+            c.barrier();
+            assert!(c.try_recv(None, None).unwrap().is_none(), "no stray notice");
+        });
+    }
+
+    #[test]
+    fn a_blocking_sender_releases_its_held_delay() {
+        use crate::faults::FaultStage;
+        // Held for 1 000 sender events that never come: the sender
+        // blocks on the answer instead, which releases the message.
+        let plan = FaultPlan::default().with_delay(0, 1, 6, 1, 1_000, FaultStage::Any);
+        run(2, move |c| {
+            c.set_fault_plan(&plan);
+            if c.rank() == 0 {
+                c.send(1, 6, Bytes::from_static(b"held")).unwrap();
+                assert_eq!(c.stats().msgs_sent, 0, "held back, not sent");
+                assert_eq!(&msg(c, Some(1), Some(7)).data[..], b"answer");
+            } else {
+                assert_eq!(&msg(c, Some(0), Some(6)).data[..], b"held");
+                c.send(0, 7, Bytes::from_static(b"answer")).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock: rank 1 never sent its part of the collective")]
+    fn quiescence_inside_a_collective_is_a_named_deadlock() {
         run(2, |c| {
             if c.rank() == 0 {
-                panic!("rank 0 died");
+                c.all_to_allv(vec![Bytes::new(); 2]);
             } else {
-                // Must not hang: rank 0's exit disconnects the channel.
-                assert!(matches!(c.recv(Some(0), None), Err(CommError::Disconnected)));
+                // Waits for an application message instead of joining.
+                let _ = c.recv(Some(0), Some(1));
             }
         });
     }
@@ -1177,14 +1275,15 @@ mod tests {
             if c.rank() == 0 {
                 c.set_coalesce(Some(CoalescePolicy::default()));
                 c.send(1, 8, Bytes::from_static(b"app")).unwrap();
-                // Broadcast goes through the direct path; the staged app
-                // message must be shipped first to preserve FIFO.
-                c.broadcast(0, Some(Bytes::from_static(b"bc")));
+                // The collective goes through the direct path; the
+                // staged app message must be shipped first to preserve
+                // FIFO.
+                c.all_to_allv(vec![Bytes::new(), Bytes::from_static(b"bc")]);
             } else {
                 let first = msg(c, Some(0), None);
                 assert_eq!(first.tag, 8, "staged app message arrives before the collective");
-                let got = c.broadcast(0, None);
-                assert_eq!(&got[..], b"bc");
+                let got = c.all_to_allv(vec![Bytes::new(); 2]);
+                assert_eq!(&got[0][..], b"bc");
             }
         });
     }
@@ -1245,10 +1344,7 @@ mod tests {
                 c.abort();
                 return;
             }
-            let probe = || Msg { src: 0, tag: 9, data: Bytes::new() };
-            while c.senders[1].send(probe()).is_ok() {
-                std::thread::yield_now();
-            }
+            await_world(c, |w| !w.live[1]);
             c.set_coalesce(Some(CoalescePolicy::default()));
             c.send(1, 4, Bytes::from_static(b"late")).unwrap();
             assert!(matches!(c.recv(None, None), Ok(Event::Death(1))));
@@ -1291,6 +1387,7 @@ mod tests {
                                 assert_eq!(peer, 1);
                                 got_death = true;
                             }
+                            Event::Quiescent => panic!("both events are on their way"),
                         }
                     }
                     assert!(c.dead_peers()[1]);

@@ -1,9 +1,10 @@
 //! Deterministic, seeded fault injection for the simulated machine.
 //!
-//! A [`FaultPlan`] scripts failures against rank-local *event counts*
-//! (one event per point-to-point communication call), never wall-clock
-//! time, so a plan replays identically under any host scheduling. The
-//! plan can
+//! A [`FaultPlan`] scripts failures against rank-local *event counts*,
+//! never wall-clock time. A rank's clock ticks once per `send` and once
+//! per receive that returns an event — an empty `try_recv` is not an
+//! event — so its reading is a function of the messages the rank
+//! exchanged, not of how often it polled. The plan can
 //!
 //! - **kill** a rank once its event counter reaches a scripted value
 //!   (`kill:rank=2,event=500` — or `kill:any,event=500`, where the
@@ -12,12 +13,16 @@
 //!   the sender (`drop:src=1,dst=0,tag=3,nth=2`);
 //! - **delay** such a message by a scripted number of sender events
 //!   (`delay:src=1,dst=0,tag=1,nth=2,by=40`), re-ordering it past
-//!   later traffic the way a congested link would.
+//!   later traffic the way a congested link would. A sender about to
+//!   block releases what it still holds: a delay reorders, it never
+//!   strands a message behind a sender that went idle.
 //!
 //! Failures surface to callers as recoverable [`CommError`]s (a killed
 //! rank's next point-to-point call returns `Err(CommError::Killed)`), and
 //! a dying rank broadcasts a *death notice* to every peer so survivors
-//! observe the failure as an event instead of a hang. Every injected
+//! observe the failure as an event instead of a hang. A *lost* message
+//! needs no timer either: the simulator sees every rank blocked with
+//! nothing undelivered and raises `Event::Quiescent`. Every injected
 //! fault is recorded on the `fault` trace category and in the
 //! [`FaultStats`] counters.
 //!
@@ -40,9 +45,6 @@ pub enum CommError {
         /// The rank-local event count the kill tripped at.
         event: u64,
     },
-    /// Every other rank has exited: a blocking receive can never be
-    /// satisfied.
-    Disconnected,
     /// A message from `src` did not decode under the protocol its `tag`
     /// belongs to. Raised by the layer that owns that protocol (the
     /// comm layer treats payloads as opaque bytes).
@@ -60,7 +62,6 @@ impl std::fmt::Display for CommError {
             CommError::Killed { rank, event } => {
                 write!(f, "rank {rank} killed by fault plan at event {event}")
             }
-            CommError::Disconnected => write!(f, "all peers exited"),
             CommError::Malformed { src, tag } => {
                 write!(f, "malformed message from rank {src} under tag {tag}")
             }
@@ -98,8 +99,8 @@ pub struct KillSpec {
     /// The victim.
     pub target: KillTarget,
     /// Rank-local event count the kill trips at (checked at the entry
-    /// of each point-to-point call, *before* any transmission, so a
-    /// worker dies with its current round's report undelivered).
+    /// of each `send` and blocking `recv`, *before* any transmission,
+    /// so a worker dies with its current round's report undelivered).
     pub at_event: u64,
     /// Stage scope.
     pub stage: FaultStage,
@@ -117,9 +118,9 @@ pub struct MsgFaultSpec {
     /// 1-based index among matching messages (1 = the first match).
     pub nth: u64,
     /// `None` = drop the message; `Some(k)` = hold it back and deliver
-    /// it once the sender's event counter has advanced `k` further
-    /// (checked at point-to-point call entries, so delivery lands after
-    /// whatever the sender did in between — a *late* message).
+    /// it once the sender's event counter has advanced `k` further or
+    /// the sender is about to block, whichever comes first — after
+    /// whatever the sender did in between, a *late* message.
     pub delay_by: Option<u64>,
     /// Stage scope.
     pub stage: FaultStage,
@@ -290,9 +291,10 @@ pub struct FaultStats {
     pub death_notices: u64,
     /// Sends blackholed because the destination was already dead.
     pub msgs_lost: u64,
-    /// Point-to-point calls this rank made (its event-clock reading) —
-    /// the coordinate `kill:…,event=` and `delay:…,by=` clauses are
-    /// written in. Exposed so plans can be aimed from an observed run.
+    /// This rank's event-clock reading (sends, plus receives that
+    /// returned an event) — the coordinate `kill:…,event=` and
+    /// `delay:…,by=` clauses are written in. Exposed so plans can be
+    /// aimed from an observed run.
     pub events: u64,
 }
 
@@ -334,7 +336,8 @@ pub(crate) struct FaultRuntime {
     rank: usize,
     /// Event count at which this rank dies, if scripted.
     kill_at: Option<u64>,
-    /// Rank-local event counter (advances once per point-to-point call).
+    /// Rank-local event counter (sends, and receives that returned an
+    /// event).
     events: u64,
     /// This rank has tripped its kill.
     pub(crate) dead: bool,
@@ -374,27 +377,26 @@ impl FaultRuntime {
     }
 
     /// Advance the event counter; report whether the kill trips at this
-    /// event. Also returns any held messages now due for release.
-    pub(crate) fn tick(&mut self) -> (bool, Vec<(usize, u32, Bytes)>) {
+    /// event.
+    pub(crate) fn tick(&mut self) -> bool {
         self.events += 1;
         self.stats.events = self.events;
-        if !self.dead && self.kill_at.is_some_and(|at| self.events >= at) {
+        let killed = !self.dead && self.kill_at.is_some_and(|at| self.events >= at);
+        if killed {
             self.dead = true;
             self.stats.kills += 1;
-            return (true, Vec::new());
         }
-        let due = self.events;
-        let mut released = Vec::new();
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= due {
-                let (_, dest, tag, data) = self.delayed.remove(i);
-                released.push((dest, tag, data));
-            } else {
-                i += 1;
-            }
-        }
-        (false, released)
+        killed
+    }
+
+    /// Take the held messages that have come due, in hold order — or
+    /// `all` of them, when the rank is about to block.
+    pub(crate) fn release(&mut self, all: bool) -> Vec<(usize, u32, Bytes)> {
+        let due = if all { u64::MAX } else { self.events };
+        let (out, held): (Vec<_>, _) =
+            std::mem::take(&mut self.delayed).into_iter().partition(|h| h.0 <= due);
+        self.delayed = held;
+        out.into_iter().map(|(_, dest, tag, data)| (dest, tag, data)).collect()
     }
 
     /// Decide the fate of one outgoing message.
@@ -503,16 +505,14 @@ mod tests {
         let plan = FaultPlan::default().with_kill(KillTarget::Rank(3), 4, FaultStage::Any);
         let mut rt = FaultRuntime::new(&plan, 3, 8);
         for _ in 0..3 {
-            let (killed, _) = rt.tick();
-            assert!(!killed);
+            assert!(!rt.tick());
         }
-        let (killed, _) = rt.tick();
-        assert!(killed, "kill trips at event 4");
+        assert!(rt.tick(), "kill trips at event 4");
         assert_eq!(rt.stats.kills, 1);
         // A rank the plan does not target never dies.
         let mut other = FaultRuntime::new(&plan, 2, 8);
         for _ in 0..100 {
-            assert!(!other.tick().0);
+            assert!(!other.tick());
         }
     }
 
@@ -535,11 +535,18 @@ mod tests {
         assert!(matches!(v, Verdict::Delay(_)));
         rt.hold(rt.events + 3, 0, 9, Bytes::from_static(b"late"));
         // Not due yet, due after 3 ticks.
-        assert!(rt.tick().1.is_empty());
-        assert!(rt.tick().1.is_empty());
-        let (_, released) = rt.tick();
+        for _ in 0..2 {
+            rt.tick();
+            assert!(rt.release(false).is_empty());
+        }
+        rt.tick();
+        let released = rt.release(false);
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].1, 9);
+        // A rank about to block releases what is not yet due.
+        rt.hold(rt.events + 100, 2, 9, Bytes::from_static(b"held"));
+        assert!(rt.release(false).is_empty());
+        assert_eq!(rt.release(true).len(), 1);
         assert_eq!(rt.stats.msgs_dropped, 1);
         assert_eq!(rt.stats.msgs_delayed, 1);
     }

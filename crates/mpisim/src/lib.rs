@@ -10,14 +10,16 @@
 //!
 //! - [`comm`] — one fallible point-to-point API, `send` / `recv` /
 //!   `try_recv` with source/tag matching (a receive yields an
-//!   [`Event`]: a message, or the death of a peer), barriers, and the
-//!   collectives the paper uses: broadcast, gather,
-//!   `alltoallv`, and the *custom* `alltoallv` built from `p − 1`
-//!   point-to-point rounds that §6 introduces to bound send-buffer
-//!   space. Optional sender-side small-message coalescing
-//!   ([`CoalescePolicy`]): per-destination send queues shipped as
-//!   framed envelopes that the receiver splits transparently, paying
-//!   the α latency term once per envelope instead of once per message.
+//!   [`Event`]: a message, the death of a peer, or the simulator's
+//!   observation that the world is quiescent — every live rank blocked
+//!   in a receive, nothing undelivered — raised at the lowest live
+//!   rank), barriers, and the two collectives §6 uses: `alltoallv` and
+//!   the *custom* `alltoallv` built from `p − 1` point-to-point rounds
+//!   that bounds send-buffer space. Optional sender-side
+//!   small-message coalescing ([`CoalescePolicy`]): per-destination
+//!   send queues shipped as framed envelopes that the receiver splits
+//!   transparently, paying the α latency term once per envelope instead
+//!   of once per message.
 //! - [`model`] — per-rank traffic statistics and an α–β (latency ×
 //!   bandwidth) communication cost model with BlueGene/L parameters, so
 //!   experiments can report *modelled* network time next to measured
@@ -26,8 +28,8 @@
 //! - [`faults`] — deterministic, seeded failure injection: a
 //!   [`FaultPlan`] can kill a rank at a scripted event count or
 //!   drop/delay specific messages; failures surface to callers as
-//!   recoverable [`CommError`]s from the point-to-point calls instead
-//!   of hangs.
+//!   recoverable [`CommError`]s and [`Event`]s from the point-to-point
+//!   calls instead of hangs.
 //!
 //! Payloads are opaque [`bytes::Bytes`]; their layout belongs to the
 //! caller (`pgasm_seq::wire` is the workspace's one codec).

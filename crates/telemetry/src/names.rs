@@ -250,8 +250,9 @@ pub const EV_RECOVER_LEASES: &str = "recover_leases";
 /// Master assigned a dead worker's generator scope to a survivor
 /// (instant, category `fault`; args dead/adopter).
 pub const EV_ADOPT_SCOPE: &str = "adopt_scope";
-/// Master declared a silent worker dead via the stall-timeout
-/// liveness check (instant, category `fault`; arg worker).
+/// Master declared a live worker dead at quiescence: every rank
+/// blocked, nothing in flight, and this worker still holding a lease
+/// or an open round (instant, category `fault`; arg worker).
 pub const EV_LIVENESS_DECLARE: &str = "liveness_declare";
 /// Master wrote a checkpoint snapshot (instant, category `fault`;
 /// arg bytes).

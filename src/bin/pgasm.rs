@@ -28,23 +28,26 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+    // Each subcommand with the options it reads: anything else on its
+    // command line is an error, never silently ignored.
+    type Subcommand = fn(&Opts) -> Result<(), String>;
+    let (known, run): (&[&str], Subcommand) = match cmd.as_str() {
+        "generate" => (GENERATE_OPTIONS, generate),
+        "cluster" => (PIPELINE_OPTIONS, cluster),
+        "assemble" => (PIPELINE_OPTIONS, assemble),
+        "analyze" => (ANALYZE_OPTIONS, analyze),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command '{other}'");
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => generate(&opts),
-        "cluster" => cluster(&opts),
-        "assemble" => assemble(&opts),
-        "analyze" => analyze(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
+    let result = match Opts::parse(&args[1..], known) {
+        Ok(opts) => run(&opts),
+        Err(e) => Err(format!("{e}\n\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -54,6 +57,29 @@ fn main() -> ExitCode {
         }
     }
 }
+
+const GENERATE_OPTIONS: &[&str] = &["kind", "out", "genome-out", "scale", "seed"];
+const PIPELINE_OPTIONS: &[&str] = &[
+    "reads",
+    "out",
+    "ranks",
+    "assembly-threads",
+    "psi",
+    "min-identity",
+    "min-overlap",
+    "band",
+    "no-adaptive-band",
+    "no-preprocess",
+    "metrics-json",
+    "trace-json",
+    "cache-dir",
+    "no-cache",
+    "fault-plan",
+    "checkpoint-every",
+    "checkpoint",
+    "resume",
+];
+const ANALYZE_OPTIONS: &[&str] = &["trace-json", "metrics-json", "out", "top", "coverage-tol"];
 
 const USAGE: &str = "pgasm — parallel cluster-then-assemble genome assembly
 
@@ -66,7 +92,7 @@ USAGE:
                  [--no-preprocess] [--metrics-json <report.json>]
                  [--trace-json <out.trace.json>]
                  [--cache-dir <dir>] [--no-cache]
-                 [--fault-plan <spec>] [--stall-timeout <events>]
+                 [--fault-plan <spec>]
                  [--checkpoint-every <n> --checkpoint <base>]
                  [--resume <base>]
   pgasm assemble --reads <reads.fastq> --out <contigs.fasta>
@@ -99,14 +125,17 @@ communicator (needs --ranks): a semicolon-separated list of clauses, e.g.
 'seed:42; kill:rank=2,event=500; drop:src=1,dst=0,tag=3,nth=2;
 delay:src=0,dst=2,tag=5,nth=1,by=3' — kill removes a rank when its local
 fault clock reaches <event> (kill:any picks a seeded worker), drop loses
-the nth matching message, delay re-delivers it <by> receives later.
-Clauses take stage=cluster|assemble|any (default cluster). Workers hold
-leases on tasks, so the engine detects the death, re-queues the lease,
-and a survivor finishes the work — the final clustering and contigs are
-byte-identical to a fault-free run; the faults: line and the metrics-json
-faults section report dead_ranks / recovered_tasks / drops / delays.
---stall-timeout <events> overrides the death-detection horizon (master
-events with no progress before a silent rank is declared dead).
+the nth matching message, delay holds it back until the sender's clock
+has advanced by <by> or the sender is about to block. A rank's clock
+ticks once per send and once per receive that returns an event (an empty
+poll is not an event). Clauses take stage=cluster|assemble|any (default
+cluster). Workers hold leases on tasks, so the engine detects the death,
+re-queues the lease, and a survivor finishes the work — the final
+clustering and contigs are byte-identical to a fault-free run; the
+faults: line and the metrics-json faults section report dead_ranks /
+recovered_tasks / drops / delays. A lost message needs no timeout: the
+simulator sees every rank blocked with nothing in flight, and the master
+then recovers exactly the workers still holding work.
 --checkpoint-every <n> --checkpoint <base> makes the master snapshot its
 task state every n completions to <base>.cluster.pgck /
 <base>.assemble.pgck (atomic tmp+rename). If a fault plan kills the
@@ -138,12 +167,15 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    fn parse(args: &[String], known: &[&str]) -> Result<Opts, String> {
         let mut flags = HashMap::new();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
+                if !known.contains(&name) {
+                    return Err(format!("unknown option --{name}"));
+                }
                 if name == "no-preprocess" || name == "no-cache" || name == "no-adaptive-band" {
                     flags.insert(name.to_string(), "true".to_string());
                     i += 1;
@@ -272,10 +304,6 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     let mut recovery = pgasm::cluster::StageRecovery::default();
     if let Some(spec) = opts.get("fault-plan") {
         recovery.faults = pgasm::mpisim::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-    }
-    if let Some(t) = opts.get("stall-timeout") {
-        let t: u64 = t.parse().map_err(|_| format!("--stall-timeout: cannot parse '{t}'"))?;
-        recovery.stall_timeout = Some(t);
     }
     if let Some(n) = opts.get("checkpoint-every") {
         let n: u64 = n.parse().map_err(|_| format!("--checkpoint-every: cannot parse '{n}'"))?;

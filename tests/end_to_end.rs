@@ -207,6 +207,27 @@ fn repeat_masking_prevents_chaining() {
 }
 
 #[test]
+fn cli_rejects_options_a_subcommand_never_reads() {
+    // A deleted flag, another subcommand's flag and a typo all used to
+    // be kept and ignored (`--rank 4` silently ran serial).
+    for (cmd, option) in [
+        ("assemble", "--kernel"),
+        ("assemble", "--rank"),
+        ("cluster", "--w"),
+        ("generate", "--reads"),
+        ("analyze", "--ranks"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
+            .args([cmd, option, "5"])
+            .output()
+            .expect("pgasm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "pgasm {cmd} {option} 5 was accepted");
+        assert!(stderr.contains(&format!("unknown option {option}")), "pgasm {cmd} {option}: {stderr}");
+    }
+}
+
+#[test]
 fn cli_cluster_stops_after_the_cluster_stage() {
     use pgasm::simgen::{Provenance, ReadSet};
     use pgasm::telemetry::{names, RunReport};

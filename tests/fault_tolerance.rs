@@ -217,12 +217,12 @@ fn dropped_result_report_trips_liveness_and_recovers() {
         let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
         // Worker 1's second result report (tag 1 = W2M AR) vanishes on the
-        // wire. Its lease can never be retired, so the stall timeout
-        // declares the silent worker dead and a survivor redoes the batch.
+        // wire. Its lease can never be retired, so the stage comes to rest
+        // unfinished; the simulator reports it, the master declares the
+        // worker holding that lease dead and a survivor redoes the batch.
         // The plan goes through the CLI grammar on purpose.
         let recovery = StageRecovery {
             faults: FaultPlan::parse("drop:src=1,dst=0,tag=1,nth=2").expect("grammar"),
-            stall_timeout: Some(50_000),
             ..StageRecovery::default()
         };
         let (report, run_report) = run(config(p, recovery), &reads, &genome);
@@ -230,7 +230,7 @@ fn dropped_result_report_trips_liveness_and_recovers() {
         let faults = run_report.faults.expect("faults section");
         assert_eq!(faults.msgs_dropped, 1);
         assert_eq!(faults.kills_injected, 0, "nobody was actually killed");
-        assert_eq!(faults.dead_ranks, 1, "liveness must declare the silent worker dead");
+        assert_eq!(faults.dead_ranks, 1, "quiescence must declare the stuck worker dead");
         assert!(faults.recovered_tasks > 0);
     });
 }
@@ -242,8 +242,8 @@ fn delayed_result_report_is_absorbed_once_not_twice() {
         let p = 4;
         let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-        // Worker 1's second result report is overtaken by three later
-        // deliveries; the lease journal retires it exactly once.
+        // Worker 1's second result report is held back and overtaken by
+        // the round's `NP`; the lease journal retires it exactly once.
         let recovery = StageRecovery {
             faults: FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2,by=3").expect("grammar"),
             ..StageRecovery::default()
