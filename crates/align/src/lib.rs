@@ -1,12 +1,8 @@
 //! # pgasm-align — pairwise alignment substrate
 //!
-//! Dynamic-programming alignment kernels used throughout the framework:
+//! The dynamic-programming alignment kernel used throughout the
+//! framework, and the filter it is measured against:
 //!
-//! - [`global`] — Needleman–Wunsch global alignment (linear gap costs).
-//! - [`local`] — Smith–Waterman local alignment.
-//! - [`affine`] — Gotoh's affine-gap global alignment, the "improved
-//!   algorithm for matching biological sequences" the paper cites for
-//!   overlap scoring.
 //! - [`overlap`] — semi-global *suffix–prefix* alignment, the operation
 //!   the clustering phase performs on every selected promising pair
 //!   (§4: "a high quality alignment between a suffix of one and a prefix
@@ -20,9 +16,6 @@
 //! All kernels operate on the coded alphabet of `pgasm-seq`; masked bases
 //! ([`pgasm_seq::MASK`]) never match anything, including each other.
 
-pub mod affine;
-pub mod global;
-pub mod local;
 pub mod overlap;
 pub mod scoring;
 pub mod simd;

@@ -25,12 +25,10 @@
 //!
 //! Gap costs are linear (`gap_extend` per column). At the 1–2% error
 //! rates of Sanger-style fragments the accept/reject decision is
-//! insensitive to the affine refinement, which is available separately in
-//! [`crate::affine`] for consumers that need it.
+//! insensitive to an affine-gap refinement, so none is implemented.
 
 use crate::scoring::{AcceptCriteria, Scoring};
 use crate::simd::{I32x8, LANES};
-use serde::{Deserialize, Serialize};
 
 const NEG: i32 = i32::MIN / 4;
 
@@ -46,7 +44,7 @@ fn lane_padded(w: usize) -> usize {
 
 /// Geometric relationship of the two fragments implied by an overlap
 /// alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapKind {
     /// A suffix of `a` aligns to a prefix of `b` (`a` extends left of `b`).
     SuffixPrefix,
@@ -59,7 +57,7 @@ pub enum OverlapKind {
 }
 
 /// Result of a suffix–prefix alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapResult {
     /// Alignment score.
     pub score: i32,
@@ -1435,7 +1433,7 @@ mod tests {
         // verification scoring (steep off-ridge decay): the winning
         // ridge sits near the floor, so off-ridge band columns price
         // below it and the adaptive shrink engages.
-        let s = Scoring { match_score: 1, mismatch: -7, gap_open: -8, gap_extend: -5 };
+        let s = Scoring { match_score: 1, mismatch: -7, gap_extend: -5 };
         let shared = "ATCGGATCGTAGGCTAAGTC".repeat(3);
         let flank_a = "TTGCA".repeat(28);
         let flank_b = "GGATC".repeat(28);

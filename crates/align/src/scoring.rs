@@ -1,29 +1,24 @@
 //! Scoring schemes and acceptance criteria.
 
 use pgasm_seq::alphabet::is_base_code;
-use serde::{Deserialize, Serialize};
 
 /// Substitution / gap scores shared by all kernels. Scores are additive;
-/// matches positive, mismatches and gaps negative.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// matches positive, mismatches and gaps negative. Gap costs are linear.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scoring {
     /// Score for an identical base pair.
     pub match_score: i32,
     /// Score for a substitution (also applied when either base is masked).
     pub mismatch: i32,
-    /// Cost of opening a gap (affine kernels) — included for the first
-    /// gapped column.
-    pub gap_open: i32,
-    /// Cost of extending a gap by one column (all kernels; linear-gap
-    /// kernels use only this).
+    /// Cost of each gapped column.
     pub gap_extend: i32,
 }
 
 impl Scoring {
     /// The defaults used by the clustering pipeline: +1 match, −2
-    /// mismatch, −3/−1 affine gaps — mirrors common assembler settings
-    /// (e.g. CAP3's relative weighting).
-    pub const DEFAULT: Scoring = Scoring { match_score: 1, mismatch: -2, gap_open: -3, gap_extend: -1 };
+    /// mismatch, −1 per gapped column — mirrors common assembler
+    /// settings (e.g. CAP3's relative weighting).
+    pub const DEFAULT: Scoring = Scoring { match_score: 1, mismatch: -2, gap_extend: -1 };
 
     /// Substitution score for two codes; masked bases never match.
     #[inline]
@@ -46,7 +41,7 @@ impl Default for Scoring {
 /// overlap? The paper runs clustering with a *less stringent* criterion
 /// than final assembly (§3 "Correctness") so that fragments of one contig
 /// are never split across clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptCriteria {
     /// Minimum fraction of identical columns among aligned columns.
     pub min_identity: f64,

@@ -29,7 +29,6 @@ pub mod scaffold;
 
 use pgasm_align::{AcceptCriteria, Scoring};
 use pgasm_seq::{DnaSeq, QualityTrack};
-use serde::{Deserialize, Serialize};
 
 /// Revision of the assembler's *algorithm*. Anything that stores contigs
 /// keyed by the assembler's inputs (the artifact cache) folds this in, so
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 pub const ASSEMBLER_REVISION: u32 = 2;
 
 /// Assembler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssemblyConfig {
     /// Alignment scoring.
     pub scoring: Scoring,
@@ -81,7 +80,7 @@ impl Default for AssemblyConfig {
 }
 
 /// One read placed on a contig.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Index of the read within the assembled cluster.
     pub read: usize,
@@ -92,7 +91,7 @@ pub struct Placement {
 }
 
 /// An assembled contig.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contig {
     /// Consensus sequence.
     pub seq: DnaSeq,
@@ -101,7 +100,7 @@ pub struct Contig {
 }
 
 /// The result of assembling one cluster.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Assembly {
     /// Contigs with ≥ 2 reads, longest first.
     pub contigs: Vec<Contig>,

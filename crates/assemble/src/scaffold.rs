@@ -8,13 +8,12 @@
 //! scaffold edge with an estimated gap, and a greedy end-joining pass
 //! chains contigs into scaffolds.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A clone-mate link between two reads: `read1` runs forward from the
 /// sub-clone's 5' end, `read2` is the reverse complement of its 3' end,
 /// and the sub-clone is about `insert` bases long.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MateLink {
     /// First read id (caller-chosen id space).
     pub read1: usize,
@@ -25,7 +24,7 @@ pub struct MateLink {
 }
 
 /// Where a read ended up after assembly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadPlacement {
     /// Contig index.
     pub contig: usize,
@@ -38,7 +37,7 @@ pub struct ReadPlacement {
 }
 
 /// Scaffolder parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaffoldConfig {
     /// Minimum agreeing mate links to create a scaffold edge
     /// (single links are repeat-suspect).
@@ -54,7 +53,7 @@ impl Default for ScaffoldConfig {
 }
 
 /// One oriented contig within a scaffold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaffoldPart {
     /// Contig index.
     pub contig: usize,
@@ -66,7 +65,7 @@ pub struct ScaffoldPart {
 }
 
 /// An ordered, oriented chain of contigs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scaffold {
     /// The parts, left to right.
     pub parts: Vec<ScaffoldPart>,

@@ -1,6 +1,6 @@
 //! `run_analyze` — CI bench for the critical-path analyzer.
 //!
-//! Runs a small traced clustering (p = 4, coalescing on), exports the
+//! Runs a small traced clustering (p = 4), exports the
 //! Chrome trace document exactly as `pgasm --trace-json` would, feeds
 //! it back through [`pgasm_telemetry::analyze`], and writes
 //! `BENCH_run_analyze.json` so `bench_diff` gates the analyzer's
@@ -24,7 +24,6 @@
 use pgasm_bench::datasets;
 use pgasm_bench::util::{env_scale, print_table, with_run_report};
 use pgasm_core::{cluster_parallel_with, MasterWorkerConfig, RunOpts};
-use pgasm_mpisim::CoalescePolicy;
 use pgasm_telemetry::analyze;
 use pgasm_telemetry::trace::{Trace, TraceSpec};
 
@@ -32,8 +31,7 @@ fn main() {
     let scale = env_scale();
     let prepared = datasets::maize((200_000.0 * scale) as usize, 23);
     let params = datasets::default_params();
-    let config =
-        MasterWorkerConfig { batch: 64, pending_cap: 4096, coalesce: Some(CoalescePolicy::default()) };
+    let config = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
     let p = 4;
 
     let (analysis, _report) = with_run_report("run_analyze", |ctx| {

@@ -6,15 +6,14 @@
 //! - *clean*: no fault plan — the reference partition.
 //! - *kill*: worker 1 is removed at the midpoint of its own fault
 //!   clock (measured by a probe arm whose armed plan never fires),
-//!   rounded to an AR-send round entry so it dies holding an
+//!   rounded to a report-send round entry so it dies holding an
 //!   unacknowledged lease the master must recover.
-//! - *drop*: worker 1's second result report vanishes on the wire; the
-//!   run comes to rest with that lease unretired, the simulator reports
+//! - *drop*: worker 1's second report vanishes on the wire; the run
+//!   comes to rest with that lease unretired, the simulator reports
 //!   quiescence, the master declares the worker that holds it dead and
 //!   the lease is re-executed by a survivor.
-//! - *delay*: worker 1's second result report is held back and
-//!   overtaken by the round's `NP`; the lease journal absorbs it
-//!   exactly once.
+//! - *delay*: worker 1's second report is held back until the worker
+//!   blocks on its answer; the lease journal absorbs it exactly once.
 //!
 //! Every faulty arm must reproduce the clean partition bit-for-bit —
 //! that equality, not a speedup, is the artifact under test. The
@@ -45,10 +44,11 @@ pub struct Point {
     pub seconds: f64,
 }
 
-/// Round `mid` down to an AR-send round entry (worker fault clocks are
-/// 1 mod 4 there); floor 5 so at least one full round completed first.
-fn ar_send_event_near(mid: u64) -> u64 {
-    (mid.saturating_sub(mid % 4) + 1).max(5)
+/// Round `mid` down to a report-send round entry (worker fault clocks
+/// are 1 mod 2 there); floor 3 so at least one full round completed
+/// first.
+fn report_send_event_near(mid: u64) -> u64 {
+    (mid.saturating_sub(mid % 2) + 1).max(3)
 }
 
 /// Run the ablation at p = 8. Asserts every faulty arm reproduces the
@@ -57,7 +57,7 @@ fn ar_send_event_near(mid: u64) -> u64 {
 pub fn run(scale: f64) -> Vec<Point> {
     let prepared = datasets::maize((300_000.0 * scale) as usize, 163);
     let params = datasets::default_params();
-    let config = MasterWorkerConfig { batch: 64, pending_cap: 4096, coalesce: None };
+    let config = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
     let p = 8;
     let run_with = |recovery: StageRecovery| {
         let opts = RunOpts { recovery, ..RunOpts::default() };
@@ -74,7 +74,7 @@ pub fn run(scale: f64) -> Vec<Point> {
         };
         let probe = run_with(probe_recovery);
         let depth = probe.ranks[1].counter(names::FAULT_EVENTS);
-        let kill_at = ar_send_event_near(depth / 2);
+        let kill_at = report_send_event_near(depth / 2);
 
         let arms: [(&'static str, StageRecovery); 3] = [
             (

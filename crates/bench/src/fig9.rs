@@ -42,20 +42,17 @@ pub fn run(scale: f64) -> Vec<Point> {
             let input_bp = prepared.total_bp();
             for &w in &worker_counts {
                 let params = datasets::default_params();
-                let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096, ..Default::default() };
+                let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
                 let report = cluster_parallel(&prepared.store, w + 1, &params, &cfg);
                 // Modelled time: slowest rank's CPU + its modelled
                 // traffic, both read off the per-rank telemetry
-                // channels. Only the protocol tags count (plus the
-                // coalesced envelopes that carry them on the wire) —
-                // the collective tags belong to GST construction, which
+                // channels. Only the protocol tags count — the
+                // collective tags belong to GST construction, which
                 // this figure excludes.
                 let proto_comm = |r: &pgasm_telemetry::RankReport| {
                     r.comm
                         .iter()
-                        .filter(|t| {
-                            t.label.starts_with("w2m") || t.label.starts_with("m2w") || t.label == "coalesced"
-                        })
+                        .filter(|t| t.label.starts_with("w2m") || t.label.starts_with("m2w"))
                         .map(|t| t.modelled_seconds)
                         .sum::<f64>()
                 };

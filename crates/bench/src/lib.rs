@@ -12,7 +12,6 @@
 
 pub mod ablations;
 pub mod assembly_balance;
-pub mod coalescing;
 pub mod datasets;
 pub mod fault_recovery;
 pub mod fig5;

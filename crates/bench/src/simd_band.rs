@@ -143,7 +143,7 @@ pub fn run(scale: f64) -> Vec<Point> {
     // Harsh verification scoring: the acceptance floor drops to ≈ 21
     // but off-homology scores decay at 5–7 per column, so
     // both the early exit and the X-drop shrink have bite.
-    base.scoring = Scoring { match_score: 1, mismatch: -7, gap_open: -8, gap_extend: -5 };
+    base.scoring = Scoring { match_score: 1, mismatch: -7, gap_extend: -5 };
 
     let (points, _run_report) = with_run_report("ablation_simd_band", |ctx| {
         let mut points = Vec::new();

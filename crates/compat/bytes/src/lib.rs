@@ -1,30 +1,26 @@
 //! Offline stand-in for the `bytes` crate covering the API surface used
-//! by `pgasm-mpisim`'s codec and message substrate: [`Bytes`] (cheaply
-//! cloneable immutable view, `Arc`-backed), [`BytesMut`] (growable
-//! buffer that freezes into `Bytes`), and the [`Buf`]/[`BufMut`]
-//! accessor traits for little-endian scalar I/O.
+//! by `pgasm-mpisim`'s message substrate: [`Bytes`], a cheaply
+//! cloneable immutable buffer (`Arc`-backed).
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Immutable, cheaply cloneable byte buffer. A clone shares the same
-/// allocation; [`Bytes::split_to`] adjusts view offsets without copying.
-#[derive(Clone, Default)]
+/// allocation.
+#[derive(Clone)]
 pub struct Bytes {
     data: Arc<[u8]>,
-    start: usize,
-    end: usize,
 }
 
 impl Bytes {
     /// Empty buffer.
     pub fn new() -> Self {
-        Bytes::from_vec(Vec::new())
+        Bytes::from(Vec::new())
     }
 
     /// Copy a slice into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from_vec(data.to_vec())
+        Bytes { data: Arc::from(data) }
     }
 
     /// View over static data (copied here; the allocation-free upstream
@@ -33,55 +29,32 @@ impl Bytes {
         Bytes::copy_from_slice(data)
     }
 
-    fn from_vec(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Arc::from(v.into_boxed_slice()),
-            start: 0,
-            end,
-        }
-    }
-
-    /// Bytes remaining in this view.
+    /// Bytes in this buffer.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.data.len()
     }
 
-    /// Whether the view is empty.
+    /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
-    /// Split off and return the first `at` bytes; `self` keeps the rest.
-    /// Panics if `at > len` like upstream.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_to out of bounds: {at} > {}", self.len());
-        let head = Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
-        head
-    }
-
-    /// Copy the view out into a `Vec`.
+    /// Copy the buffer out into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
+        self.data.to_vec()
     }
+}
 
-    fn take(&mut self, n: usize) -> &[u8] {
-        assert!(n <= self.len(), "buffer underflow: need {n}, have {}", self.len());
-        let s = &self.data[self.start..self.start + n];
-        self.start += n;
-        s
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::new()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data
     }
 }
 
@@ -106,7 +79,7 @@ impl Eq for Bytes {}
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes::from_vec(v)
+        Bytes { data: Arc::from(v.into_boxed_slice()) }
     }
 }
 
@@ -116,160 +89,18 @@ impl From<&[u8]> for Bytes {
     }
 }
 
-/// Growable byte buffer, frozen into [`Bytes`] when complete.
-#[derive(Debug, Clone, Default)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// Empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Convert into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-/// Read side: little-endian scalar extraction that advances the cursor.
-pub trait Buf {
-    /// Bytes remaining.
-    fn remaining(&self) -> usize;
-    /// Extract the next `n` bytes, advancing.
-    fn next_bytes(&mut self, n: usize) -> &[u8];
-
-    /// Next `u32`, little-endian.
-    fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.next_bytes(4).try_into().unwrap())
-    }
-
-    /// Next `u64`, little-endian.
-    fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.next_bytes(8).try_into().unwrap())
-    }
-
-    /// Next `f64`, little-endian.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.next_bytes(8).try_into().unwrap())
-    }
-
-    /// Next `u16`, little-endian.
-    fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.next_bytes(2).try_into().unwrap())
-    }
-
-    /// Next single byte.
-    fn get_u8(&mut self) -> u8 {
-        self.next_bytes(1)[0]
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn next_bytes(&mut self, n: usize) -> &[u8] {
-        self.take(n)
-    }
-}
-
-/// Write side: little-endian scalar append.
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Append a `u32`, little-endian.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64`, little-endian.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u16`, little-endian.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_scalars() {
-        let mut w = BytesMut::with_capacity(32);
-        w.put_u32_le(0xDEAD_BEEF);
-        w.put_u64_le(42);
-        w.put_f64_le(1.5);
-        w.put_slice(b"xyz");
-        let mut r = w.freeze();
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64_le(), 42);
-        assert_eq!(r.get_f64_le(), 1.5);
-        assert_eq!(&*r.split_to(3), b"xyz");
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn clone_shares_and_split_views() {
-        let mut b = Bytes::copy_from_slice(&[1, 2, 3, 4, 5]);
+    fn a_clone_shares_the_allocation_and_compares_equal() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
         let c = b.clone();
-        let head = b.split_to(2);
-        assert_eq!(&*head, &[1, 2]);
-        assert_eq!(&*b, &[3, 4, 5]);
+        assert!(std::ptr::eq(b.as_ptr(), c.as_ptr()));
+        assert_eq!(b, c);
         assert_eq!(&*c, &[1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "split_to out of bounds")]
-    fn split_past_end_panics() {
-        let mut b = Bytes::copy_from_slice(&[1]);
-        let _ = b.split_to(2);
+        assert_eq!(c.to_vec(), vec![1, 2, 3, 4, 5]);
+        assert_eq!((c.len(), Bytes::new().is_empty()), (5, true));
     }
 }

@@ -6,7 +6,7 @@
 //! assembled independently. Rank 0 (the master) owns the full task list
 //! and schedules whole clusters onto worker ranks; workers assemble
 //! their allocated clusters and ship the contigs back over the
-//! simulated wire, so flow control, parking, coalescing, per-tag
+//! simulated wire, so flow control, parking, per-tag
 //! traffic accounting, blocked-time attribution, event tracing and
 //! fault recovery all apply exactly as they do to clustering. This
 //! module holds only what makes the stage *assembly*: the whole-cluster
@@ -36,7 +36,7 @@ use crate::engine::{
     TaskSink, TaskSource, WorkerReport,
 };
 use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig, Contig, Placement};
-use pgasm_mpisim::{CoalescePolicy, Comm};
+use pgasm_mpisim::Comm;
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
@@ -147,7 +147,7 @@ impl Task for AssembleTask {
     }
 }
 
-/// The one serial form of an [`Assembly`] — the `AR` result body, the
+/// The one serial form of an [`Assembly`] — the report's result body, the
 /// assemble snapshot and the `contigs` cache artifact all frame this.
 /// Every count and index travels as a `u32`.
 pub fn encode_assembly(w: &mut Writer, a: &Assembly) {
@@ -184,8 +184,8 @@ pub fn decode_assembly(r: &mut Reader<'_>) -> Result<Assembly, WireError> {
     Ok(Assembly { contigs, singletons, inconsistent_edges: r.get_u32()? as usize })
 }
 
-/// `count`, then that many `(slot, assembly)` records: the `AR` body
-/// and the tail of the snapshot. A slot outside the table is malformed.
+/// `count`, then that many `(slot, assembly)` records: the report's
+/// result body and the tail of the snapshot. A slot outside the table is malformed.
 fn decode_slots(r: &mut Reader<'_>, results: &mut [Option<Assembly>]) -> Result<(), WireError> {
     for _ in 0..r.get_u32()? {
         let slot = r.get_u32()? as usize;
@@ -391,15 +391,9 @@ pub fn assemble_parallel_with(
         // track (p), so one traced run exports cluster, pipeline, and
         // assemble tracks side by side.
         track_offset: p + 1,
-        tag_labels: [
-            names::TAG_ASM_W2M_RES,
-            names::TAG_ASM_M2W_GRANT,
-            names::TAG_ASM_W2M_RDY,
-            names::TAG_ASM_M2W_TASK,
-        ],
-        comm_counters: &[names::MSGS_COALESCED, names::ENVELOPES_SENT],
+        tag_labels: [names::TAG_ASM_W2M_REPORT, names::TAG_ASM_M2W_GRANT],
+        blocked_totals: false,
         engine: EngineConfig { batch, pending_cap: n.max(1) },
-        coalesce: Some(CoalescePolicy::default()),
     };
     let mut run = run_stage(p, &spec, opts, &AssembleStage { store, quals, config, tasks });
     // A killed master leaves holes; placeholders keep the slot indexing
@@ -508,7 +502,7 @@ mod tests {
         assert_eq!(cost, expected);
         // The protocol rows are present and relabelled for this phase.
         let master = &dist.ranks[0];
-        assert!(master.comm.iter().any(|t| t.label == names::TAG_ASM_W2M_RES && t.msgs_recv > 0));
+        assert!(master.comm.iter().any(|t| t.label == names::TAG_ASM_W2M_REPORT && t.msgs_recv > 0));
         assert_eq!(master.counter(names::ASM_BATCHES_DISPATCHED) as usize, {
             // LPT grants one cluster per batch.
             clustering.num_non_singletons()
@@ -617,7 +611,7 @@ mod tests {
         let mut recovered_any = false;
         for victim in 1..4usize {
             let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 5, FaultStage::Any),
+                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 3, FaultStage::Any),
                 ..StageRecovery::default()
             };
             let dist = run_with(&store, &clustering, recovery);
@@ -638,11 +632,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("assemble.pgck");
-        // The master's clock reads four per worker round (two reports
-        // in, one grant out as two sends): 3 opening rounds + 7 clusters
-        // + 3 termination grants = 43 under any schedule. 20 is mid-run.
+        // The master's clock reads two per worker round (one report
+        // in, one grant out): 3 opening rounds + 7 clusters + 3
+        // termination grants = 23 under any schedule. 10 is mid-run.
         let faulty = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), 20, FaultStage::Any),
+            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), 10, FaultStage::Any),
             checkpoint_every: Some(1),
             checkpoint_path: Some(path.clone()),
             ..StageRecovery::default()

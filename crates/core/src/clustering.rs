@@ -12,10 +12,9 @@ use crate::unionfind::UnionFind;
 use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, OverlapResult, Scoring, SimdOpts};
 use pgasm_gst::{GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
 use pgasm_seq::{FragId, FragmentStore, SeqId};
-use serde::{Deserialize, Serialize};
 
 /// Clustering parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterParams {
     /// GST construction (w, ψ).
     pub gst: GstConfig,
@@ -68,7 +67,7 @@ impl Default for ClusterParams {
 }
 
 /// Work/result counters — the quantities of the paper's Tables 1 and 3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Promising pairs generated.
     pub generated: u64,
@@ -133,7 +132,7 @@ impl ClusterStats {
 }
 
 /// A finished clustering of `n` fragments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     /// Member lists (fragment ids) of every cluster, singletons
     /// included, ordered by smallest member.

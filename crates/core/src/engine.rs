@@ -4,11 +4,11 @@
 //! The engine owns everything the paper's Figs. 6–8 describe about
 //! *work distribution* and nothing about the work itself:
 //!
-//! - the four-message protocol shape — workers report results
-//!   ([`TAG_W2M_AR`]) and newly generated tasks plus generator status
-//!   ([`TAG_W2M_NP`]); the master answers with a flow-control grant
-//!   carrying termination ([`TAG_M2W_R`]) and a task batch
-//!   ([`TAG_M2W_AW`]);
+//! - the two-message round — a worker reports its computed results,
+//!   its generator status and its newly generated tasks in one
+//!   [`TAG_REPORT`]; the master answers with one [`TAG_GRANT`] carrying
+//!   termination or the next request size, the adoption list and the
+//!   leased task batch;
 //! - the master's event pump ([`run_master`]): drain **all** queued
 //!   reports through `try_recv` before dispatching, block in the one
 //!   `recv` only on a truly empty inbox;
@@ -46,16 +46,19 @@
 //! # Fault tolerance
 //!
 //! Every allocation is a *lease*: the master journals each non-empty
-//! batch it dispatches under a fresh lease id (carried on the `AW`
-//! message and echoed back on the matching `AR`), and retires the
+//! batch it dispatches under a fresh lease id (carried on the grant
+//! and echoed back on the report that answers it), and retires the
 //! lease when the report arrives. A report whose lease is no longer
 //! journaled — a late or duplicate replay after recovery — is
 //! discarded whole, so every batch's results are absorbed **at most
-//! once**. When a worker's death notice arrives, the master marks the
-//! rank dead, re-queues its outstanding leases to survivors, and — if
-//! the dead worker's task generator was still active — assigns its
-//! generator *scope* to the lowest live worker, which rebuilds it from
-//! scratch through [`TaskSink::adopt_scope`]. A *lost* message (a
+//! once**. A round is one message each way, so it is atomic on the
+//! wire: the master never sees results without the round that carried
+//! them, a worker never a grant without its batch. When a worker's
+//! death notice arrives, the master marks the rank dead, re-queues its
+//! outstanding leases to survivors, and — if the dead worker's task
+//! generator was still active — assigns its generator *scope* to the
+//! lowest live worker, which rebuilds it from scratch through
+//! [`TaskSink::adopt_scope`]. A *lost* message (a
 //! dropped report or grant) is detected from protocol state, never
 //! from a clock: the run comes to rest with the master unfinished, the
 //! simulator reports [`Event::Quiescent`], and the master recovers
@@ -72,9 +75,9 @@
 //! [`MasterReport::killed`] / [`WorkerReport::master_died`] instead of
 //! a hang.
 //!
-//! The engine works over the `mpisim` rank model, so the coalescing
-//! layer, per-tag traffic accounting, and blocked-time attribution all
-//! apply to any client unchanged.
+//! The engine works over the `mpisim` rank model, so per-tag traffic
+//! accounting and blocked-time attribution apply to any client
+//! unchanged.
 
 mod stage;
 
@@ -87,31 +90,27 @@ use pgasm_telemetry::trace::{TraceCategory, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-/// Worker → master: computed results (the paper's `AR`). The body is
-/// the lease id of the computed batch (`0` for the unsolicited opening
-/// report) followed by the client-encoded report
-/// ([`TaskSink::run_batch`] writes it, [`TaskSource::absorb_results`]
-/// reads it).
-pub const TAG_W2M_AR: u32 = 1;
-/// Master → worker: flow-control grant `r` (paper's `R`); also carries
-/// the termination flag and the adoption list, so every master
-/// transmission starts here.
-pub const TAG_M2W_R: u32 = 2;
-/// Worker → master: newly generated tasks + generator status (paper's
-/// `NP`); doubles as the request for the next allocation.
-pub const TAG_W2M_NP: u32 = 3;
-/// Master → worker: the allocated task batch (paper's `AW`), prefixed
-/// by its lease id (`0` when the batch is empty).
-pub const TAG_M2W_AW: u32 = 4;
-/// The four protocol tags, in the order [`StageSpec::tag_labels`] names
+/// Worker → master, once per round: `lease: u64` of the batch just
+/// computed (`0` when the last grant carried none — the opening report
+/// included), the client's result body ([`TaskSink::run_batch`] writes
+/// it, [`TaskSource::absorb_results`] reads it), `active: u32` (the
+/// generator can still yield), `n: u32` and `n` newly generated tasks.
+/// It doubles as the request for the next allocation.
+pub const TAG_REPORT: u32 = 1;
+/// Master → worker, one per report (or unsolicited, to a parked
+/// worker): `terminate: u32`, and unless that is `1`, the next request
+/// size `r: u32`, the `u32` slice of dead generator scopes to adopt,
+/// the `lease: u64` of the batch (`0` when it is empty), `n: u32` and
+/// `n` tasks.
+pub const TAG_GRANT: u32 = 2;
+/// The two protocol tags, in the order [`StageSpec::tag_labels`] names
 /// them.
-pub const PROTOCOL_TAGS: [u32; 4] = [TAG_W2M_AR, TAG_M2W_R, TAG_W2M_NP, TAG_M2W_AW];
+pub const PROTOCOL_TAGS: [u32; 2] = [TAG_REPORT, TAG_GRANT];
 
-/// Engine runtime knobs: the shape of the protocol (coalescing is a
-/// property of the `Comm`, set by [`run_stage`]).
+/// Engine runtime knobs: the shape of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Task batch size `b` (tasks per AW message).
+    /// Task batch size `b` (tasks per grant).
     pub batch: usize,
     /// Capacity of the master's pending-task buffer (flow-control
     /// target; the buffer itself degrades gracefully if exceeded).
@@ -136,12 +135,13 @@ pub trait Task: Sized + Clone {
 /// Master-side client logic: absorb worker results the moment they are
 /// drained, and decide which announced tasks still need doing.
 pub trait TaskSource<T: Task> {
-    /// Consume one worker's result report (the `AR` body this client's
-    /// [`TaskSink::run_batch`] encoded). Called per message as the
+    /// Consume one worker's result body (what this client's
+    /// [`TaskSink::run_batch`] encoded). Called per report as the
     /// inbox drains, so client state is maximally fresh when batches
     /// are cut. Never called twice for the same lease: late/duplicate
     /// replays are dropped by the engine before they reach here. Must
-    /// consume the whole body; an `Err` ends the stage.
+    /// consume exactly what `run_batch` wrote — the report goes on
+    /// behind it; an `Err` ends the stage.
     fn absorb_results(&mut self, src: usize, r: &mut Reader<'_>) -> Result<(), WireError>;
     /// A worker announced `task`; return `true` to queue it for
     /// dispatch. Called once per announced task, in arrival order.
@@ -184,13 +184,14 @@ pub trait TaskSink<T: Task> {
 /// into its own counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MasterReport {
-    /// Tasks workers announced over NP (the client's "generated").
+    /// Tasks workers announced in their reports (the client's
+    /// "generated").
     pub tasks_announced: u64,
     /// Announced tasks the source selected into the pending buffer.
     pub tasks_selected: u64,
     /// Peak depth of the pending-task buffer.
     pub peak_queue_depth: u64,
-    /// Non-empty AW batches dispatched.
+    /// Non-empty task batches dispatched.
     pub batches_dispatched: u64,
     /// Deepest single drain of the inbox.
     pub inbox_drain_depth_max: u64,
@@ -242,7 +243,7 @@ struct Master<'s, T, S> {
     pending: VecDeque<T>,
     /// Worker's generator still has tasks to yield.
     worker_active: Vec<bool>,
-    /// Worker reported its round (NP arrived) and awaits an R+AW reply.
+    /// Worker reported its round and awaits the grant that answers it.
     need_reply: Vec<bool>,
     /// Worker is passive with no allocation in flight: blocked in a
     /// receive, revivable with an unsolicited grant (Idle_Workers).
@@ -265,18 +266,18 @@ struct Master<'s, T, S> {
 }
 
 impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
-    /// Apply one worker message the moment it is drained — result
-    /// absorption (AR) and task selection (NP) interleave with message
-    /// progress instead of waiting for a dispatch turn. Messages from
-    /// dead-declared ranks and reports whose lease is no longer
-    /// journaled are discarded whole: that is the replay dedup. A body
-    /// that does not decode is the sender's [`CommError::Malformed`].
+    /// Apply one worker report the moment it is drained — result
+    /// absorption and task selection interleave with message progress
+    /// instead of waiting for a dispatch turn. A report from a
+    /// dead-declared rank, or one whose lease is no longer journaled,
+    /// is discarded whole: that is the replay dedup. A body that does
+    /// not decode is the sender's [`CommError::Malformed`].
     fn on_msg(&mut self, comm: &mut Comm, msg: &Msg) -> Result<(), CommError> {
-        let name = if msg.tag == TAG_W2M_AR { names::EV_HANDLE_AR } else { names::EV_HANDLE_NP };
-        comm.tracer_mut().instant_arg(TraceCategory::Master, name, "src", msg.src as u64);
+        comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_HANDLE_REPORT, "src", msg.src as u64);
         self.handle(comm.tracer_mut(), msg).map_err(|_| CommError::Malformed { src: msg.src, tag: msg.tag })
     }
 
+    /// The one decoder of a [`TAG_REPORT`] body.
     fn handle(&mut self, tracer: &mut Tracer, msg: &Msg) -> Result<(), WireError> {
         let i = msg.src;
         if self.dead[i] {
@@ -288,46 +289,43 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             );
             return Ok(());
         }
-        let mut r = Reader::new(&msg.data);
-        match msg.tag {
-            TAG_W2M_AR => {
-                let lease = r.get_u64()?;
-                if lease != 0 && self.journal.remove(&lease).is_none() {
-                    // Late or duplicate replay of an already-recovered
-                    // batch: absorbing it twice would double-count.
-                    tracer.instant_args(
-                        TraceCategory::Fault,
-                        names::EV_STALE_MSG,
-                        ("src", i as u64),
-                        ("lease", lease),
-                    );
-                    return Ok(());
-                }
-                self.source.absorb_results(i, &mut r)?;
-                self.report.results_absorbed += 1;
-            }
-            TAG_W2M_NP => {
-                // Newly announced tasks: keep only those the source
-                // still wants *right now*.
-                let active = r.get_u32()? == 1;
-                // A worker that exhausted its own generator stays
-                // active while an adoption grant is queued for it.
-                self.worker_active[i] = active || !self.pending_adoptions[i].is_empty();
-                for _ in 0..r.get_u32()? {
-                    let task = T::decode(&mut r)?;
-                    self.report.tasks_announced += 1;
-                    if self.source.select(&task) {
-                        self.pending.push_back(task);
-                        self.report.tasks_selected += 1;
-                    }
-                }
-                self.report.peak_queue_depth = self.report.peak_queue_depth.max(self.pending.len() as u64);
-                // NP closes the worker's round: it now awaits a grant.
-                self.need_reply[i] = true;
-                self.outstanding[i] = false;
-            }
-            _ => return Err(WireError::Malformed("tag is not a worker report")),
+        if msg.tag != TAG_REPORT {
+            return Err(WireError::Malformed("tag is not a worker report"));
         }
+        let mut r = Reader::new(&msg.data);
+        let lease = r.get_u64()?;
+        if lease != 0 && self.journal.remove(&lease).is_none() {
+            // Late or duplicate replay of an already-recovered batch:
+            // absorbing it twice would double-count, and the round it
+            // closes was closed by its first copy.
+            tracer.instant_args(
+                TraceCategory::Fault,
+                names::EV_STALE_MSG,
+                ("src", i as u64),
+                ("lease", lease),
+            );
+            return Ok(());
+        }
+        self.source.absorb_results(i, &mut r)?;
+        self.report.results_absorbed += 1;
+        // Newly announced tasks: keep only those the source still wants
+        // *right now*.
+        let active = r.get_u32()? == 1;
+        // A worker that exhausted its own generator stays active while
+        // an adoption grant is queued for it.
+        self.worker_active[i] = active || !self.pending_adoptions[i].is_empty();
+        for _ in 0..r.get_u32()? {
+            let task = T::decode(&mut r)?;
+            self.report.tasks_announced += 1;
+            if self.source.select(&task) {
+                self.pending.push_back(task);
+                self.report.tasks_selected += 1;
+            }
+        }
+        self.report.peak_queue_depth = self.report.peak_queue_depth.max(self.pending.len() as u64);
+        // The report closes the worker's round: it now awaits a grant.
+        self.need_reply[i] = true;
+        self.outstanding[i] = false;
         r.expect_end()
     }
 
@@ -344,7 +342,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             let r = self.flow_control();
             if batch.is_empty() && !self.worker_active[i] {
                 // Nothing to do and nothing left to generate: park it
-                // (the empty AW tells the worker to block).
+                // (the empty batch tells the worker to block).
                 self.parked[i] = true;
                 comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_PARK, "worker", i as u64);
                 self.grant(comm, i, r, batch)?;
@@ -670,9 +668,6 @@ fn master_pump<T: Task, S: TaskSource<T>>(
                 debug_assert!(m.dead[i] || m.parked[i], "at termination every live worker is parked");
                 send_grant::<T>(comm, i, 0, 0, &[], &[], true)?;
             }
-            // Replies may still sit in the coalescing queues; this rank
-            // never blocks again, so push them out explicitly.
-            comm.flush_all();
             return Ok(());
         }
 
@@ -707,12 +702,10 @@ fn drain_batch<T>(pending: &mut VecDeque<T>, b: usize) -> Vec<T> {
     pending.drain(..take).collect()
 }
 
-/// Send one master→worker allocation: the `R` flow-control grant
-/// (termination flag + next request size + adoption list) followed,
-/// for live grants, by the `AW` task batch under its lease id. *Every*
-/// master transmission — round reply, unsolicited grant to a parked
-/// worker, termination — goes through here, so the M2W wire format has
-/// exactly one encoder and the worker exactly one decode path.
+/// The one encoder of a [`TAG_GRANT`] body. *Every* master
+/// transmission — round reply, unsolicited grant to a parked worker,
+/// termination — goes through here, and the worker reads them all
+/// through [`decode_grant`].
 fn send_grant<T: Task>(
     comm: &mut Comm,
     dest: usize,
@@ -722,42 +715,51 @@ fn send_grant<T: Task>(
     adopt: &[usize],
     terminate: bool,
 ) -> Result<(), CommError> {
-    let mut w = Writer::with_capacity(12 + 4 * adopt.len());
+    let mut w = Writer::with_capacity(
+        24 + 4 * adopt.len() + batch.iter().map(Task::encoded_size_hint).sum::<usize>(),
+    );
     w.put_u32(terminate as u32);
-    if terminate {
-        return comm.send(dest, TAG_M2W_R, w.finish().into());
+    if !terminate {
+        w.put_u32(r as u32);
+        w.put_u32(checked_len(adopt.len()));
+        for &scope in adopt {
+            w.put_u32(scope as u32);
+        }
+        w.put_u64(lease);
+        w.put_u32(checked_len(batch.len()));
+        for task in batch {
+            task.encode(&mut w);
+        }
     }
-    w.put_u32(r as u32);
-    w.put_u32(checked_len(adopt.len()));
-    for &scope in adopt {
-        w.put_u32(scope as u32);
-    }
-    comm.send(dest, TAG_M2W_R, w.finish().into())?;
-    let mut w = Writer::with_capacity(12 + batch.iter().map(Task::encoded_size_hint).sum::<usize>());
-    w.put_u64(lease);
-    w.put_u32(checked_len(batch.len()));
-    for task in batch {
-        task.encode(&mut w);
-    }
-    comm.send(dest, TAG_M2W_AW, w.finish().into())
+    comm.send(dest, TAG_GRANT, w.finish().into())
 }
 
-/// The worker's reading of an `R` body: `None` terminates the run,
-/// otherwise the next request size and the scopes to adopt.
-fn decode_grant(body: &[u8]) -> Result<Option<(usize, Vec<u32>)>, WireError> {
+/// What a live grant carries.
+struct Grant<T> {
+    /// How many tasks to generate for the next report.
+    r: usize,
+    /// Dead generator scopes to take over.
+    adopt: Vec<u32>,
+    /// Lease id of `batch` (`0` when it is empty).
+    lease: u64,
+    batch: Vec<T>,
+}
+
+/// The one decoder of a [`TAG_GRANT`] body; `None` terminates the run.
+fn decode_grant<T: Task>(body: &[u8]) -> Result<Option<Grant<T>>, WireError> {
     let mut r = Reader::new(body);
-    let grant = if r.get_u32()? == 1 { None } else { Some((r.get_u32()? as usize, r.get_u32_slice()?)) };
+    let grant = if r.get_u32()? == 1 {
+        None
+    } else {
+        Some(Grant {
+            r: r.get_u32()? as usize,
+            adopt: r.get_u32_slice()?,
+            lease: r.get_u64()?,
+            batch: (0..r.get_u32()?).map(|_| T::decode(&mut r)).collect::<Result<_, _>>()?,
+        })
+    };
     r.expect_end()?;
     Ok(grant)
-}
-
-/// The worker's reading of an `AW` body: the lease id and its batch.
-fn decode_batch<T: Task>(body: &[u8]) -> Result<(u64, Vec<T>), WireError> {
-    let mut r = Reader::new(body);
-    let lease = r.get_u64()?;
-    let batch = (0..r.get_u32()?).map(|_| T::decode(&mut r)).collect::<Result<_, _>>()?;
-    r.expect_end()?;
-    Ok((lease, batch))
 }
 
 /// The paper's flow-control rule (§7): request enough tasks that about
@@ -807,13 +809,13 @@ pub fn run_worker<T: Task, S: TaskSink<T>>(
     Ok(report)
 }
 
-/// Next `tag` message from the master; `None` when the master died —
-/// or left without a word, which a worker learns as quiescence.
-/// Peer-worker deaths are the master's business, not a worker's — their
-/// notices are skipped.
-fn recv_from_master(comm: &mut Comm, tag: u32) -> Result<Option<Msg>, CommError> {
+/// Next grant from the master; `None` when the master died — or left
+/// without a word, which a worker learns as quiescence. Peer-worker
+/// deaths are the master's business, not a worker's — their notices are
+/// skipped.
+fn recv_grant(comm: &mut Comm) -> Result<Option<Msg>, CommError> {
     loop {
-        match comm.recv(Some(0), Some(tag))? {
+        match comm.recv(Some(0), Some(TAG_GRANT))? {
             Event::Death(0) | Event::Quiescent => return Ok(None),
             Event::Death(_) => continue,
             Event::Msg(m) => return Ok(Some(m)),
@@ -828,51 +830,39 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
     sink: &mut S,
     report: &mut WorkerReport,
 ) -> Result<bool, CommError> {
-    let malformed = |tag: u32| move |_: WireError| CommError::Malformed { src: 0, tag };
     let mut r = config.batch;
-    let mut aw: Vec<T> = Vec::new();
-    let mut np: Vec<T> = Vec::new();
-    // Lease id of the batch in `aw`, echoed on its result report so
-    // the master can retire the journal entry (0 = opening report).
+    let mut batch: Vec<T> = Vec::new();
+    let mut announced: Vec<T> = Vec::new();
+    // Lease id of `batch`, echoed on the report so the master can
+    // retire the journal entry (0 = nothing was leased).
     let mut lease: u64 = 0;
-    let mut active;
     loop {
-        // Compute the tasks allocated last round, encoding the result
-        // report as the client defines it (after the engine's lease
-        // prefix).
+        // Compute the tasks allocated last round; the client encodes
+        // its results behind the engine's lease prefix.
         let mut w = Writer::new();
         w.put_u64(lease);
-        sink.run_batch(comm.tracer_mut(), &mut aw, &mut w);
-        aw.clear();
+        sink.run_batch(comm.tracer_mut(), &mut batch, &mut w);
+        batch.clear();
         sink.sample_gauges(comm.sampler_mut());
-        let ar = w.finish();
         // Generate the requested number of new tasks.
-        np.clear();
-        active = sink.generate(comm.tracer_mut(), r, &mut np);
-        report.tasks_generated += np.len() as u64;
-        // Report: results (AR) and new tasks (NP) travel as two
-        // fine-grained messages so the coalescing layer can fold them —
-        // plus whatever other rounds are queued — into one envelope
-        // toward the master.
-        comm.send(0, TAG_W2M_AR, ar.into())?;
-        let mut w = Writer::with_capacity(8 + np.iter().map(Task::encoded_size_hint).sum::<usize>());
+        announced.clear();
+        let mut active = sink.generate(comm.tracer_mut(), r, &mut announced);
+        report.tasks_generated += announced.len() as u64;
+        // The one encoder of a `TAG_REPORT` body.
         w.put_u32(active as u32);
-        w.put_u32(checked_len(np.len()));
-        for task in &np {
+        w.put_u32(checked_len(announced.len()));
+        for task in &announced {
             task.encode(&mut w);
         }
-        comm.send(0, TAG_W2M_NP, w.finish().into())?;
+        comm.send(0, TAG_REPORT, w.finish().into())?;
         report.round_trips += 1;
-        // Receive the next grant (possibly parking idle first). The R
-        // message always arrives; a live grant is followed by its AW
-        // batch.
+        // Receive the next grant (possibly parking idle first).
         loop {
-            let Some(msg) = recv_from_master(comm, TAG_M2W_R)? else { return Ok(true) };
-            let Some((next_r, adopt)) = decode_grant(&msg.data).map_err(malformed(TAG_M2W_R))? else {
-                return Ok(false);
-            };
-            r = next_r;
-            for dead_rank in adopt {
+            let Some(msg) = recv_grant(comm)? else { return Ok(true) };
+            let grant =
+                decode_grant(&msg.data).map_err(|_| CommError::Malformed { src: 0, tag: TAG_GRANT })?;
+            let Some(grant) = grant else { return Ok(false) };
+            for dead_rank in grant.adopt {
                 comm.tracer_mut().instant_arg(
                     TraceCategory::Fault,
                     names::EV_ADOPT_SCOPE,
@@ -884,9 +874,8 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
                 // The adopted scope makes this generator live again.
                 active = true;
             }
-            let Some(msg) = recv_from_master(comm, TAG_M2W_AW)? else { return Ok(true) };
-            (lease, aw) = decode_batch(&msg.data).map_err(malformed(TAG_M2W_AW))?;
-            if aw.is_empty() && !active {
+            (r, lease, batch) = (grant.r, grant.lease, grant.batch);
+            if batch.is_empty() && !active {
                 // Passive with no work: park and wait for an
                 // unsolicited allocation or termination.
                 comm.tracer_mut().instant(TraceCategory::Worker, names::EV_PARK);
@@ -960,7 +949,7 @@ mod tests {
         /// Ranges adopted from dead peers, drained after our own.
         adopted: std::collections::VecDeque<(u32, u32)>,
         /// Results each report claims beyond those it carries (a sink
-        /// and a source that disagree about the `AR` layout).
+        /// and a source that disagree about the result layout).
         overcount: u32,
         /// Where every worker meets before its second round, so that no
         /// second-round report reaches the master before every opening
@@ -1156,19 +1145,23 @@ mod tests {
 
     #[test]
     fn killed_worker_recovers_to_exact_sum() {
-        // Kill each worker in turn at its second report (event 5). At
-        // one task per batch every opening `NP` announces exactly the
-        // first task of a range — even, so selected — and every grant
+        // Kill each worker in turn at its second report (event 3: send
+        // report, receive grant, then this send). At one task per batch
+        // every opening report announces exactly the first task of a
+        // range — even, so selected — and every grant
         // takes one: with no second-round report ahead of them (`gate`)
         // all three first grants carry a task. The victim dies holding
         // an unacknowledged lease under any schedule, and the run must
         // finish with the exact fault-free sum.
         for victim in 1..4usize {
-            let plan = FaultPlan::default().with_kill(KillTarget::Rank(victim), 5, FaultStage::Any);
+            let plan = FaultPlan::default().with_kill(KillTarget::Rank(victim), 3, FaultStage::Any);
             let (sum, report, workers) = run_toy_faulty(4, 40, 1, plan);
             assert_eq!(sum, expected_sum(3, 40), "victim = {victim}");
             assert_eq!(report.dead_ranks, 1, "victim = {victim}");
-            assert_eq!(report.recovered_tasks, 1, "victim = {victim}: kill at an AR entry leaves a lease");
+            assert_eq!(
+                report.recovered_tasks, 1,
+                "victim = {victim}: kill at a report's entry leaves a lease"
+            );
             assert!(!report.killed);
             assert_eq!(workers.iter().filter(|w| w.killed).count(), 1);
             assert!(workers.iter().any(|w| w.scopes_adopted == 1), "the dead generator was adopted");
@@ -1179,12 +1172,12 @@ mod tests {
     fn killed_passive_worker_in_seeded_run_recovers() {
         // The distributed-assembly shape: master-seeded queue, passive
         // workers. A worker death re-queues its leased slots. The
-        // victim dies at its second report (event 5) — the first to
+        // victim dies at its second report (event 3) — the first to
         // carry a lease, which the others cannot have drained the queue
         // of: they wait for it before computing theirs.
         let seed: Vec<u32> = (0..60).map(|i| i * 2).collect();
         let expected: u64 = seed.iter().map(|&t| t as u64 * t as u64).sum();
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(2), 5, FaultStage::Any);
+        let plan = FaultPlan::default().with_kill(KillTarget::Rank(2), 3, FaultStage::Any);
         let gate = Arc::new(Barrier::new(3));
         let (sum, report) = pgasm_mpisim::run(4, move |comm| {
             comm.set_fault_plan(&plan);
@@ -1209,42 +1202,35 @@ mod tests {
     }
 
     #[test]
-    fn dropped_report_trips_liveness_and_recovers() {
-        // One message of worker 1's second round vanishes on the wire.
-        // The run comes to rest with the master unfinished; it declares
-        // exactly the worker that can no longer retire its round dead,
-        // recovers what that worker held, and the run still produces
-        // the exact sum. Nobody was killed: the declared worker leaves
-        // by the termination grant — or, stranded waiting for the lost
-        // `AW`, by learning that the master has gone.
-        //
-        // - `AR` lost: the lease is never retired (worker 1 plays on and
-        //   parks; its batch is re-queued).
-        // - `NP` lost: the lease was retired by the `AR` before it, but
-        //   the round never closes and the announced tasks are gone —
-        //   the survivor regenerates worker 1's scope instead.
-        // - `AW` lost: the grant's lease never reaches worker 1.
-        for (src, dst, tag) in [(1, 0, TAG_W2M_AR), (1, 0, TAG_W2M_NP), (0, 1, TAG_M2W_AW)] {
+    fn a_dropped_report_or_grant_trips_liveness_and_recovers() {
+        // Worker 1's second report, or the grant that answers it,
+        // vanishes on the wire. Either way worker 1 waits for a grant
+        // that never comes, holding a lease the master still journals;
+        // the run comes to rest with the master unfinished, which
+        // declares exactly that worker dead, re-queues its batch and
+        // hands its generator scope to the survivor — and the run still
+        // produces the exact sum. Nobody was killed: the declared
+        // worker is alive and leaves by the termination grant.
+        for (src, dst, tag) in [(1, 0, TAG_REPORT), (0, 1, TAG_GRANT)] {
             let plan = FaultPlan::default().with_drop(src, dst, tag, 2, FaultStage::Any);
             let (sum, report, workers) = run_toy_faulty(3, 30, 4, plan);
             assert_eq!(sum, expected_sum(2, 30), "tag {tag}");
             assert_eq!(report.dead_ranks, 1, "tag {tag}: quiescence declared the stuck worker dead");
-            if tag == TAG_W2M_NP {
-                assert_eq!(workers[1].scopes_adopted, 1, "worker 1's generator was adopted");
-            } else {
-                assert!(report.recovered_tasks > 0, "tag {tag}");
-            }
-            assert!(workers.iter().all(|w| !w.killed), "tag {tag}: nobody was actually killed");
-            assert_eq!(workers[0].master_died, tag == TAG_M2W_AW, "tag {tag}");
+            assert!(report.recovered_tasks > 0, "tag {tag}");
+            assert_eq!(workers[1].scopes_adopted, 1, "tag {tag}: worker 1's generator was adopted");
+            assert!(
+                workers.iter().all(|w| !w.killed && !w.master_died),
+                "tag {tag}: everybody was terminated"
+            );
         }
     }
 
     #[test]
     fn delayed_report_is_absorbed_late_not_twice() {
-        // Worker 1's second result report is held back a few of its own
-        // events and overtaken by later traffic; the lease journal
-        // still retires it exactly once and the sum stays exact.
-        let plan = FaultPlan::default().with_delay(1, 0, TAG_W2M_AR, 2, 3, FaultStage::Any);
+        // Worker 1's second report is held back until the worker blocks
+        // on the grant that answers it; the lease journal still retires
+        // it exactly once and the sum stays exact.
+        let plan = FaultPlan::default().with_delay(1, 0, TAG_REPORT, 2, 3, FaultStage::Any);
         let (sum, report, _) = run_toy_faulty(3, 30, 4, plan);
         assert_eq!(sum, expected_sum(2, 30));
         assert_eq!(report.dead_ranks, 0);
@@ -1252,7 +1238,7 @@ mod tests {
 
     #[test]
     fn killed_master_surfaces_cleanly_on_every_rank() {
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(0), 7, FaultStage::Any);
+        let plan = FaultPlan::default().with_kill(KillTarget::Rank(0), 4, FaultStage::Any);
         let outcomes = pgasm_mpisim::run(3, move |comm| {
             comm.set_fault_plan(&plan);
             let cfg = EngineConfig { batch: 4, pending_cap: 64 };
@@ -1299,13 +1285,48 @@ mod tests {
         let outcomes = finished
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a rank hung or panicked after the malformed report");
-        assert_eq!(outcomes[0], Some(CommError::Malformed { src: 2, tag: TAG_W2M_AR }));
+        assert_eq!(outcomes[0], Some(CommError::Malformed { src: 2, tag: TAG_REPORT }));
+    }
+
+    #[test]
+    fn short_grant_is_the_masters_malformed_error_at_the_worker() {
+        // Every strict prefix of a live grant fails to decode, and a
+        // grant with bytes behind it does too.
+        let body = |adopt: &[u32], batch: &[u32]| {
+            let mut w = Writer::new();
+            w.put_u32(0).put_u32(8).put_u32_slice(adopt).put_u64(3).put_u32_slice(batch);
+            w.finish()
+        };
+        let full = body(&[2], &[10, 12]);
+        let grant = decode_grant::<u32>(&full).unwrap().expect("a live grant");
+        assert_eq!((grant.r, grant.adopt, grant.lease, grant.batch), (8, vec![2], 3, vec![10, 12]));
+        for cut in 0..full.len() {
+            assert!(decode_grant::<u32>(&full[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        }
+        assert!(decode_grant::<u32>(&[&full[..], &[0]].concat()).is_err(), "trailing byte accepted");
+        // On the wire: a master that answers the opening report with a
+        // grant cut short. The worker names the master and the tag,
+        // tells its peers it is leaving, and returns the error.
+        let outcomes = pgasm_mpisim::run(2, move |comm| {
+            if comm.rank() == 0 {
+                assert!(matches!(comm.recv(Some(1), Some(TAG_REPORT)), Ok(Event::Msg(_))));
+                let short = body(&[], &[10, 12]);
+                comm.send(1, TAG_GRANT, short[..short.len() - 1].to_vec().into()).unwrap();
+                assert!(matches!(comm.recv(None, None), Ok(Event::Death(1))));
+                None
+            } else {
+                let cfg = EngineConfig { batch: 4, pending_cap: 64 };
+                run_worker(comm, &cfg, &mut toy_sink(1, 40)).err()
+            }
+        });
+        assert_eq!(outcomes[1], Some(CommError::Malformed { src: 0, tag: TAG_GRANT }));
     }
 
     #[test]
     fn stale_report_with_unknown_lease_is_discarded() {
-        // Unit-level dedup check: a result report whose lease is no
-        // longer journaled must not reach the source.
+        // Unit-level dedup check: a report whose lease is no longer
+        // journaled must not reach the source, nor re-open a round its
+        // first copy closed.
         let mut source = SumSource::new();
         let mut m = Master {
             source: &mut source,
@@ -1326,17 +1347,23 @@ mod tests {
         m.journal.insert(7, Lease { worker: 1, tasks: vec![2u32, 4] });
         let ar = |lease: u64, value: u64| {
             let mut w = Writer::new();
-            w.put_u64(lease).put_u32(1).put_u64(value);
-            Msg { src: 1, tag: TAG_W2M_AR, data: w.finish().into() }
+            // One result, a passive generator, one announced task.
+            w.put_u64(lease).put_u32(1).put_u64(value).put_u32(0).put_u32(1).put_u32(6);
+            Msg { src: 1, tag: TAG_REPORT, data: w.finish().into() }
         };
         let mut tracer = Tracer::disabled();
         // Live lease: absorbed, journal retired.
         m.handle(&mut tracer, &ar(7, 10)).unwrap();
         assert_eq!(m.source.sum, 10);
         assert!(m.journal.is_empty());
+        assert!(m.need_reply[1] && !m.worker_active[1], "the report closed the round");
+        assert_eq!(m.report.tasks_announced, 1);
         // Replay of the same lease: dropped whole.
+        m.need_reply[1] = false;
         m.handle(&mut tracer, &ar(7, 10)).unwrap();
         assert_eq!(m.source.sum, 10, "duplicate replay absorbed twice");
+        assert!(!m.need_reply[1], "a replay must not ask for a second grant");
+        assert_eq!(m.report.tasks_announced, 1, "nor announce its tasks again");
         // Unknown lease: dropped. Lease 0 (opening report): absorbed.
         m.handle(&mut tracer, &ar(99, 5)).unwrap();
         assert_eq!(m.source.sum, 10);

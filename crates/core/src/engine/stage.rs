@@ -1,8 +1,8 @@
 //! The per-rank shell both engine stages run inside.
 //!
 //! [`run_stage`] owns what running *any* stage on the simulated machine
-//! takes — launching the ranks, tracer / sampler / fault-plan /
-//! coalescing set-up, the optional collective pre-phase with its own
+//! takes — launching the ranks, tracer / sampler / fault-plan set-up,
+//! the optional collective pre-phase with its own
 //! timed window, checkpoint resume and cadence around [`run_master`],
 //! wall / CPU / blocked accounting, and the folding of traffic, fault
 //! and recovery tallies into one [`RankReport`] per rank. What differs
@@ -14,7 +14,7 @@ use super::{
     WorkerReport, PROTOCOL_TAGS,
 };
 use crate::checkpoint::{read_checkpoint, write_checkpoint, StageRecovery};
-use pgasm_mpisim::{thread_cpu_seconds, CoalescePolicy, Comm, CommError, CommStats, CostModel};
+use pgasm_mpisim::{thread_cpu_seconds, Comm, CommError, CommStats, CostModel};
 use pgasm_seq::wire::WireError;
 use pgasm_telemetry::trace::{RankTrace, TraceSpec};
 use pgasm_telemetry::{names, RankReport, RankSeries};
@@ -53,18 +53,14 @@ pub struct StageSpec {
     /// Added to a rank id to give its trace track id, so the stages of
     /// one run export side by side without colliding.
     pub track_offset: usize,
-    /// Report labels of the four protocol tags, in [`PROTOCOL_TAGS`]
+    /// Report labels of the two protocol tags, in [`PROTOCOL_TAGS`]
     /// order.
-    pub tag_labels: [&'static str; 4],
-    /// Which of the comm layer's own tallies (coalescing counters,
-    /// whole-run blocked-time totals) the rank reports carry, by
-    /// `names::*` counter name.
-    pub comm_counters: &'static [&'static str],
+    pub tag_labels: [&'static str; 2],
+    /// Whether the rank reports carry the comm layer's blocked-time
+    /// totals (`wait_ns_total`, `barrier_ns_total`).
+    pub blocked_totals: bool,
     /// Protocol shape.
     pub engine: EngineConfig,
-    /// Sender-side coalescing of the protocol traffic (the pre-phase
-    /// runs before it is installed).
-    pub coalesce: Option<CoalescePolicy>,
 }
 
 /// Master-side state a checkpoint can carry across a restart. Workers
@@ -192,7 +188,6 @@ pub fn run_stage<C: StageClient>(
         let pre = client.pre_phase(comm);
         let pre_seconds = pre_t0.elapsed().as_secs_f64();
 
-        comm.set_coalesce(spec.coalesce);
         let before = comm.stats();
         let cpu0 = thread_cpu_seconds();
         let t0 = Instant::now();
@@ -228,8 +223,7 @@ pub fn run_stage<C: StageClient>(
         let blocked = phase.blocked_seconds();
 
         // Per-tag traffic of the whole rank body (pre-phase collectives
-        // included) with the protocol tags under this stage's labels;
-        // coalesced envelopes appear under the `"coalesced"` row.
+        // included) with the protocol tags under this stage's labels.
         let mut comm_rows = comm.tag_stats(&CostModel::BLUEGENE_L);
         for row in &mut comm_rows {
             if let Some(i) = PROTOCOL_TAGS.iter().position(|&t| t == row.tag) {
@@ -238,23 +232,11 @@ pub fn run_stage<C: StageClient>(
         }
         let mut counters: BTreeMap<String, u64> =
             client_counters.into_iter().map(|(name, value)| (name.to_string(), value)).collect();
-        // The comm layer's own tallies the stage asked for (blocked
-        // totals cover the whole rank body: the trace-derived idle-gap
-        // histograms are checked against them).
-        let cs = comm.coalesce_stats();
-        for (name, value) in [
-            (names::MSGS_COALESCED, cs.msgs_coalesced),
-            (names::ENVELOPES_SENT, cs.envelopes_sent),
-            (names::FLUSH_BY_BYTES, cs.flush_bytes),
-            (names::FLUSH_BY_MSGS, cs.flush_msgs),
-            (names::FLUSH_ON_BLOCK, cs.flush_block),
-            (names::FLUSH_EXPLICIT, cs.flush_explicit),
-            (names::WAIT_NS_TOTAL, after.wait_ns),
-            (names::BARRIER_NS_TOTAL, after.barrier_ns),
-        ] {
-            if spec.comm_counters.contains(&name) {
-                counters.insert(name.to_string(), value);
-            }
+        // Blocked totals cover the whole rank body: the trace-derived
+        // idle-gap histograms are checked against them.
+        if spec.blocked_totals {
+            counters.insert(names::WAIT_NS_TOTAL.to_string(), after.wait_ns);
+            counters.insert(names::BARRIER_NS_TOTAL.to_string(), after.barrier_ns);
         }
         // Recovery and injected-fault tallies: only the nonzero ones,
         // so fault-free runs keep byte-identical reports.

@@ -14,10 +14,8 @@
 //! *inconsistent* (the repeat-chaining signature) and the merge is
 //! refused instead of being deferred to the assembler.
 
-use serde::{Deserialize, Serialize};
-
 /// An affine map over sequence coordinates: `x ↦ s·x + t`, `s ∈ {−1, +1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffineMap {
     /// Orientation: +1 keeps direction, −1 reverses.
     pub s: i8,
@@ -57,7 +55,7 @@ impl AffineMap {
 }
 
 /// Outcome of a geometry-checked union.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeomUnion {
     /// The two elements were in different clusters; now merged.
     Merged,

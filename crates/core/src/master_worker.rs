@@ -2,8 +2,8 @@
 //! (paper §7, Figs. 6–8) — an
 //! [`engine::run_stage`](crate::engine::run_stage) client.
 //!
-//! The protocol (the event-driven master pump, AR/NP/R/AW message
-//! shapes, `compute_r` flow control, park/unpark, termination) and the
+//! The protocol (the event-driven master pump, the report and grant
+//! message shapes, `compute_r` flow control, park/unpark, termination) and the
 //! per-rank shell around it (comm set-up, the timed pre-phase window,
 //! checkpoint resume and cadence, timing, tag relabelling, counter
 //! folding, [`RankReport`] collection) live in [`crate::engine`]; this
@@ -12,15 +12,15 @@
 //! - the pre-phase: the distributed GST build over the worker ranks;
 //! - rank 0's `ClusterSource`: the Union–Find cluster store (or the
 //!   §10 geometry-aware variant), Union–Find merges applied per drained
-//!   `AR` report, the cluster-check pair selection that discards
+//!   report, the cluster-check pair selection that discards
 //!   generated pairs whose fragments already co-cluster, and the
 //!   snapshot layout of that state;
 //! - ranks 1..p's `ClusterSink`: the per-rank GST pair generator
 //!   (decreasing maximal-match order, which "roughly approximates the
 //!   global sorted order in practice", §7), the banded alignment
-//!   kernel with its reusable zero-allocation scratch, and the AR wire
-//!   format (per-pair verdicts plus the DP-cell / early-exit / skipped-
-//!   traceback work accounting);
+//!   kernel with its reusable zero-allocation scratch, and the result
+//!   wire format (per-pair verdicts plus the DP-cell / early-exit /
+//!   skipped-traceback work accounting);
 //! - the report shape ([`ParallelClusterReport`]).
 //!
 //! Substitution note (see DESIGN.md): workers read fragment sequences
@@ -42,40 +42,34 @@ use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstR
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
 use pgasm_gst::{enumerate_suffixes, sort_by_bucket, Gst, PairGenerator, PromisingPair};
-use pgasm_mpisim::{CoalescePolicy, Comm, CommStats};
+use pgasm_mpisim::{Comm, CommStats};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, GaugeSampler, RankReport, RankSeries};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Master–worker *runtime* configuration: protocol knobs only. What to
 /// cluster and how (GST window, scoring, acceptance, mode) lives in
 /// [`ClusterParams`], passed alongside — the one place those parameters
 /// are defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MasterWorkerConfig {
-    /// Alignment batch size `b` (pairs per AW message).
+    /// Alignment batch size `b` (pairs per grant).
     pub batch: usize,
     /// Capacity of the master's pending-work buffer (flow-control
     /// target; the buffer itself degrades gracefully if exceeded).
     pub pending_cap: usize,
-    /// Sender-side small-message coalescing for the protocol traffic:
-    /// each rank's per-destination message burst (AR+NP, R+AW) ships as
-    /// one framed envelope. `None` puts every logical message on the
-    /// wire individually (the ablation baseline).
-    pub coalesce: Option<CoalescePolicy>,
 }
 
 impl Default for MasterWorkerConfig {
     fn default() -> Self {
-        MasterWorkerConfig { batch: 64, pending_cap: 4096, coalesce: Some(CoalescePolicy::default()) }
+        MasterWorkerConfig { batch: 64, pending_cap: 4096 }
     }
 }
 
 /// Outcome of a parallel clustering run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParallelClusterReport {
     /// The final clustering (identical to the serial result).
     pub clustering: Clustering,
@@ -107,17 +101,14 @@ pub struct ParallelClusterReport {
     /// empty tracks when tracing was off.
     pub traces: Vec<RankTrace>,
     /// Per-rank gauge time series (queue depths, worker occupancy,
-    /// coalesce staging, align scratch); empty when tracing was off.
+    /// align scratch); empty when tracing was off.
     pub series: Vec<RankSeries>,
     /// Tasks re-queued from dead workers' leases (0 in fault-free runs).
-    #[serde(default)]
     pub recovered_tasks: u64,
     /// Worker ranks the master marked dead during the run.
-    #[serde(default)]
     pub dead_ranks: u64,
     /// The fault plan killed the master: the clustering above is
     /// partial and the run should resume from the last checkpoint.
-    #[serde(default)]
     pub killed: bool,
 }
 
@@ -202,19 +193,9 @@ fn stage_spec(config: &MasterWorkerConfig) -> StageSpec {
         name: STAGE_CLUSTER,
         roles: ["master", "worker"],
         track_offset: 0,
-        tag_labels: [names::TAG_W2M_AR, names::TAG_M2W_R, names::TAG_W2M_NP, names::TAG_M2W_AW],
-        comm_counters: &[
-            names::MSGS_COALESCED,
-            names::ENVELOPES_SENT,
-            names::FLUSH_BY_BYTES,
-            names::FLUSH_BY_MSGS,
-            names::FLUSH_ON_BLOCK,
-            names::FLUSH_EXPLICIT,
-            names::WAIT_NS_TOTAL,
-            names::BARRIER_NS_TOTAL,
-        ],
+        tag_labels: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
+        blocked_totals: true,
         engine: EngineConfig { batch: config.batch, pending_cap: config.pending_cap },
-        coalesce: config.coalesce,
     }
 }
 
@@ -273,8 +254,8 @@ impl<'a> StageClient for ClusterStage<'a> {
     fn master_output(&self, source: ClusterSource<'a>, em: &MasterReport) -> (Self::Output, Counters) {
         let ClusterSource { clusters, mut stats, gst_report, .. } = source;
         // The engine counts announced tasks; for clustering that *is*
-        // the generated-pairs total (every NP pair is announced exactly
-        // once). A resumed run adds to the snapshot's tally.
+        // the generated-pairs total (every generated pair is announced
+        // exactly once). A resumed run adds to the snapshot's tally.
         stats.generated += em.tasks_announced;
         let counters = vec![
             (names::PAIRS_GENERATED, stats.generated),
@@ -300,7 +281,7 @@ impl<'a> StageClient for ClusterStage<'a> {
         ClusterSink {
             gen: PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)),
             // One scratch per worker, pre-sized for the longest sequence
-            // in the store: reused across every AW batch, so the
+            // in the store: reused across every granted batch, so the
             // alignment hot loop performs no per-pair heap allocation
             // (grow_events stays 0).
             scratch: decider.new_scratch(),
@@ -344,9 +325,9 @@ impl<'a> StageClient for ClusterStage<'a> {
 }
 
 /// Master-side clustering client: owns the cluster store and the work
-/// statistics, applies Union–Find merges (AR) the moment reports drain,
-/// and selects only pairs whose fragments are in different clusters
-/// *right now* (NP) — the two halves of Fig. 7 the engine delegates.
+/// statistics, applies Union–Find merges the moment reports drain, and
+/// selects only announced pairs whose fragments are in different
+/// clusters *right now* — the two halves of Fig. 7 the engine delegates.
 struct ClusterSource<'a> {
     ds: &'a FragmentStore,
     clusters: MasterClusters,
@@ -511,7 +492,7 @@ struct ClusterSink<'a> {
     world: usize,
     adopted: VecDeque<PairGenerator<PairSkip>>,
     results: Vec<(PromisingPair, bool, u32, u32, u32)>,
-    // Per-round work-accounting deltas (reset after each AR report)...
+    // Per-round work-accounting deltas (reset after each report)...
     cells_delta: u64,
     early_delta: u64,
     skip_delta: u64,
@@ -532,8 +513,8 @@ struct ClusterSink<'a> {
 impl TaskSink<PromisingPair> for ClusterSink<'_> {
     fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<PromisingPair>, w: &mut Writer) {
         // Compute the alignments allocated last round.
-        let had_aw = !batch.is_empty();
-        if had_aw {
+        let had_batch = !batch.is_empty();
+        if had_batch {
             tracer.begin_arg(TraceCategory::Align, names::EV_ALIGN_BATCH, "pairs", batch.len() as u64);
         }
         for pair in batch.drain(..) {
@@ -548,7 +529,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
             self.pairs_accepted += accepted as u64;
             self.results.push((pair, accepted, r.a_range.0 as u32, r.b_range.0 as u32, r.overlap_len as u32));
         }
-        if had_aw {
+        if had_batch {
             tracer.end(TraceCategory::Align, names::EV_ALIGN_BATCH);
             tracer.instant_args(
                 TraceCategory::Align,
@@ -557,8 +538,8 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
                 ("saved", self.saved_delta),
             );
         }
-        // The AR report: per-pair verdicts, then the round's DP-cell /
-        // early-exit / skipped-traceback deltas.
+        // The result body: per-pair verdicts, then the round's DP-cell
+        // / early-exit / skipped-traceback deltas.
         w.put_u32(checked_len(self.results.len()));
         for (pair, accepted, a_start, b_start, overlap_len) in self.results.drain(..) {
             w.put_u32(pair.a.0).put_u32(pair.b.0).put_u32(accepted as u32);
@@ -745,7 +726,7 @@ mod tests {
     }
 
     fn config() -> MasterWorkerConfig {
-        MasterWorkerConfig { batch: 8, pending_cap: 256, coalesce: Some(CoalescePolicy::default()) }
+        MasterWorkerConfig { batch: 8, pending_cap: 256 }
     }
 
     #[test]
@@ -816,18 +797,13 @@ mod tests {
         assert_eq!(worker_generated, report.stats.generated);
         assert_eq!(worker_accepted, report.stats.accepted);
         // Per-tag comm channels include the relabelled protocol tags
-        // and carry modelled time. With coalescing on, protocol
-        // messages travel *inside* envelopes, so senders show a
-        // "coalesced" row while receivers still see the split
-        // constituents.
+        // and carry modelled time.
         let master = &report.ranks[0];
-        assert!(master.comm.iter().any(|t| t.label == "w2m_ar" && t.msgs_recv > 0));
-        assert!(master.comm.iter().any(|t| t.label == "w2m_np" && t.msgs_recv > 0));
+        assert!(master.comm.iter().any(|t| t.label == "w2m_report" && t.msgs_recv > 0));
+        assert!(master.comm.iter().any(|t| t.label == "m2w_grant" && t.msgs_sent > 0));
         for r in &report.ranks[1..] {
-            assert!(r.comm.iter().any(|t| t.label == "m2w_r" && t.msgs_recv > 0));
-            assert!(r.comm.iter().any(|t| t.label == "m2w_aw" && t.msgs_recv > 0));
-            assert!(r.comm.iter().any(|t| t.label == "coalesced" && t.msgs_sent > 0));
-            assert!(r.counter("msgs_coalesced") > 0);
+            assert!(r.comm.iter().any(|t| t.label == "w2m_report" && t.msgs_sent > 0));
+            assert!(r.comm.iter().any(|t| t.label == "m2w_grant" && t.msgs_recv > 0));
         }
         for r in &report.ranks {
             assert!(r.modelled_comm_seconds() > 0.0);
@@ -860,18 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_off_matches_on() {
-        let store = test_store();
-        let plain = MasterWorkerConfig { coalesce: None, ..config() };
-        for p in [2usize, 3, 5] {
-            let on = cluster_parallel(&store, p, &params(), &config());
-            let off = cluster_parallel(&store, p, &params(), &plain);
-            assert_eq!(on.clustering, off.clustering, "p = {p}");
-            assert_eq!(on.stats.accepted, off.stats.accepted, "p = {p}");
-        }
-    }
-
-    #[test]
     fn backpressure_with_tiny_pending_buffer_terminates() {
         // pending_cap < batch: by_capacity bottoms out at 0 as soon as
         // a couple of pairs queue up. Before the r ≥ 1 clamp the master
@@ -880,7 +844,7 @@ mod tests {
         // livelocked.
         let store = test_store();
         let (serial, _) = cluster_serial(&store, &params());
-        let cfg = MasterWorkerConfig { batch: 8, pending_cap: 2, ..config() };
+        let cfg = MasterWorkerConfig { batch: 8, pending_cap: 2 };
         for p in [2usize, 4] {
             let report = cluster_parallel(&store, p, &params(), &cfg);
             assert_eq!(report.clustering, serial, "p = {p}");
@@ -1019,19 +983,9 @@ mod tests {
     #[test]
     fn both_stages_report_the_pinned_names_roles_labels_and_tracks() {
         // `run_stage` folds both stages' rank reports; what each carries
-        // is pinned here against lists copied from a run of the tree
-        // before the two per-stage shells were merged (fault-free, so no
-        // fault, recovery or checkpoint counter may appear at all).
-        const COMM: [&str; 8] = [
-            "barrier_ns_total",
-            "envelopes_sent",
-            "flush_by_bytes",
-            "flush_by_msgs",
-            "flush_explicit",
-            "flush_on_block",
-            "msgs_coalesced",
-            "wait_ns_total",
-        ];
+        // is pinned here (fault-free, so no fault, recovery or
+        // checkpoint counter may appear at all).
+        const COMM: [&str; 2] = ["barrier_ns_total", "wait_ns_total"];
         const ALIGN: [&str; 7] = [
             "align_band_rows_shrunk",
             "align_cells_saved_adaptive",
@@ -1068,16 +1022,13 @@ mod tests {
                 "simd_lanes",
             ],
         ]);
-        let asm_master =
-            names(&[&["asm_batches_dispatched", "asm_peak_queue_depth", "envelopes_sent", "msgs_coalesced"]]);
+        let asm_master = names(&[&["asm_batches_dispatched", "asm_peak_queue_depth"]]);
         let asm_worker = names(&[&[
             "asm_batch_round_trips",
             "asm_clusters_assembled",
             "asm_contig_bases",
             "asm_cost_units",
             "asm_reads_assembled",
-            "envelopes_sent",
-            "msgs_coalesced",
         ]]);
 
         let (store, p) = (test_store(), 3);
@@ -1093,7 +1044,7 @@ mod tests {
             &opts,
         );
         type Pinned<'a> =
-            (&'a [RankReport], &'a [RankTrace], [&'a str; 2], [&'a Vec<String>; 2], usize, [&'a str; 4]);
+            (&'a [RankReport], &'a [RankTrace], [&'a str; 2], [&'a Vec<String>; 2], usize, [&'a str; 2]);
         let stages: [Pinned<'_>; 2] = [
             (
                 &c.ranks,
@@ -1101,7 +1052,7 @@ mod tests {
                 ["master", "worker"],
                 [&cluster_master, &cluster_worker],
                 0,
-                ["w2m_ar", "m2w_r", "w2m_np", "m2w_aw"],
+                ["w2m_report", "m2w_grant"],
             ),
             (
                 &a.ranks,
@@ -1109,7 +1060,7 @@ mod tests {
                 ["asm_master", "asm_worker"],
                 [&asm_master, &asm_worker],
                 p + 1,
-                ["asm_w2m_res", "asm_m2w_grant", "asm_w2m_rdy", "asm_m2w_task"],
+                ["asm_w2m_report", "asm_m2w_grant"],
             ),
         ];
         for (ranks, traces, roles, counters, track_offset, labels) in stages {
@@ -1120,19 +1071,72 @@ mod tests {
                 assert_eq!((r.rank, r.role.as_str()), (rank, roles[role]));
                 assert_eq!((t.rank, t.label.as_str()), (track_offset + rank, roles[role]));
                 assert_eq!(&r.counters.keys().cloned().collect::<Vec<_>>(), counters[role], "{}", r.role);
-                seen.extend(r.comm.iter().filter(|t| t.tag <= 4).map(|t| (t.tag, t.label.clone())));
+                seen.extend(r.comm.iter().filter(|t| t.tag <= 2).map(|t| (t.tag, t.label.clone())));
             }
-            // Every rank receives two of the four protocol tags, so
-            // between them all four rows exist whatever was coalesced.
             assert_eq!(seen.into_values().collect::<Vec<_>>(), labels);
         }
     }
 
     #[test]
+    fn a_round_is_one_report_up_and_one_grant_down_in_both_stages() {
+        // Fault-free at p = 4: a worker sends exactly one message per
+        // round, and the master sends one grant per report, one per
+        // worker it revives from parking, and one termination each.
+        let (store, p) = (test_store(), 4);
+        let opts = RunOpts { trace: TraceSpec::on(), ..RunOpts::default() };
+        let c = cluster_parallel_with(&store, p, &params(), &config(), &opts);
+        let a = assemble_parallel_with(
+            &store,
+            None,
+            &c.clustering,
+            &Default::default(),
+            p,
+            AssignPolicy::Lpt,
+            &opts,
+        );
+        // (sent, received) under a tag label.
+        let row = |r: &RankReport, label: &str| {
+            r.comm.iter().find(|t| t.label == label).map_or((0, 0), |t| (t.msgs_sent, t.msgs_recv))
+        };
+        for (ranks, traces, report, grant, round_trips) in [
+            (&c.ranks, &c.traces, names::TAG_W2M_REPORT, names::TAG_M2W_GRANT, names::BATCH_ROUND_TRIPS),
+            (
+                &a.ranks,
+                &a.traces,
+                names::TAG_ASM_W2M_REPORT,
+                names::TAG_ASM_M2W_GRANT,
+                names::ASM_BATCH_ROUND_TRIPS,
+            ),
+        ] {
+            let mut reports = 0;
+            for w in &ranks[1..] {
+                assert!(w.counter(round_trips) >= 1);
+                assert_eq!(row(w, report).0, w.counter(round_trips), "{report}: rank {}", w.rank);
+                reports += w.counter(round_trips);
+            }
+            let unparks = traces[0].events.iter().filter(|e| e.name == names::EV_UNPARK).count() as u64;
+            assert_eq!(row(&ranks[0], grant).0, reports + unparks + (p as u64 - 1), "{grant}");
+            assert_eq!(row(&ranks[0], grant).0, ranks[1..].iter().map(|w| row(w, grant).1).sum::<u64>());
+            assert_eq!(row(&ranks[0], report).1, reports, "every report was delivered");
+            // Nothing else travels: the only other rows are the GST
+            // pre-phase's collectives, and the counter lists pinned
+            // above have no wire-level tally in them.
+            for r in ranks.iter() {
+                let known = [report, grant, "alltoall", "alltoall_p2p"];
+                assert!(
+                    r.comm.iter().all(|t| known.contains(&t.label.as_str())),
+                    "rank {}: {:?}",
+                    r.rank,
+                    r.comm
+                );
+            }
+        }
+    }
+
+    #[test]
     fn killed_worker_yields_identical_partition() {
-        // Kill each worker in turn at the entry of its second result
-        // report (event 5: send AR, send NP, recv R, recv AW, then this
-        // send). The report is for its first grant — a full batch by
+        // Kill each worker in turn at the entry of its second report
+        // (event 3: send report, receive grant, then this send). The report is for its first grant — a full batch by
         // construction (`Gated`) — and its generator has barely started,
         // so every victim dies holding a lease: require the exact serial
         // partition, that lease's recovery and one scope adoption.
@@ -1142,7 +1146,7 @@ mod tests {
         let owner = compute_owners(&ds, 4, 1);
         for victim in 1..4 {
             let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 5, FaultStage::Any),
+                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 3, FaultStage::Any),
                 ..StageRecovery::default()
             };
             let stage = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: params() };
@@ -1162,14 +1166,14 @@ mod tests {
 
     #[test]
     fn early_kill_makes_a_survivor_adopt_the_generator_scope() {
-        // Event 5 is the victim's second AR send: it has announced one
+        // Event 3 is the victim's second report: it has announced one
         // round of pairs but its generator is nowhere near exhausted, so
         // the master must hand its GST scope to exactly one survivor —
         // and the partition must still match the serial one.
         let store = test_store();
         let (serial, _) = cluster_serial(&store, &params());
         let recovery = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(1), 5, FaultStage::Any),
+            faults: FaultPlan::default().with_kill(KillTarget::Rank(1), 3, FaultStage::Any),
             ..StageRecovery::default()
         };
         let report = run_with(&store, 4, recovery);
@@ -1191,7 +1195,7 @@ mod tests {
         let faulty = StageRecovery {
             faults: FaultPlan::default().with_kill(
                 KillTarget::Rank(0),
-                (depths[0] / 2).max(8),
+                (depths[0] / 2).max(4),
                 FaultStage::Any,
             ),
             checkpoint_every: Some(1),

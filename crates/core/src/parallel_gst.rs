@@ -36,7 +36,6 @@ use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
 use pgasm_telemetry::names;
 use pgasm_telemetry::trace::TraceCategory;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-rank text access: own fragments come from the shared store,
@@ -63,7 +62,7 @@ impl TextSource for LocalText<'_> {
 }
 
 /// Timing/traffic report of one rank's construction.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RankGstReport {
     /// Rank id.
     pub rank: usize,
@@ -89,7 +88,7 @@ impl RankGstReport {
 }
 
 /// Aggregated report over all ranks (the Fig. 5 data).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DistributedGstReport {
     /// Per-rank breakdowns.
     pub per_rank: Vec<RankGstReport>,

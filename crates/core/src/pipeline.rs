@@ -23,7 +23,6 @@ use pgasm_seq::{DnaSeq, FragmentStore, SeqId};
 use pgasm_simgen::ReadSet;
 use pgasm_telemetry::trace::{TraceCategory, TraceSpec};
 use pgasm_telemetry::{names, RankReport, RunContext, Span};
-use serde::{Deserialize, Serialize};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -112,7 +111,7 @@ fn fold_fault_counters(ctx: &mut RunContext, ranks: &[RankReport], recovered: u6
 }
 
 /// Summary of a pipeline run (the §8 statistics).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Preprocessing accounting (when the phase ran).
     pub preprocess: Option<PreprocessStats>,
@@ -135,7 +134,6 @@ pub struct PipelineReport {
     /// was. The run stopped there — later stages did not execute and
     /// this report's artifacts are partial; restart with `--resume` to
     /// finish from the last checkpoint.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub interrupted: Option<String>,
 }
 
@@ -784,7 +782,7 @@ mod tests {
             preprocess: None,
             cluster,
             parallel_ranks: parallel,
-            master_worker: MasterWorkerConfig { batch: 16, pending_cap: 512, ..Default::default() },
+            master_worker: MasterWorkerConfig { batch: 16, pending_cap: 512 },
             assembly: AssemblyConfig::default(),
             assembly_threads: 2,
             trace: TraceSpec::off(),
@@ -909,8 +907,8 @@ mod tests {
         assert_eq!(clusters as usize, report.clustering.num_non_singletons());
         assert!(run.ranks[0].counter(names::PEAK_QUEUE_DEPTH) > 0);
         assert!(run.ranks[0].counter(names::ASM_PEAK_QUEUE_DEPTH) > 0);
-        assert!(run.ranks[0].comm.iter().any(|t| t.label == names::TAG_W2M_AR));
-        assert!(run.ranks[0].comm.iter().any(|t| t.label == names::TAG_ASM_W2M_RES));
+        assert!(run.ranks[0].comm.iter().any(|t| t.label == names::TAG_W2M_REPORT));
+        assert!(run.ranks[0].comm.iter().any(|t| t.label == names::TAG_ASM_W2M_REPORT));
         // The assemble stage records its phase sub-span.
         let assemble = run.span("assemble").unwrap();
         assert!(assemble.find("assemble/dist_assemble").is_some());

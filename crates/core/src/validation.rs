@@ -10,10 +10,9 @@
 
 use crate::clustering::Clustering;
 use pgasm_simgen::Provenance;
-use serde::{Deserialize, Serialize};
 
 /// Validation summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ValidationReport {
     /// Non-singleton clusters examined.
     pub clusters: usize,

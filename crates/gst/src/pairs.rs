@@ -21,7 +21,6 @@
 
 use crate::tree::{Gst, LAMBDA, NONE, NUM_CLASSES};
 use pgasm_seq::SeqId;
-use serde::{Deserialize, Serialize};
 
 /// Class pairs for *leaf* nodes: unordered over one suffix set —
 /// `c < c'`, plus (λ, λ) for pairs within the λ list.
@@ -56,7 +55,7 @@ const INTERNAL_CLASS_PAIRS: [(usize, usize); 21] = [
 ];
 
 /// Pair generation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenMode {
     /// Generate every maximal-match occurrence (needed when alignments
     /// are anchored to the maximal matches).
@@ -71,7 +70,7 @@ pub enum GenMode {
 
 /// A promising pair: two sequences sharing a maximal match of length
 /// ≥ ψ, with the seed coordinates of that match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PromisingPair {
     /// Lower sequence id.
     pub a: SeqId,

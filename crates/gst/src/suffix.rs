@@ -20,10 +20,9 @@
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
 use pgasm_seq::{is_base_code, FragmentStore, KmerIter, SeqId};
-use serde::{Deserialize, Serialize};
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Suffix {
     /// The sequence the suffix belongs to.
     pub seq: u32,

@@ -27,7 +27,6 @@
 use crate::suffix::{admitted_runs, enumerate_suffixes, sort_by_bucket, LeftClasses, Suffix};
 use pgasm_seq::alphabet::SIGMA;
 use pgasm_seq::{FragmentStore, SeqId};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel for "no node / no suffix / no slot".
 pub const NONE: u32 = u32::MAX;
@@ -40,7 +39,7 @@ pub const NUM_CLASSES: usize = SIGMA + 1;
 pub const LAMBDA: usize = SIGMA;
 
 /// Configuration of GST construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GstConfig {
     /// Minimum maximal-match length ψ ≥ 1 for a pair to be *promising*.
     pub psi: usize,
@@ -95,7 +94,7 @@ pub(crate) struct Node {
 }
 
 /// Construction and traversal statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GstStats {
     /// Buckets (subtrees) built.
     pub buckets: usize,

@@ -1,13 +1,11 @@
-//! Ranks, point-to-point messaging, collectives, and sender-side
-//! small-message coalescing.
+//! Ranks, point-to-point messaging and collectives.
 
 use crate::faults::{CommError, FaultPlan, FaultRuntime, FaultStats, Verdict};
 use crate::model::{CommStats, CostModel};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
-use pgasm_telemetry::{names, GaugeId, GaugeSampler, RankSeries, TagStat};
-use serde::{Deserialize, Serialize};
+use pgasm_telemetry::{names, GaugeSampler, RankSeries, TagStat};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -17,7 +15,6 @@ pub const RESERVED_TAG_BASE: u32 = 0xFFFF_0000;
 
 const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 2;
 const TAG_ALLTOALL_P2P: u32 = RESERVED_TAG_BASE + 3;
-const TAG_COALESCED: u32 = RESERVED_TAG_BASE + 5;
 /// Death notice a dying rank broadcasts to every peer (empty payload).
 /// Intercepted on ingest and surfaced as [`Event::Death`], never as a
 /// message.
@@ -34,69 +31,9 @@ pub fn tag_label(tag: u32) -> String {
     match tag {
         TAG_ALLTOALL => "alltoall".to_string(),
         TAG_ALLTOALL_P2P => "alltoall_p2p".to_string(),
-        TAG_COALESCED => "coalesced".to_string(),
         TAG_DEATH => names::TAG_DEATH.to_string(),
         t => format!("tag{t}"),
     }
-}
-
-/// Sender-side small-message coalescing policy. When set on a rank,
-/// application `send`s are staged in per-destination queues and go out
-/// as one framed envelope (tag `"coalesced"`) either when a threshold
-/// trips or when the rank is about to block (`recv` with an empty
-/// inbox, `barrier`) — so the α latency term is paid once per envelope
-/// instead of once per logical message. The receiver splits envelopes
-/// transparently, preserving per-sender FIFO order; `recv`/`try_recv`
-/// callers never see them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CoalescePolicy {
-    /// Flush a destination's queue once its staged payload bytes reach
-    /// this (past this size the β bandwidth term dominates anyway).
-    pub max_bytes: usize,
-    /// Flush a destination's queue once it stages this many messages.
-    pub max_msgs: usize,
-}
-
-impl Default for CoalescePolicy {
-    fn default() -> Self {
-        CoalescePolicy { max_bytes: 16 * 1024, max_msgs: 32 }
-    }
-}
-
-/// Counters for the coalescing layer on one rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CoalesceStats {
-    /// Logical messages that travelled inside an envelope.
-    pub msgs_coalesced: u64,
-    /// Envelopes sent (each replaced ≥ 2 wire messages).
-    pub envelopes_sent: u64,
-    /// Non-empty queue flushes tripped by the byte threshold.
-    pub flush_bytes: u64,
-    /// Non-empty queue flushes tripped by the message-count threshold.
-    pub flush_msgs: u64,
-    /// Non-empty queue flushes forced by this rank blocking
-    /// (`recv` on an empty inbox, `barrier`).
-    pub flush_block: u64,
-    /// Explicit flushes (`flush_all`/`set_coalesce`) plus
-    /// ordering flushes forced by a direct (collective) send to a
-    /// destination with staged messages.
-    pub flush_explicit: u64,
-}
-
-/// Why a destination queue was flushed.
-#[derive(Clone, Copy)]
-enum FlushReason {
-    Bytes,
-    Msgs,
-    Block,
-    Explicit,
-}
-
-/// Staged outgoing messages for one destination.
-#[derive(Default)]
-struct SendQueue {
-    msgs: Vec<(u32, Bytes)>,
-    bytes: usize,
 }
 
 /// Per-tag traffic counters (histogram row).
@@ -174,15 +111,8 @@ pub struct Comm {
     barrier: Arc<Barrier>,
     stats: CommStats,
     tag_traffic: BTreeMap<u32, TagTraffic>,
-    coalesce: Option<CoalescePolicy>,
-    queues: Vec<SendQueue>,
-    cstats: CoalesceStats,
     tracer: Tracer,
     sampler: GaugeSampler,
-    g_coalesce: GaugeId,
-    /// Bytes currently staged across all destination queues (feeds the
-    /// coalesce-queue gauge without re-summing per sample).
-    staged_bytes: usize,
     /// Armed fault plan for this rank (`None` = fault-free run: the
     /// fault clock does not exist and nothing is injected).
     faults: Option<FaultRuntime>,
@@ -214,8 +144,7 @@ impl Comm {
     /// ascending by tag. Collectives use distinct reserved tags, so
     /// this doubles as a per-collective communication breakdown.
     ///
-    /// Each message is priced exactly once, on its *sending* rank (wire
-    /// messages, so an envelope pays one α for its whole bundle) —
+    /// Each message is priced exactly once, on its *sending* rank —
     /// summing `modelled_seconds` over all ranks therefore reproduces
     /// the α–β total for the run instead of double-counting every
     /// transfer on both endpoints. Receive-side rows still carry their
@@ -235,19 +164,6 @@ impl Comm {
                     + t.bytes_sent as f64 / model.bandwidth_bytes_per_s,
             })
             .collect()
-    }
-
-    /// Install (or clear) the sender-side coalescing policy. Anything
-    /// staged under the previous policy is flushed first, so switching
-    /// never reorders or drops traffic.
-    pub fn set_coalesce(&mut self, policy: Option<CoalescePolicy>) {
-        self.flush_all();
-        self.coalesce = policy;
-    }
-
-    /// Snapshot of this rank's coalescing counters.
-    pub fn coalesce_stats(&self) -> CoalesceStats {
-        self.cstats
     }
 
     /// Install an event tracer for this rank. The default tracer is
@@ -270,12 +186,10 @@ impl Comm {
     }
 
     /// Install a periodic gauge sampler for this rank. Like the tracer,
-    /// the default is disabled (one branch per would-be sample). The
-    /// comm layer feeds its own coalesce-queue gauge; layers above
-    /// register further gauges via [`Comm::sampler_mut`].
+    /// the default is disabled (one branch per would-be sample); layers
+    /// above register their gauges via [`Comm::sampler_mut`].
     pub fn set_sampler(&mut self, sampler: GaugeSampler) {
         self.sampler = sampler;
-        self.g_coalesce = self.sampler.register(names::GAUGE_COALESCE_QUEUE_BYTES);
     }
 
     /// The rank's gauge sampler, for layers above the comm substrate to
@@ -362,17 +276,11 @@ impl Comm {
         err
     }
 
-    /// Leave the world without finishing: staged (coalesced) messages
-    /// are lost with this rank, and every peer gets a death notice so
-    /// survivors observe an [`Event::Death`] instead of hanging. A
-    /// scripted kill ends here; a rank that hits an unrecoverable
-    /// [`CommError`] calls this before returning it.
+    /// Leave the world without finishing: every peer gets a death
+    /// notice so survivors observe an [`Event::Death`] instead of
+    /// hanging. A scripted kill ends here; a rank that hits an
+    /// unrecoverable [`CommError`] calls this before returning it.
     pub fn abort(&mut self) {
-        for q in &mut self.queues {
-            q.msgs.clear();
-            q.bytes = 0;
-        }
-        self.staged_bytes = 0;
         for peer in (0..self.size).filter(|&peer| peer != self.rank) {
             self.stats.msgs_sent += 1;
             self.tag_traffic.entry(TAG_DEATH).or_default().msgs_sent += 1;
@@ -383,11 +291,9 @@ impl Comm {
         }
     }
 
-    /// Asynchronous send (like `MPI_Isend` with unbounded buffering).
-    /// With a [`CoalescePolicy`] installed, the message is staged in
-    /// the destination's queue instead of going on the wire at once;
-    /// delivery is guaranteed by the flush points (thresholds, blocking
-    /// operations, explicit [`Comm::flush_all`]).
+    /// Asynchronous send (like `MPI_Isend` with unbounded buffering):
+    /// the message is in the destination's inbox — or the fault plan's
+    /// hands — when the call returns.
     ///
     /// Under an armed plan the call is one fault-clock event: the plan
     /// may kill this rank at its entry (`Err(CommError::Killed)`) or
@@ -428,27 +334,6 @@ impl Comm {
             }
             return Ok(());
         }
-        if dest != self.rank {
-            if let Some(policy) = self.coalesce {
-                // The logical send happens now even though the wire
-                // transfer is deferred; recording it here (rather than
-                // at envelope flush) keeps send/recv instants paired
-                // 1:1 per logical message for happens-before analysis.
-                let len = data.len();
-                self.note_send(dest, tag, len);
-                let q = &mut self.queues[dest];
-                q.bytes += len;
-                q.msgs.push((tag, data));
-                self.staged_bytes += len;
-                self.sampler.sample(self.g_coalesce, self.staged_bytes as u64);
-                if q.msgs.len() >= policy.max_msgs {
-                    self.flush_dest(dest, FlushReason::Msgs);
-                } else if self.queues[dest].bytes >= policy.max_bytes {
-                    self.flush_dest(dest, FlushReason::Bytes);
-                }
-                return Ok(());
-            }
-        }
         self.send_raw(dest, tag, data);
         Ok(())
     }
@@ -472,9 +357,7 @@ impl Comm {
 
     /// Non-blocking [`Comm::recv`]; `Ok(None)` when nothing matching
     /// (and no death notice) is queued — which is not a fault-clock
-    /// event: only a returned event ticks. Never flushes staged sends
-    /// (it never blocks) — callers looping on `try_recv` fall through
-    /// to a blocking `recv` (or `flush_all`) once the inbox runs dry.
+    /// event: only a returned event ticks.
     pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Option<Event>, CommError> {
         self.check_alive()?;
         let event = self.receive(src, tag, false);
@@ -490,10 +373,10 @@ impl Comm {
     fn receive(&mut self, src: Option<usize>, tag: Option<u32>, block: bool) -> Option<Event> {
         // Backlog prefix already known to hold no match.
         let mut scanned = 0;
-        // About to wait on the network: release anything this rank has
-        // staged first — the message we are waiting for may well be a
-        // reply to it.
-        let mut flush = block;
+        // About to wait on the network: release anything the fault plan
+        // made this rank hold back first — the message we are waiting
+        // for may well be a reply to it.
+        let mut release = block;
         loop {
             if let Some(d) = self.pending_deaths.pop_front() {
                 return Some(Event::Death(d));
@@ -504,10 +387,10 @@ impl Comm {
                 return Some(Event::Msg(m));
             }
             scanned = self.backlog.len();
-            if std::mem::take(&mut flush) {
-                // A flush into a closed inbox drains ours (`transmit`),
+            if std::mem::take(&mut release) {
+                // A send into a closed inbox drains ours (`send_raw`),
                 // so look again before waiting.
-                self.flush_before_block();
+                self.release_held(true);
                 continue;
             }
             let m = match self.take() {
@@ -586,93 +469,19 @@ impl Comm {
         }
     }
 
-    /// Ship every staged queue now. Call before returning from a rank
-    /// body with coalescing still enabled; blocking operations flush
-    /// automatically.
-    pub fn flush_all(&mut self) {
-        for dest in 0..self.size {
-            self.flush_dest(dest, FlushReason::Explicit);
-        }
-    }
-
-    /// About to block: nothing this rank still holds — staged by the
-    /// coalescer or held back by the fault plan — may wait behind it.
-    fn flush_before_block(&mut self) {
-        for dest in 0..self.size {
-            self.flush_dest(dest, FlushReason::Block);
-        }
-        self.release_held(true);
-    }
-
-    fn flush_dest(&mut self, dest: usize, reason: FlushReason) {
-        if self.queues.get(dest).is_none_or(|q| q.msgs.is_empty()) {
-            return;
-        }
-        let msgs = std::mem::take(&mut self.queues[dest].msgs);
-        self.staged_bytes -= self.queues[dest].bytes;
-        self.queues[dest].bytes = 0;
-        self.sampler.sample(self.g_coalesce, self.staged_bytes as u64);
-        match reason {
-            FlushReason::Bytes => self.cstats.flush_bytes += 1,
-            FlushReason::Msgs => self.cstats.flush_msgs += 1,
-            FlushReason::Block => self.cstats.flush_block += 1,
-            FlushReason::Explicit => self.cstats.flush_explicit += 1,
-        }
-        if msgs.len() == 1 {
-            // A lone message needs no envelope (and no framing bytes).
-            let (tag, data) = msgs.into_iter().next().expect("len checked");
-            self.transmit(dest, tag, data);
-        } else {
-            // Envelope frame: count, then (tag, length, payload) each,
-            // little-endian `u32`s — read back by `ingest` alone.
-            let wire_len = |n: usize| u32::try_from(n).expect("envelope field exceeds the u32 length prefix");
-            let framed: usize = msgs.iter().map(|(_, d)| d.len() + 8).sum();
-            let mut e = BytesMut::with_capacity(4 + framed);
-            e.put_u32_le(wire_len(msgs.len()));
-            for (tag, data) in &msgs {
-                e.put_u32_le(*tag);
-                e.put_u32_le(wire_len(data.len()));
-                e.put_slice(data);
-            }
-            self.cstats.msgs_coalesced += msgs.len() as u64;
-            self.cstats.envelopes_sent += 1;
-            self.tracer.instant_args(
-                TraceCategory::Comm,
-                names::EV_COALESCE_FLUSH,
-                ("msgs", msgs.len() as u64),
-                ("bytes", (4 + framed) as u64),
-            );
-            self.transmit(dest, TAG_COALESCED, e.freeze());
-        }
-    }
-
-    /// Direct (uncoalesced) send used by the collectives. Flushes the
-    /// destination's staged queue first so per-sender FIFO order holds
-    /// even when application and collective traffic interleave.
+    /// Put one message on the wire (or this rank's own backlog), past
+    /// the fault plan: what [`Comm::send`] ends in, and what the
+    /// collectives call directly. The `send` instant pairs with exactly
+    /// one receive-side `recv` instant.
     fn send_raw(&mut self, dest: usize, tag: u32, data: Bytes) {
         assert!(dest < self.size, "destination {dest} out of range");
-        self.note_send(dest, tag, data.len());
-        self.flush_dest(dest, FlushReason::Explicit);
-        self.transmit(dest, tag, data);
-    }
-
-    /// Record a *logical* send instant (tag, payload bytes, peer).
-    /// Emitted when the application hands the message over — staged or
-    /// not — so every send pairs with exactly one receive-side `recv`
-    /// instant; coalesced envelopes are wire detail the trace's
-    /// happens-before layer never sees.
-    fn note_send(&mut self, dest: usize, tag: u32, len: usize) {
         self.tracer.instant_args3(
             TraceCategory::Comm,
             names::EV_SEND,
             ("tag", tag as u64),
-            ("bytes", len as u64),
+            ("bytes", data.len() as u64),
             ("to", dest as u64),
         );
-    }
-
-    /// Put one message on the wire (or this rank's own backlog).
-    fn transmit(&mut self, dest: usize, tag: u32, data: Bytes) {
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += data.len() as u64;
         let row = self.tag_traffic.entry(tag).or_default();
@@ -698,9 +507,8 @@ impl Comm {
         }
     }
 
-    /// Move one wire message into the backlog, transparently splitting
-    /// coalesced envelopes back into their constituent messages in send
-    /// order (per-sender FIFO is preserved end to end).
+    /// Move one wire message into the backlog (per-sender FIFO), or, a
+    /// death notice, onto the list of deaths to report.
     fn ingest(&mut self, m: Msg) {
         if m.tag == TAG_DEATH {
             // A peer's death notice: record it, queue it for the next
@@ -714,16 +522,7 @@ impl Comm {
             }
             return;
         }
-        if m.tag == TAG_COALESCED {
-            let (src, mut d) = (m.src, m.data);
-            for _ in 0..d.get_u32_le() {
-                let tag = d.get_u32_le();
-                let len = d.get_u32_le() as usize;
-                self.backlog.push_back(Msg { src, tag, data: d.split_to(len) });
-            }
-        } else {
-            self.backlog.push_back(m);
-        }
+        self.backlog.push_back(m);
     }
 
     fn note_recv(&mut self, m: &Msg) {
@@ -741,9 +540,9 @@ impl Comm {
         row.bytes_recv += m.data.len() as u64;
     }
 
-    /// Synchronise all ranks (flushing staged sends first).
+    /// Synchronise all ranks (releasing held-back sends first).
     pub fn barrier(&mut self) {
-        self.flush_before_block();
+        self.release_held(true);
         self.tracer.begin(TraceCategory::Comm, names::EV_BARRIER);
         let start = Instant::now();
         self.barrier.wait();
@@ -847,13 +646,8 @@ where
             barrier: barrier.clone(),
             stats: CommStats::default(),
             tag_traffic: BTreeMap::new(),
-            coalesce: None,
-            queues: (0..p).map(|_| SendQueue::default()).collect(),
-            cstats: CoalesceStats::default(),
             tracer: Tracer::disabled(),
             sampler: GaugeSampler::disabled(),
-            g_coalesce: GaugeSampler::disabled().register(names::GAUGE_COALESCE_QUEUE_BYTES),
-            staged_bytes: 0,
             faults: None,
             dead_peers: vec![false; p],
             pending_deaths: VecDeque::new(),
@@ -1180,115 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_envelope_splits_in_order() {
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(1, 3, Bytes::from_static(b"aa")).unwrap();
-                c.send(1, 4, Bytes::from_static(b"bbb")).unwrap();
-                c.send(1, 3, Bytes::from_static(b"c")).unwrap();
-                c.flush_all();
-                let s = c.stats();
-                // One envelope on the wire, three logical messages in it.
-                assert_eq!(s.msgs_sent, 1);
-                let cs = c.coalesce_stats();
-                assert_eq!(cs.envelopes_sent, 1);
-                assert_eq!(cs.msgs_coalesced, 3);
-                assert_eq!(cs.flush_explicit, 1);
-                vec![]
-            } else {
-                // Tag-filtered receives see the logical stream, FIFO per
-                // tag, envelope never visible.
-                let m1 = msg(c, Some(0), Some(3));
-                let m2 = msg(c, Some(0), Some(4));
-                let m3 = msg(c, Some(0), Some(3));
-                assert_eq!(c.stats().msgs_recv, 3);
-                vec![m1.data.to_vec(), m2.data.to_vec(), m3.data.to_vec()]
-            }
-        });
-        assert_eq!(out[1], vec![b"aa".to_vec(), b"bbb".to_vec(), b"c".to_vec()]);
-    }
-
-    #[test]
-    fn coalesce_thresholds_trip_flushes() {
-        run(2, |c| {
-            if c.rank() == 0 {
-                c.set_coalesce(Some(CoalescePolicy { max_bytes: 1 << 20, max_msgs: 2 }));
-                c.send(1, 1, Bytes::from_static(b"x")).unwrap();
-                assert_eq!(c.stats().msgs_sent, 0, "first send stays staged");
-                c.send(1, 1, Bytes::from_static(b"y")).unwrap();
-                assert_eq!(c.stats().msgs_sent, 1, "count threshold ships the envelope");
-                assert_eq!(c.coalesce_stats().flush_msgs, 1);
-                // Byte threshold: a large payload flushes immediately.
-                c.set_coalesce(Some(CoalescePolicy { max_bytes: 4, max_msgs: 100 }));
-                c.send(1, 2, Bytes::from_static(b"0123456789")).unwrap();
-                assert_eq!(c.coalesce_stats().flush_bytes, 1);
-                // A lone staged message flushes as a plain tagged send,
-                // not an envelope.
-                assert_eq!(c.coalesce_stats().envelopes_sent, 1);
-            } else {
-                msg(c, Some(0), Some(1));
-                msg(c, Some(0), Some(1));
-                let m = msg(c, Some(0), Some(2));
-                assert_eq!(&m.data[..], b"0123456789");
-            }
-        });
-    }
-
-    #[test]
-    fn blocking_recv_flushes_staged_sends() {
-        // Request/reply with coalescing on both sides: without the
-        // flush-on-block rule this deadlocks (both requests stay staged).
-        let out = run(2, |c| {
-            c.set_coalesce(Some(CoalescePolicy::default()));
-            let peer = 1 - c.rank();
-            c.send(peer, 11, Bytes::copy_from_slice(&[c.rank() as u8])).unwrap();
-            let m = msg(c, Some(peer), Some(11));
-            assert!(c.coalesce_stats().flush_block >= 1);
-            m.data[0]
-        });
-        assert_eq!(out, vec![1, 0]);
-    }
-
-    #[test]
-    fn barrier_flushes_staged_sends() {
-        run(2, |c| {
-            if c.rank() == 0 {
-                c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(1, 6, Bytes::from_static(b"pre-barrier")).unwrap();
-                c.barrier();
-            } else {
-                c.barrier();
-                // The message was staged before the barrier, so it must
-                // already be in the channel now.
-                let Some(Event::Msg(m)) = c.try_recv(Some(0), Some(6)).unwrap() else {
-                    panic!("flushed by sender's barrier")
-                };
-                assert_eq!(&m.data[..], b"pre-barrier");
-            }
-        });
-    }
-
-    #[test]
-    fn collective_send_flushes_staged_queue_first() {
-        run(2, |c| {
-            if c.rank() == 0 {
-                c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(1, 8, Bytes::from_static(b"app")).unwrap();
-                // The collective goes through the direct path; the
-                // staged app message must be shipped first to preserve
-                // FIFO.
-                c.all_to_allv(vec![Bytes::new(), Bytes::from_static(b"bc")]);
-            } else {
-                let first = msg(c, Some(0), None);
-                assert_eq!(first.tag, 8, "staged app message arrives before the collective");
-                let got = c.all_to_allv(vec![Bytes::new(); 2]);
-                assert_eq!(&got[0][..], b"bc");
-            }
-        });
-    }
-
-    #[test]
     fn draining_backlogged_messages_is_not_wait_time() {
         run(2, |c| {
             if c.rank() == 0 {
@@ -1336,16 +1021,13 @@ mod tests {
         // No plan armed anywhere. Rank 1 aborts and exits; rank 0 sends
         // into its closed inbox before having looked at its own — a
         // loss, not the vanished-peer panic, because the death notice
-        // got there first — and then observes the death. The send is
-        // staged, so it is the blocking receive's own flush that finds
-        // the inbox closed.
+        // got there first — and then observes the death.
         run(2, |c| {
             if c.rank() == 1 {
                 c.abort();
                 return;
             }
             await_world(c, |w| !w.live[1]);
-            c.set_coalesce(Some(CoalescePolicy::default()));
             c.send(1, 4, Bytes::from_static(b"late")).unwrap();
             assert!(matches!(c.recv(None, None), Ok(Event::Death(1))));
             assert!(c.dead_peers()[1]);
@@ -1455,31 +1137,6 @@ mod tests {
                     .collect();
                 assert_eq!(&order[0][..], b"later", "delayed message arrives out of order");
                 assert_eq!(&order[1][..], b"early");
-            }
-        });
-    }
-
-    #[test]
-    fn dying_rank_loses_its_staged_envelopes() {
-        use crate::faults::{FaultStage, KillTarget};
-        // Rank 1 stages two messages under coalescing, then its third
-        // fault event kills it: the staged envelope must be lost (crash
-        // semantics), leaving rank 0 only the death notice.
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(1), 3, FaultStage::Any);
-        run(2, move |c| {
-            c.set_fault_plan(&plan);
-            if c.rank() == 1 {
-                c.set_coalesce(Some(CoalescePolicy::default()));
-                c.send(0, 2, Bytes::from_static(b"staged")).unwrap();
-                c.send(0, 2, Bytes::from_static(b"also staged")).unwrap();
-                assert_eq!(c.stats().msgs_sent, 0, "both staged, nothing on the wire");
-                assert!(c.send(0, 2, Bytes::from_static(b"never")).is_err());
-            } else {
-                match c.recv(None, None).unwrap() {
-                    Event::Death(1) => {}
-                    e => panic!("expected only the death notice, got {e:?}"),
-                }
-                assert!(c.try_recv(None, None).unwrap().is_none(), "staged messages died with the rank");
             }
         });
     }

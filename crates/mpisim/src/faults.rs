@@ -10,9 +10,10 @@
 //!   (`kill:rank=2,event=500` — or `kill:any,event=500`, where the
 //!   victim worker is drawn from the plan's seed, not the clock);
 //! - **drop** the *n*-th message matching a `(src,dst,tag)` triple at
-//!   the sender (`drop:src=1,dst=0,tag=3,nth=2`);
+//!   the sender (`drop:src=1,dst=0,tag=1,nth=2` — under the task
+//!   engine tag 1 is a worker's report, tag 2 the master's grant);
 //! - **delay** such a message by a scripted number of sender events
-//!   (`delay:src=1,dst=0,tag=1,nth=2,by=40`), re-ordering it past
+//!   (`delay:src=0,dst=1,tag=2,nth=2,by=40`), re-ordering it past
 //!   later traffic the way a congested link would. A sender about to
 //!   block releases what it still holds: a delay reorders, it never
 //!   strands a message behind a sender that went idle.
@@ -36,9 +37,8 @@ use bytes::Bytes;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
     /// The fault plan killed *this* rank at the given rank-local event
-    /// count. The rank has already broadcast its death notice and lost
-    /// its staged (coalesced) messages; the caller must unwind without
-    /// further communication.
+    /// count. The rank has already broadcast its death notice; the
+    /// caller must unwind without further communication.
     Killed {
         /// The rank that died (the caller's own).
         rank: usize,
@@ -198,8 +198,8 @@ impl FaultPlan {
     /// seed:42
     /// kill:rank=2,event=500[,stage=cluster|assemble|any]
     /// kill:any,event=500                 (victim drawn from the seed)
-    /// drop:src=1,dst=0,tag=3,nth=2[,stage=...]
-    /// delay:src=1,dst=0,tag=1,nth=2,by=40[,stage=...]
+    /// drop:src=1,dst=0,tag=1,nth=2[,stage=...]
+    /// delay:src=0,dst=1,tag=2,nth=2,by=40[,stage=...]
     /// ```
     ///
     /// Unscoped clauses default to `stage=cluster`.

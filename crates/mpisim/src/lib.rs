@@ -15,11 +15,8 @@
 //!   in a receive, nothing undelivered — raised at the lowest live
 //!   rank), barriers, and the two collectives §6 uses: `alltoallv` and
 //!   the *custom* `alltoallv` built from `p − 1` point-to-point rounds
-//!   that bounds send-buffer space. Optional sender-side
-//!   small-message coalescing ([`CoalescePolicy`]): per-destination
-//!   send queues shipped as framed envelopes that the receiver splits
-//!   transparently, paying the α latency term once per envelope instead
-//!   of once per message.
+//!   that bounds send-buffer space. A `send` reaches the wire — or
+//!   the fault plan — before it returns; nothing is staged.
 //! - [`model`] — per-rank traffic statistics and an α–β (latency ×
 //!   bandwidth) communication cost model with BlueGene/L parameters, so
 //!   experiments can report *modelled* network time next to measured
@@ -38,6 +35,6 @@ pub mod comm;
 pub mod faults;
 pub mod model;
 
-pub use comm::{run, tag_label, CoalescePolicy, CoalesceStats, Comm, Event, Msg};
+pub use comm::{run, tag_label, Comm, Event, Msg};
 pub use faults::{CommError, FaultPlan, FaultStage, FaultStats, KillTarget};
 pub use model::{thread_cpu_seconds, CommStats, CostModel};

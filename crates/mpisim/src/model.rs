@@ -8,10 +8,8 @@
 //! BlueGene/L — reproducing the communication/computation breakdown the
 //! paper reports (Fig. 5) in a hardware-independent way.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-rank communication counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Messages sent.
     pub msgs_sent: u64,
@@ -67,7 +65,7 @@ pub use pgasm_telemetry::thread_cpu_seconds;
 
 /// α–β interconnect model: a message of `b` bytes costs
 /// `latency + b / bandwidth` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Per-message latency α, seconds.
     pub latency_s: f64,

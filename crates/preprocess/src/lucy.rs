@@ -7,11 +7,10 @@
 //! them, and reject reads whose surviving insert is too short.
 
 use pgasm_seq::{pack_kmer, DnaSeq, KmerIter, QualityTrack};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Trimmer configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LucyConfig {
     /// k-mer length for vector matching.
     pub vector_k: usize,
@@ -30,7 +29,7 @@ impl Default for LucyConfig {
 }
 
 /// Result of trimming one read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrimOutcome {
     /// Keep the half-open range of the original read.
     Keep {

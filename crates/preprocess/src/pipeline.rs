@@ -4,11 +4,10 @@ use crate::lucy::{Lucy, LucyConfig, TrimOutcome};
 use crate::repeats::{RepeatLibrary, StatRepeatConfig};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack};
 use pgasm_simgen::{ReadKind, ReadSet};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreprocessConfig {
     /// Trimmer settings.
     pub lucy: LucyConfig,
@@ -33,7 +32,7 @@ impl Default for PreprocessConfig {
 }
 
 /// Per-strategy before/after accounting (the paper's Table 2).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreprocessStats {
     /// (fragments, bases) before preprocessing, by strategy label.
     pub before: HashMap<String, (usize, usize)>,

@@ -12,11 +12,10 @@ use pgasm_seq::{DnaSeq, KmerIter};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Parameters for statistical repeat discovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatRepeatConfig {
     /// k-mer length for frequency counting.
     pub k: usize,

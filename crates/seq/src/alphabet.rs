@@ -6,8 +6,6 @@
 //! another masked position) in exact-match contexts, which is how the
 //! paper prevents characterised repeats from inducing spurious overlaps.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of real nucleotide codes (|Σ| = 4).
 pub const SIGMA: usize = 4;
 
@@ -15,7 +13,7 @@ pub const SIGMA: usize = 4;
 pub const MASK: u8 = 4;
 
 /// A strongly-typed nucleotide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Base {
     /// Adenine (code 0).

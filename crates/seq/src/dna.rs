@@ -1,13 +1,12 @@
 //! Owned DNA sequences over the coded alphabet.
 
 use crate::alphabet::{ascii_to_code, code_to_ascii, complement_code, is_base_code, Base, MASK};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An owned DNA sequence stored as one byte code per base
 /// (see [`crate::alphabet`]). Positions are 0-based internally; the
 /// paper's notation `s(i)` with 1-based positions maps to `&seq[i-1..]`.
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct DnaSeq {
     codes: Vec<u8>,
 }

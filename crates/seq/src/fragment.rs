@@ -9,19 +9,18 @@
 use crate::alphabet::{complement_code, MASK};
 use crate::dna::DnaSeq;
 use crate::wire::{Reader, WireError, Writer};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an *original* input fragment (strand-agnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FragId(pub u32);
 
 /// Identifier of a stored sequence: a (fragment, strand) pair in a
 /// double-stranded store, or just a fragment in a single-stranded one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeqId(pub u32);
 
 /// Which strand of the original fragment a stored sequence represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strand {
     /// The fragment as sequenced.
     Forward,
@@ -37,7 +36,7 @@ pub enum Strand {
 /// `2i + 1` is its reverse complement — the input the generalized suffix
 /// tree is built over (§5: "the GST built on all input fragments and their
 /// reverse complementary counterparts").
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FragmentStore {
     text: Vec<u8>,
     offsets: Vec<u64>,

@@ -5,10 +5,8 @@
 //! consumes these to find the high-quality insert region, matching the
 //! paper's preprocessing stage (§8).
 
-use serde::{Deserialize, Serialize};
-
 /// Phred-scaled quality values for one fragment, one `u8` per base.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QualityTrack {
     values: Vec<u8>,
 }

@@ -11,10 +11,9 @@ use crate::genome::{Genome, GenomeSpec};
 use crate::sampler::{ReadSet, Sampler, SamplerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic community.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommunitySpec {
     /// Number of species.
     pub species: usize,

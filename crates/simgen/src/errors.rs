@@ -9,10 +9,9 @@
 
 use pgasm_seq::{DnaSeq, QualityTrack};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Error-model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorModel {
     /// Per-base substitution probability.
     pub sub_rate: f64,

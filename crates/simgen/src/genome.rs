@@ -3,10 +3,9 @@
 use pgasm_seq::{Base, DnaSeq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic genome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenomeSpec {
     /// Genome length in bases.
     pub length: usize,
@@ -45,7 +44,7 @@ impl GenomeSpec {
 pub type Interval = (usize, usize);
 
 /// A synthetic genome with annotations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Genome {
     /// The forward-strand sequence.
     pub seq: DnaSeq,

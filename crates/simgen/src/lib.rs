@@ -34,10 +34,8 @@ pub mod presets;
 pub mod sampler;
 pub mod vector;
 
-use serde::{Deserialize, Serialize};
-
 /// The sequencing strategy a fragment came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadKind {
     /// Whole-genome shotgun.
     Wgs,
@@ -62,7 +60,7 @@ impl ReadKind {
 }
 
 /// Ground truth for one read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Provenance {
     /// Source genome (0 for single-genome projects; species index for
     /// environmental samples).

@@ -13,10 +13,9 @@ use crate::{Provenance, ReadKind};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for one sampling run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Read length range (uniform draw).
     pub read_len: (usize, usize),

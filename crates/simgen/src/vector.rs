@@ -8,14 +8,13 @@
 
 use pgasm_seq::{DnaSeq, QualityTrack};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The synthetic "cloning vector" sequence all contamination is drawn
 /// from. Fixed and public so the screener can hold the same library.
 pub const VECTOR_SEQ: &str = "GCTAGCCTGCAGGTCGACTCTAGAGGATCCCCGGGTACCGAGCTCGAATTCACTGGCCGTCGTTTTACAACGTCGTGACTGGGAAAACCCTGGCGTTACCCAACTTAATCGCCTTGCAGCACATCCCCCTTTCGCCAGCTGGCGTAATAGCGAAGAGGCCCGCACCGATCGCCCTTCCCAACAGTTGCGCAGCCTGAATGGCGAATGG";
 
 /// Vector contamination parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VectorModel {
     /// Probability a read carries 5' vector sequence.
     pub p5_prob: f64,

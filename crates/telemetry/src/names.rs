@@ -122,7 +122,7 @@ pub const SCOPES_ADOPTED: &str = "scopes_adopted";
 
 /// Peak depth of the master's pending-work buffer.
 pub const PEAK_QUEUE_DEPTH: &str = "peak_queue_depth";
-/// Non-empty AW batches the master dispatched.
+/// Non-empty task batches the master dispatched.
 pub const BATCHES_DISPATCHED: &str = "batches_dispatched";
 /// Deepest single drain of the master's inbox.
 pub const INBOX_DRAIN_DEPTH_MAX: &str = "inbox_drain_depth_max";
@@ -133,42 +133,20 @@ pub const WAIT_NS_TOTAL: &str = "wait_ns_total";
 /// Nanoseconds this rank spent blocked in barriers over the whole run.
 pub const BARRIER_NS_TOTAL: &str = "barrier_ns_total";
 
-// ---- coalescing-layer counters -------------------------------------------
-
-/// Logical messages that travelled inside an envelope.
-pub const MSGS_COALESCED: &str = "msgs_coalesced";
-/// Envelopes put on the wire.
-pub const ENVELOPES_SENT: &str = "envelopes_sent";
-/// Queue flushes tripped by the byte threshold.
-pub const FLUSH_BY_BYTES: &str = "flush_by_bytes";
-/// Queue flushes tripped by the message-count threshold.
-pub const FLUSH_BY_MSGS: &str = "flush_by_msgs";
-/// Queue flushes forced by the rank blocking.
-pub const FLUSH_ON_BLOCK: &str = "flush_on_block";
-/// Explicit and ordering-forced queue flushes.
-pub const FLUSH_EXPLICIT: &str = "flush_explicit";
-
 // ---- tag labels -----------------------------------------------------------
 
-/// Worker → master alignment results (paper's `AR`).
-pub const TAG_W2M_AR: &str = "w2m_ar";
-/// Worker → master new pairs + generator status (paper's `NP`).
-pub const TAG_W2M_NP: &str = "w2m_np";
-/// Master → worker flow-control grant (paper's `R`).
-pub const TAG_M2W_R: &str = "m2w_r";
-/// Master → worker alignment batch (paper's `AW`).
-pub const TAG_M2W_AW: &str = "m2w_aw";
-/// Framed envelope carrying coalesced messages.
-pub const TAG_COALESCED: &str = "coalesced";
-/// Worker → master assembled-contig results (assemble stage's `AR`).
-pub const TAG_ASM_W2M_RES: &str = "asm_w2m_res";
-/// Worker → master assemble-stage readiness report (its `NP`; always
-/// passive — workers never generate assemble tasks).
-pub const TAG_ASM_W2M_RDY: &str = "asm_w2m_rdy";
-/// Master → worker assemble-stage flow-control grant (its `R`).
+/// Worker → master clustering report: alignment results, generator
+/// status and newly generated pairs (the paper's `AR` + `NP`).
+pub const TAG_W2M_REPORT: &str = "w2m_report";
+/// Master → worker clustering grant: termination or the next request
+/// size, plus the alignment batch (the paper's `R` + `AW`).
+pub const TAG_M2W_GRANT: &str = "m2w_grant";
+/// Worker → master assemble-stage report: the assembled contigs
+/// (workers never generate assemble tasks).
+pub const TAG_ASM_W2M_REPORT: &str = "asm_w2m_report";
+/// Master → worker assemble-stage grant: termination or the cluster
+/// batch.
 pub const TAG_ASM_M2W_GRANT: &str = "asm_m2w_grant";
-/// Master → worker cluster-task batch (its `AW`).
-pub const TAG_ASM_M2W_TASK: &str = "asm_m2w_task";
 /// Death notice a dying rank broadcasts to every peer.
 pub const TAG_DEATH: &str = "death";
 
@@ -182,8 +160,6 @@ pub const GAUGE_INBOX_DEPTH: &str = "inbox_depth";
 pub const GAUGE_WORKERS_OUTSTANDING: &str = "workers_outstanding";
 /// Workers parked (passive, no work to grant) at the master.
 pub const GAUGE_WORKERS_PARKED: &str = "workers_parked";
-/// Bytes staged across this rank's coalescing send queues.
-pub const GAUGE_COALESCE_QUEUE_BYTES: &str = "coalesce_queue_bytes";
 /// High-water bytes of this rank's alignment scratch buffers.
 pub const GAUGE_ALIGN_SCRATCH_BYTES: &str = "align_scratch_bytes";
 /// Cumulative artifact-cache bytes moved (read + written) by the run.
@@ -197,14 +173,10 @@ pub const EV_WAIT: &str = "wait";
 pub const EV_BARRIER: &str = "barrier";
 /// One wire message sent (instant, category `comm`; args tag/bytes).
 pub const EV_SEND: &str = "send";
-/// One logical message delivered (instant, category `comm`).
+/// One message delivered (instant, category `comm`).
 pub const EV_RECV: &str = "recv";
-/// A coalescing queue flushed into an envelope (instant, `comm`).
-pub const EV_COALESCE_FLUSH: &str = "coalesce_flush";
-/// Master handled an AR report (instant, category `master`).
-pub const EV_HANDLE_AR: &str = "handle_ar";
-/// Master handled an NP report (instant, category `master`).
-pub const EV_HANDLE_NP: &str = "handle_np";
+/// Master handled a worker's report (instant, category `master`).
+pub const EV_HANDLE_REPORT: &str = "handle_report";
 /// Master answering completed rounds / feeding parked workers (span).
 pub const EV_DISPATCH: &str = "dispatch";
 /// Master parked a passive worker (instant; arg worker).

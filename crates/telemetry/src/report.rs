@@ -5,27 +5,21 @@
 use crate::json::{Json, JsonError};
 use crate::span::Span;
 use crate::trace::IdleGapHistogram;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Version of the `pgasm.run_report` JSON schema this crate writes.
-///
-/// History: 1 = PR 1 format (implicit, stored under `"version"`);
-/// 2 = adds `schema_version`, per-rank `idle_gaps`, and the run-level
-/// `trace` summary; 3 = adds the top-level `series` array of per-rank
-/// gauge time series (absent ⇒ no sampling — v2 documents parse with
-/// an empty list); 4 = adds the optional top-level `faults` section
-/// (absent ⇒ the run saw no fault injection, recovery, or
-/// checkpointing — v3 documents parse with `faults: None`). Parsers
-/// accept any version ≥ 1 and ignore fields they don't know (forward
-/// compatibility is tested).
+/// Version of the `pgasm.run_report` JSON schema this crate writes and
+/// reads. The optional sections (`trace`, `series`, `faults`, per-rank
+/// `idle_gaps`) are omitted when a run has nothing to put in them and
+/// parse back as absent; fields a parser does not know are ignored. A
+/// document that does not declare a `schema_version` is not a run
+/// report.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Traffic and modelled cost for one message tag on one rank.
 ///
 /// Collectives and the master–worker protocol each use distinct tags,
 /// so per-tag rows double as a per-primitive communication breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TagStat {
     /// The raw tag value.
     pub tag: u32,
@@ -71,7 +65,7 @@ impl TagStat {
 
 /// One rank's channel in the report: compute, idleness, its own
 /// counters, and its per-tag communication rows.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankReport {
     /// Rank id within the parallel section.
     pub rank: usize,
@@ -139,7 +133,7 @@ impl RankReport {
 /// Run-level trace digest folded into the report when a run was traced:
 /// master occupancy over time windows plus the drop counter. The full
 /// event stream lives in the separate Chrome trace JSON artifact.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Width, in seconds, of each occupancy window.
     pub window_seconds: f64,
@@ -174,12 +168,10 @@ impl TraceSummary {
     }
 }
 
-/// Fault-injection and recovery digest for one run (schema v4).
-/// Present only when the run injected faults, recovered leases, or
-/// wrote checkpoints — a clean run omits the section entirely, so
-/// fault-free reports are byte-identical to what a v3 writer produced
-/// modulo the version number.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// Fault-injection and recovery digest for one run. Present only when
+/// the run injected faults, recovered leases, or wrote checkpoints — a
+/// clean run omits the section entirely.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSummary {
     /// Ranks the fault plan killed.
     pub kills_injected: u64,
@@ -247,10 +239,10 @@ fn counters_from_json(v: Option<&Json>) -> Result<BTreeMap<String, u64>, JsonErr
 }
 
 /// The complete, immutable record of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// JSON schema version this report was written with (see
-    /// [`SCHEMA_VERSION`]); 1 for reports predating the field.
+    /// [`SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Run label (command line, experiment id, …).
     pub label: String,
@@ -262,11 +254,10 @@ pub struct RunReport {
     pub ranks: Vec<RankReport>,
     /// Trace-derived digest; present only when the run was traced.
     pub trace: Option<TraceSummary>,
-    /// Per-rank gauge time series (schema v3; empty when the run
-    /// sampled nothing — and for every pre-v3 document).
+    /// Per-rank gauge time series (empty when the run sampled
+    /// nothing).
     pub series: Vec<crate::series::RankSeries>,
-    /// Fault-injection / recovery digest (schema v4); absent for clean
-    /// runs and for every pre-v4 document.
+    /// Fault-injection / recovery digest; absent for clean runs.
     pub faults: Option<FaultSummary>,
 }
 
@@ -308,8 +299,6 @@ impl RunReport {
         let mut fields = vec![
             ("format", Json::Str("pgasm.run_report".into())),
             ("schema_version", Json::Num(self.schema_version as f64)),
-            // Legacy alias kept so version-1 readers still recognise us.
-            ("version", Json::Num(self.schema_version as f64)),
             ("label", Json::Str(self.label.clone())),
             ("spans", Json::Arr(self.spans.iter().map(Span::to_json).collect())),
             ("counters", counters_to_json(&self.counters)),
@@ -340,14 +329,13 @@ impl RunReport {
         if v.get("format").and_then(Json::as_str) != Some("pgasm.run_report") {
             return Err(JsonError { msg: "not a pgasm.run_report document".into(), at: 0 });
         }
-        // `schema_version` appeared in v2; older documents carry the
-        // legacy `version` number only. Unknown fields are ignored, so
-        // documents from *newer* writers still parse.
+        // Unknown fields are ignored, so documents from *newer* writers
+        // still parse.
         let schema_version = v
             .get("schema_version")
             .and_then(Json::as_u64)
-            .or_else(|| v.get("version").and_then(Json::as_u64))
-            .unwrap_or(1) as u32;
+            .ok_or_else(|| JsonError { msg: "run report declares no schema_version".into(), at: 0 })?
+            as u32;
         Ok(RunReport {
             schema_version,
             label: v.get("label").and_then(Json::as_str).unwrap_or_default().to_string(),
@@ -485,96 +473,39 @@ mod tests {
     }
 
     #[test]
-    fn schema_version_round_trips_and_legacy_defaults_to_one() {
-        let text = sample().to_json_string();
+    fn current_schema_round_trips_and_a_document_without_schema_version_is_an_error() {
+        let report = sample();
+        let text = report.to_json_string();
+        assert!(!text.contains("\"version\""), "the legacy alias is no longer written");
         let back = RunReport::from_json_str(&text).unwrap();
         assert_eq!(back.schema_version, SCHEMA_VERSION);
-        // A PR-1-era document: no schema_version, numeric "version".
-        let legacy = "{\"format\": \"pgasm.run_report\", \"version\": 1, \"label\": \"old\"}";
-        let old = RunReport::from_json_str(legacy).unwrap();
-        assert_eq!(old.schema_version, 1);
-        assert_eq!(old.label, "old");
-        assert!(old.trace.is_none());
-    }
-
-    #[test]
-    fn v2_reports_without_series_still_parse() {
-        // A v2-era document: trace summary but no `series` field.
-        let v2 = concat!(
-            "{\"format\": \"pgasm.run_report\", \"schema_version\": 2, \"version\": 2, ",
-            "\"label\": \"v2\", \"counters\": {\"merges\": 3}, ",
-            "\"trace\": {\"window_seconds\": 0.1, \"master_occupancy\": [0.5], \"dropped_events\": 0}}"
-        );
-        let report = RunReport::from_json_str(v2).unwrap();
-        assert_eq!(report.schema_version, 2);
-        assert_eq!(report.counter("merges"), 3);
-        assert!(report.series.is_empty(), "absent series parses as empty");
-        assert!(report.trace.is_some());
-    }
-
-    #[test]
-    fn v3_series_round_trips_exactly() {
-        let report = sample();
-        let back = RunReport::from_json_str(&report.to_json_string()).unwrap();
-        assert_eq!(back.schema_version, SCHEMA_VERSION);
         assert_eq!(back.series, report.series);
-        let g = back.series[0].gauge(crate::names::GAUGE_ALIGN_SCRATCH_BYTES).unwrap();
-        assert_eq!(g.samples, vec![(10, 4096), (1_010, 8192)]);
-        assert_eq!(g.dropped, 1);
-        assert_eq!(back.series[0].overhead_ns, 777);
-        // A run that sampled nothing writes no `series` key at all.
-        let mut bare = sample();
-        bare.series.clear();
-        assert!(!bare.to_json_string().contains("\"series\""));
-        assert!(RunReport::from_json_str(&bare.to_json_string()).unwrap().series.is_empty());
-    }
-
-    #[test]
-    fn v4_faults_section_round_trips_and_v3_documents_still_parse() {
-        // v4 round trip: the section survives encode → decode exactly.
-        let report = sample();
-        let back = RunReport::from_json_str(&report.to_json_string()).unwrap();
-        assert_eq!(back.schema_version, 4);
         assert_eq!(back.faults, report.faults);
-        let f = back.faults.as_ref().unwrap();
-        assert_eq!(f.dead_ranks, 1);
-        assert_eq!(f.recovered_tasks, 12);
-        assert_eq!(f.ckpt_bytes, 4096);
-        // A clean run writes no `faults` key at all.
-        let mut clean = sample();
-        clean.faults = None;
-        assert!(!clean.to_json_string().contains("\"faults\""));
-        assert!(RunReport::from_json_str(&clean.to_json_string()).unwrap().faults.is_none());
-        // A v3-era document (no faults section) parses with None and
-        // keeps everything else — the back-compat contract.
-        let v3 = concat!(
-            "{\"format\": \"pgasm.run_report\", \"schema_version\": 3, \"version\": 3, ",
-            "\"label\": \"v3\", \"counters\": {\"merges\": 5}, ",
-            "\"series\": [{\"rank\": 0, \"label\": \"master\", \"overhead_ns\": 1, \"gauges\": []}]}"
-        );
-        let old = RunReport::from_json_str(v3).unwrap();
-        assert_eq!(old.schema_version, 3);
-        assert_eq!(old.counter("merges"), 5);
-        assert_eq!(old.series.len(), 1);
-        assert!(old.faults.is_none(), "pre-v4 documents have no faults section");
-        // And a v3 document re-encoded by this writer still parses as
-        // its own round trip (field set preserved, faults still absent).
-        let re = RunReport::from_json_str(&old.to_json_string()).unwrap();
-        assert_eq!(re, old);
+        // A run with nothing to put in an optional section writes no
+        // key for it, and parses back without it.
+        let mut bare = sample();
+        (bare.series, bare.faults, bare.trace) = (Vec::new(), None, None);
+        let text = bare.to_json_string();
+        assert!(["\"series\"", "\"faults\"", "\"trace\""].iter().all(|key| !text.contains(key)));
+        assert_eq!(RunReport::from_json_str(&text).unwrap(), bare);
+        // The number under the old alias alone does not make a report.
+        let legacy = "{\"format\": \"pgasm.run_report\", \"version\": 1, \"label\": \"old\"}";
+        let err = RunReport::from_json_str(legacy).unwrap_err();
+        assert!(err.msg.contains("schema_version"), "{}", err.msg);
     }
 
     #[test]
     fn forward_compat_ignores_unknown_fields() {
-        // A hypothetical v4 writer added fields we don't know about;
+        // A hypothetical later writer added fields we don't know about;
         // parsing must still succeed and keep everything we do know.
         let future = concat!(
-            "{\"format\": \"pgasm.run_report\", \"schema_version\": 4, \"version\": 4, ",
+            "{\"format\": \"pgasm.run_report\", \"schema_version\": 5, ",
             "\"label\": \"future\", \"counters\": {\"merges\": 7}, ",
             "\"new_top_level_blob\": {\"x\": [1, 2, 3]}, ",
             "\"ranks\": [{\"rank\": 0, \"role\": \"master\", \"novel_rank_field\": 42}]}"
         );
         let report = RunReport::from_json_str(future).unwrap();
-        assert_eq!(report.schema_version, 4);
+        assert_eq!(report.schema_version, 5);
         assert_eq!(report.counter("merges"), 7);
         assert_eq!(report.ranks[0].role, "master");
     }

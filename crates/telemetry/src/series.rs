@@ -378,7 +378,7 @@ mod tests {
             overhead_ns: 12_345,
             gauges: vec![
                 GaugeSeries {
-                    name: names::GAUGE_COALESCE_QUEUE_BYTES.into(),
+                    name: names::GAUGE_PENDING_TASKS.into(),
                     samples: vec![(0, 0), (1_000, 512), (2_000, 64)],
                     dropped: 2,
                 },
@@ -387,7 +387,7 @@ mod tests {
         };
         let back = RankSeries::from_json(&rs.to_json());
         assert_eq!(back, rs);
-        assert_eq!(back.gauge(names::GAUGE_COALESCE_QUEUE_BYTES).unwrap().max_value(), 512);
+        assert_eq!(back.gauge(names::GAUGE_PENDING_TASKS).unwrap().max_value(), 512);
         assert!(back.gauge("missing").is_none());
     }
 

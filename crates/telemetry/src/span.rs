@@ -9,12 +9,11 @@
 
 use crate::cpu::thread_cpu_seconds;
 use crate::json::{Json, JsonError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// One completed, named timing interval with nested children.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Phase name, e.g. `"cluster"` or `"gst_build"`.
     pub name: String,

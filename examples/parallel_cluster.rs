@@ -36,7 +36,7 @@ fn main() {
 
     let model = CostModel::BLUEGENE_L;
     for p in [2usize, 4, 8] {
-        let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096, ..Default::default() };
+        let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
         let report = cluster_parallel(&store, p, &params, &cfg);
         assert_eq!(report.clustering, serial, "parallel clustering must equal serial");
         let master = &report.comm[0];

@@ -122,13 +122,14 @@ to inputs or parameters recomputes, and a corrupted cache file safely
 degrades to a cold run. --no-cache ignores --cache-dir for this run.
 --fault-plan <spec> arms deterministic failure injection in the simulated
 communicator (needs --ranks): a semicolon-separated list of clauses, e.g.
-'seed:42; kill:rank=2,event=500; drop:src=1,dst=0,tag=3,nth=2;
-delay:src=0,dst=2,tag=5,nth=1,by=3' — kill removes a rank when its local
+'seed:42; kill:rank=2,event=500; drop:src=1,dst=0,tag=1,nth=2;
+delay:src=0,dst=2,tag=2,nth=1,by=3' — kill removes a rank when its local
 fault clock reaches <event> (kill:any picks a seeded worker), drop loses
-the nth matching message, delay holds it back until the sender's clock
-has advanced by <by> or the sender is about to block. A rank's clock
-ticks once per send and once per receive that returns an event (an empty
-poll is not an event). Clauses take stage=cluster|assemble|any (default
+the nth matching message (tag 1 = a worker's report, tag 2 = the master's
+grant), delay holds it back until the sender's clock has advanced by <by>
+or the sender is about to block. A rank's clock ticks once per send and
+once per receive that returns an event (an empty poll is not an event),
+so a worker's round is two events. Clauses take stage=cluster|assemble|any (default
 cluster). Workers hold leases on tasks, so the engine detects the death,
 re-queues the lease, and a survivor finishes the work — the final
 clustering and contigs are byte-identical to a fault-free run; the

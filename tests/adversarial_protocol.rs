@@ -3,12 +3,10 @@
 //! where a zero flow-control grant used to livelock the protocol), and
 //! rank counts close to (or exceeding) the fragment count. Every
 //! configuration must terminate and reproduce the serial clustering
-//! bit-for-bit, in plain and geometric modes, with coalescing on and
-//! off.
+//! bit-for-bit, in plain and geometric modes.
 
 use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
 use pgasm::gst::GstConfig;
-use pgasm::mpisim::CoalescePolicy;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 
@@ -35,33 +33,27 @@ fn params(geometric: bool) -> ClusterParams {
     ClusterParams { gst: GstConfig { psi: 14 }, resolve_inconsistent: geometric, ..Default::default() }
 }
 
-/// Run one adversarial configuration in both modes and both coalescing
-/// arms, asserting serial equivalence (which implies termination).
+/// Run one adversarial configuration in both modes, asserting serial
+/// equivalence (which implies termination).
 fn check(store: &pgasm::seq::FragmentStore, p: usize, cfg: &MasterWorkerConfig) {
     for geometric in [false, true] {
         let params = params(geometric);
         let (serial, _) = cluster_serial(store, &params);
-        for coalesce in [None, Some(CoalescePolicy::default())] {
-            let cfg = MasterWorkerConfig { coalesce, ..*cfg };
-            let report = cluster_parallel(store, p, &params, &cfg);
-            assert_eq!(
-                report.clustering,
-                serial,
-                "p = {p}, batch = {}, pending_cap = {}, geometric = {geometric}, coalesce = {}",
-                cfg.batch,
-                cfg.pending_cap,
-                coalesce.is_some()
-            );
-        }
+        let report = cluster_parallel(store, p, &params, cfg);
+        assert_eq!(
+            report.clustering, serial,
+            "p = {p}, batch = {}, pending_cap = {}, geometric = {geometric}",
+            cfg.batch, cfg.pending_cap
+        );
     }
 }
 
 /// `batch = 1`: every allocation carries one pair, maximising protocol
-/// round-trips (and envelope traffic when coalescing).
+/// round-trips.
 #[test]
 fn batch_of_one() {
     let store = test_reads(41, 24);
-    check(&store, 3, &MasterWorkerConfig { batch: 1, pending_cap: 16, ..Default::default() });
+    check(&store, 3, &MasterWorkerConfig { batch: 1, pending_cap: 16 });
 }
 
 /// `pending_cap < batch`: the pending buffer saturates immediately, so
@@ -71,7 +63,7 @@ fn batch_of_one() {
 #[test]
 fn pending_cap_smaller_than_batch() {
     let store = test_reads(42, 30);
-    check(&store, 4, &MasterWorkerConfig { batch: 8, pending_cap: 3, ..Default::default() });
+    check(&store, 4, &MasterWorkerConfig { batch: 8, pending_cap: 3 });
 }
 
 /// Both degenerate at once: single-pair batches through a single-slot
@@ -79,7 +71,7 @@ fn pending_cap_smaller_than_batch() {
 #[test]
 fn single_slot_buffer_single_pair_batches() {
     let store = test_reads(43, 20);
-    check(&store, 3, &MasterWorkerConfig { batch: 1, pending_cap: 1, ..Default::default() });
+    check(&store, 3, &MasterWorkerConfig { batch: 1, pending_cap: 1 });
 }
 
 /// More protocol participants than useful work: p close to (and
@@ -92,7 +84,7 @@ fn ranks_near_fragment_count() {
     let n = store.num_fragments();
     assert_eq!(n, 8);
     for p in [n - 1, n, n + 2] {
-        check(&store, p, &MasterWorkerConfig { batch: 4, pending_cap: 32, ..Default::default() });
+        check(&store, p, &MasterWorkerConfig { batch: 4, pending_cap: 32 });
     }
 }
 
@@ -104,6 +96,6 @@ fn single_fragment_many_ranks() {
         "ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT",
     )]);
     for p in [2usize, 5] {
-        check(&store, p, &MasterWorkerConfig { batch: 1, pending_cap: 1, ..Default::default() });
+        check(&store, p, &MasterWorkerConfig { batch: 1, pending_cap: 1 });
     }
 }

@@ -261,7 +261,7 @@ proptest! {
         harsh in any::<bool>(),
     ) {
         let s = if harsh {
-            Scoring { match_score: 1, mismatch: -7, gap_open: -8, gap_extend: -5 }
+            Scoring { match_score: 1, mismatch: -7, gap_extend: -5 }
         } else {
             Scoring::DEFAULT
         };

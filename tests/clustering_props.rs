@@ -114,7 +114,7 @@ proptest! {
     fn parallel_equals_serial(store in fragment_set()) {
         let p = params();
         let (serial, _) = cluster_serial(&store, &p);
-        let cfg = MasterWorkerConfig { batch: 4, pending_cap: 64, ..Default::default() };
+        let cfg = MasterWorkerConfig { batch: 4, pending_cap: 64 };
         let report = cluster_parallel(&store, 3, &p, &cfg);
         prop_assert_eq!(report.clustering.clusters, serial.clusters);
     }

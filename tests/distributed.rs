@@ -77,7 +77,7 @@ fn master_worker_scales_worker_count_without_changing_result() {
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
     let (serial, serial_stats) = cluster_serial(&store, &params);
     for workers in [1usize, 3, 6] {
-        let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
+        let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128 };
         let report = cluster_parallel(&store, workers + 1, &params, &cfg);
         assert_eq!(report.clustering, serial, "workers = {workers}");
         // Work totals agree with the serial run where order-independent.
@@ -94,7 +94,7 @@ fn count_rejected(report: &pgasm::cluster::ParallelClusterReport) -> usize {
 fn modelled_comm_time_is_finite_and_positive() {
     let store = test_reads(4, 30);
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
-    let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
+    let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128 };
     let report = cluster_parallel(&store, 3, &params, &cfg);
     let model = CostModel::BLUEGENE_L;
     for c in &report.comm {

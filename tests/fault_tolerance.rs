@@ -1,14 +1,14 @@
 //! Fault-tolerance integration matrix: killing any single worker during
 //! clustering or assembly leaves the final contigs byte-identical to a
-//! fault-free run, dropped/late result reports are deduplicated by the
+//! fault-free run, dropped/late reports are deduplicated by the
 //! lease journal, and a master kill under checkpointing resumes to the
 //! exact same output.
 //!
 //! Kill events are *self-aiming*: a probe run with an armed
 //! never-firing plan reads each rank's `fault_events` clock depth for
 //! the stage under test, and the real kill targets the midpoint of the
-//! victim's lifetime, rounded to an AR-send round entry (events are
-//! 1 mod 4 there, so the victim holds an unacknowledged lease and the
+//! victim's lifetime, rounded to a report-send round entry (events are
+//! 1 mod 2 there, so the victim holds an unacknowledged lease and the
 //! master must recover it).
 
 use pgasm::align::AcceptCriteria;
@@ -120,10 +120,10 @@ fn probe_depths(p: usize, stage: FaultStage, reads: &ReadSet, genome: &Genome) -
     run_report.ranks.iter().map(|r| r.counter(pgasm::telemetry::names::FAULT_EVENTS)).collect()
 }
 
-/// Round `mid` down to an AR-send round entry (events are 1 mod 4
-/// there); floor 5 so at least one full round completed first.
-fn ar_send_event_near(mid: u64) -> u64 {
-    (mid.saturating_sub(mid % 4) + 1).max(5)
+/// Round `mid` down to a report-send round entry (events are 1 mod 2
+/// there); floor 3 so at least one full round completed first.
+fn report_send_event_near(mid: u64) -> u64 {
+    (mid.saturating_sub(mid % 2) + 1).max(3)
 }
 
 /// Kill each worker in turn during `stage` and require byte-identical
@@ -139,7 +139,7 @@ fn kill_matrix(stage: FaultStage, seed: u64) {
         let depths = probe_depths(p, stage, &reads, &genome);
         let mut recovered_any = false;
         for (victim, &depth) in depths.iter().enumerate().skip(1) {
-            let at = ar_send_event_near(depth / 2);
+            let at = report_send_event_near(depth / 2);
             assert!(depth >= at, "victim {victim} at p={p} only reaches event {depth} in {stage:?}");
             let recovery = StageRecovery {
                 faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, stage),
@@ -194,7 +194,7 @@ fn killing_a_worker_in_each_stage_preserves_the_contigs() {
         for stage in [FaultStage::Cluster, FaultStage::Assemble] {
             let depths = probe_depths(p, stage, &reads, &genome);
             let victim = 1 + (depths.iter().sum::<u64>() as usize % (p - 1));
-            let at = ar_send_event_near(depths[victim] / 2);
+            let at = report_send_event_near(depths[victim] / 2);
             let recovery = StageRecovery {
                 faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, stage),
                 ..StageRecovery::default()
@@ -216,22 +216,25 @@ fn dropped_result_report_trips_liveness_and_recovers() {
         let p = 4;
         let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-        // Worker 1's second result report (tag 1 = W2M AR) vanishes on the
-        // wire. Its lease can never be retired, so the stage comes to rest
-        // unfinished; the simulator reports it, the master declares the
-        // worker holding that lease dead and a survivor redoes the batch.
-        // The plan goes through the CLI grammar on purpose.
-        let recovery = StageRecovery {
-            faults: FaultPlan::parse("drop:src=1,dst=0,tag=1,nth=2").expect("grammar"),
-            ..StageRecovery::default()
-        };
-        let (report, run_report) = run(config(p, recovery), &reads, &genome);
-        assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
-        let faults = run_report.faults.expect("faults section");
-        assert_eq!(faults.msgs_dropped, 1);
-        assert_eq!(faults.kills_injected, 0, "nobody was actually killed");
-        assert_eq!(faults.dead_ranks, 1, "quiescence must declare the stuck worker dead");
-        assert!(faults.recovered_tasks > 0);
+        // Worker 1's second report (tag 1), or the grant that answers it
+        // (tag 2), vanishes on the wire. Either way the worker's lease can
+        // never be retired, so the stage comes to rest unfinished; the
+        // simulator reports it, the master declares the worker holding
+        // that lease dead and a survivor redoes the batch. The plans go
+        // through the CLI grammar on purpose.
+        for clause in ["drop:src=1,dst=0,tag=1,nth=2", "drop:src=0,dst=1,tag=2,nth=2"] {
+            let recovery = StageRecovery {
+                faults: FaultPlan::parse(clause).expect("grammar"),
+                ..StageRecovery::default()
+            };
+            let (report, run_report) = run(config(p, recovery), &reads, &genome);
+            assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}");
+            let faults = run_report.faults.expect("faults section");
+            assert_eq!(faults.msgs_dropped, 1, "{clause}");
+            assert_eq!(faults.kills_injected, 0, "{clause}: nobody was actually killed");
+            assert_eq!(faults.dead_ranks, 1, "{clause}: quiescence must declare the stuck worker dead");
+            assert!(faults.recovered_tasks > 0, "{clause}");
+        }
     });
 }
 
@@ -242,8 +245,8 @@ fn delayed_result_report_is_absorbed_once_not_twice() {
         let p = 4;
         let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-        // Worker 1's second result report is held back and overtaken by
-        // the round's `NP`; the lease journal retires it exactly once.
+        // Worker 1's second report is held back until the worker blocks
+        // on its answer; the lease journal retires it exactly once.
         let recovery = StageRecovery {
             faults: FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2,by=3").expect("grammar"),
             ..StageRecovery::default()

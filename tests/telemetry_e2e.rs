@@ -46,7 +46,7 @@ fn work_counters_identical_between_serial_and_parallel() {
         ..Default::default()
     };
     let (serial_clustering, serial_stats) = cluster_serial(&store, &params);
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
+    let config = MasterWorkerConfig { batch: 8, pending_cap: 128 };
     let report = cluster_parallel(&store, 3, &params, &config);
 
     assert_eq!(report.clustering, serial_clustering);
@@ -71,7 +71,7 @@ fn modelled_seconds_sum_prices_each_message_once() {
     use pgasm::mpisim::CostModel;
     let store = test_store(31, 50);
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
+    let config = MasterWorkerConfig { batch: 8, pending_cap: 128 };
     let report = cluster_parallel(&store, 4, &params, &config);
 
     let model = CostModel::BLUEGENE_L;
@@ -113,7 +113,7 @@ fn pipeline_run_report_survives_json_round_trip() {
         preprocess: None,
         cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
         parallel_ranks: Some(3),
-        master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() },
+        master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128 },
         assembly_threads: 2,
         ..Default::default()
     };

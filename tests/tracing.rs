@@ -35,7 +35,7 @@ fn test_reads(seed: u64, n: usize) -> pgasm::simgen::ReadSet {
 /// The cluster stage on `p` ranks under `trace`.
 fn cluster_traced(store: &FragmentStore, p: usize, trace: TraceSpec) -> ParallelClusterReport {
     let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() };
+    let config = MasterWorkerConfig { batch: 8, pending_cap: 128 };
     cluster_parallel_with(store, p, &params, &config, &RunOpts { trace, ..RunOpts::default() })
 }
 
@@ -47,7 +47,7 @@ fn traced_pipeline_exports_valid_chrome_trace() {
         preprocess: None,
         cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
         parallel_ranks: Some(ranks),
-        master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128, ..Default::default() },
+        master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128 },
         assembly_threads: 2,
         trace: TraceSpec::on(),
         ..Default::default()
