@@ -77,19 +77,21 @@ rm -f ci_reads.fastq ci_contigs.fasta ci.trace.json ci.metrics.json
 cargo run --release -q --bin pgasm -- generate --kind maize --out ci_reads.fastq --scale 0.2 --seed 7
 cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.fasta --ranks 4 \
   --trace-json ci.trace.json --metrics-json ci.metrics.json
-# 4 clustering ranks + the pipeline's own track + 4 distributed-assembly
-# tracks; the assemble category is mandatory now that `--ranks` runs the
+# One track per rank, carrying both distributed stages, + the pipeline's
+# own; the assemble category is mandatory since `--ranks` runs the
 # assembly phase through the task engine. --max-dropped 0: a lossy trace
 # would silently skew the critical-path analysis below.
 cargo run --release -q -p pgasm-bench --bin trace_check -- ci.trace.json \
-  --min-categories 5 --min-tracks 9 --require assemble --max-dropped 0
+  --min-categories 5 --min-tracks 5 --require assemble --max-dropped 0
 
 echo "==> critical-path analysis of the traced smoke run"
-# Attribution categories must cover each rank's wall time within 5% and
-# the critical path must be non-empty — the analyzer's consistency gate.
+# Attribution categories must cover each rank's wall time within 5%, the
+# critical path must be non-empty, and every message of both stages must
+# pair (a track id is a comm rank) — the analyzer's consistency gate.
 cargo run --release -q --bin pgasm -- analyze --trace-json ci.trace.json \
   --metrics-json ci.metrics.json --out ci.analysis.json --coverage-tol 0.05
 test -s ci.analysis.json || { echo "missing ci.analysis.json"; exit 1; }
+grep -q '"edges_unpaired": 0' ci.analysis.json || { echo "analyzer left message edges unpaired"; exit 1; }
 rm -f ci_contigs.fasta ci.trace.json ci.metrics.json ci.analysis.json
 
 echo "==> pgasm cluster: serial and --ranks 3 write the same partition"

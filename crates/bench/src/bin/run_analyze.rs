@@ -11,10 +11,10 @@
 //!   mis-paired edge at least doubles it and fails the diff;
 //! - `analyze_coverage_err_pct_plus1` — baseline 1 (zero percent
 //!   attribution error, same offset trick); double-counted spans fail;
-//! - `analyze_edges_paired` / `analyze_tracks` / `analyze_gauge_tracks`
-//!   — coverage counters, gated against silent shrinkage of the traced
-//!   surface... by the hard assertions below, since `bench_diff` only
-//!   gates increases.
+//! - `analyze_edges_paired` / `analyze_tracks` / `analyze_counter_tracks`
+//!   (tracks carrying at least one gauge sample) — coverage counters,
+//!   gated against silent shrinkage of the traced surface... by the
+//!   hard assertions below, since `bench_diff` only gates increases.
 //!
 //! The bin also asserts the analyzer's own invariants directly (a
 //! non-empty critical path, ≤ 5% attribution error, zero unpaired
@@ -25,7 +25,7 @@ use pgasm_bench::datasets;
 use pgasm_bench::util::{env_scale, print_table, with_run_report};
 use pgasm_core::{cluster_parallel_with, MasterWorkerConfig, RunOpts};
 use pgasm_telemetry::analyze;
-use pgasm_telemetry::trace::{Trace, TraceSpec};
+use pgasm_telemetry::trace::{Trace, TraceKind, TraceSpec};
 
 fn main() {
     let scale = env_scale();
@@ -39,12 +39,13 @@ fn main() {
             let opts = RunOpts { trace: TraceSpec::with_capacity(1 << 17), ..RunOpts::default() };
             cluster_parallel_with(&prepared.store, p, &params, &config, &opts)
         });
-        let trace = Trace::with_series(report.traces.clone(), report.series.clone());
+        let trace = Trace::new(report.traces);
         assert_eq!(trace.dropped_events(), 0, "trace buffers must not overflow (raise the capacity)");
         let doc = trace.to_chrome_json();
-        let analysis = ctx.scope("analyze", |_| {
+        let (tracks, analysis) = ctx.scope("analyze", |_| {
             let tracks = analyze::parse_chrome_trace(&doc).expect("exported trace parses");
-            analyze::analyze(&tracks, None, 5)
+            let analysis = analyze::analyze(&tracks, None, 5);
+            (tracks, analysis)
         });
 
         assert!(!analysis.critical_path.is_empty(), "critical path must be non-empty");
@@ -60,7 +61,13 @@ fn main() {
         ctx.set("analyze_edges_unpaired_plus1", analysis.edges_unpaired + 1);
         ctx.set("analyze_coverage_err_pct_plus1", (analysis.max_coverage_error() * 100.0).round() as u64 + 1);
         ctx.set("analyze_critical_path_nonempty", u64::from(!analysis.critical_path.is_empty()));
-        ctx.set("analyze_gauge_tracks", report.series.iter().filter(|s| !s.is_empty()).count() as u64);
+        let with_counters = tracks.iter().filter(|t| t.events.iter().any(|e| e.kind == TraceKind::Counter));
+        assert_eq!(
+            with_counters.clone().count(),
+            p,
+            "the master's and every worker's gauges are on their tracks"
+        );
+        ctx.set("analyze_counter_tracks", with_counters.count() as u64);
         analysis
     });
 

@@ -20,7 +20,7 @@
 //!   `ci.sh` uses this to pin down phase coverage (e.g. the distributed
 //!   assembly phase must emit `assemble` events);
 //! - with `--max-dropped <n>`, no track's `dropped_events` metadata
-//!   (event-buffer or gauge-sample overflow) exceeds `n` — `ci.sh`
+//!   (event-ring overflow) exceeds `n` — `ci.sh`
 //!   passes `--max-dropped 0` so a lossy trace fails loudly instead of
 //!   silently skewing the critical-path analysis downstream.
 

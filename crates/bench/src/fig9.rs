@@ -37,6 +37,7 @@ pub fn run(scale: f64) -> Vec<Point> {
     let worker_counts = [1usize, 2, 4, 8];
     let (points, _run_report) = with_run_report("fig9", |ctx| {
         let mut points = Vec::new();
+        let mut last_ranks = Vec::new();
         for (i, &raw_bp) in sizes.iter().enumerate() {
             let prepared = datasets::maize(raw_bp, 142 + i as u64);
             let input_bp = prepared.total_bp();
@@ -71,12 +72,13 @@ pub fn run(scale: f64) -> Vec<Point> {
                     cpu_seconds: report.ranks.iter().map(|r| r.cpu_seconds).sum(),
                     children: Vec::new(),
                 });
-                // Keep the last (largest) configuration's rank channels
-                // as the report's parallel section.
-                ctx.set_ranks(report.ranks);
+                last_ranks = report.ranks;
                 points.push(Point { input_bp, workers: w, t_model, idle, master_avail });
             }
         }
+        // The last (largest) configuration's rank channels are the
+        // report's parallel section.
+        ctx.merge_ranks(last_ranks);
         points
     });
     let mut rows = Vec::new();

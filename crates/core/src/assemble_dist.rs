@@ -40,7 +40,7 @@ use pgasm_mpisim::Comm;
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
-use pgasm_telemetry::{names, RankReport, RankSeries};
+use pgasm_telemetry::{names, RankReport};
 
 /// How the master orders clusters for dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,15 +95,13 @@ pub struct DistAssembleReport {
     pub worker_idle_fraction: Vec<f64>,
     /// Fraction of the phase the master spent blocked awaiting reports.
     pub master_availability: f64,
-    /// Per-rank telemetry channels (rank ids 0..p, mergeable with the
-    /// clustering phase's channels via `RunContext::merge_ranks`).
+    /// Per-rank telemetry channels (rank ids 0..p, merged with the
+    /// clustering stage's by `RunContext::merge_ranks`).
     pub ranks: Vec<RankReport>,
-    /// Per-rank event traces on offset track ids (`p+1..=2p`) so they
-    /// never collide with the clustering ranks or the pipeline track.
+    /// Per-rank event traces on track ids 0..p — the clustering
+    /// stage's, so `RunContext::merge_traces` appends them to the
+    /// tracks those ranks already have; empty when tracing was off.
     pub traces: Vec<RankTrace>,
-    /// Per-rank gauge time series on the same offset ids; empty when
-    /// tracing was off.
-    pub series: Vec<RankSeries>,
     /// Clusters re-queued from dead workers' leases (0 fault-free).
     pub recovered_tasks: u64,
     /// Worker ranks the master marked dead during the phase.
@@ -386,13 +384,7 @@ pub fn assemble_parallel_with(
     let n = tasks.len();
     let spec = StageSpec {
         name: STAGE_ASSEMBLE,
-        roles: ["asm_master", "asm_worker"],
-        // Past the clustering ranks (0..p-1) and the pipeline's own
-        // track (p), so one traced run exports cluster, pipeline, and
-        // assemble tracks side by side.
-        track_offset: p + 1,
         tag_labels: [names::TAG_ASM_W2M_REPORT, names::TAG_ASM_M2W_GRANT],
-        blocked_totals: false,
         engine: EngineConfig { batch, pending_cap: n.max(1) },
     };
     let mut run = run_stage(p, &spec, opts, &AssembleStage { store, quals, config, tasks });
@@ -415,7 +407,6 @@ pub fn assemble_parallel_with(
         master_availability: run.master_availability,
         ranks: run.ranks,
         traces: run.traces,
-        series: run.series,
         recovered_tasks: run.recovered_tasks,
         dead_ranks: run.dead_ranks,
         killed,
@@ -491,8 +482,8 @@ mod tests {
         let cfg = AssemblyConfig::default();
         let dist = assemble_parallel(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt);
         assert_eq!(dist.ranks.len(), 4);
-        assert_eq!(dist.ranks[0].role, "asm_master");
-        assert!(dist.ranks[1..].iter().all(|r| r.role == "asm_worker"));
+        assert_eq!(dist.ranks[0].role, "master");
+        assert!(dist.ranks[1..].iter().all(|r| r.role == "worker"));
         // Every cluster is assembled exactly once, across the workers.
         let clusters: u64 = dist.ranks[1..].iter().map(|r| r.counter(names::ASM_CLUSTERS_ASSEMBLED)).sum();
         assert_eq!(clusters as usize, clustering.num_non_singletons());

@@ -173,11 +173,6 @@ pub trait TaskSink<T: Task> {
     /// dedup). Sinks that never generate have nothing to adopt — the
     /// default no-op.
     fn adopt_scope(&mut self, _tracer: &mut Tracer, _dead_rank: usize) {}
-    /// Feed workload-specific gauges after each computed batch. The
-    /// engine calls this once per round with the rank's sampler (which
-    /// rate-limits and no-ops when disabled); the default sink has no
-    /// gauges.
-    fn sample_gauges(&mut self, _sampler: &mut pgasm_telemetry::GaugeSampler) {}
 }
 
 /// Protocol-level tallies from one master run; the client folds these
@@ -611,18 +606,6 @@ fn master_pump<T: Task, S: TaskSource<T>>(
 ) -> Result<(), CommError> {
     let p = comm.size();
     let mut ckpt_marker: u64 = 0;
-    // Protocol gauges: sampled (rate-limited) as the event pump turns,
-    // so a time-series view shows queue pressure and worker occupancy
-    // instead of only their peaks.
-    let (g_pending, g_inbox, g_out, g_parked) = {
-        let s = comm.sampler_mut();
-        (
-            s.register(names::GAUGE_PENDING_TASKS),
-            s.register(names::GAUGE_INBOX_DEPTH),
-            s.register(names::GAUGE_WORKERS_OUTSTANDING),
-            s.register(names::GAUGE_WORKERS_PARKED),
-        )
-    };
 
     loop {
         // Checkpoint on the absorbed-results clock, at a point where
@@ -647,16 +630,16 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         comm.tracer_mut().begin(TraceCategory::Master, names::EV_DISPATCH);
         m.dispatch(comm)?;
         comm.tracer_mut().end(TraceCategory::Master, names::EV_DISPATCH);
-        if comm.sampler_mut().is_enabled() {
-            // Occupancy counts are O(p); compute them only when a
-            // sampler is actually attached.
+        // Protocol gauges, rate-limited by the tracer as the pump turns:
+        // queue pressure and worker occupancy over time, not only their
+        // peaks. The occupancy counts are O(p), so only when tracing.
+        let tracer = comm.tracer_mut();
+        if tracer.is_enabled() {
             let out = m.outstanding[1..].iter().filter(|&&x| x).count() as u64;
             let parked = m.parked[1..].iter().filter(|&&x| x).count() as u64;
-            let pending = m.pending.len() as u64;
-            let s = comm.sampler_mut();
-            s.sample(g_out, out);
-            s.sample(g_parked, parked);
-            s.sample(g_pending, pending);
+            tracer.counter(TraceCategory::Master, names::GAUGE_WORKERS_OUTSTANDING, out);
+            tracer.counter(TraceCategory::Master, names::GAUGE_WORKERS_PARKED, parked);
+            tracer.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, m.pending.len() as u64);
         }
 
         if m.finished() {
@@ -683,10 +666,9 @@ fn master_pump<T: Task, S: TaskSource<T>>(
                 Event::Msg(msg) => {
                     drain_depth += 1;
                     m.on_msg(comm, &msg)?;
-                    let pending = m.pending.len() as u64;
-                    let s = comm.sampler_mut();
-                    s.sample(g_pending, pending);
-                    s.sample(g_inbox, drain_depth);
+                    let tracer = comm.tracer_mut();
+                    tracer.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, m.pending.len() as u64);
+                    tracer.counter(TraceCategory::Master, names::GAUGE_INBOX_DEPTH, drain_depth);
                 }
                 Event::Death(i) => m.on_death(comm, i),
                 Event::Quiescent => m.on_quiescent(comm),
@@ -843,7 +825,6 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
         w.put_u64(lease);
         sink.run_batch(comm.tracer_mut(), &mut batch, &mut w);
         batch.clear();
-        sink.sample_gauges(comm.sampler_mut());
         // Generate the requested number of new tasks.
         announced.clear();
         let mut active = sink.generate(comm.tracer_mut(), r, &mut announced);
@@ -1067,36 +1048,36 @@ mod tests {
     }
 
     #[test]
-    fn master_samples_protocol_gauges_when_enabled() {
-        use pgasm_telemetry::trace::TraceSpec;
+    fn master_records_protocol_gauges_on_its_track_when_traced() {
+        use pgasm_telemetry::trace::{TraceKind, TraceSpec};
         let spec = TraceSpec::with_capacity(4096);
-        let series = pgasm_mpisim::run(3, move |comm| {
+        // A seeded queue: the first sample of every gauge is recorded
+        // whatever the rate limit, and `pending_tasks` opens at the seed.
+        let seed: Vec<u32> = (0..30).map(|i| i * 2).collect();
+        let traces = pgasm_mpisim::run(3, move |comm| {
             let cfg = EngineConfig { batch: 4, pending_cap: 64 };
-            let mut sampler = spec.sampler(comm.rank(), if comm.rank() == 0 { "master" } else { "worker" });
-            sampler.set_interval_ns(0); // sample every pump turn
-            comm.set_sampler(sampler);
+            comm.set_tracer(spec.tracer(comm.rank(), if comm.rank() == 0 { "master" } else { "worker" }));
             if comm.rank() == 0 {
-                let mut source = SumSource::new();
-                run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
+                run_master(comm, &cfg, &mut SumSource::new(), seed.clone(), None).unwrap();
             } else {
-                let mut sink = toy_sink(comm.rank(), 40);
-                run_worker(comm, &cfg, &mut sink).unwrap();
+                run_worker(comm, &cfg, &mut RangeSink::default()).unwrap();
             }
-            comm.take_series()
+            comm.take_trace()
         });
-        let master = &series[0];
-        assert_eq!(master.rank, 0);
-        for gauge in [
+        let gauge = |track: &pgasm_telemetry::RankTrace, name: &str| -> Vec<u64> {
+            let samples = track.events.iter().filter(|e| e.kind == TraceKind::Counter && e.name == name);
+            samples.map(|e| e.arg("value").expect("a counter carries its value")).collect()
+        };
+        for name in [
             names::GAUGE_PENDING_TASKS,
             names::GAUGE_INBOX_DEPTH,
             names::GAUGE_WORKERS_OUTSTANDING,
             names::GAUGE_WORKERS_PARKED,
         ] {
-            let g = master.gauge(gauge).unwrap_or_else(|| panic!("{gauge} missing"));
-            assert!(!g.samples.is_empty(), "{gauge} never sampled");
+            assert!(!gauge(&traces[0], name).is_empty(), "{name} never sampled");
+            assert!(traces[1..].iter().all(|t| gauge(t, name).is_empty()), "{name} is the master's");
         }
-        // The pending queue was non-empty at some point in every run.
-        assert!(master.gauge(names::GAUGE_PENDING_TASKS).unwrap().max_value() > 0);
+        assert_eq!(gauge(&traces[0], names::GAUGE_PENDING_TASKS)[0], 30);
     }
 
     #[test]

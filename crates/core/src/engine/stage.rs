@@ -1,7 +1,7 @@
 //! The per-rank shell both engine stages run inside.
 //!
 //! [`run_stage`] owns what running *any* stage on the simulated machine
-//! takes — launching the ranks, tracer / sampler / fault-plan set-up,
+//! takes — launching the ranks, tracer / fault-plan set-up,
 //! the optional collective pre-phase with its own
 //! timed window, checkpoint resume and cadence around [`run_master`],
 //! wall / CPU / blocked accounting, and the folding of traffic, fault
@@ -17,7 +17,7 @@ use crate::checkpoint::{read_checkpoint, write_checkpoint, StageRecovery};
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommError, CommStats, CostModel};
 use pgasm_seq::wire::WireError;
 use pgasm_telemetry::trace::{RankTrace, TraceSpec};
-use pgasm_telemetry::{names, RankReport, RankSeries};
+use pgasm_telemetry::{names, RankReport};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ use std::time::Instant;
 /// layer's fault clock.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// Per-rank event tracing and gauge sampling.
+    /// Per-rank event tracing (spans, instants and gauges).
     pub trace: TraceSpec,
     /// Scripted fault injection and checkpoint/resume.
     pub recovery: StageRecovery,
@@ -41,24 +41,18 @@ impl Default for RunOpts {
 }
 
 /// Everything that distinguishes one stage's run from another's, apart
-/// from the work: pure data.
+/// from the work: pure data. A rank is the same rank in every stage —
+/// rank 0 the `"master"`, the rest `"worker"`s, its trace track id its
+/// rank — so the stages of one run merge into one channel and one
+/// timeline per rank.
 #[derive(Debug, Clone)]
 pub struct StageSpec {
     /// Stage name: the checkpoint's stage tag, and the stage named when
     /// a rank fails.
     pub name: &'static str,
-    /// Role labels of rank 0 and of ranks `1..p` (report roles and
-    /// trace track labels).
-    pub roles: [&'static str; 2],
-    /// Added to a rank id to give its trace track id, so the stages of
-    /// one run export side by side without colliding.
-    pub track_offset: usize,
     /// Report labels of the two protocol tags, in [`PROTOCOL_TAGS`]
     /// order.
     pub tag_labels: [&'static str; 2],
-    /// Whether the rank reports carry the comm layer's blocked-time
-    /// totals (`wait_ns_total`, `barrier_ns_total`).
-    pub blocked_totals: bool,
     /// Protocol shape.
     pub engine: EngineConfig,
 }
@@ -133,8 +127,6 @@ pub struct StageRun<O> {
     pub ranks: Vec<RankReport>,
     /// Per-rank event traces (empty tracks when tracing was off).
     pub traces: Vec<RankTrace>,
-    /// Per-rank gauge time series (empty when tracing was off).
-    pub series: Vec<RankSeries>,
     /// Tasks re-queued from dead workers' leases.
     pub recovered_tasks: u64,
     /// Worker ranks the master marked dead.
@@ -154,7 +146,6 @@ struct RankRun<O> {
     comm: CommStats,
     report: RankReport,
     trace: RankTrace,
-    series: RankSeries,
     master: MasterReport,
 }
 
@@ -174,9 +165,8 @@ pub fn run_stage<C: StageClient>(
     let (trace, recovery) = (opts.trace, &opts.recovery);
     let ranks = pgasm_mpisim::run(p, move |comm| -> Result<RankRun<C::Output>, CommError> {
         let rank = comm.rank();
-        let role = spec.roles[usize::from(rank != 0)];
-        comm.set_tracer(trace.tracer(spec.track_offset + rank, role));
-        comm.set_sampler(trace.sampler(spec.track_offset + rank, role));
+        let role = if rank == 0 { "master" } else { "worker" };
+        comm.set_tracer(trace.tracer(rank, role));
         // Arm scripted failures before any traffic. The fault clock
         // ticks on point-to-point events only, so a pre-phase made of
         // collectives runs untouched and a scripted kill lands inside
@@ -232,12 +222,10 @@ pub fn run_stage<C: StageClient>(
         }
         let mut counters: BTreeMap<String, u64> =
             client_counters.into_iter().map(|(name, value)| (name.to_string(), value)).collect();
-        // Blocked totals cover the whole rank body: the trace-derived
-        // idle-gap histograms are checked against them.
-        if spec.blocked_totals {
-            counters.insert(names::WAIT_NS_TOTAL.to_string(), after.wait_ns);
-            counters.insert(names::BARRIER_NS_TOTAL.to_string(), after.barrier_ns);
-        }
+        // Blocked totals cover the whole rank body: the traced `wait`
+        // and `barrier` spans are checked against them.
+        counters.insert(names::WAIT_NS_TOTAL.to_string(), after.wait_ns);
+        counters.insert(names::BARRIER_NS_TOTAL.to_string(), after.barrier_ns);
         // Recovery and injected-fault tallies: only the nonzero ones,
         // so fault-free runs keep byte-identical reports.
         let fs = comm.fault_stats();
@@ -272,10 +260,8 @@ pub fn run_stage<C: StageClient>(
                 idle_seconds: blocked,
                 counters,
                 comm: comm_rows,
-                idle_gaps: None,
             },
             trace: comm.take_trace(),
-            series: comm.take_series(),
             master,
         })
     });
@@ -290,7 +276,6 @@ pub fn run_stage<C: StageClient>(
         comm: Vec::with_capacity(p),
         ranks: Vec::with_capacity(p),
         traces: Vec::with_capacity(p),
-        series: Vec::with_capacity(p),
         recovered_tasks: 0,
         dead_ranks: 0,
         killed: false,
@@ -311,7 +296,6 @@ pub fn run_stage<C: StageClient>(
         run.comm.push(r.comm);
         run.ranks.push(r.report);
         run.traces.push(r.trace);
-        run.series.push(r.series);
     }
     run
 }

@@ -46,7 +46,7 @@ use pgasm_mpisim::{Comm, CommStats};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
-use pgasm_telemetry::{names, GaugeSampler, RankReport, RankSeries};
+use pgasm_telemetry::{names, RankReport};
 use std::collections::VecDeque;
 
 /// Master–worker *runtime* configuration: protocol knobs only. What to
@@ -97,12 +97,10 @@ pub struct ParallelClusterReport {
     /// counters (pairs generated/aligned/accepted, batch round-trips,
     /// peak queue depth), and per-tag traffic with modelled α–β time.
     pub ranks: Vec<RankReport>,
-    /// Per-rank event traces covering the whole run (GST + clustering);
-    /// empty tracks when tracing was off.
+    /// Per-rank event traces covering the whole stage (GST +
+    /// clustering; spans, instants and the queue-depth / occupancy /
+    /// align-scratch gauges); empty tracks when tracing was off.
     pub traces: Vec<RankTrace>,
-    /// Per-rank gauge time series (queue depths, worker occupancy,
-    /// align scratch); empty when tracing was off.
-    pub series: Vec<RankSeries>,
     /// Tasks re-queued from dead workers' leases (0 in fault-free runs).
     pub recovered_tasks: u64,
     /// Worker ranks the master marked dead during the run.
@@ -180,7 +178,6 @@ pub fn cluster_parallel_with(
         cpu_seconds: run.cpu_seconds,
         ranks: run.ranks,
         traces: run.traces,
-        series: run.series,
         recovered_tasks: run.recovered_tasks,
         dead_ranks: run.dead_ranks,
         killed: run.killed,
@@ -191,10 +188,7 @@ pub fn cluster_parallel_with(
 fn stage_spec(config: &MasterWorkerConfig) -> StageSpec {
     StageSpec {
         name: STAGE_CLUSTER,
-        roles: ["master", "worker"],
-        track_offset: 0,
         tag_labels: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
-        blocked_totals: true,
         engine: EngineConfig { batch: config.batch, pending_cap: config.pending_cap },
     }
 }
@@ -538,6 +532,11 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
                 ("saved", self.saved_delta),
             );
         }
+        tracer.counter(
+            TraceCategory::Align,
+            names::GAUGE_ALIGN_SCRATCH_BYTES,
+            self.scratch.high_water_bytes(),
+        );
         // The result body: per-pair verdicts, then the round's DP-cell
         // / early-exit / skipped-traceback deltas.
         w.put_u32(checked_len(self.results.len()));
@@ -594,13 +593,6 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         let gst = Gst::build_from_sorted(store, &suffixes, params.gst);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
-    }
-
-    fn sample_gauges(&mut self, sampler: &mut GaugeSampler) {
-        if sampler.is_enabled() {
-            let id = sampler.register(names::GAUGE_ALIGN_SCRATCH_BYTES);
-            sampler.sample(id, self.scratch.high_water_bytes());
-        }
     }
 }
 
@@ -1022,14 +1014,17 @@ mod tests {
                 "simd_lanes",
             ],
         ]);
-        let asm_master = names(&[&["asm_batches_dispatched", "asm_peak_queue_depth"]]);
-        let asm_worker = names(&[&[
-            "asm_batch_round_trips",
-            "asm_clusters_assembled",
-            "asm_contig_bases",
-            "asm_cost_units",
-            "asm_reads_assembled",
-        ]]);
+        let asm_master = names(&[&COMM, &["asm_batches_dispatched", "asm_peak_queue_depth"]]);
+        let asm_worker = names(&[
+            &COMM,
+            &[
+                "asm_batch_round_trips",
+                "asm_clusters_assembled",
+                "asm_contig_bases",
+                "asm_cost_units",
+                "asm_reads_assembled",
+            ],
+        ]);
 
         let (store, p) = (test_store(), 3);
         let opts = RunOpts { trace: TraceSpec::on(), ..RunOpts::default() };
@@ -1043,33 +1038,19 @@ mod tests {
             AssignPolicy::Lpt,
             &opts,
         );
-        type Pinned<'a> =
-            (&'a [RankReport], &'a [RankTrace], [&'a str; 2], [&'a Vec<String>; 2], usize, [&'a str; 2]);
+        type Pinned<'a> = (&'a [RankReport], &'a [RankTrace], [&'a Vec<String>; 2], [&'a str; 2]);
         let stages: [Pinned<'_>; 2] = [
-            (
-                &c.ranks,
-                &c.traces,
-                ["master", "worker"],
-                [&cluster_master, &cluster_worker],
-                0,
-                ["w2m_report", "m2w_grant"],
-            ),
-            (
-                &a.ranks,
-                &a.traces,
-                ["asm_master", "asm_worker"],
-                [&asm_master, &asm_worker],
-                p + 1,
-                ["asm_w2m_report", "asm_m2w_grant"],
-            ),
+            (&c.ranks, &c.traces, [&cluster_master, &cluster_worker], ["w2m_report", "m2w_grant"]),
+            (&a.ranks, &a.traces, [&asm_master, &asm_worker], ["asm_w2m_report", "asm_m2w_grant"]),
         ];
-        for (ranks, traces, roles, counters, track_offset, labels) in stages {
+        for (ranks, traces, counters, labels) in stages {
             assert_eq!(ranks.len(), p);
             let mut seen = std::collections::BTreeMap::new();
             for (rank, (r, t)) in ranks.iter().zip(traces).enumerate() {
                 let role = usize::from(rank != 0);
-                assert_eq!((r.rank, r.role.as_str()), (rank, roles[role]));
-                assert_eq!((t.rank, t.label.as_str()), (track_offset + rank, roles[role]));
+                // A rank is the same rank, role and track in every stage.
+                assert_eq!((r.rank, r.role.as_str()), (rank, ["master", "worker"][role]));
+                assert_eq!((t.rank, t.label.as_str()), (rank, ["master", "worker"][role]));
                 assert_eq!(&r.counters.keys().cloned().collect::<Vec<_>>(), counters[role], "{}", r.role);
                 seen.extend(r.comm.iter().filter(|t| t.tag <= 2).map(|t| (t.tag, t.label.clone())));
             }

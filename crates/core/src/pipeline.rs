@@ -43,7 +43,8 @@ pub struct PipelineConfig {
     pub assembly_threads: usize,
     /// Per-rank event tracing for the run ([`TraceSpec::off`] by
     /// default). When on, the run's traces are collected into the
-    /// [`RunContext`] for Chrome-trace export and idle-gap attribution.
+    /// [`RunContext`] — one track per rank plus the pipeline's own — for
+    /// Chrome-trace export and `pgasm analyze`.
     pub trace: TraceSpec,
     /// Directory for the content-addressed artifact cache; `None`
     /// disables caching. Repeated runs over identical inputs and
@@ -345,10 +346,9 @@ impl Stage for ClusterStage<'_> {
                     cpu_seconds: report.cpu_seconds.iter().sum(),
                     children: Vec::new(),
                 });
-                ctx.set_ranks(report.ranks);
+                ctx.merge_ranks(report.ranks);
                 if self.config.trace.enabled {
-                    ctx.set_traces(report.traces);
-                    ctx.add_series(report.series);
+                    ctx.merge_traces(report.traces);
                 }
                 let mut gst = GstStats::default();
                 for rank in &report.gst_reports {
@@ -484,16 +484,14 @@ impl Stage for AssembleStage<'_> {
                     cpu_seconds: report.cpu_seconds.iter().sum(),
                     children: Vec::new(),
                 });
-                // The assemble phase ran on the same rank ids as
-                // clustering: fold its channels into the existing
-                // per-rank entries (counters sum, comm rows append
-                // under this phase's tag labels).
+                // The assemble stage ran on the same ranks as
+                // clustering: fold its channels and tracks into the
+                // ones those ranks already have (counters sum, comm
+                // rows append under this stage's tag labels, events
+                // append in time order).
                 ctx.merge_ranks(report.ranks);
                 if self.config.trace.enabled {
-                    for track in report.traces {
-                        ctx.add_trace(track);
-                    }
-                    ctx.add_series(report.series);
+                    ctx.merge_traces(report.traces);
                 }
                 report.assemblies
             }
@@ -642,19 +640,17 @@ impl Pipeline {
         // boundaries, on a rank id past the parallel section's ranks so
         // the tracks never collide.
         let mut tracer = self.config.trace.tracer(self.config.parallel_ranks.unwrap_or(0), "pipeline");
-        // Cache traffic accrues at stage granularity, so the pipeline's
-        // own gauge is fed at stage boundaries (forced samples — a few
-        // points per run, each one meaningful).
-        let mut sampler = self.config.trace.sampler(self.config.parallel_ranks.unwrap_or(0), "pipeline");
-        let g_cache = sampler.register(names::GAUGE_CACHE_BYTES);
         for stage in &stages[..if assemble { 3 } else { 2 }] {
             tracer.begin(TraceCategory::Stage, stage.name());
             ctx.push(stage.name());
             stage.run(&mut state, ctx);
             let (wall, _cpu) = ctx.pop();
             tracer.end(TraceCategory::Stage, stage.name());
-            sampler.sample_now(
-                g_cache,
+            // Cache traffic accrues at stage granularity, so its gauge
+            // is fed at stage boundaries.
+            tracer.counter(
+                TraceCategory::Stage,
+                names::GAUGE_CACHE_BYTES,
                 ctx.counter(names::CACHE_BYTES_READ) + ctx.counter(names::CACHE_BYTES_WRITTEN),
             );
             state.stage_seconds.push((stage.name(), wall));
@@ -666,8 +662,7 @@ impl Pipeline {
             }
         }
         if self.config.trace.enabled {
-            ctx.add_trace(tracer.finish());
-            ctx.add_series([sampler.take()]);
+            ctx.merge_traces(vec![tracer.finish()]);
         }
 
         let (preprocess_seconds, cluster_seconds, assembly_seconds) =

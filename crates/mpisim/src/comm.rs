@@ -5,7 +5,7 @@ use crate::model::{CommStats, CostModel};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
-use pgasm_telemetry::{names, GaugeSampler, RankSeries, TagStat};
+use pgasm_telemetry::{names, TagStat};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -112,7 +112,6 @@ pub struct Comm {
     stats: CommStats,
     tag_traffic: BTreeMap<u32, TagTraffic>,
     tracer: Tracer,
-    sampler: GaugeSampler,
     /// Armed fault plan for this rank (`None` = fault-free run: the
     /// fault clock does not exist and nothing is injected).
     faults: Option<FaultRuntime>,
@@ -174,7 +173,7 @@ impl Comm {
 
     /// The rank's tracer, for layers above the comm substrate (the
     /// master–worker protocol, GST phases) to record their own events
-    /// onto the same track.
+    /// and gauges onto the same track.
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
     }
@@ -183,25 +182,6 @@ impl Comm {
     /// behind. Call at the end of the rank body.
     pub fn take_trace(&mut self) -> RankTrace {
         std::mem::replace(&mut self.tracer, Tracer::disabled()).finish()
-    }
-
-    /// Install a periodic gauge sampler for this rank. Like the tracer,
-    /// the default is disabled (one branch per would-be sample); layers
-    /// above register their gauges via [`Comm::sampler_mut`].
-    pub fn set_sampler(&mut self, sampler: GaugeSampler) {
-        self.sampler = sampler;
-    }
-
-    /// The rank's gauge sampler, for layers above the comm substrate to
-    /// register and feed their own gauges on the same time base.
-    pub fn sampler_mut(&mut self) -> &mut GaugeSampler {
-        &mut self.sampler
-    }
-
-    /// Take the rank's recorded gauge series out, leaving a disabled
-    /// sampler behind. Call at the end of the rank body.
-    pub fn take_series(&mut self) -> RankSeries {
-        self.sampler.take()
     }
 
     /// Arm `plan` on this rank. Every rank of the world must arm the
@@ -647,7 +627,6 @@ where
             stats: CommStats::default(),
             tag_traffic: BTreeMap::new(),
             tracer: Tracer::disabled(),
-            sampler: GaugeSampler::disabled(),
             faults: None,
             dead_peers: vec![false; p],
             pending_deaths: VecDeque::new(),

@@ -11,8 +11,8 @@
 //! - **Happens-before edges**: every `send` instant (args `tag`,
 //!   `bytes`, `to`) is paired with the matching `recv` instant (args
 //!   `tag`, `from`) by per-`(src, dst, tag)` FIFO order — exact,
-//!   because the simulated transport preserves per-sender FIFO
-//!   end-to-end, envelopes included.
+//!   because the simulated transport preserves per-sender FIFO and a
+//!   rank's track id is its comm rank in every stage of the run.
 //! - **Wall-time attribution** per rank: `{compute, wait_blocked,
 //!   barrier, comm_modelled, idle_unattributed}`, built from span
 //!   interval unions so the categories sum to the rank's measured wall
@@ -29,8 +29,8 @@
 
 use crate::json::Json;
 use crate::report::RunReport;
-use crate::trace::{RankTrace, TraceKind, COUNTER_TID_OFFSET};
-use std::collections::BTreeMap;
+use crate::trace::{RankTrace, TraceKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Event shape in analyzer form (names/categories owned, since they
 /// come back out of JSON).
@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 pub struct AEvent {
     /// Nanoseconds since the run epoch.
     pub ts_ns: u64,
-    /// Begin / End / Instant.
+    /// Begin / End / Instant / Counter.
     pub kind: TraceKind,
     /// Category label (`"comm"`, `"master"`, …).
     pub cat: String,
@@ -102,17 +102,14 @@ impl ATrack {
 
 /// Parse a Chrome trace-event document (as written by
 /// [`crate::Trace::to_chrome_json`]) back into analyzer tracks.
-/// Counter tracks (`ph: "C"`, offset tids) and metadata are folded in
-/// as labels; span/instant events become [`AEvent`]s.
+/// `thread_name` metadata becomes the track label; span, instant and
+/// counter events become [`AEvent`]s (a counter's `value` is an arg).
 pub fn parse_chrome_trace(doc: &Json) -> Result<Vec<ATrack>, String> {
     let events = doc.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents array")?;
     let mut tracks: BTreeMap<u64, ATrack> = BTreeMap::new();
     for (n, e) in events.iter().enumerate() {
         let ph = e.get("ph").and_then(Json::as_str).ok_or(format!("event {n}: missing ph"))?;
         let tid = e.get("tid").and_then(Json::as_u64).ok_or(format!("event {n}: missing tid"))?;
-        if tid >= COUNTER_TID_OFFSET as u64 {
-            continue; // gauge counter tracks are not event timelines
-        }
         let track = tracks.entry(tid).or_insert_with(|| ATrack {
             rank: tid,
             label: String::new(),
@@ -129,6 +126,7 @@ pub fn parse_chrome_trace(doc: &Json) -> Result<Vec<ATrack>, String> {
             "B" => TraceKind::Begin,
             "E" => TraceKind::End,
             "i" => TraceKind::Instant,
+            "C" => TraceKind::Counter,
             other => return Err(format!("event {n}: unknown ph '{other}'")),
         };
         let ts_us = e.get("ts").and_then(Json::as_f64).ok_or(format!("event {n}: missing ts"))?;
@@ -469,16 +467,69 @@ pub struct Analysis {
     pub edges_unpaired: u64,
 }
 
-/// Map a numeric tag to the label the metrics report gave it (the
-/// per-tag comm rows carry both), falling back to `tag N`.
-fn tag_label(metrics: Option<&RunReport>, tag: u64) -> String {
-    metrics
-        .into_iter()
-        .flat_map(|m| m.ranks.iter())
-        .flat_map(|r| r.comm.iter())
-        .find(|t| t.tag as u64 == tag)
-        .map(|t| t.label.clone())
-        .unwrap_or_else(|| format!("tag {tag}"))
+/// The pipeline track's `stage` spans as `(name, start, end)`, in time
+/// order (stages run one after the other).
+fn stage_windows(tracks: &[ATrack]) -> Vec<(&str, u64, u64)> {
+    let mut windows = Vec::new();
+    let mut open: BTreeMap<&str, u64> = BTreeMap::new();
+    let pipeline = tracks.iter().find(|t| t.label == "pipeline");
+    for e in pipeline.iter().flat_map(|t| &t.events).filter(|e| e.cat == "stage") {
+        match e.kind {
+            TraceKind::Begin => {
+                open.insert(&e.name, e.ts_ns);
+            }
+            TraceKind::End => {
+                if let Some(start) = open.remove(e.name.as_str()) {
+                    windows.push((e.name.as_str(), start, e.ts_ns));
+                }
+            }
+            TraceKind::Instant | TraceKind::Counter => {}
+        }
+    }
+    windows
+}
+
+/// Numeric tag → the label the metrics report gave it, per stage. Both
+/// engine stages use tags 1 and 2 and a rank's comm rows append in
+/// stage order, so the k-th label a tag carries in the report belongs
+/// to the k-th stage window the tag was seen in. Without a metrics
+/// report every label is `tag N`; without a pipeline track the whole
+/// trace is one window.
+struct TagLabels {
+    /// Per tag: `(window start, label)` of each stage it was used in.
+    by_tag: BTreeMap<u64, Vec<(u64, String)>>,
+}
+
+impl TagLabels {
+    fn new(edges: &[HbEdge], windows: &[(&str, u64, u64)], metrics: Option<&RunReport>) -> TagLabels {
+        let mut labels: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+        for row in metrics.iter().flat_map(|m| &m.ranks).flat_map(|r| &r.comm) {
+            let known = labels.entry(row.tag as u64).or_default();
+            if !known.contains(&row.label.as_str()) {
+                known.push(&row.label);
+            }
+        }
+        let mut seen: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+        for ed in edges {
+            let window = windows.iter().find(|w| (w.1..=w.2).contains(&ed.send_ts_ns));
+            seen.entry(ed.tag).or_default().insert(window.map_or(0, |w| w.1));
+        }
+        let by_tag = seen
+            .into_iter()
+            .filter_map(|(tag, starts)| {
+                let named = starts.into_iter().zip(labels.get(&tag)?).map(|(s, l)| (s, l.to_string()));
+                Some((tag, named.collect()))
+            })
+            .collect();
+        TagLabels { by_tag }
+    }
+
+    /// Label of `tag` for an interval starting at `ts`.
+    fn label(&self, tag: u64, ts: u64) -> String {
+        let stages = self.by_tag.get(&tag).map(Vec::as_slice).unwrap_or_default();
+        let stage = stages.iter().rev().find(|(start, _)| *start <= ts).or(stages.first());
+        stage.map_or_else(|| format!("tag {tag}"), |(_, label)| label.clone())
+    }
 }
 
 /// Run the analysis over parsed tracks plus the optional metrics
@@ -516,7 +567,7 @@ pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> 
                         work.push((open_at, e.ts_ns));
                     }
                 }
-                TraceKind::Instant => {}
+                TraceKind::Instant | TraceKind::Counter => {}
             }
         }
         let work = merge_intervals(work);
@@ -546,64 +597,32 @@ pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> 
     ranks.sort_by_key(|r| r.rank);
 
     // ---- per-stage rollup -------------------------------------------
+    let windows = stage_windows(tracks);
     let mut stages = Vec::new();
-    if let Some(pipeline) = tracks.iter().find(|t| t.label == "pipeline") {
-        let mut open: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in &pipeline.events {
-            if e.cat != "stage" {
-                continue;
-            }
-            match e.kind {
-                TraceKind::Begin => {
-                    open.insert(e.name.as_str(), e.ts_ns);
+    for &(name, start, end) in &windows {
+        let clip = |s: u64, t: u64| t.min(end).saturating_sub(s.max(start));
+        let mut st = StageAttribution { stage: name.to_string(), wall_ns: end - start, ..Default::default() };
+        for t in tracks.iter().filter(|t| t.label != "pipeline") {
+            let mut blocked_in = 0;
+            for b in &blocked[&t.rank] {
+                let len = clip(b.start_ns, b.end_ns);
+                blocked_in += len;
+                if b.barrier {
+                    st.barrier_ns += len;
+                } else {
+                    st.wait_blocked_ns += len;
                 }
-                TraceKind::End => {
-                    let Some(start) = open.remove(e.name.as_str()) else { continue };
-                    let window = (start, e.ts_ns);
-                    let clip = |s: u64, t: u64| -> u64 {
-                        let (cs, ce) = (s.max(window.0), t.min(window.1));
-                        ce.saturating_sub(cs)
-                    };
-                    let mut st = StageAttribution {
-                        stage: e.name.clone(),
-                        wall_ns: window.1 - window.0,
-                        ..Default::default()
-                    };
-                    for t in tracks {
-                        if t.label == "pipeline" {
-                            continue;
-                        }
-                        for b in &blocked[&t.rank] {
-                            let len = clip(b.start_ns, b.end_ns);
-                            if b.barrier {
-                                st.barrier_ns += len;
-                            } else {
-                                st.wait_blocked_ns += len;
-                            }
-                        }
-                    }
-                    for r in &ranks {
-                        // Approximate per-stage compute by clipping the
-                        // rank's active range to the window, minus its
-                        // blocked time in the window.
-                        let track = tracks.iter().find(|t| t.rank == r.rank).unwrap();
-                        if track.label == "pipeline" {
-                            continue;
-                        }
-                        let active = clip(track.first_ts(), track.last_ts());
-                        let blocked_in: u64 =
-                            blocked[&r.rank].iter().map(|b| clip(b.start_ns, b.end_ns)).sum();
-                        st.compute_ns += active.saturating_sub(blocked_in);
-                    }
-                    stages.push(st);
-                }
-                TraceKind::Instant => {}
             }
+            // Approximate per-stage compute by clipping the rank's
+            // active range to the window, minus its blocked time there.
+            st.compute_ns += clip(t.first_ts(), t.last_ts()).saturating_sub(blocked_in);
         }
+        stages.push(st);
     }
 
     // ---- critical path ----------------------------------------------
-    let critical_path = critical_path(tracks, &blocked, &edges, metrics);
+    let labels = &TagLabels::new(&edges, &windows, metrics);
+    let critical_path = critical_path(tracks, &blocked, &edges, labels);
 
     // ---- ranked idle gaps -------------------------------------------
     let mut top_gaps: Vec<IdleGap> = blocked
@@ -617,7 +636,7 @@ pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> 
                     "barrier".to_string()
                 } else {
                     match b.awaited_tag {
-                        Some(tag) => tag_label(metrics, tag),
+                        Some(tag) => labels.label(tag, b.start_ns),
                         None => "unknown".to_string(),
                     }
                 },
@@ -634,7 +653,6 @@ pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> 
 /// compute segments).
 fn enclosing_span(track: &ATrack, ts: u64) -> Option<String> {
     let mut stack: Vec<&str> = Vec::new();
-    let mut best: Option<String> = None;
     for e in &track.events {
         if e.ts_ns > ts {
             break;
@@ -647,35 +665,21 @@ fn enclosing_span(track: &ATrack, ts: u64) -> Option<String> {
             TraceKind::End => {
                 stack.pop();
             }
-            TraceKind::Instant => {}
+            TraceKind::Instant | TraceKind::Counter => {}
         }
-        best = stack.last().map(|s| s.to_string()).or(best);
     }
-    if stack.is_empty() {
-        None
-    } else {
-        stack.last().map(|s| s.to_string())
-    }
+    stack.last().map(|s| s.to_string())
 }
 
 fn critical_path(
     tracks: &[ATrack],
     blocked: &BTreeMap<u64, Vec<Blocked>>,
     edges: &[HbEdge],
-    metrics: Option<&RunReport>,
+    labels: &TagLabels,
 ) -> Vec<PathSegment> {
-    // Barrier matching: the k-th barrier of a track pairs with the k-th
-    // barrier of every other track in the same communicator group.
-    // Groups are phase worlds, identified by label: the assembly phase
-    // tracks are "asm_*", the clustering phase's are the rest (the
-    // pipeline track holds no barriers).
-    let group_of = |label: &str| -> usize {
-        if label.starts_with("asm_") {
-            1
-        } else {
-            0
-        }
-    };
+    // Barrier matching: every rank passes the same barriers in the same
+    // order, so the k-th barrier of a track pairs with the k-th barrier
+    // of every other track (the pipeline track holds none).
     // The path terminates on the latest-ending *protocol participant* —
     // a track with comm events or blocked intervals. An umbrella track
     // (the pipeline's, which wraps every stage and never blocks) would
@@ -730,10 +734,9 @@ fn critical_path(
         }
         let (next_rank, next_ts, seg) = if b.barrier {
             // Jump to the last rank entering this barrier instance.
-            let grp = group_of(&track.label);
             let last_in = tracks
                 .iter()
-                .filter(|t| t.rank != rank && group_of(&t.label) == grp)
+                .filter(|t| t.rank != rank)
                 .filter_map(|t| {
                     blocked[&t.rank]
                         .iter()
@@ -785,7 +788,7 @@ fn critical_path(
                         kind: "comm".into(),
                         start_ns: ed.send_ts_ns,
                         end_ns: b.end_ns,
-                        label: tag_label(metrics, ed.tag),
+                        label: labels.label(ed.tag, b.start_ns),
                     },
                 ),
                 _ => (
@@ -797,7 +800,7 @@ fn critical_path(
                         start_ns: b.start_ns,
                         end_ns: b.end_ns,
                         label: match b.awaited_tag {
-                            Some(t) => tag_label(metrics, t),
+                            Some(t) => labels.label(t, b.start_ns),
                             None => "wait".into(),
                         },
                     },
@@ -914,16 +917,14 @@ mod tests {
     use crate::names;
     use crate::trace::{TraceCategory, TraceSpec};
 
+    fn ev(ts_ns: u64, kind: TraceKind, cat: &str, name: &str, args: &[(&str, u64)]) -> AEvent {
+        let args = args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        AEvent { ts_ns, kind, cat: cat.into(), name: name.into(), args }
+    }
+
     /// Build a synthetic two-rank track pair: rank 0 computes then
     /// sends to rank 1, which waited for it.
     fn synthetic_tracks() -> Vec<ATrack> {
-        let ev = |ts, kind, cat: &str, name: &str, args: &[(&str, u64)]| AEvent {
-            ts_ns: ts,
-            kind,
-            cat: cat.into(),
-            name: name.into(),
-            args: args.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        };
         let t0 = ATrack {
             rank: 0,
             label: "master".into(),
@@ -1021,6 +1022,94 @@ mod tests {
         assert_eq!(a.top_gaps[0].blame, "tag 4");
     }
 
+    /// Two ranks passing one token back and forth, twice in a `cluster`
+    /// stage window and once in an `assemble` one, both stages using
+    /// tag 1 under their own label.
+    fn ping_pong() -> (Vec<ATrack>, RunReport) {
+        use TraceKind::{Begin, End, Instant};
+        let work = |from, to| {
+            [ev(from, Begin, "align", "align_batch", &[]), ev(to, End, "align", "align_batch", &[])]
+        };
+        let wait = |from, to| [ev(from, Begin, "comm", "wait", &[]), ev(to, End, "comm", "wait", &[])];
+        let send = |ts, to| ev(ts, Instant, "comm", "send", &[("tag", 1), ("to", to)]);
+        let recv = |ts, from| ev(ts, Instant, "comm", "recv", &[("tag", 1), ("from", from)]);
+        let r0: [&[AEvent]; 6] = [
+            &work(0, 100),
+            &[send(100, 1)],
+            &wait(100, 210),
+            &[recv(210, 1)],
+            &work(220, 350),
+            &[send(350, 1)],
+        ];
+        let r1: [&[AEvent]; 7] = [
+            &wait(0, 110),
+            &[recv(110, 0)],
+            &work(110, 200),
+            &[send(200, 0)],
+            &wait(220, 360),
+            &[recv(360, 0)],
+            &work(360, 450),
+        ];
+        let stages = [
+            ev(0, Begin, "stage", "cluster", &[]),
+            ev(215, End, "stage", "cluster", &[]),
+            ev(215, Begin, "stage", "assemble", &[]),
+            ev(460, End, "stage", "assemble", &[]),
+        ];
+        let tracks = vec![
+            ATrack { rank: 0, label: "master".into(), events: r0.concat() },
+            ATrack { rank: 1, label: "worker".into(), events: r1.concat() },
+            ATrack { rank: 2, label: "pipeline".into(), events: stages.to_vec() },
+        ];
+        let row = |label: &str| crate::TagStat {
+            tag: 1,
+            label: label.into(),
+            msgs_sent: 1,
+            bytes_sent: 0,
+            msgs_recv: 1,
+            bytes_recv: 0,
+            modelled_seconds: 0.0,
+        };
+        let rank =
+            crate::RankReport { comm: vec![row("w2m_report"), row("asm_w2m_report")], ..Default::default() };
+        let metrics = RunReport {
+            schema_version: crate::SCHEMA_VERSION,
+            label: "ping-pong".into(),
+            spans: Vec::new(),
+            counters: BTreeMap::new(),
+            ranks: vec![rank],
+            faults: None,
+        };
+        (tracks, metrics)
+    }
+
+    #[test]
+    fn ping_pong_path_alternates_ranks_and_blames_each_stages_own_label() {
+        let (tracks, metrics) = ping_pong();
+        let a = analyze(&tracks, Some(&metrics), 5);
+        assert_eq!((a.edges_paired, a.edges_unpaired), (3, 0));
+        let path: Vec<(&str, u64, u64, &str)> =
+            a.critical_path.iter().map(|s| (s.kind.as_str(), s.rank, s.end_ns, s.label.as_str())).collect();
+        // Every message moves the path to the rank that sent it, and it
+        // ends on the rank that computed last.
+        let expected = [
+            ("compute", 0, 100, "align_batch"),
+            ("comm", 1, 110, "w2m_report"),
+            ("compute", 1, 200, "align_batch"),
+            ("comm", 0, 210, "w2m_report"),
+            ("compute", 0, 350, "align_batch"),
+            ("comm", 1, 360, "asm_w2m_report"),
+            ("compute", 1, 450, "align_batch"),
+        ];
+        assert_eq!(path, expected);
+        // The same wait, ranked as a gap, carries the same blame.
+        let blame = |start| a.top_gaps.iter().find(|g| g.start_ns == start).map(|g| g.blame.as_str());
+        assert_eq!((blame(100), blame(220)), (Some("w2m_report"), Some("asm_w2m_report")));
+        // Without the metrics report a tag has no name in any stage.
+        let bare = analyze(&tracks, None, 5);
+        assert!(bare.critical_path.iter().filter(|s| s.kind == "comm").all(|s| s.label == "tag 1"));
+    }
+
     #[test]
     fn barrier_hops_to_the_last_arriving_rank() {
         let ev = |ts, kind, cat: &str, name: &str| AEvent {
@@ -1070,6 +1159,7 @@ mod tests {
         let mut a = spec.tracer(0, "master");
         let mut b = spec.tracer(1, "worker");
         a.begin(TraceCategory::Master, names::EV_DISPATCH);
+        a.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, 9);
         a.instant_args3(TraceCategory::Comm, names::EV_SEND, ("tag", 2), ("bytes", 32), ("to", 1));
         a.end(TraceCategory::Master, names::EV_DISPATCH);
         b.begin(TraceCategory::Comm, names::EV_WAIT);
@@ -1080,6 +1170,12 @@ mod tests {
         let tracks = parse_chrome_trace(&parsed).unwrap();
         assert_eq!(tracks.len(), 2);
         assert_eq!(tracks[0].label, "master");
+        // The gauge sample sits on its rank's track, inside the span it
+        // was taken in, and takes no part in span pairing.
+        let gauge = &tracks[0].events[1];
+        assert_eq!((gauge.kind, gauge.arg("value")), (TraceKind::Counter, Some(9)));
+        assert_eq!(enclosing_span(&tracks[0], gauge.ts_ns).as_deref(), Some("dispatch"));
+        assert!(analyze(&tracks, None, 5).max_coverage_error() < 1e-9);
         let (edges, unpaired) = pair_edges(&tracks);
         assert_eq!(edges.len(), 1);
         assert_eq!(unpaired, 0);

@@ -9,7 +9,11 @@
 //!   accepted, DP cells, …);
 //! - **rank channels**: per-rank compute/idle time, rank-local
 //!   counters, and per-tag communication rows ([`RankReport`],
-//!   [`TagStat`]).
+//!   [`TagStat`]);
+//! - **traces**: one time-resolved event track per rank ([`Tracer`] →
+//!   [`RankTrace`]: spans, instants, gauge counters), exported for
+//!   Perfetto ([`Trace`]) and read back by [`analyze`] — the one place
+//!   anything is derived from a trace.
 //!
 //! [`RunContext::finish`] folds everything into a [`RunReport`], which
 //! serializes to a stable JSON document (and parses back — reports are
@@ -24,15 +28,11 @@ pub mod cpu;
 pub mod json;
 pub mod names;
 pub mod report;
-pub mod series;
 pub mod span;
 pub mod trace;
 
 pub use cpu::thread_cpu_seconds;
 pub use json::{Json, JsonError};
-pub use report::{FaultSummary, RankReport, RunReport, TagStat, TraceSummary, SCHEMA_VERSION};
-pub use series::{GaugeId, GaugeSampler, GaugeSeries, RankSeries};
+pub use report::{FaultSummary, RankReport, RunReport, TagStat, SCHEMA_VERSION};
 pub use span::{RunContext, Span};
-pub use trace::{
-    IdleGapHistogram, RankTrace, Trace, TraceCategory, TraceEvent, TraceKind, TraceSpec, Tracer,
-};
+pub use trace::{RankTrace, Trace, TraceCategory, TraceEvent, TraceKind, TraceSpec, Tracer};

@@ -58,6 +58,10 @@ pub const ASSEMBLED_CLUSTERS: &str = "assembled_clusters";
 /// Contigs produced across all clusters.
 pub const CONTIGS: &str = "contigs";
 
+/// Trace events discarded on ring overflow, over all tracks (traced
+/// runs only).
+pub const TRACE_EVENTS_DROPPED: &str = "trace_events_dropped";
+
 // ---- artifact-cache counters ----------------------------------------------
 
 /// Artifact-cache lookups that returned a valid, matching entry.
@@ -150,7 +154,7 @@ pub const TAG_ASM_M2W_GRANT: &str = "asm_m2w_grant";
 /// Death notice a dying rank broadcasts to every peer.
 pub const TAG_DEATH: &str = "death";
 
-// ---- gauge (time-series) names --------------------------------------------
+// ---- gauge names (counter events on the owner's track) ---------------------
 
 /// Depth of the master's pending-task buffer at sample time.
 pub const GAUGE_PENDING_TASKS: &str = "pending_tasks";

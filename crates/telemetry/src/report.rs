@@ -4,16 +4,14 @@
 
 use crate::json::{Json, JsonError};
 use crate::span::Span;
-use crate::trace::IdleGapHistogram;
 use std::collections::BTreeMap;
 
 /// Version of the `pgasm.run_report` JSON schema this crate writes and
-/// reads. The optional sections (`trace`, `series`, `faults`, per-rank
-/// `idle_gaps`) are omitted when a run has nothing to put in them and
-/// parse back as absent; fields a parser does not know are ignored. A
-/// document that does not declare a `schema_version` is not a run
-/// report.
-pub const SCHEMA_VERSION: u32 = 4;
+/// reads. The optional `faults` section is omitted when a run has
+/// nothing to put in it and parses back as absent; fields a parser does
+/// not know are ignored. A document that does not declare a
+/// `schema_version` is not a run report.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Traffic and modelled cost for one message tag on one rank.
 ///
@@ -78,11 +76,9 @@ pub struct RankReport {
     /// Rank-local counters (pairs generated/aligned/accepted, batch
     /// round-trips, peak queue depth, …).
     pub counters: BTreeMap<String, u64>,
-    /// Per-tag traffic rows, ascending by tag.
+    /// Per-tag traffic rows, ascending by tag within each stage the
+    /// rank took part in, stages in run order.
     pub comm: Vec<TagStat>,
-    /// Idle-gap histogram derived from this rank's trace (present only
-    /// when the run was traced).
-    pub idle_gaps: Option<IdleGapHistogram>,
 }
 
 impl RankReport {
@@ -97,18 +93,14 @@ impl RankReport {
     }
 
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj(vec![
             ("rank", Json::Num(self.rank as f64)),
             ("role", Json::Str(self.role.clone())),
             ("cpu_seconds", Json::Num(self.cpu_seconds)),
             ("idle_seconds", Json::Num(self.idle_seconds)),
             ("counters", counters_to_json(&self.counters)),
             ("comm", Json::Arr(self.comm.iter().map(TagStat::to_json).collect())),
-        ];
-        if let Some(h) = &self.idle_gaps {
-            fields.push(("idle_gaps", h.to_json()));
-        }
-        Json::obj(fields)
+        ])
     }
 
     fn from_json(v: &Json) -> Result<RankReport, JsonError> {
@@ -125,46 +117,7 @@ impl RankReport {
                 .iter()
                 .map(TagStat::from_json)
                 .collect::<Result<_, _>>()?,
-            idle_gaps: v.get("idle_gaps").map(IdleGapHistogram::from_json),
         })
-    }
-}
-
-/// Run-level trace digest folded into the report when a run was traced:
-/// master occupancy over time windows plus the drop counter. The full
-/// event stream lives in the separate Chrome trace JSON artifact.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceSummary {
-    /// Width, in seconds, of each occupancy window.
-    pub window_seconds: f64,
-    /// Busy fraction (1 − blocked share) of the master track per
-    /// window, in time order. Empty when no master track was traced.
-    pub master_occupancy: Vec<f64>,
-    /// Events dropped across all ranks (buffer overflow).
-    pub dropped_events: u64,
-}
-
-impl TraceSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("window_seconds", Json::Num(self.window_seconds)),
-            ("master_occupancy", Json::Arr(self.master_occupancy.iter().map(|&o| Json::Num(o)).collect())),
-            ("dropped_events", Json::Num(self.dropped_events as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> TraceSummary {
-        TraceSummary {
-            window_seconds: v.get("window_seconds").and_then(Json::as_f64).unwrap_or(0.0),
-            master_occupancy: v
-                .get("master_occupancy")
-                .and_then(Json::as_arr)
-                .unwrap_or_default()
-                .iter()
-                .filter_map(Json::as_f64)
-                .collect(),
-            dropped_events: v.get("dropped_events").and_then(Json::as_u64).unwrap_or(0),
-        }
     }
 }
 
@@ -252,11 +205,6 @@ pub struct RunReport {
     pub counters: BTreeMap<String, u64>,
     /// Per-rank channels from the run's parallel section.
     pub ranks: Vec<RankReport>,
-    /// Trace-derived digest; present only when the run was traced.
-    pub trace: Option<TraceSummary>,
-    /// Per-rank gauge time series (empty when the run sampled
-    /// nothing).
-    pub series: Vec<crate::series::RankSeries>,
     /// Fault-injection / recovery digest; absent for clean runs.
     pub faults: Option<FaultSummary>,
 }
@@ -304,15 +252,6 @@ impl RunReport {
             ("counters", counters_to_json(&self.counters)),
             ("ranks", Json::Arr(self.ranks.iter().map(RankReport::to_json).collect())),
         ];
-        if let Some(t) = &self.trace {
-            fields.push(("trace", t.to_json()));
-        }
-        if !self.series.is_empty() {
-            fields.push((
-                "series",
-                Json::Arr(self.series.iter().map(crate::series::RankSeries::to_json).collect()),
-            ));
-        }
         if let Some(f) = &self.faults {
             fields.push(("faults", f.to_json()));
         }
@@ -354,14 +293,6 @@ impl RunReport {
                 .iter()
                 .map(RankReport::from_json)
                 .collect::<Result<_, _>>()?,
-            trace: v.get("trace").map(TraceSummary::from_json),
-            series: v
-                .get("series")
-                .and_then(Json::as_arr)
-                .unwrap_or_default()
-                .iter()
-                .map(crate::series::RankSeries::from_json)
-                .collect(),
             faults: v.get("faults").map(FaultSummary::from_json),
         })
     }
@@ -414,27 +345,6 @@ mod tests {
                     bytes_recv: 2000,
                     modelled_seconds: 1e-4,
                 }],
-                idle_gaps: Some(IdleGapHistogram {
-                    bounds_ns: crate::trace::IDLE_GAP_BOUNDS_NS.to_vec(),
-                    counts: vec![0, 3, 1, 0, 0, 0, 0],
-                    total_blocked_ns: 250_000_000,
-                    max_gap_ns: 140_000,
-                }),
-            }],
-            trace: Some(TraceSummary {
-                window_seconds: 0.1,
-                master_occupancy: vec![0.9, 0.8, 0.95],
-                dropped_events: 2,
-            }),
-            series: vec![crate::series::RankSeries {
-                rank: 1,
-                label: "worker".into(),
-                overhead_ns: 777,
-                gauges: vec![crate::series::GaugeSeries {
-                    name: crate::names::GAUGE_ALIGN_SCRATCH_BYTES.into(),
-                    samples: vec![(10, 4096), (1_010, 8192)],
-                    dropped: 1,
-                }],
             }],
             faults: Some(FaultSummary {
                 kills_injected: 1,
@@ -479,14 +389,13 @@ mod tests {
         assert!(!text.contains("\"version\""), "the legacy alias is no longer written");
         let back = RunReport::from_json_str(&text).unwrap();
         assert_eq!(back.schema_version, SCHEMA_VERSION);
-        assert_eq!(back.series, report.series);
         assert_eq!(back.faults, report.faults);
-        // A run with nothing to put in an optional section writes no
+        // A run with nothing to put in the optional section writes no
         // key for it, and parses back without it.
         let mut bare = sample();
-        (bare.series, bare.faults, bare.trace) = (Vec::new(), None, None);
+        bare.faults = None;
         let text = bare.to_json_string();
-        assert!(["\"series\"", "\"faults\"", "\"trace\""].iter().all(|key| !text.contains(key)));
+        assert!(!text.contains("\"faults\""));
         assert_eq!(RunReport::from_json_str(&text).unwrap(), bare);
         // The number under the old alias alone does not make a report.
         let legacy = "{\"format\": \"pgasm.run_report\", \"version\": 1, \"label\": \"old\"}";
@@ -499,13 +408,13 @@ mod tests {
         // A hypothetical later writer added fields we don't know about;
         // parsing must still succeed and keep everything we do know.
         let future = concat!(
-            "{\"format\": \"pgasm.run_report\", \"schema_version\": 5, ",
+            "{\"format\": \"pgasm.run_report\", \"schema_version\": 6, ",
             "\"label\": \"future\", \"counters\": {\"merges\": 7}, ",
             "\"new_top_level_blob\": {\"x\": [1, 2, 3]}, ",
             "\"ranks\": [{\"rank\": 0, \"role\": \"master\", \"novel_rank_field\": 42}]}"
         );
         let report = RunReport::from_json_str(future).unwrap();
-        assert_eq!(report.schema_version, 5);
+        assert_eq!(report.schema_version, 6);
         assert_eq!(report.counter("merges"), 7);
         assert_eq!(report.ranks[0].role, "master");
     }

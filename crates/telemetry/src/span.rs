@@ -43,11 +43,6 @@ impl Span {
         }
     }
 
-    /// Sum of the direct children's wall-clock seconds.
-    pub fn child_wall_seconds(&self) -> f64 {
-        self.children.iter().map(|c| c.wall_seconds).sum()
-    }
-
     /// JSON encoding.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -92,7 +87,6 @@ pub struct RunContext {
     counters: BTreeMap<String, u64>,
     ranks: Vec<crate::RankReport>,
     traces: Vec<crate::RankTrace>,
-    series: Vec<crate::RankSeries>,
 }
 
 impl RunContext {
@@ -106,7 +100,6 @@ impl RunContext {
             counters: BTreeMap::new(),
             ranks: Vec::new(),
             traces: Vec::new(),
-            series: Vec::new(),
         }
     }
 
@@ -168,19 +161,12 @@ impl RunContext {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Install the per-rank channel reports for this run (replacing any
-    /// previous set — a run has one parallel section's rank layout).
-    pub fn set_ranks(&mut self, ranks: Vec<crate::RankReport>) {
-        self.ranks = ranks;
-    }
-
-    /// Merge a second parallel section's rank channels into the ones
-    /// already installed, matching entries by rank id: CPU and idle
-    /// seconds add up, counters sum on name collision, and per-tag comm
-    /// rows append (phases label their tags distinctly, so rows stay
-    /// attributable). A rank id with no existing entry is appended —
-    /// the run keeps one channel per rank regardless of how many
-    /// phases used that rank.
+    /// Merge one parallel section's rank channels into the run's,
+    /// matching entries by rank id: CPU and idle seconds add up,
+    /// counters sum on name collision, and per-tag comm rows append in
+    /// stage order (stages label their tags distinctly, so rows stay
+    /// attributable). A rank id with no entry yet is appended — the run
+    /// keeps one channel per rank however many stages used that rank.
     pub fn merge_ranks(&mut self, more: Vec<crate::RankReport>) {
         for extra in more {
             match self.ranks.iter_mut().find(|r| r.rank == extra.rank) {
@@ -197,87 +183,40 @@ impl RunContext {
         }
     }
 
-    /// Install the finished per-rank event traces for this run
-    /// (replacing any previous set).
-    pub fn set_traces(&mut self, traces: Vec<crate::RankTrace>) {
-        self.traces = traces;
-    }
-
-    /// Append one finished track (e.g. the pipeline's own thread).
-    pub fn add_trace(&mut self, trace: crate::RankTrace) {
-        self.traces.push(trace);
-    }
-
-    /// Traces recorded so far.
-    pub fn traces(&self) -> &[crate::RankTrace] {
-        &self.traces
-    }
-
-    /// Append finished per-rank gauge series (series from different
-    /// phases live on different rank/track ids, so appends never
-    /// collide). Empty series are skipped.
-    pub fn add_series(&mut self, series: impl IntoIterator<Item = crate::RankSeries>) {
-        self.series.extend(series.into_iter().filter(|s| !s.is_empty()));
-    }
-
-    /// Gauge series recorded so far.
-    pub fn series(&self) -> &[crate::RankSeries] {
-        &self.series
-    }
-
-    /// Total gauge samples dropped on buffer overflow, across ranks.
-    pub fn series_dropped_samples(&self) -> u64 {
-        self.series.iter().map(|s| s.dropped_samples()).sum()
-    }
-
-    /// Total sampler self-time across ranks, nanoseconds.
-    pub fn series_overhead_ns(&self) -> u64 {
-        self.series.iter().map(|s| s.overhead_ns).sum()
+    /// Merge finished event tracks into the run's, by rank id: a rank
+    /// has one track per run, so a later stage's events append to the
+    /// track the rank already has (stages run one after the other under
+    /// one epoch, so timestamps stay monotonic) and dropped counts add.
+    pub fn merge_traces(&mut self, more: Vec<crate::RankTrace>) {
+        for extra in more {
+            match self.traces.iter_mut().find(|t| t.rank == extra.rank) {
+                Some(track) => {
+                    track.events.extend(extra.events);
+                    track.dropped_events += extra.dropped_events;
+                }
+                None => self.traces.push(extra),
+            }
+        }
     }
 
     /// Assemble the recorded tracks into an exportable [`crate::Trace`]
-    /// document (tracks sorted by rank, gauge series attached as
-    /// counter tracks).
+    /// document (tracks sorted by rank).
     pub fn trace_document(&self) -> crate::Trace {
-        crate::Trace::with_series(self.traces.clone(), self.series.clone())
-    }
-
-    /// Number of open spans (0 when balanced).
-    pub fn open_spans(&self) -> usize {
-        self.stack.len()
+        crate::Trace::new(self.traces.clone())
     }
 
     /// Finalize into an immutable report. Panics if spans are still
     /// open — an unbalanced push/pop is a caller bug worth failing
-    /// loudly on.
-    ///
-    /// When traces were recorded, each rank channel gains its
-    /// [`crate::IdleGapHistogram`] (from the matching track's blocked
-    /// spans) and the report gains a [`crate::TraceSummary`] with the
-    /// master track's occupancy over ~20 time windows.
-    pub fn finish(self) -> crate::RunReport {
+    /// loudly on. A traced run's report carries the
+    /// `trace_events_dropped` counter, so a lossy trace shows in the
+    /// metrics too.
+    pub fn finish(mut self) -> crate::RunReport {
         assert!(self.stack.is_empty(), "RunContext::finish with {} span(s) still open", self.stack.len());
-        let mut ranks = self.ranks;
-        let trace = if self.traces.is_empty() {
-            None
-        } else {
-            for rank in &mut ranks {
-                if let Some(track) = self.traces.iter().find(|t| t.rank == rank.rank) {
-                    rank.idle_gaps = Some(crate::IdleGapHistogram::from_events(&track.events));
-                }
-            }
-            let (window_seconds, master_occupancy) = self
-                .traces
-                .iter()
-                .find(|t| t.label == "master")
-                .map(|t| crate::trace::occupancy_windows(&t.events, 20))
-                .unwrap_or((0.0, Vec::new()));
-            let dropped_events = self.traces.iter().map(|t| t.dropped_events).sum();
-            Some(crate::TraceSummary { window_seconds, master_occupancy, dropped_events })
-        };
-        let mut series = self.series;
-        series.sort_by_key(|s| s.rank);
-        // The v4 faults section is derived from the canonical fault
+        if !self.traces.is_empty() {
+            let dropped = self.traces.iter().map(|t| t.dropped_events).sum();
+            self.set(crate::names::TRACE_EVENTS_DROPPED, dropped);
+        }
+        // The faults section is derived from the canonical fault
         // counters, so any run that tallied them reports the digest
         // without extra plumbing; a clean run omits the section.
         let c = |name: &str| self.counters.get(name).copied().unwrap_or(0);
@@ -294,9 +233,7 @@ impl RunContext {
             label: self.label,
             spans: self.roots,
             counters: self.counters,
-            ranks,
-            trace,
-            series,
+            ranks: self.ranks,
             faults: if faults.is_empty() { None } else { Some(faults) },
         }
     }
@@ -349,6 +286,36 @@ mod tests {
         assert_eq!(ctx.counter("pairs"), 7);
         assert_eq!(ctx.counter("ranks"), 8);
         assert_eq!(ctx.counter("missing"), 0);
+    }
+
+    #[test]
+    fn a_rank_keeps_one_track_across_stages() {
+        use crate::trace::{TraceCategory, TraceEvent, TraceKind};
+        let track = |rank, ts_ns, dropped_events| crate::RankTrace {
+            rank,
+            label: "worker".into(),
+            events: vec![TraceEvent {
+                ts_ns,
+                kind: TraceKind::Instant,
+                cat: TraceCategory::Worker,
+                name: crate::names::EV_PARK,
+                args: [("", 0); 3],
+            }],
+            dropped_events,
+        };
+        let mut ctx = RunContext::new("t");
+        ctx.merge_traces(vec![track(2, 11, 0), track(1, 10, 1)]);
+        ctx.merge_traces(vec![track(1, 20, 2)]);
+        let doc = ctx.trace_document();
+        let shape: Vec<(usize, Vec<u64>, u64)> = doc
+            .tracks
+            .iter()
+            .map(|t| (t.rank, t.events.iter().map(|e| e.ts_ns).collect(), t.dropped_events))
+            .collect();
+        assert_eq!(shape, [(1, vec![10, 20], 3), (2, vec![11], 0)]);
+        assert_eq!(ctx.finish().counter(crate::names::TRACE_EVENTS_DROPPED), 3);
+        // An untraced run has nothing to have dropped.
+        assert!(RunContext::new("t").finish().counters.is_empty());
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Time-resolved per-rank event tracing.
 //!
 //! A [`Tracer`] is a per-rank sink of timestamped events — begin/end
-//! spans and instant marks — recorded against a **monotonic clock
-//! shared by every rank of a run** (the [`TraceSpec`] epoch), so the
-//! exported timelines align. Buffers are **bounded**: a tracer never
-//! allocates after construction; once full it counts overflow in
-//! `dropped_events` instead of growing. The "off" path of every
+//! spans, instant marks and counter samples (gauges) — recorded against
+//! a **monotonic clock shared by every rank of a run** (the
+//! [`TraceSpec`] epoch), so the exported timelines align. Buffers are
+//! **bounded**: the event ring never grows after construction; once
+//! full it counts overflow in `dropped_events`. The "off" path of every
 //! recording call is one branch and nothing else (see the
 //! `disabled_tracer_off_path_is_cheap` test, which measures it).
 //!
 //! Finished per-rank buffers ([`RankTrace`]) assemble into a [`Trace`]
 //! document that exports Chrome trace-event JSON — one track per rank —
 //! loadable in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
-//! Derived diagnostics (idle-gap histograms, occupancy windows) are
-//! computed from the same events and folded into the run report by
-//! [`crate::RunContext::finish`].
+//! Everything derived from the events (blocked intervals, attribution,
+//! the critical path) is [`crate::analyze`]'s business.
 
 use crate::json::Json;
 use std::time::Instant;
@@ -23,7 +22,7 @@ use std::time::Instant;
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 
 /// Schema version stamped into exported trace JSON documents.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// What subsystem an event belongs to; becomes the Chrome `cat` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,7 +62,7 @@ impl TraceCategory {
     }
 }
 
-/// Event shape: a span boundary or an instant mark.
+/// Event shape: a span boundary, an instant mark or a counter sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Span opens (`ph: "B"`).
@@ -72,6 +71,9 @@ pub enum TraceKind {
     End,
     /// Point event (`ph: "i"`).
     Instant,
+    /// Gauge sample (`ph: "C"`): the event's name is the gauge, its one
+    /// arg `value` the reading.
+    Counter,
 }
 
 /// One recorded event. `args` carries up to three named numeric
@@ -126,12 +128,6 @@ impl TraceSpec {
         TraceSpec { enabled: true, capacity, epoch: Instant::now() }
     }
 
-    /// The shared monotonic epoch every clock of this run is measured
-    /// from (tracers *and* gauge samplers — see [`crate::series`]).
-    pub(crate) fn epoch_instant(&self) -> Instant {
-        self.epoch
-    }
-
     /// Build the tracer for one rank/track. All tracers from the same
     /// spec share the epoch, so their timelines align in the export.
     pub fn tracer(&self, rank: usize, label: &str) -> Tracer {
@@ -143,6 +139,7 @@ impl TraceSpec {
             cap: if self.enabled { self.capacity } else { 0 },
             events: Vec::with_capacity(if self.enabled { self.capacity } else { 0 }),
             dropped: 0,
+            counters_due: Vec::new(),
         }
     }
 }
@@ -158,7 +155,14 @@ pub struct Tracer {
     cap: usize,
     events: Vec<TraceEvent>,
     dropped: u64,
+    /// Per gauge name, the earliest time its next sample is recorded.
+    counters_due: Vec<(&'static str, u64)>,
 }
+
+/// Minimum spacing between recorded samples of one gauge, so hot loops
+/// can call [`Tracer::counter`] every iteration without flooding the
+/// ring.
+const COUNTER_INTERVAL_NS: u64 = 1_000_000;
 
 const NO_ARGS: [(&str, u64); 3] = [("", 0), ("", 0), ("", 0)];
 
@@ -172,12 +176,6 @@ impl Tracer {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Runtime switch. Turning a zero-capacity tracer on only counts
-    /// drops; capacity is fixed at construction.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
     }
 
     /// Open a span.
@@ -258,8 +256,38 @@ impl Tracer {
         self.push(TraceKind::Instant, cat, name, [a, b, c]);
     }
 
+    /// Record a sample of gauge `name`, unless one was recorded less
+    /// than 1 ms ago (a skip, not a drop).
+    #[inline]
+    pub fn counter(&mut self, cat: TraceCategory, name: &'static str, value: u64) {
+        if !self.enabled {
+            return;
+        }
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        let i = self.counters_due.iter().position(|(n, _)| *n == name).unwrap_or_else(|| {
+            self.counters_due.push((name, 0));
+            self.counters_due.len() - 1
+        });
+        if now < self.counters_due[i].1 {
+            return;
+        }
+        self.counters_due[i].1 = now + COUNTER_INTERVAL_NS;
+        self.push_at(now, TraceKind::Counter, cat, name, [("value", value), ("", 0), ("", 0)]);
+    }
+
     fn push(
         &mut self,
+        kind: TraceKind,
+        cat: TraceCategory,
+        name: &'static str,
+        args: [(&'static str, u64); 3],
+    ) {
+        self.push_at(self.epoch.elapsed().as_nanos() as u64, kind, cat, name, args);
+    }
+
+    fn push_at(
+        &mut self,
+        ts_ns: u64,
         kind: TraceKind,
         cat: TraceCategory,
         name: &'static str,
@@ -269,7 +297,6 @@ impl Tracer {
             self.dropped += 1;
             return;
         }
-        let ts_ns = self.epoch.elapsed().as_nanos() as u64;
         self.events.push(TraceEvent { ts_ns, kind, cat, name, args });
     }
 
@@ -303,175 +330,19 @@ pub struct RankTrace {
     pub dropped_events: u64,
 }
 
-impl RankTrace {
-    /// Total blocked nanoseconds: the summed durations of `wait` and
-    /// `barrier` spans (the intervals the rank's thread sat in the
-    /// channel or a barrier — the same intervals `wait_ns`/`barrier_ns`
-    /// accounting measures).
-    pub fn blocked_ns(&self) -> u64 {
-        blocked_intervals(&self.events).iter().map(|&(_, dur)| dur).sum()
-    }
-}
-
-/// Extract `(start_ns, dur_ns)` blocked intervals — `wait` and
-/// `barrier` span pairs in category `comm` — from one track's events.
-/// These spans never nest within a rank, so a single open slot per name
-/// suffices.
-pub fn blocked_intervals(events: &[TraceEvent]) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut open_wait: Option<u64> = None;
-    let mut open_barrier: Option<u64> = None;
-    for e in events {
-        if e.cat != TraceCategory::Comm {
-            continue;
-        }
-        let slot = match e.name {
-            crate::names::EV_WAIT => &mut open_wait,
-            crate::names::EV_BARRIER => &mut open_barrier,
-            _ => continue,
-        };
-        match e.kind {
-            TraceKind::Begin => *slot = Some(e.ts_ns),
-            TraceKind::End => {
-                if let Some(start) = slot.take() {
-                    out.push((start, e.ts_ns.saturating_sub(start)));
-                }
-            }
-            TraceKind::Instant => {}
-        }
-    }
-    out
-}
-
-/// Histogram of a rank's idle gaps (blocked intervals), with log-scale
-/// duration buckets. Folded into [`crate::RankReport`] when a run was
-/// traced; `total_blocked_ns` cross-checks the `wait_ns`/`barrier_ns`
-/// accounting (they measure the same intervals two ways).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IdleGapHistogram {
-    /// Upper bounds of the duration buckets, nanoseconds; gaps at or
-    /// above the last bound land in the final overflow bucket.
-    pub bounds_ns: Vec<u64>,
-    /// Gap counts per bucket (`bounds_ns.len() + 1` entries).
-    pub counts: Vec<u64>,
-    /// Sum of all gap durations.
-    pub total_blocked_ns: u64,
-    /// Longest single gap.
-    pub max_gap_ns: u64,
-}
-
-/// Bucket bounds for [`IdleGapHistogram`]: 1 µs … 100 ms, decades.
-pub const IDLE_GAP_BOUNDS_NS: [u64; 6] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
-
-impl IdleGapHistogram {
-    /// Build the histogram from one track's events.
-    pub fn from_events(events: &[TraceEvent]) -> IdleGapHistogram {
-        let bounds: Vec<u64> = IDLE_GAP_BOUNDS_NS.to_vec();
-        let mut counts = vec![0u64; bounds.len() + 1];
-        let mut total = 0u64;
-        let mut max = 0u64;
-        for (_, dur) in blocked_intervals(events) {
-            let bucket = bounds.iter().position(|&b| dur < b).unwrap_or(bounds.len());
-            counts[bucket] += 1;
-            total += dur;
-            max = max.max(dur);
-        }
-        IdleGapHistogram { bounds_ns: bounds, counts, total_blocked_ns: total, max_gap_ns: max }
-    }
-
-    /// Total gaps counted.
-    pub fn total_gaps(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Total blocked time in seconds.
-    pub fn total_blocked_seconds(&self) -> f64 {
-        self.total_blocked_ns as f64 * 1e-9
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("bounds_ns", Json::Arr(self.bounds_ns.iter().map(|&b| Json::Num(b as f64)).collect())),
-            ("counts", Json::Arr(self.counts.iter().map(|&c| Json::Num(c as f64)).collect())),
-            ("total_blocked_ns", Json::Num(self.total_blocked_ns as f64)),
-            ("max_gap_ns", Json::Num(self.max_gap_ns as f64)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json) -> IdleGapHistogram {
-        let nums = |key: &str| -> Vec<u64> {
-            v.get(key).and_then(Json::as_arr).unwrap_or_default().iter().filter_map(Json::as_u64).collect()
-        };
-        IdleGapHistogram {
-            bounds_ns: nums("bounds_ns"),
-            counts: nums("counts"),
-            total_blocked_ns: v.get("total_blocked_ns").and_then(Json::as_u64).unwrap_or(0),
-            max_gap_ns: v.get("max_gap_ns").and_then(Json::as_u64).unwrap_or(0),
-        }
-    }
-}
-
-/// Busy-fraction per fixed time window over a track's recorded range:
-/// 1 − (blocked time in window / window length). Used for the master's
-/// occupancy-over-time diagnostic.
-pub fn occupancy_windows(events: &[TraceEvent], windows: usize) -> (f64, Vec<f64>) {
-    let (Some(first), Some(last)) = (events.first(), events.last()) else {
-        return (0.0, Vec::new());
-    };
-    let span = last.ts_ns.saturating_sub(first.ts_ns);
-    if span == 0 || windows == 0 {
-        return (0.0, Vec::new());
-    }
-    let window_ns = span.div_ceil(windows as u64).max(1);
-    let mut blocked = vec![0u64; windows];
-    for (start, dur) in blocked_intervals(events) {
-        // Distribute the interval over the windows it crosses.
-        let mut at = start.max(first.ts_ns);
-        let end = (start + dur).min(last.ts_ns);
-        while at < end {
-            let w = (((at - first.ts_ns) / window_ns) as usize).min(windows - 1);
-            let w_end = first.ts_ns + (w as u64 + 1) * window_ns;
-            let take = end.min(w_end) - at;
-            blocked[w] += take;
-            at += take.max(1);
-        }
-    }
-    let occ = blocked.iter().map(|&b| (1.0 - b as f64 / window_ns as f64).clamp(0.0, 1.0)).collect();
-    (window_ns as f64 * 1e-9, occ)
-}
-
-/// Track-id offset separating gauge counter tracks from event tracks
-/// in the Chrome export: rank `r`'s counter samples go out on
-/// `tid = COUNTER_TID_OFFSET + r`, so each tid stays internally
-/// timestamp-sorted (gauges are merge-sorted; event tracks are already
-/// in record order).
-pub const COUNTER_TID_OFFSET: usize = 1000;
-
 /// A complete trace document: one track per rank (plus the pipeline's
 /// main-thread track), exportable as Chrome trace-event JSON.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Per-rank tracks, in rank order.
     pub tracks: Vec<RankTrace>,
-    /// Per-rank gauge time series, exported as `ph: "C"` counter
-    /// tracks (empty when the run sampled nothing).
-    pub series: Vec<crate::series::RankSeries>,
 }
 
 impl Trace {
     /// Assemble a document from finished tracks.
     pub fn new(mut tracks: Vec<RankTrace>) -> Trace {
         tracks.sort_by_key(|t| t.rank);
-        Trace { tracks, series: Vec::new() }
-    }
-
-    /// As [`Trace::new`], with gauge series attached for counter-track
-    /// export.
-    pub fn with_series(tracks: Vec<RankTrace>, mut series: Vec<crate::series::RankSeries>) -> Trace {
-        let mut doc = Trace::new(tracks);
-        series.sort_by_key(|s| s.rank);
-        doc.series = series;
-        doc
+        Trace { tracks }
     }
 
     /// Distinct category labels present across all tracks.
@@ -519,6 +390,7 @@ impl Trace {
                                 TraceKind::Begin => "B",
                                 TraceKind::End => "E",
                                 TraceKind::Instant => "i",
+                                TraceKind::Counter => "C",
                             }
                             .into(),
                         ),
@@ -527,7 +399,15 @@ impl Trace {
                     ("tid", Json::Num(track.rank as f64)),
                     ("ts", Json::Num(e.ts_ns as f64 / 1e3)),
                     ("cat", Json::Str(e.cat.label().into())),
-                    ("name", Json::Str(e.name.into())),
+                    // Chrome counters are keyed by name within a
+                    // process, not by tid: the rank goes in the name.
+                    (
+                        "name",
+                        Json::Str(match e.kind {
+                            TraceKind::Counter => format!("rank{}/{}", track.rank, e.name),
+                            _ => e.name.into(),
+                        }),
+                    ),
                 ];
                 if matches!(e.kind, TraceKind::Instant) {
                     fields.push(("s", Json::Str("t".into())));
@@ -542,45 +422,6 @@ impl Trace {
                     fields.push(("args", Json::Obj(args)));
                 }
                 events.push(Json::obj(fields));
-            }
-        }
-        // Gauge series become Perfetto counter tracks (`ph: "C"`). Each
-        // rank's samples go on a dedicated offset tid, merge-sorted by
-        // timestamp so every tid stays monotonic for validators.
-        for rs in &self.series {
-            if rs.is_empty() {
-                continue;
-            }
-            let tid = (COUNTER_TID_OFFSET + rs.rank) as f64;
-            events.push(Json::obj(vec![
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::Num(0.0)),
-                ("tid", Json::Num(tid)),
-                ("name", Json::Str("thread_name".into())),
-                (
-                    "args",
-                    Json::obj(vec![
-                        ("name", Json::Str(format!("rank {} · {} gauges", rs.rank, rs.label))),
-                        ("dropped_events", Json::Num(rs.dropped_samples() as f64)),
-                    ]),
-                ),
-            ]));
-            let mut samples: Vec<(u64, &str, u64)> = rs
-                .gauges
-                .iter()
-                .flat_map(|g| g.samples.iter().map(move |&(ts, v)| (ts, g.name.as_str(), v)))
-                .collect();
-            samples.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-            for (ts_ns, name, value) in samples {
-                events.push(Json::obj(vec![
-                    ("ph", Json::Str("C".into())),
-                    ("pid", Json::Num(0.0)),
-                    ("tid", Json::Num(tid)),
-                    ("ts", Json::Num(ts_ns as f64 / 1e3)),
-                    ("cat", Json::Str("series".into())),
-                    ("name", Json::Str(format!("rank{}/{}", rs.rank, name))),
-                    ("args", Json::Obj(vec![("value".to_string(), Json::Num(value as f64))])),
-                ]));
             }
         }
         Json::obj(vec![
@@ -608,6 +449,7 @@ mod tests {
         t.begin(TraceCategory::Comm, names::EV_WAIT);
         t.instant(TraceCategory::Comm, names::EV_SEND);
         t.end(TraceCategory::Comm, names::EV_WAIT);
+        t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, 5);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped_events(), 0);
     }
@@ -642,18 +484,6 @@ mod tests {
         assert_eq!(rt.label, "a");
     }
 
-    #[test]
-    fn runtime_switch_gates_recording() {
-        let spec = TraceSpec::with_capacity(8);
-        let mut t = spec.tracer(0, "x");
-        t.set_enabled(false);
-        t.instant(TraceCategory::Comm, names::EV_SEND);
-        assert!(t.events().is_empty());
-        t.set_enabled(true);
-        t.instant(TraceCategory::Comm, names::EV_SEND);
-        assert_eq!(t.events().len(), 1);
-    }
-
     /// The tentpole's overhead budget: the disabled path must be a
     /// branch plus nothing — measured here, not assumed. 10 M calls in
     /// well under a second means ≪ 100 ns per call; a smoke clustering
@@ -665,70 +495,11 @@ mod tests {
         let start = Instant::now();
         for i in 0..10_000_000u64 {
             t.instant_args(TraceCategory::Comm, names::EV_SEND, ("tag", i), ("bytes", i));
+            t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, i);
         }
-        let per_call_ns = start.elapsed().as_nanos() as f64 / 1e7;
+        let per_call_ns = start.elapsed().as_nanos() as f64 / 2e7;
         assert!(t.events().is_empty());
         assert!(per_call_ns < 100.0, "disabled trace call costs {per_call_ns:.1} ns");
-    }
-
-    fn span(t: &mut Tracer, cat: TraceCategory, name: &'static str, busy_ns: u64) {
-        // Synthesize deterministic events by direct push (tests only).
-        let ts = t.events.last().map(|e| e.ts_ns + 1).unwrap_or(0);
-        t.events.push(TraceEvent { ts_ns: ts, kind: TraceKind::Begin, cat, name, args: NO_ARGS });
-        t.events.push(TraceEvent { ts_ns: ts + busy_ns, kind: TraceKind::End, cat, name, args: NO_ARGS });
-    }
-
-    #[test]
-    fn blocked_intervals_pair_wait_and_barrier_spans() {
-        let spec = TraceSpec::with_capacity(64);
-        let mut t = spec.tracer(0, "x");
-        span(&mut t, TraceCategory::Comm, names::EV_WAIT, 500);
-        span(&mut t, TraceCategory::Gst, names::EV_GST_BUILD, 9_999); // not blocked
-        span(&mut t, TraceCategory::Comm, names::EV_BARRIER, 2_000);
-        let gaps = blocked_intervals(t.events());
-        assert_eq!(gaps.len(), 2);
-        assert_eq!(gaps[0].1, 500);
-        assert_eq!(gaps[1].1, 2_000);
-        let h = IdleGapHistogram::from_events(t.events());
-        assert_eq!(h.total_gaps(), 2);
-        assert_eq!(h.total_blocked_ns, 2_500);
-        assert_eq!(h.max_gap_ns, 2_000);
-        // 500 ns < 1 µs bucket; 2 µs in the second bucket.
-        assert_eq!(h.counts[0], 1);
-        assert_eq!(h.counts[1], 1);
-    }
-
-    #[test]
-    fn occupancy_windows_reflect_blocked_share() {
-        let spec = TraceSpec::with_capacity(64);
-        let mut t = spec.tracer(0, "m");
-        // Track covering 0..1000 ns, fully blocked in its second half.
-        t.events.push(TraceEvent {
-            ts_ns: 0,
-            kind: TraceKind::Instant,
-            cat: TraceCategory::Master,
-            name: names::EV_DISPATCH,
-            args: NO_ARGS,
-        });
-        t.events.push(TraceEvent {
-            ts_ns: 500,
-            kind: TraceKind::Begin,
-            cat: TraceCategory::Comm,
-            name: names::EV_WAIT,
-            args: NO_ARGS,
-        });
-        t.events.push(TraceEvent {
-            ts_ns: 1000,
-            kind: TraceKind::End,
-            cat: TraceCategory::Comm,
-            name: names::EV_WAIT,
-            args: NO_ARGS,
-        });
-        let (window_s, occ) = occupancy_windows(t.events(), 2);
-        assert_eq!(occ.len(), 2);
-        assert!(window_s > 0.0);
-        assert!(occ[0] > 0.9, "first half busy: {occ:?}");
-        assert!(occ[1] < 0.1, "second half blocked: {occ:?}");
     }
 
     #[test]
@@ -757,92 +528,57 @@ mod tests {
         assert_eq!(doc.categories(), vec!["align", "comm"]);
     }
 
-    /// One blocked span of `dur_ns` as a synthetic event pair.
-    fn gap_events(dur_ns: u64) -> Vec<TraceEvent> {
-        vec![
-            TraceEvent {
-                ts_ns: 0,
-                kind: TraceKind::Begin,
-                cat: TraceCategory::Comm,
-                name: names::EV_WAIT,
-                args: NO_ARGS,
-            },
-            TraceEvent {
-                ts_ns: dur_ns,
-                kind: TraceKind::End,
-                cat: TraceCategory::Comm,
-                name: names::EV_WAIT,
-                args: NO_ARGS,
-            },
-        ]
+    #[test]
+    fn counters_share_the_ring_its_clock_and_its_drop_count() {
+        let spec = TraceSpec::with_capacity(3);
+        let mut t = spec.tracer(1, "worker");
+        t.instant(TraceCategory::Comm, names::EV_SEND);
+        // Distinct gauges are rate-limited apart, so each first sample
+        // lands — until the ring is full, and then it is a counted drop.
+        t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, 7);
+        t.counter(TraceCategory::Master, names::GAUGE_WORKERS_PARKED, 2);
+        t.counter(TraceCategory::Align, names::GAUGE_ALIGN_SCRATCH_BYTES, 4096);
+        assert_eq!(t.events().len(), 3);
+        assert_eq!(t.dropped_events(), 1);
+        let e = t.events()[1];
+        assert_eq!(
+            (e.kind, e.name, e.arg("value")),
+            (TraceKind::Counter, names::GAUGE_PENDING_TASKS, Some(7))
+        );
+        assert!(t.events().windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns), "one clock, one order");
     }
 
     #[test]
-    fn histogram_empty_event_list_is_all_zero() {
-        let h = IdleGapHistogram::from_events(&[]);
-        assert_eq!(h.counts, vec![0; IDLE_GAP_BOUNDS_NS.len() + 1]);
-        assert_eq!(h.total_gaps(), 0);
-        assert_eq!(h.total_blocked_ns, 0);
-        assert_eq!(h.max_gap_ns, 0);
+    fn counter_rate_limit_thins_hot_loop_samples() {
+        let spec = TraceSpec::with_capacity(4096);
+        let mut t = spec.tracer(0, "master");
+        let start = Instant::now();
+        for i in 0..1000 {
+            t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, i);
+        }
+        let most = 1 + start.elapsed().as_nanos() as u64 / COUNTER_INTERVAL_NS;
+        let n = t.events().len() as u64;
+        assert!((1..=most).contains(&n), "{n} samples, at most one per interval ({most})");
+        assert_eq!(t.events()[0].arg("value"), Some(0), "the first sample is never skipped");
+        assert_eq!(t.dropped_events(), 0, "rate-limited calls are skips, not drops");
     }
 
     #[test]
-    fn histogram_bucket_boundaries_are_half_open() {
-        // Buckets are [prev, bound): a gap of exactly `bound` ns falls
-        // in the *next* bucket. Probe both decade edges the bounds
-        // table names explicitly: 1 µs (first bound) and 100 ms (last).
-        let h = IdleGapHistogram::from_events(&gap_events(999));
-        assert_eq!(h.counts[0], 1, "999 ns < 1 µs: first bucket");
-        let h = IdleGapHistogram::from_events(&gap_events(1_000));
-        assert_eq!(h.counts[0], 0, "exactly 1 µs leaves the first bucket");
-        assert_eq!(h.counts[1], 1);
-        let h = IdleGapHistogram::from_events(&gap_events(99_999_999));
-        assert_eq!(h.counts[IDLE_GAP_BOUNDS_NS.len() - 1], 1, "just under 100 ms: last bounded bucket");
-        let h = IdleGapHistogram::from_events(&gap_events(100_000_000));
-        assert_eq!(h.counts[IDLE_GAP_BOUNDS_NS.len()], 1, "exactly 100 ms overflows");
-        let h = IdleGapHistogram::from_events(&gap_events(3_600_000_000));
-        assert_eq!(h.counts[IDLE_GAP_BOUNDS_NS.len()], 1, "an hour-long gap still counts once");
-        assert_eq!(h.max_gap_ns, 3_600_000_000);
-    }
-
-    #[test]
-    fn histogram_zero_length_gap_lands_in_first_bucket() {
-        let h = IdleGapHistogram::from_events(&gap_events(0));
-        assert_eq!(h.counts[0], 1);
-        assert_eq!(h.total_blocked_ns, 0);
-    }
-
-    #[test]
-    fn chrome_export_emits_counter_tracks_for_series() {
-        use crate::series::{GaugeSeries, RankSeries};
+    fn chrome_export_carries_counters_on_their_ranks_tid() {
         let spec = TraceSpec::with_capacity(8);
         let mut t = spec.tracer(1, "worker");
         t.instant(TraceCategory::Comm, names::EV_SEND);
-        let series = vec![RankSeries {
-            rank: 1,
-            label: "worker".into(),
-            overhead_ns: 42,
-            gauges: vec![GaugeSeries {
-                name: names::GAUGE_PENDING_TASKS.into(),
-                samples: vec![(100, 7), (300, 9)],
-                dropped: 0,
-            }],
-        }];
-        let doc = Trace::with_series(vec![t.finish()], series);
+        t.counter(TraceCategory::Align, names::GAUGE_ALIGN_SCRATCH_BYTES, 4096);
+        let doc = Trace::new(vec![t.finish()]);
         let parsed = Json::parse(&doc.to_chrome_json().pretty()).unwrap();
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
-        // Track metadata + 1 instant + gauge metadata + 2 counter samples.
-        assert_eq!(events.len(), 5);
-        let counters: Vec<&Json> =
-            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("C")).collect();
-        assert_eq!(counters.len(), 2);
-        let c = counters[0];
-        assert_eq!(c.get("tid").and_then(Json::as_u64), Some((COUNTER_TID_OFFSET + 1) as u64));
-        assert_eq!(c.get("name").and_then(Json::as_str), Some("rank1/pending_tasks"));
-        assert_eq!(c.get("args").unwrap().get("value").and_then(Json::as_u64), Some(7));
-        // Counter timestamps ascend on their own tid.
-        let ts: Vec<f64> = counters.iter().map(|e| e.get("ts").and_then(Json::as_f64).unwrap()).collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
+        // Track metadata, the instant, the counter sample.
+        assert_eq!(events.len(), 3);
+        let c = &events[2];
+        assert_eq!(c.get("ph").and_then(Json::as_str), Some("C"));
+        assert_eq!(c.get("tid").and_then(Json::as_u64), Some(1));
+        assert_eq!(c.get("name").and_then(Json::as_str), Some("rank1/align_scratch_bytes"));
+        assert_eq!(c.get("args").unwrap().get("value").and_then(Json::as_u64), Some(4096));
     }
 
     #[test]
@@ -858,17 +594,5 @@ mod tests {
         let parsed = Json::parse(&doc.to_chrome_json().pretty()).unwrap();
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events[1].get("args").unwrap().get("to").and_then(Json::as_u64), Some(2));
-    }
-
-    #[test]
-    fn histogram_json_round_trip() {
-        let h = IdleGapHistogram {
-            bounds_ns: IDLE_GAP_BOUNDS_NS.to_vec(),
-            counts: vec![1, 2, 3, 0, 0, 0, 1],
-            total_blocked_ns: 123_456,
-            max_gap_ns: 120_000,
-        };
-        let back = IdleGapHistogram::from_json(&h.to_json());
-        assert_eq!(back, h);
     }
 }

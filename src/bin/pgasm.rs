@@ -112,8 +112,9 @@ when --ranks is absent. --metrics-json writes the structured run report
 (per-stage wall/CPU spans, Table-1 counters, and — with --ranks — per-rank
 idle time and per-tag communication) as JSON. --trace-json records per-rank
 timestamped events (stage, master, worker, comm, gst, align, assemble
-categories) and writes Chrome trace-event JSON — open it at
-ui.perfetto.dev, one track per rank. --cache-dir <dir> enables the
+categories; spans, instants and gauge counters) and writes Chrome
+trace-event JSON — open it at ui.perfetto.dev, one track per rank for
+the whole run plus the pipeline's own. --cache-dir <dir> enables the
 content-addressed artifact cache: a repeated run over the same reads and
 parameters reloads the preprocess output and (serial runs) the GST from
 <dir> instead of recomputing them — the cache_hit / cache_miss /
@@ -157,7 +158,7 @@ labels) and prints per-rank wall-time attribution {compute, wait-blocked,
 barrier, comm-modelled, idle-unattributed}, the reconstructed critical
 path through master/worker/comm events (send->recv edges paired per
 source/destination/tag), and the top-k idle gaps with the awaited message
-tag blamed. --out writes the same analysis as machine JSON
+tag blamed under the label of the stage the gap fell in. --out writes the same analysis as machine JSON
 (pgasm.analysis format, gateable by bench_diff). --coverage-tol <f> exits
 nonzero when any rank's attribution categories sum outside wall*(1 +- f)
 or the critical path comes back empty — the CI consistency gate.";
@@ -388,13 +389,7 @@ fn run_pipeline(
             doc.tracks.len(),
             doc.categories().len()
         );
-        let dropped_events: u64 = doc.tracks.iter().map(|t| t.dropped_events).sum();
-        println!(
-            "telemetry: {} trace event(s) dropped, {} gauge sample(s) dropped, sampler overhead {:.3} ms",
-            dropped_events,
-            ctx.series_dropped_samples(),
-            ctx.series_overhead_ns() as f64 / 1e6
-        );
+        println!("telemetry: {} trace event(s) dropped", doc.dropped_events());
     }
     if let Some(path) = opts.get("metrics-json") {
         let run_report = ctx.finish();

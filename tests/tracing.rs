@@ -1,7 +1,8 @@
 //! End-to-end tracing: a traced pipeline run yields a well-formed
-//! Chrome trace document (one track per rank, ≥ 4 categories, ordered
-//! timestamps), and the event-derived blocked time agrees with the
-//! simulator's own `wait_ns`/`barrier_ns` accounting.
+//! Chrome trace document (one track per rank over both distributed
+//! stages, ≥ 4 categories, ordered timestamps) that the analyzer reads
+//! back without an unpaired message, and the event-derived blocked time
+//! agrees with the simulator's own `wait_ns`/`barrier_ns` accounting.
 
 use pgasm::cluster::{
     cluster_parallel_with, ClusterParams, MasterWorkerConfig, ParallelClusterReport, Pipeline,
@@ -11,7 +12,8 @@ use pgasm::gst::GstConfig;
 use pgasm::seq::FragmentStore;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
-use pgasm::telemetry::{names, Json, RunContext, TraceSpec};
+use pgasm::telemetry::analyze::{self, ATrack};
+use pgasm::telemetry::{names, Json, RunContext, RunReport, Trace, TraceSpec};
 
 fn test_reads(seed: u64, n: usize) -> pgasm::simgen::ReadSet {
     let genome = Genome::generate(
@@ -39,10 +41,9 @@ fn cluster_traced(store: &FragmentStore, p: usize, trace: TraceSpec) -> Parallel
     cluster_parallel_with(store, p, &params, &config, &RunOpts { trace, ..RunOpts::default() })
 }
 
-#[test]
-fn traced_pipeline_exports_valid_chrome_trace() {
-    let reads = test_reads(7, 80);
-    let ranks = 3;
+/// The whole pipeline on `ranks` ranks, traced: the trace document and
+/// the run report, as `--trace-json` and `--metrics-json` write them.
+fn pipeline_traced(reads: &pgasm::simgen::ReadSet, ranks: usize) -> (Trace, RunReport) {
     let config = PipelineConfig {
         preprocess: None,
         cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
@@ -53,18 +54,22 @@ fn traced_pipeline_exports_valid_chrome_trace() {
         ..Default::default()
     };
     let mut ctx = RunContext::new("traced");
-    Pipeline::new(config).run_with_context(&reads, &[], &[], &mut ctx);
-    let doc = ctx.trace_document();
+    Pipeline::new(config).run_with_context(reads, &[], &[], &mut ctx);
+    (ctx.trace_document(), ctx.finish())
+}
 
-    // One track per clustering rank, the pipeline's own track, and one
-    // track per distributed-assembly rank (offset ids `ranks+1..`).
-    assert_eq!(doc.tracks.len(), 2 * ranks + 1);
-    let mut rank_ids: Vec<usize> = doc.tracks.iter().map(|t| t.rank).collect();
-    rank_ids.sort_unstable();
-    assert_eq!(rank_ids, vec![0, 1, 2, 3, 4, 5, 6]);
-    assert!(doc.tracks.iter().any(|t| t.label == "master"));
-    assert!(doc.tracks.iter().any(|t| t.label == "pipeline"));
-    assert!(doc.tracks.iter().any(|t| t.label == "asm_master"));
+#[test]
+fn traced_pipeline_exports_valid_chrome_trace() {
+    let ranks = 4;
+    let (doc, run) = pipeline_traced(&test_reads(7, 80), ranks);
+
+    // One track per rank, carrying both distributed stages, and the
+    // pipeline's own.
+    let ids: Vec<(usize, &str)> = doc.tracks.iter().map(|t| (t.rank, t.label.as_str())).collect();
+    assert_eq!(ids, [(0, "master"), (1, "worker"), (2, "worker"), (3, "worker"), (4, "pipeline")]);
+    assert_eq!(doc.dropped_events(), 0, "default capacity overran");
+    assert_eq!(run.counter(names::TRACE_EVENTS_DROPPED), 0);
+    assert!(run.counters.contains_key(names::TRACE_EVENTS_DROPPED), "a traced run says what it dropped");
 
     // The acceptance bar: at least four distinct event categories.
     let cats = doc.categories();
@@ -73,7 +78,8 @@ fn traced_pipeline_exports_valid_chrome_trace() {
         assert!(cats.contains(&want), "missing category '{want}' in {cats:?}");
     }
 
-    // The exported JSON parses and is ordered per track.
+    // The exported JSON parses and is ordered per track — across the
+    // stage boundary too, both stages being on the one track.
     let json = doc.to_chrome_json().pretty();
     let parsed = Json::parse(&json).unwrap();
     assert!(parsed.get("schema_version").and_then(Json::as_u64).is_some());
@@ -89,32 +95,61 @@ fn traced_pipeline_exports_valid_chrome_trace() {
         assert!(ts >= *last_ts.get(&tid).unwrap_or(&0.0), "track {tid} not monotonic");
         last_ts.insert(tid, ts);
     }
+    assert_eq!(last_ts.len(), ranks + 1);
+    // Gauges are counter events on their owner's track.
+    let gauge_tids = |gauge: &str| -> Vec<u64> {
+        let mut tids: Vec<u64> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
+            .filter(|e| e.get("name").and_then(Json::as_str).is_some_and(|n| n.ends_with(gauge)))
+            .map(|e| e.get("tid").and_then(Json::as_u64).unwrap())
+            .collect();
+        tids.dedup();
+        tids
+    };
+    assert_eq!(gauge_tids(names::GAUGE_PENDING_TASKS), [0]);
+    assert_eq!(gauge_tids(names::GAUGE_WORKERS_PARKED), [0]);
+    assert_eq!(gauge_tids(names::GAUGE_ALIGN_SCRATCH_BYTES), [1, 2, 3]);
+    assert_eq!(gauge_tids(names::GAUGE_CACHE_BYTES), [4]);
 
-    // The run report folds in the trace digest.
-    let run = ctx.finish();
-    let trace = run.trace.expect("traced run carries a trace summary");
-    assert!(trace.window_seconds > 0.0);
-    assert!(!trace.master_occupancy.is_empty());
-    assert!(run.ranks.iter().all(|r| r.idle_gaps.is_some()));
+    // The analyzer reads that document and nothing else: every message
+    // of both stages pairs, attribution covers each rank's wall, and a
+    // wait is blamed on the label of the stage it happened in.
+    let tracks = analyze::parse_chrome_trace(&parsed).unwrap();
+    let analysis = analyze::analyze(&tracks, Some(&run), usize::MAX);
+    assert_eq!(analysis.edges_unpaired, 0);
+    assert!(analysis.edges_paired > 0);
+    assert!(analysis.max_coverage_error() <= 0.05, "{}", analysis.max_coverage_error());
+    let stage = |name: &str| analysis.stages.iter().find(|s| s.stage == name).expect("stage window");
+    let pipeline = tracks.iter().find(|t| t.label == "pipeline").unwrap();
+    let assemble_from = pipeline.events.iter().find(|e| e.name == "assemble").unwrap().ts_ns;
+    assert!(stage("assemble").wait_blocked_ns > 0);
+    let mut blames = [Vec::new(), Vec::new()];
+    for gap in &analysis.top_gaps {
+        blames[usize::from(gap.start_ns >= assemble_from)].push(gap.blame.as_str());
+    }
+    let [cluster, assemble] = blames;
+    assert!(assemble.contains(&names::TAG_ASM_M2W_GRANT), "{assemble:?}");
+    assert!(assemble.iter().all(|b| b.starts_with("asm_")), "{assemble:?}");
+    assert!(cluster.contains(&names::TAG_M2W_GRANT), "{cluster:?}");
+    assert!(cluster.iter().all(|b| !b.starts_with("asm_")), "{cluster:?}");
 }
 
 /// The `wait`/`barrier` trace spans bracket exactly the regions the
 /// simulator charges to `wait_ns`/`barrier_ns`, so the two independent
-/// accountings of blocked time must agree within 5% (the spans strictly
-/// contain the timed region, so event-derived time can only be the
-/// slightly larger one).
+/// accountings of blocked time — the analyzer's, from the events, and
+/// the comm layer's, in both stages' rank counters — must agree within
+/// 5% (the spans strictly contain the timed region, so event-derived
+/// time can only be the slightly larger one).
 #[test]
 fn event_blocked_time_matches_wait_ns_accounting() {
-    let store = test_reads(19, 120).to_store();
-    let report = cluster_traced(&store, 4, TraceSpec::on());
-
-    assert_eq!(report.traces.len(), 4);
-    let event_blocked: u64 = report.traces.iter().map(|t| t.blocked_ns()).sum();
-    let counter_blocked: u64 = report
-        .ranks
-        .iter()
-        .map(|r| r.counter(names::WAIT_NS_TOTAL) + r.counter(names::BARRIER_NS_TOTAL))
-        .sum();
+    let (doc, run) = pipeline_traced(&test_reads(19, 120), 4);
+    let tracks: Vec<ATrack> = doc.tracks.iter().map(ATrack::from_rank_trace).collect();
+    let analysis = analyze::analyze(&tracks, None, 0);
+    assert_eq!(analysis.ranks.len(), 5);
+    let event_blocked: u64 = analysis.ranks.iter().map(|r| r.wait_blocked_ns + r.barrier_ns).sum();
+    let counter_blocked: u64 =
+        run.ranks.iter().map(|r| r.counter(names::WAIT_NS_TOTAL) + r.counter(names::BARRIER_NS_TOTAL)).sum();
     assert!(counter_blocked > 0, "a master-worker run must block somewhere");
     assert!(
         event_blocked >= counter_blocked,
@@ -122,7 +157,7 @@ fn event_blocked_time_matches_wait_ns_accounting() {
     );
     let ratio = event_blocked as f64 / counter_blocked as f64;
     assert!(ratio < 1.05, "event-derived blocked time off by {:.2}% (> 5%)", (ratio - 1.0) * 100.0);
-    assert_eq!(report.traces.iter().map(|t| t.dropped_events).sum::<u64>(), 0, "default capacity overran");
+    assert_eq!(doc.dropped_events(), 0, "default capacity overran");
 }
 
 /// The disabled tracer must cost < 1% of a smoke clustering run's wall
@@ -162,7 +197,7 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
 }
 
 /// Tracing off is the default and must leave no trace artifacts at all
-/// — no tracks, no summary, no per-rank histograms.
+/// — no events, no drops.
 #[test]
 fn untraced_run_carries_no_trace_artifacts() {
     let store = test_reads(23, 60).to_store();
