@@ -174,72 +174,6 @@ pub fn dup_elim(scale: f64) -> [(GenMode, u64); 2] {
     out
 }
 
-/// ABL4 — §10 extension: geometric resolution of inconsistent overlaps.
-///
-/// Compares base clustering against the geometry-checked engine on
-/// unmasked repeat-bearing data: the resolved clustering should have an
-/// equal-or-smaller largest cluster at the cost of aligning every
-/// generated pair (the savings heuristic is incompatible with conflict
-/// detection).
-pub fn resolution(scale: f64) -> [(String, f64, u64, u64); 2] {
-    // Exact (identity 1.0) repeat copies produce overlaps that *pass*
-    // the identity test yet imply contradictory placements — the case
-    // geometric resolution exists for.
-    use pgasm_simgen::genome::{Genome, GenomeSpec};
-    use pgasm_simgen::sampler::{Sampler, SamplerConfig};
-    let genome = Genome::generate(
-        &GenomeSpec {
-            length: (60_000.0 * scale) as usize,
-            repeat_fraction: 0.35,
-            repeat_families: 2,
-            repeat_len: (250, 450),
-            repeat_identity: 1.0,
-            islands: 0,
-            island_len: (1, 2),
-        },
-        77,
-    );
-    let mut sampler = Sampler::new(&genome, SamplerConfig::clean(), 78);
-    let store = sampler.wgs((genome.len() as f64 * 5.0 / 450.0) as usize).to_store();
-    struct P {
-        store: pgasm_seq::FragmentStore,
-    }
-    let prepared = P { store };
-    let base = datasets::default_params();
-    let resolved = pgasm_core::ClusterParams { resolve_inconsistent: true, ..base };
-    let (out, _run_report) = with_run_report("ablation_resolution", |ctx| {
-        let mut out: [(String, f64, u64, u64); 2] = std::array::from_fn(|_| (String::new(), 0.0, 0, 0));
-        for (slot, (name, span, params)) in
-            [("baseline (paper)", "baseline", base), ("geometric resolution (§10)", "geometric", resolved)]
-                .into_iter()
-                .enumerate()
-        {
-            let (clustering, stats) = ctx.scope(span, |_| cluster_serial(&prepared.store, &params));
-            ctx.set(&format!("{span}_aligned"), stats.aligned);
-            ctx.set(&format!("{span}_inconsistent"), stats.inconsistent);
-            out[slot] =
-                (name.to_string(), clustering.max_cluster_fraction(), stats.aligned, stats.inconsistent);
-        }
-        out
-    });
-    let rows: Vec<Vec<String>> = out
-        .iter()
-        .map(|(name, frac, aligned, inconsistent)| {
-            vec![name.clone(), fmt_pct(*frac), fmt_count(*aligned), fmt_count(*inconsistent)]
-        })
-        .collect();
-    print_table(
-        "ABL4: geometric inconsistent-overlap resolution (exact-repeat WGS, unmasked)",
-        &["engine", "largest cluster", "pairs aligned", "edges dropped"],
-        &rows,
-    );
-    println!("note: resolution detects and drops contradictory repeat overlaps; a cluster chained by a");
-    println!("      single geometrically consistent bridge stays joined (single-linkage limit) — the");
-    println!("      assembler's layout stage then rejects the bridge downstream, as in the paper's §4");
-    assert!(out[1].1 <= out[0].1 + 1e-9, "resolution must not grow the largest cluster");
-    out
-}
-
 /// ABL3 — maximal-match filter vs the fixed-w lookup-table baseline
 /// (paper §2 vs §4).
 ///

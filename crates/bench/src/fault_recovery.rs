@@ -4,10 +4,9 @@
 //! Four arms over the same maize-like store:
 //!
 //! - *clean*: no fault plan — the reference partition.
-//! - *kill*: worker 1 is removed at the midpoint of its own fault
-//!   clock (measured by a probe arm whose armed plan never fires),
-//!   rounded to a report-send round entry so it dies holding an
-//!   unacknowledged lease the master must recover.
+//! - *kill*: the worker that is granted the middle one of the leases
+//!   the run is certain to issue is removed on receiving it, so it dies
+//!   holding an unacknowledged lease the master must recover.
 //! - *drop*: worker 1's second report vanishes on the wire; the run
 //!   comes to rest with that lease unretired, the simulator reports
 //!   quiescence, the master declares the worker that holds it dead and
@@ -18,13 +17,14 @@
 //! Every faulty arm must reproduce the clean partition bit-for-bit —
 //! that equality, not a speedup, is the artifact under test. The
 //! committed-baseline counters are scheduling-invariant facts (kills
-//! injected, dead ranks, arms identical); recovered-task counts vary
-//! with thread interleaving and are printed but not gated.
+//! injected, dead ranks, leases recovered at all, arms identical);
+//! recovered-task counts vary with thread interleaving and are printed
+//! but not gated.
 
 use crate::datasets;
 use crate::util::*;
 use pgasm_core::{cluster_parallel_with, MasterWorkerConfig, RunOpts, StageRecovery};
-use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
+use pgasm_mpisim::FaultPlan;
 use pgasm_telemetry::names;
 
 /// One measured arm.
@@ -44,13 +44,6 @@ pub struct Point {
     pub seconds: f64,
 }
 
-/// Round `mid` down to a report-send round entry (worker fault clocks
-/// are 1 mod 2 there); floor 3 so at least one full round completed
-/// first.
-fn report_send_event_near(mid: u64) -> u64 {
-    (mid.saturating_sub(mid % 2) + 1).max(3)
-}
-
 /// Run the ablation at p = 8. Asserts every faulty arm reproduces the
 /// clean partition and that the kill and drop arms each cost exactly
 /// one dead rank with recovered leases.
@@ -59,45 +52,25 @@ pub fn run(scale: f64) -> Vec<Point> {
     let params = datasets::default_params();
     let config = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
     let p = 8;
-    let run_with = |recovery: StageRecovery| {
-        let opts = RunOpts { recovery, ..RunOpts::default() };
+    let run_with = |plan: &str| {
+        let faults = FaultPlan::parse(plan).expect("grammar");
+        let opts =
+            RunOpts { recovery: StageRecovery { faults, ..StageRecovery::default() }, ..RunOpts::default() };
         cluster_parallel_with(&prepared.store, p, &params, &config, &opts)
     };
     let (points, _run_report) = with_run_report("ablation_fault_recovery", |ctx| {
-        let clean = ctx.scope("p8_clean", |_| run_with(StageRecovery::default()));
+        let clean = ctx.scope("p8_clean", |_| run_with(""));
+        // Every merge needs its own aligned pair and a lease holds at
+        // most a batch of them, so ⌈merges / batch⌉ leases are issued
+        // under any schedule: aim at the middle one.
+        let issued = clean.stats.merges.div_ceil(config.batch as u64);
+        assert!(issued >= 1, "the input must cluster at all");
+        let kill = format!("kill:lease={}", issued.div_ceil(2));
 
-        // Probe: armed but never-firing plan, so each rank's fault
-        // clock depth lands in the per-rank counters.
-        let probe_recovery = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), u64::MAX, FaultStage::Any),
-            ..StageRecovery::default()
-        };
-        let probe = run_with(probe_recovery);
-        let depth = probe.ranks[1].counter(names::FAULT_EVENTS);
-        let kill_at = report_send_event_near(depth / 2);
-
-        let arms: [(&'static str, StageRecovery); 3] = [
-            (
-                "kill",
-                StageRecovery {
-                    faults: FaultPlan::default().with_kill(KillTarget::Rank(1), kill_at, FaultStage::Any),
-                    ..StageRecovery::default()
-                },
-            ),
-            (
-                "drop",
-                StageRecovery {
-                    faults: FaultPlan::default().with_drop(1, 0, 1, 2, FaultStage::Any),
-                    ..StageRecovery::default()
-                },
-            ),
-            (
-                "delay",
-                StageRecovery {
-                    faults: FaultPlan::default().with_delay(1, 0, 1, 2, 3, FaultStage::Any),
-                    ..StageRecovery::default()
-                },
-            ),
+        let arms = [
+            ("kill", kill.as_str()),
+            ("drop", "drop:src=1,dst=0,tag=1,nth=2"),
+            ("delay", "delay:src=1,dst=0,tag=1,nth=2"),
         ];
 
         let mut points = vec![Point {
@@ -108,8 +81,8 @@ pub fn run(scale: f64) -> Vec<Point> {
             identical: true,
             seconds: clean.cluster_seconds,
         }];
-        for (arm, recovery) in arms {
-            let report = ctx.scope(&format!("p8_{arm}"), |_| run_with(recovery));
+        for (arm, plan) in arms {
+            let report = ctx.scope(&format!("p8_{arm}"), |_| run_with(plan));
             assert!(!report.killed, "a worker fault must never take the master down ({arm})");
             let kills = report.ranks.iter().map(|r| r.counter(names::FAULT_KILLS)).sum();
             let identical = report.clustering == clean.clustering;

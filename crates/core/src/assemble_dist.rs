@@ -572,8 +572,10 @@ mod tests {
     }
 
     use crate::checkpoint::StageRecovery;
-    use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
+    use pgasm_mpisim::FaultPlan;
 
+    /// The stage at p = 4 under LPT — one cluster per lease, so
+    /// fault-free exactly one lease per non-singleton cluster.
     fn run_with(
         store: &FragmentStore,
         clustering: &Clustering,
@@ -591,49 +593,58 @@ mod tests {
         )
     }
 
+    fn faults(plan: &str) -> StageRecovery {
+        StageRecovery { faults: FaultPlan::parse(plan).unwrap(), ..StageRecovery::default() }
+    }
+
     #[test]
     fn killed_worker_still_assembles_every_cluster() {
-        // Kill each worker in turn early in the protocol; the master
-        // must re-queue the lost clusters onto survivors and the final
-        // assemblies must byte-match the fault-free run.
+        // Whichever worker is granted lease K dies holding that
+        // cluster; the master must re-queue it onto a survivor and the
+        // final assemblies must byte-match the fault-free run — also
+        // when K is the last cluster of the stage, granted when the
+        // other workers are already parked.
         let store = heavy_tailed_store();
         let (clustering, _) = cluster_serial(&store, &params());
         let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
-        let mut recovered_any = false;
-        for victim in 1..4usize {
-            let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 3, FaultStage::Any),
-                ..StageRecovery::default()
-            };
-            let dist = run_with(&store, &clustering, recovery);
-            assert_eq!(dist.assemblies, expected, "victim {victim}");
-            assert_eq!(dist.dead_ranks, 1, "victim {victim}");
+        let last = clustering.num_non_singletons();
+        for lease in [1, last / 2, last] {
+            let dist = run_with(&store, &clustering, faults(&format!("kill:lease={lease}")));
+            assert_eq!(dist.assemblies, expected, "lease {lease}");
+            assert_eq!(dist.dead_ranks, 1, "lease {lease}");
+            assert_eq!(dist.recovered_tasks, 1, "lease {lease}: its holder died before assembling it");
             assert!(!dist.killed);
-            recovered_any |= dist.recovered_tasks > 0;
+            let kills: u64 = dist.ranks.iter().map(|r| r.counter(names::FAULT_KILLS)).sum();
+            assert_eq!(kills, 1, "lease {lease}");
         }
-        assert!(recovered_any, "at least one victim died holding a leased cluster");
+        // One past the last: never issued, so nobody dies.
+        let plan = format!("kill:lease={0}; kill:master,lease={0}", last + 1);
+        let dist = run_with(&store, &clustering, faults(&plan));
+        assert_eq!(dist.assemblies, expected);
+        assert_eq!((dist.dead_ranks, dist.recovered_tasks, dist.killed), (0, 0, false));
+        assert!(dist.ranks.iter().all(|r| r.counter(names::FAULT_KILLS) == 0));
     }
 
     #[test]
     fn master_kill_checkpoint_resume_reproduces_assemblies() {
         let store = heavy_tailed_store();
         let (clustering, _) = cluster_serial(&store, &params());
+        assert!(clustering.num_non_singletons() >= 4, "lease p = 4 is always issued");
         let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
         let dir = std::env::temp_dir().join(format!("pgasm-asm-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("assemble.pgck");
-        // The master's clock reads two per worker round (one report
-        // in, one grant out): 3 opening rounds + 7 clusters + 3
-        // termination grants = 23 under any schedule. 10 is mid-run.
+        // The master dies in place of issuing lease p: by then some
+        // worker has reported a cluster, and the cadence is one.
         let faulty = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), 10, FaultStage::Any),
             checkpoint_every: Some(1),
             checkpoint_path: Some(path.clone()),
-            ..StageRecovery::default()
+            ..faults("kill:master,lease=4")
         };
         let r1 = run_with(&store, &clustering, faulty);
         assert!(r1.killed, "the plan kills the master mid-protocol");
+        assert!(path.exists(), "a checkpoint landed before the kill");
         let resume = StageRecovery { resume_from: Some(path.clone()), ..StageRecovery::default() };
         let r2 = run_with(&store, &clustering, resume);
         assert_eq!(r2.assemblies, expected);

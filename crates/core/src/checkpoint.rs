@@ -24,9 +24,9 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot layout version, shared by both stages' payloads: bump it
 /// whenever either layout changes (workers regenerate, so an old
-/// snapshot is never required). 2: the cluster snapshot lost its two
-/// per-phase DP-cell tallies.
-pub const CKPT_VERSION: u32 = 2;
+/// snapshot is never required). 3: the cluster snapshot is the
+/// Union–Find alone (no store tag, no `inconsistent` tally).
+pub const CKPT_VERSION: u32 = 3;
 
 /// Persist one snapshot of `stage`'s master state at `path`, atomically.
 /// Returns total bytes written.
@@ -85,7 +85,6 @@ impl StageRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgasm_mpisim::KillTarget;
     use std::fs;
 
     struct TempDir(PathBuf);
@@ -158,11 +157,7 @@ mod tests {
         let half = StageRecovery { checkpoint_every: Some(8), ..StageRecovery::default() };
         assert!(half.ckpt_spec().is_none());
 
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(2), 100, FaultStage::Cluster).with_kill(
-            KillTarget::Rank(3),
-            50,
-            FaultStage::Assemble,
-        );
+        let plan = FaultPlan::parse("kill:lease=100,stage=cluster; kill:lease=50,stage=assemble").unwrap();
         let r = StageRecovery { faults: plan, checkpoint_every: Some(10), ..StageRecovery::default() };
         let cluster = r.for_stage(FaultStage::Cluster);
         assert_eq!(cluster.faults.kills.len(), 1);

@@ -7,7 +7,6 @@
 //! closure is order-independent, the ordering only reduces work, never
 //! changes the result (property-tested in `tests/`).
 
-use crate::geometry::{overlap_edge, GeomUnion, GeomUnionFind};
 use crate::unionfind::UnionFind;
 use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, OverlapResult, Scoring, SimdOpts};
 use pgasm_gst::{GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
@@ -29,17 +28,6 @@ pub struct ClusterParams {
     /// Keep only one strand-combination per fragment pair (the mirrored
     /// combination carries no extra information for clustering).
     pub canonical_strands: bool,
-    /// §10 extension: resolve inconsistent overlaps during cluster
-    /// formation. Every promising pair is aligned (the cluster-check
-    /// shortcut is disabled — conflicts can only surface on same-cluster
-    /// pairs), and accepted overlaps are applied in decreasing overlap
-    /// length with a geometric consistency check: an edge whose implied
-    /// relative placement contradicts the cluster's frame is dropped.
-    /// Costs the alignment savings; trims repeat-induced chaining
-    /// (off = the paper's published behaviour).
-    pub resolve_inconsistent: bool,
-    /// Translation tolerance (bases) for geometry consistency checks.
-    pub geometry_tolerance: i64,
     /// Per-row adaptive X-drop band shrinking (inert whenever no
     /// acceptance floor exists).
     pub adaptive_band: bool,
@@ -58,8 +46,6 @@ impl Default for ClusterParams {
             band: 24,
             mode: GenMode::DupElim,
             canonical_strands: true,
-            resolve_inconsistent: false,
-            geometry_tolerance: 48,
             adaptive_band: true,
             simd_force_scalar: false,
         }
@@ -84,10 +70,6 @@ pub struct ClusterStats {
     /// Alignments whose traceback was never walked: a finished pass
     /// whose score misses the acceptance floor.
     pub tracebacks_skipped: u64,
-    /// Accepted overlaps refused because their implied geometry
-    /// contradicted the cluster (only with
-    /// [`ClusterParams::resolve_inconsistent`]).
-    pub inconsistent: u64,
     /// In-band cells skipped by adaptive X-drop band shrinking
     /// (savings on top of `dp_cells`, which counts evaluated cells).
     pub cells_saved_adaptive: u64,
@@ -115,7 +97,6 @@ impl ClusterStats {
             dp_cells: self.dp_cells + o.dp_cells,
             early_exits: self.early_exits + o.early_exits,
             tracebacks_skipped: self.tracebacks_skipped + o.tracebacks_skipped,
-            inconsistent: self.inconsistent + o.inconsistent,
             cells_saved_adaptive: self.cells_saved_adaptive + o.cells_saved_adaptive,
             band_rows_shrunk: self.band_rows_shrunk + o.band_rows_shrunk,
         }
@@ -234,8 +215,7 @@ impl<'s> PairDecider<'s> {
     /// Compute the banded suffix–prefix alignment for a pair, gated by
     /// `params.criteria`: pairs that cannot pass it come back with
     /// `traceback_skipped` set and empty ranges, which the acceptance
-    /// check rejects (the geometry-aware engine only reads ranges of
-    /// accepted alignments, whose traceback is always walked).
+    /// check rejects.
     pub fn align_full(&self, p: &PromisingPair, scratch: &mut AlignScratch) -> OverlapResult {
         let a = self.store.get(p.a);
         let b = self.store.get(p.b);
@@ -253,21 +233,6 @@ impl<'s> PairDecider<'s> {
                 force_scalar: self.params.simd_force_scalar || SimdOpts::default().force_scalar,
                 adaptive: self.params.adaptive_band,
             },
-        )
-    }
-
-    /// The overlap-implied relative pose `x_a → x_b` (fragment-forward
-    /// coordinates) for an accepted alignment of this pair.
-    pub fn edge_of(&self, p: &PromisingPair, r: &OverlapResult) -> crate::geometry::AffineMap {
-        let (_, strand_a) = self.store.seq_to_fragment(p.a);
-        let (_, strand_b) = self.store.seq_to_fragment(p.b);
-        overlap_edge(
-            matches!(strand_a, pgasm_seq::Strand::Reverse),
-            matches!(strand_b, pgasm_seq::Strand::Reverse),
-            self.store.len_of(p.a),
-            self.store.len_of(p.b),
-            r.a_range.0,
-            r.b_range.0,
         )
     }
 }
@@ -306,23 +271,6 @@ pub fn cluster_serial_with_gst(
     let decider = PairDecider { store: &ds, params: *params };
     let mut scratch = decider.new_scratch();
     let mut stats = ClusterStats::default();
-    if params.resolve_inconsistent {
-        // Phase 1: align every pair, collecting accepted edges.
-        let mut edges: Vec<(u32, u32, crate::geometry::AffineMap, u32)> = Vec::new();
-        for pair in generator {
-            stats.generated += 1;
-            stats.aligned += 1;
-            let (fa, fb) = decider.fragments_of(&pair);
-            let r = decider.align_full(&pair, &mut scratch);
-            stats.record_align(&r);
-            if decider.params.criteria.accepts(r.identity, r.overlap_len) {
-                stats.accepted += 1;
-                edges.push((fa.0, fb.0, decider.edge_of(&pair, &r), r.overlap_len as u32));
-            }
-        }
-        let clusters = apply_geometric_edges(n, edges, params.geometry_tolerance, &mut stats);
-        return (clusters, stats);
-    }
     let mut uf = UnionFind::new(n);
     for pair in generator {
         stats.generated += 1;
@@ -341,28 +289,6 @@ pub fn cluster_serial_with_gst(
         }
     }
     (Clustering::from_unionfind(&mut uf), stats)
-}
-
-/// Phase 2 of the geometric engine (shared with the master–worker
-/// runtime): apply accepted overlap edges in decreasing overlap length,
-/// merging consistently and dropping edges whose implied pose
-/// contradicts the cluster frame. Deterministic given the edge set.
-pub(crate) fn apply_geometric_edges(
-    n: usize,
-    mut edges: Vec<(u32, u32, crate::geometry::AffineMap, u32)>,
-    tolerance: i64,
-    stats: &mut ClusterStats,
-) -> Clustering {
-    edges.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-    let mut guf = GeomUnionFind::new(n);
-    for (fa, fb, edge, _) in edges {
-        match guf.union_with(fa, fb, &edge, tolerance) {
-            GeomUnion::Merged => stats.merges += 1,
-            GeomUnion::Consistent => {}
-            GeomUnion::Inconsistent => stats.inconsistent += 1,
-        }
-    }
-    Clustering { clusters: guf.sets() }
 }
 
 /// Reference clustering that aligns *every* generated pair (no
@@ -504,36 +430,6 @@ mod tests {
         assert!((c.mean_cluster_size() - 2.5).abs() < 1e-12);
         assert_eq!(c.max_cluster_size(), 3);
         assert!((c.max_cluster_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometry_resolution_rejects_conflicting_repeat_overlaps() {
-        // Genome layout: [X][rep][Y][rep][Z] with reads cut exactly at
-        // repeat boundaries:
-        //   r1 = X + rep      r2 = rep + Y      r3 = Y + rep      r4 = rep + Z
-        // True chain: r1–r2 (over rep), r2–r3 (over Y), r3–r4 (over rep).
-        // Bogus edge: r1–r4 (their boundary repeats dovetail perfectly,
-        // identity 1.0) claiming r4 sits right after X — contradicting
-        // the chain, which places it |rep| + |Y| further.
-        let x = genome(21, 160);
-        let rep = genome(23, 120);
-        let y = genome(22, 400);
-        let z = genome(24, 160);
-        let reads = vec![
-            DnaSeq::from(format!("{x}{rep}").as_str()),
-            DnaSeq::from(format!("{rep}{y}").as_str()),
-            DnaSeq::from(format!("{y}{rep}").as_str()),
-            DnaSeq::from(format!("{rep}{z}").as_str()),
-        ];
-        let store = FragmentStore::from_seqs(reads);
-        let base = params();
-        let (plain, plain_stats) = cluster_serial(&store, &base);
-        assert_eq!(plain.max_cluster_size(), 4, "{plain_stats:?}");
-        let resolved_params = ClusterParams { resolve_inconsistent: true, ..base };
-        let (resolved, stats) = cluster_serial(&store, &resolved_params);
-        assert!(stats.inconsistent >= 1, "bogus repeat edge not rejected: {stats:?}");
-        // The true chain still holds the cluster together.
-        assert_eq!(resolved.max_cluster_size(), 4);
     }
 
     #[test]

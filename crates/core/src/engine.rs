@@ -75,6 +75,14 @@
 //! [`MasterReport::killed`] / [`WorkerReport::master_died`] instead of
 //! a hang.
 //!
+//! A *scripted* kill (`pgasm_mpisim::faults`) names a lease, so it is
+//! carried out here, where leases are numbered, and by no counter: the
+//! master asks the armed plan about the id it is about to issue
+//! ([`Comm::kills_at`], then [`Comm::kill`] in place of the grant), a
+//! worker about the id on the grant it has just taken — it dies before
+//! computing or reporting, so provably holding that lease
+//! unacknowledged.
+//!
 //! The engine works over the `mpisim` rank model, so per-tag traffic
 //! accounting and blocked-time attribution apply to any client
 //! unchanged.
@@ -364,13 +372,18 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     }
 
     /// Send one live allocation: journal the batch under a fresh lease
-    /// and attach any adoption scopes queued for this worker.
+    /// and attach any adoption scopes queued for this worker. A kill
+    /// the plan scripts for the master at that lease happens here, in
+    /// place of issuing it.
     fn grant(&mut self, comm: &mut Comm, dest: usize, r: usize, batch: Vec<T>) -> Result<(), CommError> {
         let lease = if batch.is_empty() {
             0
         } else {
-            self.report.batches_dispatched += 1;
             let id = self.next_lease;
+            if comm.kills_at(true, id) {
+                return Err(comm.kill(id));
+            }
+            self.report.batches_dispatched += 1;
             self.next_lease += 1;
             self.journal.insert(id, Lease { worker: dest, tasks: batch.clone() });
             id
@@ -843,6 +856,9 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
             let grant =
                 decode_grant(&msg.data).map_err(|_| CommError::Malformed { src: 0, tag: TAG_GRANT })?;
             let Some(grant) = grant else { return Ok(false) };
+            if comm.kills_at(false, grant.lease) {
+                return Err(comm.kill(grant.lease));
+            }
             for dead_rank in grant.adopt {
                 comm.tracer_mut().instant_arg(
                     TraceCategory::Fault,
@@ -870,10 +886,8 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgasm_mpisim::faults::FaultStage;
-    use pgasm_mpisim::{FaultPlan, KillTarget};
+    use pgasm_mpisim::FaultPlan;
     use std::collections::HashSet;
-    use std::sync::{Arc, Barrier};
 
     /// Toy client: tasks are plain integers, workers square them.
     /// Exercises the protocol shell with no domain logic at all.
@@ -932,20 +946,10 @@ mod tests {
         /// Results each report claims beyond those it carries (a sink
         /// and a source that disagree about the result layout).
         overcount: u32,
-        /// Where every worker meets before its second round, so that no
-        /// second-round report reaches the master before every opening
-        /// report has been answered: the first grants are cut from the
-        /// opening announcements alone, under any thread schedule.
-        gate: Option<Arc<Barrier>>,
-        rounds: u32,
     }
 
     impl TaskSink<u32> for RangeSink {
         fn run_batch(&mut self, _tracer: &mut Tracer, batch: &mut Vec<u32>, w: &mut Writer) {
-            self.rounds += 1;
-            if let Some(gate) = self.gate.as_ref().filter(|_| self.rounds == 2) {
-                gate.wait();
-            }
             w.put_u32(checked_len(batch.len()) + self.overcount);
             for t in batch.drain(..) {
                 self.computed += 1;
@@ -1097,7 +1101,6 @@ mod tests {
         batch: usize,
         plan: FaultPlan,
     ) -> (u64, MasterReport, Vec<WorkerReport>) {
-        let gate = Arc::new(Barrier::new(p - 1));
         let outcomes = pgasm_mpisim::run(p, move |comm| {
             comm.set_fault_plan(&plan);
             let cfg = EngineConfig { batch, pending_cap: 64 };
@@ -1106,7 +1109,7 @@ mod tests {
                 let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
                 (Some((source.sum, report)), None)
             } else {
-                let mut sink = RangeSink { gate: Some(gate.clone()), ..toy_sink(comm.rank(), per_worker) };
+                let mut sink = toy_sink(comm.rank(), per_worker);
                 (None, Some(run_worker(comm, &cfg, &mut sink).unwrap()))
             }
         });
@@ -1126,40 +1129,32 @@ mod tests {
 
     #[test]
     fn killed_worker_recovers_to_exact_sum() {
-        // Kill each worker in turn at its second report (event 3: send
-        // report, receive grant, then this send). At one task per batch
-        // every opening report announces exactly the first task of a
-        // range — even, so selected — and every grant
-        // takes one: with no second-round report ahead of them (`gate`)
-        // all three first grants carry a task. The victim dies holding
-        // an unacknowledged lease under any schedule, and the run must
-        // finish with the exact fault-free sum.
-        for victim in 1..4usize {
-            let plan = FaultPlan::default().with_kill(KillTarget::Rank(victim), 3, FaultStage::Any);
+        // Whichever worker is granted lease K dies holding it: at one
+        // task per batch the master must recover exactly that task, and
+        // the run must finish with the exact fault-free sum. Every
+        // report of a live generator announces a fresh even task, so
+        // the victim — fewer than K grants into a 40-task range — dies
+        // with its generator live and exactly one survivor adopts it.
+        for lease in [1, 2, 7] {
+            let plan = FaultPlan::parse(&format!("kill:lease={lease}")).unwrap();
             let (sum, report, workers) = run_toy_faulty(4, 40, 1, plan);
-            assert_eq!(sum, expected_sum(3, 40), "victim = {victim}");
-            assert_eq!(report.dead_ranks, 1, "victim = {victim}");
-            assert_eq!(
-                report.recovered_tasks, 1,
-                "victim = {victim}: kill at a report's entry leaves a lease"
-            );
+            assert_eq!(sum, expected_sum(3, 40), "lease {lease}");
+            assert_eq!(report.dead_ranks, 1, "lease {lease}");
+            assert_eq!(report.recovered_tasks, 1, "lease {lease}: the victim died holding it");
             assert!(!report.killed);
             assert_eq!(workers.iter().filter(|w| w.killed).count(), 1);
-            assert!(workers.iter().any(|w| w.scopes_adopted == 1), "the dead generator was adopted");
+            let adopted: u64 = workers.iter().map(|w| w.scopes_adopted).sum();
+            assert_eq!(adopted, 1, "lease {lease}: the dead generator was adopted once");
         }
     }
 
-    #[test]
-    fn killed_passive_worker_in_seeded_run_recovers() {
-        // The distributed-assembly shape: master-seeded queue, passive
-        // workers. A worker death re-queues its leased slots. The
-        // victim dies at its second report (event 3) — the first to
-        // carry a lease, which the others cannot have drained the queue
-        // of: they wait for it before computing theirs.
+    /// The distributed-assembly shape — a master-seeded queue of 60
+    /// tasks, passive workers, two tasks per grant: fault-free, exactly
+    /// leases 1..=30 are issued.
+    fn run_seeded_faulty(plan: &str) -> (u64, u64, MasterReport) {
         let seed: Vec<u32> = (0..60).map(|i| i * 2).collect();
         let expected: u64 = seed.iter().map(|&t| t as u64 * t as u64).sum();
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(2), 3, FaultStage::Any);
-        let gate = Arc::new(Barrier::new(3));
+        let plan = FaultPlan::parse(plan).unwrap();
         let (sum, report) = pgasm_mpisim::run(4, move |comm| {
             comm.set_fault_plan(&plan);
             let cfg = EngineConfig { batch: 2, pending_cap: 64 };
@@ -1168,8 +1163,7 @@ mod tests {
                 let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
                 Some((source.sum, report))
             } else {
-                let mut sink = RangeSink { gate: Some(gate.clone()), ..RangeSink::default() };
-                run_worker(comm, &cfg, &mut sink).unwrap();
+                assert!(!run_worker(comm, &cfg, &mut RangeSink::default()).unwrap().master_died);
                 None
             }
         })
@@ -1177,9 +1171,29 @@ mod tests {
         .flatten()
         .next()
         .expect("master outcome");
+        (sum, expected, report)
+    }
+
+    #[test]
+    fn killed_passive_worker_in_seeded_run_recovers() {
+        // A worker death re-queues its leased slots — also on the very
+        // last lease the stage issues, when every other worker is
+        // already parked and must be revived for the recovered batch.
+        for lease in [1, 15, 30] {
+            let (sum, expected, report) = run_seeded_faulty(&format!("kill:lease={lease}"));
+            assert_eq!(sum, expected, "lease {lease}");
+            assert_eq!(report.dead_ranks, 1, "lease {lease}");
+            assert_eq!(report.recovered_tasks, 2, "lease {lease}");
+            assert_eq!(report.batches_dispatched, 31, "lease {lease}: the recovered batch is a new lease");
+        }
+    }
+
+    #[test]
+    fn a_kill_at_a_lease_the_stage_never_issues_is_a_clean_run() {
+        let (sum, expected, report) = run_seeded_faulty("kill:lease=31; kill:master,lease=31");
         assert_eq!(sum, expected);
-        assert_eq!(report.dead_ranks, 1);
-        assert!(report.recovered_tasks > 0);
+        assert_eq!((report.dead_ranks, report.recovered_tasks, report.killed), (0, 0, false));
+        assert_eq!(report.batches_dispatched, 30);
     }
 
     #[test]
@@ -1193,7 +1207,7 @@ mod tests {
         // produces the exact sum. Nobody was killed: the declared
         // worker is alive and leaves by the termination grant.
         for (src, dst, tag) in [(1, 0, TAG_REPORT), (0, 1, TAG_GRANT)] {
-            let plan = FaultPlan::default().with_drop(src, dst, tag, 2, FaultStage::Any);
+            let plan = FaultPlan::parse(&format!("drop:src={src},dst={dst},tag={tag},nth=2")).unwrap();
             let (sum, report, workers) = run_toy_faulty(3, 30, 4, plan);
             assert_eq!(sum, expected_sum(2, 30), "tag {tag}");
             assert_eq!(report.dead_ranks, 1, "tag {tag}: quiescence declared the stuck worker dead");
@@ -1211,7 +1225,7 @@ mod tests {
         // Worker 1's second report is held back until the worker blocks
         // on the grant that answers it; the lease journal still retires
         // it exactly once and the sum stays exact.
-        let plan = FaultPlan::default().with_delay(1, 0, TAG_REPORT, 2, 3, FaultStage::Any);
+        let plan = FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2").unwrap();
         let (sum, report, _) = run_toy_faulty(3, 30, 4, plan);
         assert_eq!(sum, expected_sum(2, 30));
         assert_eq!(report.dead_ranks, 0);
@@ -1219,7 +1233,7 @@ mod tests {
 
     #[test]
     fn killed_master_surfaces_cleanly_on_every_rank() {
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(0), 4, FaultStage::Any);
+        let plan = FaultPlan::parse("kill:master,lease=2").unwrap();
         let outcomes = pgasm_mpisim::run(3, move |comm| {
             comm.set_fault_plan(&plan);
             let cfg = EngineConfig { batch: 4, pending_cap: 64 };

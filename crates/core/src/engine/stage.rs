@@ -25,7 +25,7 @@ use std::time::Instant;
 /// field of the stages' serialisable configs) because the [`TraceSpec`]
 /// carries the run's shared clock epoch, which has no serial form. The
 /// default — tracing off, passive recovery — does not even arm the comm
-/// layer's fault clock.
+/// layer's fault plan.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Per-rank event tracing (spans, instants and gauges).
@@ -167,10 +167,11 @@ pub fn run_stage<C: StageClient>(
         let rank = comm.rank();
         let role = if rank == 0 { "master" } else { "worker" };
         comm.set_tracer(trace.tracer(rank, role));
-        // Arm scripted failures before any traffic. The fault clock
-        // ticks on point-to-point events only, so a pre-phase made of
-        // collectives runs untouched and a scripted kill lands inside
-        // the protocol — after the last barrier any rank will ever pass.
+        // Arm scripted failures before any traffic. Drops and delays
+        // apply to point-to-point sends only and a kill names a lease,
+        // so a pre-phase made of collectives runs untouched and a kill
+        // lands inside the protocol — after the last barrier any rank
+        // will ever pass.
         if !recovery.faults.is_empty() {
             comm.set_fault_plan(&recovery.faults);
         }
@@ -240,7 +241,6 @@ pub fn run_stage<C: StageClient>(
             (names::FAULT_MSGS_DELAYED, fs.msgs_delayed),
             (names::FAULT_DEATH_NOTICES, fs.death_notices),
             (names::FAULT_MSGS_LOST, fs.msgs_lost),
-            (names::FAULT_EVENTS, fs.events),
         ] {
             if value > 0 {
                 counters.insert(name.to_string(), value);

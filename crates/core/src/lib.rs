@@ -39,9 +39,6 @@
 //!   ([`checkpoint::StageRecovery`]) and atomic master checkpoint
 //!   snapshots so `pgasm --resume` can restart a killed run from the
 //!   last consistent master state.
-//! - [`geometry`] — the §10 future-work extension implemented:
-//!   orientation/offset-aware Union–Find that refuses geometrically
-//!   inconsistent overlaps during cluster formation.
 //! - [`validation`] — ground-truth validation against `simgen`
 //!   provenance (the §9.1 "clusters mapping to a single benchmark
 //!   region" statistic, made exact).
@@ -51,7 +48,6 @@ pub mod cache;
 pub mod checkpoint;
 pub mod clustering;
 pub mod engine;
-pub mod geometry;
 pub mod master_worker;
 pub mod parallel_gst;
 pub mod pipeline;

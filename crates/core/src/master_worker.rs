@@ -10,11 +10,10 @@
 //! module supplies what makes the stage *clustering*:
 //!
 //! - the pre-phase: the distributed GST build over the worker ranks;
-//! - rank 0's `ClusterSource`: the Union–Find cluster store (or the
-//!   §10 geometry-aware variant), Union–Find merges applied per drained
-//!   report, the cluster-check pair selection that discards
-//!   generated pairs whose fragments already co-cluster, and the
-//!   snapshot layout of that state;
+//! - rank 0's `ClusterSource`: the Union–Find cluster store, merges
+//!   applied per drained report, the cluster-check pair selection that
+//!   discards generated pairs whose fragments already co-cluster, and
+//!   the snapshot layout of that state;
 //! - ranks 1..p's `ClusterSink`: the per-rank GST pair generator
 //!   (decreasing maximal-match order, which "roughly approximates the
 //!   global sorted order in practice", §7), the banded alignment
@@ -37,7 +36,6 @@ use crate::engine::{
     run_stage, Counters, EngineConfig, MasterReport, RunOpts, Snapshot, StageClient, StageSpec, Task,
     TaskSink, TaskSource, WorkerReport,
 };
-use crate::geometry::AffineMap;
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
@@ -235,7 +233,7 @@ impl<'a> StageClient for ClusterStage<'a> {
     fn source(&self, (_gst, gst_report): Self::Pre) -> ClusterSource<'a> {
         ClusterSource {
             ds: self.ds,
-            clusters: MasterClusters::new(self.n, &self.params),
+            clusters: UnionFind::new(self.n),
             stats: ClusterStats::default(),
             gst_report,
         }
@@ -246,7 +244,7 @@ impl<'a> StageClient for ClusterStage<'a> {
     }
 
     fn master_output(&self, source: ClusterSource<'a>, em: &MasterReport) -> (Self::Output, Counters) {
-        let ClusterSource { clusters, mut stats, gst_report, .. } = source;
+        let ClusterSource { mut clusters, mut stats, gst_report, .. } = source;
         // The engine counts announced tasks; for clustering that *is*
         // the generated-pairs total (every generated pair is announced
         // exactly once). A resumed run adds to the snapshot's tally.
@@ -265,8 +263,7 @@ impl<'a> StageClient for ClusterStage<'a> {
             (names::ALIGN_CELLS_SAVED_ADAPTIVE, stats.cells_saved_adaptive),
             (names::ALIGN_BAND_ROWS_SHRUNK, stats.band_rows_shrunk),
         ];
-        let clustering = clusters.finish(&mut stats);
-        ((gst_report, Some((clustering, stats))), counters)
+        ((gst_report, Some((Clustering::from_unionfind(&mut clusters), stats))), counters)
     }
 
     fn sink(&self, comm: &Comm, (gst, gst_report): Self::Pre) -> ClusterSink<'a> {
@@ -324,7 +321,7 @@ impl<'a> StageClient for ClusterStage<'a> {
 /// clusters *right now* — the two halves of Fig. 7 the engine delegates.
 struct ClusterSource<'a> {
     ds: &'a FragmentStore,
-    clusters: MasterClusters,
+    clusters: UnionFind,
     stats: ClusterStats,
     /// Rank 0's share of the GST pre-phase, carried to the report.
     gst_report: RankGstReport,
@@ -337,16 +334,14 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
             let a = SeqId(r.get_u32()?);
             let bq = SeqId(r.get_u32()?);
             let accepted = r.get_u32()? == 1;
-            let a_start = r.get_u32()?;
-            let b_start = r.get_u32()?;
-            let overlap_len = r.get_u32()?;
             if a.0.max(bq.0) as usize >= self.ds.num_seqs() {
                 return Err(WireError::Malformed("aligned pair names a sequence outside the store"));
             }
             self.stats.aligned += 1;
             if accepted {
                 self.stats.accepted += 1;
-                self.clusters.record_accept(self.ds, a, bq, a_start, b_start, overlap_len, &mut self.stats);
+                let (fa, fb) = (self.ds.seq_to_fragment(a).0, self.ds.seq_to_fragment(bq).0);
+                self.stats.merges += u64::from(self.clusters.union(fa.0, fb.0));
             }
         }
         // Trailing work accounting: DP cells plus the early-exit /
@@ -362,17 +357,17 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
     fn select(&mut self, pair: &PromisingPair) -> bool {
         let fa = self.ds.seq_to_fragment(pair.a).0 .0;
         let fb = self.ds.seq_to_fragment(pair.b).0 .0;
-        !self.clusters.skip_pair(fa, fb)
+        !self.clusters.same(fa, fb)
     }
 }
 
-/// The master's durable state: the work statistics and the cluster
-/// store (Union–Find roots, or the buffered geometric edges). Workers
-/// hold nothing durable — on resume they regenerate their pairs and the
-/// restored cluster-check discards what is already merged — so this is
-/// the complete resume state of the clustering stage. Layout: four
-/// engine counters (forensics only), the ten [`ClusterStats`] tallies,
-/// a store tag (`0` plain, `1` geometric) and that store's records.
+/// The master's durable state: the work statistics and the Union–Find
+/// roots. Workers hold nothing durable — on resume they regenerate
+/// their pairs and the restored cluster-check discards what is already
+/// merged — so this is the complete resume state of the clustering
+/// stage. Layout: four engine counters (forensics only), the nine
+/// [`ClusterStats`] tallies, the fragment count and one root per
+/// fragment.
 impl Snapshot for ClusterSource<'_> {
     fn snapshot(&mut self, rep: &MasterReport) -> Vec<u8> {
         let mut w = Writer::new();
@@ -389,29 +384,15 @@ impl Snapshot for ClusterSource<'_> {
             st.dp_cells,
             st.early_exits,
             st.tracebacks_skipped,
-            st.inconsistent,
             st.cells_saved_adaptive,
             st.band_rows_shrunk,
         ] {
             w.put_u64(v);
         }
-        match &mut self.clusters {
-            MasterClusters::Plain(uf) => {
-                let n = uf.len();
-                w.put_u32(0).put_u32(checked_len(n));
-                for i in 0..n as u32 {
-                    w.put_u32(uf.find(i));
-                }
-            }
-            MasterClusters::Geometric { n, edges, tol } => {
-                w.put_u32(1).put_u32(checked_len(*n)).put_u64(*tol as u64);
-                w.put_u32(checked_len(edges.len()));
-                for (fa, fb, map, overlap_len) in edges.iter() {
-                    w.put_u32(*fa).put_u32(*fb);
-                    w.put_u64(map.s as i64 as u64).put_u64(map.t as u64);
-                    w.put_u32(*overlap_len);
-                }
-            }
+        let n = self.clusters.len();
+        w.put_u32(checked_len(n));
+        for i in 0..n as u32 {
+            w.put_u32(self.clusters.find(i));
         }
         w.finish()
     }
@@ -431,40 +412,23 @@ impl Snapshot for ClusterSource<'_> {
             dp_cells: r.get_u64()?,
             early_exits: r.get_u64()?,
             tracebacks_skipped: r.get_u64()?,
-            inconsistent: r.get_u64()?,
             cells_saved_adaptive: r.get_u64()?,
             band_rows_shrunk: r.get_u64()?,
         };
-        // The snapshot must be of this run's store and cluster mode;
-        // anything else (another input, other parameters) is not ours.
-        let (kind, n) = (r.get_u32()?, r.get_u32()? as usize);
-        let clusters = match (&self.clusters, kind) {
-            (MasterClusters::Plain(uf), 0) if uf.len() == n => {
-                let mut uf = UnionFind::new(n);
-                for i in 0..n as u32 {
-                    let root = r.get_u32()?;
-                    if root as usize >= n {
-                        return Err(WireError::Malformed("Union–Find root out of range"));
-                    }
-                    uf.union(i, root);
-                }
-                MasterClusters::Plain(uf)
+        // The snapshot must be of this run's store; another input's is
+        // not ours.
+        let n = r.get_u32()? as usize;
+        if n != self.clusters.len() {
+            return Err(WireError::Malformed("snapshot of a different store"));
+        }
+        let mut clusters = UnionFind::new(n);
+        for i in 0..n as u32 {
+            let root = r.get_u32()?;
+            if root as usize >= n {
+                return Err(WireError::Malformed("Union–Find root out of range"));
             }
-            (MasterClusters::Geometric { n: fragments, .. }, 1) if *fragments == n => {
-                let tol = r.get_u64()? as i64;
-                let mut edges = Vec::new();
-                for _ in 0..r.get_u32()? {
-                    let (fa, fb) = (r.get_u32()?, r.get_u32()?);
-                    let map = AffineMap { s: r.get_u64()? as i64 as i8, t: r.get_u64()? as i64 };
-                    if fa.max(fb) as usize >= n {
-                        return Err(WireError::Malformed("geometric edge names a fragment out of range"));
-                    }
-                    edges.push((fa, fb, map, r.get_u32()?));
-                }
-                MasterClusters::Geometric { n, edges, tol }
-            }
-            _ => return Err(WireError::Malformed("snapshot of a different store or cluster mode")),
-        };
+            clusters.union(i, root);
+        }
         r.expect_end()?;
         (self.stats, self.clusters) = (stats, clusters);
         Ok(())
@@ -485,7 +449,7 @@ struct ClusterSink<'a> {
     // far (drained FIFO after `gen`).
     world: usize,
     adopted: VecDeque<PairGenerator<PairSkip>>,
-    results: Vec<(PromisingPair, bool, u32, u32, u32)>,
+    results: Vec<(PromisingPair, bool)>,
     // Per-round work-accounting deltas (reset after each report)...
     cells_delta: u64,
     early_delta: u64,
@@ -521,7 +485,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
             let accepted = self.decider.params.criteria.accepts(r.identity, r.overlap_len);
             self.pairs_aligned += 1;
             self.pairs_accepted += accepted as u64;
-            self.results.push((pair, accepted, r.a_range.0 as u32, r.b_range.0 as u32, r.overlap_len as u32));
+            self.results.push((pair, accepted));
         }
         if had_batch {
             tracer.end(TraceCategory::Align, names::EV_ALIGN_BATCH);
@@ -540,9 +504,8 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         // The result body: per-pair verdicts, then the round's DP-cell
         // / early-exit / skipped-traceback deltas.
         w.put_u32(checked_len(self.results.len()));
-        for (pair, accepted, a_start, b_start, overlap_len) in self.results.drain(..) {
+        for (pair, accepted) in self.results.drain(..) {
             w.put_u32(pair.a.0).put_u32(pair.b.0).put_u32(accepted as u32);
-            w.put_u32(a_start).put_u32(b_start).put_u32(overlap_len);
         }
         w.put_u64(self.cells_delta).put_u64(self.early_delta).put_u64(self.skip_delta);
         w.put_u64(self.saved_delta).put_u64(self.shrunk_delta);
@@ -593,79 +556,6 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         let gst = Gst::build_from_sorted(store, &suffixes, params.gst);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
-    }
-}
-
-/// The master's cluster store: plain Union–Find, or the §10
-/// geometry-aware variant when `resolve_inconsistent` is on. In
-/// geometric mode every generated pair is selected for alignment (the
-/// cluster-check shortcut would hide the same-cluster conflicts the
-/// mode exists to catch), accepted edges are buffered, and the
-/// deterministic decreasing-overlap-length resolution runs at the end —
-/// so the parallel result still equals the serial one.
-enum MasterClusters {
-    Plain(UnionFind),
-    Geometric { n: usize, edges: Vec<(u32, u32, AffineMap, u32)>, tol: i64 },
-}
-
-impl MasterClusters {
-    fn new(n: usize, params: &ClusterParams) -> MasterClusters {
-        if params.resolve_inconsistent {
-            MasterClusters::Geometric { n, edges: Vec::new(), tol: params.geometry_tolerance }
-        } else {
-            MasterClusters::Plain(UnionFind::new(n))
-        }
-    }
-
-    /// Should a generated pair be skipped (already co-clustered)?
-    fn skip_pair(&mut self, a: u32, b: u32) -> bool {
-        match self {
-            MasterClusters::Plain(uf) => uf.same(a, b),
-            // Geometric mode aligns everything.
-            MasterClusters::Geometric { .. } => false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record_accept(
-        &mut self,
-        ds: &FragmentStore,
-        a: SeqId,
-        b: SeqId,
-        a_start: u32,
-        b_start: u32,
-        overlap_len: u32,
-        stats: &mut ClusterStats,
-    ) {
-        let fa = ds.seq_to_fragment(a).0 .0;
-        let fb = ds.seq_to_fragment(b).0 .0;
-        match self {
-            MasterClusters::Plain(uf) => {
-                if uf.union(fa, fb) {
-                    stats.merges += 1;
-                }
-            }
-            MasterClusters::Geometric { edges, .. } => {
-                let edge = crate::geometry::overlap_edge(
-                    matches!(ds.seq_to_fragment(a).1, pgasm_seq::Strand::Reverse),
-                    matches!(ds.seq_to_fragment(b).1, pgasm_seq::Strand::Reverse),
-                    ds.len_of(a),
-                    ds.len_of(b),
-                    a_start as usize,
-                    b_start as usize,
-                );
-                edges.push((fa, fb, edge, overlap_len));
-            }
-        }
-    }
-
-    fn finish(self, stats: &mut ClusterStats) -> Clustering {
-        match self {
-            MasterClusters::Plain(mut uf) => Clustering::from_unionfind(&mut uf),
-            MasterClusters::Geometric { n, edges, tol } => {
-                crate::clustering::apply_geometric_edges(n, edges, tol, stats)
-            }
-        }
     }
 }
 
@@ -871,19 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mode_parallel_matches_serial() {
-        let store = test_store();
-        let params = ClusterParams { resolve_inconsistent: true, ..params() };
-        let (serial, serial_stats) = cluster_serial(&store, &params);
-        for p in [2usize, 4] {
-            let report = cluster_parallel(&store, p, &params, &config());
-            assert_eq!(report.clustering, serial, "p = {p}");
-            assert_eq!(report.stats.aligned, serial_stats.aligned, "geometric mode aligns everything");
-            assert_eq!(report.stats.inconsistent, serial_stats.inconsistent);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "at least 2")]
     fn requires_two_ranks() {
         let store = FragmentStore::from_seqs(vec![DnaSeq::from("ACGT")]);
@@ -892,84 +769,11 @@ mod tests {
 
     use crate::assemble_dist::{assemble_parallel_with, AssignPolicy};
     use crate::checkpoint::StageRecovery;
-    use pgasm_mpisim::{FaultPlan, FaultStage, KillTarget};
+    use pgasm_mpisim::FaultPlan;
     use pgasm_telemetry::trace::TraceSpec;
-    use std::sync::{Arc, Barrier};
 
     fn run_with(store: &FragmentStore, p: usize, recovery: StageRecovery) -> ParallelClusterReport {
         cluster_parallel_with(store, p, &params(), &config(), &RunOpts { recovery, ..RunOpts::default() })
-    }
-
-    /// Measure each rank's fault-clock depth with an armed plan that
-    /// never fires, so kill events can be aimed mid-protocol instead of
-    /// guessed. (Arrival order varies run to run, but the midpoint of a
-    /// measured depth is comfortably inside every run.)
-    fn probe_events(store: &FragmentStore, p: usize) -> Vec<u64> {
-        let armed = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(0), u64::MAX, FaultStage::Any),
-            ..StageRecovery::default()
-        };
-        run_with(store, p, armed).ranks.iter().map(|r| r.counter(names::FAULT_EVENTS)).collect()
-    }
-
-    /// The clustering stage with its workers in step for one round, as
-    /// `engine::tests`' `RangeSink::gate` steps the toy client: every
-    /// worker meets the others before its second round, so the master
-    /// answers every opening report before it has absorbed one result.
-    /// Its cluster-check then rejects nothing, and each worker's first
-    /// grant is a full batch of announced pairs under any schedule.
-    struct Gated<'a> {
-        stage: ClusterStage<'a>,
-        gate: Arc<Barrier>,
-    }
-
-    struct GatedSink<'a> {
-        sink: ClusterSink<'a>,
-        gate: Arc<Barrier>,
-        rounds: u32,
-    }
-
-    impl<'a> StageClient for Gated<'a> {
-        type Task = PromisingPair;
-        type Source = ClusterSource<'a>;
-        type Sink = GatedSink<'a>;
-        type Pre = (Gst, RankGstReport);
-        type Output = <ClusterStage<'a> as StageClient>::Output;
-
-        fn pre_phase(&self, comm: &mut Comm) -> Self::Pre {
-            self.stage.pre_phase(comm)
-        }
-        fn source(&self, pre: Self::Pre) -> ClusterSource<'a> {
-            self.stage.source(pre)
-        }
-        fn seed(&self, source: &ClusterSource<'a>) -> Vec<PromisingPair> {
-            self.stage.seed(source)
-        }
-        fn master_output(&self, source: ClusterSource<'a>, em: &MasterReport) -> (Self::Output, Counters) {
-            self.stage.master_output(source, em)
-        }
-        fn sink(&self, comm: &Comm, pre: Self::Pre) -> GatedSink<'a> {
-            GatedSink { sink: self.stage.sink(comm, pre), gate: self.gate.clone(), rounds: 0 }
-        }
-        fn worker_output(&self, sink: GatedSink<'a>, ew: &WorkerReport) -> (Self::Output, Counters) {
-            self.stage.worker_output(sink.sink, ew)
-        }
-    }
-
-    impl TaskSink<PromisingPair> for GatedSink<'_> {
-        fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<PromisingPair>, w: &mut Writer) {
-            self.rounds += 1;
-            if self.rounds == 2 {
-                self.gate.wait();
-            }
-            self.sink.run_batch(tracer, batch, w)
-        }
-        fn generate(&mut self, tracer: &mut Tracer, r: usize, out: &mut Vec<PromisingPair>) -> bool {
-            self.sink.generate(tracer, r, out)
-        }
-        fn adopt_scope(&mut self, tracer: &mut Tracer, dead_rank: usize) {
-            self.sink.adopt_scope(tracer, dead_rank)
-        }
     }
 
     #[test]
@@ -1114,82 +918,82 @@ mod tests {
         }
     }
 
+    /// The run under `plan`, armed as written (the pipeline's per-stage
+    /// narrowing is not in play here).
+    fn run_faulty(store: &FragmentStore, p: usize, plan: &str) -> ParallelClusterReport {
+        let faults = FaultPlan::parse(plan).unwrap();
+        run_with(store, p, StageRecovery { faults, ..StageRecovery::default() })
+    }
+
     #[test]
     fn killed_worker_yields_identical_partition() {
-        // Kill each worker in turn at the entry of its second report
-        // (event 3: send report, receive grant, then this send). The report is for its first grant — a full batch by
-        // construction (`Gated`) — and its generator has barely started,
-        // so every victim dies holding a lease: require the exact serial
-        // partition, that lease's recovery and one scope adoption.
+        // Whichever worker is granted lease K dies holding it. Every
+        // merge needs its own aligned pair and a lease holds at most
+        // `batch` of them, so ⌈merges / batch⌉ leases are issued under
+        // any schedule: kill at the first, a middle and the last of
+        // those, and require the exact serial partition, one dead rank
+        // and that lease's recovery.
         let store = test_store();
-        let (serial, _) = cluster_serial(&store, &params());
-        let ds = store.with_reverse_complements();
-        let owner = compute_owners(&ds, 4, 1);
-        for victim in 1..4 {
-            let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), 3, FaultStage::Any),
-                ..StageRecovery::default()
-            };
-            let stage = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: params() };
-            let client = Gated { stage, gate: Arc::new(Barrier::new(3)) };
-            let opts = RunOpts { recovery, ..RunOpts::default() };
-            let run = run_stage(4, &stage_spec(&config()), &opts, &client);
-            let (clustering, _) = run.outputs[0].1.as_ref().expect("master produced the clustering");
-            assert_eq!(clustering, &serial, "victim {victim}");
-            assert_eq!(run.dead_ranks, 1, "victim {victim}");
-            assert_eq!(run.recovered_tasks, config().batch as u64, "victim {victim} died holding a lease");
+        let (serial, serial_stats) = cluster_serial(&store, &params());
+        let issued = serial_stats.merges.div_ceil(config().batch as u64);
+        assert!(issued >= 3, "the fixture must issue a first, a middle and a last lease");
+        // No worker's generator is spent by its opening report, so the
+        // victim of lease 1 dies generating and a survivor adopts it.
+        let clean = cluster_parallel(&store, 4, &params(), &config());
+        assert!(clean.ranks[1..].iter().all(|r| r.counter(names::PAIRS_GENERATED) > config().batch as u64));
+        for lease in [1, issued / 2 + 1, issued] {
+            let run = run_faulty(&store, 4, &format!("kill:lease={lease}"));
+            assert_eq!(run.clustering, serial, "lease {lease}");
+            assert_eq!(run.dead_ranks, 1, "lease {lease}");
+            assert!(run.recovered_tasks >= 1, "lease {lease}: its holder died before reporting");
             assert!(!run.killed);
             assert_eq!(run.ranks[0].counter(names::DEAD_RANKS), 1);
+            let kills: u64 = run.ranks.iter().map(|r| r.counter(names::FAULT_KILLS)).sum();
+            assert_eq!(kills, 1, "lease {lease}");
             let adopted: u64 = run.ranks[1..].iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum();
-            assert_eq!(adopted, 1, "victim {victim}: one survivor adopts its generator scope");
+            assert!(adopted <= 1, "lease {lease}: a dead generator's scope is adopted once");
+            if lease == 1 {
+                assert_eq!(adopted, 1, "the victim of lease 1 was still generating");
+            }
         }
     }
 
     #[test]
-    fn early_kill_makes_a_survivor_adopt_the_generator_scope() {
-        // Event 3 is the victim's second report: it has announced one
-        // round of pairs but its generator is nowhere near exhausted, so
-        // the master must hand its GST scope to exactly one survivor —
-        // and the partition must still match the serial one.
+    fn a_kill_past_the_last_lease_is_a_clean_run() {
         let store = test_store();
         let (serial, _) = cluster_serial(&store, &params());
-        let recovery = StageRecovery {
-            faults: FaultPlan::default().with_kill(KillTarget::Rank(1), 3, FaultStage::Any),
-            ..StageRecovery::default()
-        };
-        let report = run_with(&store, 4, recovery);
-        assert_eq!(report.clustering, serial);
-        assert_eq!(report.dead_ranks, 1);
-        let adopters: u64 = report.ranks[1..].iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum();
-        assert_eq!(adopters, 1, "exactly one survivor adopts the dead generator's scope");
+        let run = run_faulty(&store, 4, "kill:lease=1000000; kill:master,lease=1000000");
+        assert_eq!(run.clustering, serial);
+        assert_eq!((run.dead_ranks, run.recovered_tasks, run.killed), (0, 0, false));
+        assert!(run.ranks.iter().all(|r| r.counter(names::FAULT_KILLS) == 0));
     }
 
     #[test]
     fn master_kill_checkpoint_resume_reproduces_partition() {
         let store = test_store();
-        let (serial, _) = cluster_serial(&store, &params());
-        let depths = probe_events(&store, 3);
+        let (serial, serial_stats) = cluster_serial(&store, &params());
+        let p = 3;
+        assert!(serial_stats.merges.div_ceil(config().batch as u64) >= p as u64, "lease p is always issued");
         let dir = std::env::temp_dir().join(format!("pgasm-mw-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cluster.pgck");
+        // The master dies in place of issuing lease p. Every lease
+        // answers an absorbed report and the cadence is one, so a
+        // snapshot is on disk by then.
         let faulty = StageRecovery {
-            faults: FaultPlan::default().with_kill(
-                KillTarget::Rank(0),
-                (depths[0] / 2).max(4),
-                FaultStage::Any,
-            ),
+            faults: FaultPlan::parse(&format!("kill:master,lease={p}")).unwrap(),
             checkpoint_every: Some(1),
             checkpoint_path: Some(path.clone()),
             ..StageRecovery::default()
         };
-        let r1 = run_with(&store, 3, faulty);
+        let r1 = run_with(&store, p, faulty);
         assert!(r1.killed, "the plan kills the master mid-protocol");
         assert!(path.exists(), "a checkpoint landed before the kill");
         assert!(r1.ranks[0].counter(names::CKPT_WRITES) > 0);
         // Resume from the snapshot, fault-free: identical partition.
         let resume = StageRecovery { resume_from: Some(path.clone()), ..StageRecovery::default() };
-        let r2 = run_with(&store, 3, resume);
+        let r2 = run_with(&store, p, resume);
         assert_eq!(r2.clustering, serial);
         assert!(!r2.killed);
         let _ = std::fs::remove_dir_all(&dir);

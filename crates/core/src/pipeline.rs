@@ -273,6 +273,10 @@ impl Stage for PreprocessStage<'_> {
                 state.store_unmasked = Some(out.store_unmasked);
                 state.quals = out.quals;
                 state.origin = out.origin;
+                // Also on a cache hit: the stats travel in the artifact.
+                ctx.set(names::PREPROCESS_REJECTED_BY_TRIM, out.stats.rejected_by_trim as u64);
+                ctx.set(names::PREPROCESS_REJECTED_BY_MASK, out.stats.rejected_by_mask as u64);
+                ctx.set(names::PREPROCESS_MASKED_BASES, out.stats.masked_bases as u64);
                 state.preprocess = Some(out.stats);
             }
             None => {

@@ -112,8 +112,8 @@ pub struct Comm {
     stats: CommStats,
     tag_traffic: BTreeMap<u32, TagTraffic>,
     tracer: Tracer,
-    /// Armed fault plan for this rank (`None` = fault-free run: the
-    /// fault clock does not exist and nothing is injected).
+    /// Armed fault plan for this rank (`None` = fault-free run: nothing
+    /// is injected).
     faults: Option<FaultRuntime>,
     /// Peers whose death notice this rank has ingested.
     dead_peers: Vec<bool>,
@@ -185,13 +185,13 @@ impl Comm {
     }
 
     /// Arm `plan` on this rank. Every rank of the world must arm the
-    /// same (stage-filtered) plan for consistent semantics: arming
-    /// starts the rank's fault clock (one event per `send` and per
-    /// `recv` / `try_recv` that returns an event; an empty `try_recv`,
-    /// collectives and `barrier` never tick) and makes a vanished peer
-    /// a counted loss instead of a panic.
+    /// same (stage-filtered) plan for consistent semantics: its drop
+    /// and delay clauses apply to this rank's `send`s (collectives are
+    /// untouched), its kill clauses are there for the task engine to
+    /// read ([`Comm::kills_at`]), and a vanished peer becomes a counted
+    /// loss instead of a panic.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = Some(FaultRuntime::new(plan, self.rank, self.size));
+        self.faults = Some(FaultRuntime::new(plan, self.rank));
     }
 
     /// Whether a fault plan is armed on this rank.
@@ -212,31 +212,17 @@ impl Comm {
 
     /// A rank the plan has killed fails every point-to-point call.
     fn check_alive(&self) -> Result<(), CommError> {
-        match &self.faults {
-            Some(f) if f.dead => Err(f.killed_error()),
-            _ => Ok(()),
+        match self.faults.as_ref().and_then(|f| f.killed_at) {
+            Some(lease) => Err(CommError::Killed { rank: self.rank, lease }),
+            None => Ok(()),
         }
     }
 
-    /// Advance this rank's fault clock by one event: trip a scripted
-    /// kill (*before* any transmission — a killed rank's current round
-    /// never reaches the wire) and release any held-back messages that
-    /// have come due.
-    fn fault_tick(&mut self) -> Result<(), CommError> {
-        self.check_alive()?;
-        let Some(f) = &mut self.faults else { return Ok(()) };
-        if f.tick() {
-            return Err(self.die());
-        }
-        self.release_held(false);
-        Ok(())
-    }
-
-    /// Put the held-back messages that have come due on the wire — or
-    /// `all` of them, when this rank is about to block.
-    fn release_held(&mut self, all: bool) {
+    /// Put the messages the fault plan made this rank hold back on the
+    /// wire, in hold order: the rank is about to block.
+    fn release_held(&mut self) {
         let Some(f) = &mut self.faults else { return };
-        for (dest, tag, data) in f.release(all) {
+        for (dest, tag, data) in std::mem::take(&mut f.delayed) {
             if self.dead_peers[dest] {
                 if let Some(f) = &mut self.faults {
                     f.stats.msgs_lost += 1;
@@ -247,19 +233,35 @@ impl Comm {
         }
     }
 
-    /// A scripted kill tripped: record it and leave the world.
-    fn die(&mut self) -> CommError {
-        let err = self.faults.as_ref().expect("die() only under an armed plan").killed_error();
-        let CommError::Killed { event, .. } = err else { unreachable!("killed_error builds Killed") };
-        self.tracer.instant_arg(TraceCategory::Fault, names::EV_FAULT_KILL, "event", event);
+    /// Whether the armed plan scripts a kill at `lease` — of the master
+    /// in place of issuing it (`master`), or else of the worker that is
+    /// granted it. Leases are the task engine's, so the engine asks,
+    /// where it issues and where it takes one, and carries the kill out
+    /// with [`Comm::kill`].
+    pub fn kills_at(&self, master: bool, lease: u64) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.kills.iter().any(|k| k.master == master && k.lease == lease))
+    }
+
+    /// Carry out a scripted kill of this rank at `lease`: record it,
+    /// tell every peer ([`Comm::abort`]) and fail every later
+    /// point-to-point call with the error returned here.
+    ///
+    /// # Panics
+    /// Panics when no fault plan is armed: nothing scripted this.
+    pub fn kill(&mut self, lease: u64) -> CommError {
+        let f = self.faults.as_mut().expect("a kill is scripted by an armed fault plan");
+        f.killed_at = Some(lease);
+        f.stats.kills += 1;
+        self.tracer.instant_arg(TraceCategory::Fault, names::EV_FAULT_KILL, "lease", lease);
         self.abort();
-        err
+        CommError::Killed { rank: self.rank, lease }
     }
 
     /// Leave the world without finishing: every peer gets a death
     /// notice so survivors observe an [`Event::Death`] instead of
-    /// hanging. A scripted kill ends here; a rank that hits an
-    /// unrecoverable [`CommError`] calls this before returning it.
+    /// hanging. A scripted kill ends here ([`Comm::kill`]); a rank that
+    /// hits an unrecoverable [`CommError`] calls this before returning
+    /// it.
     pub fn abort(&mut self) {
         for peer in (0..self.size).filter(|&peer| peer != self.rank) {
             self.stats.msgs_sent += 1;
@@ -275,17 +277,17 @@ impl Comm {
     /// the message is in the destination's inbox — or the fault plan's
     /// hands — when the call returns.
     ///
-    /// Under an armed plan the call is one fault-clock event: the plan
-    /// may kill this rank at its entry (`Err(CommError::Killed)`) or
-    /// drop/delay this message. A send to a peer whose death notice has
-    /// arrived is a loss, not a delivery.
+    /// Under an armed plan the message may be dropped or held back, and
+    /// a rank the plan has killed gets `Err(CommError::Killed)`. A send
+    /// to a peer whose death notice has arrived is a loss, not a
+    /// delivery.
     ///
     /// # Panics
     /// Panics on a reserved tag or an out-of-range destination.
     pub fn send(&mut self, dest: usize, tag: u32, data: Bytes) -> Result<(), CommError> {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag:#x} is reserved for collectives");
         assert!(dest < self.size, "destination {dest} out of range");
-        self.fault_tick()?;
+        self.check_alive()?;
         match self.faults.as_mut().map(|f| f.filter(dest, tag)) {
             Some(Verdict::Drop) => {
                 self.tracer.instant_args(
@@ -296,14 +298,14 @@ impl Comm {
                 );
                 return Ok(());
             }
-            Some(Verdict::Delay(release_at)) => {
+            Some(Verdict::Delay) => {
                 self.tracer.instant_args(
                     TraceCategory::Fault,
                     names::EV_FAULT_DELAY,
                     ("dst", dest as u64),
                     ("tag", tag as u64),
                 );
-                self.faults.as_mut().expect("armed").hold(release_at, dest, tag, data);
+                self.faults.as_mut().expect("armed").delayed.push((dest, tag, data));
                 return Ok(());
             }
             _ => {}
@@ -323,33 +325,26 @@ impl Comm {
     /// receives, preserving per-sender FIFO order. A peer's death
     /// notice is delivered as [`Event::Death`] regardless of the
     /// filter, as is [`Event::Quiescent`] when no message can ever
-    /// arrive (every other rank having exited is one such world), and a
-    /// scripted kill of *this* rank surfaces as `Err(CommError::Killed)`
-    /// (the call is one fault-clock event, ticked at its entry).
+    /// arrive (every other rank having exited is one such world); a
+    /// rank the plan has killed gets `Err(CommError::Killed)`.
     ///
     /// `wait_ns` is charged only while the underlying channel is
     /// genuinely empty — draining and backlogging already-delivered
     /// non-matching messages is bookkeeping, not blocked time.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Event, CommError> {
-        self.fault_tick()?;
+        self.check_alive()?;
         Ok(self.receive(src, tag, true).expect("a blocking receive yields an event"))
     }
 
     /// Non-blocking [`Comm::recv`]; `Ok(None)` when nothing matching
-    /// (and no death notice) is queued — which is not a fault-clock
-    /// event: only a returned event ticks.
+    /// (and no death notice) is queued.
     pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Option<Event>, CommError> {
         self.check_alive()?;
-        let event = self.receive(src, tag, false);
-        if event.is_some() {
-            self.fault_tick()?;
-        }
-        Ok(event)
+        Ok(self.receive(src, tag, false))
     }
 
     /// The one receive loop, under the point-to-point calls and the
-    /// collectives alike. It never ticks the fault clock: the public
-    /// wrappers do, the collectives must not.
+    /// collectives alike.
     fn receive(&mut self, src: Option<usize>, tag: Option<u32>, block: bool) -> Option<Event> {
         // Backlog prefix already known to hold no match.
         let mut scanned = 0;
@@ -370,7 +365,7 @@ impl Comm {
             if std::mem::take(&mut release) {
                 // A send into a closed inbox drains ours (`send_raw`),
                 // so look again before waiting.
-                self.release_held(true);
+                self.release_held();
                 continue;
             }
             let m = match self.take() {
@@ -522,7 +517,7 @@ impl Comm {
 
     /// Synchronise all ranks (releasing held-back sends first).
     pub fn barrier(&mut self) {
-        self.release_held(true);
+        self.release_held();
         self.tracer.begin(TraceCategory::Comm, names::EV_BARRIER);
         let start = Instant::now();
         self.barrier.wait();
@@ -865,11 +860,10 @@ mod tests {
 
     #[test]
     fn one_lost_message_is_one_quiescent_event_at_the_lowest_rank() {
-        use crate::faults::FaultStage;
         // Rank 1's request to rank 2 is dropped, and each waits for the
         // other; rank 0 waits on both. Rank 0 alone is told, once, and
         // its sends then wake the other two with plain messages.
-        let plan = FaultPlan::default().with_drop(1, 2, 5, 1, FaultStage::Any);
+        let plan = FaultPlan::parse("drop:src=1,dst=2,tag=5,nth=1").unwrap();
         let seen = run(3, move |c| {
             c.set_fault_plan(&plan);
             let mut quiescent = 0;
@@ -922,10 +916,9 @@ mod tests {
 
     #[test]
     fn a_blocking_sender_releases_its_held_delay() {
-        use crate::faults::FaultStage;
-        // Held for 1 000 sender events that never come: the sender
-        // blocks on the answer instead, which releases the message.
-        let plan = FaultPlan::default().with_delay(0, 1, 6, 1, 1_000, FaultStage::Any);
+        // The sender blocks on the answer to the message it holds:
+        // blocking is what releases it.
+        let plan = FaultPlan::parse("delay:src=0,dst=1,tag=6,nth=1").unwrap();
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
@@ -1017,18 +1010,22 @@ mod tests {
 
     #[test]
     fn scripted_kill_surfaces_error_and_death_notices() {
-        use crate::faults::{FaultStage, KillTarget};
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(1), 2, FaultStage::Any);
+        let plan = FaultPlan::parse("kill:lease=2").unwrap();
         let out = run(3, move |c| {
             c.set_fault_plan(&plan);
+            // The clause is there for whoever numbers leases to read.
+            assert!(c.kills_at(false, 2));
+            assert!(!c.kills_at(true, 2) && !c.kills_at(false, 1));
             match c.rank() {
                 1 => {
-                    // First op passes, second trips the kill.
+                    // What the engine does on taking lease 2.
                     c.send(0, 5, Bytes::from_static(b"one")).unwrap();
-                    let err = c.send(0, 5, Bytes::from_static(b"two")).unwrap_err();
-                    assert_eq!(err, CommError::Killed { rank: 1, event: 2 });
-                    // Every later op keeps failing.
-                    assert!(c.recv(None, None).is_err());
+                    let killed = CommError::Killed { rank: 1, lease: 2 };
+                    assert_eq!(c.kill(2), killed);
+                    // Every later op fails, and nothing reaches the wire.
+                    assert_eq!(c.send(0, 5, Bytes::from_static(b"two")), Err(killed));
+                    assert_eq!(c.recv(None, None).unwrap_err(), killed);
+                    assert_eq!(c.try_recv(None, None).unwrap_err(), killed);
                     assert_eq!(c.fault_stats().kills, 1);
                     assert_eq!(c.fault_stats().death_notices, 2);
                     "killed"
@@ -1068,8 +1065,7 @@ mod tests {
 
     #[test]
     fn scripted_drop_discards_exactly_the_nth_match() {
-        use crate::faults::FaultStage;
-        let plan = FaultPlan::default().with_drop(0, 1, 4, 2, FaultStage::Any);
+        let plan = FaultPlan::parse("drop:src=0,dst=1,tag=4,nth=2").unwrap();
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
@@ -1094,18 +1090,16 @@ mod tests {
 
     #[test]
     fn scripted_delay_reorders_past_later_traffic() {
-        use crate::faults::FaultStage;
-        // Hold the first tag-6 message for 2 sender events: the second
-        // message overtakes it.
-        let plan = FaultPlan::default().with_delay(0, 1, 6, 1, 2, FaultStage::Any);
+        // The first tag-6 message is held until its sender reaches the
+        // barrier: the second overtakes it.
+        let plan = FaultPlan::parse("delay:src=0,dst=1,tag=6,nth=1").unwrap();
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
                 c.send(1, 6, Bytes::from_static(b"early")).unwrap(); // held
                 c.send(1, 6, Bytes::from_static(b"later")).unwrap();
-                // Two more events release the held message.
-                c.send(1, 7, Bytes::from_static(b"tick")).unwrap();
-                c.send(1, 7, Bytes::from_static(b"tick")).unwrap();
+                assert_eq!(c.stats().msgs_sent, 1, "one on the wire, one held");
+                c.barrier();
                 assert_eq!(c.fault_stats().msgs_delayed, 1);
             } else {
                 let order: Vec<Bytes> = (0..2)
@@ -1116,6 +1110,7 @@ mod tests {
                     .collect();
                 assert_eq!(&order[0][..], b"later", "delayed message arrives out of order");
                 assert_eq!(&order[1][..], b"early");
+                c.barrier();
             }
         });
     }

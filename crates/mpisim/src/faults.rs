@@ -1,49 +1,55 @@
-//! Deterministic, seeded fault injection for the simulated machine.
+//! Deterministic fault injection for the simulated machine.
 //!
-//! A [`FaultPlan`] scripts failures against rank-local *event counts*,
-//! never wall-clock time. A rank's clock ticks once per `send` and once
-//! per receive that returns an event — an empty `try_recv` is not an
-//! event — so its reading is a function of the messages the rank
-//! exchanged, not of how often it polled. The plan can
+//! A [`FaultPlan`] scripts failures in the protocol's own coordinates,
+//! never in wall-clock time or message counts of a rank's lifetime:
 //!
-//! - **kill** a rank once its event counter reaches a scripted value
-//!   (`kill:rank=2,event=500` — or `kill:any,event=500`, where the
-//!   victim worker is drawn from the plan's seed, not the clock);
-//! - **drop** the *n*-th message matching a `(src,dst,tag)` triple at
-//!   the sender (`drop:src=1,dst=0,tag=1,nth=2` — under the task
-//!   engine tag 1 is a worker's report, tag 2 the master's grant);
-//! - **delay** such a message by a scripted number of sender events
-//!   (`delay:src=0,dst=1,tag=2,nth=2,by=40`), re-ordering it past
-//!   later traffic the way a congested link would. A sender about to
-//!   block releases what it still holds: a delay reorders, it never
-//!   strands a message behind a sender that went idle.
+//! - **kill** names a *lease* — the id the task engine stamps on every
+//!   non-empty batch it grants, sequential from 1 within a stage and
+//!   carried on the grant. `kill:lease=3` kills the worker that is
+//!   granted lease 3, on receipt, before it computes or reports;
+//!   `kill:master,lease=3` kills the master in place of issuing it.
+//!   Which worker receives a lease varies with the thread schedule and
+//!   does not matter: workers are symmetric in the protocol. The clause
+//!   is evaluated by the layer that knows leases (`pgasm_core::engine`,
+//!   through [`Comm::kills_at`](crate::Comm::kills_at) and
+//!   [`Comm::kill`](crate::Comm::kill)); this crate keeps no counter.
+//! - **drop** names a *message*: the *n*-th one matching a
+//!   `(src,dst,tag)` triple is discarded at the sender
+//!   (`drop:src=1,dst=0,tag=1,nth=2` — under the task engine tag 1 is a
+//!   worker's report, tag 2 the master's grant);
+//! - **delay** names one the same way
+//!   (`delay:src=1,dst=0,tag=1,nth=2`) and holds it until its sender
+//!   next blocks in a receive or reaches a barrier, re-ordering it past
+//!   whatever the sender sent in between, the way a congested link would.
 //!
 //! Failures surface to callers as recoverable [`CommError`]s (a killed
-//! rank's next point-to-point call returns `Err(CommError::Killed)`), and
-//! a dying rank broadcasts a *death notice* to every peer so survivors
-//! observe the failure as an event instead of a hang. A *lost* message
-//! needs no timer either: the simulator sees every rank blocked with
-//! nothing undelivered and raises `Event::Quiescent`. Every injected
-//! fault is recorded on the `fault` trace category and in the
-//! [`FaultStats`] counters.
+//! rank's every later point-to-point call returns
+//! `Err(CommError::Killed)`), and a dying rank broadcasts a *death
+//! notice* to every peer so survivors observe the failure as an event
+//! instead of a hang. A *lost* message needs no timer either: the
+//! simulator sees every rank blocked with nothing undelivered and raises
+//! `Event::Quiescent`. Every injected fault is recorded on the `fault`
+//! trace category and in the [`FaultStats`] counters.
 //!
 //! Plans are scoped per pipeline stage (`stage=cluster|assemble`, or
 //! any): [`FaultPlan::for_stage`] extracts the clauses a stage should
 //! arm before handing the plan to its ranks.
 
 use bytes::Bytes;
+use std::num::NonZeroU64;
+use std::str::FromStr;
 
 /// A communication failure surfaced by `Comm::{send, recv, try_recv}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
-    /// The fault plan killed *this* rank at the given rank-local event
-    /// count. The rank has already broadcast its death notice; the
-    /// caller must unwind without further communication.
+    /// The fault plan killed *this* rank at the given lease. The rank
+    /// has already broadcast its death notice; the caller must unwind
+    /// without further communication.
     Killed {
         /// The rank that died (the caller's own).
         rank: usize,
-        /// The rank-local event count the kill tripped at.
-        event: u64,
+        /// The lease the kill clause named.
+        lease: u64,
     },
     /// A message from `src` did not decode under the protocol its `tag`
     /// belongs to. Raised by the layer that owns that protocol (the
@@ -59,8 +65,8 @@ pub enum CommError {
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::Killed { rank, event } => {
-                write!(f, "rank {rank} killed by fault plan at event {event}")
+            CommError::Killed { rank, lease } => {
+                write!(f, "rank {rank} killed by fault plan at lease {lease}")
             }
             CommError::Malformed { src, tag } => {
                 write!(f, "malformed message from rank {src} under tag {tag}")
@@ -84,24 +90,16 @@ pub enum FaultStage {
     Assemble,
 }
 
-/// Which rank a kill clause targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillTarget {
-    /// A specific rank (0 = the master).
-    Rank(usize),
-    /// A worker rank drawn deterministically from the plan's seed.
-    AnyWorker,
-}
-
-/// Kill one rank when its event counter reaches `at_event`.
+/// Kill one rank at a lease of the stage's task engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
-    /// The victim.
-    pub target: KillTarget,
-    /// Rank-local event count the kill trips at (checked at the entry
-    /// of each `send` and blocking `recv`, *before* any transmission,
-    /// so a worker dies with its current round's report undelivered).
-    pub at_event: u64,
+    /// The victim is the master, which dies in place of issuing the
+    /// lease; otherwise it is whichever worker is granted the lease,
+    /// which dies on receipt, holding it unacknowledged.
+    pub master: bool,
+    /// The lease id (≥ 1; the engine numbers a stage's non-empty
+    /// batches sequentially from 1).
+    pub lease: u64,
     /// Stage scope.
     pub stage: FaultStage,
 }
@@ -117,11 +115,10 @@ pub struct MsgFaultSpec {
     pub tag: u32,
     /// 1-based index among matching messages (1 = the first match).
     pub nth: u64,
-    /// `None` = drop the message; `Some(k)` = hold it back and deliver
-    /// it once the sender's event counter has advanced `k` further or
-    /// the sender is about to block, whichever comes first — after
+    /// `false` = drop the message; `true` = hold it back until the
+    /// sender next blocks in a receive or reaches a barrier — after
     /// whatever the sender did in between, a *late* message.
-    pub delay_by: Option<u64>,
+    pub delay: bool,
     /// Stage scope.
     pub stage: FaultStage,
 }
@@ -130,9 +127,6 @@ pub struct MsgFaultSpec {
 /// the grammar; [`FaultPlan::parse`] builds one from the CLI string.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for every randomised choice the plan makes (`kill:any`
-    /// victim selection). Wall-clock time is never consulted.
-    pub seed: u64,
     /// Scripted kills.
     pub kills: Vec<KillSpec>,
     /// Scripted message drops and delays.
@@ -148,127 +142,106 @@ impl FaultPlan {
     /// The sub-plan a given stage should arm: clauses scoped to
     /// `stage` or to [`FaultStage::Any`].
     pub fn for_stage(&self, stage: FaultStage) -> FaultPlan {
+        let armed = |s: FaultStage| s == stage || s == FaultStage::Any;
         FaultPlan {
-            seed: self.seed,
-            kills: self
-                .kills
-                .iter()
-                .copied()
-                .filter(|k| k.stage == stage || k.stage == FaultStage::Any)
-                .collect(),
-            msg_faults: self
-                .msg_faults
-                .iter()
-                .copied()
-                .filter(|m| m.stage == stage || m.stage == FaultStage::Any)
-                .collect(),
+            kills: self.kills.iter().copied().filter(|k| armed(k.stage)).collect(),
+            msg_faults: self.msg_faults.iter().copied().filter(|m| armed(m.stage)).collect(),
         }
-    }
-
-    /// Builder: add a kill clause (tests and benches).
-    pub fn with_kill(mut self, target: KillTarget, at_event: u64, stage: FaultStage) -> Self {
-        self.kills.push(KillSpec { target, at_event, stage });
-        self
-    }
-
-    /// Builder: add a drop clause (tests and benches).
-    pub fn with_drop(mut self, src: usize, dst: usize, tag: u32, nth: u64, stage: FaultStage) -> Self {
-        self.msg_faults.push(MsgFaultSpec { src, dst, tag, nth, delay_by: None, stage });
-        self
-    }
-
-    /// Builder: add a delay clause (tests and benches).
-    pub fn with_delay(
-        mut self,
-        src: usize,
-        dst: usize,
-        tag: u32,
-        nth: u64,
-        by: u64,
-        stage: FaultStage,
-    ) -> Self {
-        self.msg_faults.push(MsgFaultSpec { src, dst, tag, nth, delay_by: Some(by), stage });
-        self
     }
 
     /// Parse a plan string: `;`-separated clauses, each
     /// `kind:key=value,...`.
     ///
     /// ```text
-    /// seed:42
-    /// kill:rank=2,event=500[,stage=cluster|assemble|any]
-    /// kill:any,event=500                 (victim drawn from the seed)
+    /// kill:lease=3[,stage=cluster|assemble|any]
+    /// kill:master,lease=3[,stage=...]
     /// drop:src=1,dst=0,tag=1,nth=2[,stage=...]
-    /// delay:src=0,dst=1,tag=2,nth=2,by=40[,stage=...]
+    /// delay:src=0,dst=1,tag=2,nth=2[,stage=...]
     /// ```
     ///
-    /// Unscoped clauses default to `stage=cluster`.
+    /// Unscoped clauses default to `stage=cluster`. A plan is outside
+    /// input: a clause with an unknown or repeated key, a missing one,
+    /// or a value its field cannot hold is an error, never a clause
+    /// that silently arms something else or nothing.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for clause in s.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (kind, body) =
                 clause.split_once(':').ok_or_else(|| format!("fault clause '{clause}' missing ':'"))?;
-            match kind.trim() {
-                "seed" => {
-                    plan.seed = body.trim().parse().map_err(|_| format!("seed '{body}' is not a u64"))?;
-                }
+            let kind = kind.trim();
+            match kind {
                 "kill" => {
-                    let kv = parse_kv(body)?;
-                    let target = match get(&kv, "rank") {
-                        Some("any") => KillTarget::AnyWorker,
-                        Some(v) => KillTarget::Rank(
-                            v.parse().map_err(|_| format!("kill rank '{v}' is not a rank id"))?,
-                        ),
-                        None if kv.iter().any(|(k, _)| k == "any") => KillTarget::AnyWorker,
-                        None => return Err(format!("kill clause '{clause}' needs rank=<id>|any")),
+                    let kv = parse_kv(clause, body, &["master", "lease", "stage"])?;
+                    let master = match get(&kv, "master") {
+                        None => false,
+                        Some("") => true,
+                        Some(_) => return Err(format!("clause '{clause}': master takes no value")),
                     };
-                    let at_event = req_u64(&kv, "event", clause)?;
-                    plan.kills.push(KillSpec { target, at_event, stage: parse_stage(&kv)? });
+                    let lease = req::<NonZeroU64>(&kv, "lease", clause)?.get();
+                    plan.kills.push(KillSpec { master, lease, stage: parse_stage(&kv)? });
                 }
                 "drop" | "delay" => {
-                    let kv = parse_kv(body)?;
-                    let delay_by =
-                        if kind.trim() == "delay" { Some(req_u64(&kv, "by", clause)?) } else { None };
+                    let kv = parse_kv(clause, body, &["src", "dst", "tag", "nth", "stage"])?;
                     plan.msg_faults.push(MsgFaultSpec {
-                        src: req_u64(&kv, "src", clause)? as usize,
-                        dst: req_u64(&kv, "dst", clause)? as usize,
-                        tag: req_u64(&kv, "tag", clause)? as u32,
-                        nth: req_u64(&kv, "nth", clause)?,
-                        delay_by,
+                        src: req(&kv, "src", clause)?,
+                        dst: req(&kv, "dst", clause)?,
+                        tag: req(&kv, "tag", clause)?,
+                        nth: req::<NonZeroU64>(&kv, "nth", clause)?.get(),
+                        delay: kind == "delay",
                         stage: parse_stage(&kv)?,
                     });
                 }
-                k => return Err(format!("unknown fault clause kind '{k}'")),
+                "seed" => return Err("seed: is gone — no choice a plan makes is random".to_string()),
+                k => return Err(format!("unknown fault clause kind '{k}' (kill, drop, delay)")),
             }
         }
         Ok(plan)
     }
 }
 
-fn parse_kv(body: &str) -> Result<Vec<(String, String)>, String> {
-    body.split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(|p| match p.split_once('=') {
-            Some((k, v)) => Ok((k.trim().to_string(), v.trim().to_string())),
-            // A bare word ("any") is a flag with an empty value.
-            None => Ok((p.to_string(), String::new())),
-        })
-        .collect()
+/// Split a clause body into `key=value` parts: each of `keys` at most
+/// once, nothing else. A bare word (`master`) is a key with an empty
+/// value.
+fn parse_kv<'a>(clause: &str, body: &'a str, keys: &[&str]) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut kv: Vec<(&str, &str)> = Vec::new();
+    for part in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (key, value) = part.split_once('=').map_or((part, ""), |(k, v)| (k.trim(), v.trim()));
+        // The grammar this one replaced: name what to write instead.
+        let replaced = match key {
+            "event" => Some("event= is gone — a kill names a lease: kill:lease=K"),
+            "rank" | "any" => Some(
+                "a kill names no rank — kill:lease=K kills the worker granted lease K, \
+                 kill:master,lease=K the master",
+            ),
+            "by" => Some("by= is gone — a delayed message is held until its sender next blocks"),
+            _ => None,
+        };
+        if let Some(instead) = replaced {
+            return Err(format!("clause '{clause}': {instead}"));
+        }
+        if !keys.contains(&key) {
+            return Err(format!("clause '{clause}': unknown key '{key}' (one of: {})", keys.join(", ")));
+        }
+        if get(&kv, key).is_some() {
+            return Err(format!("clause '{clause}': {key} given twice"));
+        }
+        kv.push((key, value));
+    }
+    Ok(kv)
 }
 
-fn get<'a>(kv: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    kv.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+fn get<'a>(kv: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+    kv.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
-fn req_u64(kv: &[(String, String)], key: &str, clause: &str) -> Result<u64, String> {
-    get(kv, key)
-        .ok_or_else(|| format!("clause '{clause}' missing {key}=<n>"))?
-        .parse()
-        .map_err(|_| format!("clause '{clause}': {key} is not a u64"))
+/// A required value, parsed into the type of the field it fills — so a
+/// value the field cannot hold is rejected here, not truncated later.
+fn req<T: FromStr>(kv: &[(&str, &str)], key: &str, clause: &str) -> Result<T, String> {
+    let value = get(kv, key).ok_or_else(|| format!("clause '{clause}' missing {key}=<n>"))?;
+    value.parse().map_err(|_| format!("clause '{clause}': {key}={value} is out of range"))
 }
 
-fn parse_stage(kv: &[(String, String)]) -> Result<FaultStage, String> {
+fn parse_stage(kv: &[(&str, &str)]) -> Result<FaultStage, String> {
     match get(kv, "stage") {
         None => Ok(FaultStage::Cluster),
         Some("cluster") => Ok(FaultStage::Cluster),
@@ -291,28 +264,6 @@ pub struct FaultStats {
     pub death_notices: u64,
     /// Sends blackholed because the destination was already dead.
     pub msgs_lost: u64,
-    /// This rank's event-clock reading (sends, plus receives that
-    /// returned an event) — the coordinate `kill:…,event=` and
-    /// `delay:…,by=` clauses are written in. Exposed so plans can be
-    /// aimed from an observed run.
-    pub events: u64,
-}
-
-/// splitmix64 — the repo's stable seeded mixer (same constants as the
-/// GST bucket partitioner), used for every randomised plan choice.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The deterministic victim of a `kill:any` clause: a worker rank in
-/// `1..size` drawn from the seed (exposed so tests and tools can
-/// predict it).
-pub fn any_worker_victim(seed: u64, size: usize) -> usize {
-    assert!(size > 1, "kill:any needs at least one worker rank");
-    1 + (splitmix64(seed) % (size as u64 - 1)) as usize
 }
 
 /// One armed message-fault clause with its match progress.
@@ -327,38 +278,26 @@ struct MsgFaultState {
 pub(crate) enum Verdict {
     Pass,
     Drop,
-    Delay(u64),
+    Delay,
 }
 
 /// Per-rank armed fault state, owned by the rank's `Comm`.
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
-    rank: usize,
-    /// Event count at which this rank dies, if scripted.
-    kill_at: Option<u64>,
-    /// Rank-local event counter (sends, and receives that returned an
-    /// event).
-    events: u64,
-    /// This rank has tripped its kill.
-    pub(crate) dead: bool,
+    /// The armed kill clauses (every rank holds them all: which worker
+    /// a lease goes to is not known in advance).
+    pub(crate) kills: Vec<KillSpec>,
+    /// The lease this rank was killed at.
+    pub(crate) killed_at: Option<u64>,
     /// Armed drop/delay clauses whose `src` is this rank.
     msg_faults: Vec<MsgFaultState>,
-    /// Held-back messages: (release_event, dest, tag, payload).
-    delayed: Vec<(u64, usize, u32, Bytes)>,
+    /// Held-back messages, in hold order: (dest, tag, payload).
+    pub(crate) delayed: Vec<(usize, u32, Bytes)>,
     pub(crate) stats: FaultStats,
 }
 
 impl FaultRuntime {
-    pub(crate) fn new(plan: &FaultPlan, rank: usize, size: usize) -> FaultRuntime {
-        let kill_at = plan
-            .kills
-            .iter()
-            .filter(|k| match k.target {
-                KillTarget::Rank(r) => r == rank,
-                KillTarget::AnyWorker => any_worker_victim(plan.seed, size) == rank,
-            })
-            .map(|k| k.at_event)
-            .min();
+    pub(crate) fn new(plan: &FaultPlan, rank: usize) -> FaultRuntime {
         let msg_faults = plan
             .msg_faults
             .iter()
@@ -366,37 +305,12 @@ impl FaultRuntime {
             .map(|&spec| MsgFaultState { spec, seen: 0, fired: false })
             .collect();
         FaultRuntime {
-            rank,
-            kill_at,
-            events: 0,
-            dead: false,
+            kills: plan.kills.clone(),
+            killed_at: None,
             msg_faults,
             delayed: Vec::new(),
             stats: FaultStats::default(),
         }
-    }
-
-    /// Advance the event counter; report whether the kill trips at this
-    /// event.
-    pub(crate) fn tick(&mut self) -> bool {
-        self.events += 1;
-        self.stats.events = self.events;
-        let killed = !self.dead && self.kill_at.is_some_and(|at| self.events >= at);
-        if killed {
-            self.dead = true;
-            self.stats.kills += 1;
-        }
-        killed
-    }
-
-    /// Take the held messages that have come due, in hold order — or
-    /// `all` of them, when the rank is about to block.
-    pub(crate) fn release(&mut self, all: bool) -> Vec<(usize, u32, Bytes)> {
-        let due = if all { u64::MAX } else { self.events };
-        let (out, held): (Vec<_>, _) =
-            std::mem::take(&mut self.delayed).into_iter().partition(|h| h.0 <= due);
-        self.delayed = held;
-        out.into_iter().map(|(_, dest, tag, data)| (dest, tag, data)).collect()
     }
 
     /// Decide the fate of one outgoing message.
@@ -408,28 +322,16 @@ impl FaultRuntime {
             f.seen += 1;
             if f.seen == f.spec.nth {
                 f.fired = true;
-                return match f.spec.delay_by {
-                    None => {
-                        self.stats.msgs_dropped += 1;
-                        Verdict::Drop
-                    }
-                    Some(by) => {
-                        self.stats.msgs_delayed += 1;
-                        Verdict::Delay(self.events + by)
-                    }
+                return if f.spec.delay {
+                    self.stats.msgs_delayed += 1;
+                    Verdict::Delay
+                } else {
+                    self.stats.msgs_dropped += 1;
+                    Verdict::Drop
                 };
             }
         }
         Verdict::Pass
-    }
-
-    /// Stash a delayed message until its release event.
-    pub(crate) fn hold(&mut self, release_at: u64, dest: usize, tag: u32, data: Bytes) {
-        self.delayed.push((release_at, dest, tag, data));
-    }
-
-    pub(crate) fn killed_error(&self) -> CommError {
-        CommError::Killed { rank: self.rank, event: self.events }
     }
 }
 
@@ -440,114 +342,100 @@ mod tests {
     #[test]
     fn parse_round_trips_every_clause_kind() {
         let plan = FaultPlan::parse(
-            "seed:7; kill:rank=2,event=500; kill:any,event=9,stage=assemble; \
-             drop:src=1,dst=0,tag=3,nth=2; delay:src=4,dst=0,tag=1,nth=1,by=40,stage=any",
+            "kill:lease=500; kill:master,lease=9,stage=assemble; \
+             drop:src=1,dst=0,tag=3,nth=2; delay:src=4,dst=0,tag=1,nth=1,stage=any",
         )
         .unwrap();
-        assert_eq!(plan.seed, 7);
         assert_eq!(
             plan.kills,
             vec![
-                KillSpec { target: KillTarget::Rank(2), at_event: 500, stage: FaultStage::Cluster },
-                KillSpec { target: KillTarget::AnyWorker, at_event: 9, stage: FaultStage::Assemble },
+                KillSpec { master: false, lease: 500, stage: FaultStage::Cluster },
+                KillSpec { master: true, lease: 9, stage: FaultStage::Assemble },
             ]
         );
-        assert_eq!(plan.msg_faults.len(), 2);
-        assert_eq!(plan.msg_faults[0].delay_by, None);
-        assert_eq!(plan.msg_faults[1].delay_by, Some(40));
-        assert_eq!(plan.msg_faults[1].stage, FaultStage::Any);
+        assert_eq!(
+            plan.msg_faults,
+            vec![
+                MsgFaultSpec { src: 1, dst: 0, tag: 3, nth: 2, delay: false, stage: FaultStage::Cluster },
+                MsgFaultSpec { src: 4, dst: 0, tag: 1, nth: 1, delay: true, stage: FaultStage::Any },
+            ]
+        );
+        assert!(FaultPlan::parse(" ; ").unwrap().is_empty());
     }
 
     #[test]
-    fn parse_rejects_malformed_clauses() {
-        assert!(FaultPlan::parse("explode:now").is_err());
-        assert!(FaultPlan::parse("kill:event=5").is_err(), "kill without target");
-        assert!(FaultPlan::parse("kill:rank=1").is_err(), "kill without event");
-        assert!(FaultPlan::parse("drop:src=1,dst=0,tag=1").is_err(), "drop without nth");
-        assert!(FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=1").is_err(), "delay without by");
-        assert!(FaultPlan::parse("kill:rank=1,event=2,stage=warp").is_err(), "unknown stage");
-        assert!(FaultPlan::parse("seed:minus-one").is_err());
+    fn parse_rejects_clauses_that_cannot_mean_anything() {
+        for (plan, why) in [
+            ("explode:now", "unknown kind"),
+            ("kill", "no body"),
+            ("kill:master", "kill without a lease"),
+            ("kill:lease=0", "leases start at 1"),
+            ("kill:lease=-1", "negative lease"),
+            ("kill:lease", "lease without a value"),
+            ("kill:lease=2,lease=3", "repeated key"),
+            ("kill:master=yes,lease=2", "master is a bare word"),
+            ("kill:lease=2,stage=warp", "unknown stage"),
+            ("kill:lease=2,src=1", "a key of another clause kind"),
+            ("drop:src=1,dst=0,tag=1", "drop without nth"),
+            ("drop:src=1,dst=0,tag=1,nth=0", "nth is 1-based"),
+            ("drop:src=1,dst=0,tag=1,nth=2,stge=assemble", "misspelt key must not arm in cluster"),
+            ("drop:src=1,dst=0,tag=4294967297,nth=1", "tag must not truncate to 1"),
+            ("drop:src=1,src=2,dst=0,tag=1,nth=1", "repeated key"),
+            ("delay:src=x,dst=0,tag=1,nth=1", "src is not a rank"),
+        ] {
+            assert!(FaultPlan::parse(plan).is_err(), "{plan}: {why}");
+        }
+    }
+
+    #[test]
+    fn parse_answers_the_removed_forms_with_their_replacement() {
+        for (plan, names) in [
+            ("kill:rank=2,event=500", "kill:lease=K"),
+            ("kill:event=500", "kill:lease=K"),
+            ("kill:any,lease=3", "kill:lease=K"),
+            ("kill:rank=0,lease=3", "kill:master,lease=K"),
+            ("seed:42", "random"),
+            ("delay:src=0,dst=1,tag=2,nth=2,by=40", "until its sender next blocks"),
+        ] {
+            let err = FaultPlan::parse(plan).expect_err(plan);
+            assert!(err.contains(names), "{plan}: {err}");
+        }
     }
 
     #[test]
     fn stage_scoping_extracts_the_right_clauses() {
         let plan = FaultPlan::parse(
-            "kill:rank=1,event=5,stage=cluster; kill:rank=2,event=6,stage=assemble; \
+            "kill:lease=5,stage=cluster; kill:lease=6,stage=assemble; \
              drop:src=1,dst=0,tag=1,nth=1,stage=any",
         )
         .unwrap();
         let cluster = plan.for_stage(FaultStage::Cluster);
         assert_eq!(cluster.kills.len(), 1);
-        assert_eq!(cluster.kills[0].target, KillTarget::Rank(1));
+        assert_eq!(cluster.kills[0].lease, 5);
         assert_eq!(cluster.msg_faults.len(), 1, "stage=any rides along");
         let assemble = plan.for_stage(FaultStage::Assemble);
         assert_eq!(assemble.kills.len(), 1);
-        assert_eq!(assemble.kills[0].target, KillTarget::Rank(2));
+        assert_eq!(assemble.kills[0].lease, 6);
         assert_eq!(assemble.msg_faults.len(), 1);
     }
 
     #[test]
-    fn any_worker_victim_is_seed_deterministic_and_never_the_master() {
-        for seed in 0..64u64 {
-            for size in [2usize, 4, 8, 33] {
-                let v = any_worker_victim(seed, size);
-                assert!(v >= 1 && v < size, "victim {v} out of worker range at p={size}");
-                assert_eq!(v, any_worker_victim(seed, size), "same seed, same victim");
-            }
-        }
-        // Different seeds do reach different victims.
-        let hits: std::collections::BTreeSet<usize> = (0..64).map(|s| any_worker_victim(s, 8)).collect();
-        assert!(hits.len() > 1, "victim selection must actually vary with the seed");
-    }
-
-    #[test]
-    fn runtime_kill_trips_exactly_once_at_the_scripted_event() {
-        let plan = FaultPlan::default().with_kill(KillTarget::Rank(3), 4, FaultStage::Any);
-        let mut rt = FaultRuntime::new(&plan, 3, 8);
-        for _ in 0..3 {
-            assert!(!rt.tick());
-        }
-        assert!(rt.tick(), "kill trips at event 4");
-        assert_eq!(rt.stats.kills, 1);
-        // A rank the plan does not target never dies.
-        let mut other = FaultRuntime::new(&plan, 2, 8);
-        for _ in 0..100 {
-            assert!(!other.tick());
-        }
-    }
-
-    #[test]
     fn runtime_drop_and_delay_match_the_nth_message_only() {
-        let plan = FaultPlan::default().with_drop(1, 0, 7, 2, FaultStage::Any).with_delay(
-            1,
-            0,
-            9,
-            1,
-            3,
-            FaultStage::Any,
-        );
-        let mut rt = FaultRuntime::new(&plan, 1, 4);
+        let plan =
+            FaultPlan::parse("drop:src=1,dst=0,tag=7,nth=2; delay:src=1,dst=0,tag=9,nth=1; kill:lease=4")
+                .unwrap();
+        let mut rt = FaultRuntime::new(&plan, 1);
         assert!(matches!(rt.filter(0, 7), Verdict::Pass), "first match passes");
         assert!(matches!(rt.filter(0, 7), Verdict::Drop), "second match drops");
         assert!(matches!(rt.filter(0, 7), Verdict::Pass), "clause fires once");
         assert!(matches!(rt.filter(2, 9), Verdict::Pass), "wrong dst passes");
-        let v = rt.filter(0, 9);
-        assert!(matches!(v, Verdict::Delay(_)));
-        rt.hold(rt.events + 3, 0, 9, Bytes::from_static(b"late"));
-        // Not due yet, due after 3 ticks.
-        for _ in 0..2 {
-            rt.tick();
-            assert!(rt.release(false).is_empty());
-        }
-        rt.tick();
-        let released = rt.release(false);
-        assert_eq!(released.len(), 1);
-        assert_eq!(released[0].1, 9);
-        // A rank about to block releases what is not yet due.
-        rt.hold(rt.events + 100, 2, 9, Bytes::from_static(b"held"));
-        assert!(rt.release(false).is_empty());
-        assert_eq!(rt.release(true).len(), 1);
-        assert_eq!(rt.stats.msgs_dropped, 1);
-        assert_eq!(rt.stats.msgs_delayed, 1);
+        assert!(matches!(rt.filter(0, 9), Verdict::Delay));
+        assert!(matches!(rt.filter(0, 9), Verdict::Pass), "clause fires once");
+        assert_eq!((rt.stats.msgs_dropped, rt.stats.msgs_delayed), (1, 1));
+        // Message clauses arm on their sender only; every rank holds
+        // the kill clauses.
+        let other = FaultRuntime::new(&plan, 2);
+        assert!(other.msg_faults.is_empty());
+        assert_eq!(other.kills, plan.kills);
     }
 }

@@ -22,11 +22,12 @@
 //!   experiments can report *modelled* network time next to measured
 //!   compute time, reproducing the communication/computation breakdown
 //!   of the paper's Fig. 5.
-//! - [`faults`] — deterministic, seeded failure injection: a
-//!   [`FaultPlan`] can kill a rank at a scripted event count or
-//!   drop/delay specific messages; failures surface to callers as
-//!   recoverable [`CommError`]s and [`Event`]s from the point-to-point
-//!   calls instead of hangs.
+//! - [`faults`] — deterministic failure injection: a [`FaultPlan`]
+//!   drops or delays specific messages, and carries the kill clauses
+//!   the task engine evaluates at the lease they name
+//!   ([`Comm::kills_at`], [`Comm::kill`]); failures surface to callers
+//!   as recoverable [`CommError`]s and [`Event`]s from the
+//!   point-to-point calls instead of hangs.
 //!
 //! Payloads are opaque [`bytes::Bytes`]; their layout belongs to the
 //! caller (`pgasm_seq::wire` is the workspace's one codec).
@@ -36,5 +37,5 @@ pub mod faults;
 pub mod model;
 
 pub use comm::{run, tag_label, Comm, Event, Msg};
-pub use faults::{CommError, FaultPlan, FaultStage, FaultStats, KillTarget};
+pub use faults::{CommError, FaultPlan, FaultStage, FaultStats};
 pub use model::{thread_cpu_seconds, CommStats, CostModel};

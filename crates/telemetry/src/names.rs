@@ -53,6 +53,13 @@ pub const NON_SINGLETON_CLUSTERS: &str = "non_singleton_clusters";
 pub const READS_IN: &str = "reads_in";
 /// Fragments surviving preprocessing.
 pub const FRAGMENTS: &str = "fragments";
+/// Reads the preprocessor rejected after quality / vector trimming.
+pub const PREPROCESS_REJECTED_BY_TRIM: &str = "preprocess_rejected_by_trim";
+/// Reads the preprocessor rejected because repeat masking left no
+/// usable unmasked run.
+pub const PREPROCESS_REJECTED_BY_MASK: &str = "preprocess_rejected_by_mask";
+/// Bases masked (known and statistical repeats) in surviving fragments.
+pub const PREPROCESS_MASKED_BASES: &str = "preprocess_masked_bases";
 /// Non-singleton clusters handed to the assembler.
 pub const ASSEMBLED_CLUSTERS: &str = "assembled_clusters";
 /// Contigs produced across all clusters.
@@ -105,10 +112,6 @@ pub const FAULT_MSGS_DELAYED: &str = "fault_msgs_delayed";
 pub const FAULT_DEATH_NOTICES: &str = "fault_death_notices";
 /// Sends blackholed because the destination rank was already dead.
 pub const FAULT_MSGS_LOST: &str = "fault_msgs_lost";
-/// This rank's fault-clock reading at exit (fault-aware calls made) —
-/// the coordinate system `kill:…,event=` clauses aim at. Only present
-/// when a plan is armed.
-pub const FAULT_EVENTS: &str = "fault_events";
 /// Tasks re-queued from dead workers' outstanding leases and
 /// re-executed by survivors.
 pub const RECOVERED_TASKS: &str = "recovered_tasks";
@@ -210,7 +213,7 @@ pub const EV_ASSEMBLE_SHIP: &str = "assemble_ship";
 // ---- fault / recovery trace event names ------------------------------------
 
 /// The fault plan killed this rank (instant, category `fault`; arg
-/// event = the rank-local event count it tripped at).
+/// lease = the lease the kill clause named).
 pub const EV_FAULT_KILL: &str = "fault_kill";
 /// The fault plan discarded a message at the sender (instant,
 /// category `fault`; args dst/tag).

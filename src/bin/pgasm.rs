@@ -121,18 +121,20 @@ parameters reloads the preprocess output and (serial runs) the GST from
 cache_bytes_* counters in --metrics-json show what happened; any change
 to inputs or parameters recomputes, and a corrupted cache file safely
 degrades to a cold run. --no-cache ignores --cache-dir for this run.
---fault-plan <spec> arms deterministic failure injection in the simulated
-communicator (needs --ranks): a semicolon-separated list of clauses, e.g.
-'seed:42; kill:rank=2,event=500; drop:src=1,dst=0,tag=1,nth=2;
-delay:src=0,dst=2,tag=2,nth=1,by=3' — kill removes a rank when its local
-fault clock reaches <event> (kill:any picks a seeded worker), drop loses
-the nth matching message (tag 1 = a worker's report, tag 2 = the master's
-grant), delay holds it back until the sender's clock has advanced by <by>
-or the sender is about to block. A rank's clock ticks once per send and
-once per receive that returns an event (an empty poll is not an event),
-so a worker's round is two events. Clauses take stage=cluster|assemble|any (default
-cluster). Workers hold leases on tasks, so the engine detects the death,
-re-queues the lease, and a survivor finishes the work — the final
+--fault-plan <spec> arms deterministic failure injection on the simulated
+machine (needs --ranks): a semicolon-separated list of clauses, e.g.
+'kill:lease=3; drop:src=1,dst=0,tag=1,nth=2; delay:src=0,dst=2,tag=2,nth=1'.
+Every batch of tasks the master hands out is a lease, numbered from 1
+within a stage: kill:lease=<K> kills the worker that is granted lease K,
+on receipt, before it computes or reports (which worker that is depends
+on the schedule and does not matter); kill:master,lease=<K> kills the
+master in place of issuing it. A lease the stage never issues kills
+nobody. drop loses the nth message from src to dst under tag (tag 1 = a
+worker's report, tag 2 = the master's grant); delay holds it back until
+its sender next blocks. Clauses take stage=cluster|assemble|any (default
+cluster); a clause with an unknown key, a value out of range or a rank
+outside --ranks is an error. The engine detects the death, re-queues the
+dead worker's leases, and a survivor finishes the work — the final
 clustering and contigs are byte-identical to a fault-free run; the
 faults: line and the metrics-json faults section report dead_ranks /
 recovered_tasks / drops / delays. A lost message needs no timeout: the
@@ -323,6 +325,16 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
                     fault tolerance lives in the distributed engine"
             .to_string());
     }
+    // A message clause between ranks this run does not have — or from a
+    // rank to itself, which the engine never sends — would arm nothing.
+    for m in &recovery.faults.msg_faults {
+        if m.src >= ranks || m.dst >= ranks || m.src == m.dst {
+            return Err(format!(
+                "--fault-plan: src={},dst={} must be two different ranks below --ranks {ranks}",
+                m.src, m.dst
+            ));
+        }
+    }
     Ok(PipelineConfig {
         preprocess,
         cluster,
@@ -346,8 +358,8 @@ fn run_pipeline(
     label: &str,
     assemble: bool,
 ) -> Result<(pgasm::cluster::PipelineReport, ReadSet), String> {
-    let reads = read_reads(opts.require("reads")?)?;
     let config = pipeline_config(opts)?;
+    let reads = read_reads(opts.require("reads")?)?;
     let caching = config.cache_dir.is_some();
     let pipeline = Pipeline::new(config);
     let mut ctx = pgasm::telemetry::RunContext::new(label);

@@ -3,7 +3,7 @@
 //! where a zero flow-control grant used to livelock the protocol), and
 //! rank counts close to (or exceeding) the fragment count. Every
 //! configuration must terminate and reproduce the serial clustering
-//! bit-for-bit, in plain and geometric modes.
+//! bit-for-bit.
 
 use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
 use pgasm::gst::GstConfig;
@@ -29,23 +29,17 @@ fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
     sampler.wgs(n).to_store()
 }
 
-fn params(geometric: bool) -> ClusterParams {
-    ClusterParams { gst: GstConfig { psi: 14 }, resolve_inconsistent: geometric, ..Default::default() }
-}
-
-/// Run one adversarial configuration in both modes, asserting serial
-/// equivalence (which implies termination).
+/// Run one adversarial configuration, asserting serial equivalence
+/// (which implies termination).
 fn check(store: &pgasm::seq::FragmentStore, p: usize, cfg: &MasterWorkerConfig) {
-    for geometric in [false, true] {
-        let params = params(geometric);
-        let (serial, _) = cluster_serial(store, &params);
-        let report = cluster_parallel(store, p, &params, cfg);
-        assert_eq!(
-            report.clustering, serial,
-            "p = {p}, batch = {}, pending_cap = {}, geometric = {geometric}",
-            cfg.batch, cfg.pending_cap
-        );
-    }
+    let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
+    let (serial, _) = cluster_serial(store, &params);
+    let report = cluster_parallel(store, p, &params, cfg);
+    assert_eq!(
+        report.clustering, serial,
+        "p = {p}, batch = {}, pending_cap = {}",
+        cfg.batch, cfg.pending_cap
+    );
 }
 
 /// `batch = 1`: every allocation carries one pair, maximising protocol

@@ -228,6 +228,28 @@ fn cli_rejects_options_a_subcommand_never_reads() {
 }
 
 #[test]
+fn cli_rejects_a_fault_plan_that_would_arm_nothing() {
+    // A plan is outside input: the old grammar, a misspelt key and a
+    // message clause between ranks the run does not have are errors
+    // before any read is loaded (the reads file does not exist).
+    for (plan, names) in [
+        ("kill:rank=3,event=3", "kill:lease=K"),
+        ("drop:src=1,dst=0,tag=1,nth=2,stge=assemble", "unknown key 'stge'"),
+        ("drop:src=9,dst=0,tag=1,nth=2", "below --ranks 4"),
+        ("delay:src=1,dst=4,tag=1,nth=2", "below --ranks 4"),
+        ("drop:src=2,dst=2,tag=1,nth=1", "two different ranks"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
+            .args(["cluster", "--reads", "/nonexistent.fastq", "--ranks", "4", "--fault-plan", plan])
+            .output()
+            .expect("pgasm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--fault-plan '{plan}' was accepted");
+        assert!(stderr.contains("--fault-plan") && stderr.contains(names), "--fault-plan '{plan}': {stderr}");
+    }
+}
+
+#[test]
 fn cli_cluster_stops_after_the_cluster_stage() {
     use pgasm::simgen::{Provenance, ReadSet};
     use pgasm::telemetry::{names, RunReport};

@@ -1,21 +1,22 @@
-//! Fault-tolerance integration matrix: killing any single worker during
+//! Fault-tolerance integration matrix: killing a worker at any lease of
 //! clustering or assembly leaves the final contigs byte-identical to a
 //! fault-free run, dropped/late reports are deduplicated by the
 //! lease journal, and a master kill under checkpointing resumes to the
 //! exact same output.
 //!
-//! Kill events are *self-aiming*: a probe run with an armed
-//! never-firing plan reads each rank's `fault_events` clock depth for
-//! the stage under test, and the real kill targets the midpoint of the
-//! victim's lifetime, rounded to a report-send round entry (events are
-//! 1 mod 2 there, so the victim holds an unacknowledged lease and the
-//! master must recover it).
+//! Every plan is written in the CLI grammar. A kill names a lease, and
+//! which leases a stage is certain to issue is read off the fault-free
+//! baseline's *output*: assembly issues one per non-singleton cluster;
+//! clustering at least ⌈merges / batch⌉, since every merge needs its
+//! own aligned pair and a lease holds at most a batch of them.
 
 use pgasm::align::AcceptCriteria;
 use pgasm::cluster::checkpoint::{read_checkpoint, write_checkpoint};
-use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig, PipelineReport, StageRecovery};
+use pgasm::cluster::{
+    ClusterParams, MasterWorkerConfig, Pipeline, PipelineConfig, PipelineReport, StageRecovery,
+};
 use pgasm::gst::GstConfig;
-use pgasm::mpisim::{FaultPlan, FaultStage, KillTarget};
+use pgasm::mpisim::FaultPlan;
 use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::DnaSeq;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
@@ -29,7 +30,7 @@ use std::time::Duration;
 
 /// Longest any one scenario below may run (each takes under a second in
 /// release and under 25 s in dev on a 2-core host); the two full kill
-/// matrices, ~26 scenarios each, get [`MATRIX_LIMIT`].
+/// matrices, 8 pipeline runs each, get [`MATRIX_LIMIT`].
 const SCENARIO_LIMIT: Duration = Duration::from_secs(120);
 const MATRIX_LIMIT: Duration = Duration::from_secs(900);
 
@@ -65,7 +66,7 @@ fn fixture_reads(seed: u64) -> (ReadSet, Genome) {
             repeat_families: 2,
             repeat_len: (120, 300),
             repeat_identity: 0.99,
-            islands: 3,
+            islands: 6,
             island_len: (900, 1_500),
         },
         seed,
@@ -73,7 +74,14 @@ fn fixture_reads(seed: u64) -> (ReadSet, Genome) {
     let mut cfg = SamplerConfig::default_scaled();
     cfg.island_bias = 1.0;
     let mut sampler = Sampler::new(&genome, cfg, seed + 1);
-    (sampler.enriched(80, ReadKind::Hc), genome)
+    (sampler.enriched(96, ReadKind::Hc), genome)
+}
+
+/// Pairs per clustering lease.
+const BATCH: usize = 4;
+
+fn faults(plan: &str) -> StageRecovery {
+    StageRecovery { faults: FaultPlan::parse(plan).expect("grammar"), ..StageRecovery::default() }
 }
 
 fn config(p: usize, recovery: StageRecovery) -> PipelineConfig {
@@ -85,6 +93,9 @@ fn config(p: usize, recovery: StageRecovery) -> PipelineConfig {
             ..Default::default()
         },
         parallel_ranks: Some(p),
+        // Small batches: the clustering stage is then certain to issue
+        // many leases (see the module docs), not two.
+        master_worker: MasterWorkerConfig { batch: BATCH, ..Default::default() },
         assembly_threads: 2,
         recovery,
         ..Default::default()
@@ -107,68 +118,54 @@ fn contig_bytes(report: &PipelineReport) -> Vec<Vec<u8>> {
     report.assemblies.iter().flat_map(|a| a.contigs.iter().map(|c| c.seq.to_ascii())).collect()
 }
 
-/// Per-rank fault-clock depth for `stage`, measured by a probe run whose
-/// plan is armed in that stage only but can never fire. Because the
-/// `fault_events` counter is folded only by the armed stage, the merged
-/// per-rank channels report exactly that stage's clock.
-fn probe_depths(p: usize, stage: FaultStage, reads: &ReadSet, genome: &Genome) -> Vec<u64> {
-    let recovery = StageRecovery {
-        faults: FaultPlan::default().with_kill(KillTarget::Rank(0), u64::MAX, stage),
-        ..StageRecovery::default()
-    };
-    let (_, run_report) = run(config(p, recovery), reads, genome);
-    run_report.ranks.iter().map(|r| r.counter(pgasm::telemetry::names::FAULT_EVENTS)).collect()
+/// The highest lease `stage` is certain to issue, from a fault-free
+/// run's output.
+fn leases_issued(stage: &str, baseline: &PipelineReport) -> u64 {
+    match stage {
+        "cluster" => baseline.cluster_stats.merges.div_ceil(BATCH as u64),
+        _ => baseline.clustering.num_non_singletons() as u64,
+    }
 }
 
-/// Round `mid` down to a report-send round entry (events are 1 mod 2
-/// there); floor 3 so at least one full round completed first.
-fn report_send_event_near(mid: u64) -> u64 {
-    (mid.saturating_sub(mid % 2) + 1).max(3)
+/// Kill the worker granted `lease` of `stage` and require what every
+/// worker kill must show: byte-identical contigs, exactly one kill, one
+/// dead rank, and the lease it died holding recovered.
+fn kill_and_check(p: usize, stage: &str, lease: u64, reads: &ReadSet, genome: &Genome, expected: &[Vec<u8>]) {
+    let plan = format!("kill:lease={lease},stage={stage}");
+    let (report, run_report) = run(config(p, faults(&plan)), reads, genome);
+    assert!(report.interrupted.is_none(), "{plan}, p={p}: a worker kill must not interrupt the run");
+    assert_eq!(contig_bytes(&report), expected, "{plan}, p={p}: contigs changed");
+    let faults = run_report.faults.expect("armed run must report a faults section");
+    assert_eq!(faults.kills_injected, 1, "{plan}, p={p}");
+    assert_eq!(faults.dead_ranks, 1, "{plan}, p={p}");
+    assert!(faults.recovered_tasks >= 1, "{plan}, p={p}: the victim died holding that lease");
 }
 
-/// Kill each worker in turn during `stage` and require byte-identical
-/// contigs, exactly one dead rank, and (across the victims) recovered
-/// leases.
-fn kill_matrix(stage: FaultStage, seed: u64) {
+/// Kill at the first, a middle and the last lease `stage` is certain to
+/// issue, at p = 4 and p = 8.
+fn kill_matrix(stage: &str, seed: u64) {
     let (reads, genome) = fixture_reads(seed);
     for p in [4usize, 8] {
         let (baseline, base_run) = run(config(p, StageRecovery::default()), &reads, &genome);
         assert!(base_run.faults.is_none(), "fault-free run must omit the faults section");
         let expected = contig_bytes(&baseline);
         assert!(!expected.is_empty(), "fixture must assemble something");
-        let depths = probe_depths(p, stage, &reads, &genome);
-        let mut recovered_any = false;
-        for (victim, &depth) in depths.iter().enumerate().skip(1) {
-            let at = report_send_event_near(depth / 2);
-            assert!(depth >= at, "victim {victim} at p={p} only reaches event {depth} in {stage:?}");
-            let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, stage),
-                ..StageRecovery::default()
-            };
-            let (report, run_report) = run(config(p, recovery), &reads, &genome);
-            assert!(report.interrupted.is_none(), "a worker kill must not interrupt the run");
-            assert_eq!(
-                contig_bytes(&report),
-                expected,
-                "contigs changed after killing worker {victim} at event {at} (p={p}, {stage:?})"
-            );
-            let faults = run_report.faults.expect("armed run must report a faults section");
-            assert_eq!(faults.kills_injected, 1);
-            assert_eq!(faults.dead_ranks, 1, "victim {victim} at p={p} was not detected");
-            recovered_any |= faults.recovered_tasks > 0;
+        let last = leases_issued(stage, &baseline);
+        assert!(last >= 3, "{stage} must issue an early, a middle and a last lease, not {last}");
+        for lease in [1, last / 2 + 1, last] {
+            kill_and_check(p, stage, lease, &reads, &genome, &expected);
         }
-        assert!(recovered_any, "no kill at p={p} recovered a lease in {stage:?}");
     }
 }
 
-// The two full victim × rank-count matrices below are ~26 pipeline
-// runs; `ci.sh` runs them in release (`--include-ignored`), where the
-// whole matrix takes seconds instead of minutes.
+// The two full lease × rank-count matrices; `ci.sh` runs them in
+// release (`--include-ignored`), several times over, where each takes
+// seconds instead of minutes.
 #[test]
 #[ignore = "full kill matrix is heavy under the dev profile; ci.sh runs it in release"]
 fn killing_any_worker_during_clustering_preserves_the_contigs() {
     with_watchdog("killing_any_worker_during_clustering_preserves_the_contigs", MATRIX_LIMIT, || {
-        kill_matrix(FaultStage::Cluster, 7);
+        kill_matrix("cluster", 7);
     });
 }
 
@@ -176,12 +173,15 @@ fn killing_any_worker_during_clustering_preserves_the_contigs() {
 #[ignore = "full kill matrix is heavy under the dev profile; ci.sh runs it in release"]
 fn killing_any_worker_during_assembly_preserves_the_contigs() {
     with_watchdog("killing_any_worker_during_assembly_preserves_the_contigs", MATRIX_LIMIT, || {
-        kill_matrix(FaultStage::Assemble, 9);
+        kill_matrix("assemble", 9);
     });
 }
 
-/// Always-on slice of the kill matrix: one seeded victim per stage at
-/// p = 4, cheap enough for the dev-profile workspace test run.
+/// Always-on slice of the kill matrix: the last lease of each stage at
+/// p = 4 (the assembly one is granted when every other worker is
+/// already parked), cheap enough for the dev-profile workspace run —
+/// and a kill past the last lease of either stage, which must leave a
+/// clean run.
 #[test]
 fn killing_a_worker_in_each_stage_preserves_the_contigs() {
     with_watchdog("killing_a_worker_in_each_stage_preserves_the_contigs", SCENARIO_LIMIT, || {
@@ -190,22 +190,15 @@ fn killing_a_worker_in_each_stage_preserves_the_contigs() {
         let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
         let expected = contig_bytes(&baseline);
         assert!(!expected.is_empty(), "fixture must assemble something");
-        let mut recovered_any = false;
-        for stage in [FaultStage::Cluster, FaultStage::Assemble] {
-            let depths = probe_depths(p, stage, &reads, &genome);
-            let victim = 1 + (depths.iter().sum::<u64>() as usize % (p - 1));
-            let at = report_send_event_near(depths[victim] / 2);
-            let recovery = StageRecovery {
-                faults: FaultPlan::default().with_kill(KillTarget::Rank(victim), at, stage),
-                ..StageRecovery::default()
-            };
-            let (report, run_report) = run(config(p, recovery), &reads, &genome);
-            assert_eq!(contig_bytes(&report), expected, "contigs changed ({stage:?}, victim {victim})");
-            let faults = run_report.faults.expect("faults section");
-            assert_eq!(faults.dead_ranks, 1);
-            recovered_any |= faults.recovered_tasks > 0;
+        for stage in ["cluster", "assemble"] {
+            kill_and_check(p, stage, leases_issued(stage, &baseline), &reads, &genome, &expected);
         }
-        assert!(recovered_any, "no kill recovered a lease");
+
+        let never = "kill:lease=1000000,stage=any; kill:master,lease=1000000,stage=any";
+        let (report, run_report) = run(config(p, faults(never)), &reads, &genome);
+        assert!(report.interrupted.is_none());
+        assert_eq!(contig_bytes(&report), expected, "a kill that never fires changed the contigs");
+        assert!(run_report.faults.is_none(), "nobody was killed, nothing recovered: {:?}", run_report.faults);
     });
 }
 
@@ -223,11 +216,7 @@ fn dropped_result_report_trips_liveness_and_recovers() {
         // that lease dead and a survivor redoes the batch. The plans go
         // through the CLI grammar on purpose.
         for clause in ["drop:src=1,dst=0,tag=1,nth=2", "drop:src=0,dst=1,tag=2,nth=2"] {
-            let recovery = StageRecovery {
-                faults: FaultPlan::parse(clause).expect("grammar"),
-                ..StageRecovery::default()
-            };
-            let (report, run_report) = run(config(p, recovery), &reads, &genome);
+            let (report, run_report) = run(config(p, faults(clause)), &reads, &genome);
             assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}");
             let faults = run_report.faults.expect("faults section");
             assert_eq!(faults.msgs_dropped, 1, "{clause}");
@@ -247,11 +236,7 @@ fn delayed_result_report_is_absorbed_once_not_twice() {
 
         // Worker 1's second report is held back until the worker blocks
         // on its answer; the lease journal retires it exactly once.
-        let recovery = StageRecovery {
-            faults: FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2,by=3").expect("grammar"),
-            ..StageRecovery::default()
-        };
-        let (report, run_report) = run(config(p, recovery), &reads, &genome);
+        let (report, run_report) = run(config(p, faults("delay:src=1,dst=0,tag=1,nth=2")), &reads, &genome);
         assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
         let faults = run_report.faults.expect("faults section");
         assert_eq!(faults.msgs_delayed, 1);
@@ -277,31 +262,31 @@ impl Drop for CkptDir {
     }
 }
 
-/// Kill the master mid-`stage` with checkpointing armed, then resume
-/// from the snapshot base and require byte-identical contigs — from the
-/// snapshot as written, and from the same snapshot re-framed to a
-/// layout this build does not restore.
-fn checkpoint_resume(stage: FaultStage, stage_name: &str, seed: u64, tag: &str) {
+/// Kill the master in place of issuing lease p of `stage_name` with
+/// checkpointing armed — some worker then holds its second lease, so a
+/// report was absorbed and, at a cadence of one, snapshotted — then
+/// resume from the snapshot base and require byte-identical contigs:
+/// from the snapshot as written, and from the same snapshot re-framed
+/// to a layout this build does not restore.
+fn checkpoint_resume(stage_name: &str, seed: u64, tag: &str) {
     let (reads, genome) = fixture_reads(seed);
     let p = 4;
     let dir = CkptDir::new(tag);
     let base = dir.0.join("run");
 
     let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
-    let depths = probe_depths(p, stage, &reads, &genome);
-    let at = (depths[0] / 2).max(8);
+    assert!(leases_issued(stage_name, &baseline) >= p as u64, "{stage_name} must issue lease {p}");
 
     let interrupted = StageRecovery {
-        faults: FaultPlan::default().with_kill(KillTarget::Rank(0), at, stage),
         checkpoint_every: Some(1),
         checkpoint_path: Some(base.clone()),
-        ..StageRecovery::default()
+        ..faults(&format!("kill:master,lease={p},stage={stage_name}"))
     };
     let (r1, run1) = run(config(p, interrupted), &reads, &genome);
     assert_eq!(
         r1.interrupted.as_deref(),
         Some(stage_name),
-        "master kill at event {at} must interrupt the {stage_name} stage"
+        "a master kill at lease {p} must interrupt the {stage_name} stage"
     );
     let snapshot: PathBuf = {
         let mut s = base.as_os_str().to_os_string();
@@ -343,13 +328,13 @@ fn checkpoint_resume(stage: FaultStage, stage_name: &str, seed: u64, tag: &str) 
 #[test]
 fn master_kill_during_clustering_resumes_to_identical_contigs() {
     with_watchdog("master_kill_during_clustering_resumes_to_identical_contigs", SCENARIO_LIMIT, || {
-        checkpoint_resume(FaultStage::Cluster, "cluster", 17, "ck-cluster");
+        checkpoint_resume("cluster", 17, "ck-cluster");
     });
 }
 
 #[test]
 fn master_kill_during_assembly_resumes_to_identical_contigs() {
     with_watchdog("master_kill_during_assembly_resumes_to_identical_contigs", SCENARIO_LIMIT, || {
-        checkpoint_resume(FaultStage::Assemble, "assemble", 19, "ck-assemble");
+        checkpoint_resume("assemble", 19, "ck-assemble");
     });
 }
