@@ -16,16 +16,12 @@
 //!   deferred (§4).
 //! - [`consensus`] — per-column majority vote over the placed reads.
 //!
-//! - [`scaffold`] — contig ordering/orientation from clone-mate links
-//!   (§2's scaffolding stage), with gap estimation and link bundling.
-//!
 //! The paper's quality yardstick (§8: ≈ 1.1 contigs per cluster under
 //! stringent assembly) is reproduced by the SEC8 experiment.
 
 pub mod consensus;
 pub mod layout;
 pub mod overlap;
-pub mod scaffold;
 
 use pgasm_align::{AcceptCriteria, Scoring};
 use pgasm_seq::{DnaSeq, QualityTrack};

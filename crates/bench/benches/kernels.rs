@@ -116,15 +116,13 @@ fn main() {
     // Message substrate: all-to-all over 4 simulated ranks.
     h.bench("mpisim/alltoallv_4ranks_64KiB", 10, || {
         pgasm_mpisim::run(4, |comm| {
-            let bufs: Vec<bytes::Bytes> =
-                (0..comm.size()).map(|_| bytes::Bytes::from(vec![0u8; 16 * 1024])).collect();
+            let bufs = (0..comm.size()).map(|_| vec![0u8; 16 * 1024]).collect();
             comm.all_to_allv(bufs).len()
         })
     });
     h.bench("mpisim/alltoallv_p2p_4ranks_64KiB", 10, || {
         pgasm_mpisim::run(4, |comm| {
-            let bufs: Vec<bytes::Bytes> =
-                (0..comm.size()).map(|_| bytes::Bytes::from(vec![0u8; 16 * 1024])).collect();
+            let bufs = (0..comm.size()).map(|_| vec![0u8; 16 * 1024]).collect();
             comm.all_to_allv_p2p(bufs).len()
         })
     });

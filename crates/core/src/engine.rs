@@ -726,7 +726,7 @@ fn send_grant<T: Task>(
             task.encode(&mut w);
         }
     }
-    comm.send(dest, TAG_GRANT, w.finish().into())
+    comm.send(dest, TAG_GRANT, w.finish())
 }
 
 /// What a live grant carries.
@@ -848,7 +848,7 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
         for task in &announced {
             task.encode(&mut w);
         }
-        comm.send(0, TAG_REPORT, w.finish().into())?;
+        comm.send(0, TAG_REPORT, w.finish())?;
         report.round_trips += 1;
         // Receive the next grant (possibly parking idle first).
         loop {
@@ -1306,7 +1306,7 @@ mod tests {
             if comm.rank() == 0 {
                 assert!(matches!(comm.recv(Some(1), Some(TAG_REPORT)), Ok(Event::Msg(_))));
                 let short = body(&[], &[10, 12]);
-                comm.send(1, TAG_GRANT, short[..short.len() - 1].to_vec().into()).unwrap();
+                comm.send(1, TAG_GRANT, short[..short.len() - 1].to_vec()).unwrap();
                 assert!(matches!(comm.recv(None, None), Ok(Event::Death(1))));
                 None
             } else {
@@ -1344,7 +1344,7 @@ mod tests {
             let mut w = Writer::new();
             // One result, a passive generator, one announced task.
             w.put_u64(lease).put_u32(1).put_u64(value).put_u32(0).put_u32(1).put_u32(6);
-            Msg { src: 1, tag: TAG_REPORT, data: w.finish().into() }
+            Msg { src: 1, tag: TAG_REPORT, data: w.finish() }
         };
         let mut tracer = Tracer::disabled();
         // Live lease: absorbed, journal retired.

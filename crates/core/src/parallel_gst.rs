@@ -159,7 +159,7 @@ pub fn rank_build_gst<'s>(
         }
     }
     drop(local);
-    let received = comm.all_to_allv_p2p(per_dest.into_iter().map(|w| w.finish().into()).collect());
+    let received = comm.all_to_allv_p2p(per_dest.into_iter().map(|w| w.finish()).collect());
     let mut mine: Vec<(u64, Suffix)> = Vec::new();
     for payload in received {
         read_records(&payload, "redistributed suffixes", |r| {
@@ -193,7 +193,7 @@ pub fn rank_build_gst<'s>(
     for &s in &needed {
         requests[owner[s as usize] as usize].put_u32(s);
     }
-    let incoming_requests = comm.all_to_allv(requests.into_iter().map(|w| w.finish().into()).collect());
+    let incoming_requests = comm.all_to_allv(requests.into_iter().map(|w| w.finish()).collect());
     let mut responses: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
     for (src, payload) in incoming_requests.into_iter().enumerate() {
         read_records(&payload, "fragment requests", |r| {
@@ -203,7 +203,7 @@ pub fn rank_build_gst<'s>(
             Ok(())
         });
     }
-    let incoming_frags = comm.all_to_allv(responses.into_iter().map(|w| w.finish().into()).collect());
+    let incoming_frags = comm.all_to_allv(responses.into_iter().map(|w| w.finish()).collect());
     let mut fetched: HashMap<u32, Vec<u8>> = HashMap::new();
     for payload in incoming_frags {
         read_records(&payload, "fetched fragments", |r| {

@@ -2,12 +2,10 @@
 
 use crate::faults::{CommError, FaultPlan, FaultRuntime, FaultStats, Verdict};
 use crate::model::{CommStats, CostModel};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, TagStat};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tags at or above this value are reserved for collectives.
@@ -16,8 +14,7 @@ pub const RESERVED_TAG_BASE: u32 = 0xFFFF_0000;
 const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 2;
 const TAG_ALLTOALL_P2P: u32 = RESERVED_TAG_BASE + 3;
 /// Death notice a dying rank broadcasts to every peer (empty payload).
-/// Intercepted on ingest and surfaced as [`Event::Death`], never as a
-/// message.
+/// Surfaced as [`Event::Death`], never as a message.
 const TAG_DEATH: u32 = RESERVED_TAG_BASE + 6;
 /// The simulator's notice that the world is quiescent (empty payload;
 /// `src` is the rank that saw it). Wakes the lowest live rank, surfaces
@@ -53,7 +50,7 @@ pub struct Msg {
     /// Application tag.
     pub tag: u32,
     /// Payload.
-    pub data: Bytes,
+    pub data: Vec<u8>,
 }
 
 /// What a receive delivered: an application message, or something the
@@ -66,37 +63,45 @@ pub enum Event {
     Msg(Msg),
     /// The given peer rank broadcast its death notice.
     Death(usize),
-    /// Every live rank is blocked in a receive and nothing is
-    /// undelivered, so no message can ever arrive: something was lost,
-    /// a peer left without a word, or the protocol deadlocked. Raised at
-    /// the lowest live rank only, and again each time the world comes
-    /// to rest — the receiver must send, leave or panic.
+    /// Every live rank is blocked in a receive, its inbox holding
+    /// nothing it wants, so no message can ever arrive: something was
+    /// lost, a peer left without a word, or the protocol deadlocked.
+    /// Raised at the lowest live rank only, and again each time the
+    /// world comes to rest — the receiver must send, leave or panic.
     Quiescent,
 }
 
-/// What the simulator knows about the machine as a whole, shared by
-/// every rank's [`Comm`]. Every channel put and take happens under this
-/// lock, so "all blocked, nothing undelivered" is a fact when observed,
-/// not a guess from a clock.
+/// The machine as a whole, the wire included, behind the one lock every
+/// rank's [`Comm`] shares: "all blocked" is a fact when observed, not a
+/// guess from a clock.
 struct World {
     /// Rank has not dropped its `Comm` yet.
     live: Vec<bool>,
-    /// Rank is waiting in a blocking receive on an empty inbox.
+    /// Rank is parked in a blocking receive that found nothing it wants
+    /// in its inbox; a put into that inbox clears it.
     blocked: Vec<bool>,
-    /// Channel puts no receiver has taken out yet.
-    undelivered: usize,
+    /// What was sent to each rank and no receive of its has delivered
+    /// yet, in arrival order (so per-sender FIFO).
+    inboxes: Vec<VecDeque<Msg>>,
+    /// Rank is waiting in the barrier; the last to arrive clears all.
+    arrived: Vec<bool>,
     /// The first rank to leave by panic: the root cause [`run`] re-raises.
     panicked: Option<usize>,
 }
 
 impl World {
-    /// The lowest live rank, when every live rank is blocked and
-    /// nothing is undelivered.
+    /// The lowest live rank, when every live rank is blocked.
     fn quiescent(&self) -> Option<usize> {
-        let at_rest = self.undelivered == 0
-            && self.live.iter().zip(&self.blocked).all(|(&live, &blocked)| blocked || !live);
+        let at_rest = self.live.iter().zip(&self.blocked).all(|(&live, &blocked)| blocked || !live);
         self.live.iter().position(|&live| live).filter(|_| at_rest)
     }
+}
+
+/// All that ranks share: the world, and per rank the condition variable
+/// it parks on — in a receive or in the barrier, never both.
+struct Shared {
+    world: Mutex<World>,
+    wake: Vec<Condvar>,
 }
 
 /// A rank's communicator handle. All methods take `&mut self`: a rank is
@@ -104,21 +109,15 @@ impl World {
 pub struct Comm {
     rank: usize,
     size: usize,
-    senders: Vec<Sender<Msg>>,
-    receiver: Receiver<Msg>,
-    backlog: VecDeque<Msg>,
-    world: Arc<Mutex<World>>,
-    barrier: Arc<Barrier>,
+    shared: Arc<Shared>,
     stats: CommStats,
     tag_traffic: BTreeMap<u32, TagTraffic>,
     tracer: Tracer,
     /// Armed fault plan for this rank (`None` = fault-free run: nothing
     /// is injected).
     faults: Option<FaultRuntime>,
-    /// Peers whose death notice this rank has ingested.
+    /// Peers whose death notice a receive of this rank has surfaced.
     dead_peers: Vec<bool>,
-    /// Deaths ingested but not yet surfaced through a receive.
-    pending_deaths: VecDeque<usize>,
 }
 
 impl Comm {
@@ -266,7 +265,7 @@ impl Comm {
         for peer in (0..self.size).filter(|&peer| peer != self.rank) {
             self.stats.msgs_sent += 1;
             self.tag_traffic.entry(TAG_DEATH).or_default().msgs_sent += 1;
-            self.put(&mut self.world(), peer, TAG_DEATH, Bytes::new());
+            self.put(&mut self.world(), peer, TAG_DEATH, Vec::new());
             if let Some(f) = &mut self.faults {
                 f.stats.death_notices += 1;
             }
@@ -284,7 +283,7 @@ impl Comm {
     ///
     /// # Panics
     /// Panics on a reserved tag or an out-of-range destination.
-    pub fn send(&mut self, dest: usize, tag: u32, data: Bytes) -> Result<(), CommError> {
+    pub fn send(&mut self, dest: usize, tag: u32, data: Vec<u8>) -> Result<(), CommError> {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag:#x} is reserved for collectives");
         assert!(dest < self.size, "destination {dest} out of range");
         self.check_alive()?;
@@ -321,16 +320,16 @@ impl Comm {
     }
 
     /// Blocking receive matching the given source and/or tag (`None` is
-    /// a wildcard). Non-matching messages are buffered for later
+    /// a wildcard). Non-matching messages stay in the inbox for later
     /// receives, preserving per-sender FIFO order. A peer's death
     /// notice is delivered as [`Event::Death`] regardless of the
     /// filter, as is [`Event::Quiescent`] when no message can ever
     /// arrive (every other rank having exited is one such world); a
     /// rank the plan has killed gets `Err(CommError::Killed)`.
     ///
-    /// `wait_ns` is charged only while the underlying channel is
-    /// genuinely empty — draining and backlogging already-delivered
-    /// non-matching messages is bookkeeping, not blocked time.
+    /// `wait_ns` is charged only while the rank is parked — passing
+    /// over already-delivered non-matching messages is bookkeeping, not
+    /// blocked time.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Event, CommError> {
         self.check_alive()?;
         Ok(self.receive(src, tag, true).expect("a blocking receive yields an event"))
@@ -344,99 +343,100 @@ impl Comm {
     }
 
     /// The one receive loop, under the point-to-point calls and the
-    /// collectives alike.
+    /// collectives alike: pop, or park until a peer puts another in.
     fn receive(&mut self, src: Option<usize>, tag: Option<u32>, block: bool) -> Option<Event> {
-        // Backlog prefix already known to hold no match.
+        // Inbox prefix already known to hold nothing for this receive.
         let mut scanned = 0;
         // About to wait on the network: release anything the fault plan
         // made this rank hold back first — the message we are waiting
         // for may well be a reply to it.
         let mut release = block;
         loop {
-            if let Some(d) = self.pending_deaths.pop_front() {
-                return Some(Event::Death(d));
+            let mut w = self.world();
+            let inbox = &mut w.inboxes[self.rank];
+            if let Some(i) = (scanned..inbox.len()).find(|&i| takes(&inbox[i], src, tag)) {
+                scanned = i;
+                let m = inbox.remove(i).expect("index valid");
+                drop(w);
+                match m.tag {
+                    TAG_QUIESCENT => return Some(Event::Quiescent),
+                    TAG_DEATH if self.note_death(m.src) => return Some(Event::Death(m.src)),
+                    TAG_DEATH => continue,
+                    _ => {
+                        self.note_recv(&m);
+                        return Some(Event::Msg(m));
+                    }
+                }
             }
-            if let Some(i) = (scanned..self.backlog.len()).find(|&i| matches(&self.backlog[i], src, tag)) {
-                let m = self.backlog.remove(i).expect("index valid");
-                self.note_recv(&m);
-                return Some(Event::Msg(m));
+            scanned = inbox.len();
+            if !block {
+                return None;
             }
-            scanned = self.backlog.len();
             if std::mem::take(&mut release) {
-                // A send into a closed inbox drains ours (`send_raw`),
-                // so look again before waiting.
+                drop(w);
                 self.release_held();
                 continue;
             }
-            let m = match self.take() {
-                Some(m) => m,
-                None if !block => return None,
-                None => self.wait(),
-            };
-            if m.tag == TAG_QUIESCENT {
-                return Some(Event::Quiescent);
-            }
-            self.ingest(m);
-        }
-    }
-
-    /// Take the next wire message out of this rank's inbox, if any.
-    fn take(&mut self) -> Option<Msg> {
-        let m = self.receiver.try_recv().ok()?;
-        self.world().undelivered -= 1;
-        Some(m)
-    }
-
-    /// Block on an empty inbox until a wire message arrives. Blocking
-    /// is what can bring the world to rest, so the rank that completes
-    /// the condition raises the quiescence notice — at the lowest live
-    /// rank, which may be itself.
-    fn wait(&mut self) -> Msg {
-        {
-            let mut w = self.world();
+            // Blocking is what can bring the world to rest, so the rank
+            // that completes the condition raises the quiescence notice
+            // — at the lowest live rank, which may be itself.
             w.blocked[self.rank] = true;
             self.notify_if_quiescent(&mut w);
+            drop(w);
+            self.wait();
         }
+    }
+
+    /// Park until a peer has put something into this rank's inbox.
+    fn wait(&mut self) {
         // The traced `wait` span brackets exactly the region `wait_ns`
         // measures, so the two accountings agree.
         self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
         let start = Instant::now();
-        let m = self.receiver.recv().expect("this rank holds a sender to its own inbox");
+        let mut w = self.world();
+        while w.blocked[self.rank] {
+            w = self.park(w);
+        }
+        drop(w);
         self.stats.wait_ns += start.elapsed().as_nanos() as u64;
         self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
-        let mut w = self.world();
-        w.blocked[self.rank] = false;
-        w.undelivered -= 1;
-        m
     }
 
-    /// No critical section panics and every update leaves the counts
+    /// No critical section panics and every update leaves the state
     /// valid on its own, so a poisoned lock is still good state.
     fn world(&self) -> MutexGuard<'_, World> {
-        self.world.lock().unwrap_or_else(PoisonError::into_inner)
+        self.shared.world.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Give the lock up until a peer wakes this rank.
+    fn park<'a>(&self, w: MutexGuard<'a, World>) -> MutexGuard<'a, World> {
+        self.shared.wake[self.rank].wait(w).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Called by the rank that just blocked or left: if that brought
     /// the world to rest, wake the lowest live rank with the notice.
     fn notify_if_quiescent(&self, w: &mut World) {
         if let Some(r) = w.quiescent() {
-            self.put(w, r, TAG_QUIESCENT, Bytes::new());
+            self.put(w, r, TAG_QUIESCENT, Vec::new());
         }
     }
 
-    /// Put one wire message into `dest`'s inbox — the one place a
-    /// channel is written, so every put is counted. `false` when `dest`
+    /// Put one wire message into `dest`'s inbox and wake `dest` to look
+    /// at it — the one place an inbox is written. `false` when `dest`
     /// has left the world.
-    fn put(&self, w: &mut World, dest: usize, tag: u32, data: Bytes) -> bool {
-        let live = w.live[dest] && self.senders[dest].send(Msg { src: self.rank, tag, data }).is_ok();
-        w.undelivered += usize::from(live);
-        live
+    fn put(&self, w: &mut World, dest: usize, tag: u32, data: Vec<u8>) -> bool {
+        if w.live[dest] {
+            w.inboxes[dest].push_back(Msg { src: self.rank, tag, data });
+            w.blocked[dest] = false;
+            self.shared.wake[dest].notify_one();
+        }
+        w.live[dest]
     }
 
     /// A collective's receive from one peer. Collectives are not
     /// fault-tolerant: a peer lost mid-collective is a panic here, as
     /// it is a hang on a real machine.
-    fn recv_collective(&mut self, src: usize, tag: u32) -> Bytes {
+    fn recv_collective(&mut self, src: usize, tag: u32) -> Vec<u8> {
         match self.receive(Some(src), Some(tag), true).expect("a blocking receive yields an event") {
             Event::Msg(m) => m.data,
             Event::Death(peer) => panic!("rank {peer} died inside a collective"),
@@ -444,11 +444,11 @@ impl Comm {
         }
     }
 
-    /// Put one message on the wire (or this rank's own backlog), past
-    /// the fault plan: what [`Comm::send`] ends in, and what the
-    /// collectives call directly. The `send` instant pairs with exactly
-    /// one receive-side `recv` instant.
-    fn send_raw(&mut self, dest: usize, tag: u32, data: Bytes) {
+    /// Put one message on the wire, past the fault plan: what
+    /// [`Comm::send`] ends in, and what the collectives call directly.
+    /// The `send` instant pairs with exactly one receive-side `recv`
+    /// instant.
+    fn send_raw(&mut self, dest: usize, tag: u32, data: Vec<u8>) {
         assert!(dest < self.size, "destination {dest} out of range");
         self.tracer.instant_args3(
             TraceCategory::Comm,
@@ -462,42 +462,33 @@ impl Comm {
         let row = self.tag_traffic.entry(tag).or_default();
         row.msgs_sent += 1;
         row.bytes_sent += data.len() as u64;
-        if dest == self.rank {
-            // Self-sends bypass the channel.
-            self.backlog.push_back(Msg { src: self.rank, tag, data });
-        } else if !self.put(&mut self.world(), dest, tag, data) {
-            // The peer has left the world. A peer that left through
-            // `abort` sent its death notice first, so it is in our
-            // inbox by now: the message is lost and the next receive
-            // reports the death. With a plan armed any vanished peer is
-            // a counted loss; otherwise it is a bug worth failing on.
-            while let Some(m) = self.take() {
-                self.ingest(m);
-            }
-            match &mut self.faults {
-                Some(f) => f.stats.msgs_lost += 1,
-                None if self.dead_peers[dest] => {}
-                None => panic!("receiving rank exited before communication completed"),
-            }
+        let mut w = self.world();
+        if self.put(&mut w, dest, tag, data) {
+            return;
+        }
+        // The peer has left the world. One that left through `abort`
+        // sent its death notice first — a receive has surfaced it, or
+        // will: the message is lost. With a plan armed any vanished peer
+        // is a counted loss; otherwise it is a bug worth failing on.
+        let announced =
+            self.dead_peers[dest] || w.inboxes[self.rank].iter().any(|m| m.tag == TAG_DEATH && m.src == dest);
+        drop(w);
+        match &mut self.faults {
+            Some(f) => f.stats.msgs_lost += 1,
+            None if announced => {}
+            None => panic!("receiving rank exited before communication completed"),
         }
     }
 
-    /// Move one wire message into the backlog (per-sender FIFO), or, a
-    /// death notice, onto the list of deaths to report.
-    fn ingest(&mut self, m: Msg) {
-        if m.tag == TAG_DEATH {
-            // A peer's death notice: record it, queue it for the next
-            // receive, and keep it out of the message backlog.
-            self.stats.msgs_recv += 1;
-            self.tag_traffic.entry(TAG_DEATH).or_default().msgs_recv += 1;
-            if !self.dead_peers[m.src] {
-                self.dead_peers[m.src] = true;
-                self.pending_deaths.push_back(m.src);
-                self.tracer.instant_arg(TraceCategory::Fault, names::EV_RANK_DEAD, "peer", m.src as u64);
-            }
-            return;
+    /// Count a peer's death notice; `true` for its first, the one to report.
+    fn note_death(&mut self, peer: usize) -> bool {
+        self.stats.msgs_recv += 1;
+        self.tag_traffic.entry(TAG_DEATH).or_default().msgs_recv += 1;
+        let first = !std::mem::replace(&mut self.dead_peers[peer], true);
+        if first {
+            self.tracer.instant_arg(TraceCategory::Fault, names::EV_RANK_DEAD, "peer", peer as u64);
         }
-        self.backlog.push_back(m);
+        first
     }
 
     fn note_recv(&mut self, m: &Msg) {
@@ -515,12 +506,26 @@ impl Comm {
         row.bytes_recv += m.data.len() as u64;
     }
 
-    /// Synchronise all ranks (releasing held-back sends first).
+    /// Synchronise all ranks (releasing held-back sends first). Panics
+    /// when a rank has left the world without arriving: it never will.
     pub fn barrier(&mut self) {
         self.release_held();
         self.tracer.begin(TraceCategory::Comm, names::EV_BARRIER);
         let start = Instant::now();
-        self.barrier.wait();
+        let mut w = self.world();
+        w.arrived[self.rank] = true;
+        if w.arrived.iter().all(|&arrived| arrived) {
+            w.arrived.fill(false);
+            self.shared.wake.iter().for_each(Condvar::notify_one);
+        }
+        while w.arrived[self.rank] {
+            if let Some(r) = (0..self.size).find(|&r| !w.live[r] && !w.arrived[r]) {
+                drop(w);
+                panic!("rank {r} left before the barrier");
+            }
+            w = self.park(w);
+        }
+        drop(w);
         self.stats.barrier_ns += start.elapsed().as_nanos() as u64;
         self.tracer.end(TraceCategory::Comm, names::EV_BARRIER);
     }
@@ -530,9 +535,9 @@ impl Comm {
     /// bounds the space committed to send buffers to one destination at
     /// a time. Traffic totals match [`Comm::all_to_allv`]; only the
     /// schedule differs.
-    pub fn all_to_allv_p2p(&mut self, mut bufs: Vec<Bytes>) -> Vec<Bytes> {
+    pub fn all_to_allv_p2p(&mut self, mut bufs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         assert_eq!(bufs.len(), self.size);
-        let mut out: Vec<Option<Bytes>> = vec![None; self.size];
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size];
         out[self.rank] = Some(std::mem::take(&mut bufs[self.rank]));
         for round in 1..self.size {
             let to = (self.rank + round) % self.size;
@@ -545,9 +550,9 @@ impl Comm {
 
     /// Collective all-to-all with per-destination payloads; returns the
     /// payloads received, indexed by source.
-    pub fn all_to_allv(&mut self, mut bufs: Vec<Bytes>) -> Vec<Bytes> {
+    pub fn all_to_allv(&mut self, mut bufs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         assert_eq!(bufs.len(), self.size, "one payload per destination required");
-        let mut out: Vec<Option<Bytes>> = vec![None; self.size];
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size];
         out[self.rank] = Some(std::mem::take(&mut bufs[self.rank]));
         for (dest, buf) in bufs.iter_mut().enumerate() {
             if dest != self.rank {
@@ -569,20 +574,23 @@ impl Comm {
 
 impl Drop for Comm {
     /// Leave the world, by return or by panic. What still sits in this
-    /// inbox will never be taken out, and this may have been the last
-    /// rank the others could hear from.
+    /// inbox will never be taken out, and this may be the rank the
+    /// others wait to hear from, or wait for in the barrier.
     fn drop(&mut self) {
         let mut w = self.world();
         w.live[self.rank] = false;
         w.panicked = w.panicked.or(std::thread::panicking().then_some(self.rank));
-        w.undelivered -= std::iter::from_fn(|| self.receiver.try_recv().ok()).count();
+        w.inboxes[self.rank].clear();
         self.notify_if_quiescent(&mut w);
+        self.shared.wake.iter().for_each(Condvar::notify_one);
     }
 }
 
-#[inline]
-fn matches(m: &Msg, src: Option<usize>, tag: Option<u32>) -> bool {
-    src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag)
+/// Whether a receive with this filter takes `m` out of the inbox: the
+/// simulator's own notices pass every filter.
+fn takes(m: &Msg, src: Option<usize>, tag: Option<u32>) -> bool {
+    matches!(m.tag, TAG_DEATH | TAG_QUIESCENT)
+        || (src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag))
 }
 
 /// Launch `p` ranks, run `f` on each, and return the per-rank results in
@@ -593,38 +601,26 @@ where
     F: Fn(&mut Comm) -> T + Send + Sync,
 {
     assert!(p > 0, "at least one rank required");
-    let mut txs = Vec::with_capacity(p);
-    let mut rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let barrier = Arc::new(Barrier::new(p));
-    let world = World { live: vec![true; p], blocked: vec![false; p], undelivered: 0, panicked: None };
-    let world = Arc::new(Mutex::new(world));
+    let world = World {
+        live: vec![true; p],
+        blocked: vec![false; p],
+        inboxes: vec![VecDeque::new(); p],
+        arrived: vec![false; p],
+        panicked: None,
+    };
+    let shared =
+        Arc::new(Shared { world: Mutex::new(world), wake: (0..p).map(|_| Condvar::new()).collect() });
     let f = &f;
-    let comms: Vec<Comm> = rxs
-        .into_iter()
-        .enumerate()
-        .map(|(rank, receiver)| Comm {
+    let comms: Vec<Comm> = (0..p)
+        .map(|rank| Comm {
             rank,
             size: p,
-            // A rank's sender to its own inbox carries only the
-            // quiescence notice it raises at itself (self-sends bypass
-            // the channel), and keeps the channel connected: that every
-            // peer has gone is reported as quiescence.
-            senders: txs.clone(),
-            receiver,
-            backlog: VecDeque::new(),
-            world: world.clone(),
-            barrier: barrier.clone(),
+            shared: shared.clone(),
             stats: CommStats::default(),
             tag_traffic: BTreeMap::new(),
             tracer: Tracer::disabled(),
             faults: None,
             dead_peers: vec![false; p],
-            pending_deaths: VecDeque::new(),
         })
         .collect();
     std::thread::scope(|scope| {
@@ -633,7 +629,7 @@ where
         // Re-raise the root cause, payload intact: the rank that panicked
         // first. What its peers then panic with is their report of the
         // world it left behind.
-        if let Some(first) = world.lock().unwrap_or_else(PoisonError::into_inner).panicked {
+        if let Some(first) = shared.world.lock().unwrap_or_else(PoisonError::into_inner).panicked {
             outcomes.swap(0, first);
         }
         outcomes.into_iter().map(|o| o.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
@@ -663,7 +659,7 @@ mod tests {
         let out = run(4, |c| {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
-            c.send(next, 7, Bytes::copy_from_slice(&[c.rank() as u8])).unwrap();
+            c.send(next, 7, vec![c.rank() as u8]).unwrap();
             let m = msg(c, Some(prev), Some(7));
             m.data[0] as usize
         });
@@ -674,8 +670,8 @@ mod tests {
     fn tag_matching_out_of_order() {
         let out = run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 1, Bytes::from_static(b"first")).unwrap();
-                c.send(1, 2, Bytes::from_static(b"second")).unwrap();
+                c.send(1, 1, b"first".to_vec()).unwrap();
+                c.send(1, 2, b"second".to_vec()).unwrap();
                 0
             } else {
                 // Receive tag 2 before tag 1; the tag-1 message must be
@@ -695,7 +691,7 @@ mod tests {
         let out = run(2, |c| {
             if c.rank() == 0 {
                 c.barrier();
-                c.send(1, 5, Bytes::from_static(b"x")).unwrap();
+                c.send(1, 5, b"x".to_vec()).unwrap();
                 c.barrier();
                 true
             } else {
@@ -721,8 +717,7 @@ mod tests {
     fn alltoallv_exchanges_payloads() {
         let p = 4;
         let out = run(p, |c| {
-            let bufs: Vec<Bytes> =
-                (0..c.size()).map(|d| Bytes::copy_from_slice(&[(c.rank() * 10 + d) as u8])).collect();
+            let bufs: Vec<Vec<u8>> = (0..c.size()).map(|d| vec![(c.rank() * 10 + d) as u8]).collect();
             let got = c.all_to_allv(bufs);
             got.iter().map(|b| b[0]).collect::<Vec<u8>>()
         });
@@ -736,15 +731,13 @@ mod tests {
     fn p2p_alltoallv_matches_collective() {
         let p = 5;
         let direct = run(p, |c| {
-            let bufs: Vec<Bytes> = (0..c.size())
-                .map(|d| Bytes::copy_from_slice(&[(c.rank() * c.size() + d) as u8; 3]))
-                .collect();
+            let bufs: Vec<Vec<u8>> =
+                (0..c.size()).map(|d| vec![(c.rank() * c.size() + d) as u8; 3]).collect();
             c.all_to_allv(bufs).iter().map(|b| b.to_vec()).collect::<Vec<_>>()
         });
         let rounds = run(p, |c| {
-            let bufs: Vec<Bytes> = (0..c.size())
-                .map(|d| Bytes::copy_from_slice(&[(c.rank() * c.size() + d) as u8; 3]))
-                .collect();
+            let bufs: Vec<Vec<u8>> =
+                (0..c.size()).map(|d| vec![(c.rank() * c.size() + d) as u8; 3]).collect();
             c.all_to_allv_p2p(bufs).iter().map(|b| b.to_vec()).collect::<Vec<_>>()
         });
         assert_eq!(direct, rounds);
@@ -753,10 +746,10 @@ mod tests {
     #[test]
     fn tag_histogram_separates_collectives_and_app_tags() {
         let rows = run(3, |c| {
-            c.all_to_allv(vec![Bytes::from_static(b"abcd"); 3]);
-            c.all_to_allv_p2p(vec![Bytes::new(); 3]);
+            c.all_to_allv(vec![b"abcd".to_vec(); 3]);
+            c.all_to_allv_p2p(vec![Vec::new(); 3]);
             if c.rank() == 0 {
-                c.send(1, 7, Bytes::from_static(b"xy")).unwrap();
+                c.send(1, 7, b"xy".to_vec()).unwrap();
             } else if c.rank() == 1 {
                 msg(c, Some(0), Some(7));
             }
@@ -794,7 +787,7 @@ mod tests {
     fn stats_count_traffic() {
         let stats = run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 3, Bytes::from_static(b"12345")).unwrap();
+                c.send(1, 3, b"12345".to_vec()).unwrap();
             } else {
                 msg(c, Some(0), Some(3));
             }
@@ -813,7 +806,7 @@ mod tests {
             if c.rank() == 0 {
                 // Panics in `send` before anything is transmitted; rank 1
                 // exits immediately so the panic propagates cleanly.
-                c.send(1, RESERVED_TAG_BASE, Bytes::new()).unwrap();
+                c.send(1, RESERVED_TAG_BASE, Vec::new()).unwrap();
             }
         });
     }
@@ -822,7 +815,7 @@ mod tests {
     fn self_send_is_received() {
         let out = run(2, |c| {
             let me = c.rank();
-            c.send(me, 9, Bytes::copy_from_slice(&[me as u8])).unwrap();
+            c.send(me, 9, vec![me as u8]).unwrap();
             msg(c, Some(me), Some(9)).data[0]
         });
         assert_eq!(out, vec![0, 1]);
@@ -872,21 +865,21 @@ mod tests {
                     match c.recv(None, None).unwrap() {
                         Event::Quiescent => {
                             quiescent += 1;
-                            c.send(1, 6, Bytes::new()).unwrap();
-                            c.send(2, 6, Bytes::new()).unwrap();
+                            c.send(1, 6, Vec::new()).unwrap();
+                            c.send(2, 6, Vec::new()).unwrap();
                         }
                         Event::Msg(m) if m.src == 2 => break,
                         e => assert!(matches!(e, Event::Msg(_)), "{e:?}"),
                     }
                 },
                 1 => {
-                    c.send(2, 5, Bytes::from_static(b"request")).unwrap();
+                    c.send(2, 5, b"request".to_vec()).unwrap();
                     assert_eq!(msg(c, None, None).tag, 6);
-                    c.send(0, 7, Bytes::new()).unwrap();
+                    c.send(0, 7, Vec::new()).unwrap();
                 }
                 _ => {
                     assert_eq!(msg(c, None, None).tag, 6, "the request never arrives");
-                    c.send(0, 7, Bytes::new()).unwrap();
+                    c.send(0, 7, Vec::new()).unwrap();
                 }
             }
             quiescent
@@ -904,7 +897,7 @@ mod tests {
                 0 => {
                     await_world(c, |w| w.blocked[2]);
                     assert_eq!(c.world().quiescent(), None);
-                    c.send(2, 3, Bytes::new()).unwrap();
+                    c.send(2, 3, Vec::new()).unwrap();
                 }
                 1 => {}
                 _ => assert_eq!(msg(c, Some(0), None).tag, 3),
@@ -922,12 +915,12 @@ mod tests {
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
-                c.send(1, 6, Bytes::from_static(b"held")).unwrap();
+                c.send(1, 6, b"held".to_vec()).unwrap();
                 assert_eq!(c.stats().msgs_sent, 0, "held back, not sent");
                 assert_eq!(&msg(c, Some(1), Some(7)).data[..], b"answer");
             } else {
                 assert_eq!(&msg(c, Some(0), Some(6)).data[..], b"held");
-                c.send(0, 7, Bytes::from_static(b"answer")).unwrap();
+                c.send(0, 7, b"answer".to_vec()).unwrap();
             }
         });
     }
@@ -937,7 +930,7 @@ mod tests {
     fn quiescence_inside_a_collective_is_a_named_deadlock() {
         run(2, |c| {
             if c.rank() == 0 {
-                c.all_to_allv(vec![Bytes::new(); 2]);
+                c.all_to_allv(vec![Vec::new(); 2]);
             } else {
                 // Waits for an application message instead of joining.
                 let _ = c.recv(Some(0), Some(1));
@@ -950,9 +943,9 @@ mod tests {
         run(2, |c| {
             if c.rank() == 0 {
                 for _ in 0..100 {
-                    c.send(1, 1, Bytes::from_static(b"noise")).unwrap();
+                    c.send(1, 1, b"noise".to_vec()).unwrap();
                 }
-                c.send(1, 2, Bytes::from_static(b"signal")).unwrap();
+                c.send(1, 2, b"signal".to_vec()).unwrap();
                 c.barrier();
             } else {
                 c.barrier();
@@ -971,7 +964,7 @@ mod tests {
     fn sender_side_pricing_counts_each_message_once() {
         let rows = run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 3, Bytes::from_static(b"12345678")).unwrap();
+                c.send(1, 3, b"12345678".to_vec()).unwrap();
             } else {
                 msg(c, Some(0), Some(3));
             }
@@ -1000,7 +993,7 @@ mod tests {
                 return;
             }
             await_world(c, |w| !w.live[1]);
-            c.send(1, 4, Bytes::from_static(b"late")).unwrap();
+            c.send(1, 4, b"late".to_vec()).unwrap();
             assert!(matches!(c.recv(None, None), Ok(Event::Death(1))));
             assert!(c.dead_peers()[1]);
             assert!(!c.has_fault_plan());
@@ -1019,11 +1012,11 @@ mod tests {
             match c.rank() {
                 1 => {
                     // What the engine does on taking lease 2.
-                    c.send(0, 5, Bytes::from_static(b"one")).unwrap();
+                    c.send(0, 5, b"one".to_vec()).unwrap();
                     let killed = CommError::Killed { rank: 1, lease: 2 };
                     assert_eq!(c.kill(2), killed);
                     // Every later op fails, and nothing reaches the wire.
-                    assert_eq!(c.send(0, 5, Bytes::from_static(b"two")), Err(killed));
+                    assert_eq!(c.send(0, 5, b"two".to_vec()), Err(killed));
                     assert_eq!(c.recv(None, None).unwrap_err(), killed);
                     assert_eq!(c.try_recv(None, None).unwrap_err(), killed);
                     assert_eq!(c.fault_stats().kills, 1);
@@ -1050,7 +1043,7 @@ mod tests {
                     }
                     assert!(c.dead_peers()[1]);
                     // Sends to the dead peer blackhole instead of panic.
-                    c.send(1, 9, Bytes::from_static(b"into the void")).unwrap();
+                    c.send(1, 9, b"into the void".to_vec()).unwrap();
                     assert_eq!(c.fault_stats().msgs_lost, 1);
                     "survivor"
                 }
@@ -1069,9 +1062,9 @@ mod tests {
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
-                c.send(1, 4, Bytes::from_static(b"a")).unwrap();
-                c.send(1, 4, Bytes::from_static(b"b")).unwrap(); // dropped
-                c.send(1, 4, Bytes::from_static(b"c")).unwrap();
+                c.send(1, 4, b"a".to_vec()).unwrap();
+                c.send(1, 4, b"b".to_vec()).unwrap(); // dropped
+                c.send(1, 4, b"c".to_vec()).unwrap();
                 assert_eq!(c.fault_stats().msgs_dropped, 1);
             } else {
                 let first = match c.recv(Some(0), Some(4)).unwrap() {
@@ -1096,13 +1089,13 @@ mod tests {
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
-                c.send(1, 6, Bytes::from_static(b"early")).unwrap(); // held
-                c.send(1, 6, Bytes::from_static(b"later")).unwrap();
+                c.send(1, 6, b"early".to_vec()).unwrap(); // held
+                c.send(1, 6, b"later".to_vec()).unwrap();
                 assert_eq!(c.stats().msgs_sent, 1, "one on the wire, one held");
                 c.barrier();
                 assert_eq!(c.fault_stats().msgs_delayed, 1);
             } else {
-                let order: Vec<Bytes> = (0..2)
+                let order: Vec<Vec<u8>> = (0..2)
                     .map(|_| match c.recv(Some(0), Some(6)).unwrap() {
                         Event::Msg(m) => m.data,
                         e => panic!("{e:?}"),
@@ -1125,5 +1118,103 @@ mod tests {
             // After the barrier every rank must observe all increments.
             assert_eq!(counter.load(Ordering::SeqCst), 4);
         });
+    }
+
+    #[test]
+    fn a_rank_that_leaves_before_the_barrier_is_a_panic_not_a_hang() {
+        // By panic: the peers' report of it must not mask the cause.
+        let caught = std::panic::catch_unwind(|| {
+            run(3, |c| {
+                if c.rank() == 0 {
+                    panic!("rank 0 died");
+                }
+                c.barrier();
+            })
+        });
+        let payload = caught.expect_err("the culprit's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 0 died"));
+        // By return: the peer left waiting is the one to say so.
+        let caught = std::panic::catch_unwind(|| {
+            run(2, |c| {
+                if c.rank() == 1 {
+                    c.barrier();
+                }
+            })
+        });
+        let payload = caught.expect_err("a barrier nobody can complete");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("rank 0 left before the barrier")
+        );
+    }
+
+    #[test]
+    fn selective_receives_keep_each_senders_order_under_concurrent_senders() {
+        // Three ranks fill rank 0's inbox at once, alternating tags;
+        // rank 0 takes it apart by (src, tag), last sender first, so
+        // every receive passes over the others' messages.
+        const N: u8 = 50;
+        run(4, |c| {
+            if c.rank() > 0 {
+                for seq in 0..N {
+                    c.send(0, 1 + u32::from(seq % 2), vec![seq]).unwrap();
+                }
+                return;
+            }
+            for src in (1..c.size()).rev() {
+                for tag in [2, 1] {
+                    let seqs: Vec<u8> = (0..N / 2).map(|_| msg(c, Some(src), Some(tag)).data[0]).collect();
+                    let expect: Vec<u8> = (0..N).filter(|seq| 1 + u32::from(seq % 2) == tag).collect();
+                    assert_eq!(seqs, expect, "src {src} tag {tag}");
+                }
+            }
+            assert!(c.try_recv(None, None).unwrap().is_none(), "nothing left over");
+        });
+    }
+
+    #[test]
+    fn a_self_send_with_every_peer_blocked_is_not_quiescence() {
+        // Rank 1 is blocked on rank 0, whose only traffic is to itself:
+        // its own inbox is part of the world, so the blocking receive
+        // finds the message and nobody is told the world is at rest.
+        run(2, |c| {
+            if c.rank() == 0 {
+                await_world(c, |w| w.blocked[1]);
+                c.send(0, 9, b"me".to_vec()).unwrap();
+                assert_eq!(&msg(c, Some(0), Some(9)).data[..], b"me");
+                c.send(1, 3, Vec::new()).unwrap();
+            } else {
+                assert_eq!(msg(c, None, None).tag, 3);
+            }
+        });
+    }
+
+    #[test]
+    fn a_rank_leaving_a_full_inbox_behind_is_one_quiescent_event_at_the_lowest_live_rank() {
+        // Rank 0 returns without reading what ranks 1 and 2 sent it,
+        // and both wait on. What died with rank 0's inbox is not
+        // traffic still to come: rank 1, now the lowest live rank, is
+        // told, once, and its send then frees rank 2.
+        let seen = run(3, |c| {
+            if c.rank() == 0 {
+                await_world(c, |w| w.inboxes[0].len() == 2);
+                return 0;
+            }
+            c.send(0, 5, b"unread".to_vec()).unwrap();
+            match c.recv(None, None).unwrap() {
+                Event::Quiescent => {
+                    assert_eq!(c.rank(), 1);
+                    c.send(2, 6, Vec::new()).unwrap();
+                    1
+                }
+                Event::Msg(m) => {
+                    assert_eq!((c.rank(), m.src, m.tag), (2, 1, 6));
+                    assert!(c.try_recv(None, None).unwrap().is_none(), "no second notice");
+                    0
+                }
+                e => panic!("nobody died: {e:?}"),
+            }
+        });
+        assert_eq!(seen, vec![0, 1, 0]);
     }
 }

@@ -27,7 +27,7 @@
 //! `Err(CommError::Killed)`), and a dying rank broadcasts a *death
 //! notice* to every peer so survivors observe the failure as an event
 //! instead of a hang. A *lost* message needs no timer either: the
-//! simulator sees every rank blocked with nothing undelivered and raises
+//! simulator sees every rank blocked with nothing left to look at and raises
 //! `Event::Quiescent`. Every injected fault is recorded on the `fault`
 //! trace category and in the [`FaultStats`] counters.
 //!
@@ -35,7 +35,6 @@
 //! any): [`FaultPlan::for_stage`] extracts the clauses a stage should
 //! arm before handing the plan to its ranks.
 
-use bytes::Bytes;
 use std::num::NonZeroU64;
 use std::str::FromStr;
 
@@ -292,7 +291,7 @@ pub(crate) struct FaultRuntime {
     /// Armed drop/delay clauses whose `src` is this rank.
     msg_faults: Vec<MsgFaultState>,
     /// Held-back messages, in hold order: (dest, tag, payload).
-    pub(crate) delayed: Vec<(usize, u32, Bytes)>,
+    pub(crate) delayed: Vec<(usize, u32, Vec<u8>)>,
     pub(crate) stats: FaultStats,
 }
 

@@ -12,11 +12,12 @@
 //!   `try_recv` with source/tag matching (a receive yields an
 //!   [`Event`]: a message, the death of a peer, or the simulator's
 //!   observation that the world is quiescent — every live rank blocked
-//!   in a receive, nothing undelivered — raised at the lowest live
-//!   rank), barriers, and the two collectives §6 uses: `alltoallv` and
-//!   the *custom* `alltoallv` built from `p − 1` point-to-point rounds
-//!   that bounds send-buffer space. A `send` reaches the wire — or
-//!   the fault plan — before it returns; nothing is staged.
+//!   in a receive, nothing in its inbox left to look at — raised at the
+//!   lowest live rank), barriers, and the two collectives §6 uses:
+//!   `alltoallv` and the *custom* `alltoallv` built from `p − 1`
+//!   point-to-point rounds that bounds send-buffer space. A `send`
+//!   reaches the wire — or the fault plan — before it returns; nothing
+//!   is staged.
 //! - [`model`] — per-rank traffic statistics and an α–β (latency ×
 //!   bandwidth) communication cost model with BlueGene/L parameters, so
 //!   experiments can report *modelled* network time next to measured
@@ -29,7 +30,7 @@
 //!   as recoverable [`CommError`]s and [`Event`]s from the
 //!   point-to-point calls instead of hangs.
 //!
-//! Payloads are opaque [`bytes::Bytes`]; their layout belongs to the
+//! Payloads are opaque `Vec<u8>`; their layout belongs to the
 //! caller (`pgasm_seq::wire` is the workspace's one codec).
 
 pub mod comm;

@@ -150,38 +150,6 @@ impl<'g> Sampler<'g> {
         out
     }
 
-    /// Sample `n_pairs` clone-mate pairs (paper §1: "fragments are
-    /// typically sequenced in pairs from either end of longer DNA
-    /// sequences (or sub-clones) of approximate known length (~5000
-    /// bp)"). For each pair, the first read runs forward from the
-    /// sub-clone's 5' end and the second is the reverse complement of
-    /// its 3' end. Returns the reads plus `(read1, read2, insert)`
-    /// links indexing into the returned set.
-    pub fn mate_pairs(
-        &mut self,
-        n_pairs: usize,
-        insert: (usize, usize),
-    ) -> (ReadSet, Vec<(usize, usize, u32)>) {
-        let mut out = ReadSet::default();
-        let mut links = Vec::with_capacity(n_pairs);
-        let glen = self.genome.len();
-        for _ in 0..n_pairs {
-            let ins = self.rng.gen_range(insert.0..=insert.1).min(glen.saturating_sub(1));
-            if ins < 2 * self.config.read_len.0 {
-                continue;
-            }
-            let start = self.rng.gen_range(0..glen - ins);
-            let len1 = self.draw_read_len().min(ins);
-            let len2 = self.draw_read_len().min(ins);
-            let i1 = out.len();
-            self.emit_oriented(&mut out, start, len1, false, ReadKind::Wgs);
-            let i2 = out.len();
-            self.emit_oriented(&mut out, start + ins - len2, len2, true, ReadKind::Wgs);
-            links.push((i1, i2, ins as u32));
-        }
-        (out, links)
-    }
-
     /// Sample `clones` BAC clones, each covered by `reads_per_clone`
     /// reads (ends are always sampled, mimicking end-sequencing).
     pub fn bac(&mut self, clones: usize, reads_per_clone: usize) -> ReadSet {
@@ -233,10 +201,6 @@ impl<'g> Sampler<'g> {
 
     fn emit(&mut self, out: &mut ReadSet, start: usize, len: usize, kind: ReadKind) {
         let reverse = self.rng.gen_bool(self.config.reverse_prob);
-        self.emit_oriented(out, start, len, reverse, kind);
-    }
-
-    fn emit_oriented(&mut self, out: &mut ReadSet, start: usize, len: usize, reverse: bool, kind: ReadKind) {
         let end = (start + len).min(self.genome.len());
         let template = self.genome.seq.slice(start, end);
         let template = if reverse { template.reverse_complement() } else { template };

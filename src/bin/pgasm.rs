@@ -73,7 +73,6 @@ const PIPELINE_OPTIONS: &[&str] = &[
     "metrics-json",
     "trace-json",
     "cache-dir",
-    "no-cache",
     "fault-plan",
     "checkpoint-every",
     "checkpoint",
@@ -91,7 +90,7 @@ USAGE:
                  [--band <n>] [--no-adaptive-band]
                  [--no-preprocess] [--metrics-json <report.json>]
                  [--trace-json <out.trace.json>]
-                 [--cache-dir <dir>] [--no-cache]
+                 [--cache-dir <dir>]
                  [--fault-plan <spec>]
                  [--checkpoint-every <n> --checkpoint <base>]
                  [--resume <base>]
@@ -120,7 +119,7 @@ parameters reloads the preprocess output and (serial runs) the GST from
 <dir> instead of recomputing them — the cache_hit / cache_miss /
 cache_bytes_* counters in --metrics-json show what happened; any change
 to inputs or parameters recomputes, and a corrupted cache file safely
-degrades to a cold run. --no-cache ignores --cache-dir for this run.
+degrades to a cold run.
 --fault-plan <spec> arms deterministic failure injection on the simulated
 machine (needs --ranks): a semicolon-separated list of clauses, e.g.
 'kill:lease=3; drop:src=1,dst=0,tag=1,nth=2; delay:src=0,dst=2,tag=2,nth=1'.
@@ -180,7 +179,7 @@ impl Opts {
                 if !known.contains(&name) {
                     return Err(format!("unknown option --{name}"));
                 }
-                if name == "no-preprocess" || name == "no-cache" || name == "no-adaptive-band" {
+                if name == "no-preprocess" || name == "no-adaptive-band" {
                     flags.insert(name.to_string(), "true".to_string());
                     i += 1;
                 } else {
@@ -300,11 +299,7 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     let ranks: usize = opts.parse_or("ranks", 0)?;
     let preprocess =
         if opts.get("no-preprocess").is_some() { None } else { Some(PreprocessConfig::default()) };
-    let cache_dir = if opts.get("no-cache").is_some() {
-        None
-    } else {
-        opts.get("cache-dir").map(std::path::PathBuf::from)
-    };
+    let cache_dir = opts.get("cache-dir").map(std::path::PathBuf::from);
     let mut recovery = pgasm::cluster::StageRecovery::default();
     if let Some(spec) = opts.get("fault-plan") {
         recovery.faults = pgasm::mpisim::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;

@@ -1,11 +1,9 @@
-//! Property tests for the alignment kernels and the scaffolder.
+//! Property tests for the full-matrix and banded overlap aligners.
 
 use pgasm::align::overlap::{overlap_align_quality, OverlapKind};
 use pgasm::align::{banded_overlap_align, overlap_align, Scoring};
-use pgasm::assemble::scaffold::{scaffold, MateLink, ReadPlacement, ScaffoldConfig};
 use pgasm::seq::DnaSeq;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = DnaSeq> {
     proptest::collection::vec(0u8..4, len).prop_map(DnaSeq::from_codes)
@@ -86,92 +84,5 @@ proptest! {
         let weighted = overlap_align_quality(a.codes(), b.codes(), Some((&qa, &qb)), &s);
         prop_assert!((plain.identity - weighted.identity).abs() < 1e-9);
         prop_assert_eq!(plain.overlap_len, weighted.overlap_len);
-    }
-}
-
-/// Random scaffolding scenario: contigs laid on a line with random
-/// gaps and orientations, mates sampled across each junction.
-fn scaffold_scenario() -> impl Strategy<Value = (Vec<usize>, Vec<bool>, Vec<i64>)> {
-    (
-        proptest::collection::vec(600usize..2_000, 2..6),
-        proptest::collection::vec(any::<bool>(), 5),
-        proptest::collection::vec(50i64..400, 5),
-    )
-        .prop_map(|(lens, flips, gaps)| {
-            let n = lens.len();
-            (lens, flips[..n].to_vec(), gaps[..n.saturating_sub(1)].to_vec())
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Mates across every junction reconstruct the true contig order,
-    /// orientations (up to global flip), and gaps (within tolerance).
-    #[test]
-    fn scaffold_recovers_layout((lens, flips, gaps) in scaffold_scenario()) {
-        let n = lens.len();
-        // Genome offsets of each contig.
-        let mut starts = vec![0i64; n];
-        for i in 1..n {
-            starts[i] = starts[i - 1] + lens[i - 1] as i64 + gaps[i - 1];
-        }
-        // For each junction, two mate pairs: read1 near the end of
-        // contig i (genome-forward), read2 inside contig i+1 (genome-
-        // reverse read). Translate genome placements into each contig's
-        // own frame per its orientation flag.
-        let read_len = 100usize;
-        let mut placements: HashMap<usize, ReadPlacement> = HashMap::new();
-        let mut links = Vec::new();
-        let mut rid = 0usize;
-        let place = |contig: usize, genome_off: i64, genome_fwd_read: bool,
-                     lens: &[usize], flips: &[bool], starts: &[i64]| -> ReadPlacement {
-            let off_in_contig = (genome_off - starts[contig]) as usize;
-            // A genome-forward read appears unflipped in a genome-forward
-            // contig; everything inverts when the contig was assembled
-            // reverse-complemented (flips[contig]).
-            let (offset, flipped) = if !flips[contig] {
-                (off_in_contig, !genome_fwd_read)
-            } else {
-                (lens[contig] - off_in_contig - read_len, genome_fwd_read)
-            };
-            ReadPlacement { contig, offset, flipped, len: read_len }
-        };
-        for j in 0..n - 1 {
-            for k in 0..2 {
-                // read1 starts read_len*(k+2) before contig j's end.
-                let r1_genome = starts[j] + lens[j] as i64 - (read_len as i64) * (k as i64 + 2);
-                // insert spans the junction into contig j+1.
-                let r2_genome_end = starts[j + 1] + (read_len as i64) * (k as i64 + 2);
-                let insert = (r2_genome_end - r1_genome) as u32;
-                let p1 = place(j, r1_genome, true, &lens, &flips, &starts);
-                // read2 is the genome-reverse read ending at r2_genome_end.
-                let p2 = place(j + 1, r2_genome_end - read_len as i64, false, &lens, &flips, &starts);
-                placements.insert(rid, p1);
-                placements.insert(rid + 1, p2);
-                links.push(MateLink { read1: rid, read2: rid + 1, insert });
-                rid += 2;
-            }
-        }
-        let scaffolds = scaffold(&lens, &placements, &links, &ScaffoldConfig::default());
-        prop_assert_eq!(scaffolds.len(), 1, "all contigs must chain: {:?}", scaffolds);
-        let s = &scaffolds[0];
-        prop_assert_eq!(s.parts.len(), n);
-        let order: Vec<usize> = s.parts.iter().map(|p| p.contig).collect();
-        let forward: Vec<usize> = (0..n).collect();
-        let reverse: Vec<usize> = (0..n).rev().collect();
-        prop_assert!(order == forward || order == reverse, "order {:?}", order);
-        if order == forward {
-            for (j, part) in s.parts.iter().enumerate().skip(1) {
-                let err = (part.gap_before - gaps[j - 1]).abs();
-                prop_assert!(err <= 2, "gap {} vs true {}", part.gap_before, gaps[j - 1]);
-            }
-            // Orientation recovered relative to ground truth (global
-            // flip allowed; compare the pattern).
-            let got: Vec<bool> = s.parts.iter().map(|p| p.flipped).collect();
-            let expect: Vec<bool> = flips.clone();
-            let inverted: Vec<bool> = flips.iter().map(|f| !f).collect();
-            prop_assert!(got == expect || got == inverted, "flips {:?} vs {:?}", got, expect);
-        }
     }
 }

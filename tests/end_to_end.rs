@@ -213,6 +213,7 @@ fn cli_rejects_options_a_subcommand_never_reads() {
     for (cmd, option) in [
         ("assemble", "--kernel"),
         ("assemble", "--rank"),
+        ("assemble", "--no-cache"),
         ("cluster", "--w"),
         ("generate", "--reads"),
         ("analyze", "--ranks"),
