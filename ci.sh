@@ -46,16 +46,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> SIMD + adaptive-band smoke bench"
-rm -f BENCH_ablation_simd_band.json
-PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_simd_band
-test -s BENCH_ablation_simd_band.json || { echo "missing BENCH_ablation_simd_band.json"; exit 1; }
-
-echo "==> assembly-balance smoke bench"
-rm -f BENCH_ablation_assembly_balance.json
-PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_assembly_balance
-test -s BENCH_ablation_assembly_balance.json || { echo "missing BENCH_ablation_assembly_balance.json"; exit 1; }
-
 echo "==> fault-recovery smoke bench"
 rm -f BENCH_ablation_fault_recovery.json
 PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_fault_recovery

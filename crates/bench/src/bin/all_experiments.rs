@@ -13,7 +13,5 @@ fn main() {
     pgasm_bench::ablations::ordering(scale);
     pgasm_bench::ablations::dup_elim(scale);
     pgasm_bench::ablations::filter(scale);
-    pgasm_bench::simd_band::run(scale);
-    pgasm_bench::assembly_balance::run(scale);
     println!("\nall experiments complete");
 }

@@ -10,7 +10,7 @@ use crate::datasets;
 use crate::util::*;
 use pgasm_assemble::AssemblyConfig;
 use pgasm_core::cluster_serial;
-use pgasm_core::pipeline::assemble_clusters;
+use pgasm_core::pipeline::assemble_clusters_q;
 use pgasm_core::validation::validate_clusters;
 use pgasm_telemetry::names;
 
@@ -40,7 +40,7 @@ pub fn run(scale: f64) -> Outcome {
     let (outcome, _run_report) = with_run_report("sec8", |ctx| {
         let (clustering, _stats) = ctx.scope("cluster", |_| cluster_serial(&prepared.store, &params));
         let assemblies = ctx.scope("assemble", |_| {
-            assemble_clusters(&prepared.store, &clustering, &AssemblyConfig::default(), 2)
+            assemble_clusters_q(&prepared.store, None, &clustering, &AssemblyConfig::default(), 2)
         });
         let contigs_per_cluster = if assemblies.is_empty() {
             0.0

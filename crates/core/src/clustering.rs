@@ -11,6 +11,7 @@ use crate::unionfind::UnionFind;
 use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, OverlapResult, Scoring, SimdOpts};
 use pgasm_gst::{GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
 use pgasm_seq::{FragId, FragmentStore, SeqId};
+use pgasm_telemetry::names;
 
 /// Clustering parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,13 +29,6 @@ pub struct ClusterParams {
     /// Keep only one strand-combination per fragment pair (the mirrored
     /// combination carries no extra information for clustering).
     pub canonical_strands: bool,
-    /// Per-row adaptive X-drop band shrinking (inert whenever no
-    /// acceptance floor exists).
-    pub adaptive_band: bool,
-    /// Pin the kernel to its bit-identical scalar instantiation
-    /// (ablation/debug aid; the `force-scalar` cargo feature of
-    /// `pgasm-align` forces this regardless).
-    pub simd_force_scalar: bool,
 }
 
 impl Default for ClusterParams {
@@ -46,8 +40,6 @@ impl Default for ClusterParams {
             band: 24,
             mode: GenMode::DupElim,
             canonical_strands: true,
-            adaptive_band: true,
-            simd_force_scalar: false,
         }
     }
 }
@@ -87,19 +79,20 @@ impl ClusterStats {
         1.0 - self.aligned as f64 / self.generated as f64
     }
 
-    /// Merge counters (for aggregating worker ranks).
-    pub fn merged(self, o: ClusterStats) -> ClusterStats {
-        ClusterStats {
-            generated: self.generated + o.generated,
-            aligned: self.aligned + o.aligned,
-            accepted: self.accepted + o.accepted,
-            merges: self.merges + o.merges,
-            dp_cells: self.dp_cells + o.dp_cells,
-            early_exits: self.early_exits + o.early_exits,
-            tracebacks_skipped: self.tracebacks_skipped + o.tracebacks_skipped,
-            cells_saved_adaptive: self.cells_saved_adaptive + o.cells_saved_adaptive,
-            band_rows_shrunk: self.band_rows_shrunk + o.band_rows_shrunk,
-        }
+    /// The tallies under their run-report counter names — the run's
+    /// counter map and the master's rank channel list the same eight
+    /// (`merges` is the run's alone).
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            (names::PAIRS_GENERATED, self.generated),
+            (names::PAIRS_ALIGNED, self.aligned),
+            (names::PAIRS_ACCEPTED, self.accepted),
+            (names::DP_CELLS, self.dp_cells),
+            (names::ALIGN_EARLY_EXIT, self.early_exits),
+            (names::ALIGN_TRACEBACK_SKIPPED, self.tracebacks_skipped),
+            (names::ALIGN_CELLS_SAVED_ADAPTIVE, self.cells_saved_adaptive),
+            (names::ALIGN_BAND_ROWS_SHRUNK, self.band_rows_shrunk),
+        ]
     }
 
     /// Fold one alignment's work accounting into the counters.
@@ -229,10 +222,7 @@ impl<'s> PairDecider<'s> {
             Some(&self.params.criteria),
             None,
             scratch,
-            SimdOpts {
-                force_scalar: self.params.simd_force_scalar || SimdOpts::default().force_scalar,
-                adaptive: self.params.adaptive_band,
-            },
+            SimdOpts::default(),
         )
     }
 }

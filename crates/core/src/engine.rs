@@ -125,6 +125,14 @@ pub struct EngineConfig {
     pub pending_cap: usize,
 }
 
+/// The clustering stage's shape (§7: 64 pairs per grant); the assembly
+/// stage derives its own from the task list.
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig { batch: 64, pending_cap: 4096 }
+    }
+}
+
 /// A unit of work that can cross the simulated wire. `Clone` because
 /// the master journals every dispatched batch until its result report
 /// retires the lease (the copy is what recovery re-queues).
@@ -236,6 +244,22 @@ struct Lease<T> {
     tasks: Vec<T>,
 }
 
+/// Where a worker stands in its report/grant round: exactly one of
+/// these at any time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// An allocation is in flight to this worker (a report will come).
+    Outstanding,
+    /// Worker reported its round and awaits the grant that answers it.
+    AwaitsGrant,
+    /// Worker is passive with no allocation in flight: blocked in a
+    /// receive, revivable with an unsolicited grant (Idle_Workers).
+    Parked,
+    /// Worker is dead (death notice, or stuck at quiescence): excluded
+    /// from dispatch, its messages discarded.
+    Dead,
+}
+
 /// The master's mutable protocol state, separated from the event loop
 /// so message handling (absorption, selection) and dispatch (batch
 /// cutting, flow control) read as the two halves of Fig. 7 they are.
@@ -246,16 +270,9 @@ struct Master<'s, T, S> {
     pending: VecDeque<T>,
     /// Worker's generator still has tasks to yield.
     worker_active: Vec<bool>,
-    /// Worker reported its round and awaits the grant that answers it.
-    need_reply: Vec<bool>,
-    /// Worker is passive with no allocation in flight: blocked in a
-    /// receive, revivable with an unsolicited grant (Idle_Workers).
-    parked: Vec<bool>,
-    /// An allocation is in flight to this worker (a report will come).
-    outstanding: Vec<bool>,
-    /// Worker is dead (death notice, or stuck at quiescence): excluded
-    /// from dispatch, its messages discarded.
-    dead: Vec<bool>,
+    /// Each worker's place in its round, by rank (entry 0, the master's
+    /// own, is never read).
+    round: Vec<Round>,
     /// Dispatched-but-unacknowledged batches, keyed by lease id.
     journal: BTreeMap<u64, Lease<T>>,
     next_lease: u64,
@@ -283,7 +300,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     /// The one decoder of a [`TAG_REPORT`] body.
     fn handle(&mut self, tracer: &mut Tracer, msg: &Msg) -> Result<(), WireError> {
         let i = msg.src;
-        if self.dead[i] {
+        if self.round[i] == Round::Dead {
             tracer.instant_args(
                 TraceCategory::Fault,
                 names::EV_STALE_MSG,
@@ -327,8 +344,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
         }
         self.report.peak_queue_depth = self.report.peak_queue_depth.max(self.pending.len() as u64);
         // The report closes the worker's round: it now awaits a grant.
-        self.need_reply[i] = true;
-        self.outstanding[i] = false;
+        self.round[i] = Round::AwaitsGrant;
         r.expect_end()
     }
 
@@ -337,25 +353,23 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     fn dispatch(&mut self, comm: &mut Comm) -> Result<(), CommError> {
         let p = self.worker_active.len();
         for i in 1..p {
-            if self.dead[i] || !self.need_reply[i] {
+            if self.round[i] != Round::AwaitsGrant {
                 continue;
             }
-            self.need_reply[i] = false;
             let batch = drain_batch(&mut self.pending, self.b);
             let r = self.flow_control();
             if batch.is_empty() && !self.worker_active[i] {
                 // Nothing to do and nothing left to generate: park it
                 // (the empty batch tells the worker to block).
-                self.parked[i] = true;
+                self.round[i] = Round::Parked;
                 comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_PARK, "worker", i as u64);
-                self.grant(comm, i, r, batch)?;
             } else {
-                self.outstanding[i] = true;
-                self.grant(comm, i, r, batch)?;
+                self.round[i] = Round::Outstanding;
             }
+            self.grant(comm, i, r, batch)?;
         }
         for j in 1..p {
-            if self.dead[j] || !self.parked[j] {
+            if self.round[j] != Round::Parked {
                 continue;
             }
             if self.pending.is_empty() && self.pending_adoptions[j].is_empty() {
@@ -363,8 +377,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             }
             let batch = drain_batch(&mut self.pending, self.b);
             let r = self.flow_control();
-            self.parked[j] = false;
-            self.outstanding[j] = true;
+            self.round[j] = Round::Outstanding;
             comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_UNPARK, "worker", j as u64);
             self.grant(comm, j, r, batch)?;
         }
@@ -422,8 +435,11 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     /// of silent task loss.
     fn finished(&self) -> bool {
         let p = self.worker_active.len();
-        (1..p).all(|i| self.dead[i] || (!self.worker_active[i] && self.parked[i] && !self.outstanding[i]))
-            && self.pending.is_empty()
+        (1..p).all(|i| match self.round[i] {
+            Round::Dead => true,
+            Round::Parked => !self.worker_active[i],
+            Round::Outstanding | Round::AwaitsGrant => false,
+        }) && self.pending.is_empty()
             && self.journal.is_empty()
             && self.pending_adoptions.iter().all(Vec::is_empty)
     }
@@ -432,14 +448,11 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     /// journaled leases to the pending buffer and hand its generator
     /// scope (own + previously adopted) to the lowest live worker.
     fn on_death(&mut self, comm: &mut Comm, i: usize) {
-        if i == 0 || self.dead[i] {
+        if i == 0 || self.round[i] == Round::Dead {
             return;
         }
-        self.dead[i] = true;
+        self.round[i] = Round::Dead;
         self.report.dead_ranks += 1;
-        self.need_reply[i] = false;
-        self.parked[i] = false;
-        self.outstanding[i] = false;
         // Re-queue every batch the dead worker never acknowledged.
         let ids: Vec<u64> = self.journal.iter().filter(|(_, l)| l.worker == i).map(|(&id, _)| id).collect();
         let mut recovered = 0u64;
@@ -469,13 +482,15 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
         self.worker_active[i] = false;
         let p = self.worker_active.len();
         if !scopes.is_empty() {
-            let adopter = (1..p).find(|&j| !self.dead[j]).unwrap_or_else(|| {
+            let adopter = (1..p).find(|&j| self.round[j] != Round::Dead).unwrap_or_else(|| {
                 panic!("rank {i} died with generator scope outstanding and no survivor to adopt it")
             });
             self.pending_adoptions[adopter].extend(scopes);
             self.worker_active[adopter] = true;
         }
-        if (1..p).all(|j| self.dead[j]) && !(self.pending.is_empty() && self.journal.is_empty()) {
+        if (1..p).all(|j| self.round[j] == Round::Dead)
+            && !(self.pending.is_empty() && self.journal.is_empty())
+        {
             panic!(
                 "every worker is dead with {} task(s) still pending — the fault plan left no survivors",
                 self.pending.len()
@@ -492,8 +507,10 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     fn on_quiescent(&mut self, comm: &mut Comm) {
         let p = self.worker_active.len();
         let stuck: Vec<usize> = (1..p)
-            .filter(|&i| {
-                !self.dead[i] && (self.outstanding[i] || self.journal.values().any(|l| l.worker == i))
+            .filter(|&i| match self.round[i] {
+                Round::Dead => false,
+                Round::Outstanding => true,
+                Round::AwaitsGrant | Round::Parked => self.journal.values().any(|l| l.worker == i),
             })
             .collect();
         if stuck.is_empty() || !comm.has_fault_plan() {
@@ -526,12 +543,9 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
         for i in 1..p {
             let _ = writeln!(
                 s,
-                "  worker {i}: active={} need_reply={} parked={} outstanding={} dead={} adoptions_pending={}",
+                "  worker {i}: active={} round={:?} adoptions_pending={}",
                 self.worker_active[i],
-                self.need_reply[i],
-                self.parked[i],
-                self.outstanding[i],
-                self.dead[i],
+                self.round[i],
                 self.pending_adoptions[i].len(),
             );
         }
@@ -583,15 +597,8 @@ pub fn run_master<T: Task, S: TaskSource<T>>(
             q
         },
         worker_active: vec![true; p],
-        need_reply: vec![false; p],
-        parked: vec![false; p],
         // Workers open with an unsolicited first report.
-        outstanding: {
-            let mut o = vec![true; p];
-            o[0] = false;
-            o
-        },
-        dead: vec![false; p],
+        round: vec![Round::Outstanding; p],
         journal: BTreeMap::new(),
         next_lease: 1,
         pending_adoptions: vec![Vec::new(); p],
@@ -648,8 +655,8 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         // peaks. The occupancy counts are O(p), so only when tracing.
         let tracer = comm.tracer_mut();
         if tracer.is_enabled() {
-            let out = m.outstanding[1..].iter().filter(|&&x| x).count() as u64;
-            let parked = m.parked[1..].iter().filter(|&&x| x).count() as u64;
+            let count = |round| m.round[1..].iter().filter(|&&r| r == round).count() as u64;
+            let (out, parked) = (count(Round::Outstanding), count(Round::Parked));
             tracer.counter(TraceCategory::Master, names::GAUGE_WORKERS_OUTSTANDING, out);
             tracer.counter(TraceCategory::Master, names::GAUGE_WORKERS_PARKED, parked);
             tracer.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, m.pending.len() as u64);
@@ -661,7 +668,6 @@ fn master_pump<T: Task, S: TaskSource<T>>(
             // blackhole, while a worker declared dead at quiescence is
             // alive and needs it to stop blocking and exit.
             for i in 1..p {
-                debug_assert!(m.dead[i] || m.parked[i], "at termination every live worker is parked");
                 send_grant::<T>(comm, i, 0, 0, &[], &[], true)?;
             }
             return Ok(());
@@ -1329,10 +1335,7 @@ mod tests {
             pending_cap: 64,
             pending: VecDeque::new(),
             worker_active: vec![true; 3],
-            need_reply: vec![false; 3],
-            parked: vec![false; 3],
-            outstanding: vec![false; 3],
-            dead: vec![false; 3],
+            round: vec![Round::Outstanding; 3],
             journal: BTreeMap::new(),
             next_lease: 1,
             pending_adoptions: vec![Vec::new(); 3],
@@ -1351,13 +1354,13 @@ mod tests {
         m.handle(&mut tracer, &ar(7, 10)).unwrap();
         assert_eq!(m.source.sum, 10);
         assert!(m.journal.is_empty());
-        assert!(m.need_reply[1] && !m.worker_active[1], "the report closed the round");
+        assert!(m.round[1] == Round::AwaitsGrant && !m.worker_active[1], "the report closed the round");
         assert_eq!(m.report.tasks_announced, 1);
         // Replay of the same lease: dropped whole.
-        m.need_reply[1] = false;
+        m.round[1] = Round::Parked;
         m.handle(&mut tracer, &ar(7, 10)).unwrap();
         assert_eq!(m.source.sum, 10, "duplicate replay absorbed twice");
-        assert!(!m.need_reply[1], "a replay must not ask for a second grant");
+        assert_eq!(m.round[1], Round::Parked, "a replay must not ask for a second grant");
         assert_eq!(m.report.tasks_announced, 1, "nor announce its tasks again");
         // Unknown lease: dropped. Lease 0 (opening report): absorbed.
         m.handle(&mut tracer, &ar(99, 5)).unwrap();
@@ -1365,7 +1368,7 @@ mod tests {
         m.handle(&mut tracer, &ar(0, 3)).unwrap();
         assert_eq!(m.source.sum, 13);
         // Messages from a dead-declared rank are dropped before decode.
-        m.dead[1] = true;
+        m.round[1] = Round::Dead;
         m.handle(&mut tracer, &ar(0, 100)).unwrap();
         assert_eq!(m.source.sum, 13);
     }
@@ -1379,10 +1382,7 @@ mod tests {
             pending_cap: 64,
             pending: VecDeque::new(),
             worker_active: vec![false; 3],
-            need_reply: vec![false; 3],
-            parked: vec![false, true, true],
-            outstanding: vec![false; 3],
-            dead: vec![false; 3],
+            round: vec![Round::Parked; 3],
             journal: BTreeMap::new(),
             next_lease: 2,
             pending_adoptions: vec![Vec::new(); 3],

@@ -47,24 +47,12 @@ use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, RankReport};
 use std::collections::VecDeque;
 
-/// Master–worker *runtime* configuration: protocol knobs only. What to
+/// Master–worker *runtime* configuration: the engine's protocol knobs
+/// (pairs per grant, pending-buffer capacity) and nothing else. What to
 /// cluster and how (GST window, scoring, acceptance, mode) lives in
 /// [`ClusterParams`], passed alongside — the one place those parameters
 /// are defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MasterWorkerConfig {
-    /// Alignment batch size `b` (pairs per grant).
-    pub batch: usize,
-    /// Capacity of the master's pending-work buffer (flow-control
-    /// target; the buffer itself degrades gracefully if exceeded).
-    pub pending_cap: usize,
-}
-
-impl Default for MasterWorkerConfig {
-    fn default() -> Self {
-        MasterWorkerConfig { batch: 64, pending_cap: 4096 }
-    }
-}
+pub type MasterWorkerConfig = EngineConfig;
 
 /// Outcome of a parallel clustering run.
 #[derive(Debug, Clone)]
@@ -152,7 +140,12 @@ pub fn cluster_parallel_with(
     let ds = store.with_reverse_complements();
     let owner = compute_owners(&ds, p, 1);
     let client = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: *params };
-    let run = run_stage(p, &stage_spec(config), opts, &client);
+    let spec = StageSpec {
+        name: STAGE_CLUSTER,
+        tag_labels: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
+        engine: *config,
+    };
+    let run = run_stage(p, &spec, opts, &client);
 
     let mut gst_reports = Vec::with_capacity(p);
     let mut result = None;
@@ -179,15 +172,6 @@ pub fn cluster_parallel_with(
         recovered_tasks: run.recovered_tasks,
         dead_ranks: run.dead_ranks,
         killed: run.killed,
-    }
-}
-
-/// What the clustering stage is to [`run_stage`], under `config`.
-fn stage_spec(config: &MasterWorkerConfig) -> StageSpec {
-    StageSpec {
-        name: STAGE_CLUSTER,
-        tag_labels: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
-        engine: EngineConfig { batch: config.batch, pending_cap: config.pending_cap },
     }
 }
 
@@ -249,20 +233,13 @@ impl<'a> StageClient for ClusterStage<'a> {
         // the generated-pairs total (every generated pair is announced
         // exactly once). A resumed run adds to the snapshot's tally.
         stats.generated += em.tasks_announced;
-        let counters = vec![
-            (names::PAIRS_GENERATED, stats.generated),
-            (names::PAIRS_ALIGNED, stats.aligned),
-            (names::PAIRS_ACCEPTED, stats.accepted),
+        let mut counters = stats.counters().to_vec();
+        counters.extend([
             (names::PAIRS_SELECTED, em.tasks_selected),
             (names::PEAK_QUEUE_DEPTH, em.peak_queue_depth),
             (names::BATCHES_DISPATCHED, em.batches_dispatched),
             (names::INBOX_DRAIN_DEPTH_MAX, em.inbox_drain_depth_max),
-            (names::DP_CELLS, stats.dp_cells),
-            (names::ALIGN_EARLY_EXIT, stats.early_exits),
-            (names::ALIGN_TRACEBACK_SKIPPED, stats.tracebacks_skipped),
-            (names::ALIGN_CELLS_SAVED_ADAPTIVE, stats.cells_saved_adaptive),
-            (names::ALIGN_BAND_ROWS_SHRUNK, stats.band_rows_shrunk),
-        ];
+        ]);
         ((gst_report, Some((Clustering::from_unionfind(&mut clusters), stats))), counters)
     }
 

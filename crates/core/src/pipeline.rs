@@ -1,10 +1,9 @@
-//! End-to-end cluster-then-assemble pipeline (paper Fig. 1), built as a
-//! stage graph: each phase (preprocess → cluster → assemble) is a
-//! [`Stage`] that transforms the shared [`StageState`] and records its
+//! End-to-end cluster-then-assemble pipeline (paper Fig. 1): three
+//! calls in a line — `preprocess` → `cluster` → `assemble` — whose
+//! arguments and return values are the hand-offs. Each records its
 //! telemetry — spans, counters, per-rank channels — into one
-//! [`RunContext`]. Callers that want the structured run report use
-//! [`Pipeline::run_with_context`]; [`Pipeline::run`] wraps it with a
-//! private context for the common case.
+//! [`RunContext`] — the caller's, for the structured run report — and
+//! reaches the artifact cache through one load and one store helper.
 
 use crate::assemble_dist::{assemble_parallel_with, decode_assembly, encode_assembly, AssignPolicy};
 use crate::cache::{self, ArtifactCache};
@@ -18,10 +17,9 @@ use pgasm_mpisim::FaultStage;
 use pgasm_preprocess::pipeline::PreprocessOutput;
 use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCESS_CODEC_SCHEMA};
 use pgasm_seq::wire::{checked_len, Reader, Writer};
-use pgasm_seq::QualityTrack;
-use pgasm_seq::{DnaSeq, FragmentStore, SeqId};
+use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
 use pgasm_simgen::ReadSet;
-use pgasm_telemetry::trace::{TraceCategory, TraceSpec};
+use pgasm_telemetry::trace::{RankTrace, TraceCategory, TraceSpec, Tracer};
 use pgasm_telemetry::{names, RankReport, RunContext, Span};
 
 /// Pipeline configuration.
@@ -41,22 +39,20 @@ pub struct PipelineConfig {
     pub assembly: AssemblyConfig,
     /// Threads for the trivially parallel assembly phase.
     pub assembly_threads: usize,
-    /// Per-rank event tracing for the run ([`TraceSpec::off`] by
-    /// default). When on, the run's traces are collected into the
-    /// [`RunContext`] — one track per rank plus the pipeline's own — for
-    /// Chrome-trace export and `pgasm analyze`.
+    /// Per-rank event tracing ([`TraceSpec::off`] by default). When on,
+    /// the [`RunContext`] collects one track per rank plus the pipeline's
+    /// own, for Chrome-trace export and `pgasm analyze`.
     pub trace: TraceSpec,
     /// Directory for the content-addressed artifact cache; `None`
     /// disables caching. Repeated runs over identical inputs and
     /// parameters reload the preprocess output, (serial runs) the GST,
     /// and the assembled contigs from here instead of recomputing them.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Fault-tolerance settings for the distributed stages: failures
-    /// to inject, checkpoint cadence, and the snapshot to resume from.
-    /// The `checkpoint_path` / `resume_from` paths are treated as a
-    /// *base*: each stage derives its own file (`<base>.cluster.pgck`,
-    /// `<base>.assemble.pgck`), so one `--checkpoint` flag covers both
-    /// engine clients. Passive by default.
+    /// Fault tolerance of the distributed stages: failures to inject,
+    /// checkpoint cadence, the snapshot to resume from. Its two paths
+    /// are a *base* each stage derives its own file from
+    /// (`<base>.cluster.pgck`, `<base>.assemble.pgck`), so one
+    /// `--checkpoint` flag covers both. Passive by default.
     pub recovery: StageRecovery,
 }
 
@@ -91,26 +87,6 @@ fn stage_opts(config: &PipelineConfig, stage: FaultStage, name: &str) -> RunOpts
     RunOpts { trace: config.trace, recovery }
 }
 
-/// Fold one distributed stage's fault/recovery tallies into the run's
-/// counter map (nonzero only, so clean runs keep byte-identical
-/// reports and the schema-v4 `faults` section stays absent).
-fn fold_fault_counters(ctx: &mut RunContext, ranks: &[RankReport], recovered: u64, dead: u64) {
-    let sum = |name: &str| ranks.iter().map(|r| r.counter(name)).sum::<u64>();
-    for (name, value) in [
-        (names::RECOVERED_TASKS, recovered),
-        (names::DEAD_RANKS, dead),
-        (names::FAULT_KILLS, sum(names::FAULT_KILLS)),
-        (names::FAULT_MSGS_DROPPED, sum(names::FAULT_MSGS_DROPPED)),
-        (names::FAULT_MSGS_DELAYED, sum(names::FAULT_MSGS_DELAYED)),
-        (names::CKPT_WRITES, sum(names::CKPT_WRITES)),
-        (names::CKPT_BYTES, sum(names::CKPT_BYTES)),
-    ] {
-        if value > 0 {
-            ctx.add(name, value);
-        }
-    }
-}
-
 /// Summary of a pipeline run (the §8 statistics).
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
@@ -131,10 +107,9 @@ pub struct PipelineReport {
     pub cluster_seconds: f64,
     /// Seconds in the assembly phase.
     pub assembly_seconds: f64,
-    /// Name of the stage whose master the fault plan killed, when one
-    /// was. The run stopped there — later stages did not execute and
-    /// this report's artifacts are partial; restart with `--resume` to
-    /// finish from the last checkpoint.
+    /// Name of the stage whose master the fault plan killed, if any.
+    /// The run stopped there, this report's artifacts are partial, and
+    /// `--resume` finishes it from the last checkpoint.
     pub interrupted: Option<String>,
 }
 
@@ -148,406 +123,13 @@ impl PipelineReport {
     /// indicator (≈ 1.1 means clusters almost always hold exactly one
     /// assembly island).
     pub fn contigs_per_cluster(&self) -> f64 {
-        let n = self.assemblies.len();
-        if n == 0 {
-            0.0
-        } else {
-            // A cluster can assemble into contigs plus leftover
-            // singleton reads; count at least one unit per cluster.
-            self.assemblies.iter().map(|a| (a.num_contigs() + a.singletons.len()).max(1)).sum::<usize>()
-                as f64
-                / n as f64
+        if self.assemblies.is_empty() {
+            return 0.0;
         }
-    }
-}
-
-/// Mutable state flowing through the stage graph. Each [`Stage`] reads
-/// the artifacts of its predecessors and installs its own.
-pub struct StageState<'r> {
-    /// Input reads (set before the first stage).
-    pub reads: &'r ReadSet,
-    /// Vector sequences for the preprocessor.
-    pub vectors: &'r [DnaSeq],
-    /// Known repeat library for the preprocessor.
-    pub known_repeats: &'r [DnaSeq],
-    /// Masked fragments driving clustering (preprocess output).
-    pub store: Option<FragmentStore>,
-    /// Soft-masked (original-base) fragments feeding the assembler.
-    pub store_unmasked: Option<FragmentStore>,
-    /// Per-fragment quality tracks.
-    pub quals: Vec<QualityTrack>,
-    /// For each surviving fragment, the index of its original read.
-    pub origin: Vec<usize>,
-    /// Preprocessing accounting (when that stage ran a config).
-    pub preprocess: Option<PreprocessStats>,
-    /// Clustering result (cluster stage output).
-    pub clustering: Option<Clustering>,
-    /// Clustering work statistics.
-    pub cluster_stats: ClusterStats,
-    /// Per-cluster assemblies (assemble stage output).
-    pub assemblies: Vec<Assembly>,
-    /// Per-stage wall-clock seconds, by stage name.
-    pub stage_seconds: Vec<(&'static str, f64)>,
-    /// Artifact cache for the run (`None` = caching disabled, or the
-    /// cache directory could not be created — degrade to a cold run).
-    pub cache: Option<ArtifactCache>,
-    /// Set by a stage whose master the fault plan killed: the pipeline
-    /// stops after that stage instead of feeding partial artifacts
-    /// forward.
-    pub interrupted: Option<String>,
-}
-
-impl<'r> StageState<'r> {
-    fn new(reads: &'r ReadSet, vectors: &'r [DnaSeq], known_repeats: &'r [DnaSeq]) -> Self {
-        StageState {
-            reads,
-            vectors,
-            known_repeats,
-            store: None,
-            store_unmasked: None,
-            quals: Vec::new(),
-            origin: Vec::new(),
-            preprocess: None,
-            clustering: None,
-            cluster_stats: ClusterStats::default(),
-            assemblies: Vec::new(),
-            stage_seconds: Vec::new(),
-            cache: None,
-            interrupted: None,
-        }
-    }
-
-    fn wall(&self, stage: &str) -> f64 {
-        self.stage_seconds.iter().find(|(n, _)| *n == stage).map(|(_, s)| *s).unwrap_or(0.0)
-    }
-}
-
-/// One phase of the pipeline. Implementations transform [`StageState`]
-/// and record telemetry into the shared [`RunContext`]; the engine wraps
-/// each stage in a span named after it.
-pub trait Stage {
-    /// Span name for this stage (e.g. `"cluster"`).
-    fn name(&self) -> &'static str;
-    /// Execute the stage.
-    fn run(&self, state: &mut StageState<'_>, ctx: &mut RunContext);
-}
-
-/// Preprocess stage: trims/screens reads into the masked clustering
-/// store and the soft-masked assembly store. With no [`PreprocessConfig`]
-/// it passes raw reads through (still populating the state).
-struct PreprocessStage<'c> {
-    config: &'c PipelineConfig,
-}
-
-impl Stage for PreprocessStage<'_> {
-    fn name(&self) -> &'static str {
-        "preprocess"
-    }
-
-    fn run(&self, state: &mut StageState<'_>, ctx: &mut RunContext) {
-        ctx.set(names::READS_IN, state.reads.len() as u64);
-        match &self.config.preprocess {
-            Some(cfg) => {
-                let key = state
-                    .cache
-                    .as_ref()
-                    .map(|_| cache::preprocess_key(state.reads, state.vectors, state.known_repeats, cfg));
-                let out = match self.load_cached(state, ctx, key) {
-                    Some(out) => out,
-                    None => {
-                        let pp = Preprocessor::new(cfg.clone(), state.vectors, state.known_repeats);
-                        let out = pp.run(state.reads);
-                        if let (Some(cache), Some(key)) = (&state.cache, key) {
-                            ctx.push("cache");
-                            if let Ok(n) =
-                                cache.store("preprocess", PREPROCESS_CODEC_SCHEMA, key, &out.encode())
-                            {
-                                ctx.add(names::CACHE_BYTES_WRITTEN, n);
-                            }
-                            ctx.pop();
-                        }
-                        out
-                    }
-                };
-                state.store = Some(out.store);
-                state.store_unmasked = Some(out.store_unmasked);
-                state.quals = out.quals;
-                state.origin = out.origin;
-                // Also on a cache hit: the stats travel in the artifact.
-                ctx.set(names::PREPROCESS_REJECTED_BY_TRIM, out.stats.rejected_by_trim as u64);
-                ctx.set(names::PREPROCESS_REJECTED_BY_MASK, out.stats.rejected_by_mask as u64);
-                ctx.set(names::PREPROCESS_MASKED_BASES, out.stats.masked_bases as u64);
-                state.preprocess = Some(out.stats);
-            }
-            None => {
-                state.store = Some(state.reads.to_store());
-                state.origin = (0..state.reads.len()).collect();
-                state.quals = state.reads.quals.clone();
-            }
-        }
-        ctx.set(names::FRAGMENTS, state.store.as_ref().map_or(0, |s| s.num_fragments()) as u64);
-    }
-}
-
-impl PreprocessStage<'_> {
-    /// Try the artifact cache for the preprocess output. Any failure —
-    /// absent entry, corrupt frame, invariant violation — is a miss.
-    fn load_cached(
-        &self,
-        state: &StageState<'_>,
-        ctx: &mut RunContext,
-        key: Option<u64>,
-    ) -> Option<PreprocessOutput> {
-        let (cache, key) = (state.cache.as_ref()?, key?);
-        ctx.push("cache");
-        let out = cache
-            .load("preprocess", PREPROCESS_CODEC_SCHEMA, key)
-            .and_then(|payload| PreprocessOutput::decode(&payload).ok().map(|out| (payload.len(), out)));
-        match &out {
-            Some((bytes, _)) => {
-                ctx.add(names::CACHE_HIT, 1);
-                ctx.add(names::CACHE_BYTES_READ, *bytes as u64);
-            }
-            None => ctx.add(names::CACHE_MISS, 1),
-        }
-        ctx.pop();
-        out.map(|(_, o)| o)
-    }
-}
-
-/// Cluster stage: serial engine or the master–worker runtime, depending
-/// on `parallel_ranks`. Parallel runs install per-rank telemetry
-/// channels and phase sub-spans measured from rank-local clocks.
-struct ClusterStage<'c> {
-    config: &'c PipelineConfig,
-}
-
-impl Stage for ClusterStage<'_> {
-    fn name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn run(&self, state: &mut StageState<'_>, ctx: &mut RunContext) {
-        let store = state.store.as_ref().expect("preprocess stage ran");
-        let (clustering, stats, gst) = match self.config.parallel_ranks {
-            Some(p) => {
-                let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
-                let report =
-                    cluster_parallel_with(store, p, &self.config.cluster, &self.config.master_worker, &opts);
-                fold_fault_counters(ctx, &report.ranks, report.recovered_tasks, report.dead_ranks);
-                if report.killed {
-                    state.interrupted = Some(self.name().to_string());
-                }
-                ctx.record_span(Span {
-                    name: "gst_build".to_string(),
-                    wall_seconds: report.gst_seconds,
-                    cpu_seconds: report.gst_seconds,
-                    children: Vec::new(),
-                });
-                ctx.record_span(Span {
-                    name: "master_worker".to_string(),
-                    wall_seconds: report.cluster_seconds,
-                    cpu_seconds: report.cpu_seconds.iter().sum(),
-                    children: Vec::new(),
-                });
-                ctx.merge_ranks(report.ranks);
-                if self.config.trace.enabled {
-                    ctx.merge_traces(report.traces);
-                }
-                let mut gst = GstStats::default();
-                for rank in &report.gst_reports {
-                    gst.enumerated += rank.gst.enumerated;
-                    gst.suffixes += rank.gst.suffixes;
-                    gst.nodes += rank.gst.nodes;
-                }
-                (report.clustering, report.stats, gst)
-            }
-            None => {
-                let gst = self.serial_gst(state, ctx, store);
-                let gst_stats = gst.stats();
-                let (clustering, stats) = cluster_serial_with_gst(store, &self.config.cluster, Some(gst));
-                (clustering, stats, gst_stats)
-            }
-        };
-        // How much of the input reached the tree.
-        ctx.set(names::GST_SUFFIXES_ENUMERATED, gst.enumerated as u64);
-        ctx.set(names::GST_SUFFIXES_INDEXED, gst.suffixes as u64);
-        ctx.set(names::GST_NODES, gst.nodes as u64);
-        ctx.set(names::PAIRS_GENERATED, stats.generated);
-        ctx.set(names::PAIRS_ALIGNED, stats.aligned);
-        ctx.set(names::PAIRS_ACCEPTED, stats.accepted);
-        ctx.set(names::MERGES, stats.merges);
-        ctx.set(names::DP_CELLS, stats.dp_cells);
-        ctx.set(names::ALIGN_EARLY_EXIT, stats.early_exits);
-        ctx.set(names::ALIGN_TRACEBACK_SKIPPED, stats.tracebacks_skipped);
-        ctx.set(names::ALIGN_CELLS_SAVED_ADAPTIVE, stats.cells_saved_adaptive);
-        ctx.set(names::ALIGN_BAND_ROWS_SHRUNK, stats.band_rows_shrunk);
-        ctx.set(names::SIMD_LANES, pgasm_align::simd::effective_lanes());
-        ctx.set(names::CLUSTERS, clustering.clusters.len() as u64);
-        ctx.set(names::NON_SINGLETON_CLUSTERS, clustering.num_non_singletons() as u64);
-        state.clustering = Some(clustering);
-        state.cluster_stats = stats;
-    }
-}
-
-impl ClusterStage<'_> {
-    /// The GST of a serial run, built under a `gst_build` span. With the
-    /// artifact cache on it is loaded instead when a valid entry for this
-    /// exact fragment set and GST parameters exists (no `gst_build` span,
-    /// so warm and cold runs are distinguishable in the report), and
-    /// stored for the next run when it had to be built.
-    fn serial_gst(&self, state: &StageState<'_>, ctx: &mut RunContext, store: &FragmentStore) -> Gst {
-        let gst_config = self.config.cluster.gst;
-        let ds = store.with_reverse_complements();
-        let key = state.cache.as_ref().map(|cache| (cache, cache::gst_key(&ds, &gst_config)));
-        if let Some((cache, key)) = key {
-            ctx.push("cache");
-            // Decode checks internal consistency; the entry must also
-            // be *for* this store and parameters (the key already
-            // encodes both — this guards hash collisions and
-            // hand-edited files).
-            let loaded = cache.load("gst", GST_CODEC_SCHEMA, key).and_then(|payload| {
-                let g = Gst::decode(&payload).ok()?;
-                (g.config() == gst_config && g.num_seqs() == ds.num_seqs()).then_some((payload.len(), g))
-            });
-            match &loaded {
-                Some((bytes, _)) => {
-                    ctx.add(names::CACHE_HIT, 1);
-                    ctx.add(names::CACHE_BYTES_READ, *bytes as u64);
-                }
-                None => ctx.add(names::CACHE_MISS, 1),
-            }
-            ctx.pop();
-            if let Some((_, g)) = loaded {
-                return g;
-            }
-        }
-        ctx.push("gst_build");
-        let g = Gst::build(&ds, gst_config);
-        ctx.pop();
-        if let Some((cache, key)) = key {
-            ctx.push("cache");
-            if let Ok(n) = cache.store("gst", GST_CODEC_SCHEMA, key, &g.encode()) {
-                ctx.add(names::CACHE_BYTES_WRITTEN, n);
-            }
-            ctx.pop();
-        }
-        g
-    }
-}
-
-/// Assembly stage: trivially parallel per-cluster assembly over the
-/// soft-masked (original-base) fragments. Runs as a distributed engine
-/// stage (clusters scheduled largest-first onto worker ranks, contigs
-/// shipped back over the simulated wire) whenever `parallel_ranks` is
-/// set, and as the OS-thread loop otherwise — the contigs are
-/// byte-identical either way.
-struct AssembleStage<'c> {
-    config: &'c PipelineConfig,
-}
-
-impl Stage for AssembleStage<'_> {
-    fn name(&self) -> &'static str {
-        "assemble"
-    }
-
-    fn run(&self, state: &mut StageState<'_>, ctx: &mut RunContext) {
-        let clustering = state.clustering.as_ref().expect("cluster stage ran");
-        let masked = state.store.as_ref().expect("preprocess stage ran");
-        let assembly_store = state.store_unmasked.as_ref().unwrap_or(masked);
-        // A fully warm cache skips the whole stage: the contigs are a
-        // pure function of the assembly store, qualities, clustering,
-        // and assembler parameters — all folded into the key.
-        let key = state.cache.as_ref().map(|_| {
-            cache::contigs_key(assembly_store, Some(&state.quals), clustering, &self.config.assembly)
-        });
-        if let Some(assemblies) = self.load_cached(state, ctx, key) {
-            state.assemblies = assemblies;
-            ctx.set(names::ASSEMBLED_CLUSTERS, state.assemblies.len() as u64);
-            ctx.set(names::CONTIGS, state.assemblies.iter().map(|a| a.num_contigs() as u64).sum());
-            return;
-        }
-        state.assemblies = match self.config.parallel_ranks {
-            Some(p) => {
-                let report = assemble_parallel_with(
-                    assembly_store,
-                    Some(&state.quals),
-                    clustering,
-                    &self.config.assembly,
-                    p,
-                    AssignPolicy::Lpt,
-                    &stage_opts(self.config, FaultStage::Assemble, "assemble"),
-                );
-                fold_fault_counters(ctx, &report.ranks, report.recovered_tasks, report.dead_ranks);
-                if report.killed {
-                    state.interrupted = Some(self.name().to_string());
-                }
-                ctx.record_span(Span {
-                    name: "dist_assemble".to_string(),
-                    wall_seconds: report.assemble_seconds,
-                    cpu_seconds: report.cpu_seconds.iter().sum(),
-                    children: Vec::new(),
-                });
-                // The assemble stage ran on the same ranks as
-                // clustering: fold its channels and tracks into the
-                // ones those ranks already have (counters sum, comm
-                // rows append under this stage's tag labels, events
-                // append in time order).
-                ctx.merge_ranks(report.ranks);
-                if self.config.trace.enabled {
-                    ctx.merge_traces(report.traces);
-                }
-                report.assemblies
-            }
-            None => assemble_clusters_q(
-                assembly_store,
-                Some(&state.quals),
-                clustering,
-                &self.config.assembly,
-                self.config.assembly_threads,
-            ),
-        };
-        // A killed assembly master leaves placeholder slots — never
-        // cache those as the real contigs.
-        if state.interrupted.is_none() {
-            if let (Some(cache), Some(key)) = (&state.cache, key) {
-                ctx.push("cache");
-                if let Ok(n) =
-                    cache.store("contigs", CONTIGS_CODEC_SCHEMA, key, &encode_contigs(&state.assemblies))
-                {
-                    ctx.add(names::CACHE_BYTES_WRITTEN, n);
-                }
-                ctx.pop();
-            }
-        }
-        ctx.set(names::ASSEMBLED_CLUSTERS, state.assemblies.len() as u64);
-        ctx.set(names::CONTIGS, state.assemblies.iter().map(|a| a.num_contigs() as u64).sum());
-    }
-}
-
-impl AssembleStage<'_> {
-    /// Try the artifact cache for the stage's whole output. Any failure
-    /// — absent entry, corrupt frame, malformed payload — is a miss.
-    fn load_cached(
-        &self,
-        state: &StageState<'_>,
-        ctx: &mut RunContext,
-        key: Option<u64>,
-    ) -> Option<Vec<Assembly>> {
-        let (cache, key) = (state.cache.as_ref()?, key?);
-        ctx.push("cache");
-        let out = cache
-            .load("contigs", CONTIGS_CODEC_SCHEMA, key)
-            .and_then(|payload| decode_contigs(&payload).map(|a| (payload.len(), a)));
-        match &out {
-            Some((bytes, _)) => {
-                ctx.add(names::CACHE_HIT, 1);
-                ctx.add(names::CACHE_BYTES_READ, *bytes as u64);
-            }
-            None => ctx.add(names::CACHE_MISS, 1),
-        }
-        ctx.pop();
-        out.map(|(_, a)| a)
+        // A cluster can assemble into contigs plus leftover singleton
+        // reads; count at least one unit per cluster.
+        let units = self.assemblies.iter().map(|a| (a.num_contigs() + a.singletons.len()).max(1));
+        units.sum::<usize>() as f64 / self.assemblies.len() as f64
     }
 }
 
@@ -576,8 +158,266 @@ fn decode_contigs(payload: &[u8]) -> Option<Vec<Assembly>> {
     Some(out)
 }
 
-/// The pipeline runner: a fixed stage graph executed over one
-/// [`RunContext`].
+/// A span measured on rank-local clocks rather than by the context.
+fn measured_span(name: &str, wall_seconds: f64, cpu_seconds: f64) -> Span {
+    Span { name: name.to_string(), wall_seconds, cpu_seconds, children: Vec::new() }
+}
+
+/// What preprocessing hands on: a [`PreprocessOutput`] whose parts a
+/// pass-through run (no [`PreprocessConfig`]) lacks are optional.
+struct Fragments {
+    /// Masked fragments driving clustering.
+    store: FragmentStore,
+    /// Soft-masked (original-base) fragments feeding the assembler;
+    /// `None` = the raw reads in `store` serve both.
+    store_unmasked: Option<FragmentStore>,
+    quals: Vec<QualityTrack>,
+    origin: Vec<usize>,
+    stats: Option<PreprocessStats>,
+}
+
+/// One run in flight: what every phase reads (the configuration, the
+/// artifact cache — `None` when off or unopenable) and what it records
+/// into (the caller's context, the pipeline's own trace track).
+struct Run<'a> {
+    config: &'a PipelineConfig,
+    cache: Option<ArtifactCache>,
+    ctx: &'a mut RunContext,
+    tracer: Tracer,
+    /// The fault plan killed a stage's master: the run ends with that stage.
+    killed: bool,
+}
+
+impl Run<'_> {
+    /// Run one phase under the span, and the pipeline-track interval,
+    /// named after it; returns its value and its wall seconds.
+    fn stage<T>(&mut self, name: &'static str, body: impl FnOnce(&mut Self) -> T) -> (T, f64) {
+        self.tracer.begin(TraceCategory::Stage, name);
+        self.ctx.push(name);
+        let out = body(self);
+        let (wall, _cpu) = self.ctx.pop();
+        self.tracer.end(TraceCategory::Stage, name);
+        // Cache traffic accrues per stage, so its gauge is fed here.
+        let bytes = self.ctx.counter(names::CACHE_BYTES_READ) + self.ctx.counter(names::CACHE_BYTES_WRITTEN);
+        self.tracer.counter(TraceCategory::Stage, names::GAUGE_CACHE_BYTES, bytes);
+        (out, wall)
+    }
+
+    /// The cached artifact `(kind, key)`, if `decode` accepts it; `key`
+    /// is `None` when the run is uncached. Any failure — absent entry,
+    /// corrupt frame, a payload `decode` finds malformed or not *for*
+    /// this run — is a miss, never an error. With [`Run::store`], the
+    /// only code that touches the cache.
+    fn load<T>(
+        &mut self,
+        kind: &str,
+        schema: u32,
+        key: Option<u64>,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let (cache, key) = (self.cache.as_ref()?, key?);
+        self.ctx.push("cache");
+        let loaded = cache.load(kind, schema, key).and_then(|payload| {
+            let out = decode(&payload)?;
+            self.ctx.add(names::CACHE_BYTES_READ, payload.len() as u64);
+            Some(out)
+        });
+        self.ctx.add(if loaded.is_some() { names::CACHE_HIT } else { names::CACHE_MISS }, 1);
+        self.ctx.pop();
+        loaded
+    }
+
+    /// Persist an artifact for the next run; a failed write is not an
+    /// error (that run misses).
+    fn store(&mut self, kind: &str, schema: u32, key: Option<u64>, encode: impl FnOnce() -> Vec<u8>) {
+        let (Some(cache), Some(key)) = (&self.cache, key) else { return };
+        self.ctx.push("cache");
+        if let Ok(n) = cache.store(kind, schema, key, &encode()) {
+            self.ctx.add(names::CACHE_BYTES_WRITTEN, n);
+        }
+        self.ctx.pop();
+    }
+
+    /// Fold one distributed stage's report into the run: its phase
+    /// span, its fault/recovery tallies (nonzero only, so a clean run's
+    /// report has no `faults` section), whether its master was killed,
+    /// and its rank channels and trace tracks. Both stages run on the same ranks, so those merge by rank
+    /// id: counters sum, comm rows append under each stage's tag labels,
+    /// events append in time order.
+    fn fold(
+        &mut self,
+        span: Span,
+        ranks: Vec<RankReport>,
+        traces: Vec<RankTrace>,
+        recovered: u64,
+        dead: u64,
+        killed: bool,
+    ) {
+        self.killed = killed;
+        let sum = |name: &str| ranks.iter().map(|r| r.counter(name)).sum::<u64>();
+        for (name, value) in [
+            (names::RECOVERED_TASKS, recovered),
+            (names::DEAD_RANKS, dead),
+            (names::FAULT_KILLS, sum(names::FAULT_KILLS)),
+            (names::FAULT_MSGS_DROPPED, sum(names::FAULT_MSGS_DROPPED)),
+            (names::FAULT_MSGS_DELAYED, sum(names::FAULT_MSGS_DELAYED)),
+            (names::CKPT_WRITES, sum(names::CKPT_WRITES)),
+            (names::CKPT_BYTES, sum(names::CKPT_BYTES)),
+        ] {
+            if value > 0 {
+                self.ctx.add(name, value);
+            }
+        }
+        self.ctx.record_span(span);
+        self.ctx.merge_ranks(ranks);
+        if self.config.trace.enabled {
+            self.ctx.merge_traces(traces);
+        }
+    }
+
+    /// Trim/screen the reads into the masked clustering store and the
+    /// soft-masked assembly store, or reload that output from the cache.
+    /// With no [`PreprocessConfig`] the raw reads pass through.
+    fn preprocess(&mut self, reads: &ReadSet, vectors: &[DnaSeq], known_repeats: &[DnaSeq]) -> Fragments {
+        self.ctx.set(names::READS_IN, reads.len() as u64);
+        let fragments = match &self.config.preprocess {
+            Some(cfg) => {
+                let key =
+                    self.cache.as_ref().map(|_| cache::preprocess_key(reads, vectors, known_repeats, cfg));
+                let cached = self.load("preprocess", PREPROCESS_CODEC_SCHEMA, key, |payload| {
+                    PreprocessOutput::decode(payload).ok()
+                });
+                let out = cached.unwrap_or_else(|| {
+                    let out = Preprocessor::new(cfg.clone(), vectors, known_repeats).run(reads);
+                    self.store("preprocess", PREPROCESS_CODEC_SCHEMA, key, || out.encode());
+                    out
+                });
+                // Also on a cache hit: the stats travel in the artifact.
+                self.ctx.set(names::PREPROCESS_REJECTED_BY_TRIM, out.stats.rejected_by_trim as u64);
+                self.ctx.set(names::PREPROCESS_REJECTED_BY_MASK, out.stats.rejected_by_mask as u64);
+                self.ctx.set(names::PREPROCESS_MASKED_BASES, out.stats.masked_bases as u64);
+                Fragments {
+                    store: out.store,
+                    store_unmasked: Some(out.store_unmasked),
+                    quals: out.quals,
+                    origin: out.origin,
+                    stats: Some(out.stats),
+                }
+            }
+            None => Fragments {
+                store: reads.to_store(),
+                store_unmasked: None,
+                quals: reads.quals.clone(),
+                origin: (0..reads.len()).collect(),
+                stats: None,
+            },
+        };
+        self.ctx.set(names::FRAGMENTS, fragments.store.num_fragments() as u64);
+        fragments
+    }
+
+    /// Cluster the masked fragments: the serial engine, or the
+    /// master–worker runtime on `parallel_ranks` (per-rank channels,
+    /// phase sub-spans measured on rank-local clocks).
+    fn cluster(&mut self, store: &FragmentStore) -> (Clustering, ClusterStats) {
+        let params = &self.config.cluster;
+        let (clustering, stats, gst) = match self.config.parallel_ranks {
+            Some(p) => {
+                let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
+                let r = cluster_parallel_with(store, p, params, &self.config.master_worker, &opts);
+                self.ctx.record_span(measured_span("gst_build", r.gst_seconds, r.gst_seconds));
+                let phase = measured_span("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum());
+                self.fold(phase, r.ranks, r.traces, r.recovered_tasks, r.dead_ranks, r.killed);
+                let mut gst = GstStats::default();
+                for rank in &r.gst_reports {
+                    gst.enumerated += rank.gst.enumerated;
+                    gst.suffixes += rank.gst.suffixes;
+                    gst.nodes += rank.gst.nodes;
+                }
+                (r.clustering, r.stats, gst)
+            }
+            None => {
+                let gst = self.serial_gst(store);
+                let gst_stats = gst.stats();
+                let (clustering, stats) = cluster_serial_with_gst(store, params, Some(gst));
+                (clustering, stats, gst_stats)
+            }
+        };
+        for (name, value) in stats.counters().into_iter().chain([
+            // How much of the input reached the tree.
+            (names::GST_SUFFIXES_ENUMERATED, gst.enumerated as u64),
+            (names::GST_SUFFIXES_INDEXED, gst.suffixes as u64),
+            (names::GST_NODES, gst.nodes as u64),
+            (names::MERGES, stats.merges),
+            (names::SIMD_LANES, pgasm_align::simd::effective_lanes()),
+            (names::CLUSTERS, clustering.clusters.len() as u64),
+            (names::NON_SINGLETON_CLUSTERS, clustering.num_non_singletons() as u64),
+        ]) {
+            self.ctx.set(name, value);
+        }
+        (clustering, stats)
+    }
+
+    /// The GST of a serial run, built under a `gst_build` span — or,
+    /// from a cached run's valid entry for this exact fragment set and
+    /// GST parameters, loaded (no `gst_build` span: the report tells
+    /// warm from cold); a tree that had to be built is stored.
+    fn serial_gst(&mut self, store: &FragmentStore) -> Gst {
+        let config = self.config.cluster.gst;
+        let ds = store.with_reverse_complements();
+        let key = self.cache.as_ref().map(|_| cache::gst_key(&ds, &config));
+        // Decode checks internal consistency; the entry must also be
+        // *for* this store and parameters (the key already encodes both
+        // — this guards hash collisions and hand-edited files).
+        let cached = self.load("gst", GST_CODEC_SCHEMA, key, |payload| {
+            Gst::decode(payload).ok().filter(|g| g.config() == config && g.num_seqs() == ds.num_seqs())
+        });
+        cached.unwrap_or_else(|| {
+            let gst = self.ctx.scope("gst_build", |_| Gst::build(&ds, config));
+            self.store("gst", GST_CODEC_SCHEMA, key, || gst.encode());
+            gst
+        })
+    }
+
+    /// Assemble every non-singleton cluster over the soft-masked
+    /// (original-base) fragments: as a distributed engine stage (clusters
+    /// scheduled largest-first onto worker ranks, contigs shipped back)
+    /// on `parallel_ranks`, on OS threads otherwise — byte-identical
+    /// contigs either way.
+    fn assemble(&mut self, fragments: &Fragments, clustering: &Clustering) -> Vec<Assembly> {
+        let store = fragments.store_unmasked.as_ref().unwrap_or(&fragments.store);
+        let (config, quals) = (&self.config.assembly, Some(&fragments.quals[..]));
+        // A warm cache skips the whole stage: the contigs are a function
+        // of store, qualities, clustering and parameters — the key.
+        let key = self.cache.as_ref().map(|_| cache::contigs_key(store, quals, clustering, config));
+        let cached = self.load("contigs", CONTIGS_CODEC_SCHEMA, key, decode_contigs);
+        let assemblies = cached.unwrap_or_else(|| {
+            let assemblies = match self.config.parallel_ranks {
+                Some(p) => {
+                    let opts = stage_opts(self.config, FaultStage::Assemble, "assemble");
+                    let r =
+                        assemble_parallel_with(store, quals, clustering, config, p, AssignPolicy::Lpt, &opts);
+                    let phase =
+                        measured_span("dist_assemble", r.assemble_seconds, r.cpu_seconds.iter().sum());
+                    self.fold(phase, r.ranks, r.traces, r.recovered_tasks, r.dead_ranks, r.killed);
+                    r.assemblies
+                }
+                None => assemble_clusters_q(store, quals, clustering, config, self.config.assembly_threads),
+            };
+            // A killed assembly master leaves placeholder slots — never
+            // cache those as the real contigs.
+            if !self.killed {
+                self.store("contigs", CONTIGS_CODEC_SCHEMA, key, || encode_contigs(&assemblies));
+            }
+            assemblies
+        });
+        self.ctx.set(names::ASSEMBLED_CLUSTERS, assemblies.len() as u64);
+        self.ctx.set(names::CONTIGS, assemblies.iter().map(|a| a.num_contigs() as u64).sum());
+        assemblies
+    }
+}
+
+/// The pipeline runner: three phases in a fixed line over one [`RunContext`].
 pub struct Pipeline {
     config: PipelineConfig,
 }
@@ -588,12 +428,10 @@ impl Pipeline {
         Pipeline { config }
     }
 
-    /// Run preprocessing (optional) + clustering + per-cluster assembly
-    /// over a read set. `vectors` and `known_repeats` feed the
-    /// preprocessor.
+    /// Run preprocessing (optional; fed `vectors` and `known_repeats`) +
+    /// clustering + per-cluster assembly over a read set.
     pub fn run(&self, reads: &ReadSet, vectors: &[DnaSeq], known_repeats: &[DnaSeq]) -> PipelineReport {
-        let mut ctx = RunContext::new("pipeline");
-        self.run_with_context(reads, vectors, known_repeats, &mut ctx)
+        self.run_with_context(reads, vectors, known_repeats, &mut RunContext::new("pipeline"))
     }
 
     /// As [`Pipeline::run`], recording spans, counters, and per-rank
@@ -631,56 +469,43 @@ impl Pipeline {
         ctx: &mut RunContext,
         assemble: bool,
     ) -> PipelineReport {
-        let mut state = StageState::new(reads, vectors, known_repeats);
-        // An unopenable cache directory degrades to a cold, uncached
-        // run — caching is an optimisation, never a failure mode.
-        state.cache = self.config.cache_dir.as_deref().and_then(|d| ArtifactCache::open(d).ok());
-        let stages: [&dyn Stage; 3] = [
-            &PreprocessStage { config: &self.config },
-            &ClusterStage { config: &self.config },
-            &AssembleStage { config: &self.config },
-        ];
-        // The pipeline's main thread gets its own trace track for stage
-        // boundaries, on a rank id past the parallel section's ranks so
-        // the tracks never collide.
-        let mut tracer = self.config.trace.tracer(self.config.parallel_ranks.unwrap_or(0), "pipeline");
-        for stage in &stages[..if assemble { 3 } else { 2 }] {
-            tracer.begin(TraceCategory::Stage, stage.name());
-            ctx.push(stage.name());
-            stage.run(&mut state, ctx);
-            let (wall, _cpu) = ctx.pop();
-            tracer.end(TraceCategory::Stage, stage.name());
-            // Cache traffic accrues at stage granularity, so its gauge
-            // is fed at stage boundaries.
-            tracer.counter(
-                TraceCategory::Stage,
-                names::GAUGE_CACHE_BYTES,
-                ctx.counter(names::CACHE_BYTES_READ) + ctx.counter(names::CACHE_BYTES_WRITTEN),
-            );
-            state.stage_seconds.push((stage.name(), wall));
-            if state.interrupted.is_some() {
-                // The fault plan killed this stage's master: stop here
-                // rather than feed partial artifacts forward. The
-                // caller resumes from the stage's last checkpoint.
-                break;
-            }
+        let config = &self.config;
+        // An unopenable cache directory degrades to an uncached run and
+        // says so: silently it would pass for a cache that never hits.
+        let cache = config.cache_dir.as_deref().and_then(|dir| {
+            let warn = |e: &_| eprintln!("warning: cache directory {}: {e}; running uncached", dir.display());
+            ArtifactCache::open(dir).inspect_err(warn).ok()
+        });
+        // The pipeline's own trace track, for stage boundaries: its id
+        // is past the parallel section's ranks, so tracks never collide.
+        let tracer = config.trace.tracer(config.parallel_ranks.unwrap_or(0), "pipeline");
+        let mut run = Run { config, cache, ctx, tracer, killed: false };
+        let (fragments, preprocess_seconds) =
+            run.stage("preprocess", |run| run.preprocess(reads, vectors, known_repeats));
+        let ((clustering, cluster_stats), cluster_seconds) =
+            run.stage("cluster", |run| run.cluster(&fragments.store));
+        // A killed master ends the run: partial artifacts are never fed
+        // forward, and the caller resumes from the stage's checkpoint.
+        let mut interrupted = run.killed.then(|| "cluster".to_string());
+        let (mut assemblies, mut assembly_seconds) = (Vec::new(), 0.0);
+        if assemble && !run.killed {
+            (assemblies, assembly_seconds) =
+                run.stage("assemble", |run| run.assemble(&fragments, &clustering));
+            interrupted = run.killed.then(|| "assemble".to_string());
         }
-        if self.config.trace.enabled {
-            ctx.merge_traces(vec![tracer.finish()]);
+        if config.trace.enabled {
+            run.ctx.merge_traces(vec![run.tracer.finish()]);
         }
-
-        let (preprocess_seconds, cluster_seconds, assembly_seconds) =
-            (state.wall("preprocess"), state.wall("cluster"), state.wall("assemble"));
         PipelineReport {
-            preprocess: state.preprocess,
-            clustering: state.clustering.expect("cluster stage ran"),
-            cluster_stats: state.cluster_stats,
-            origin: state.origin,
-            assemblies: state.assemblies,
+            preprocess: fragments.stats,
+            clustering,
+            cluster_stats,
+            origin: fragments.origin,
+            assemblies,
             preprocess_seconds,
             cluster_seconds,
             assembly_seconds,
-            interrupted: state.interrupted,
+            interrupted,
         }
     }
 }
@@ -688,19 +513,8 @@ impl Pipeline {
 /// Assemble every non-singleton cluster, distributing clusters across
 /// `threads` OS threads ("the subsequent assembly tasks are trivially
 /// parallelized by distributing the clusters across multiple
-/// processors", §3).
-pub fn assemble_clusters(
-    store: &FragmentStore,
-    clustering: &Clustering,
-    config: &AssemblyConfig,
-    threads: usize,
-) -> Vec<Assembly> {
-    assemble_clusters_q(store, None, clustering, config, threads)
-}
-
-/// As [`assemble_clusters`], with optional per-fragment qualities
-/// (index-parallel with the store) enabling quality-weighted overlap
-/// acceptance.
+/// processors", §3). Optional per-fragment qualities (index-parallel
+/// with the store) enable quality-weighted overlap acceptance.
 pub fn assemble_clusters_q(
     store: &FragmentStore,
     quals: Option<&[QualityTrack]>,
@@ -710,11 +524,11 @@ pub fn assemble_clusters_q(
 ) -> Vec<Assembly> {
     let clusters: Vec<&Vec<u32>> = clustering.non_singletons().collect();
     if clusters.is_empty() {
-        // All-singleton clusterings are legal (e.g. every fragment
-        // rejected or unrelated); chunking by zero below would panic.
+        // Legal (every fragment rejected or unrelated), and chunking by
+        // zero below would panic.
         return Vec::new();
     }
-    let threads = threads.clamp(1, clusters.len().max(1));
+    let threads = threads.clamp(1, clusters.len());
     let mut results: Vec<Option<Assembly>> = vec![None; clusters.len()];
     let chunk = clusters.len().div_ceil(threads);
     std::thread::scope(|scope| {
@@ -733,10 +547,8 @@ pub fn assemble_clusters_q(
             })
             .collect();
         // Join explicitly and re-throw the worker's own payload: the
-        // scope's automatic join would replace it with a generic
-        // "scoped thread panicked", and the empty result slot would
-        // then surface as the unrelated "every cluster assembled"
-        // expect below.
+        // scope's automatic join would replace it with a generic "scoped
+        // thread panicked" (or the "every cluster assembled" below).
         for handle in handles {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);

@@ -68,7 +68,6 @@ const PIPELINE_OPTIONS: &[&str] = &[
     "min-identity",
     "min-overlap",
     "band",
-    "no-adaptive-band",
     "no-preprocess",
     "metrics-json",
     "trace-json",
@@ -87,8 +86,7 @@ USAGE:
                  [--genome-out <genome.fasta>] [--scale <f64>] [--seed <u64>]
   pgasm cluster  --reads <reads.fastq> [--out <clusters.txt>] [--ranks <p>]
                  [--psi <n>] [--min-identity <f>] [--min-overlap <n>]
-                 [--band <n>] [--no-adaptive-band]
-                 [--no-preprocess] [--metrics-json <report.json>]
+                 [--band <n>] [--no-preprocess] [--metrics-json <report.json>]
                  [--trace-json <out.trace.json>]
                  [--cache-dir <dir>]
                  [--fault-plan <spec>]
@@ -147,9 +145,8 @@ master mid-stage, pgasm exits nonzero and tells you to rerun with
 remaining work — output identical to an uninterrupted run.
 --band <n> sets the half-width of the alignment band around the seed
 diagonal. The aligner also shrinks the band per row around cells that
-can still reach the acceptance floor (X-drop); --no-adaptive-band
-disables the shrink — the clustering is identical either way, the
-adaptive run just skips DP cells
+can still reach the acceptance floor (X-drop): the result is that of
+the fixed band, minus the DP cells skipped
 (reported as align_cells_saved_adaptive / align_band_rows_shrunk, with
 the build's lane width in simd_lanes).
 
@@ -179,7 +176,7 @@ impl Opts {
                 if !known.contains(&name) {
                     return Err(format!("unknown option --{name}"));
                 }
-                if name == "no-preprocess" || name == "no-adaptive-band" {
+                if name == "no-preprocess" {
                     flags.insert(name.to_string(), "true".to_string());
                     i += 1;
                 } else {
@@ -295,8 +292,11 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     if cluster.band == 0 {
         return Err("--band must be >= 1".to_string());
     }
-    cluster.adaptive_band = opts.get("no-adaptive-band").is_none();
+    // Serial is the absence of --ranks, not a rank count.
     let ranks: usize = opts.parse_or("ranks", 0)?;
+    if opts.get("ranks").is_some() && ranks < 2 {
+        return Err(format!("--ranks {ranks}: a distributed run needs p >= 2 (omit --ranks to run serial)"));
+    }
     let preprocess =
         if opts.get("no-preprocess").is_some() { None } else { Some(PreprocessConfig::default()) };
     let cache_dir = opts.get("cache-dir").map(std::path::PathBuf::from);
@@ -309,6 +309,10 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
         recovery.checkpoint_every = Some(n);
         let base = opts.require("checkpoint")?;
         recovery.checkpoint_path = Some(std::path::PathBuf::from(base));
+    } else if opts.get("checkpoint").is_some() {
+        return Err(
+            "--checkpoint needs --checkpoint-every <n>: without a cadence no snapshot is written".to_string()
+        );
     }
     if let Some(base) = opts.get("resume") {
         recovery.resume_from = Some(std::path::PathBuf::from(base));

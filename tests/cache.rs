@@ -272,3 +272,184 @@ fn gst_entries_key_on_psi_and_on_the_codec_schema() {
     assert_eq!(again.clustering, cold.clustering);
     assert_eq!(cache.load("gst", GST_CODEC_SCHEMA, key), Some(payload));
 }
+
+/// Names a reader of `--metrics-json` / `--trace-json` can see: span
+/// paths (pre-order), run-counter names, per-rank counter names, and
+/// trace tracks.
+#[derive(Debug, PartialEq)]
+struct Skeleton {
+    spans: Vec<String>,
+    counters: Vec<String>,
+    rank_counters: Vec<Vec<String>>,
+    tracks: Vec<(usize, String)>,
+}
+
+fn skeleton(config: PipelineConfig, reads: &ReadSet, genome: &Genome) -> Skeleton {
+    fn paths(prefix: &str, spans: &[pgasm::telemetry::Span], out: &mut Vec<String>) {
+        for s in spans {
+            out.push(format!("{prefix}{}", s.name));
+            paths(&format!("{prefix}{}/", s.name), &s.children, out);
+        }
+    }
+    let mut ctx = RunContext::new("skeleton");
+    Pipeline::new(config).run_with_context(
+        reads,
+        &[DnaSeq::from(VECTOR_SEQ)],
+        &genome.repeat_library,
+        &mut ctx,
+    );
+    let tracks = ctx.trace_document().tracks.iter().map(|t| (t.rank, t.label.clone())).collect();
+    let run = ctx.finish();
+    let mut spans = Vec::new();
+    paths("", &run.spans, &mut spans);
+    Skeleton {
+        spans,
+        counters: run.counters.keys().cloned().collect(),
+        rank_counters: run.ranks.iter().map(|r| r.counters.keys().cloned().collect()).collect(),
+        tracks,
+    }
+}
+
+/// The whole skeleton of the run report, four ways on one input. A
+/// refactor of the pipeline must leave every list here alone.
+#[test]
+fn run_report_skeleton_is_pinned() {
+    fn strs(names: &[&str]) -> Vec<String> {
+        names.iter().map(|s| s.to_string()).collect()
+    }
+    // Counters every run sets (sorted, as the report's map iterates).
+    const BASE: [&str; 22] = [
+        "align_band_rows_shrunk",
+        "align_cells_saved_adaptive",
+        "align_early_exit",
+        "align_traceback_skipped",
+        "assembled_clusters",
+        "clusters",
+        "contigs",
+        "dp_cells",
+        "fragments",
+        "gst_nodes",
+        "gst_suffixes_enumerated",
+        "gst_suffixes_indexed",
+        "merges",
+        "non_singleton_clusters",
+        "pairs_accepted",
+        "pairs_aligned",
+        "pairs_generated",
+        "preprocess_masked_bases",
+        "preprocess_rejected_by_mask",
+        "preprocess_rejected_by_trim",
+        "reads_in",
+        "simd_lanes",
+    ];
+    let with = |extra: &[&str]| {
+        let mut all = strs(&BASE);
+        all.extend(strs(extra));
+        all.sort();
+        all
+    };
+    let serial = |spans: &[&str], extra: &[&str]| Skeleton {
+        spans: strs(spans),
+        counters: with(extra),
+        rank_counters: Vec::new(),
+        tracks: Vec::new(),
+    };
+
+    let dir = CacheDir::new("skeleton");
+    let (reads, genome) = fixture_reads(7);
+    let uncached = PipelineConfig { cache_dir: None, ..cached_config(&dir.0) };
+    assert_eq!(
+        skeleton(uncached.clone(), &reads, &genome),
+        serial(&["preprocess", "cluster", "cluster/gst_build", "assemble"], &[])
+    );
+    assert_eq!(
+        skeleton(cached_config(&dir.0), &reads, &genome),
+        serial(
+            &[
+                "preprocess",
+                "preprocess/cache",
+                "preprocess/cache",
+                "cluster",
+                "cluster/cache",
+                "cluster/gst_build",
+                "cluster/cache",
+                "assemble",
+                "assemble/cache",
+                "assemble/cache",
+            ],
+            &["cache_bytes_written", "cache_miss"]
+        ),
+        "cold"
+    );
+    assert_eq!(
+        skeleton(cached_config(&dir.0), &reads, &genome),
+        serial(
+            &["preprocess", "preprocess/cache", "cluster", "cluster/cache", "assemble", "assemble/cache"],
+            &["cache_bytes_read", "cache_hit"]
+        ),
+        "warm"
+    );
+
+    let parallel = PipelineConfig {
+        parallel_ranks: Some(3),
+        trace: pgasm::telemetry::trace::TraceSpec::on(),
+        ..uncached
+    };
+    let worker = strs(&[
+        "align_band_rows_shrunk",
+        "align_cells_saved_adaptive",
+        "align_early_exit",
+        "align_scratch_bytes_peak",
+        "align_scratch_grows",
+        "align_traceback_skipped",
+        "asm_batch_round_trips",
+        "asm_clusters_assembled",
+        "asm_contig_bases",
+        "asm_cost_units",
+        "asm_reads_assembled",
+        "barrier_ns_total",
+        "batch_round_trips",
+        "dp_cells",
+        "pairs_accepted",
+        "pairs_aligned",
+        "pairs_generated",
+        "simd_lanes",
+        "wait_ns_total",
+    ]);
+    let master = strs(&[
+        "align_band_rows_shrunk",
+        "align_cells_saved_adaptive",
+        "align_early_exit",
+        "align_traceback_skipped",
+        "asm_batches_dispatched",
+        "asm_peak_queue_depth",
+        "barrier_ns_total",
+        "batches_dispatched",
+        "dp_cells",
+        "inbox_drain_depth_max",
+        "pairs_accepted",
+        "pairs_aligned",
+        "pairs_generated",
+        "pairs_selected",
+        "peak_queue_depth",
+        "wait_ns_total",
+    ]);
+    assert_eq!(
+        skeleton(parallel, &reads, &genome),
+        Skeleton {
+            spans: strs(&[
+                "preprocess",
+                "cluster",
+                "cluster/gst_build",
+                "cluster/master_worker",
+                "assemble",
+                "assemble/dist_assemble",
+            ]),
+            counters: with(&["trace_events_dropped"]),
+            rank_counters: vec![master, worker.clone(), worker],
+            tracks: [(0, "master"), (1, "worker"), (2, "worker"), (3, "pipeline")]
+                .map(|(r, l)| (r, l.to_string()))
+                .to_vec(),
+        }
+    );
+}

@@ -214,6 +214,7 @@ fn cli_rejects_options_a_subcommand_never_reads() {
         ("assemble", "--kernel"),
         ("assemble", "--rank"),
         ("assemble", "--no-cache"),
+        ("cluster", "--no-adaptive-band"),
         ("cluster", "--w"),
         ("generate", "--reads"),
         ("analyze", "--ranks"),
@@ -226,6 +227,49 @@ fn cli_rejects_options_a_subcommand_never_reads() {
         assert!(!out.status.success(), "pgasm {cmd} {option} 5 was accepted");
         assert!(stderr.contains(&format!("unknown option {option}")), "pgasm {cmd} {option}: {stderr}");
     }
+}
+
+#[test]
+fn cli_rejects_spellings_it_used_to_ignore() {
+    // `--checkpoint` without a cadence wrote no snapshot and said
+    // nothing; `--ranks 1` ran serial although USAGE says p >= 2. Both
+    // are errors before any read is loaded.
+    for (args, names) in [
+        (&["cluster", "--checkpoint", "x"][..], "--checkpoint needs --checkpoint-every"),
+        (&["assemble", "--out", "/nonexistent.fasta", "--ranks", "1"][..], "--ranks 1"),
+        (&["cluster", "--ranks", "0"][..], "--ranks 0"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
+            .args(args)
+            .args(["--reads", "/nonexistent.fastq"])
+            .output()
+            .expect("pgasm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "pgasm {args:?} was accepted");
+        assert!(stderr.contains(names), "pgasm {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn cli_warns_when_the_cache_directory_cannot_be_opened() {
+    use std::process::Command;
+    // A directory cannot be created below a regular file: the run goes
+    // on uncached and says so, once.
+    let fastq = std::env::temp_dir().join(format!("pgasm-e2e-nocache-{}.fastq", std::process::id()));
+    let (fastq, pgasm) = (fastq.to_str().unwrap(), env!("CARGO_BIN_EXE_pgasm"));
+    let generated = Command::new(pgasm)
+        .args(["generate", "--kind", "maize", "--out", fastq, "--scale", "0.05", "--seed", "5"])
+        .output()
+        .expect("pgasm runs");
+    assert!(generated.status.success());
+    let out = Command::new(pgasm)
+        .args(["cluster", "--reads", fastq, "--cache-dir", &format!("{fastq}/cache")])
+        .output()
+        .expect("pgasm runs");
+    let _ = std::fs::remove_file(fastq);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "an unopenable cache must not fail the run: {stderr}");
+    assert_eq!(stderr.matches("warning: cache directory").count(), 1, "{stderr}");
 }
 
 #[test]
