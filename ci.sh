@@ -95,6 +95,16 @@ echo "==> pgasm cluster: serial and --ranks 3 write the same partition"
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "partition differs between serial and --ranks 3"; exit 1; }
+
+echo "==> pgasm cluster --no-preprocess: a rejection-heavy run, serial and --ranks 3"
+# Every other input here is preprocessed. Unmasked, untrimmed reads put
+# repeats and vector in the GST, so almost every aligned pair fails the
+# criteria: the workload on which a kernel that decides anything itself
+# would have to be measured.
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt --no-preprocess
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3 \
+  --no-preprocess
+cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "--no-preprocess partition differs between serial and --ranks 3"; exit 1; }
 rm -f ci_reads.fastq ci_clusters.serial.txt ci_clusters.ranks3.txt
 
 echo "==> artifact-cache smoke (cold run populates, warm run hits)"

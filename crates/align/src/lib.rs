@@ -23,6 +23,6 @@ pub mod wmer;
 
 pub use overlap::{
     banded_overlap_align, overlap_align, overlap_align_quality, overlap_align_quality_with,
-    overlap_align_simd, AlignScratch, OverlapResult, SimdOpts,
+    overlap_align_simd, AlignScratch, OverlapResult,
 };
 pub use scoring::{AcceptCriteria, Scoring};

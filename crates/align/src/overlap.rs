@@ -11,13 +11,13 @@
 //! - [`overlap_align_simd`] — the production kernel of both phases
 //!   (clustering's promising pairs, assembly's overlap candidates): one
 //!   lane-chunked banded pass (see [`crate::simd`]) that records a
-//!   traceback direction per cell as it goes, an early exit and per-row
-//!   adaptive X-drop band shrinking priced from the acceptance floor, all
-//!   on a reusable [`AlignScratch`]. See DESIGN.md §5.
+//!   traceback direction per cell as it goes and walks it once, on a
+//!   reusable [`AlignScratch`]. It aligns; the caller's
+//!   [`crate::scoring::AcceptCriteria`] decide. See DESIGN.md §5.
 //! - [`banded_overlap_align`] — single-pass scalar banded DP with its own
-//!   score and direction matrices: no lanes, no gate, no adaptivity.
-//!   **Test oracle only** — the independent banded reference the
-//!   production kernel is checked against.
+//!   score and direction matrices, no lanes. **Test oracle only** — the
+//!   independent banded reference the production kernel is checked
+//!   against.
 //! - [`overlap_align_quality`] — full O(mn) DP with optional
 //!   quality-weighted identity. **Test oracle only**: the unbanded
 //!   reference for the banded kernels and for the assembler's
@@ -27,7 +27,7 @@
 //! rates of Sanger-style fragments the accept/reject decision is
 //! insensitive to an affine-gap refinement, so none is implemented.
 
-use crate::scoring::{AcceptCriteria, Scoring};
+use crate::scoring::Scoring;
 use crate::simd::{I32x8, LANES};
 
 const NEG: i32 = i32::MIN / 4;
@@ -80,20 +80,6 @@ pub struct OverlapResult {
     /// cell is counted once, when its recurrence is evaluated; boundary
     /// cells (free leading gaps) and traceback walking are never counted.
     pub cells: u64,
-    /// The pass bailed before the last row: no in-band continuation could
-    /// reach the acceptance score floor.
-    pub early_exited: bool,
-    /// The traceback was never walked: the final score misses the
-    /// acceptance floor, so identity/ranges are not computed.
-    pub traceback_skipped: bool,
-    /// In-band cells *not* evaluated because adaptive X-drop banding
-    /// proved them unable to reach the acceptance floor — savings on top
-    /// of `cells`, which counts evaluated cells only.
-    pub cells_saved_adaptive: u64,
-    /// Rows whose candidate column range the adaptive shrink actually
-    /// tightened relative to the fixed band (including rows abandoned
-    /// wholesale once every in-band continuation is dead).
-    pub band_rows_shrunk: u64,
 }
 
 impl OverlapResult {
@@ -107,29 +93,6 @@ impl OverlapResult {
             kind: OverlapKind::SuffixPrefix,
             path_diags: (0, 0),
             cells,
-            early_exited: false,
-            traceback_skipped: false,
-            cells_saved_adaptive: 0,
-            band_rows_shrunk: 0,
-        }
-    }
-
-    /// A pair rejected by the score gate: ranges/identity are not
-    /// computed, so downstream acceptance must (and does) fail.
-    fn rejected(
-        score: i32,
-        cells: u64,
-        early_exited: bool,
-        cells_saved_adaptive: u64,
-        band_rows_shrunk: u64,
-    ) -> OverlapResult {
-        OverlapResult {
-            score,
-            early_exited,
-            traceback_skipped: true,
-            cells_saved_adaptive,
-            band_rows_shrunk,
-            ..OverlapResult::empty(cells)
         }
     }
 
@@ -160,10 +123,6 @@ pub struct AlignScratch {
     /// full lanes from any cell slot.
     prev: Vec<i32>,
     curr: Vec<i32>,
-    /// Per-slot tail-segment weights for the lane-chunked completion
-    /// pricing: `wj[sl] = -match_score · sl` (see [`overlap_align_simd`]).
-    wj: Vec<i32>,
-    wj_match: i32,
     /// Traceback directions (0 diagonal, 1 up, 2 left), one byte per
     /// cell: `(m + 1) × w` band-shaped for [`overlap_align_simd`],
     /// `(m + 1) × (n + 1)` for the full-matrix oracle. Never cleared: a
@@ -185,9 +144,6 @@ impl AlignScratch {
         let mut s = AlignScratch::new();
         let width = (2 * band + 1).min(2 * max_len + 1);
         s.ensure_rows(lane_padded(width + 2));
-        // The tail weights depend on the (not yet known) match score;
-        // pre-size the buffer so the first fill is a rewrite, not a grow.
-        s.wj.resize(lane_padded(width + 2), 0);
         s.ensure_dirs((max_len + 1) * (width + 2));
         s.grows = 0;
         s
@@ -198,23 +154,6 @@ impl AlignScratch {
             self.grows += 1;
             self.prev.resize(w, NEG);
             self.curr.resize(w, NEG);
-        }
-    }
-
-    /// Make sure `wj[sl] = -match_score · sl` holds for at least `len`
-    /// slots. Refills in place when only the match score changed, so a
-    /// pre-sized scratch never grows here.
-    fn ensure_wj(&mut self, len: usize, match_score: i32) {
-        let grown = self.wj.len() < len;
-        if grown {
-            self.grows += 1;
-            self.wj.resize(len, 0);
-        }
-        if grown || self.wj_match != match_score {
-            self.wj_match = match_score;
-            for (sl, v) in self.wj.iter_mut().enumerate() {
-                *v = -match_score.wrapping_mul(sl as i32);
-            }
         }
     }
 
@@ -229,7 +168,7 @@ impl AlignScratch {
     /// this is monotone; a flat reading across batches means the hot
     /// loop allocated nothing.
     pub fn high_water_bytes(&self) -> u64 {
-        (4 * (self.prev.capacity() + self.curr.capacity() + self.wj.capacity()) + self.dirs.capacity()) as u64
+        (4 * (self.prev.capacity() + self.curr.capacity()) + self.dirs.capacity()) as u64
     }
 
     /// Number of times any buffer grew since construction / pre-sizing.
@@ -277,33 +216,6 @@ impl Band {
     fn slot(&self, i: usize, j: i64) -> usize {
         (j - (i as i64 - self.d_hi) + 1) as usize
     }
-}
-
-/// Minimum score any alignment passing `c` can have under `s`, or `None`
-/// when no useful bound exists.
-///
-/// Derivation: an accepted alignment has `cols ≥ min_overlap` columns of
-/// which a fraction `≥ q = min_identity` are matches (masked bases never
-/// match, and score mismatched columns as mismatches, so the identity
-/// numerator is exactly the set of match-scored columns). With
-/// `worst = min(mismatch, gap_extend, 0)` every non-match column scores
-/// at least `worst`, hence
-/// `score ≥ cols·(q·match + (1−q)·worst) ≥ min_overlap·per_col` whenever
-/// `per_col > 0`. Integer scores then give `score ≥ ceil(min_overlap·per_col)`.
-/// `q` is nudged down by 1e-9 to stay below the epsilon in
-/// [`AcceptCriteria::accepts`]. When `match_score ≤ 0` or `per_col ≤ 0`
-/// the bound is vacuous and the gate is disabled.
-fn acceptance_floor(c: &AcceptCriteria, s: &Scoring) -> Option<i32> {
-    if s.match_score <= 0 {
-        return None;
-    }
-    let worst = s.mismatch.min(s.gap_extend).min(0) as f64;
-    let q = (c.min_identity - 1e-9).clamp(0.0, 1.0);
-    let per_col = q * s.match_score as f64 + (1.0 - q) * worst;
-    if per_col <= 0.0 {
-        return None;
-    }
-    Some((c.min_overlap as f64 * per_col).ceil() as i32)
 }
 
 /// What [`walk_traceback`] recovers from a traceback matrix.
@@ -482,7 +394,7 @@ pub fn overlap_align_quality_with(
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
         path_diags,
-        ..OverlapResult::empty((m * n) as u64)
+        cells: (m * n) as u64,
     }
 }
 
@@ -578,31 +490,12 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
         path_diags,
-        ..OverlapResult::empty(cells)
+        cells,
     }
 }
 
-/// Options for [`overlap_align_simd`].
-#[derive(Debug, Clone, Copy)]
-pub struct SimdOpts {
-    /// Run every row through the scalar instantiation of the lane loops.
-    /// Results are bit-identical either way (the `force-scalar` cargo
-    /// feature forces this on regardless).
-    pub force_scalar: bool,
-    /// Per-row adaptive X-drop band shrinking. Takes effect only when an
-    /// [`acceptance_floor`] exists and `mismatch ≤ 0`, `gap_extend ≤ 0`
-    /// (the monotone-potential argument needs both); inert otherwise.
-    pub adaptive: bool,
-}
-
-impl Default for SimdOpts {
-    fn default() -> SimdOpts {
-        SimdOpts { force_scalar: cfg!(feature = "force-scalar"), adaptive: true }
-    }
-}
-
-/// One-pass lane-chunked banded suffix–prefix alignment with adaptive
-/// X-drop banding — the production kernel.
+/// One-pass lane-chunked banded suffix–prefix alignment — the production
+/// kernel.
 ///
 /// **Band.** Diagonals `seed_diag ± band` clamped to `[-n, m]` ([`Band`]);
 /// row `i` lives in slot coordinates where `(i − 1, j − 1)` and `(i, j)`
@@ -625,40 +518,16 @@ impl Default for SimdOpts {
 /// end cell is the best of the last row (ascending column), then of
 /// column `n` (ascending row), first maximum winning —
 /// [`banded_overlap_align`]'s selection — and the traceback is walked on
-/// the window from there: no cell is evaluated twice.
+/// the window from there: no cell is evaluated twice. With `quals` the
+/// walk weights identity as [`overlap_align_quality`] does.
 ///
-/// **Gate and adaptive pricing.** With `gate` (and no `quals` — weighted
-/// identity is not monotone in score) every computed cell's best
-/// completion `P(i, j) = value + match · min(m − i, n − j)` is priced
-/// lanewise, as the min of the row-constant head formula `match · (m − i)`
-/// and the per-slot tail formula `wj[sl] + match · (n − i + d_hi + 1)`.
-/// When no cell of a row, no later in-band restart from column 0 and no
-/// banked column-`n` end can reach the [`acceptance_floor`], the kernel
-/// bails (`early_exited`); a finished pass whose score misses the floor
-/// skips the walk (`traceback_skipped`). Either way ranges and identity
-/// stay empty, which the gate rejects. *Adaptive X-drop banding* shrinks
-/// the band per row with the same pricing: `P` is non-increasing along
-/// any path when `mismatch ≤ 0` and `gap_extend ≤ 0`, so a cell with
-/// `P < floor` is dead — every path through it ends below the floor — and
-/// its columns leave the next row's candidate range (at lane-chunk
-/// granularity; restarts from column 0 stay while they can price the
-/// floor, and a scalar right-extension keeps within-row left-gap chains
-/// alive while theirs holds). Skipped cells are counted in
-/// `cells_saved_adaptive` / `band_rows_shrunk`. Rejected pairs may report
-/// a different (never higher) score than the fixed band would.
-///
-/// **Why one pass is exact.** With `gate: None` the result equals
-/// [`banded_overlap_align`] on every field, and gated accepted pairs equal
-/// it too, because:
+/// **Why one pass is exact.** The result equals [`banded_overlap_align`]
+/// on every field, `cells` included (every in-band interior cell is
+/// evaluated exactly once), because:
 /// 1. a cell's value and its three inputs depend only on cells with
 ///    smaller `(i, j)`, so nothing computed after the end cell's row or
 ///    right of its column can change a byte the walk reads;
-/// 2. under adaptive shrinking every predecessor that attains a live path
-///    cell's maximum is itself on a floor-reaching path, hence live and
-///    bit-identical to the fixed band, while a dead neighbour only ever
-///    reads *lower*, so it can neither win nor tie — directions on the
-///    walked path equal the fixed-band matrix's;
-/// 3. the walk starts at the end cell and steps only to the cell that
+/// 2. the walk starts at the end cell and steps only to the cell that
 ///    attained a real (non-NEG) maximum, which this call computed, so
 ///    bytes an earlier, larger pair left in the window are never read and
 ///    the window is never cleared.
@@ -670,61 +539,72 @@ impl Default for SimdOpts {
 /// and once under `#[target_feature(enable = "avx2")]`, selected by
 /// one runtime CPUID check per call. Both instantiations execute the
 /// same integer arithmetic, so results are bit-identical across
-/// dispatch decisions.
-#[allow(clippy::too_many_arguments)]
+/// dispatch decisions. The `force-scalar` cargo feature routes every
+/// call to [`overlap_align_scalar`] instead.
 pub fn overlap_align_simd(
     a: &[u8],
     b: &[u8],
     seed_diag: i64,
     band: usize,
     s: &Scoring,
-    gate: Option<&AcceptCriteria>,
     quals: Option<(&[u8], &[u8])>,
     scratch: &mut AlignScratch,
-    opts: SimdOpts,
 ) -> OverlapResult {
+    if cfg!(feature = "force-scalar") {
+        return overlap_align_scalar(a, b, seed_diag, band, s, quals, scratch);
+    }
     #[cfg(target_arch = "x86_64")]
     {
-        let use_scalar = opts.force_scalar || cfg!(feature = "force-scalar");
-        if !use_scalar && std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the avx2 feature was just detected on this CPU.
-            return unsafe { simd_body_avx2(a, b, seed_diag, band, s, gate, quals, scratch, opts) };
+            return unsafe { simd_body_avx2(a, b, seed_diag, band, s, quals, scratch) };
         }
     }
-    simd_body(a, b, seed_diag, band, s, gate, quals, scratch, opts)
+    simd_body::<false>(a, b, seed_diag, band, s, quals, scratch)
+}
+
+/// [`overlap_align_simd`] with every row run through the scalar tail loop
+/// instead of the lane chunks — bit-identical by construction, and held
+/// to it by the lanes ≡ scalar property test, its only caller besides the
+/// `force-scalar` feature.
+#[doc(hidden)]
+pub fn overlap_align_scalar(
+    a: &[u8],
+    b: &[u8],
+    seed_diag: i64,
+    band: usize,
+    s: &Scoring,
+    quals: Option<(&[u8], &[u8])>,
+    scratch: &mut AlignScratch,
+) -> OverlapResult {
+    simd_body::<true>(a, b, seed_diag, band, s, quals, scratch)
 }
 
 /// [`simd_body`] compiled with AVX2 codegen enabled (the
 /// `#[inline(always)]` body inherits the caller's target features).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn simd_body_avx2(
     a: &[u8],
     b: &[u8],
     seed_diag: i64,
     band: usize,
     s: &Scoring,
-    gate: Option<&AcceptCriteria>,
     quals: Option<(&[u8], &[u8])>,
     scratch: &mut AlignScratch,
-    opts: SimdOpts,
 ) -> OverlapResult {
-    simd_body(a, b, seed_diag, band, s, gate, quals, scratch, opts)
+    simd_body::<false>(a, b, seed_diag, band, s, quals, scratch)
 }
 
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn simd_body(
+fn simd_body<const SCALAR: bool>(
     a: &[u8],
     b: &[u8],
     seed_diag: i64,
     band: usize,
     s: &Scoring,
-    gate: Option<&AcceptCriteria>,
     quals: Option<(&[u8], &[u8])>,
     scratch: &mut AlignScratch,
-    opts: SimdOpts,
 ) -> OverlapResult {
     let (m, n) = (a.len(), b.len());
     if m == 0 || n == 0 {
@@ -737,344 +617,129 @@ fn simd_body(
     let Some(bw) = Band::new(m, n, seed_diag, band) else {
         return OverlapResult::empty(0);
     };
-    let floor = match (gate, quals) {
-        (Some(c), None) => acceptance_floor(c, s),
-        _ => None,
-    };
-    let adaptive = opts.adaptive && floor.is_some() && s.mismatch <= 0 && s.gap_extend <= 0;
-    let use_scalar = opts.force_scalar || cfg!(feature = "force-scalar");
     let w = bw.w;
     let padded = lane_padded(w);
     scratch.ensure_rows(padded);
-    scratch.ensure_wj(padded, s.match_score);
     scratch.ensure_dirs((m + 1) * w);
     let dirs: &mut [u8] = &mut scratch.dirs[..(m + 1) * w];
+    let mut prev: &mut [i32] = &mut scratch.prev[..padded];
+    let mut curr: &mut [i32] = &mut scratch.curr[..padded];
     let mut cells = 0u64;
-    let mut saved = 0u64;
-    let mut rows_shrunk = 0u64;
-    let mut best_score = NEG;
-    let mut end: Option<(usize, usize)> = None;
-    {
-        let mut prev: &mut [i32] = &mut scratch.prev[..padded];
-        let mut curr: &mut [i32] = &mut scratch.curr[..padded];
-        let wj: &[i32] = &scratch.wj[..padded];
-        let mut coln_best = NEG;
-        let mut coln_i = 0usize;
-        let (lo0, hi0) = bw.row_range(0, n);
-        prev.fill(NEG);
-        for j in lo0..=hi0 {
-            prev[bw.slot(0, j)] = 0;
+    // Running best over column n: the first row attaining the maximum.
+    let (mut coln_best, mut coln_i) = (NEG, 0usize);
+    let (lo0, hi0) = bw.row_range(0, n);
+    prev.fill(NEG);
+    for j in lo0..=hi0 {
+        prev[bw.slot(0, j)] = 0;
+    }
+    if (lo0..=hi0).contains(&(n as i64)) {
+        coln_best = 0;
+    }
+    for i in 1..=m {
+        let (lo, hi) = bw.row_range(i, n);
+        curr.fill(NEG);
+        if lo == 0 && hi >= 0 {
+            // Free leading gap in b.
+            curr[bw.slot(i, 0)] = 0;
         }
-        if (lo0..=hi0).contains(&(n as i64)) {
-            coln_best = 0;
-        }
-        // Live column range of the previous row under adaptive shrinking
-        // (empty hull: lo > hi). Row 0 holds only zeros, and
-        // P(0, j) = match · min(m, n − j) is non-increasing in j, so its
-        // live set is a prefix of the in-band range.
-        let (mut live_lo, mut live_hi) = (lo0, hi0);
-        if adaptive {
-            let f = floor.unwrap();
-            let mut h = lo0 - 1;
-            for j in lo0..=hi0 {
-                if s.match_score.saturating_mul(m.min(n - j as usize) as i32) >= f {
-                    h = j;
-                } else {
-                    break;
+        let jstart = lo.max(1);
+        if jstart <= hi {
+            let sl0 = bw.slot(i, jstart);
+            let len = (hi - jstart + 1) as usize;
+            cells += len as u64;
+            let drow = &mut dirs[i * w + sl0..i * w + sl0 + len];
+            let ai = a[i - 1];
+            let ai_is_base = pgasm_seq::is_base_code(ai);
+            let boff = (jstart - 1) as usize;
+            let g = s.gap_extend;
+            let mut leftv = curr[sl0 - 1];
+            let mut k = 0usize;
+            if !SCALAR {
+                let mvec = I32x8::splat(s.match_score);
+                let xvec = I32x8::splat(s.mismatch);
+                let kvec = I32x8::splat(ai as i32);
+                let gv1 = I32x8::splat(g);
+                let gv2 = I32x8::splat(g.wrapping_mul(2));
+                let gv4 = I32x8::splat(g.wrapping_mul(4));
+                let mut ramp = [0i32; LANES];
+                for (l, r) in ramp.iter_mut().enumerate() {
+                    *r = g.wrapping_mul(l as i32 + 1);
                 }
-            }
-            live_hi = h;
-            if live_hi < live_lo {
-                (live_lo, live_hi) = (i64::MAX, i64::MIN);
-            }
-        }
-        let mut dead_break = false;
-        for i in 1..=m {
-            let (blo, bhi) = bw.row_range(i, n);
-            let (mut clo, mut chi) = (blo, bhi);
-            // Restart cell (i, 0): free leading gap in b, alive while a
-            // fresh alignment from here can still reach the floor.
-            let mut restart_alive = false;
-            if adaptive {
-                let f = floor.unwrap();
-                restart_alive =
-                    blo == 0 && bhi >= 0 && s.match_score.saturating_mul((m - i).min(n) as i32) >= f;
-                clo = clo.max(live_lo);
-                chi = chi.min(live_hi.saturating_add(1));
-                if restart_alive {
-                    clo = 0;
-                    chi = chi.max(0);
-                }
-                if clo > chi {
-                    // No live candidates this row. A later in-band
-                    // restart (first possible at row max(i, d_lo)) may
-                    // still seed a floor-reaching path, e.g. when the
-                    // band has not yet entered the valid rectangle.
-                    let r0 = (i as i64).max(bw.d_lo);
-                    let future_restart = if r0 <= bw.d_hi && r0 <= m as i64 {
-                        s.match_score.saturating_mul((m - r0 as usize).min(n) as i32)
+                let ramp = I32x8(ramp);
+                while k + LANES <= len {
+                    // Vertical step: diag/up have no intra-row
+                    // dependency.
+                    let p0 = I32x8::load(&prev[sl0 + k..]);
+                    let p1 = I32x8::load(&prev[sl0 + k + 1..]);
+                    let sub = if ai_is_base {
+                        I32x8::load_u8(&b[boff + k..]).eq_select(kvec, mvec, xvec)
                     } else {
-                        NEG
+                        xvec
                     };
-                    let lo1 = blo.max(1);
-                    if bhi >= lo1 {
-                        saved += (bhi - lo1 + 1) as u64;
-                        rows_shrunk += 1;
-                    }
-                    if future_restart >= f {
-                        // Skip the row but keep going: the hull stays
-                        // empty until the restart row re-seeds it.
-                        curr.fill(NEG);
-                        std::mem::swap(&mut prev, &mut curr);
-                        continue;
-                    }
-                    // Restart potential only decays with i and live
-                    // ranges only descend from live parents, so every
-                    // remaining row is dead too: the only surviving end
-                    // candidate is the banked best over column n.
-                    if coln_best < f {
-                        // The fixed-band run's early exit fires here too
-                        // (same dead cells, no floor-reaching restart),
-                        // so the remaining rows are not credited as
-                        // saved — it would never have computed them.
-                        return OverlapResult::rejected(0, cells, true, saved, rows_shrunk);
-                    }
-                    // A banked column-n end keeps the fixed-band run
-                    // alive through every remaining row; the adaptive
-                    // run skips them all.
-                    for ii in (i + 1)..=m {
-                        let (lo, hi) = bw.row_range(ii, n);
-                        let lo1 = lo.max(1);
-                        if hi >= lo1 {
-                            saved += (hi - lo1 + 1) as u64;
-                            rows_shrunk += 1;
-                        }
-                    }
-                    dead_break = true;
-                    break;
+                    let (d, u) = (p0.add(sub), p1.add(gv1));
+                    let c = d.max(u);
+                    // Left-gap dependency: the sequential fold
+                    // out[k] = max(c[k], out[k−1] + g) expands to
+                    // out[k] = max over t ≤ k of c[t] + (k−t)·g — a
+                    // log-step max-plus prefix scan within the chunk
+                    // (shift by 1/2/4, each adding the matching
+                    // multiple of g) plus one carried splat from the
+                    // previous chunk: the same integer sums in a
+                    // different association, bit-identical to the
+                    // scalar recurrence below.
+                    let mut v = c.max(c.shift_up::<1>(NEG).add(gv1));
+                    v = v.max(v.shift_up::<2>(NEG).add(gv2));
+                    v = v.max(v.shift_up::<4>(NEG).add(gv4));
+                    v = v.max(I32x8::splat(leftv).add(ramp));
+                    v.store(&mut curr[sl0 + k..]);
+                    // v is the max of the three: where the scan
+                    // raised it, left strictly won; else diag ≥ up.
+                    I32x8::store_directions(d, u, c, v, &mut drow[k..]);
+                    leftv = v.0[LANES - 1];
+                    k += LANES;
                 }
             }
-            curr.fill(NEG);
-            let mut row_bound = NEG;
-            if floor.is_some() && blo == 0 && bhi >= 0 {
-                // Same restart contribution the scalar kernel adds at
-                // its j == 0 iteration.
-                row_bound = s.match_score * (m - i).min(n) as i32;
-            }
-            if clo == 0 && bhi >= 0 {
-                curr[bw.slot(i, 0)] = 0;
-            }
-            let jstart = clo.max(1);
-            let mut hull_lo_sl = usize::MAX;
-            let mut hull_hi_sl = 0usize;
-            let mut ncomp = 0u64;
-            if jstart <= chi {
-                let sl0 = bw.slot(i, jstart);
-                let len = (chi - jstart + 1) as usize;
-                ncomp = len as u64;
-                cells += len as u64;
-                let drow = &mut dirs[i * w + sl0..i * w + sl0 + len];
-                let ai = a[i - 1];
-                let ai_is_base = pgasm_seq::is_base_code(ai);
-                let boff = (jstart - 1) as usize;
-                let g = s.gap_extend;
-                let mut leftv = curr[sl0 - 1];
-                let mut k = 0usize;
-                if !use_scalar {
-                    let mvec = I32x8::splat(s.match_score);
-                    let xvec = I32x8::splat(s.mismatch);
-                    let kvec = I32x8::splat(ai as i32);
-                    let gv1 = I32x8::splat(g);
-                    let gv2 = I32x8::splat(g.wrapping_mul(2));
-                    let gv4 = I32x8::splat(g.wrapping_mul(4));
-                    let mut ramp = [0i32; LANES];
-                    for (l, r) in ramp.iter_mut().enumerate() {
-                        *r = g.wrapping_mul(l as i32 + 1);
-                    }
-                    let ramp = I32x8(ramp);
-                    while k + LANES <= len {
-                        // Vertical step: diag/up have no intra-row
-                        // dependency.
-                        let p0 = I32x8::load(&prev[sl0 + k..]);
-                        let p1 = I32x8::load(&prev[sl0 + k + 1..]);
-                        let sub = if ai_is_base {
-                            I32x8::load_u8(&b[boff + k..]).eq_select(kvec, mvec, xvec)
-                        } else {
-                            xvec
-                        };
-                        let (d, u) = (p0.add(sub), p1.add(gv1));
-                        let c = d.max(u);
-                        // Left-gap dependency: the sequential fold
-                        // out[k] = max(c[k], out[k−1] + g) expands to
-                        // out[k] = max over t ≤ k of c[t] + (k−t)·g — a
-                        // log-step max-plus prefix scan within the chunk
-                        // (shift by 1/2/4, each adding the matching
-                        // multiple of g) plus one carried splat from the
-                        // previous chunk: the same integer sums in a
-                        // different association, bit-identical to the
-                        // scalar recurrence below.
-                        let mut v = c.max(c.shift_up::<1>(NEG).add(gv1));
-                        v = v.max(v.shift_up::<2>(NEG).add(gv2));
-                        v = v.max(v.shift_up::<4>(NEG).add(gv4));
-                        v = v.max(I32x8::splat(leftv).add(ramp));
-                        v.store(&mut curr[sl0 + k..]);
-                        // v is the max of the three: where the scan
-                        // raised it, left strictly won; else diag ≥ up.
-                        I32x8::store_directions(d, u, c, v, &mut drow[k..]);
-                        leftv = v.0[LANES - 1];
-                        k += LANES;
-                    }
-                }
-                // Scalar tail — and the whole row when forced scalar.
-                while k < len {
-                    let sub = if ai_is_base && b[boff + k] == ai { s.match_score } else { s.mismatch };
-                    let diag = prev[sl0 + k] + sub;
-                    let up = prev[sl0 + k + 1] + g;
-                    let left = leftv + g;
-                    (leftv, drow[k]) = if diag >= up && diag >= left {
-                        (diag, 0)
-                    } else if up >= left {
-                        (up, 1)
-                    } else {
-                        (left, 2)
-                    };
-                    curr[sl0 + k] = leftv;
-                    k += 1;
-                }
-                if chi == n as i64 {
-                    let v = curr[sl0 + len - 1];
-                    if v > coln_best {
-                        coln_best = v;
-                        coln_i = i;
-                    }
-                }
-                if let Some(f) = floor {
-                    // Completion pricing sweep: exact per-lane
-                    // P = value + match · min(m − i, n − j), via the
-                    // head/tail split (see function docs). Also derives
-                    // the live hull for the next row at lane-chunk
-                    // granularity. NEG padding lanes price far below any
-                    // floor and never contribute.
-                    let av = I32x8::splat(s.match_score.saturating_mul((m - i) as i32));
-                    let cv =
-                        I32x8::splat(s.match_score.wrapping_mul((n as i64 - i as i64 + bw.d_hi + 1) as i32));
-                    let mut k = 0usize;
-                    while k < len {
-                        let sl = sl0 + k;
-                        let v = I32x8::load(&curr[sl..]);
-                        let p = v.add(av).min(v.add(I32x8::load(&wj[sl..])).add(cv));
-                        let pm = p.hmax();
-                        if pm > row_bound {
-                            row_bound = pm;
-                        }
-                        if adaptive && pm >= f {
-                            if sl < hull_lo_sl {
-                                hull_lo_sl = sl;
-                            }
-                            let end_sl = (sl + LANES - 1).min(sl0 + len - 1);
-                            if end_sl > hull_hi_sl {
-                                hull_hi_sl = end_sl;
-                            }
-                        }
-                        k += LANES;
-                    }
-                    if adaptive {
-                        // Right-extension: columns past the candidate
-                        // range have only dead diag/up parents, so the
-                        // left-gap chain is their only live input; keep
-                        // extending while it can still price the floor.
-                        let mut j = chi + 1;
-                        let mut sl = sl0 + len;
-                        while j <= bhi {
-                            let v = curr[sl - 1] + s.gap_extend;
-                            let p = v + s.match_score * (m - i).min((n as i64 - j) as usize) as i32;
-                            if p < f {
-                                break;
-                            }
-                            curr[sl] = v;
-                            dirs[i * w + sl] = 2;
-                            cells += 1;
-                            ncomp += 1;
-                            if p > row_bound {
-                                row_bound = p;
-                            }
-                            if hull_lo_sl == usize::MAX {
-                                hull_lo_sl = sl;
-                            }
-                            if sl > hull_hi_sl {
-                                hull_hi_sl = sl;
-                            }
-                            if j == n as i64 && v > coln_best {
-                                coln_best = v;
-                                coln_i = i;
-                            }
-                            j += 1;
-                            sl += 1;
-                        }
-                    }
-                }
-            }
-            if adaptive {
-                let lo1 = blo.max(1);
-                let interior = if bhi >= lo1 { (bhi - lo1 + 1) as u64 } else { 0 };
-                if interior > ncomp {
-                    saved += interior - ncomp;
-                    rows_shrunk += 1;
-                }
-                if hull_lo_sl <= hull_hi_sl && hull_lo_sl != usize::MAX {
-                    let base = i as i64 - bw.d_hi - 1;
-                    live_lo = hull_lo_sl as i64 + base;
-                    live_hi = hull_hi_sl as i64 + base;
+            // Scalar tail — and the whole row when `SCALAR`.
+            while k < len {
+                let sub = if ai_is_base && b[boff + k] == ai { s.match_score } else { s.mismatch };
+                let diag = prev[sl0 + k] + sub;
+                let up = prev[sl0 + k + 1] + g;
+                let left = leftv + g;
+                (leftv, drow[k]) = if diag >= up && diag >= left {
+                    (diag, 0)
+                } else if up >= left {
+                    (up, 1)
                 } else {
-                    (live_lo, live_hi) = (i64::MAX, i64::MIN);
-                }
-                if restart_alive {
-                    live_lo = live_lo.min(0);
-                    live_hi = live_hi.max(0);
-                }
+                    (left, 2)
+                };
+                curr[sl0 + k] = leftv;
+                k += 1;
             }
-            if let Some(f) = floor {
-                if i < m {
-                    let restart =
-                        if (i as i64) < bw.d_hi { s.match_score * (m - i - 1).min(n) as i32 } else { NEG };
-                    if row_bound.max(coln_best).max(restart) < f {
-                        return OverlapResult::rejected(0, cells, true, saved, rows_shrunk);
-                    }
-                }
+            if hi == n as i64 && leftv > coln_best {
+                (coln_best, coln_i) = (leftv, i);
             }
-            std::mem::swap(&mut prev, &mut curr);
         }
-        if dead_break {
-            best_score = coln_best;
-            end = Some((coln_i, n));
-        } else {
-            let (lo, hi) = bw.row_range(m, n);
-            for j in lo..=hi {
-                let v = prev[bw.slot(m, j)];
-                if v > best_score {
-                    best_score = v;
-                    end = Some((m, j as usize));
-                }
-            }
-            if coln_best > best_score {
-                best_score = coln_best;
-                end = Some((coln_i, n));
-            }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    // Best end cell (free trailing gaps): the last row by ascending
+    // column, then column n by ascending row; the first maximum wins.
+    let (mut best_score, mut end) = (NEG, (m, 0usize));
+    let (lo, hi) = bw.row_range(m, n);
+    for j in lo..=hi {
+        let v = prev[bw.slot(m, j)];
+        if v > best_score {
+            (best_score, end) = (v, (m, j as usize));
         }
     }
-    let Some((ei, ej)) = end else {
-        return OverlapResult::empty(cells);
-    };
+    if coln_best > best_score {
+        (best_score, end) = (coln_best, (coln_i, n));
+    }
+    // No in-band end cell, or none a real path reaches.
     if best_score <= NEG / 2 {
         return OverlapResult::empty(cells);
     }
-    if let Some(f) = floor {
-        if best_score < f {
-            return OverlapResult::rejected(best_score, cells, false, saved, rows_shrunk);
-        }
-    }
     let Walk { a_range, b_range, cols, identity, path_diags } =
-        walk_traceback(a, b, quals, dirs, |i, j| i * w + bw.slot(i, j as i64), (ei, ej));
+        walk_traceback(a, b, quals, dirs, |i, j| i * w + bw.slot(i, j as i64), end);
     OverlapResult {
         score: best_score,
         identity,
@@ -1083,15 +748,14 @@ fn simd_body(
         b_range,
         kind: OverlapResult::classify(m, n, a_range, b_range),
         path_diags,
-        cells_saved_adaptive: saved,
-        band_rows_shrunk: rows_shrunk,
-        ..OverlapResult::empty(cells)
+        cells,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scoring::AcceptCriteria;
     use pgasm_seq::DnaSeq;
 
     fn s() -> Scoring {
@@ -1266,69 +930,19 @@ mod tests {
     fn empty_inputs() {
         assert_eq!(overlap_align(&[], &[], &s()).overlap_len, 0);
         assert_eq!(banded_overlap_align(&[], DnaSeq::from("ACG").codes(), 0, 4, &s()).overlap_len, 0);
-        let r = simd(
-            &[],
-            DnaSeq::from("ACG").codes(),
-            0,
-            4,
-            &s(),
-            None,
-            &mut AlignScratch::new(),
-            opts(false, true),
-        );
+        let r =
+            overlap_align_simd(&[], DnaSeq::from("ACG").codes(), 0, 4, &s(), None, &mut AlignScratch::new());
         assert_eq!(r.overlap_len, 0);
         assert_eq!(r.cells, 0);
     }
 
-    fn opts(force_scalar: bool, adaptive: bool) -> SimdOpts {
-        SimdOpts { force_scalar, adaptive }
-    }
-
-    /// [`overlap_align_simd`] without quality tracks.
-    #[allow(clippy::too_many_arguments)]
-    fn simd(
-        a: &[u8],
-        b: &[u8],
-        diag: i64,
-        band: usize,
-        s: &Scoring,
-        gate: Option<&AcceptCriteria>,
-        scratch: &mut AlignScratch,
-        opts: SimdOpts,
-    ) -> OverlapResult {
-        overlap_align_simd(a, b, diag, band, s, gate, None, scratch, opts)
-    }
-
-    /// Every field but the work counters.
-    fn assert_same_alignment(got: &OverlapResult, oracle: &OverlapResult) {
-        assert_eq!(got.score, oracle.score, "one-pass {got:?} oracle {oracle:?}");
-        assert_eq!(got.identity.to_bits(), oracle.identity.to_bits(), "one-pass {got:?} oracle {oracle:?}");
-        assert_eq!(got.overlap_len, oracle.overlap_len);
-        assert_eq!(got.a_range, oracle.a_range);
-        assert_eq!(got.b_range, oracle.b_range);
-        assert_eq!(got.kind, oracle.kind);
-        assert_eq!(got.path_diags, oracle.path_diags);
-    }
-
-    /// Lanes and forced scalar × adaptive on and off, each on its own
-    /// reused scratch, against the banded oracle.
-    fn assert_all_arms_match_banded(
-        a: &[u8],
-        b: &[u8],
-        diag: i64,
-        band: usize,
-        s: &Scoring,
-        gate: Option<&AcceptCriteria>,
-    ) -> OverlapResult {
+    /// Lanes and scalar, on one reused scratch, against the banded
+    /// oracle: every field, `cells` included.
+    fn assert_matches_banded(a: &[u8], b: &[u8], diag: i64, band: usize, s: &Scoring) -> OverlapResult {
         let oracle = banded_overlap_align(a, b, diag, band, s);
         let mut scratch = AlignScratch::new();
-        for fs in [false, true] {
-            for ad in [false, true] {
-                let r = simd(a, b, diag, band, s, gate, &mut scratch, opts(fs, ad));
-                assert_same_alignment(&r, &oracle);
-                assert!(!r.early_exited && !r.traceback_skipped);
-            }
-        }
+        assert_eq!(overlap_align_simd(a, b, diag, band, s, None, &mut scratch), oracle, "lanes");
+        assert_eq!(overlap_align_scalar(a, b, diag, band, s, None, &mut scratch), oracle, "scalar");
         oracle
     }
 
@@ -1346,112 +960,47 @@ mod tests {
     }
 
     #[test]
-    fn ungated_matches_banded() {
+    fn one_pass_matches_banded() {
+        // Dovetails with and without an indel, a pure-mismatch pair, a
+        // containment, and a clean 60-base dovetail that passes
+        // AcceptCriteria::CLUSTERING.
+        let shared = "ATCGGATCGTAGGCTAAGTC".repeat(3);
         let cases: Vec<(DnaSeq, DnaSeq, i64, usize)> = vec![
             (DnaSeq::from("ATGAGGTACCCTTGCAAGT"), DnaSeq::from("CCTTGCAAGTGGATCGATT"), 9, 64),
             (DnaSeq::from("TTTTTTATCGGATCGAGGCTAAGTC"), DnaSeq::from("ATCGGATCGTAGGCTAAGTCAAAAA"), 6, 8),
             (DnaSeq::from("AAAAAAAAAAAAAAA"), DnaSeq::from("CCCCCCCCCCCCCCC"), 0, 6),
+            (DnaSeq::from("A".repeat(400).as_str()), DnaSeq::from("C".repeat(400).as_str()), 0, 24),
             (DnaSeq::from("GGTACCCT"), DnaSeq::from("ATGAGGTACCCTTGCA"), -4, 24),
+            (
+                DnaSeq::from(format!("TTGCATTGCA{shared}").as_str()),
+                DnaSeq::from(format!("{shared}GGATCGGATC").as_str()),
+                10,
+                24,
+            ),
         ];
-        let mut scratch = AlignScratch::new();
         for (a, b, diag, band) in &cases {
-            let oracle = banded_overlap_align(a.codes(), b.codes(), *diag, *band, &s());
-            for fs in [false, true] {
-                let r = simd(a.codes(), b.codes(), *diag, *band, &s(), None, &mut scratch, opts(fs, true));
-                assert_same_alignment(&r, &oracle);
-                assert_eq!(r.cells, oracle.cells, "one pass over the same band");
-                assert_eq!(r.cells_saved_adaptive, 0, "no floor, no shrinking");
-                assert!(!r.early_exited && !r.traceback_skipped);
-            }
+            assert_matches_banded(a.codes(), b.codes(), *diag, *band, &s());
         }
-    }
-
-    #[test]
-    fn gate_preserves_accepted_pairs() {
-        // A clean 60-base dovetail passes AcceptCriteria::CLUSTERING; the
-        // gated kernel must return exactly the oracle's result.
-        let shared = "ATCGGATCGTAGGCTAAGTCATCGGATCGTAGGCTAAGTCATCGGATCGTAGGCTAAGTC";
-        let a = DnaSeq::from(format!("TTGCATTGCA{shared}").as_str());
-        let b = DnaSeq::from(format!("{shared}GGATCGGATC").as_str());
-        let gate = AcceptCriteria::CLUSTERING;
-        let oracle = assert_all_arms_match_banded(a.codes(), b.codes(), 10, 24, &s(), Some(&gate));
-        assert!(gate.accepts(oracle.identity, oracle.overlap_len), "test fixture must be acceptable");
-    }
-
-    #[test]
-    fn gate_rejects_junk_cheaply() {
-        // Unrelated sequences with a long tail: the early-exit bound
-        // must fire and charge fewer cells than the ungated oracle.
-        let a = DnaSeq::from("A".repeat(400).as_str());
-        let b = DnaSeq::from("C".repeat(400).as_str());
-        let gate = AcceptCriteria::CLUSTERING;
-        let oracle = banded_overlap_align(a.codes(), b.codes(), 0, 24, &s());
-        assert!(!gate.accepts(oracle.identity, oracle.overlap_len));
-        let r = simd(
-            a.codes(),
-            b.codes(),
-            0,
-            24,
-            &s(),
-            Some(&gate),
-            &mut AlignScratch::new(),
-            SimdOpts::default(),
-        );
-        assert!(r.early_exited, "pure-mismatch pair must early-exit: {r:?}");
-        assert!(r.traceback_skipped);
-        assert!(r.cells < oracle.cells, "gated {} vs oracle {}", r.cells, oracle.cells);
-        assert!(!gate.accepts(r.identity, r.overlap_len), "gated result must remain rejected");
+        let (a, b, diag, band) = cases.last().unwrap();
+        let clean = banded_overlap_align(a.codes(), b.codes(), *diag, *band, &s());
+        assert!(AcceptCriteria::CLUSTERING.accepts(clean.identity, clean.overlap_len));
     }
 
     #[test]
     fn scalar_fallback_bit_identical() {
-        // Deterministically varied sequences over the full code range,
-        // compared field-for-field between the lane and scalar paths.
+        // Deterministically varied sequences over the full code range
+        // (masked and non-base codes included), lanes and scalar both
+        // field-for-field against the oracle.
         let mut next = xorshift(0x9e3779b97f4a7c15);
-        let mut scratch_v = AlignScratch::new();
-        let mut scratch_s = AlignScratch::new();
-        let gate = AcceptCriteria::CLUSTERING;
-        for case in 0..40 {
+        for _ in 0..40 {
             let la = (next() % 120) as usize;
             let lb = (next() % 120) as usize;
             let a: Vec<u8> = (0..la).map(|_| (next() % 6) as u8).collect();
             let b: Vec<u8> = (0..lb).map(|_| (next() % 6) as u8).collect();
             let diag = (next() % 41) as i64 - 20;
             let band = 1 + (next() % 24) as usize;
-            let gate_opt = if case % 2 == 0 { Some(&gate) } else { None };
-            for ad in [false, true] {
-                let vec = simd(&a, &b, diag, band, &s(), gate_opt, &mut scratch_v, opts(false, ad));
-                let sc = simd(&a, &b, diag, band, &s(), gate_opt, &mut scratch_s, opts(true, ad));
-                assert_eq!(vec, sc, "lane vs scalar divergence: case {case} diag {diag} band {band}");
-            }
+            assert_matches_banded(&a, &b, diag, band, &s());
         }
-    }
-
-    #[test]
-    fn adaptive_saves_cells_and_keeps_accepted_result() {
-        // A 60-base true overlap between 200-base reads under a harsh
-        // verification scoring (steep off-ridge decay): the winning
-        // ridge sits near the floor, so off-ridge band columns price
-        // below it and the adaptive shrink engages.
-        let s = Scoring { match_score: 1, mismatch: -7, gap_extend: -5 };
-        let shared = "ATCGGATCGTAGGCTAAGTC".repeat(3);
-        let flank_a = "TTGCA".repeat(28);
-        let flank_b = "GGATC".repeat(28);
-        let a = DnaSeq::from(format!("{flank_a}{shared}").as_str());
-        let b = DnaSeq::from(format!("{shared}{flank_b}").as_str());
-        let gate = AcceptCriteria::CLUSTERING;
-        let diag = flank_a.len() as i64;
-        let oracle = assert_all_arms_match_banded(a.codes(), b.codes(), diag, 24, &s, Some(&gate));
-        assert!(gate.accepts(oracle.identity, oracle.overlap_len), "fixture must be acceptable");
-        let mut scratch = AlignScratch::new();
-        let fixed = simd(a.codes(), b.codes(), diag, 24, &s, Some(&gate), &mut scratch, opts(false, false));
-        let adaptive = simd(a.codes(), b.codes(), diag, 24, &s, Some(&gate), &mut scratch, opts(false, true));
-        assert!(adaptive.cells_saved_adaptive > 0, "shrink must engage: {adaptive:?}");
-        assert!(adaptive.band_rows_shrunk > 0);
-        assert!(
-            adaptive.cells + adaptive.cells_saved_adaptive <= fixed.cells,
-            "saved cells must come out of the fixed-band budget: adaptive {adaptive:?} fixed {fixed:?}"
-        );
     }
 
     #[test]
@@ -1478,18 +1027,13 @@ mod tests {
         b.remove(100);
         b.push(0);
         assert_eq!((a.len(), b.len()), (300, 350));
-        let gate = AcceptCriteria::CLUSTERING;
-        for gate_opt in [None, Some(&gate)] {
-            for fs in [false, true] {
-                let mut reused = AlignScratch::new();
-                let big = simd(&big_a, &big_b, 0, 200, &s(), gate_opt, &mut reused, opts(fs, true));
-                assert!(big.overlap_len > 1_000, "the first pair must fill its window: {big:?}");
-                let got = simd(&a, &b, 120, 24, &s(), gate_opt, &mut reused, opts(fs, true));
-                let fresh = simd(&a, &b, 120, 24, &s(), gate_opt, &mut AlignScratch::new(), opts(fs, true));
-                assert_eq!(got, fresh);
-                assert!(got.overlap_len >= 170, "the second pair must walk a traceback: {got:?}");
-                assert_same_alignment(&got, &banded_overlap_align(&a, &b, 120, 24, &s()));
-            }
+        for kernel in [overlap_align_simd, overlap_align_scalar] {
+            let mut reused = AlignScratch::new();
+            let big = kernel(&big_a, &big_b, 0, 200, &s(), None, &mut reused);
+            assert!(big.overlap_len > 1_000, "the first pair must fill its window: {big:?}");
+            let got = kernel(&a, &b, 120, 24, &s(), None, &mut reused);
+            assert!(got.overlap_len >= 170, "the second pair must walk a traceback: {got:?}");
+            assert_eq!(got, banded_overlap_align(&a, &b, 120, 24, &s()));
         }
     }
 
@@ -1516,26 +1060,25 @@ mod tests {
         let t = 41;
         assert_eq!(h[t - 1][t - 1] + sc.mismatch, h[t - 1][t] + sc.gap_extend);
         assert_eq!(h[t - 1][t - 1] + sc.mismatch, h[t][t - 1] + sc.gap_extend);
-        let oracle = assert_all_arms_match_banded(&a, &b, 0, 12, &sc, Some(&AcceptCriteria::CLUSTERING));
+        let oracle = assert_matches_banded(&a, &b, 0, 12, &sc);
         // Diagonal through the tie: 81 columns, one of them a mismatch.
         assert_eq!((oracle.overlap_len, oracle.path_diags), (81, (0, 0)));
         assert_eq!(oracle.identity, 80.0 / 81.0);
     }
 
     #[test]
-    fn band_entering_the_rectangle_late_restarts_exactly() {
-        // Seed diagonal m − 60: rows 1..m−84 have no in-band column, so
-        // the adaptive path skips them with an empty live hull and the
-        // restart cells (i, 0) of rows m−84..=m−36 re-seed it.
+    fn band_entering_the_rectangle_late_is_exact() {
+        // Seed diagonal m − 60: rows 1..m−84 have no in-band column, and
+        // the free-leading-gap cells (i, 0) of rows m−84..=m−36 are the
+        // band's only way in.
         let mut next = xorshift(0xda942042e4dd58b5);
         let shared = random_codes(&mut next, 60);
         let a = [random_codes(&mut next, 240), shared.clone()].concat();
         let b = [shared, random_codes(&mut next, 140)].concat();
-        let gate = AcceptCriteria::CLUSTERING;
         let diag = a.len() as i64 - 60;
-        let oracle = assert_all_arms_match_banded(&a, &b, diag, 24, &s(), Some(&gate));
+        let oracle = assert_matches_banded(&a, &b, diag, 24, &s());
         assert_eq!((oracle.a_range, oracle.b_range), ((240, 300), (0, 60)));
-        assert!(gate.accepts(oracle.identity, oracle.overlap_len));
+        assert!(AcceptCriteria::CLUSTERING.accepts(oracle.identity, oracle.overlap_len));
     }
 
     #[test]
@@ -1548,24 +1091,9 @@ mod tests {
         let a = DnaSeq::from("ATGAGGTACCCTTGCAAGTATGAGGTACCCTTGCAAGTATGAGGTACCCTTGCAAGT");
         let b = DnaSeq::from("CCTTGCAAGTGGATCGATTCCTTGCAAGTGGATCGATTCCTTGCAAGTGGATCGATT");
         for diag in -8..8 {
-            for gate in [None, Some(&AcceptCriteria::CLUSTERING)] {
-                let _ = simd(a.codes(), b.codes(), diag, band, &s(), gate, &mut scratch, SimdOpts::default());
-            }
+            let _ = overlap_align_simd(a.codes(), b.codes(), diag, band, &s(), None, &mut scratch);
         }
         assert_eq!(scratch.grow_events(), 0, "hot loop must not reallocate");
         assert_eq!(scratch.high_water_bytes(), hw, "high-water must stay flat");
-    }
-
-    #[test]
-    fn acceptance_floor_matches_hand_computation() {
-        // CLUSTERING (0.94 / 40) under DEFAULT (+1 / −2 / ext −1):
-        // per_col ≈ 0.94·1 + 0.06·(−2) = 0.82 → ceil(40 · 0.82) = 33.
-        let f = acceptance_floor(&AcceptCriteria::CLUSTERING, &Scoring::DEFAULT).unwrap();
-        assert_eq!(f, 33);
-        // Degenerate criteria must disable the gate, not mis-gate.
-        let degenerate = AcceptCriteria { min_identity: 0.0, min_overlap: 0 };
-        assert!(acceptance_floor(&degenerate, &Scoring::DEFAULT).is_none());
-        let no_match = Scoring { match_score: 0, ..Scoring::DEFAULT };
-        assert!(acceptance_floor(&AcceptCriteria::CLUSTERING, &no_match).is_none());
     }
 }

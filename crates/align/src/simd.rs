@@ -2,8 +2,8 @@
 //!
 //! No target intrinsics and no external crates: each lane struct wraps a
 //! fixed-size array and exposes the handful of lanewise operations the
-//! banded kernel's row passes need (add, max, compare-select, horizontal
-//! max, compare-to-bytes for the traceback directions).
+//! banded kernel's row pass needs (add, max, compare-select, lane shift,
+//! compare-to-bytes for the traceback directions).
 //! Every method is a plain `for l in 0..LANES` loop over the array, which
 //! LLVM reliably autovectorises at `opt-level=3` into SSE2/AVX2 code —
 //! the arrays are fixed-width, the loops have no early exits, and there
@@ -102,18 +102,6 @@ macro_rules! lane_type {
                 $name(out)
             }
 
-            /// Lanewise minimum.
-            #[inline(always)]
-            pub fn min(self, o: $name) -> $name {
-                let mut out = self.0;
-                for l in 0..$n {
-                    if o.0[l] < out[l] {
-                        out[l] = o.0[l];
-                    }
-                }
-                $name(out)
-            }
-
             /// Lanewise select: where `self == key` take `t`, else `f`.
             /// This is the substitution-score lookup: `self` holds the
             /// subject codes widened to lanes, `key` the broadcast query
@@ -139,18 +127,6 @@ macro_rules! lane_type {
                     out[l] = self.0[l - S];
                 }
                 $name(out)
-            }
-
-            /// Horizontal maximum over all lanes.
-            #[inline(always)]
-            pub fn hmax(self) -> $elem {
-                let mut best = self.0[0];
-                for l in 1..$n {
-                    if self.0[l] > best {
-                        best = self.0[l];
-                    }
-                }
-                best
             }
         }
     };
@@ -201,14 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn add_max_hmax() {
+    fn add_max() {
         let a = I32x8([1, -2, 3, -4, 5, -6, 7, -8]);
         let b = I32x8::splat(10);
         assert_eq!(a.add(b).0, [11, 8, 13, 6, 15, 4, 17, 2]);
         assert_eq!(a.max(I32x8::splat(0)).0, [1, 0, 3, 0, 5, 0, 7, 0]);
-        assert_eq!(a.min(I32x8::splat(0)).0, [0, -2, 0, -4, 0, -6, 0, -8]);
-        assert_eq!(a.hmax(), 7);
-        assert_eq!(I32x8::splat(-9).hmax(), -9);
     }
 
     #[test]
@@ -242,7 +215,7 @@ mod tests {
         let a = I16x16([3; 16]);
         let b = I16x16::splat(-1);
         assert_eq!(a.add(b).0, [2; 16]);
-        assert_eq!(a.max(b).hmax(), 3);
+        assert_eq!(a.max(b).0, [3; 16]);
         let c = I16x8([0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(c.eq_select(I16x8::splat(5), I16x8::splat(9), I16x8::splat(0)).0[5], 9);
     }

@@ -40,7 +40,7 @@
 //! and hand-built clusters.
 
 use crate::AssemblyConfig;
-use pgasm_align::{overlap_align_simd, AlignScratch, OverlapResult, SimdOpts};
+use pgasm_align::{overlap_align_simd, AlignScratch, OverlapResult};
 use pgasm_seq::{DnaSeq, KmerIter, QualityTrack};
 
 /// Diagonals added on each side of a seed run's span, and half the
@@ -129,10 +129,8 @@ impl Verifier<'_> {
             seed_diag,
             band,
             &self.config.scoring,
-            None,
             quals,
             &mut self.scratch,
-            SimdOpts::default(),
         );
         self.work.cells += r.cells;
         r

@@ -8,7 +8,7 @@
 //! changes the result (property-tested in `tests/`).
 
 use crate::unionfind::UnionFind;
-use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, OverlapResult, Scoring, SimdOpts};
+use pgasm_align::{overlap_align_simd, AcceptCriteria, AlignScratch, OverlapResult, Scoring};
 use pgasm_gst::{GenMode, Gst, GstConfig, PairGenerator, PromisingPair};
 use pgasm_seq::{FragId, FragmentStore, SeqId};
 use pgasm_telemetry::names;
@@ -55,18 +55,9 @@ pub struct ClusterStats {
     pub accepted: u64,
     /// Accepted alignments that merged two clusters (≤ n − 1).
     pub merges: u64,
-    /// DP cells evaluated (alignment workload).
+    /// DP cells evaluated (alignment workload): the in-band cells of
+    /// the aligned pairs.
     pub dp_cells: u64,
-    /// Alignments abandoned mid-pass by the early-exit bound.
-    pub early_exits: u64,
-    /// Alignments whose traceback was never walked: a finished pass
-    /// whose score misses the acceptance floor.
-    pub tracebacks_skipped: u64,
-    /// In-band cells skipped by adaptive X-drop band shrinking
-    /// (savings on top of `dp_cells`, which counts evaluated cells).
-    pub cells_saved_adaptive: u64,
-    /// Rows whose candidate range the adaptive shrink tightened.
-    pub band_rows_shrunk: u64,
 }
 
 impl ClusterStats {
@@ -80,28 +71,20 @@ impl ClusterStats {
     }
 
     /// The tallies under their run-report counter names — the run's
-    /// counter map and the master's rank channel list the same eight
+    /// counter map and the master's rank channel list the same four
     /// (`merges` is the run's alone).
-    pub fn counters(&self) -> [(&'static str, u64); 8] {
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
         [
             (names::PAIRS_GENERATED, self.generated),
             (names::PAIRS_ALIGNED, self.aligned),
             (names::PAIRS_ACCEPTED, self.accepted),
             (names::DP_CELLS, self.dp_cells),
-            (names::ALIGN_EARLY_EXIT, self.early_exits),
-            (names::ALIGN_TRACEBACK_SKIPPED, self.tracebacks_skipped),
-            (names::ALIGN_CELLS_SAVED_ADAPTIVE, self.cells_saved_adaptive),
-            (names::ALIGN_BAND_ROWS_SHRUNK, self.band_rows_shrunk),
         ]
     }
 
     /// Fold one alignment's work accounting into the counters.
     pub fn record_align(&mut self, r: &OverlapResult) {
         self.dp_cells += r.cells;
-        self.early_exits += r.early_exited as u64;
-        self.tracebacks_skipped += r.traceback_skipped as u64;
-        self.cells_saved_adaptive += r.cells_saved_adaptive;
-        self.band_rows_shrunk += r.band_rows_shrunk;
     }
 }
 
@@ -205,25 +188,14 @@ impl<'s> PairDecider<'s> {
         AlignScratch::for_sequences(max_len, self.params.band)
     }
 
-    /// Compute the banded suffix–prefix alignment for a pair, gated by
-    /// `params.criteria`: pairs that cannot pass it come back with
-    /// `traceback_skipped` set and empty ranges, which the acceptance
-    /// check rejects.
+    /// Compute the banded suffix–prefix alignment for a pair, seeded at
+    /// its maximal match's diagonal; `params.criteria` decide on the
+    /// result.
     pub fn align_full(&self, p: &PromisingPair, scratch: &mut AlignScratch) -> OverlapResult {
         let a = self.store.get(p.a);
         let b = self.store.get(p.b);
         let diag = p.a_pos as i64 - p.b_pos as i64;
-        overlap_align_simd(
-            a,
-            b,
-            diag,
-            self.params.band,
-            &self.params.scoring,
-            Some(&self.params.criteria),
-            None,
-            scratch,
-            SimdOpts::default(),
-        )
+        overlap_align_simd(a, b, diag, self.params.band, &self.params.scoring, None, scratch)
     }
 }
 

@@ -18,8 +18,7 @@
 //!   (decreasing maximal-match order, which "roughly approximates the
 //!   global sorted order in practice", §7), the banded alignment
 //!   kernel with its reusable zero-allocation scratch, and the result
-//!   wire format (per-pair verdicts plus the DP-cell / early-exit /
-//!   skipped-traceback work accounting);
+//!   wire format (per-pair verdicts plus the round's DP cells);
 //! - the report shape ([`ParallelClusterReport`]).
 //!
 //! Substitution note (see DESIGN.md): workers read fragment sequences
@@ -257,16 +256,7 @@ impl<'a> StageClient for ClusterStage<'a> {
             world: comm.size(),
             adopted: VecDeque::new(),
             results: Vec::new(),
-            cells_delta: 0,
-            early_delta: 0,
-            skip_delta: 0,
-            saved_delta: 0,
-            shrunk_delta: 0,
             dp_cells: 0,
-            early_exits: 0,
-            tracebacks_skipped: 0,
-            cells_saved: 0,
-            rows_shrunk: 0,
             pairs_aligned: 0,
             pairs_accepted: 0,
             gst_report,
@@ -280,10 +270,6 @@ impl<'a> StageClient for ClusterStage<'a> {
             (names::PAIRS_ACCEPTED, sink.pairs_accepted),
             (names::BATCH_ROUND_TRIPS, ew.round_trips),
             (names::DP_CELLS, sink.dp_cells),
-            (names::ALIGN_EARLY_EXIT, sink.early_exits),
-            (names::ALIGN_TRACEBACK_SKIPPED, sink.tracebacks_skipped),
-            (names::ALIGN_CELLS_SAVED_ADAPTIVE, sink.cells_saved),
-            (names::ALIGN_BAND_ROWS_SHRUNK, sink.rows_shrunk),
             (names::SIMD_LANES, pgasm_align::simd::effective_lanes()),
             (names::ALIGN_SCRATCH_BYTES_PEAK, sink.scratch.high_water_bytes()),
             (names::ALIGN_SCRATCH_GROWS, sink.scratch.grow_events()),
@@ -321,13 +307,8 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
                 self.stats.merges += u64::from(self.clusters.union(fa.0, fb.0));
             }
         }
-        // Trailing work accounting: DP cells plus the early-exit /
-        // skipped-traceback / adaptive-band tallies.
+        // Trailing work accounting: the round's DP cells.
         self.stats.dp_cells += r.get_u64()?;
-        self.stats.early_exits += r.get_u64()?;
-        self.stats.tracebacks_skipped += r.get_u64()?;
-        self.stats.cells_saved_adaptive += r.get_u64()?;
-        self.stats.band_rows_shrunk += r.get_u64()?;
         Ok(())
     }
 
@@ -342,7 +323,7 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
 /// roots. Workers hold nothing durable — on resume they regenerate
 /// their pairs and the restored cluster-check discards what is already
 /// merged — so this is the complete resume state of the clustering
-/// stage. Layout: four engine counters (forensics only), the nine
+/// stage. Layout: four engine counters (forensics only), the five
 /// [`ClusterStats`] tallies, the fragment count and one root per
 /// fragment.
 impl Snapshot for ClusterSource<'_> {
@@ -359,10 +340,6 @@ impl Snapshot for ClusterSource<'_> {
             st.accepted,
             st.merges,
             st.dp_cells,
-            st.early_exits,
-            st.tracebacks_skipped,
-            st.cells_saved_adaptive,
-            st.band_rows_shrunk,
         ] {
             w.put_u64(v);
         }
@@ -387,10 +364,6 @@ impl Snapshot for ClusterSource<'_> {
             accepted: r.get_u64()?,
             merges: r.get_u64()?,
             dp_cells: r.get_u64()?,
-            early_exits: r.get_u64()?,
-            tracebacks_skipped: r.get_u64()?,
-            cells_saved_adaptive: r.get_u64()?,
-            band_rows_shrunk: r.get_u64()?,
         };
         // The snapshot must be of this run's store; another input's is
         // not ours.
@@ -427,18 +400,8 @@ struct ClusterSink<'a> {
     world: usize,
     adopted: VecDeque<PairGenerator<PairSkip>>,
     results: Vec<(PromisingPair, bool)>,
-    // Per-round work-accounting deltas (reset after each report)...
-    cells_delta: u64,
-    early_delta: u64,
-    skip_delta: u64,
-    saved_delta: u64,
-    shrunk_delta: u64,
-    // ...and whole-run totals for the rank counters.
+    // Whole-run totals for the rank counters.
     dp_cells: u64,
-    early_exits: u64,
-    tracebacks_skipped: u64,
-    cells_saved: u64,
-    rows_shrunk: u64,
     pairs_aligned: u64,
     pairs_accepted: u64,
     /// This rank's share of the GST pre-phase, carried to the report.
@@ -452,13 +415,10 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         if had_batch {
             tracer.begin_arg(TraceCategory::Align, names::EV_ALIGN_BATCH, "pairs", batch.len() as u64);
         }
+        let mut cells = 0u64;
         for pair in batch.drain(..) {
             let r = self.decider.align_full(&pair, &mut self.scratch);
-            self.cells_delta += r.cells;
-            self.early_delta += r.early_exited as u64;
-            self.skip_delta += r.traceback_skipped as u64;
-            self.saved_delta += r.cells_saved_adaptive;
-            self.shrunk_delta += r.band_rows_shrunk;
+            cells += r.cells;
             let accepted = self.decider.params.criteria.accepts(r.identity, r.overlap_len);
             self.pairs_aligned += 1;
             self.pairs_accepted += accepted as u64;
@@ -466,33 +426,20 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         }
         if had_batch {
             tracer.end(TraceCategory::Align, names::EV_ALIGN_BATCH);
-            tracer.instant_args(
-                TraceCategory::Align,
-                names::EV_ALIGN_CELLS,
-                ("cells", self.cells_delta),
-                ("saved", self.saved_delta),
-            );
+            tracer.instant_arg(TraceCategory::Align, names::EV_ALIGN_CELLS, "cells", cells);
         }
         tracer.counter(
             TraceCategory::Align,
             names::GAUGE_ALIGN_SCRATCH_BYTES,
             self.scratch.high_water_bytes(),
         );
-        // The result body: per-pair verdicts, then the round's DP-cell
-        // / early-exit / skipped-traceback deltas.
+        // The result body: per-pair verdicts, then the round's DP cells.
         w.put_u32(checked_len(self.results.len()));
         for (pair, accepted) in self.results.drain(..) {
             w.put_u32(pair.a.0).put_u32(pair.b.0).put_u32(accepted as u32);
         }
-        w.put_u64(self.cells_delta).put_u64(self.early_delta).put_u64(self.skip_delta);
-        w.put_u64(self.saved_delta).put_u64(self.shrunk_delta);
-        self.dp_cells += self.cells_delta;
-        self.early_exits += self.early_delta;
-        self.tracebacks_skipped += self.skip_delta;
-        self.cells_saved += self.saved_delta;
-        self.rows_shrunk += self.shrunk_delta;
-        (self.cells_delta, self.early_delta, self.skip_delta) = (0, 0, 0);
-        (self.saved_delta, self.shrunk_delta) = (0, 0);
+        w.put_u64(cells);
+        self.dp_cells += cells;
     }
 
     fn generate(&mut self, tracer: &mut Tracer, r: usize, out: &mut Vec<PromisingPair>) -> bool {
@@ -678,13 +625,7 @@ mod tests {
         let s = report.stats;
         assert!(s.dp_cells > 0);
         let cells: u64 = report.ranks[1..].iter().map(|r| r.counter("dp_cells")).sum();
-        let skips: u64 = report.ranks[1..].iter().map(|r| r.counter("align_traceback_skipped")).sum();
         assert_eq!(cells, s.dp_cells);
-        assert_eq!(skips, s.tracebacks_skipped);
-        let saved: u64 = report.ranks[1..].iter().map(|r| r.counter("align_cells_saved_adaptive")).sum();
-        let shrunk: u64 = report.ranks[1..].iter().map(|r| r.counter("align_band_rows_shrunk")).sum();
-        assert_eq!(saved, s.cells_saved_adaptive);
-        assert_eq!(shrunk, s.band_rows_shrunk);
         assert_eq!(report.ranks[0].counter("dp_cells"), s.dp_cells);
         for r in &report.ranks[1..] {
             // The zero-allocation invariant: the pre-sized scratch never
@@ -759,15 +700,7 @@ mod tests {
         // is pinned here (fault-free, so no fault, recovery or
         // checkpoint counter may appear at all).
         const COMM: [&str; 2] = ["barrier_ns_total", "wait_ns_total"];
-        const ALIGN: [&str; 7] = [
-            "align_band_rows_shrunk",
-            "align_cells_saved_adaptive",
-            "align_early_exit",
-            "align_traceback_skipped",
-            "dp_cells",
-            "pairs_accepted",
-            "pairs_aligned",
-        ];
+        const ALIGN: [&str; 3] = ["dp_cells", "pairs_accepted", "pairs_aligned"];
         let names = |lists: &[&[&str]]| -> Vec<String> {
             let mut v: Vec<String> = lists.iter().flat_map(|l| l.iter().map(|s| s.to_string())).collect();
             v.sort();

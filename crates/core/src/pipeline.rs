@@ -239,31 +239,24 @@ impl Run<'_> {
     }
 
     /// Fold one distributed stage's report into the run: its phase
-    /// span, its fault/recovery tallies (nonzero only, so a clean run's
-    /// report has no `faults` section), whether its master was killed,
-    /// and its rank channels and trace tracks. Both stages run on the same ranks, so those merge by rank
-    /// id: counters sum, comm rows append under each stage's tag labels,
-    /// events append in time order.
-    fn fold(
-        &mut self,
-        span: Span,
-        ranks: Vec<RankReport>,
-        traces: Vec<RankTrace>,
-        recovered: u64,
-        dead: u64,
-        killed: bool,
-    ) {
+    /// span, its fault/recovery tallies (summed over the rank counters
+    /// `run_stage` wrote; nonzero only, so a clean run's report has no
+    /// `faults` section), whether its master was killed, and its rank
+    /// channels and trace tracks. Both stages run on the same ranks, so
+    /// those merge by rank id: counters sum, comm rows append under each
+    /// stage's tag labels, events append in time order.
+    fn fold(&mut self, span: Span, ranks: Vec<RankReport>, traces: Vec<RankTrace>, killed: bool) {
         self.killed = killed;
-        let sum = |name: &str| ranks.iter().map(|r| r.counter(name)).sum::<u64>();
-        for (name, value) in [
-            (names::RECOVERED_TASKS, recovered),
-            (names::DEAD_RANKS, dead),
-            (names::FAULT_KILLS, sum(names::FAULT_KILLS)),
-            (names::FAULT_MSGS_DROPPED, sum(names::FAULT_MSGS_DROPPED)),
-            (names::FAULT_MSGS_DELAYED, sum(names::FAULT_MSGS_DELAYED)),
-            (names::CKPT_WRITES, sum(names::CKPT_WRITES)),
-            (names::CKPT_BYTES, sum(names::CKPT_BYTES)),
+        for name in [
+            names::RECOVERED_TASKS,
+            names::DEAD_RANKS,
+            names::FAULT_KILLS,
+            names::FAULT_MSGS_DROPPED,
+            names::FAULT_MSGS_DELAYED,
+            names::CKPT_WRITES,
+            names::CKPT_BYTES,
         ] {
+            let value: u64 = ranks.iter().map(|r| r.counter(name)).sum();
             if value > 0 {
                 self.ctx.add(name, value);
             }
@@ -327,7 +320,7 @@ impl Run<'_> {
                 let r = cluster_parallel_with(store, p, params, &self.config.master_worker, &opts);
                 self.ctx.record_span(measured_span("gst_build", r.gst_seconds, r.gst_seconds));
                 let phase = measured_span("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum());
-                self.fold(phase, r.ranks, r.traces, r.recovered_tasks, r.dead_ranks, r.killed);
+                self.fold(phase, r.ranks, r.traces, r.killed);
                 let mut gst = GstStats::default();
                 for rank in &r.gst_reports {
                     gst.enumerated += rank.gst.enumerated;
@@ -399,7 +392,7 @@ impl Run<'_> {
                         assemble_parallel_with(store, quals, clustering, config, p, AssignPolicy::Lpt, &opts);
                     let phase =
                         measured_span("dist_assemble", r.assemble_seconds, r.cpu_seconds.iter().sum());
-                    self.fold(phase, r.ranks, r.traces, r.recovered_tasks, r.dead_ranks, r.killed);
+                    self.fold(phase, r.ranks, r.traces, r.killed);
                     r.assemblies
                 }
                 None => assemble_clusters_q(store, quals, clustering, config, self.config.assembly_threads),

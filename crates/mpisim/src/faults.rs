@@ -190,7 +190,6 @@ impl FaultPlan {
                         stage: parse_stage(&kv)?,
                     });
                 }
-                "seed" => return Err("seed: is gone — no choice a plan makes is random".to_string()),
                 k => return Err(format!("unknown fault clause kind '{k}' (kill, drop, delay)")),
             }
         }
@@ -205,19 +204,6 @@ fn parse_kv<'a>(clause: &str, body: &'a str, keys: &[&str]) -> Result<Vec<(&'a s
     let mut kv: Vec<(&str, &str)> = Vec::new();
     for part in body.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let (key, value) = part.split_once('=').map_or((part, ""), |(k, v)| (k.trim(), v.trim()));
-        // The grammar this one replaced: name what to write instead.
-        let replaced = match key {
-            "event" => Some("event= is gone — a kill names a lease: kill:lease=K"),
-            "rank" | "any" => Some(
-                "a kill names no rank — kill:lease=K kills the worker granted lease K, \
-                 kill:master,lease=K the master",
-            ),
-            "by" => Some("by= is gone — a delayed message is held until its sender next blocks"),
-            _ => None,
-        };
-        if let Some(instead) = replaced {
-            return Err(format!("clause '{clause}': {instead}"));
-        }
         if !keys.contains(&key) {
             return Err(format!("clause '{clause}': unknown key '{key}' (one of: {})", keys.join(", ")));
         }
@@ -381,23 +367,14 @@ mod tests {
             ("drop:src=1,dst=0,tag=4294967297,nth=1", "tag must not truncate to 1"),
             ("drop:src=1,src=2,dst=0,tag=1,nth=1", "repeated key"),
             ("delay:src=x,dst=0,tag=1,nth=1", "src is not a rank"),
+            ("kill:rank=2,event=500", "a kill names no rank and no event"),
+            ("kill:event=500", "a kill names a lease"),
+            ("kill:any,lease=3", "no wildcard victim"),
+            ("kill:rank=0,lease=3", "the master is the bare word"),
+            ("seed:42", "no choice a plan makes is random"),
+            ("delay:src=0,dst=1,tag=2,nth=2,by=40", "a delay has no duration"),
         ] {
             assert!(FaultPlan::parse(plan).is_err(), "{plan}: {why}");
-        }
-    }
-
-    #[test]
-    fn parse_answers_the_removed_forms_with_their_replacement() {
-        for (plan, names) in [
-            ("kill:rank=2,event=500", "kill:lease=K"),
-            ("kill:event=500", "kill:lease=K"),
-            ("kill:any,lease=3", "kill:lease=K"),
-            ("kill:rank=0,lease=3", "kill:master,lease=K"),
-            ("seed:42", "random"),
-            ("delay:src=0,dst=1,tag=2,nth=2,by=40", "until its sender next blocks"),
-        ] {
-            let err = FaultPlan::parse(plan).expect_err(plan);
-            assert!(err.contains(names), "{plan}: {err}");
         }
     }
 

@@ -17,19 +17,9 @@ pub const PAIRS_ACCEPTED: &str = "pairs_accepted";
 pub const PAIRS_SELECTED: &str = "pairs_selected";
 /// Union–Find merges performed.
 pub const MERGES: &str = "merges";
-/// Dynamic-programming cells evaluated by the aligners.
+/// Dynamic-programming cells evaluated by clustering's aligner: the
+/// in-band cells of the aligned pairs.
 pub const DP_CELLS: &str = "dp_cells";
-/// Alignments abandoned mid-pass by the early-exit score bound.
-pub const ALIGN_EARLY_EXIT: &str = "align_early_exit";
-/// Alignments whose traceback was never walked (score below the
-/// acceptance floor after a finished pass).
-pub const ALIGN_TRACEBACK_SKIPPED: &str = "align_traceback_skipped";
-/// DP cells the adaptive X-drop band shrink avoided computing
-/// (cells inside the fixed band but outside the shrunk live hull).
-pub const ALIGN_CELLS_SAVED_ADAPTIVE: &str = "align_cells_saved_adaptive";
-/// Band rows whose live interior was strictly narrower than the fixed
-/// band (the adaptive shrink engaged on that row).
-pub const ALIGN_BAND_ROWS_SHRUNK: &str = "align_band_rows_shrunk";
 /// Effective lane width of the alignment kernel's row passes in this build
 /// (capability note: `LANES` normally, 1 under `force-scalar`).
 pub const SIMD_LANES: &str = "simd_lanes";
@@ -192,7 +182,7 @@ pub const EV_PARK: &str = "park";
 pub const EV_UNPARK: &str = "unpark";
 /// Worker computing its allocated alignment batch (span, `align`).
 pub const EV_ALIGN_BATCH: &str = "align_batch";
-/// Per-batch alignment work (instant, category `align`; args cells/saved).
+/// Per-batch alignment work (instant, category `align`; arg cells).
 pub const EV_ALIGN_CELLS: &str = "align_cells";
 /// Worker generating the requested pairs (span, category `worker`).
 pub const EV_GENERATE: &str = "generate";

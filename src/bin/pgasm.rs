@@ -144,11 +144,9 @@ master mid-stage, pgasm exits nonzero and tells you to rerun with
 --resume <base>, which reloads the snapshot and finishes only the
 remaining work — output identical to an uninterrupted run.
 --band <n> sets the half-width of the alignment band around the seed
-diagonal. The aligner also shrinks the band per row around cells that
-can still reach the acceptance floor (X-drop): the result is that of
-the fixed band, minus the DP cells skipped
-(reported as align_cells_saved_adaptive / align_band_rows_shrunk, with
-the build's lane width in simd_lanes).
+diagonal. Every aligned pair costs its in-band cells (dp_cells; the
+build's lane width is in simd_lanes) and the acceptance criteria decide
+on the finished alignment.
 
 analyze consumes the artifacts a traced run wrote (--trace-json, and
 optionally --metrics-json for alpha-beta modelled comm time and tag
@@ -477,14 +475,7 @@ fn cluster(opts: &Opts) -> Result<(), String> {
         s.savings() * 100.0,
         s.accepted
     );
-    println!(
-        "alignment: {} lanes, {} DP cells, {} early exits, {} tracebacks skipped",
-        pgasm::align::simd::effective_lanes(),
-        s.dp_cells,
-        s.early_exits,
-        s.tracebacks_skipped
-    );
-    println!("adaptive band: {} cells saved, {} rows shrunk", s.cells_saved_adaptive, s.band_rows_shrunk);
+    println!("alignment: {} lanes, {} DP cells", pgasm::align::simd::effective_lanes(), s.dp_cells);
     if let Some(out) = opts.get("out") {
         use std::io::Write;
         let mut f = BufWriter::new(File::create(out).map_err(|e| format!("create {out}: {e}"))?);

@@ -318,11 +318,7 @@ fn run_report_skeleton_is_pinned() {
         names.iter().map(|s| s.to_string()).collect()
     }
     // Counters every run sets (sorted, as the report's map iterates).
-    const BASE: [&str; 22] = [
-        "align_band_rows_shrunk",
-        "align_cells_saved_adaptive",
-        "align_early_exit",
-        "align_traceback_skipped",
+    const BASE: [&str; 18] = [
         "assembled_clusters",
         "clusters",
         "contigs",
@@ -396,12 +392,8 @@ fn run_report_skeleton_is_pinned() {
         ..uncached
     };
     let worker = strs(&[
-        "align_band_rows_shrunk",
-        "align_cells_saved_adaptive",
-        "align_early_exit",
         "align_scratch_bytes_peak",
         "align_scratch_grows",
-        "align_traceback_skipped",
         "asm_batch_round_trips",
         "asm_clusters_assembled",
         "asm_contig_bases",
@@ -417,10 +409,6 @@ fn run_report_skeleton_is_pinned() {
         "wait_ns_total",
     ]);
     let master = strs(&[
-        "align_band_rows_shrunk",
-        "align_cells_saved_adaptive",
-        "align_early_exit",
-        "align_traceback_skipped",
         "asm_batches_dispatched",
         "asm_peak_queue_depth",
         "barrier_ns_total",

@@ -278,7 +278,7 @@ fn cli_rejects_a_fault_plan_that_would_arm_nothing() {
     // message clause between ranks the run does not have are errors
     // before any read is loaded (the reads file does not exist).
     for (plan, names) in [
-        ("kill:rank=3,event=3", "kill:lease=K"),
+        ("kill:rank=3,event=3", "unknown key 'rank' (one of: master, lease, stage)"),
         ("drop:src=1,dst=0,tag=1,nth=2,stge=assemble", "unknown key 'stge'"),
         ("drop:src=9,dst=0,tag=1,nth=2", "below --ranks 4"),
         ("delay:src=1,dst=4,tag=1,nth=2", "below --ranks 4"),
