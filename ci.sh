@@ -46,45 +46,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> fault-recovery smoke bench"
-rm -f BENCH_ablation_fault_recovery.json
-PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin ablation_fault_recovery
-test -s BENCH_ablation_fault_recovery.json || { echo "missing BENCH_ablation_fault_recovery.json"; exit 1; }
-
-echo "==> critical-path analyzer smoke bench"
-rm -f BENCH_run_analyze.json
-PGASM_SCALE="${PGASM_SCALE:-0.3}" cargo run --release -q -p pgasm-bench --bin run_analyze
-test -s BENCH_run_analyze.json || { echo "missing BENCH_run_analyze.json"; exit 1; }
-
-echo "==> bench regression gate (vs baselines/)"
-# Protocol round counts are scheduler-dependent in the ranks-as-threads
-# simulator, so message and modelled-comm counters wobble ±15% or so
-# run-to-run — gate them at +50%. Wall clocks are machine-sensitive, so
-# they only trip the gate past +150%. The committed baselines were
-# recorded at scale 0.3 — at any other scale the counters legitimately
-# differ, so the diff is skipped.
-if [ "${PGASM_SCALE:-0.3}" = "0.3" ]; then
-  cargo run --release -q -p pgasm-bench --bin bench_diff -- --wall-tol 1.5 --comm-tol 0.5
-else
-  echo "skipped: PGASM_SCALE=${PGASM_SCALE} != 0.3 (baseline scale)"
-fi
-
-echo "==> traced smoke run + trace validation"
+echo "==> traced smoke run"
 rm -f ci_reads.fastq ci_contigs.fasta ci.trace.json ci.metrics.json
 cargo run --release -q --bin pgasm -- generate --kind maize --out ci_reads.fastq --scale 0.2 --seed 7
 cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.fasta --ranks 4 \
   --trace-json ci.trace.json --metrics-json ci.metrics.json
-# One track per rank, carrying both distributed stages, + the pipeline's
-# own; the assemble category is mandatory since `--ranks` runs the
-# assembly phase through the task engine. --max-dropped 0: a lossy trace
-# would silently skew the critical-path analysis below.
-cargo run --release -q -p pgasm-bench --bin trace_check -- ci.trace.json \
-  --min-categories 5 --min-tracks 5 --require assemble --max-dropped 0
+# A lossy trace would silently skew the critical-path analysis below.
+grep -q '"trace_events_dropped": 0' ci.metrics.json || { echo "trace ring overflowed"; exit 1; }
 
 echo "==> critical-path analysis of the traced smoke run"
-# Attribution categories must cover each rank's wall time within 5%, the
-# critical path must be non-empty, and every message of both stages must
-# pair (a track id is a comm rank) — the analyzer's consistency gate.
+# The analyzer's reader fails on a mis-paired or out-of-order event;
+# tests/tracing.rs holds the track and category floors. Attribution
+# categories must cover each rank's wall time within 5%, the critical
+# path must be non-empty, and every message of both stages must pair (a
+# track id is a comm rank) — the analyzer's consistency gate.
 cargo run --release -q --bin pgasm -- analyze --trace-json ci.trace.json \
   --metrics-json ci.metrics.json --out ci.analysis.json --coverage-tol 0.05
 test -s ci.analysis.json || { echo "missing ci.analysis.json"; exit 1; }

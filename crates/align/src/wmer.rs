@@ -62,11 +62,6 @@ impl WmerTable {
         self.w
     }
 
-    /// Number of distinct indexed words.
-    pub fn num_words(&self) -> usize {
-        self.table.len()
-    }
-
     /// Enumerate every candidate pair (including the redundant
     /// regenerations the paper criticises), invoking `f` per generation.
     /// Pairs between a sequence and itself are skipped; `skip` lets the

@@ -6,9 +6,6 @@
 //! binaries under `src/bin/` are thin wrappers; `all_experiments` runs
 //! the full suite (the data source for `EXPERIMENTS.md`), the four
 //! design [`ablations`] included — they have no binary of their own.
-//! Four binaries serve `ci.sh` rather than a table: `trace_check`,
-//! `bench_diff` (the `baselines/` gate) and the two smoke benches whose
-//! reports it diffs, `ablation_fault_recovery` and `run_analyze`.
 //! Kernel-level rates are the benchmark harness's per-layer metrics
 //! (`benchmark/`), not a `cargo bench` here.
 //!
@@ -18,7 +15,6 @@
 
 pub mod ablations;
 pub mod datasets;
-pub mod fault_recovery;
 pub mod fig5;
 pub mod fig9;
 pub mod sec8;

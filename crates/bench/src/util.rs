@@ -3,21 +3,14 @@
 
 use pgasm_telemetry::{RunContext, RunReport};
 
-/// Run an experiment body under a fresh [`RunContext`] labelled `id`,
-/// fold it into a [`RunReport`], write `BENCH_<id>.json` next to the
-/// working directory, and return the body's output together with the
-/// report. All bench timing flows through the context's spans — the
-/// experiment modules hold no ad-hoc clocks.
+/// Run an experiment body under a fresh [`RunContext`] labelled `id`
+/// and return the body's output together with the folded
+/// [`RunReport`]. All bench timing flows through the context's spans —
+/// the experiment modules hold no ad-hoc clocks.
 pub fn with_run_report<T>(id: &str, f: impl FnOnce(&mut RunContext) -> T) -> (T, RunReport) {
     let mut ctx = RunContext::new(id);
     let out = f(&mut ctx);
-    let report = ctx.finish();
-    let path = format!("BENCH_{id}.json");
-    match report.write_json(std::path::Path::new(&path)) {
-        Ok(()) => println!("run report -> {path}"),
-        Err(e) => eprintln!("run report not written ({path}): {e}"),
-    }
-    (out, report)
+    (out, ctx.finish())
 }
 
 /// Workload scale factor from `PGASM_SCALE` (default 1.0).

@@ -12,13 +12,12 @@ pub struct UnionFind {
     parent: Vec<u32>,
     /// Rank upper bound per root.
     rank: Vec<u8>,
-    sets: usize,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
     pub fn new(n: usize) -> UnionFind {
-        UnionFind { parent: (0..n as u32).collect(), rank: vec![0; n], sets: n }
+        UnionFind { parent: (0..n as u32).collect(), rank: vec![0; n] }
     }
 
     /// Number of elements.
@@ -29,11 +28,6 @@ impl UnionFind {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Current number of disjoint sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets
     }
 
     /// Root of `x` (path halving).
@@ -63,7 +57,6 @@ impl UnionFind {
         if self.rank[hi as usize] == self.rank[lo as usize] {
             self.rank[hi as usize] += 1;
         }
-        self.sets -= 1;
         true
     }
 
@@ -89,7 +82,6 @@ mod tests {
     #[test]
     fn starts_as_singletons() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_sets(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
         }
@@ -101,11 +93,11 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(!uf.union(0, 1), "second union is a no-op");
         assert!(uf.union(2, 3));
-        assert_eq!(uf.num_sets(), 2);
+        assert_eq!(uf.sets().len(), 2);
         assert!(uf.same(0, 1));
         assert!(!uf.same(1, 2));
         assert!(uf.union(1, 3));
-        assert_eq!(uf.num_sets(), 1);
+        assert_eq!(uf.sets().len(), 1);
         assert!(uf.same(0, 2));
     }
 
@@ -115,7 +107,7 @@ mod tests {
         for i in 0..99 {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.num_sets(), 1);
+        assert_eq!(uf.sets().len(), 1);
         assert!(uf.same(0, 99));
     }
 
@@ -153,7 +145,6 @@ mod tests {
     fn empty_unionfind() {
         let mut uf = UnionFind::new(0);
         assert!(uf.is_empty());
-        assert_eq!(uf.num_sets(), 0);
         assert!(uf.sets().is_empty());
     }
 }

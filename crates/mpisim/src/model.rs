@@ -83,11 +83,6 @@ impl CostModel {
     /// ≈ 1.5 µs latency, ≈ 10 GB/s.
     pub const MODERN_CLUSTER: CostModel = CostModel { latency_s: 1.5e-6, bandwidth_bytes_per_s: 10.0e9 };
 
-    /// Modelled seconds to send the recorded traffic.
-    pub fn send_time(&self, stats: &CommStats) -> f64 {
-        stats.msgs_sent as f64 * self.latency_s + stats.bytes_sent as f64 / self.bandwidth_bytes_per_s
-    }
-
     /// Modelled seconds for one rank's full traffic (send + receive; a
     /// rank pays latency on both ends in co-processor mode). This is a
     /// *per-rank occupancy* measure — summing it across ranks counts

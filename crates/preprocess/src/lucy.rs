@@ -6,7 +6,7 @@
 //! vector library, (2) find the longest quality-clean window that avoids
 //! them, and reject reads whose surviving insert is too short.
 
-use pgasm_seq::{pack_kmer, DnaSeq, KmerIter, QualityTrack};
+use pgasm_seq::{DnaSeq, KmerIter, QualityTrack};
 use std::collections::HashSet;
 
 /// Trimmer configuration.
@@ -101,16 +101,6 @@ impl Lucy {
             }
             None => TrimOutcome::Reject,
         }
-    }
-
-    /// Number of indexed vector k-mers (diagnostics).
-    pub fn library_size(&self) -> usize {
-        self.vector_kmers.len()
-    }
-
-    /// Is this exact k-mer part of the vector library?
-    pub fn is_vector_kmer(&self, codes: &[u8]) -> bool {
-        pack_kmer(codes).is_some_and(|k| self.vector_kmers.contains(&k))
     }
 }
 

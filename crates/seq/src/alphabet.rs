@@ -47,18 +47,6 @@ impl Base {
         self as u8
     }
 
-    /// Base from a code in `0..4`; `None` otherwise.
-    #[inline]
-    pub fn from_code(code: u8) -> Option<Base> {
-        match code {
-            0 => Some(Base::A),
-            1 => Some(Base::C),
-            2 => Some(Base::G),
-            3 => Some(Base::T),
-            _ => None,
-        }
-    }
-
     /// Parse an ASCII nucleotide (case-insensitive). `None` for anything
     /// that is not `ACGTacgt`.
     #[inline]
@@ -148,14 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn code_roundtrip() {
+    fn ascii_roundtrip() {
         for b in Base::ALL {
-            assert_eq!(Base::from_code(b.code()), Some(b));
             assert_eq!(Base::from_ascii(b.to_ascii()), Some(b));
             assert_eq!(Base::from_ascii(b.to_ascii().to_ascii_lowercase()), Some(b));
         }
-        assert_eq!(Base::from_code(4), None);
-        assert_eq!(Base::from_code(255), None);
     }
 
     #[test]

@@ -110,14 +110,6 @@ impl DnaSeq {
         self.codes.iter().filter(|&&c| is_base_code(c)).count()
     }
 
-    /// Fraction of bases that are masked (0.0 for an empty sequence).
-    pub fn masked_fraction(&self) -> f64 {
-        if self.codes.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.unmasked_len() as f64 / self.codes.len() as f64
-    }
-
     /// Longest run of consecutive unmasked bases.
     pub fn longest_unmasked_run(&self) -> usize {
         let mut best = 0usize;
@@ -131,36 +123,6 @@ impl DnaSeq {
             }
         }
         best
-    }
-
-    /// Iterator over maximal unmasked runs as `(start, end)` half-open
-    /// ranges. Exact matches may never cross a masked base, so the suffix
-    /// tree enumerates suffixes per-run (see `pgasm-gst`).
-    pub fn unmasked_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        UnmaskedRuns { codes: &self.codes, pos: 0 }
-    }
-}
-
-struct UnmaskedRuns<'a> {
-    codes: &'a [u8],
-    pos: usize,
-}
-
-impl Iterator for UnmaskedRuns<'_> {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        while self.pos < self.codes.len() && !is_base_code(self.codes[self.pos]) {
-            self.pos += 1;
-        }
-        if self.pos >= self.codes.len() {
-            return None;
-        }
-        let start = self.pos;
-        while self.pos < self.codes.len() && is_base_code(self.codes[self.pos]) {
-            self.pos += 1;
-        }
-        Some((start, self.pos))
     }
 }
 
@@ -243,27 +205,7 @@ mod tests {
         let mut s = DnaSeq::from("ACGTACGTAC");
         s.mask_range(2, 5);
         assert_eq!(s.unmasked_len(), 7);
-        assert!((s.masked_fraction() - 0.3).abs() < 1e-12);
         assert_eq!(s.longest_unmasked_run(), 5);
-    }
-
-    #[test]
-    fn unmasked_runs_iteration() {
-        let mut s = DnaSeq::from("ACGTACGTAC");
-        s.mask_range(2, 4);
-        s.mask_range(7, 8);
-        let runs: Vec<_> = s.unmasked_runs().collect();
-        assert_eq!(runs, vec![(0, 2), (4, 7), (8, 10)]);
-    }
-
-    #[test]
-    fn unmasked_runs_edge_cases() {
-        assert_eq!(DnaSeq::new().unmasked_runs().count(), 0);
-        let mut all_masked = DnaSeq::from("ACG");
-        all_masked.mask_range(0, 3);
-        assert_eq!(all_masked.unmasked_runs().count(), 0);
-        let clean = DnaSeq::from("ACGT");
-        assert_eq!(clean.unmasked_runs().collect::<Vec<_>>(), vec![(0, 4)]);
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl FragmentStore {
         self.text.len()
     }
 
-    /// Total bases over original fragments only.
-    #[inline]
-    pub fn total_fragment_len(&self) -> usize {
-        if self.double_stranded {
-            self.text.len() / 2
-        } else {
-            self.text.len()
-        }
-    }
-
     /// True if this store holds forward/reverse pairs.
     #[inline]
     pub fn is_double_stranded(&self) -> bool {
@@ -151,17 +141,6 @@ impl FragmentStore {
             (frag, strand)
         } else {
             (FragId(id.0), Strand::Forward)
-        }
-    }
-
-    /// Map a fragment and strand to its stored sequence id.
-    #[inline]
-    pub fn fragment_to_seq(&self, frag: FragId, strand: Strand) -> SeqId {
-        if self.double_stranded {
-            SeqId(frag.0 * 2 + matches!(strand, Strand::Reverse) as u32)
-        } else {
-            assert!(matches!(strand, Strand::Forward), "single-stranded store");
-            SeqId(frag.0)
         }
     }
 
@@ -296,7 +275,6 @@ mod tests {
         assert!(ds.is_double_stranded());
         assert_eq!(ds.num_seqs(), 6);
         assert_eq!(ds.num_fragments(), 3);
-        assert_eq!(ds.total_fragment_len(), 11);
         assert_eq!(ds.get_seq(SeqId(0)).to_ascii(), b"ACGT");
         assert_eq!(ds.get_seq(SeqId(1)).to_ascii(), b"ACGT"); // ACGT is its own revcomp
         assert_eq!(ds.get_seq(SeqId(2)).to_ascii(), b"GGGTTT");
@@ -308,8 +286,6 @@ mod tests {
         let ds = store3().with_reverse_complements();
         assert_eq!(ds.seq_to_fragment(SeqId(0)), (FragId(0), Strand::Forward));
         assert_eq!(ds.seq_to_fragment(SeqId(3)), (FragId(1), Strand::Reverse));
-        assert_eq!(ds.fragment_to_seq(FragId(2), Strand::Forward), SeqId(4));
-        assert_eq!(ds.fragment_to_seq(FragId(2), Strand::Reverse), SeqId(5));
     }
 
     #[test]

@@ -24,16 +24,6 @@ pub fn pack_kmer(codes: &[u8]) -> Option<u64> {
     Some(v)
 }
 
-/// Unpack a k-mer code back to base codes.
-pub fn unpack_kmer(mut packed: u64, k: usize) -> Vec<u8> {
-    let mut out = vec![0u8; k];
-    for i in (0..k).rev() {
-        out[i] = (packed & 3) as u8;
-        packed >>= 2;
-    }
-    out
-}
-
 /// Rolling iterator over all k-mers of a code sequence, yielding
 /// `(start_position, packed)` and skipping windows containing masked
 /// bases in O(1) amortised per position.
@@ -77,22 +67,15 @@ impl Iterator for KmerIter<'_> {
     }
 }
 
-/// Number of distinct k-mers (4^k), usable as a bucket count.
-#[inline]
-pub fn num_kmers(k: usize) -> u64 {
-    1u64 << (2 * k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dna::DnaSeq;
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn pack_is_two_bits_per_base_first_base_high() {
         let s = DnaSeq::from("ACGTGCA");
-        let packed = pack_kmer(s.codes()).unwrap();
-        assert_eq!(unpack_kmer(packed, 7), s.codes());
+        assert_eq!(pack_kmer(s.codes()), Some(0b00_01_10_11_10_01_00));
     }
 
     #[test]
@@ -135,11 +118,5 @@ mod tests {
     fn short_input_yields_nothing() {
         let s = DnaSeq::from("AC");
         assert_eq!(KmerIter::new(s.codes(), 3).count(), 0);
-    }
-
-    #[test]
-    fn num_kmers_counts() {
-        assert_eq!(num_kmers(1), 4);
-        assert_eq!(num_kmers(11), 4_194_304);
     }
 }

@@ -28,12 +28,6 @@ impl QualityTrack {
         &self.values
     }
 
-    /// Mutable raw values.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [u8] {
-        &mut self.values
-    }
-
     /// Number of bases covered.
     #[inline]
     pub fn len(&self) -> usize {

@@ -99,11 +99,6 @@ impl Community {
         }
         out
     }
-
-    /// Number of species.
-    pub fn num_species(&self) -> usize {
-        self.genomes.len()
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +108,7 @@ mod tests {
     #[test]
     fn community_shape() {
         let c = Community::generate(&CommunitySpec::small(), 1);
-        assert_eq!(c.num_species(), 12);
+        assert_eq!(c.genomes.len(), 12);
         let sum: f64 = c.abundances.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         // Power law: first species strictly more abundant than last.
@@ -125,11 +120,11 @@ mod tests {
         let c = Community::generate(&CommunitySpec::small(), 2);
         let reads = c.sample_wgs(600, &SamplerConfig::clean(), 3);
         assert_eq!(reads.len(), 600);
-        let mut per_species = vec![0usize; c.num_species()];
+        let mut per_species = vec![0usize; c.genomes.len()];
         for p in &reads.provenance {
             per_species[p.genome as usize] += 1;
         }
-        assert!(per_species[0] > per_species[c.num_species() - 1], "{per_species:?}");
+        assert!(per_species[0] > per_species[c.genomes.len() - 1], "{per_species:?}");
     }
 
     #[test]

@@ -104,9 +104,18 @@ impl ATrack {
 /// [`crate::Trace::to_chrome_json`]) back into analyzer tracks.
 /// `thread_name` metadata becomes the track label; span, instant and
 /// counter events become [`AEvent`]s (a counter's `value` is an arg).
+///
+/// This is the trace's one validator: an event with no `ts`, `cat` or
+/// `name`, a timestamp lower than the previous one on its track, an `E`
+/// that closes no open `B` of its `(cat, name)` on its track, and a `C`
+/// without a numeric `args.value` are errors naming the event's index.
+/// A `B` left open at the end of a track is legal: a killed rank never
+/// closes the span it died in, and a full ring keeps a prefix.
 pub fn parse_chrome_trace(doc: &Json) -> Result<Vec<ATrack>, String> {
     let events = doc.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents array")?;
     let mut tracks: BTreeMap<u64, ATrack> = BTreeMap::new();
+    // Open `B`s per (track, cat, name).
+    let mut open: BTreeMap<(u64, &str, &str), u32> = BTreeMap::new();
     for (n, e) in events.iter().enumerate() {
         let ph = e.get("ph").and_then(Json::as_str).ok_or(format!("event {n}: missing ph"))?;
         let tid = e.get("tid").and_then(Json::as_u64).ok_or(format!("event {n}: missing tid"))?;
@@ -130,18 +139,31 @@ pub fn parse_chrome_trace(doc: &Json) -> Result<Vec<ATrack>, String> {
             other => return Err(format!("event {n}: unknown ph '{other}'")),
         };
         let ts_us = e.get("ts").and_then(Json::as_f64).ok_or(format!("event {n}: missing ts"))?;
+        let cat = e.get("cat").and_then(Json::as_str).ok_or(format!("event {n}: missing cat"))?;
+        let name = e.get("name").and_then(Json::as_str).ok_or(format!("event {n}: missing name"))?;
+        let ts_ns = (ts_us * 1e3).round() as u64;
+        if ts_us < 0.0 || track.events.last().is_some_and(|prev| prev.ts_ns > ts_ns) {
+            return Err(format!("event {n}: ts {ts_us} µs goes back in time on track {tid}"));
+        }
+        match kind {
+            TraceKind::Begin => *open.entry((tid, cat, name)).or_default() += 1,
+            TraceKind::End => match open.get_mut(&(tid, cat, name)) {
+                Some(depth) if *depth > 0 => *depth -= 1,
+                _ => return Err(format!("event {n}: E '{name}' ({cat}) on track {tid} closes no open B")),
+            },
+            TraceKind::Counter
+                if e.get("args").and_then(|a| a.get("value")).and_then(Json::as_f64).is_none() =>
+            {
+                return Err(format!("event {n}: counter '{name}' has no numeric args.value"));
+            }
+            TraceKind::Instant | TraceKind::Counter => {}
+        }
         let args = e
             .get("args")
             .and_then(Json::as_obj)
             .map(|obj| obj.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect())
             .unwrap_or_default();
-        track.events.push(AEvent {
-            ts_ns: (ts_us * 1e3).round() as u64,
-            kind,
-            cat: e.get("cat").and_then(Json::as_str).unwrap_or_default().to_string(),
-            name: e.get("name").and_then(Json::as_str).unwrap_or_default().to_string(),
-            args,
-        });
+        track.events.push(AEvent { ts_ns, kind, cat: cat.to_string(), name: name.to_string(), args });
     }
     Ok(tracks.into_values().filter(|t| !t.events.is_empty()).collect())
 }
@@ -1180,6 +1202,63 @@ mod tests {
         assert_eq!(edges.len(), 1);
         assert_eq!(unpaired, 0);
         assert_eq!((edges[0].src, edges[0].dst, edges[0].tag), (0, 1, 2));
+    }
+
+    /// A document of one `thread_name` record followed by `events`.
+    fn doc(events: &[&str]) -> Json {
+        let meta = r#"{"ph": "M", "tid": 0, "name": "thread_name", "args": {"name": "rank 0 · master"}}"#;
+        Json::parse(&format!(r#"{{"traceEvents": [{meta}, {}]}}"#, events.join(", "))).unwrap()
+    }
+
+    const B_WAIT: &str = r#"{"ph": "B", "tid": 0, "ts": 10, "cat": "comm", "name": "wait"}"#;
+    const E_WAIT: &str = r#"{"ph": "E", "tid": 0, "ts": 20, "cat": "comm", "name": "wait"}"#;
+
+    #[test]
+    fn malformed_events_are_errors_naming_the_event() {
+        let rows: [(&[&str], &str); 9] = [
+            (&[r#"{"ph": "i", "tid": 0, "cat": "comm", "name": "send"}"#], "event 1: missing ts"),
+            (&[r#"{"ph": "E", "tid": 0, "ts": 20, "name": "wait"}"#], "event 1: missing cat"),
+            (&[r#"{"ph": "E", "tid": 0, "ts": 20, "cat": "comm"}"#], "event 1: missing name"),
+            (
+                &[B_WAIT, r#"{"ph": "E", "tid": 0, "ts": 5, "cat": "comm", "name": "wait"}"#],
+                "event 2: ts 5 µs goes back in time on track 0",
+            ),
+            // An `E` must close a `B` of its own (cat, name), on its own
+            // track, at most once.
+            (
+                &[B_WAIT, r#"{"ph": "E", "tid": 0, "ts": 20, "cat": "master", "name": "dispatch"}"#],
+                "event 2: E 'dispatch' (master) on track 0 closes no open B",
+            ),
+            (
+                &[B_WAIT, r#"{"ph": "E", "tid": 1, "ts": 20, "cat": "comm", "name": "wait"}"#],
+                "event 2: E 'wait' (comm) on track 1 closes no open B",
+            ),
+            (&[B_WAIT, E_WAIT, E_WAIT], "event 3: E 'wait' (comm) on track 0 closes no open B"),
+            (
+                &[r#"{"ph": "C", "tid": 0, "ts": 1, "cat": "master", "name": "g"}"#],
+                "event 1: counter 'g' has no numeric args.value",
+            ),
+            (
+                &[r#"{"ph": "C", "tid": 0, "ts": 1, "cat": "master", "name": "g", "args": {"value": "9"}}"#],
+                "event 1: counter 'g' has no numeric args.value",
+            ),
+        ];
+        for (events, want) in rows {
+            let err = parse_chrome_trace(&doc(events)).expect_err(want);
+            assert!(err.starts_with(want), "{events:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn an_unclosed_begin_parses_and_analyzes() {
+        // A master killed inside a dispatch never closes it.
+        let dispatch = r#"{"ph": "B", "tid": 0, "ts": 0, "cat": "master", "name": "dispatch"}"#;
+        let tracks = parse_chrome_trace(&doc(&[dispatch, B_WAIT, E_WAIT])).unwrap();
+        let a = analyze(&tracks, None, 5);
+        assert_eq!((a.ranks[0].wall_ns, a.ranks[0].wait_blocked_ns), (20_000, 10_000));
+        let path: Vec<(&str, &str)> =
+            a.critical_path.iter().map(|s| (s.kind.as_str(), s.label.as_str())).collect();
+        assert_eq!(path, [("compute", "dispatch"), ("comm", "wait")]);
     }
 
     #[test]

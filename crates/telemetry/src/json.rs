@@ -83,14 +83,6 @@ impl Json {
         }
     }
 
-    /// Boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

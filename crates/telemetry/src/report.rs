@@ -227,21 +227,6 @@ impl RunReport {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Largest idle share among worker ranks: idle / (cpu + idle).
-    pub fn max_idle_fraction(&self) -> f64 {
-        self.ranks
-            .iter()
-            .map(|r| {
-                let busy = r.cpu_seconds + r.idle_seconds;
-                if busy > 0.0 {
-                    r.idle_seconds / busy
-                } else {
-                    0.0
-                }
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Structured JSON value.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -373,7 +358,6 @@ mod tests {
         assert_eq!(report.counter("pairs_accepted"), 33);
         assert_eq!(report.ranks[0].counter("batches"), 9);
         assert!((report.ranks[0].modelled_comm_seconds() - 1e-4).abs() < 1e-12);
-        assert!((report.max_idle_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -375,8 +375,8 @@ impl Trace {
                     "args",
                     Json::obj(vec![
                         ("name", Json::Str(format!("rank {} · {}", track.rank, track.label))),
-                        // Per-track overflow count, so `trace_check
-                        // --max-dropped` can blame the exact track.
+                        // Per-track overflow count, so a viewer shows
+                        // which track lost events.
                         ("dropped_events", Json::Num(track.dropped_events as f64)),
                     ]),
                 ),

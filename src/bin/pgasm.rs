@@ -155,7 +155,10 @@ barrier, comm-modelled, idle-unattributed}, the reconstructed critical
 path through master/worker/comm events (send->recv edges paired per
 source/destination/tag), and the top-k idle gaps with the awaited message
 tag blamed under the label of the stage the gap fell in. --out writes the same analysis as machine JSON
-(pgasm.analysis format, gateable by bench_diff). --coverage-tol <f> exits
+(pgasm.analysis format). A trace with an event missing ts/cat/name, a
+timestamp going back on its track, an E closing no open B of its name, or
+a counter without a numeric value is an error naming the event (a B left
+open, as a killed rank leaves it, is fine). --coverage-tol <f> exits
 nonzero when any rank's attribution categories sum outside wall*(1 +- f)
 or the critical path comes back empty — the CI consistency gate.";
 

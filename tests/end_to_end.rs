@@ -273,6 +273,28 @@ fn cli_warns_when_the_cache_directory_cannot_be_opened() {
 }
 
 #[test]
+fn cli_analyze_rejects_a_malformed_trace() {
+    // A wait that ends before it begins and an `E` with no `B`: a trace
+    // the analyzer must refuse by event, not subtract its way through.
+    let path = std::env::temp_dir().join(format!("pgasm-e2e-trace-{}.json", std::process::id()));
+    let events = [
+        r#"{"ph": "M", "pid": 0, "tid": 0, "name": "thread_name", "args": {"name": "rank 0 · master"}}"#,
+        r#"{"ph": "B", "pid": 0, "tid": 0, "ts": 10, "cat": "comm", "name": "wait"}"#,
+        r#"{"ph": "E", "pid": 0, "tid": 0, "ts": 5, "cat": "comm", "name": "wait"}"#,
+        r#"{"ph": "E", "pid": 0, "tid": 0, "ts": 20, "cat": "master", "name": "dispatch"}"#,
+    ];
+    std::fs::write(&path, format!(r#"{{"traceEvents": [{}]}}"#, events.join(",\n"))).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
+        .args(["analyze", "--trace-json", path.to_str().unwrap()])
+        .output()
+        .expect("pgasm runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "analyzed: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(stderr.contains("event 2:") && !stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn cli_rejects_a_fault_plan_that_would_arm_nothing() {
     // A plan is outside input: the old grammar, a misspelt key and a
     // message clause between ranks the run does not have are errors

@@ -23,7 +23,8 @@ use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::simgen::vector::VECTOR_SEQ;
 use pgasm::simgen::{ReadKind, ReadSet};
-use pgasm::telemetry::{RunContext, RunReport};
+use pgasm::telemetry::analyze::parse_chrome_trace;
+use pgasm::telemetry::{RunContext, RunReport, Trace, TraceKind, TraceSpec};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
@@ -103,6 +104,17 @@ fn config(p: usize, recovery: StageRecovery) -> PipelineConfig {
 }
 
 fn run(config: PipelineConfig, reads: &ReadSet, genome: &Genome) -> (PipelineReport, RunReport) {
+    let (report, run_report, _) = run_traced(config, reads, genome);
+    (report, run_report)
+}
+
+/// [`run`], also returning the trace document (empty unless
+/// `config.trace` is on).
+fn run_traced(
+    config: PipelineConfig,
+    reads: &ReadSet,
+    genome: &Genome,
+) -> (PipelineReport, RunReport, Trace) {
     let mut ctx = RunContext::new("fault-tolerance-test");
     let report = Pipeline::new(config).run_with_context(
         reads,
@@ -110,7 +122,8 @@ fn run(config: PipelineConfig, reads: &ReadSet, genome: &Genome) -> (PipelineRep
         &genome.repeat_library,
         &mut ctx,
     );
-    (report, ctx.finish())
+    let trace = ctx.trace_document();
+    (report, ctx.finish(), trace)
 }
 
 /// Every contig of every assembly, as raw ASCII — byte-level equality.
@@ -206,23 +219,28 @@ fn killing_a_worker_in_each_stage_preserves_the_contigs() {
 fn dropped_result_report_trips_liveness_and_recovers() {
     with_watchdog("dropped_result_report_trips_liveness_and_recovers", SCENARIO_LIMIT, || {
         let (reads, genome) = fixture_reads(11);
-        let p = 4;
-        let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+        for p in [4usize, 8] {
+            let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-        // Worker 1's second report (tag 1), or the grant that answers it
-        // (tag 2), vanishes on the wire. Either way the worker's lease can
-        // never be retired, so the stage comes to rest unfinished; the
-        // simulator reports it, the master declares the worker holding
-        // that lease dead and a survivor redoes the batch. The plans go
-        // through the CLI grammar on purpose.
-        for clause in ["drop:src=1,dst=0,tag=1,nth=2", "drop:src=0,dst=1,tag=2,nth=2"] {
-            let (report, run_report) = run(config(p, faults(clause)), &reads, &genome);
-            assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}");
-            let faults = run_report.faults.expect("faults section");
-            assert_eq!(faults.msgs_dropped, 1, "{clause}");
-            assert_eq!(faults.kills_injected, 0, "{clause}: nobody was actually killed");
-            assert_eq!(faults.dead_ranks, 1, "{clause}: quiescence must declare the stuck worker dead");
-            assert!(faults.recovered_tasks > 0, "{clause}");
+            // Worker 1's second report (tag 1), or the grant that answers
+            // it (tag 2), vanishes on the wire. Either way the worker's
+            // lease can never be retired, so the stage comes to rest
+            // unfinished; the simulator reports it, the master declares
+            // the worker holding that lease dead and a survivor redoes the
+            // batch. The plans go through the CLI grammar on purpose.
+            for clause in ["drop:src=1,dst=0,tag=1,nth=2", "drop:src=0,dst=1,tag=2,nth=2"] {
+                let (report, run_report) = run(config(p, faults(clause)), &reads, &genome);
+                assert!(report.interrupted.is_none(), "{clause}, p={p}: a lost message took the master down");
+                assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}, p={p}");
+                let faults = run_report.faults.expect("faults section");
+                assert_eq!(faults.msgs_dropped, 1, "{clause}, p={p}");
+                assert_eq!(faults.kills_injected, 0, "{clause}, p={p}: nobody was actually killed");
+                assert_eq!(
+                    faults.dead_ranks, 1,
+                    "{clause}, p={p}: quiescence must declare the stuck worker dead"
+                );
+                assert!(faults.recovered_tasks > 0, "{clause}, p={p}");
+            }
         }
     });
 }
@@ -231,16 +249,20 @@ fn dropped_result_report_trips_liveness_and_recovers() {
 fn delayed_result_report_is_absorbed_once_not_twice() {
     with_watchdog("delayed_result_report_is_absorbed_once_not_twice", SCENARIO_LIMIT, || {
         let (reads, genome) = fixture_reads(13);
-        let p = 4;
-        let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+        for p in [4usize, 8] {
+            let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
 
-        // Worker 1's second report is held back until the worker blocks
-        // on its answer; the lease journal retires it exactly once.
-        let (report, run_report) = run(config(p, faults("delay:src=1,dst=0,tag=1,nth=2")), &reads, &genome);
-        assert_eq!(contig_bytes(&report), contig_bytes(&baseline));
-        let faults = run_report.faults.expect("faults section");
-        assert_eq!(faults.msgs_delayed, 1);
-        assert_eq!(faults.dead_ranks, 0);
+            // Worker 1's second report is held back until the worker
+            // blocks on its answer; the lease journal retires it exactly
+            // once.
+            let (report, run_report) =
+                run(config(p, faults("delay:src=1,dst=0,tag=1,nth=2")), &reads, &genome);
+            assert!(report.interrupted.is_none(), "p={p}: a late report took the master down");
+            assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "p={p}");
+            let faults = run_report.faults.expect("faults section");
+            assert_eq!(faults.msgs_delayed, 1, "p={p}");
+            assert_eq!(faults.dead_ranks, 0, "p={p}: a late report is not a death");
+        }
     });
 }
 
@@ -282,11 +304,21 @@ fn checkpoint_resume(stage_name: &str, seed: u64, tag: &str) {
         checkpoint_path: Some(base.clone()),
         ..faults(&format!("kill:master,lease={p},stage={stage_name}"))
     };
-    let (r1, run1) = run(config(p, interrupted), &reads, &genome);
+    let traced = PipelineConfig { trace: TraceSpec::on(), ..config(p, interrupted) };
+    let (r1, run1, trace) = run_traced(traced, &reads, &genome);
     assert_eq!(
         r1.interrupted.as_deref(),
         Some(stage_name),
         "a master kill at lease {p} must interrupt the {stage_name} stage"
+    );
+    // The master died inside the dispatch it was granting from, so its
+    // track ends on an open `B`: the exported document still parses.
+    let tracks = parse_chrome_trace(&trace.to_chrome_json()).expect("a killed run's trace parses");
+    let dispatch = |kind| tracks[0].events.iter().filter(|e| e.kind == kind && e.name == "dispatch").count();
+    assert_eq!(
+        dispatch(TraceKind::Begin),
+        dispatch(TraceKind::End) + 1,
+        "{stage_name}: one dispatch left open"
     );
     let snapshot: PathBuf = {
         let mut s = base.as_os_str().to_os_string();

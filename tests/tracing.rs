@@ -78,25 +78,16 @@ fn traced_pipeline_exports_valid_chrome_trace() {
         assert!(cats.contains(&want), "missing category '{want}' in {cats:?}");
     }
 
-    // The exported JSON parses and is ordered per track — across the
-    // stage boundary too, both stages being on the one track.
+    // The exported JSON reads back through the analyzer's parser, which
+    // rejects an out-of-order or mis-paired event — across the stage
+    // boundary too, both stages being on the one track.
     let json = doc.to_chrome_json().pretty();
     let parsed = Json::parse(&json).unwrap();
     assert!(parsed.get("schema_version").and_then(Json::as_u64).is_some());
-    let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
-    assert!(events.len() > doc.tracks.len(), "no real events beyond metadata");
-    let mut last_ts: std::collections::BTreeMap<u64, f64> = Default::default();
-    for e in events {
-        if e.get("ph").and_then(Json::as_str) == Some("M") {
-            continue;
-        }
-        let tid = e.get("tid").and_then(Json::as_u64).unwrap();
-        let ts = e.get("ts").and_then(Json::as_f64).unwrap();
-        assert!(ts >= *last_ts.get(&tid).unwrap_or(&0.0), "track {tid} not monotonic");
-        last_ts.insert(tid, ts);
-    }
-    assert_eq!(last_ts.len(), ranks + 1);
+    let tracks = analyze::parse_chrome_trace(&parsed).unwrap();
+    assert_eq!(tracks.len(), ranks + 1, "a track without events");
     // Gauges are counter events on their owner's track.
+    let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
     let gauge_tids = |gauge: &str| -> Vec<u64> {
         let mut tids: Vec<u64> = events
             .iter()
@@ -113,13 +104,14 @@ fn traced_pipeline_exports_valid_chrome_trace() {
     assert_eq!(gauge_tids(names::GAUGE_CACHE_BYTES), [4]);
 
     // The analyzer reads that document and nothing else: every message
-    // of both stages pairs, attribution covers each rank's wall, and a
-    // wait is blamed on the label of the stage it happened in.
-    let tracks = analyze::parse_chrome_trace(&parsed).unwrap();
+    // of both stages pairs, attribution covers each rank's wall, the
+    // critical path exists, and a wait is blamed on the label of the
+    // stage it happened in.
     let analysis = analyze::analyze(&tracks, Some(&run), usize::MAX);
     assert_eq!(analysis.edges_unpaired, 0);
     assert!(analysis.edges_paired > 0);
     assert!(analysis.max_coverage_error() <= 0.05, "{}", analysis.max_coverage_error());
+    assert!(!analysis.critical_path.is_empty());
     let stage = |name: &str| analysis.stages.iter().find(|s| s.stage == name).expect("stage window");
     let pipeline = tracks.iter().find(|t| t.label == "pipeline").unwrap();
     let assemble_from = pipeline.events.iter().find(|e| e.name == "assemble").unwrap().ts_ns;
