@@ -6,7 +6,7 @@
 //! greedy OLC assembler small enough to audit yet faithful in behaviour:
 //!
 //! - [`overlap`] — all candidate pairwise overlaps within a cluster:
-//!   shared w-mers (both orientations) give each candidate its seed
+//!   shared 12-mers (both orientations) give each candidate its seed
 //!   diagonals, the clustering phase's banded kernel aligns around them,
 //!   and the stringent criteria decide.
 //! - [`layout`] — a transitive layout: reads are placed on contig
@@ -42,8 +42,6 @@ pub struct AssemblyConfig {
     pub scoring: Scoring,
     /// Overlap acceptance (defaults to the stringent assembly criteria).
     pub criteria: AcceptCriteria,
-    /// w-mer length for candidate seeding within the cluster.
-    pub wmer: usize,
     /// Maximum disagreement (bases) between two placements of one read
     /// before the edge is called inconsistent.
     pub offset_tolerance: usize,
@@ -67,7 +65,6 @@ impl Default for AssemblyConfig {
             scoring: Scoring::DEFAULT,
             criteria: AcceptCriteria::ASSEMBLY,
             quality_criteria: AcceptCriteria { min_identity: 0.985, min_overlap: 40 },
-            wmer: 12,
             offset_tolerance: 40,
             min_group_evidence: 2,
             evidence_exempt_size: 2,
@@ -206,8 +203,7 @@ mod tests {
     fn perfect_tiling_reconstructs_genome() {
         let genome = random_genome(7, 1200);
         let reads = tile(&genome, 300, 150);
-        let cfg = AssemblyConfig { wmer: 12, ..Default::default() };
-        let asm = assemble(&reads, &cfg);
+        let asm = assemble(&reads, &AssemblyConfig::default());
         assert_eq!(asm.num_contigs(), 1, "expected a single contig, got {:?}", asm.contigs.len());
         assert!(asm.singletons.is_empty());
         let contig = String::from_utf8(asm.contigs[0].seq.to_ascii()).unwrap();

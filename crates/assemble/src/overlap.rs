@@ -1,15 +1,25 @@
 //! Pairwise overlap detection within one cluster: seed → group → verify.
 //!
-//! - **Seed.** One key-sorted `(word, read, position)` array holds the
-//!   first occurrence of every distinct forward w-mer of every read.
-//!   Each read's forward and reverse-complement words (again first
-//!   occurrence only) are joined against it; a word shared with a
-//!   lower-numbered read `i` is a *hit* `(i, orientation, diagonal)`,
-//!   the diagonal `pos_i − pos_j` being in the frame "`i` forward, `j`
-//!   oriented". Two reads are a candidate in an orientation exactly when
-//!   they share a w-mer in it, and a candidate has at most as many hits
-//!   as the shorter read has distinct words, so low-complexity clusters
-//!   stay linear in hits per pair.
+//! - **Seed.** Every [`SEED_WORD`]-mer of every read in both orientations
+//!   goes into one table, once, keyed `word << 32 | global position`
+//!   (the oriented reads laid end to end), and the table is sorted in
+//!   place. A word's *group* is its run of that table; the first
+//!   occurrence of the word in each oriented read gets the group's id,
+//!   and the group keeps only its forward first occurrences, by read.
+//!   Read `j` then walks its forward and reverse-complement positions in
+//!   order, and at each first occurrence reads off the lower-numbered
+//!   reads `i` whose forward first occurrence shares the word: a *hit*
+//!   `(i, orientation, diagonal)`, the diagonal `pos_i − pos_j` being in
+//!   the frame "`i` forward, `j` oriented" (`pos_j` in rc(`j`)
+//!   coordinates on the reverse strand). Consecutive hits of one `(i,
+//!   orientation)` on one diagonal are kept once, so the per-`j` sort
+//!   sees each candidate's distinct diagonals, a handful, not one copy
+//!   per shared word. Two reads are a candidate in an orientation
+//!   exactly when they share a word in it, and a candidate has at most
+//!   as many hits as the shorter read has distinct words, so
+//!   low-complexity clusters stay linear in hits per pair. The table
+//!   costs 12 bytes per oriented position: the 8-byte key, reused for
+//!   the groups, and a 4-byte group id.
 //! - **Group.** A candidate's sorted hit diagonals split into maximal
 //!   runs whose gaps are at most `2 · BAND_SLACK`: one run per place the
 //!   two reads might overlap (one for a plain overlap or an overlap
@@ -26,22 +36,29 @@
 //!   full-matrix alignment costs.
 //!
 //! **Why the band loses nothing.** An alignment that passes 95 % identity
-//! over ≥ 40 columns has an exact 12-mer on its path, so every acceptable
-//! overlap has a seed, and its run's band contains that diagonal. When
-//! the full-matrix optimum lies inside a run's band, the banded kernel
-//! returns it field for field — same end cell (both scan the last row,
-//! then column `n`, first maximum wins), same traceback (every cell on
-//! the optimal path holds its full-matrix value, so each direction test
-//! resolves the same way). What the band cannot see is an equally good
-//! path on diagonals that carry no seed: in low-complexity sequence
-//! (poly-A against poly-A) a full-matrix alignment may report another of
-//! the equal-scoring placements. The unit tests hold `find_overlaps` to
-//! the full-matrix reference, edge for edge and bit for bit, on simulated
-//! and hand-built clusters.
+//! over ≥ 40 columns has an exact 12-mer ([`SEED_WORD`]) on its path, so
+//! every acceptable overlap has a seed, and its run's band contains that
+//! diagonal. When the full-matrix optimum lies inside a run's band, the
+//! banded kernel returns it field for field — same end cell (both scan
+//! the last row, then column `n`, first maximum wins), same traceback
+//! (every cell on the optimal path holds its full-matrix value, so each
+//! direction test resolves the same way). What the band cannot see is an
+//! equally good path on diagonals that carry no seed: in low-complexity
+//! sequence (poly-A against poly-A) a full-matrix alignment may report
+//! another of the equal-scoring placements. The unit tests hold
+//! `find_overlaps` to the full-matrix reference, edge for edge and bit
+//! for bit, on simulated and hand-built clusters, and every candidate's
+//! seed diagonals to a hash-map reference of first occurrences.
 
 use crate::AssemblyConfig;
 use pgasm_align::{overlap_align_simd, AlignScratch, OverlapResult};
 use pgasm_seq::{DnaSeq, KmerIter, QualityTrack};
+
+/// Length of the words that seed overlap candidates: the exact match
+/// every acceptable overlap carries (see "why the band loses nothing").
+/// A word is packed above a 32-bit position, so `2 · SEED_WORD ≤ 32`.
+pub const SEED_WORD: usize = 12;
+const _: () = assert!(2 * SEED_WORD <= 32);
 
 /// Diagonals added on each side of a seed run's span, and half the
 /// largest gap that still joins two hits into one run — the clustering
@@ -64,7 +81,7 @@ pub struct OverlapEdge {
 }
 
 /// Find all accepted overlaps among `reads`: candidates are seeded by
-/// shared w-mers (either orientation), then verified by banded
+/// shared 12-mers (either orientation), then verified by banded
 /// suffix–prefix alignment around the shared words' diagonals. With
 /// quality tracks, the quality-weighted identity is tested against
 /// [`AssemblyConfig::quality_criteria`]; without them, the plain identity
@@ -81,7 +98,7 @@ pub fn find_overlaps(
 /// Work done by one [`sweep`], for the tests that bound it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct SweepWork {
-    /// Shared-word hits joined out of the index.
+    /// Shared first-occurrence word pairs read off the seed table.
     hits: u64,
     /// `(i, j, orientation)` triples sharing at least one word.
     candidates: u64,
@@ -93,17 +110,138 @@ struct SweepWork {
     cells: u64,
 }
 
-/// The first occurrence of each distinct w-mer of `codes`, by word.
-fn distinct_words(codes: &[u8], w: usize, out: &mut Vec<(u64, u32)>) {
-    out.clear();
-    out.extend(KmerIter::new(codes, w).map(|(pos, word)| (word, pos as u32)));
-    out.sort_unstable();
-    out.dedup_by_key(|&mut (word, _)| word);
-}
-
-/// A w-mer of read `j` shared with a lower-numbered read:
+/// A word of read `j` shared with a lower-numbered read:
 /// `(i, reverse-complemented j, diagonal pos_i − pos_j)`.
 type Hit = (u32, bool, i64);
+
+/// A position that is not the first occurrence of a word in its oriented
+/// read (or starts no word): it seeds nothing.
+const NO_GROUP: u32 = u32::MAX;
+/// Flags the last forward first occurrence of a group.
+const GROUP_END: u64 = 1 << 63;
+/// A group with no forward first occurrence: one entry whose read no `j`
+/// is above.
+const EMPTY_GROUP: u64 = GROUP_END | (u32::MAX as u64 >> 1) << 32;
+
+/// The seed table of one cluster (see the module header), with the
+/// scratch of its walk.
+struct SeedTable {
+    /// Where oriented read `s = 2 · read + rc` starts among the global
+    /// positions; `starts[s + 1]` is where it ends.
+    starts: Vec<usize>,
+    /// Per global position: the id of the word's group if the position is
+    /// the word's first occurrence in its oriented read, else
+    /// [`NO_GROUP`].
+    group: Vec<u32>,
+    /// From each group id on: the group's forward first occurrences,
+    /// `read << 32 | position`, ascending by read, the last flagged
+    /// [`GROUP_END`].
+    firsts: Vec<u64>,
+    /// Per read `i`: the oriented read of `j` and the diagonal of the
+    /// last hit kept for it.
+    last: Vec<(u32, i64)>,
+    /// Read `j`'s hits, sorted and distinct.
+    hits: Vec<Hit>,
+}
+
+impl SeedTable {
+    fn new(reads: &[DnaSeq], rc_reads: &[DnaSeq]) -> SeedTable {
+        let oriented = |s: usize| [reads, rc_reads][s % 2][s / 2].codes();
+        let mut starts = vec![0];
+        for s in 0..2 * reads.len() {
+            starts.push(starts[s] + oriented(s).len());
+        }
+        let total = starts[2 * reads.len()];
+        assert!(
+            total < NO_GROUP as usize && 2 * reads.len() < NO_GROUP as usize,
+            "cluster too large for the seed table: total oriented positions (2 × bases) must be < 2^32"
+        );
+        // One key per word; until the groups are known, `group` holds the
+        // oriented read of each keyed position.
+        let mut group = vec![NO_GROUP; total];
+        let mut table = Vec::with_capacity(total);
+        for s in 0..2 * reads.len() {
+            for (pos, word) in KmerIter::new(oriented(s), SEED_WORD) {
+                group[starts[s] + pos] = s as u32;
+                table.push(word << 32 | (starts[s] + pos) as u64);
+            }
+        }
+        table.sort_unstable();
+        // A group ascends by global position, so an oriented read's first
+        // occurrence leads its entries. The forward ones are written back
+        // over the group's own keys, which are read before they are
+        // overwritten.
+        let mut kept = 0;
+        let mut at = 0;
+        while at < table.len() {
+            let (word, id) = (table[at] >> 32, kept);
+            let mut previous = NO_GROUP;
+            while at < table.len() && table[at] >> 32 == word {
+                let g = table[at] as u32 as usize;
+                let s = group[g];
+                if s == previous {
+                    group[g] = NO_GROUP;
+                } else {
+                    previous = s;
+                    group[g] = id as u32;
+                    if s % 2 == 0 {
+                        table[kept] = (s as u64 / 2) << 32 | (g - starts[s as usize]) as u64;
+                        kept += 1;
+                    }
+                }
+                at += 1;
+            }
+            if kept == id {
+                table[kept] = EMPTY_GROUP;
+                kept += 1;
+            } else {
+                table[kept - 1] |= GROUP_END;
+            }
+        }
+        table.truncate(kept);
+        SeedTable { starts, group, firsts: table, last: vec![(u32::MAX, 0); reads.len()], hits: Vec::new() }
+    }
+
+    /// Calls `visit(i, j, rc, hits)` for every candidate, by `j` then
+    /// `(i, rc)`, with its hits sorted and distinct; returns the shared
+    /// first-occurrence word pairs behind them.
+    fn for_each_candidate(&mut self, mut visit: impl FnMut(usize, usize, bool, &[Hit])) -> u64 {
+        let mut pairs = 0;
+        for j in 1..self.last.len() {
+            self.hits.clear();
+            for s in [2 * j, 2 * j + 1] {
+                let rc = s % 2 == 1;
+                for (pos_j, &g) in self.group[self.starts[s]..self.starts[s + 1]].iter().enumerate() {
+                    if g == NO_GROUP {
+                        continue;
+                    }
+                    for &e in &self.firsts[g as usize..] {
+                        let i = (e >> 32) as u32 & !(1 << 31);
+                        if i as usize >= j {
+                            break;
+                        }
+                        pairs += 1;
+                        let diag = e as u32 as i64 - pos_j as i64;
+                        let held = &mut self.last[i as usize];
+                        if *held != (s as u32, diag) {
+                            *held = (s as u32, diag);
+                            self.hits.push((i, rc, diag));
+                        }
+                        if e & GROUP_END != 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            self.hits.sort_unstable();
+            self.hits.dedup();
+            for candidate in self.hits.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+                visit(candidate[0].0 as usize, j, candidate[0].1, candidate);
+            }
+        }
+        pairs
+    }
+}
 
 /// One read in one orientation, as the kernel takes it.
 #[derive(Clone, Copy)]
@@ -189,10 +327,6 @@ fn sweep(
     config: &AssemblyConfig,
     slack: usize,
 ) -> (Vec<OverlapEdge>, SweepWork) {
-    assert!(
-        reads.len() <= u32::MAX as usize && reads.iter().all(|r| r.len() <= i32::MAX as usize),
-        "cluster too large for 32-bit read indices and positions"
-    );
     // Both orientations of every read and quality track, built once.
     let rc_reads: Vec<DnaSeq> = reads.iter().map(DnaSeq::reverse_complement).collect();
     let rc_quals: Option<Vec<Vec<u8>>> =
@@ -201,15 +335,6 @@ fn sweep(
     let reverse =
         |r: usize| Oriented { codes: rc_reads[r].codes(), quals: rc_quals.as_ref().map(|qs| &qs[r][..]) };
 
-    // Seed index: (word, read, first position), sorted.
-    let mut words: Vec<(u64, u32)> = Vec::new();
-    let mut index: Vec<(u64, u32, u32)> = Vec::new();
-    for (r, read) in reads.iter().enumerate() {
-        distinct_words(read.codes(), config.wmer, &mut words);
-        index.extend(words.iter().map(|&(word, pos)| (word, r as u32, pos)));
-    }
-    index.sort_unstable();
-
     let criteria = if quals.is_some() { config.quality_criteria } else { config.criteria };
     // Sized for the longest read at the band of a seed run that sits on
     // one diagonal; a run with spread, or a doubled band, grows it.
@@ -217,31 +342,13 @@ fn sweep(
     let scratch = AlignScratch::for_sequences(max_len, slack);
     let mut verifier = Verifier { config, slack, scratch, work: SweepWork::default() };
     let mut edges = Vec::new();
-    let mut hits: Vec<Hit> = Vec::new();
-    for j in 1..reads.len() {
-        hits.clear();
-        for rc in [false, true] {
-            let oriented = if rc { reverse(j) } else { forward(j) };
-            distinct_words(oriented.codes, config.wmer, &mut words);
-            // Both sides ascend by word, so the lower bound only advances.
-            let mut at = 0;
-            for &(word, pos_j) in &words {
-                at += index[at..].partition_point(|e| e.0 < word);
-                let shared = index[at..].iter().take_while(|e| e.0 == word && (e.1 as usize) < j);
-                hits.extend(shared.map(|&(_, i, pos_i)| (i, rc, pos_i as i64 - pos_j as i64)));
-            }
+    verifier.work.hits = SeedTable::new(reads, &rc_reads).for_each_candidate(|i, j, rc, hits| {
+        verifier.work.candidates += 1;
+        let result = verifier.verify(forward(i), if rc { reverse(j) } else { forward(j) }, hits);
+        if criteria.accepts(result.identity, result.overlap_len) {
+            edges.push(OverlapEdge { i, j, rc, result });
         }
-        hits.sort_unstable();
-        verifier.work.hits += hits.len() as u64;
-        for candidate in hits.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
-            let (i, rc) = (candidate[0].0 as usize, candidate[0].1);
-            verifier.work.candidates += 1;
-            let result = verifier.verify(forward(i), if rc { reverse(j) } else { forward(j) }, candidate);
-            if criteria.accepts(result.identity, result.overlap_len) {
-                edges.push(OverlapEdge { i, j, rc, result });
-            }
-        }
-    }
+    });
     // Best score first (greedy layout quality); (i, j, rc) is unique per
     // edge, so the order is total.
     edges.sort_by(|a, b| b.result.score.cmp(&a.result.score).then((a.i, a.j, a.rc).cmp(&(b.i, b.j, b.rc))));
@@ -255,7 +362,8 @@ mod tests {
     use pgasm_simgen::genome::{Genome, GenomeSpec};
     use pgasm_simgen::presets;
     use pgasm_simgen::sampler::{ReadSet, Sampler, SamplerConfig};
-    use std::collections::{HashMap, HashSet};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     fn cfg() -> AssemblyConfig {
         AssemblyConfig::default()
@@ -307,33 +415,65 @@ mod tests {
         }
     }
 
-    /// The candidate filter this module had before the seed index:
-    /// every `(i < j, orientation)` sharing any w-mer, via hash tables.
-    fn reference_candidates(reads: &[DnaSeq], wmer: usize) -> Vec<(usize, usize, bool)> {
-        let distinct = |s: &DnaSeq| KmerIter::new(s.codes(), wmer).map(|(_, k)| k).collect::<HashSet<u64>>();
-        let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, r) in reads.iter().enumerate() {
-            for k in distinct(r) {
-                table.entry(k).or_default().push(i);
+    /// Every candidate `(i < j, rc)` with its sorted distinct diagonals,
+    /// ascending by candidate.
+    type Seeds = Vec<((usize, usize, bool), Vec<i64>)>;
+
+    /// The seeds by definition, from hash maps of first occurrences: a
+    /// word shared by `i` forward and `j` in orientation `rc` is the
+    /// diagonal `first_i − first_j`, the reverse-complement side's first
+    /// occurrence taken in rc(`j`) coordinates. Also returns the shared
+    /// word pairs, duplicates included.
+    fn reference_seeds(reads: &[DnaSeq]) -> (Seeds, u64) {
+        let firsts = |s: &DnaSeq| {
+            let mut first: HashMap<u64, i64> = HashMap::new();
+            for (pos, word) in KmerIter::new(s.codes(), SEED_WORD) {
+                first.entry(word).or_insert(pos as i64);
             }
-        }
-        let mut candidates: HashSet<(usize, usize, bool)> = HashSet::new();
-        for (i, r) in reads.iter().enumerate() {
-            for (rc, words) in [(false, distinct(r)), (true, distinct(&r.reverse_complement()))] {
-                for j in words.iter().filter_map(|k| table.get(k)).flatten().copied() {
-                    if j != i && (rc || j > i) {
-                        candidates.insert((i.min(j), i.max(j), rc));
+            first
+        };
+        let forward: Vec<_> = reads.iter().map(firsts).collect();
+        let mut seeds: BTreeMap<(usize, usize, bool), Vec<i64>> = BTreeMap::new();
+        let mut pairs = 0;
+        for (j, read) in reads.iter().enumerate() {
+            for (rc, words) in [(false, forward[j].clone()), (true, firsts(&read.reverse_complement()))] {
+                for (word, pos_j) in words {
+                    for (i, first_i) in forward[..j].iter().enumerate() {
+                        if let Some(pos_i) = first_i.get(&word) {
+                            seeds.entry((i, j, rc)).or_default().push(pos_i - pos_j);
+                            pairs += 1;
+                        }
                     }
                 }
             }
         }
-        let mut sorted: Vec<_> = candidates.into_iter().collect();
-        sorted.sort_unstable();
-        sorted
+        for diagonals in seeds.values_mut() {
+            diagonals.sort_unstable();
+            diagonals.dedup();
+        }
+        (seeds.into_iter().collect(), pairs)
     }
 
-    /// The oracle: that filter, then the full-matrix quality DP on every
-    /// candidate, in [`find_overlaps`]' output order.
+    /// What `sweep` hands its verifier: each candidate with its hit
+    /// diagonals, and the pairs behind them.
+    fn sweep_seeds(reads: &[DnaSeq]) -> (Seeds, u64) {
+        let rc_reads: Vec<DnaSeq> = reads.iter().map(DnaSeq::reverse_complement).collect();
+        let mut seeds = Vec::new();
+        let pairs = SeedTable::new(reads, &rc_reads).for_each_candidate(|i, j, rc, hits| {
+            seeds.push(((i, j, rc), hits.iter().map(|h| h.2).collect()));
+        });
+        seeds.sort_unstable();
+        (seeds, pairs)
+    }
+
+    fn assert_seeds_match_reference(reads: &[DnaSeq], what: &str) -> Seeds {
+        let want = reference_seeds(reads);
+        assert_eq!(sweep_seeds(reads), want, "{what}");
+        want.0
+    }
+
+    /// The oracle: every candidate, aligned by the full-matrix quality
+    /// DP, in [`find_overlaps`]' output order.
     fn reference_overlaps(
         reads: &[DnaSeq],
         quals: Option<&[QualityTrack]>,
@@ -342,7 +482,7 @@ mod tests {
         let criteria = if quals.is_some() { config.quality_criteria } else { config.criteria };
         let mut scratch = AlignScratch::new();
         let mut edges = Vec::new();
-        for (i, j, rc) in reference_candidates(reads, config.wmer) {
+        for ((i, j, rc), _) in reference_seeds(reads).0 {
             let b = if rc { reads[j].reverse_complement() } else { reads[j].clone() };
             let qb: Option<Vec<u8>> = quals.map(|qs| {
                 let v = qs[j].values();
@@ -379,8 +519,9 @@ mod tests {
             .collect()
     }
 
-    /// `sweep` at `slack` against the oracle, with and without `quals`;
-    /// returns the quality-free sweep's edges and work.
+    /// `sweep` at `slack` against the oracle, with and without `quals`,
+    /// and its seeds against the reference; returns the quality-free
+    /// sweep's edges and work.
     fn assert_matches_reference_at(
         reads: &[DnaSeq],
         quals: &[QualityTrack],
@@ -388,7 +529,7 @@ mod tests {
         what: &str,
     ) -> (Vec<OverlapEdge>, SweepWork) {
         let config = cfg();
-        let expected_candidates = reference_candidates(reads, config.wmer).len() as u64;
+        let expected_candidates = assert_seeds_match_reference(reads, what).len() as u64;
         let check = |q: Option<&[QualityTrack]>| {
             let (got, work) = sweep(reads, q, &config, slack);
             let want = reference_overlaps(reads, q, &config);
@@ -464,12 +605,12 @@ mod tests {
     #[test]
     fn deep_tiling_matches_the_oracle_in_an_eighth_of_the_cells() {
         let set = deep_tiling(3);
-        let config = cfg();
         let (edges, work) = assert_matches_reference_at(&set.seqs, &set.quals, BAND_SLACK, "9x tiling");
         assert!(edges.len() >= 200, "a 9x tiling overlaps heavily: {} edges", edges.len());
-        let full_matrix: u64 = reference_candidates(&set.seqs, config.wmer)
+        let full_matrix: u64 = reference_seeds(&set.seqs)
+            .0
             .iter()
-            .map(|&(i, j, _)| (set.seqs[i].len() * set.seqs[j].len()) as u64)
+            .map(|&((i, j, _), _)| (set.seqs[i].len() * set.seqs[j].len()) as u64)
             .sum();
         assert!(
             work.cells * 8 <= full_matrix,
@@ -592,6 +733,78 @@ mod tests {
         assert_eq!(edges.len(), 20, "every like pair overlaps perfectly");
         assert_eq!(work.candidates, 20);
         assert!(work.hits <= 10 * 10 * 2, "{work:?}");
+    }
+
+    #[test]
+    fn seeds_are_first_occurrences_on_both_strands() {
+        let g = random_seq(21, 400);
+        let piece = |k: usize| g.slice(20 * k, 20 * k + 20);
+
+        // A word twice in `i`, twice in `j` and twice in rc(`j`): one
+        // seed per orientation, from the first copy on each side. (The
+        // pieces are picked so that no two copies share a flanking base,
+        // which would make the words across the junction shared too.)
+        let (w, tail) = (g.slice(380, 392), g.slice(200, 225));
+        let rc_w = w.reverse_complement();
+        let i = concat(&[&piece(0), &w, &piece(1), &w, &piece(2)]);
+        let j = concat(&[&piece(4), &w, &piece(5), &w, &piece(6), &rc_w, &piece(9), &rc_w, &tail]);
+        let seeds = assert_seeds_match_reference(&[i, j], "repeated word");
+        // rc(j) begins with rc(tail), 25 bases, then w.
+        assert_eq!(seeds, [((0, 1, false), vec![0]), ((0, 1, true), vec![20 - 25])]);
+
+        // A reverse-palindromic word is shared on both strands.
+        let x = g.slice(200, 206);
+        let p = concat(&[&x, &x.reverse_complement()]);
+        let reads = [concat(&[&piece(0), &p, &piece(1)]), concat(&[&piece(2), &p, &piece(3), &p])];
+        let seeds = assert_seeds_match_reference(&reads, "reverse-palindromic word");
+        assert_eq!(seeds, [((0, 1, false), vec![0]), ((0, 1, true), vec![20])]);
+
+        // Reads without a word, and one-word and two-word reads on both
+        // strands.
+        let mut masked = g.slice(0, 100);
+        masked.mask_range(0, 100);
+        let poly_a = |n| DnaSeq::from_codes(vec![0; n]);
+        let ac = |n| DnaSeq::from_codes((0..n).map(|p| (p % 2) as u8).collect());
+        let reads = [
+            poly_a(50),
+            g.slice(0, 11),
+            masked,
+            ac(40),
+            poly_a(30),
+            ac(41),
+            poly_a(50).reverse_complement(),
+            ac(57).reverse_complement(),
+        ];
+        let candidates: Vec<_> =
+            assert_seeds_match_reference(&reads, "low complexity").into_iter().map(|(c, _)| c).collect();
+        assert_eq!(
+            candidates,
+            [(0, 4, false), (0, 6, true), (3, 5, false), (3, 7, true), (4, 6, true), (5, 7, true)]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Two-letter reads, near-periodic with one base in eight drawn
+        /// freely: words recur densely within and across reads, on one
+        /// strand (A/C) or on both (A/T).
+        #[test]
+        fn seeds_match_the_reference_on_two_letter_reads(
+            (letters, period) in (0usize..2, 1usize..=16),
+            motif in prop::collection::vec(any::<bool>(), 16),
+            reads in prop::collection::vec(prop::collection::vec(0u8..16, 20..=200), 2..8),
+        ) {
+            let pair = [[0, 1], [0, 3]][letters];
+            let reads: Vec<DnaSeq> = reads
+                .iter()
+                .map(|r| {
+                    let bit = |p: usize, x: u8| if x < 2 { x as usize } else { motif[p % period] as usize };
+                    DnaSeq::from_codes(r.iter().enumerate().map(|(p, &x)| pair[bit(p, x)]).collect())
+                })
+                .collect();
+            assert_seeds_match_reference(&reads, "two-letter reads");
+        }
     }
 
     #[test]

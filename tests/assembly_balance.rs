@@ -48,13 +48,16 @@ fn tile(g: &str, read: usize, step: usize) -> Vec<DnaSeq> {
     out
 }
 
-/// One dominant island (~64 reads, cost proxy 2016) plus 14 small ones
+/// One dominant island (64 reads, cost proxy 2016) plus 14 small ones
 /// (5 reads, cost proxy 10 each): 15 non-singleton clusters, so at
 /// p = 8 static chunking packs ⌈15/7⌉ = 3 clusters per grant and the
 /// dominant cluster's chunk always carries extra work, while LPT hands
-/// the dominant cluster out alone first.
+/// the dominant cluster out alone first. The island's reads are 400 bp
+/// so that assembling it outlasts the dispatch of the whole tail with a
+/// wide margin: a worker that finishes the island while small clusters
+/// are still queued draws one of them.
 fn fixture() -> (FragmentStore, Clustering) {
-    let mut reads = tile(&genome(7, 4000), 200, 60);
+    let mut reads = tile(&genome(7, 4180), 400, 60);
     for seed in 100..114 {
         reads.extend(tile(&genome(seed, 600), 200, 90));
     }
@@ -126,10 +129,10 @@ fn critical_path_runs_through_the_dominant_clusters_worker() {
     let mut tracks: Vec<ATrack> = dist.traces.iter().map(ATrack::from_rank_trace).collect();
 
     // The dominant cluster's `assemble_cluster` span on that worker's
-    // track. The known answer needs it to dominate the run: a quarter of
-    // a second against the others' milliseconds in a dev build. Optimised
-    // it is a few ms — within what a scheduler can add to any rank on a
-    // busy two-core host — and whoever the master then hears from last is
+    // track. The known answer needs it to dominate the run: half a second
+    // against the others' milliseconds in a dev build. Optimised it is a
+    // few ms — within what a scheduler can add to any rank on a busy
+    // two-core host — and whoever the master then hears from last is
     // rightly where the path goes.
     let spans = || tracks[giant].events.iter().filter(|e| e.name == names::EV_ASSEMBLE_CLUSTER);
     let begin =
