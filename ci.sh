@@ -64,6 +64,10 @@ cargo run --release -q --bin pgasm -- analyze --trace-json ci.trace.json \
   --metrics-json ci.metrics.json --out ci.analysis.json --coverage-tol 0.05
 test -s ci.analysis.json || { echo "missing ci.analysis.json"; exit 1; }
 grep -q '"edges_unpaired": 0' ci.analysis.json || { echo "analyzer left message edges unpaired"; exit 1; }
+# The stage windows are the pipeline track's top-level spans: a span
+# nested in a stage (cache traffic, the distributed phases) is no row.
+stages=$(grep -o '"stage": "[a-z_]*"' ci.analysis.json | cut -d'"' -f4 | paste -sd' ')
+[ "$stages" = "preprocess cluster assemble" ] || { echo "stage rows are '$stages'"; exit 1; }
 rm -f ci_contigs.fasta ci.trace.json ci.metrics.json ci.analysis.json
 
 echo "==> pgasm cluster: serial and --ranks 3 write the same partition"

@@ -6,7 +6,6 @@ use pgasm_align::wmer::WmerTable;
 use pgasm_core::clustering::{canonical_skip, same_fragment_skip, PairDecider};
 use pgasm_core::{cluster_serial, UnionFind};
 use pgasm_gst::{GenMode, Gst, PairGenerator, PromisingPair};
-use pgasm_telemetry::names;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -18,19 +17,11 @@ use rand::SeedableRng;
 /// largest cluster holds 6.76%.
 pub fn masking(scale: f64) -> [(bool, f64, u64, u64, f64); 2] {
     let params = datasets::default_params();
-    let (mut out, run_report) = with_run_report("ablation_masking", |ctx| {
-        let mut out = [(false, 0.0, 0, 0, 0.0); 2];
-        for (slot, mask) in [true, false].into_iter().enumerate() {
-            let prepared = datasets::drosophila((80_000.0 * scale) as usize, 6.0, 21, mask);
-            let arm = if mask { "masked" } else { "unmasked" };
-            let (clustering, stats) = ctx.scope(arm, |_| cluster_serial(&prepared.store, &params));
-            out[slot] = (mask, clustering.max_cluster_fraction(), stats.generated, stats.aligned, 0.0);
-        }
-        out
-    });
-    // Arm timings come from the folded run report's spans.
-    for (mask, _, _, _, secs) in out.iter_mut() {
-        *secs = run_report.wall(if *mask { "masked" } else { "unmasked" });
+    let mut out = [(false, 0.0, 0, 0, 0.0); 2];
+    for (slot, mask) in [true, false].into_iter().enumerate() {
+        let prepared = datasets::drosophila((80_000.0 * scale) as usize, 6.0, 21, mask);
+        let ((clustering, stats), secs) = timed(|| cluster_serial(&prepared.store, &params));
+        out[slot] = (mask, clustering.max_cluster_fraction(), stats.generated, stats.aligned, secs);
     }
     let rows: Vec<Vec<String>> = out
         .iter()
@@ -89,25 +80,19 @@ pub fn ordering(scale: f64) -> [(String, u64); 3] {
         }
         (aligned, uf.sets())
     };
-    let (out, _run_report) = with_run_report("ablation_ordering", |ctx| {
-        let (sorted_aligned, sorted_sets) = ctx.scope("sorted", |_| run_order(&pairs));
-        let mut reversed: Vec<PromisingPair> = pairs.iter().rev().copied().collect();
-        let (reversed_aligned, reversed_sets) = ctx.scope("reversed", |_| run_order(&reversed));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        reversed.shuffle(&mut rng);
-        let (shuffled_aligned, shuffled_sets) = ctx.scope("shuffled", |_| run_order(&reversed));
-        assert_eq!(sorted_sets, reversed_sets, "ordering must not change the clustering");
-        assert_eq!(sorted_sets, shuffled_sets, "ordering must not change the clustering");
-        ctx.set(names::PAIRS_GENERATED, pairs.len() as u64);
-        ctx.set("aligned_sorted", sorted_aligned);
-        ctx.set("aligned_reversed", reversed_aligned);
-        ctx.set("aligned_shuffled", shuffled_aligned);
-        [
-            ("decreasing match length (paper)".to_string(), sorted_aligned),
-            ("reversed".to_string(), reversed_aligned),
-            ("shuffled".to_string(), shuffled_aligned),
-        ]
-    });
+    let (sorted_aligned, sorted_sets) = run_order(&pairs);
+    let mut reversed: Vec<PromisingPair> = pairs.iter().rev().copied().collect();
+    let (reversed_aligned, reversed_sets) = run_order(&reversed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    reversed.shuffle(&mut rng);
+    let (shuffled_aligned, shuffled_sets) = run_order(&reversed);
+    assert_eq!(sorted_sets, reversed_sets, "ordering must not change the clustering");
+    assert_eq!(sorted_sets, shuffled_sets, "ordering must not change the clustering");
+    let out = [
+        ("decreasing match length (paper)".to_string(), sorted_aligned),
+        ("reversed".to_string(), reversed_aligned),
+        ("shuffled".to_string(), shuffled_aligned),
+    ];
     let rows: Vec<Vec<String>> = out
         .iter()
         .map(|(name, aligned)| {
@@ -156,17 +141,10 @@ pub fn dup_elim(scale: f64) -> [(GenMode, u64); 2] {
     let store = sampler.wgs((genome.len() as f64 * 4.0 / 450.0) as usize).to_store();
     let params = datasets::default_params();
     let ds = store.with_reverse_complements();
-    let (out, _run_report) = with_run_report("ablation_dupelim", |ctx| {
-        let mut out = [(GenMode::AllMatches, 0u64); 2];
-        for (slot, mode) in [GenMode::AllMatches, GenMode::DupElim].into_iter().enumerate() {
-            let count = ctx.scope(&format!("{mode:?}"), |_| {
-                let gst = Gst::build(&ds, params.gst);
-                PairGenerator::new(gst, mode, |a, b| same_fragment_skip(a, b) || canonical_skip(a, b)).count()
-            });
-            ctx.set(&format!("pairs_{mode:?}"), count as u64);
-            out[slot] = (mode, count as u64);
-        }
-        out
+    let out = [GenMode::AllMatches, GenMode::DupElim].map(|mode| {
+        let gst = Gst::build(&ds, params.gst);
+        let pairs = PairGenerator::new(gst, mode, |a, b| same_fragment_skip(a, b) || canonical_skip(a, b));
+        (mode, pairs.count() as u64)
     });
     let rows: Vec<Vec<String>> =
         out.iter().map(|(mode, count)| vec![format!("{mode:?}"), fmt_count(*count)]).collect();
@@ -192,18 +170,11 @@ pub fn filter(scale: f64) -> (u64, u64, u64) {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         same_fragment_skip(lo, hi) || canonical_skip(lo, hi)
     };
-    let ((wstats, ours), _run_report) = with_run_report("ablation_filter", |ctx| {
-        let wstats = ctx.scope("wmer_table", |_| table.count_pairs(skip));
-        let ours = ctx.scope("maximal_matches", |_| {
-            let gst = Gst::build(&ds, params.gst);
-            PairGenerator::new(gst, GenMode::DupElim, |a, b| same_fragment_skip(a, b) || canonical_skip(a, b))
-                .count() as u64
-        });
-        ctx.set("wmer_pair_generations", wstats.pair_generations);
-        ctx.set("wmer_distinct_pairs", wstats.distinct_pairs);
-        ctx.set("maximal_match_pairs", ours);
-        (wstats, ours)
-    });
+    let wstats = table.count_pairs(skip);
+    let gst = Gst::build(&ds, params.gst);
+    let pairs =
+        PairGenerator::new(gst, GenMode::DupElim, |a, b| same_fragment_skip(a, b) || canonical_skip(a, b));
+    let ours = pairs.count() as u64;
     print_table(
         "ABL3: candidate-pair filters",
         &["filter", "pair generations", "distinct pairs"],

@@ -12,7 +12,6 @@ use crate::util::*;
 use pgasm_core::parallel_gst::build_distributed_gst;
 use pgasm_gst::GstConfig;
 use pgasm_mpisim::CostModel;
-use pgasm_telemetry::Span;
 
 /// One measured point of the figure.
 #[derive(Debug, Clone, Copy)]
@@ -27,66 +26,34 @@ pub struct Point {
     pub comm: f64,
 }
 
-fn point_span(input_bp: usize, p: usize) -> String {
-    format!("{input_bp}bp_p{p}")
-}
-
 /// Run the experiment; returns the measured series.
 pub fn run(scale: f64) -> Vec<Point> {
     let model = CostModel::BLUEGENE_L;
     let config = GstConfig { psi: 20 };
     let sizes = [(250_000.0 * scale) as usize, (500_000.0 * scale) as usize];
     let ps = [1usize, 2, 4, 8];
-    let (points, run_report) = with_run_report("fig5", |ctx| {
-        let mut points = Vec::new();
-        for (i, &raw_bp) in sizes.iter().enumerate() {
-            let prepared = datasets::maize(raw_bp, 42 + i as u64);
-            let ds = prepared.store.with_reverse_complements();
-            let input_bp = prepared.total_bp();
-            for &p in &ps {
-                let report = build_distributed_gst(&ds, p, config);
-                let compute = report.max_compute_seconds();
-                let comm = report.max_modelled_comm_seconds(&model);
-                // Both components are measured from rank-local clocks
-                // (thread CPU + modelled α–β traffic), so the span is
-                // recorded rather than wrapped around host wall time.
-                ctx.record_span(Span {
-                    name: point_span(input_bp, p),
-                    wall_seconds: compute + comm,
-                    cpu_seconds: compute,
-                    children: vec![
-                        Span {
-                            name: "compute".into(),
-                            wall_seconds: compute,
-                            cpu_seconds: compute,
-                            children: vec![],
-                        },
-                        Span {
-                            name: "comm_modelled".into(),
-                            wall_seconds: comm,
-                            cpu_seconds: 0.0,
-                            children: vec![],
-                        },
-                    ],
-                });
-                points.push(Point { input_bp, p, compute, comm });
-            }
+    let mut points = Vec::new();
+    for (i, &raw_bp) in sizes.iter().enumerate() {
+        let prepared = datasets::maize(raw_bp, 42 + i as u64);
+        let ds = prepared.store.with_reverse_complements();
+        let input_bp = prepared.total_bp();
+        for &p in &ps {
+            // Both components come from rank-local clocks (thread CPU +
+            // modelled α–β traffic), not from host wall time.
+            let report = build_distributed_gst(&ds, p, config);
+            let (compute, comm) = (report.max_compute_seconds(), report.max_modelled_comm_seconds(&model));
+            points.push(Point { input_bp, p, compute, comm });
         }
-        points
-    });
-    // Table rows read back off the folded run report's spans.
+    }
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|pt| {
-            let root = point_span(pt.input_bp, pt.p);
-            let compute = run_report.wall(&format!("{root}/compute"));
-            let comm = run_report.wall(&format!("{root}/comm_modelled"));
             vec![
                 fmt_mbp(pt.input_bp),
                 pt.p.to_string(),
-                fmt_secs(compute),
-                fmt_secs(comm),
-                fmt_secs(run_report.wall(&root)),
+                fmt_secs(pt.compute),
+                fmt_secs(pt.comm),
+                fmt_secs(pt.compute + pt.comm),
             ]
         })
         .collect();

@@ -35,52 +35,38 @@ pub struct Point {
 pub fn run(scale: f64) -> Vec<Point> {
     let sizes = [(250_000.0 * scale) as usize, (500_000.0 * scale) as usize];
     let worker_counts = [1usize, 2, 4, 8];
-    let (points, _run_report) = with_run_report("fig9", |ctx| {
-        let mut points = Vec::new();
-        let mut last_ranks = Vec::new();
-        for (i, &raw_bp) in sizes.iter().enumerate() {
-            let prepared = datasets::maize(raw_bp, 142 + i as u64);
-            let input_bp = prepared.total_bp();
-            for &w in &worker_counts {
-                let params = datasets::default_params();
-                let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
-                let report = cluster_parallel(&prepared.store, w + 1, &params, &cfg);
-                // Modelled time: slowest rank's CPU + its modelled
-                // traffic, both read off the per-rank telemetry
-                // channels. Only the protocol tags count — the
-                // collective tags belong to GST construction, which
-                // this figure excludes.
-                let proto_comm = |r: &pgasm_telemetry::RankReport| {
-                    r.comm
-                        .iter()
-                        .filter(|t| t.label.starts_with("w2m") || t.label.starts_with("m2w"))
-                        .map(|t| t.modelled_seconds)
-                        .sum::<f64>()
-                };
-                let t_model =
-                    report.ranks.iter().map(|r| r.cpu_seconds + proto_comm(r)).fold(0.0, f64::max).max(1e-6);
-                let idle = if w > 0 {
-                    report.ranks[1..].iter().map(|r| (1.0 - r.cpu_seconds / t_model).max(0.0)).sum::<f64>()
-                        / w as f64
-                } else {
-                    0.0
-                };
-                let master_avail = (1.0 - report.ranks[0].cpu_seconds / t_model).max(0.0);
-                ctx.record_span(pgasm_telemetry::Span {
-                    name: format!("{input_bp}bp_w{w}"),
-                    wall_seconds: t_model,
-                    cpu_seconds: report.ranks.iter().map(|r| r.cpu_seconds).sum(),
-                    children: Vec::new(),
-                });
-                last_ranks = report.ranks;
-                points.push(Point { input_bp, workers: w, t_model, idle, master_avail });
-            }
+    let mut points = Vec::new();
+    for (i, &raw_bp) in sizes.iter().enumerate() {
+        let prepared = datasets::maize(raw_bp, 142 + i as u64);
+        let input_bp = prepared.total_bp();
+        for &w in &worker_counts {
+            let params = datasets::default_params();
+            let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
+            let report = cluster_parallel(&prepared.store, w + 1, &params, &cfg);
+            // Modelled time: slowest rank's CPU + its modelled
+            // traffic, both read off the per-rank telemetry
+            // channels. Only the protocol tags count — the
+            // collective tags belong to GST construction, which
+            // this figure excludes.
+            let proto_comm = |r: &pgasm_telemetry::RankReport| {
+                r.comm
+                    .iter()
+                    .filter(|t| t.label.starts_with("w2m") || t.label.starts_with("m2w"))
+                    .map(|t| t.modelled_seconds)
+                    .sum::<f64>()
+            };
+            let t_model =
+                report.ranks.iter().map(|r| r.cpu_seconds + proto_comm(r)).fold(0.0, f64::max).max(1e-6);
+            let idle = if w > 0 {
+                report.ranks[1..].iter().map(|r| (1.0 - r.cpu_seconds / t_model).max(0.0)).sum::<f64>()
+                    / w as f64
+            } else {
+                0.0
+            };
+            let master_avail = (1.0 - report.ranks[0].cpu_seconds / t_model).max(0.0);
+            points.push(Point { input_bp, workers: w, t_model, idle, master_avail });
         }
-        // The last (largest) configuration's rank channels are the
-        // report's parallel section.
-        ctx.merge_ranks(last_ranks);
-        points
-    });
+    }
     let mut rows = Vec::new();
     for pt in &points {
         let base = points

@@ -2,7 +2,10 @@
 //!
 //! One module per table/figure of the paper's evaluation, each exposing
 //! a `run(scale)` entry point that generates the workload, executes the
-//! experiment, and prints the same rows/series the paper reports. The
+//! experiment, and prints the same rows/series the paper reports. A
+//! table prints the values its run computed; the experiments that report
+//! a host time take it from one clock, [`util::timed`], and the
+//! distributed ones report rank-clock and modelled times instead. The
 //! binaries under `src/bin/` are thin wrappers; `all_experiments` runs
 //! the full suite (the data source for `EXPERIMENTS.md`), the four
 //! design [`ablations`] included — they have no binary of their own.

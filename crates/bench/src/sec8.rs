@@ -12,7 +12,6 @@ use pgasm_assemble::AssemblyConfig;
 use pgasm_core::cluster_serial;
 use pgasm_core::pipeline::assemble_clusters_q;
 use pgasm_core::validation::validate_clusters;
-use pgasm_telemetry::names;
 
 /// Experiment outcome.
 #[derive(Debug, Clone, Copy)]
@@ -37,32 +36,24 @@ pub struct Outcome {
 pub fn run(scale: f64) -> Outcome {
     let prepared = datasets::maize((500_000.0 * scale) as usize, 88);
     let params = datasets::default_params();
-    let (outcome, _run_report) = with_run_report("sec8", |ctx| {
-        let (clustering, _stats) = ctx.scope("cluster", |_| cluster_serial(&prepared.store, &params));
-        let assemblies = ctx.scope("assemble", |_| {
-            assemble_clusters_q(&prepared.store, None, &clustering, &AssemblyConfig::default(), 2)
-        });
-        let contigs_per_cluster = if assemblies.is_empty() {
-            0.0
-        } else {
-            assemblies.iter().map(|a| (a.num_contigs() + a.singletons.len()).max(1)).sum::<usize>() as f64
-                / assemblies.len() as f64
-        };
-        let validation = validate_clusters(&clustering, &prepared.origin, &prepared.reads.provenance, 2_000);
-        ctx.set(names::FRAGMENTS, prepared.store.num_fragments() as u64);
-        ctx.set(names::NON_SINGLETON_CLUSTERS, clustering.num_non_singletons() as u64);
-        ctx.set("singletons", clustering.num_singletons() as u64);
-        ctx.set(names::CONTIGS, assemblies.iter().map(|a| a.num_contigs() as u64).sum());
-        Outcome {
-            fragments: prepared.store.num_fragments(),
-            clusters: clustering.num_non_singletons(),
-            singletons: clustering.num_singletons(),
-            mean_size: clustering.mean_cluster_size(),
-            max_fraction: clustering.max_cluster_fraction(),
-            contigs_per_cluster,
-            specificity: validation.specificity(),
-        }
-    });
+    let (clustering, _stats) = cluster_serial(&prepared.store, &params);
+    let assemblies = assemble_clusters_q(&prepared.store, None, &clustering, &AssemblyConfig::default(), 2);
+    let contigs_per_cluster = if assemblies.is_empty() {
+        0.0
+    } else {
+        assemblies.iter().map(|a| (a.num_contigs() + a.singletons.len()).max(1)).sum::<usize>() as f64
+            / assemblies.len() as f64
+    };
+    let validation = validate_clusters(&clustering, &prepared.origin, &prepared.reads.provenance, 2_000);
+    let outcome = Outcome {
+        fragments: prepared.store.num_fragments(),
+        clusters: clustering.num_non_singletons(),
+        singletons: clustering.num_singletons(),
+        mean_size: clustering.mean_cluster_size(),
+        max_fraction: clustering.max_cluster_fraction(),
+        contigs_per_cluster,
+        specificity: validation.specificity(),
+    };
     print_table(
         "SEC8: maize-like cluster-then-assemble summary",
         &["metric", "value", "paper"],

@@ -31,35 +31,29 @@ pub fn run(scale: f64) -> Vec<Row> {
     let sizes: Vec<usize> =
         [250_000.0, 500_000.0, 1_000_000.0, 1_252_000.0].iter().map(|s| (s * scale) as usize).collect();
     let params = datasets::default_params();
-    let (rows, run_report) = with_run_report("table1", |ctx| {
-        let mut rows = Vec::new();
-        for (i, &raw_bp) in sizes.iter().enumerate() {
-            let prepared = datasets::maize(raw_bp, 7 + i as u64);
-            let input_bp = prepared.total_bp();
-            let stats = ctx.scope(&format!("{input_bp}bp"), |_| cluster_serial(&prepared.store, &params).1);
-            ctx.set(&format!("{input_bp}bp_fragments"), prepared.store.num_fragments() as u64);
-            ctx.set(&format!("{input_bp}bp_generated"), stats.generated);
-            ctx.set(&format!("{input_bp}bp_aligned"), stats.aligned);
-            ctx.set(&format!("{input_bp}bp_accepted"), stats.accepted);
-            ctx.set(&format!("{input_bp}bp_merges"), stats.merges);
-            rows.push(Row { raw_bp, fragments: prepared.store.num_fragments(), input_bp, stats });
-        }
-        rows
-    });
-    // Table rows read back off the folded run report's counters.
+    let mut rows = Vec::new();
+    for (i, &raw_bp) in sizes.iter().enumerate() {
+        let prepared = datasets::maize(raw_bp, 7 + i as u64);
+        let stats = cluster_serial(&prepared.store, &params).1;
+        rows.push(Row {
+            raw_bp,
+            fragments: prepared.store.num_fragments(),
+            input_bp: prepared.total_bp(),
+            stats,
+        });
+    }
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let c = |suffix: &str| run_report.counter(&format!("{}bp_{suffix}", r.input_bp));
-            let (generated, aligned, accepted) = (c("generated"), c("aligned"), c("accepted"));
+            let ClusterStats { generated, aligned, accepted, merges, .. } = r.stats;
             vec![
                 fmt_mbp(r.input_bp),
-                fmt_count(c("fragments")),
+                fmt_count(r.fragments as u64),
                 fmt_count(generated),
                 fmt_count(aligned),
                 fmt_count(accepted),
                 fmt_pct(if generated == 0 { 0.0 } else { 1.0 - aligned as f64 / generated as f64 }),
-                fmt_pct(if aligned == 0 { 0.0 } else { c("merges") as f64 / aligned as f64 }),
+                fmt_pct(if aligned == 0 { 0.0 } else { merges as f64 / aligned as f64 }),
             ]
         })
         .collect();

@@ -16,19 +16,8 @@ pub type Row = (String, usize, usize, usize, usize);
 
 /// Run the experiment.
 pub fn run(scale: f64) -> Vec<Row> {
-    let (rows, _run_report) = with_run_report("table2", |ctx| {
-        let prepared = ctx.scope("preprocess", |_| datasets::maize((600_000.0 * scale) as usize, 77));
-        let stats = prepared.pp_stats.as_ref().expect("preprocessing ran");
-        let rows = stats.table_rows();
-        for (label, nb, bb, na, ba) in &rows {
-            let key = label.to_lowercase().replace([' ', '-'], "_");
-            ctx.set(&format!("{key}_frags_before"), *nb as u64);
-            ctx.set(&format!("{key}_bp_before"), *bb as u64);
-            ctx.set(&format!("{key}_frags_after"), *na as u64);
-            ctx.set(&format!("{key}_bp_after"), *ba as u64);
-        }
-        rows
-    });
+    let prepared = datasets::maize((600_000.0 * scale) as usize, 77);
+    let rows = prepared.pp_stats.as_ref().expect("preprocessing ran").table_rows();
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(label, nb, bb, na, ba)| {

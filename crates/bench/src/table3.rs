@@ -38,40 +38,20 @@ pub fn run(scale: f64) -> Vec<Row> {
     let dro = datasets::drosophila((150_000.0 * scale) as usize, 8.8, 11, true);
     // Sargasso-like: many species, power-law abundances.
     let sar = datasets::sargasso(((24.0 * scale) as usize).max(4), (2_500.0 * scale) as usize, 12);
-    let (rows, run_report) = with_run_report("table3", |ctx| {
-        let mut rows = Vec::new();
-        for prepared in [dro, sar] {
-            ctx.push(&prepared.name);
-            let gst = ctx.scope("gst_build", |_| {
-                let ds = prepared.store.with_reverse_complements();
-                Gst::build(&ds, params.gst)
-            });
-            drop(gst);
-            let (clustering, stats) = ctx.scope("cluster", |_| cluster_serial(&prepared.store, &params));
-            ctx.pop();
-            rows.push(Row {
-                name: prepared.name.clone(),
-                fragments: prepared.store.num_fragments(),
-                input_bp: prepared.total_bp(),
-                gst_seconds: 0.0, // filled from the run report below
-                total_seconds: 0.0,
-                stats,
-                clustering,
-            });
-        }
-        rows
-    });
-    // Timings come from the folded run report's spans, not ad-hoc
-    // clocks.
-    let rows: Vec<Row> = rows
-        .into_iter()
-        .map(|mut r| {
-            let gst = run_report.wall(&format!("{}/gst_build", r.name));
-            r.gst_seconds = gst;
-            r.total_seconds = gst + run_report.wall(&format!("{}/cluster", r.name));
-            r
-        })
-        .collect();
+    let mut rows = Vec::new();
+    for prepared in [dro, sar] {
+        let (_, gst_seconds) = timed(|| Gst::build(&prepared.store.with_reverse_complements(), params.gst));
+        let ((clustering, stats), cluster_seconds) = timed(|| cluster_serial(&prepared.store, &params));
+        rows.push(Row {
+            name: prepared.name.clone(),
+            fragments: prepared.store.num_fragments(),
+            input_bp: prepared.total_bp(),
+            gst_seconds,
+            total_seconds: gst_seconds + cluster_seconds,
+            stats,
+            clustering,
+        });
+    }
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -1,16 +1,12 @@
-//! Shared harness utilities: scale handling, run-report folding, table
-//! printing, formatting.
+//! Shared harness utilities: scale handling, timing, table printing,
+//! formatting.
 
-use pgasm_telemetry::{RunContext, RunReport};
-
-/// Run an experiment body under a fresh [`RunContext`] labelled `id`
-/// and return the body's output together with the folded
-/// [`RunReport`]. All bench timing flows through the context's spans —
-/// the experiment modules hold no ad-hoc clocks.
-pub fn with_run_report<T>(id: &str, f: impl FnOnce(&mut RunContext) -> T) -> (T, RunReport) {
-    let mut ctx = RunContext::new(id);
-    let out = f(&mut ctx);
-    (out, ctx.finish())
+/// Run `f`, returning its value and its wall seconds: the one clock the
+/// experiments that print a time read.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = std::time::Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
 }
 
 /// Workload scale factor from `PGASM_SCALE` (default 1.0).

@@ -15,14 +15,8 @@ use pgasm_core::validation::{validate_clusters, ValidationReport};
 pub fn run(scale: f64) -> ValidationReport {
     let prepared = datasets::drosophila((120_000.0 * scale) as usize, 8.8, 33, true);
     let params = datasets::default_params();
-    let (report, _run_report) = with_run_report("validation", |ctx| {
-        let (clustering, _) = ctx.scope("cluster", |_| cluster_serial(&prepared.store, &params));
-        let report = validate_clusters(&clustering, &prepared.origin, &prepared.reads.provenance, 2_000);
-        ctx.set("clusters_checked", report.clusters as u64);
-        ctx.set("single_region_clusters", report.single_region as u64);
-        ctx.set("cross_genome_clusters", report.cross_genome as u64);
-        report
-    });
+    let (clustering, _) = cluster_serial(&prepared.store, &params);
+    let report = validate_clusters(&clustering, &prepared.origin, &prepared.reads.provenance, 2_000);
     print_table(
         "SEC91b: cluster-to-genome validation (drosophila-like WGS)",
         &["metric", "value", "paper"],

@@ -817,7 +817,7 @@ mod tests {
             // pre-phase's collectives, and the counter lists pinned
             // above have no wire-level tally in them.
             for r in ranks.iter() {
-                let known = [report, grant, "alltoall", "alltoall_p2p"];
+                let known = [report, grant, "alltoall"];
                 assert!(
                     r.comm.iter().all(|t| known.contains(&t.label.as_str())),
                     "rank {}: {:?}",

@@ -159,7 +159,7 @@ pub fn rank_build_gst<'s>(
         }
     }
     drop(local);
-    let received = comm.all_to_allv_p2p(per_dest.into_iter().map(|w| w.finish()).collect());
+    let received = comm.all_to_allv(per_dest.into_iter().map(|w| w.finish()).collect());
     let mut mine: Vec<(u64, Suffix)> = Vec::new();
     for payload in received {
         read_records(&payload, "redistributed suffixes", |r| {

@@ -19,8 +19,8 @@ use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCE
 use pgasm_seq::wire::{checked_len, Reader, Writer};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
 use pgasm_simgen::ReadSet;
-use pgasm_telemetry::trace::{RankTrace, TraceCategory, TraceSpec, Tracer};
-use pgasm_telemetry::{names, RankReport, RunContext, Span};
+use pgasm_telemetry::trace::{RankTrace, TraceSpec};
+use pgasm_telemetry::{names, RankReport, RunContext};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -39,9 +39,10 @@ pub struct PipelineConfig {
     pub assembly: AssemblyConfig,
     /// Threads for the trivially parallel assembly phase.
     pub assembly_threads: usize,
-    /// Per-rank event tracing ([`TraceSpec::off`] by default). When on,
-    /// the [`RunContext`] collects one track per rank plus the pipeline's
-    /// own, for Chrome-trace export and `pgasm analyze`.
+    /// Per-rank event tracing ([`TraceSpec::off`] by default): the clock
+    /// the [`RunContext`]'s track and the ranks' share. When on, the
+    /// context exports one track per rank plus its own, for Chrome-trace
+    /// export and `pgasm analyze`.
     pub trace: TraceSpec,
     /// Directory for the content-addressed artifact cache; `None`
     /// disables caching. Repeated runs over identical inputs and
@@ -158,11 +159,6 @@ fn decode_contigs(payload: &[u8]) -> Option<Vec<Assembly>> {
     Some(out)
 }
 
-/// A span measured on rank-local clocks rather than by the context.
-fn measured_span(name: &str, wall_seconds: f64, cpu_seconds: f64) -> Span {
-    Span { name: name.to_string(), wall_seconds, cpu_seconds, children: Vec::new() }
-}
-
 /// What preprocessing hands on: a [`PreprocessOutput`] whose parts a
 /// pass-through run (no [`PreprocessConfig`]) lacks are optional.
 struct Fragments {
@@ -178,28 +174,25 @@ struct Fragments {
 
 /// One run in flight: what every phase reads (the configuration, the
 /// artifact cache — `None` when off or unopenable) and what it records
-/// into (the caller's context, the pipeline's own trace track).
+/// into (the caller's context, whose track holds the run's spans).
 struct Run<'a> {
     config: &'a PipelineConfig,
     cache: Option<ArtifactCache>,
     ctx: &'a mut RunContext,
-    tracer: Tracer,
     /// The fault plan killed a stage's master: the run ends with that stage.
     killed: bool,
 }
 
 impl Run<'_> {
-    /// Run one phase under the span, and the pipeline-track interval,
-    /// named after it; returns its value and its wall seconds.
+    /// Run one phase under the span named after it; returns its value
+    /// and its wall seconds.
     fn stage<T>(&mut self, name: &'static str, body: impl FnOnce(&mut Self) -> T) -> (T, f64) {
-        self.tracer.begin(TraceCategory::Stage, name);
         self.ctx.push(name);
         let out = body(self);
-        let (wall, _cpu) = self.ctx.pop();
-        self.tracer.end(TraceCategory::Stage, name);
+        let wall = self.ctx.pop();
         // Cache traffic accrues per stage, so its gauge is fed here.
         let bytes = self.ctx.counter(names::CACHE_BYTES_READ) + self.ctx.counter(names::CACHE_BYTES_WRITTEN);
-        self.tracer.counter(TraceCategory::Stage, names::GAUGE_CACHE_BYTES, bytes);
+        self.ctx.gauge(names::GAUGE_CACHE_BYTES, bytes);
         (out, wall)
     }
 
@@ -238,14 +231,21 @@ impl Run<'_> {
         self.ctx.pop();
     }
 
-    /// Fold one distributed stage's report into the run: its phase
-    /// span, its fault/recovery tallies (summed over the rank counters
-    /// `run_stage` wrote; nonzero only, so a clean run's report has no
-    /// `faults` section), whether its master was killed, and its rank
-    /// channels and trace tracks. Both stages run on the same ranks, so
-    /// those merge by rank id: counters sum, comm rows append under each
-    /// stage's tag labels, events append in time order.
-    fn fold(&mut self, span: Span, ranks: Vec<RankReport>, traces: Vec<RankTrace>, killed: bool) {
+    /// Fold one distributed stage's report into the run: its phases,
+    /// measured on rank clocks, as completed spans; its fault/recovery
+    /// tallies (summed over the rank counters `run_stage` wrote; nonzero
+    /// only, so a clean run's report has no `faults` section); whether
+    /// its master was killed; and its rank channels and trace tracks.
+    /// Both stages run on the same ranks, so those merge by rank id:
+    /// counters sum, comm rows append under each stage's tag labels,
+    /// events append in time order.
+    fn fold(
+        &mut self,
+        phases: &[(&'static str, f64, f64)],
+        ranks: Vec<RankReport>,
+        traces: Vec<RankTrace>,
+        killed: bool,
+    ) {
         self.killed = killed;
         for name in [
             names::RECOVERED_TASKS,
@@ -261,7 +261,7 @@ impl Run<'_> {
                 self.ctx.add(name, value);
             }
         }
-        self.ctx.record_span(span);
+        self.ctx.completed(phases);
         self.ctx.merge_ranks(ranks);
         if self.config.trace.enabled {
             self.ctx.merge_traces(traces);
@@ -318,9 +318,11 @@ impl Run<'_> {
             Some(p) => {
                 let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
                 let r = cluster_parallel_with(store, p, params, &self.config.master_worker, &opts);
-                self.ctx.record_span(measured_span("gst_build", r.gst_seconds, r.gst_seconds));
-                let phase = measured_span("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum());
-                self.fold(phase, r.ranks, r.traces, r.killed);
+                let phases = [
+                    ("gst_build", r.gst_seconds, r.gst_seconds),
+                    ("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum()),
+                ];
+                self.fold(&phases, r.ranks, r.traces, r.killed);
                 let mut gst = GstStats::default();
                 for rank in &r.gst_reports {
                     gst.enumerated += rank.gst.enumerated;
@@ -390,9 +392,8 @@ impl Run<'_> {
                     let opts = stage_opts(self.config, FaultStage::Assemble, "assemble");
                     let r =
                         assemble_parallel_with(store, quals, clustering, config, p, AssignPolicy::Lpt, &opts);
-                    let phase =
-                        measured_span("dist_assemble", r.assemble_seconds, r.cpu_seconds.iter().sum());
-                    self.fold(phase, r.ranks, r.traces, r.killed);
+                    let phase = ("dist_assemble", r.assemble_seconds, r.cpu_seconds.iter().sum());
+                    self.fold(&[phase], r.ranks, r.traces, r.killed);
                     r.assemblies
                 }
                 None => assemble_clusters_q(store, quals, clustering, config, self.config.assembly_threads),
@@ -469,10 +470,9 @@ impl Pipeline {
             let warn = |e: &_| eprintln!("warning: cache directory {}: {e}; running uncached", dir.display());
             ArtifactCache::open(dir).inspect_err(warn).ok()
         });
-        // The pipeline's own trace track, for stage boundaries: its id
-        // is past the parallel section's ranks, so tracks never collide.
-        let tracer = config.trace.tracer(config.parallel_ranks.unwrap_or(0), "pipeline");
-        let mut run = Run { config, cache, ctx, tracer, killed: false };
+        // The run's track shares the ranks' clock.
+        ctx.bind_track(&config.trace);
+        let mut run = Run { config, cache, ctx, killed: false };
         let (fragments, preprocess_seconds) =
             run.stage("preprocess", |run| run.preprocess(reads, vectors, known_repeats));
         let ((clustering, cluster_stats), cluster_seconds) =
@@ -485,9 +485,6 @@ impl Pipeline {
             (assemblies, assembly_seconds) =
                 run.stage("assemble", |run| run.assemble(&fragments, &clustering));
             interrupted = run.killed.then(|| "assemble".to_string());
-        }
-        if config.trace.enabled {
-            run.ctx.merge_traces(vec![run.tracer.finish()]);
         }
         PipelineReport {
             preprocess: fragments.stats,

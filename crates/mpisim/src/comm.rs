@@ -12,7 +12,6 @@ use std::time::Instant;
 pub const RESERVED_TAG_BASE: u32 = 0xFFFF_0000;
 
 const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 2;
-const TAG_ALLTOALL_P2P: u32 = RESERVED_TAG_BASE + 3;
 /// Death notice a dying rank broadcasts to every peer (empty payload).
 /// Surfaced as [`Event::Death`], never as a message.
 const TAG_DEATH: u32 = RESERVED_TAG_BASE + 6;
@@ -27,7 +26,6 @@ const TAG_QUIESCENT: u32 = RESERVED_TAG_BASE + 7;
 pub fn tag_label(tag: u32) -> String {
     match tag {
         TAG_ALLTOALL => "alltoall".to_string(),
-        TAG_ALLTOALL_P2P => "alltoall_p2p".to_string(),
         TAG_DEATH => names::TAG_DEATH.to_string(),
         t => format!("tag{t}"),
     }
@@ -530,43 +528,22 @@ impl Comm {
         self.tracer.end(TraceCategory::Comm, names::EV_BARRIER);
     }
 
-    /// The paper's customised `Alltoallv` (§6): `p − 1` explicit
-    /// point-to-point rounds, rank `r` exchanging with `r ± round`, which
+    /// The paper's customised `Alltoallv` (§6), one payload per
+    /// destination: `p − 1` explicit point-to-point rounds, in round `k`
+    /// rank `r` sending to `r + k` and receiving from `r − k`, which
     /// bounds the space committed to send buffers to one destination at
-    /// a time. Traffic totals match [`Comm::all_to_allv`]; only the
-    /// schedule differs.
-    pub fn all_to_allv_p2p(&mut self, mut bufs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        assert_eq!(bufs.len(), self.size);
+    /// a time. Returns the payloads received, indexed by source. Each
+    /// round receives from one explicit source, so per-sender FIFO keeps
+    /// two back-to-back exchanges from interleaving.
+    pub fn all_to_allv(&mut self, mut bufs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+        assert_eq!(bufs.len(), self.size, "one payload per destination required");
         let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size];
         out[self.rank] = Some(std::mem::take(&mut bufs[self.rank]));
         for round in 1..self.size {
             let to = (self.rank + round) % self.size;
             let from = (self.rank + self.size - round) % self.size;
-            self.send_raw(to, TAG_ALLTOALL_P2P, std::mem::take(&mut bufs[to]));
-            out[from] = Some(self.recv_collective(from, TAG_ALLTOALL_P2P));
-        }
-        out.into_iter().map(|b| b.expect("complete exchange")).collect()
-    }
-
-    /// Collective all-to-all with per-destination payloads; returns the
-    /// payloads received, indexed by source.
-    pub fn all_to_allv(&mut self, mut bufs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        assert_eq!(bufs.len(), self.size, "one payload per destination required");
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size];
-        out[self.rank] = Some(std::mem::take(&mut bufs[self.rank]));
-        for (dest, buf) in bufs.iter_mut().enumerate() {
-            if dest != self.rank {
-                self.send_raw(dest, TAG_ALLTOALL, std::mem::take(buf));
-            }
-        }
-        // Receive per explicit source: per-sender FIFO then keeps two
-        // back-to-back collectives on the same tag from interleaving
-        // (a wildcard receive could consume a fast rank's *next*-round
-        // payload as this round's).
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != self.rank {
-                *slot = Some(self.recv_collective(src, TAG_ALLTOALL));
-            }
+            self.send_raw(to, TAG_ALLTOALL, std::mem::take(&mut bufs[to]));
+            out[from] = Some(self.recv_collective(from, TAG_ALLTOALL));
         }
         out.into_iter().map(|b| b.expect("complete exchange")).collect()
     }
@@ -717,37 +694,27 @@ mod tests {
     fn alltoallv_exchanges_payloads() {
         let p = 4;
         let out = run(p, |c| {
-            let bufs: Vec<Vec<u8>> = (0..c.size()).map(|d| vec![(c.rank() * 10 + d) as u8]).collect();
-            let got = c.all_to_allv(bufs);
-            got.iter().map(|b| b[0]).collect::<Vec<u8>>()
+            // Two exchanges back to back on the one tag stay apart.
+            (0..2u8)
+                .map(|k| {
+                    let bufs: Vec<Vec<u8>> =
+                        (0..c.size()).map(|d| vec![k, (c.rank() * 10 + d) as u8]).collect();
+                    c.all_to_allv(bufs)
+                })
+                .collect::<Vec<_>>()
         });
-        for (rank, row) in out.iter().enumerate() {
-            let expect: Vec<u8> = (0..p).map(|src| (src * 10 + rank) as u8).collect();
-            assert_eq!(row, &expect, "rank {rank}");
+        for (rank, rows) in out.iter().enumerate() {
+            for (k, row) in rows.iter().enumerate() {
+                let expect: Vec<Vec<u8>> = (0..p).map(|src| vec![k as u8, (src * 10 + rank) as u8]).collect();
+                assert_eq!(row, &expect, "rank {rank}, exchange {k}");
+            }
         }
-    }
-
-    #[test]
-    fn p2p_alltoallv_matches_collective() {
-        let p = 5;
-        let direct = run(p, |c| {
-            let bufs: Vec<Vec<u8>> =
-                (0..c.size()).map(|d| vec![(c.rank() * c.size() + d) as u8; 3]).collect();
-            c.all_to_allv(bufs).iter().map(|b| b.to_vec()).collect::<Vec<_>>()
-        });
-        let rounds = run(p, |c| {
-            let bufs: Vec<Vec<u8>> =
-                (0..c.size()).map(|d| vec![(c.rank() * c.size() + d) as u8; 3]).collect();
-            c.all_to_allv_p2p(bufs).iter().map(|b| b.to_vec()).collect::<Vec<_>>()
-        });
-        assert_eq!(direct, rounds);
     }
 
     #[test]
     fn tag_histogram_separates_collectives_and_app_tags() {
         let rows = run(3, |c| {
             c.all_to_allv(vec![b"abcd".to_vec(); 3]);
-            c.all_to_allv_p2p(vec![Vec::new(); 3]);
             if c.rank() == 0 {
                 c.send(1, 7, b"xy".to_vec()).unwrap();
             } else if c.rank() == 1 {
@@ -756,8 +723,7 @@ mod tests {
             (c.tag_stats(&CostModel::BLUEGENE_L), c.stats())
         });
         let (rows, aggregates): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-        // Rank 0: alltoall sends to 2 ranks, p2p-round traffic, app tag
-        // 7 send.
+        // Rank 0: alltoall sends to 2 ranks, app tag 7 send.
         let r0 = &rows[0];
         let alltoall = r0.iter().find(|t| t.label == "alltoall").expect("alltoall row");
         assert_eq!(alltoall.msgs_sent, 2);
@@ -765,7 +731,6 @@ mod tests {
         let app = r0.iter().find(|t| t.label == "tag7").expect("app row");
         assert_eq!(app.msgs_sent, 1);
         assert_eq!(app.bytes_sent, 2);
-        assert!(r0.iter().any(|t| t.label == "alltoall_p2p"));
         // Rows are ascending by tag and modelled time is positive where
         // traffic flowed.
         assert!(r0.windows(2).all(|w| w[0].tag < w[1].tag));

@@ -13,9 +13,9 @@
 //!   [`Event`]: a message, the death of a peer, or the simulator's
 //!   observation that the world is quiescent — every live rank blocked
 //!   in a receive, nothing in its inbox left to look at — raised at the
-//!   lowest live rank), barriers, and the two collectives §6 uses:
-//!   `alltoallv` and the *custom* `alltoallv` built from `p − 1`
-//!   point-to-point rounds that bounds send-buffer space. A `send`
+//!   lowest live rank), barriers, and the collective §6 uses: the
+//!   *custom* `alltoallv`, `p − 1` point-to-point rounds that bound
+//!   send-buffer space to one destination at a time. A `send`
 //!   reaches the wire — or the fault plan — before it returns; nothing
 //!   is staged.
 //! - [`model`] — per-rank traffic statistics and an α–β (latency ×

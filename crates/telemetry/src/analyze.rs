@@ -489,20 +489,19 @@ pub struct Analysis {
     pub edges_unpaired: u64,
 }
 
-/// The pipeline track's `stage` spans as `(name, start, end)`, in time
-/// order (stages run one after the other).
+/// The pipeline track's top-level spans as `(name, start, end)`, in time
+/// order: the stages, which run one after the other. What nests inside a
+/// stage is not a stage.
 fn stage_windows(tracks: &[ATrack]) -> Vec<(&str, u64, u64)> {
     let mut windows = Vec::new();
-    let mut open: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut open: Vec<(&str, u64)> = Vec::new();
     let pipeline = tracks.iter().find(|t| t.label == "pipeline");
-    for e in pipeline.iter().flat_map(|t| &t.events).filter(|e| e.cat == "stage") {
+    for e in pipeline.iter().flat_map(|t| &t.events) {
         match e.kind {
-            TraceKind::Begin => {
-                open.insert(&e.name, e.ts_ns);
-            }
+            TraceKind::Begin => open.push((&e.name, e.ts_ns)),
             TraceKind::End => {
-                if let Some(start) = open.remove(e.name.as_str()) {
-                    windows.push((e.name.as_str(), start, e.ts_ns));
+                if let (Some((name, start)), true) = (open.pop(), open.is_empty()) {
+                    windows.push((name, start, e.ts_ns));
                 }
             }
             TraceKind::Instant | TraceKind::Counter => {}
@@ -725,37 +724,26 @@ fn critical_path(
     // breaks cycles, this caps pathological traces.
     let max_hops = 2 + blocked.values().map(|b| b.len()).sum::<usize>();
     for _ in 0..max_hops {
-        let track = match tracks.iter().find(|t| t.rank == rank) {
-            Some(t) => t,
-            None => break,
-        };
-        let first = track.first_ts();
-        // Latest blocked interval on this rank ending at or before the
-        // cursor.
+        let Some(track) = tracks.iter().find(|t| t.rank == rank) else { break };
+        // Compute back from the cursor to the latest blocked interval on
+        // this rank ending at or before it (or to the track's start).
         let prev = blocked[&rank].iter().filter(|b| b.end_ns <= cursor).max_by_key(|b| b.end_ns);
-        let Some(b) = prev else {
-            if cursor > first {
-                segments.push(PathSegment {
-                    rank,
-                    kind: "compute".into(),
-                    start_ns: first,
-                    end_ns: cursor,
-                    label: enclosing_span(track, first.midpoint(cursor)).unwrap_or_else(|| "run".into()),
-                });
-            }
-            break;
-        };
-        if cursor > b.end_ns {
+        let from = prev.map_or(track.first_ts(), |b| b.end_ns);
+        if cursor > from {
             segments.push(PathSegment {
                 rank,
                 kind: "compute".into(),
-                start_ns: b.end_ns,
+                start_ns: from,
                 end_ns: cursor,
-                label: enclosing_span(track, b.end_ns.midpoint(cursor)).unwrap_or_else(|| "run".into()),
+                label: enclosing_span(track, from.midpoint(cursor)).unwrap_or_else(|| "run".into()),
             });
         }
-        let (next_rank, next_ts, seg) = if b.barrier {
-            // Jump to the last rank entering this barrier instance.
+        let Some(b) = prev else { break };
+        // The blocked interval becomes a segment from where the path
+        // continues: the rank that entered this barrier instance last,
+        // or the send of the message that ended the wait (the first recv
+        // at/after its end) — else the interval itself, on this rank.
+        let (next_rank, next_ts, kind, label) = if b.barrier {
             let last_in = tracks
                 .iter()
                 .filter(|t| t.rank != rank)
@@ -767,33 +755,9 @@ fn critical_path(
                         .next()
                 })
                 .max_by_key(|&(_, start)| start);
-            match last_in {
-                Some((r, start)) if start < b.end_ns => (
-                    r,
-                    start,
-                    PathSegment {
-                        rank,
-                        kind: "barrier".into(),
-                        start_ns: start,
-                        end_ns: b.end_ns,
-                        label: "barrier".into(),
-                    },
-                ),
-                _ => (
-                    rank,
-                    b.start_ns,
-                    PathSegment {
-                        rank,
-                        kind: "barrier".into(),
-                        start_ns: b.start_ns,
-                        end_ns: b.end_ns,
-                        label: "barrier".into(),
-                    },
-                ),
-            }
+            let (r, start) = last_in.filter(|&(_, start)| start < b.end_ns).unwrap_or((rank, b.start_ns));
+            (r, start, "barrier", "barrier".to_string())
         } else {
-            // Jump along the message that ended the wait: the first
-            // recv at/after the wait's end, followed to its sender.
             let edge = track
                 .events
                 .iter()
@@ -802,34 +766,16 @@ fn critical_path(
                 })
                 .and_then(|recv| edges.iter().find(|ed| ed.dst == rank && ed.recv_ts_ns == recv.ts_ns));
             match edge {
-                Some(ed) if ed.send_ts_ns < cursor => (
-                    ed.src,
-                    ed.send_ts_ns,
-                    PathSegment {
-                        rank,
-                        kind: "comm".into(),
-                        start_ns: ed.send_ts_ns,
-                        end_ns: b.end_ns,
-                        label: labels.label(ed.tag, b.start_ns),
-                    },
-                ),
-                _ => (
-                    rank,
-                    b.start_ns,
-                    PathSegment {
-                        rank,
-                        kind: "comm".into(),
-                        start_ns: b.start_ns,
-                        end_ns: b.end_ns,
-                        label: match b.awaited_tag {
-                            Some(t) => labels.label(t, b.start_ns),
-                            None => "wait".into(),
-                        },
-                    },
-                ),
+                Some(ed) if ed.send_ts_ns < cursor => {
+                    (ed.src, ed.send_ts_ns, "comm", labels.label(ed.tag, b.start_ns))
+                }
+                _ => {
+                    let label = b.awaited_tag.map_or_else(|| "wait".into(), |t| labels.label(t, b.start_ns));
+                    (rank, b.start_ns, "comm", label)
+                }
             }
         };
-        segments.push(seg);
+        segments.push(PathSegment { rank, kind: kind.into(), start_ns: next_ts, end_ns: b.end_ns, label });
         if next_ts >= cursor {
             break; // strict decrease or stop — no cycles
         }
@@ -1072,8 +1018,12 @@ mod tests {
             &[recv(360, 0)],
             &work(360, 450),
         ];
+        // A span nested in a stage (the run's cache traffic, a phase
+        // measured on rank clocks) is no stage window of its own.
         let stages = [
             ev(0, Begin, "stage", "cluster", &[]),
+            ev(5, Begin, "stage", "gst_build", &[]),
+            ev(90, End, "stage", "gst_build", &[]),
             ev(215, End, "stage", "cluster", &[]),
             ev(215, Begin, "stage", "assemble", &[]),
             ev(460, End, "stage", "assemble", &[]),
@@ -1110,6 +1060,8 @@ mod tests {
         let (tracks, metrics) = ping_pong();
         let a = analyze(&tracks, Some(&metrics), 5);
         assert_eq!((a.edges_paired, a.edges_unpaired), (3, 0));
+        let windows: Vec<(&str, u64)> = a.stages.iter().map(|s| (s.stage.as_str(), s.wall_ns)).collect();
+        assert_eq!(windows, [("cluster", 215), ("assemble", 245)]);
         let path: Vec<(&str, u64, u64, &str)> =
             a.critical_path.iter().map(|s| (s.kind.as_str(), s.rank, s.end_ns, s.label.as_str())).collect();
         // Every message moves the path to the rank that sent it, and it

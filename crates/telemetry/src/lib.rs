@@ -3,17 +3,17 @@
 //! One run — a pipeline invocation, a benchmark, a CLI command —
 //! threads a [`RunContext`] through its stages. The context records:
 //!
-//! - **spans**: nested wall + thread-CPU timers ([`Span`]), one per
-//!   stage or sub-phase;
+//! - **spans**: begin/end events on the run's own track, one pair per
+//!   stage or sub-phase, folded into nested wall + thread-CPU [`Span`]s;
 //! - **counters**: named `u64` totals (pairs generated / aligned /
 //!   accepted, DP cells, …);
 //! - **rank channels**: per-rank compute/idle time, rank-local
 //!   counters, and per-tag communication rows ([`RankReport`],
 //!   [`TagStat`]);
 //! - **traces**: one time-resolved event track per rank ([`Tracer`] →
-//!   [`RankTrace`]: spans, instants, gauge counters), exported for
-//!   Perfetto ([`Trace`]) and read back by [`analyze`] — the one place
-//!   anything is derived from a trace.
+//!   [`RankTrace`]: spans, instants, gauge counters), exported with the
+//!   run's own track for Perfetto ([`Trace`]) and read back by
+//!   [`analyze`] — the one place anything is derived from a trace.
 //!
 //! [`RunContext::finish`] folds everything into a [`RunReport`], which
 //! serializes to a stable JSON document (and parses back — reports are

@@ -216,12 +216,6 @@ impl RunReport {
         self.spans.iter().find_map(|s| s.find(path))
     }
 
-    /// Wall seconds of a span path, zero when absent (convenient for
-    /// table rows).
-    pub fn wall(&self, path: &str) -> f64 {
-        self.span(path).map(|s| s.wall_seconds).unwrap_or(0.0)
-    }
-
     /// Counter lookup, zero when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -353,8 +347,8 @@ mod tests {
     #[test]
     fn span_path_and_counter_lookups() {
         let report = sample();
-        assert_eq!(report.wall("pipeline/cluster"), 1.5);
-        assert_eq!(report.wall("pipeline/missing"), 0.0);
+        assert_eq!(report.span("pipeline/cluster").map(|s| s.wall_seconds), Some(1.5));
+        assert!(report.span("pipeline/missing").is_none());
         assert_eq!(report.counter("pairs_accepted"), 33);
         assert_eq!(report.ranks[0].counter("batches"), 9);
         assert!((report.ranks[0].modelled_comm_seconds() - 1e-4).abs() < 1e-12);

@@ -1,16 +1,33 @@
-//! Hierarchical span timers and the [`RunContext`] that records them.
+//! The run's recorder, [`RunContext`], and the [`Span`] trees of its
+//! report.
 //!
-//! A [`Span`] measures one named phase: wall-clock time plus the
-//! *calling thread's* CPU time (utime + stime). Spans nest — a stage
-//! that opens sub-phases produces children under its own node. Work
-//! fanned out to other threads (worker ranks, per-cluster assembly
-//! threads) is not visible in a span's `cpu_seconds`; that is what the
-//! per-rank channels in [`crate::RankReport`] are for.
+//! A run records its phases as begin/end events on one track, the
+//! pipeline's: a [`Tracer`] that is always on, in a small fixed ring, on
+//! the clock of the run's [`TraceSpec`], each event carrying the calling
+//! thread's CPU reading. The report's spans are a fold of that track, so
+//! report and trace cannot disagree. Work fanned out to other threads
+//! (ranks, assembly threads) is not in a span's `cpu_seconds`; the
+//! per-rank channels in [`crate::RankReport`] carry it.
 
 use crate::cpu::thread_cpu_seconds;
 use crate::json::{Json, JsonError};
+use crate::trace::{RankTrace, Trace, TraceCategory, TraceEvent, TraceKind, TraceSpec, Tracer};
 use std::collections::BTreeMap;
-use std::time::Instant;
+
+/// Ring capacity of the run's track. A pipeline run records a few dozen
+/// events; a run past the capacity loses span ends and fails `finish`.
+const TRACK_CAPACITY: usize = 256;
+
+/// The arg of a span event holding the thread-CPU reading.
+const CPU_NS: &str = "cpu_ns";
+
+fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
+}
+
+fn nanos(secs: f64) -> u64 {
+    (secs * 1e9).round() as u64
+}
 
 /// One completed, named timing interval with nested children.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,80 +87,123 @@ impl Span {
     }
 }
 
-struct Frame {
-    name: String,
-    wall_start: Instant,
-    cpu_start: f64,
-    children: Vec<Span>,
+/// Fold a track's begin/end pairs into the span trees they bracket: a
+/// span's wall is the distance between its two events, its CPU the
+/// difference of their `cpu_ns` readings. Panics on a span left open.
+fn fold(events: &[TraceEvent]) -> Vec<Span> {
+    let (mut roots, mut open) = (Vec::new(), Vec::<(&TraceEvent, Vec<Span>)>::new());
+    let cpu = |e: &TraceEvent| e.arg(CPU_NS).unwrap_or(0);
+    for e in events {
+        match e.kind {
+            TraceKind::Begin => open.push((e, Vec::new())),
+            TraceKind::End => {
+                let (b, children) = open.pop().expect("a span closed that was never opened");
+                let (wall, cpu) = (e.ts_ns - b.ts_ns, cpu(e).saturating_sub(cpu(b)));
+                let span =
+                    Span { name: b.name.into(), wall_seconds: secs(wall), cpu_seconds: secs(cpu), children };
+                open.last_mut().map_or(&mut roots, |(_, siblings)| siblings).push(span);
+            }
+            TraceKind::Instant | TraceKind::Counter => {}
+        }
+    }
+    assert!(open.is_empty(), "RunContext::finish with {} span(s) still open", open.len());
+    roots
 }
 
-/// Mutable recording surface threaded through a run: an open-span
-/// stack, named counters, and per-rank channels. Finalize with
+/// Mutable recording surface threaded through a run: the run's track,
+/// named counters, per-rank channels and rank tracks. Finalize with
 /// [`RunContext::finish`] to obtain the immutable [`crate::RunReport`].
 pub struct RunContext {
     label: String,
-    stack: Vec<Frame>,
-    roots: Vec<Span>,
+    /// The run's one span recorder, exported only from a traced run.
+    track: Tracer,
+    exported: bool,
+    /// Name and begin timestamp of each open span, innermost last.
+    open: Vec<(&'static str, u64)>,
     counters: BTreeMap<String, u64>,
     ranks: Vec<crate::RankReport>,
-    traces: Vec<crate::RankTrace>,
+    traces: Vec<RankTrace>,
+}
+
+fn run_track(spec: &TraceSpec) -> Tracer {
+    TraceSpec { enabled: true, capacity: TRACK_CAPACITY, epoch: spec.epoch }.tracer(0, "pipeline")
 }
 
 impl RunContext {
-    /// Fresh context for a run labelled `label` (e.g. the command or
-    /// experiment id).
+    /// Fresh context for a run labelled `label` (e.g. the command),
+    /// recording on its own clock until [`RunContext::bind_track`].
     pub fn new(label: &str) -> Self {
         RunContext {
             label: label.to_string(),
-            stack: Vec::new(),
-            roots: Vec::new(),
+            track: run_track(&TraceSpec::off()),
+            exported: false,
+            open: Vec::new(),
             counters: BTreeMap::new(),
             ranks: Vec::new(),
             traces: Vec::new(),
         }
     }
 
+    /// Record on `spec`'s clock, the one its rank tracks share, and
+    /// export the track when `spec` is on. A context that has already
+    /// recorded keeps its clock.
+    pub fn bind_track(&mut self, spec: &TraceSpec) {
+        if self.track.events().is_empty() {
+            self.track = run_track(spec);
+        }
+        self.exported = spec.enabled;
+    }
+
     /// Time `f` under a span named `name`, nested below whatever span
     /// is currently open. The closure's return value passes through.
-    pub fn scope<T>(&mut self, name: &str, f: impl FnOnce(&mut RunContext) -> T) -> T {
+    pub fn scope<T>(&mut self, name: &'static str, f: impl FnOnce(&mut RunContext) -> T) -> T {
         self.push(name);
         let out = f(self);
         self.pop();
         out
     }
 
+    /// A span boundary on the track, with a thread-CPU reading.
+    fn mark(&mut self, ts_ns: u64, kind: TraceKind, name: &'static str, cpu_ns: u64) {
+        self.track.push_at(ts_ns, kind, TraceCategory::Stage, name, [(CPU_NS, cpu_ns), ("", 0), ("", 0)]);
+    }
+
     /// Open a span manually (for phases that cannot be expressed as a
     /// closure). Must be balanced by [`RunContext::pop`].
-    pub fn push(&mut self, name: &str) {
-        self.stack.push(Frame {
-            name: name.to_string(),
-            wall_start: Instant::now(),
-            cpu_start: thread_cpu_seconds(),
-            children: Vec::new(),
-        });
+    pub fn push(&mut self, name: &'static str) {
+        let ts = self.track.now_ns();
+        self.mark(ts, TraceKind::Begin, name, nanos(thread_cpu_seconds()));
+        self.open.push((name, ts));
     }
 
-    /// Close the innermost open span, returning its (wall, cpu)
-    /// seconds. Panics if no span is open.
-    pub fn pop(&mut self) -> (f64, f64) {
-        let frame = self.stack.pop().expect("RunContext::pop with no open span");
-        let wall = frame.wall_start.elapsed().as_secs_f64();
-        let cpu = (thread_cpu_seconds() - frame.cpu_start).max(0.0);
-        let span = Span { name: frame.name, wall_seconds: wall, cpu_seconds: cpu, children: frame.children };
-        match self.stack.last_mut() {
-            Some(parent) => parent.children.push(span),
-            None => self.roots.push(span),
-        }
-        (wall, cpu)
+    /// Close the innermost open span, returning its wall seconds.
+    /// Panics if no span is open.
+    pub fn pop(&mut self) -> f64 {
+        let (name, begin) = self.open.pop().expect("RunContext::pop with no open span");
+        let ts = self.track.now_ns();
+        self.mark(ts, TraceKind::End, name, nanos(thread_cpu_seconds()));
+        secs(ts - begin)
     }
 
-    /// Record a completed span measured externally (e.g. a phase whose
-    /// duration was computed from rank-local clocks).
-    pub fn record_span(&mut self, span: Span) {
-        match self.stack.last_mut() {
-            Some(parent) => parent.children.push(span),
-            None => self.roots.push(span),
+    /// Put phases measured on other clocks (a distributed stage's ranks')
+    /// on the track as completed `(name, wall, cpu)` intervals inside the
+    /// open span, end to end so the last ends now and none starts before
+    /// the track's last event; a begin reads CPU 0, its end the phase's.
+    pub fn completed(&mut self, phases: &[(&'static str, f64, f64)]) {
+        let now = self.track.now_ns();
+        let floor = self.track.events().last().map_or(0, |e| e.ts_ns);
+        let mut at = now.saturating_sub(phases.iter().map(|p| nanos(p.1)).sum()).max(floor);
+        for &(name, wall, cpu) in phases {
+            let end = (at + nanos(wall)).min(now);
+            self.mark(at, TraceKind::Begin, name, 0);
+            self.mark(end, TraceKind::End, name, nanos(cpu));
+            at = end;
         }
+    }
+
+    /// Sample gauge `name` on the track (rate-limited like every gauge).
+    pub fn gauge(&mut self, name: &'static str, value: u64) {
+        self.track.counter(TraceCategory::Stage, name, value);
     }
 
     /// Add `v` to counter `name` (creating it at zero).
@@ -187,7 +247,7 @@ impl RunContext {
     /// has one track per run, so a later stage's events append to the
     /// track the rank already has (stages run one after the other under
     /// one epoch, so timestamps stay monotonic) and dropped counts add.
-    pub fn merge_traces(&mut self, more: Vec<crate::RankTrace>) {
+    pub fn merge_traces(&mut self, more: Vec<RankTrace>) {
         for extra in more {
             match self.traces.iter_mut().find(|t| t.rank == extra.rank) {
                 Some(track) => {
@@ -199,21 +259,29 @@ impl RunContext {
         }
     }
 
-    /// Assemble the recorded tracks into an exportable [`crate::Trace`]
-    /// document (tracks sorted by rank).
-    pub fn trace_document(&self) -> crate::Trace {
-        crate::Trace::new(self.traces.clone())
+    /// Assemble the recorded tracks, the run's own when traced, into an
+    /// exportable [`Trace`] document (tracks sorted by rank; the run's
+    /// one id past the ranks', so the two never collide).
+    pub fn trace_document(&self) -> Trace {
+        let own = self.exported.then(|| RankTrace {
+            rank: self.traces.iter().map(|t| t.rank + 1).max().unwrap_or(0),
+            label: "pipeline".to_string(),
+            events: self.track.events().to_vec(),
+            dropped_events: self.track.dropped_events(),
+        });
+        Trace::new(self.traces.iter().cloned().chain(own).collect())
     }
 
-    /// Finalize into an immutable report. Panics if spans are still
-    /// open — an unbalanced push/pop is a caller bug worth failing
-    /// loudly on. A traced run's report carries the
-    /// `trace_events_dropped` counter, so a lossy trace shows in the
-    /// metrics too.
+    /// Finalize into an immutable report whose spans are the fold of
+    /// the track. Panics if spans are still open — an unbalanced
+    /// push/pop is a caller bug worth failing loudly on. A traced run's
+    /// report carries the `trace_events_dropped` counter, so a lossy
+    /// trace shows in the metrics too.
     pub fn finish(mut self) -> crate::RunReport {
-        assert!(self.stack.is_empty(), "RunContext::finish with {} span(s) still open", self.stack.len());
-        if !self.traces.is_empty() {
-            let dropped = self.traces.iter().map(|t| t.dropped_events).sum();
+        let spans = fold(self.track.events());
+        let own = self.exported.then(|| self.track.dropped_events());
+        if own.is_some() || !self.traces.is_empty() {
+            let dropped = self.traces.iter().map(|t| t.dropped_events).sum::<u64>() + own.unwrap_or(0);
             self.set(crate::names::TRACE_EVENTS_DROPPED, dropped);
         }
         // The faults section is derived from the canonical fault
@@ -231,7 +299,7 @@ impl RunContext {
         crate::RunReport {
             schema_version: crate::SCHEMA_VERSION,
             label: self.label,
-            spans: self.roots,
+            spans,
             counters: self.counters,
             ranks: self.ranks,
             faults: if faults.is_empty() { None } else { Some(faults) },
@@ -290,7 +358,6 @@ mod tests {
 
     #[test]
     fn a_rank_keeps_one_track_across_stages() {
-        use crate::trace::{TraceCategory, TraceEvent, TraceKind};
         let track = |rank, ts_ns, dropped_events| crate::RankTrace {
             rank,
             label: "worker".into(),
@@ -316,6 +383,78 @@ mod tests {
         assert_eq!(ctx.finish().counter(crate::names::TRACE_EVENTS_DROPPED), 3);
         // An untraced run has nothing to have dropped.
         assert!(RunContext::new("t").finish().counters.is_empty());
+    }
+
+    /// A span event at `ts_ns` carrying the CPU reading `cpu_ns`.
+    fn ev(ts_ns: u64, kind: TraceKind, name: &'static str, cpu_ns: u64) -> TraceEvent {
+        TraceEvent {
+            ts_ns,
+            kind,
+            cat: TraceCategory::Stage,
+            name,
+            args: [(CPU_NS, cpu_ns), ("", 0), ("", 0)],
+        }
+    }
+
+    #[test]
+    fn fold_nests_spans_and_takes_cpu_from_the_readings() {
+        use TraceKind::{Begin, Counter, End, Instant};
+        let gauge =
+            TraceEvent { args: [("value", 7), ("", 0), ("", 0)], ..ev(1_200, Counter, "cache_bytes", 0) };
+        let events = [
+            ev(1_000, Begin, "cluster", 40_000),
+            ev(1_100, Begin, "gst_build", 40_050),
+            gauge,
+            ev(1_400, End, "gst_build", 40_300),
+            ev(1_500, Instant, "mark", 99),
+            ev(3_000, End, "cluster", 41_000),
+            ev(3_000, Begin, "assemble", 41_000),
+            ev(7_000, End, "assemble", 41_500),
+        ];
+        let leaf = |name: &str, wall_ns, cpu_ns| Span {
+            name: name.into(),
+            wall_seconds: secs(wall_ns),
+            cpu_seconds: secs(cpu_ns),
+            children: vec![],
+        };
+        let cluster = Span { children: vec![leaf("gst_build", 300, 250)], ..leaf("cluster", 2_000, 1_000) };
+        assert_eq!(fold(&events), [cluster, leaf("assemble", 4_000, 500)]);
+    }
+
+    #[test]
+    fn completed_phases_lie_end_to_end_inside_the_open_span() {
+        let mut ctx = RunContext::new("t");
+        ctx.push("cluster");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        ctx.completed(&[("gst_build", 0.001, 0.5), ("master_worker", 0.002, 0.25)]);
+        ctx.pop();
+        // A phase longer than the span it is put in is clipped to it.
+        ctx.scope("assemble", |ctx| ctx.completed(&[("dist_assemble", 60.0, 1.0)]));
+        let report = ctx.finish();
+        let cluster = report.span("cluster").unwrap();
+        let phases: Vec<(&str, f64, f64)> =
+            cluster.children.iter().map(|c| (c.name.as_str(), c.wall_seconds, c.cpu_seconds)).collect();
+        assert_eq!(phases, [("gst_build", 0.001, 0.5), ("master_worker", 0.002, 0.25)]);
+        let assemble = report.span("assemble").unwrap();
+        assert!(assemble.children[0].wall_seconds <= assemble.wall_seconds);
+        assert_eq!(assemble.children[0].cpu_seconds, 1.0);
+    }
+
+    #[test]
+    fn the_track_is_exported_only_from_a_traced_run() {
+        for (spec, tracks) in [(TraceSpec::off(), 0), (TraceSpec::on(), 1)] {
+            let mut ctx = RunContext::new("t");
+            ctx.bind_track(&spec);
+            let wall = ctx.scope("preprocess", |ctx| {
+                ctx.push("cache");
+                ctx.pop()
+            });
+            let doc = ctx.trace_document();
+            assert_eq!(doc.tracks.len(), tracks);
+            let report = ctx.finish();
+            assert_eq!(report.span("preprocess/cache").unwrap().wall_seconds, wall);
+            assert_eq!(report.counters.contains_key(crate::names::TRACE_EVENTS_DROPPED), tracks == 1);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub const TRACE_SCHEMA_VERSION: u32 = 2;
 /// What subsystem an event belongs to; becomes the Chrome `cat` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceCategory {
-    /// Pipeline stage boundaries (preprocess / cluster / assemble).
+    /// The pipeline track's spans: the stages and the phases inside them.
     Stage,
     /// Master-side protocol handling (drain, dispatch, park/unpark).
     Master,
@@ -109,7 +109,7 @@ pub struct TraceSpec {
     pub enabled: bool,
     /// Ring capacity, in events, of each rank's buffer.
     pub capacity: usize,
-    epoch: Instant,
+    pub(crate) epoch: Instant,
 }
 
 impl TraceSpec {
@@ -181,45 +181,30 @@ impl Tracer {
     /// Open a span.
     #[inline]
     pub fn begin(&mut self, cat: TraceCategory, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::Begin, cat, name, NO_ARGS);
     }
 
     /// Open a span with one named numeric annotation.
     #[inline]
     pub fn begin_arg(&mut self, cat: TraceCategory, name: &'static str, key: &'static str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::Begin, cat, name, [(key, v), ("", 0), ("", 0)]);
     }
 
     /// Close the matching span.
     #[inline]
     pub fn end(&mut self, cat: TraceCategory, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::End, cat, name, NO_ARGS);
     }
 
     /// Record a point event.
     #[inline]
     pub fn instant(&mut self, cat: TraceCategory, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::Instant, cat, name, NO_ARGS);
     }
 
     /// Record a point event with one annotation.
     #[inline]
     pub fn instant_arg(&mut self, cat: TraceCategory, name: &'static str, key: &'static str, v: u64) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::Instant, cat, name, [(key, v), ("", 0), ("", 0)]);
     }
 
@@ -232,9 +217,6 @@ impl Tracer {
         a: (&'static str, u64),
         b: (&'static str, u64),
     ) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::Instant, cat, name, [a, b, ("", 0)]);
     }
 
@@ -250,9 +232,6 @@ impl Tracer {
         b: (&'static str, u64),
         c: (&'static str, u64),
     ) {
-        if !self.enabled {
-            return;
-        }
         self.push(TraceKind::Instant, cat, name, [a, b, c]);
     }
 
@@ -263,7 +242,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let now = self.epoch.elapsed().as_nanos() as u64;
+        let now = self.now_ns();
         let i = self.counters_due.iter().position(|(n, _)| *n == name).unwrap_or_else(|| {
             self.counters_due.push((name, 0));
             self.counters_due.len() - 1
@@ -275,6 +254,9 @@ impl Tracer {
         self.push_at(now, TraceKind::Counter, cat, name, [("value", value), ("", 0), ("", 0)]);
     }
 
+    /// Record an event now: the one branch of the off path, taken
+    /// before the clock is read.
+    #[inline]
     fn push(
         &mut self,
         kind: TraceKind,
@@ -282,10 +264,20 @@ impl Tracer {
         name: &'static str,
         args: [(&'static str, u64); 3],
     ) {
-        self.push_at(self.epoch.elapsed().as_nanos() as u64, kind, cat, name, args);
+        if self.enabled {
+            self.push_at(self.now_ns(), kind, cat, name, args);
+        }
     }
 
-    fn push_at(
+    /// Nanoseconds since the epoch.
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Record an event at `ts_ns`, which must not precede the last one,
+    /// on an enabled tracer: for a recorder that places intervals
+    /// measured on other clocks.
+    pub(crate) fn push_at(
         &mut self,
         ts_ns: u64,
         kind: TraceKind,

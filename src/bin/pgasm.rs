@@ -31,11 +31,11 @@ fn main() -> ExitCode {
     // Each subcommand with the options it reads: anything else on its
     // command line is an error, never silently ignored.
     type Subcommand = fn(&Opts) -> Result<(), String>;
-    let (known, run): (&[&str], Subcommand) = match cmd.as_str() {
-        "generate" => (GENERATE_OPTIONS, generate),
-        "cluster" => (PIPELINE_OPTIONS, cluster),
-        "assemble" => (PIPELINE_OPTIONS, assemble),
-        "analyze" => (ANALYZE_OPTIONS, analyze),
+    let (known, run): (&[&[&str]], Subcommand) = match cmd.as_str() {
+        "generate" => (&[GENERATE_OPTIONS], generate),
+        "cluster" => (&[CLUSTER_OPTIONS], cluster),
+        "assemble" => (&[CLUSTER_OPTIONS, &["assembly-threads"]], assemble),
+        "analyze" => (&[ANALYZE_OPTIONS], analyze),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -45,7 +45,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match Opts::parse(&args[1..], known) {
+    let result = match Opts::parse(&args[1..], &known.concat()) {
         Ok(opts) => run(&opts),
         Err(e) => Err(format!("{e}\n\n{USAGE}")),
     };
@@ -59,11 +59,11 @@ fn main() -> ExitCode {
 }
 
 const GENERATE_OPTIONS: &[&str] = &["kind", "out", "genome-out", "scale", "seed"];
-const PIPELINE_OPTIONS: &[&str] = &[
+/// `assemble` reads these and `--assembly-threads`.
+const CLUSTER_OPTIONS: &[&str] = &[
     "reads",
     "out",
     "ranks",
-    "assembly-threads",
     "psi",
     "min-identity",
     "min-overlap",
@@ -335,11 +335,15 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
             ));
         }
     }
+    let assembly_threads = opts.parse_or("assembly-threads", 4)?;
+    if assembly_threads == 0 {
+        return Err("--assembly-threads must be >= 1".to_string());
+    }
     Ok(PipelineConfig {
         preprocess,
         cluster,
         parallel_ranks: if ranks >= 2 { Some(ranks) } else { None },
-        assembly_threads: opts.parse_or("assembly-threads", 4)?,
+        assembly_threads,
         cache_dir,
         trace: if opts.get("trace-json").is_some() {
             pgasm::telemetry::trace::TraceSpec::on()

@@ -20,8 +20,8 @@
 //! - [`cluster`] — the paper's contribution: serial and master–worker
 //!   parallel clustering, and the end-to-end pipeline.
 //! - [`assemble`] — the per-cluster serial OLC assembler (CAP3 stand-in).
-//! - [`telemetry`] — the run-report layer: hierarchical span timers,
-//!   counters, per-rank channels, and their JSON encoding.
+//! - [`telemetry`] — the run-report layer: spans folded from the run's
+//!   event track, counters, per-rank channels, and their JSON encoding.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and experiment index.

@@ -209,13 +209,15 @@ fn repeat_masking_prevents_chaining() {
 #[test]
 fn cli_rejects_options_a_subcommand_never_reads() {
     // A deleted flag, another subcommand's flag and a typo all used to
-    // be kept and ignored (`--rank 4` silently ran serial).
+    // be kept and ignored (`--rank 4` silently ran serial; `cluster`
+    // never assembles, so it has no assembly threads to size).
     for (cmd, option) in [
         ("assemble", "--kernel"),
         ("assemble", "--rank"),
         ("assemble", "--no-cache"),
         ("cluster", "--no-adaptive-band"),
         ("cluster", "--w"),
+        ("cluster", "--assembly-threads"),
         ("generate", "--reads"),
         ("analyze", "--ranks"),
     ] {
@@ -232,12 +234,17 @@ fn cli_rejects_options_a_subcommand_never_reads() {
 #[test]
 fn cli_rejects_spellings_it_used_to_ignore() {
     // `--checkpoint` without a cadence wrote no snapshot and said
-    // nothing; `--ranks 1` ran serial although USAGE says p >= 2. Both
-    // are errors before any read is loaded.
+    // nothing; `--ranks 1` ran serial although USAGE says p >= 2;
+    // `--assembly-threads 0` ran one thread. All are errors before any
+    // read is loaded.
     for (args, names) in [
         (&["cluster", "--checkpoint", "x"][..], "--checkpoint needs --checkpoint-every"),
         (&["assemble", "--out", "/nonexistent.fasta", "--ranks", "1"][..], "--ranks 1"),
         (&["cluster", "--ranks", "0"][..], "--ranks 0"),
+        (
+            &["assemble", "--out", "/nonexistent.fasta", "--assembly-threads", "0"][..],
+            "--assembly-threads must be >= 1",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
             .args(args)

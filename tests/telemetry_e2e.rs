@@ -131,7 +131,7 @@ fn pipeline_run_report_survives_json_round_trip() {
     let back = RunReport::from_json_str(&text).unwrap();
     assert_eq!(back, run);
     // Spot-check a span and a rank counter survive re-parsing.
-    assert_eq!(back.wall("cluster"), run.wall("cluster"));
+    assert_eq!(back.span("cluster"), run.span("cluster"));
     assert_eq!(
         back.ranks[1].counter(names::BATCH_ROUND_TRIPS),
         run.ranks[1].counter(names::BATCH_ROUND_TRIPS)

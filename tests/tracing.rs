@@ -103,6 +103,17 @@ fn traced_pipeline_exports_valid_chrome_trace() {
     assert_eq!(gauge_tids(names::GAUGE_ALIGN_SCRATCH_BYTES), [1, 2, 3]);
     assert_eq!(gauge_tids(names::GAUGE_CACHE_BYTES), [4]);
 
+    // The report's spans are a fold of the pipeline track, not a second
+    // clock: each stage's wall is its window on that track, exactly.
+    let in_memory: Vec<ATrack> = doc.tracks.iter().map(ATrack::from_rank_trace).collect();
+    let windows: Vec<(String, f64)> = analyze::analyze(&in_memory, None, 0)
+        .stages
+        .into_iter()
+        .map(|s| (s.stage, s.wall_ns as f64 / 1e9))
+        .collect();
+    let spans: Vec<(String, f64)> = run.spans.iter().map(|s| (s.name.clone(), s.wall_seconds)).collect();
+    assert_eq!(spans, windows);
+
     // The analyzer reads that document and nothing else: every message
     // of both stages pairs, attribution covers each rank's wall, the
     // critical path exists, and a wait is blamed on the label of the
