@@ -8,7 +8,7 @@
 //! so the ablation benches can quantify exactly that redundancy against
 //! the maximal-match generator in `pgasm-gst`.
 
-use pgasm_seq::{FragmentStore, KmerIter, SeqId};
+use pgasm_seq::{FragmentStore, KmerIter, SeqId, WordMap};
 use std::collections::HashMap;
 
 /// Statistics from running the w-mer filter.
@@ -42,13 +42,13 @@ pub struct WmerPair {
 /// occurrences.
 pub struct WmerTable {
     w: usize,
-    table: HashMap<u64, Vec<(SeqId, u32)>>,
+    table: WordMap<Vec<(SeqId, u32)>>,
 }
 
 impl WmerTable {
     /// Index every w-mer of every sequence in the store.
     pub fn build(store: &FragmentStore, w: usize) -> Self {
-        let mut table: HashMap<u64, Vec<(SeqId, u32)>> = HashMap::new();
+        let mut table: WordMap<Vec<(SeqId, u32)>> = WordMap::default();
         for (id, codes) in store.iter() {
             for (pos, packed) in KmerIter::new(codes, w) {
                 table.entry(packed).or_default().push((id, pos as u32));

@@ -38,7 +38,7 @@ use crate::engine::{
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
-use pgasm_gst::{enumerate_suffixes, sort_by_bucket, Gst, PairGenerator, PromisingPair};
+use pgasm_gst::{for_each_window, sort_walk_by_bucket, Gst, PairGenerator, PromisingPair, Suffix};
 use pgasm_mpisim::{Comm, CommStats};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
@@ -472,11 +472,15 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         // the final partition is unchanged.
         let builders = self.world - 1;
         let (store, params) = (self.decider.store, self.decider.params);
-        let seqs = (0..store.num_seqs() as u32).map(SeqId);
-        let mut suffixes: Vec<_> = enumerate_suffixes(store, seqs, params.gst.bucket_len())
-            .filter(|(key, _)| bucket_owner(*key, builders, 1) == dead_rank)
-            .collect();
-        sort_by_bucket(&mut suffixes);
+        let owned = |(key, _): &(u64, Suffix)| bucket_owner(*key, builders, 1) == dead_rank;
+        let mut suffixes = Vec::new();
+        for_each_window(
+            store,
+            params.gst.bucket_len(),
+            |_| true,
+            |w| suffixes.extend(Some(w.suffix()).into_iter().chain(w.twin_suffix()).filter(owned)),
+        );
+        sort_walk_by_bucket(&mut suffixes);
         let gst = Gst::build_from_sorted(store, &suffixes, params.gst);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);

@@ -3,7 +3,10 @@
 //! Phases, per rank:
 //!
 //! 1. **Bucket**: enumerate the suffixes of the rank's own fragments
-//!    into one flat array and sort it by ψ-mer key; a bucket is a run.
+//!    into one flat array — one walk of each forward strand yields the
+//!    reverse strand's suffixes too, so a fragment's two strands share
+//!    an owner ([`compute_owners`]) — and sort it by ψ-mer key; a bucket
+//!    is a run.
 //!    A rank sees only its share of a bucket, so it cannot judge here
 //!    whether the bucket can emit a pair.
 //! 2. **Redistribute**: each bucket's builder is a static hash of its
@@ -29,7 +32,8 @@
 //! so the traffic counters are exact.
 
 use pgasm_gst::{
-    admitted_runs, enumerate_suffixes, sort_by_bucket, Gst, GstConfig, GstStats, Suffix, TextSource,
+    admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, Gst, GstConfig, GstStats, Suffix,
+    TextSource,
 };
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
@@ -133,9 +137,17 @@ pub fn rank_build_gst<'s>(
     // overstate computation (see `thread_cpu_seconds`).
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUCKET);
     let t = thread_cpu_seconds();
-    let my_seqs = (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == rank).map(SeqId);
-    let mut local: Vec<(u64, Suffix)> = enumerate_suffixes(store, my_seqs, config.bucket_len()).collect();
-    sort_by_bucket(&mut local);
+    let mut local: Vec<(u64, Suffix)> = Vec::new();
+    for_each_window(
+        store,
+        config.bucket_len(),
+        |s| owner[s.0 as usize] as usize == rank,
+        |w| {
+            local.push(w.suffix());
+            local.extend(w.twin_suffix());
+        },
+    );
+    sort_walk_by_bucket(&mut local);
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUCKET);
 
@@ -287,7 +299,8 @@ pub fn bucket_owner(key: u64, builders: usize, first_builder: usize) -> usize {
 
 /// Assign each stored sequence an owner rank in `first..p`, balancing
 /// total bases (the paper's initial N/p distribution). Forward/reverse
-/// pairs stay together.
+/// pairs stay together: a reverse strand goes where its forward strand
+/// does, since the owner walks the forward one for both.
 pub fn compute_owners(store: &FragmentStore, p: usize, first: usize) -> Vec<u32> {
     assert!(first < p);
     let parts = store.partition_by_bases(p - first);
@@ -297,13 +310,18 @@ pub fn compute_owners(store: &FragmentStore, p: usize, first: usize) -> Vec<u32>
             owner[s.0 as usize] = (part + first) as u32;
         }
     }
+    if store.is_double_stranded() {
+        for fwd in (0..owner.len()).step_by(2) {
+            owner[fwd + 1] = owner[fwd];
+        }
+    }
     owner
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgasm_gst::{GenMode, PairGenerator};
+    use pgasm_gst::{enumerate_suffixes, GenMode, PairGenerator};
     use pgasm_seq::DnaSeq;
 
     fn genome(seed: u64, len: usize) -> String {
@@ -422,6 +440,21 @@ mod tests {
         // builds may legitimately report zero compute.
         assert!(report.max_compute_seconds() >= 0.0);
         assert!(report.max_modelled_comm_seconds(&CostModel::BLUEGENE_L) > 0.0);
+    }
+
+    #[test]
+    fn owners_keep_a_fragments_two_strands_together() {
+        let store = reads().with_reverse_complements();
+        for p in 2..=8 {
+            for first in 0..2 {
+                let owner = compute_owners(&store, p, first);
+                assert!(
+                    owner.chunks(2).all(|pair| pair[0] == pair[1]),
+                    "p = {p}, first = {first}: {owner:?}"
+                );
+                assert!(owner.iter().all(|&o| (first..p).contains(&(o as usize))));
+            }
+        }
     }
 
     #[test]

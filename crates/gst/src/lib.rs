@@ -6,8 +6,10 @@
 //!   array, each suffix carrying its left class, and its stable sort by
 //!   key; a bucket is a run of that array, *admitted* to the tree only
 //!   if it can emit a pair (two suffixes or more, not all after the same
-//!   real base). Shared by the serial builder, the parallel construction
-//!   driver and scope adoption in `pgasm-core`.
+//!   real base). Shared by the serial builder, the per-rank parallel
+//!   build and scope adoption in `pgasm-core`, which all walk the forward
+//!   strand of a double-stranded store only: each window yields its
+//!   suffix and the reverse strand's twin over the same bases.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
 //!   forest of compacted tries, one per admitted bucket. Each bucket is
@@ -39,5 +41,7 @@ pub mod tree;
 
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
-pub use suffix::{admitted_runs, enumerate_suffixes, sort_by_bucket, Suffix};
+pub use suffix::{
+    admitted_runs, enumerate_suffixes, for_each_window, sort_by_bucket, sort_walk_by_bucket, Suffix, Window,
+};
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

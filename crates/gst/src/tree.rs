@@ -24,9 +24,9 @@
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::{admitted_runs, enumerate_suffixes, sort_by_bucket, LeftClasses, Suffix};
+use crate::suffix::{admitted_runs, for_each_window, sort_walk_by_bucket, Suffix, TwinClasses, Window};
 use pgasm_seq::alphabet::SIGMA;
-use pgasm_seq::{FragmentStore, SeqId};
+use pgasm_seq::{mix_word, FragmentStore};
 
 /// Sentinel for "no node / no suffix / no slot".
 pub const NONE: u32 = u32::MAX;
@@ -144,27 +144,65 @@ impl Gst {
     /// and a slot — the union of its buckets — that cannot pair holds no
     /// bucket that can. [`Gst::build_from_sorted`] then judges each
     /// bucket exactly.
+    ///
+    /// Both passes walk the forward strand only. A word and its reverse
+    /// complement share one one-byte slot, by the smaller of the two,
+    /// with a [`LeftClasses`](crate::suffix::LeftClasses) for each in a nibble, so one probe per
+    /// forward window serves the suffix there and its twin on the reverse
+    /// strand.
     pub fn build(store: &FragmentStore, config: GstConfig) -> Gst {
-        let suffixes =
-            || enumerate_suffixes(store, (0..store.num_seqs() as u32).map(SeqId), config.bucket_len());
-        // Sized from the input, one byte per slot: at most half full.
-        let bits = (2 * store.total_len()).next_power_of_two().trailing_zeros().max(1);
-        let slot = |key: u64| (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
-        let mut slots = vec![LeftClasses::default(); 1 << bits];
+        // Sized from the input, one byte per two forward windows: at most
+        // half full.
+        let forward = store.total_len() >> store.is_double_stranded() as u32;
+        let bits = (2 * forward).next_power_of_two().trailing_zeros().max(1);
+        // A window's slot is that of the smaller of its word and its
+        // twin's (its own in a single-stranded store), and the larger
+        // word's bucket takes the second half; a reverse palindrome's one
+        // bucket takes the first.
+        let slot = |w: &Window<'_>| {
+            let (key, twin) = (w.key, w.twin_key().unwrap_or(w.key));
+            ((mix_word(key.min(twin)) >> (64 - bits)) as usize, (key > twin) as usize, (twin > key) as usize)
+        };
+        let mut slots = vec![TwinClasses::default(); 1 << bits];
         let mut enumerated = 0;
-        for (key, s) in suffixes() {
-            slots[slot(key)].add(s.left);
-            enumerated += 1;
-        }
-        let mut survivors: Vec<_> = suffixes().filter(|&(key, _)| slots[slot(key)].can_pair()).collect();
+        for_each_window(
+            store,
+            config.bucket_len(),
+            |_| true,
+            |w| {
+                let (i, half, twin_half) = slot(w);
+                slots[i].add(half, w.left());
+                if w.twin_key().is_some() {
+                    slots[i].add(twin_half, w.twin_left());
+                    enumerated += 1;
+                }
+                enumerated += 1;
+            },
+        );
+        let mut survivors = Vec::new();
+        for_each_window(
+            store,
+            config.bucket_len(),
+            |_| true,
+            |w| {
+                let (i, half, twin_half) = slot(w);
+                if slots[i].get(half).can_pair() {
+                    survivors.push(w.suffix());
+                }
+                if slots[i].get(twin_half).can_pair() {
+                    survivors.extend(w.twin_suffix());
+                }
+            },
+        );
         drop(slots);
-        sort_by_bucket(&mut survivors);
+        sort_walk_by_bucket(&mut survivors);
         let mut gst = Gst::build_from_sorted(store, &survivors, config);
         gst.stats.enumerated = enumerated;
         gst
     }
 
-    /// Build from suffixes grouped into buckets by [`sort_by_bucket`]:
+    /// Build from suffixes grouped into buckets by
+    /// [`sort_by_bucket`](crate::suffix::sort_by_bucket):
     /// every admitted run of equal keys ([`admitted_runs`]) becomes one
     /// subtree. Identical suffixes keep their order within the run.
     /// Shared by the serial path, the per-rank parallel path and scope

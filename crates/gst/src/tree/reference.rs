@@ -8,7 +8,8 @@
 
 use super::*;
 use crate::pairs::{GenMode, PairGenerator, PromisingPair};
-use pgasm_seq::DnaSeq;
+use crate::suffix::{enumerate_suffixes, sort_by_bucket};
+use pgasm_seq::{DnaSeq, SeqId};
 use proptest::prelude::*;
 
 impl Gst {
@@ -172,6 +173,24 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both strands through one slot: on a double-stranded store the
+    /// production build, which walks the forward strand only, makes byte
+    /// for byte the forest the shared builder makes of every suffix of
+    /// both strands, and generates the oracle's stream.
+    #[test]
+    fn two_strand_build_is_the_build_of_every_suffix(st in fragment_set(), psi in 1usize..=9) {
+        let ds = st.with_reverse_complements();
+        let config = GstConfig { psi };
+        on_a_deep_stack(move || {
+            let mut sorted = all_suffixes(&ds, psi);
+            sort_by_bucket(&mut sorted);
+            let built = Gst::build(&ds, config);
+            assert!(built.encode() == Gst::build_from_sorted(&ds, &sorted, config).encode());
+            let reference = Gst::build_reference(&ds, &sorted, config, psi as u32);
+            assert_eq!(stream(built, GenMode::DupElim), stream(reference, GenMode::DupElim));
+        });
+    }
 
     /// The per-rank path at p ∈ {2, 3}: each rank builds the buckets it
     /// owns from suffixes that arrive grouped by source rank, not in

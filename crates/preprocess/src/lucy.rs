@@ -6,8 +6,7 @@
 //! vector library, (2) find the longest quality-clean window that avoids
 //! them, and reject reads whose surviving insert is too short.
 
-use pgasm_seq::{DnaSeq, KmerIter, QualityTrack};
-use std::collections::HashSet;
+use pgasm_seq::{DnaSeq, KmerIter, QualityTrack, WordSet};
 
 /// Trimmer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,18 +44,14 @@ pub enum TrimOutcome {
 /// The trimmer, holding the indexed vector library.
 pub struct Lucy {
     config: LucyConfig,
-    vector_kmers: HashSet<u64>,
+    vector_kmers: WordSet,
 }
 
 impl Lucy {
     /// Build a trimmer from the vector sequences to screen against.
     pub fn new(config: LucyConfig, vectors: &[DnaSeq]) -> Lucy {
-        let mut vector_kmers = HashSet::new();
-        for v in vectors {
-            for (_, k) in KmerIter::new(v.codes(), config.vector_k) {
-                vector_kmers.insert(k);
-            }
-        }
+        let vector_kmers =
+            vectors.iter().flat_map(|v| KmerIter::new(v.codes(), config.vector_k).map(|(_, k)| k)).collect();
         Lucy { config, vector_kmers }
     }
 
@@ -64,25 +59,17 @@ impl Lucy {
     pub fn trim(&self, seq: &DnaSeq, qual: &QualityTrack) -> TrimOutcome {
         assert_eq!(seq.len(), qual.len(), "sequence/quality length mismatch");
         let k = self.config.vector_k;
-        // Pass 1: vector mask.
+        // Pass 1: vector mask, with vector positions forced to quality 0
+        // so the window search of pass 2 avoids them.
         let mut is_vector = vec![false; seq.len()];
-        if seq.len() >= k {
-            for (pos, kmer) in KmerIter::new(seq.codes(), k) {
-                if self.vector_kmers.contains(&kmer) {
-                    for v in is_vector.iter_mut().skip(pos).take(k) {
-                        *v = true;
-                    }
-                }
-            }
-        }
-        // Pass 2: quality window, with vector positions forced to
-        // quality 0 so the window search avoids them.
         let mut q = qual.values().to_vec();
-        for (i, &v) in is_vector.iter().enumerate() {
-            if v {
-                q[i] = 0;
+        for (pos, kmer) in KmerIter::new(seq.codes(), k) {
+            if self.vector_kmers.contains(&kmer) {
+                is_vector[pos..pos + k].fill(true);
+                q[pos..pos + k].fill(0);
             }
         }
+        // Pass 2: quality window.
         let track = QualityTrack::from_values(q);
         match track.best_window(self.config.quality_window, self.config.min_quality) {
             Some((mut start, mut end)) => {

@@ -130,7 +130,7 @@ impl Preprocessor {
         if let Some(cfg) = &self.config.stat_repeats {
             let mut cfg = *cfg;
             cfg.k = self.config.mask_k;
-            let seqs: Vec<DnaSeq> = trimmed.iter().map(|(_, s, _, _)| s.clone()).collect();
+            let seqs: Vec<&DnaSeq> = trimmed.iter().map(|(_, s, _, _)| s).collect();
             let stat = RepeatLibrary::from_statistics(&seqs, &cfg);
             library.merge(&stat);
         }

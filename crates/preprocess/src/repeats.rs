@@ -8,11 +8,11 @@
 //! fragments themselves comprise a random sample, we used … randomly
 //! chosen fragments (0.1× coverage) to predict high-copy sequences."
 
-use pgasm_seq::{DnaSeq, KmerIter};
+use pgasm_seq::{DnaSeq, KmerIter, WordMap, WordSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Borrow;
 
 /// Parameters for statistical repeat discovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,13 +42,13 @@ impl Default for StatRepeatConfig {
 #[derive(Debug, Clone, Default)]
 pub struct RepeatLibrary {
     k: usize,
-    kmers: HashSet<u64>,
+    kmers: WordSet,
 }
 
 impl RepeatLibrary {
     /// Empty library with the given k.
     pub fn empty(k: usize) -> RepeatLibrary {
-        RepeatLibrary { k, kmers: HashSet::new() }
+        RepeatLibrary { k, kmers: WordSet::default() }
     }
 
     /// Build from known repeat consensus sequences (both strands are
@@ -63,15 +63,17 @@ impl RepeatLibrary {
     }
 
     /// Discover statistically over-represented k-mers in a random
-    /// subsample of `reads` and build the library from them.
-    pub fn from_statistics(reads: &[DnaSeq], config: &StatRepeatConfig) -> RepeatLibrary {
+    /// subsample of `reads` (owned or borrowed) and build the library
+    /// from them.
+    pub fn from_statistics<S: Borrow<DnaSeq>>(reads: &[S], config: &StatRepeatConfig) -> RepeatLibrary {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut idx: Vec<usize> = (0..reads.len()).collect();
         idx.shuffle(&mut rng);
-        let take = ((reads.len() as f64 * config.sample_fraction).ceil() as usize).clamp(1, reads.len());
-        let mut counts: HashMap<u64, u32> = HashMap::new();
+        // At least one read, unless there are none (every read trimmed away).
+        let take = ((reads.len() as f64 * config.sample_fraction).ceil() as usize).max(1).min(reads.len());
+        let mut counts: WordMap<u32> = WordMap::default();
         for &i in idx.iter().take(take) {
-            for (_, kmer) in KmerIter::new(reads[i].codes(), config.k) {
+            for (_, kmer) in KmerIter::new(reads[i].borrow().codes(), config.k) {
                 *counts.entry(kmer).or_default() += 1;
             }
         }
@@ -80,7 +82,7 @@ impl RepeatLibrary {
         }
         let mean = counts.values().map(|&c| c as f64).sum::<f64>() / counts.len() as f64;
         let threshold = (mean * config.threshold_factor).max(2.0);
-        let kmers: HashSet<u64> =
+        let kmers: WordSet =
             counts.into_iter().filter(|&(_, c)| c as f64 > threshold).map(|(k, _)| k).collect();
         RepeatLibrary { k: config.k, kmers }
     }
@@ -123,15 +125,16 @@ impl RepeatLibrary {
             .filter(|(_, kmer)| self.kmers.contains(kmer))
             .map(|(pos, _)| pos)
             .collect();
-        let mut masked = 0usize;
+        // Hits ascend, and every base of a hit window is a real base, so
+        // masking from the last window's end on touches each base once.
+        let mut masked_to = 0;
         let codes = seq.codes_mut();
+        let mut masked = 0;
         for pos in hits {
-            for c in codes.iter_mut().skip(pos).take(self.k) {
-                if pgasm_seq::is_base_code(*c) {
-                    *c = pgasm_seq::MASK;
-                    masked += 1;
-                }
-            }
+            let from = masked_to.max(pos);
+            masked_to = pos + self.k;
+            codes[from..masked_to].fill(pgasm_seq::MASK);
+            masked += masked_to - from;
         }
         masked
     }
@@ -196,6 +199,36 @@ mod tests {
         let mut unique = random_seq(&mut rng, 150);
         let masked_unique = lib.mask(&mut unique);
         assert!(masked_unique < 24, "unique read over-masked: {masked_unique}");
+    }
+
+    #[test]
+    fn no_reads_discover_no_repeats() {
+        let lib = RepeatLibrary::from_statistics::<DnaSeq>(&[], &StatRepeatConfig::default());
+        assert!(lib.is_empty());
+    }
+
+    #[test]
+    fn overlapping_hits_mask_their_union_once() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let repeat = random_seq(&mut rng, 30);
+        let lib = RepeatLibrary::from_known(8, std::slice::from_ref(&repeat));
+        // Copies that overlap, abut and sit apart, around a masked base.
+        let mut read = random_seq(&mut rng, 5);
+        for gap in [0, 3, 20] {
+            read.extend_from(&repeat.slice(0, 20));
+            read.extend_from(&repeat.slice(10, 30));
+            read.extend_from(&random_seq(&mut rng, gap));
+        }
+        read.mask_range(40, 41);
+        let mut covered = vec![false; read.len()];
+        for (pos, _) in KmerIter::new(read.codes(), 8).filter(|(_, w)| lib.kmers.contains(w)) {
+            covered[pos..pos + 8].fill(true);
+        }
+        let mut masked = read.clone();
+        assert_eq!(lib.mask(&mut masked), covered.iter().filter(|&&c| c).count());
+        for (i, (&c, &m)) in read.codes().iter().zip(masked.codes()).enumerate() {
+            assert_eq!(m, if covered[i] { pgasm_seq::MASK } else { c }, "base {i}");
+        }
     }
 
     #[test]

@@ -72,12 +72,15 @@ impl FragmentStore {
     /// Panics if called on a double-stranded store (its layout pairs
     /// forward/reverse sequences and cannot be extended piecemeal).
     pub fn push(&mut self, seq: &DnaSeq) -> SeqId {
-        assert!(!self.double_stranded, "cannot push into a double-stranded store");
         self.push_codes(seq.codes())
     }
 
     /// Append raw codes; returns the new [`SeqId`].
+    ///
+    /// # Panics
+    /// Panics on a double-stranded store, as [`FragmentStore::push`].
     pub fn push_codes(&mut self, codes: &[u8]) -> SeqId {
+        assert!(!self.double_stranded, "cannot push into a double-stranded store");
         let id = SeqId((self.offsets.len() - 1) as u32);
         self.text.extend_from_slice(codes);
         self.offsets.push(self.text.len() as u64);
@@ -223,7 +226,19 @@ impl FragmentStore {
         if text.iter().any(|&c| c > MASK) {
             return Err(WireError::Malformed("base code out of range"));
         }
-        Ok(FragmentStore { text, offsets, double_stranded })
+        let store = FragmentStore { text, offsets, double_stranded };
+        // Readers of a double-stranded store walk the forward strand and
+        // take the reverse one as its mirror image.
+        let mirrored = |i: u32| {
+            let (fwd, rev) = (store.get(SeqId(i)), store.get(SeqId(i + 1)));
+            fwd.len() == rev.len() && fwd.iter().rev().map(|&c| complement_code(c)).eq(rev.iter().copied())
+        };
+        if double_stranded && !(0..store.num_seqs() as u32).step_by(2).all(mirrored) {
+            return Err(WireError::Malformed(
+                "reverse strand is not the reverse complement of its forward strand",
+            ));
+        }
+        Ok(store)
     }
 
     /// Split fragments round-robin across `p` parts such that each part
@@ -356,5 +371,31 @@ mod tests {
         bad[n - 1] ^= 0xFF; // final offset no longer equals text length
         let mut r = Reader::new(&bad);
         assert!(FragmentStore::decode_from(&mut r).is_err());
+    }
+
+    #[test]
+    fn codec_rejects_a_reverse_strand_that_is_no_mirror() {
+        // One base of GGGTTT's reverse strand, AAACCC, changed to another
+        // base, then to a masked one.
+        let mut w = Writer::new();
+        store3().with_reverse_complements().encode_into(&mut w);
+        let buf = w.finish();
+        let at = buf.windows(6).position(|win| win == DnaSeq::from("AAACCC").codes()).unwrap();
+        for (i, code) in [(at, 1), (at + 5, MASK)] {
+            let mut bad = buf.clone();
+            bad[i] = code;
+            let err = FragmentStore::decode_from(&mut Reader::new(&bad)).unwrap_err();
+            assert!(format!("{err:?}").contains("reverse complement"), "{err:?}");
+        }
+        let mut single = Writer::new();
+        FragmentStore::from_seqs(vec![DnaSeq::from("ACGT"), DnaSeq::from("AAAA")]).encode_into(&mut single);
+        assert!(FragmentStore::decode_from(&mut Reader::new(&single.finish())).is_ok(), "no mirror to check");
+    }
+
+    #[test]
+    #[should_panic(expected = "double-stranded")]
+    fn push_codes_into_double_stranded_panics() {
+        let mut ds = store3().with_reverse_complements();
+        ds.push_codes(DnaSeq::from("AC").codes());
     }
 }

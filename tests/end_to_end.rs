@@ -280,6 +280,29 @@ fn cli_warns_when_the_cache_directory_cannot_be_opened() {
 }
 
 #[test]
+fn cli_runs_an_input_whose_every_read_trims_away() {
+    // Reads shorter than the trimmer's minimum insert all fail trimming,
+    // which leaves the repeat sampler nothing to sample: an empty
+    // clustering and no contigs, not a panic.
+    let dir = std::env::temp_dir().join(format!("pgasm-e2e-trimmed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let reads = ["ACGTACGTACGTAGCTAGCTAGGATCGATCGA", "TTGACGATCGATCGTAGCTAGCTAGCTAGCAT"];
+    let fastq: String =
+        reads.iter().enumerate().map(|(i, r)| format!("@r{i}\n{r}\n+\n{}\n", "I".repeat(r.len()))).collect();
+    std::fs::write(path("short.fastq"), fastq).unwrap();
+    for (command, said) in [("cluster", "clustered 0 fragments"), ("assemble", "into 0 contigs")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
+            .args([command, "--reads", &path("short.fastq"), "--out", &path("out")])
+            .output()
+            .expect("pgasm runs");
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success() && stdout.contains(said), "pgasm {command}: {stdout}{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_analyze_rejects_a_malformed_trace() {
     // A wait that ends before it begins and an `E` with no `B`: a trace
     // the analyzer must refuse by event, not subtract its way through.
