@@ -70,10 +70,20 @@ stages=$(grep -o '"stage": "[a-z_]*"' ci.analysis.json | cut -d'"' -f4 | paste -
 [ "$stages" = "preprocess cluster assemble" ] || { echo "stage rows are '$stages'"; exit 1; }
 rm -f ci_contigs.fasta ci.trace.json ci.metrics.json ci.analysis.json
 
-echo "==> pgasm cluster: serial and --ranks 3 write the same partition"
-cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt
-cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3
+echo "==> pgasm cluster: serial and --ranks 3 write the same partition from the same GST"
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt \
+  --metrics-json ci.cluster-serial.json
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3 \
+  --metrics-json ci.cluster-ranks3.json
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "partition differs between serial and --ranks 3"; exit 1; }
+# The ranks' merged admission table is the serial table: over all ranks
+# they count, index and build exactly what the serial build does.
+for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
+  serial=$(grep -o "\"$counter\": [0-9]*" ci.cluster-serial.json || true)
+  ranks3=$(grep -o "\"$counter\": [0-9]*" ci.cluster-ranks3.json || true)
+  [ -n "$serial" ] && [ "$serial" = "$ranks3" ] || { echo "$counter: serial '$serial', --ranks 3 '$ranks3'"; exit 1; }
+done
+rm -f ci.cluster-serial.json ci.cluster-ranks3.json
 
 echo "==> pgasm cluster --no-preprocess: a rejection-heavy run, serial and --ranks 3"
 # Every other input here is preprocessed. Unmasked, untrimmed reads put

@@ -481,7 +481,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
             |w| suffixes.extend(Some(w.suffix()).into_iter().chain(w.twin_suffix()).filter(owned)),
         );
         sort_walk_by_bucket(&mut suffixes);
-        let gst = Gst::build_from_sorted(store, &suffixes, params.gst);
+        let gst = Gst::build_from_sorted(store, &suffixes, params.gst, suffixes.len());
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
     }

@@ -2,38 +2,50 @@
 //!
 //! Phases, per rank:
 //!
-//! 1. **Bucket**: enumerate the suffixes of the rank's own fragments
-//!    into one flat array — one walk of each forward strand yields the
-//!    reverse strand's suffixes too, so a fragment's two strands share
-//!    an owner ([`compute_owners`]) — and sort it by ψ-mer key; a bucket
-//!    is a run.
-//!    A rank sees only its share of a bucket, so it cannot judge here
-//!    whether the bucket can emit a pair.
-//! 2. **Redistribute**: each bucket's builder is a static hash of its
-//!    key ([`bucket_owner`]), so no assignment is negotiated; suffixes
+//! 1. **Count**: fold the windows of the rank's own fragments into a
+//!    [`SlotTable`] — the serial build's admission table, sized from the
+//!    whole store so a slot means the same on every rank. One walk of
+//!    each forward strand serves the reverse strand too, so a fragment's
+//!    two strands share an owner ([`compute_owners`]).
+//! 2. **Reduce**: the slots are split into one contiguous range per
+//!    builder ([`slot_range`]). Each rank sends the non-empty slots of
+//!    every other builder's range, sparsely, to that builder, which
+//!    [merges](pgasm_gst::TwinClasses::merge) them into its own and
+//!    answers each sender with a 2-bit verdict per slot it sent. Now
+//!    every rank's table says, for each of its own windows, what the
+//!    serial table says: which suffixes may sit in an admitted bucket.
+//!    ERA's counting scan before building, and HipMer's "keep
+//!    singletons off the wire".
+//! 3. **Redistribute**: each rank walks its windows again and keeps the
+//!    survivors only. A bucket's builder is a static hash of its key
+//!    ([`bucket_owner`]), so no assignment is negotiated; survivors
 //!    travel to their builder with their left class, one `(key, count,
 //!    suffixes)` record per run, via the paper's customised all-to-all
 //!    built from p − 1 point-to-point rounds (bounding send-buffer
-//!    space). The receiver concatenates the records in source-rank
-//!    order and sorts them by key again (stably: in-bucket order is
-//!    source-rank order). Now whole, each bucket is admitted or dropped
+//!    space). The receiver concatenates the records in source-rank order
+//!    and sorts them by key again (stably: in-bucket order is source-rank
+//!    order). Now whole, each bucket is admitted or dropped exactly
 //!    ([`admitted_runs`]) from the records alone — no text is needed.
-//! 3. **Fetch fragments**: each builder requests the fragment sequences
+//! 4. **Fetch fragments**: each builder requests the fragment sequences
 //!    its *admitted* suffixes refer to "through two collective
 //!    communication steps — the first to request the processors that
 //!    have the required fragments, and the second to service the
 //!    request".
-//! 4. **Build**: each admitted bucket becomes a compacted-trie subtree
+//! 5. **Build**: each admitted bucket becomes a compacted-trie subtree
 //!    of the conceptual global GST, by the same sort + LCP builder as
 //!    the serial path ([`Gst::build_from_sorted`]).
+//!
+//! The merged table is the serial table, so the survivors shipped over
+//! all ranks are the serial build's, and the forests, pairs and
+//! partitions do not depend on p.
 //!
 //! Ownership discipline: a rank reads only its *own* fragments from the
 //! shared store; every foreign byte it uses arrives through a message,
 //! so the traffic counters are exact.
 
 use pgasm_gst::{
-    admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, Gst, GstConfig, GstStats, Suffix,
-    TextSource,
+    admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, Gst, GstConfig, GstStats, SlotTable,
+    Suffix, TextSource, TwinClasses,
 };
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
@@ -41,6 +53,7 @@ use pgasm_seq::{FragmentStore, SeqId};
 use pgasm_telemetry::names;
 use pgasm_telemetry::trace::TraceCategory;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Per-rank text access: own fragments come from the shared store,
 /// foreign fragments from the fetched copies.
@@ -70,13 +83,14 @@ impl TextSource for LocalText<'_> {
 pub struct RankGstReport {
     /// Rank id.
     pub rank: usize,
-    /// Seconds of pure computation (bucketing + trie building).
+    /// Seconds of pure computation: the count and filter passes, the
+    /// merge of the slots this rank owns, and trie building.
     pub compute_seconds: f64,
     /// Traffic during construction.
     pub comm: CommStats,
-    /// The local forest's statistics: suffixes this rank received
-    /// (`enumerated`; over all ranks, every suffix of the store once),
-    /// suffixes it admitted and nodes it built.
+    /// The local forest's statistics: suffixes of this rank's own
+    /// fragments (`enumerated`; over all ranks, every suffix of the store
+    /// once), suffixes it admitted and nodes it built.
     pub gst: GstStats,
     /// Foreign fragments fetched.
     pub fragments_fetched: usize,
@@ -114,10 +128,10 @@ impl DistributedGstReport {
 /// Run inside a rank: build this rank's portion of the distributed GST.
 ///
 /// `owner[seq]` gives the rank owning each stored sequence; sequences
-/// owned by this rank are bucketed here. Buckets are assigned to ranks
-/// `first_builder..size` (the master–worker runtime excludes rank 0).
-/// Returns the local forest (suffixes carry *global* sequence ids), the
-/// local text, and the report.
+/// owned by this rank are counted and filtered here. Buckets and slot
+/// ranges are assigned to ranks `first_builder..size` (the master–worker
+/// runtime excludes rank 0). Returns the local forest (suffixes carry
+/// *global* sequence ids), the local text, and the report.
 pub fn rank_build_gst<'s>(
     comm: &mut Comm,
     store: &'s FragmentStore,
@@ -127,67 +141,11 @@ pub fn rank_build_gst<'s>(
 ) -> (Gst, LocalText<'s>, RankGstReport) {
     let rank = comm.rank();
     let p = comm.size();
-    let builders = p - first_builder;
-    assert!(builders >= 1, "need at least one builder rank");
     let stats_before = comm.stats();
     let mut compute = 0.0f64;
+    let (mut mine, enumerated) = ship_survivors(comm, store, owner, config, first_builder, &mut compute);
 
-    // Phase 1: bucket own suffixes. Compute is accounted in *thread CPU
-    // time*: ranks may timeshare cores, and wall intervals would then
-    // overstate computation (see `thread_cpu_seconds`).
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUCKET);
-    let t = thread_cpu_seconds();
-    let mut local: Vec<(u64, Suffix)> = Vec::new();
-    for_each_window(
-        store,
-        config.bucket_len(),
-        |s| owner[s.0 as usize] as usize == rank,
-        |w| {
-            local.push(w.suffix());
-            local.extend(w.twin_suffix());
-        },
-    );
-    sort_walk_by_bucket(&mut local);
-    compute += thread_cpu_seconds() - t;
-    comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUCKET);
-
-    // Phase 2: redistribute suffixes (customised all-to-all, §6). The
-    // bucket → builder assignment is *static* (a hash of the bucket
-    // key), relying on the paper's observation that for diverse sequence
-    // data the buckets are close to uniformly occupied ("a value
-    // between 10 and 12 for w can be expected to generate millions of
-    // buckets sufficient to be distributed in a load balanced manner";
-    // ψ-mer keys only spread finer). No communication is needed to
-    // agree on owners.
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
-    let mut per_dest: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
-    for run in local.chunk_by(|a, b| a.0 == b.0) {
-        let key = run[0].0;
-        let w = &mut per_dest[bucket_owner(key, builders, first_builder)];
-        w.put_u64(key);
-        w.put_u32(checked_len(run.len()));
-        for (_, s) in run {
-            w.put_u32(s.seq).put_u32(s.pos).put_u32(s.rem).put_u8(s.left);
-        }
-    }
-    drop(local);
-    let received = comm.all_to_allv(per_dest.into_iter().map(|w| w.finish()).collect());
-    let mut mine: Vec<(u64, Suffix)> = Vec::new();
-    for payload in received {
-        read_records(&payload, "redistributed suffixes", |r| {
-            let key = r.get_u64()?;
-            for _ in 0..r.get_u32()? {
-                mine.push((
-                    key,
-                    Suffix { seq: r.get_u32()?, pos: r.get_u32()?, rem: r.get_u32()?, left: r.get_u8()? },
-                ));
-            }
-            Ok(())
-        });
-    }
-    comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
-
-    // Phase 3: fetch the foreign fragments of admitted buckets (two
+    // Phase 4: fetch the foreign fragments of admitted buckets (two
     // collective steps). The stable sort keeps each bucket in arrival
     // (source-rank) order.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH);
@@ -227,10 +185,10 @@ pub fn rank_build_gst<'s>(
     let text = LocalText { store, owner, rank, fetched };
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_FETCH);
 
-    // Phase 4: build the local forest.
+    // Phase 5: build the local forest.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUILD);
     let t = thread_cpu_seconds();
-    let gst = Gst::build_from_sorted(&text, &mine, config);
+    let gst = Gst::build_from_sorted(&text, &mine, config, enumerated);
     drop(mine);
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUILD);
@@ -249,6 +207,183 @@ pub fn rank_build_gst<'s>(
             memory_bytes,
         },
     )
+}
+
+/// Phases 1–3: count, reduce and redistribute. Returns the survivors
+/// of the buckets this rank builds, as received (source-rank order), and
+/// the number of suffixes of its own fragments. Computation is added to
+/// `compute` in *thread CPU time*: ranks may timeshare cores, and wall
+/// intervals would then overstate it (see `thread_cpu_seconds`).
+fn ship_survivors(
+    comm: &mut Comm,
+    store: &FragmentStore,
+    owner: &[u32],
+    config: GstConfig,
+    first_builder: usize,
+    compute: &mut f64,
+) -> (Vec<(u64, Suffix)>, usize) {
+    let rank = comm.rank();
+    let p = comm.size();
+    let builders = p - first_builder;
+    assert!(builders >= 1, "need at least one builder rank");
+    let k = config.bucket_len();
+    let own = |s: SeqId| owner[s.0 as usize] as usize == rank;
+
+    // Phase 1: count own windows.
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_COUNT);
+    let t = thread_cpu_seconds();
+    let mut table = SlotTable::new(store);
+    for_each_window(store, k, own, |w| table.add(w));
+    *compute += thread_cpu_seconds() - t;
+    comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_COUNT);
+
+    // Phase 2: reduce.
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDUCE);
+    reduce(comm, &mut table, first_builder, compute);
+    comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDUCE);
+
+    // Phase 3: filter own windows and redistribute the survivors
+    // (customised all-to-all, §6). The bucket → builder assignment is
+    // *static* (a hash of the bucket key), relying on the paper's
+    // observation that for diverse sequence data the buckets are close
+    // to uniformly occupied ("a value between 10 and 12 for w can be
+    // expected to generate millions of buckets sufficient to be
+    // distributed in a load balanced manner"; ψ-mer keys only spread
+    // finer). No communication is needed to agree on owners.
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
+    let t = thread_cpu_seconds();
+    let mut local: Vec<(u64, Suffix)> = Vec::new();
+    for_each_window(store, k, own, |w| table.admit(w, &mut local));
+    let enumerated = table.enumerated();
+    drop(table);
+    sort_walk_by_bucket(&mut local);
+    *compute += thread_cpu_seconds() - t;
+    let mut per_dest: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
+    for run in local.chunk_by(|a, b| a.0 == b.0) {
+        let key = run[0].0;
+        let w = &mut per_dest[bucket_owner(key, builders, first_builder)];
+        w.put_u64(key);
+        w.put_u32(checked_len(run.len()));
+        for (_, s) in run {
+            w.put_u32(s.seq).put_u32(s.pos).put_u32(s.rem).put_u8(s.left);
+        }
+    }
+    drop(local);
+    let received = comm.all_to_allv(per_dest.into_iter().map(|w| w.finish()).collect());
+    let mut mine: Vec<(u64, Suffix)> = Vec::new();
+    for payload in received {
+        read_records(&payload, "redistributed suffixes", |r| {
+            let key = r.get_u64()?;
+            for _ in 0..r.get_u32()? {
+                mine.push((
+                    key,
+                    Suffix { seq: r.get_u32()?, pos: r.get_u32()?, rem: r.get_u32()?, left: r.get_u8()? },
+                ));
+            }
+            Ok(())
+        });
+    }
+    comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
+    (mine, enumerated)
+}
+
+/// Phase 2: turn `table`, this rank's part, into what the merged table
+/// says of every slot the rank holds a suffix in. The slots are cut into
+/// one range per builder ([`slot_range`]); a rank sends its non-empty
+/// slots of each other builder's range to that builder, which merges
+/// them into its own and answers with one 2-bit verdict per slot sent,
+/// four to a byte, in the order sent. A rank with no windows sends
+/// nothing and never reads its (untouched) table.
+fn reduce(comm: &mut Comm, table: &mut SlotTable, first_builder: usize, compute: &mut f64) {
+    let (rank, p) = (comm.rank(), comm.size());
+    let ranges: Vec<Range<usize>> =
+        (0..p).map(|r| slot_range(table.num_slots(), r, p - first_builder, first_builder)).collect();
+    let sender = table.enumerated() > 0;
+    let sent_to = |dest: usize| sender && dest != rank;
+    let mut parts: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
+    for (dest, part) in parts.iter_mut().enumerate().filter(|(dest, _)| sent_to(*dest)) {
+        let mut next = ranges[dest].start;
+        for (slot, classes) in table.occupied(ranges[dest].clone()) {
+            put_gap(part, slot - next);
+            part.put_u8(classes.to_byte());
+            next = slot + 1;
+        }
+    }
+    let parts = comm.all_to_allv(parts.into_iter().map(Writer::finish).collect());
+
+    let t = thread_cpu_seconds();
+    let mine = &ranges[rank];
+    for part in &parts {
+        read_slots(part, mine, |slot, classes| table.set(slot, table.get(slot).merge(classes)));
+    }
+    let verdicts = parts
+        .iter()
+        .map(|part| {
+            let mut each = Vec::new();
+            read_slots(part, mine, |slot, _| each.push(table.get(slot).verdict()));
+            each.chunks(4).map(|four| four.iter().rev().fold(0, |byte, v| byte << 2 | v)).collect()
+        })
+        .collect();
+    *compute += thread_cpu_seconds() - t;
+    let verdicts = comm.all_to_allv(verdicts);
+
+    let t = thread_cpu_seconds();
+    for (dest, bits) in verdicts.iter().enumerate().filter(|(dest, _)| sent_to(*dest)) {
+        let sent: Vec<usize> = table.occupied(ranges[dest].clone()).map(|(slot, _)| slot).collect();
+        assert_eq!(bits.len(), sent.len().div_ceil(4), "verdicts from rank {dest}: one per slot sent");
+        for (n, slot) in sent.into_iter().enumerate() {
+            table.set(slot, TwinClasses::from_verdict(bits[n / 4] >> (2 * (n % 4))));
+        }
+    }
+    *compute += thread_cpu_seconds() - t;
+}
+
+/// The slots whose parts builder `rank` merges: the `(rank −
+/// first_builder)`-th of `builders` contiguous ranges of `slots`, and
+/// none for a rank below `first_builder`.
+fn slot_range(slots: usize, rank: usize, builders: usize, first_builder: usize) -> Range<usize> {
+    let Some(b) = rank.checked_sub(first_builder) else { return 0..0 };
+    slots * b / builders..slots * (b + 1) / builders
+}
+
+/// Append a slot's distance from the one after the previous slot sent
+/// (or from its range's start): seven bits a byte, low first, the high
+/// bit set on every byte but the last. Slots are dense, so most gaps
+/// take one byte.
+fn put_gap(w: &mut Writer, mut gap: usize) {
+    while gap >= 0x80 {
+        w.put_u8(gap as u8 | 0x80);
+        gap >>= 7;
+    }
+    w.put_u8(gap as u8);
+}
+
+/// Decode a reduce payload — `(gap, state)` records for slots of
+/// `range` — calling `slot` on each in order.
+fn read_slots(payload: &[u8], range: &Range<usize>, mut slot: impl FnMut(usize, TwinClasses)) {
+    let mut next = range.start;
+    read_records(payload, "slot parts", |r| {
+        let (mut gap, mut shift) = (0usize, 0);
+        loop {
+            let byte = r.get_u8()?;
+            gap |= ((byte & 0x7f) as usize) << shift;
+            if byte < 0x80 {
+                break;
+            }
+            shift += 7;
+            if shift >= usize::BITS {
+                return Err(WireError::Malformed("slot gap overflows"));
+            }
+        }
+        let at = next.saturating_add(gap);
+        let classes = TwinClasses::from_byte(r.get_u8()?).ok_or(WireError::Malformed("slot state"))?;
+        if !range.contains(&at) {
+            return Err(WireError::Malformed("slot outside the receiver's range"));
+        }
+        slot(at, classes);
+        next = at + 1;
+        Ok(())
+    });
 }
 
 /// Decode a collective's payload: `record` is applied until the payload
@@ -334,7 +469,7 @@ mod tests {
             .collect()
     }
 
-    fn reads() -> FragmentStore {
+    fn read_seqs() -> Vec<DnaSeq> {
         let g = genome(1, 2000);
         let b = g.as_bytes();
         let mut seqs = Vec::new();
@@ -343,6 +478,22 @@ mod tests {
             seqs.push(DnaSeq::from_ascii(&b[at..at + 200]));
             at += 90;
         }
+        seqs
+    }
+
+    fn reads() -> FragmentStore {
+        FragmentStore::from_seqs(read_seqs())
+    }
+
+    /// `reads()` followed by words that meet their first copies on
+    /// another rank: two whole copies (λ meets λ at the read start), one
+    /// with a masked base (λ mid-read) and a prefix of a fourth read.
+    fn reads_and_copies() -> FragmentStore {
+        let mut seqs = read_seqs();
+        let mut masked = seqs[2].clone();
+        masked.mask_range(60, 61);
+        let prefix = DnaSeq::from_codes(seqs[3].codes()[..120].to_vec());
+        seqs.extend([seqs[0].clone(), seqs[1].clone(), masked, prefix]);
         FragmentStore::from_seqs(seqs)
     }
 
@@ -378,10 +529,12 @@ mod tests {
 
     #[test]
     fn rank_forest_is_the_direct_build_of_its_buckets() {
-        // What a rank builds through bucket / redistribute / fetch is
-        // byte for byte what the shared builder makes of the same
-        // suffixes in the same in-bucket (source-rank) order, read
-        // straight from the store.
+        // What a rank builds through count / reduce / redistribute /
+        // fetch is byte for byte what the shared builder makes of *every*
+        // suffix of its buckets in the same in-bucket (source-rank)
+        // order, read straight from the store — the filter drops no
+        // suffix of an admitted bucket. Its `enumerated` is the number of
+        // suffixes of the rank's own fragments.
         let store = reads().with_reverse_complements();
         let config = GstConfig { psi: 16 };
         for p in [2usize, 3] {
@@ -390,21 +543,61 @@ mod tests {
             let per_rank = pgasm_mpisim::run(p, move |comm| {
                 rank_build_gst(comm, store_ref, owner, config, 0).0.encode()
             });
+            let owned_by = |rank: usize| {
+                (0..store.num_seqs() as u32).filter(move |&s| owner[s as usize] as usize == rank).map(SeqId)
+            };
             for (rank, encoded) in per_rank.iter().enumerate() {
                 let mut arrived = Vec::new();
                 for source in 0..p {
-                    let owned =
-                        (0..store.num_seqs() as u32).filter(|&s| owner[s as usize] as usize == source);
                     arrived.extend(
-                        enumerate_suffixes(&store, owned.map(SeqId), config.bucket_len())
+                        enumerate_suffixes(&store, owned_by(source), config.bucket_len())
                             .filter(|(key, _)| bucket_owner(*key, p, 0) == rank),
                     );
                 }
                 sort_by_bucket(&mut arrived);
-                let direct = Gst::build_from_sorted(&store, &arrived, config);
+                let own = enumerate_suffixes(&store, owned_by(rank), config.bucket_len()).count();
+                let direct = Gst::build_from_sorted(&store, &arrived, config, own);
                 assert!(direct.stats().eligible_nodes > 0, "rank {rank} of {p} built nothing");
                 assert!(*encoded == direct.encode(), "rank {rank} of {p}");
             }
+        }
+    }
+
+    #[test]
+    fn the_suffixes_shipped_are_the_serial_filters_survivors() {
+        // The reduced table is the serial one: over all ranks, exactly
+        // the suffixes `Gst::build` keeps for sorting are sent, each to
+        // the builder of its bucket.
+        let store = reads_and_copies().with_reverse_complements();
+        let config = GstConfig { psi: 16 };
+        let k = config.bucket_len();
+        let mut table = SlotTable::new(&store);
+        for_each_window(&store, k, |_| true, |w| table.add(w));
+        let mut serial = Vec::new();
+        for_each_window(&store, k, |_| true, |w| table.admit(w, &mut serial));
+        sort_walk_by_bucket(&mut serial);
+        let all = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).count();
+        assert!(serial.len() < all / 2, "the filter must drop suffixes: {} of {all}", serial.len());
+        for (p, first_builder) in [(2usize, 0), (3, 0), (4, 0), (3, 1), (4, 1)] {
+            let owner = compute_owners(&store, p, first_builder);
+            let (owner, store_ref) = (&owner, &store);
+            let per_rank = pgasm_mpisim::run(p, move |comm| {
+                let mut compute = 0.0;
+                ship_survivors(comm, store_ref, owner, config, first_builder, &mut compute)
+            });
+            let builders = p - first_builder;
+            let mut shipped = Vec::new();
+            for (rank, (received, _)) in per_rank.iter().enumerate() {
+                assert!(
+                    received.iter().all(|(key, _)| bucket_owner(*key, builders, first_builder) == rank),
+                    "p = {p}: rank {rank} received a foreign bucket"
+                );
+                shipped.extend_from_slice(received);
+            }
+            sort_walk_by_bucket(&mut shipped);
+            assert_eq!(shipped, serial, "p = {p}, first builder {first_builder}");
+            let enumerated: usize = per_rank.iter().map(|(_, n)| n).sum();
+            assert_eq!(enumerated, all, "p = {p}: every suffix counted once");
         }
     }
 

@@ -9,7 +9,10 @@
 //!   real base). Shared by the serial builder, the per-rank parallel
 //!   build and scope adoption in `pgasm-core`, which all walk the forward
 //!   strand of a double-stranded store only: each window yields its
-//!   suffix and the reverse strand's twin over the same bases.
+//!   suffix and the reverse strand's twin over the same bases. Before
+//!   any suffix is sorted or shipped, the serial build and every rank
+//!   fold their windows into a [`SlotTable`], the admission pre-filter;
+//!   the ranks' parts [merge](TwinClasses::merge) into the serial table.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
 //!   forest of compacted tries, one per admitted bucket. Each bucket is
@@ -42,6 +45,7 @@ pub mod tree;
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
 pub use suffix::{
-    admitted_runs, enumerate_suffixes, for_each_window, sort_by_bucket, sort_walk_by_bucket, Suffix, Window,
+    admitted_runs, enumerate_suffixes, for_each_window, sort_by_bucket, sort_walk_by_bucket, LeftClasses,
+    SlotTable, Suffix, TwinClasses, Window,
 };
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

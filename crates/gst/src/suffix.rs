@@ -19,7 +19,8 @@
 //! where that extension ends.
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
-use pgasm_seq::{complement_code, is_base_code, FragmentStore, SeqId, StrandKmerIter};
+use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter};
+use std::ops::Range;
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +43,11 @@ pub struct Suffix {
 /// them: none; one suffix, of class `c` (state `1 + c`); several, all
 /// after the real base `c` (state `6 + c`); or enough to pair. Eleven
 /// states fit four bits, so one byte holds a word's two strands.
+///
+/// The state is a function of the multiset of classes alone, and the
+/// states of two multisets [merge](LeftClasses::merge) into that of
+/// their union: a table can be folded in parts — one per rank — and the
+/// parts reduced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeftClasses(u8);
 
@@ -63,10 +69,45 @@ impl LeftClasses {
         next
     };
 
+    /// The union of two states: the first state with a multiset of the
+    /// second folded in — none for empty, one `c`, two `c` for "several
+    /// after `c`", two λ for PAIR. Empty is the unit and PAIR absorbs.
+    const MERGE: [[u8; 11]; 11] = {
+        let mut merge = [[0; 11]; 11];
+        let mut a = 0;
+        while a < 11 {
+            let mut b = 0;
+            while b < 11 {
+                let (class, times) = match b {
+                    0 => (0, 0),
+                    1..=5 => (b - 1, 1),
+                    6..=9 => (b - 6, 2),
+                    _ => (LAMBDA, 2),
+                };
+                let mut state = a as u8;
+                let mut i = 0;
+                while i < times {
+                    state = Self::NEXT[state as usize][class];
+                    i += 1;
+                }
+                merge[a][b] = state;
+                b += 1;
+            }
+            a += 1;
+        }
+        merge
+    };
+
     /// Add a suffix of class `left` to the set.
     #[inline]
     pub fn add(&mut self, left: u8) {
         self.0 = Self::NEXT[self.0 as usize][left as usize];
+    }
+
+    /// The classes of the union of the two sets.
+    #[inline]
+    pub fn merge(self, other: LeftClasses) -> LeftClasses {
+        LeftClasses(Self::MERGE[self.0 as usize][other.0 as usize])
     }
 
     /// Can a node over (a subset of) these suffixes emit a pair? Pairs
@@ -79,9 +120,10 @@ impl LeftClasses {
     }
 }
 
-/// Two [`LeftClasses`] in one byte, one per half.
+/// Two [`LeftClasses`] in one byte, one per half: the state of one
+/// [`SlotTable`] slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct TwinClasses(u8);
+pub struct TwinClasses(u8);
 
 impl TwinClasses {
     /// The classes of half `half` (0 or 1).
@@ -96,6 +138,138 @@ impl TwinClasses {
         let mut classes = self.get(half);
         classes.add(left);
         self.0 = self.0 & !(15 << (4 * half)) | classes.0 << (4 * half);
+    }
+
+    /// The two halves' unions.
+    #[inline]
+    pub fn merge(self, other: TwinClasses) -> TwinClasses {
+        TwinClasses(self.get(0).merge(other.get(0)).0 | self.get(1).merge(other.get(1)).0 << 4)
+    }
+
+    /// Bit `h` set: half `h` [can pair](LeftClasses::can_pair).
+    #[inline]
+    pub fn verdict(self) -> u8 {
+        self.get(0).can_pair() as u8 | (self.get(1).can_pair() as u8) << 1
+    }
+
+    /// A state whose [`verdict`](Self::verdict) is `verdict` (its low two
+    /// bits): PAIR in the halves that can pair, empty in the others.
+    #[inline]
+    pub fn from_verdict(verdict: u8) -> TwinClasses {
+        let pair = |bit: u8| if verdict >> bit & 1 == 1 { LeftClasses::PAIR } else { 0 };
+        TwinClasses(pair(0) | pair(1) << 4)
+    }
+
+    /// The byte this state is stored and sent as.
+    #[inline]
+    pub fn to_byte(self) -> u8 {
+        self.0
+    }
+
+    /// The state stored as `byte`, if both of its halves are states.
+    #[inline]
+    pub fn from_byte(byte: u8) -> Option<TwinClasses> {
+        (byte & 15 <= LeftClasses::PAIR && byte >> 4 <= LeftClasses::PAIR).then_some(TwinClasses(byte))
+    }
+}
+
+/// The admission pre-filter's table: one [`TwinClasses`] byte per hash
+/// slot of a canonical word. A window's suffix and its twin share the
+/// slot of the smaller of their two words, the larger word's bucket in
+/// the high half (a reverse palindrome's one bucket in the low), so one
+/// probe serves both strands. A slot holds the union of its buckets, and
+/// one that cannot pair holds no bucket that can: the suffixes of windows
+/// whose half is not PAIR are dropped before they are sorted, and the
+/// survivors' buckets are judged exactly by [`admitted_runs`].
+///
+/// The serial build folds every window into one table. A rank of the
+/// distributed build folds its own windows, and the owners of slot
+/// ranges [merge](TwinClasses::merge) the parts and hand back each
+/// slot's [verdict](TwinClasses::verdict): the table is sized from the
+/// whole store, so a slot means the same on every rank.
+pub struct SlotTable {
+    bits: u32,
+    slots: Vec<u8>,
+    enumerated: usize,
+}
+
+impl SlotTable {
+    /// An empty table for the windows of `store`: one byte per two
+    /// forward windows of the whole store, so at most half full.
+    pub fn new(store: &FragmentStore) -> SlotTable {
+        let forward = store.total_len() >> store.is_double_stranded() as u32;
+        let bits = (2 * forward).next_power_of_two().trailing_zeros().max(1);
+        SlotTable { bits, slots: vec![0; 1 << bits], enumerated: 0 }
+    }
+
+    /// The window's slot, its suffix's half and its twin's half (its own
+    /// word's slot in a single-stranded store).
+    #[inline]
+    fn slot(&self, w: &Window<'_>) -> (usize, usize, usize) {
+        let (key, twin) = (w.key, w.twin_key().unwrap_or(w.key));
+        ((mix_word(key.min(twin)) >> (64 - self.bits)) as usize, (key > twin) as usize, (twin > key) as usize)
+    }
+
+    /// Fold the window's suffix and its twin into their slot.
+    #[inline]
+    pub fn add(&mut self, w: &Window<'_>) {
+        let (i, half, twin_half) = self.slot(w);
+        let mut classes = TwinClasses(self.slots[i]);
+        classes.add(half, w.left());
+        self.enumerated += 1;
+        if w.twin_key().is_some() {
+            classes.add(twin_half, w.twin_left());
+            self.enumerated += 1;
+        }
+        self.slots[i] = classes.0;
+    }
+
+    /// Push the window's suffix and its twin onto `out`, each if its half
+    /// of the slot can pair.
+    #[inline]
+    pub fn admit(&self, w: &Window<'_>, out: &mut Vec<(u64, Suffix)>) {
+        let (i, half, twin_half) = self.slot(w);
+        let classes = TwinClasses(self.slots[i]);
+        if classes.get(half).can_pair() {
+            out.push(w.suffix());
+        }
+        if classes.get(twin_half).can_pair() {
+            out.extend(w.twin_suffix());
+        }
+    }
+
+    /// Suffixes folded in by [`add`](Self::add).
+    pub fn enumerated(&self) -> usize {
+        self.enumerated
+    }
+
+    /// Number of slots (a power of two).
+    pub fn num_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slots of `range` that hold a suffix, in order, with their
+    /// states. Empty stretches are skipped eight bytes at a time.
+    pub fn occupied(&self, range: Range<usize>) -> impl Iterator<Item = (usize, TwinClasses)> + '_ {
+        let start = range.start;
+        self.slots[range].chunks(8).enumerate().filter(|(_, chunk)| chunk.iter().any(|&b| b != 0)).flat_map(
+            move |(i, chunk)| {
+                let at = start + 8 * i;
+                chunk.iter().enumerate().filter(|(_, &b)| b != 0).map(move |(j, &b)| (at + j, TwinClasses(b)))
+            },
+        )
+    }
+
+    /// The state of slot `slot`.
+    #[inline]
+    pub fn get(&self, slot: usize) -> TwinClasses {
+        TwinClasses(self.slots[slot])
+    }
+
+    /// Replace the state of slot `slot`.
+    #[inline]
+    pub fn set(&mut self, slot: usize, classes: TwinClasses) {
+        self.slots[slot] = classes.0;
     }
 }
 
@@ -324,6 +498,80 @@ mod tests {
                 (LeftClasses::default(), state),
                 "{lefts:?}: halves are apart"
             );
+        }
+    }
+
+    /// Every state, by a multiset that folds to it.
+    fn every_state() -> Vec<LeftClasses> {
+        let states: Vec<LeftClasses> = (0..11).map(LeftClasses).collect();
+        let lambda = LAMBDA as u8;
+        let fold = |lefts: &[u8]| {
+            let mut state = LeftClasses::default();
+            lefts.iter().for_each(|&l| state.add(l));
+            state
+        };
+        let mut folded = vec![fold(&[])];
+        folded.extend((0..=lambda).map(|c| fold(&[c])));
+        folded.extend((0..lambda).map(|c| fold(&[c, c])));
+        folded.push(fold(&[0, 1]));
+        assert_eq!(folded, states, "state numbering");
+        states
+    }
+
+    #[test]
+    fn merge_is_commutative_and_associative_with_empty_its_unit_and_pair_absorbing() {
+        let states = every_state();
+        let (empty, pair) = (LeftClasses::default(), LeftClasses(LeftClasses::PAIR));
+        for &a in &states {
+            assert_eq!((a.merge(empty), empty.merge(a)), (a, a), "{a:?}: empty is the unit");
+            assert_eq!((a.merge(pair), pair.merge(a)), (pair, pair), "{a:?}: PAIR absorbs");
+            for &b in &states {
+                assert_eq!(a.merge(b), b.merge(a), "{a:?} {b:?}");
+                for &c in &states {
+                    assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)), "{a:?} {b:?} {c:?}");
+                }
+            }
+        }
+        // Not an OR: one λ meets one λ in PAIR, one after A meets one
+        // after A in "several after A".
+        assert_eq!(LeftClasses(5).merge(LeftClasses(5)), pair);
+        assert_eq!(LeftClasses(1).merge(LeftClasses(1)), LeftClasses(6));
+    }
+
+    #[test]
+    fn a_verdict_is_the_halves_can_pair_bits_and_survives_the_byte() {
+        for byte in 0..=255u8 {
+            let Some(classes) = TwinClasses::from_byte(byte) else {
+                assert!(byte & 15 > 10 || byte >> 4 > 10, "{byte:#x} rejected");
+                continue;
+            };
+            assert_eq!(classes.to_byte(), byte);
+            let verdict = classes.verdict();
+            assert_eq!(verdict, classes.get(0).can_pair() as u8 | (classes.get(1).can_pair() as u8) << 1);
+            assert_eq!(TwinClasses::from_verdict(verdict).verdict(), verdict);
+        }
+    }
+
+    proptest::proptest! {
+        /// Folding two multisets apart and merging the states is folding
+        /// their union, for one set of classes and for a slot's two.
+        #[test]
+        fn merging_two_folds_is_folding_the_union(
+            a in proptest::collection::vec((0..2usize, 0..=LAMBDA as u8), 0..8),
+            b in proptest::collection::vec((0..2usize, 0..=LAMBDA as u8), 0..8),
+        ) {
+            let fold = |sets: &[&[(usize, u8)]]| {
+                let (mut one, mut two) = (LeftClasses::default(), TwinClasses::default());
+                for &(half, left) in sets.iter().copied().flatten() {
+                    one.add(left);
+                    two.add(half, left);
+                }
+                (one, two)
+            };
+            let ((one_a, two_a), (one_b, two_b)) = (fold(&[&a]), fold(&[&b]));
+            let (one_ab, two_ab) = fold(&[&a, &b]);
+            proptest::prop_assert_eq!(one_a.merge(one_b), one_ab);
+            proptest::prop_assert_eq!(two_a.merge(two_b), two_ab);
         }
     }
 

@@ -24,9 +24,9 @@
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::{admitted_runs, for_each_window, sort_walk_by_bucket, Suffix, TwinClasses, Window};
+use crate::suffix::{admitted_runs, for_each_window, sort_walk_by_bucket, SlotTable, Suffix};
 use pgasm_seq::alphabet::SIGMA;
-use pgasm_seq::{mix_word, FragmentStore};
+use pgasm_seq::FragmentStore;
 
 /// Sentinel for "no node / no suffix / no slot".
 pub const NONE: u32 = u32::MAX;
@@ -102,9 +102,10 @@ pub struct GstStats {
     pub nodes: usize,
     /// Total leaves.
     pub leaves: usize,
-    /// Suffixes seen before bucket admission (in the distributed path
-    /// those the building rank received: summed over ranks, every suffix
-    /// of the store once).
+    /// Suffixes folded into the admission filter: every suffix of the
+    /// store in the serial path; in the distributed one, those of the
+    /// building rank's own fragments (summed over ranks, every suffix of
+    /// the store once).
     pub enumerated: usize,
     /// Suffix entries indexed: those in admitted buckets.
     pub suffixes: usize,
@@ -140,77 +141,41 @@ impl Gst {
     /// Build the GST over every sequence of `store` (serial path). Most
     /// suffixes of a sparse sample are alone in their bucket, so only
     /// those that may be admitted are collected and sorted: a first pass
-    /// folds every suffix's left class into the slot its key hashes to,
-    /// and a slot — the union of its buckets — that cannot pair holds no
-    /// bucket that can. [`Gst::build_from_sorted`] then judges each
-    /// bucket exactly.
+    /// folds every window into a [`SlotTable`], and a second collects the
+    /// suffixes whose slot half can pair. [`Gst::build_from_sorted`] then
+    /// judges each bucket exactly.
     ///
-    /// Both passes walk the forward strand only. A word and its reverse
-    /// complement share one one-byte slot, by the smaller of the two,
-    /// with a [`LeftClasses`](crate::suffix::LeftClasses) for each in a nibble, so one probe per
-    /// forward window serves the suffix there and its twin on the reverse
-    /// strand.
+    /// Both passes walk the forward strand only: one probe per forward
+    /// window serves the suffix there and its twin on the reverse strand.
     pub fn build(store: &FragmentStore, config: GstConfig) -> Gst {
-        // Sized from the input, one byte per two forward windows: at most
-        // half full.
-        let forward = store.total_len() >> store.is_double_stranded() as u32;
-        let bits = (2 * forward).next_power_of_two().trailing_zeros().max(1);
-        // A window's slot is that of the smaller of its word and its
-        // twin's (its own in a single-stranded store), and the larger
-        // word's bucket takes the second half; a reverse palindrome's one
-        // bucket takes the first.
-        let slot = |w: &Window<'_>| {
-            let (key, twin) = (w.key, w.twin_key().unwrap_or(w.key));
-            ((mix_word(key.min(twin)) >> (64 - bits)) as usize, (key > twin) as usize, (twin > key) as usize)
-        };
-        let mut slots = vec![TwinClasses::default(); 1 << bits];
-        let mut enumerated = 0;
-        for_each_window(
-            store,
-            config.bucket_len(),
-            |_| true,
-            |w| {
-                let (i, half, twin_half) = slot(w);
-                slots[i].add(half, w.left());
-                if w.twin_key().is_some() {
-                    slots[i].add(twin_half, w.twin_left());
-                    enumerated += 1;
-                }
-                enumerated += 1;
-            },
-        );
+        let k = config.bucket_len();
+        let mut table = SlotTable::new(store);
+        for_each_window(store, k, |_| true, |w| table.add(w));
         let mut survivors = Vec::new();
-        for_each_window(
-            store,
-            config.bucket_len(),
-            |_| true,
-            |w| {
-                let (i, half, twin_half) = slot(w);
-                if slots[i].get(half).can_pair() {
-                    survivors.push(w.suffix());
-                }
-                if slots[i].get(twin_half).can_pair() {
-                    survivors.extend(w.twin_suffix());
-                }
-            },
-        );
-        drop(slots);
+        for_each_window(store, k, |_| true, |w| table.admit(w, &mut survivors));
+        let enumerated = table.enumerated();
+        drop(table);
         sort_walk_by_bucket(&mut survivors);
-        let mut gst = Gst::build_from_sorted(store, &survivors, config);
-        gst.stats.enumerated = enumerated;
-        gst
+        Gst::build_from_sorted(store, &survivors, config, enumerated)
     }
 
     /// Build from suffixes grouped into buckets by
     /// [`sort_by_bucket`](crate::suffix::sort_by_bucket):
     /// every admitted run of equal keys ([`admitted_runs`]) becomes one
     /// subtree. Identical suffixes keep their order within the run.
-    /// Shared by the serial path, the per-rank parallel path and scope
-    /// adoption.
-    pub fn build_from_sorted<T: TextSource>(text: &T, sorted: &[(u64, Suffix)], config: GstConfig) -> Gst {
+    /// `enumerated` is the number of suffixes the caller's filter saw
+    /// (the [`SlotTable`]'s count; `sorted.len()` when nothing was
+    /// filtered). Shared by the serial path, the per-rank parallel path
+    /// and scope adoption.
+    pub fn build_from_sorted<T: TextSource>(
+        text: &T,
+        sorted: &[(u64, Suffix)],
+        config: GstConfig,
+        enumerated: usize,
+    ) -> Gst {
         let mut scratch = BucketScratch::default();
         let build = |gst: &mut Gst, run: &[(u64, Suffix)]| scratch.build_bucket(gst, text, run);
-        Gst::build_buckets(text.num_seqs(), sorted.len(), admitted_runs(sorted), config, build)
+        Gst::build_buckets(text.num_seqs(), enumerated, admitted_runs(sorted), config, build)
     }
 
     /// The forest whose subtrees `build_bucket` appends, one per run,

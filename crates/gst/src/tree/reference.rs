@@ -186,7 +186,7 @@ proptest! {
             let mut sorted = all_suffixes(&ds, psi);
             sort_by_bucket(&mut sorted);
             let built = Gst::build(&ds, config);
-            assert!(built.encode() == Gst::build_from_sorted(&ds, &sorted, config).encode());
+            assert!(built.encode() == Gst::build_from_sorted(&ds, &sorted, config, sorted.len()).encode());
             let reference = Gst::build_reference(&ds, &sorted, config, psi as u32);
             assert_eq!(stream(built, GenMode::DupElim), stream(reference, GenMode::DupElim));
         });
@@ -214,11 +214,11 @@ proptest! {
                     }
                     sort_by_bucket(&mut received);
                     for mode in [GenMode::AllMatches, GenMode::DupElim] {
-                        let forest = Gst::build_from_sorted(&st, &received, config);
+                        let forest = Gst::build_from_sorted(&st, &received, config, received.len());
                         let reference = Gst::build_reference(&st, &received, config, psi as u32);
                         assert_eq!(stream(forest, mode), stream(reference, mode), "rank {rank} of {p}, {mode:?}");
                     }
-                    buckets += Gst::build_from_sorted(&st, &received, config).stats.buckets;
+                    buckets += Gst::build_from_sorted(&st, &received, config, received.len()).stats.buckets;
                 }
                 assert_eq!(buckets, serial.stats.buckets, "p = {p}");
             }

@@ -670,26 +670,44 @@ pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> 
     Analysis { ranks, stages, critical_path, top_gaps, edges_paired: edges.len() as u64, edges_unpaired }
 }
 
-/// Deepest non-comm span enclosing `ts` on the track (for labelling
-/// compute segments).
-fn enclosing_span(track: &ATrack, ts: u64) -> Option<String> {
+/// The compute interval `[from, to]` of a track, split wherever a
+/// non-comm span begins or ends inside it; each piece is labelled with
+/// its deepest enclosing span (`run` outside every span), and adjacent
+/// pieces with one label are one. A segment that crosses several phases
+/// names each of them, not whichever covers its midpoint. A `run` piece
+/// under a microsecond after another piece is the distance between one
+/// span's end and the next one's begin — two clock reads — and joins the
+/// piece before it.
+fn compute_pieces(track: &ATrack, from: u64, to: u64) -> Vec<(u64, u64, String)> {
+    const CLOCK_READS_NS: u64 = 1_000;
     let mut stack: Vec<&str> = Vec::new();
-    for e in &track.events {
-        if e.ts_ns > ts {
-            break;
+    let mut pieces: Vec<(u64, u64, String)> = Vec::new();
+    let mut push = |start: u64, end: u64, stack: &[&str]| {
+        let label = stack.last().copied().unwrap_or("run");
+        match pieces.last_mut() {
+            _ if end <= start => {}
+            Some(last) if last.2 == label || (label == "run" && end - start < CLOCK_READS_NS) => last.1 = end,
+            _ => pieces.push((start, end, label.to_string())),
         }
-        if e.cat == "comm" {
-            continue;
+    };
+    let mut start = from;
+    let spans = track
+        .events
+        .iter()
+        .filter(|e| e.cat != "comm" && matches!(e.kind, TraceKind::Begin | TraceKind::End));
+    for e in spans.take_while(|e| e.ts_ns < to) {
+        if e.ts_ns > from {
+            push(start, e.ts_ns, &stack);
+            start = e.ts_ns;
         }
-        match e.kind {
-            TraceKind::Begin => stack.push(&e.name),
-            TraceKind::End => {
-                stack.pop();
-            }
-            TraceKind::Instant | TraceKind::Counter => {}
+        if e.kind == TraceKind::Begin {
+            stack.push(&e.name);
+        } else {
+            stack.pop();
         }
     }
-    stack.last().map(|s| s.to_string())
+    push(start, to, &stack);
+    pieces
 }
 
 fn critical_path(
@@ -730,13 +748,9 @@ fn critical_path(
         let prev = blocked[&rank].iter().filter(|b| b.end_ns <= cursor).max_by_key(|b| b.end_ns);
         let from = prev.map_or(track.first_ts(), |b| b.end_ns);
         if cursor > from {
-            segments.push(PathSegment {
-                rank,
-                kind: "compute".into(),
-                start_ns: from,
-                end_ns: cursor,
-                label: enclosing_span(track, from.midpoint(cursor)).unwrap_or_else(|| "run".into()),
-            });
+            for (start_ns, end_ns, label) in compute_pieces(track, from, cursor).into_iter().rev() {
+                segments.push(PathSegment { rank, kind: "compute".into(), start_ns, end_ns, label });
+            }
         }
         let Some(b) = prev else { break };
         // The blocked interval becomes a segment from where the path
@@ -971,14 +985,16 @@ mod tests {
         let a = analyze(&synthetic_tracks(), None, 5);
         assert!(!a.critical_path.is_empty());
         // Path: compute on rank 0 (until the send), the comm hop, then
-        // compute on rank 1 to the end.
+        // compute on rank 1 to the end: 50 ns outside any span, then the
+        // batch.
         let kinds: Vec<(&str, u64)> = a.critical_path.iter().map(|s| (s.kind.as_str(), s.rank)).collect();
-        assert_eq!(kinds, vec![("compute", 0), ("comm", 1), ("compute", 1)]);
+        assert_eq!(kinds, vec![("compute", 0), ("comm", 1), ("compute", 1), ("compute", 1)]);
         assert_eq!(a.critical_path[0].start_ns, 0);
         assert_eq!(a.critical_path[0].end_ns, 900);
         assert_eq!(a.critical_path[1].label, "tag 4");
-        assert_eq!(a.critical_path[2].end_ns, 2_000);
-        assert_eq!(a.critical_path[2].label, "align_batch");
+        assert_eq!((a.critical_path[2].end_ns, a.critical_path[2].label.as_str()), (1_000, "run"));
+        assert_eq!(a.critical_path[3].end_ns, 2_000);
+        assert_eq!(a.critical_path[3].label, "align_batch");
     }
 
     #[test]
@@ -1071,6 +1087,7 @@ mod tests {
             ("comm", 1, 110, "w2m_report"),
             ("compute", 1, 200, "align_batch"),
             ("comm", 0, 210, "w2m_report"),
+            ("compute", 0, 220, "run"),
             ("compute", 0, 350, "align_batch"),
             ("comm", 1, 360, "asm_w2m_report"),
             ("compute", 1, 450, "align_batch"),
@@ -1126,6 +1143,65 @@ mod tests {
     }
 
     #[test]
+    fn a_compute_segment_across_phases_names_each_phase() {
+        use TraceKind::{Begin, End};
+        const US: u64 = 1_000;
+        // Rank 2 runs four GST phases with no wait between them, then
+        // enters the barrier last; rank 1 waits there and dispatches
+        // after it. Rank 2's one compute segment [0, 1 560 µs] splits at
+        // every phase edge and around the sort nested in the
+        // redistribution; 10 µs outside every span are `run`, 200 ns
+        // between two phases are not a piece of their own.
+        let span = |from, to, name: &str| [ev(from, Begin, "gst", name, &[]), ev(to, End, "gst", name, &[])];
+        let barrier =
+            |from, to| [ev(from, Begin, "comm", "barrier", &[]), ev(to, End, "comm", "barrier", &[])];
+        let redistribute = [
+            ev(780 * US + 200, Begin, "gst", "gst_redistribute", &[]),
+            ev(900 * US, Begin, "gst", "sort", &[]),
+            ev(1_000 * US, End, "gst", "sort", &[]),
+            ev(1_090 * US, End, "gst", "gst_redistribute", &[]),
+        ];
+        let r2: [&[AEvent]; 5] = [
+            &span(0, 780 * US, "gst_count"),
+            &redistribute,
+            &span(1_100 * US, 1_460 * US, "gst_fetch"),
+            &span(1_460 * US, 1_560 * US, "gst_build"),
+            &barrier(1_560 * US, 1_600 * US),
+        ];
+        let r1: [&[AEvent]; 3] = [
+            &span(0, 300 * US, "gst_count"),
+            &barrier(300 * US, 1_600 * US),
+            &span(1_600 * US, 1_700 * US, "dispatch"),
+        ];
+        let tracks = [
+            ATrack { rank: 1, label: "worker".into(), events: r1.concat() },
+            ATrack { rank: 2, label: "worker".into(), events: r2.concat() },
+        ];
+        let a = analyze(&tracks, None, 5);
+        let path: Vec<(&str, u64, u64, u64, &str)> = a
+            .critical_path
+            .iter()
+            .map(|s| (s.kind.as_str(), s.rank, s.start_ns / US, s.end_ns.div_ceil(US), s.label.as_str()))
+            .collect();
+        let expected = [
+            ("compute", 2, 0, 781, "gst_count"),
+            ("compute", 2, 780, 900, "gst_redistribute"),
+            ("compute", 2, 900, 1_000, "sort"),
+            ("compute", 2, 1_000, 1_090, "gst_redistribute"),
+            ("compute", 2, 1_090, 1_100, "run"),
+            ("compute", 2, 1_100, 1_460, "gst_fetch"),
+            ("compute", 2, 1_460, 1_560, "gst_build"),
+            ("barrier", 1, 1_560, 1_600, "barrier"),
+            ("compute", 1, 1_600, 1_700, "dispatch"),
+        ];
+        assert_eq!(path, expected);
+        assert_eq!(
+            (a.critical_path[0].end_ns, a.critical_path[1].start_ns),
+            (780 * US + 200, 780 * US + 200)
+        );
+    }
+
+    #[test]
     fn chrome_round_trip_preserves_analysis() {
         // Record with real tracers, export to Chrome JSON, parse back,
         // and check the analyzer sees the same edge.
@@ -1148,7 +1224,7 @@ mod tests {
         // was taken in, and takes no part in span pairing.
         let gauge = &tracks[0].events[1];
         assert_eq!((gauge.kind, gauge.arg("value")), (TraceKind::Counter, Some(9)));
-        assert_eq!(enclosing_span(&tracks[0], gauge.ts_ns).as_deref(), Some("dispatch"));
+        assert_eq!(compute_pieces(&tracks[0], gauge.ts_ns, gauge.ts_ns + 1)[0].2, "dispatch");
         assert!(analyze(&tracks, None, 5).max_coverage_error() < 1e-9);
         let (edges, unpaired) = pair_edges(&tracks);
         assert_eq!(edges.len(), 1);

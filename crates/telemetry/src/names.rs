@@ -186,9 +186,11 @@ pub const EV_ALIGN_BATCH: &str = "align_batch";
 pub const EV_ALIGN_CELLS: &str = "align_cells";
 /// Worker generating the requested pairs (span, category `worker`).
 pub const EV_GENERATE: &str = "generate";
-/// GST: bucketing own suffixes (span, category `gst`).
-pub const EV_GST_BUCKET: &str = "gst_bucket";
-/// GST: suffix redistribution all-to-all (span, category `gst`).
+/// GST: folding own windows into the slot table (span, category `gst`).
+pub const EV_GST_COUNT: &str = "gst_count";
+/// GST: merging slot parts and returning verdicts (span, category `gst`).
+pub const EV_GST_REDUCE: &str = "gst_reduce";
+/// GST: filtering own suffixes and their all-to-all (span, category `gst`).
 pub const EV_GST_REDISTRIBUTE: &str = "gst_redistribute";
 /// GST: fetching foreign fragments (span, category `gst`).
 pub const EV_GST_FETCH: &str = "gst_fetch";
