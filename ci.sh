@@ -85,6 +85,16 @@ for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
 done
 rm -f ci.cluster-serial.json ci.cluster-ranks3.json
 
+echo "==> pgasm cluster --ranks 4 with a worker killed: a survivor rebuilds its scope, the partition holds"
+# The victim of the first lease is still generating, so a survivor must
+# adopt its buckets and rebuild them from the store (the adoption path
+# filters and sorts like the builders do); the partition is serial's.
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.kill.txt --ranks 4 \
+  --fault-plan kill:lease=1 --metrics-json ci.cluster-kill.json
+cmp ci_clusters.serial.txt ci_clusters.kill.txt || { echo "partition differs between serial and a --ranks 4 kill"; exit 1; }
+grep -q '"scopes_adopted": 1' ci.cluster-kill.json || { echo "the kill made no survivor adopt a scope"; exit 1; }
+rm -f ci_clusters.kill.txt ci.cluster-kill.json
+
 echo "==> pgasm cluster --no-preprocess: a rejection-heavy run, serial and --ranks 3"
 # Every other input here is preprocessed. Unmasked, untrimmed reads put
 # repeats and vector in the GST, so almost every aligned pair fails the

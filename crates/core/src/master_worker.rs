@@ -38,7 +38,9 @@ use crate::engine::{
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
-use pgasm_gst::{for_each_window, sort_walk_by_bucket, Gst, PairGenerator, PromisingPair, Suffix};
+use pgasm_gst::{
+    for_each_window, retain_pairable, sort_walk_by_bucket, Gst, PairGenerator, PromisingPair, Suffix,
+};
 use pgasm_mpisim::{Comm, CommStats};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
@@ -465,11 +467,13 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         // Bucket ownership is a pure hash of the bucket key, so this
         // rank can recompute exactly which buckets the dead rank owned
         // and rebuild its GST portion from the shared fragment store,
-        // keeping only that rank's suffixes while enumerating.
-        // In-bucket suffix order may differ from the redistributed
-        // build's, which permutes pair order within the scope — the
-        // master's cluster-check absorbs reordering and duplicates, so
-        // the final partition is unchanged.
+        // keeping only that rank's suffixes while enumerating. Its
+        // buckets are whole here, so the cascade drops only suffixes of
+        // buckets that cannot pair before the sort. In-bucket suffix
+        // order may differ from the redistributed build's, which permutes
+        // pair order within the scope — the master's cluster-check
+        // absorbs reordering and duplicates, so the final partition is
+        // unchanged.
         let builders = self.world - 1;
         let (store, params) = (self.decider.store, self.decider.params);
         let owned = |(key, _): &(u64, Suffix)| bucket_owner(*key, builders, 1) == dead_rank;
@@ -480,8 +484,10 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
             |_| true,
             |w| suffixes.extend(Some(w.suffix()).into_iter().chain(w.twin_suffix()).filter(owned)),
         );
+        let enumerated = suffixes.len();
+        retain_pairable(&mut suffixes);
         sort_walk_by_bucket(&mut suffixes);
-        let gst = Gst::build_from_sorted(store, &suffixes, params.gst, suffixes.len());
+        let gst = Gst::build_from_sorted(store, &suffixes, params.gst, enumerated);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
     }

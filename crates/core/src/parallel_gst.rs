@@ -22,10 +22,13 @@
 //!    travel to their builder with their left class, one `(key, count,
 //!    suffixes)` record per run, via the paper's customised all-to-all
 //!    built from p − 1 point-to-point rounds (bounding send-buffer
-//!    space). The receiver concatenates the records in source-rank order
-//!    and sorts them by key again (stably: in-bucket order is source-rank
-//!    order). Now whole, each bucket is admitted or dropped exactly
-//!    ([`admitted_runs`]) from the records alone — no text is needed.
+//!    space). The receiver concatenates the records in source-rank
+//!    order, drops most suffixes of buckets that cannot pair by the
+//!    serial build's cascade ([`retain_pairable`]: every survivor of a
+//!    key is here, and it keeps their order) and sorts the rest by key
+//!    again (stably: in-bucket order is source-rank order). Now whole,
+//!    each bucket is admitted or dropped exactly ([`admitted_runs`]) from
+//!    the records alone — no text is needed.
 //! 4. **Fetch fragments**: each builder requests the fragment sequences
 //!    its *admitted* suffixes refer to "through two collective
 //!    communication steps — the first to request the processors that
@@ -44,8 +47,8 @@
 //! so the traffic counters are exact.
 
 use pgasm_gst::{
-    admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, Gst, GstConfig, GstStats, SlotTable,
-    Suffix, TextSource, TwinClasses,
+    admitted_runs, for_each_window, retain_pairable, sort_by_bucket, sort_walk_by_bucket, Gst, GstConfig,
+    GstStats, SlotTable, Suffix, TextSource, TwinClasses,
 };
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
@@ -84,7 +87,8 @@ pub struct RankGstReport {
     /// Rank id.
     pub rank: usize,
     /// Seconds of pure computation: the count and filter passes, the
-    /// merge of the slots this rank owns, and trie building.
+    /// merge of the slots this rank owns, the cascade and sort of the
+    /// suffixes it received, and trie building.
     pub compute_seconds: f64,
     /// Traffic during construction.
     pub comm: CommStats,
@@ -146,10 +150,12 @@ pub fn rank_build_gst<'s>(
     let (mut mine, enumerated) = ship_survivors(comm, store, owner, config, first_builder, &mut compute);
 
     // Phase 4: fetch the foreign fragments of admitted buckets (two
-    // collective steps). The stable sort keeps each bucket in arrival
-    // (source-rank) order.
+    // collective steps). Every survivor of a key is here, so the cascade
+    // drops only suffixes of buckets that cannot pair; it keeps the
+    // arrival (source-rank) order, and so does the stable sort.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH);
     let t = thread_cpu_seconds();
+    retain_pairable(&mut mine);
     sort_by_bucket(&mut mine);
     let mut needed: Vec<u32> = admitted_runs(&mine)
         .flatten()

@@ -13,6 +13,9 @@
 //!   any suffix is sorted or shipped, the serial build and every rank
 //!   fold their windows into a [`SlotTable`], the admission pre-filter;
 //!   the ranks' parts [merge](TwinClasses::merge) into the serial table.
+//!   Before any bucket sort — serial, at a rank's builder, in scope
+//!   adoption — [`retain_pairable`] refilters the survivors through
+//!   tables sized for them, so the sort sees about what is indexed.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
 //!   forest of compacted tries, one per admitted bucket. Each bucket is
@@ -45,7 +48,7 @@ pub mod tree;
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
 pub use suffix::{
-    admitted_runs, enumerate_suffixes, for_each_window, sort_by_bucket, sort_walk_by_bucket, LeftClasses,
-    SlotTable, Suffix, TwinClasses, Window,
+    admitted_runs, enumerate_suffixes, for_each_window, retain_pairable, sort_by_bucket, sort_walk_by_bucket,
+    LeftClasses, SlotTable, Suffix, TwinClasses, Window,
 };
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

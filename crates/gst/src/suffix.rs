@@ -17,6 +17,13 @@
 //! suffixes of a rejected bucket would never meet any others; every
 //! match inside it extends to the left and is generated from the bucket
 //! where that extension ends.
+//!
+//! Most buckets of a sparse sample are rejected, so suffixes are judged
+//! before they are sorted, in two one-sided stages that each keep every
+//! suffix of an admitted bucket: a [`SlotTable`] over every window of the
+//! store, then [`retain_pairable`], a cascade of tables sized for the
+//! survivors that leaves few more than the suffixes [`admitted_runs`]
+//! keeps. Only those are sorted into buckets and judged exactly.
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
 use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter};
@@ -270,6 +277,37 @@ impl SlotTable {
     #[inline]
     pub fn set(&mut self, slot: usize, classes: TwinClasses) {
         self.slots[slot] = classes.0;
+    }
+}
+
+/// Drop suffixes whose bucket cannot pair, by a cascade of tables sized
+/// for what is left: each round folds every survivor's left class into
+/// a fresh table of [`LeftClasses`] with ≥ 2 slots per survivor, and
+/// keeps the survivors whose slot can pair. A slot holds the union of its
+/// buckets and PAIR absorbs, so no suffix of a bucket that can pair is
+/// ever dropped; the false positives of one round are mostly alone in
+/// the next, larger-per-survivor table. Rounds run until one drops
+/// nothing. The order of the kept suffixes is their input order, so a
+/// stable sort afterwards groups them as it groups the unfiltered input.
+///
+/// A round's salt is a function of its survivor count, so the round that
+/// dropped nothing would drop nothing again: a second call is a no-op.
+pub fn retain_pairable(suffixes: &mut Vec<(u64, Suffix)>) {
+    let mut table: Vec<LeftClasses> = Vec::new();
+    loop {
+        let before = suffixes.len();
+        let bits = (2 * before).next_power_of_two().trailing_zeros().max(1);
+        let salt = (before as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = |key: u64| (mix_word(key ^ salt) >> (64 - bits)) as usize;
+        table.clear();
+        table.resize(1 << bits, LeftClasses::default());
+        for &(key, s) in suffixes.iter() {
+            table[slot(key)].add(s.left);
+        }
+        suffixes.retain(|&(key, _)| table[slot(key)].can_pair());
+        if suffixes.len() == before {
+            return;
+        }
     }
 }
 
@@ -633,6 +671,101 @@ mod tests {
         let mut masked = reads();
         masked[1].mask_range(1, 2);
         assert_eq!(admitted(masked), vec![(key("ACGT"), 2), (key("CGTT"), 3)]);
+    }
+
+    /// A pseudo-random base code per step of a 64-bit LCG.
+    fn random_codes(state: &mut u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (*state >> 33) as u8 % 4
+            })
+            .collect()
+    }
+
+    /// The admitted buckets of `suffixes`, grouped by the stable sort.
+    fn admitted(mut suffixes: Vec<(u64, Suffix)>) -> Vec<Vec<(u64, Suffix)>> {
+        sort_by_bucket(&mut suffixes);
+        admitted_runs(&suffixes).map(<[_]>::to_vec).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The cascade drops no suffix of an admitted bucket and keeps the
+        /// input order: over both strands of reads with planted copies and
+        /// masked bases, enumerated in a shuffled order, the stable sort of
+        /// what it keeps has the admitted runs of the unfiltered input,
+        /// member for member and in order. What it keeps is a fixpoint.
+        #[test]
+        fn the_cascade_keeps_every_admitted_bucket_in_order(
+            seed in proptest::any::<u64>(),
+            lens in proptest::collection::vec(1usize..80, 1..12),
+            copies in proptest::collection::vec(
+                (proptest::any::<proptest::sample::Index>(), 0usize..80, 3usize..40), 0..6),
+            masks in proptest::collection::vec(
+                (proptest::any::<proptest::sample::Index>(), 0usize..80, 1usize..4), 0..4),
+            k in 2usize..=10,
+        ) {
+            let mut state = seed | 1;
+            let mut reads: Vec<Vec<u8>> = lens.iter().map(|&len| random_codes(&mut state, len)).collect();
+            for (src, at, len) in copies {
+                let src = &reads[src.index(reads.len())];
+                let at = at.min(src.len() - 1);
+                let copy = src[at..(at + len).min(src.len())].to_vec();
+                reads.push(copy);
+            }
+            let mut seqs: Vec<DnaSeq> = reads.into_iter().map(DnaSeq::from_codes).collect();
+            for (i, at, len) in masks {
+                let seq = &mut seqs[i.index(lens.len())];
+                let at = at.min(seq.len() - 1);
+                seq.mask_range(at, (at + len).min(seq.len()));
+            }
+            let store = FragmentStore::from_seqs(seqs).with_reverse_complements();
+            let mut all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+            for i in (1..all.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                all.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut kept = all.clone();
+            retain_pairable(&mut kept);
+            let mut again = kept.clone();
+            retain_pairable(&mut again);
+            proptest::prop_assert_eq!(&again, &kept, "a second call dropped suffixes");
+            proptest::prop_assert_eq!(admitted(kept), admitted(all));
+        }
+    }
+
+    #[test]
+    fn the_cascade_keeps_few_more_than_the_indexed_suffixes() {
+        // A sparse sample: 300 reads of 400 bp, 6 from each of 50 random
+        // 3 kb genomes, some reverse-complemented. Reads of one genome
+        // overlap now and then; nearly every other suffix is alone in its
+        // bucket, and a single half-full table lets through a fraction of
+        // those in proportion to its load.
+        let mut state = 7;
+        let mut reads = Vec::new();
+        for _ in 0..50 {
+            let genome = random_codes(&mut state, 3_000);
+            for _ in 0..6 {
+                let at = random_codes(&mut state, 2).iter().fold(0, |a, &c| a * 4 + c as usize) * 160;
+                let read = DnaSeq::from_codes(genome[at..at + 400].to_vec());
+                reads.push(if at % 320 == 0 { read.reverse_complement() } else { read });
+            }
+        }
+        let store = FragmentStore::from_seqs(reads).with_reverse_complements();
+        let k = 20;
+        let mut table = SlotTable::new(&store);
+        for_each_window(&store, k, |_| true, |w| table.add(w));
+        let mut survivors = Vec::new();
+        for_each_window(&store, k, |_| true, |w| table.admit(w, &mut survivors));
+        let one_table = survivors.len();
+        retain_pairable(&mut survivors);
+        let cascade = survivors.len();
+        let indexed: usize = admitted(survivors).iter().map(Vec::len).sum();
+        assert!(indexed > 0, "the fixture must overlap somewhere");
+        assert!(one_table > 20 * indexed, "one table passes {one_table} for {indexed} indexed");
+        assert!(50 * cascade <= 51 * indexed, "the cascade passes {cascade} for {indexed} indexed");
     }
 
     #[test]

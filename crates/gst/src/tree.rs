@@ -24,7 +24,9 @@
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::{admitted_runs, for_each_window, sort_walk_by_bucket, SlotTable, Suffix};
+use crate::suffix::{
+    admitted_runs, for_each_window, retain_pairable, sort_walk_by_bucket, SlotTable, Suffix,
+};
 use pgasm_seq::alphabet::SIGMA;
 use pgasm_seq::FragmentStore;
 
@@ -140,10 +142,13 @@ pub struct Gst {
 impl Gst {
     /// Build the GST over every sequence of `store` (serial path). Most
     /// suffixes of a sparse sample are alone in their bucket, so only
-    /// those that may be admitted are collected and sorted: a first pass
-    /// folds every window into a [`SlotTable`], and a second collects the
-    /// suffixes whose slot half can pair. [`Gst::build_from_sorted`] then
-    /// judges each bucket exactly.
+    /// those that are indexed should be sorted. A first pass folds every
+    /// window into a [`SlotTable`], and a second collects the suffixes
+    /// whose slot half can pair; [`retain_pairable`] then refilters those
+    /// survivors through tables sized for them until a round drops
+    /// nothing, which leaves few more than the indexed suffixes. Only
+    /// then are they sorted, and [`Gst::build_from_sorted`] judges each
+    /// bucket exactly.
     ///
     /// Both passes walk the forward strand only: one probe per forward
     /// window serves the suffix there and its twin on the reverse strand.
@@ -155,6 +160,7 @@ impl Gst {
         for_each_window(store, k, |_| true, |w| table.admit(w, &mut survivors));
         let enumerated = table.enumerated();
         drop(table);
+        retain_pairable(&mut survivors);
         sort_walk_by_bucket(&mut survivors);
         Gst::build_from_sorted(store, &survivors, config, enumerated)
     }

@@ -24,7 +24,7 @@ use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::simgen::vector::VECTOR_SEQ;
 use pgasm::simgen::{ReadKind, ReadSet};
 use pgasm::telemetry::analyze::parse_chrome_trace;
-use pgasm::telemetry::{RunContext, RunReport, Trace, TraceKind, TraceSpec};
+use pgasm::telemetry::{names, RunContext, RunReport, Trace, TraceKind, TraceSpec};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
@@ -142,8 +142,16 @@ fn leases_issued(stage: &str, baseline: &PipelineReport) -> u64 {
 
 /// Kill the worker granted `lease` of `stage` and require what every
 /// worker kill must show: byte-identical contigs, exactly one kill, one
-/// dead rank, and the lease it died holding recovered.
-fn kill_and_check(p: usize, stage: &str, lease: u64, reads: &ReadSet, genome: &Genome, expected: &[Vec<u8>]) {
+/// dead rank, and the lease it died holding recovered. Returns the
+/// number of generator scopes survivors adopted from the victim.
+fn kill_and_check(
+    p: usize,
+    stage: &str,
+    lease: u64,
+    reads: &ReadSet,
+    genome: &Genome,
+    expected: &[Vec<u8>],
+) -> u64 {
     let plan = format!("kill:lease={lease},stage={stage}");
     let (report, run_report) = run(config(p, faults(&plan)), reads, genome);
     assert!(report.interrupted.is_none(), "{plan}, p={p}: a worker kill must not interrupt the run");
@@ -152,6 +160,7 @@ fn kill_and_check(p: usize, stage: &str, lease: u64, reads: &ReadSet, genome: &G
     assert_eq!(faults.kills_injected, 1, "{plan}, p={p}");
     assert_eq!(faults.dead_ranks, 1, "{plan}, p={p}");
     assert!(faults.recovered_tasks >= 1, "{plan}, p={p}: the victim died holding that lease");
+    run_report.ranks.iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum()
 }
 
 /// Kill at the first, a middle and the last lease `stage` is certain to
@@ -192,9 +201,10 @@ fn killing_any_worker_during_assembly_preserves_the_contigs() {
 
 /// Always-on slice of the kill matrix: the last lease of each stage at
 /// p = 4 (the assembly one is granted when every other worker is
-/// already parked), cheap enough for the dev-profile workspace run —
-/// and a kill past the last lease of either stage, which must leave a
-/// clean run.
+/// already parked) and the first of clustering, which must make a
+/// survivor adopt the victim's scope, cheap enough for the dev-profile
+/// workspace run — and a kill past the last lease of either stage, which
+/// must leave a clean run.
 #[test]
 fn killing_a_worker_in_each_stage_preserves_the_contigs() {
     with_watchdog("killing_a_worker_in_each_stage_preserves_the_contigs", SCENARIO_LIMIT, || {
@@ -206,6 +216,12 @@ fn killing_a_worker_in_each_stage_preserves_the_contigs() {
         for stage in ["cluster", "assemble"] {
             kill_and_check(p, stage, leases_issued(stage, &baseline), &reads, &genome, &expected);
         }
+        // A survivor rebuilds a dead generator's scope only if the victim
+        // was still generating. The victim of the first lease always is
+        // (no worker's generator is spent by its opening report), so a
+        // kill there makes the adoption path certain to run.
+        let adopted = kill_and_check(p, "cluster", 1, &reads, &genome, &expected);
+        assert!(adopted >= 1, "no cluster kill made a survivor adopt the victim's scope");
 
         let never = "kill:lease=1000000,stage=any; kill:master,lease=1000000,stage=any";
         let (report, run_report) = run(config(p, faults(never)), &reads, &genome);
