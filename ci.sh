@@ -68,7 +68,18 @@ grep -q '"edges_unpaired": 0' ci.analysis.json || { echo "analyzer left message 
 # nested in a stage (cache traffic, the distributed phases) is no row.
 stages=$(grep -o '"stage": "[a-z_]*"' ci.analysis.json | cut -d'"' -f4 | paste -sd' ')
 [ "$stages" = "preprocess cluster assemble" ] || { echo "stage rows are '$stages'"; exit 1; }
-rm -f ci_contigs.fasta ci.trace.json ci.metrics.json ci.analysis.json
+rm -f ci.trace.json ci.metrics.json ci.analysis.json
+
+echo "==> pgasm assemble: --ranks 4, --assembly-threads 1 and --assembly-threads 3 write the same contigs"
+# The traced run above assembled on 4 ranks; threads and ranks only
+# schedule the per-cluster assemblies, so every contig file is one file.
+cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.threads1.fasta \
+  --assembly-threads 1
+cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.threads3.fasta \
+  --assembly-threads 3
+cmp ci_contigs.threads1.fasta ci_contigs.threads3.fasta || { echo "contigs differ between 1 and 3 assembly threads"; exit 1; }
+cmp ci_contigs.threads1.fasta ci_contigs.fasta || { echo "contigs differ between 1 assembly thread and --ranks 4"; exit 1; }
+rm -f ci_contigs.fasta ci_contigs.threads1.fasta ci_contigs.threads3.fasta
 
 echo "==> pgasm cluster: serial and --ranks 3 write the same partition from the same GST"
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt \

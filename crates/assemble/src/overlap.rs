@@ -2,10 +2,12 @@
 //!
 //! - **Seed.** Every [`SEED_WORD`]-mer of every read in both orientations
 //!   goes into one table, once, keyed `word << 32 | global position`
-//!   (the oriented reads laid end to end), and the table is sorted in
-//!   place. A word's *group* is its run of that table; the first
-//!   occurrence of the word in each oriented read gets the group's id,
-//!   and the group keeps only its forward first occurrences, by read.
+//!   (the oriented reads laid end to end), and the table is radix-ordered
+//!   on the word bits (`sort_words`: keys go in by ascending position, so
+//!   the stable order is the order of the whole keys). A word's *group*
+//!   is its run of that table; the first occurrence of the word in each
+//!   oriented read gets the group's id, and the group keeps only its
+//!   forward first occurrences, by read.
 //!   Read `j` then walks its forward and reverse-complement positions in
 //!   order, and at each first occurrence reads off the lower-numbered
 //!   reads `i` whose forward first occurrence shares the word: a *hit*
@@ -19,7 +21,8 @@
 //!   as many hits as the shorter read has distinct words, so
 //!   low-complexity clusters stay linear in hits per pair. The table
 //!   costs 12 bytes per oriented position: the 8-byte key, reused for
-//!   the groups, and a 4-byte group id.
+//!   the groups, and a 4-byte group id; the sort borrows another 8 bytes
+//!   per position while it runs.
 //! - **Group.** A candidate's sorted hit diagonals split into maximal
 //!   runs whose gaps are at most `2 · BAND_SLACK`: one run per place the
 //!   two reads might overlap (one for a plain overlap or an overlap
@@ -52,7 +55,7 @@
 
 use crate::AssemblyConfig;
 use pgasm_align::{overlap_align_simd, AlignScratch, OverlapResult};
-use pgasm_seq::{DnaSeq, KmerIter, QualityTrack};
+use pgasm_seq::{sort_words, DnaSeq, KmerIter, QualityTrack};
 
 /// Length of the words that seed overlap candidates: the exact match
 /// every acceptable overlap carries (see "why the band loses nothing").
@@ -166,7 +169,9 @@ impl SeedTable {
                 table.push(word << 32 | (starts[s] + pos) as u64);
             }
         }
-        table.sort_unstable();
+        // Keys are pushed by ascending position, so the stable radix
+        // order on the word alone is the order of the whole keys.
+        sort_words(&mut table, 32..32 + 2 * SEED_WORD as u32);
         // A group ascends by global position, so an oriented read's first
         // occurrence leads its entries. The forward ones are written back
         // over the group's own keys, which are read before they are

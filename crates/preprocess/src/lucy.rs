@@ -2,11 +2,13 @@
 //!
 //! Lucy (Chou & Holmes 2001) finds the high-quality, vector-free insert
 //! region of a raw Sanger read. Our reimplementation does the same in
-//! two passes: (1) mark read positions covered by exact k-mers of the
-//! vector library, (2) find the longest quality-clean window that avoids
-//! them, and reject reads whose surviving insert is too short.
+//! two passes: (1) find the runs of read positions covered by exact
+//! k-mers of the vector library, (2) find the longest quality-clean
+//! window that avoids them, and reject reads whose surviving insert is
+//! too short.
 
 use pgasm_seq::{DnaSeq, KmerIter, QualityTrack, WordSet};
+use std::ops::Range;
 
 /// Trimmer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,26 +61,36 @@ impl Lucy {
     pub fn trim(&self, seq: &DnaSeq, qual: &QualityTrack) -> TrimOutcome {
         assert_eq!(seq.len(), qual.len(), "sequence/quality length mismatch");
         let k = self.config.vector_k;
-        // Pass 1: vector mask, with vector positions forced to quality 0
-        // so the window search of pass 2 avoids them.
-        let mut is_vector = vec![false; seq.len()];
-        let mut q = qual.values().to_vec();
+        // Pass 1: vector hits, as ascending maximal runs of vector bases
+        // (overlapping and abutting hit windows merge).
+        let mut hits: Vec<Range<usize>> = Vec::new();
         for (pos, kmer) in KmerIter::new(seq.codes(), k) {
             if self.vector_kmers.contains(&kmer) {
-                is_vector[pos..pos + k].fill(true);
-                q[pos..pos + k].fill(0);
+                match hits.last_mut() {
+                    Some(run) if pos <= run.end => run.end = pos + k,
+                    _ => hits.push(pos..pos + k),
+                }
             }
         }
-        // Pass 2: quality window.
-        let track = QualityTrack::from_values(q);
-        match track.best_window(self.config.quality_window, self.config.min_quality) {
+        // Pass 2: quality window, with vector positions forced to quality
+        // 0 so the search avoids them; a read without hits is searched in
+        // place.
+        let (window, min_quality) = (self.config.quality_window, self.config.min_quality);
+        let best = if hits.is_empty() {
+            qual.best_window(window, min_quality)
+        } else {
+            let mut q = qual.values().to_vec();
+            hits.iter().for_each(|run| q[run.clone()].fill(0));
+            QualityTrack::from_values(q).best_window(window, min_quality)
+        };
+        match best {
             Some((mut start, mut end)) => {
                 // Shave any vector bases straddling the window boundary.
-                while start < end && is_vector[start] {
-                    start += 1;
+                if let Some(run) = hits.iter().find(|run| run.contains(&start)) {
+                    start = run.end.min(end);
                 }
-                while end > start && is_vector[end - 1] {
-                    end -= 1;
+                if let Some(run) = hits.iter().find(|run| end > start && run.contains(&(end - 1))) {
+                    end = run.start.max(start);
                 }
                 if end - start >= self.config.min_len {
                     TrimOutcome::Keep { start, end }
@@ -170,6 +182,72 @@ mod tests {
             }
             TrimOutcome::Reject => panic!("rejected"),
         }
+    }
+
+    /// `trim` with a per-base vector mask and a copied quality track for
+    /// every read: the reference the run-based trim must equal.
+    fn trim_per_base(lucy: &Lucy, seq: &DnaSeq, qual: &QualityTrack) -> TrimOutcome {
+        let k = lucy.config.vector_k;
+        let mut is_vector = vec![false; seq.len()];
+        let mut q = qual.values().to_vec();
+        for (pos, kmer) in KmerIter::new(seq.codes(), k) {
+            if lucy.vector_kmers.contains(&kmer) {
+                is_vector[pos..pos + k].fill(true);
+                q[pos..pos + k].fill(0);
+            }
+        }
+        match QualityTrack::from_values(q).best_window(lucy.config.quality_window, lucy.config.min_quality) {
+            Some((mut start, mut end)) => {
+                while start < end && is_vector[start] {
+                    start += 1;
+                }
+                while end > start && is_vector[end - 1] {
+                    end -= 1;
+                }
+                if end - start >= lucy.config.min_len {
+                    TrimOutcome::Keep { start, end }
+                } else {
+                    TrimOutcome::Reject
+                }
+            }
+            None => TrimOutcome::Reject,
+        }
+    }
+
+    #[test]
+    fn run_based_trim_equals_the_per_base_trim() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let v = vector();
+        let mut kept = 0;
+        for config in [cfg(), LucyConfig { quality_window: 5, min_len: 8, ..cfg() }] {
+            let lucy = Lucy::new(config, std::slice::from_ref(&v));
+            for _ in 0..300 {
+                // Insert pieces and vector pieces of random lengths, some
+                // abutting, with random quality dips.
+                let mut read = DnaSeq::from_codes(Vec::new());
+                for _ in 0..rng.gen_range(1..6) {
+                    let len = rng.gen_range(0..40);
+                    if rng.gen_bool(0.5) {
+                        let from = rng.gen_range(0..v.len() - len.min(v.len()) + 1);
+                        read.extend_from(&v.slice(from, (from + len).min(v.len())));
+                    } else {
+                        read.extend_from(&DnaSeq::from_codes(
+                            (0..len).map(|_| rng.gen_range(0..4u8)).collect(),
+                        ));
+                    }
+                }
+                let qual = QualityTrack::from_values(
+                    (0..read.len())
+                        .map(|_| if rng.gen_bool(0.1) { rng.gen_range(0..10) } else { 40 })
+                        .collect(),
+                );
+                let outcome = lucy.trim(&read, &qual);
+                assert_eq!(outcome, trim_per_base(&lucy, &read, &qual));
+                kept += matches!(outcome, TrimOutcome::Keep { .. }) as usize;
+            }
+        }
+        assert!(kept > 100, "only {kept} of 600 reads kept");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! fragments themselves comprise a random sample, we used … randomly
 //! chosen fragments (0.1× coverage) to predict high-copy sequences."
 
-use pgasm_seq::{DnaSeq, KmerIter, WordMap, WordSet};
+use pgasm_seq::{sort_words, DnaSeq, KmerIter, WordSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -64,26 +64,29 @@ impl RepeatLibrary {
 
     /// Discover statistically over-represented k-mers in a random
     /// subsample of `reads` (owned or borrowed) and build the library
-    /// from them.
+    /// from them. The sample's words are radix-sorted and counted as runs
+    /// of equal words; the mean is words per distinct word.
     pub fn from_statistics<S: Borrow<DnaSeq>>(reads: &[S], config: &StatRepeatConfig) -> RepeatLibrary {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut idx: Vec<usize> = (0..reads.len()).collect();
         idx.shuffle(&mut rng);
         // At least one read, unless there are none (every read trimmed away).
         let take = ((reads.len() as f64 * config.sample_fraction).ceil() as usize).max(1).min(reads.len());
-        let mut counts: WordMap<u32> = WordMap::default();
-        for &i in idx.iter().take(take) {
-            for (_, kmer) in KmerIter::new(reads[i].borrow().codes(), config.k) {
-                *counts.entry(kmer).or_default() += 1;
-            }
+        let sample = &idx[..take];
+        let windows = sample.iter().map(|&i| (reads[i].borrow().len() + 1).saturating_sub(config.k)).sum();
+        let mut words = Vec::with_capacity(windows);
+        for &i in sample {
+            words.extend(KmerIter::new(reads[i].borrow().codes(), config.k).map(|(_, kmer)| kmer));
         }
-        if counts.is_empty() {
+        sort_words(&mut words, 0..2 * config.k as u32);
+        let runs = words.chunk_by(|a, b| a == b);
+        let distinct = runs.clone().count();
+        if distinct == 0 {
             return RepeatLibrary::empty(config.k);
         }
-        let mean = counts.values().map(|&c| c as f64).sum::<f64>() / counts.len() as f64;
+        let mean = words.len() as f64 / distinct as f64;
         let threshold = (mean * config.threshold_factor).max(2.0);
-        let kmers: WordSet =
-            counts.into_iter().filter(|&(_, c)| c as f64 > threshold).map(|(k, _)| k).collect();
+        let kmers = runs.filter(|run| run.len() as f64 > threshold).map(|run| run[0]).collect();
         RepeatLibrary { k: config.k, kmers }
     }
 
@@ -97,7 +100,7 @@ impl RepeatLibrary {
     /// Merge another library (same k) into this one.
     pub fn merge(&mut self, other: &RepeatLibrary) {
         assert_eq!(self.k, other.k, "library k mismatch");
-        self.kmers.extend(&other.kmers);
+        self.kmers.extend(other.kmers.iter());
     }
 
     /// Number of indexed repetitive k-mers.
@@ -199,6 +202,80 @@ mod tests {
         let mut unique = random_seq(&mut rng, 150);
         let masked_unique = lib.mask(&mut unique);
         assert!(masked_unique < 24, "unique read over-masked: {masked_unique}");
+    }
+
+    /// The statistical library as a hash-map count builds it: the
+    /// reference `from_statistics`'s sorted count must equal.
+    fn from_statistics_by_hash_map(reads: &[DnaSeq], config: &StatRepeatConfig) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut idx: Vec<usize> = (0..reads.len()).collect();
+        idx.shuffle(&mut rng);
+        let take = ((reads.len() as f64 * config.sample_fraction).ceil() as usize).max(1).min(reads.len());
+        let mut counts: pgasm_seq::WordMap<u32> = pgasm_seq::WordMap::default();
+        for &i in idx.iter().take(take) {
+            for (_, kmer) in KmerIter::new(reads[i].codes(), config.k) {
+                *counts.entry(kmer).or_default() += 1;
+            }
+        }
+        if counts.is_empty() {
+            return Vec::new();
+        }
+        let mean = counts.values().map(|&c| c as f64).sum::<f64>() / counts.len() as f64;
+        let threshold = (mean * config.threshold_factor).max(2.0);
+        let mut kept: Vec<u64> =
+            counts.into_iter().filter(|&(_, c)| c as f64 > threshold).map(|(k, _)| k).collect();
+        kept.sort_unstable();
+        kept
+    }
+
+    fn library_words(lib: &RepeatLibrary) -> Vec<u64> {
+        let mut words: Vec<u64> = lib.kmers.iter().collect();
+        words.sort_unstable();
+        words
+    }
+
+    #[test]
+    fn sorted_count_equals_the_hash_map_count() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut nonempty = 0;
+        for round in 0..4u64 {
+            // Reads around planted repeats of a few copy numbers, some
+            // with masked bases and some shorter than k.
+            let repeats: Vec<DnaSeq> = (0..3).map(|r| random_seq(&mut rng, 40 + 30 * r)).collect();
+            let mut reads = Vec::new();
+            for i in 0..80 {
+                let len = rng.gen_range(0..120);
+                let mut r = random_seq(&mut rng, len);
+                for (j, repeat) in repeats.iter().enumerate() {
+                    if i % (2 + 3 * j) == 0 {
+                        let gap = rng.gen_range(0..30);
+                        r.extend_from(repeat);
+                        r.extend_from(&random_seq(&mut rng, gap));
+                    }
+                }
+                if i % 7 == round as usize && r.len() > 10 {
+                    r.mask_range(5, 6);
+                }
+                reads.push(r);
+            }
+            for k in [12, 16, 31] {
+                for sample_fraction in [0.1, 0.25, 1.0] {
+                    for threshold_factor in [1.5, 4.0] {
+                        let cfg = StatRepeatConfig { k, sample_fraction, threshold_factor, seed: round };
+                        let got = library_words(&RepeatLibrary::from_statistics(&reads, &cfg));
+                        assert_eq!(got, from_statistics_by_hash_map(&reads, &cfg), "{cfg:?}");
+                        nonempty += !got.is_empty() as usize;
+                    }
+                }
+            }
+        }
+        assert!(nonempty > 20, "only {nonempty} configurations found repeats");
+        // Every read trimmed away, or every read shorter than k: no words.
+        let cfg = StatRepeatConfig::default();
+        assert!(RepeatLibrary::from_statistics::<DnaSeq>(&[], &cfg).is_empty());
+        let short: Vec<DnaSeq> = (0..5).map(|_| random_seq(&mut rng, cfg.k - 1)).collect();
+        assert!(RepeatLibrary::from_statistics(&short, &cfg).is_empty());
+        assert!(from_statistics_by_hash_map(&short, &cfg).is_empty());
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub mod wire;
 pub use alphabet::{code_to_ascii, complement_code, is_base_code, Base, MASK};
 pub use dna::DnaSeq;
 pub use fragment::{FragId, FragmentStore, SeqId, Strand};
-pub use kmer::{mix_word, pack_kmer, KmerIter, StrandKmerIter, WordMap, WordSet};
+pub use kmer::{mix_word, pack_kmer, sort_words, KmerIter, StrandKmerIter, WordMap, WordSet};
 pub use quality::QualityTrack;
 pub use wire::{Reader, WireError, Writer};

@@ -53,12 +53,17 @@ impl QualityTrack {
     /// `min_mean`, returned as `(start, end)`. This is the core of
     /// Lucy-style quality trimming: it finds the maximal high-quality
     /// stretch of the read. Returns `None` when no window qualifies.
+    ///
+    /// A window qualifies when its sum `s` meets `s + 1e-9 ≥ min_mean ·
+    /// window` in `f64`; [`min_window_sum`] turns that into one integer
+    /// bound, so the scan itself sums integers.
     pub fn best_window(&self, window: usize, min_mean: f64) -> Option<(usize, usize)> {
         if self.values.len() < window || window == 0 {
             return None;
         }
-        let threshold = min_mean * window as f64;
-        let mut sum: f64 = self.values[..window].iter().map(|&q| q as f64).sum();
+        let min_sum = min_window_sum(window, min_mean)?;
+        let v = &self.values;
+        let mut sum: u64 = v[..window].iter().map(|&q| q as u64).sum();
         let mut best: Option<(usize, usize)> = None;
         let mut run_start: Option<usize> = None;
         let close_run = |run_start: &mut Option<usize>, end: usize, best: &mut Option<(usize, usize)>| {
@@ -69,11 +74,11 @@ impl QualityTrack {
                 }
             }
         };
-        for i in 0..=self.values.len() - window {
+        for i in 0..=v.len() - window {
             if i > 0 {
-                sum += self.values[i + window - 1] as f64 - self.values[i - 1] as f64;
+                sum = sum + v[i + window - 1] as u64 - v[i - 1] as u64;
             }
-            if sum + 1e-9 >= threshold {
+            if sum >= min_sum {
                 if run_start.is_none() {
                     run_start = Some(i);
                 }
@@ -81,7 +86,7 @@ impl QualityTrack {
                 close_run(&mut run_start, i + window - 1, &mut best);
             }
         }
-        close_run(&mut run_start, self.values.len(), &mut best);
+        close_run(&mut run_start, v.len(), &mut best);
         best
     }
 
@@ -91,9 +96,32 @@ impl QualityTrack {
     }
 }
 
+/// The least window sum `s` with `s + 1e-9 ≥ min_mean · window` in
+/// `f64` (the mean test of [`QualityTrack::best_window`] on an integer
+/// sum), or `None` when no sum of `window` qualities reaches it. The test
+/// is monotone in `s`, so the bound is found next to its real-number
+/// value and stepped onto the exact `f64` one.
+fn min_window_sum(window: usize, min_mean: f64) -> Option<u64> {
+    let threshold = min_mean * window as f64;
+    let passes = |s: u64| s as f64 + 1e-9 >= threshold;
+    let max = window as u64 * u8::MAX as u64;
+    if !passes(max) {
+        return None;
+    }
+    let mut s = (threshold - 1e-9).ceil().clamp(0.0, max as f64) as u64;
+    while s > 0 && passes(s - 1) {
+        s -= 1;
+    }
+    while !passes(s) {
+        s += 1;
+    }
+    Some(s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn uniform_and_mean() {
@@ -151,6 +179,89 @@ mod tests {
         // The window mean tolerates one low base at the boundary, so the
         // run may begin slightly inside the bad region.
         assert!(s >= 15 && e == 40, "expected the trailing run, got ({s},{e})");
+    }
+
+    /// `best_window` as it was defined on `f64` sums: the reference the
+    /// integer scan must equal.
+    fn best_window_f64(values: &[u8], window: usize, min_mean: f64) -> Option<(usize, usize)> {
+        if values.len() < window || window == 0 {
+            return None;
+        }
+        let threshold = min_mean * window as f64;
+        let mut sum: f64 = values[..window].iter().map(|&q| q as f64).sum();
+        let mut best: Option<(usize, usize)> = None;
+        let mut run_start: Option<usize> = None;
+        for i in 0..=values.len() - window {
+            if i > 0 {
+                sum += values[i + window - 1] as f64 - values[i - 1] as f64;
+            }
+            if sum + 1e-9 >= threshold {
+                run_start.get_or_insert(i);
+            } else if let Some(s) = run_start.take() {
+                if best.is_none_or(|(bs, be)| i + window - 1 - s > be - bs) {
+                    best = Some((s, i + window - 1));
+                }
+            }
+        }
+        if let Some(s) = run_start {
+            if best.is_none_or(|(bs, be)| values.len() - s > be - bs) {
+                best = Some((s, values.len()));
+            }
+        }
+        best
+    }
+
+    /// `x` moved `steps` ulps (negative: toward −∞), for finite `x > 0`.
+    fn ulps(x: f64, steps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + steps) as u64)
+    }
+
+    #[test]
+    fn integer_threshold_is_the_f64_mean_test() {
+        // Every window and every mean that puts `min_mean · window` on or
+        // one or two ulps beside an integer sum, against the least sum a
+        // window can have that passes the f64 test (a binary search: the
+        // test is monotone in the sum).
+        for window in 1..=40usize {
+            let sums: Vec<u64> = (0..=window as u64 * 255).collect();
+            for target in (0..sums.len() as u64).step_by(1 + window / 4) {
+                let exact = target as f64 / window as f64;
+                for steps in -2..=2 {
+                    let min_mean = if exact > 0.0 { ulps(exact, steps) } else { exact };
+                    let threshold = min_mean * window as f64;
+                    let least = sums.partition_point(|&s| s as f64 + 1e-9 < threshold);
+                    let want = sums.get(least).copied();
+                    assert_eq!(min_window_sum(window, min_mean), want, "window {window}, mean {min_mean:e}");
+                }
+            }
+        }
+        for min_mean in [f64::NAN, f64::INFINITY, 255.5, 256.0] {
+            assert_eq!(min_window_sum(10, min_mean), None, "{min_mean}");
+        }
+        for min_mean in [f64::NEG_INFINITY, -3.0, 0.0, -0.0] {
+            assert_eq!(min_window_sum(10, min_mean), Some(0), "{min_mean}");
+        }
+        assert_eq!(min_window_sum(10, 255.0), Some(2550));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn best_window_equals_the_f64_definition(
+            values in prop::collection::vec(0u8..60, 0..200),
+            window in 1usize..30,
+            target in 0u64..1_500,
+            steps in -2i64..3,
+            jitter in 0u8..2,
+        ) {
+            // Thresholds on, and one or two ulps beside, an integer sum;
+            // or a mean drawn between them.
+            let exact = target as f64 / window as f64;
+            let min_mean = if jitter == 1 { exact + 0.37 } else if exact > 0.0 { ulps(exact, steps) } else { exact };
+            let track = QualityTrack::from_values(values.clone());
+            prop_assert_eq!(track.best_window(window, min_mean), best_window_f64(&values, window, min_mean));
+        }
     }
 
     #[test]
