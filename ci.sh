@@ -37,6 +37,20 @@ for round in 1 2 3 4 5; do
   timeout 1800 cargo test -q --release --test fault_tolerance -- --include-ignored
 done
 
+echo "==> fault-tolerance tests, two copies at once, 25 rounds each"
+# Contention reorders every rank's schedule; a fault names a lease, so
+# no schedule may change a verdict: every round of both copies passes.
+ft=$(cargo test --release --test fault_tolerance --no-run 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
+[ -x "$ft" ] || { echo "no fault_tolerance test binary"; exit 1; }
+contend() {
+  for round in $(seq 25); do
+    out=$(timeout 600 "$ft" -q 2>&1) || { echo "$out"; echo "copy $1, round $round failed"; return 1; }
+  done
+}
+contend 1 & first=$!
+contend 2 & second=$!
+wait "$first" && wait "$second" || exit 1
+
 echo "==> force-scalar feature matrix (SIMD fallback must stay bit-identical)"
 timeout 900 cargo test -q -p pgasm-align --features force-scalar
 
@@ -106,6 +120,19 @@ cmp ci_clusters.serial.txt ci_clusters.kill.txt || { echo "partition differs bet
 grep -q '"scopes_adopted": 1' ci.cluster-kill.json || { echo "the kill made no survivor adopt a scope"; exit 1; }
 rm -f ci_clusters.kill.txt ci.cluster-kill.json
 
+echo "==> pgasm cluster --ranks 4 with the first grant, then its report, lost: the partition holds"
+# A lost message is detected from protocol state: the run comes to
+# rest, the master declares the worker holding lease 1 dead and a
+# survivor redoes its batch; the partition is serial's.
+for dir in grant report; do
+  cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.drop.txt --ranks 4 \
+    --fault-plan "drop:lease=1,dir=$dir" --metrics-json ci.cluster-drop.json
+  cmp ci_clusters.serial.txt ci_clusters.drop.txt || { echo "partition differs after dropping $dir 1"; exit 1; }
+  grep -q '"msgs_dropped": 1' ci.cluster-drop.json || { echo "dir=$dir: not exactly one message dropped"; exit 1; }
+  grep -q '"dead_ranks": 1' ci.cluster-drop.json || { echo "dir=$dir: the stuck worker was not declared dead"; exit 1; }
+done
+rm -f ci_clusters.drop.txt ci.cluster-drop.json
+
 echo "==> pgasm cluster --no-preprocess: a rejection-heavy run, serial and --ranks 3"
 # Every other input here is preprocessed. Unmasked, untrimmed reads put
 # repeats and vector in the GST, so almost every aligned pair fails the
@@ -164,7 +191,7 @@ echo "==> benchmark harness smoke (every output check on)"
 # stream / contig set fails here, not in the next benchmark run.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 
-echo "==> non-test lines (report only; ROADMAP item 10)"
+echo "==> non-test lines (report only; ROADMAP item 11)"
 # Lines before the first `#[cfg(test)]` of every *.rs under a directory:
 # every crate under crates/ (the `compat` stand-ins excepted: their line
 # follows the total), the root crate and the benchmark harness.

@@ -164,7 +164,7 @@ mod tests {
         let plan = FaultPlan::parse("kill:lease=100,stage=cluster; kill:lease=50,stage=assemble").unwrap();
         let r = StageRecovery { faults: plan, checkpoint_every: Some(10), ..StageRecovery::default() };
         let cluster = r.for_stage(FaultStage::Cluster);
-        assert_eq!(cluster.faults.kills.len(), 1);
+        assert_eq!(cluster.faults.clauses.len(), 1);
         assert_eq!(cluster.checkpoint_every, Some(10), "other settings survive the narrowing");
     }
 }

@@ -75,13 +75,22 @@
 //! [`MasterReport::killed`] / [`WorkerReport::master_died`] instead of
 //! a hang.
 //!
-//! A *scripted* kill (`pgasm_mpisim::faults`) names a lease, so it is
-//! carried out here, where leases are numbered, and by no counter: the
-//! master asks the armed plan about the id it is about to issue
-//! ([`Comm::kills_at`], then [`Comm::kill`] in place of the grant), a
-//! worker about the id on the grant it has just taken — it dies before
-//! computing or reporting, so provably holding that lease
-//! unacknowledged.
+//! A *scripted* fault (`pgasm_mpisim::faults`) names a lease, so it is
+//! carried out here, where leases are numbered, and by no counter. The
+//! engine asks the armed plan ([`Comm::fault_at`]) at the three places
+//! a lease is handled:
+//!
+//! - the master, about the id it is about to issue: it dies in place
+//!   of the grant ([`Comm::kill`]), or journals the batch and loses
+//!   ([`Comm::lose`]) or holds ([`Comm::hold`]) the grant;
+//! - a worker, about the id on the grant it has just taken: it dies
+//!   before computing or reporting, so provably holding that lease
+//!   unacknowledged;
+//! - a worker, about the id its report retires: the report is lost or
+//!   held.
+//!
+//! A grant or report a clause names always carries a batch, so a lost
+//! one always leaves a journaled lease to recover.
 //!
 //! The engine works over the `mpisim` rank model, so per-tag traffic
 //! accounting and blocked-time attribution apply to any client
@@ -91,7 +100,7 @@ mod stage;
 
 pub use stage::{run_stage, Counters, RunOpts, Snapshot, StageClient, StageRun, StageSpec};
 
-use pgasm_mpisim::{Comm, CommError, Event, Msg};
+use pgasm_mpisim::{Comm, CommError, Event, FaultAction, FaultPoint, Msg};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_telemetry::names;
 use pgasm_telemetry::trace::{TraceCategory, Tracer};
@@ -385,22 +394,22 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     }
 
     /// Send one live allocation: journal the batch under a fresh lease
-    /// and attach any adoption scopes queued for this worker. A kill
-    /// the plan scripts for the master at that lease happens here, in
-    /// place of issuing it.
+    /// and attach any adoption scopes queued for this worker. What the
+    /// plan scripts at issuing that lease happens here: the master dies
+    /// in place of issuing it, or the grant — journaled all the same —
+    /// is lost or held.
     fn grant(&mut self, comm: &mut Comm, dest: usize, r: usize, batch: Vec<T>) -> Result<(), CommError> {
-        let lease = if batch.is_empty() {
-            0
-        } else {
-            let id = self.next_lease;
-            if comm.kills_at(true, id) {
-                return Err(comm.kill(id));
-            }
+        let lease = if batch.is_empty() { 0 } else { self.next_lease };
+        // Lease 0 is no lease: no clause names it.
+        let fault = comm.fault_at(FaultPoint::Grant, lease);
+        if fault == Some(FaultAction::Kill) {
+            return Err(comm.kill(lease));
+        }
+        if lease != 0 {
             self.report.batches_dispatched += 1;
             self.next_lease += 1;
-            self.journal.insert(id, Lease { worker: dest, tasks: batch.clone() });
-            id
-        };
+            self.journal.insert(lease, Lease { worker: dest, tasks: batch.clone() });
+        }
         let adopt = std::mem::take(&mut self.pending_adoptions[dest]);
         if !adopt.is_empty() {
             for &scope in &adopt {
@@ -415,7 +424,8 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             // The adoption grant re-activates the worker's generator.
             self.worker_active[dest] = true;
         }
-        send_grant(comm, dest, r, lease, &batch, &adopt, false)
+        let body = grant_body(r, lease, &batch, &adopt, false);
+        send_as_scripted(comm, fault, FaultPoint::Grant, lease, dest, TAG_GRANT, body)
     }
 
     fn flow_control(&self) -> usize {
@@ -668,7 +678,7 @@ fn master_pump<T: Task, S: TaskSource<T>>(
             // blackhole, while a worker declared dead at quiescence is
             // alive and needs it to stop blocking and exit.
             for i in 1..p {
-                send_grant::<T>(comm, i, 0, 0, &[], &[], true)?;
+                comm.send(i, TAG_GRANT, grant_body::<T>(0, 0, &[], &[], true))?;
             }
             return Ok(());
         }
@@ -703,19 +713,32 @@ fn drain_batch<T>(pending: &mut VecDeque<T>, b: usize) -> Vec<T> {
     pending.drain(..take).collect()
 }
 
+/// Send the `point` message of `lease` as the armed plan scripts it:
+/// lost on the wire, held until this rank next blocks, or sent.
+fn send_as_scripted(
+    comm: &mut Comm,
+    fault: Option<FaultAction>,
+    point: FaultPoint,
+    lease: u64,
+    dest: usize,
+    tag: u32,
+    body: Vec<u8>,
+) -> Result<(), CommError> {
+    match fault {
+        Some(FaultAction::Drop) => {
+            comm.lose(point, lease);
+            Ok(())
+        }
+        Some(FaultAction::Delay) => comm.hold(point, lease, dest, tag, body),
+        _ => comm.send(dest, tag, body),
+    }
+}
+
 /// The one encoder of a [`TAG_GRANT`] body. *Every* master
 /// transmission — round reply, unsolicited grant to a parked worker,
-/// termination — goes through here, and the worker reads them all
+/// termination — is written here, and the worker reads them all
 /// through [`decode_grant`].
-fn send_grant<T: Task>(
-    comm: &mut Comm,
-    dest: usize,
-    r: usize,
-    lease: u64,
-    batch: &[T],
-    adopt: &[usize],
-    terminate: bool,
-) -> Result<(), CommError> {
+fn grant_body<T: Task>(r: usize, lease: u64, batch: &[T], adopt: &[usize], terminate: bool) -> Vec<u8> {
     let mut w = Writer::with_capacity(
         24 + 4 * adopt.len() + batch.iter().map(Task::encoded_size_hint).sum::<usize>(),
     );
@@ -732,7 +755,7 @@ fn send_grant<T: Task>(
             task.encode(&mut w);
         }
     }
-    comm.send(dest, TAG_GRANT, w.finish())
+    w.finish()
 }
 
 /// What a live grant carries.
@@ -854,7 +877,8 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
         for task in &announced {
             task.encode(&mut w);
         }
-        comm.send(0, TAG_REPORT, w.finish())?;
+        let fault = comm.fault_at(FaultPoint::Report, lease);
+        send_as_scripted(comm, fault, FaultPoint::Report, lease, 0, TAG_REPORT, w.finish())?;
         report.round_trips += 1;
         // Receive the next grant (possibly parking idle first).
         loop {
@@ -862,7 +886,7 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
             let grant =
                 decode_grant(&msg.data).map_err(|_| CommError::Malformed { src: 0, tag: TAG_GRANT })?;
             let Some(grant) = grant else { return Ok(false) };
-            if comm.kills_at(false, grant.lease) {
+            if comm.fault_at(FaultPoint::Receipt, grant.lease) == Some(FaultAction::Kill) {
                 return Err(comm.kill(grant.lease));
             }
             for dead_rank in grant.adopt {
@@ -892,7 +916,7 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgasm_mpisim::FaultPlan;
+    use pgasm_mpisim::{FaultPlan, FaultStats};
     use std::collections::HashSet;
 
     /// Toy client: tasks are plain integers, workers square them.
@@ -1156,28 +1180,27 @@ mod tests {
 
     /// The distributed-assembly shape — a master-seeded queue of 60
     /// tasks, passive workers, two tasks per grant: fault-free, exactly
-    /// leases 1..=30 are issued.
-    fn run_seeded_faulty(plan: &str) -> (u64, u64, MasterReport) {
+    /// leases 1..=30 are issued. Returns the master's sum, the exact
+    /// sum, the master's report and every rank's fault counters.
+    fn run_seeded_faulty(plan: &str) -> (u64, u64, MasterReport, Vec<FaultStats>) {
         let seed: Vec<u32> = (0..60).map(|i| i * 2).collect();
         let expected: u64 = seed.iter().map(|&t| t as u64 * t as u64).sum();
         let plan = FaultPlan::parse(plan).unwrap();
-        let (sum, report) = pgasm_mpisim::run(4, move |comm| {
+        let outcomes = pgasm_mpisim::run(4, move |comm| {
             comm.set_fault_plan(&plan);
             let cfg = EngineConfig { batch: 2, pending_cap: 64 };
-            if comm.rank() == 0 {
+            let master = if comm.rank() == 0 {
                 let mut source = SumSource::new();
                 let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
                 Some((source.sum, report))
             } else {
                 assert!(!run_worker(comm, &cfg, &mut RangeSink::default()).unwrap().master_died);
                 None
-            }
-        })
-        .into_iter()
-        .flatten()
-        .next()
-        .expect("master outcome");
-        (sum, expected, report)
+            };
+            (master, comm.fault_stats())
+        });
+        let (sum, report) = outcomes[0].0.expect("master outcome");
+        (sum, expected, report, outcomes.iter().map(|o| o.1).collect())
     }
 
     #[test]
@@ -1186,7 +1209,7 @@ mod tests {
         // last lease the stage issues, when every other worker is
         // already parked and must be revived for the recovered batch.
         for lease in [1, 15, 30] {
-            let (sum, expected, report) = run_seeded_faulty(&format!("kill:lease={lease}"));
+            let (sum, expected, report, _) = run_seeded_faulty(&format!("kill:lease={lease}"));
             assert_eq!(sum, expected, "lease {lease}");
             assert_eq!(report.dead_ranks, 1, "lease {lease}");
             assert_eq!(report.recovered_tasks, 2, "lease {lease}");
@@ -1196,7 +1219,7 @@ mod tests {
 
     #[test]
     fn a_kill_at_a_lease_the_stage_never_issues_is_a_clean_run() {
-        let (sum, expected, report) = run_seeded_faulty("kill:lease=31; kill:master,lease=31");
+        let (sum, expected, report, _) = run_seeded_faulty("kill:lease=31; kill:master,lease=31");
         assert_eq!(sum, expected);
         assert_eq!((report.dead_ranks, report.recovered_tasks, report.killed), (0, 0, false));
         assert_eq!(report.batches_dispatched, 30);
@@ -1204,37 +1227,63 @@ mod tests {
 
     #[test]
     fn a_dropped_report_or_grant_trips_liveness_and_recovers() {
-        // Worker 1's second report, or the grant that answers it,
-        // vanishes on the wire. Either way worker 1 waits for a grant
-        // that never comes, holding a lease the master still journals;
-        // the run comes to rest with the master unfinished, which
-        // declares exactly that worker dead, re-queues its batch and
-        // hands its generator scope to the survivor — and the run still
-        // produces the exact sum. Nobody was killed: the declared
-        // worker is alive and leaves by the termination grant.
-        for (src, dst, tag) in [(1, 0, TAG_REPORT), (0, 1, TAG_GRANT)] {
-            let plan = FaultPlan::parse(&format!("drop:src={src},dst={dst},tag={tag},nth=2")).unwrap();
+        // Lease 2's grant, or the report that retires it, vanishes on
+        // the wire. Either way whichever worker holds lease 2 waits for
+        // a grant that never comes, holding a lease the master still
+        // journals; the run comes to rest with the master unfinished,
+        // which declares exactly that worker dead, re-queues its batch
+        // and hands its generator scope to the survivor — and the run
+        // still produces the exact sum. Lease 2 answers a worker's first
+        // or second report, eight of its 30 tasks each, so its holder is
+        // still generating. Nobody was killed: the declared worker is
+        // alive and leaves by the termination grant.
+        for dir in ["grant", "report"] {
+            let plan = FaultPlan::parse(&format!("drop:lease=2,dir={dir}")).unwrap();
             let (sum, report, workers) = run_toy_faulty(3, 30, 4, plan);
-            assert_eq!(sum, expected_sum(2, 30), "tag {tag}");
-            assert_eq!(report.dead_ranks, 1, "tag {tag}: quiescence declared the stuck worker dead");
-            assert!(report.recovered_tasks > 0, "tag {tag}");
-            assert_eq!(workers[1].scopes_adopted, 1, "tag {tag}: worker 1's generator was adopted");
-            assert!(
-                workers.iter().all(|w| !w.killed && !w.master_died),
-                "tag {tag}: everybody was terminated"
-            );
+            assert_eq!(sum, expected_sum(2, 30), "{dir}");
+            assert_eq!(report.dead_ranks, 1, "{dir}: quiescence declared the stuck worker dead");
+            assert!(report.recovered_tasks > 0, "{dir}");
+            let adopted: u64 = workers.iter().map(|w| w.scopes_adopted).sum();
+            assert_eq!(adopted, 1, "{dir}: the stuck worker's generator was adopted");
+            assert!(workers.iter().all(|w| !w.killed && !w.master_died), "{dir}: everybody was terminated");
         }
     }
 
     #[test]
-    fn delayed_report_is_absorbed_late_not_twice() {
-        // Worker 1's second report is held back until the worker blocks
-        // on the grant that answers it; the lease journal still retires
-        // it exactly once and the sum stays exact.
-        let plan = FaultPlan::parse("delay:src=1,dst=0,tag=1,nth=2").unwrap();
+    fn a_dropped_lease_loses_exactly_that_message() {
+        // Seeded and passive, so every lease holds two tasks: grant K is
+        // journaled to one worker and lost, or that worker's report of
+        // K is; quiescence recovers exactly lease K's two tasks as one
+        // new lease, and nothing else is lost, killed or late.
+        for lease in [1, 15, 30] {
+            for dir in ["grant", "report"] {
+                let (sum, expected, report, stats) =
+                    run_seeded_faulty(&format!("drop:lease={lease},dir={dir}"));
+                let at = format!("lease {lease}, dir={dir}");
+                assert_eq!(sum, expected, "{at}");
+                assert_eq!((report.dead_ranks, report.recovered_tasks), (1, 2), "{at}");
+                assert_eq!(report.batches_dispatched, 31, "{at}: the recovered batch is a new lease");
+                assert!(!report.killed, "{at}");
+                let faulted: Vec<usize> = (0..4).filter(|&r| stats[r] != FaultStats::default()).collect();
+                assert_eq!(faulted.len(), 1, "{at}: {stats:?}");
+                assert_eq!(faulted[0] == 0, dir == "grant", "{at}: lost at its sender");
+                let dropped = FaultStats { msgs_dropped: 1, ..FaultStats::default() };
+                assert_eq!(stats[faulted[0]], dropped, "{at}: one message lost, nothing else");
+            }
+        }
+    }
+
+    #[test]
+    fn delayed_grant_is_taken_late_not_lost() {
+        // Lease 2's grant is held back until the master next blocks,
+        // behind whatever it sends in between; the worker holding the
+        // lease takes it late, and the journal retires it exactly once.
+        // (A held report has no later traffic to fall behind: its
+        // worker's next step is the blocking receive, which releases it.)
+        let plan = FaultPlan::parse("delay:lease=2,dir=grant").unwrap();
         let (sum, report, _) = run_toy_faulty(3, 30, 4, plan);
         assert_eq!(sum, expected_sum(2, 30));
-        assert_eq!(report.dead_ranks, 0);
+        assert_eq!((report.dead_ranks, report.recovered_tasks), (0, 0));
     }
 
     #[test]

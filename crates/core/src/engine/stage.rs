@@ -167,11 +167,10 @@ pub fn run_stage<C: StageClient>(
         let rank = comm.rank();
         let role = if rank == 0 { "master" } else { "worker" };
         comm.set_tracer(trace.tracer(rank, role));
-        // Arm scripted failures before any traffic. Drops and delays
-        // apply to point-to-point sends only and a kill names a lease,
-        // so a pre-phase made of collectives runs untouched and a kill
-        // lands inside the protocol — after the last barrier any rank
-        // will ever pass.
+        // Arm scripted failures before any traffic. Every clause names
+        // a lease, so a pre-phase made of collectives runs untouched and
+        // a fault lands inside the protocol — after the last barrier any
+        // rank will ever pass.
         if !recovery.faults.is_empty() {
             comm.set_fault_plan(&recovery.faults);
         }

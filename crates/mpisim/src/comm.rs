@@ -1,6 +1,6 @@
 //! Ranks, point-to-point messaging and collectives.
 
-use crate::faults::{CommError, FaultPlan, FaultRuntime, FaultStats, Verdict};
+use crate::faults::{CommError, FaultAction, FaultPlan, FaultPoint, FaultRuntime, FaultStats};
 use crate::model::{CommStats, CostModel};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, TagStat};
@@ -182,13 +182,11 @@ impl Comm {
     }
 
     /// Arm `plan` on this rank. Every rank of the world must arm the
-    /// same (stage-filtered) plan for consistent semantics: its drop
-    /// and delay clauses apply to this rank's `send`s (collectives are
-    /// untouched), its kill clauses are there for the task engine to
-    /// read ([`Comm::kills_at`]), and a vanished peer becomes a counted
-    /// loss instead of a panic.
+    /// same (stage-filtered) plan for consistent semantics: its clauses
+    /// are there for the task engine to read ([`Comm::fault_at`]), and a
+    /// vanished peer becomes a counted loss instead of a panic.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = Some(FaultRuntime::new(plan, self.rank));
+        self.faults = Some(FaultRuntime { clauses: plan.clauses.clone(), ..FaultRuntime::default() });
     }
 
     /// Whether a fault plan is armed on this rank.
@@ -219,7 +217,7 @@ impl Comm {
     /// wire, in hold order: the rank is about to block.
     fn release_held(&mut self) {
         let Some(f) = &mut self.faults else { return };
-        for (dest, tag, data) in std::mem::take(&mut f.delayed) {
+        for (dest, tag, data) in std::mem::take(&mut f.held) {
             if self.dead_peers[dest] {
                 if let Some(f) = &mut self.faults {
                     f.stats.msgs_lost += 1;
@@ -230,13 +228,14 @@ impl Comm {
         }
     }
 
-    /// Whether the armed plan scripts a kill at `lease` — of the master
-    /// in place of issuing it (`master`), or else of the worker that is
-    /// granted it. Leases are the task engine's, so the engine asks,
-    /// where it issues and where it takes one, and carries the kill out
-    /// with [`Comm::kill`].
-    pub fn kills_at(&self, master: bool, lease: u64) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.kills.iter().any(|k| k.master == master && k.lease == lease))
+    /// What the armed plan scripts at `point` of `lease`, if anything.
+    /// Leases are the task engine's, so the engine asks — where the
+    /// master issues one, where a worker takes one and where a worker
+    /// reports one — and carries the action out with [`Comm::kill`],
+    /// [`Comm::lose`] or [`Comm::hold`].
+    pub fn fault_at(&self, point: FaultPoint, lease: u64) -> Option<FaultAction> {
+        let f = self.faults.as_ref()?;
+        f.clauses.iter().find(|c| c.point == point && c.lease == lease).map(|c| c.action)
     }
 
     /// Carry out a scripted kill of this rank at `lease`: record it,
@@ -252,6 +251,48 @@ impl Comm {
         self.tracer.instant_arg(TraceCategory::Fault, names::EV_FAULT_KILL, "lease", lease);
         self.abort();
         CommError::Killed { rank: self.rank, lease }
+    }
+
+    /// Carry out a scripted drop of the `point` message of `lease`,
+    /// which the caller does not send: the message is lost on the wire,
+    /// counted and traced on this, its sender's, track.
+    ///
+    /// # Panics
+    /// Panics when no fault plan is armed: nothing scripted this.
+    pub fn lose(&mut self, point: FaultPoint, lease: u64) {
+        let f = self.faults.as_mut().expect("a drop is scripted by an armed fault plan");
+        f.stats.msgs_dropped += 1;
+        self.trace_fault(names::EV_FAULT_DROP, point, lease);
+    }
+
+    /// Carry out a scripted delay of the `point` message of `lease`:
+    /// [`Comm::send`] it late, once this rank next blocks in a receive
+    /// or reaches a barrier — after whatever it sends in between. Only
+    /// the comm layer sees that moment, so the message waits here.
+    ///
+    /// # Panics
+    /// Panics when no fault plan is armed: nothing scripted this.
+    pub fn hold(
+        &mut self,
+        point: FaultPoint,
+        lease: u64,
+        dest: usize,
+        tag: u32,
+        data: Vec<u8>,
+    ) -> Result<(), CommError> {
+        self.check_alive()?;
+        let f = self.faults.as_mut().expect("a delay is scripted by an armed fault plan");
+        f.stats.msgs_delayed += 1;
+        f.held.push((dest, tag, data));
+        self.trace_fault(names::EV_FAULT_DELAY, point, lease);
+        Ok(())
+    }
+
+    /// A drop or delay instant: the lease, and `dir` 0 for a grant, 1
+    /// for a report.
+    fn trace_fault(&mut self, name: &'static str, point: FaultPoint, lease: u64) {
+        let dir = u64::from(point == FaultPoint::Report);
+        self.tracer.instant_args(TraceCategory::Fault, name, ("lease", lease), ("dir", dir));
     }
 
     /// Leave the world without finishing: every peer gets a death
@@ -271,11 +312,9 @@ impl Comm {
     }
 
     /// Asynchronous send (like `MPI_Isend` with unbounded buffering):
-    /// the message is in the destination's inbox — or the fault plan's
-    /// hands — when the call returns.
+    /// the message is in the destination's inbox when the call returns.
     ///
-    /// Under an armed plan the message may be dropped or held back, and
-    /// a rank the plan has killed gets `Err(CommError::Killed)`. A send
+    /// A rank the plan has killed gets `Err(CommError::Killed)`. A send
     /// to a peer whose death notice has arrived is a loss, not a
     /// delivery.
     ///
@@ -285,28 +324,6 @@ impl Comm {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag:#x} is reserved for collectives");
         assert!(dest < self.size, "destination {dest} out of range");
         self.check_alive()?;
-        match self.faults.as_mut().map(|f| f.filter(dest, tag)) {
-            Some(Verdict::Drop) => {
-                self.tracer.instant_args(
-                    TraceCategory::Fault,
-                    names::EV_FAULT_DROP,
-                    ("dst", dest as u64),
-                    ("tag", tag as u64),
-                );
-                return Ok(());
-            }
-            Some(Verdict::Delay) => {
-                self.tracer.instant_args(
-                    TraceCategory::Fault,
-                    names::EV_FAULT_DELAY,
-                    ("dst", dest as u64),
-                    ("tag", tag as u64),
-                );
-                self.faults.as_mut().expect("armed").delayed.push((dest, tag, data));
-                return Ok(());
-            }
-            _ => {}
-        }
         if self.dead_peers[dest] {
             if let Some(f) = &mut self.faults {
                 f.stats.msgs_lost += 1;
@@ -442,8 +459,8 @@ impl Comm {
         }
     }
 
-    /// Put one message on the wire, past the fault plan: what
-    /// [`Comm::send`] ends in, and what the collectives call directly.
+    /// Put one message on the wire: what [`Comm::send`] ends in, and
+    /// what the collectives and a released hold call directly.
     /// The `send` instant pairs with exactly one receive-side `recv`
     /// instant.
     fn send_raw(&mut self, dest: usize, tag: u32, data: Vec<u8>) {
@@ -616,6 +633,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgasm_telemetry::trace::TraceSpec;
 
     /// Blocking receive in a world where nobody dies.
     fn msg(c: &mut Comm, src: Option<usize>, tag: Option<u32>) -> Msg {
@@ -818,34 +836,28 @@ mod tests {
 
     #[test]
     fn one_lost_message_is_one_quiescent_event_at_the_lowest_rank() {
-        // Rank 1's request to rank 2 is dropped, and each waits for the
-        // other; rank 0 waits on both. Rank 0 alone is told, once, and
-        // its sends then wake the other two with plain messages.
-        let plan = FaultPlan::parse("drop:src=1,dst=2,tag=5,nth=1").unwrap();
-        let seen = run(3, move |c| {
-            c.set_fault_plan(&plan);
+        // Rank 1 never sends rank 2 the request it waits on, so each
+        // waits for the other; rank 0 waits on both. Rank 0 alone is
+        // told, once, and its sends then wake the other two with plain
+        // messages, which both answer before rank 0 leaves.
+        let seen = run(3, |c| {
             let mut quiescent = 0;
-            match c.rank() {
-                0 => loop {
+            if c.rank() == 0 {
+                let mut answers = 0;
+                while answers < 2 {
                     match c.recv(None, None).unwrap() {
                         Event::Quiescent => {
                             quiescent += 1;
                             c.send(1, 6, Vec::new()).unwrap();
                             c.send(2, 6, Vec::new()).unwrap();
                         }
-                        Event::Msg(m) if m.src == 2 => break,
-                        e => assert!(matches!(e, Event::Msg(_)), "{e:?}"),
+                        Event::Msg(_) => answers += 1,
+                        e => panic!("{e:?}"),
                     }
-                },
-                1 => {
-                    c.send(2, 5, b"request".to_vec()).unwrap();
-                    assert_eq!(msg(c, None, None).tag, 6);
-                    c.send(0, 7, Vec::new()).unwrap();
                 }
-                _ => {
-                    assert_eq!(msg(c, None, None).tag, 6, "the request never arrives");
-                    c.send(0, 7, Vec::new()).unwrap();
-                }
+            } else {
+                assert_eq!(msg(c, None, None).tag, 6, "the request never arrives");
+                c.send(0, 7, Vec::new()).unwrap();
             }
             quiescent
         });
@@ -876,11 +888,11 @@ mod tests {
     fn a_blocking_sender_releases_its_held_delay() {
         // The sender blocks on the answer to the message it holds:
         // blocking is what releases it.
-        let plan = FaultPlan::parse("delay:src=0,dst=1,tag=6,nth=1").unwrap();
+        let plan = FaultPlan::parse("delay:lease=1,dir=grant").unwrap();
         run(2, move |c| {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
-                c.send(1, 6, b"held".to_vec()).unwrap();
+                c.hold(FaultPoint::Grant, 1, 1, 6, b"held".to_vec()).unwrap();
                 assert_eq!(c.stats().msgs_sent, 0, "held back, not sent");
                 assert_eq!(&msg(c, Some(1), Some(7)).data[..], b"answer");
             } else {
@@ -972,8 +984,9 @@ mod tests {
         let out = run(3, move |c| {
             c.set_fault_plan(&plan);
             // The clause is there for whoever numbers leases to read.
-            assert!(c.kills_at(false, 2));
-            assert!(!c.kills_at(true, 2) && !c.kills_at(false, 1));
+            assert_eq!(c.fault_at(FaultPoint::Receipt, 2), Some(FaultAction::Kill));
+            assert_eq!(c.fault_at(FaultPoint::Grant, 2), None);
+            assert_eq!(c.fault_at(FaultPoint::Receipt, 1), None);
             match c.rank() {
                 1 => {
                     // What the engine does on taking lease 2.
@@ -1022,39 +1035,15 @@ mod tests {
     }
 
     #[test]
-    fn scripted_drop_discards_exactly_the_nth_match() {
-        let plan = FaultPlan::parse("drop:src=0,dst=1,tag=4,nth=2").unwrap();
-        run(2, move |c| {
-            c.set_fault_plan(&plan);
-            if c.rank() == 0 {
-                c.send(1, 4, b"a".to_vec()).unwrap();
-                c.send(1, 4, b"b".to_vec()).unwrap(); // dropped
-                c.send(1, 4, b"c".to_vec()).unwrap();
-                assert_eq!(c.fault_stats().msgs_dropped, 1);
-            } else {
-                let first = match c.recv(Some(0), Some(4)).unwrap() {
-                    Event::Msg(m) => m.data,
-                    e => panic!("{e:?}"),
-                };
-                let second = match c.recv(Some(0), Some(4)).unwrap() {
-                    Event::Msg(m) => m.data,
-                    e => panic!("{e:?}"),
-                };
-                assert_eq!(&first[..], b"a");
-                assert_eq!(&second[..], b"c", "the 'b' message was dropped on the wire");
-            }
-        });
-    }
-
-    #[test]
     fn scripted_delay_reorders_past_later_traffic() {
         // The first tag-6 message is held until its sender reaches the
         // barrier: the second overtakes it.
-        let plan = FaultPlan::parse("delay:src=0,dst=1,tag=6,nth=1").unwrap();
-        run(2, move |c| {
+        let plan = FaultPlan::parse("delay:lease=3,dir=report").unwrap();
+        let traces = run(2, move |c| {
             c.set_fault_plan(&plan);
+            c.set_tracer(TraceSpec::on().tracer(c.rank(), "rank"));
             if c.rank() == 0 {
-                c.send(1, 6, b"early".to_vec()).unwrap(); // held
+                c.hold(FaultPoint::Report, 3, 1, 6, b"early".to_vec()).unwrap();
                 c.send(1, 6, b"later".to_vec()).unwrap();
                 assert_eq!(c.stats().msgs_sent, 1, "one on the wire, one held");
                 c.barrier();
@@ -1070,7 +1059,16 @@ mod tests {
                 assert_eq!(&order[1][..], b"early");
                 c.barrier();
             }
+            c.take_trace()
         });
+        // The delay is recorded once, on the sender's track, in lease
+        // coordinates.
+        let delays = |t: &RankTrace| -> Vec<(Option<u64>, Option<u64>)> {
+            let held = t.events.iter().filter(|e| e.name == names::EV_FAULT_DELAY);
+            held.map(|e| (e.arg("lease"), e.arg("dir"))).collect()
+        };
+        assert_eq!(delays(&traces[0]), vec![(Some(3), Some(1))]);
+        assert!(delays(&traces[1]).is_empty());
     }
 
     #[test]

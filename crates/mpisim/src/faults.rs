@@ -1,26 +1,31 @@
 //! Deterministic fault injection for the simulated machine.
 //!
 //! A [`FaultPlan`] scripts failures in the protocol's own coordinates,
-//! never in wall-clock time or message counts of a rank's lifetime:
+//! never in wall-clock time or message counts: every clause names a
+//! *lease* — the id the task engine stamps on every non-empty batch it
+//! grants, sequential from 1 within a stage, carried on the grant and
+//! echoed on the report that retires it — and a point in that lease's
+//! round:
 //!
-//! - **kill** names a *lease* — the id the task engine stamps on every
-//!   non-empty batch it grants, sequential from 1 within a stage and
-//!   carried on the grant. `kill:lease=3` kills the worker that is
-//!   granted lease 3, on receipt, before it computes or reports;
-//!   `kill:master,lease=3` kills the master in place of issuing it.
-//!   Which worker receives a lease varies with the thread schedule and
-//!   does not matter: workers are symmetric in the protocol. The clause
-//!   is evaluated by the layer that knows leases (`pgasm_core::engine`,
-//!   through [`Comm::kills_at`](crate::Comm::kills_at) and
-//!   [`Comm::kill`](crate::Comm::kill)); this crate keeps no counter.
-//! - **drop** names a *message*: the *n*-th one matching a
-//!   `(src,dst,tag)` triple is discarded at the sender
-//!   (`drop:src=1,dst=0,tag=1,nth=2` — under the task engine tag 1 is a
-//!   worker's report, tag 2 the master's grant);
-//! - **delay** names one the same way
-//!   (`delay:src=1,dst=0,tag=1,nth=2`) and holds it until its sender
-//!   next blocks in a receive or reaches a barrier, re-ordering it past
-//!   whatever the sender sent in between, the way a congested link would.
+//! - `kill:lease=K` kills the worker that is granted lease K, on
+//!   receipt, before it computes or reports; `kill:master,lease=K`
+//!   kills the master in place of issuing it;
+//! - `drop:lease=K,dir=grant|report` loses grant K, or the report that
+//!   retires K, on the wire;
+//! - `delay:lease=K,dir=grant|report` holds that message back until its
+//!   sender next blocks in a receive or reaches a barrier, re-ordering
+//!   it past whatever the sender sent in between, the way a congested
+//!   link would.
+//!
+//! Which worker holds a lease varies with the thread schedule and does
+//! not matter: workers are symmetric in the protocol. A grant or report
+//! a clause names always carries a batch, so every drop leaves a lease
+//! to recover. The clauses are evaluated by the layer that numbers
+//! leases (`pgasm_core::engine`, through
+//! [`Comm::fault_at`](crate::Comm::fault_at)), which carries them out
+//! with [`Comm::kill`](crate::Comm::kill),
+//! [`Comm::lose`](crate::Comm::lose) and
+//! [`Comm::hold`](crate::Comm::hold); this crate keeps no counter.
 //!
 //! Failures surface to callers as recoverable [`CommError`]s (a killed
 //! rank's every later point-to-point call returns
@@ -36,7 +41,6 @@
 //! arm before handing the plan to its ranks.
 
 use std::num::NonZeroU64;
-use std::str::FromStr;
 
 /// A communication failure surfaced by `Comm::{send, recv, try_recv}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,35 +93,51 @@ pub enum FaultStage {
     Assemble,
 }
 
-/// Kill one rank at a lease of the stage's task engine.
+impl FaultStage {
+    /// Whether a clause scoped to `self` is armed in a stage `other`
+    /// arms.
+    fn overlaps(self, other: FaultStage) -> bool {
+        self == other || self == FaultStage::Any || other == FaultStage::Any
+    }
+}
+
+/// What a clause does at its point of the lease's round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillSpec {
-    /// The victim is the master, which dies in place of issuing the
-    /// lease; otherwise it is whichever worker is granted the lease,
-    /// which dies on receipt, holding it unacknowledged.
-    pub master: bool,
+pub enum FaultAction {
+    /// Kill the rank at the point: the master in place of issuing the
+    /// lease, or the worker that takes it, which dies holding it
+    /// unacknowledged.
+    Kill,
+    /// Lose the message on the wire: counted, never sent.
+    Drop,
+    /// Hold the message back until its sender next blocks in a receive
+    /// or reaches a barrier — a *late* message.
+    Delay,
+}
+
+/// Where in a lease's round a clause fires. The task engine asks at
+/// each ([`Comm::fault_at`](crate::Comm::fault_at)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPoint {
+    /// The master issues the lease: its grant (`dir=grant`), or the
+    /// master itself (`kill:master`).
+    Grant,
+    /// A worker takes the lease's grant (`kill`).
+    Receipt,
+    /// A worker sends the report that retires the lease (`dir=report`).
+    Report,
+}
+
+/// One scripted fault: `action` at `point` of `lease`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultClause {
+    /// What happens.
+    pub action: FaultAction,
+    /// Where in the lease's round it happens.
+    pub point: FaultPoint,
     /// The lease id (≥ 1; the engine numbers a stage's non-empty
     /// batches sequentially from 1).
     pub lease: u64,
-    /// Stage scope.
-    pub stage: FaultStage,
-}
-
-/// Drop or delay the `nth` message matching `(src, dst, tag)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsgFaultSpec {
-    /// Sending rank the clause is armed on.
-    pub src: usize,
-    /// Destination rank to match.
-    pub dst: usize,
-    /// Application tag to match.
-    pub tag: u32,
-    /// 1-based index among matching messages (1 = the first match).
-    pub nth: u64,
-    /// `false` = drop the message; `true` = hold it back until the
-    /// sender next blocks in a receive or reaches a barrier — after
-    /// whatever the sender did in between, a *late* message.
-    pub delay: bool,
     /// Stage scope.
     pub stage: FaultStage,
 }
@@ -126,26 +146,20 @@ pub struct MsgFaultSpec {
 /// the grammar; [`FaultPlan::parse`] builds one from the CLI string.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Scripted kills.
-    pub kills: Vec<KillSpec>,
-    /// Scripted message drops and delays.
-    pub msg_faults: Vec<MsgFaultSpec>,
+    /// The scripted faults, in plan order.
+    pub clauses: Vec<FaultClause>,
 }
 
 impl FaultPlan {
     /// True when the plan scripts nothing.
     pub fn is_empty(&self) -> bool {
-        self.kills.is_empty() && self.msg_faults.is_empty()
+        self.clauses.is_empty()
     }
 
     /// The sub-plan a given stage should arm: clauses scoped to
     /// `stage` or to [`FaultStage::Any`].
     pub fn for_stage(&self, stage: FaultStage) -> FaultPlan {
-        let armed = |s: FaultStage| s == stage || s == FaultStage::Any;
-        FaultPlan {
-            kills: self.kills.iter().copied().filter(|k| armed(k.stage)).collect(),
-            msg_faults: self.msg_faults.iter().copied().filter(|m| armed(m.stage)).collect(),
-        }
+        FaultPlan { clauses: self.clauses.iter().filter(|c| c.stage.overlaps(stage)).copied().collect() }
     }
 
     /// Parse a plan string: `;`-separated clauses, each
@@ -154,44 +168,53 @@ impl FaultPlan {
     /// ```text
     /// kill:lease=3[,stage=cluster|assemble|any]
     /// kill:master,lease=3[,stage=...]
-    /// drop:src=1,dst=0,tag=1,nth=2[,stage=...]
-    /// delay:src=0,dst=1,tag=2,nth=2[,stage=...]
+    /// drop:lease=3,dir=grant|report[,stage=...]
+    /// delay:lease=3,dir=grant|report[,stage=...]
     /// ```
     ///
     /// Unscoped clauses default to `stage=cluster`. A plan is outside
     /// input: a clause with an unknown or repeated key, a missing one,
-    /// or a value its field cannot hold is an error, never a clause
-    /// that silently arms something else or nothing.
+    /// or a value its field cannot hold is an error, and so is a second
+    /// clause at the point and lease of an earlier one in an overlapping
+    /// stage — never a clause that silently arms something else or
+    /// nothing.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for clause in s.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (kind, body) =
                 clause.split_once(':').ok_or_else(|| format!("fault clause '{clause}' missing ':'"))?;
-            let kind = kind.trim();
-            match kind {
-                "kill" => {
-                    let kv = parse_kv(clause, body, &["master", "lease", "stage"])?;
-                    let master = match get(&kv, "master") {
-                        None => false,
-                        Some("") => true,
-                        Some(_) => return Err(format!("clause '{clause}': master takes no value")),
-                    };
-                    let lease = req::<NonZeroU64>(&kv, "lease", clause)?.get();
-                    plan.kills.push(KillSpec { master, lease, stage: parse_stage(&kv)? });
-                }
-                "drop" | "delay" => {
-                    let kv = parse_kv(clause, body, &["src", "dst", "tag", "nth", "stage"])?;
-                    plan.msg_faults.push(MsgFaultSpec {
-                        src: req(&kv, "src", clause)?,
-                        dst: req(&kv, "dst", clause)?,
-                        tag: req(&kv, "tag", clause)?,
-                        nth: req::<NonZeroU64>(&kv, "nth", clause)?.get(),
-                        delay: kind == "delay",
-                        stage: parse_stage(&kv)?,
-                    });
-                }
+            let (action, keys): (_, &[&str]) = match kind.trim() {
+                "kill" => (FaultAction::Kill, &["master", "lease", "stage"]),
+                "drop" => (FaultAction::Drop, &["lease", "dir", "stage"]),
+                "delay" => (FaultAction::Delay, &["lease", "dir", "stage"]),
                 k => return Err(format!("unknown fault clause kind '{k}' (kill, drop, delay)")),
+            };
+            let kv = parse_kv(clause, body, keys)?;
+            let point = match (action, get(&kv, "master"), get(&kv, "dir")) {
+                (FaultAction::Kill, None, _) => FaultPoint::Receipt,
+                (FaultAction::Kill, Some(""), _) => FaultPoint::Grant,
+                (FaultAction::Kill, Some(_), _) => {
+                    return Err(format!("clause '{clause}': master takes no value"))
+                }
+                (_, _, Some("grant")) => FaultPoint::Grant,
+                (_, _, Some("report")) => FaultPoint::Report,
+                (_, _, None) => return Err(format!("clause '{clause}' missing dir=grant|report")),
+                (_, _, Some(d)) => {
+                    return Err(format!("clause '{clause}': unknown dir '{d}' (grant|report)"))
+                }
+            };
+            let lease = get(&kv, "lease").ok_or_else(|| format!("clause '{clause}' missing lease=<K>"))?;
+            let lease = lease
+                .parse::<NonZeroU64>()
+                .map_err(|_| format!("clause '{clause}': lease={lease} is out of range (leases start at 1)"))?
+                .get();
+            let stage = parse_stage(&kv)?;
+            if plan.clauses.iter().any(|c| c.point == point && c.lease == lease && c.stage.overlaps(stage)) {
+                return Err(format!(
+                    "clause '{clause}': an earlier clause already acts there on lease {lease}"
+                ));
             }
+            plan.clauses.push(FaultClause { action, point, lease, stage });
         }
         Ok(plan)
     }
@@ -219,13 +242,6 @@ fn get<'a>(kv: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
     kv.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
 }
 
-/// A required value, parsed into the type of the field it fills — so a
-/// value the field cannot hold is rejected here, not truncated later.
-fn req<T: FromStr>(kv: &[(&str, &str)], key: &str, clause: &str) -> Result<T, String> {
-    let value = get(kv, key).ok_or_else(|| format!("clause '{clause}' missing {key}=<n>"))?;
-    value.parse().map_err(|_| format!("clause '{clause}': {key}={value} is out of range"))
-}
-
 fn parse_stage(kv: &[(&str, &str)]) -> Result<FaultStage, String> {
     match get(kv, "stage") {
         None => Ok(FaultStage::Cluster),
@@ -241,7 +257,7 @@ fn parse_stage(kv: &[(&str, &str)]) -> Result<FaultStage, String> {
 pub struct FaultStats {
     /// 1 when the plan killed this rank.
     pub kills: u64,
-    /// Messages the plan discarded at this sender.
+    /// Messages the plan lost at this sender.
     pub msgs_dropped: u64,
     /// Messages the plan held back at this sender.
     pub msgs_delayed: u64,
@@ -251,98 +267,43 @@ pub struct FaultStats {
     pub msgs_lost: u64,
 }
 
-/// One armed message-fault clause with its match progress.
-#[derive(Debug, Clone, Copy)]
-struct MsgFaultState {
-    spec: MsgFaultSpec,
-    seen: u64,
-    fired: bool,
-}
-
-/// What the fault filter decided for one outgoing message.
-pub(crate) enum Verdict {
-    Pass,
-    Drop,
-    Delay,
-}
-
 /// Per-rank armed fault state, owned by the rank's `Comm`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct FaultRuntime {
-    /// The armed kill clauses (every rank holds them all: which worker
-    /// a lease goes to is not known in advance).
-    pub(crate) kills: Vec<KillSpec>,
+    /// The armed clauses (every rank holds them all: which worker a
+    /// lease goes to is not known in advance).
+    pub(crate) clauses: Vec<FaultClause>,
     /// The lease this rank was killed at.
     pub(crate) killed_at: Option<u64>,
-    /// Armed drop/delay clauses whose `src` is this rank.
-    msg_faults: Vec<MsgFaultState>,
     /// Held-back messages, in hold order: (dest, tag, payload).
-    pub(crate) delayed: Vec<(usize, u32, Vec<u8>)>,
+    pub(crate) held: Vec<(usize, u32, Vec<u8>)>,
     pub(crate) stats: FaultStats,
-}
-
-impl FaultRuntime {
-    pub(crate) fn new(plan: &FaultPlan, rank: usize) -> FaultRuntime {
-        let msg_faults = plan
-            .msg_faults
-            .iter()
-            .filter(|m| m.src == rank)
-            .map(|&spec| MsgFaultState { spec, seen: 0, fired: false })
-            .collect();
-        FaultRuntime {
-            kills: plan.kills.clone(),
-            killed_at: None,
-            msg_faults,
-            delayed: Vec::new(),
-            stats: FaultStats::default(),
-        }
-    }
-
-    /// Decide the fate of one outgoing message.
-    pub(crate) fn filter(&mut self, dest: usize, tag: u32) -> Verdict {
-        for f in &mut self.msg_faults {
-            if f.fired || f.spec.dst != dest || f.spec.tag != tag {
-                continue;
-            }
-            f.seen += 1;
-            if f.seen == f.spec.nth {
-                f.fired = true;
-                return if f.spec.delay {
-                    self.stats.msgs_delayed += 1;
-                    Verdict::Delay
-                } else {
-                    self.stats.msgs_dropped += 1;
-                    Verdict::Drop
-                };
-            }
-        }
-        Verdict::Pass
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn clause(action: FaultAction, point: FaultPoint, lease: u64, stage: FaultStage) -> FaultClause {
+        FaultClause { action, point, lease, stage }
+    }
+
     #[test]
     fn parse_round_trips_every_clause_kind() {
+        use FaultAction::*;
+        use FaultPoint::*;
         let plan = FaultPlan::parse(
             "kill:lease=500; kill:master,lease=9,stage=assemble; \
-             drop:src=1,dst=0,tag=3,nth=2; delay:src=4,dst=0,tag=1,nth=1,stage=any",
+             drop:lease=2,dir=report; delay:dir=grant,lease=3,stage=any",
         )
         .unwrap();
         assert_eq!(
-            plan.kills,
+            plan.clauses,
             vec![
-                KillSpec { master: false, lease: 500, stage: FaultStage::Cluster },
-                KillSpec { master: true, lease: 9, stage: FaultStage::Assemble },
-            ]
-        );
-        assert_eq!(
-            plan.msg_faults,
-            vec![
-                MsgFaultSpec { src: 1, dst: 0, tag: 3, nth: 2, delay: false, stage: FaultStage::Cluster },
-                MsgFaultSpec { src: 4, dst: 0, tag: 1, nth: 1, delay: true, stage: FaultStage::Any },
+                clause(Kill, Receipt, 500, FaultStage::Cluster),
+                clause(Kill, Grant, 9, FaultStage::Assemble),
+                clause(Drop, Report, 2, FaultStage::Cluster),
+                clause(Delay, Grant, 3, FaultStage::Any),
             ]
         );
         assert!(FaultPlan::parse(" ; ").unwrap().is_empty());
@@ -360,58 +321,49 @@ mod tests {
             ("kill:lease=2,lease=3", "repeated key"),
             ("kill:master=yes,lease=2", "master is a bare word"),
             ("kill:lease=2,stage=warp", "unknown stage"),
-            ("kill:lease=2,src=1", "a key of another clause kind"),
-            ("drop:src=1,dst=0,tag=1", "drop without nth"),
-            ("drop:src=1,dst=0,tag=1,nth=0", "nth is 1-based"),
-            ("drop:src=1,dst=0,tag=1,nth=2,stge=assemble", "misspelt key must not arm in cluster"),
-            ("drop:src=1,dst=0,tag=4294967297,nth=1", "tag must not truncate to 1"),
-            ("drop:src=1,src=2,dst=0,tag=1,nth=1", "repeated key"),
-            ("delay:src=x,dst=0,tag=1,nth=1", "src is not a rank"),
+            ("kill:lease=2,dir=grant", "dir is not a kill key"),
+            ("drop:lease=2", "drop without dir"),
+            ("drop:lease=0,dir=grant", "leases start at 1"),
+            ("drop:lease=18446744073709551616,dir=grant", "lease must not wrap"),
+            ("delay:lease=2,dir=sideways", "unknown dir"),
+            ("drop:dir=report", "drop without a lease"),
+            ("drop:lease=2,dir=report,stge=assemble", "misspelt key must not arm in cluster"),
+            ("drop:lease=2,dir=grant,dir=report", "repeated key"),
+            ("drop:master,lease=2,dir=grant", "master is a kill word"),
+            ("drop:src=1,dst=0,tag=1,nth=2", "a message is named by its lease"),
+            ("delay:lease=2,dir=grant,nth=1", "no message count"),
             ("kill:rank=2,event=500", "a kill names no rank and no event"),
-            ("kill:event=500", "a kill names a lease"),
             ("kill:any,lease=3", "no wildcard victim"),
-            ("kill:rank=0,lease=3", "the master is the bare word"),
             ("seed:42", "no choice a plan makes is random"),
-            ("delay:src=0,dst=1,tag=2,nth=2,by=40", "a delay has no duration"),
+            ("delay:lease=2,dir=grant,by=40", "a delay has no duration"),
+            ("drop:lease=2,dir=grant; delay:lease=2,dir=grant", "two clauses on one message"),
+            (
+                "kill:master,lease=4,stage=any; drop:lease=4,dir=grant,stage=assemble",
+                "the master never issues it",
+            ),
         ] {
             assert!(FaultPlan::parse(plan).is_err(), "{plan}: {why}");
         }
+        // The old message grammar names the keys that replace it.
+        let err = FaultPlan::parse("drop:src=1,dst=0,tag=1,nth=2").unwrap_err();
+        assert!(err.contains("unknown key 'src' (one of: lease, dir, stage)"), "{err}");
+        // One point of one lease, once per stage: these arm two faults.
+        assert_eq!(
+            FaultPlan::parse("drop:lease=2,dir=grant; drop:lease=2,dir=report").unwrap().clauses.len(),
+            2
+        );
+        let staged = "drop:lease=2,dir=grant; drop:lease=2,dir=grant,stage=assemble";
+        assert_eq!(FaultPlan::parse(staged).unwrap().clauses.len(), 2);
     }
 
     #[test]
     fn stage_scoping_extracts_the_right_clauses() {
         let plan = FaultPlan::parse(
-            "kill:lease=5,stage=cluster; kill:lease=6,stage=assemble; \
-             drop:src=1,dst=0,tag=1,nth=1,stage=any",
+            "kill:lease=5,stage=cluster; kill:lease=6,stage=assemble; drop:lease=1,dir=report,stage=any",
         )
         .unwrap();
-        let cluster = plan.for_stage(FaultStage::Cluster);
-        assert_eq!(cluster.kills.len(), 1);
-        assert_eq!(cluster.kills[0].lease, 5);
-        assert_eq!(cluster.msg_faults.len(), 1, "stage=any rides along");
-        let assemble = plan.for_stage(FaultStage::Assemble);
-        assert_eq!(assemble.kills.len(), 1);
-        assert_eq!(assemble.kills[0].lease, 6);
-        assert_eq!(assemble.msg_faults.len(), 1);
-    }
-
-    #[test]
-    fn runtime_drop_and_delay_match_the_nth_message_only() {
-        let plan =
-            FaultPlan::parse("drop:src=1,dst=0,tag=7,nth=2; delay:src=1,dst=0,tag=9,nth=1; kill:lease=4")
-                .unwrap();
-        let mut rt = FaultRuntime::new(&plan, 1);
-        assert!(matches!(rt.filter(0, 7), Verdict::Pass), "first match passes");
-        assert!(matches!(rt.filter(0, 7), Verdict::Drop), "second match drops");
-        assert!(matches!(rt.filter(0, 7), Verdict::Pass), "clause fires once");
-        assert!(matches!(rt.filter(2, 9), Verdict::Pass), "wrong dst passes");
-        assert!(matches!(rt.filter(0, 9), Verdict::Delay));
-        assert!(matches!(rt.filter(0, 9), Verdict::Pass), "clause fires once");
-        assert_eq!((rt.stats.msgs_dropped, rt.stats.msgs_delayed), (1, 1));
-        // Message clauses arm on their sender only; every rank holds
-        // the kill clauses.
-        let other = FaultRuntime::new(&plan, 2);
-        assert!(other.msg_faults.is_empty());
-        assert_eq!(other.kills, plan.kills);
+        let leases = |stage| plan.for_stage(stage).clauses.iter().map(|c| c.lease).collect::<Vec<_>>();
+        assert_eq!(leases(FaultStage::Cluster), vec![5, 1], "stage=any rides along");
+        assert_eq!(leases(FaultStage::Assemble), vec![6, 1]);
     }
 }

@@ -16,18 +16,18 @@
 //!   lowest live rank), barriers, and the collective §6 uses: the
 //!   *custom* `alltoallv`, `p − 1` point-to-point rounds that bound
 //!   send-buffer space to one destination at a time. A `send`
-//!   reaches the wire — or the fault plan — before it returns; nothing
-//!   is staged.
+//!   reaches the wire before it returns; nothing is staged.
 //! - [`model`] — per-rank traffic statistics and an α–β (latency ×
 //!   bandwidth) communication cost model with BlueGene/L parameters, so
 //!   experiments can report *modelled* network time next to measured
 //!   compute time, reproducing the communication/computation breakdown
 //!   of the paper's Fig. 5.
-//! - [`faults`] — deterministic failure injection: a [`FaultPlan`]
-//!   drops or delays specific messages, and carries the kill clauses
-//!   the task engine evaluates at the lease they name
-//!   ([`Comm::kills_at`], [`Comm::kill`]); failures surface to callers
-//!   as recoverable [`CommError`]s and [`Event`]s from the
+//! - [`faults`] — deterministic failure injection: a [`FaultPlan`] is
+//!   a list of clauses, each a kill, drop or delay at one point of one
+//!   lease of the task engine, which asks the plan where it handles a
+//!   lease ([`Comm::fault_at`]) and carries the clause out
+//!   ([`Comm::kill`], [`Comm::lose`], [`Comm::hold`]); failures surface
+//!   to callers as recoverable [`CommError`]s and [`Event`]s from the
 //!   point-to-point calls instead of hangs.
 //!
 //! Payloads are opaque `Vec<u8>`; their layout belongs to the
@@ -38,5 +38,5 @@ pub mod faults;
 pub mod model;
 
 pub use comm::{run, tag_label, Comm, Event, Msg};
-pub use faults::{CommError, FaultPlan, FaultStage, FaultStats};
+pub use faults::{CommError, FaultAction, FaultClause, FaultPlan, FaultPoint, FaultStage, FaultStats};
 pub use model::{thread_cpu_seconds, CommStats, CostModel};

@@ -207,11 +207,12 @@ pub const EV_ASSEMBLE_SHIP: &str = "assemble_ship";
 /// The fault plan killed this rank (instant, category `fault`; arg
 /// lease = the lease the kill clause named).
 pub const EV_FAULT_KILL: &str = "fault_kill";
-/// The fault plan discarded a message at the sender (instant,
-/// category `fault`; args dst/tag).
+/// The fault plan lost a message at its sender (instant, category
+/// `fault`; args lease, dir = 0 for the lease's grant, 1 for its
+/// report).
 pub const EV_FAULT_DROP: &str = "fault_drop";
-/// The fault plan held a message back (instant, category `fault`;
-/// args dst/tag).
+/// The fault plan held a message back at its sender (instant, category
+/// `fault`; args lease, dir as for [`EV_FAULT_DROP`]).
 pub const EV_FAULT_DELAY: &str = "fault_delay";
 /// A peer's death notice arrived (instant, category `fault`; arg peer).
 pub const EV_RANK_DEAD: &str = "rank_dead";

@@ -120,18 +120,20 @@ to inputs or parameters recomputes, and a corrupted cache file safely
 degrades to a cold run.
 --fault-plan <spec> arms deterministic failure injection on the simulated
 machine (needs --ranks): a semicolon-separated list of clauses, e.g.
-'kill:lease=3; drop:src=1,dst=0,tag=1,nth=2; delay:src=0,dst=2,tag=2,nth=1'.
+'kill:lease=3; drop:lease=5,dir=report; delay:lease=2,dir=grant'.
 Every batch of tasks the master hands out is a lease, numbered from 1
-within a stage: kill:lease=<K> kills the worker that is granted lease K,
-on receipt, before it computes or reports (which worker that is depends
-on the schedule and does not matter); kill:master,lease=<K> kills the
-master in place of issuing it. A lease the stage never issues kills
-nobody. drop loses the nth message from src to dst under tag (tag 1 = a
-worker's report, tag 2 = the master's grant); delay holds it back until
-its sender next blocks. Clauses take stage=cluster|assemble|any (default
-cluster); a clause with an unknown key, a value out of range or a rank
-outside --ranks is an error. The engine detects the death, re-queues the
-dead worker's leases, and a survivor finishes the work — the final
+within a stage, and every clause names one: kill:lease=<K> kills the
+worker that is granted lease K, on receipt, before it computes or reports
+(which worker that is depends on the schedule and does not matter);
+kill:master,lease=<K> kills the master in place of issuing it;
+drop:lease=<K>,dir=grant|report loses the master's grant of K, or the
+worker's report that retires K, on the wire; delay:lease=<K>,dir=... holds
+that message back until its sender next blocks. A lease the stage never
+issues arms nothing. Clauses take stage=cluster|assemble|any (default
+cluster); a clause with an unknown key, a value out of range, or a second
+clause at the same point of the same lease is an error. The engine
+detects the death, re-queues the dead worker's leases, and a survivor
+finishes the work — the final
 clustering and contigs are byte-identical to a fault-free run; the
 faults: line and the metrics-json faults section report dead_ranks /
 recovered_tasks / drops / delays. A lost message needs no timeout: the
@@ -324,16 +326,6 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
         return Err("--fault-plan / --checkpoint-every / --resume need --ranks <p> (p >= 2): \
                     fault tolerance lives in the distributed engine"
             .to_string());
-    }
-    // A message clause between ranks this run does not have — or from a
-    // rank to itself, which the engine never sends — would arm nothing.
-    for m in &recovery.faults.msg_faults {
-        if m.src >= ranks || m.dst >= ranks || m.src == m.dst {
-            return Err(format!(
-                "--fault-plan: src={},dst={} must be two different ranks below --ranks {ranks}",
-                m.src, m.dst
-            ));
-        }
     }
     let assembly_threads = opts.parse_or("assembly-threads", 4)?;
     if assembly_threads == 0 {

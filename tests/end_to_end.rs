@@ -326,15 +326,17 @@ fn cli_analyze_rejects_a_malformed_trace() {
 
 #[test]
 fn cli_rejects_a_fault_plan_that_would_arm_nothing() {
-    // A plan is outside input: the old grammar, a misspelt key and a
-    // message clause between ranks the run does not have are errors
-    // before any read is loaded (the reads file does not exist).
+    // A plan is outside input: the old grammars, a misspelt key, a
+    // lease that cannot exist and a message named by no direction are
+    // errors before any read is loaded (the reads file does not exist).
     for (plan, names) in [
         ("kill:rank=3,event=3", "unknown key 'rank' (one of: master, lease, stage)"),
-        ("drop:src=1,dst=0,tag=1,nth=2,stge=assemble", "unknown key 'stge'"),
-        ("drop:src=9,dst=0,tag=1,nth=2", "below --ranks 4"),
-        ("delay:src=1,dst=4,tag=1,nth=2", "below --ranks 4"),
-        ("drop:src=2,dst=2,tag=1,nth=1", "two different ranks"),
+        ("drop:lease=2,dir=report,stge=assemble", "unknown key 'stge'"),
+        ("drop:src=1,dst=0,tag=1,nth=2", "unknown key 'src' (one of: lease, dir, stage)"),
+        ("drop:lease=0,dir=grant", "lease=0 is out of range"),
+        ("delay:lease=2,dir=sideways", "unknown dir 'sideways'"),
+        ("drop:lease=2", "missing dir=grant|report"),
+        ("kill:lease=2,dir=grant", "unknown key 'dir' (one of: master, lease, stage)"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
             .args(["cluster", "--reads", "/nonexistent.fastq", "--ranks", "4", "--fault-plan", plan])

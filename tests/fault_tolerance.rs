@@ -1,14 +1,14 @@
 //! Fault-tolerance integration matrix: killing a worker at any lease of
 //! clustering or assembly leaves the final contigs byte-identical to a
-//! fault-free run, dropped/late reports are deduplicated by the
-//! lease journal, and a master kill under checkpointing resumes to the
-//! exact same output.
+//! fault-free run, a dropped grant or report is recovered and a late
+//! grant is taken once, and a master kill under checkpointing resumes
+//! to the exact same output.
 //!
-//! Every plan is written in the CLI grammar. A kill names a lease, and
-//! which leases a stage is certain to issue is read off the fault-free
-//! baseline's *output*: assembly issues one per non-singleton cluster;
-//! clustering at least ⌈merges / batch⌉, since every merge needs its
-//! own aligned pair and a lease holds at most a batch of them.
+//! Every plan is written in the CLI grammar. Every clause names a lease,
+//! and which leases a stage is certain to issue is read off the
+//! fault-free baseline's *output*: assembly issues one per non-singleton
+//! cluster; clustering at least ⌈merges / batch⌉, since every merge
+//! needs its own aligned pair and a lease holds at most a batch of them.
 
 use pgasm::align::AcceptCriteria;
 use pgasm::cluster::checkpoint::{read_checkpoint, write_checkpoint};
@@ -237,15 +237,20 @@ fn dropped_result_report_trips_liveness_and_recovers() {
         let (reads, genome) = fixture_reads(11);
         for p in [4usize, 8] {
             let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+            let lease = leases_issued("cluster", &baseline) / 2 + 1;
 
-            // Worker 1's second report (tag 1), or the grant that answers
-            // it (tag 2), vanishes on the wire. Either way the worker's
-            // lease can never be retired, so the stage comes to rest
+            // The master's grant of a middle clustering lease, or the
+            // report that retires it, vanishes on the wire. Either way
+            // that lease can never be retired, so the stage comes to rest
             // unfinished; the simulator reports it, the master declares
-            // the worker holding that lease dead and a survivor redoes the
-            // batch. The plans go through the CLI grammar on purpose.
-            for clause in ["drop:src=1,dst=0,tag=1,nth=2", "drop:src=0,dst=1,tag=2,nth=2"] {
-                let (report, run_report) = run(config(p, faults(clause)), &reads, &genome);
+            // the worker holding the lease dead and a survivor redoes its
+            // batch — a lease always carries one. The plans go through
+            // the CLI grammar on purpose, and the runs are traced: the
+            // loss is one `fault_drop` instant, on the sender's track.
+            for dir in ["grant", "report"] {
+                let clause = format!("drop:lease={lease},dir={dir}");
+                let traced = PipelineConfig { trace: TraceSpec::on(), ..config(p, faults(&clause)) };
+                let (report, run_report, trace) = run_traced(traced, &reads, &genome);
                 assert!(report.interrupted.is_none(), "{clause}, p={p}: a lost message took the master down");
                 assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}, p={p}");
                 let faults = run_report.faults.expect("faults section");
@@ -256,28 +261,46 @@ fn dropped_result_report_trips_liveness_and_recovers() {
                     "{clause}, p={p}: quiescence must declare the stuck worker dead"
                 );
                 assert!(faults.recovered_tasks > 0, "{clause}, p={p}");
+                let drops: Vec<(usize, Option<u64>)> = trace
+                    .tracks
+                    .iter()
+                    .flat_map(|t| t.events.iter().map(move |e| (t.rank, e)))
+                    .filter(|(_, e)| e.name == names::EV_FAULT_DROP)
+                    .map(|(rank, e)| (rank, e.arg("lease")))
+                    .collect();
+                assert_eq!(drops.len(), 1, "{clause}, p={p}: {drops:?}");
+                assert_eq!(drops[0].1, Some(lease), "{clause}, p={p}");
+                assert_eq!(
+                    drops[0].0 == 0,
+                    dir == "grant",
+                    "{clause}, p={p}: dropped off its sender's track"
+                );
             }
         }
     });
 }
 
 #[test]
-fn delayed_result_report_is_absorbed_once_not_twice() {
-    with_watchdog("delayed_result_report_is_absorbed_once_not_twice", SCENARIO_LIMIT, || {
+fn delayed_grant_is_taken_late_not_lost() {
+    with_watchdog("delayed_grant_is_taken_late_not_lost", SCENARIO_LIMIT, || {
         let (reads, genome) = fixture_reads(13);
         for p in [4usize, 8] {
             let (baseline, _) = run(config(p, StageRecovery::default()), &reads, &genome);
+            let lease = leases_issued("cluster", &baseline) / 2 + 1;
 
-            // Worker 1's second report is held back until the worker
-            // blocks on its answer; the lease journal retires it exactly
-            // once.
-            let (report, run_report) =
-                run(config(p, faults("delay:src=1,dst=0,tag=1,nth=2")), &reads, &genome);
-            assert!(report.interrupted.is_none(), "p={p}: a late report took the master down");
-            assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "p={p}");
+            // The master holds a middle lease's grant back until it next
+            // blocks, behind every grant it sends in between; the worker
+            // takes it late, and the journal retires the lease exactly
+            // once. A report is never delayed here: its worker's next
+            // step after sending is the blocking receive for its grant,
+            // which releases the hold, so nothing can overtake it.
+            let clause = format!("delay:lease={lease},dir=grant");
+            let (report, run_report) = run(config(p, faults(&clause)), &reads, &genome);
+            assert!(report.interrupted.is_none(), "{clause}, p={p}: a late grant took the master down");
+            assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}, p={p}");
             let faults = run_report.faults.expect("faults section");
-            assert_eq!(faults.msgs_delayed, 1, "p={p}");
-            assert_eq!(faults.dead_ranks, 0, "p={p}: a late report is not a death");
+            assert_eq!(faults.msgs_delayed, 1, "{clause}, p={p}");
+            assert_eq!(faults.dead_ranks, 0, "{clause}, p={p}: a late grant is not a death");
         }
     });
 }
