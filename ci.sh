@@ -144,30 +144,40 @@ cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_cl
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "--no-preprocess partition differs between serial and --ranks 3"; exit 1; }
 rm -f ci_reads.fastq ci_clusters.serial.txt ci_clusters.ranks3.txt
 
-echo "==> artifact-cache smoke (cold run populates, warm run hits)"
-# Serial (no --ranks) so the preprocess, GST, and contigs caches all
-# engage. The same command runs twice against a shared --cache-dir; the
-# second run must load all three artifacts (cache_hit = 3,
-# cache_miss = 0) and skip the GST build (no gst_build span).
-rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs.fasta ci.cache-cold.json ci.cache-warm.json
+echo "==> artifact-cache smoke (cold run populates, warm runs hit, serial and --ranks 3)"
+# The same command runs twice against a shared --cache-dir; the second
+# run must load all three artifacts — preprocess output, partition,
+# contigs (cache_hit = 3, cache_miss = 0) — and skip the GST build (no
+# gst_build span). The partition does not depend on the rank count, so
+# a third, --ranks 3 run over the same cache hits three times too. All
+# three write the same contigs.
+rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs*.fasta ci.cache-cold.json ci.cache-warm*.json
 cargo run --release -q --bin pgasm -- generate --kind sargasso --out ci_cache_reads.fastq --scale 0.1 --seed 11
 cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.fasta \
   --cache-dir ci_cache --metrics-json ci.cache-cold.json
 # Only buckets that can emit a pair reach the tree, so on this sparse
-# sample the stored GST is smaller than the reads it indexes (it was
-# dozens of times larger when every suffix was indexed): a filter that
+# sample at most one suffix in a hundred is indexed: a filter that
 # stopped filtering fails here.
-gst_bytes=$(stat -c %s ci_cache/gst-*.pgac)
-fastq_bytes=$(stat -c %s ci_cache_reads.fastq)
-[ "$gst_bytes" -lt "$fastq_bytes" ] || { echo "gst entry ($gst_bytes B) not smaller than its FASTQ ($fastq_bytes B)"; exit 1; }
-cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.fasta \
+enumerated=$(grep -o '"gst_suffixes_enumerated": [0-9]*' ci.cache-cold.json | grep -o '[0-9]*$' || true)
+indexed=$(grep -o '"gst_suffixes_indexed": [0-9]*' ci.cache-cold.json | grep -o '[0-9]*$' || true)
+[ -n "$enumerated" ] && [ -n "$indexed" ] && [ $((indexed * 100)) -le "$enumerated" ] \
+  || { echo "gst indexed '$indexed' of '$enumerated' enumerated suffixes: more than 1 in 100"; exit 1; }
+ls ci_cache/partition-*.pgac > /dev/null || { echo "cold run stored no partition entry"; exit 1; }
+ls ci_cache/gst-*.pgac > /dev/null 2>&1 && { echo "the pipeline must not store a gst entry"; exit 1; }
+cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.warm.fasta \
   --cache-dir ci_cache --metrics-json ci.cache-warm.json
+cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.ranks3.fasta \
+  --cache-dir ci_cache --ranks 3 --metrics-json ci.cache-warm-ranks3.json
 grep -q '"cache_miss": 3' ci.cache-cold.json || { echo "cold run should miss three times"; exit 1; }
 grep -q '"gst_build"' ci.cache-cold.json || { echo "cold run should record a gst_build span"; exit 1; }
-grep -q '"cache_hit": 3' ci.cache-warm.json || { echo "warm run should hit three times"; exit 1; }
-grep -q '"cache_miss": 3' ci.cache-warm.json && { echo "warm run must not miss"; exit 1; }
-grep -q '"gst_build"' ci.cache-warm.json && { echo "warm run must not rebuild the GST"; exit 1; }
-rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs.fasta ci.cache-cold.json ci.cache-warm.json
+for warm in ci.cache-warm.json ci.cache-warm-ranks3.json; do
+  grep -q '"cache_hit": 3' $warm || { echo "$warm: warm run should hit three times"; exit 1; }
+  grep -q '"cache_miss"' $warm && { echo "$warm: warm run must not miss"; exit 1; }
+  grep -q '"gst_build"' $warm && { echo "$warm: warm run must not rebuild the GST"; exit 1; }
+done
+cmp ci_cache_contigs.fasta ci_cache_contigs.warm.fasta || { echo "warm contigs differ from the cold run's"; exit 1; }
+cmp ci_cache_contigs.fasta ci_cache_contigs.ranks3.fasta || { echo "warm --ranks 3 contigs differ from the cold run's"; exit 1; }
+rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs*.fasta ci.cache-cold.json ci.cache-warm*.json
 
 echo "==> fault-injection smoke (kill 1 of 7 workers; contigs must not change)"
 # A deterministic kill removes the worker that is granted the first

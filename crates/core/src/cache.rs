@@ -1,16 +1,20 @@
-//! Content-addressed artifact cache for expensive pipeline stages.
+//! Content-addressed artifact cache for the pipeline's stage outputs.
 //!
-//! A cache *key* is a stable 64-bit digest of everything a stage's
-//! output depends on — input fragments, qualities, provenance, vector
-//! and repeat libraries, and the stage's parameters. Identical inputs
-//! re-running under the same parameters find their artifact on disk and
-//! skip the stage; any change to an input or parameter changes the key
-//! and the stage recomputes (a wrong *hit* would silently corrupt
-//! results, so every ambiguity resolves toward a miss).
+//! A cache *key* is a stable 64-bit [`StableHasher`] digest of
+//! everything a stage's output depends on — input fragments, qualities,
+//! provenance, vector and repeat libraries, and the stage's parameters.
+//! The pipeline keeps three kinds: the preprocess output
+//! ([`preprocess_key`]), the cluster stage's partition
+//! ([`partition_key`]) and the assembled contigs ([`contigs_key`]).
+//! Identical inputs re-running under the same parameters find their
+//! artifact on disk and skip the stage; any change to an input or
+//! parameter changes the key and the stage recomputes (a wrong *hit*
+//! would silently corrupt results, so every ambiguity resolves toward a
+//! miss).
 //!
 //! Entries are self-describing files: a versioned header (magic,
 //! container schema, artifact codec schema, kind, key, payload length,
-//! payload checksum) followed by the artifact payload in its own
+//! payload digest) followed by the artifact payload in its own
 //! [`pgasm_seq::wire`] framing — one container ([`write_entry`] /
 //! [`read_entry`]) that master checkpoints share, at a path of the
 //! caller's choosing. Loading re-verifies all of it, so a
@@ -20,6 +24,7 @@
 //! rename, so a crashed or concurrent run can leave at worst a stale
 //! temp file, not a half-written entry.
 
+use crate::clustering::{ClusterParams, CLUSTERING_REVISION};
 use pgasm_gst::GstConfig;
 use pgasm_preprocess::PreprocessConfig;
 use pgasm_seq::wire::{Reader, Writer};
@@ -34,15 +39,34 @@ pub const CACHE_MAGIC: [u8; 4] = *b"PGAC";
 
 /// Container-format version; bump when the header layout changes.
 /// Entries written by any other container version are rejected.
-pub const CACHE_CONTAINER_SCHEMA: u32 = 1;
+/// 2: the payload checksum is a [`StableHasher`] digest, not FNV-1a.
+pub const CACHE_CONTAINER_SCHEMA: u32 = 2;
 
-/// FNV-1a 64-bit — a stable, dependency-free hash whose value is
-/// identical across runs, platforms, and compiler versions (unlike
+/// A stable, dependency-free 64-bit hash whose value is identical
+/// across runs, platforms, and compiler versions (unlike
 /// `std::collections::hash_map::DefaultHasher`, which is randomly
 /// seeded per process and would make every run a miss).
+///
+/// It folds the input a little-endian 8-byte word at a time into a
+/// 128-bit state, one Feistel round per word:
+/// `(a, b) ← (b ^ fold(a ^ word), a ^ word)`, `fold` being a
+/// 64×64→128-bit multiply by an odd constant with its halves XORed.
+/// Each round is a bijection of the state, so no word can erase earlier
+/// input, and a one-bit change leaves it as a dense difference (DESIGN.md
+/// §7 says why one `(state.rotl(r) ^ word) * K` per word is not enough).
+/// A partial last word is buffered, so how the bytes are split across
+/// [`StableHasher::update`] calls never changes the digest; `finish`
+/// runs one round on the zero-padded tail and one on the byte length.
 #[derive(Debug, Clone, Copy)]
 pub struct StableHasher {
-    state: u64,
+    a: u64,
+    b: u64,
+    /// Bytes folded in so far, the buffered tail included.
+    len: u64,
+    /// The partial word awaiting its remaining bytes; zero past
+    /// `tail_len`.
+    tail: [u8; 8],
+    tail_len: usize,
 }
 
 impl Default for StableHasher {
@@ -52,20 +76,42 @@ impl Default for StableHasher {
 }
 
 impl StableHasher {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-    /// Fresh hasher at the FNV offset basis.
+    /// Fresh hasher.
     pub fn new() -> Self {
-        StableHasher { state: Self::OFFSET_BASIS }
+        StableHasher { a: 0x243f_6a88_85a3_08d3, b: 0x1319_8a2e_0370_7344, len: 0, tail: [0; 8], tail_len: 0 }
+    }
+
+    /// One Feistel round keyed by `word`.
+    #[inline]
+    fn round(&mut self, word: u64) {
+        let a = self.a ^ word;
+        let wide = a as u128 * Self::K as u128;
+        (self.a, self.b) = (self.b ^ wide as u64 ^ (wide >> 64) as u64, a);
     }
 
     /// Fold raw bytes into the state.
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(Self::PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) -> &mut Self {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = bytes.len().min(8 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return self;
+            }
+            self.round(u64::from_le_bytes(self.tail));
+            (self.tail, self.tail_len) = ([0; 8], 0);
         }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.round(u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8-byte words")));
+        }
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
         self
     }
 
@@ -86,17 +132,20 @@ impl StableHasher {
         self.update_slice(s.as_bytes())
     }
 
-    /// The digest so far.
+    /// The digest of everything folded in so far.
     pub fn finish(&self) -> u64 {
-        self.state
+        let mut h = *self;
+        h.round(u64::from_le_bytes(h.tail));
+        h.round(h.len);
+        h.a
     }
 }
 
-/// One-shot FNV-1a digest of a byte slice (payload checksums).
+/// One-shot FNV-1a 64-bit digest of a byte slice, one byte at a time.
+/// The pinned output digests of the test suite are values of this
+/// function; the cache itself hashes with [`StableHasher`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = StableHasher::new();
-    h.update(bytes);
-    h.finish()
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Publish `chunks`, concatenated, at `path` atomically: the bytes are
@@ -165,12 +214,32 @@ pub fn preprocess_key(
 }
 
 /// Cache key of a GST built over `store` (the double-stranded view the
-/// serial clustering engine constructs) with `config`.
+/// serial clustering engine constructs) with `config`. The pipeline
+/// caches the partition instead ([`partition_key`]).
 pub fn gst_key(store: &FragmentStore, config: &GstConfig) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("gst");
     update_store(&mut h, store);
     h.update_str(&format!("{config:?}"));
+    h.finish()
+}
+
+/// Cache key of the cluster stage's output: the masked single-stranded
+/// `store` it clusters, the clustering parameters (via `Debug`, so any
+/// new knob changes the key) and [`CLUSTERING_REVISION`]. The rank count
+/// is not in it: serial and distributed runs write the same partition.
+pub fn partition_key(store: &FragmentStore, params: &ClusterParams) -> u64 {
+    partition_key_at_revision(store, params, CLUSTERING_REVISION)
+}
+
+/// [`partition_key`] for the clustering at `revision`: a partition
+/// cached by one revision of the algorithm must miss under every other.
+pub fn partition_key_at_revision(store: &FragmentStore, params: &ClusterParams, revision: u32) -> u64 {
+    let mut h = StableHasher::new();
+    h.update_str("partition");
+    h.update_u64(revision as u64);
+    update_store(&mut h, store);
+    h.update_str(&format!("{params:?}"));
     h.finish()
 }
 
@@ -258,9 +327,14 @@ impl ArtifactCache {
     }
 }
 
+/// Digest of a whole payload, the container's checksum.
+fn checksum(payload: &[u8]) -> u64 {
+    StableHasher::new().update(payload).finish()
+}
+
 /// Publish `payload` at `path` as one container entry — header (magic,
-/// container schema, `schema`, `kind`, `key`, payload length, FNV-1a
-/// payload checksum), then the payload — through [`atomic_write`].
+/// container schema, `schema`, `kind`, `key`, payload length, payload
+/// [`checksum`]), then the payload — through [`atomic_write`].
 /// Returns the total bytes written. Cache entries and master
 /// checkpoints are both exactly this.
 pub fn write_entry(path: &Path, kind: &str, schema: u32, key: u64, payload: &[u8]) -> std::io::Result<u64> {
@@ -272,7 +346,7 @@ pub fn write_entry(path: &Path, kind: &str, schema: u32, key: u64, payload: &[u8
     w.put_str(kind);
     w.put_u64(key);
     w.put_u64(payload.len() as u64);
-    w.put_u64(fnv1a(payload));
+    w.put_u64(checksum(payload));
     atomic_write(path, &[&w.finish(), payload])
 }
 
@@ -291,17 +365,18 @@ pub fn read_entry(path: &Path, kind: &str, schema: u32, key: u64) -> Option<Vec<
         return None;
     }
     let payload_len = r.get_u64().ok()? as usize;
-    let checksum = r.get_u64().ok()?;
+    let stored = r.get_u64().ok()?;
     if r.remaining() != payload_len {
         return None;
     }
     let payload = r.get_raw(payload_len).ok()?.to_vec();
-    (fnv1a(&payload) == checksum).then_some(payload)
+    (checksum(&payload) == stored).then_some(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     struct TempDir(PathBuf);
 
@@ -395,9 +470,98 @@ mod tests {
         let mut b = StableHasher::new();
         b.update_str("a").update_str("bc");
         assert_ne!(a.finish(), b.finish(), "length prefixes must disambiguate");
-        // Known FNV-1a vector: empty input hashes to the offset basis.
-        assert_eq!(StableHasher::new().finish(), 0xcbf2_9ce4_8422_2325);
+        // Known answer: the digest of the empty input.
+        assert_eq!(StableHasher::new().finish(), 0xa9da_a8eb_9869_23f4);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    #[test]
+    fn stable_hasher_known_answers() {
+        let word: Vec<u8> = (1..=8).collect();
+        assert_eq!(checksum(b""), 0xa9da_a8eb_9869_23f4);
+        assert_eq!(checksum(&word), 0x0a34_100a_5dcc_e3e7);
+        // A lone tail of 1–7 bytes: no whole word at all.
+        let tails = [
+            0x867a_2727_f134_8760,
+            0x6680_3c43_2d2f_be6b,
+            0xacd1_3f9c_c33d_f19d,
+            0xad61_8b0a_a9a0_a81b,
+            0x4933_eb67_baf8_045a,
+            0xe850_de46_9b58_bb17,
+            0xab3f_f334_37bf_6827,
+        ];
+        for (k, &want) in tails.iter().enumerate() {
+            assert_eq!(checksum(&word[..k + 1]), want, "tail of {} bytes", k + 1);
+        }
+        let mb: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        assert_eq!(checksum(&mb), 0x091f_e6c7_2524_9474);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tail buffer makes `update` calls a stream: however the
+        /// same bytes are cut up, the digest is the one-shot digest.
+        #[test]
+        fn any_split_of_the_input_gives_the_same_checksum(
+            bytes in prop::collection::vec(any::<u8>(), 0..80),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = StableHasher::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                h.update(&bytes[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(h.finish(), checksum(&bytes));
+        }
+    }
+
+    /// No two of these inputs share a digest: every ten-mer over the
+    /// four code bytes, and every one-bit flip of a 4 KB buffer.
+    #[test]
+    fn ten_mers_and_one_bit_flips_do_not_collide() {
+        fn distinct(mut digests: Vec<u64>) {
+            let n = digests.len();
+            digests.sort_unstable();
+            digests.dedup();
+            assert_eq!(digests.len(), n, "{} collisions", n - digests.len());
+        }
+        distinct(
+            (0..1u32 << 20)
+                .map(|m| checksum(&std::array::from_fn::<u8, 10, _>(|i| (m >> (2 * i) & 3) as u8)))
+                .collect(),
+        );
+        let buffer: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(40_503) >> 7) as u8).collect();
+        let mut digests = vec![checksum(&buffer)];
+        let mut flipped = buffer.clone();
+        for bit in 0..buffer.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            digests.push(checksum(&flipped));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        distinct(digests);
+    }
+
+    #[test]
+    fn entries_written_under_container_schema_1_miss() {
+        // The previous container: the same header, an FNV-1a checksum.
+        let tmp = TempDir::new("schema1");
+        let cache = ArtifactCache::open(&tmp.0).unwrap();
+        let payload = b"an artifact from an older build";
+        let mut w = Writer::new();
+        for m in CACHE_MAGIC {
+            w.put_u8(m);
+        }
+        w.put_u32(1).put_u32(4).put_str("partition").put_u64(11);
+        w.put_u64(payload.len() as u64).put_u64(fnv1a(payload));
+        atomic_write(&cache.entry_path("partition", 11), &[&w.finish(), payload]).unwrap();
+        assert!(cache.load("partition", 4, 11).is_none());
+        // The same entry rewritten by this build loads.
+        cache.store("partition", 4, 11, payload).unwrap();
+        assert_eq!(cache.load("partition", 4, 11), Some(payload.to_vec()));
     }
 
     #[test]

@@ -199,6 +199,12 @@ impl<'s> PairDecider<'s> {
     }
 }
 
+/// Revision of the clustering algorithm, part of the partition cache
+/// key ([`crate::cache::partition_key`]): bump it whenever a change
+/// makes the same fragments and [`ClusterParams`] cluster differently,
+/// so partitions an older build cached miss instead of standing in.
+pub const CLUSTERING_REVISION: u32 = 1;
+
 /// Serial clustering of `store` (single-stranded input fragments).
 /// Returns the clustering and the work statistics.
 pub fn cluster_serial(store: &FragmentStore, params: &ClusterParams) -> (Clustering, ClusterStats) {
@@ -206,17 +212,16 @@ pub fn cluster_serial(store: &FragmentStore, params: &ClusterParams) -> (Cluster
 }
 
 /// As [`cluster_serial`], optionally reusing a GST already built over
-/// `store.with_reverse_complements()` — e.g. one loaded from the
-/// artifact cache. The prebuilt tree must match the parameters and the
-/// store it claims to index; a mismatch is a caller bug (a wrong tree
-/// would silently produce a wrong clustering), so it panics.
+/// `store.with_reverse_complements()`. The prebuilt tree must match the
+/// parameters and the store it claims to index; a mismatch is a caller
+/// bug (a wrong tree would silently produce a wrong clustering), so it
+/// panics.
 pub fn cluster_serial_with_gst(
     store: &FragmentStore,
     params: &ClusterParams,
     prebuilt: Option<Gst>,
 ) -> (Clustering, ClusterStats) {
     assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
-    let n = store.num_fragments();
     let ds = store.with_reverse_complements();
     let gst = match prebuilt {
         Some(g) => {
@@ -226,14 +231,24 @@ pub fn cluster_serial_with_gst(
         }
         None => Gst::build(&ds, params.gst),
     };
+    cluster_over_gst(&ds, gst, params)
+}
+
+/// The serial engine proper: cluster the fragments of the
+/// double-stranded store `ds` from the pairs of `gst`, built over it.
+pub(crate) fn cluster_over_gst(
+    ds: &FragmentStore,
+    gst: Gst,
+    params: &ClusterParams,
+) -> (Clustering, ClusterStats) {
     let canonical = params.canonical_strands;
     let generator = PairGenerator::new(gst, params.mode, move |a, b| {
         same_fragment_skip(a, b) || (canonical && canonical_skip(a, b))
     });
-    let decider = PairDecider { store: &ds, params: *params };
+    let decider = PairDecider { store: ds, params: *params };
     let mut scratch = decider.new_scratch();
     let mut stats = ClusterStats::default();
-    let mut uf = UnionFind::new(n);
+    let mut uf = UnionFind::new(ds.num_fragments());
     for pair in generator {
         stats.generated += 1;
         let (fa, fb) = decider.fragments_of(&pair);

@@ -34,7 +34,8 @@
 //!   per-cluster assembly, with the summary statistics §8 reports.
 //! - [`cache`] — content-addressed per-stage artifact cache: repeated
 //!   runs over identical inputs and parameters reload the preprocess
-//!   output and the serial GST from disk instead of recomputing them.
+//!   output, the partition and the contigs from disk instead of
+//!   recomputing them.
 //! - [`checkpoint`] — fault tolerance: per-stage recovery knobs
 //!   ([`checkpoint::StageRecovery`]) and atomic master checkpoint
 //!   snapshots so `pgasm --resume` can restart a killed run from the
@@ -59,6 +60,7 @@ pub use cache::{ArtifactCache, StableHasher};
 pub use checkpoint::StageRecovery;
 pub use clustering::{
     cluster_exhaustive, cluster_serial, cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering,
+    CLUSTERING_REVISION,
 };
 pub use engine::{EngineConfig, MasterReport, RunOpts, Task, TaskSink, TaskSource, WorkerReport};
 pub use master_worker::{cluster_parallel, cluster_parallel_with, MasterWorkerConfig, ParallelClusterReport};

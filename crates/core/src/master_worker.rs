@@ -64,7 +64,9 @@ pub struct ParallelClusterReport {
     pub stats: ClusterStats,
     /// Per-rank GST construction reports.
     pub gst_reports: Vec<RankGstReport>,
-    /// Wall-clock seconds of the GST phase (max over ranks).
+    /// Wall-clock seconds of the GST phase: the longest rank's
+    /// pre-phase window, closing barrier included. (Each rank's thread-CPU
+    /// share is its report's `compute_seconds`.)
     pub gst_seconds: f64,
     /// Wall-clock seconds of the clustering phase (max over ranks).
     pub cluster_seconds: f64,
@@ -148,6 +150,7 @@ pub fn cluster_parallel_with(
     };
     let run = run_stage(p, &spec, opts, &client);
 
+    let gst_seconds = run.pre_seconds.iter().copied().fold(0.0, f64::max);
     let mut gst_reports = Vec::with_capacity(p);
     let mut result = None;
     for ((mut gst_report, rank_result), gst_wall) in run.outputs.into_iter().zip(run.pre_seconds) {
@@ -161,7 +164,7 @@ pub fn cluster_parallel_with(
     ParallelClusterReport {
         clustering,
         stats,
-        gst_seconds: gst_reports.iter().map(|r| r.compute_seconds).fold(0.0, f64::max),
+        gst_seconds,
         gst_reports,
         cluster_seconds: run.seconds,
         worker_idle_fraction: run.worker_idle_fraction,

@@ -8,11 +8,11 @@
 use crate::assemble_dist::{assemble_parallel_with, decode_assembly, encode_assembly, AssignPolicy};
 use crate::cache::{self, ArtifactCache};
 use crate::checkpoint::StageRecovery;
-use crate::clustering::{cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering};
+use crate::clustering::{cluster_over_gst, ClusterParams, ClusterStats, Clustering};
 use crate::engine::RunOpts;
 use crate::master_worker::{cluster_parallel_with, MasterWorkerConfig};
 use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig};
-use pgasm_gst::{Gst, GstStats, GST_CODEC_SCHEMA};
+use pgasm_gst::{Gst, GstStats};
 use pgasm_mpisim::FaultStage;
 use pgasm_preprocess::pipeline::PreprocessOutput;
 use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCESS_CODEC_SCHEMA};
@@ -46,8 +46,8 @@ pub struct PipelineConfig {
     pub trace: TraceSpec,
     /// Directory for the content-addressed artifact cache; `None`
     /// disables caching. Repeated runs over identical inputs and
-    /// parameters reload the preprocess output, (serial runs) the GST,
-    /// and the assembled contigs from here instead of recomputing them.
+    /// parameters reload the preprocess output, the partition, and the
+    /// assembled contigs from here instead of recomputing them.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Fault tolerance of the distributed stages: failures to inject,
     /// checkpoint cadence, the snapshot to resume from. Its two paths
@@ -157,6 +157,67 @@ fn decode_contigs(payload: &[u8]) -> Option<Vec<Assembly>> {
     let out = (0..r.get_u32().ok()?).map(|_| decode_assembly(&mut r)).collect::<Result<_, _>>().ok()?;
     r.expect_end().ok()?;
     Some(out)
+}
+
+/// Artifact codec schema of the `partition` cache kind; bump on any
+/// layout change so stale entries read as misses.
+pub const PARTITION_CODEC_SCHEMA: u32 = 1;
+
+/// Serialize the cluster stage's output for the artifact cache: the
+/// five [`ClusterStats`] tallies and the three [`GstStats`] counts a run
+/// reports, then the clusters as member lists.
+fn encode_partition(clustering: &Clustering, stats: &ClusterStats, gst: &GstStats) -> Vec<u8> {
+    let members: usize = clustering.clusters.iter().map(Vec::len).sum();
+    let mut w = Writer::with_capacity(4 * (members + clustering.clusters.len()) + 72);
+    for v in [stats.generated, stats.aligned, stats.accepted, stats.merges, stats.dp_cells] {
+        w.put_u64(v);
+    }
+    for v in [gst.enumerated, gst.suffixes, gst.nodes] {
+        w.put_u64(v as u64);
+    }
+    w.put_u32(checked_len(clustering.clusters.len()));
+    for cluster in &clustering.clusters {
+        w.put_u32_slice(cluster);
+    }
+    w.finish()
+}
+
+/// Inverse of [`encode_partition`] for a store of `n` fragments. `None`
+/// — a miss, never a panic — unless the payload is a partition of
+/// exactly those fragments in the engine's own order: every id below
+/// `n` in exactly one cluster, members ascending, clusters ordered by
+/// their smallest member.
+fn decode_partition(payload: &[u8], n: usize) -> Option<(Clustering, ClusterStats, GstStats)> {
+    let mut r = Reader::new(payload);
+    let mut tallies = [0u64; 8];
+    for v in &mut tallies {
+        *v = r.get_u64().ok()?;
+    }
+    let [generated, aligned, accepted, merges, dp_cells, enumerated, suffixes, nodes] = tallies;
+    let stats = ClusterStats { generated, aligned, accepted, merges, dp_cells };
+    let gst = GstStats {
+        enumerated: enumerated as usize,
+        suffixes: suffixes as usize,
+        nodes: nodes as usize,
+        ..GstStats::default()
+    };
+    let mut seen = vec![false; n];
+    let mut clusters: Vec<Vec<u32>> = Vec::new();
+    for _ in 0..r.get_u32().ok()? {
+        let members = r.get_u32_slice().ok()?;
+        let smallest = *members.first()?;
+        if !members.windows(2).all(|m| m[0] < m[1]) || clusters.last().is_some_and(|c| c[0] >= smallest) {
+            return None;
+        }
+        for &m in &members {
+            if std::mem::replace(seen.get_mut(m as usize)?, true) {
+                return None;
+            }
+        }
+        clusters.push(members);
+    }
+    r.expect_end().ok()?;
+    seen.iter().all(|&s| s).then_some((Clustering { clusters }, stats, gst))
 }
 
 /// What preprocessing hands on: a [`PreprocessOutput`] whose parts a
@@ -311,33 +372,52 @@ impl Run<'_> {
 
     /// Cluster the masked fragments: the serial engine, or the
     /// master–worker runtime on `parallel_ranks` (per-rank channels,
-    /// phase sub-spans measured on rank-local clocks).
+    /// phase sub-spans measured on rank-local clocks). A warm cache skips
+    /// the whole stage: the partition is a function of the fragments and
+    /// the parameters — the key — and not of the rank count, so a serial
+    /// run's entry serves a distributed one and the other way round.
     fn cluster(&mut self, store: &FragmentStore) -> (Clustering, ClusterStats) {
-        let params = &self.config.cluster;
-        let (clustering, stats, gst) = match self.config.parallel_ranks {
-            Some(p) => {
-                let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
-                let r = cluster_parallel_with(store, p, params, &self.config.master_worker, &opts);
-                let phases = [
-                    ("gst_build", r.gst_seconds, r.gst_seconds),
-                    ("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum()),
-                ];
-                self.fold(&phases, r.ranks, r.traces, r.killed);
-                let mut gst = GstStats::default();
-                for rank in &r.gst_reports {
-                    gst.enumerated += rank.gst.enumerated;
-                    gst.suffixes += rank.gst.suffixes;
-                    gst.nodes += rank.gst.nodes;
+        let params = self.config.cluster;
+        let key = self.cache.as_ref().map(|_| cache::partition_key(store, &params));
+        let n = store.num_fragments();
+        let cached =
+            self.load("partition", PARTITION_CODEC_SCHEMA, key, |payload| decode_partition(payload, n));
+        let (clustering, stats, gst) = cached.unwrap_or_else(|| {
+            let (clustering, stats, gst) = match self.config.parallel_ranks {
+                Some(p) => {
+                    let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
+                    let r = cluster_parallel_with(store, p, &params, &self.config.master_worker, &opts);
+                    let gst_cpu = r.gst_reports.iter().map(|g| g.compute_seconds).sum();
+                    let phases = [
+                        ("gst_build", r.gst_seconds, gst_cpu),
+                        ("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum()),
+                    ];
+                    self.fold(&phases, r.ranks, r.traces, r.killed);
+                    let mut gst = GstStats::default();
+                    for rank in &r.gst_reports {
+                        gst.enumerated += rank.gst.enumerated;
+                        gst.suffixes += rank.gst.suffixes;
+                        gst.nodes += rank.gst.nodes;
+                    }
+                    (r.clustering, r.stats, gst)
                 }
-                (r.clustering, r.stats, gst)
+                None => {
+                    // One double-stranded view serves the tree and the engine.
+                    let ds = store.with_reverse_complements();
+                    let gst = self.ctx.scope("gst_build", |_| Gst::build(&ds, params.gst));
+                    let gst_stats = gst.stats();
+                    let (clustering, stats) = cluster_over_gst(&ds, gst, &params);
+                    (clustering, stats, gst_stats)
+                }
+            };
+            // A killed master's partition is partial — never cache it.
+            if !self.killed {
+                self.store("partition", PARTITION_CODEC_SCHEMA, key, || {
+                    encode_partition(&clustering, &stats, &gst)
+                });
             }
-            None => {
-                let gst = self.serial_gst(store);
-                let gst_stats = gst.stats();
-                let (clustering, stats) = cluster_serial_with_gst(store, params, Some(gst));
-                (clustering, stats, gst_stats)
-            }
-        };
+            (clustering, stats, gst)
+        });
         for (name, value) in stats.counters().into_iter().chain([
             // How much of the input reached the tree.
             (names::GST_SUFFIXES_ENUMERATED, gst.enumerated as u64),
@@ -351,27 +431,6 @@ impl Run<'_> {
             self.ctx.set(name, value);
         }
         (clustering, stats)
-    }
-
-    /// The GST of a serial run, built under a `gst_build` span — or,
-    /// from a cached run's valid entry for this exact fragment set and
-    /// GST parameters, loaded (no `gst_build` span: the report tells
-    /// warm from cold); a tree that had to be built is stored.
-    fn serial_gst(&mut self, store: &FragmentStore) -> Gst {
-        let config = self.config.cluster.gst;
-        let ds = store.with_reverse_complements();
-        let key = self.cache.as_ref().map(|_| cache::gst_key(&ds, &config));
-        // Decode checks internal consistency; the entry must also be
-        // *for* this store and parameters (the key already encodes both
-        // — this guards hash collisions and hand-edited files).
-        let cached = self.load("gst", GST_CODEC_SCHEMA, key, |payload| {
-            Gst::decode(payload).ok().filter(|g| g.config() == config && g.num_seqs() == ds.num_seqs())
-        });
-        cached.unwrap_or_else(|| {
-            let gst = self.ctx.scope("gst_build", |_| Gst::build(&ds, config));
-            self.store("gst", GST_CODEC_SCHEMA, key, || gst.encode());
-            gst
-        })
     }
 
     /// Assemble every non-singleton cluster over the soft-masked
@@ -713,6 +772,33 @@ mod tests {
         // The assemble stage records its phase sub-span.
         let assemble = run.span("assemble").unwrap();
         assert!(assemble.find("assemble/dist_assemble").is_some());
+    }
+
+    #[test]
+    fn partition_payloads_decode_only_as_a_partition_of_the_store() {
+        let clustering = Clustering { clusters: vec![vec![0, 2, 3], vec![1], vec![4, 5]] };
+        let stats = ClusterStats { generated: 9, aligned: 5, accepted: 3, merges: 3, dp_cells: 1234 };
+        let gst = GstStats { enumerated: 600, suffixes: 40, nodes: 70, ..GstStats::default() };
+        let payload = encode_partition(&clustering, &stats, &gst);
+        let (back, back_stats, back_gst) = decode_partition(&payload, 6).expect("round trip");
+        assert_eq!((back, back_stats), (clustering, stats));
+        assert_eq!((back_gst.enumerated, back_gst.suffixes, back_gst.nodes), (600, 40, 70));
+        // The partition of another store's fragments.
+        assert!(decode_partition(&payload, 5).is_none(), "an id of at least n");
+        assert!(decode_partition(&payload, 7).is_none(), "a fragment in no cluster");
+        let misses = |clusters: Vec<Vec<u32>>| {
+            decode_partition(&encode_partition(&Clustering { clusters }, &stats, &gst), 6).is_none()
+        };
+        assert!(misses(vec![vec![0, 2, 3], vec![1, 4], vec![4, 5]]), "an id in two clusters");
+        assert!(misses(vec![vec![0, 3, 2], vec![1], vec![4, 5]]), "members out of order");
+        assert!(misses(vec![vec![0, 2, 3], vec![4, 5], vec![1]]), "clusters out of order");
+        assert!(misses(vec![vec![0, 1, 2, 3], vec![], vec![4, 5]]), "an empty cluster");
+        for cut in 0..payload.len() {
+            assert!(decode_partition(&payload[..cut], 6).is_none(), "cut at {cut}");
+        }
+        let mut long = payload;
+        long.push(0);
+        assert!(decode_partition(&long, 6).is_none(), "a trailing byte");
     }
 
     #[test]

@@ -113,8 +113,9 @@ categories; spans, instants and gauge counters) and writes Chrome
 trace-event JSON — open it at ui.perfetto.dev, one track per rank for
 the whole run plus the pipeline's own. --cache-dir <dir> enables the
 content-addressed artifact cache: a repeated run over the same reads and
-parameters reloads the preprocess output and (serial runs) the GST from
-<dir> instead of recomputing them — the cache_hit / cache_miss /
+parameters reloads the preprocess output, the partition and the contigs
+from <dir> instead of recomputing them, whatever --ranks either run
+used — the cache_hit / cache_miss /
 cache_bytes_* counters in --metrics-json show what happened; any change
 to inputs or parameters recomputes, and a corrupted cache file safely
 degrades to a cold run.

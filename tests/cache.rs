@@ -1,5 +1,6 @@
 //! Artifact-cache integration: cold runs populate the cache, warm runs
-//! reload the preprocess output and GST with byte-identical contigs,
+//! reload the preprocess output, the partition and the contigs with
+//! byte-identical results — whatever the rank count of either run —
 //! parameter changes invalidate exactly the affected entries, and
 //! corrupted cache files degrade to a cold run instead of wrong output.
 
@@ -77,6 +78,15 @@ fn run(config: PipelineConfig, reads: &ReadSet, genome: &Genome) -> (PipelineRep
     (report, ctx.finish())
 }
 
+/// The run's counters, less the cache's own traffic.
+fn work_counters(run: &RunReport) -> Vec<(String, u64)> {
+    run.counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("cache_"))
+        .map(|(n, &v)| (n.clone(), v))
+        .collect()
+}
+
 /// Every contig of every assembly, as raw ASCII — byte-level equality.
 fn contig_bytes(report: &PipelineReport) -> Vec<Vec<u8>> {
     report.assemblies.iter().flat_map(|a| a.contigs.iter().map(|c| c.seq.to_ascii())).collect()
@@ -96,8 +106,9 @@ fn warm_run_hits_cache_with_byte_identical_contigs() {
     assert!(cold_run.span("cluster").unwrap().find("cluster/gst_build").is_some());
 
     let (warm, warm_run) = run(cached_config(&dir.0), &reads, &genome);
-    // Warm: preprocess + GST + contigs all load; nothing is recomputed
-    // or rewritten — the assemble stage is skipped outright.
+    // Warm: preprocess + partition + contigs all load; nothing is
+    // recomputed or rewritten — the cluster and assemble stages are
+    // skipped outright.
     assert_eq!(warm_run.counter(names::CACHE_HIT), 3);
     assert_eq!(warm_run.counter(names::CACHE_MISS), 0);
     assert_eq!(warm_run.counter(names::CACHE_BYTES_WRITTEN), 0);
@@ -106,6 +117,9 @@ fn warm_run_hits_cache_with_byte_identical_contigs() {
         warm_run.span("cluster").unwrap().find("cluster/gst_build").is_none(),
         "warm run must not rebuild the GST"
     );
+    // The artifacts carry their stages' tallies: the warm report counts
+    // the work the cold run did.
+    assert_eq!(work_counters(&warm_run), work_counters(&cold_run));
 
     assert_eq!(warm.clustering, cold.clustering);
     assert_eq!(warm.preprocess, cold.preprocess);
@@ -136,31 +150,32 @@ fn params_change_recomputes_affected_stage() {
     let (_, cold_run) = run(cached_config(&dir.0), &reads, &genome);
     assert_eq!(cold_run.counter(names::CACHE_MISS), 3);
 
-    // A GST parameter change invalidates the GST entry only: the
-    // preprocess artifact still hits.
+    // A clustering parameter change invalidates the partition entry
+    // only: the preprocess artifact still hits.
     let mut config = cached_config(&dir.0);
     config.cluster.gst.psi = 22;
     let (_, run1) = run(config, &reads, &genome);
     assert_eq!(run1.counter(names::CACHE_HIT), 1, "preprocess should still hit");
-    // The psi change cascades past the GST: the clustering it yields
-    // differs, so the contigs entry (keyed on the clustering) misses
-    // along with the tree.
-    assert_eq!(run1.counter(names::CACHE_MISS), 2, "gst and contigs must recompute");
+    // The psi change cascades past the partition: the clustering it
+    // yields differs, so the contigs entry (keyed on the clustering)
+    // misses along with it.
+    assert_eq!(run1.counter(names::CACHE_MISS), 2, "partition and contigs must recompute");
 
     // A preprocess parameter change always invalidates the preprocess
-    // entry. The GST entry is content-addressed on the preprocess
+    // entry. The partition entry is content-addressed on the preprocess
     // *output*, not its parameters: this tweak (min run 40 → 60)
     // rejects no additional fragments, so the fragment set — and the
-    // GST key — is unchanged and the tree still reloads.
+    // partition key — is unchanged and the partition still reloads.
     let mut config = cached_config(&dir.0);
     config.preprocess =
         Some(PreprocessConfig { stat_repeats: None, min_unmasked_run: 60, ..Default::default() });
     let (rep2, run2) = run(config, &reads, &genome);
     assert_eq!(run2.counter(names::CACHE_MISS), 1, "preprocess must recompute");
-    assert_eq!(run2.counter(names::CACHE_HIT), 2, "unchanged output keeps the GST and contigs warm");
+    assert_eq!(run2.counter(names::CACHE_HIT), 2, "unchanged output keeps the partition and contigs warm");
 
     // A preprocess change that *does* alter the surviving set cascades:
-    // the GST keys off a different fragment digest and recomputes too.
+    // the partition keys off a different fragment digest and recomputes
+    // too.
     let mut config = cached_config(&dir.0);
     config.preprocess =
         Some(PreprocessConfig { stat_repeats: None, min_unmasked_run: 100_000, ..Default::default() });
@@ -182,14 +197,19 @@ fn truncated_cache_files_degrade_to_cold_run() {
     let (cold, _) = run(cached_config(&dir.0), &reads, &genome);
 
     // Truncate every cache entry to half its size.
-    let mut entries = 0;
+    let mut kinds = Vec::new();
     for entry in std::fs::read_dir(&dir.0).unwrap() {
         let path = entry.unwrap().path();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        entries += 1;
+        kinds.push(path.file_name().unwrap().to_string_lossy().split('-').next().unwrap().to_string());
     }
-    assert_eq!(entries, 3, "expected preprocess, gst, and contigs entries");
+    kinds.sort();
+    assert_eq!(
+        kinds,
+        ["contigs", "partition", "preprocess"],
+        "expected preprocess, partition, and contigs entries"
+    );
 
     // The run must neither panic nor trust the damaged entries — full
     // recompute, identical results, and repaired cache files.
@@ -240,37 +260,102 @@ fn assembler_revision_is_part_of_the_contigs_key() {
 }
 
 #[test]
-fn gst_entries_key_on_psi_and_on_the_codec_schema() {
-    use pgasm::cluster::cache::{gst_key, ArtifactCache};
-    use pgasm::gst::GST_CODEC_SCHEMA;
+fn partition_entries_key_on_the_cluster_params_and_on_the_codec_schema() {
+    use pgasm::cluster::cache::{partition_key, partition_key_at_revision, ArtifactCache};
+    use pgasm::cluster::pipeline::PARTITION_CODEC_SCHEMA;
+    use pgasm::cluster::CLUSTERING_REVISION;
+    use pgasm::gst::GenMode;
 
-    let dir = CacheDir::new("gst-schema");
+    let dir = CacheDir::new("partition-schema");
     let (reads, genome) = fixture_reads(13);
-    // Same reads, ψ 16 vs 20: a different forest, a different key.
-    let ds = reads.to_store().with_reverse_complements();
-    assert_ne!(gst_key(&ds, &GstConfig { psi: 16 }), gst_key(&ds, &GstConfig { psi: 20 }));
+    // Same fragments: ψ, the acceptance criteria, the band, the pair
+    // generation mode and the algorithm's revision each change the key.
+    let store = reads.to_store();
+    let params = cached_config(&dir.0).cluster;
+    let key = partition_key(&store, &params);
+    assert_eq!(key, partition_key_at_revision(&store, &params, CLUSTERING_REVISION));
+    for other in [
+        ClusterParams { gst: GstConfig { psi: params.gst.psi + 2 }, ..params },
+        ClusterParams {
+            criteria: AcceptCriteria { min_overlap: params.criteria.min_overlap + 5, ..params.criteria },
+            ..params
+        },
+        ClusterParams { band: params.band + 1, ..params },
+        ClusterParams { mode: GenMode::AllMatches, ..params },
+    ] {
+        assert_ne!(partition_key(&store, &other), key, "{other:?}");
+    }
+    assert_ne!(partition_key_at_revision(&store, &params, CLUSTERING_REVISION + 1), key);
 
     // An entry under this run's own key but written by the previous
-    // codec schema (every suffix indexed, `w` in the header) is ignored,
-    // not trusted: the tree is rebuilt and the entry replaced.
+    // codec schema is ignored, not trusted: the stage reruns and the
+    // entry is replaced.
     let (cold, _) = run(cached_config(&dir.0), &reads, &genome);
     let entry = std::fs::read_dir(&dir.0)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .find(|name| name.starts_with("gst-"))
-        .expect("the cold run stored a gst entry");
-    let key = u64::from_str_radix(&entry["gst-".len()..entry.len() - ".pgac".len()], 16).unwrap();
+        .find(|name| name.starts_with("partition-"))
+        .expect("the cold run stored a partition entry");
+    let key = u64::from_str_radix(&entry["partition-".len()..entry.len() - ".pgac".len()], 16).unwrap();
     let cache = ArtifactCache::open(&dir.0).unwrap();
-    let payload = cache.load("gst", GST_CODEC_SCHEMA, key).expect("current entry loads");
-    cache.store("gst", GST_CODEC_SCHEMA - 1, key, &payload).unwrap();
-    assert!(cache.load("gst", GST_CODEC_SCHEMA, key).is_none());
+    let payload = cache.load("partition", PARTITION_CODEC_SCHEMA, key).expect("current entry loads");
+    cache.store("partition", PARTITION_CODEC_SCHEMA - 1, key, &payload).unwrap();
+    assert!(cache.load("partition", PARTITION_CODEC_SCHEMA, key).is_none());
 
     let (again, again_run) = run(cached_config(&dir.0), &reads, &genome);
     assert_eq!(again_run.counter(names::CACHE_HIT), 2, "preprocess and contigs still hit");
-    assert_eq!(again_run.counter(names::CACHE_MISS), 1, "the stale gst entry must miss");
+    assert_eq!(again_run.counter(names::CACHE_MISS), 1, "the stale partition entry must miss");
     assert!(again_run.span("cluster").unwrap().find("cluster/gst_build").is_some());
     assert_eq!(again.clustering, cold.clustering);
-    assert_eq!(cache.load("gst", GST_CODEC_SCHEMA, key), Some(payload));
+    assert_eq!(cache.load("partition", PARTITION_CODEC_SCHEMA, key), Some(payload));
+}
+
+/// A partition does not depend on the rank count, so one run's entries
+/// serve the other: serial cold then `--ranks 3` warm, and the reverse.
+#[test]
+fn serial_and_distributed_runs_share_the_cache() {
+    let (reads, genome) = fixture_reads(14);
+    for (tag, cold_ranks, warm_ranks) in [("serial-first", None, Some(3)), ("ranks-first", Some(3), None)] {
+        let dir = CacheDir::new(tag);
+        let (cold, _) =
+            run(PipelineConfig { parallel_ranks: cold_ranks, ..cached_config(&dir.0) }, &reads, &genome);
+        let (warm, warm_run) =
+            run(PipelineConfig { parallel_ranks: warm_ranks, ..cached_config(&dir.0) }, &reads, &genome);
+        assert_eq!(warm_run.counter(names::CACHE_HIT), 3, "{tag}");
+        assert_eq!(warm_run.counter(names::CACHE_MISS), 0, "{tag}");
+        assert_eq!(warm.clustering, cold.clustering, "{tag}");
+        assert_eq!(contig_bytes(&warm), contig_bytes(&cold), "{tag}");
+        assert!(!contig_bytes(&cold).is_empty(), "fixture must assemble something");
+    }
+}
+
+/// A master the fault plan kills leaves a partial clustering: the stage
+/// stores nothing, and the next run clusters afresh.
+#[test]
+fn a_killed_masters_partition_is_never_cached() {
+    use pgasm::cluster::StageRecovery;
+    use pgasm::mpisim::FaultPlan;
+
+    let dir = CacheDir::new("killed");
+    let (reads, genome) = fixture_reads(15);
+    let (clean, _) = run(PipelineConfig { cache_dir: None, ..cached_config(&dir.0) }, &reads, &genome);
+    let killed = PipelineConfig {
+        parallel_ranks: Some(3),
+        recovery: StageRecovery {
+            faults: FaultPlan::parse("kill:master,lease=1,stage=cluster").expect("grammar"),
+            ..StageRecovery::default()
+        },
+        ..cached_config(&dir.0)
+    };
+    let (partial, _) = run(killed, &reads, &genome);
+    assert_eq!(partial.interrupted.as_deref(), Some("cluster"));
+    let entries: Vec<String> =
+        std::fs::read_dir(&dir.0).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+    assert!(entries.iter().all(|name| name.starts_with("preprocess-")), "{entries:?}");
+
+    let (again, again_run) = run(cached_config(&dir.0), &reads, &genome);
+    assert_eq!(again_run.counter(names::CACHE_HIT), 1, "only the preprocess output was stored");
+    assert_eq!(again.clustering, clean.clustering);
 }
 
 /// Names a reader of `--metrics-json` / `--trace-json` can see: span

@@ -13,7 +13,7 @@ use pgasm::seq::FragmentStore;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::telemetry::analyze::{self, ATrack};
-use pgasm::telemetry::{names, Json, RunContext, RunReport, Trace, TraceSpec};
+use pgasm::telemetry::{names, Json, RunContext, RunReport, Trace, TraceKind, TraceSpec};
 
 fn test_reads(seed: u64, n: usize) -> pgasm::simgen::ReadSet {
     let genome = Genome::generate(
@@ -161,6 +161,27 @@ fn event_blocked_time_matches_wait_ns_accounting() {
     let ratio = event_blocked as f64 / counter_blocked as f64;
     assert!(ratio < 1.05, "event-derived blocked time off by {:.2}% (> 5%)", (ratio - 1.0) * 100.0);
     assert_eq!(doc.dropped_events(), 0, "default capacity overran");
+}
+
+/// The GST phase's reported wall bounds what the ranks traced of it:
+/// each rank's window from its `gst_count` begin to its `gst_build` end
+/// lies inside its pre-phase, and `gst_seconds` is the longest of those.
+#[test]
+fn gst_seconds_is_wall_time_covering_every_ranks_gst_window() {
+    let store = test_reads(31, 160).to_store();
+    let report = cluster_traced(&store, 3, TraceSpec::on());
+    for track in &report.traces {
+        let at = |kind, name| {
+            track.events.iter().find(|e| e.kind == kind && e.name == name).map(|e| e.ts_ns).unwrap()
+        };
+        let window = at(TraceKind::End, names::EV_GST_BUILD) - at(TraceKind::Begin, names::EV_GST_COUNT);
+        assert!(
+            report.gst_seconds * 1e9 >= window as f64,
+            "rank {}: gst_seconds {:.6} s < traced GST window {window} ns",
+            track.rank,
+            report.gst_seconds
+        );
+    }
 }
 
 /// The disabled tracer must cost < 1% of a smoke clustering run's wall
