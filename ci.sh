@@ -15,6 +15,11 @@ echo "==> benchmark harness build (the root-crate API it pins must still compile
 # any test can stop the script; its smoke run is the last step.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark harness unit tests"
+# They hold BENCHMARK.json to the harness's workload and metric tables
+# and check the child watchdog; no workspace test step reaches them.
+timeout 600 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # Every test step runs under `timeout` (generous multiples of what the
 # step takes on a 2-core host): a test that hangs without a watchdog of
 # its own fails the gate instead of wedging it.

@@ -39,7 +39,8 @@ use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstR
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
 use pgasm_gst::{
-    for_each_window, retain_pairable, sort_walk_by_bucket, Gst, PairGenerator, PromisingPair, Suffix,
+    for_each_window, sort_walk_by_bucket, AdmissionTable, Gst, GstConfig, PairGenerator, PromisingPair,
+    Suffix,
 };
 use pgasm_mpisim::{Comm, CommStats};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
@@ -467,33 +468,53 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
 
     fn adopt_scope(&mut self, tracer: &mut Tracer, dead_rank: usize) {
         tracer.begin_arg(TraceCategory::Fault, names::EV_ADOPT_REBUILD, "dead", dead_rank as u64);
-        // Bucket ownership is a pure hash of the bucket key, so this
-        // rank can recompute exactly which buckets the dead rank owned
-        // and rebuild its GST portion from the shared fragment store,
-        // keeping only that rank's suffixes while enumerating. Its
-        // buckets are whole here, so the cascade drops only suffixes of
-        // buckets that cannot pair before the sort. In-bucket suffix
-        // order may differ from the redistributed build's, which permutes
-        // pair order within the scope — the master's cluster-check
-        // absorbs reordering and duplicates, so the final partition is
-        // unchanged.
-        let builders = self.world - 1;
+        // In-bucket suffix order may differ from the redistributed
+        // build's, which permutes pair order within the scope — the
+        // master's cluster-check absorbs reordering and duplicates, so the
+        // final partition is unchanged.
         let (store, params) = (self.decider.store, self.decider.params);
-        let owned = |(key, _): &(u64, Suffix)| bucket_owner(*key, builders, 1) == dead_rank;
-        let mut suffixes = Vec::new();
-        for_each_window(
-            store,
-            params.gst.bucket_len(),
-            |_| true,
-            |w| suffixes.extend(Some(w.suffix()).into_iter().chain(w.twin_suffix()).filter(owned)),
-        );
-        let enumerated = suffixes.len();
-        retain_pairable(&mut suffixes);
-        sort_walk_by_bucket(&mut suffixes);
-        let gst = Gst::build_from_sorted(store, &suffixes, params.gst, enumerated);
+        let gst = rebuild_scope(store, params.gst, self.world - 1, dead_rank);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
     }
+}
+
+/// The forest of the buckets rank `dead_rank` of `builders` built
+/// (ranks `1..=builders`), rebuilt from the shared store. Bucket
+/// ownership is a pure hash of the bucket key, so any rank can tell
+/// which buckets those were, and every suffix of them is in the store:
+/// every window is folded into an [`AdmissionTable`], and only the dead
+/// rank's suffixes whose halves can pair are sorted. Its `enumerated`
+/// counts every suffix of those buckets.
+fn rebuild_scope(store: &FragmentStore, config: GstConfig, builders: usize, dead_rank: usize) -> Gst {
+    let (suffixes, enumerated) = scope_survivors(store, config.bucket_len(), builders, dead_rank);
+    Gst::build_from_sorted(store, &suffixes, config, enumerated)
+}
+
+/// The admitted suffixes of the dead rank's buckets, sorted by
+/// [`sort_walk_by_bucket`], and the number of its suffixes.
+fn scope_survivors(
+    store: &FragmentStore,
+    k: usize,
+    builders: usize,
+    dead_rank: usize,
+) -> (Vec<(u64, Suffix)>, usize) {
+    let owned = |key: u64| bucket_owner(key, builders, 1) == dead_rank;
+    let mut table = AdmissionTable::for_windows(store);
+    for_each_window(store, k, |_| true, |w| table.add(w));
+    let (mut suffixes, mut enumerated) = (Vec::new(), 0);
+    for_each_window(
+        store,
+        k,
+        |_| true,
+        |w| {
+            enumerated += [Some(w.key), w.twin_key()].into_iter().flatten().filter(|&key| owned(key)).count();
+            suffixes.extend(table.admitted(w).filter(|&(key, _)| owned(key)));
+        },
+    );
+    drop(table);
+    sort_walk_by_bucket(&mut suffixes);
+    (suffixes, enumerated)
 }
 
 #[cfg(test)]
@@ -846,6 +867,42 @@ mod tests {
     fn run_faulty(store: &FragmentStore, p: usize, plan: &str) -> ParallelClusterReport {
         let faults = FaultPlan::parse(plan).unwrap();
         run_with(store, p, StageRecovery { faults, ..StageRecovery::default() })
+    }
+
+    #[test]
+    fn an_adopted_scope_is_the_direct_build_of_the_dead_ranks_buckets_from_fewer_suffixes() {
+        // A survivor that rebuilds a dead builder's scope sorts only the
+        // suffixes the admission table lets through, yet builds byte for
+        // byte what the shared builder makes of every suffix of the dead
+        // rank's buckets in (seq, pos) order, read straight from the
+        // store, and counts all of that rank's suffixes as enumerated.
+        let mut reads = tile(&genome(1, 1500), 200, 90);
+        reads.extend((60..90).map(|seed| DnaSeq::from(genome(seed, 300).as_str())));
+        let store = FragmentStore::from_seqs(reads).with_reverse_complements();
+        let config = params().gst;
+        let k = config.bucket_len();
+        let every = || (0..store.num_seqs() as u32).map(SeqId);
+        for p in [3usize, 4] {
+            let builders = p - 1;
+            for dead in 1..p {
+                let mut owned: Vec<_> = pgasm_gst::enumerate_suffixes(&store, every(), k)
+                    .filter(|(key, _)| bucket_owner(*key, builders, 1) == dead)
+                    .collect();
+                pgasm_gst::sort_by_bucket(&mut owned);
+                let direct = Gst::build_from_sorted(&store, &owned, config, owned.len());
+                let (survivors, enumerated) = scope_survivors(&store, k, builders, dead);
+                assert_eq!(enumerated, owned.len(), "p = {p}, rank {dead}");
+                assert!(direct.stats().suffixes > 0, "p = {p}: rank {dead} built nothing");
+                assert!(
+                    2 * survivors.len() < owned.len(),
+                    "p = {p}, rank {dead}: {} of {} suffixes sorted",
+                    survivors.len(),
+                    owned.len()
+                );
+                let adopted = rebuild_scope(&store, config, builders, dead);
+                assert!(adopted.encode() == direct.encode(), "p = {p}, rank {dead}");
+            }
+        }
     }
 
     #[test]

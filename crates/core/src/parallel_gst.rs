@@ -3,17 +3,19 @@
 //! Phases, per rank:
 //!
 //! 1. **Count**: fold the windows of the rank's own fragments into a
-//!    [`SlotTable`] — the serial build's admission table, sized from the
-//!    whole store so a slot means the same on every rank. One walk of
-//!    each forward strand serves the reverse strand too, so a fragment's
-//!    two strands share an owner ([`compute_owners`]).
+//!    [`SlotTable`], a bare hash of each window's word into a slot space
+//!    sized from the whole store, so a slot means the same on every rank
+//!    whichever words the rank saw. One walk of each forward strand
+//!    serves the reverse strand too, so a fragment's two strands share
+//!    an owner ([`compute_owners`]).
 //! 2. **Reduce**: the slots are split into one contiguous range per
 //!    builder ([`slot_range`]). Each rank sends the non-empty slots of
 //!    every other builder's range, sparsely, to that builder, which
 //!    [merges](pgasm_gst::TwinClasses::merge) them into its own and
 //!    answers each sender with a 2-bit verdict per slot it sent. Now
-//!    every rank's table says, for each of its own windows, what the
-//!    serial table says: which suffixes may sit in an admitted bucket.
+//!    every rank's table says, for each of its own windows, what one
+//!    table folding every window of the store would say: which suffixes
+//!    may sit in an admitted bucket.
 //!    ERA's counting scan before building, and HipMer's "keep
 //!    singletons off the wire".
 //! 3. **Redistribute**: each rank walks its windows again and keeps the
@@ -23,12 +25,13 @@
 //!    suffixes)` record per run, via the paper's customised all-to-all
 //!    built from p − 1 point-to-point rounds (bounding send-buffer
 //!    space). The receiver concatenates the records in source-rank
-//!    order, drops most suffixes of buckets that cannot pair by the
-//!    serial build's cascade ([`retain_pairable`]: every survivor of a
-//!    key is here, and it keeps their order) and sorts the rest by key
-//!    again (stably: in-bucket order is source-rank order). Now whole,
-//!    each bucket is admitted or dropped exactly ([`admitted_runs`]) from
-//!    the records alone — no text is needed.
+//!    order, folds them by bucket key into an [`AdmissionTable`] sized
+//!    for what it received and keeps the suffixes whose key can pair
+//!    (every survivor of a key is here; `retain` keeps their order),
+//!    then sorts the rest by key again (stably: in-bucket order is
+//!    source-rank order). Now whole, each bucket is admitted or dropped
+//!    exactly ([`admitted_runs`]) from the records alone — no text is
+//!    needed.
 //! 4. **Fetch fragments**: each builder requests the fragment sequences
 //!    its *admitted* suffixes refer to "through two collective
 //!    communication steps — the first to request the processors that
@@ -38,16 +41,16 @@
 //!    of the conceptual global GST, by the same sort + LCP builder as
 //!    the serial path ([`Gst::build_from_sorted`]).
 //!
-//! The merged table is the serial table, so the survivors shipped over
-//! all ranks are the serial build's, and the forests, pairs and
-//! partitions do not depend on p.
+//! The merged table is the whole store's, so the survivors shipped over
+//! all ranks do not depend on p, nor do the buckets admitted from them
+//! (exactly the serial build's), the forests, pairs and partitions.
 //!
 //! Ownership discipline: a rank reads only its *own* fragments from the
 //! shared store; every foreign byte it uses arrives through a message,
 //! so the traffic counters are exact.
 
 use pgasm_gst::{
-    admitted_runs, for_each_window, retain_pairable, sort_by_bucket, sort_walk_by_bucket, Gst, GstConfig,
+    admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, AdmissionTable, Gst, GstConfig,
     GstStats, SlotTable, Suffix, TextSource, TwinClasses,
 };
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
@@ -87,7 +90,7 @@ pub struct RankGstReport {
     /// Rank id.
     pub rank: usize,
     /// Seconds of pure computation: the count and filter passes, the
-    /// merge of the slots this rank owns, the cascade and sort of the
+    /// merge of the slots this rank owns, the admission and sort of the
     /// suffixes it received, and trie building.
     pub compute_seconds: f64,
     /// Traffic during construction.
@@ -150,12 +153,15 @@ pub fn rank_build_gst<'s>(
     let (mut mine, enumerated) = ship_survivors(comm, store, owner, config, first_builder, &mut compute);
 
     // Phase 4: fetch the foreign fragments of admitted buckets (two
-    // collective steps). Every survivor of a key is here, so the cascade
-    // drops only suffixes of buckets that cannot pair; it keeps the
+    // collective steps). Every survivor of a key is here, so the table
+    // drops only suffixes of buckets that cannot pair; `retain` keeps the
     // arrival (source-rank) order, and so does the stable sort.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH);
     let t = thread_cpu_seconds();
-    retain_pairable(&mut mine);
+    let mut table = AdmissionTable::with_words(mine.len());
+    mine.iter().for_each(|&(key, s)| table.add_key(key, s.left));
+    mine.retain(|&(key, _)| table.can_pair(key));
+    drop(table);
     sort_by_bucket(&mut mine);
     let mut needed: Vec<u32> = admitted_runs(&mine)
         .flatten()
@@ -570,20 +576,20 @@ mod tests {
     }
 
     #[test]
-    fn the_suffixes_shipped_are_the_serial_filters_survivors() {
-        // The reduced table is the serial one: over all ranks, exactly
-        // the suffixes `Gst::build` keeps for sorting are sent, each to
-        // the builder of its bucket.
+    fn the_suffixes_shipped_are_the_whole_store_tables_survivors() {
+        // The reduced table is the one a single rank folding every window
+        // would hold: over all ranks, exactly that table's survivors are
+        // sent, each to the builder of its bucket.
         let store = reads_and_copies().with_reverse_complements();
         let config = GstConfig { psi: 16 };
         let k = config.bucket_len();
         let mut table = SlotTable::new(&store);
         for_each_window(&store, k, |_| true, |w| table.add(w));
-        let mut serial = Vec::new();
-        for_each_window(&store, k, |_| true, |w| table.admit(w, &mut serial));
-        sort_walk_by_bucket(&mut serial);
+        let mut whole = Vec::new();
+        for_each_window(&store, k, |_| true, |w| table.admit(w, &mut whole));
+        sort_walk_by_bucket(&mut whole);
         let all = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).count();
-        assert!(serial.len() < all / 2, "the filter must drop suffixes: {} of {all}", serial.len());
+        assert!(whole.len() < all / 2, "the filter must drop suffixes: {} of {all}", whole.len());
         for (p, first_builder) in [(2usize, 0), (3, 0), (4, 0), (3, 1), (4, 1)] {
             let owner = compute_owners(&store, p, first_builder);
             let (owner, store_ref) = (&owner, &store);
@@ -601,7 +607,7 @@ mod tests {
                 shipped.extend_from_slice(received);
             }
             sort_walk_by_bucket(&mut shipped);
-            assert_eq!(shipped, serial, "p = {p}, first builder {first_builder}");
+            assert_eq!(shipped, whole, "p = {p}, first builder {first_builder}");
             let enumerated: usize = per_rank.iter().map(|(_, n)| n).sum();
             assert_eq!(enumerated, all, "p = {p}: every suffix counted once");
         }

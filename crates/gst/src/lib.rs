@@ -10,12 +10,13 @@
 //!   build and scope adoption in `pgasm-core`, which all walk the forward
 //!   strand of a double-stranded store only: each window yields its
 //!   suffix and the reverse strand's twin over the same bases. Before
-//!   any suffix is sorted or shipped, the serial build and every rank
-//!   fold their windows into a [`SlotTable`], the admission pre-filter;
-//!   the ranks' parts [merge](TwinClasses::merge) into the serial table.
-//!   Before any bucket sort — serial, at a rank's builder, in scope
-//!   adoption — [`retain_pairable`] refilters the survivors through
-//!   tables sized for them, so the sort sees about what is indexed.
+//!   any bucket sort, suffixes go through an [`AdmissionTable`], one
+//!   open-addressed, fingerprinted table of words: the serial build and
+//!   scope adoption fold every window into it, a rank's builder the
+//!   suffixes it received, so the sort sees about what is indexed. The
+//!   distributed count and reduce alone fold into a [`SlotTable`], whose
+//!   whole-store slot space lets the ranks' parts
+//!   [merge](TwinClasses::merge) slot by slot.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
 //!   forest of compacted tries, one per admitted bucket. Each bucket is
@@ -48,7 +49,7 @@ pub mod tree;
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
 pub use suffix::{
-    admitted_runs, enumerate_suffixes, for_each_window, retain_pairable, sort_by_bucket, sort_walk_by_bucket,
+    admitted_runs, enumerate_suffixes, for_each_window, sort_by_bucket, sort_walk_by_bucket, AdmissionTable,
     LeftClasses, SlotTable, Suffix, TwinClasses, Window,
 };
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

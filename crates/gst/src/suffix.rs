@@ -19,11 +19,15 @@
 //! where that extension ends.
 //!
 //! Most buckets of a sparse sample are rejected, so suffixes are judged
-//! before they are sorted, in two one-sided stages that each keep every
-//! suffix of an admitted bucket: a [`SlotTable`] over every window of the
-//! store, then [`retain_pairable`], a cascade of tables sized for the
-//! survivors that leaves few more than the suffixes [`admitted_runs`]
-//! keeps. Only those are sorted into buckets and judged exactly.
+//! before they are sorted, by one table that keeps every suffix of an
+//! admitted bucket: an [`AdmissionTable`], open-addressed over the words
+//! themselves, in which two buckets meet only when their 8-bit
+//! fingerprints match too. The serial build, scope adoption and the
+//! builders of the distributed one admit through it, so only a few more
+//! suffixes than [`admitted_runs`] keeps are sorted into buckets and
+//! judged exactly. The distributed count and reduce fold into a
+//! [`SlotTable`] instead: its slot space is the whole store's and means
+//! the same on every rank, so the ranks' parts merge slot by slot.
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
 use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter};
@@ -128,7 +132,7 @@ impl LeftClasses {
 }
 
 /// Two [`LeftClasses`] in one byte, one per half: the state of one
-/// [`SlotTable`] slot.
+/// [`SlotTable`] or [`AdmissionTable`] slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwinClasses(u8);
 
@@ -180,20 +184,29 @@ impl TwinClasses {
     }
 }
 
-/// The admission pre-filter's table: one [`TwinClasses`] byte per hash
-/// slot of a canonical word. A window's suffix and its twin share the
-/// slot of the smaller of their two words, the larger word's bucket in
-/// the high half (a reverse palindrome's one bucket in the low), so one
-/// probe serves both strands. A slot holds the union of its buckets, and
-/// one that cannot pair holds no bucket that can: the suffixes of windows
-/// whose half is not PAIR are dropped before they are sorted, and the
-/// survivors' buckets are judged exactly by [`admitted_runs`].
+/// The window's canonical word — the smaller of its word and its twin's
+/// (its own in a single-stranded store) — and the halves of that word's
+/// [`TwinClasses`] its suffix and its twin take: the larger word's bucket
+/// in the high half, a reverse palindrome's one bucket in the low.
+#[inline]
+fn canonical(w: &Window<'_>) -> (u64, usize, usize) {
+    let (key, twin) = (w.key, w.twin_key().unwrap_or(w.key));
+    (key.min(twin), (key > twin) as usize, (twin > key) as usize)
+}
+
+/// The distributed count's table: one [`TwinClasses`] byte per hash slot
+/// of a canonical word, one probe serving a window's suffix and its
+/// twin. A slot holds the union of its buckets, and one that cannot pair
+/// holds no bucket that can: the suffixes of windows whose half is not
+/// PAIR are dropped before they are shipped.
 ///
-/// The serial build folds every window into one table. A rank of the
-/// distributed build folds its own windows, and the owners of slot
-/// ranges [merge](TwinClasses::merge) the parts and hand back each
-/// slot's [verdict](TwinClasses::verdict): the table is sized from the
-/// whole store, so a slot means the same on every rank.
+/// A rank folds its own windows, and the owners of slot ranges
+/// [merge](TwinClasses::merge) the parts and hand back each slot's
+/// [verdict](TwinClasses::verdict). That is why a slot is a bare hash
+/// range of the whole store, with no probing and no fingerprint: it
+/// means the same on every rank, whichever words the rank saw, and the
+/// merged table is the one a single rank folding every window would
+/// hold.
 pub struct SlotTable {
     bits: u32,
     slots: Vec<u8>,
@@ -204,17 +217,15 @@ impl SlotTable {
     /// An empty table for the windows of `store`: one byte per two
     /// forward windows of the whole store, so at most half full.
     pub fn new(store: &FragmentStore) -> SlotTable {
-        let forward = store.total_len() >> store.is_double_stranded() as u32;
-        let bits = (2 * forward).next_power_of_two().trailing_zeros().max(1);
+        let bits = slot_bits(forward_len(store));
         SlotTable { bits, slots: vec![0; 1 << bits], enumerated: 0 }
     }
 
-    /// The window's slot, its suffix's half and its twin's half (its own
-    /// word's slot in a single-stranded store).
+    /// The window's slot, its suffix's half and its twin's half.
     #[inline]
     fn slot(&self, w: &Window<'_>) -> (usize, usize, usize) {
-        let (key, twin) = (w.key, w.twin_key().unwrap_or(w.key));
-        ((mix_word(key.min(twin)) >> (64 - self.bits)) as usize, (key > twin) as usize, (twin > key) as usize)
+        let (word, half, twin_half) = canonical(w);
+        ((mix_word(word) >> (64 - self.bits)) as usize, half, twin_half)
     }
 
     /// Fold the window's suffix and its twin into their slot.
@@ -222,12 +233,7 @@ impl SlotTable {
     pub fn add(&mut self, w: &Window<'_>) {
         let (i, half, twin_half) = self.slot(w);
         let mut classes = TwinClasses(self.slots[i]);
-        classes.add(half, w.left());
-        self.enumerated += 1;
-        if w.twin_key().is_some() {
-            classes.add(twin_half, w.twin_left());
-            self.enumerated += 1;
-        }
+        self.enumerated += fold_window(&mut classes, w, half, twin_half);
         self.slots[i] = classes.0;
     }
 
@@ -236,13 +242,7 @@ impl SlotTable {
     #[inline]
     pub fn admit(&self, w: &Window<'_>, out: &mut Vec<(u64, Suffix)>) {
         let (i, half, twin_half) = self.slot(w);
-        let classes = TwinClasses(self.slots[i]);
-        if classes.get(half).can_pair() {
-            out.push(w.suffix());
-        }
-        if classes.get(twin_half).can_pair() {
-            out.extend(w.twin_suffix());
-        }
+        out.extend(admit_window(TwinClasses(self.slots[i]), w, half, twin_half));
     }
 
     /// Suffixes folded in by [`add`](Self::add).
@@ -280,35 +280,141 @@ impl SlotTable {
     }
 }
 
-/// Drop suffixes whose bucket cannot pair, by a cascade of tables sized
-/// for what is left: each round folds every survivor's left class into
-/// a fresh table of [`LeftClasses`] with ≥ 2 slots per survivor, and
-/// keeps the survivors whose slot can pair. A slot holds the union of its
-/// buckets and PAIR absorbs, so no suffix of a bucket that can pair is
-/// ever dropped; the false positives of one round are mostly alone in
-/// the next, larger-per-survivor table. Rounds run until one drops
-/// nothing. The order of the kept suffixes is their input order, so a
-/// stable sort afterwards groups them as it groups the unfiltered input.
+/// The local admission table: open-addressed over words, one `u16` per
+/// slot — an 8-bit fingerprint of the word's [`mix_word`] hash above the
+/// [`TwinClasses`] byte of its buckets, a zero byte marking the slot
+/// empty. A word probes linearly from the slot named by its hash's top
+/// bits until it meets its own fingerprint, or an empty slot, which it
+/// claims. Nothing is ever removed and a fingerprint never changes, so a
+/// word always resolves to the same slot; two distinct words share one
+/// only when their fingerprints match, and the slot then holds the union
+/// of their buckets. PAIR absorbs, so the filter is one-sided: no suffix
+/// of a bucket that can pair is dropped.
 ///
-/// A round's salt is a function of its survivor count, so the round that
-/// dropped nothing would drop nothing again: a second call is a no-op.
-pub fn retain_pairable(suffixes: &mut Vec<(u64, Suffix)>) {
-    let mut table: Vec<LeftClasses> = Vec::new();
-    loop {
-        let before = suffixes.len();
-        let bits = (2 * before).next_power_of_two().trailing_zeros().max(1);
-        let salt = (before as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let slot = |key: u64| (mix_word(key ^ salt) >> (64 - bits)) as usize;
-        table.clear();
-        table.resize(1 << bits, LeftClasses::default());
-        for &(key, s) in suffixes.iter() {
-            table[slot(key)].add(s.left);
-        }
-        suffixes.retain(|&(key, _)| table[slot(key)].can_pair());
-        if suffixes.len() == before {
-            return;
-        }
+/// A table has ≥ 2 slots per word it may be given, so it is at most half
+/// full and every probe ends. It is filled in one of two ways, never
+/// both. [`Gst::build`](crate::Gst::build) and scope adoption fold every
+/// forward window ([`add`](Self::add): a suffix and its twin share the
+/// slot of their canonical word, as in a [`SlotTable`]) and then take
+/// each window's [`admitted`](Self::admitted) suffixes. A distributed
+/// builder folds the suffixes it received by bucket key
+/// ([`add_key`](Self::add_key)) and keeps those whose key [can
+/// pair](Self::can_pair).
+pub struct AdmissionTable {
+    slots: Vec<u16>,
+    /// 64 − log2(home slots): a hash shifted by it is its word's home.
+    shift: u32,
+    enumerated: usize,
+}
+
+impl AdmissionTable {
+    /// An empty table for the windows of `store`: ≥ 2 slots per forward
+    /// window, as many as a [`SlotTable`] has.
+    pub fn for_windows(store: &FragmentStore) -> AdmissionTable {
+        AdmissionTable::with_words(forward_len(store))
     }
+
+    /// An empty table for at most `words` distinct words.
+    pub fn with_words(words: usize) -> AdmissionTable {
+        let bits = slot_bits(words);
+        AdmissionTable { slots: vec![0; 1 << bits], shift: 64 - bits, enumerated: 0 }
+    }
+
+    /// The slot `word` resolves to — its own, or the empty slot that
+    /// ends its probe — and its fingerprint, shifted into place.
+    #[inline]
+    fn probe(&self, word: u64) -> (usize, u16) {
+        let hash = mix_word(word);
+        let fingerprint = (hash as u16) << 8;
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> self.shift) as usize;
+        while self.slots[i] as u8 != 0 && self.slots[i] & 0xff00 != fingerprint {
+            i = (i + 1) & mask;
+        }
+        (i, fingerprint)
+    }
+
+    /// The classes folded into `word`'s slot.
+    #[inline]
+    fn classes(&self, word: u64) -> TwinClasses {
+        TwinClasses(self.slots[self.probe(word).0] as u8)
+    }
+
+    /// Fold the window's suffix and its twin into their word's slot.
+    #[inline]
+    pub fn add(&mut self, w: &Window<'_>) {
+        let (word, half, twin_half) = canonical(w);
+        let (i, fingerprint) = self.probe(word);
+        let mut classes = TwinClasses(self.slots[i] as u8);
+        self.enumerated += fold_window(&mut classes, w, half, twin_half);
+        self.slots[i] = fingerprint | classes.0 as u16;
+    }
+
+    /// The window's suffix and its twin, each if its half of their word's
+    /// slot can pair.
+    #[inline]
+    pub fn admitted(&self, w: &Window<'_>) -> impl Iterator<Item = (u64, Suffix)> {
+        let (word, half, twin_half) = canonical(w);
+        admit_window(self.classes(word), w, half, twin_half)
+    }
+
+    /// Fold a suffix of bucket `key` and left class `left` into the
+    /// key's slot.
+    #[inline]
+    pub fn add_key(&mut self, key: u64, left: u8) {
+        let (i, fingerprint) = self.probe(key);
+        let mut classes = TwinClasses(self.slots[i] as u8);
+        classes.add(0, left);
+        self.slots[i] = fingerprint | classes.0 as u16;
+    }
+
+    /// Can the suffixes folded by [`add_key`](Self::add_key) into `key`'s
+    /// slot pair?
+    #[inline]
+    pub fn can_pair(&self, key: u64) -> bool {
+        self.classes(key).get(0).can_pair()
+    }
+
+    /// Suffixes folded in by [`add`](Self::add).
+    pub fn enumerated(&self) -> usize {
+        self.enumerated
+    }
+}
+
+/// Forward bases of `store`: a bound on its distinct canonical words.
+fn forward_len(store: &FragmentStore) -> usize {
+    store.total_len() >> store.is_double_stranded() as u32
+}
+
+/// log2 of the slots of a table for `words` words: ≥ 2 slots per word.
+fn slot_bits(words: usize) -> u32 {
+    (2 * words).next_power_of_two().trailing_zeros().max(1)
+}
+
+/// Fold the window's suffix into half `half` of `classes` and its twin,
+/// if any, into half `twin_half`; the number of suffixes folded.
+#[inline]
+fn fold_window(classes: &mut TwinClasses, w: &Window<'_>, half: usize, twin_half: usize) -> usize {
+    classes.add(half, w.left());
+    if w.twin_key().is_some() {
+        classes.add(twin_half, w.twin_left());
+        return 2;
+    }
+    1
+}
+
+/// The window's suffix and its twin, each if its half of `classes` can
+/// pair.
+#[inline]
+fn admit_window(
+    classes: TwinClasses,
+    w: &Window<'_>,
+    half: usize,
+    twin_half: usize,
+) -> impl Iterator<Item = (u64, Suffix)> {
+    let suffix = classes.get(half).can_pair().then(|| w.suffix());
+    let twin = if classes.get(twin_half).can_pair() { w.twin_suffix() } else { None };
+    suffix.into_iter().chain(twin)
 }
 
 /// The buckets of a key-sorted suffix array that are admitted to the
@@ -689,16 +795,69 @@ mod tests {
         admitted_runs(&suffixes).map(<[_]>::to_vec).collect()
     }
 
+    impl AdmissionTable {
+        /// A table crowded on purpose: every word's home among the first
+        /// `2^home_bits` slots (at most all of them). Probe chains run
+        /// long, and once 256 words have claimed a fingerprint each, a
+        /// word's chain meets its fingerprint before an empty slot: every
+        /// further word merges with another.
+        fn crowded(words: usize, home_bits: u32) -> AdmissionTable {
+            let table = AdmissionTable::with_words(words);
+            AdmissionTable { shift: table.shift.max(64 - home_bits), ..table }
+        }
+
+        /// Slots holding a word.
+        fn occupied(&self) -> usize {
+            self.slots.iter().filter(|&&slot| slot as u8 != 0).count()
+        }
+    }
+
+    /// The tables a test folds into: the real one, and crowded ones that
+    /// force long probe chains and fingerprint merges.
+    fn tables(words: usize) -> Vec<AdmissionTable> {
+        vec![
+            AdmissionTable::with_words(words),
+            AdmissionTable::crowded(words, 1),
+            AdmissionTable::crowded(words, 4),
+        ]
+    }
+
+    /// Reads with planted copies and masked bases, both strands.
+    fn planted_store(
+        state: &mut u64,
+        lens: &[usize],
+        copies: Vec<(proptest::sample::Index, usize, usize)>,
+        masks: Vec<(proptest::sample::Index, usize, usize)>,
+    ) -> FragmentStore {
+        let mut reads: Vec<Vec<u8>> = lens.iter().map(|&len| random_codes(state, len)).collect();
+        for (src, at, len) in copies {
+            let src = &reads[src.index(reads.len())];
+            let at = at.min(src.len() - 1);
+            let copy = src[at..(at + len).min(src.len())].to_vec();
+            reads.push(copy);
+        }
+        let mut seqs: Vec<DnaSeq> = reads.into_iter().map(DnaSeq::from_codes).collect();
+        for (i, at, len) in masks {
+            let seq = &mut seqs[i.index(lens.len())];
+            let at = at.min(seq.len() - 1);
+            seq.mask_range(at, (at + len).min(seq.len()));
+        }
+        FragmentStore::from_seqs(seqs).with_reverse_complements()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
-        /// The cascade drops no suffix of an admitted bucket and keeps the
-        /// input order: over both strands of reads with planted copies and
-        /// masked bases, enumerated in a shuffled order, the stable sort of
-        /// what it keeps has the admitted runs of the unfiltered input,
-        /// member for member and in order. What it keeps is a fixpoint.
+        /// The admission table drops no suffix of an admitted bucket, in
+        /// either way it is filled, and however crowded it is. Fed the
+        /// windows of reads with planted copies and masked bases, what it
+        /// admits, sorted as a walk, has the admitted runs of every suffix
+        /// of both strands, member for member and in order. Fed those
+        /// suffixes in a shuffled order by key, what it keeps is in input
+        /// order, and its stable sort has the admitted runs of the
+        /// shuffled input.
         #[test]
-        fn the_cascade_keeps_every_admitted_bucket_in_order(
+        fn the_admission_table_keeps_every_admitted_bucket_in_order(
             seed in proptest::any::<u64>(),
             lens in proptest::collection::vec(1usize..80, 1..12),
             copies in proptest::collection::vec(
@@ -708,41 +867,72 @@ mod tests {
             k in 2usize..=10,
         ) {
             let mut state = seed | 1;
-            let mut reads: Vec<Vec<u8>> = lens.iter().map(|&len| random_codes(&mut state, len)).collect();
-            for (src, at, len) in copies {
-                let src = &reads[src.index(reads.len())];
-                let at = at.min(src.len() - 1);
-                let copy = src[at..(at + len).min(src.len())].to_vec();
-                reads.push(copy);
-            }
-            let mut seqs: Vec<DnaSeq> = reads.into_iter().map(DnaSeq::from_codes).collect();
-            for (i, at, len) in masks {
-                let seq = &mut seqs[i.index(lens.len())];
-                let at = at.min(seq.len() - 1);
-                seq.mask_range(at, (at + len).min(seq.len()));
-            }
-            let store = FragmentStore::from_seqs(seqs).with_reverse_complements();
+            let store = planted_store(&mut state, &lens, copies, masks);
             let mut all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+            let expected = admitted(all.clone());
+            for mut table in tables(forward_len(&store)) {
+                for_each_window(&store, k, |_| true, |w| table.add(w));
+                let mut walked = Vec::new();
+                for_each_window(&store, k, |_| true, |w| walked.extend(table.admitted(w)));
+                sort_walk_by_bucket(&mut walked);
+                let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
+                proptest::prop_assert_eq!(&runs, &expected, "window mode");
+                proptest::prop_assert_eq!(table.enumerated(), all.len());
+            }
             for i in (1..all.len()).rev() {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 all.swap(i, (state >> 33) as usize % (i + 1));
             }
-            let mut kept = all.clone();
-            retain_pairable(&mut kept);
-            let mut again = kept.clone();
-            retain_pairable(&mut again);
-            proptest::prop_assert_eq!(&again, &kept, "a second call dropped suffixes");
-            proptest::prop_assert_eq!(admitted(kept), admitted(all));
+            for mut table in tables(all.len()) {
+                all.iter().for_each(|&(key, s)| table.add_key(key, s.left));
+                let kept: Vec<_> = all.iter().copied().filter(|&(key, _)| table.can_pair(key)).collect();
+                let mut order = all.iter().copied().filter(|s| kept.contains(s));
+                proptest::prop_assert!(kept.iter().all(|s| order.next() == Some(*s)), "input order");
+                proptest::prop_assert_eq!(admitted(kept), admitted(all.clone()), "received mode");
+            }
         }
     }
 
     #[test]
-    fn the_cascade_keeps_few_more_than_the_indexed_suffixes() {
+    fn crowded_tables_merge_words_yet_keep_every_admitted_suffix() {
+        // 40 random reads of 60 bases, each stored twice: ≈ 2 000
+        // canonical words, whose buckets pair only at a read start. In a
+        // crowded table every word's home is among the first 2 or 16
+        // slots, so chains run long, and once the chain holds all 256
+        // fingerprints each further word merges with another. Merged or
+        // not, no suffix of a bucket that can pair is dropped.
+        let mut state = 3;
+        let reads: Vec<DnaSeq> = (0..40).map(|_| DnaSeq::from_codes(random_codes(&mut state, 60))).collect();
+        let store = FragmentStore::from_seqs(reads.iter().chain(&reads).cloned()).with_reverse_complements();
+        let k = 8;
+        let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+        let expected = admitted(all.clone());
+        let words = {
+            let mut words: Vec<u64> = Vec::new();
+            for_each_window(&store, k, |_| true, |w| words.push(w.key.min(w.twin_key().unwrap())));
+            words.sort_unstable();
+            words.dedup();
+            words.len()
+        };
+        for (i, mut table) in tables(forward_len(&store)).into_iter().enumerate() {
+            for_each_window(&store, k, |_| true, |w| table.add(w));
+            let occupied = table.occupied();
+            assert!(i == 0 || 2 * occupied < words, "crowded table {i}: {occupied} slots hold {words} words");
+            let mut walked = Vec::new();
+            for_each_window(&store, k, |_| true, |w| walked.extend(table.admitted(w)));
+            sort_walk_by_bucket(&mut walked);
+            assert_eq!(admitted_runs(&walked).map(<[_]>::to_vec).collect::<Vec<_>>(), expected, "table {i}");
+        }
+    }
+
+    #[test]
+    fn the_admission_table_keeps_few_more_than_the_indexed_suffixes() {
         // A sparse sample: 300 reads of 400 bp, 6 from each of 50 random
         // 3 kb genomes, some reverse-complemented. Reads of one genome
         // overlap now and then; nearly every other suffix is alone in its
-        // bucket, and a single half-full table lets through a fraction of
-        // those in proportion to its load.
+        // bucket. A half-full slot table lets through a fraction of those
+        // in proportion to its load; the admission table only those whose
+        // word meets another word's fingerprint on its probe.
         let mut state = 7;
         let mut reads = Vec::new();
         for _ in 0..50 {
@@ -755,17 +945,23 @@ mod tests {
         }
         let store = FragmentStore::from_seqs(reads).with_reverse_complements();
         let k = 20;
-        let mut table = SlotTable::new(&store);
+        let mut slot_table = SlotTable::new(&store);
+        for_each_window(&store, k, |_| true, |w| slot_table.add(w));
+        let mut slot_survivors = Vec::new();
+        for_each_window(&store, k, |_| true, |w| slot_table.admit(w, &mut slot_survivors));
+        let mut table = AdmissionTable::for_windows(&store);
         for_each_window(&store, k, |_| true, |w| table.add(w));
         let mut survivors = Vec::new();
-        for_each_window(&store, k, |_| true, |w| table.admit(w, &mut survivors));
-        let one_table = survivors.len();
-        retain_pairable(&mut survivors);
-        let cascade = survivors.len();
+        for_each_window(&store, k, |_| true, |w| survivors.extend(table.admitted(w)));
+        let (one_table, admitted_count) = (slot_survivors.len(), survivors.len());
         let indexed: usize = admitted(survivors).iter().map(Vec::len).sum();
         assert!(indexed > 0, "the fixture must overlap somewhere");
-        assert!(one_table > 20 * indexed, "one table passes {one_table} for {indexed} indexed");
-        assert!(50 * cascade <= 51 * indexed, "the cascade passes {cascade} for {indexed} indexed");
+        assert_eq!(indexed, admitted(slot_survivors).iter().map(Vec::len).sum::<usize>());
+        assert!(one_table > 20 * indexed, "the slot table passes {one_table} for {indexed} indexed");
+        assert!(
+            admitted_count <= 4 * indexed,
+            "the admission table passes {admitted_count} for {indexed} indexed"
+        );
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::{
-    admitted_runs, for_each_window, retain_pairable, sort_walk_by_bucket, SlotTable, Suffix,
-};
+use crate::suffix::{admitted_runs, for_each_window, sort_walk_by_bucket, AdmissionTable, Suffix};
 use pgasm_seq::alphabet::SIGMA;
 use pgasm_seq::FragmentStore;
 
@@ -143,24 +141,22 @@ impl Gst {
     /// Build the GST over every sequence of `store` (serial path). Most
     /// suffixes of a sparse sample are alone in their bucket, so only
     /// those that are indexed should be sorted. A first pass folds every
-    /// window into a [`SlotTable`], and a second collects the suffixes
-    /// whose slot half can pair; [`retain_pairable`] then refilters those
-    /// survivors through tables sized for them until a round drops
-    /// nothing, which leaves few more than the indexed suffixes. Only
-    /// then are they sorted, and [`Gst::build_from_sorted`] judges each
-    /// bucket exactly.
+    /// window into an [`AdmissionTable`], and a second collects the
+    /// suffixes whose half of their word's slot can pair: few more than
+    /// the indexed ones, since two words share a slot only when their
+    /// fingerprints match. Only those are sorted, and
+    /// [`Gst::build_from_sorted`] judges each bucket exactly.
     ///
     /// Both passes walk the forward strand only: one probe per forward
     /// window serves the suffix there and its twin on the reverse strand.
     pub fn build(store: &FragmentStore, config: GstConfig) -> Gst {
         let k = config.bucket_len();
-        let mut table = SlotTable::new(store);
+        let mut table = AdmissionTable::for_windows(store);
         for_each_window(store, k, |_| true, |w| table.add(w));
         let mut survivors = Vec::new();
-        for_each_window(store, k, |_| true, |w| table.admit(w, &mut survivors));
+        for_each_window(store, k, |_| true, |w| survivors.extend(table.admitted(w)));
         let enumerated = table.enumerated();
         drop(table);
-        retain_pairable(&mut survivors);
         sort_walk_by_bucket(&mut survivors);
         Gst::build_from_sorted(store, &survivors, config, enumerated)
     }
@@ -170,9 +166,9 @@ impl Gst {
     /// every admitted run of equal keys ([`admitted_runs`]) becomes one
     /// subtree. Identical suffixes keep their order within the run.
     /// `enumerated` is the number of suffixes the caller's filter saw
-    /// (the [`SlotTable`]'s count; `sorted.len()` when nothing was
-    /// filtered). Shared by the serial path, the per-rank parallel path
-    /// and scope adoption.
+    /// (its table's count; `sorted.len()` when nothing was filtered).
+    /// Shared by the serial path, the per-rank parallel path and scope
+    /// adoption.
     pub fn build_from_sorted<T: TextSource>(
         text: &T,
         sorted: &[(u64, Suffix)],

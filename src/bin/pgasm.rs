@@ -291,6 +291,9 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
         return Err("--psi must be >= 1".to_string());
     }
     cluster.criteria.min_identity = opts.parse_or("min-identity", cluster.criteria.min_identity)?;
+    if !(0.0..=1.0).contains(&cluster.criteria.min_identity) {
+        return Err(format!("--min-identity must be in [0, 1], not {}", cluster.criteria.min_identity));
+    }
     cluster.criteria.min_overlap = opts.parse_or("min-overlap", cluster.criteria.min_overlap)?;
     cluster.band = opts.parse_or("band", cluster.band)?;
     if cluster.band == 0 {

@@ -235,9 +235,17 @@ fn cli_rejects_options_a_subcommand_never_reads() {
 fn cli_rejects_spellings_it_used_to_ignore() {
     // `--checkpoint` without a cadence wrote no snapshot and said
     // nothing; `--ranks 1` ran serial although USAGE says p >= 2;
-    // `--assembly-threads 0` ran one thread. All are errors before any
-    // read is loaded.
+    // `--assembly-threads 0` ran one thread; a `--min-identity` outside
+    // [0, 1] (or NaN) clustered nothing or accepted every pair. All are
+    // errors before any read is loaded.
     for (args, names) in [
+        (&["cluster", "--min-identity", "nan"][..], "--min-identity must be in [0, 1], not NaN"),
+        (&["cluster", "--min-identity", "1.5"][..], "--min-identity must be in [0, 1], not 1.5"),
+        (&["cluster", "--min-identity", "inf"][..], "--min-identity must be in [0, 1], not inf"),
+        (
+            &["assemble", "--out", "/nonexistent.fasta", "--min-identity", "-1"][..],
+            "--min-identity must be in [0, 1], not -1",
+        ),
         (&["cluster", "--checkpoint", "x"][..], "--checkpoint needs --checkpoint-every"),
         (&["assemble", "--out", "/nonexistent.fasta", "--ranks", "1"][..], "--ranks 1"),
         (&["cluster", "--ranks", "0"][..], "--ranks 0"),
