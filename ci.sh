@@ -133,7 +133,7 @@ for dir in grant report; do
   cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.drop.txt --ranks 4 \
     --fault-plan "drop:lease=1,dir=$dir" --metrics-json ci.cluster-drop.json
   cmp ci_clusters.serial.txt ci_clusters.drop.txt || { echo "partition differs after dropping $dir 1"; exit 1; }
-  grep -q '"msgs_dropped": 1' ci.cluster-drop.json || { echo "dir=$dir: not exactly one message dropped"; exit 1; }
+  grep -q '"fault_msgs_dropped": 1' ci.cluster-drop.json || { echo "dir=$dir: not exactly one message dropped"; exit 1; }
   grep -q '"dead_ranks": 1' ci.cluster-drop.json || { echo "dir=$dir: the stuck worker was not declared dead"; exit 1; }
 done
 rm -f ci_clusters.drop.txt ci.cluster-drop.json
@@ -188,14 +188,15 @@ echo "==> fault-injection smoke (kill 1 of 7 workers; contigs must not change)"
 # A deterministic kill removes the worker that is granted the first
 # lease of the clustering phase (always issued: the input clusters);
 # the lease journal re-queues its work and the contigs must come out
-# byte-identical, with the metrics reporting exactly one dead rank and a
-# nonzero recovered-task count.
+# byte-identical, with the metrics counting exactly one kill and one dead
+# rank and a nonzero recovered-task count.
 rm -rf ci_ft_reads.fastq ci_ft_base.fasta ci_ft_killed.fasta ci.ft.json
 cargo run --release -q --bin pgasm -- generate --kind maize --out ci_ft_reads.fastq --scale 0.2 --seed 13
 cargo run --release -q --bin pgasm -- assemble --reads ci_ft_reads.fastq --out ci_ft_base.fasta --ranks 8
 cargo run --release -q --bin pgasm -- assemble --reads ci_ft_reads.fastq --out ci_ft_killed.fasta --ranks 8 \
   --fault-plan "kill:lease=1" --metrics-json ci.ft.json
 cmp ci_ft_base.fasta ci_ft_killed.fasta || { echo "contigs changed after a worker kill"; exit 1; }
+grep -q '"fault_kills": 1' ci.ft.json || { echo "not exactly one worker killed"; exit 1; }
 grep -q '"dead_ranks": 1' ci.ft.json || { echo "kill not detected"; exit 1; }
 grep -q '"recovered_tasks": 0' ci.ft.json && { echo "no leases recovered"; exit 1; }
 rm -rf ci_ft_reads.fastq ci_ft_base.fasta ci_ft_killed.fasta ci.ft.json

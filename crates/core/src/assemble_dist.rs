@@ -102,10 +102,6 @@ pub struct DistAssembleReport {
     /// stage's, so `RunContext::merge_traces` appends them to the
     /// tracks those ranks already have; empty when tracing was off.
     pub traces: Vec<RankTrace>,
-    /// Clusters re-queued from dead workers' leases (0 fault-free).
-    pub recovered_tasks: u64,
-    /// Worker ranks the master marked dead during the phase.
-    pub dead_ranks: u64,
     /// The fault plan killed the master: unassembled slots hold empty
     /// placeholder assemblies and the run should resume from the last
     /// checkpoint.
@@ -407,8 +403,6 @@ pub fn assemble_parallel_with(
         master_availability: run.master_availability,
         ranks: run.ranks,
         traces: run.traces,
-        recovered_tasks: run.recovered_tasks,
-        dead_ranks: run.dead_ranks,
         killed,
     }
 }
@@ -612,8 +606,12 @@ mod tests {
         for lease in [1, last / 2, last] {
             let dist = run_with(&store, &clustering, faults(&format!("kill:lease={lease}")));
             assert_eq!(dist.assemblies, expected, "lease {lease}");
-            assert_eq!(dist.dead_ranks, 1, "lease {lease}");
-            assert_eq!(dist.recovered_tasks, 1, "lease {lease}: its holder died before assembling it");
+            assert_eq!(dist.ranks[0].counter(names::DEAD_RANKS), 1, "lease {lease}");
+            assert_eq!(
+                dist.ranks[0].counter(names::RECOVERED_TASKS),
+                1,
+                "lease {lease}: its holder died before assembling it"
+            );
             assert!(!dist.killed);
             let kills: u64 = dist.ranks.iter().map(|r| r.counter(names::FAULT_KILLS)).sum();
             assert_eq!(kills, 1, "lease {lease}");
@@ -622,7 +620,11 @@ mod tests {
         let plan = format!("kill:lease={0}; kill:master,lease={0}", last + 1);
         let dist = run_with(&store, &clustering, faults(&plan));
         assert_eq!(dist.assemblies, expected);
-        assert_eq!((dist.dead_ranks, dist.recovered_tasks, dist.killed), (0, 0, false));
+        let master = &dist.ranks[0];
+        assert_eq!(
+            (master.counter(names::DEAD_RANKS), master.counter(names::RECOVERED_TASKS), dist.killed),
+            (0, 0, false)
+        );
         assert!(dist.ranks.iter().all(|r| r.counter(names::FAULT_KILLS) == 0));
     }
 

@@ -106,7 +106,8 @@ pub trait StageClient: Sync {
 }
 
 /// What [`run_stage`] hands back: per-rank vectors in rank order, plus
-/// the master's recovery summary.
+/// whether the master was killed. Every fault and recovery tally is a
+/// counter of [`names::FAULT_COUNTERS`] in the rank channels.
 #[derive(Debug)]
 pub struct StageRun<O> {
     /// Each rank's client product.
@@ -127,10 +128,6 @@ pub struct StageRun<O> {
     pub ranks: Vec<RankReport>,
     /// Per-rank event traces (empty tracks when tracing was off).
     pub traces: Vec<RankTrace>,
-    /// Tasks re-queued from dead workers' leases.
-    pub recovered_tasks: u64,
-    /// Worker ranks the master marked dead.
-    pub dead_ranks: u64,
     /// The fault plan killed the master: rank 0's output is partial and
     /// the run should resume from the last checkpoint.
     pub killed: bool,
@@ -226,10 +223,11 @@ pub fn run_stage<C: StageClient>(
         // and `barrier` spans are checked against them.
         counters.insert(names::WAIT_NS_TOTAL.to_string(), after.wait_ns);
         counters.insert(names::BARRIER_NS_TOTAL.to_string(), after.barrier_ns);
-        // Recovery and injected-fault tallies: only the nonzero ones,
-        // so fault-free runs keep byte-identical reports.
+        // Recovery and injected-fault tallies, one per name of
+        // `names::FAULT_COUNTERS`: only the nonzero ones, so fault-free
+        // runs keep byte-identical reports.
         let fs = comm.fault_stats();
-        for (name, value) in [
+        let tallies = [
             (names::RECOVERED_TASKS, master.recovered_tasks),
             (names::DEAD_RANKS, master.dead_ranks),
             (names::CKPT_WRITES, master.ckpt_writes),
@@ -240,7 +238,9 @@ pub fn run_stage<C: StageClient>(
             (names::FAULT_MSGS_DELAYED, fs.msgs_delayed),
             (names::FAULT_DEATH_NOTICES, fs.death_notices),
             (names::FAULT_MSGS_LOST, fs.msgs_lost),
-        ] {
+        ];
+        debug_assert!(tallies.iter().map(|t| t.0).eq(names::FAULT_COUNTERS));
+        for (name, value) in tallies {
             if value > 0 {
                 counters.insert(name.to_string(), value);
             }
@@ -275,16 +275,13 @@ pub fn run_stage<C: StageClient>(
         comm: Vec::with_capacity(p),
         ranks: Vec::with_capacity(p),
         traces: Vec::with_capacity(p),
-        recovered_tasks: 0,
-        dead_ranks: 0,
         killed: false,
     };
     for (rank, outcome) in ranks.into_iter().enumerate() {
         let r = outcome.unwrap_or_else(|e| panic!("{} stage, rank {rank}: {e}", spec.name));
         if rank == 0 {
             run.master_availability = r.idle_fraction;
-            (run.recovered_tasks, run.dead_ranks, run.killed) =
-                (r.master.recovered_tasks, r.master.dead_ranks, r.master.killed);
+            run.killed = r.master.killed;
         } else {
             run.worker_idle_fraction.push(r.idle_fraction);
         }

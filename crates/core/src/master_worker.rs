@@ -38,10 +38,7 @@ use crate::engine::{
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
-use pgasm_gst::{
-    for_each_window, sort_walk_by_bucket, AdmissionTable, Gst, GstConfig, PairGenerator, PromisingPair,
-    Suffix,
-};
+use pgasm_gst::{Gst, PairGenerator, PromisingPair};
 use pgasm_mpisim::{Comm, CommStats};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
@@ -91,10 +88,6 @@ pub struct ParallelClusterReport {
     /// clustering; spans, instants and the queue-depth / occupancy /
     /// align-scratch gauges); empty tracks when tracing was off.
     pub traces: Vec<RankTrace>,
-    /// Tasks re-queued from dead workers' leases (0 in fault-free runs).
-    pub recovered_tasks: u64,
-    /// Worker ranks the master marked dead during the run.
-    pub dead_ranks: u64,
     /// The fault plan killed the master: the clustering above is
     /// partial and the run should resume from the last checkpoint.
     pub killed: bool,
@@ -152,16 +145,8 @@ pub fn cluster_parallel_with(
     let run = run_stage(p, &spec, opts, &client);
 
     let gst_seconds = run.pre_seconds.iter().copied().fold(0.0, f64::max);
-    let mut gst_reports = Vec::with_capacity(p);
-    let mut result = None;
-    for ((mut gst_report, rank_result), gst_wall) in run.outputs.into_iter().zip(run.pre_seconds) {
-        // Thread-CPU compute can overshoot the wall window by a clock
-        // tick; the window is the bound.
-        gst_report.compute_seconds = gst_report.compute_seconds.min(gst_wall);
-        gst_reports.push(gst_report);
-        result = result.or(rank_result);
-    }
-    let (clustering, stats) = result.expect("master produced the clustering");
+    let (gst_reports, results): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
+    let (clustering, stats) = results.into_iter().flatten().next().expect("master produced the clustering");
     ParallelClusterReport {
         clustering,
         stats,
@@ -174,8 +159,6 @@ pub fn cluster_parallel_with(
         cpu_seconds: run.cpu_seconds,
         ranks: run.ranks,
         traces: run.traces,
-        recovered_tasks: run.recovered_tasks,
-        dead_ranks: run.dead_ranks,
         killed: run.killed,
     }
 }
@@ -468,53 +451,17 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
 
     fn adopt_scope(&mut self, tracer: &mut Tracer, dead_rank: usize) {
         tracer.begin_arg(TraceCategory::Fault, names::EV_ADOPT_REBUILD, "dead", dead_rank as u64);
-        // In-bucket suffix order may differ from the redistributed
-        // build's, which permutes pair order within the scope — the
-        // master's cluster-check absorbs reordering and duplicates, so the
-        // final partition is unchanged.
-        let (store, params) = (self.decider.store, self.decider.params);
-        let gst = rebuild_scope(store, params.gst, self.world - 1, dead_rank);
+        // Bucket ownership is a pure hash of the bucket key, so any rank
+        // can rebuild the buckets the dead builder owned (ranks `1..world`
+        // build) from the shared store. In-bucket suffix order may differ
+        // from the redistributed build's, which permutes pair order within
+        // the scope — the master's cluster-check absorbs reordering and
+        // duplicates, so the final partition is unchanged.
+        let (store, params, builders) = (self.decider.store, self.decider.params, self.world - 1);
+        let gst = Gst::build_where(store, params.gst, |key| bucket_owner(key, builders, 1) == dead_rank);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
     }
-}
-
-/// The forest of the buckets rank `dead_rank` of `builders` built
-/// (ranks `1..=builders`), rebuilt from the shared store. Bucket
-/// ownership is a pure hash of the bucket key, so any rank can tell
-/// which buckets those were, and every suffix of them is in the store:
-/// every window is folded into an [`AdmissionTable`], and only the dead
-/// rank's suffixes whose halves can pair are sorted. Its `enumerated`
-/// counts every suffix of those buckets.
-fn rebuild_scope(store: &FragmentStore, config: GstConfig, builders: usize, dead_rank: usize) -> Gst {
-    let (suffixes, enumerated) = scope_survivors(store, config.bucket_len(), builders, dead_rank);
-    Gst::build_from_sorted(store, &suffixes, config, enumerated)
-}
-
-/// The admitted suffixes of the dead rank's buckets, sorted by
-/// [`sort_walk_by_bucket`], and the number of its suffixes.
-fn scope_survivors(
-    store: &FragmentStore,
-    k: usize,
-    builders: usize,
-    dead_rank: usize,
-) -> (Vec<(u64, Suffix)>, usize) {
-    let owned = |key: u64| bucket_owner(key, builders, 1) == dead_rank;
-    let mut table = AdmissionTable::for_windows(store);
-    for_each_window(store, k, |_| true, |w| table.add(w));
-    let (mut suffixes, mut enumerated) = (Vec::new(), 0);
-    for_each_window(
-        store,
-        k,
-        |_| true,
-        |w| {
-            enumerated += [Some(w.key), w.twin_key()].into_iter().flatten().filter(|&key| owned(key)).count();
-            suffixes.extend(table.admitted(w).filter(|&(key, _)| owned(key)));
-        },
-    );
-    drop(table);
-    sort_walk_by_bucket(&mut suffixes);
-    (suffixes, enumerated)
 }
 
 #[cfg(test)]
@@ -890,7 +837,8 @@ mod tests {
                     .collect();
                 pgasm_gst::sort_by_bucket(&mut owned);
                 let direct = Gst::build_from_sorted(&store, &owned, config, owned.len());
-                let (survivors, enumerated) = scope_survivors(&store, k, builders, dead);
+                let owns = |key| bucket_owner(key, builders, 1) == dead;
+                let (survivors, enumerated) = pgasm_gst::admitted_suffixes(&store, k, owns);
                 assert_eq!(enumerated, owned.len(), "p = {p}, rank {dead}");
                 assert!(direct.stats().suffixes > 0, "p = {p}: rank {dead} built nothing");
                 assert!(
@@ -899,8 +847,8 @@ mod tests {
                     survivors.len(),
                     owned.len()
                 );
-                let adopted = rebuild_scope(&store, config, builders, dead);
-                assert!(adopted.encode() == direct.encode(), "p = {p}, rank {dead}");
+                let adopted = Gst::build_where(&store, config, owns);
+                assert!(adopted == direct, "p = {p}, rank {dead}");
             }
         }
     }
@@ -924,10 +872,12 @@ mod tests {
         for lease in [1, issued / 2 + 1, issued] {
             let run = run_faulty(&store, 4, &format!("kill:lease={lease}"));
             assert_eq!(run.clustering, serial, "lease {lease}");
-            assert_eq!(run.dead_ranks, 1, "lease {lease}");
-            assert!(run.recovered_tasks >= 1, "lease {lease}: its holder died before reporting");
+            assert_eq!(run.ranks[0].counter(names::DEAD_RANKS), 1, "lease {lease}");
+            assert!(
+                run.ranks[0].counter(names::RECOVERED_TASKS) >= 1,
+                "lease {lease}: its holder died before reporting"
+            );
             assert!(!run.killed);
-            assert_eq!(run.ranks[0].counter(names::DEAD_RANKS), 1);
             let kills: u64 = run.ranks.iter().map(|r| r.counter(names::FAULT_KILLS)).sum();
             assert_eq!(kills, 1, "lease {lease}");
             let adopted: u64 = run.ranks[1..].iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum();
@@ -944,7 +894,11 @@ mod tests {
         let (serial, _) = cluster_serial(&store, &params());
         let run = run_faulty(&store, 4, "kill:lease=1000000; kill:master,lease=1000000");
         assert_eq!(run.clustering, serial);
-        assert_eq!((run.dead_ranks, run.recovered_tasks, run.killed), (0, 0, false));
+        let master = &run.ranks[0];
+        assert_eq!(
+            (master.counter(names::DEAD_RANKS), master.counter(names::RECOVERED_TASKS), run.killed),
+            (0, 0, false)
+        );
         assert!(run.ranks.iter().all(|r| r.counter(names::FAULT_KILLS) == 0));
     }
 

@@ -552,13 +552,12 @@ mod tests {
         for p in [2usize, 3] {
             let owner = compute_owners(&store, p, 0);
             let (owner, store_ref) = (&owner, &store);
-            let per_rank = pgasm_mpisim::run(p, move |comm| {
-                rank_build_gst(comm, store_ref, owner, config, 0).0.encode()
-            });
+            let per_rank =
+                pgasm_mpisim::run(p, move |comm| rank_build_gst(comm, store_ref, owner, config, 0).0);
             let owned_by = |rank: usize| {
                 (0..store.num_seqs() as u32).filter(move |&s| owner[s as usize] as usize == rank).map(SeqId)
             };
-            for (rank, encoded) in per_rank.iter().enumerate() {
+            for (rank, built) in per_rank.iter().enumerate() {
                 let mut arrived = Vec::new();
                 for source in 0..p {
                     arrived.extend(
@@ -570,7 +569,7 @@ mod tests {
                 let own = enumerate_suffixes(&store, owned_by(rank), config.bucket_len()).count();
                 let direct = Gst::build_from_sorted(&store, &arrived, config, own);
                 assert!(direct.stats().eligible_nodes > 0, "rank {rank} of {p} built nothing");
-                assert!(*encoded == direct.encode(), "rank {rank} of {p}");
+                assert!(*built == direct, "rank {rank} of {p}");
             }
         }
     }

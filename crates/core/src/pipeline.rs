@@ -293,9 +293,9 @@ impl Run<'_> {
     }
 
     /// Fold one distributed stage's report into the run: its phases,
-    /// measured on rank clocks, as completed spans; its fault/recovery
-    /// tallies (summed over the rank counters `run_stage` wrote; nonzero
-    /// only, so a clean run's report has no `faults` section); whether
+    /// measured on rank clocks, as completed spans; each counter of
+    /// [`names::FAULT_COUNTERS`], summed over the rank channels
+    /// (nonzero only, so a clean run's counters are unchanged); whether
     /// its master was killed; and its rank channels and trace tracks.
     /// Both stages run on the same ranks, so those merge by rank id:
     /// counters sum, comm rows append under each stage's tag labels,
@@ -308,15 +308,7 @@ impl Run<'_> {
         killed: bool,
     ) {
         self.killed = killed;
-        for name in [
-            names::RECOVERED_TASKS,
-            names::DEAD_RANKS,
-            names::FAULT_KILLS,
-            names::FAULT_MSGS_DROPPED,
-            names::FAULT_MSGS_DELAYED,
-            names::CKPT_WRITES,
-            names::CKPT_BYTES,
-        ] {
+        for name in names::FAULT_COUNTERS {
             let value: u64 = ranks.iter().map(|r| r.counter(name)).sum();
             if value > 0 {
                 self.ctx.add(name, value);

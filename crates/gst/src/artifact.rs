@@ -203,6 +203,7 @@ mod tests {
         let stats = original.stats();
         let bytes = original.encode();
         let decoded = Gst::decode(&bytes).expect("round trip");
+        assert!(decoded == original, "the encoding carries every field");
         assert_eq!(decoded.stats(), stats);
         assert_eq!(decoded.config(), config);
         assert_eq!(decoded.num_seqs(), store.num_seqs());

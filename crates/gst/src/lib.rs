@@ -49,7 +49,7 @@ pub mod tree;
 pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
 pub use suffix::{
-    admitted_runs, enumerate_suffixes, for_each_window, sort_by_bucket, sort_walk_by_bucket, AdmissionTable,
-    LeftClasses, SlotTable, Suffix, TwinClasses, Window,
+    admitted_runs, admitted_suffixes, enumerate_suffixes, for_each_window, sort_by_bucket,
+    sort_walk_by_bucket, AdmissionTable, LeftClasses, SlotTable, Suffix, TwinClasses, Window,
 };
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

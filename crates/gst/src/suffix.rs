@@ -293,10 +293,11 @@ impl SlotTable {
 ///
 /// A table has ≥ 2 slots per word it may be given, so it is at most half
 /// full and every probe ends. It is filled in one of two ways, never
-/// both. [`Gst::build`](crate::Gst::build) and scope adoption fold every
-/// forward window ([`add`](Self::add): a suffix and its twin share the
-/// slot of their canonical word, as in a [`SlotTable`]) and then take
-/// each window's [`admitted`](Self::admitted) suffixes. A distributed
+/// both. [`admitted_suffixes`] — the serial build's and scope adoption's
+/// admission — folds every forward window ([`add`](Self::add): a suffix
+/// and its twin share the slot of their canonical word, as in a
+/// [`SlotTable`]) and then takes each window's
+/// [`admitted`](Self::admitted) suffixes. A distributed
 /// builder folds the suffixes it received by bucket key
 /// ([`add_key`](Self::add_key)) and keeps those whose key [can
 /// pair](Self::can_pair).
@@ -304,7 +305,6 @@ pub struct AdmissionTable {
     slots: Vec<u16>,
     /// 64 − log2(home slots): a hash shifted by it is its word's home.
     shift: u32,
-    enumerated: usize,
 }
 
 impl AdmissionTable {
@@ -317,7 +317,7 @@ impl AdmissionTable {
     /// An empty table for at most `words` distinct words.
     pub fn with_words(words: usize) -> AdmissionTable {
         let bits = slot_bits(words);
-        AdmissionTable { slots: vec![0; 1 << bits], shift: 64 - bits, enumerated: 0 }
+        AdmissionTable { slots: vec![0; 1 << bits], shift: 64 - bits }
     }
 
     /// The slot `word` resolves to — its own, or the empty slot that
@@ -346,7 +346,7 @@ impl AdmissionTable {
         let (word, half, twin_half) = canonical(w);
         let (i, fingerprint) = self.probe(word);
         let mut classes = TwinClasses(self.slots[i] as u8);
-        self.enumerated += fold_window(&mut classes, w, half, twin_half);
+        fold_window(&mut classes, w, half, twin_half);
         self.slots[i] = fingerprint | classes.0 as u16;
     }
 
@@ -374,11 +374,33 @@ impl AdmissionTable {
     pub fn can_pair(&self, key: u64) -> bool {
         self.classes(key).get(0).can_pair()
     }
+}
 
-    /// Suffixes folded in by [`add`](Self::add).
-    pub fn enumerated(&self) -> usize {
-        self.enumerated
-    }
+/// The local admission of the buckets `keep` selects by key: every
+/// forward window of `store` folds into an [`AdmissionTable`], and a
+/// second walk collects, grouped by [`sort_walk_by_bucket`], the selected
+/// suffixes whose half of their word's slot can pair — few more than are
+/// indexed. Also returns how many suffixes the selected buckets hold.
+pub fn admitted_suffixes(
+    store: &FragmentStore,
+    bucket_len: usize,
+    keep: impl Fn(u64) -> bool,
+) -> (Vec<(u64, Suffix)>, usize) {
+    let mut table = AdmissionTable::for_windows(store);
+    for_each_window(store, bucket_len, |_| true, |w| table.add(w));
+    let (mut admitted, mut enumerated) = (Vec::new(), 0);
+    for_each_window(
+        store,
+        bucket_len,
+        |_| true,
+        |w| {
+            enumerated += [Some(w.key), w.twin_key()].into_iter().flatten().filter(|&key| keep(key)).count();
+            admitted.extend(table.admitted(w).filter(|&(key, _)| keep(key)));
+        },
+    );
+    drop(table);
+    sort_walk_by_bucket(&mut admitted);
+    (admitted, enumerated)
 }
 
 /// Forward bases of `store`: a bound on its distinct canonical words.
@@ -877,8 +899,11 @@ mod tests {
                 sort_walk_by_bucket(&mut walked);
                 let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
                 proptest::prop_assert_eq!(&runs, &expected, "window mode");
-                proptest::prop_assert_eq!(table.enumerated(), all.len());
             }
+            let (walked, enumerated) = admitted_suffixes(&store, k, |_| true);
+            let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
+            proptest::prop_assert_eq!(&runs, &expected, "the serial admission");
+            proptest::prop_assert_eq!(enumerated, all.len());
             for i in (1..all.len()).rev() {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 all.swap(i, (state >> 33) as usize % (i + 1));

@@ -24,7 +24,7 @@
 //! O(1) concatenation, which the pair generator relies on for its O(1)
 //! amortised per-pair bound (paper Lemma 2).
 
-use crate::suffix::{admitted_runs, for_each_window, sort_walk_by_bucket, AdmissionTable, Suffix};
+use crate::suffix::{admitted_runs, admitted_suffixes, Suffix};
 use pgasm_seq::alphabet::SIGMA;
 use pgasm_seq::FragmentStore;
 
@@ -115,7 +115,10 @@ pub struct GstStats {
     pub eligible_nodes: usize,
 }
 
-/// The generalized suffix tree forest over a set of sequences.
+/// The generalized suffix tree forest over a set of sequences. Two
+/// forests are `==` when every field is, statistics included: exactly
+/// when their [encodings](Gst::encode) are.
+#[derive(PartialEq)]
 pub struct Gst {
     pub(crate) config: GstConfig,
     pub(crate) nodes: Vec<Node>,
@@ -138,27 +141,21 @@ pub struct Gst {
 }
 
 impl Gst {
-    /// Build the GST over every sequence of `store` (serial path). Most
-    /// suffixes of a sparse sample are alone in their bucket, so only
-    /// those that are indexed should be sorted. A first pass folds every
-    /// window into an [`AdmissionTable`], and a second collects the
-    /// suffixes whose half of their word's slot can pair: few more than
-    /// the indexed ones, since two words share a slot only when their
-    /// fingerprints match. Only those are sorted, and
-    /// [`Gst::build_from_sorted`] judges each bucket exactly.
-    ///
-    /// Both passes walk the forward strand only: one probe per forward
-    /// window serves the suffix there and its twin on the reverse strand.
+    /// Build the GST over every sequence of `store` (serial path): the
+    /// [`build_where`](Gst::build_where) that keeps every bucket.
     pub fn build(store: &FragmentStore, config: GstConfig) -> Gst {
-        let k = config.bucket_len();
-        let mut table = AdmissionTable::for_windows(store);
-        for_each_window(store, k, |_| true, |w| table.add(w));
-        let mut survivors = Vec::new();
-        for_each_window(store, k, |_| true, |w| survivors.extend(table.admitted(w)));
-        let enumerated = table.enumerated();
-        drop(table);
-        sort_walk_by_bucket(&mut survivors);
-        Gst::build_from_sorted(store, &survivors, config, enumerated)
+        Gst::build_where(store, config, |_| true)
+    }
+
+    /// Build the forest of the buckets of `store` that `keep` selects by
+    /// key; `enumerated` counts every suffix of those buckets. Most
+    /// suffixes of a sparse sample are alone in their bucket, so only
+    /// those that [`admitted_suffixes`] lets through — few more than are
+    /// indexed — are sorted, and [`Gst::build_from_sorted`] judges each
+    /// bucket exactly. Scope adoption selects a dead rank's buckets.
+    pub fn build_where(store: &FragmentStore, config: GstConfig, keep: impl Fn(u64) -> bool) -> Gst {
+        let (admitted, enumerated) = admitted_suffixes(store, config.bucket_len(), keep);
+        Gst::build_from_sorted(store, &admitted, config, enumerated)
     }
 
     /// Build from suffixes grouped into buckets by

@@ -186,7 +186,7 @@ proptest! {
             let mut sorted = all_suffixes(&ds, psi);
             sort_by_bucket(&mut sorted);
             let built = Gst::build(&ds, config);
-            assert!(built.encode() == Gst::build_from_sorted(&ds, &sorted, config, sorted.len()).encode());
+            assert!(built == Gst::build_from_sorted(&ds, &sorted, config, sorted.len()));
             let reference = Gst::build_reference(&ds, &sorted, config, psi as u32);
             assert_eq!(stream(built, GenMode::DupElim), stream(reference, GenMode::DupElim));
         });

@@ -1066,7 +1066,6 @@ mod tests {
             spans: Vec::new(),
             counters: BTreeMap::new(),
             ranks: vec![rank],
-            faults: None,
         };
         (tracks, metrics)
     }

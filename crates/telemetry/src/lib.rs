@@ -33,6 +33,6 @@ pub mod trace;
 
 pub use cpu::thread_cpu_seconds;
 pub use json::{Json, JsonError};
-pub use report::{FaultSummary, RankReport, RunReport, TagStat, SCHEMA_VERSION};
+pub use report::{RankReport, RunReport, TagStat, SCHEMA_VERSION};
 pub use span::{RunContext, Span};
 pub use trace::{RankTrace, Trace, TraceCategory, TraceEvent, TraceKind, TraceSpec, Tracer};

@@ -92,6 +92,22 @@ pub const ASM_BATCHES_DISPATCHED: &str = "asm_batches_dispatched";
 
 // ---- fault-injection / recovery counters ----------------------------------
 
+/// Every fault-injection and recovery counter: a distributed stage
+/// writes each into a rank's channel when nonzero, and the run's value
+/// is its sum over the rank channels — the one record of the fact.
+pub const FAULT_COUNTERS: [&str; 10] = [
+    RECOVERED_TASKS,
+    DEAD_RANKS,
+    CKPT_WRITES,
+    CKPT_BYTES,
+    SCOPES_ADOPTED,
+    FAULT_KILLS,
+    FAULT_MSGS_DROPPED,
+    FAULT_MSGS_DELAYED,
+    FAULT_DEATH_NOTICES,
+    FAULT_MSGS_LOST,
+];
+
 /// Ranks the fault plan killed in this run.
 pub const FAULT_KILLS: &str = "fault_kills";
 /// Messages the fault plan discarded at the sender.

@@ -7,11 +7,12 @@ use crate::span::Span;
 use std::collections::BTreeMap;
 
 /// Version of the `pgasm.run_report` JSON schema this crate writes and
-/// reads. The optional `faults` section is omitted when a run has
-/// nothing to put in it and parses back as absent; fields a parser does
-/// not know are ignored. A document that does not declare a
+/// reads. Every fact of a run is a span, a counter or a rank channel: a
+/// fault or a recovery is the counter its [`names`](crate::names)
+/// constant names, never a section of its own. Fields a parser does not
+/// know are ignored. A document that does not declare a
 /// `schema_version` is not a run report.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Traffic and modelled cost for one message tag on one rank.
 ///
@@ -121,56 +122,6 @@ impl RankReport {
     }
 }
 
-/// Fault-injection and recovery digest for one run. Present only when
-/// the run injected faults, recovered leases, or wrote checkpoints — a
-/// clean run omits the section entirely.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultSummary {
-    /// Ranks the fault plan killed.
-    pub kills_injected: u64,
-    /// Worker ranks the master marked dead (notice or liveness).
-    pub dead_ranks: u64,
-    /// Tasks re-queued from dead workers' leases and re-executed.
-    pub recovered_tasks: u64,
-    /// Messages the fault plan discarded at the sender.
-    pub msgs_dropped: u64,
-    /// Messages the fault plan held back and delivered late.
-    pub msgs_delayed: u64,
-    /// Bytes of master checkpoint snapshots written.
-    pub ckpt_bytes: u64,
-}
-
-impl FaultSummary {
-    /// True when nothing fault-related happened — the report omits the
-    /// section.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultSummary::default()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kills_injected", Json::Num(self.kills_injected as f64)),
-            ("dead_ranks", Json::Num(self.dead_ranks as f64)),
-            ("recovered_tasks", Json::Num(self.recovered_tasks as f64)),
-            ("msgs_dropped", Json::Num(self.msgs_dropped as f64)),
-            ("msgs_delayed", Json::Num(self.msgs_delayed as f64)),
-            ("ckpt_bytes", Json::Num(self.ckpt_bytes as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> FaultSummary {
-        let n = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-        FaultSummary {
-            kills_injected: n("kills_injected"),
-            dead_ranks: n("dead_ranks"),
-            recovered_tasks: n("recovered_tasks"),
-            msgs_dropped: n("msgs_dropped"),
-            msgs_delayed: n("msgs_delayed"),
-            ckpt_bytes: n("ckpt_bytes"),
-        }
-    }
-}
-
 fn counters_to_json(counters: &BTreeMap<String, u64>) -> Json {
     Json::Obj(counters.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect())
 }
@@ -205,8 +156,6 @@ pub struct RunReport {
     pub counters: BTreeMap<String, u64>,
     /// Per-rank channels from the run's parallel section.
     pub ranks: Vec<RankReport>,
-    /// Fault-injection / recovery digest; absent for clean runs.
-    pub faults: Option<FaultSummary>,
 }
 
 impl RunReport {
@@ -223,18 +172,14 @@ impl RunReport {
 
     /// Structured JSON value.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj(vec![
             ("format", Json::Str("pgasm.run_report".into())),
             ("schema_version", Json::Num(self.schema_version as f64)),
             ("label", Json::Str(self.label.clone())),
             ("spans", Json::Arr(self.spans.iter().map(Span::to_json).collect())),
             ("counters", counters_to_json(&self.counters)),
             ("ranks", Json::Arr(self.ranks.iter().map(RankReport::to_json).collect())),
-        ];
-        if let Some(f) = &self.faults {
-            fields.push(("faults", f.to_json()));
-        }
-        Json::obj(fields)
+        ])
     }
 
     /// Pretty-printed JSON document.
@@ -272,7 +217,6 @@ impl RunReport {
                 .iter()
                 .map(RankReport::from_json)
                 .collect::<Result<_, _>>()?,
-            faults: v.get("faults").map(FaultSummary::from_json),
         })
     }
 
@@ -325,14 +269,6 @@ mod tests {
                     modelled_seconds: 1e-4,
                 }],
             }],
-            faults: Some(FaultSummary {
-                kills_injected: 1,
-                dead_ranks: 1,
-                recovered_tasks: 12,
-                msgs_dropped: 2,
-                msgs_delayed: 1,
-                ckpt_bytes: 4096,
-            }),
         }
     }
 
@@ -367,14 +303,6 @@ mod tests {
         assert!(!text.contains("\"version\""), "the legacy alias is no longer written");
         let back = RunReport::from_json_str(&text).unwrap();
         assert_eq!(back.schema_version, SCHEMA_VERSION);
-        assert_eq!(back.faults, report.faults);
-        // A run with nothing to put in the optional section writes no
-        // key for it, and parses back without it.
-        let mut bare = sample();
-        bare.faults = None;
-        let text = bare.to_json_string();
-        assert!(!text.contains("\"faults\""));
-        assert_eq!(RunReport::from_json_str(&text).unwrap(), bare);
         // The number under the old alias alone does not make a report.
         let legacy = "{\"format\": \"pgasm.run_report\", \"version\": 1, \"label\": \"old\"}";
         let err = RunReport::from_json_str(legacy).unwrap_err();
@@ -386,13 +314,13 @@ mod tests {
         // A hypothetical later writer added fields we don't know about;
         // parsing must still succeed and keep everything we do know.
         let future = concat!(
-            "{\"format\": \"pgasm.run_report\", \"schema_version\": 6, ",
+            "{\"format\": \"pgasm.run_report\", \"schema_version\": 7, ",
             "\"label\": \"future\", \"counters\": {\"merges\": 7}, ",
             "\"new_top_level_blob\": {\"x\": [1, 2, 3]}, ",
             "\"ranks\": [{\"rank\": 0, \"role\": \"master\", \"novel_rank_field\": 42}]}"
         );
         let report = RunReport::from_json_str(future).unwrap();
-        assert_eq!(report.schema_version, 6);
+        assert_eq!(report.schema_version, 7);
         assert_eq!(report.counter("merges"), 7);
         assert_eq!(report.ranks[0].role, "master");
     }

@@ -284,25 +284,12 @@ impl RunContext {
             let dropped = self.traces.iter().map(|t| t.dropped_events).sum::<u64>() + own.unwrap_or(0);
             self.set(crate::names::TRACE_EVENTS_DROPPED, dropped);
         }
-        // The faults section is derived from the canonical fault
-        // counters, so any run that tallied them reports the digest
-        // without extra plumbing; a clean run omits the section.
-        let c = |name: &str| self.counters.get(name).copied().unwrap_or(0);
-        let faults = crate::FaultSummary {
-            kills_injected: c(crate::names::FAULT_KILLS),
-            dead_ranks: c(crate::names::DEAD_RANKS),
-            recovered_tasks: c(crate::names::RECOVERED_TASKS),
-            msgs_dropped: c(crate::names::FAULT_MSGS_DROPPED),
-            msgs_delayed: c(crate::names::FAULT_MSGS_DELAYED),
-            ckpt_bytes: c(crate::names::CKPT_BYTES),
-        };
         crate::RunReport {
             schema_version: crate::SCHEMA_VERSION,
             label: self.label,
             spans,
             counters: self.counters,
             ranks: self.ranks,
-            faults: if faults.is_empty() { None } else { Some(faults) },
         }
     }
 }

@@ -136,8 +136,9 @@ clause at the same point of the same lease is an error. The engine
 detects the death, re-queues the dead worker's leases, and a survivor
 finishes the work — the final
 clustering and contigs are byte-identical to a fault-free run; the
-faults: line and the metrics-json faults section report dead_ranks /
-recovered_tasks / drops / delays. A lost message needs no timeout: the
+faults: line reports dead_ranks / recovered_tasks / drops / delays, and
+each is a metrics-json counter (fault_kills, dead_ranks,
+recovered_tasks, fault_msgs_dropped, ...), summed over the rank channels. A lost message needs no timeout: the
 simulator sees every rank blocked with nothing in flight, and the master
 then recovers exactly the workers still holding work.
 --checkpoint-every <n> --checkpoint <base> makes the master snapshot its

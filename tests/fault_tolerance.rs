@@ -126,6 +126,12 @@ fn run_traced(
     (report, ctx.finish(), trace)
 }
 
+/// The run's nonzero fault and recovery counters: empty when nothing was
+/// injected, recovered or checkpointed.
+fn fault_facts(run: &RunReport) -> Vec<(&'static str, u64)> {
+    names::FAULT_COUNTERS.into_iter().map(|name| (name, run.counter(name))).filter(|&(_, n)| n > 0).collect()
+}
+
 /// Every contig of every assembly, as raw ASCII — byte-level equality.
 fn contig_bytes(report: &PipelineReport) -> Vec<Vec<u8>> {
     report.assemblies.iter().flat_map(|a| a.contigs.iter().map(|c| c.seq.to_ascii())).collect()
@@ -156,10 +162,12 @@ fn kill_and_check(
     let (report, run_report) = run(config(p, faults(&plan)), reads, genome);
     assert!(report.interrupted.is_none(), "{plan}, p={p}: a worker kill must not interrupt the run");
     assert_eq!(contig_bytes(&report), expected, "{plan}, p={p}: contigs changed");
-    let faults = run_report.faults.expect("armed run must report a faults section");
-    assert_eq!(faults.kills_injected, 1, "{plan}, p={p}");
-    assert_eq!(faults.dead_ranks, 1, "{plan}, p={p}");
-    assert!(faults.recovered_tasks >= 1, "{plan}, p={p}: the victim died holding that lease");
+    assert_eq!(run_report.counter(names::FAULT_KILLS), 1, "{plan}, p={p}");
+    assert_eq!(run_report.counter(names::DEAD_RANKS), 1, "{plan}, p={p}");
+    assert!(
+        run_report.counter(names::RECOVERED_TASKS) >= 1,
+        "{plan}, p={p}: the victim died holding that lease"
+    );
     run_report.ranks.iter().map(|r| r.counter(names::SCOPES_ADOPTED)).sum()
 }
 
@@ -169,7 +177,7 @@ fn kill_matrix(stage: &str, seed: u64) {
     let (reads, genome) = fixture_reads(seed);
     for p in [4usize, 8] {
         let (baseline, base_run) = run(config(p, StageRecovery::default()), &reads, &genome);
-        assert!(base_run.faults.is_none(), "fault-free run must omit the faults section");
+        assert_eq!(fault_facts(&base_run), [], "a fault-free run has no fault counter");
         let expected = contig_bytes(&baseline);
         assert!(!expected.is_empty(), "fixture must assemble something");
         let last = leases_issued(stage, &baseline);
@@ -227,7 +235,35 @@ fn killing_a_worker_in_each_stage_preserves_the_contigs() {
         let (report, run_report) = run(config(p, faults(never)), &reads, &genome);
         assert!(report.interrupted.is_none());
         assert_eq!(contig_bytes(&report), expected, "a kill that never fires changed the contigs");
-        assert!(run_report.faults.is_none(), "nobody was killed, nothing recovered: {:?}", run_report.faults);
+        assert_eq!(fault_facts(&run_report), [], "nobody was killed, nothing recovered");
+    });
+}
+
+/// One record per fact: under a kill, a lost report and a late grant,
+/// the run's value of every fault and recovery counter is that counter
+/// summed over the rank channels — `scopes_adopted` too — and the report
+/// has no other place for any of them.
+#[test]
+fn every_fault_counter_of_the_run_is_the_sum_over_its_rank_channels() {
+    with_watchdog("every_fault_counter_of_the_run_is_the_sum_over_its_rank_channels", SCENARIO_LIMIT, || {
+        let (reads, genome) = fixture_reads(21);
+        for (plan, fact) in [
+            ("kill:lease=1", names::SCOPES_ADOPTED),
+            ("drop:lease=1,dir=report", names::FAULT_MSGS_DROPPED),
+            ("delay:lease=2,dir=grant", names::FAULT_MSGS_DELAYED),
+        ] {
+            let (report, run_report) = run(config(4, faults(plan)), &reads, &genome);
+            assert!(report.interrupted.is_none(), "{plan}");
+            assert!(run_report.counter(fact) >= 1, "{plan}: no {fact}");
+            for name in names::FAULT_COUNTERS {
+                let over_ranks: u64 = run_report.ranks.iter().map(|r| r.counter(name)).sum();
+                assert_eq!(run_report.counter(name), over_ranks, "{plan}: {name}");
+            }
+            assert!(
+                run_report.to_json().get("faults").is_none(),
+                "{plan}: a fault is a counter, not a section"
+            );
+        }
     });
 }
 
@@ -253,14 +289,18 @@ fn dropped_result_report_trips_liveness_and_recovers() {
                 let (report, run_report, trace) = run_traced(traced, &reads, &genome);
                 assert!(report.interrupted.is_none(), "{clause}, p={p}: a lost message took the master down");
                 assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}, p={p}");
-                let faults = run_report.faults.expect("faults section");
-                assert_eq!(faults.msgs_dropped, 1, "{clause}, p={p}");
-                assert_eq!(faults.kills_injected, 0, "{clause}, p={p}: nobody was actually killed");
+                assert_eq!(run_report.counter(names::FAULT_MSGS_DROPPED), 1, "{clause}, p={p}");
                 assert_eq!(
-                    faults.dead_ranks, 1,
+                    run_report.counter(names::FAULT_KILLS),
+                    0,
+                    "{clause}, p={p}: nobody was actually killed"
+                );
+                assert_eq!(
+                    run_report.counter(names::DEAD_RANKS),
+                    1,
                     "{clause}, p={p}: quiescence must declare the stuck worker dead"
                 );
-                assert!(faults.recovered_tasks > 0, "{clause}, p={p}");
+                assert!(run_report.counter(names::RECOVERED_TASKS) > 0, "{clause}, p={p}");
                 let drops: Vec<(usize, Option<u64>)> = trace
                     .tracks
                     .iter()
@@ -298,9 +338,12 @@ fn delayed_grant_is_taken_late_not_lost() {
             let (report, run_report) = run(config(p, faults(&clause)), &reads, &genome);
             assert!(report.interrupted.is_none(), "{clause}, p={p}: a late grant took the master down");
             assert_eq!(contig_bytes(&report), contig_bytes(&baseline), "{clause}, p={p}");
-            let faults = run_report.faults.expect("faults section");
-            assert_eq!(faults.msgs_delayed, 1, "{clause}, p={p}");
-            assert_eq!(faults.dead_ranks, 0, "{clause}, p={p}: a late grant is not a death");
+            assert_eq!(run_report.counter(names::FAULT_MSGS_DELAYED), 1, "{clause}, p={p}");
+            assert_eq!(
+                run_report.counter(names::DEAD_RANKS),
+                0,
+                "{clause}, p={p}: a late grant is not a death"
+            );
         }
     });
 }
@@ -365,7 +408,7 @@ fn checkpoint_resume(stage_name: &str, seed: u64, tag: &str) {
         PathBuf::from(s)
     };
     assert!(snapshot.exists(), "master must have snapshotted before dying");
-    assert!(run1.faults.expect("faults section").ckpt_bytes > 0);
+    assert!(run1.counter(names::CKPT_BYTES) > 0);
 
     // Resume, fault-free: stages before the snapshot recompute
     // deterministically, the interrupted stage reloads the journal and
@@ -374,7 +417,7 @@ fn checkpoint_resume(stage_name: &str, seed: u64, tag: &str) {
     let (r2, run2) = run(config(p, resume.clone()), &reads, &genome);
     assert!(r2.interrupted.is_none());
     assert_eq!(contig_bytes(&r2), contig_bytes(&baseline), "resumed contigs differ from a clean run");
-    assert!(run2.faults.is_none(), "the resumed run itself is fault-free");
+    assert_eq!(fault_facts(&run2), [], "the resumed run itself is fault-free");
 
     // A snapshot another build wrote: the container verifies (stage,
     // version, length, checksum all recomputed) but the payload is 16
