@@ -138,6 +138,14 @@ for dir in grant report; do
 done
 rm -f ci_clusters.drop.txt ci.cluster-drop.json
 
+echo "==> pgasm assemble --ranks 4 with one grant delayed: the faults: line names the delay"
+# A late message is a fault though no rank dies and no task is
+# recovered: the summary line lists every nonzero fault counter.
+out=$(cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.delay.fasta \
+  --ranks 4 --fault-plan delay:lease=2,dir=grant)
+grep -q '^faults: .*fault_msgs_delayed=1' <<< "$out" || { echo "$out"; echo "no faults: line for a delayed grant"; exit 1; }
+rm -f ci_contigs.delay.fasta
+
 echo "==> pgasm cluster --no-preprocess: a rejection-heavy run, serial and --ranks 3"
 # Every other input here is preprocessed. Unmasked, untrimmed reads put
 # repeats and vector in the GST, so almost every aligned pair fails the

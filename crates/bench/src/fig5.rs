@@ -11,7 +11,6 @@ use crate::datasets;
 use crate::util::*;
 use pgasm_core::parallel_gst::build_distributed_gst;
 use pgasm_gst::GstConfig;
-use pgasm_mpisim::CostModel;
 
 /// One measured point of the figure.
 #[derive(Debug, Clone, Copy)]
@@ -28,7 +27,6 @@ pub struct Point {
 
 /// Run the experiment; returns the measured series.
 pub fn run(scale: f64) -> Vec<Point> {
-    let model = CostModel::BLUEGENE_L;
     let config = GstConfig { psi: 20 };
     let sizes = [(250_000.0 * scale) as usize, (500_000.0 * scale) as usize];
     let ps = [1usize, 2, 4, 8];
@@ -41,7 +39,7 @@ pub fn run(scale: f64) -> Vec<Point> {
             // Both components come from rank-local clocks (thread CPU +
             // modelled α–β traffic), not from host wall time.
             let report = build_distributed_gst(&ds, p, config);
-            let (compute, comm) = (report.max_compute_seconds(), report.max_modelled_comm_seconds(&model));
+            let (compute, comm) = (report.max_compute_seconds(), report.max_modelled_comm_seconds());
             points.push(Point { input_bp, p, compute, comm });
         }
     }

@@ -25,9 +25,10 @@
 //! [`AssignPolicy::Lpt`] sorts clusters by decreasing candidate-pair
 //! cost (longest-processing-time-first) and dispatches one cluster per
 //! grant, which keeps the dominant cluster from landing *on top of* an
-//! already-loaded rank; [`AssignPolicy::Static`] reproduces the old
-//! contiguous chunking (natural order, one ⌈n/(p−1)⌉-cluster block per
-//! worker) and exists as the ablation baseline.
+//! already-loaded rank; [`AssignPolicy::Static`] reproduces the
+//! thread loop's contiguous chunking (natural order, one
+//! ⌈n/(p−1)⌉-cluster block per worker) and exists as the ablation
+//! baseline.
 
 use crate::checkpoint::STAGE_ASSEMBLE;
 use crate::clustering::Clustering;
@@ -50,8 +51,9 @@ pub enum AssignPolicy {
     /// clusters are pinned early and the tail back-fills the gaps.
     Lpt,
     /// Contiguous chunking in natural order, one ⌈n/(p−1)⌉-cluster
-    /// block per worker — the behaviour of the OS-thread loop this
-    /// stage replaces, kept as the load-balance ablation baseline.
+    /// block per worker — what the serial pipeline's OS-thread loop
+    /// (`pipeline::assemble_clusters_q`) does with its threads, kept as
+    /// the load-balance ablation baseline.
     Static,
 }
 
@@ -72,7 +74,7 @@ impl AssignPolicy {
                 tasks.sort_by_key(|t| (std::cmp::Reverse(t.cost_units()), t.slot));
                 1
             }
-            // The old thread-loop behaviour: contiguous blocks in
+            // The thread loop's behaviour: contiguous blocks in
             // natural order, one block per worker.
             AssignPolicy::Static => tasks.len().div_ceil(workers).max(1),
         };
@@ -89,7 +91,8 @@ pub struct DistAssembleReport {
     pub assemblies: Vec<Assembly>,
     /// Wall-clock seconds of the assemble phase (max over ranks).
     pub assemble_seconds: f64,
-    /// Per-rank thread-CPU seconds (rank 0 = master).
+    /// Per-rank thread-CPU seconds of the phase (rank 0 = master): each
+    /// rank channel's `cpu_seconds`.
     pub cpu_seconds: Vec<f64>,
     /// Per-worker idle fraction (blocked time / phase time).
     pub worker_idle_fraction: Vec<f64>,
@@ -398,7 +401,7 @@ pub fn assemble_parallel_with(
     DistAssembleReport {
         assemblies: assemblies.collect(),
         assemble_seconds: run.seconds,
-        cpu_seconds: run.cpu_seconds,
+        cpu_seconds: run.ranks.iter().map(|r| r.cpu_seconds).collect(),
         worker_idle_fraction: run.worker_idle_fraction,
         master_availability: run.master_availability,
         ranks: run.ranks,

@@ -236,11 +236,7 @@ pub fn cluster_serial_with_gst(
 
 /// The serial engine proper: cluster the fragments of the
 /// double-stranded store `ds` from the pairs of `gst`, built over it.
-pub(crate) fn cluster_over_gst(
-    ds: &FragmentStore,
-    gst: Gst,
-    params: &ClusterParams,
-) -> (Clustering, ClusterStats) {
+pub fn cluster_over_gst(ds: &FragmentStore, gst: Gst, params: &ClusterParams) -> (Clustering, ClusterStats) {
     let canonical = params.canonical_strands;
     let generator = PairGenerator::new(gst, params.mode, move |a, b| {
         same_fragment_skip(a, b) || (canonical && canonical_skip(a, b))

@@ -14,7 +14,7 @@ use super::{
     WorkerReport, PROTOCOL_TAGS,
 };
 use crate::checkpoint::{read_checkpoint, write_checkpoint, StageRecovery};
-use pgasm_mpisim::{thread_cpu_seconds, Comm, CommError, CommStats, CostModel};
+use pgasm_mpisim::{thread_cpu_seconds, Comm, CommError};
 use pgasm_seq::wire::WireError;
 use pgasm_telemetry::trace::{RankTrace, TraceSpec};
 use pgasm_telemetry::{names, RankReport};
@@ -116,15 +116,14 @@ pub struct StageRun<O> {
     pub pre_seconds: Vec<f64>,
     /// Wall-clock seconds of the protocol phase (max over ranks).
     pub seconds: f64,
-    /// Per-rank thread-CPU seconds of the protocol phase.
-    pub cpu_seconds: Vec<f64>,
-    /// Per-worker idle fraction (blocked time / phase time).
+    /// Per-worker idle fraction: its channel's `idle_seconds` over its
+    /// protocol-phase wall time.
     pub worker_idle_fraction: Vec<f64>,
     /// Fraction of the phase the master spent blocked awaiting reports.
     pub master_availability: f64,
-    /// Per-rank traffic of the protocol phase.
-    pub comm: Vec<CommStats>,
-    /// Per-rank telemetry channels.
+    /// Per-rank telemetry channels: `cpu_seconds` and `idle_seconds`
+    /// cover the protocol phase; the `comm` rows and the
+    /// `wait_ns_total` / `barrier_ns_total` counters the whole rank body.
     pub ranks: Vec<RankReport>,
     /// Per-rank event traces (empty tracks when tracing was off).
     pub traces: Vec<RankTrace>,
@@ -138,9 +137,6 @@ struct RankRun<O> {
     output: O,
     pre_seconds: f64,
     wall: f64,
-    cpu: f64,
-    idle_fraction: f64,
-    comm: CommStats,
     report: RankReport,
     trace: RankTrace,
     master: MasterReport,
@@ -175,7 +171,7 @@ pub fn run_stage<C: StageClient>(
         let pre = client.pre_phase(comm);
         let pre_seconds = pre_t0.elapsed().as_secs_f64();
 
-        let before = comm.stats();
+        let blocked0 = comm.wait_ns() + comm.barrier_ns();
         let cpu0 = thread_cpu_seconds();
         let t0 = Instant::now();
         let (mut master, mut scopes_adopted) = (MasterReport::default(), 0);
@@ -205,13 +201,12 @@ pub fn run_stage<C: StageClient>(
         };
         let wall = t0.elapsed().as_secs_f64();
         let cpu = thread_cpu_seconds() - cpu0;
-        let after = comm.stats();
-        let phase = after.since(before);
-        let blocked = phase.blocked_seconds();
+        let (wait_ns, barrier_ns) = (comm.wait_ns(), comm.barrier_ns());
+        let blocked = (wait_ns + barrier_ns - blocked0) as f64 * 1e-9;
 
         // Per-tag traffic of the whole rank body (pre-phase collectives
         // included) with the protocol tags under this stage's labels.
-        let mut comm_rows = comm.tag_stats(&CostModel::BLUEGENE_L);
+        let mut comm_rows = comm.tag_stats();
         for row in &mut comm_rows {
             if let Some(i) = PROTOCOL_TAGS.iter().position(|&t| t == row.tag) {
                 row.label = spec.tag_labels[i].to_string();
@@ -221,8 +216,8 @@ pub fn run_stage<C: StageClient>(
             client_counters.into_iter().map(|(name, value)| (name.to_string(), value)).collect();
         // Blocked totals cover the whole rank body: the traced `wait`
         // and `barrier` spans are checked against them.
-        counters.insert(names::WAIT_NS_TOTAL.to_string(), after.wait_ns);
-        counters.insert(names::BARRIER_NS_TOTAL.to_string(), after.barrier_ns);
+        counters.insert(names::WAIT_NS_TOTAL.to_string(), wait_ns);
+        counters.insert(names::BARRIER_NS_TOTAL.to_string(), barrier_ns);
         // Recovery and injected-fault tallies, one per name of
         // `names::FAULT_COUNTERS`: only the nonzero ones, so fault-free
         // runs keep byte-identical reports.
@@ -249,9 +244,6 @@ pub fn run_stage<C: StageClient>(
             output,
             pre_seconds,
             wall,
-            cpu,
-            idle_fraction: if wall > 0.0 { (blocked / wall).min(1.0) } else { 0.0 },
-            comm: phase,
             report: RankReport {
                 rank,
                 role: role.to_string(),
@@ -269,27 +261,24 @@ pub fn run_stage<C: StageClient>(
         outputs: Vec::with_capacity(p),
         pre_seconds: Vec::with_capacity(p),
         seconds: 0.0,
-        cpu_seconds: Vec::with_capacity(p),
         worker_idle_fraction: Vec::with_capacity(p - 1),
         master_availability: 0.0,
-        comm: Vec::with_capacity(p),
         ranks: Vec::with_capacity(p),
         traces: Vec::with_capacity(p),
         killed: false,
     };
     for (rank, outcome) in ranks.into_iter().enumerate() {
         let r = outcome.unwrap_or_else(|e| panic!("{} stage, rank {rank}: {e}", spec.name));
+        let idle_fraction = if r.wall > 0.0 { (r.report.idle_seconds / r.wall).min(1.0) } else { 0.0 };
         if rank == 0 {
-            run.master_availability = r.idle_fraction;
+            run.master_availability = idle_fraction;
             run.killed = r.master.killed;
         } else {
-            run.worker_idle_fraction.push(r.idle_fraction);
+            run.worker_idle_fraction.push(idle_fraction);
         }
         run.outputs.push(r.output);
         run.pre_seconds.push(r.pre_seconds);
         run.seconds = run.seconds.max(r.wall);
-        run.cpu_seconds.push(r.cpu);
-        run.comm.push(r.comm);
         run.ranks.push(r.report);
         run.traces.push(r.trace);
     }

@@ -39,7 +39,7 @@ use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstR
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
 use pgasm_gst::{Gst, PairGenerator, PromisingPair};
-use pgasm_mpisim::{Comm, CommStats};
+use pgasm_mpisim::Comm;
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
@@ -74,15 +74,11 @@ pub struct ParallelClusterReport {
     /// Fraction of the clustering phase the master spent available
     /// (blocked waiting for requests) — §7.2 reports 90% → 70%.
     pub master_availability: f64,
-    /// Per-rank traffic during the clustering phase.
-    pub comm: Vec<CommStats>,
-    /// Per-rank thread-CPU seconds spent in the clustering phase
-    /// (rank 0 = master). Immune to core oversubscription, so modelled
-    /// scaling curves remain meaningful on small hosts.
-    pub cpu_seconds: Vec<f64>,
-    /// Per-rank telemetry channels: role, CPU/idle seconds, rank-local
-    /// counters (pairs generated/aligned/accepted, batch round-trips,
-    /// peak queue depth), and per-tag traffic with modelled α–β time.
+    /// Per-rank telemetry channels: role, thread-CPU and idle seconds
+    /// of the clustering phase (rank 0 = master), rank-local counters
+    /// (pairs generated/aligned/accepted, batch round-trips, peak queue
+    /// depth), and the rank's per-tag traffic with modelled α–β time
+    /// over the whole stage, GST pre-phase included.
     pub ranks: Vec<RankReport>,
     /// Per-rank event traces covering the whole stage (GST +
     /// clustering; spans, instants and the queue-depth / occupancy /
@@ -155,8 +151,6 @@ pub fn cluster_parallel_with(
         cluster_seconds: run.seconds,
         worker_idle_fraction: run.worker_idle_fraction,
         master_availability: run.master_availability,
-        comm: run.comm,
-        cpu_seconds: run.cpu_seconds,
         ranks: run.ranks,
         traces: run.traces,
         killed: run.killed,
@@ -557,13 +551,10 @@ mod tests {
         let store = test_store();
         let report = cluster_parallel(&store, 4, &params(), &config());
         assert_eq!(report.worker_idle_fraction.len(), 3);
-        assert_eq!(report.comm.len(), 4);
+        assert_eq!(report.ranks.len(), 4);
         assert_eq!(report.gst_reports.len(), 4);
         assert!(report.cluster_seconds > 0.0);
         assert!(report.master_availability >= 0.0 && report.master_availability <= 1.0);
-        // Clustering-phase traffic exists in both directions at the master.
-        assert!(report.comm[0].msgs_recv > 0);
-        assert!(report.comm[0].msgs_sent > 0);
     }
 
     #[test]
@@ -774,6 +765,7 @@ mod tests {
         let row = |r: &RankReport, label: &str| {
             r.comm.iter().find(|t| t.label == label).map_or((0, 0), |t| (t.msgs_sent, t.msgs_recv))
         };
+        let mut conserved = std::collections::BTreeSet::new();
         for (ranks, traces, report, grant, round_trips) in [
             (&c.ranks, &c.traces, names::TAG_W2M_REPORT, names::TAG_M2W_GRANT, names::BATCH_ROUND_TRIPS),
             (
@@ -806,7 +798,22 @@ mod tests {
                     r.comm
                 );
             }
+            // The rows are the only count of the traffic: under every
+            // label, what the ranks sent is exactly what they received.
+            let mut wire = std::collections::BTreeMap::<&str, [u64; 4]>::new();
+            for t in ranks.iter().flat_map(|r| &r.comm) {
+                let sums = wire.entry(&t.label).or_default();
+                for (sum, n) in sums.iter_mut().zip([t.msgs_sent, t.bytes_sent, t.msgs_recv, t.bytes_recv]) {
+                    *sum += n;
+                }
+            }
+            for (label, [msgs_sent, bytes_sent, msgs_recv, bytes_recv]) in wire {
+                assert_eq!((msgs_sent, bytes_sent), (msgs_recv, bytes_recv), "{label}");
+                conserved.insert(label);
+            }
         }
+        let labels = ["alltoall", "asm_m2w_grant", "asm_w2m_report", "m2w_grant", "w2m_report"];
+        assert_eq!(conserved.into_iter().collect::<Vec<_>>(), labels);
     }
 
     /// The run under `plan`, armed as written (the pipeline's per-stage

@@ -53,11 +53,11 @@ use pgasm_gst::{
     admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, AdmissionTable, Gst, GstConfig,
     GstStats, SlotTable, Suffix, TextSource, TwinClasses,
 };
-use pgasm_mpisim::{thread_cpu_seconds, Comm, CommStats, CostModel};
+use pgasm_mpisim::{thread_cpu_seconds, Comm, CostModel};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
-use pgasm_telemetry::names;
 use pgasm_telemetry::trace::TraceCategory;
+use pgasm_telemetry::{names, TagStat};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -84,32 +84,20 @@ impl TextSource for LocalText<'_> {
     }
 }
 
-/// Timing/traffic report of one rank's construction.
+/// Timing and size report of one rank's construction. Its traffic is
+/// the rank's own record, `Comm::tag_stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankGstReport {
-    /// Rank id.
-    pub rank: usize,
     /// Seconds of pure computation: the count and filter passes, the
     /// merge of the slots this rank owns, the admission and sort of the
     /// suffixes it received, and trie building.
     pub compute_seconds: f64,
-    /// Traffic during construction.
-    pub comm: CommStats,
     /// The local forest's statistics: suffixes of this rank's own
     /// fragments (`enumerated`; over all ranks, every suffix of the store
     /// once), suffixes it admitted and nodes it built.
     pub gst: GstStats,
     /// Foreign fragments fetched.
     pub fragments_fetched: usize,
-    /// Estimated resident bytes of the local forest.
-    pub memory_bytes: usize,
-}
-
-impl RankGstReport {
-    /// Modelled communication seconds under `model`.
-    pub fn modelled_comm_seconds(&self, model: &CostModel) -> f64 {
-        model.comm_time(&self.comm)
-    }
 }
 
 /// Aggregated report over all ranks (the Fig. 5 data).
@@ -117,6 +105,9 @@ impl RankGstReport {
 pub struct DistributedGstReport {
     /// Per-rank breakdowns.
     pub per_rank: Vec<RankGstReport>,
+    /// Per-rank traffic rows of the build, read off each rank's `Comm`
+    /// once it is done.
+    pub comm: Vec<Vec<TagStat>>,
 }
 
 impl DistributedGstReport {
@@ -126,9 +117,20 @@ impl DistributedGstReport {
         self.per_rank.iter().map(|r| r.compute_seconds).fold(0.0, f64::max)
     }
 
-    /// Maximum per-rank modelled communication time.
-    pub fn max_modelled_comm_seconds(&self, model: &CostModel) -> f64 {
-        self.per_rank.iter().map(|r| r.modelled_comm_seconds(model)).fold(0.0, f64::max)
+    /// Maximum per-rank modelled communication time: a rank's
+    /// occupancy, its messages and bytes sent and received counted over
+    /// its rows first, then priced once with the BlueGene/L model (a
+    /// rank pays latency on both ends in co-processor mode). Summed
+    /// over ranks this would count every transfer twice; the rows'
+    /// `modelled_seconds` price each message once, on its sender.
+    pub fn max_modelled_comm_seconds(&self) -> f64 {
+        let model = CostModel::BLUEGENE_L;
+        let occupancy = |rows: &Vec<TagStat>| {
+            let msgs: u64 = rows.iter().map(|t| t.msgs_sent + t.msgs_recv).sum();
+            let bytes: u64 = rows.iter().map(|t| t.bytes_sent + t.bytes_recv).sum();
+            msgs as f64 * model.latency_s + bytes as f64 / model.bandwidth_bytes_per_s
+        };
+        self.comm.iter().map(occupancy).fold(0.0, f64::max)
     }
 }
 
@@ -148,7 +150,6 @@ pub fn rank_build_gst<'s>(
 ) -> (Gst, LocalText<'s>, RankGstReport) {
     let rank = comm.rank();
     let p = comm.size();
-    let stats_before = comm.stats();
     let mut compute = 0.0f64;
     let (mut mine, enumerated) = ship_survivors(comm, store, owner, config, first_builder, &mut compute);
 
@@ -205,20 +206,8 @@ pub fn rank_build_gst<'s>(
     compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_BUILD);
 
-    let comm_delta = comm.stats().since(stats_before);
-    let (stats, memory_bytes) = (gst.stats(), gst.memory_bytes());
-    (
-        gst,
-        text,
-        RankGstReport {
-            rank,
-            compute_seconds: compute,
-            comm: comm_delta,
-            gst: stats,
-            fragments_fetched,
-            memory_bytes,
-        },
-    )
+    let report = RankGstReport { compute_seconds: compute, gst: gst.stats(), fragments_fetched };
+    (gst, text, report)
 }
 
 /// Phases 1–3: count, reduce and redistribute. Returns the survivors
@@ -425,11 +414,12 @@ pub fn build_distributed_gst(store: &FragmentStore, p: usize, config: GstConfig)
     let owner = compute_owners(store, p, 0);
     let owner = &owner;
     let store = &store;
-    let reports = pgasm_mpisim::run(p, move |comm| {
+    let ranks = pgasm_mpisim::run(p, move |comm| {
         let (_gst, _text, report) = rank_build_gst(comm, store, owner, config, 0);
-        report
+        (report, comm.tag_stats())
     });
-    DistributedGstReport { per_rank: reports }
+    let (per_rank, comm) = ranks.into_iter().unzip();
+    DistributedGstReport { per_rank, comm }
 }
 
 /// Static owner of a bucket: a mixed hash of its key spread over the
@@ -633,8 +623,8 @@ mod tests {
     fn traffic_is_accounted() {
         let store = reads().with_reverse_complements();
         let report = build_distributed_gst(&store, 4, GstConfig { psi: 16 });
-        assert_eq!(report.per_rank.len(), 4);
-        let total_sent: u64 = report.per_rank.iter().map(|r| r.comm.bytes_sent).sum();
+        assert_eq!((report.per_rank.len(), report.comm.len()), (4, 4));
+        let total_sent: u64 = report.comm.iter().flatten().map(|t| t.bytes_sent).sum();
         assert!(total_sent > 0, "distribution must move bytes");
         // Every rank fetched at least some foreign fragment (suffixes are
         // spread by content, ownership by position).
@@ -643,7 +633,7 @@ mod tests {
         // Thread CPU time moves at scheduler ticks (a few ms), so tiny
         // builds may legitimately report zero compute.
         assert!(report.max_compute_seconds() >= 0.0);
-        assert!(report.max_modelled_comm_seconds(&CostModel::BLUEGENE_L) > 0.0);
+        assert!(report.max_modelled_comm_seconds() > 0.0);
     }
 
     #[test]

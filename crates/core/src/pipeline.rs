@@ -380,10 +380,9 @@ impl Run<'_> {
                     let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
                     let r = cluster_parallel_with(store, p, &params, &self.config.master_worker, &opts);
                     let gst_cpu = r.gst_reports.iter().map(|g| g.compute_seconds).sum();
-                    let phases = [
-                        ("gst_build", r.gst_seconds, gst_cpu),
-                        ("master_worker", r.cluster_seconds, r.cpu_seconds.iter().sum()),
-                    ];
+                    let cpu = r.ranks.iter().map(|rank| rank.cpu_seconds).sum();
+                    let phases =
+                        [("gst_build", r.gst_seconds, gst_cpu), ("master_worker", r.cluster_seconds, cpu)];
                     self.fold(&phases, r.ranks, r.traces, r.killed);
                     let mut gst = GstStats::default();
                     for rank in &r.gst_reports {

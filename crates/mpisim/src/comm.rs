@@ -1,7 +1,7 @@
 //! Ranks, point-to-point messaging and collectives.
 
 use crate::faults::{CommError, FaultAction, FaultPlan, FaultPoint, FaultRuntime, FaultStats};
-use crate::model::{CommStats, CostModel};
+use crate::model::CostModel;
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
 use pgasm_telemetry::{names, TagStat};
 use std::collections::{BTreeMap, VecDeque};
@@ -108,8 +108,12 @@ pub struct Comm {
     rank: usize,
     size: usize,
     shared: Arc<Shared>,
-    stats: CommStats,
+    /// The rank's one traffic record: a row per tag.
     tag_traffic: BTreeMap<u32, TagTraffic>,
+    /// Nanoseconds blocked in `recv` waiting for a matching message.
+    wait_ns: u64,
+    /// Nanoseconds blocked in barriers.
+    barrier_ns: u64,
     tracer: Tracer,
     /// Armed fault plan for this rank (`None` = fault-free run: nothing
     /// is injected).
@@ -131,14 +135,22 @@ impl Comm {
         self.size
     }
 
-    /// Snapshot of this rank's traffic statistics.
-    pub fn stats(&self) -> CommStats {
-        self.stats
+    /// Nanoseconds this rank has spent blocked in receives, parked with
+    /// nothing it wants in its inbox.
+    pub fn wait_ns(&self) -> u64 {
+        self.wait_ns
     }
 
-    /// Per-tag traffic histogram with α–β modelled seconds per row,
-    /// ascending by tag. Collectives use distinct reserved tags, so
-    /// this doubles as a per-collective communication breakdown.
+    /// Nanoseconds this rank has spent waiting in barriers.
+    pub fn barrier_ns(&self) -> u64 {
+        self.barrier_ns
+    }
+
+    /// The rank's traffic: one row per tag, ascending by tag, with its
+    /// [`CostModel::BLUEGENE_L`] modelled seconds. Collectives use
+    /// distinct reserved tags, so this doubles as a per-collective
+    /// communication breakdown. Every message sent or received (a death
+    /// notice included) is counted here and nowhere else.
     ///
     /// Each message is priced exactly once, on its *sending* rank —
     /// summing `modelled_seconds` over all ranks therefore reproduces
@@ -146,7 +158,8 @@ impl Comm {
     /// transfer on both endpoints. Receive-side rows still carry their
     /// message/byte counts for protocol visibility; their modelled time
     /// is zero.
-    pub fn tag_stats(&self, model: &CostModel) -> Vec<TagStat> {
+    pub fn tag_stats(&self) -> Vec<TagStat> {
+        let model = CostModel::BLUEGENE_L;
         self.tag_traffic
             .iter()
             .map(|(&tag, t)| TagStat {
@@ -302,7 +315,6 @@ impl Comm {
     /// it.
     pub fn abort(&mut self) {
         for peer in (0..self.size).filter(|&peer| peer != self.rank) {
-            self.stats.msgs_sent += 1;
             self.tag_traffic.entry(TAG_DEATH).or_default().msgs_sent += 1;
             self.put(&mut self.world(), peer, TAG_DEATH, Vec::new());
             if let Some(f) = &mut self.faults {
@@ -342,7 +354,7 @@ impl Comm {
     /// arrive (every other rank having exited is one such world); a
     /// rank the plan has killed gets `Err(CommError::Killed)`.
     ///
-    /// `wait_ns` is charged only while the rank is parked — passing
+    /// [`Comm::wait_ns`] is charged only while the rank is parked — passing
     /// over already-delivered non-matching messages is bookkeeping, not
     /// blocked time.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Event, CommError> {
@@ -413,7 +425,7 @@ impl Comm {
             w = self.park(w);
         }
         drop(w);
-        self.stats.wait_ns += start.elapsed().as_nanos() as u64;
+        self.wait_ns += start.elapsed().as_nanos() as u64;
         self.tracer.end(TraceCategory::Comm, names::EV_WAIT);
     }
 
@@ -472,8 +484,6 @@ impl Comm {
             ("bytes", data.len() as u64),
             ("to", dest as u64),
         );
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
         let row = self.tag_traffic.entry(tag).or_default();
         row.msgs_sent += 1;
         row.bytes_sent += data.len() as u64;
@@ -497,7 +507,6 @@ impl Comm {
 
     /// Count a peer's death notice; `true` for its first, the one to report.
     fn note_death(&mut self, peer: usize) -> bool {
-        self.stats.msgs_recv += 1;
         self.tag_traffic.entry(TAG_DEATH).or_default().msgs_recv += 1;
         let first = !std::mem::replace(&mut self.dead_peers[peer], true);
         if first {
@@ -514,8 +523,6 @@ impl Comm {
             ("bytes", m.data.len() as u64),
             ("from", m.src as u64),
         );
-        self.stats.msgs_recv += 1;
-        self.stats.bytes_recv += m.data.len() as u64;
         let row = self.tag_traffic.entry(m.tag).or_default();
         row.msgs_recv += 1;
         row.bytes_recv += m.data.len() as u64;
@@ -541,7 +548,7 @@ impl Comm {
             w = self.park(w);
         }
         drop(w);
-        self.stats.barrier_ns += start.elapsed().as_nanos() as u64;
+        self.barrier_ns += start.elapsed().as_nanos() as u64;
         self.tracer.end(TraceCategory::Comm, names::EV_BARRIER);
     }
 
@@ -610,8 +617,9 @@ where
             rank,
             size: p,
             shared: shared.clone(),
-            stats: CommStats::default(),
             tag_traffic: BTreeMap::new(),
+            wait_ns: 0,
+            barrier_ns: 0,
             tracer: Tracer::disabled(),
             faults: None,
             dead_peers: vec![false; p],
@@ -738,9 +746,8 @@ mod tests {
             } else if c.rank() == 1 {
                 msg(c, Some(0), Some(7));
             }
-            (c.tag_stats(&CostModel::BLUEGENE_L), c.stats())
+            c.tag_stats()
         });
-        let (rows, aggregates): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         // Rank 0: alltoall sends to 2 ranks, app tag 7 send.
         let r0 = &rows[0];
         let alltoall = r0.iter().find(|t| t.label == "alltoall").expect("alltoall row");
@@ -757,29 +764,6 @@ mod tests {
         let app1 = rows[1].iter().find(|t| t.label == "tag7").expect("app row on 1");
         assert_eq!(app1.msgs_recv, 1);
         assert_eq!(app1.bytes_recv, 2);
-        // On every rank the per-tag rows sum exactly to the aggregates.
-        for (row, agg) in rows.iter().zip(&aggregates) {
-            assert_eq!(row.iter().map(|t| t.msgs_sent).sum::<u64>(), agg.msgs_sent);
-            assert_eq!(row.iter().map(|t| t.bytes_sent).sum::<u64>(), agg.bytes_sent);
-            assert_eq!(row.iter().map(|t| t.msgs_recv).sum::<u64>(), agg.msgs_recv);
-            assert_eq!(row.iter().map(|t| t.bytes_recv).sum::<u64>(), agg.bytes_recv);
-        }
-    }
-
-    #[test]
-    fn stats_count_traffic() {
-        let stats = run(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 3, b"12345".to_vec()).unwrap();
-            } else {
-                msg(c, Some(0), Some(3));
-            }
-            c.stats()
-        });
-        assert_eq!(stats[0].msgs_sent, 1);
-        assert_eq!(stats[0].bytes_sent, 5);
-        assert_eq!(stats[1].msgs_recv, 1);
-        assert_eq!(stats[1].bytes_recv, 5);
     }
 
     #[test]
@@ -893,7 +877,7 @@ mod tests {
             c.set_fault_plan(&plan);
             if c.rank() == 0 {
                 c.hold(FaultPoint::Grant, 1, 1, 6, b"held".to_vec()).unwrap();
-                assert_eq!(c.stats().msgs_sent, 0, "held back, not sent");
+                assert!(c.tag_stats().is_empty(), "held back, not sent");
                 assert_eq!(&msg(c, Some(1), Some(7)).data[..], b"answer");
             } else {
                 assert_eq!(&msg(c, Some(0), Some(6)).data[..], b"held");
@@ -932,7 +916,7 @@ mod tests {
                 // blocked time to this receive.
                 let m = msg(c, Some(0), Some(2));
                 assert_eq!(&m.data[..], b"signal");
-                assert_eq!(c.stats().wait_ns, 0, "drain/backlog time billed as waiting");
+                assert_eq!(c.wait_ns(), 0, "drain/backlog time billed as waiting");
             }
         });
     }
@@ -945,7 +929,7 @@ mod tests {
             } else {
                 msg(c, Some(0), Some(3));
             }
-            c.tag_stats(&CostModel::BLUEGENE_L)
+            c.tag_stats()
         });
         let model = CostModel::BLUEGENE_L;
         let expect = model.latency_s + 8.0 / model.bandwidth_bytes_per_s;
@@ -1045,7 +1029,7 @@ mod tests {
             if c.rank() == 0 {
                 c.hold(FaultPoint::Report, 3, 1, 6, b"early".to_vec()).unwrap();
                 c.send(1, 6, b"later".to_vec()).unwrap();
-                assert_eq!(c.stats().msgs_sent, 1, "one on the wire, one held");
+                assert_eq!(c.tag_stats()[0].msgs_sent, 1, "one on the wire, one held");
                 c.barrier();
                 assert_eq!(c.fault_stats().msgs_delayed, 1);
             } else {

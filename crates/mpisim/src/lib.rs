@@ -17,11 +17,13 @@
 //!   *custom* `alltoallv`, `p − 1` point-to-point rounds that bound
 //!   send-buffer space to one destination at a time. A `send`
 //!   reaches the wire before it returns; nothing is staged.
-//! - [`model`] — per-rank traffic statistics and an α–β (latency ×
-//!   bandwidth) communication cost model with BlueGene/L parameters, so
-//!   experiments can report *modelled* network time next to measured
-//!   compute time, reproducing the communication/computation breakdown
-//!   of the paper's Fig. 5.
+//! - [`model`] — the α–β (latency × bandwidth) communication cost
+//!   model with BlueGene/L parameters, so experiments can report
+//!   *modelled* network time next to measured compute time, reproducing
+//!   the communication/computation breakdown of the paper's Fig. 5.
+//!   A rank's one record of its traffic is its per-tag rows
+//!   ([`Comm::tag_stats`]); its blocked time is two nanosecond tallies
+//!   ([`Comm::wait_ns`], [`Comm::barrier_ns`]).
 //! - [`faults`] — deterministic failure injection: a [`FaultPlan`] is
 //!   a list of clauses, each a kill, drop or delay at one point of one
 //!   lease of the task engine, which asks the plan where it handles a
@@ -39,4 +41,4 @@ pub mod model;
 
 pub use comm::{run, tag_label, Comm, Event, Msg};
 pub use faults::{CommError, FaultAction, FaultClause, FaultPlan, FaultPoint, FaultStage, FaultStats};
-pub use model::{thread_cpu_seconds, CommStats, CostModel};
+pub use model::{thread_cpu_seconds, CostModel};

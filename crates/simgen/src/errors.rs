@@ -31,8 +31,10 @@ impl ErrorModel {
     /// The paper's regime (≈ 1–2% errors in cleaned fragments): phred
     /// ramps from noisy ends (q7 ≈ 20% error, trimmed by Lucy) to a q30
     /// interior (0.1%); over a whole read the realised rate lands in the
-    /// paper's band. The flat `*_rate` fields remain for the
-    /// quality-blind [`ErrorModel::corrupt`] path.
+    /// paper's band. The samplers draw every error from the phred
+    /// values ([`ErrorModel::corrupt_quality_linked`]); the flat
+    /// `*_rate` fields only tell a noisy model from an error-free one
+    /// (all zero, [`ErrorModel::PERFECT`]).
     pub const SANGER: ErrorModel = ErrorModel {
         sub_rate: 0.010,
         ins_rate: 0.0025,
@@ -51,30 +53,6 @@ impl ErrorModel {
         end_quality: 40,
         ramp: 1,
     };
-
-    /// Apply sequencing errors to `template`, returning the erroneous
-    /// read. Masked template positions pass through unchanged.
-    pub fn corrupt(&self, template: &DnaSeq, rng: &mut impl Rng) -> DnaSeq {
-        let mut out = DnaSeq::with_capacity(template.len() + 8);
-        for &c in template.codes() {
-            if rng.gen_bool(self.del_rate) {
-                continue;
-            }
-            if rng.gen_bool(self.ins_rate) {
-                out.push_code(rng.gen_range(0..4u8));
-            }
-            if pgasm_seq::is_base_code(c) && rng.gen_bool(self.sub_rate) {
-                let mut n = rng.gen_range(0..3u8);
-                if n >= c {
-                    n += 1;
-                }
-                out.push_code(n);
-            } else {
-                out.push_code(c);
-            }
-        }
-        out
-    }
 
     /// Corrupt a template with *quality-linked* errors: each base's
     /// substitution probability is its phred error probability
@@ -149,34 +127,9 @@ mod tests {
     fn perfect_model_is_identity() {
         let mut rng = StdRng::seed_from_u64(1);
         let t = crate::genome::random_dna(&mut rng, 500);
-        let read = ErrorModel::PERFECT.corrupt(&t, &mut rng);
-        assert_eq!(read, t);
-    }
-
-    #[test]
-    fn substitution_rate_matches_model() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = crate::genome::random_dna(&mut rng, 50_000);
-        let subs_only = ErrorModel { ins_rate: 0.0, del_rate: 0.0, ..ErrorModel::SANGER };
-        let read = subs_only.corrupt(&t, &mut rng);
-        assert_eq!(read.len(), t.len());
-        let diff = read.codes().iter().zip(t.codes()).filter(|(a, b)| a != b).count();
-        let rate = diff as f64 / t.len() as f64;
-        assert!((rate - 0.01).abs() < 0.004, "substitution rate {rate}");
-    }
-
-    #[test]
-    fn indel_rates_shift_length_as_expected() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let t = crate::genome::random_dna(&mut rng, 50_000);
-        let dels_only = ErrorModel { sub_rate: 0.0, ins_rate: 0.0, del_rate: 0.02, ..ErrorModel::SANGER };
-        let read = dels_only.corrupt(&t, &mut rng);
-        let lost = t.len() - read.len();
-        assert!((lost as f64 / t.len() as f64 - 0.02).abs() < 0.006, "deletion rate {lost}");
-        let ins_only = ErrorModel { sub_rate: 0.0, ins_rate: 0.02, del_rate: 0.0, ..ErrorModel::SANGER };
-        let read = ins_only.corrupt(&t, &mut rng);
-        let gained = read.len() - t.len();
-        assert!((gained as f64 / t.len() as f64 - 0.02).abs() < 0.006, "insertion rate {gained}");
+        let q = ErrorModel::PERFECT.qualities(t.len(), &mut rng);
+        let (read, outq) = ErrorModel::PERFECT.corrupt_quality_linked(&t, &q, &mut rng);
+        assert_eq!((read, outq), (t, q));
     }
 
     #[test]

@@ -70,15 +70,15 @@ pub struct RankReport {
     pub rank: usize,
     /// Role label (`"master"`, `"worker"`, `"gst"`, …).
     pub role: String,
-    /// Thread CPU seconds this rank consumed.
+    /// Thread CPU seconds of the stages' protocol phases.
     pub cpu_seconds: f64,
-    /// Seconds blocked waiting (recv wait + barriers).
+    /// Seconds blocked (recv wait + barriers) in the protocol phases.
     pub idle_seconds: f64,
     /// Rank-local counters (pairs generated/aligned/accepted, batch
     /// round-trips, peak queue depth, …).
     pub counters: BTreeMap<String, u64>,
-    /// Per-tag traffic rows, ascending by tag within each stage the
-    /// rank took part in, stages in run order.
+    /// Per-tag traffic rows of the whole rank body (pre-phases too),
+    /// ascending by tag within each stage, stages in run order.
     pub comm: Vec<TagStat>,
 }
 

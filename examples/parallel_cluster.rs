@@ -9,11 +9,11 @@
 
 use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
 use pgasm::gst::GstConfig;
-use pgasm::mpisim::CostModel;
 use pgasm::preprocess::{PreprocessConfig, Preprocessor};
 use pgasm::seq::DnaSeq;
 use pgasm::simgen::presets;
 use pgasm::simgen::vector::VECTOR_SEQ;
+use pgasm::telemetry::TagStat;
 
 fn main() {
     let dataset = presets::drosophila_like(60_000, 6.0, 31);
@@ -34,21 +34,22 @@ fn main() {
         serial_stats.generated
     );
 
-    let model = CostModel::BLUEGENE_L;
+    // A rank's traffic over the whole stage, GST build included.
+    let total = |rows: &[TagStat], count: fn(&TagStat) -> u64| rows.iter().map(count).sum::<u64>();
     for p in [2usize, 4, 8] {
         let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
         let report = cluster_parallel(&store, p, &params, &cfg);
         assert_eq!(report.clustering, serial, "parallel clustering must equal serial");
-        let master = &report.comm[0];
-        let worker_bytes: u64 = report.comm[1..].iter().map(|c| c.bytes_sent).sum();
+        let master = &report.ranks[0].comm;
+        let worker_bytes: u64 = report.ranks[1..].iter().map(|r| total(&r.comm, |t| t.bytes_sent)).sum();
         println!(
             "p={p}: identical clustering; master handled {} msgs ({} KiB in, {} KiB out), \
              workers sent {} KiB, modelled comm {:.2} ms/rank max",
-            master.msgs_recv,
-            master.bytes_recv / 1024,
-            master.bytes_sent / 1024,
+            total(master, |t| t.msgs_recv),
+            total(master, |t| t.bytes_recv) / 1024,
+            total(master, |t| t.bytes_sent) / 1024,
             worker_bytes / 1024,
-            report.comm.iter().map(|c| model.comm_time(c)).fold(0.0, f64::max) * 1e3,
+            report.ranks.iter().map(|r| r.modelled_comm_seconds()).fold(0.0, f64::max) * 1e3,
         );
     }
     println!("parallel == serial for every p: OK");

@@ -136,8 +136,8 @@ clause at the same point of the same lease is an error. The engine
 detects the death, re-queues the dead worker's leases, and a survivor
 finishes the work — the final
 clustering and contigs are byte-identical to a fault-free run; the
-faults: line reports dead_ranks / recovered_tasks / drops / delays, and
-each is a metrics-json counter (fault_kills, dead_ranks,
+faults: line lists every nonzero fault or recovery counter as name=value,
+and each is a metrics-json counter (fault_kills, dead_ranks,
 recovered_tasks, fault_msgs_dropped, ...), summed over the rank channels. A lost message needs no timeout: the
 simulator sees every rank blocked with nothing in flight, and the master
 then recovers exactly the workers still holding work.
@@ -380,19 +380,15 @@ fn run_pipeline(
             ctx.counter(names::CACHE_BYTES_READ)
         );
     }
-    {
-        use pgasm::telemetry::names;
-        let dead = ctx.counter(names::DEAD_RANKS);
-        let recovered = ctx.counter(names::RECOVERED_TASKS);
-        if dead > 0 || recovered > 0 {
-            println!(
-                "faults: {dead} dead rank(s), {recovered} task(s) recovered, \
-                 {} message(s) dropped, {} delayed, {} checkpoint byte(s)",
-                ctx.counter(names::FAULT_MSGS_DROPPED),
-                ctx.counter(names::FAULT_MSGS_DELAYED),
-                ctx.counter(names::CKPT_BYTES)
-            );
-        }
+    // Every nonzero fault or recovery counter, or no line at all.
+    let faults: Vec<String> = pgasm::telemetry::names::FAULT_COUNTERS
+        .iter()
+        .map(|&name| (name, ctx.counter(name)))
+        .filter(|&(_, value)| value > 0)
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect();
+    if !faults.is_empty() {
+        println!("faults: {}", faults.join(", "));
     }
     if let Some(path) = opts.get("trace-json") {
         let doc = ctx.trace_document();

@@ -6,7 +6,6 @@
 use pgasm::cluster::parallel_gst::{build_distributed_gst, compute_owners, rank_build_gst};
 use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
 use pgasm::gst::{GenMode, Gst, GstConfig, PairGenerator};
-use pgasm::mpisim::CostModel;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 
@@ -62,8 +61,9 @@ fn gst_traffic_shrinks_per_rank_as_ranks_grow() {
     let config = GstConfig { psi: 14 };
     let r2 = build_distributed_gst(&ds, 2, config);
     let r8 = build_distributed_gst(&ds, 8, config);
-    let max_bytes_2 = r2.per_rank.iter().map(|r| r.comm.bytes_recv).max().unwrap();
-    let max_bytes_8 = r8.per_rank.iter().map(|r| r.comm.bytes_recv).max().unwrap();
+    let received = |rows: &Vec<pgasm::telemetry::TagStat>| rows.iter().map(|t| t.bytes_recv).sum::<u64>();
+    let max_bytes_2 = r2.comm.iter().map(received).max().unwrap();
+    let max_bytes_8 = r8.comm.iter().map(received).max().unwrap();
     // With 4x the ranks, the heaviest rank receives less data.
     assert!(
         max_bytes_8 < max_bytes_2,
@@ -96,11 +96,11 @@ fn modelled_comm_time_is_finite_and_positive() {
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
     let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128 };
     let report = cluster_parallel(&store, 3, &params, &cfg);
-    let model = CostModel::BLUEGENE_L;
-    for c in &report.comm {
-        let t = model.comm_time(c);
+    for r in &report.ranks {
+        let t = r.modelled_comm_seconds();
         assert!(t.is_finite() && t >= 0.0);
     }
-    // The master exchanged at least one message per worker.
-    assert!(report.comm[0].msgs_recv >= 2);
+    // The master heard at least one report from each worker.
+    let master = &report.ranks[0].comm;
+    assert!(master.iter().filter(|t| t.label == "w2m_report").map(|t| t.msgs_recv).sum::<u64>() >= 2);
 }
