@@ -74,15 +74,19 @@ cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_c
 grep -q '"trace_events_dropped": 0' ci.metrics.json || { echo "trace ring overflowed"; exit 1; }
 
 echo "==> critical-path analysis of the traced smoke run"
-# The analyzer's reader fails on a mis-paired or out-of-order event;
-# tests/tracing.rs holds the track and category floors. Attribution
-# categories must cover each rank's wall time within 5%, the critical
-# path must be non-empty, and every message of both stages must pair (a
-# track id is a comm rank) — the analyzer's consistency gate.
+# The analyzer reads the trace alone, and its reader fails on a
+# mis-paired or out-of-order event; tests/tracing.rs holds the track and
+# category floors. Attribution categories must cover each rank's wall
+# time within 5%, the critical path must be non-empty, and every message
+# of both stages must pair (a track id is a comm rank) — the analyzer's
+# consistency gate.
 cargo run --release -q --bin pgasm -- analyze --trace-json ci.trace.json \
-  --metrics-json ci.metrics.json --out ci.analysis.json --coverage-tol 0.05
+  --out ci.analysis.json --coverage-tol 0.05
 test -s ci.analysis.json || { echo "missing ci.analysis.json"; exit 1; }
 grep -q '"edges_unpaired": 0' ci.analysis.json || { echo "analyzer left message edges unpaired"; exit 1; }
+# A tag names its message kind for the whole run: no label or blame may
+# fall back to a bare tag number.
+! grep -qE '"(label|blame)": "(tag ?)?[0-9]+"' ci.analysis.json || { echo "analysis names a bare tag number"; exit 1; }
 # The stage windows are the pipeline track's top-level spans: a span
 # nested in a stage (cache traffic, the distributed phases) is no row.
 stages=$(grep -o '"stage": "[a-z_]*"' ci.analysis.json | cut -d'"' -f4 | paste -sd' ')

@@ -258,11 +258,10 @@ impl TaskSink<AssembleTask> for AssembleSink<'_> {
     fn run_batch(&mut self, tracer: &mut Tracer, batch: &mut Vec<AssembleTask>, w: &mut Writer) {
         w.put_u32(checked_len(batch.len()));
         for task in batch.drain(..) {
-            tracer.begin_arg(
+            tracer.begin(
                 TraceCategory::Assemble,
                 names::EV_ASSEMBLE_CLUSTER,
-                "reads",
-                task.members.len() as u64,
+                &[("reads", task.members.len() as u64)],
             );
             let reads: Vec<DnaSeq> = task.members.iter().map(|&f| self.store.get_seq(SeqId(f))).collect();
             let cluster_quals: Option<Vec<QualityTrack>> =
@@ -276,11 +275,10 @@ impl TaskSink<AssembleTask> for AssembleSink<'_> {
             let before = w.len();
             w.put_u32(task.slot);
             encode_assembly(w, &assembly);
-            tracer.instant_arg(
+            tracer.instant(
                 TraceCategory::Assemble,
                 names::EV_ASSEMBLE_SHIP,
-                "bytes",
-                (w.len() - before) as u64,
+                &[("bytes", (w.len() - before) as u64)],
             );
         }
     }
@@ -383,7 +381,7 @@ pub fn assemble_parallel_with(
     let n = tasks.len();
     let spec = StageSpec {
         name: STAGE_ASSEMBLE,
-        tag_labels: [names::TAG_ASM_W2M_REPORT, names::TAG_ASM_M2W_GRANT],
+        tags: [names::TAG_ASM_W2M_REPORT, names::TAG_ASM_M2W_GRANT],
         engine: EngineConfig { batch, pending_cap: n.max(1) },
     };
     let mut run = run_stage(p, &spec, opts, &AssembleStage { store, quals, config, tasks });
@@ -489,16 +487,16 @@ mod tests {
         let expected: u64 =
             clustering.non_singletons().map(|m| (m.len() as u64) * (m.len() as u64 - 1) / 2).sum();
         assert_eq!(cost, expected);
-        // The protocol rows are present and relabelled for this phase.
+        // The protocol rows are present, on this phase's own tags.
         let master = &dist.ranks[0];
-        assert!(master.comm.iter().any(|t| t.label == names::TAG_ASM_W2M_REPORT && t.msgs_recv > 0));
+        assert!(master.comm.iter().any(|t| t.tag == names::TAG_ASM_W2M_REPORT && t.msgs_recv > 0));
         assert_eq!(master.counter(names::ASM_BATCHES_DISPATCHED) as usize, {
             // LPT grants one cluster per batch.
             clustering.num_non_singletons()
         });
         for r in &dist.ranks[1..] {
             assert!(r.counter(names::ASM_BATCH_ROUND_TRIPS) >= 1);
-            assert!(r.comm.iter().any(|t| t.label == names::TAG_ASM_M2W_GRANT && t.msgs_recv > 0));
+            assert!(r.comm.iter().any(|t| t.tag == names::TAG_ASM_M2W_GRANT && t.msgs_recv > 0));
         }
         assert!(dist.assemble_seconds > 0.0);
         assert_eq!(dist.worker_idle_fraction.len(), 3);

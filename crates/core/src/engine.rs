@@ -5,10 +5,10 @@
 //! *work distribution* and nothing about the work itself:
 //!
 //! - the two-message round — a worker reports its computed results,
-//!   its generator status and its newly generated tasks in one
-//!   [`TAG_REPORT`]; the master answers with one [`TAG_GRANT`] carrying
-//!   termination or the next request size, the adoption list and the
-//!   leased task batch;
+//!   its generator status and its newly generated tasks in one report;
+//!   the master answers with one grant carrying termination or the next
+//!   request size, the adoption list and the leased task batch — each
+//!   on its stage's own tag ([`StageSpec::tags`]);
 //! - the master's event pump ([`run_master`]): drain **all** queued
 //!   reports through `try_recv` before dispatching, block in the one
 //!   `recv` only on a truly empty inbox;
@@ -106,23 +106,6 @@ use pgasm_telemetry::names;
 use pgasm_telemetry::trace::{TraceCategory, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-
-/// Worker → master, once per round: `lease: u64` of the batch just
-/// computed (`0` when the last grant carried none — the opening report
-/// included), the client's result body ([`TaskSink::run_batch`] writes
-/// it, [`TaskSource::absorb_results`] reads it), `active: u32` (the
-/// generator can still yield), `n: u32` and `n` newly generated tasks.
-/// It doubles as the request for the next allocation.
-pub const TAG_REPORT: u32 = 1;
-/// Master → worker, one per report (or unsolicited, to a parked
-/// worker): `terminate: u32`, and unless that is `1`, the next request
-/// size `r: u32`, the `u32` slice of dead generator scopes to adopt,
-/// the `lease: u64` of the batch (`0` when it is empty), `n: u32` and
-/// `n` tasks.
-pub const TAG_GRANT: u32 = 2;
-/// The two protocol tags, in the order [`StageSpec::tag_labels`] names
-/// them.
-pub const PROTOCOL_TAGS: [u32; 2] = [TAG_REPORT, TAG_GRANT];
 
 /// Engine runtime knobs: the shape of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,6 +275,8 @@ struct Master<'s, T, S> {
     /// (rebuilt from scratch) if the adopter dies too.
     adopted_scopes: Vec<Vec<usize>>,
     report: MasterReport,
+    /// The stage's report and grant tags.
+    tags: [u32; 2],
 }
 
 impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
@@ -302,23 +287,22 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
     /// is discarded whole: that is the replay dedup. A body that does
     /// not decode is the sender's [`CommError::Malformed`].
     fn on_msg(&mut self, comm: &mut Comm, msg: &Msg) -> Result<(), CommError> {
-        comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_HANDLE_REPORT, "src", msg.src as u64);
+        comm.tracer_mut().instant(TraceCategory::Master, names::EV_HANDLE_REPORT, &[("src", msg.src as u64)]);
         self.handle(comm.tracer_mut(), msg).map_err(|_| CommError::Malformed { src: msg.src, tag: msg.tag })
     }
 
-    /// The one decoder of a [`TAG_REPORT`] body.
+    /// The one decoder of a report body.
     fn handle(&mut self, tracer: &mut Tracer, msg: &Msg) -> Result<(), WireError> {
         let i = msg.src;
         if self.round[i] == Round::Dead {
-            tracer.instant_args(
+            tracer.instant(
                 TraceCategory::Fault,
                 names::EV_STALE_MSG,
-                ("src", i as u64),
-                ("tag", msg.tag as u64),
+                &[("src", i as u64), ("tag", msg.tag as u64)],
             );
             return Ok(());
         }
-        if msg.tag != TAG_REPORT {
+        if msg.tag != self.tags[0] {
             return Err(WireError::Malformed("tag is not a worker report"));
         }
         let mut r = Reader::new(&msg.data);
@@ -327,12 +311,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             // Late or duplicate replay of an already-recovered batch:
             // absorbing it twice would double-count, and the round it
             // closes was closed by its first copy.
-            tracer.instant_args(
-                TraceCategory::Fault,
-                names::EV_STALE_MSG,
-                ("src", i as u64),
-                ("lease", lease),
-            );
+            tracer.instant(TraceCategory::Fault, names::EV_STALE_MSG, &[("src", i as u64), ("lease", lease)]);
             return Ok(());
         }
         self.source.absorb_results(i, &mut r)?;
@@ -371,7 +350,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
                 // Nothing to do and nothing left to generate: park it
                 // (the empty batch tells the worker to block).
                 self.round[i] = Round::Parked;
-                comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_PARK, "worker", i as u64);
+                comm.tracer_mut().instant(TraceCategory::Master, names::EV_PARK, &[("worker", i as u64)]);
             } else {
                 self.round[i] = Round::Outstanding;
             }
@@ -387,7 +366,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             let batch = drain_batch(&mut self.pending, self.b);
             let r = self.flow_control();
             self.round[j] = Round::Outstanding;
-            comm.tracer_mut().instant_arg(TraceCategory::Master, names::EV_UNPARK, "worker", j as u64);
+            comm.tracer_mut().instant(TraceCategory::Master, names::EV_UNPARK, &[("worker", j as u64)]);
             self.grant(comm, j, r, batch)?;
         }
         Ok(())
@@ -413,11 +392,10 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
         let adopt = std::mem::take(&mut self.pending_adoptions[dest]);
         if !adopt.is_empty() {
             for &scope in &adopt {
-                comm.tracer_mut().instant_args(
+                comm.tracer_mut().instant(
                     TraceCategory::Fault,
                     names::EV_ADOPT_SCOPE,
-                    ("dead", scope as u64),
-                    ("adopter", dest as u64),
+                    &[("dead", scope as u64), ("adopter", dest as u64)],
                 );
             }
             self.adopted_scopes[dest].extend(adopt.iter().copied());
@@ -425,7 +403,7 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             self.worker_active[dest] = true;
         }
         let body = grant_body(r, lease, &batch, &adopt, false);
-        send_as_scripted(comm, fault, FaultPoint::Grant, lease, dest, TAG_GRANT, body)
+        send_as_scripted(comm, fault, FaultPoint::Grant, lease, dest, self.tags[1], body)
     }
 
     fn flow_control(&self) -> usize {
@@ -474,11 +452,10 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
         if recovered > 0 {
             self.report.recovered_tasks += recovered;
             self.report.peak_queue_depth = self.report.peak_queue_depth.max(self.pending.len() as u64);
-            comm.tracer_mut().instant_args(
+            comm.tracer_mut().instant(
                 TraceCategory::Fault,
                 names::EV_RECOVER_LEASES,
-                ("worker", i as u64),
-                ("tasks", recovered),
+                &[("worker", i as u64), ("tasks", recovered)],
             );
         }
         // Generator scope: the dead worker's own (if still active) plus
@@ -527,11 +504,10 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
             panic!("{}", self.stall_dump());
         }
         for i in stuck {
-            comm.tracer_mut().instant_arg(
+            comm.tracer_mut().instant(
                 TraceCategory::Fault,
                 names::EV_LIVENESS_DECLARE,
-                "worker",
-                i as u64,
+                &[("worker", i as u64)],
             );
             self.on_death(comm, i);
         }
@@ -591,6 +567,7 @@ pub struct CheckpointHook<'a, S> {
 pub fn run_master<T: Task, S: TaskSource<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
+    tags: [u32; 2],
     source: &mut S,
     seed_tasks: Vec<T>,
     checkpoint: Option<CheckpointHook<'_, S>>,
@@ -614,6 +591,7 @@ pub fn run_master<T: Task, S: TaskSource<T>>(
         pending_adoptions: vec![Vec::new(); p],
         adopted_scopes: vec![Vec::new(); p],
         report: MasterReport { peak_queue_depth: seeded, ..MasterReport::default() },
+        tags,
     };
     match master_pump(comm, &mut m, checkpoint) {
         Ok(()) => {}
@@ -647,17 +625,16 @@ fn master_pump<T: Task, S: TaskSource<T>>(
                 let bytes = (hook.write)(&mut *m.source, &m.report);
                 m.report.ckpt_writes += 1;
                 m.report.ckpt_bytes += bytes;
-                comm.tracer_mut().instant_args(
+                comm.tracer_mut().instant(
                     TraceCategory::Fault,
                     names::EV_CHECKPOINT,
-                    ("bytes", bytes),
-                    ("absorbed", m.report.results_absorbed),
+                    &[("bytes", bytes), ("absorbed", m.report.results_absorbed)],
                 );
             }
         }
 
         // Inbox empty: answer completed rounds, revive parked workers.
-        comm.tracer_mut().begin(TraceCategory::Master, names::EV_DISPATCH);
+        comm.tracer_mut().begin(TraceCategory::Master, names::EV_DISPATCH, &[]);
         m.dispatch(comm)?;
         comm.tracer_mut().end(TraceCategory::Master, names::EV_DISPATCH);
         // Protocol gauges, rate-limited by the tracer as the pump turns:
@@ -678,7 +655,7 @@ fn master_pump<T: Task, S: TaskSource<T>>(
             // blackhole, while a worker declared dead at quiescence is
             // alive and needs it to stop blocking and exit.
             for i in 1..p {
-                comm.send(i, TAG_GRANT, grant_body::<T>(0, 0, &[], &[], true))?;
+                comm.send(i, m.tags[1], grant_body::<T>(0, 0, &[], &[], true))?;
             }
             return Ok(());
         }
@@ -734,7 +711,7 @@ fn send_as_scripted(
     }
 }
 
-/// The one encoder of a [`TAG_GRANT`] body. *Every* master
+/// The one encoder of a grant body. *Every* master
 /// transmission — round reply, unsolicited grant to a parked worker,
 /// termination — is written here, and the worker reads them all
 /// through [`decode_grant`].
@@ -769,7 +746,7 @@ struct Grant<T> {
     batch: Vec<T>,
 }
 
-/// The one decoder of a [`TAG_GRANT`] body; `None` terminates the run.
+/// The one decoder of a grant body; `None` terminates the run.
 fn decode_grant<T: Task>(body: &[u8]) -> Result<Option<Grant<T>>, WireError> {
     let mut r = Reader::new(body);
     let grant = if r.get_u32()? == 1 {
@@ -819,10 +796,11 @@ pub fn compute_r(
 pub fn run_worker<T: Task, S: TaskSink<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
+    tags: [u32; 2],
     sink: &mut S,
 ) -> Result<WorkerReport, CommError> {
     let mut report = WorkerReport::default();
-    match worker_pump(comm, config, sink, &mut report) {
+    match worker_pump(comm, config, tags, sink, &mut report) {
         Ok(master_died) => report.master_died = master_died,
         Err(CommError::Killed { .. }) => report.killed = true,
         Err(e) => {
@@ -837,9 +815,9 @@ pub fn run_worker<T: Task, S: TaskSink<T>>(
 /// without a word, which a worker learns as quiescence. Peer-worker
 /// deaths are the master's business, not a worker's — their notices are
 /// skipped.
-fn recv_grant(comm: &mut Comm) -> Result<Option<Msg>, CommError> {
+fn recv_grant(comm: &mut Comm, tag: u32) -> Result<Option<Msg>, CommError> {
     loop {
-        match comm.recv(Some(0), Some(TAG_GRANT))? {
+        match comm.recv(Some(0), Some(tag))? {
             Event::Death(0) | Event::Quiescent => return Ok(None),
             Event::Death(_) => continue,
             Event::Msg(m) => return Ok(Some(m)),
@@ -851,6 +829,7 @@ fn recv_grant(comm: &mut Comm) -> Result<Option<Msg>, CommError> {
 fn worker_pump<T: Task, S: TaskSink<T>>(
     comm: &mut Comm,
     config: &EngineConfig,
+    [report_tag, grant_tag]: [u32; 2],
     sink: &mut S,
     report: &mut WorkerReport,
 ) -> Result<bool, CommError> {
@@ -871,30 +850,29 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
         announced.clear();
         let mut active = sink.generate(comm.tracer_mut(), r, &mut announced);
         report.tasks_generated += announced.len() as u64;
-        // The one encoder of a `TAG_REPORT` body.
+        // The one encoder of a report body.
         w.put_u32(active as u32);
         w.put_u32(checked_len(announced.len()));
         for task in &announced {
             task.encode(&mut w);
         }
         let fault = comm.fault_at(FaultPoint::Report, lease);
-        send_as_scripted(comm, fault, FaultPoint::Report, lease, 0, TAG_REPORT, w.finish())?;
+        send_as_scripted(comm, fault, FaultPoint::Report, lease, 0, report_tag, w.finish())?;
         report.round_trips += 1;
         // Receive the next grant (possibly parking idle first).
         loop {
-            let Some(msg) = recv_grant(comm)? else { return Ok(true) };
+            let Some(msg) = recv_grant(comm, grant_tag)? else { return Ok(true) };
             let grant =
-                decode_grant(&msg.data).map_err(|_| CommError::Malformed { src: 0, tag: TAG_GRANT })?;
+                decode_grant(&msg.data).map_err(|_| CommError::Malformed { src: 0, tag: grant_tag })?;
             let Some(grant) = grant else { return Ok(false) };
             if comm.fault_at(FaultPoint::Receipt, grant.lease) == Some(FaultAction::Kill) {
                 return Err(comm.kill(grant.lease));
             }
             for dead_rank in grant.adopt {
-                comm.tracer_mut().instant_arg(
+                comm.tracer_mut().instant(
                     TraceCategory::Fault,
                     names::EV_ADOPT_SCOPE,
-                    "dead",
-                    dead_rank as u64,
+                    &[("dead", dead_rank as u64)],
                 );
                 sink.adopt_scope(comm.tracer_mut(), dead_rank as usize);
                 report.scopes_adopted += 1;
@@ -905,7 +883,7 @@ fn worker_pump<T: Task, S: TaskSink<T>>(
             if batch.is_empty() && !active {
                 // Passive with no work: park and wait for an
                 // unsolicited allocation or termination.
-                comm.tracer_mut().instant(TraceCategory::Worker, names::EV_PARK);
+                comm.tracer_mut().instant(TraceCategory::Worker, names::EV_PARK, &[]);
                 continue;
             }
             break;
@@ -918,6 +896,9 @@ mod tests {
     use super::*;
     use pgasm_mpisim::{FaultPlan, FaultStats};
     use std::collections::HashSet;
+
+    /// The clustering stage's report and grant tags.
+    const TAGS: [u32; 2] = [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT];
 
     /// Toy client: tasks are plain integers, workers square them.
     /// Exercises the protocol shell with no domain logic at all.
@@ -1024,12 +1005,12 @@ mod tests {
             let cfg = EngineConfig { batch, pending_cap: cap };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
+                let report = run_master(comm, &cfg, TAGS, &mut source, Vec::new(), None).unwrap();
                 assert_eq!(report.tasks_announced as usize, source.seen.len());
                 Some((source.sum, source.results, report))
             } else {
                 let mut sink = toy_sink(comm.rank(), per_worker);
-                run_worker(comm, &cfg, &mut sink).unwrap();
+                run_worker(comm, &cfg, TAGS, &mut sink).unwrap();
                 None
             }
         });
@@ -1064,14 +1045,14 @@ mod tests {
             let cfg = EngineConfig { batch: 1, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
+                let report = run_master(comm, &cfg, TAGS, &mut source, seed.clone(), None).unwrap();
                 assert_eq!(report.tasks_announced, 0, "passive workers announce nothing");
                 assert_eq!(report.peak_queue_depth, seed.len() as u64);
                 assert_eq!(source.results, seed.len() as u64);
                 (source.sum, 0)
             } else {
                 let mut sink = RangeSink::default();
-                run_worker(comm, &cfg, &mut sink).unwrap();
+                run_worker(comm, &cfg, TAGS, &mut sink).unwrap();
                 (0, sink.computed)
             }
         })
@@ -1092,9 +1073,9 @@ mod tests {
             let cfg = EngineConfig { batch: 4, pending_cap: 64 };
             comm.set_tracer(spec.tracer(comm.rank(), if comm.rank() == 0 { "master" } else { "worker" }));
             if comm.rank() == 0 {
-                run_master(comm, &cfg, &mut SumSource::new(), seed.clone(), None).unwrap();
+                run_master(comm, &cfg, TAGS, &mut SumSource::new(), seed.clone(), None).unwrap();
             } else {
-                run_worker(comm, &cfg, &mut RangeSink::default()).unwrap();
+                run_worker(comm, &cfg, TAGS, &mut RangeSink::default()).unwrap();
             }
             comm.take_trace()
         });
@@ -1136,11 +1117,11 @@ mod tests {
             let cfg = EngineConfig { batch, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
+                let report = run_master(comm, &cfg, TAGS, &mut source, Vec::new(), None).unwrap();
                 (Some((source.sum, report)), None)
             } else {
                 let mut sink = toy_sink(comm.rank(), per_worker);
-                (None, Some(run_worker(comm, &cfg, &mut sink).unwrap()))
+                (None, Some(run_worker(comm, &cfg, TAGS, &mut sink).unwrap()))
             }
         });
         let mut master = None;
@@ -1191,10 +1172,10 @@ mod tests {
             let cfg = EngineConfig { batch: 2, pending_cap: 64 };
             let master = if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, seed.clone(), None).unwrap();
+                let report = run_master(comm, &cfg, TAGS, &mut source, seed.clone(), None).unwrap();
                 Some((source.sum, report))
             } else {
-                assert!(!run_worker(comm, &cfg, &mut RangeSink::default()).unwrap().master_died);
+                assert!(!run_worker(comm, &cfg, TAGS, &mut RangeSink::default()).unwrap().master_died);
                 None
             };
             (master, comm.fault_stats())
@@ -1294,11 +1275,11 @@ mod tests {
             let cfg = EngineConfig { batch: 4, pending_cap: 64 };
             if comm.rank() == 0 {
                 let mut source = SumSource::new();
-                let report = run_master(comm, &cfg, &mut source, Vec::new(), None).unwrap();
+                let report = run_master(comm, &cfg, TAGS, &mut source, Vec::new(), None).unwrap();
                 (report.killed, false)
             } else {
                 let mut sink = toy_sink(comm.rank(), 40);
-                let report = run_worker(comm, &cfg, &mut sink).unwrap();
+                let report = run_worker(comm, &cfg, TAGS, &mut sink).unwrap();
                 (false, report.master_died)
             }
         });
@@ -1320,12 +1301,12 @@ mod tests {
             let outcomes = pgasm_mpisim::run(3, |comm| {
                 let cfg = EngineConfig { batch: 4, pending_cap: 64 };
                 if comm.rank() == 0 {
-                    run_master(comm, &cfg, &mut SumSource::new(), Vec::<u32>::new(), None).err()
+                    run_master(comm, &cfg, TAGS, &mut SumSource::new(), Vec::<u32>::new(), None).err()
                 } else {
                     let overcount = u32::from(comm.rank() == 2);
                     let mut sink = RangeSink { overcount, ..toy_sink(comm.rank(), 40) };
                     let report =
-                        run_worker(comm, &cfg, &mut sink).expect("a worker only sees the master leave");
+                        run_worker(comm, &cfg, TAGS, &mut sink).expect("a worker only sees the master leave");
                     assert!(report.master_died);
                     None
                 }
@@ -1335,7 +1316,7 @@ mod tests {
         let outcomes = finished
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a rank hung or panicked after the malformed report");
-        assert_eq!(outcomes[0], Some(CommError::Malformed { src: 2, tag: TAG_REPORT }));
+        assert_eq!(outcomes[0], Some(CommError::Malformed { src: 2, tag: names::TAG_W2M_REPORT }));
     }
 
     #[test]
@@ -1359,17 +1340,17 @@ mod tests {
         // tells its peers it is leaving, and returns the error.
         let outcomes = pgasm_mpisim::run(2, move |comm| {
             if comm.rank() == 0 {
-                assert!(matches!(comm.recv(Some(1), Some(TAG_REPORT)), Ok(Event::Msg(_))));
+                assert!(matches!(comm.recv(Some(1), Some(names::TAG_W2M_REPORT)), Ok(Event::Msg(_))));
                 let short = body(&[], &[10, 12]);
-                comm.send(1, TAG_GRANT, short[..short.len() - 1].to_vec()).unwrap();
+                comm.send(1, names::TAG_M2W_GRANT, short[..short.len() - 1].to_vec()).unwrap();
                 assert!(matches!(comm.recv(None, None), Ok(Event::Death(1))));
                 None
             } else {
                 let cfg = EngineConfig { batch: 4, pending_cap: 64 };
-                run_worker(comm, &cfg, &mut toy_sink(1, 40)).err()
+                run_worker(comm, &cfg, TAGS, &mut toy_sink(1, 40)).err()
             }
         });
-        assert_eq!(outcomes[1], Some(CommError::Malformed { src: 0, tag: TAG_GRANT }));
+        assert_eq!(outcomes[1], Some(CommError::Malformed { src: 0, tag: names::TAG_M2W_GRANT }));
     }
 
     #[test]
@@ -1390,13 +1371,14 @@ mod tests {
             pending_adoptions: vec![Vec::new(); 3],
             adopted_scopes: vec![Vec::new(); 3],
             report: MasterReport::default(),
+            tags: TAGS,
         };
         m.journal.insert(7, Lease { worker: 1, tasks: vec![2u32, 4] });
         let ar = |lease: u64, value: u64| {
             let mut w = Writer::new();
             // One result, a passive generator, one announced task.
             w.put_u64(lease).put_u32(1).put_u64(value).put_u32(0).put_u32(1).put_u32(6);
-            Msg { src: 1, tag: TAG_REPORT, data: w.finish() }
+            Msg { src: 1, tag: names::TAG_W2M_REPORT, data: w.finish() }
         };
         let mut tracer = Tracer::disabled();
         // Live lease: absorbed, journal retired.
@@ -1437,6 +1419,7 @@ mod tests {
             pending_adoptions: vec![Vec::new(); 3],
             adopted_scopes: vec![Vec::new(); 3],
             report: MasterReport::default(),
+            tags: TAGS,
         };
         m.journal.insert(1, Lease { worker: 2, tasks: vec![6u32, 8, 10] });
         assert!(!m.finished(), "an unacknowledged lease blocks termination");

@@ -11,7 +11,7 @@
 
 use super::{
     run_master, run_worker, CheckpointHook, EngineConfig, MasterReport, Task, TaskSink, TaskSource,
-    WorkerReport, PROTOCOL_TAGS,
+    WorkerReport,
 };
 use crate::checkpoint::{read_checkpoint, write_checkpoint, StageRecovery};
 use pgasm_mpisim::{thread_cpu_seconds, Comm, CommError};
@@ -50,9 +50,18 @@ pub struct StageSpec {
     /// Stage name: the checkpoint's stage tag, and the stage named when
     /// a rank fails.
     pub name: &'static str,
-    /// Report labels of the two protocol tags, in [`PROTOCOL_TAGS`]
-    /// order.
-    pub tag_labels: [&'static str; 2],
+    /// The stage's own two tags (`names::TAG_*`), no other stage's:
+    /// `[report, grant]`. A report goes worker → master once per round:
+    /// `lease: u64` of the batch just computed (`0` when the last grant
+    /// carried none — the opening report included), the client's result
+    /// body, `active: u32` (the generator can still yield), `n: u32` and
+    /// `n` newly generated tasks; it doubles as the request for the next
+    /// allocation. A grant goes master → worker, one per report (or
+    /// unsolicited, to a parked worker): `terminate: u32`, and unless
+    /// that is `1`, the next request size `r: u32`, the `u32` slice of
+    /// dead generator scopes to adopt, the `lease: u64` of the batch (`0`
+    /// when it is empty), `n: u32` and `n` tasks.
+    pub tags: [u32; 2],
     /// Protocol shape.
     pub engine: EngineConfig,
 }
@@ -191,11 +200,11 @@ pub fn run_stage<C: StageClient>(
                 }),
                 every,
             });
-            master = run_master(comm, &spec.engine, &mut source, seed, hook)?;
+            master = run_master(comm, &spec.engine, spec.tags, &mut source, seed, hook)?;
             client.master_output(source, &master)
         } else {
             let mut sink = client.sink(comm, pre);
-            let worker = run_worker(comm, &spec.engine, &mut sink)?;
+            let worker = run_worker(comm, &spec.engine, spec.tags, &mut sink)?;
             scopes_adopted = worker.scopes_adopted;
             client.worker_output(sink, &worker)
         };
@@ -204,14 +213,6 @@ pub fn run_stage<C: StageClient>(
         let (wait_ns, barrier_ns) = (comm.wait_ns(), comm.barrier_ns());
         let blocked = (wait_ns + barrier_ns - blocked0) as f64 * 1e-9;
 
-        // Per-tag traffic of the whole rank body (pre-phase collectives
-        // included) with the protocol tags under this stage's labels.
-        let mut comm_rows = comm.tag_stats();
-        for row in &mut comm_rows {
-            if let Some(i) = PROTOCOL_TAGS.iter().position(|&t| t == row.tag) {
-                row.label = spec.tag_labels[i].to_string();
-            }
-        }
         let mut counters: BTreeMap<String, u64> =
             client_counters.into_iter().map(|(name, value)| (name.to_string(), value)).collect();
         // Blocked totals cover the whole rank body: the traced `wait`
@@ -250,7 +251,9 @@ pub fn run_stage<C: StageClient>(
                 cpu_seconds: cpu,
                 idle_seconds: blocked,
                 counters,
-                comm: comm_rows,
+                // Per-tag traffic of the whole rank body, pre-phase
+                // collectives included.
+                comm: comm.tag_stats(),
             },
             trace: comm.take_trace(),
             master,

@@ -5,7 +5,7 @@
 //! The protocol (the event-driven master pump, the report and grant
 //! message shapes, `compute_r` flow control, park/unpark, termination) and the
 //! per-rank shell around it (comm set-up, the timed pre-phase window,
-//! checkpoint resume and cadence, timing, tag relabelling, counter
+//! checkpoint resume and cadence, timing, counter
 //! folding, [`RankReport`] collection) live in [`crate::engine`]; this
 //! module supplies what makes the stage *clustering*:
 //!
@@ -135,7 +135,7 @@ pub fn cluster_parallel_with(
     let client = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: *params };
     let spec = StageSpec {
         name: STAGE_CLUSTER,
-        tag_labels: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
+        tags: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
         engine: *config,
     };
     let run = run_stage(p, &spec, opts, &client);
@@ -396,7 +396,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         // Compute the alignments allocated last round.
         let had_batch = !batch.is_empty();
         if had_batch {
-            tracer.begin_arg(TraceCategory::Align, names::EV_ALIGN_BATCH, "pairs", batch.len() as u64);
+            tracer.begin(TraceCategory::Align, names::EV_ALIGN_BATCH, &[("pairs", batch.len() as u64)]);
         }
         let mut cells = 0u64;
         for pair in batch.drain(..) {
@@ -409,7 +409,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         }
         if had_batch {
             tracer.end(TraceCategory::Align, names::EV_ALIGN_BATCH);
-            tracer.instant_arg(TraceCategory::Align, names::EV_ALIGN_CELLS, "cells", cells);
+            tracer.instant(TraceCategory::Align, names::EV_ALIGN_CELLS, &[("cells", cells)]);
         }
         tracer.counter(
             TraceCategory::Align,
@@ -426,7 +426,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
     }
 
     fn generate(&mut self, tracer: &mut Tracer, r: usize, out: &mut Vec<PromisingPair>) -> bool {
-        tracer.begin_arg(TraceCategory::Worker, names::EV_GENERATE, "requested", r as u64);
+        tracer.begin(TraceCategory::Worker, names::EV_GENERATE, &[("requested", r as u64)]);
         self.gen.next_batch(r, out);
         // Top up from adopted scopes once the rank's own generator runs
         // dry for this request.
@@ -444,7 +444,7 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
     }
 
     fn adopt_scope(&mut self, tracer: &mut Tracer, dead_rank: usize) {
-        tracer.begin_arg(TraceCategory::Fault, names::EV_ADOPT_REBUILD, "dead", dead_rank as u64);
+        tracer.begin(TraceCategory::Fault, names::EV_ADOPT_REBUILD, &[("dead", dead_rank as u64)]);
         // Bucket ownership is a pure hash of the bucket key, so any rank
         // can rebuild the buckets the dead builder owned (ranks `1..world`
         // build) from the shared store. In-bucket suffix order may differ
@@ -574,8 +574,8 @@ mod tests {
         assert_eq!(worker_aligned, report.stats.aligned);
         assert_eq!(worker_generated, report.stats.generated);
         assert_eq!(worker_accepted, report.stats.accepted);
-        // Per-tag comm channels include the relabelled protocol tags
-        // and carry modelled time.
+        // Per-tag comm channels include the protocol tags and carry
+        // modelled time.
         let master = &report.ranks[0];
         assert!(master.comm.iter().any(|t| t.label == "w2m_report" && t.msgs_recv > 0));
         assert!(master.comm.iter().any(|t| t.label == "m2w_grant" && t.msgs_sent > 0));
@@ -724,10 +724,10 @@ mod tests {
             AssignPolicy::Lpt,
             &opts,
         );
-        type Pinned<'a> = (&'a [RankReport], &'a [RankTrace], [&'a Vec<String>; 2], [&'a str; 2]);
+        type Pinned<'a> = (&'a [RankReport], &'a [RankTrace], [&'a Vec<String>; 2], [(u32, &'a str); 2]);
         let stages: [Pinned<'_>; 2] = [
-            (&c.ranks, &c.traces, [&cluster_master, &cluster_worker], ["w2m_report", "m2w_grant"]),
-            (&a.ranks, &a.traces, [&asm_master, &asm_worker], ["asm_w2m_report", "asm_m2w_grant"]),
+            (&c.ranks, &c.traces, [&cluster_master, &cluster_worker], [(1, "w2m_report"), (2, "m2w_grant")]),
+            (&a.ranks, &a.traces, [&asm_master, &asm_worker], [(3, "asm_w2m_report"), (4, "asm_m2w_grant")]),
         ];
         for (ranks, traces, counters, labels) in stages {
             assert_eq!(ranks.len(), p);
@@ -738,9 +738,11 @@ mod tests {
                 assert_eq!((r.rank, r.role.as_str()), (rank, ["master", "worker"][role]));
                 assert_eq!((t.rank, t.label.as_str()), (rank, ["master", "worker"][role]));
                 assert_eq!(&r.counters.keys().cloned().collect::<Vec<_>>(), counters[role], "{}", r.role);
-                seen.extend(r.comm.iter().filter(|t| t.tag <= 2).map(|t| (t.tag, t.label.clone())));
+                seen.extend(
+                    r.comm.iter().filter(|t| t.label != "alltoall").map(|t| (t.tag, t.label.as_str())),
+                );
             }
-            assert_eq!(seen.into_values().collect::<Vec<_>>(), labels);
+            assert_eq!(seen.into_iter().collect::<Vec<_>>(), labels);
         }
     }
 
@@ -761,9 +763,9 @@ mod tests {
             AssignPolicy::Lpt,
             &opts,
         );
-        // (sent, received) under a tag label.
-        let row = |r: &RankReport, label: &str| {
-            r.comm.iter().find(|t| t.label == label).map_or((0, 0), |t| (t.msgs_sent, t.msgs_recv))
+        // (sent, received) on a tag.
+        let row = |r: &RankReport, tag: u32| {
+            r.comm.iter().find(|t| t.tag == tag).map_or((0, 0), |t| (t.msgs_sent, t.msgs_recv))
         };
         let mut conserved = std::collections::BTreeSet::new();
         for (ranks, traces, report, grant, round_trips) in [
@@ -779,24 +781,19 @@ mod tests {
             let mut reports = 0;
             for w in &ranks[1..] {
                 assert!(w.counter(round_trips) >= 1);
-                assert_eq!(row(w, report).0, w.counter(round_trips), "{report}: rank {}", w.rank);
+                assert_eq!(row(w, report).0, w.counter(round_trips), "tag {report}: rank {}", w.rank);
                 reports += w.counter(round_trips);
             }
             let unparks = traces[0].events.iter().filter(|e| e.name == names::EV_UNPARK).count() as u64;
-            assert_eq!(row(&ranks[0], grant).0, reports + unparks + (p as u64 - 1), "{grant}");
+            assert_eq!(row(&ranks[0], grant).0, reports + unparks + (p as u64 - 1), "tag {grant}");
             assert_eq!(row(&ranks[0], grant).0, ranks[1..].iter().map(|w| row(w, grant).1).sum::<u64>());
             assert_eq!(row(&ranks[0], report).1, reports, "every report was delivered");
             // Nothing else travels: the only other rows are the GST
             // pre-phase's collectives, and the counter lists pinned
             // above have no wire-level tally in them.
             for r in ranks.iter() {
-                let known = [report, grant, "alltoall"];
-                assert!(
-                    r.comm.iter().all(|t| known.contains(&t.label.as_str())),
-                    "rank {}: {:?}",
-                    r.rank,
-                    r.comm
-                );
+                let known = [report, grant, names::TAG_ALLTOALL];
+                assert!(r.comm.iter().all(|t| known.contains(&t.tag)), "rank {}: {:?}", r.rank, r.comm);
             }
             // The rows are the only count of the traffic: under every
             // label, what the ranks sent is exactly what they received.
@@ -814,6 +811,15 @@ mod tests {
         }
         let labels = ["alltoall", "asm_m2w_grant", "asm_w2m_report", "m2w_grant", "w2m_report"];
         assert_eq!(conserved.into_iter().collect::<Vec<_>>(), labels);
+        // A tag is one message kind for the whole run: over both stages,
+        // no two of a rank's rows share one.
+        for (c, a) in c.ranks.iter().zip(&a.ranks) {
+            let mut tags: Vec<u32> = c.comm.iter().chain(&a.comm).map(|t| t.tag).collect();
+            tags.sort_unstable();
+            let n = tags.len();
+            tags.dedup();
+            assert_eq!(tags.len(), n, "rank {}: {:?} {:?}", c.rank, c.comm, a.comm);
+        }
     }
 
     /// The run under `plan`, armed as written (the pipeline's per-stage

@@ -157,7 +157,7 @@ pub fn rank_build_gst<'s>(
     // collective steps). Every survivor of a key is here, so the table
     // drops only suffixes of buckets that cannot pair; `retain` keeps the
     // arrival (source-rank) order, and so does the stable sort.
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH);
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH, &[]);
     let t = thread_cpu_seconds();
     let mut table = AdmissionTable::with_words(mine.len());
     mine.iter().for_each(|&(key, s)| table.add_key(key, s.left));
@@ -199,7 +199,7 @@ pub fn rank_build_gst<'s>(
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_FETCH);
 
     // Phase 5: build the local forest.
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUILD);
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_BUILD, &[]);
     let t = thread_cpu_seconds();
     let gst = Gst::build_from_sorted(&text, &mine, config, enumerated);
     drop(mine);
@@ -231,7 +231,7 @@ fn ship_survivors(
     let own = |s: SeqId| owner[s.0 as usize] as usize == rank;
 
     // Phase 1: count own windows.
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_COUNT);
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_COUNT, &[]);
     let t = thread_cpu_seconds();
     let mut table = SlotTable::new(store);
     for_each_window(store, k, own, |w| table.add(w));
@@ -239,7 +239,7 @@ fn ship_survivors(
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_COUNT);
 
     // Phase 2: reduce.
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDUCE);
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDUCE, &[]);
     reduce(comm, &mut table, first_builder, compute);
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDUCE);
 
@@ -251,7 +251,7 @@ fn ship_survivors(
     // expected to generate millions of buckets sufficient to be
     // distributed in a load balanced manner"; ψ-mer keys only spread
     // finer). No communication is needed to agree on owners.
-    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
+    comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE, &[]);
     let t = thread_cpu_seconds();
     let mut local: Vec<(u64, Suffix)> = Vec::new();
     for_each_window(store, k, own, |w| table.admit(w, &mut local));

@@ -752,14 +752,15 @@ mod tests {
         let run = ctx.finish();
         // One channel per rank, covering both phases: clustering
         // counters and assemble counters live side by side, and the
-        // assemble phase's relabelled protocol rows join the comm table.
+        // The assemble phase's protocol rows, on its own tags, join the
+        // comm table.
         assert_eq!(run.ranks.len(), 3);
         let clusters: u64 = run.ranks[1..].iter().map(|r| r.counter(names::ASM_CLUSTERS_ASSEMBLED)).sum();
         assert_eq!(clusters as usize, report.clustering.num_non_singletons());
         assert!(run.ranks[0].counter(names::PEAK_QUEUE_DEPTH) > 0);
         assert!(run.ranks[0].counter(names::ASM_PEAK_QUEUE_DEPTH) > 0);
-        assert!(run.ranks[0].comm.iter().any(|t| t.label == names::TAG_W2M_REPORT));
-        assert!(run.ranks[0].comm.iter().any(|t| t.label == names::TAG_ASM_W2M_REPORT));
+        assert!(run.ranks[0].comm.iter().any(|t| t.tag == names::TAG_W2M_REPORT));
+        assert!(run.ranks[0].comm.iter().any(|t| t.tag == names::TAG_ASM_W2M_REPORT));
         // The assemble stage records its phase sub-span.
         let assemble = run.span("assemble").unwrap();
         assert!(assemble.find("assemble/dist_assemble").is_some());

@@ -2,34 +2,17 @@
 
 use crate::faults::{CommError, FaultAction, FaultPlan, FaultPoint, FaultRuntime, FaultStats};
 use crate::model::CostModel;
+use pgasm_telemetry::names::{self, RESERVED_TAG_BASE, TAG_ALLTOALL, TAG_DEATH};
 use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
-use pgasm_telemetry::{names, TagStat};
+use pgasm_telemetry::TagStat;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Tags at or above this value are reserved for collectives.
-pub const RESERVED_TAG_BASE: u32 = 0xFFFF_0000;
-
-const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 2;
-/// Death notice a dying rank broadcasts to every peer (empty payload).
-/// Surfaced as [`Event::Death`], never as a message.
-const TAG_DEATH: u32 = RESERVED_TAG_BASE + 6;
 /// The simulator's notice that the world is quiescent (empty payload;
 /// `src` is the rank that saw it). Wakes the lowest live rank, surfaces
 /// as [`Event::Quiescent`], and is no part of the modelled traffic.
 const TAG_QUIESCENT: u32 = RESERVED_TAG_BASE + 7;
-
-/// Human-readable name for a tag: collectives get their primitive's
-/// name, application tags render as `"tag<N>"` (callers owning an
-/// application protocol can relabel rows in their reports).
-pub fn tag_label(tag: u32) -> String {
-    match tag {
-        TAG_ALLTOALL => "alltoall".to_string(),
-        TAG_DEATH => names::TAG_DEATH.to_string(),
-        t => format!("tag{t}"),
-    }
-}
 
 /// Per-tag traffic counters (histogram row).
 #[derive(Debug, Clone, Copy, Default)]
@@ -164,7 +147,7 @@ impl Comm {
             .iter()
             .map(|(&tag, t)| TagStat {
                 tag,
-                label: tag_label(tag),
+                label: names::tag_label(tag.into()),
                 msgs_sent: t.msgs_sent,
                 bytes_sent: t.bytes_sent,
                 msgs_recv: t.msgs_recv,
@@ -261,7 +244,7 @@ impl Comm {
         let f = self.faults.as_mut().expect("a kill is scripted by an armed fault plan");
         f.killed_at = Some(lease);
         f.stats.kills += 1;
-        self.tracer.instant_arg(TraceCategory::Fault, names::EV_FAULT_KILL, "lease", lease);
+        self.tracer.instant(TraceCategory::Fault, names::EV_FAULT_KILL, &[("lease", lease)]);
         self.abort();
         CommError::Killed { rank: self.rank, lease }
     }
@@ -305,7 +288,7 @@ impl Comm {
     /// for a report.
     fn trace_fault(&mut self, name: &'static str, point: FaultPoint, lease: u64) {
         let dir = u64::from(point == FaultPoint::Report);
-        self.tracer.instant_args(TraceCategory::Fault, name, ("lease", lease), ("dir", dir));
+        self.tracer.instant(TraceCategory::Fault, name, &[("lease", lease), ("dir", dir)]);
     }
 
     /// Leave the world without finishing: every peer gets a death
@@ -418,7 +401,7 @@ impl Comm {
     fn wait(&mut self) {
         // The traced `wait` span brackets exactly the region `wait_ns`
         // measures, so the two accountings agree.
-        self.tracer.begin(TraceCategory::Comm, names::EV_WAIT);
+        self.tracer.begin(TraceCategory::Comm, names::EV_WAIT, &[]);
         let start = Instant::now();
         let mut w = self.world();
         while w.blocked[self.rank] {
@@ -477,12 +460,10 @@ impl Comm {
     /// instant.
     fn send_raw(&mut self, dest: usize, tag: u32, data: Vec<u8>) {
         assert!(dest < self.size, "destination {dest} out of range");
-        self.tracer.instant_args3(
+        self.tracer.instant(
             TraceCategory::Comm,
             names::EV_SEND,
-            ("tag", tag as u64),
-            ("bytes", data.len() as u64),
-            ("to", dest as u64),
+            &[("tag", tag as u64), ("bytes", data.len() as u64), ("to", dest as u64)],
         );
         let row = self.tag_traffic.entry(tag).or_default();
         row.msgs_sent += 1;
@@ -510,18 +491,16 @@ impl Comm {
         self.tag_traffic.entry(TAG_DEATH).or_default().msgs_recv += 1;
         let first = !std::mem::replace(&mut self.dead_peers[peer], true);
         if first {
-            self.tracer.instant_arg(TraceCategory::Fault, names::EV_RANK_DEAD, "peer", peer as u64);
+            self.tracer.instant(TraceCategory::Fault, names::EV_RANK_DEAD, &[("peer", peer as u64)]);
         }
         first
     }
 
     fn note_recv(&mut self, m: &Msg) {
-        self.tracer.instant_args3(
+        self.tracer.instant(
             TraceCategory::Comm,
             names::EV_RECV,
-            ("tag", m.tag as u64),
-            ("bytes", m.data.len() as u64),
-            ("from", m.src as u64),
+            &[("tag", m.tag as u64), ("bytes", m.data.len() as u64), ("from", m.src as u64)],
         );
         let row = self.tag_traffic.entry(m.tag).or_default();
         row.msgs_recv += 1;
@@ -532,7 +511,7 @@ impl Comm {
     /// when a rank has left the world without arriving: it never will.
     pub fn barrier(&mut self) {
         self.release_held();
-        self.tracer.begin(TraceCategory::Comm, names::EV_BARRIER);
+        self.tracer.begin(TraceCategory::Comm, names::EV_BARRIER, &[]);
         let start = Instant::now();
         let mut w = self.world();
         w.arrived[self.rank] = true;

@@ -39,6 +39,6 @@ pub mod comm;
 pub mod faults;
 pub mod model;
 
-pub use comm::{run, tag_label, Comm, Event, Msg};
+pub use comm::{run, Comm, Event, Msg};
 pub use faults::{CommError, FaultAction, FaultClause, FaultPlan, FaultPoint, FaultStage, FaultStats};
 pub use model::{thread_cpu_seconds, CostModel};

@@ -13,12 +13,8 @@ use rand::Rng;
 /// Error-model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorModel {
-    /// Per-base substitution probability.
-    pub sub_rate: f64,
-    /// Per-base insertion probability.
-    pub ins_rate: f64,
-    /// Per-base deletion probability.
-    pub del_rate: f64,
+    /// Plant no errors at all, whatever the phred values imply.
+    pub error_free: bool,
     /// Peak quality in the read interior.
     pub peak_quality: u8,
     /// Quality at the very ends of the read.
@@ -32,27 +28,13 @@ impl ErrorModel {
     /// ramps from noisy ends (q7 ≈ 20% error, trimmed by Lucy) to a q30
     /// interior (0.1%); over a whole read the realised rate lands in the
     /// paper's band. The samplers draw every error from the phred
-    /// values ([`ErrorModel::corrupt_quality_linked`]); the flat
-    /// `*_rate` fields only tell a noisy model from an error-free one
-    /// (all zero, [`ErrorModel::PERFECT`]).
-    pub const SANGER: ErrorModel = ErrorModel {
-        sub_rate: 0.010,
-        ins_rate: 0.0025,
-        del_rate: 0.0025,
-        peak_quality: 30,
-        end_quality: 7,
-        ramp: 50,
-    };
+    /// values ([`ErrorModel::corrupt_quality_linked`]).
+    pub const SANGER: ErrorModel =
+        ErrorModel { error_free: false, peak_quality: 30, end_quality: 7, ramp: 50 };
 
     /// An error-free model (for assembler exactness tests).
-    pub const PERFECT: ErrorModel = ErrorModel {
-        sub_rate: 0.0,
-        ins_rate: 0.0,
-        del_rate: 0.0,
-        peak_quality: 40,
-        end_quality: 40,
-        ramp: 1,
-    };
+    pub const PERFECT: ErrorModel =
+        ErrorModel { error_free: true, peak_quality: 40, end_quality: 40, ramp: 1 };
 
     /// Corrupt a template with *quality-linked* errors: each base's
     /// substitution probability is its phred error probability
@@ -68,7 +50,7 @@ impl ErrorModel {
         rng: &mut impl Rng,
     ) -> (DnaSeq, QualityTrack) {
         assert_eq!(template.len(), qual.len());
-        if self.sub_rate == 0.0 && self.ins_rate == 0.0 && self.del_rate == 0.0 {
+        if self.error_free {
             // An explicitly error-free model stays error-free even
             // though finite phred values imply a residual rate.
             return (template.clone(), qual.clone());

@@ -1,10 +1,10 @@
 //! Post-run critical-path and wall-time-attribution analysis.
 //!
-//! Consumes the artifacts a traced run already writes — the Chrome
-//! trace-event JSON (`--trace-json`) and optionally the structured run
-//! report (`--metrics-json`) — and answers the scaling question the
-//! raw Perfetto dump leaves to the reader's eye: *which rank, phase,
-//! and message class is the run actually waiting on?*
+//! Consumes the Chrome trace-event JSON a traced run writes
+//! (`--trace-json`) and nothing else — a message's tag names its kind
+//! for the whole run ([`names::tag_label`]) — and answers the scaling
+//! question the raw Perfetto dump leaves to the reader's eye: *which
+//! rank, phase, and message class is the run actually waiting on?*
 //!
 //! Three derived products:
 //!
@@ -13,12 +13,14 @@
 //!   `tag`, `from`) by per-`(src, dst, tag)` FIFO order — exact,
 //!   because the simulated transport preserves per-sender FIFO and a
 //!   rank's track id is its comm rank in every stage of the run.
-//! - **Wall-time attribution** per rank: `{compute, wait_blocked,
-//!   barrier, comm_modelled, idle_unattributed}`, built from span
-//!   interval unions so the categories sum to the rank's measured wall
-//!   time (the CI gate asserts the residual stays within tolerance —
-//!   a sum drifting past it means mis-paired spans, i.e. a tracing
-//!   bug, not noise).
+//! - **Wall-time attribution** per rank and per stage: `{compute,
+//!   wait_blocked, barrier}`, one routine over a time window (the
+//!   rank's traced span, or a stage's window on the pipeline track), so
+//!   the stage rows sum to the rank rows. Per rank the residual is
+//!   `idle_unattributed` and the categories sum to the measured wall
+//!   time (the CI gate asserts they cover it within tolerance — a sum
+//!   drifting past it means mis-paired spans, i.e. a tracing bug, not
+//!   noise).
 //! - **The critical path**: a backward walk from the globally last
 //!   event; compute segments run until the rank was last blocked, a
 //!   `wait` hops along the matched send edge to the sending rank, a
@@ -28,9 +30,9 @@
 //! clocks, no I/O — so it unit-tests on synthetic traces.
 
 use crate::json::Json;
-use crate::report::RunReport;
-use crate::trace::{RankTrace, TraceKind};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::names;
+use crate::trace::TraceKind;
+use std::collections::BTreeMap;
 
 /// Event shape in analyzer form (names/categories owned, since they
 /// come back out of JSON).
@@ -66,31 +68,6 @@ pub struct ATrack {
 }
 
 impl ATrack {
-    /// Convert an in-memory [`RankTrace`] (for in-process analysis and
-    /// tests; file-based callers use [`parse_chrome_trace`]).
-    pub fn from_rank_trace(t: &RankTrace) -> ATrack {
-        ATrack {
-            rank: t.rank as u64,
-            label: t.label.clone(),
-            events: t
-                .events
-                .iter()
-                .map(|e| AEvent {
-                    ts_ns: e.ts_ns,
-                    kind: e.kind,
-                    cat: e.cat.label().to_string(),
-                    name: e.name.to_string(),
-                    args: e
-                        .args
-                        .iter()
-                        .filter(|(k, _)| !k.is_empty())
-                        .map(|&(k, v)| (k.to_string(), v))
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-
     fn first_ts(&self) -> u64 {
         self.events.first().map(|e| e.ts_ns).unwrap_or(0)
     }
@@ -193,7 +170,7 @@ pub fn pair_edges(tracks: &[ATrack]) -> (Vec<HbEdge>, u64) {
     let mut sends = 0u64;
     for t in tracks {
         for e in &t.events {
-            if e.kind == TraceKind::Instant && e.name == crate::names::EV_SEND {
+            if e.kind == TraceKind::Instant && e.name == names::EV_SEND {
                 if let (Some(tag), Some(to)) = (e.arg("tag"), e.arg("to")) {
                     queues.entry((t.rank, to, tag)).or_default().push((e.ts_ns, 0));
                     sends += 1;
@@ -206,7 +183,7 @@ pub fn pair_edges(tracks: &[ATrack]) -> (Vec<HbEdge>, u64) {
     let mut cursors: BTreeMap<(u64, u64, u64), usize> = BTreeMap::new();
     for t in tracks {
         for e in &t.events {
-            if e.kind == TraceKind::Instant && e.name == crate::names::EV_RECV {
+            if e.kind == TraceKind::Instant && e.name == names::EV_RECV {
                 if let (Some(tag), Some(from)) = (e.arg("tag"), e.arg("from")) {
                     let key = (from, t.rank, tag);
                     let cursor = cursors.entry(key).or_insert(0);
@@ -300,15 +277,15 @@ fn blocked_spans(track: &ATrack) -> Vec<Blocked> {
             continue;
         }
         match (e.name.as_str(), e.kind) {
-            (crate::names::EV_WAIT, TraceKind::Begin) => open_wait = Some(e.ts_ns),
-            (crate::names::EV_WAIT, TraceKind::End) => {
+            (names::EV_WAIT, TraceKind::Begin) => open_wait = Some(e.ts_ns),
+            (names::EV_WAIT, TraceKind::End) => {
                 if let Some(start) = open_wait.take() {
                     // The message that ended the wait is delivered (and
                     // its recv instant recorded) right after the span
                     // closes.
                     let awaited_tag = track.events[i..]
                         .iter()
-                        .find(|n| n.kind == TraceKind::Instant && n.name == crate::names::EV_RECV)
+                        .find(|n| n.kind == TraceKind::Instant && n.name == names::EV_RECV)
                         .and_then(|n| n.arg("tag"));
                     out.push(Blocked {
                         start_ns: start,
@@ -319,8 +296,8 @@ fn blocked_spans(track: &ATrack) -> Vec<Blocked> {
                     });
                 }
             }
-            (crate::names::EV_BARRIER, TraceKind::Begin) => open_barrier = Some(e.ts_ns),
-            (crate::names::EV_BARRIER, TraceKind::End) => {
+            (names::EV_BARRIER, TraceKind::Begin) => open_barrier = Some(e.ts_ns),
+            (names::EV_BARRIER, TraceKind::End) => {
                 if let Some(start) = open_barrier.take() {
                     out.push(Blocked {
                         start_ns: start,
@@ -338,7 +315,7 @@ fn blocked_spans(track: &ATrack) -> Vec<Blocked> {
     out
 }
 
-/// Wall-time attribution for one rank, all in nanoseconds. The five
+/// Wall-time attribution for one rank, all in nanoseconds. The four
 /// categories partition the rank's traced wall time; `coverage` is
 /// their sum over the wall (≈ 1.0 unless span pairing broke).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -355,24 +332,17 @@ pub struct RankAttribution {
     pub wait_blocked_ns: u64,
     /// Blocked in barriers.
     pub barrier_ns: u64,
-    /// α–β modelled transfer cost from the metrics report (capped at
-    /// the otherwise-unattributed residual; zero without metrics).
-    pub comm_modelled_ns: u64,
     /// Residual wall time no category claims.
     pub idle_unattributed_ns: u64,
 }
 
 impl RankAttribution {
-    /// Sum of the five categories over the wall time (1.0 = perfect).
+    /// Sum of the four categories over the wall time (1.0 = perfect).
     pub fn coverage(&self) -> f64 {
         if self.wall_ns == 0 {
             return 1.0;
         }
-        (self.compute_ns
-            + self.wait_blocked_ns
-            + self.barrier_ns
-            + self.comm_modelled_ns
-            + self.idle_unattributed_ns) as f64
+        (self.compute_ns + self.wait_blocked_ns + self.barrier_ns + self.idle_unattributed_ns) as f64
             / self.wall_ns as f64
     }
 
@@ -384,7 +354,6 @@ impl RankAttribution {
             ("compute_ns", Json::Num(self.compute_ns as f64)),
             ("wait_blocked_ns", Json::Num(self.wait_blocked_ns as f64)),
             ("barrier_ns", Json::Num(self.barrier_ns as f64)),
-            ("comm_modelled_ns", Json::Num(self.comm_modelled_ns as f64)),
             ("idle_unattributed_ns", Json::Num(self.idle_unattributed_ns as f64)),
             ("coverage", Json::Num(self.coverage())),
         ])
@@ -443,15 +412,16 @@ impl IdleGap {
     }
 }
 
-/// Per-stage attribution rollup (summed over the ranks active inside
-/// each stage window of the pipeline track).
+/// Per-stage attribution: the rank rows' routine over a stage's window
+/// of the pipeline track, summed over the ranks.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StageAttribution {
     /// Stage name (`"preprocess"`, `"cluster"`, `"assemble"`).
     pub stage: String,
     /// Stage window on the pipeline track, nanoseconds.
     pub wall_ns: u64,
-    /// Summed over ranks, clipped to the stage window.
+    /// Inside non-comm work spans and not blocked, within the window,
+    /// summed over ranks.
     pub compute_ns: u64,
     /// Blocked in waits within the window, summed over ranks.
     pub wait_blocked_ns: u64,
@@ -476,7 +446,7 @@ impl StageAttribution {
 pub struct Analysis {
     /// Per-rank wall-time attribution, ascending by rank.
     pub ranks: Vec<RankAttribution>,
-    /// Per-stage rollup (present when a pipeline track with stage
+    /// Per-stage attribution (present when a pipeline track with stage
     /// spans was traced).
     pub stages: Vec<StageAttribution>,
     /// The critical path, in run order.
@@ -510,142 +480,91 @@ fn stage_windows(tracks: &[ATrack]) -> Vec<(&str, u64, u64)> {
     windows
 }
 
-/// Numeric tag → the label the metrics report gave it, per stage. Both
-/// engine stages use tags 1 and 2 and a rank's comm rows append in
-/// stage order, so the k-th label a tag carries in the report belongs
-/// to the k-th stage window the tag was seen in. Without a metrics
-/// report every label is `tag N`; without a pipeline track the whole
-/// trace is one window.
-struct TagLabels {
-    /// Per tag: `(window start, label)` of each stage it was used in.
-    by_tag: BTreeMap<u64, Vec<(u64, String)>>,
-}
-
-impl TagLabels {
-    fn new(edges: &[HbEdge], windows: &[(&str, u64, u64)], metrics: Option<&RunReport>) -> TagLabels {
-        let mut labels: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-        for row in metrics.iter().flat_map(|m| &m.ranks).flat_map(|r| &r.comm) {
-            let known = labels.entry(row.tag as u64).or_default();
-            if !known.contains(&row.label.as_str()) {
-                known.push(&row.label);
+/// A track's work: the union of its non-comm spans. A span left open (a
+/// killed rank's) runs to the track's last event.
+fn work_spans(track: &ATrack) -> Vec<(u64, u64)> {
+    let (mut depth, mut open_at) = (0i64, 0u64);
+    let mut work = Vec::new();
+    for e in track.events.iter().filter(|e| e.cat != "comm") {
+        match e.kind {
+            TraceKind::Begin => {
+                if depth == 0 {
+                    open_at = e.ts_ns;
+                }
+                depth += 1;
             }
+            TraceKind::End => {
+                depth -= 1;
+                if depth == 0 {
+                    work.push((open_at, e.ts_ns));
+                }
+            }
+            TraceKind::Instant | TraceKind::Counter => {}
         }
-        let mut seen: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-        for ed in edges {
-            let window = windows.iter().find(|w| (w.1..=w.2).contains(&ed.send_ts_ns));
-            seen.entry(ed.tag).or_default().insert(window.map_or(0, |w| w.1));
-        }
-        let by_tag = seen
-            .into_iter()
-            .filter_map(|(tag, starts)| {
-                let named = starts.into_iter().zip(labels.get(&tag)?).map(|(s, l)| (s, l.to_string()));
-                Some((tag, named.collect()))
-            })
-            .collect();
-        TagLabels { by_tag }
     }
-
-    /// Label of `tag` for an interval starting at `ts`.
-    fn label(&self, tag: u64, ts: u64) -> String {
-        let stages = self.by_tag.get(&tag).map(Vec::as_slice).unwrap_or_default();
-        let stage = stages.iter().rev().find(|(start, _)| *start <= ts).or(stages.first());
-        stage.map_or_else(|| format!("tag {tag}"), |(_, label)| label.clone())
+    if depth > 0 {
+        work.push((open_at, track.last_ts()));
     }
+    merge_intervals(work)
 }
 
-/// Run the analysis over parsed tracks plus the optional metrics
-/// report (for α–β modelled comm attribution and tag labels).
-/// `top_k` bounds the ranked idle-gap list.
-pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> Analysis {
+/// A track's time inside `[lo, hi]` as `[compute, wait, barrier]`:
+/// compute is its work minus its blocked time. The one attribution of
+/// both the rank rows (the track's own span) and the stage rows (a
+/// stage's window), so the stage rows sum to the rank rows.
+fn attribute(work: &[(u64, u64)], blocked: &[Blocked], lo: u64, hi: u64) -> [u64; 3] {
+    let clip = |s: u64, e: u64| (s.max(lo), e.min(hi).max(s.max(lo)));
+    let work: Vec<(u64, u64)> = work.iter().map(|&(s, e)| clip(s, e)).collect();
+    let held: Vec<(u64, u64)> = blocked.iter().map(|b| clip(b.start_ns, b.end_ns)).collect();
+    let [wait, barrier] = [false, true].map(|barrier| {
+        held.iter().zip(blocked).filter(|(_, b)| b.barrier == barrier).map(|(h, _)| h.1 - h.0).sum()
+    });
+    [subtract_len(&work, &merge_intervals(held)), wait, barrier]
+}
+
+/// Run the analysis over parsed tracks. `top_k` bounds the ranked
+/// idle-gap list.
+pub fn analyze(tracks: &[ATrack], top_k: usize) -> Analysis {
     let (edges, edges_unpaired) = pair_edges(tracks);
     let blocked: BTreeMap<u64, Vec<Blocked>> = tracks.iter().map(|t| (t.rank, blocked_spans(t))).collect();
+    let work: Vec<Vec<(u64, u64)>> = tracks.iter().map(work_spans).collect();
 
-    // ---- per-rank attribution ---------------------------------------
-    let mut ranks = Vec::new();
-    for t in tracks {
-        let wall_ns = t.last_ts().saturating_sub(t.first_ts());
-        let b = &blocked[&t.rank];
-        let wait_blocked_ns: u64 = b.iter().filter(|x| !x.barrier).map(|x| x.end_ns - x.start_ns).sum();
-        let barrier_ns: u64 = b.iter().filter(|x| x.barrier).map(|x| x.end_ns - x.start_ns).sum();
-        // Union of non-comm span intervals = "inside traced work".
-        let mut depth = 0i64;
-        let mut open_at = 0u64;
-        let mut work: Vec<(u64, u64)> = Vec::new();
-        for e in &t.events {
-            if e.cat == "comm" {
-                continue;
+    let mut ranks: Vec<RankAttribution> = tracks
+        .iter()
+        .zip(&work)
+        .map(|(t, work)| {
+            let (lo, hi) = (t.first_ts(), t.last_ts());
+            let [compute_ns, wait_blocked_ns, barrier_ns] = attribute(work, &blocked[&t.rank], lo, hi);
+            RankAttribution {
+                rank: t.rank,
+                label: t.label.clone(),
+                wall_ns: hi - lo,
+                compute_ns,
+                wait_blocked_ns,
+                barrier_ns,
+                idle_unattributed_ns: (hi - lo).saturating_sub(compute_ns + wait_blocked_ns + barrier_ns),
             }
-            match e.kind {
-                TraceKind::Begin => {
-                    if depth == 0 {
-                        open_at = e.ts_ns;
-                    }
-                    depth += 1;
-                }
-                TraceKind::End => {
-                    depth -= 1;
-                    if depth == 0 {
-                        work.push((open_at, e.ts_ns));
-                    }
-                }
-                TraceKind::Instant | TraceKind::Counter => {}
-            }
-        }
-        let work = merge_intervals(work);
-        let blocked_iv = merge_intervals(b.iter().map(|x| (x.start_ns, x.end_ns)).collect());
-        let compute_ns = subtract_len(&work, &blocked_iv);
-        let attributed = compute_ns + wait_blocked_ns + barrier_ns;
-        let residual = wall_ns.saturating_sub(attributed);
-        // The α–β model prices this rank's sends; the transfer time is
-        // real non-idle time the event stream cannot see (the simulator
-        // doesn't sleep for it), so it claims residual first.
-        let comm_modelled_ns = metrics
-            .and_then(|m| m.ranks.iter().find(|r| r.rank as u64 == t.rank))
-            .map(|r| (r.modelled_comm_seconds() * 1e9) as u64)
-            .unwrap_or(0)
-            .min(residual);
-        ranks.push(RankAttribution {
-            rank: t.rank,
-            label: t.label.clone(),
-            wall_ns,
-            compute_ns,
-            wait_blocked_ns,
-            barrier_ns,
-            comm_modelled_ns,
-            idle_unattributed_ns: residual - comm_modelled_ns,
-        });
-    }
+        })
+        .collect();
     ranks.sort_by_key(|r| r.rank);
 
-    // ---- per-stage rollup -------------------------------------------
-    let windows = stage_windows(tracks);
-    let mut stages = Vec::new();
-    for &(name, start, end) in &windows {
-        let clip = |s: u64, t: u64| t.min(end).saturating_sub(s.max(start));
-        let mut st = StageAttribution { stage: name.to_string(), wall_ns: end - start, ..Default::default() };
-        for t in tracks.iter().filter(|t| t.label != "pipeline") {
-            let mut blocked_in = 0;
-            for b in &blocked[&t.rank] {
-                let len = clip(b.start_ns, b.end_ns);
-                blocked_in += len;
-                if b.barrier {
-                    st.barrier_ns += len;
-                } else {
-                    st.wait_blocked_ns += len;
-                }
+    let stages = stage_windows(tracks)
+        .into_iter()
+        .map(|(name, start, end)| {
+            let mut st =
+                StageAttribution { stage: name.to_string(), wall_ns: end - start, ..Default::default() };
+            for (t, work) in tracks.iter().zip(&work).filter(|(t, _)| t.label != "pipeline") {
+                let [compute, wait, barrier] = attribute(work, &blocked[&t.rank], start, end);
+                st.compute_ns += compute;
+                st.wait_blocked_ns += wait;
+                st.barrier_ns += barrier;
             }
-            // Approximate per-stage compute by clipping the rank's
-            // active range to the window, minus its blocked time there.
-            st.compute_ns += clip(t.first_ts(), t.last_ts()).saturating_sub(blocked_in);
-        }
-        stages.push(st);
-    }
+            st
+        })
+        .collect();
 
-    // ---- critical path ----------------------------------------------
-    let labels = &TagLabels::new(&edges, &windows, metrics);
-    let critical_path = critical_path(tracks, &blocked, &edges, labels);
+    let critical_path = critical_path(tracks, &blocked, &edges);
 
-    // ---- ranked idle gaps -------------------------------------------
     let mut top_gaps: Vec<IdleGap> = blocked
         .iter()
         .flat_map(|(&rank, list)| {
@@ -653,13 +572,10 @@ pub fn analyze(tracks: &[ATrack], metrics: Option<&RunReport>, top_k: usize) -> 
                 rank,
                 start_ns: b.start_ns,
                 dur_ns: b.end_ns - b.start_ns,
-                blame: if b.barrier {
-                    "barrier".to_string()
-                } else {
-                    match b.awaited_tag {
-                        Some(tag) => labels.label(tag, b.start_ns),
-                        None => "unknown".to_string(),
-                    }
+                blame: match (b.barrier, b.awaited_tag) {
+                    (true, _) => "barrier".to_string(),
+                    (false, Some(tag)) => names::tag_label(tag),
+                    (false, None) => "unknown".to_string(),
                 },
             })
         })
@@ -714,7 +630,6 @@ fn critical_path(
     tracks: &[ATrack],
     blocked: &BTreeMap<u64, Vec<Blocked>>,
     edges: &[HbEdge],
-    labels: &TagLabels,
 ) -> Vec<PathSegment> {
     // Barrier matching: every rank passes the same barriers in the same
     // order, so the k-th barrier of a track pairs with the k-th barrier
@@ -775,17 +690,14 @@ fn critical_path(
             let edge = track
                 .events
                 .iter()
-                .find(|e| {
-                    e.ts_ns >= b.end_ns && e.kind == TraceKind::Instant && e.name == crate::names::EV_RECV
-                })
+                .find(|e| e.ts_ns >= b.end_ns && e.kind == TraceKind::Instant && e.name == names::EV_RECV)
                 .and_then(|recv| edges.iter().find(|ed| ed.dst == rank && ed.recv_ts_ns == recv.ts_ns));
             match edge {
                 Some(ed) if ed.send_ts_ns < cursor => {
-                    (ed.src, ed.send_ts_ns, "comm", labels.label(ed.tag, b.start_ns))
+                    (ed.src, ed.send_ts_ns, "comm", names::tag_label(ed.tag))
                 }
                 _ => {
-                    let label = b.awaited_tag.map_or_else(|| "wait".into(), |t| labels.label(t, b.start_ns));
-                    (rank, b.start_ns, "comm", label)
+                    (rank, b.start_ns, "comm", b.awaited_tag.map_or_else(|| "wait".into(), names::tag_label))
                 }
             }
         };
@@ -819,7 +731,7 @@ impl Analysis {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("format", Json::Str("pgasm.analysis".into())),
-            ("schema_version", Json::Num(1.0)),
+            ("schema_version", Json::Num(2.0)),
             ("ranks", Json::Arr(self.ranks.iter().map(RankAttribution::to_json).collect())),
             ("stages", Json::Arr(self.stages.iter().map(StageAttribution::to_json).collect())),
             ("critical_path", Json::Arr(self.critical_path.iter().map(PathSegment::to_json).collect())),
@@ -837,25 +749,24 @@ impl Analysis {
         let ms = |ns: u64| ns as f64 / 1e6;
         out.push_str("per-rank wall-time attribution (ms):\n");
         out.push_str(&format!(
-            "  {:<4} {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  {:>5}\n",
-            "rank", "role", "wall", "compute", "wait", "barrier", "comm", "idle", "cover"
+            "  {:<4} {:<12} {:>9} {:>9} {:>9} {:>9} {:>9}  {:>5}\n",
+            "rank", "role", "wall", "compute", "wait", "barrier", "idle", "cover"
         ));
         for r in &self.ranks {
             out.push_str(&format!(
-                "  {:<4} {:<12} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}  {:>4.0}%\n",
+                "  {:<4} {:<12} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}  {:>4.0}%\n",
                 r.rank,
                 r.label,
                 ms(r.wall_ns),
                 ms(r.compute_ns),
                 ms(r.wait_blocked_ns),
                 ms(r.barrier_ns),
-                ms(r.comm_modelled_ns),
                 ms(r.idle_unattributed_ns),
                 r.coverage() * 100.0
             ));
         }
         if !self.stages.is_empty() {
-            out.push_str("per-stage rollup (ms, summed over ranks):\n");
+            out.push_str("per-stage attribution (ms, summed over ranks):\n");
             for s in &self.stages {
                 out.push_str(&format!(
                     "  {:<12} wall {:>9.2}  compute {:>9.2}  wait {:>9.2}  barrier {:>9.2}\n",
@@ -969,7 +880,7 @@ mod tests {
 
     #[test]
     fn attribution_partitions_wall_time() {
-        let a = analyze(&synthetic_tracks(), None, 5);
+        let a = analyze(&synthetic_tracks(), 5);
         let r1 = &a.ranks[1];
         assert_eq!(r1.wall_ns, 2_000);
         assert_eq!(r1.wait_blocked_ns, 950);
@@ -982,7 +893,7 @@ mod tests {
 
     #[test]
     fn critical_path_crosses_the_send_edge() {
-        let a = analyze(&synthetic_tracks(), None, 5);
+        let a = analyze(&synthetic_tracks(), 5);
         assert!(!a.critical_path.is_empty());
         // Path: compute on rank 0 (until the send), the comm hop, then
         // compute on rank 1 to the end: 50 ns outside any span, then the
@@ -991,7 +902,7 @@ mod tests {
         assert_eq!(kinds, vec![("compute", 0), ("comm", 1), ("compute", 1), ("compute", 1)]);
         assert_eq!(a.critical_path[0].start_ns, 0);
         assert_eq!(a.critical_path[0].end_ns, 900);
-        assert_eq!(a.critical_path[1].label, "tag 4");
+        assert_eq!(a.critical_path[1].label, "asm_m2w_grant", "tag 4 names itself");
         assert_eq!((a.critical_path[2].end_ns, a.critical_path[2].label.as_str()), (1_000, "run"));
         assert_eq!(a.critical_path[3].end_ns, 2_000);
         assert_eq!(a.critical_path[3].label, "align_batch");
@@ -999,39 +910,39 @@ mod tests {
 
     #[test]
     fn gaps_are_blamed_on_the_awaited_tag() {
-        let a = analyze(&synthetic_tracks(), None, 5);
+        let a = analyze(&synthetic_tracks(), 5);
         assert_eq!(a.top_gaps.len(), 1);
         assert_eq!(a.top_gaps[0].rank, 1);
         assert_eq!(a.top_gaps[0].dur_ns, 950);
-        assert_eq!(a.top_gaps[0].blame, "tag 4");
+        assert_eq!(a.top_gaps[0].blame, "asm_m2w_grant");
     }
 
     /// Two ranks passing one token back and forth, twice in a `cluster`
-    /// stage window and once in an `assemble` one, both stages using
-    /// tag 1 under their own label.
-    fn ping_pong() -> (Vec<ATrack>, RunReport) {
+    /// stage window on that stage's report tag (1) and once in an
+    /// `assemble` one on its own (3).
+    fn ping_pong() -> Vec<ATrack> {
         use TraceKind::{Begin, End, Instant};
         let work = |from, to| {
             [ev(from, Begin, "align", "align_batch", &[]), ev(to, End, "align", "align_batch", &[])]
         };
         let wait = |from, to| [ev(from, Begin, "comm", "wait", &[]), ev(to, End, "comm", "wait", &[])];
-        let send = |ts, to| ev(ts, Instant, "comm", "send", &[("tag", 1), ("to", to)]);
-        let recv = |ts, from| ev(ts, Instant, "comm", "recv", &[("tag", 1), ("from", from)]);
+        let send = |ts, tag, to| ev(ts, Instant, "comm", "send", &[("tag", tag), ("to", to)]);
+        let recv = |ts, tag, from| ev(ts, Instant, "comm", "recv", &[("tag", tag), ("from", from)]);
         let r0: [&[AEvent]; 6] = [
             &work(0, 100),
-            &[send(100, 1)],
+            &[send(100, 1, 1)],
             &wait(100, 210),
-            &[recv(210, 1)],
+            &[recv(210, 1, 1)],
             &work(220, 350),
-            &[send(350, 1)],
+            &[send(350, 3, 1)],
         ];
         let r1: [&[AEvent]; 7] = [
             &wait(0, 110),
-            &[recv(110, 0)],
+            &[recv(110, 1, 0)],
             &work(110, 200),
-            &[send(200, 0)],
+            &[send(200, 1, 0)],
             &wait(220, 360),
-            &[recv(360, 0)],
+            &[recv(360, 3, 0)],
             &work(360, 450),
         ];
         // A span nested in a stage (the run's cache traffic, a phase
@@ -1044,39 +955,22 @@ mod tests {
             ev(215, Begin, "stage", "assemble", &[]),
             ev(460, End, "stage", "assemble", &[]),
         ];
-        let tracks = vec![
+        vec![
             ATrack { rank: 0, label: "master".into(), events: r0.concat() },
             ATrack { rank: 1, label: "worker".into(), events: r1.concat() },
             ATrack { rank: 2, label: "pipeline".into(), events: stages.to_vec() },
-        ];
-        let row = |label: &str| crate::TagStat {
-            tag: 1,
-            label: label.into(),
-            msgs_sent: 1,
-            bytes_sent: 0,
-            msgs_recv: 1,
-            bytes_recv: 0,
-            modelled_seconds: 0.0,
-        };
-        let rank =
-            crate::RankReport { comm: vec![row("w2m_report"), row("asm_w2m_report")], ..Default::default() };
-        let metrics = RunReport {
-            schema_version: crate::SCHEMA_VERSION,
-            label: "ping-pong".into(),
-            spans: Vec::new(),
-            counters: BTreeMap::new(),
-            ranks: vec![rank],
-        };
-        (tracks, metrics)
+        ]
     }
 
     #[test]
     fn ping_pong_path_alternates_ranks_and_blames_each_stages_own_label() {
-        let (tracks, metrics) = ping_pong();
-        let a = analyze(&tracks, Some(&metrics), 5);
+        let a = analyze(&ping_pong(), 5);
         assert_eq!((a.edges_paired, a.edges_unpaired), (3, 0));
         let windows: Vec<(&str, u64)> = a.stages.iter().map(|s| (s.stage.as_str(), s.wall_ns)).collect();
         assert_eq!(windows, [("cluster", 215), ("assemble", 245)]);
+        // Each rank's work and waits, in the window they fell in.
+        let rows: Vec<(u64, u64)> = a.stages.iter().map(|s| (s.compute_ns, s.wait_blocked_ns)).collect();
+        assert_eq!(rows, [(100 + 90, 110 + 110), (130 + 90, 140)]);
         let path: Vec<(&str, u64, u64, &str)> =
             a.critical_path.iter().map(|s| (s.kind.as_str(), s.rank, s.end_ns, s.label.as_str())).collect();
         // Every message moves the path to the rank that sent it, and it
@@ -1095,9 +989,6 @@ mod tests {
         // The same wait, ranked as a gap, carries the same blame.
         let blame = |start| a.top_gaps.iter().find(|g| g.start_ns == start).map(|g| g.blame.as_str());
         assert_eq!((blame(100), blame(220)), (Some("w2m_report"), Some("asm_w2m_report")));
-        // Without the metrics report a tag has no name in any stage.
-        let bare = analyze(&tracks, None, 5);
-        assert!(bare.critical_path.iter().filter(|s| s.kind == "comm").all(|s| s.label == "tag 1"));
     }
 
     #[test]
@@ -1134,7 +1025,7 @@ mod tests {
                 ev(1_000, TraceKind::End, "comm", "barrier"),
             ],
         };
-        let a = analyze(&[t0, t1], None, 5);
+        let a = analyze(&[t0, t1], 5);
         let kinds: Vec<(&str, u64)> = a.critical_path.iter().map(|s| (s.kind.as_str(), s.rank)).collect();
         assert_eq!(kinds, vec![("compute", 1), ("barrier", 0), ("compute", 0)]);
         assert_eq!(a.critical_path[0].end_ns, 990, "compute on the straggler until it arrives");
@@ -1176,7 +1067,7 @@ mod tests {
             ATrack { rank: 1, label: "worker".into(), events: r1.concat() },
             ATrack { rank: 2, label: "worker".into(), events: r2.concat() },
         ];
-        let a = analyze(&tracks, None, 5);
+        let a = analyze(&tracks, 5);
         let path: Vec<(&str, u64, u64, u64, &str)> = a
             .critical_path
             .iter()
@@ -1207,13 +1098,13 @@ mod tests {
         let spec = TraceSpec::with_capacity(64);
         let mut a = spec.tracer(0, "master");
         let mut b = spec.tracer(1, "worker");
-        a.begin(TraceCategory::Master, names::EV_DISPATCH);
+        a.begin(TraceCategory::Master, names::EV_DISPATCH, &[]);
         a.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, 9);
-        a.instant_args3(TraceCategory::Comm, names::EV_SEND, ("tag", 2), ("bytes", 32), ("to", 1));
+        a.instant(TraceCategory::Comm, names::EV_SEND, &[("tag", 2), ("bytes", 32), ("to", 1)]);
         a.end(TraceCategory::Master, names::EV_DISPATCH);
-        b.begin(TraceCategory::Comm, names::EV_WAIT);
+        b.begin(TraceCategory::Comm, names::EV_WAIT, &[]);
         b.end(TraceCategory::Comm, names::EV_WAIT);
-        b.instant_args3(TraceCategory::Comm, names::EV_RECV, ("tag", 2), ("bytes", 32), ("from", 0));
+        b.instant(TraceCategory::Comm, names::EV_RECV, &[("tag", 2), ("bytes", 32), ("from", 0)]);
         let doc = crate::trace::Trace::new(vec![a.finish(), b.finish()]);
         let parsed = Json::parse(&doc.to_chrome_json().pretty()).unwrap();
         let tracks = parse_chrome_trace(&parsed).unwrap();
@@ -1224,7 +1115,7 @@ mod tests {
         let gauge = &tracks[0].events[1];
         assert_eq!((gauge.kind, gauge.arg("value")), (TraceKind::Counter, Some(9)));
         assert_eq!(compute_pieces(&tracks[0], gauge.ts_ns, gauge.ts_ns + 1)[0].2, "dispatch");
-        assert!(analyze(&tracks, None, 5).max_coverage_error() < 1e-9);
+        assert!(analyze(&tracks, 5).max_coverage_error() < 1e-9);
         let (edges, unpaired) = pair_edges(&tracks);
         assert_eq!(edges.len(), 1);
         assert_eq!(unpaired, 0);
@@ -1281,8 +1172,10 @@ mod tests {
         // A master killed inside a dispatch never closes it.
         let dispatch = r#"{"ph": "B", "tid": 0, "ts": 0, "cat": "master", "name": "dispatch"}"#;
         let tracks = parse_chrome_trace(&doc(&[dispatch, B_WAIT, E_WAIT])).unwrap();
-        let a = analyze(&tracks, None, 5);
-        assert_eq!((a.ranks[0].wall_ns, a.ranks[0].wait_blocked_ns), (20_000, 10_000));
+        let a = analyze(&tracks, 5);
+        // The open span is work until the track's last event.
+        let r = &a.ranks[0];
+        assert_eq!((r.wall_ns, r.wait_blocked_ns, r.compute_ns), (20_000, 10_000, 10_000));
         let path: Vec<(&str, &str)> =
             a.critical_path.iter().map(|s| (s.kind.as_str(), s.label.as_str())).collect();
         assert_eq!(path, [("compute", "dispatch"), ("comm", "wait")]);
@@ -1290,7 +1183,7 @@ mod tests {
 
     #[test]
     fn analysis_json_has_the_gated_shape() {
-        let a = analyze(&synthetic_tracks(), None, 3);
+        let a = analyze(&synthetic_tracks(), 3);
         let doc = Json::parse(&a.to_json().pretty()).unwrap();
         assert_eq!(doc.get("format").and_then(Json::as_str), Some("pgasm.analysis"));
         assert_eq!(doc.get("edges_paired").and_then(Json::as_u64), Some(1));

@@ -1,4 +1,4 @@
-//! Canonical names for counters, tag labels, and trace events.
+//! Canonical names for counters, message tags, and trace events.
 //!
 //! Every layer that records a metric and every consumer that reads one
 //! back (bench tables, report assertions, the trace exporter) goes
@@ -146,22 +146,46 @@ pub const WAIT_NS_TOTAL: &str = "wait_ns_total";
 /// Nanoseconds this rank spent blocked in barriers over the whole run.
 pub const BARRIER_NS_TOTAL: &str = "barrier_ns_total";
 
-// ---- tag labels -----------------------------------------------------------
+// ---- message tags ---------------------------------------------------------
 
 /// Worker → master clustering report: alignment results, generator
 /// status and newly generated pairs (the paper's `AR` + `NP`).
-pub const TAG_W2M_REPORT: &str = "w2m_report";
+pub const TAG_W2M_REPORT: u32 = 1;
 /// Master → worker clustering grant: termination or the next request
 /// size, plus the alignment batch (the paper's `R` + `AW`).
-pub const TAG_M2W_GRANT: &str = "m2w_grant";
+pub const TAG_M2W_GRANT: u32 = 2;
 /// Worker → master assemble-stage report: the assembled contigs
 /// (workers never generate assemble tasks).
-pub const TAG_ASM_W2M_REPORT: &str = "asm_w2m_report";
+pub const TAG_ASM_W2M_REPORT: u32 = 3;
 /// Master → worker assemble-stage grant: termination or the cluster
 /// batch.
-pub const TAG_ASM_M2W_GRANT: &str = "asm_m2w_grant";
+pub const TAG_ASM_M2W_GRANT: u32 = 4;
+/// Tags at or above this value are the simulator's own.
+pub const RESERVED_TAG_BASE: u32 = 0xFFFF_0000;
+/// The simulator's all-to-all exchange.
+pub const TAG_ALLTOALL: u32 = RESERVED_TAG_BASE + 2;
 /// Death notice a dying rank broadcasts to every peer.
-pub const TAG_DEATH: &str = "death";
+pub const TAG_DEATH: u32 = RESERVED_TAG_BASE + 6;
+
+/// Every tag a run sends on, with its label: a tag names one message
+/// kind for the whole run, in every stage.
+const TAGS: [(u32, &str); 6] = [
+    (TAG_W2M_REPORT, "w2m_report"),
+    (TAG_M2W_GRANT, "m2w_grant"),
+    (TAG_ASM_W2M_REPORT, "asm_w2m_report"),
+    (TAG_ASM_M2W_GRANT, "asm_m2w_grant"),
+    (TAG_ALLTOALL, "alltoall"),
+    (TAG_DEATH, "death"),
+];
+
+/// The one name of `tag`: its report rows' label and the analyzer's
+/// blame. A tag outside the table is `tag<N>`.
+pub fn tag_label(tag: u64) -> String {
+    match TAGS.iter().find(|&&(t, _)| u64::from(t) == tag) {
+        Some(&(_, label)) => label.to_string(),
+        None => format!("tag{tag}"),
+    }
+}
 
 // ---- gauge names (counter events on the owner's track) ---------------------
 

@@ -165,7 +165,7 @@ impl RunContext {
 
     /// A span boundary on the track, with a thread-CPU reading.
     fn mark(&mut self, ts_ns: u64, kind: TraceKind, name: &'static str, cpu_ns: u64) {
-        self.track.push_at(ts_ns, kind, TraceCategory::Stage, name, [(CPU_NS, cpu_ns), ("", 0), ("", 0)]);
+        self.track.push_at(ts_ns, kind, TraceCategory::Stage, name, &[(CPU_NS, cpu_ns)]);
     }
 
     /// Open a span manually (for phases that cannot be expressed as a
@@ -224,9 +224,10 @@ impl RunContext {
     /// Merge one parallel section's rank channels into the run's,
     /// matching entries by rank id: CPU and idle seconds add up,
     /// counters sum on name collision, and per-tag comm rows append in
-    /// stage order (stages label their tags distinctly, so rows stay
-    /// attributable). A rank id with no entry yet is appended — the run
-    /// keeps one channel per rank however many stages used that rank.
+    /// stage order (every stage sends on tags of its own, so no two rows
+    /// of a fault-free run share a tag). A rank id with no entry yet is
+    /// appended — the run keeps one channel per rank however many stages
+    /// used that rank.
     pub fn merge_ranks(&mut self, more: Vec<crate::RankReport>) {
         for extra in more {
             match self.ranks.iter_mut().find(|r| r.rank == extra.rank) {

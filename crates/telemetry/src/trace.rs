@@ -178,61 +178,24 @@ impl Tracer {
         self.enabled
     }
 
-    /// Open a span.
+    /// Open a span, with up to three named numeric annotations.
     #[inline]
-    pub fn begin(&mut self, cat: TraceCategory, name: &'static str) {
-        self.push(TraceKind::Begin, cat, name, NO_ARGS);
-    }
-
-    /// Open a span with one named numeric annotation.
-    #[inline]
-    pub fn begin_arg(&mut self, cat: TraceCategory, name: &'static str, key: &'static str, v: u64) {
-        self.push(TraceKind::Begin, cat, name, [(key, v), ("", 0), ("", 0)]);
+    pub fn begin(&mut self, cat: TraceCategory, name: &'static str, args: &[(&'static str, u64)]) {
+        self.push(TraceKind::Begin, cat, name, args);
     }
 
     /// Close the matching span.
     #[inline]
     pub fn end(&mut self, cat: TraceCategory, name: &'static str) {
-        self.push(TraceKind::End, cat, name, NO_ARGS);
+        self.push(TraceKind::End, cat, name, &[]);
     }
 
-    /// Record a point event.
+    /// Record a point event, with up to three named numeric annotations
+    /// (tag, bytes and the peer rank of a send/recv are the
+    /// happens-before edge data the analyzer pairs on).
     #[inline]
-    pub fn instant(&mut self, cat: TraceCategory, name: &'static str) {
-        self.push(TraceKind::Instant, cat, name, NO_ARGS);
-    }
-
-    /// Record a point event with one annotation.
-    #[inline]
-    pub fn instant_arg(&mut self, cat: TraceCategory, name: &'static str, key: &'static str, v: u64) {
-        self.push(TraceKind::Instant, cat, name, [(key, v), ("", 0), ("", 0)]);
-    }
-
-    /// Record a point event with two annotations.
-    #[inline]
-    pub fn instant_args(
-        &mut self,
-        cat: TraceCategory,
-        name: &'static str,
-        a: (&'static str, u64),
-        b: (&'static str, u64),
-    ) {
-        self.push(TraceKind::Instant, cat, name, [a, b, ("", 0)]);
-    }
-
-    /// Record a point event with three annotations (e.g. tag, bytes,
-    /// and the peer rank of a send/recv — the happens-before edge data
-    /// the analyzer pairs on).
-    #[inline]
-    pub fn instant_args3(
-        &mut self,
-        cat: TraceCategory,
-        name: &'static str,
-        a: (&'static str, u64),
-        b: (&'static str, u64),
-        c: (&'static str, u64),
-    ) {
-        self.push(TraceKind::Instant, cat, name, [a, b, c]);
+    pub fn instant(&mut self, cat: TraceCategory, name: &'static str, args: &[(&'static str, u64)]) {
+        self.push(TraceKind::Instant, cat, name, args);
     }
 
     /// Record a sample of gauge `name`, unless one was recorded less
@@ -251,7 +214,7 @@ impl Tracer {
             return;
         }
         self.counters_due[i].1 = now + COUNTER_INTERVAL_NS;
-        self.push_at(now, TraceKind::Counter, cat, name, [("value", value), ("", 0), ("", 0)]);
+        self.push_at(now, TraceKind::Counter, cat, name, &[("value", value)]);
     }
 
     /// Record an event now: the one branch of the off path, taken
@@ -262,7 +225,7 @@ impl Tracer {
         kind: TraceKind,
         cat: TraceCategory,
         name: &'static str,
-        args: [(&'static str, u64); 3],
+        args: &[(&'static str, u64)],
     ) {
         if self.enabled {
             self.push_at(self.now_ns(), kind, cat, name, args);
@@ -276,20 +239,22 @@ impl Tracer {
 
     /// Record an event at `ts_ns`, which must not precede the last one,
     /// on an enabled tracer: for a recorder that places intervals
-    /// measured on other clocks.
+    /// measured on other clocks. Panics on more than three args.
     pub(crate) fn push_at(
         &mut self,
         ts_ns: u64,
         kind: TraceKind,
         cat: TraceCategory,
         name: &'static str,
-        args: [(&'static str, u64); 3],
+        args: &[(&'static str, u64)],
     ) {
         if self.events.len() >= self.cap {
             self.dropped += 1;
             return;
         }
-        self.events.push(TraceEvent { ts_ns, kind, cat, name, args });
+        let mut slots = NO_ARGS;
+        slots[..args.len()].copy_from_slice(args);
+        self.events.push(TraceEvent { ts_ns, kind, cat, name, args: slots });
     }
 
     /// Events recorded so far.
@@ -438,8 +403,8 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::disabled();
-        t.begin(TraceCategory::Comm, names::EV_WAIT);
-        t.instant(TraceCategory::Comm, names::EV_SEND);
+        t.begin(TraceCategory::Comm, names::EV_WAIT, &[]);
+        t.instant(TraceCategory::Comm, names::EV_SEND, &[]);
         t.end(TraceCategory::Comm, names::EV_WAIT);
         t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, 5);
         assert!(t.events().is_empty());
@@ -452,7 +417,7 @@ mod tests {
         let mut t = spec.tracer(0, "test");
         let cap_before = t.events.capacity();
         for _ in 0..10 {
-            t.instant(TraceCategory::Comm, names::EV_SEND);
+            t.instant(TraceCategory::Comm, names::EV_SEND, &[]);
         }
         assert_eq!(t.events().len(), 4, "buffer is bounded");
         assert_eq!(t.dropped_events(), 6, "overflow is counted");
@@ -465,8 +430,8 @@ mod tests {
         let mut a = spec.tracer(0, "a");
         let mut b = spec.tracer(1, "b");
         for _ in 0..20 {
-            a.instant(TraceCategory::Master, names::EV_DISPATCH);
-            b.instant(TraceCategory::Worker, names::EV_GENERATE);
+            a.instant(TraceCategory::Master, names::EV_DISPATCH, &[]);
+            b.instant(TraceCategory::Worker, names::EV_GENERATE, &[]);
         }
         for t in [&a, &b] {
             assert!(t.events().windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns), "per-track monotonic");
@@ -486,7 +451,7 @@ mod tests {
         let mut t = Tracer::disabled();
         let start = Instant::now();
         for i in 0..10_000_000u64 {
-            t.instant_args(TraceCategory::Comm, names::EV_SEND, ("tag", i), ("bytes", i));
+            t.instant(TraceCategory::Comm, names::EV_SEND, &[("tag", i), ("bytes", i)]);
             t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, i);
         }
         let per_call_ns = start.elapsed().as_nanos() as f64 / 2e7;
@@ -498,8 +463,8 @@ mod tests {
     fn chrome_export_is_valid_and_ordered() {
         let spec = TraceSpec::with_capacity(64);
         let mut t = spec.tracer(2, "worker");
-        t.begin(TraceCategory::Align, names::EV_ALIGN_BATCH);
-        t.instant_args(TraceCategory::Comm, names::EV_SEND, ("tag", 3), ("bytes", 128));
+        t.begin(TraceCategory::Align, names::EV_ALIGN_BATCH, &[]);
+        t.instant(TraceCategory::Comm, names::EV_SEND, &[("tag", 3), ("bytes", 128)]);
         t.end(TraceCategory::Align, names::EV_ALIGN_BATCH);
         let doc = Trace::new(vec![t.finish()]);
         let json = doc.to_chrome_json();
@@ -524,7 +489,7 @@ mod tests {
     fn counters_share_the_ring_its_clock_and_its_drop_count() {
         let spec = TraceSpec::with_capacity(3);
         let mut t = spec.tracer(1, "worker");
-        t.instant(TraceCategory::Comm, names::EV_SEND);
+        t.instant(TraceCategory::Comm, names::EV_SEND, &[]);
         // Distinct gauges are rate-limited apart, so each first sample
         // lands — until the ring is full, and then it is a counted drop.
         t.counter(TraceCategory::Master, names::GAUGE_PENDING_TASKS, 7);
@@ -559,7 +524,7 @@ mod tests {
     fn chrome_export_carries_counters_on_their_ranks_tid() {
         let spec = TraceSpec::with_capacity(8);
         let mut t = spec.tracer(1, "worker");
-        t.instant(TraceCategory::Comm, names::EV_SEND);
+        t.instant(TraceCategory::Comm, names::EV_SEND, &[]);
         t.counter(TraceCategory::Align, names::GAUGE_ALIGN_SCRATCH_BYTES, 4096);
         let doc = Trace::new(vec![t.finish()]);
         let parsed = Json::parse(&doc.to_chrome_json().pretty()).unwrap();
@@ -577,7 +542,7 @@ mod tests {
     fn three_arg_instants_round_trip_and_lookup() {
         let spec = TraceSpec::with_capacity(8);
         let mut t = spec.tracer(0, "x");
-        t.instant_args3(TraceCategory::Comm, names::EV_SEND, ("tag", 3), ("bytes", 128), ("to", 2));
+        t.instant(TraceCategory::Comm, names::EV_SEND, &[("tag", 3), ("bytes", 128), ("to", 2)]);
         let e = t.events()[0];
         assert_eq!(e.arg("tag"), Some(3));
         assert_eq!(e.arg("to"), Some(2));

@@ -77,7 +77,7 @@ const CLUSTER_OPTIONS: &[&str] = &[
     "checkpoint",
     "resume",
 ];
-const ANALYZE_OPTIONS: &[&str] = &["trace-json", "metrics-json", "out", "top", "coverage-tol"];
+const ANALYZE_OPTIONS: &[&str] = &["trace-json", "out", "top", "coverage-tol"];
 
 const USAGE: &str = "pgasm — parallel cluster-then-assemble genome assembly
 
@@ -94,8 +94,8 @@ USAGE:
                  [--resume <base>]
   pgasm assemble --reads <reads.fastq> --out <contigs.fasta>
                  [--assembly-threads <n>] [same options]
-  pgasm analyze  --trace-json <run.trace.json> [--metrics-json <report.json>]
-                 [--out <analysis.json>] [--top <k>] [--coverage-tol <f>]
+  pgasm analyze  --trace-json <run.trace.json> [--out <analysis.json>]
+                 [--top <k>] [--coverage-tol <f>]
 
 generate writes a synthetic sequencing project (reads as FASTQ; optionally
 the reference genome(s) as FASTA). cluster runs preprocessing + clustering,
@@ -152,13 +152,15 @@ diagonal. Every aligned pair costs its in-band cells (dp_cells; the
 build's lane width is in simd_lanes) and the acceptance criteria decide
 on the finished alignment.
 
-analyze consumes the artifacts a traced run wrote (--trace-json, and
-optionally --metrics-json for alpha-beta modelled comm time and tag
-labels) and prints per-rank wall-time attribution {compute, wait-blocked,
-barrier, comm-modelled, idle-unattributed}, the reconstructed critical
-path through master/worker/comm events (send->recv edges paired per
-source/destination/tag), and the top-k idle gaps with the awaited message
-tag blamed under the label of the stage the gap fell in. --out writes the same analysis as machine JSON
+analyze reads the trace a traced run wrote (--trace-json) and nothing else:
+every message kind has its own tag for the whole run (clustering report 1,
+grant 2; assembly report 3, grant 4), so a tag names itself. It prints
+wall-time attribution {compute, wait-blocked, barrier} per rank (plus the
+idle-unattributed residual) and per stage, one routine over two windows,
+so the stage rows sum to the rank rows; the reconstructed critical path
+through master/worker/comm events (send->recv edges paired per
+source/destination/tag); and the top-k idle gaps with the awaited
+message's label. --out writes the same analysis as machine JSON
 (pgasm.analysis format). A trace with an event missing ts/cat/name, a
 timestamp going back on its track, an E closing no open B of its name, or
 a counter without a numeric value is an error naming the event (a B left
@@ -416,20 +418,13 @@ fn run_pipeline(
 }
 
 fn analyze(opts: &Opts) -> Result<(), String> {
-    use pgasm::telemetry::{analyze, Json, RunReport};
+    use pgasm::telemetry::{analyze, Json};
     let trace_path = opts.require("trace-json")?;
     let text = std::fs::read_to_string(trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{trace_path}: {e}"))?;
     let tracks = analyze::parse_chrome_trace(&doc).map_err(|e| format!("{trace_path}: {e}"))?;
-    let metrics = match opts.get("metrics-json") {
-        Some(p) => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"))?;
-            Some(RunReport::from_json_str(&text).map_err(|e| format!("{p}: {e}"))?)
-        }
-        None => None,
-    };
     let top: usize = opts.parse_or("top", 5)?;
-    let analysis = analyze::analyze(&tracks, metrics.as_ref(), top);
+    let analysis = analyze::analyze(&tracks, top);
     print!("{}", analysis.render());
     if let Some(out) = opts.get("out") {
         std::fs::write(out, analysis.to_json().pretty()).map_err(|e| format!("write {out}: {e}"))?;

@@ -14,8 +14,8 @@ use pgasm::cluster::{
 };
 use pgasm::gst::GstConfig;
 use pgasm::seq::{DnaSeq, FragmentStore};
-use pgasm::telemetry::analyze::{analyze, ATrack, Analysis};
-use pgasm::telemetry::{names, TraceKind, TraceSpec};
+use pgasm::telemetry::analyze::{analyze, parse_chrome_trace, Analysis};
+use pgasm::telemetry::{names, Trace, TraceKind, TraceSpec};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// These tests read schedules — which worker drew what, what the run
@@ -126,7 +126,7 @@ fn critical_path_runs_through_the_dominant_clusters_worker() {
     let dist = assemble_parallel_with(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt, &opts);
     let giant =
         dist.ranks[1..].iter().max_by_key(|r| r.counter(names::ASM_COST_UNITS)).expect("three workers").rank;
-    let mut tracks: Vec<ATrack> = dist.traces.iter().map(ATrack::from_rank_trace).collect();
+    let mut tracks = parse_chrome_trace(&Trace::new(dist.traces).to_chrome_json()).expect("a valid trace");
 
     // The dominant cluster's `assemble_cluster` span on that worker's
     // track. The known answer needs it to dominate the run: half a second
@@ -148,7 +148,7 @@ fn critical_path_runs_through_the_dominant_clusters_worker() {
         }
     };
 
-    let whole = analyze(&tracks, None, 0);
+    let whole = analyze(&tracks, 0);
     assert_eq!(whole.edges_unpaired, 0, "a rank's track id is its comm rank");
     dominant(&whole);
 
@@ -159,7 +159,7 @@ fn critical_path_runs_through_the_dominant_clusters_worker() {
     let events = &mut tracks[giant].events;
     let last_report = events.iter().rposition(|e| e.name == names::EV_SEND).expect("a report");
     events.truncate(last_report + 1);
-    let cut = analyze(&tracks, None, 0);
+    let cut = analyze(&tracks, 0);
     assert_ne!(cut.critical_path.last().expect("a path").rank as usize, giant);
     dominant(&cut);
 }

@@ -220,6 +220,7 @@ fn cli_rejects_options_a_subcommand_never_reads() {
         ("cluster", "--assembly-threads"),
         ("generate", "--reads"),
         ("analyze", "--ranks"),
+        ("analyze", "--metrics-json"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
             .args([cmd, option, "5"])
