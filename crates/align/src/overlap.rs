@@ -497,7 +497,7 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
 /// One-pass lane-chunked banded suffix–prefix alignment — the production
 /// kernel.
 ///
-/// **Band.** Diagonals `seed_diag ± band` clamped to `[-n, m]` ([`Band`]);
+/// **Band.** Diagonals `seed_diag ± band` clamped to `[-n, m]` (`Band`);
 /// row `i` lives in slot coordinates where `(i − 1, j − 1)` and `(i, j)`
 /// share a slot, over two rolling NEG-padded rows from `scratch`, so
 /// `diag = prev[slot]`, `up = prev[slot + 1]`, `left = curr[slot − 1]` and
@@ -539,8 +539,7 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
 /// and once under `#[target_feature(enable = "avx2")]`, selected by
 /// one runtime CPUID check per call. Both instantiations execute the
 /// same integer arithmetic, so results are bit-identical across
-/// dispatch decisions. The `force-scalar` cargo feature routes every
-/// call to [`overlap_align_scalar`] instead.
+/// dispatch decisions.
 pub fn overlap_align_simd(
     a: &[u8],
     b: &[u8],
@@ -550,9 +549,6 @@ pub fn overlap_align_simd(
     quals: Option<(&[u8], &[u8])>,
     scratch: &mut AlignScratch,
 ) -> OverlapResult {
-    if cfg!(feature = "force-scalar") {
-        return overlap_align_scalar(a, b, seed_diag, band, s, quals, scratch);
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -565,8 +561,7 @@ pub fn overlap_align_simd(
 
 /// [`overlap_align_simd`] with every row run through the scalar tail loop
 /// instead of the lane chunks — bit-identical by construction, and held
-/// to it by the lanes ≡ scalar property test, its only caller besides the
-/// `force-scalar` feature.
+/// to it by the lanes ≡ scalar property tests, its only callers.
 #[doc(hidden)]
 pub fn overlap_align_scalar(
     a: &[u8],

@@ -23,7 +23,7 @@ pub mod consensus;
 pub mod layout;
 pub mod overlap;
 
-use pgasm_align::{AcceptCriteria, Scoring};
+use pgasm_align::AcceptCriteria;
 use pgasm_seq::{DnaSeq, QualityTrack};
 
 /// Revision of the assembler's *algorithm*. Anything that stores contigs
@@ -38,8 +38,6 @@ pub const ASSEMBLER_REVISION: u32 = 2;
 /// Assembler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssemblyConfig {
-    /// Alignment scoring.
-    pub scoring: Scoring,
     /// Overlap acceptance (defaults to the stringent assembly criteria).
     pub criteria: AcceptCriteria,
     /// Maximum disagreement (bases) between two placements of one read
@@ -62,7 +60,6 @@ pub struct AssemblyConfig {
 impl Default for AssemblyConfig {
     fn default() -> Self {
         AssemblyConfig {
-            scoring: Scoring::DEFAULT,
             criteria: AcceptCriteria::ASSEMBLY,
             quality_criteria: AcceptCriteria { min_identity: 0.985, min_overlap: 40 },
             offset_tolerance: 40,

@@ -54,7 +54,7 @@
 //! seed diagonals to a hash-map reference of first occurrences.
 
 use crate::AssemblyConfig;
-use pgasm_align::{overlap_align_simd, AlignScratch, OverlapResult};
+use pgasm_align::{overlap_align_simd, AlignScratch, OverlapResult, Scoring};
 use pgasm_seq::{sort_words, DnaSeq, KmerIter, QualityTrack};
 
 /// Length of the words that seed overlap candidates: the exact match
@@ -256,14 +256,13 @@ struct Oriented<'a> {
 }
 
 /// Aligns one candidate's seed runs and keeps the best.
-struct Verifier<'a> {
-    config: &'a AssemblyConfig,
+struct Verifier {
     slack: usize,
     scratch: AlignScratch,
     work: SweepWork,
 }
 
-impl Verifier<'_> {
+impl Verifier {
     fn align(&mut self, a: Oriented, b: Oriented, seed_diag: i64, band: usize) -> OverlapResult {
         let quals = a.quals.zip(b.quals);
         let r = overlap_align_simd(
@@ -271,7 +270,7 @@ impl Verifier<'_> {
             b.codes,
             seed_diag,
             band,
-            &self.config.scoring,
+            &Scoring::DEFAULT,
             quals,
             &mut self.scratch,
         );
@@ -345,7 +344,7 @@ fn sweep(
     // one diagonal; a run with spread, or a doubled band, grows it.
     let max_len = reads.iter().map(DnaSeq::len).max().unwrap_or(0);
     let scratch = AlignScratch::for_sequences(max_len, slack);
-    let mut verifier = Verifier { config, slack, scratch, work: SweepWork::default() };
+    let mut verifier = Verifier { slack, scratch, work: SweepWork::default() };
     let mut edges = Vec::new();
     verifier.work.hits = SeedTable::new(reads, &rc_reads).for_each_candidate(|i, j, rc, hits| {
         verifier.work.candidates += 1;
@@ -499,7 +498,7 @@ mod tests {
             });
             let q = quals.map(|qs| (qs[i].values(), qb.as_deref().expect("built with quals")));
             let result =
-                overlap_align_quality_with(reads[i].codes(), b.codes(), q, &config.scoring, &mut scratch);
+                overlap_align_quality_with(reads[i].codes(), b.codes(), q, &Scoring::DEFAULT, &mut scratch);
             if criteria.accepts(result.identity, result.overlap_len) {
                 edges.push(OverlapEdge { i, j, rc, result });
             }

@@ -209,13 +209,11 @@ impl TaskSource<AssembleTask> for AssembleSource {
 }
 
 /// The completed slots are the only durable master state of this stage
-/// (the task list is recomputed from the clustering). Layout:
-/// `results_absorbed: u64`, slot count, then the completed
-/// `(slot, assembly)` records.
+/// (the task list is recomputed from the clustering). Layout: slot
+/// count, then the completed `(slot, assembly)` records.
 impl Snapshot for AssembleSource {
-    fn snapshot(&mut self, rep: &MasterReport) -> Vec<u8> {
+    fn snapshot(&mut self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_u64(rep.results_absorbed);
         w.put_u32(checked_len(self.results.len()));
         w.put_u32(checked_len(self.results.iter().flatten().count()));
         for (slot, result) in self.results.iter().enumerate() {
@@ -229,7 +227,6 @@ impl Snapshot for AssembleSource {
 
     fn restore(&mut self, payload: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::new(payload);
-        r.get_u64()?;
         if r.get_u32()? as usize != self.results.len() {
             return Err(WireError::Malformed("snapshot of a different clustering"));
         }

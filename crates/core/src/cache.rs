@@ -334,7 +334,7 @@ fn checksum(payload: &[u8]) -> u64 {
 
 /// Publish `payload` at `path` as one container entry — header (magic,
 /// container schema, `schema`, `kind`, `key`, payload length, payload
-/// [`checksum`]), then the payload — through [`atomic_write`].
+/// `checksum`), then the payload — through [`atomic_write`].
 /// Returns the total bytes written. Cache entries and master
 /// checkpoints are both exactly this.
 pub fn write_entry(path: &Path, kind: &str, schema: u32, key: u64, payload: &[u8]) -> std::io::Result<u64> {

@@ -24,9 +24,9 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot layout version, shared by both stages' payloads: bump it
 /// whenever either layout changes (workers regenerate, so an old
-/// snapshot is never required). 4: the cluster snapshot carries five
-/// work tallies, not nine.
-pub const CKPT_VERSION: u32 = 4;
+/// snapshot is never required). 5: a snapshot holds the master's
+/// durable state alone, no engine counters.
+pub const CKPT_VERSION: u32 = 5;
 
 /// Persist one snapshot of `stage`'s master state at `path`, atomically.
 /// Returns total bytes written.
@@ -146,10 +146,10 @@ mod tests {
         fs::write(&path, &flipped).unwrap();
         assert!(read_checkpoint(&path, STAGE_CLUSTER).is_none(), "checksum must catch flips");
         assert!(read_checkpoint(&tmp.0.join("missing.pgck"), STAGE_CLUSTER).is_none());
-        // A snapshot in the previous layout (version 3: nine work
-        // tallies) is not ours to restore.
-        write_entry(&path, STAGE_CLUSTER, 3, 0, b"some serialized master state").unwrap();
-        assert!(read_checkpoint(&path, STAGE_CLUSTER).is_none(), "a v3 file must read as no checkpoint");
+        // A snapshot in the previous layout (version 4: engine counters
+        // beside the master's state) is not ours to restore.
+        write_entry(&path, STAGE_CLUSTER, 4, 0, b"some serialized master state").unwrap();
+        assert!(read_checkpoint(&path, STAGE_CLUSTER).is_none(), "a v4 file must read as no checkpoint");
     }
 
     #[test]

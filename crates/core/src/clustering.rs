@@ -18,8 +18,6 @@ use pgasm_telemetry::names;
 pub struct ClusterParams {
     /// GST construction (w, ψ).
     pub gst: GstConfig,
-    /// Alignment scoring.
-    pub scoring: Scoring,
     /// Overlap acceptance (the *lenient* clustering criterion).
     pub criteria: AcceptCriteria,
     /// Band half-width for the seed-anchored banded alignment.
@@ -35,7 +33,6 @@ impl Default for ClusterParams {
     fn default() -> Self {
         ClusterParams {
             gst: GstConfig::default(),
-            scoring: Scoring::DEFAULT,
             criteria: AcceptCriteria::CLUSTERING,
             band: 24,
             mode: GenMode::DupElim,
@@ -195,7 +192,7 @@ impl<'s> PairDecider<'s> {
         let a = self.store.get(p.a);
         let b = self.store.get(p.b);
         let diag = p.a_pos as i64 - p.b_pos as i64;
-        overlap_align_simd(a, b, diag, self.params.band, &self.params.scoring, None, scratch)
+        overlap_align_simd(a, b, diag, self.params.band, &Scoring::DEFAULT, None, scratch)
     }
 }
 

@@ -542,13 +542,13 @@ impl<T: Task, S: TaskSource<T>> Master<'_, T, S> {
 /// What a [`CheckpointHook`] calls. Takes the source mutably so
 /// snapshotting may normalise internal state (e.g. Union–Find path
 /// compression) without an extra copy.
-pub type SnapshotWriter<'a, S> = dyn FnMut(&mut S, &MasterReport) -> u64 + 'a;
+pub type SnapshotWriter<'a, S> = dyn FnMut(&mut S) -> u64 + 'a;
 
 /// Periodic master checkpointing: the engine invokes `write` with the
-/// client source and the running protocol report after every `every`
-/// absorbed result reports; the callback owns serialization and
-/// persistence and returns the bytes written (for the `ckpt_bytes`
-/// counter and the checkpoint trace instant).
+/// client source after every `every` absorbed result reports; the
+/// callback owns serialization and persistence and returns the bytes
+/// written (for the `ckpt_bytes` counter and the checkpoint trace
+/// instant).
 pub struct CheckpointHook<'a, S> {
     /// Persist one snapshot; returns bytes written.
     pub write: Box<SnapshotWriter<'a, S>>,
@@ -622,7 +622,7 @@ fn master_pump<T: Task, S: TaskSource<T>>(
         if let Some(hook) = checkpoint.as_mut() {
             if hook.every > 0 && m.report.results_absorbed >= ckpt_marker + hook.every {
                 ckpt_marker = m.report.results_absorbed;
-                let bytes = (hook.write)(&mut *m.source, &m.report);
+                let bytes = (hook.write)(&mut *m.source);
                 m.report.ckpt_writes += 1;
                 m.report.ckpt_bytes += bytes;
                 comm.tracer_mut().instant(

@@ -70,10 +70,10 @@ pub struct StageSpec {
 /// hold nothing durable: on resume they redo their part from the shared
 /// input and the restored source discards what it already has.
 pub trait Snapshot {
-    /// Serialize the durable state (`report` rides along for
-    /// forensics). Takes `self` mutably so snapshotting may normalise
-    /// internal state without an extra copy.
-    fn snapshot(&mut self, report: &MasterReport) -> Vec<u8>;
+    /// Serialize the durable state and nothing else. Takes `self`
+    /// mutably so snapshotting may normalise internal state without an
+    /// extra copy.
+    fn snapshot(&mut self) -> Vec<u8>;
     /// Restore what [`Snapshot::snapshot`] wrote. All or nothing: on
     /// `Err` — a payload of another layout, or of another input — the
     /// state is untouched and the stage starts cold.
@@ -195,8 +195,8 @@ pub fn run_stage<C: StageClient>(
             }
             let seed = client.seed(&source);
             let hook = recovery.ckpt_spec().map(|(path, every)| CheckpointHook {
-                write: Box::new(move |source: &mut C::Source, report: &MasterReport| {
-                    write_checkpoint(path, spec.name, &source.snapshot(report)).unwrap_or(0)
+                write: Box::new(move |source: &mut C::Source| {
+                    write_checkpoint(path, spec.name, &source.snapshot()).unwrap_or(0)
                 }),
                 every,
             });

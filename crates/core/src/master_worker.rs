@@ -253,7 +253,6 @@ impl<'a> StageClient for ClusterStage<'a> {
             (names::PAIRS_ACCEPTED, sink.pairs_accepted),
             (names::BATCH_ROUND_TRIPS, ew.round_trips),
             (names::DP_CELLS, sink.dp_cells),
-            (names::SIMD_LANES, pgasm_align::simd::effective_lanes()),
             (names::ALIGN_SCRATCH_BYTES_PEAK, sink.scratch.high_water_bytes()),
             (names::ALIGN_SCRATCH_GROWS, sink.scratch.grow_events()),
         ];
@@ -306,24 +305,13 @@ impl TaskSource<PromisingPair> for ClusterSource<'_> {
 /// roots. Workers hold nothing durable — on resume they regenerate
 /// their pairs and the restored cluster-check discards what is already
 /// merged — so this is the complete resume state of the clustering
-/// stage. Layout: four engine counters (forensics only), the five
-/// [`ClusterStats`] tallies, the fragment count and one root per
-/// fragment.
+/// stage. Layout: the five [`ClusterStats`] tallies, the fragment count
+/// and one root per fragment.
 impl Snapshot for ClusterSource<'_> {
-    fn snapshot(&mut self, rep: &MasterReport) -> Vec<u8> {
+    fn snapshot(&mut self) -> Vec<u8> {
         let mut w = Writer::new();
         let st = &self.stats;
-        for v in [
-            rep.tasks_announced,
-            rep.tasks_selected,
-            rep.recovered_tasks,
-            rep.results_absorbed,
-            st.generated,
-            st.aligned,
-            st.accepted,
-            st.merges,
-            st.dp_cells,
-        ] {
+        for v in [st.generated, st.aligned, st.accepted, st.merges, st.dp_cells] {
             w.put_u64(v);
         }
         let n = self.clusters.len();
@@ -336,11 +324,6 @@ impl Snapshot for ClusterSource<'_> {
 
     fn restore(&mut self, payload: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::new(payload);
-        // Engine counters are diagnostic only; the resumed run tallies
-        // its own protocol work.
-        for _ in 0..4 {
-            r.get_u64()?;
-        }
         let stats = ClusterStats {
             generated: r.get_u64()?,
             aligned: r.get_u64()?,
@@ -692,13 +675,7 @@ mod tests {
         let cluster_worker = names(&[
             &COMM,
             &ALIGN,
-            &[
-                "align_scratch_bytes_peak",
-                "align_scratch_grows",
-                "batch_round_trips",
-                "pairs_generated",
-                "simd_lanes",
-            ],
+            &["align_scratch_bytes_peak", "align_scratch_grows", "batch_round_trips", "pairs_generated"],
         ]);
         let asm_master = names(&[&COMM, &["asm_batches_dispatched", "asm_peak_queue_depth"]]);
         let asm_worker = names(&[

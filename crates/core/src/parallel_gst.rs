@@ -9,7 +9,7 @@
 //!    serves the reverse strand too, so a fragment's two strands share
 //!    an owner ([`compute_owners`]).
 //! 2. **Reduce**: the slots are split into one contiguous range per
-//!    builder ([`slot_range`]). Each rank sends the non-empty slots of
+//!    builder (`slot_range`). Each rank sends the non-empty slots of
 //!    every other builder's range, sparsely, to that builder, which
 //!    [merges](pgasm_gst::TwinClasses::merge) them into its own and
 //!    answers each sender with a 2-bit verdict per slot it sent. Now

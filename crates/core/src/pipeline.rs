@@ -102,12 +102,6 @@ pub struct PipelineReport {
     /// Per-non-singleton-cluster assemblies (index-parallel with
     /// `clustering.non_singletons()`).
     pub assemblies: Vec<Assembly>,
-    /// Seconds in preprocessing.
-    pub preprocess_seconds: f64,
-    /// Seconds in clustering.
-    pub cluster_seconds: f64,
-    /// Seconds in the assembly phase.
-    pub assembly_seconds: f64,
     /// Name of the stage whose master the fault plan killed, if any.
     /// The run stopped there, this report's artifacts are partial, and
     /// `--resume` finishes it from the last checkpoint.
@@ -245,16 +239,16 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Run one phase under the span named after it; returns its value
-    /// and its wall seconds.
-    fn stage<T>(&mut self, name: &'static str, body: impl FnOnce(&mut Self) -> T) -> (T, f64) {
+    /// Run one phase under the span named after it; its wall and CPU
+    /// time are that span's.
+    fn stage<T>(&mut self, name: &'static str, body: impl FnOnce(&mut Self) -> T) -> T {
         self.ctx.push(name);
         let out = body(self);
-        let wall = self.ctx.pop();
+        self.ctx.pop();
         // Cache traffic accrues per stage, so its gauge is fed here.
         let bytes = self.ctx.counter(names::CACHE_BYTES_READ) + self.ctx.counter(names::CACHE_BYTES_WRITTEN);
         self.ctx.gauge(names::GAUGE_CACHE_BYTES, bytes);
-        (out, wall)
+        out
     }
 
     /// The cached artifact `(kind, key)`, if `decode` accepts it; `key`
@@ -415,7 +409,6 @@ impl Run<'_> {
             (names::GST_SUFFIXES_INDEXED, gst.suffixes as u64),
             (names::GST_NODES, gst.nodes as u64),
             (names::MERGES, stats.merges),
-            (names::SIMD_LANES, pgasm_align::simd::effective_lanes()),
             (names::CLUSTERS, clustering.clusters.len() as u64),
             (names::NON_SINGLETON_CLUSTERS, clustering.num_non_singletons() as u64),
         ]) {
@@ -523,17 +516,14 @@ impl Pipeline {
         // The run's track shares the ranks' clock.
         ctx.bind_track(&config.trace);
         let mut run = Run { config, cache, ctx, killed: false };
-        let (fragments, preprocess_seconds) =
-            run.stage("preprocess", |run| run.preprocess(reads, vectors, known_repeats));
-        let ((clustering, cluster_stats), cluster_seconds) =
-            run.stage("cluster", |run| run.cluster(&fragments.store));
+        let fragments = run.stage("preprocess", |run| run.preprocess(reads, vectors, known_repeats));
+        let (clustering, cluster_stats) = run.stage("cluster", |run| run.cluster(&fragments.store));
         // A killed master ends the run: partial artifacts are never fed
         // forward, and the caller resumes from the stage's checkpoint.
         let mut interrupted = run.killed.then(|| "cluster".to_string());
-        let (mut assemblies, mut assembly_seconds) = (Vec::new(), 0.0);
+        let mut assemblies = Vec::new();
         if assemble && !run.killed {
-            (assemblies, assembly_seconds) =
-                run.stage("assemble", |run| run.assemble(&fragments, &clustering));
+            assemblies = run.stage("assemble", |run| run.assemble(&fragments, &clustering));
             interrupted = run.killed.then(|| "assemble".to_string());
         }
         PipelineReport {
@@ -542,9 +532,6 @@ impl Pipeline {
             cluster_stats,
             origin: fragments.origin,
             assemblies,
-            preprocess_seconds,
-            cluster_seconds,
-            assembly_seconds,
             interrupted,
         }
     }
@@ -715,8 +702,6 @@ mod tests {
         assert_eq!(run.counter("pairs_aligned"), report.cluster_stats.aligned);
         assert_eq!(run.counter("contigs"), report.total_contigs() as u64);
         assert_eq!(run.counter("clusters"), report.clustering.clusters.len() as u64);
-        // The report's stage timings come from the same spans.
-        assert_eq!(report.cluster_seconds, cluster.wall_seconds);
     }
 
     #[test]

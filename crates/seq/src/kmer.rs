@@ -40,7 +40,7 @@ const FILTER_BITS_PER_WORD: usize = 16;
 ///
 /// Beside the hash set sits one bit per slot of a power-of-two bitmap,
 /// set at the top bits of each member's hash and rebuilt as the set
-/// grows, so that it keeps at least [`FILTER_BITS_PER_WORD`] bits per
+/// grows, so that it keeps at least `FILTER_BITS_PER_WORD` bits per
 /// member. [`WordSet::contains`] reads that bit first and probes the hash
 /// set only when it is set: the preprocessor's screens ask about every
 /// word of every read, and nearly all of them miss.

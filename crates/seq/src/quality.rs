@@ -55,7 +55,7 @@ impl QualityTrack {
     /// stretch of the read. Returns `None` when no window qualifies.
     ///
     /// A window qualifies when its sum `s` meets `s + 1e-9 ≥ min_mean ·
-    /// window` in `f64`; [`min_window_sum`] turns that into one integer
+    /// window` in `f64`; `min_window_sum` turns that into one integer
     /// bound, so the scan itself sums integers.
     pub fn best_window(&self, window: usize, min_mean: f64) -> Option<(usize, usize)> {
         if self.values.len() < window || window == 0 {

@@ -22,9 +22,11 @@
 //!   drifting past it means mis-paired spans, i.e. a tracing bug, not
 //!   noise).
 //! - **The critical path**: a backward walk from the globally last
-//!   event; compute segments run until the rank was last blocked, a
-//!   `wait` hops along the matched send edge to the sending rank, a
-//!   `barrier` hops to the last rank entering that barrier instance.
+//!   event; compute segments run until the rank was last blocked (time
+//!   outside every span is an `idle` segment, as the rank row counts
+//!   it), a `wait` hops along the matched send edge to the sending
+//!   rank, a `barrier` hops to the last rank entering that barrier
+//!   instance.
 //!
 //! Everything here is pure data analysis over parsed events — no
 //! clocks, no I/O — so it unit-tests on synthetic traces.
@@ -365,14 +367,16 @@ impl RankAttribution {
 pub struct PathSegment {
     /// Rank the segment runs on.
     pub rank: u64,
-    /// `"compute"`, `"comm"` (a send→recv hop), or `"barrier"`.
+    /// `"compute"`, `"idle"` (unblocked, outside every span: the rank
+    /// row's `idle_unattributed`), `"comm"` (a send→recv hop), or
+    /// `"barrier"`.
     pub kind: String,
     /// Segment start, nanoseconds since epoch.
     pub start_ns: u64,
     /// Segment end.
     pub end_ns: u64,
-    /// Deepest enclosing span name (compute) or the tag/label blamed
-    /// (comm/barrier).
+    /// Deepest enclosing span name (compute), `unattributed` (idle), or
+    /// the tag/label blamed (comm/barrier).
     pub label: String,
 }
 
@@ -586,24 +590,21 @@ pub fn analyze(tracks: &[ATrack], top_k: usize) -> Analysis {
     Analysis { ranks, stages, critical_path, top_gaps, edges_paired: edges.len() as u64, edges_unpaired }
 }
 
-/// The compute interval `[from, to]` of a track, split wherever a
+/// The unblocked interval `[from, to]` of a track, split wherever a
 /// non-comm span begins or ends inside it; each piece is labelled with
-/// its deepest enclosing span (`run` outside every span), and adjacent
-/// pieces with one label are one. A segment that crosses several phases
-/// names each of them, not whichever covers its midpoint. A `run` piece
-/// under a microsecond after another piece is the distance between one
-/// span's end and the next one's begin — two clock reads — and joins the
-/// piece before it.
-fn compute_pieces(track: &ATrack, from: u64, to: u64) -> Vec<(u64, u64, String)> {
-    const CLOCK_READS_NS: u64 = 1_000;
+/// its deepest enclosing span, and adjacent pieces with one label are
+/// one. A segment that crosses several phases names each of them, not
+/// whichever covers its midpoint. A piece outside every span is `None`:
+/// the time the rank row counts as `idle_unattributed`, not compute.
+fn compute_pieces(track: &ATrack, from: u64, to: u64) -> Vec<(u64, u64, Option<String>)> {
     let mut stack: Vec<&str> = Vec::new();
-    let mut pieces: Vec<(u64, u64, String)> = Vec::new();
+    let mut pieces: Vec<(u64, u64, Option<String>)> = Vec::new();
     let mut push = |start: u64, end: u64, stack: &[&str]| {
-        let label = stack.last().copied().unwrap_or("run");
+        let label = stack.last().copied();
         match pieces.last_mut() {
             _ if end <= start => {}
-            Some(last) if last.2 == label || (label == "run" && end - start < CLOCK_READS_NS) => last.1 = end,
-            _ => pieces.push((start, end, label.to_string())),
+            Some(last) if last.2.as_deref() == label => last.1 = end,
+            _ => pieces.push((start, end, label.map(str::to_string))),
         }
     };
     let mut start = from;
@@ -664,7 +665,11 @@ fn critical_path(
         let from = prev.map_or(track.first_ts(), |b| b.end_ns);
         if cursor > from {
             for (start_ns, end_ns, label) in compute_pieces(track, from, cursor).into_iter().rev() {
-                segments.push(PathSegment { rank, kind: "compute".into(), start_ns, end_ns, label });
+                let (kind, label) = match label {
+                    Some(span) => ("compute", span),
+                    None => ("idle", "unattributed".to_string()),
+                };
+                segments.push(PathSegment { rank, kind: kind.into(), start_ns, end_ns, label });
             }
         }
         let Some(b) = prev else { break };
@@ -731,7 +736,7 @@ impl Analysis {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("format", Json::Str("pgasm.analysis".into())),
-            ("schema_version", Json::Num(2.0)),
+            ("schema_version", Json::Num(3.0)),
             ("ranks", Json::Arr(self.ranks.iter().map(RankAttribution::to_json).collect())),
             ("stages", Json::Arr(self.stages.iter().map(StageAttribution::to_json).collect())),
             ("critical_path", Json::Arr(self.critical_path.iter().map(PathSegment::to_json).collect())),
@@ -896,14 +901,14 @@ mod tests {
         let a = analyze(&synthetic_tracks(), 5);
         assert!(!a.critical_path.is_empty());
         // Path: compute on rank 0 (until the send), the comm hop, then
-        // compute on rank 1 to the end: 50 ns outside any span, then the
+        // rank 1 to the end: 50 ns outside any span (idle), then the
         // batch.
         let kinds: Vec<(&str, u64)> = a.critical_path.iter().map(|s| (s.kind.as_str(), s.rank)).collect();
-        assert_eq!(kinds, vec![("compute", 0), ("comm", 1), ("compute", 1), ("compute", 1)]);
+        assert_eq!(kinds, vec![("compute", 0), ("comm", 1), ("idle", 1), ("compute", 1)]);
         assert_eq!(a.critical_path[0].start_ns, 0);
         assert_eq!(a.critical_path[0].end_ns, 900);
         assert_eq!(a.critical_path[1].label, "asm_m2w_grant", "tag 4 names itself");
-        assert_eq!((a.critical_path[2].end_ns, a.critical_path[2].label.as_str()), (1_000, "run"));
+        assert_eq!((a.critical_path[2].end_ns, a.critical_path[2].label.as_str()), (1_000, "unattributed"));
         assert_eq!(a.critical_path[3].end_ns, 2_000);
         assert_eq!(a.critical_path[3].label, "align_batch");
     }
@@ -980,7 +985,7 @@ mod tests {
             ("comm", 1, 110, "w2m_report"),
             ("compute", 1, 200, "align_batch"),
             ("comm", 0, 210, "w2m_report"),
-            ("compute", 0, 220, "run"),
+            ("idle", 0, 220, "unattributed"),
             ("compute", 0, 350, "align_batch"),
             ("comm", 1, 360, "asm_w2m_report"),
             ("compute", 1, 450, "align_batch"),
@@ -1040,8 +1045,8 @@ mod tests {
         // enters the barrier last; rank 1 waits there and dispatches
         // after it. Rank 2's one compute segment [0, 1 560 µs] splits at
         // every phase edge and around the sort nested in the
-        // redistribution; 10 µs outside every span are `run`, 200 ns
-        // between two phases are not a piece of their own.
+        // redistribution; the 200 ns and the 10 µs outside every span
+        // are idle pieces of their own.
         let span = |from, to, name: &str| [ev(from, Begin, "gst", name, &[]), ev(to, End, "gst", name, &[])];
         let barrier =
             |from, to| [ev(from, Begin, "comm", "barrier", &[]), ev(to, End, "comm", "barrier", &[])];
@@ -1074,21 +1079,40 @@ mod tests {
             .map(|s| (s.kind.as_str(), s.rank, s.start_ns / US, s.end_ns.div_ceil(US), s.label.as_str()))
             .collect();
         let expected = [
-            ("compute", 2, 0, 781, "gst_count"),
+            ("compute", 2, 0, 780, "gst_count"),
+            ("idle", 2, 780, 781, "unattributed"),
             ("compute", 2, 780, 900, "gst_redistribute"),
             ("compute", 2, 900, 1_000, "sort"),
             ("compute", 2, 1_000, 1_090, "gst_redistribute"),
-            ("compute", 2, 1_090, 1_100, "run"),
+            ("idle", 2, 1_090, 1_100, "unattributed"),
             ("compute", 2, 1_100, 1_460, "gst_fetch"),
             ("compute", 2, 1_460, 1_560, "gst_build"),
             ("barrier", 1, 1_560, 1_600, "barrier"),
             ("compute", 1, 1_600, 1_700, "dispatch"),
         ];
         assert_eq!(path, expected);
-        assert_eq!(
-            (a.critical_path[0].end_ns, a.critical_path[1].start_ns),
-            (780 * US + 200, 780 * US + 200)
-        );
+        assert_eq!((a.critical_path[1].start_ns, a.critical_path[1].end_ns), (780 * US, 780 * US + 200));
+    }
+
+    #[test]
+    fn time_outside_every_span_is_idle_on_the_path_and_in_the_rank_row() {
+        use TraceKind::{Begin, End};
+        // Spans [0, 10] and [14, 20] with nothing over [10, 14] — the
+        // shape of a worker between the cluster and assemble stages.
+        let events = vec![
+            ev(0, Begin, "align", "align_batch", &[]),
+            ev(10, End, "align", "align_batch", &[]),
+            ev(14, Begin, "assemble", "assemble_cluster", &[]),
+            ev(20, End, "assemble", "assemble_cluster", &[]),
+        ];
+        let a = analyze(&[ATrack { rank: 1, label: "worker".into(), events }], 5);
+        let path: Vec<(&str, u64, u64)> =
+            a.critical_path.iter().map(|s| (s.kind.as_str(), s.start_ns, s.end_ns)).collect();
+        assert_eq!(path, [("compute", 0, 10), ("idle", 10, 14), ("compute", 14, 20)]);
+        let idle: u64 =
+            a.critical_path.iter().filter(|s| s.kind == "idle").map(|s| s.end_ns - s.start_ns).sum();
+        assert_eq!((idle, a.ranks[0].idle_unattributed_ns), (4, 4));
+        assert_eq!(a.ranks[0].compute_ns, 16);
     }
 
     #[test]
@@ -1114,7 +1138,10 @@ mod tests {
         // was taken in, and takes no part in span pairing.
         let gauge = &tracks[0].events[1];
         assert_eq!((gauge.kind, gauge.arg("value")), (TraceKind::Counter, Some(9)));
-        assert_eq!(compute_pieces(&tracks[0], gauge.ts_ns, gauge.ts_ns + 1)[0].2, "dispatch");
+        assert_eq!(
+            compute_pieces(&tracks[0], gauge.ts_ns, gauge.ts_ns + 1)[0].2.as_deref(),
+            Some("dispatch")
+        );
         assert!(analyze(&tracks, 5).max_coverage_error() < 1e-9);
         let (edges, unpaired) = pair_edges(&tracks);
         assert_eq!(edges.len(), 1);
@@ -1186,6 +1213,7 @@ mod tests {
         let a = analyze(&synthetic_tracks(), 3);
         let doc = Json::parse(&a.to_json().pretty()).unwrap();
         assert_eq!(doc.get("format").and_then(Json::as_str), Some("pgasm.analysis"));
+        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(3));
         assert_eq!(doc.get("edges_paired").and_then(Json::as_u64), Some(1));
         assert!(doc.get("ranks").and_then(Json::as_arr).is_some_and(|r| r.len() == 2));
         assert!(doc.get("critical_path").and_then(Json::as_arr).is_some_and(|p| !p.is_empty()));

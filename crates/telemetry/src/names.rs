@@ -20,9 +20,6 @@ pub const MERGES: &str = "merges";
 /// Dynamic-programming cells evaluated by clustering's aligner: the
 /// in-band cells of the aligned pairs.
 pub const DP_CELLS: &str = "dp_cells";
-/// Effective lane width of the alignment kernel's row passes in this build
-/// (capability note: `LANES` normally, 1 under `force-scalar`).
-pub const SIMD_LANES: &str = "simd_lanes";
 /// High-water bytes held by a rank's alignment scratch buffers.
 pub const ALIGN_SCRATCH_BYTES_PEAK: &str = "align_scratch_bytes_peak";
 /// Times the alignment scratch had to grow after its pre-sizing

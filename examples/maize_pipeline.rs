@@ -15,6 +15,7 @@ use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::DnaSeq;
 use pgasm::simgen::presets;
 use pgasm::simgen::vector::VECTOR_SEQ;
+use pgasm::telemetry::RunContext;
 
 fn main() {
     // Maize-like data: 70% repeat genome, gene islands, strategy mix.
@@ -29,8 +30,14 @@ fn main() {
         assembly_threads: 2,
         ..Default::default()
     });
-    let report =
-        pipeline.run(&dataset.reads, &[DnaSeq::from(VECTOR_SEQ)], &dataset.genomes[0].repeat_library);
+    let mut ctx = RunContext::new("maize_pipeline");
+    let report = pipeline.run_with_context(
+        &dataset.reads,
+        &[DnaSeq::from(VECTOR_SEQ)],
+        &dataset.genomes[0].repeat_library,
+        &mut ctx,
+    );
+    let run = ctx.finish();
 
     // Preprocessing accounting (the paper's Table 2).
     if let Some(pp) = &report.preprocess {
@@ -68,8 +75,12 @@ fn main() {
         "  cluster specificity: {:.1}% map to a single genomic region (paper: 98.7% on drosophila)",
         v.specificity() * 100.0
     );
+    // Stage timings are the run report's spans.
+    let wall = |stage: &str| run.span(stage).map_or(0.0, |s| s.wall_seconds);
     println!(
         "\ntimings: preprocess {:.2}s, cluster {:.2}s, assemble {:.2}s",
-        report.preprocess_seconds, report.cluster_seconds, report.assembly_seconds
+        wall("preprocess"),
+        wall("cluster"),
+        wall("assemble")
     );
 }

@@ -148,9 +148,8 @@ master mid-stage, pgasm exits nonzero and tells you to rerun with
 --resume <base>, which reloads the snapshot and finishes only the
 remaining work — output identical to an uninterrupted run.
 --band <n> sets the half-width of the alignment band around the seed
-diagonal. Every aligned pair costs its in-band cells (dp_cells; the
-build's lane width is in simd_lanes) and the acceptance criteria decide
-on the finished alignment.
+diagonal. Every aligned pair costs its in-band cells (dp_cells) and the
+acceptance criteria decide on the finished alignment.
 
 analyze reads the trace a traced run wrote (--trace-json) and nothing else:
 every message kind has its own tag for the whole run (clustering report 1,
@@ -159,7 +158,8 @@ wall-time attribution {compute, wait-blocked, barrier} per rank (plus the
 idle-unattributed residual) and per stage, one routine over two windows,
 so the stage rows sum to the rank rows; the reconstructed critical path
 through master/worker/comm events (send->recv edges paired per
-source/destination/tag); and the top-k idle gaps with the awaited
+source/destination/tag; time outside every span is an idle segment, as
+the rank row counts it); and the top-k idle gaps with the awaited
 message's label. --out writes the same analysis as machine JSON
 (pgasm.analysis format). A trace with an event missing ts/cat/name, a
 timestamp going back on its track, an E closing no open B of its name, or
@@ -356,11 +356,7 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
 
 /// Run the pipeline over `--reads`, through the assemble stage or (for
 /// `pgasm cluster`) only through clustering.
-fn run_pipeline(
-    opts: &Opts,
-    label: &str,
-    assemble: bool,
-) -> Result<(pgasm::cluster::PipelineReport, ReadSet), String> {
+fn run_pipeline(opts: &Opts, label: &str, assemble: bool) -> Result<pgasm::cluster::PipelineReport, String> {
     let config = pipeline_config(opts)?;
     let reads = read_reads(opts.require("reads")?)?;
     let caching = config.cache_dir.is_some();
@@ -414,7 +410,7 @@ fn run_pipeline(
              from the last checkpoint"
         ));
     }
-    Ok((report, reads))
+    Ok(report)
 }
 
 fn analyze(opts: &Opts) -> Result<(), String> {
@@ -454,7 +450,7 @@ fn analyze(opts: &Opts) -> Result<(), String> {
 }
 
 fn cluster(opts: &Opts) -> Result<(), String> {
-    let (report, _reads) = run_pipeline(opts, "pgasm cluster", false)?;
+    let report = run_pipeline(opts, "pgasm cluster", false)?;
     let s = report.cluster_stats;
     println!(
         "clustered {} fragments: {} clusters, {} singletons (largest {:.1}%)",
@@ -470,7 +466,7 @@ fn cluster(opts: &Opts) -> Result<(), String> {
         s.savings() * 100.0,
         s.accepted
     );
-    println!("alignment: {} lanes, {} DP cells", pgasm::align::simd::effective_lanes(), s.dp_cells);
+    println!("alignment: {} DP cells", s.dp_cells);
     if let Some(out) = opts.get("out") {
         use std::io::Write;
         let mut f = BufWriter::new(File::create(out).map_err(|e| format!("create {out}: {e}"))?);
@@ -486,7 +482,7 @@ fn cluster(opts: &Opts) -> Result<(), String> {
 
 fn assemble(opts: &Opts) -> Result<(), String> {
     let out = opts.require("out")?.to_string();
-    let (report, _reads) = run_pipeline(opts, "pgasm assemble", true)?;
+    let report = run_pipeline(opts, "pgasm assemble", true)?;
     let mut records = Vec::new();
     for (ci, assembly) in report.assemblies.iter().enumerate() {
         for (j, contig) in assembly.contigs.iter().enumerate() {

@@ -403,7 +403,7 @@ fn run_report_skeleton_is_pinned() {
         names.iter().map(|s| s.to_string()).collect()
     }
     // Counters every run sets (sorted, as the report's map iterates).
-    const BASE: [&str; 18] = [
+    const BASE: [&str; 17] = [
         "assembled_clusters",
         "clusters",
         "contigs",
@@ -421,7 +421,6 @@ fn run_report_skeleton_is_pinned() {
         "preprocess_rejected_by_mask",
         "preprocess_rejected_by_trim",
         "reads_in",
-        "simd_lanes",
     ];
     let with = |extra: &[&str]| {
         let mut all = strs(&BASE);
@@ -490,7 +489,6 @@ fn run_report_skeleton_is_pinned() {
         "pairs_accepted",
         "pairs_aligned",
         "pairs_generated",
-        "simd_lanes",
         "wait_ns_total",
     ]);
     let master = strs(&[
