@@ -26,6 +26,11 @@ timeout 600 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo test"
 timeout 3600 cargo test -q --workspace
 
+echo "==> alignment kernel properties, optimised build"
+# The step above runs them in a debug build, where the lane loops are
+# not vectorised; the code the program ships is the release build's.
+timeout 600 cargo test -q --release --test align_kernel_props
+
 echo "==> fault-tolerance tests on one core (the schedule that broke the old spin count)"
 # Detection is a function of protocol state, so the suite must pass
 # with every rank's thread time-sliced onto a single core too.

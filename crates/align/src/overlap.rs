@@ -32,16 +32,6 @@ use crate::simd::{I32x8, LANES};
 
 const NEG: i32 = i32::MIN / 4;
 
-/// Rolling-row length that lets the lane-chunked passes load a full lane
-/// starting at any cell slot (including the staggered `prev[slot + 1]`
-/// up-neighbour loads) without bounds branches: the row width plus one is
-/// rounded up to a lane multiple, plus one extra lane of NEG padding past
-/// the last slot.
-#[inline]
-fn lane_padded(w: usize) -> usize {
-    (w + 1).div_ceil(LANES) * LANES + LANES
-}
-
 /// Geometric relationship of the two fragments implied by an overlap
 /// alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +109,8 @@ impl OverlapResult {
 /// that.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
-    /// Rolling score rows, lane-padded so the chunked passes can load
-    /// full lanes from any cell slot.
+    /// Rolling score rows, one slot per band diagonal plus a NEG
+    /// padding slot on each side.
     prev: Vec<i32>,
     curr: Vec<i32>,
     /// Traceback directions (0 diagonal, 1 up, 2 left), one byte per
@@ -138,12 +128,10 @@ impl AlignScratch {
 
     /// Pre-size for banded alignments of sequences up to `max_len` bases
     /// at band half-width `band`, so the hot loop never reallocates.
-    /// Row buffers are sized to the *lane-padded* width so the SIMD
-    /// kernel's chunked loads fit without growth.
     pub fn for_sequences(max_len: usize, band: usize) -> AlignScratch {
         let mut s = AlignScratch::new();
         let width = (2 * band + 1).min(2 * max_len + 1);
-        s.ensure_rows(lane_padded(width + 2));
+        s.ensure_rows(width + 2);
         s.ensure_dirs((max_len + 1) * (width + 2));
         s.grows = 0;
         s
@@ -499,16 +487,29 @@ pub fn banded_overlap_align(a: &[u8], b: &[u8], seed_diag: i64, band: usize, s: 
 ///
 /// **Band.** Diagonals `seed_diag ± band` clamped to `[-n, m]` (`Band`);
 /// row `i` lives in slot coordinates where `(i − 1, j − 1)` and `(i, j)`
-/// share a slot, over two rolling NEG-padded rows from `scratch`, so
-/// `diag = prev[slot]`, `up = prev[slot + 1]`, `left = curr[slot − 1]` and
-/// chunk loads need no bounds branches.
+/// share a slot, over two rolling rows from `scratch`, so
+/// `diag = prev[slot]`, `up = prev[slot + 1]`, `left = curr[slot − 1]`.
 ///
-/// **Lanes.** Each row is evaluated in [`LANES`]-wide chunks, in one
-/// loop: a vertical step computes `max(diag + subst, up + gap)` per lane
-/// (the two `prev`-row inputs have no intra-row dependency), then the
-/// `left + gap` dependency is folded in as an exact max-plus prefix scan
-/// carried from chunk to chunk — by induction the single-pass scalar
-/// recurrence, cell for cell.
+/// **Rows.** Only rows `max(1, d_lo) ..= min(m, n + d_hi)` run: every
+/// other row holds no in-band cell. Both rolling rows are set to NEG once
+/// per call and never refilled — a row writes exactly its in-band cells
+/// (and its free-leading-gap cell `(i, 0)`), and the next row reads
+/// exactly those plus the padding slots `0` and `w − 1`, which nothing
+/// writes.
+///
+/// **Lanes.** Each row is evaluated in [`LANES`]-wide chunks over
+/// exact-length slices of the row above, the row being written, the
+/// direction window and `b`, so no chunk pays a bounds check. A vertical
+/// step computes `max(diag + subst, up + gap)` per lane — `diag` and `up`
+/// are the row above's chunks at the chunk's slot and one slot later, the
+/// substitution is a compare of the eight widened codes of `b` with the
+/// query code (a masked or non-base query code compares with `-1`, which
+/// no code equals) — then the `left + gap` dependency is folded in as an
+/// exact max-plus prefix scan within the chunk and one max with the
+/// carry: the previous chunk's last lane, splat and added to
+/// `(l + 1)·gap`. By induction that is the single-pass scalar recurrence,
+/// cell for cell; the fewer than [`LANES`] cells past the last whole
+/// chunk run that recurrence directly.
 ///
 /// **Direction window.** While a chunk is still in registers each cell's
 /// traceback direction goes into a band-shaped `(m + 1) × w` byte window
@@ -556,7 +557,7 @@ pub fn overlap_align_simd(
             return unsafe { simd_body_avx2(a, b, seed_diag, band, s, quals, scratch) };
         }
     }
-    simd_body::<false>(a, b, seed_diag, band, s, quals, scratch)
+    overlap_align_baseline(a, b, seed_diag, band, s, quals, scratch)
 }
 
 /// [`overlap_align_simd`] with every row run through the scalar tail loop
@@ -573,6 +574,22 @@ pub fn overlap_align_scalar(
     scratch: &mut AlignScratch,
 ) -> OverlapResult {
     simd_body::<true>(a, b, seed_diag, band, s, quals, scratch)
+}
+
+/// [`overlap_align_simd`]'s lane passes compiled at the build baseline
+/// (SSE2 on x86-64): the instantiation a host without AVX2 runs, callable
+/// on any host so the property tests hold it to the oracle everywhere.
+#[doc(hidden)]
+pub fn overlap_align_baseline(
+    a: &[u8],
+    b: &[u8],
+    seed_diag: i64,
+    band: usize,
+    s: &Scoring,
+    quals: Option<(&[u8], &[u8])>,
+    scratch: &mut AlignScratch,
+) -> OverlapResult {
+    simd_body::<false>(a, b, seed_diag, band, s, quals, scratch)
 }
 
 /// [`simd_body`] compiled with AVX2 codegen enabled (the
@@ -613,27 +630,37 @@ fn simd_body<const SCALAR: bool>(
         return OverlapResult::empty(0);
     };
     let w = bw.w;
-    let padded = lane_padded(w);
-    scratch.ensure_rows(padded);
+    scratch.ensure_rows(w);
     scratch.ensure_dirs((m + 1) * w);
     let dirs: &mut [u8] = &mut scratch.dirs[..(m + 1) * w];
-    let mut prev: &mut [i32] = &mut scratch.prev[..padded];
-    let mut curr: &mut [i32] = &mut scratch.curr[..padded];
+    let mut prev: &mut [i32] = &mut scratch.prev[..w];
+    let mut curr: &mut [i32] = &mut scratch.curr[..w];
+    // Filled once, never refilled (**Rows** above says why that is exact).
+    prev.fill(NEG);
+    curr.fill(NEG);
     let mut cells = 0u64;
     // Running best over column n: the first row attaining the maximum.
     let (mut coln_best, mut coln_i) = (NEG, 0usize);
     let (lo0, hi0) = bw.row_range(0, n);
-    prev.fill(NEG);
     for j in lo0..=hi0 {
         prev[bw.slot(0, j)] = 0;
     }
     if (lo0..=hi0).contains(&(n as i64)) {
         coln_best = 0;
     }
-    for i in 1..=m {
+    let g = s.gap_extend;
+    let mvec = I32x8::splat(s.match_score);
+    let xvec = I32x8::splat(s.mismatch);
+    let gv1 = I32x8::splat(g);
+    let gv2 = I32x8::splat(g.wrapping_mul(2));
+    let gv4 = I32x8::splat(g.wrapping_mul(4));
+    let ramp = I32x8(std::array::from_fn(|l| g.wrapping_mul(l as i32 + 1)));
+    // Rows before d_lo or past n + d_hi hold no in-band cell.
+    let first = bw.d_lo.max(1) as usize;
+    let last = (n as i64 + bw.d_hi).min(m as i64) as usize;
+    for i in first..=last {
         let (lo, hi) = bw.row_range(i, n);
-        curr.fill(NEG);
-        if lo == 0 && hi >= 0 {
+        if lo == 0 {
             // Free leading gap in b.
             curr[bw.slot(i, 0)] = 0;
         }
@@ -642,73 +669,68 @@ fn simd_body<const SCALAR: bool>(
             let sl0 = bw.slot(i, jstart);
             let len = (hi - jstart + 1) as usize;
             cells += len as u64;
-            let drow = &mut dirs[i * w + sl0..i * w + sl0 + len];
+            // A masked or non-base query code matches nothing: its key
+            // is one that no widened `u8` code equals.
             let ai = a[i - 1];
-            let ai_is_base = pgasm_seq::is_base_code(ai);
+            let key = if pgasm_seq::is_base_code(ai) { ai as i32 } else { -1 };
             let boff = (jstart - 1) as usize;
-            let g = s.gap_extend;
+            let codes = &b[boff..boff + len];
+            let diag = &prev[sl0..sl0 + len];
+            let up = &prev[sl0 + 1..sl0 + len + 1];
             let mut leftv = curr[sl0 - 1];
-            let mut k = 0usize;
+            let out = &mut curr[sl0..sl0 + len];
+            let drow = &mut dirs[i * w + sl0..i * w + sl0 + len];
+            // Cells before `k` run in lane chunks, the rest (all of them
+            // when `SCALAR`) in the scalar loop.
+            let k = if SCALAR { 0 } else { len - len % LANES };
             if !SCALAR {
-                let mvec = I32x8::splat(s.match_score);
-                let xvec = I32x8::splat(s.mismatch);
-                let kvec = I32x8::splat(ai as i32);
-                let gv1 = I32x8::splat(g);
-                let gv2 = I32x8::splat(g.wrapping_mul(2));
-                let gv4 = I32x8::splat(g.wrapping_mul(4));
-                let mut ramp = [0i32; LANES];
-                for (l, r) in ramp.iter_mut().enumerate() {
-                    *r = g.wrapping_mul(l as i32 + 1);
-                }
-                let ramp = I32x8(ramp);
-                while k + LANES <= len {
+                let kvec = I32x8::splat(key);
+                let chunks = out[..k]
+                    .as_chunks_mut::<LANES>()
+                    .0
+                    .iter_mut()
+                    .zip(drow[..k].as_chunks_mut::<LANES>().0)
+                    .zip(codes[..k].as_chunks::<LANES>().0)
+                    .zip(diag[..k].as_chunks::<LANES>().0.iter().zip(up[..k].as_chunks::<LANES>().0));
+                for (((o, dr), bc), (p0, p1)) in chunks {
                     // Vertical step: diag/up have no intra-row
                     // dependency.
-                    let p0 = I32x8::load(&prev[sl0 + k..]);
-                    let p1 = I32x8::load(&prev[sl0 + k + 1..]);
-                    let sub = if ai_is_base {
-                        I32x8::load_u8(&b[boff + k..]).eq_select(kvec, mvec, xvec)
-                    } else {
-                        xvec
-                    };
-                    let (d, u) = (p0.add(sub), p1.add(gv1));
+                    let sub = I32x8::widen(bc).eq_select(kvec, mvec, xvec);
+                    let (d, u) = (I32x8(*p0).add(sub), I32x8(*p1).add(gv1));
                     let c = d.max(u);
                     // Left-gap dependency: the sequential fold
                     // out[k] = max(c[k], out[k−1] + g) expands to
                     // out[k] = max over t ≤ k of c[t] + (k−t)·g — a
                     // log-step max-plus prefix scan within the chunk
                     // (shift by 1/2/4, each adding the matching
-                    // multiple of g) plus one carried splat from the
-                    // previous chunk: the same integer sums in a
-                    // different association, bit-identical to the
-                    // scalar recurrence below.
+                    // multiple of g) plus the carry from the previous
+                    // chunk: the same integer sums in a different
+                    // association, bit-identical to the scalar
+                    // recurrence below.
                     let mut v = c.max(c.shift_up::<1>(NEG).add(gv1));
                     v = v.max(v.shift_up::<2>(NEG).add(gv2));
                     v = v.max(v.shift_up::<4>(NEG).add(gv4));
                     v = v.max(I32x8::splat(leftv).add(ramp));
-                    v.store(&mut curr[sl0 + k..]);
+                    *o = v.0;
                     // v is the max of the three: where the scan
                     // raised it, left strictly won; else diag ≥ up.
-                    I32x8::store_directions(d, u, c, v, &mut drow[k..]);
+                    I32x8::store_directions(d, u, c, v, dr);
                     leftv = v.0[LANES - 1];
-                    k += LANES;
                 }
             }
-            // Scalar tail — and the whole row when `SCALAR`.
-            while k < len {
-                let sub = if ai_is_base && b[boff + k] == ai { s.match_score } else { s.mismatch };
-                let diag = prev[sl0 + k] + sub;
-                let up = prev[sl0 + k + 1] + g;
-                let left = leftv + g;
-                (leftv, drow[k]) = if diag >= up && diag >= left {
+            let tail =
+                out[k..].iter_mut().zip(&mut drow[k..]).zip(&codes[k..]).zip(diag[k..].iter().zip(&up[k..]));
+            for (((o, dr), &bj), (&p0, &p1)) in tail {
+                let diag = p0 + if bj as i32 == key { s.match_score } else { s.mismatch };
+                let (up, left) = (p1 + g, leftv + g);
+                (leftv, *dr) = if diag >= up && diag >= left {
                     (diag, 0)
                 } else if up >= left {
                     (up, 1)
                 } else {
                     (left, 2)
                 };
-                curr[sl0 + k] = leftv;
-                k += 1;
+                *o = leftv;
             }
             if hi == n as i64 && leftv > coln_best {
                 (coln_best, coln_i) = (leftv, i);
@@ -931,12 +953,14 @@ mod tests {
         assert_eq!(r.cells, 0);
     }
 
-    /// Lanes and scalar, on one reused scratch, against the banded
-    /// oracle: every field, `cells` included.
+    /// Lanes (dispatched and at the build baseline) and scalar, on one
+    /// reused scratch, against the banded oracle: every field, `cells`
+    /// included.
     fn assert_matches_banded(a: &[u8], b: &[u8], diag: i64, band: usize, s: &Scoring) -> OverlapResult {
         let oracle = banded_overlap_align(a, b, diag, band, s);
         let mut scratch = AlignScratch::new();
         assert_eq!(overlap_align_simd(a, b, diag, band, s, None, &mut scratch), oracle, "lanes");
+        assert_eq!(overlap_align_baseline(a, b, diag, band, s, None, &mut scratch), oracle, "baseline lanes");
         assert_eq!(overlap_align_scalar(a, b, diag, band, s, None, &mut scratch), oracle, "scalar");
         oracle
     }
@@ -1022,7 +1046,7 @@ mod tests {
         b.remove(100);
         b.push(0);
         assert_eq!((a.len(), b.len()), (300, 350));
-        for kernel in [overlap_align_simd, overlap_align_scalar] {
+        for kernel in [overlap_align_simd, overlap_align_baseline, overlap_align_scalar] {
             let mut reused = AlignScratch::new();
             let big = kernel(&big_a, &big_b, 0, 200, &s(), None, &mut reused);
             assert!(big.overlap_len > 1_000, "the first pair must fill its window: {big:?}");

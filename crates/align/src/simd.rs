@@ -3,7 +3,22 @@
 //! No target intrinsics and no external crates: the lane struct wraps a
 //! fixed-size array and exposes the handful of lanewise operations the
 //! banded kernel's row pass needs (add, max, compare-select, lane shift,
-//! compare-to-bytes for the traceback directions).
+//! code widening, compare-to-bytes for the traceback directions).
+//! Loads and stores are plain array copies: the kernel hands every chunk
+//! over as `&[i32; LANES]` / `&[u8; LANES]` views of exact-length slices
+//! (`as_chunks`), so a chunk load is one vector move with no bounds
+//! check, and [`I32x8::widen`] turns the eight subject codes into one
+//! zero-extending load.
+//!
+//! How the row pass of [`crate::overlap::overlap_align_simd`] drives
+//! them: only rows that hold an in-band cell run; a row's cells go in
+//! chunks of [`LANES`], whose diagonal and vertical operands are the two
+//! chunks of the row above that start at the chunk's slot and one slot
+//! later; the left-gap carry is the previous chunk's last lane, splat
+//! and added to the ramp `(l + 1)·g`, folded in by one max after the
+//! in-chunk prefix scan; the fewer than [`LANES`] cells past the last
+//! whole chunk take the scalar recurrence.
+//!
 //! Every method is a plain `for l in 0..LANES` loop over the array, which
 //! LLVM reliably autovectorises at `opt-level=3` into SSE2/AVX2 code —
 //! the arrays are fixed-width, the loops have no early exits, and there
@@ -36,20 +51,6 @@ impl I32x8 {
     #[inline(always)]
     pub fn splat(v: i32) -> I32x8 {
         I32x8([v; LANES])
-    }
-
-    /// Load the first `LANES` elements of `src`.
-    #[inline(always)]
-    pub fn load(src: &[i32]) -> I32x8 {
-        let mut out = [0; LANES];
-        out.copy_from_slice(&src[..LANES]);
-        I32x8(out)
-    }
-
-    /// Store all lanes into the first `LANES` elements of `dst`.
-    #[inline(always)]
-    pub fn store(self, dst: &mut [i32]) {
-        dst[..LANES].copy_from_slice(&self.0);
     }
 
     /// Lanewise `self + o`. Plain (wrapping-in-release) addition:
@@ -109,10 +110,10 @@ impl I32x8 {
         I32x8(out)
     }
 
-    /// Load eight `u8` codes widened to i32 lanes (the subject-sequence
-    /// slice of the current chunk).
+    /// Eight `u8` codes widened to i32 lanes (the subject-sequence codes
+    /// of the current chunk): one zero-extending load.
     #[inline(always)]
-    pub fn load_u8(src: &[u8]) -> I32x8 {
+    pub fn widen(src: &[u8; LANES]) -> I32x8 {
         let mut out = [0i32; LANES];
         for l in 0..LANES {
             out[l] = src[l] as i32;
@@ -125,8 +126,8 @@ impl I32x8 {
     /// `v = max(c, left)`: `2` (left) where `v != c`, else `1` (up) where
     /// `d < u`, else `0` (diagonal) — the `diag ≥ up ≥ left` tie order.
     #[inline(always)]
-    pub fn store_directions(d: I32x8, u: I32x8, c: I32x8, v: I32x8, dst: &mut [u8]) {
-        for (l, dir) in dst[..LANES].iter_mut().enumerate() {
+    pub fn store_directions(d: I32x8, u: I32x8, c: I32x8, v: I32x8, dst: &mut [u8; LANES]) {
+        for (l, dir) in dst.iter_mut().enumerate() {
             *dir = if v.0[l] != c.0[l] { 2 } else { (d.0[l] < u.0[l]) as u8 };
         }
     }
@@ -137,19 +138,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splat_load_store_roundtrip() {
-        let v = I32x8::splat(7);
-        assert_eq!(v.0, [7; 8]);
-        let src = [1, 2, 3, 4, 5, 6, 7, 8, 9];
-        let v = I32x8::load(&src);
-        let mut dst = [0i32; 10];
-        v.store(&mut dst);
-        assert_eq!(&dst[..8], &src[..8]);
-        assert_eq!(dst[8], 0, "store writes exactly LANES elements");
-    }
-
-    #[test]
-    fn add_max() {
+    fn splat_add_max() {
+        assert_eq!(I32x8::splat(7).0, [7; 8]);
         let a = I32x8([1, -2, 3, -4, 5, -6, 7, -8]);
         let b = I32x8::splat(10);
         assert_eq!(a.add(b).0, [11, 8, 13, 6, 15, 4, 17, 2]);
@@ -164,9 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn load_u8_widens() {
+    fn widen_zero_extends() {
         let src = [0u8, 3, 255, 4, 1, 2, 0, 9];
-        assert_eq!(I32x8::load_u8(&src).0, [0, 3, 255, 4, 1, 2, 0, 9]);
+        assert_eq!(I32x8::widen(&src).0, [0, 3, 255, 4, 1, 2, 0, 9]);
     }
 
     #[test]
@@ -177,8 +167,8 @@ mod tests {
         let mut v = c;
         v.0[2] += 1;
         v.0[7] += 4;
-        let mut dirs = [9u8; 9];
+        let mut dirs = [9u8; 8];
         I32x8::store_directions(d, u, c, v, &mut dirs);
-        assert_eq!(dirs, [0, 1, 2, 1, 1, 0, 0, 2, 9], "writes exactly LANES bytes");
+        assert_eq!(dirs, [0, 1, 2, 1, 1, 0, 0, 2]);
     }
 }

@@ -748,7 +748,10 @@ impl Analysis {
     }
 
     /// Human-readable report: attribution table, critical path, top
-    /// gaps.
+    /// gaps. Idle path pieces shorter than a microsecond — the clock
+    /// reads between two adjacent spans — are left out of the path's
+    /// rows and counted on one line after them; the JSON keeps every
+    /// piece.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let ms = |ns: u64| ns as f64 / 1e6;
@@ -784,7 +787,13 @@ impl Analysis {
             }
         }
         out.push_str(&format!("critical path ({} segment(s)):\n", self.critical_path.len()));
+        let (mut folded, mut folded_ns) = (0usize, 0u64);
         for seg in &self.critical_path {
+            let dur_ns = seg.end_ns - seg.start_ns;
+            if seg.kind == "idle" && dur_ns < 1_000 {
+                (folded, folded_ns) = (folded + 1, folded_ns + dur_ns);
+                continue;
+            }
             out.push_str(&format!(
                 "  rank {:<3} {:<8} {:>9.2} ms  [{:.2}..{:.2}]  {}\n",
                 seg.rank,
@@ -793,6 +802,12 @@ impl Analysis {
                 ms(seg.start_ns),
                 ms(seg.end_ns),
                 seg.label
+            ));
+        }
+        if folded > 0 {
+            out.push_str(&format!(
+                "  + {folded} idle piece(s) under 1 us, {:.3} us in all\n",
+                folded_ns as f64 / 1e3
             ));
         }
         out.push_str(&format!("top idle gaps (of {} edges paired):\n", self.edges_paired));
@@ -1220,5 +1235,47 @@ mod tests {
         let rendered = a.render();
         assert!(rendered.contains("critical path"));
         assert!(rendered.contains("attribution"));
+    }
+
+    #[test]
+    fn render_folds_sub_microsecond_idle_path_pieces_into_one_line() {
+        let seg = |kind: &str, start_ns: u64, end_ns: u64, label: &str| PathSegment {
+            rank: 1,
+            kind: kind.into(),
+            start_ns,
+            end_ns,
+            label: label.into(),
+        };
+        let a = Analysis {
+            critical_path: vec![
+                seg("compute", 0, 2_000_000, "align"),
+                seg("idle", 2_000_000, 2_000_400, "unattributed"),
+                seg("compute", 2_000_400, 3_000_000, "align"),
+                seg("idle", 3_000_000, 3_000_600, "unattributed"),
+                seg("idle", 3_000_600, 3_050_600, "unattributed"),
+                seg("comm", 3_050_600, 3_060_000, "asm_m2w_grant"),
+            ],
+            ..Analysis::default()
+        };
+        let rendered = a.render();
+        let path: Vec<&str> = rendered
+            .lines()
+            .skip_while(|l| !l.starts_with("critical path"))
+            .take_while(|l| !l.starts_with("top idle gaps"))
+            .collect();
+        assert_eq!(
+            path,
+            [
+                "critical path (6 segment(s)):",
+                "  rank 1   compute       2.00 ms  [0.00..2.00]  align",
+                "  rank 1   compute       1.00 ms  [2.00..3.00]  align",
+                "  rank 1   idle          0.05 ms  [3.00..3.05]  unattributed",
+                "  rank 1   comm          0.01 ms  [3.05..3.06]  asm_m2w_grant",
+                "  + 2 idle piece(s) under 1 us, 1.000 us in all",
+            ]
+        );
+        // The JSON keeps every piece.
+        let doc = Json::parse(&a.to_json().pretty()).unwrap();
+        assert_eq!(doc.get("critical_path").and_then(Json::as_arr).map(|p| p.len()), Some(6));
     }
 }

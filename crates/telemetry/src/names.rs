@@ -55,6 +55,10 @@ pub const CONTIGS: &str = "contigs";
 /// Trace events discarded on ring overflow, over all tracks (traced
 /// runs only).
 pub const TRACE_EVENTS_DROPPED: &str = "trace_events_dropped";
+/// Peak resident set of the `pgasm` process in KiB (`VmHWM`), read just
+/// before the CLI writes its run report. Only the CLI sets it, so a
+/// library run's report carries no fact of the machine it ran on.
+pub const PEAK_RSS_KB: &str = "peak_rss_kb";
 
 // ---- artifact-cache counters ----------------------------------------------
 

@@ -118,8 +118,8 @@ pub struct RunContext {
     /// The run's one span recorder, exported only from a traced run.
     track: Tracer,
     exported: bool,
-    /// Name and begin timestamp of each open span, innermost last.
-    open: Vec<(&'static str, u64)>,
+    /// Name of each open span, innermost last.
+    open: Vec<&'static str>,
     counters: BTreeMap<String, u64>,
     ranks: Vec<crate::RankReport>,
     traces: Vec<RankTrace>,
@@ -173,16 +173,15 @@ impl RunContext {
     pub fn push(&mut self, name: &'static str) {
         let ts = self.track.now_ns();
         self.mark(ts, TraceKind::Begin, name, nanos(thread_cpu_seconds()));
-        self.open.push((name, ts));
+        self.open.push(name);
     }
 
-    /// Close the innermost open span, returning its wall seconds.
-    /// Panics if no span is open.
-    pub fn pop(&mut self) -> f64 {
-        let (name, begin) = self.open.pop().expect("RunContext::pop with no open span");
+    /// Close the innermost open span; its wall and CPU seconds are read
+    /// from the finished report's span. Panics if no span is open.
+    pub fn pop(&mut self) {
+        let name = self.open.pop().expect("RunContext::pop with no open span");
         let ts = self.track.now_ns();
         self.mark(ts, TraceKind::End, name, nanos(thread_cpu_seconds()));
-        secs(ts - begin)
     }
 
     /// Put phases measured on other clocks (a distributed stage's ranks')
@@ -433,14 +432,15 @@ mod tests {
         for (spec, tracks) in [(TraceSpec::off(), 0), (TraceSpec::on(), 1)] {
             let mut ctx = RunContext::new("t");
             ctx.bind_track(&spec);
-            let wall = ctx.scope("preprocess", |ctx| {
+            ctx.scope("preprocess", |ctx| {
                 ctx.push("cache");
                 ctx.pop()
             });
             let doc = ctx.trace_document();
             assert_eq!(doc.tracks.len(), tracks);
             let report = ctx.finish();
-            assert_eq!(report.span("preprocess/cache").unwrap().wall_seconds, wall);
+            let cache = report.span("preprocess/cache").unwrap().wall_seconds;
+            assert!(cache <= report.span("preprocess").unwrap().wall_seconds);
             assert_eq!(report.counters.contains_key(crate::names::TRACE_EVENTS_DROPPED), tracks == 1);
         }
     }

@@ -399,6 +399,9 @@ fn run_pipeline(opts: &Opts, label: &str, assemble: bool) -> Result<pgasm::clust
         println!("telemetry: {} trace event(s) dropped", doc.dropped_events());
     }
     if let Some(path) = opts.get("metrics-json") {
+        if let Some(kb) = peak_rss_kb() {
+            ctx.set(pgasm::telemetry::names::PEAK_RSS_KB, kb);
+        }
         let run_report = ctx.finish();
         run_report.write_json(std::path::Path::new(path)).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote run report to {path}");
@@ -411,6 +414,13 @@ fn run_pipeline(opts: &Opts, label: &str, assemble: bool) -> Result<pgasm::clust
         ));
     }
     Ok(report)
+}
+
+/// The process's peak resident set in KiB: `VmHWM` of
+/// `/proc/self/status`, or `None` on a host without that file.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 fn analyze(opts: &Opts) -> Result<(), String> {

@@ -1,5 +1,6 @@
 //! Property tests for the one-pass banded overlap kernel: its lane
-//! passes, its scalar instantiation and the independent banded oracle
+//! passes (as dispatched and at the build baseline), its scalar
+//! instantiation and the independent banded oracle
 //! ([`banded_overlap_align`]) must return the same *struct* — score,
 //! ranges, overlap length, the identity's bits, kind, the traceback's
 //! diagonal span and the cell count — on planted overlaps, masked bases,
@@ -7,7 +8,7 @@
 //! acceptance criteria give the oracle's verdict on every input; and
 //! lanes vs scalar must agree on arbitrary bytes.
 
-use pgasm::align::overlap::{overlap_align_quality_with, overlap_align_scalar};
+use pgasm::align::overlap::{overlap_align_baseline, overlap_align_quality_with, overlap_align_scalar};
 use pgasm::align::{
     banded_overlap_align, overlap_align_quality, overlap_align_simd, AcceptCriteria, AlignScratch,
     OverlapResult, Scoring,
@@ -70,8 +71,10 @@ fn ramped(len: usize, phase: usize) -> Vec<u8> {
 type Kernel =
     fn(&[u8], &[u8], i64, usize, &Scoring, Option<(&[u8], &[u8])>, &mut AlignScratch) -> OverlapResult;
 
-/// The lane passes and the scalar instantiation of the same body.
-const KERNELS: [Kernel; 2] = [overlap_align_simd, overlap_align_scalar];
+/// The lane passes as dispatched (AVX2 where the host has it), the lane
+/// passes at the build baseline, and the scalar instantiation of the same
+/// body.
+const KERNELS: [Kernel; 3] = [overlap_align_simd, overlap_align_baseline, overlap_align_scalar];
 
 /// Both kernels against the banded oracle, every field and `cells`: one
 /// pass visits exactly the oracle's cells. One scratch serves all calls,
@@ -203,7 +206,8 @@ proptest! {
         let (qa, qb) = (ramped(a.len(), 3), ramped(b.len(), 17));
         let quals = with_quals.then_some((&qa[..], &qb[..]));
         let mut scratch = AlignScratch::new();
-        let [vec_r, sc_r] = KERNELS.map(|kernel| kernel(&a, &b, diag, band, &s, quals, &mut scratch));
+        let [vec_r, base_r, sc_r] = KERNELS.map(|kernel| kernel(&a, &b, diag, band, &s, quals, &mut scratch));
+        prop_assert_eq!(vec_r, base_r);
         prop_assert_eq!(vec_r, sc_r);
     }
 
@@ -218,5 +222,40 @@ proptest! {
         band in 4usize..48,
     ) {
         assert_matches_banded(a.codes(), b.codes(), diag, band, &Scoring::DEFAULT);
+    }
+
+    /// Every row width modulo the lane count and every way the band meets the
+    /// rectangle: bands 0..=40, seed diagonals from −n − 8 to m + 8 (the
+    /// band enters late, leaves early or misses every cell), masked and
+    /// non-base codes in both sequences with at least one masked query
+    /// row, with and without quality tracks. Every kernel is the banded
+    /// oracle field for field, `cells` included; with quality tracks the
+    /// identity is weighted, so it is held equal across the kernels and
+    /// every other field to the oracle.
+    #[test]
+    fn every_row_width_and_band_edge_matches_the_banded_oracle(
+        mut a in proptest::collection::vec(0u8..6, 1..90),
+        b in proptest::collection::vec(0u8..6, 1..90),
+        masked_row in any::<proptest::sample::Index>(),
+        diag_pick in any::<proptest::sample::Index>(),
+        band in 0usize..=40,
+        harsh in any::<bool>(),
+        with_quals in any::<bool>(),
+    ) {
+        let (m, n) = (a.len() as i64, b.len() as i64);
+        let row = masked_row.index(a.len());
+        a[row] = pgasm::seq::MASK;
+        let diag = -n - 8 + diag_pick.index((m + n + 17) as usize) as i64;
+        let s = if harsh { HARSH } else { Scoring::DEFAULT };
+        let (qa, qb) = (ramped(a.len(), 11), ramped(b.len(), 29));
+        let quals = with_quals.then_some((&qa[..], &qb[..]));
+        let oracle = banded_overlap_align(&a, &b, diag, band, &s);
+        let mut scratch = AlignScratch::new();
+        let [first, rest @ ..] = KERNELS.map(|kernel| kernel(&a, &b, diag, band, &s, quals, &mut scratch));
+        for r in rest {
+            prop_assert_eq!(r, first);
+        }
+        let identity = if with_quals { oracle.identity } else { first.identity };
+        prop_assert_eq!(OverlapResult { identity, ..first }, oracle);
     }
 }

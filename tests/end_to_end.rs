@@ -384,6 +384,11 @@ fn cli_cluster_stops_after_the_cluster_stage() {
         (report.counter(names::GST_SUFFIXES_ENUMERATED), report.counter(names::GST_SUFFIXES_INDEXED));
     assert!(0 < indexed && indexed < enumerated / 10, "{indexed} of {enumerated} suffixes indexed");
     assert!(report.counter(names::GST_NODES) > 0 && report.counter(names::CONTIGS) == 0);
+    // The CLI's report carries the process's own peak RSS (library
+    // reports do not: `tests/cache.rs` pins their counter set).
+    if cfg!(target_os = "linux") {
+        assert!(report.counter(names::PEAK_RSS_KB) > 0, "no peak_rss_kb in the CLI's report");
+    }
 
     // `--out` is the partition the full pipeline assembles from.
     let records =
