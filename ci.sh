@@ -99,6 +99,16 @@ stages=$(grep -o '"stage": "[a-z_]*"' ci.analysis.json | cut -d'"' -f4 | paste -
 [ "$stages" = "preprocess cluster assemble" ] || { echo "stage rows are '$stages'"; exit 1; }
 rm -f ci.trace.json ci.metrics.json ci.analysis.json
 
+echo "==> analysis of a traced serial run: its stages are the pipeline track's"
+# A serial run has no rank track, so its stage windows are attributed to
+# the pipeline's own thread: the cluster stage's compute cannot be 0.
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.traced.txt \
+  --trace-json ci.serial.trace.json
+cargo run --release -q --bin pgasm -- analyze --trace-json ci.serial.trace.json --out ci.serial.analysis.json
+compute=$(grep -A3 '"stage": "cluster"' ci.serial.analysis.json | grep -o '"compute_ns": [0-9]*' | grep -o '[0-9]*$' || true)
+[ -n "$compute" ] && [ "$compute" -gt 0 ] || { echo "serial cluster stage compute_ns is '$compute'"; exit 1; }
+rm -f ci_clusters.traced.txt ci.serial.trace.json ci.serial.analysis.json
+
 echo "==> pgasm assemble: --ranks 4, --assembly-threads 1 and --assembly-threads 3 write the same contigs"
 # The traced run above assembled on 4 ranks; threads and ranks only
 # schedule the per-cluster assemblies, so every contig file is one file.

@@ -4,7 +4,7 @@ use crate::datasets;
 use crate::util::*;
 use pgasm_align::wmer::WmerTable;
 use pgasm_core::clustering::{canonical_skip, same_fragment_skip, PairDecider};
-use pgasm_core::{cluster_serial, UnionFind};
+use pgasm_core::UnionFind;
 use pgasm_gst::{GenMode, Gst, PairGenerator, PromisingPair};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,8 +20,9 @@ pub fn masking(scale: f64) -> [(bool, f64, u64, u64, f64); 2] {
     let mut out = [(false, 0.0, 0, 0, 0.0); 2];
     for (slot, mask) in [true, false].into_iter().enumerate() {
         let prepared = datasets::drosophila((80_000.0 * scale) as usize, 6.0, 21, mask);
-        let ((clustering, stats), secs) = timed(|| cluster_serial(&prepared.store, &params));
-        out[slot] = (mask, clustering.max_cluster_fraction(), stats.generated, stats.aligned, secs);
+        let (part, secs) = timed(|| cluster_in_process(&prepared.store, &params));
+        out[slot] =
+            (mask, part.clustering.max_cluster_fraction(), part.stats.generated, part.stats.aligned, secs);
     }
     let rows: Vec<Vec<String>> = out
         .iter()

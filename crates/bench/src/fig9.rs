@@ -14,7 +14,8 @@
 
 use crate::datasets;
 use crate::util::*;
-use pgasm_core::{cluster_parallel, MasterWorkerConfig};
+use pgasm_core::{cluster, Exec, MasterWorkerConfig};
+use pgasm_telemetry::RunContext;
 
 /// One measured point.
 #[derive(Debug, Clone, Copy)]
@@ -41,8 +42,11 @@ pub fn run(scale: f64) -> Vec<Point> {
         let input_bp = prepared.total_bp();
         for &w in &worker_counts {
             let params = datasets::default_params();
-            let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
-            let report = cluster_parallel(&prepared.store, w + 1, &params, &cfg);
+            let engine = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
+            let exec = Exec::Ranks { p: w + 1, engine, recovery: Default::default() };
+            let mut ctx = RunContext::new("fig9");
+            cluster(&prepared.store, &params, &exec, &mut ctx);
+            let report = ctx.finish();
             // Modelled time: slowest rank's CPU + its modelled
             // traffic, both read off the per-rank telemetry
             // channels. Only the protocol tags count — the

@@ -9,9 +9,9 @@
 use crate::datasets;
 use crate::util::*;
 use pgasm_assemble::AssemblyConfig;
-use pgasm_core::cluster_serial;
-use pgasm_core::pipeline::assemble_clusters_q;
 use pgasm_core::validation::validate_clusters;
+use pgasm_core::{assemble, Exec};
+use pgasm_telemetry::RunContext;
 
 /// Experiment outcome.
 #[derive(Debug, Clone, Copy)]
@@ -36,8 +36,10 @@ pub struct Outcome {
 pub fn run(scale: f64) -> Outcome {
     let prepared = datasets::maize((500_000.0 * scale) as usize, 88);
     let params = datasets::default_params();
-    let (clustering, _stats) = cluster_serial(&prepared.store, &params);
-    let assemblies = assemble_clusters_q(&prepared.store, None, &clustering, &AssemblyConfig::default(), 2);
+    let clustering = cluster_in_process(&prepared.store, &params).clustering;
+    let (config, exec) = (AssemblyConfig::default(), Exec::Threads(2));
+    let (assemblies, _) =
+        assemble(&prepared.store, None, &clustering, &config, &exec, &mut RunContext::new("sec8"));
     let contigs_per_cluster = if assemblies.is_empty() {
         0.0
     } else {

@@ -11,7 +11,7 @@
 
 use crate::datasets;
 use crate::util::*;
-use pgasm_core::{cluster_serial, ClusterStats};
+use pgasm_core::ClusterStats;
 
 /// One row of the table.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +34,7 @@ pub fn run(scale: f64) -> Vec<Row> {
     let mut rows = Vec::new();
     for (i, &raw_bp) in sizes.iter().enumerate() {
         let prepared = datasets::maize(raw_bp, 7 + i as u64);
-        let stats = cluster_serial(&prepared.store, &params).1;
+        let stats = cluster_in_process(&prepared.store, &params).stats;
         rows.push(Row {
             raw_bp,
             fragments: prepared.store.num_fragments(),

@@ -9,9 +9,8 @@
 
 use crate::datasets;
 use crate::util::*;
-use pgasm_core::clustering::cluster_over_gst;
-use pgasm_core::{ClusterStats, Clustering};
-use pgasm_gst::Gst;
+use pgasm_core::{cluster, ClusterStats, Clustering, Exec};
+use pgasm_telemetry::RunContext;
 
 /// One dataset row.
 pub struct Row {
@@ -41,23 +40,20 @@ pub fn run(scale: f64) -> Vec<Row> {
     let sar = datasets::sargasso(((24.0 * scale) as usize).max(4), (2_500.0 * scale) as usize, 12);
     let mut rows = Vec::new();
     for prepared in [dro, sar] {
-        // One double-stranded copy and one build over it, timed on
-        // their own, then handed to the serial engine: the total counts
-        // the copy and the tree once.
-        let ((ds, gst), gst_seconds) = timed(|| {
-            let ds = prepared.store.with_reverse_complements();
-            let gst = Gst::build(&ds, params.gst);
-            (ds, gst)
-        });
-        let ((clustering, stats), cluster_seconds) = timed(|| cluster_over_gst(&ds, gst, &params));
+        // The serial stage under a `cluster` span: the GST time is its
+        // `gst_build` child, the total the span itself.
+        let mut ctx = RunContext::new("table3");
+        let (part, _) = ctx.scope("cluster", |ctx| cluster(&prepared.store, &params, &Exec::Threads(1), ctx));
+        let run = ctx.finish();
+        let span = run.span("cluster").expect("the cluster span");
         rows.push(Row {
             name: prepared.name.clone(),
             fragments: prepared.store.num_fragments(),
             input_bp: prepared.total_bp(),
-            gst_seconds,
-            total_seconds: gst_seconds + cluster_seconds,
-            stats,
-            clustering,
+            gst_seconds: span.find("cluster/gst_build").expect("the GST build span").wall_seconds,
+            total_seconds: span.wall_seconds,
+            stats: part.stats,
+            clustering: part.clustering,
         });
     }
     let table: Vec<Vec<String>> = rows

@@ -1,12 +1,20 @@
-//! Shared harness utilities: scale handling, timing, table printing,
-//! formatting.
+//! Shared harness utilities: the in-process cluster stage, scale
+//! handling, timing, table printing, formatting.
 
-/// Run `f`, returning its value and its wall seconds: the one clock the
-/// experiments that print a time read.
+use pgasm_core::{cluster, ClusterParams, Exec, Partition};
+use pgasm_seq::FragmentStore;
+use pgasm_telemetry::RunContext;
+
+/// Run `f`, returning its value and its wall seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
+}
+
+/// The cluster stage in process (the serial engine) over `store`.
+pub fn cluster_in_process(store: &FragmentStore, params: &ClusterParams) -> Partition {
+    cluster(store, params, &Exec::Threads(1), &mut RunContext::new("bench")).0
 }
 
 /// Workload scale factor from `PGASM_SCALE` (default 1.0).

@@ -8,14 +8,13 @@
 
 use crate::datasets;
 use crate::util::*;
-use pgasm_core::cluster_serial;
 use pgasm_core::validation::{validate_clusters, ValidationReport};
 
 /// Run the experiment.
 pub fn run(scale: f64) -> ValidationReport {
     let prepared = datasets::drosophila((120_000.0 * scale) as usize, 8.8, 33, true);
     let params = datasets::default_params();
-    let (clustering, _) = cluster_serial(&prepared.store, &params);
+    let clustering = cluster_in_process(&prepared.store, &params).clustering;
     let report = validate_clusters(&clustering, &prepared.origin, &prepared.reads.provenance, 2_000);
     print_table(
         "SEC91b: cluster-to-genome validation (drosophila-like WGS)",

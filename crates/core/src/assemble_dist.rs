@@ -30,17 +30,17 @@
 //! ⌈n/(p−1)⌉-cluster block per worker) and exists as the ablation
 //! baseline.
 
-use crate::checkpoint::STAGE_ASSEMBLE;
+use crate::checkpoint::{StageRecovery, STAGE_ASSEMBLE};
 use crate::clustering::Clustering;
 use crate::engine::{
-    run_stage, Counters, EngineConfig, MasterReport, RunOpts, Snapshot, StageClient, StageSpec, Task,
-    TaskSink, TaskSource, WorkerReport,
+    run_stage, Counters, EngineConfig, MasterReport, Snapshot, StageClient, StageSpec, Task, TaskSink,
+    TaskSource, WorkerReport,
 };
 use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig, Contig, Placement};
 use pgasm_mpisim::Comm;
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
-use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
+use pgasm_telemetry::trace::{RankTrace, TraceCategory, TraceSpec, Tracer};
 use pgasm_telemetry::{names, RankReport};
 
 /// How the master orders clusters for dispatch.
@@ -51,9 +51,9 @@ pub enum AssignPolicy {
     /// clusters are pinned early and the tail back-fills the gaps.
     Lpt,
     /// Contiguous chunking in natural order, one ⌈n/(p−1)⌉-cluster
-    /// block per worker — what the serial pipeline's OS-thread loop
-    /// (`pipeline::assemble_clusters_q`) does with its threads, kept as
-    /// the load-balance ablation baseline.
+    /// block per worker — what in-process assembly
+    /// ([`crate::Exec::Threads`]) does with its threads, kept as the
+    /// load-balance ablation baseline.
     Static,
 }
 
@@ -62,6 +62,7 @@ impl AssignPolicy {
     /// per non-singleton cluster, in dispatch order, and how many of
     /// them travel in each grant to one of `workers` workers.
     pub fn plan(self, clustering: &Clustering, workers: usize) -> (Vec<AssembleTask>, usize) {
+        assert!(workers >= 1, "distributed assembly needs at least 2 ranks");
         let mut tasks: Vec<AssembleTask> = clustering
             .non_singletons()
             .enumerate()
@@ -86,28 +87,24 @@ impl AssignPolicy {
 #[derive(Debug, Clone)]
 pub struct DistAssembleReport {
     /// Per-non-singleton-cluster assemblies, index-parallel with
-    /// `clustering.non_singletons()` — byte-identical to the threaded
-    /// path's output.
+    /// `clustering.non_singletons()` — byte-identical to in-process
+    /// assembly's.
     pub assemblies: Vec<Assembly>,
     /// Wall-clock seconds of the assemble phase (max over ranks).
     pub assemble_seconds: f64,
-    /// Per-rank thread-CPU seconds of the phase (rank 0 = master): each
-    /// rank channel's `cpu_seconds`.
+    /// Per-rank thread-CPU seconds of the phase (rank 0 = master).
     pub cpu_seconds: Vec<f64>,
     /// Per-worker idle fraction (blocked time / phase time).
     pub worker_idle_fraction: Vec<f64>,
     /// Fraction of the phase the master spent blocked awaiting reports.
     pub master_availability: f64,
-    /// Per-rank telemetry channels (rank ids 0..p, merged with the
-    /// clustering stage's by `RunContext::merge_ranks`).
+    /// Per-rank telemetry channels, rank ids 0..p as in clustering.
     pub ranks: Vec<RankReport>,
-    /// Per-rank event traces on track ids 0..p — the clustering
-    /// stage's, so `RunContext::merge_traces` appends them to the
-    /// tracks those ranks already have; empty when tracing was off.
+    /// Per-rank event traces on track ids 0..p, as in clustering (empty
+    /// tracks when tracing was off).
     pub traces: Vec<RankTrace>,
     /// The fault plan killed the master: unassembled slots hold empty
-    /// placeholder assemblies and the run should resume from the last
-    /// checkpoint.
+    /// placeholders.
     pub killed: bool,
 }
 
@@ -194,7 +191,7 @@ fn decode_slots(r: &mut Reader<'_>, results: &mut [Option<Assembly>]) -> Result<
 
 /// Master-side client: collects shipped assemblies into their slots.
 /// Workers never announce tasks, so `select` is vestigial here.
-struct AssembleSource {
+pub(crate) struct AssembleSource {
     results: Vec<Option<Assembly>>,
 }
 
@@ -241,7 +238,7 @@ impl Snapshot for AssembleSource {
 /// Worker-side client: assembles each allocated cluster and encodes the
 /// contigs for shipment. The generator is empty from the start — all
 /// tasks come seeded from the master.
-struct AssembleSink<'a> {
+pub(crate) struct AssembleSink<'a> {
     store: &'a FragmentStore,
     quals: Option<&'a [QualityTrack]>,
     config: &'a AssemblyConfig,
@@ -287,12 +284,14 @@ impl TaskSink<AssembleTask> for AssembleSink<'_> {
 
 /// The stage's work, as [`run_stage`] sees it. A rank's output is the
 /// master's slot table (`None` on workers).
-struct AssembleStage<'a> {
-    store: &'a FragmentStore,
-    quals: Option<&'a [QualityTrack]>,
-    config: &'a AssemblyConfig,
-    /// Every task, in dispatch order.
-    tasks: Vec<AssembleTask>,
+pub(crate) struct AssembleStage<'a> {
+    pub(crate) store: &'a FragmentStore,
+    pub(crate) quals: Option<&'a [QualityTrack]>,
+    pub(crate) config: &'a AssemblyConfig,
+    /// Every task, in dispatch order, and how many travel per grant
+    /// ([`AssignPolicy::plan`]).
+    pub(crate) tasks: Vec<AssembleTask>,
+    pub(crate) batch: usize,
 }
 
 impl<'a> StageClient for AssembleStage<'a> {
@@ -346,8 +345,10 @@ impl<'a> StageClient for AssembleStage<'a> {
     }
 }
 
-/// [`assemble_parallel_with`] under the default [`RunOpts`]: no
-/// tracing, no fault injection, no checkpoints.
+/// The stage on `p` ranks under `policy`, untraced and fault-free: what
+/// the benchmark harness links until ROADMAP item 11 retires it, and the
+/// one way to run the `Static` baseline. Call [`crate::assemble`].
+#[doc(hidden)]
 pub fn assemble_parallel(
     store: &FragmentStore,
     quals: Option<&[QualityTrack]>,
@@ -356,32 +357,27 @@ pub fn assemble_parallel(
     p: usize,
     policy: AssignPolicy,
 ) -> DistAssembleReport {
-    assemble_parallel_with(store, quals, clustering, config, p, policy, &RunOpts::default())
+    let (tasks, batch) = policy.plan(clustering, p.saturating_sub(1));
+    let job = AssembleStage { store, quals, config, tasks, batch };
+    assemble_on_ranks(job, p, TraceSpec::off(), &StageRecovery::default())
 }
 
-/// Assemble every non-singleton cluster on `p ≥ 2` simulated ranks:
-/// the master seeds the engine with whole-cluster tasks (ordered per
-/// `policy`), workers assemble and ship contigs back. The result vector
-/// is index-parallel with `clustering.non_singletons()` and
-/// byte-identical to the threaded `assemble_clusters_q` path.
-pub fn assemble_parallel_with(
-    store: &FragmentStore,
-    quals: Option<&[QualityTrack]>,
-    clustering: &Clustering,
-    config: &AssemblyConfig,
+/// Assemble `job` on `p ≥ 2` simulated ranks: the master seeds the
+/// engine with its tasks in dispatch order, workers assemble and ship
+/// contigs back. Ranks trace under `trace` and recover per `recovery`,
+/// as given. The result is index-parallel with the non-singletons.
+pub(crate) fn assemble_on_ranks(
+    job: AssembleStage<'_>,
     p: usize,
-    policy: AssignPolicy,
-    opts: &RunOpts,
+    trace: TraceSpec,
+    recovery: &StageRecovery,
 ) -> DistAssembleReport {
-    assert!(p >= 2, "distributed assembly needs at least 2 ranks");
-    let (tasks, batch) = policy.plan(clustering, p - 1);
-    let n = tasks.len();
     let spec = StageSpec {
         name: STAGE_ASSEMBLE,
         tags: [names::TAG_ASM_W2M_REPORT, names::TAG_ASM_M2W_GRANT],
-        engine: EngineConfig { batch, pending_cap: n.max(1) },
+        engine: EngineConfig { batch: job.batch, pending_cap: job.tasks.len().max(1) },
     };
-    let mut run = run_stage(p, &spec, opts, &AssembleStage { store, quals, config, tasks });
+    let mut run = run_stage(p, &spec, trace, recovery, &job);
     // A killed master leaves holes; placeholders keep the slot indexing
     // intact and `killed` tells the caller to resume.
     let killed = run.killed;
@@ -408,10 +404,11 @@ pub fn assemble_parallel_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::{cluster_serial, ClusterParams};
-    use crate::pipeline::assemble_clusters_q;
+    use crate::clustering::ClusterParams;
+    use crate::stages::{in_process, Exec};
     use pgasm_align::AcceptCriteria;
     use pgasm_gst::GstConfig;
+    use pgasm_telemetry::RunContext;
 
     fn genome(seed: u64, len: usize) -> String {
         let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -456,10 +453,12 @@ mod tests {
     #[test]
     fn distributed_matches_threaded_at_several_rank_counts() {
         let store = heavy_tailed_store();
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         assert!(clustering.num_non_singletons() >= 3, "fixture produces several clusters");
         let cfg = AssemblyConfig::default();
-        let threaded = assemble_clusters_q(&store, None, &clustering, &cfg, 4);
+        let exec = Exec::Threads(4);
+        let (threaded, _) =
+            crate::assemble(&store, None, &clustering, &cfg, &exec, &mut RunContext::new("test"));
         for p in [2usize, 4, 8] {
             for policy in [AssignPolicy::Lpt, AssignPolicy::Static] {
                 let dist = assemble_parallel(&store, None, &clustering, &cfg, p, policy);
@@ -471,7 +470,7 @@ mod tests {
     #[test]
     fn rank_reports_cover_the_phase() {
         let store = heavy_tailed_store();
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         let cfg = AssemblyConfig::default();
         let dist = assemble_parallel(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt);
         assert_eq!(dist.ranks.len(), 4);
@@ -507,7 +506,7 @@ mod tests {
         // giant, while static chunking gives some rank the giant plus
         // its whole neighbouring block.
         let store = heavy_tailed_store();
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         let cfg = AssemblyConfig::default();
         let ratio = |policy: AssignPolicy| {
             let dist = assemble_parallel(&store, None, &clustering, &cfg, 8, policy);
@@ -558,7 +557,7 @@ mod tests {
     #[test]
     fn empty_clustering_terminates() {
         let store = FragmentStore::from_seqs(vec![DnaSeq::from(genome(9, 300).as_str())]);
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         let dist =
             assemble_parallel(&store, None, &clustering, &AssemblyConfig::default(), 3, AssignPolicy::Lpt);
         assert!(dist.assemblies.is_empty());
@@ -567,27 +566,28 @@ mod tests {
     use crate::checkpoint::StageRecovery;
     use pgasm_mpisim::FaultPlan;
 
-    /// The stage at p = 4 under LPT — one cluster per lease, so
-    /// fault-free exactly one lease per non-singleton cluster.
-    fn run_with(
-        store: &FragmentStore,
-        clustering: &Clustering,
-        recovery: StageRecovery,
-    ) -> DistAssembleReport {
-        let opts = RunOpts { recovery, ..RunOpts::default() };
-        assemble_parallel_with(
-            store,
-            None,
-            clustering,
-            &AssemblyConfig::default(),
-            4,
-            AssignPolicy::Lpt,
-            &opts,
-        )
+    /// What a run of the stage leaves: its product and rank channels.
+    struct Run {
+        assemblies: Vec<Assembly>,
+        killed: bool,
+        ranks: Vec<RankReport>,
     }
 
+    /// The stage at p = 4, which runs LPT — one cluster per lease, so
+    /// fault-free exactly one lease per non-singleton cluster.
+    fn run_with(store: &FragmentStore, clustering: &Clustering, recovery: StageRecovery) -> Run {
+        let exec = Exec::Ranks { p: 4, engine: EngineConfig::default(), recovery };
+        let mut ctx = RunContext::new("test");
+        let (assemblies, killed) =
+            crate::assemble(store, None, clustering, &AssemblyConfig::default(), &exec, &mut ctx);
+        Run { assemblies, killed, ranks: ctx.finish().ranks }
+    }
+
+    /// A plan for this stage: its clauses are scoped to `assemble`.
     fn faults(plan: &str) -> StageRecovery {
-        StageRecovery { faults: FaultPlan::parse(plan).unwrap(), ..StageRecovery::default() }
+        let plan =
+            plan.split(';').map(|clause| format!("{clause},stage=assemble")).collect::<Vec<_>>().join(";");
+        StageRecovery { faults: FaultPlan::parse(&plan).unwrap(), ..StageRecovery::default() }
     }
 
     #[test]
@@ -598,7 +598,7 @@ mod tests {
         // when K is the last cluster of the stage, granted when the
         // other workers are already parked.
         let store = heavy_tailed_store();
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
         let last = clustering.num_non_singletons();
         for lease in [1, last / 2, last] {
@@ -629,24 +629,24 @@ mod tests {
     #[test]
     fn master_kill_checkpoint_resume_reproduces_assemblies() {
         let store = heavy_tailed_store();
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         assert!(clustering.num_non_singletons() >= 4, "lease p = 4 is always issued");
         let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
         let dir = std::env::temp_dir().join(format!("pgasm-asm-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("assemble.pgck");
+        let (base, path) = (dir.join("run"), dir.join("run.assemble.pgck"));
         // The master dies in place of issuing lease p: by then some
         // worker has reported a cluster, and the cadence is one.
         let faulty = StageRecovery {
             checkpoint_every: Some(1),
-            checkpoint_path: Some(path.clone()),
+            checkpoint_path: Some(base.clone()),
             ..faults("kill:master,lease=4")
         };
         let r1 = run_with(&store, &clustering, faulty);
         assert!(r1.killed, "the plan kills the master mid-protocol");
         assert!(path.exists(), "a checkpoint landed before the kill");
-        let resume = StageRecovery { resume_from: Some(path.clone()), ..StageRecovery::default() };
+        let resume = StageRecovery { resume_from: Some(base), ..StageRecovery::default() };
         let r2 = run_with(&store, &clustering, resume);
         assert_eq!(r2.assemblies, expected);
         assert!(!r2.killed);

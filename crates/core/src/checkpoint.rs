@@ -76,9 +76,17 @@ impl StageRecovery {
         }
     }
 
-    /// Narrow the fault plan to `stage`, keeping the other settings.
-    pub fn for_stage(&self, stage: FaultStage) -> StageRecovery {
-        StageRecovery { faults: self.faults.for_stage(stage), ..self.clone() }
+    /// Stage `name`'s settings from a whole run's: the plan narrowed to
+    /// `stage`, the two paths bases of the file `<base>.<name>.pgck`.
+    pub fn for_stage(&self, stage: FaultStage, name: &str) -> StageRecovery {
+        let own = |base: &PathBuf| {
+            let mut path = base.clone().into_os_string();
+            path.push(format!(".{name}.pgck"));
+            PathBuf::from(path)
+        };
+        let (checkpoint_path, resume_from) =
+            (self.checkpoint_path.as_ref().map(own), self.resume_from.as_ref().map(own));
+        StageRecovery { faults: self.faults.for_stage(stage), checkpoint_path, resume_from, ..*self }
     }
 }
 
@@ -162,9 +170,16 @@ mod tests {
         assert!(half.ckpt_spec().is_none());
 
         let plan = FaultPlan::parse("kill:lease=100,stage=cluster; kill:lease=50,stage=assemble").unwrap();
-        let r = StageRecovery { faults: plan, checkpoint_every: Some(10), ..StageRecovery::default() };
-        let cluster = r.for_stage(FaultStage::Cluster);
+        let r = StageRecovery {
+            faults: plan,
+            checkpoint_every: Some(10),
+            checkpoint_path: Some(PathBuf::from("run")),
+            ..StageRecovery::default()
+        };
+        let cluster = r.for_stage(FaultStage::Cluster, STAGE_CLUSTER);
         assert_eq!(cluster.faults.clauses.len(), 1);
         assert_eq!(cluster.checkpoint_every, Some(10), "other settings survive the narrowing");
+        assert_eq!(cluster.checkpoint_path, Some(PathBuf::from("run.cluster.pgck")));
+        assert_eq!(cluster.resume_from, None);
     }
 }

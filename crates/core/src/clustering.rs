@@ -202,17 +202,11 @@ impl<'s> PairDecider<'s> {
 /// so partitions an older build cached miss instead of standing in.
 pub const CLUSTERING_REVISION: u32 = 1;
 
-/// Serial clustering of `store` (single-stranded input fragments).
-/// Returns the clustering and the work statistics.
-pub fn cluster_serial(store: &FragmentStore, params: &ClusterParams) -> (Clustering, ClusterStats) {
-    cluster_serial_with_gst(store, params, None)
-}
-
-/// As [`cluster_serial`], optionally reusing a GST already built over
-/// `store.with_reverse_complements()`. The prebuilt tree must match the
-/// parameters and the store it claims to index; a mismatch is a caller
-/// bug (a wrong tree would silently produce a wrong clustering), so it
-/// panics.
+/// The serial clustering of `store`, optionally over a GST built over
+/// its double-stranded view: what the benchmark harness links until
+/// ROADMAP item 11 retires it; call [`crate::cluster`]. A prebuilt tree
+/// of other parameters or another store would cluster wrong: it panics.
+#[doc(hidden)]
 pub fn cluster_serial_with_gst(
     store: &FragmentStore,
     params: &ClusterParams,
@@ -233,7 +227,11 @@ pub fn cluster_serial_with_gst(
 
 /// The serial engine proper: cluster the fragments of the
 /// double-stranded store `ds` from the pairs of `gst`, built over it.
-pub fn cluster_over_gst(ds: &FragmentStore, gst: Gst, params: &ClusterParams) -> (Clustering, ClusterStats) {
+pub(crate) fn cluster_over_gst(
+    ds: &FragmentStore,
+    gst: Gst,
+    params: &ClusterParams,
+) -> (Clustering, ClusterStats) {
     let canonical = params.canonical_strands;
     let generator = PairGenerator::new(gst, params.mode, move |a, b| {
         same_fragment_skip(a, b) || (canonical && canonical_skip(a, b))
@@ -262,8 +260,8 @@ pub fn cluster_over_gst(ds: &FragmentStore, gst: Gst, params: &ClusterParams) ->
 }
 
 /// Reference clustering that aligns *every* generated pair (no
-/// cluster-check shortcut) — used by tests and the ordering ablation to
-/// show the heuristic changes work, not results.
+/// cluster-check shortcut): the tests' oracle.
+#[doc(hidden)]
 pub fn cluster_exhaustive(store: &FragmentStore, params: &ClusterParams) -> (Clustering, ClusterStats) {
     assert!(!store.is_double_stranded());
     let n = store.num_fragments();
@@ -296,6 +294,7 @@ pub fn cluster_exhaustive(store: &FragmentStore, params: &ClusterParams) -> (Clu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::in_process;
     use pgasm_seq::DnaSeq;
 
     fn params() -> ClusterParams {
@@ -336,7 +335,7 @@ mod tests {
         reads.extend(tile(&g2, 200, 100));
         let n1 = tile(&g1, 200, 100).len();
         let store = FragmentStore::from_seqs(reads);
-        let (clustering, stats) = cluster_serial(&store, &params());
+        let (clustering, stats) = in_process(&store, &params());
         assert_eq!(clustering.num_non_singletons(), 2, "{clustering:?}");
         assert_eq!(clustering.num_singletons(), 0);
         // First island's reads together, second island's together.
@@ -355,7 +354,7 @@ mod tests {
             }
         }
         let store = FragmentStore::from_seqs(reads);
-        let (clustering, _) = cluster_serial(&store, &params());
+        let (clustering, _) = in_process(&store, &params());
         assert_eq!(clustering.num_non_singletons(), 1);
         assert_eq!(clustering.num_singletons(), 0);
     }
@@ -364,7 +363,7 @@ mod tests {
     fn unrelated_reads_stay_singletons() {
         let reads: Vec<DnaSeq> = (0..6).map(|i| DnaSeq::from(genome(100 + i, 250).as_str())).collect();
         let store = FragmentStore::from_seqs(reads);
-        let (clustering, stats) = cluster_serial(&store, &params());
+        let (clustering, stats) = in_process(&store, &params());
         assert_eq!(clustering.num_singletons(), 6);
         assert_eq!(stats.accepted, 0);
     }
@@ -378,7 +377,7 @@ mod tests {
         reads.extend(tile(&g2, 200, 80));
         let store = FragmentStore::from_seqs(reads);
         let p = params();
-        let (heur, hstats) = cluster_serial(&store, &p);
+        let (heur, hstats) = in_process(&store, &p);
         let (exh, estats) = cluster_exhaustive(&store, &p);
         assert_eq!(heur, exh);
         assert!(hstats.aligned <= estats.aligned, "heuristic must not align more");
@@ -416,7 +415,7 @@ mod tests {
         // Read i's unmasked second half overlaps read i+1's *masked*
         // first half only.
         let store = FragmentStore::from_seqs(reads);
-        let (clustering, stats) = cluster_serial(&store, &params());
+        let (clustering, stats) = in_process(&store, &params());
         assert_eq!(clustering.num_singletons(), 3, "{clustering:?}");
         assert_eq!(stats.generated, 0, "masked overlaps should not even generate pairs");
     }

@@ -98,7 +98,7 @@
 
 mod stage;
 
-pub use stage::{run_stage, Counters, RunOpts, Snapshot, StageClient, StageRun, StageSpec};
+pub use stage::{run_stage, Counters, Snapshot, StageClient, StageRun, StageSpec};
 
 use pgasm_mpisim::{Comm, CommError, Event, FaultAction, FaultPoint, Msg};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};

@@ -21,25 +21,6 @@ use pgasm_telemetry::{names, RankReport};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Per-run options of a distributed stage. A separate argument (not a
-/// field of the stages' serialisable configs) because the [`TraceSpec`]
-/// carries the run's shared clock epoch, which has no serial form. The
-/// default — tracing off, passive recovery — does not even arm the comm
-/// layer's fault plan.
-#[derive(Debug, Clone)]
-pub struct RunOpts {
-    /// Per-rank event tracing (spans, instants and gauges).
-    pub trace: TraceSpec,
-    /// Scripted fault injection and checkpoint/resume.
-    pub recovery: StageRecovery,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts { trace: TraceSpec::off(), recovery: StageRecovery::default() }
-    }
-}
-
 /// Everything that distinguishes one stage's run from another's, apart
 /// from the work: pure data. A rank is the same rank in every stage —
 /// rank 0 the `"master"`, the rest `"worker"`s, its trace track id its
@@ -121,14 +102,13 @@ pub trait StageClient: Sync {
 pub struct StageRun<O> {
     /// Each rank's client product.
     pub outputs: Vec<O>,
-    /// Wall-clock seconds each rank spent in the pre-phase.
-    pub pre_seconds: Vec<f64>,
-    /// Wall-clock seconds of the protocol phase (max over ranks).
+    /// Wall-clock seconds of the pre-phase and of the protocol phase
+    /// (each the max over ranks).
+    pub pre_seconds: f64,
     pub seconds: f64,
     /// Per-worker idle fraction: its channel's `idle_seconds` over its
-    /// protocol-phase wall time.
+    /// protocol-phase wall time; the master's is its availability.
     pub worker_idle_fraction: Vec<f64>,
-    /// Fraction of the phase the master spent blocked awaiting reports.
     pub master_availability: f64,
     /// Per-rank telemetry channels: `cpu_seconds` and `idle_seconds`
     /// cover the protocol phase; the `comm` rows and the
@@ -151,7 +131,8 @@ struct RankRun<O> {
     master: MasterReport,
 }
 
-/// Run one engine stage on `p ≥ 2` simulated ranks.
+/// Run one engine stage on `p ≥ 2` simulated ranks, tracing under
+/// `trace` and recovering per `recovery`.
 ///
 /// # Panics
 /// A rank that fails with anything but a scripted kill — a malformed
@@ -161,10 +142,10 @@ struct RankRun<O> {
 pub fn run_stage<C: StageClient>(
     p: usize,
     spec: &StageSpec,
-    opts: &RunOpts,
+    trace: TraceSpec,
+    recovery: &StageRecovery,
     client: &C,
 ) -> StageRun<C::Output> {
-    let (trace, recovery) = (opts.trace, &opts.recovery);
     let ranks = pgasm_mpisim::run(p, move |comm| -> Result<RankRun<C::Output>, CommError> {
         let rank = comm.rank();
         let role = if rank == 0 { "master" } else { "worker" };
@@ -262,7 +243,7 @@ pub fn run_stage<C: StageClient>(
 
     let mut run = StageRun {
         outputs: Vec::with_capacity(p),
-        pre_seconds: Vec::with_capacity(p),
+        pre_seconds: 0.0,
         seconds: 0.0,
         worker_idle_fraction: Vec::with_capacity(p - 1),
         master_availability: 0.0,
@@ -280,7 +261,7 @@ pub fn run_stage<C: StageClient>(
             run.worker_idle_fraction.push(idle_fraction);
         }
         run.outputs.push(r.output);
-        run.pre_seconds.push(r.pre_seconds);
+        run.pre_seconds = run.pre_seconds.max(r.pre_seconds);
         run.seconds = run.seconds.max(r.wall);
         run.ranks.push(r.report);
         run.traces.push(r.trace);

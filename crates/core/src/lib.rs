@@ -30,8 +30,10 @@
 //!   the master schedules whole clusters largest-first (LPT) onto
 //!   worker ranks, workers assemble and ship contigs back, with the
 //!   same telemetry surface as clustering.
-//! - [`pipeline`] — end-to-end convenience: preprocess → cluster →
-//!   per-cluster assembly, with the summary statistics §8 reports.
+//! - [`stages`] — the one way to run a stage: [`cluster`] and
+//!   [`assemble`], in process or on simulated ranks ([`Exec`]).
+//! - [`pipeline`] — preprocess → cluster → assemble in a line around
+//!   the artifact cache, with the summary statistics §8 reports.
 //! - [`cache`] — content-addressed per-stage artifact cache: repeated
 //!   runs over identical inputs and parameters reload the preprocess
 //!   output, the partition and the contigs from disk instead of
@@ -52,19 +54,17 @@ pub mod engine;
 pub mod master_worker;
 pub mod parallel_gst;
 pub mod pipeline;
+pub mod stages;
 pub mod unionfind;
 pub mod validation;
 
-pub use assemble_dist::{assemble_parallel, assemble_parallel_with, AssignPolicy, DistAssembleReport};
-pub use cache::{ArtifactCache, StableHasher};
+pub use stages::{assemble, cluster, Exec, Partition};
+
+pub use assemble_dist::{assemble_parallel, AssignPolicy};
 pub use checkpoint::StageRecovery;
-pub use clustering::{
-    cluster_exhaustive, cluster_serial, cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering,
-    CLUSTERING_REVISION,
-};
-pub use engine::{EngineConfig, MasterReport, RunOpts, Task, TaskSink, TaskSource, WorkerReport};
-pub use master_worker::{cluster_parallel, cluster_parallel_with, MasterWorkerConfig, ParallelClusterReport};
-pub use parallel_gst::{build_distributed_gst, DistributedGstReport};
-pub use pgasm_align::AlignScratch;
+pub use clustering::{cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering, CLUSTERING_REVISION};
+pub use engine::EngineConfig;
+pub use master_worker::{cluster_parallel, MasterWorkerConfig};
+pub use parallel_gst::build_distributed_gst;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
 pub use unionfind::UnionFind;

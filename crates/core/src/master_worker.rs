@@ -27,13 +27,13 @@
 //! measured here, and fragment-byte movement is accounted once in the
 //! GST construction phase.
 
-use crate::checkpoint::STAGE_CLUSTER;
+use crate::checkpoint::{StageRecovery, STAGE_CLUSTER};
 use crate::clustering::{
     canonical_skip, same_fragment_skip, ClusterParams, ClusterStats, Clustering, PairDecider,
 };
 use crate::engine::{
-    run_stage, Counters, EngineConfig, MasterReport, RunOpts, Snapshot, StageClient, StageSpec, Task,
-    TaskSink, TaskSource, WorkerReport,
+    run_stage, Counters, EngineConfig, MasterReport, Snapshot, StageClient, StageSpec, Task, TaskSink,
+    TaskSource, WorkerReport,
 };
 use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
 use crate::unionfind::UnionFind;
@@ -42,15 +42,12 @@ use pgasm_gst::{Gst, PairGenerator, PromisingPair};
 use pgasm_mpisim::Comm;
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
 use pgasm_seq::{FragmentStore, SeqId};
-use pgasm_telemetry::trace::{RankTrace, TraceCategory, Tracer};
+use pgasm_telemetry::trace::{RankTrace, TraceCategory, TraceSpec, Tracer};
 use pgasm_telemetry::{names, RankReport};
 use std::collections::VecDeque;
 
 /// Master–worker *runtime* configuration: the engine's protocol knobs
-/// (pairs per grant, pending-buffer capacity) and nothing else. What to
-/// cluster and how (GST window, scoring, acceptance, mode) lives in
-/// [`ClusterParams`], passed alongside — the one place those parameters
-/// are defined.
+/// and nothing else; what to cluster and how is [`ClusterParams`].
 pub type MasterWorkerConfig = EngineConfig;
 
 /// Outcome of a parallel clustering run.
@@ -63,29 +60,22 @@ pub struct ParallelClusterReport {
     /// Per-rank GST construction reports.
     pub gst_reports: Vec<RankGstReport>,
     /// Wall-clock seconds of the GST phase: the longest rank's
-    /// pre-phase window, closing barrier included. (Each rank's thread-CPU
-    /// share is its report's `compute_seconds`.)
+    /// pre-phase window, closing barrier included.
     pub gst_seconds: f64,
     /// Wall-clock seconds of the clustering phase (max over ranks).
     pub cluster_seconds: f64,
-    /// Per-worker idle fraction during clustering (blocked time /
-    /// phase time) — the §7.2 idle-percentage metric.
+    /// Per-worker idle fraction during clustering — §7.2's idle
+    /// percentage.
     pub worker_idle_fraction: Vec<f64>,
     /// Fraction of the clustering phase the master spent available
     /// (blocked waiting for requests) — §7.2 reports 90% → 70%.
     pub master_availability: f64,
-    /// Per-rank telemetry channels: role, thread-CPU and idle seconds
-    /// of the clustering phase (rank 0 = master), rank-local counters
-    /// (pairs generated/aligned/accepted, batch round-trips, peak queue
-    /// depth), and the rank's per-tag traffic with modelled α–β time
-    /// over the whole stage, GST pre-phase included.
+    /// Per-rank telemetry channels (rank 0 = master).
     pub ranks: Vec<RankReport>,
-    /// Per-rank event traces covering the whole stage (GST +
-    /// clustering; spans, instants and the queue-depth / occupancy /
-    /// align-scratch gauges); empty tracks when tracing was off.
+    /// Per-rank event traces of the whole stage (empty tracks when
+    /// tracing was off).
     pub traces: Vec<RankTrace>,
-    /// The fault plan killed the master: the clustering above is
-    /// partial and the run should resume from the last checkpoint.
+    /// The fault plan killed the master: the clustering is partial.
     pub killed: bool,
 }
 
@@ -107,26 +97,29 @@ impl Task for PromisingPair {
     }
 }
 
-/// [`cluster_parallel_with`] under the default [`RunOpts`]: no tracing,
-/// no fault injection, no checkpoints.
+/// The stage on `p` ranks, untraced and fault-free: what the benchmark
+/// harness links until ROADMAP item 11 retires it. Call
+/// [`crate::cluster`].
+#[doc(hidden)]
 pub fn cluster_parallel(
     store: &FragmentStore,
     p: usize,
     params: &ClusterParams,
     config: &MasterWorkerConfig,
 ) -> ParallelClusterReport {
-    cluster_parallel_with(store, p, params, config, &RunOpts::default())
+    cluster_on_ranks(store, p, params, config, TraceSpec::off(), &StageRecovery::default())
 }
 
 /// Run the master–worker clustering on `p ≥ 2` ranks. `params` says
-/// what to cluster and how; `config` tunes the runtime protocol; `opts`
-/// carries the per-run tracing and recovery settings.
-pub fn cluster_parallel_with(
+/// what to cluster and how; `config` tunes the runtime protocol; ranks
+/// trace under `trace` and recover per `recovery`, as given.
+pub(crate) fn cluster_on_ranks(
     store: &FragmentStore,
     p: usize,
     params: &ClusterParams,
     config: &MasterWorkerConfig,
-    opts: &RunOpts,
+    trace: TraceSpec,
+    recovery: &StageRecovery,
 ) -> ParallelClusterReport {
     assert!(p >= 2, "master–worker needs at least 2 ranks");
     assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
@@ -138,15 +131,14 @@ pub fn cluster_parallel_with(
         tags: [names::TAG_W2M_REPORT, names::TAG_M2W_GRANT],
         engine: *config,
     };
-    let run = run_stage(p, &spec, opts, &client);
+    let run = run_stage(p, &spec, trace, recovery, &client);
 
-    let gst_seconds = run.pre_seconds.iter().copied().fold(0.0, f64::max);
     let (gst_reports, results): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
     let (clustering, stats) = results.into_iter().flatten().next().expect("master produced the clustering");
     ParallelClusterReport {
         clustering,
         stats,
-        gst_seconds,
+        gst_seconds: run.pre_seconds,
         gst_reports,
         cluster_seconds: run.seconds,
         worker_idle_fraction: run.worker_idle_fraction,
@@ -444,8 +436,8 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::cluster_serial;
     use crate::engine::compute_r;
+    use crate::stages::in_process;
     use pgasm_align::AcceptCriteria;
     use pgasm_gst::GstConfig;
     use pgasm_seq::DnaSeq;
@@ -496,7 +488,7 @@ mod tests {
     #[test]
     fn parallel_matches_serial_partition() {
         let store = test_store();
-        let (serial, _) = cluster_serial(&store, &params());
+        let (serial, _) = in_process(&store, &params());
         for p in [2usize, 3, 5] {
             let report = cluster_parallel(&store, p, &params(), &config());
             assert_eq!(report.clustering, serial, "p = {p}");
@@ -598,7 +590,7 @@ mod tests {
         // empty report/grant round-trips forever — this config
         // livelocked.
         let store = test_store();
-        let (serial, _) = cluster_serial(&store, &params());
+        let (serial, _) = in_process(&store, &params());
         let cfg = MasterWorkerConfig { batch: 8, pending_cap: 2 };
         for p in [2usize, 4] {
             let report = cluster_parallel(&store, p, &params(), &cfg);
@@ -640,13 +632,54 @@ mod tests {
         cluster_parallel(&store, 1, &params(), &config());
     }
 
-    use crate::assemble_dist::{assemble_parallel_with, AssignPolicy};
     use crate::checkpoint::StageRecovery;
+    use crate::stages::Exec;
     use pgasm_mpisim::FaultPlan;
-    use pgasm_telemetry::trace::TraceSpec;
+    use pgasm_telemetry::RunContext;
 
-    fn run_with(store: &FragmentStore, p: usize, recovery: StageRecovery) -> ParallelClusterReport {
-        cluster_parallel_with(store, p, &params(), &config(), &RunOpts { recovery, ..RunOpts::default() })
+    fn ranks(p: usize, recovery: StageRecovery) -> Exec {
+        Exec::Ranks { p, engine: config(), recovery }
+    }
+
+    /// What a traced run of one stage leaves: its rank channels and rank
+    /// tracks.
+    struct Stage {
+        ranks: Vec<RankReport>,
+        traces: Vec<RankTrace>,
+    }
+
+    /// Both stages on `p` ranks, traced, each into a context of its own.
+    fn both_stages(store: &FragmentStore, p: usize) -> (Stage, Stage) {
+        let exec = ranks(p, StageRecovery::default());
+        let traced = || {
+            let mut ctx = RunContext::new("test");
+            ctx.bind_track(&TraceSpec::on());
+            ctx
+        };
+        let stage = |ctx: RunContext| {
+            let traces = ctx.trace_document().tracks.into_iter().filter(|t| t.label != "pipeline").collect();
+            Stage { ranks: ctx.finish().ranks, traces }
+        };
+        let mut ctx = traced();
+        let (part, _) = crate::cluster(store, &params(), &exec, &mut ctx);
+        let c = stage(ctx);
+        let mut ctx = traced();
+        crate::assemble(store, None, &part.clustering, &Default::default(), &exec, &mut ctx);
+        (c, stage(ctx))
+    }
+
+    /// What a run of the cluster stage leaves: its product and rank
+    /// channels.
+    struct Run {
+        clustering: Clustering,
+        killed: bool,
+        ranks: Vec<RankReport>,
+    }
+
+    fn run_with(store: &FragmentStore, p: usize, recovery: StageRecovery) -> Run {
+        let mut ctx = RunContext::new("test");
+        let (part, killed) = crate::cluster(store, &params(), &ranks(p, recovery), &mut ctx);
+        Run { clustering: part.clustering, killed, ranks: ctx.finish().ranks }
     }
 
     #[test]
@@ -690,17 +723,7 @@ mod tests {
         ]);
 
         let (store, p) = (test_store(), 3);
-        let opts = RunOpts { trace: TraceSpec::on(), ..RunOpts::default() };
-        let c = cluster_parallel_with(&store, p, &params(), &config(), &opts);
-        let a = assemble_parallel_with(
-            &store,
-            None,
-            &c.clustering,
-            &Default::default(),
-            p,
-            AssignPolicy::Lpt,
-            &opts,
-        );
+        let (c, a) = both_stages(&store, p);
         type Pinned<'a> = (&'a [RankReport], &'a [RankTrace], [&'a Vec<String>; 2], [(u32, &'a str); 2]);
         let stages: [Pinned<'_>; 2] = [
             (&c.ranks, &c.traces, [&cluster_master, &cluster_worker], [(1, "w2m_report"), (2, "m2w_grant")]),
@@ -729,17 +752,7 @@ mod tests {
         // round, and the master sends one grant per report, one per
         // worker it revives from parking, and one termination each.
         let (store, p) = (test_store(), 4);
-        let opts = RunOpts { trace: TraceSpec::on(), ..RunOpts::default() };
-        let c = cluster_parallel_with(&store, p, &params(), &config(), &opts);
-        let a = assemble_parallel_with(
-            &store,
-            None,
-            &c.clustering,
-            &Default::default(),
-            p,
-            AssignPolicy::Lpt,
-            &opts,
-        );
+        let (c, a) = both_stages(&store, p);
         // (sent, received) on a tag.
         let row = |r: &RankReport, tag: u32| {
             r.comm.iter().find(|t| t.tag == tag).map_or((0, 0), |t| (t.msgs_sent, t.msgs_recv))
@@ -799,9 +812,8 @@ mod tests {
         }
     }
 
-    /// The run under `plan`, armed as written (the pipeline's per-stage
-    /// narrowing is not in play here).
-    fn run_faulty(store: &FragmentStore, p: usize, plan: &str) -> ParallelClusterReport {
+    /// The run under `plan`, whose unscoped clauses arm in this stage.
+    fn run_faulty(store: &FragmentStore, p: usize, plan: &str) -> Run {
         let faults = FaultPlan::parse(plan).unwrap();
         run_with(store, p, StageRecovery { faults, ..StageRecovery::default() })
     }
@@ -852,7 +864,7 @@ mod tests {
         // those, and require the exact serial partition, one dead rank
         // and that lease's recovery.
         let store = test_store();
-        let (serial, serial_stats) = cluster_serial(&store, &params());
+        let (serial, serial_stats) = in_process(&store, &params());
         let issued = serial_stats.merges.div_ceil(config().batch as u64);
         assert!(issued >= 3, "the fixture must issue a first, a middle and a last lease");
         // No worker's generator is spent by its opening report, so the
@@ -881,7 +893,7 @@ mod tests {
     #[test]
     fn a_kill_past_the_last_lease_is_a_clean_run() {
         let store = test_store();
-        let (serial, _) = cluster_serial(&store, &params());
+        let (serial, _) = in_process(&store, &params());
         let run = run_faulty(&store, 4, "kill:lease=1000000; kill:master,lease=1000000");
         assert_eq!(run.clustering, serial);
         let master = &run.ranks[0];
@@ -895,20 +907,20 @@ mod tests {
     #[test]
     fn master_kill_checkpoint_resume_reproduces_partition() {
         let store = test_store();
-        let (serial, serial_stats) = cluster_serial(&store, &params());
+        let (serial, serial_stats) = in_process(&store, &params());
         let p = 3;
         assert!(serial_stats.merges.div_ceil(config().batch as u64) >= p as u64, "lease p is always issued");
         let dir = std::env::temp_dir().join(format!("pgasm-mw-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cluster.pgck");
+        let (base, path) = (dir.join("run"), dir.join("run.cluster.pgck"));
         // The master dies in place of issuing lease p. Every lease
         // answers an absorbed report and the cadence is one, so a
         // snapshot is on disk by then.
         let faulty = StageRecovery {
             faults: FaultPlan::parse(&format!("kill:master,lease={p}")).unwrap(),
             checkpoint_every: Some(1),
-            checkpoint_path: Some(path.clone()),
+            checkpoint_path: Some(base.clone()),
             ..StageRecovery::default()
         };
         let r1 = run_with(&store, p, faulty);
@@ -916,7 +928,7 @@ mod tests {
         assert!(path.exists(), "a checkpoint landed before the kill");
         assert!(r1.ranks[0].counter(names::CKPT_WRITES) > 0);
         // Resume from the snapshot, fault-free: identical partition.
-        let resume = StageRecovery { resume_from: Some(path.clone()), ..StageRecovery::default() };
+        let resume = StageRecovery { resume_from: Some(base), ..StageRecovery::default() };
         let r2 = run_with(&store, p, resume);
         assert_eq!(r2.clustering, serial);
         assert!(!r2.killed);

@@ -1,44 +1,37 @@
 //! End-to-end cluster-then-assemble pipeline (paper Fig. 1): three
-//! calls in a line — `preprocess` → `cluster` → `assemble` — whose
-//! arguments and return values are the hand-offs. Each records its
-//! telemetry — spans, counters, per-rank channels — into one
-//! [`RunContext`] — the caller's, for the structured run report — and
-//! reaches the artifact cache through one load and one store helper.
+//! calls in a line — `preprocess` → [`cluster`](crate::cluster) →
+//! [`assemble`](crate::assemble) — whose arguments and return values are
+//! the hand-offs. Each records its telemetry — spans, counters, per-rank
+//! channels — into one [`RunContext`] — the caller's, for the structured
+//! run report — and reaches the artifact cache through one load and one
+//! store helper.
 
-use crate::assemble_dist::{assemble_parallel_with, decode_assembly, encode_assembly, AssignPolicy};
+use crate::assemble_dist::{decode_assembly, encode_assembly};
 use crate::cache::{self, ArtifactCache};
-use crate::checkpoint::StageRecovery;
-use crate::clustering::{cluster_over_gst, ClusterParams, ClusterStats, Clustering};
-use crate::engine::RunOpts;
-use crate::master_worker::{cluster_parallel_with, MasterWorkerConfig};
-use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig};
-use pgasm_gst::{Gst, GstStats};
-use pgasm_mpisim::FaultStage;
+use crate::clustering::{ClusterParams, ClusterStats, Clustering};
+use crate::stages::{self, record_contigs, record_partition, Exec, Partition};
+use pgasm_assemble::{Assembly, AssemblyConfig};
+use pgasm_gst::GstStats;
 use pgasm_preprocess::pipeline::PreprocessOutput;
 use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCESS_CODEC_SCHEMA};
 use pgasm_seq::wire::{checked_len, Reader, Writer};
-use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
+use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack};
 use pgasm_simgen::ReadSet;
-use pgasm_telemetry::trace::{RankTrace, TraceSpec};
-use pgasm_telemetry::{names, RankReport, RunContext};
+use pgasm_telemetry::trace::TraceSpec;
+use pgasm_telemetry::{names, RunContext};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Preprocessing settings; `None` runs clustering on the raw reads.
     pub preprocess: Option<PreprocessConfig>,
-    /// Clustering parameters — the one place they are defined; the
-    /// master–worker runtime borrows these at run time.
+    /// Clustering parameters — the one place they are defined.
     pub cluster: ClusterParams,
-    /// Run the clustering phase on this many simulated ranks
-    /// (master–worker); `None` = serial engine.
-    pub parallel_ranks: Option<usize>,
-    /// Master–worker protocol knobs (batch size, buffer capacity).
-    pub master_worker: MasterWorkerConfig,
     /// Per-cluster assembler settings.
     pub assembly: AssemblyConfig,
-    /// Threads for the trivially parallel assembly phase.
-    pub assembly_threads: usize,
+    /// Where both stages run: in process on threads, or on simulated
+    /// ranks with the run's fault plan and checkpoints.
+    pub exec: Exec,
     /// Per-rank event tracing ([`TraceSpec::off`] by default): the clock
     /// the [`RunContext`]'s track and the ranks' share. When on, the
     /// context exports one track per rank plus its own, for Chrome-trace
@@ -49,12 +42,6 @@ pub struct PipelineConfig {
     /// parameters reload the preprocess output, the partition, and the
     /// assembled contigs from here instead of recomputing them.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Fault tolerance of the distributed stages: failures to inject,
-    /// checkpoint cadence, the snapshot to resume from. Its two paths
-    /// are a *base* each stage derives its own file from
-    /// (`<base>.cluster.pgck`, `<base>.assemble.pgck`), so one
-    /// `--checkpoint` flag covers both. Passive by default.
-    pub recovery: StageRecovery,
 }
 
 impl Default for PipelineConfig {
@@ -62,30 +49,12 @@ impl Default for PipelineConfig {
         PipelineConfig {
             preprocess: Some(PreprocessConfig::default()),
             cluster: ClusterParams::default(),
-            parallel_ranks: None,
-            master_worker: MasterWorkerConfig::default(),
             assembly: AssemblyConfig::default(),
-            assembly_threads: 4,
+            exec: Exec::Threads(4),
             trace: TraceSpec::off(),
             cache_dir: None,
-            recovery: StageRecovery::default(),
         }
     }
-}
-
-/// The run options of one distributed stage: the run's tracing, the
-/// fault plan narrowed to that stage, checkpoint/resume paths pointed
-/// at the stage's own snapshot file.
-fn stage_opts(config: &PipelineConfig, stage: FaultStage, name: &str) -> RunOpts {
-    let derive = |p: &std::path::Path| {
-        let mut s = p.as_os_str().to_os_string();
-        s.push(format!(".{name}.pgck"));
-        std::path::PathBuf::from(s)
-    };
-    let mut recovery = config.recovery.for_stage(stage);
-    recovery.checkpoint_path = recovery.checkpoint_path.as_deref().map(derive);
-    recovery.resume_from = recovery.resume_from.as_deref().map(derive);
-    RunOpts { trace: config.trace, recovery }
 }
 
 /// Summary of a pipeline run (the §8 statistics).
@@ -160,7 +129,8 @@ pub const PARTITION_CODEC_SCHEMA: u32 = 1;
 /// Serialize the cluster stage's output for the artifact cache: the
 /// five [`ClusterStats`] tallies and the three [`GstStats`] counts a run
 /// reports, then the clusters as member lists.
-fn encode_partition(clustering: &Clustering, stats: &ClusterStats, gst: &GstStats) -> Vec<u8> {
+fn encode_partition(part: &Partition) -> Vec<u8> {
+    let Partition { clustering, stats, gst } = part;
     let members: usize = clustering.clusters.iter().map(Vec::len).sum();
     let mut w = Writer::with_capacity(4 * (members + clustering.clusters.len()) + 72);
     for v in [stats.generated, stats.aligned, stats.accepted, stats.merges, stats.dp_cells] {
@@ -181,7 +151,7 @@ fn encode_partition(clustering: &Clustering, stats: &ClusterStats, gst: &GstStat
 /// exactly those fragments in the engine's own order: every id below
 /// `n` in exactly one cluster, members ascending, clusters ordered by
 /// their smallest member.
-fn decode_partition(payload: &[u8], n: usize) -> Option<(Clustering, ClusterStats, GstStats)> {
+fn decode_partition(payload: &[u8], n: usize) -> Option<Partition> {
     let mut r = Reader::new(payload);
     let mut tallies = [0u64; 8];
     for v in &mut tallies {
@@ -211,7 +181,7 @@ fn decode_partition(payload: &[u8], n: usize) -> Option<(Clustering, ClusterStat
         clusters.push(members);
     }
     r.expect_end().ok()?;
-    seen.iter().all(|&s| s).then_some((Clustering { clusters }, stats, gst))
+    seen.iter().all(|&s| s).then_some(Partition { clustering: Clustering { clusters }, stats, gst })
 }
 
 /// What preprocessing hands on: a [`PreprocessOutput`] whose parts a
@@ -234,11 +204,21 @@ struct Run<'a> {
     config: &'a PipelineConfig,
     cache: Option<ArtifactCache>,
     ctx: &'a mut RunContext,
-    /// The fault plan killed a stage's master: the run ends with that stage.
-    killed: bool,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    /// Bind the caller's context to the run's trace settings and open the
+    /// cache. An unopenable cache directory degrades to an uncached run
+    /// and says so: silently it would pass for a cache that never hits.
+    fn start(config: &'a PipelineConfig, ctx: &'a mut RunContext) -> Run<'a> {
+        ctx.bind_track(&config.trace);
+        let cache = config.cache_dir.as_deref().and_then(|dir| {
+            let warn = |e: &_| eprintln!("warning: cache directory {}: {e}; running uncached", dir.display());
+            ArtifactCache::open(dir).inspect_err(warn).ok()
+        });
+        Run { config, cache, ctx }
+    }
+
     /// Run one phase under the span named after it; its wall and CPU
     /// time are that span's.
     fn stage<T>(&mut self, name: &'static str, body: impl FnOnce(&mut Self) -> T) -> T {
@@ -286,35 +266,6 @@ impl Run<'_> {
         self.ctx.pop();
     }
 
-    /// Fold one distributed stage's report into the run: its phases,
-    /// measured on rank clocks, as completed spans; each counter of
-    /// [`names::FAULT_COUNTERS`], summed over the rank channels
-    /// (nonzero only, so a clean run's counters are unchanged); whether
-    /// its master was killed; and its rank channels and trace tracks.
-    /// Both stages run on the same ranks, so those merge by rank id:
-    /// counters sum, comm rows append under each stage's tag labels,
-    /// events append in time order.
-    fn fold(
-        &mut self,
-        phases: &[(&'static str, f64, f64)],
-        ranks: Vec<RankReport>,
-        traces: Vec<RankTrace>,
-        killed: bool,
-    ) {
-        self.killed = killed;
-        for name in names::FAULT_COUNTERS {
-            let value: u64 = ranks.iter().map(|r| r.counter(name)).sum();
-            if value > 0 {
-                self.ctx.add(name, value);
-            }
-        }
-        self.ctx.completed(phases);
-        self.ctx.merge_ranks(ranks);
-        if self.config.trace.enabled {
-            self.ctx.merge_traces(traces);
-        }
-    }
-
     /// Trim/screen the reads into the masked clustering store and the
     /// soft-masked assembly store, or reload that output from the cache.
     /// With no [`PreprocessConfig`] the raw reads pass through.
@@ -356,101 +307,64 @@ impl Run<'_> {
         fragments
     }
 
-    /// Cluster the masked fragments: the serial engine, or the
-    /// master–worker runtime on `parallel_ranks` (per-rank channels,
-    /// phase sub-spans measured on rank-local clocks). A warm cache skips
-    /// the whole stage: the partition is a function of the fragments and
-    /// the parameters — the key — and not of the rank count, so a serial
-    /// run's entry serves a distributed one and the other way round.
-    fn cluster(&mut self, store: &FragmentStore) -> (Clustering, ClusterStats) {
-        let params = self.config.cluster;
-        let key = self.cache.as_ref().map(|_| cache::partition_key(store, &params));
+    /// Cluster the masked fragments on the configured [`Exec`]. A warm
+    /// cache skips the stage: the partition is a function of the
+    /// fragments and the parameters — the key — and not of where it ran.
+    fn cluster(&mut self, store: &FragmentStore) -> (Partition, bool) {
+        let params = &self.config.cluster;
+        let key = self.cache.as_ref().map(|_| cache::partition_key(store, params));
         let n = store.num_fragments();
-        let cached =
-            self.load("partition", PARTITION_CODEC_SCHEMA, key, |payload| decode_partition(payload, n));
-        let (clustering, stats, gst) = cached.unwrap_or_else(|| {
-            let (clustering, stats, gst) = match self.config.parallel_ranks {
-                Some(p) => {
-                    let opts = stage_opts(self.config, FaultStage::Cluster, "cluster");
-                    let r = cluster_parallel_with(store, p, &params, &self.config.master_worker, &opts);
-                    let gst_cpu = r.gst_reports.iter().map(|g| g.compute_seconds).sum();
-                    let cpu = r.ranks.iter().map(|rank| rank.cpu_seconds).sum();
-                    let phases =
-                        [("gst_build", r.gst_seconds, gst_cpu), ("master_worker", r.cluster_seconds, cpu)];
-                    self.fold(&phases, r.ranks, r.traces, r.killed);
-                    let mut gst = GstStats::default();
-                    for rank in &r.gst_reports {
-                        gst.enumerated += rank.gst.enumerated;
-                        gst.suffixes += rank.gst.suffixes;
-                        gst.nodes += rank.gst.nodes;
-                    }
-                    (r.clustering, r.stats, gst)
-                }
-                None => {
-                    // One double-stranded view serves the tree and the engine.
-                    let ds = store.with_reverse_complements();
-                    let gst = self.ctx.scope("gst_build", |_| Gst::build(&ds, params.gst));
-                    let gst_stats = gst.stats();
-                    let (clustering, stats) = cluster_over_gst(&ds, gst, &params);
-                    (clustering, stats, gst_stats)
-                }
-            };
-            // A killed master's partition is partial — never cache it.
-            if !self.killed {
-                self.store("partition", PARTITION_CODEC_SCHEMA, key, || {
-                    encode_partition(&clustering, &stats, &gst)
-                });
-            }
-            (clustering, stats, gst)
-        });
-        for (name, value) in stats.counters().into_iter().chain([
-            // How much of the input reached the tree.
-            (names::GST_SUFFIXES_ENUMERATED, gst.enumerated as u64),
-            (names::GST_SUFFIXES_INDEXED, gst.suffixes as u64),
-            (names::GST_NODES, gst.nodes as u64),
-            (names::MERGES, stats.merges),
-            (names::CLUSTERS, clustering.clusters.len() as u64),
-            (names::NON_SINGLETON_CLUSTERS, clustering.num_non_singletons() as u64),
-        ]) {
-            self.ctx.set(name, value);
+        if let Some(part) = self.load("partition", PARTITION_CODEC_SCHEMA, key, |p| decode_partition(p, n)) {
+            record_partition(self.ctx, &part);
+            return (part, false);
         }
-        (clustering, stats)
+        let (part, killed) = stages::cluster(store, params, &self.config.exec, self.ctx);
+        // A killed master's partition is partial — never cache it.
+        if !killed {
+            self.store("partition", PARTITION_CODEC_SCHEMA, key, || encode_partition(&part));
+        }
+        (part, killed)
     }
 
     /// Assemble every non-singleton cluster over the soft-masked
-    /// (original-base) fragments: as a distributed engine stage (clusters
-    /// scheduled largest-first onto worker ranks, contigs shipped back)
-    /// on `parallel_ranks`, on OS threads otherwise — byte-identical
-    /// contigs either way.
-    fn assemble(&mut self, fragments: &Fragments, clustering: &Clustering) -> Vec<Assembly> {
+    /// (original-base) fragments on the configured [`Exec`]. A warm cache
+    /// skips the stage: the contigs are a function of the key's parts.
+    fn assemble(&mut self, fragments: &Fragments, clustering: &Clustering) -> (Vec<Assembly>, bool) {
         let store = fragments.store_unmasked.as_ref().unwrap_or(&fragments.store);
         let (config, quals) = (&self.config.assembly, Some(&fragments.quals[..]));
-        // A warm cache skips the whole stage: the contigs are a function
-        // of store, qualities, clustering and parameters — the key.
         let key = self.cache.as_ref().map(|_| cache::contigs_key(store, quals, clustering, config));
-        let cached = self.load("contigs", CONTIGS_CODEC_SCHEMA, key, decode_contigs);
-        let assemblies = cached.unwrap_or_else(|| {
-            let assemblies = match self.config.parallel_ranks {
-                Some(p) => {
-                    let opts = stage_opts(self.config, FaultStage::Assemble, "assemble");
-                    let r =
-                        assemble_parallel_with(store, quals, clustering, config, p, AssignPolicy::Lpt, &opts);
-                    let phase = ("dist_assemble", r.assemble_seconds, r.cpu_seconds.iter().sum());
-                    self.fold(&[phase], r.ranks, r.traces, r.killed);
-                    r.assemblies
-                }
-                None => assemble_clusters_q(store, quals, clustering, config, self.config.assembly_threads),
-            };
-            // A killed assembly master leaves placeholder slots — never
-            // cache those as the real contigs.
-            if !self.killed {
-                self.store("contigs", CONTIGS_CODEC_SCHEMA, key, || encode_contigs(&assemblies));
-            }
-            assemblies
-        });
-        self.ctx.set(names::ASSEMBLED_CLUSTERS, assemblies.len() as u64);
-        self.ctx.set(names::CONTIGS, assemblies.iter().map(|a| a.num_contigs() as u64).sum());
-        assemblies
+        if let Some(assemblies) = self.load("contigs", CONTIGS_CODEC_SCHEMA, key, decode_contigs) {
+            record_contigs(self.ctx, &assemblies);
+            return (assemblies, false);
+        }
+        let (assemblies, killed) =
+            stages::assemble(store, quals, clustering, config, &self.config.exec, self.ctx);
+        // A killed assembly master leaves placeholder slots — never
+        // cache those as the real contigs.
+        if !killed {
+            self.store("contigs", CONTIGS_CODEC_SCHEMA, key, || encode_contigs(&assemblies));
+        }
+        (assemblies, killed)
+    }
+
+    /// Preprocess, then cluster: the report and the fragments to go on.
+    fn front(
+        &mut self,
+        reads: &ReadSet,
+        vectors: &[DnaSeq],
+        known: &[DnaSeq],
+    ) -> (PipelineReport, Fragments) {
+        let mut fragments = self.stage("preprocess", |run| run.preprocess(reads, vectors, known));
+        let (partition, killed) = self.stage("cluster", |run| run.cluster(&fragments.store));
+        let report = PipelineReport {
+            preprocess: fragments.stats.take(),
+            clustering: partition.clustering,
+            cluster_stats: partition.stats,
+            origin: std::mem::take(&mut fragments.origin),
+            assemblies: Vec::new(),
+            interrupted: killed.then(|| "cluster".to_string()),
+        };
+        (report, fragments)
     }
 }
 
@@ -466,129 +380,47 @@ impl Pipeline {
     }
 
     /// Run preprocessing (optional; fed `vectors` and `known_repeats`) +
-    /// clustering + per-cluster assembly over a read set.
-    pub fn run(&self, reads: &ReadSet, vectors: &[DnaSeq], known_repeats: &[DnaSeq]) -> PipelineReport {
-        self.run_with_context(reads, vectors, known_repeats, &mut RunContext::new("pipeline"))
-    }
-
-    /// As [`Pipeline::run`], recording spans, counters, and per-rank
-    /// channels into the caller's [`RunContext`] — fold it with
-    /// [`RunContext::finish`] for the structured
-    /// [`pgasm_telemetry::RunReport`].
-    pub fn run_with_context(
+    /// clustering + per-cluster assembly over a read set, recording
+    /// spans, counters, and per-rank channels into the caller's
+    /// [`RunContext`] — fold it with [`RunContext::finish`] for the
+    /// structured [`pgasm_telemetry::RunReport`]. A master the fault plan
+    /// kills ends the run with its stage (see
+    /// [`PipelineReport::interrupted`]).
+    pub fn run(
         &self,
         reads: &ReadSet,
         vectors: &[DnaSeq],
         known_repeats: &[DnaSeq],
         ctx: &mut RunContext,
     ) -> PipelineReport {
-        self.run_stages(reads, vectors, known_repeats, ctx, true)
+        let mut run = Run::start(&self.config, ctx);
+        let (mut report, fragments) = run.front(reads, vectors, known_repeats);
+        if report.interrupted.is_none() {
+            let (assemblies, killed) =
+                run.stage("assemble", |run| run.assemble(&fragments, &report.clustering));
+            report.assemblies = assemblies;
+            report.interrupted = killed.then(|| "assemble".to_string());
+        }
+        report
     }
 
-    /// As [`Pipeline::run_with_context`], stopping after the cluster
-    /// stage: the report's `assemblies` stay empty and the run records no
-    /// `assemble` span.
-    pub fn cluster_with_context(
+    /// As [`Pipeline::run`], stopping after the cluster stage.
+    pub fn cluster(
         &self,
         reads: &ReadSet,
         vectors: &[DnaSeq],
         known_repeats: &[DnaSeq],
         ctx: &mut RunContext,
     ) -> PipelineReport {
-        self.run_stages(reads, vectors, known_repeats, ctx, false)
+        Run::start(&self.config, ctx).front(reads, vectors, known_repeats).0
     }
-
-    fn run_stages(
-        &self,
-        reads: &ReadSet,
-        vectors: &[DnaSeq],
-        known_repeats: &[DnaSeq],
-        ctx: &mut RunContext,
-        assemble: bool,
-    ) -> PipelineReport {
-        let config = &self.config;
-        // An unopenable cache directory degrades to an uncached run and
-        // says so: silently it would pass for a cache that never hits.
-        let cache = config.cache_dir.as_deref().and_then(|dir| {
-            let warn = |e: &_| eprintln!("warning: cache directory {}: {e}; running uncached", dir.display());
-            ArtifactCache::open(dir).inspect_err(warn).ok()
-        });
-        // The run's track shares the ranks' clock.
-        ctx.bind_track(&config.trace);
-        let mut run = Run { config, cache, ctx, killed: false };
-        let fragments = run.stage("preprocess", |run| run.preprocess(reads, vectors, known_repeats));
-        let (clustering, cluster_stats) = run.stage("cluster", |run| run.cluster(&fragments.store));
-        // A killed master ends the run: partial artifacts are never fed
-        // forward, and the caller resumes from the stage's checkpoint.
-        let mut interrupted = run.killed.then(|| "cluster".to_string());
-        let mut assemblies = Vec::new();
-        if assemble && !run.killed {
-            assemblies = run.stage("assemble", |run| run.assemble(&fragments, &clustering));
-            interrupted = run.killed.then(|| "assemble".to_string());
-        }
-        PipelineReport {
-            preprocess: fragments.stats,
-            clustering,
-            cluster_stats,
-            origin: fragments.origin,
-            assemblies,
-            interrupted,
-        }
-    }
-}
-
-/// Assemble every non-singleton cluster, distributing clusters across
-/// `threads` OS threads ("the subsequent assembly tasks are trivially
-/// parallelized by distributing the clusters across multiple
-/// processors", §3). Optional per-fragment qualities (index-parallel
-/// with the store) enable quality-weighted overlap acceptance.
-pub fn assemble_clusters_q(
-    store: &FragmentStore,
-    quals: Option<&[QualityTrack]>,
-    clustering: &Clustering,
-    config: &AssemblyConfig,
-    threads: usize,
-) -> Vec<Assembly> {
-    let clusters: Vec<&Vec<u32>> = clustering.non_singletons().collect();
-    if clusters.is_empty() {
-        // Legal (every fragment rejected or unrelated), and chunking by
-        // zero below would panic.
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, clusters.len());
-    let mut results: Vec<Option<Assembly>> = vec![None; clusters.len()];
-    let chunk = clusters.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = results
-            .chunks_mut(chunk)
-            .zip(clusters.chunks(chunk))
-            .map(|(slot_chunk, cluster_chunk)| {
-                scope.spawn(move || {
-                    for (slot, members) in slot_chunk.iter_mut().zip(cluster_chunk) {
-                        let reads: Vec<DnaSeq> = members.iter().map(|&f| store.get_seq(SeqId(f))).collect();
-                        let cluster_quals: Option<Vec<QualityTrack>> =
-                            quals.map(|qs| members.iter().map(|&f| qs[f as usize].clone()).collect());
-                        *slot = Some(assemble_with_quality(&reads, cluster_quals.as_deref(), config));
-                    }
-                })
-            })
-            .collect();
-        // Join explicitly and re-throw the worker's own payload: the
-        // scope's automatic join would replace it with a generic "scoped
-        // thread panicked" (or the "every cluster assembled" below).
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every cluster assembled")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clustering::cluster_serial;
+    use crate::engine::EngineConfig;
+    use crate::stages::in_process;
     use pgasm_simgen::genome::{Genome, GenomeSpec};
     use pgasm_simgen::sampler::{Sampler, SamplerConfig};
     use pgasm_simgen::vector::VECTOR_SEQ;
@@ -608,7 +440,12 @@ mod tests {
         )
     }
 
-    fn fast_config(parallel: Option<usize>) -> PipelineConfig {
+    fn ranks(p: usize) -> Exec {
+        let engine = EngineConfig { batch: 16, pending_cap: 512 };
+        Exec::Ranks { p, engine, recovery: Default::default() }
+    }
+
+    fn fast_config(exec: Exec) -> PipelineConfig {
         use pgasm_align::AcceptCriteria;
         use pgasm_gst::GstConfig;
         let cluster = ClusterParams {
@@ -619,14 +456,25 @@ mod tests {
         PipelineConfig {
             preprocess: None,
             cluster,
-            parallel_ranks: parallel,
-            master_worker: MasterWorkerConfig { batch: 16, pending_cap: 512 },
             assembly: AssemblyConfig::default(),
-            assembly_threads: 2,
+            exec,
             trace: TraceSpec::off(),
             cache_dir: None,
-            recovery: StageRecovery::default(),
         }
+    }
+
+    fn run(config: PipelineConfig, reads: &ReadSet) -> PipelineReport {
+        Pipeline::new(config).run(reads, &[], &[], &mut RunContext::new("test"))
+    }
+
+    /// The clustering and the assemblies of one read set in process on
+    /// one and on two threads, and on three ranks.
+    fn on_every_exec(reads: &ReadSet) -> Vec<(Clustering, Vec<Assembly>)> {
+        [Exec::Threads(1), Exec::Threads(2), ranks(3)]
+            .map(|exec| run(fast_config(exec), reads))
+            .into_iter()
+            .map(|r| (r.clustering, r.assemblies))
+            .collect()
     }
 
     fn island_reads(seed: u64) -> ReadSet {
@@ -641,7 +489,7 @@ mod tests {
     #[test]
     fn pipeline_clusters_and_assembles_islands() {
         let reads = island_reads(10);
-        let report = Pipeline::new(fast_config(None)).run(&reads, &[], &[]);
+        let report = run(fast_config(Exec::Threads(2)), &reads);
         // Island-only sampling: a handful of clusters, assembled into
         // about one contig each.
         let nc = report.clustering.num_non_singletons();
@@ -654,11 +502,10 @@ mod tests {
 
     #[test]
     fn parallel_pipeline_matches_serial() {
-        let reads = island_reads(20);
-        let serial = Pipeline::new(fast_config(None)).run(&reads, &[], &[]);
-        let parallel = Pipeline::new(fast_config(Some(3))).run(&reads, &[], &[]);
-        assert_eq!(serial.clustering, parallel.clustering);
-        assert_eq!(serial.total_contigs(), parallel.total_contigs());
+        let outputs = on_every_exec(&island_reads(20));
+        assert!(outputs[0].1.iter().map(Assembly::num_contigs).sum::<usize>() > 0);
+        assert_eq!(outputs[1], outputs[0], "two threads");
+        assert_eq!(outputs[2], outputs[0], "three ranks");
     }
 
     #[test]
@@ -668,10 +515,15 @@ mod tests {
         cfg.island_bias = 1.0;
         let mut sampler = Sampler::new(&genome, cfg, 31);
         let reads = sampler.enriched(120, pgasm_simgen::ReadKind::Hc);
-        let mut config = fast_config(None);
+        let mut config = fast_config(Exec::Threads(2));
         config.preprocess =
             Some(pgasm_preprocess::PreprocessConfig { stat_repeats: None, ..Default::default() });
-        let report = Pipeline::new(config).run(&reads, &[DnaSeq::from(VECTOR_SEQ)], &genome.repeat_library);
+        let report = Pipeline::new(config).run(
+            &reads,
+            &[DnaSeq::from(VECTOR_SEQ)],
+            &genome.repeat_library,
+            &mut RunContext::new("test"),
+        );
         let pp = report.preprocess.expect("preprocessing ran");
         let before: usize = pp.before.values().map(|v| v.0).sum();
         let after: usize = pp.after.values().map(|v| v.0).sum();
@@ -681,11 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn run_with_context_records_stage_graph() {
+    fn run_records_stage_graph() {
         let reads = island_reads(10);
-        let mut ctx = pgasm_telemetry::RunContext::new("test-run");
-        let pipeline = Pipeline::new(fast_config(Some(3)));
-        let report = pipeline.run_with_context(&reads, &[], &[], &mut ctx);
+        let mut ctx = RunContext::new("test-run");
+        let report = Pipeline::new(fast_config(ranks(3))).run(&reads, &[], &[], &mut ctx);
         let run = ctx.finish();
         // One root span per stage, in graph order.
         let names: Vec<&str> = run.spans.iter().map(|s| s.name.as_str()).collect();
@@ -707,17 +558,25 @@ mod tests {
     #[test]
     fn assembly_panic_propagates_original_payload() {
         // An empty quality slice makes the per-cluster worker index out
-        // of bounds inside its spawned thread. The original payload must
+        // of bounds inside its thread. The original payload must
         // surface — not the scope's generic "a scoped thread panicked",
         // and not the downstream "every cluster assembled" expect on the
         // slot the dead thread left empty.
         let reads = island_reads(10);
         let store = reads.to_store();
-        let (clustering, _) = cluster_serial(&store, &fast_config(None).cluster);
+        let (clustering, _) = in_process(&store, &fast_config(Exec::Threads(2)).cluster);
         assert!(clustering.num_non_singletons() >= 1);
         let no_quals: Vec<QualityTrack> = Vec::new();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            assemble_clusters_q(&store, Some(&no_quals), &clustering, &AssemblyConfig::default(), 2)
+            let (config, exec) = (AssemblyConfig::default(), Exec::Threads(2));
+            stages::assemble(
+                &store,
+                Some(&no_quals),
+                &clustering,
+                &config,
+                &exec,
+                &mut RunContext::new("test"),
+            )
         }))
         .expect_err("the assembler thread must panic");
         let msg = payload
@@ -731,9 +590,8 @@ mod tests {
     #[test]
     fn distributed_assembly_merges_rank_channels() {
         let reads = island_reads(20);
-        let mut ctx = pgasm_telemetry::RunContext::new("test-run");
-        let pipeline = Pipeline::new(fast_config(Some(3)));
-        let report = pipeline.run_with_context(&reads, &[], &[], &mut ctx);
+        let mut ctx = RunContext::new("test-run");
+        let report = Pipeline::new(fast_config(ranks(3))).run(&reads, &[], &[], &mut ctx);
         let run = ctx.finish();
         // One channel per rank, covering both phases: clustering
         // counters and assemble counters live side by side, and the
@@ -756,15 +614,20 @@ mod tests {
         let clustering = Clustering { clusters: vec![vec![0, 2, 3], vec![1], vec![4, 5]] };
         let stats = ClusterStats { generated: 9, aligned: 5, accepted: 3, merges: 3, dp_cells: 1234 };
         let gst = GstStats { enumerated: 600, suffixes: 40, nodes: 70, ..GstStats::default() };
-        let payload = encode_partition(&clustering, &stats, &gst);
-        let (back, back_stats, back_gst) = decode_partition(&payload, 6).expect("round trip");
-        assert_eq!((back, back_stats), (clustering, stats));
-        assert_eq!((back_gst.enumerated, back_gst.suffixes, back_gst.nodes), (600, 40, 70));
+        let part = Partition { clustering, stats, gst };
+        let payload = encode_partition(&part);
+        let back = decode_partition(&payload, 6).expect("round trip");
+        assert_eq!((&back.clustering, back.stats), (&part.clustering, stats));
+        assert_eq!((back.gst.enumerated, back.gst.suffixes, back.gst.nodes), (600, 40, 70));
         // The partition of another store's fragments.
         assert!(decode_partition(&payload, 5).is_none(), "an id of at least n");
         assert!(decode_partition(&payload, 7).is_none(), "a fragment in no cluster");
         let misses = |clusters: Vec<Vec<u32>>| {
-            decode_partition(&encode_partition(&Clustering { clusters }, &stats, &gst), 6).is_none()
+            decode_partition(
+                &encode_partition(&Partition { clustering: Clustering { clusters }, stats, gst }),
+                6,
+            )
+            .is_none()
         };
         assert!(misses(vec![vec![0, 2, 3], vec![1, 4], vec![4, 5]]), "an id in two clusters");
         assert!(misses(vec![vec![0, 3, 2], vec![1], vec![4, 5]]), "members out of order");
@@ -781,17 +644,12 @@ mod tests {
     #[test]
     fn assembly_threads_do_not_change_results() {
         let reads = island_reads(40);
-        let mut one = fast_config(None);
-        one.assembly_threads = 1;
-        let mut many = fast_config(None);
-        many.assembly_threads = 8;
-        let a = Pipeline::new(one).run(&reads, &[], &[]);
-        let b = Pipeline::new(many).run(&reads, &[], &[]);
-        assert_eq!(a.total_contigs(), b.total_contigs());
-        let lens_a: Vec<usize> =
-            a.assemblies.iter().flat_map(|x| x.contigs.iter().map(|c| c.seq.len())).collect();
-        let lens_b: Vec<usize> =
-            b.assemblies.iter().flat_map(|x| x.contigs.iter().map(|c| c.seq.len())).collect();
-        assert_eq!(lens_a, lens_b);
+        let outputs = on_every_exec(&reads);
+        assert!(outputs[0].1.iter().map(Assembly::num_contigs).sum::<usize>() > 0);
+        assert_eq!(outputs[1], outputs[0], "two threads");
+        assert_eq!(outputs[2], outputs[0], "three ranks");
+        // More threads than clusters: every cluster still on one thread.
+        let many = run(fast_config(Exec::Threads(8)), &reads);
+        assert_eq!((many.clustering, many.assemblies), outputs[0]);
     }
 }

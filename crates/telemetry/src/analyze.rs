@@ -16,7 +16,8 @@
 //! - **Wall-time attribution** per rank and per stage: `{compute,
 //!   wait_blocked, barrier}`, one routine over a time window (the
 //!   rank's traced span, or a stage's window on the pipeline track), so
-//!   the stage rows sum to the rank rows. Per rank the residual is
+//!   the stage rows sum to the rank rows (a stage no rank records in is
+//!   the pipeline track's row instead). Per rank the residual is
 //!   `idle_unattributed` and the categories sum to the measured wall
 //!   time (the CI gate asserts they cover it within tolerance — a sum
 //!   drifting past it means mis-paired spans, i.e. a tracing bug, not
@@ -417,7 +418,8 @@ impl IdleGap {
 }
 
 /// Per-stage attribution: the rank rows' routine over a stage's window
-/// of the pipeline track, summed over the ranks.
+/// of the pipeline track, summed over the ranks — or, when none records
+/// in it (a serial stage), over the pipeline track itself.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StageAttribution {
     /// Stage name (`"preprocess"`, `"cluster"`, `"assemble"`).
@@ -557,7 +559,9 @@ pub fn analyze(tracks: &[ATrack], top_k: usize) -> Analysis {
         .map(|(name, start, end)| {
             let mut st =
                 StageAttribution { stage: name.to_string(), wall_ns: end - start, ..Default::default() };
-            for (t, work) in tracks.iter().zip(&work).filter(|(t, _)| t.label != "pipeline") {
+            let inside = |t: &ATrack| t.events.iter().any(|e| (start..=end).contains(&e.ts_ns));
+            let on_ranks = tracks.iter().any(|t| t.label != "pipeline" && inside(t));
+            for (t, work) in tracks.iter().zip(&work).filter(|(t, _)| (t.label == "pipeline") != on_ranks) {
                 let [compute, wait, barrier] = attribute(work, &blocked[&t.rank], start, end);
                 st.compute_ns += compute;
                 st.wait_blocked_ns += wait;
@@ -748,8 +752,8 @@ impl Analysis {
     }
 
     /// Human-readable report: attribution table, critical path, top
-    /// gaps. Idle path pieces shorter than a microsecond — the clock
-    /// reads between two adjacent spans — are left out of the path's
+    /// gaps. Idle path pieces shorter than 1% of the path or than 1 µs —
+    /// clock reads between two adjacent spans — are left out of the path's
     /// rows and counted on one line after them; the JSON keeps every
     /// piece.
     pub fn render(&self) -> String {
@@ -788,9 +792,12 @@ impl Analysis {
         }
         out.push_str(&format!("critical path ({} segment(s)):\n", self.critical_path.len()));
         let (mut folded, mut folded_ns) = (0usize, 0u64);
+        let path = self.critical_path.first().zip(self.critical_path.last());
+        let path_ns = path.map_or(0, |(first, last)| last.end_ns - first.start_ns);
+        let fold_below_ns = (path_ns / 100).max(1_000);
         for seg in &self.critical_path {
             let dur_ns = seg.end_ns - seg.start_ns;
-            if seg.kind == "idle" && dur_ns < 1_000 {
+            if seg.kind == "idle" && dur_ns < fold_below_ns {
                 (folded, folded_ns) = (folded + 1, folded_ns + dur_ns);
                 continue;
             }
@@ -806,7 +813,8 @@ impl Analysis {
         }
         if folded > 0 {
             out.push_str(&format!(
-                "  + {folded} idle piece(s) under 1 us, {:.3} us in all\n",
+                "  + {folded} idle piece(s) under {:.2} us, {:.3} us in all\n",
+                fold_below_ns as f64 / 1e3,
                 folded_ns as f64 / 1e3
             ));
         }
@@ -980,6 +988,44 @@ mod tests {
             ATrack { rank: 1, label: "worker".into(), events: r1.concat() },
             ATrack { rank: 2, label: "pipeline".into(), events: stages.to_vec() },
         ]
+    }
+
+    #[test]
+    fn a_stage_no_rank_records_in_is_the_pipeline_tracks_row() {
+        use TraceKind::{Begin, End};
+        let stage = |name, from, to| [ev(from, Begin, "stage", name, &[]), ev(to, End, "stage", name, &[])];
+        let gst = stage("gst_build", 110, 250);
+        let cluster = [&stage("cluster", 100, 400)[..1], &gst, &stage("cluster", 100, 400)[1..]].concat();
+        let pipeline = |rank, events: Vec<AEvent>| ATrack { rank, label: "pipeline".into(), events };
+        let rows = |tracks: &[ATrack]| -> Vec<(String, u64, u64, u64, u64)> {
+            let a = analyze(tracks, 0);
+            a.stages
+                .into_iter()
+                .map(|s| (s.stage, s.wall_ns, s.compute_ns, s.wait_blocked_ns, s.barrier_ns))
+                .collect()
+        };
+        // A serial run: the pipeline track is the only track, and each
+        // stage's compute is its whole window (the thread never blocks).
+        let serial = [&stage("preprocess", 0, 100)[..], &cluster, &stage("assemble", 400, 700)].concat();
+        assert_eq!(
+            rows(&[pipeline(0, serial)]),
+            [
+                ("preprocess".to_string(), 100, 100, 0, 0),
+                ("cluster".to_string(), 300, 300, 0, 0),
+                ("assemble".to_string(), 300, 300, 0, 0),
+            ]
+        );
+        // On ranks, preprocessing still runs before any rank starts; the
+        // cluster window is the rank's alone.
+        let work = [ev(500, Begin, "align", "align_batch", &[]), ev(600, End, "align", "align_batch", &[])];
+        let ranks = [
+            ATrack { rank: 0, label: "master".into(), events: work.to_vec() },
+            pipeline(1, [&stage("preprocess", 0, 400)[..], &stage("cluster", 400, 700)].concat()),
+        ];
+        assert_eq!(
+            rows(&ranks),
+            [("preprocess".to_string(), 400, 400, 0, 0), ("cluster".to_string(), 300, 100, 0, 0)]
+        );
     }
 
     #[test]
@@ -1254,6 +1300,8 @@ mod tests {
                 seg("idle", 3_000_000, 3_000_600, "unattributed"),
                 seg("idle", 3_000_600, 3_050_600, "unattributed"),
                 seg("comm", 3_050_600, 3_060_000, "asm_m2w_grant"),
+                // Over a microsecond, under 1% of the 3.065 ms path.
+                seg("idle", 3_060_000, 3_065_000, "unattributed"),
             ],
             ..Analysis::default()
         };
@@ -1266,16 +1314,25 @@ mod tests {
         assert_eq!(
             path,
             [
-                "critical path (6 segment(s)):",
+                "critical path (7 segment(s)):",
                 "  rank 1   compute       2.00 ms  [0.00..2.00]  align",
                 "  rank 1   compute       1.00 ms  [2.00..3.00]  align",
                 "  rank 1   idle          0.05 ms  [3.00..3.05]  unattributed",
                 "  rank 1   comm          0.01 ms  [3.05..3.06]  asm_m2w_grant",
-                "  + 2 idle piece(s) under 1 us, 1.000 us in all",
+                "  + 3 idle piece(s) under 30.65 us, 6.000 us in all",
             ]
         );
         // The JSON keeps every piece.
         let doc = Json::parse(&a.to_json().pretty()).unwrap();
-        assert_eq!(doc.get("critical_path").and_then(Json::as_arr).map(|p| p.len()), Some(6));
+        assert_eq!(doc.get("critical_path").and_then(Json::as_arr).map(|p| p.len()), Some(7));
+        // On a short path the microsecond floor decides alone.
+        let short = Analysis {
+            critical_path: vec![
+                seg("compute", 0, 20_000, "align"),
+                seg("idle", 20_000, 20_150, "unattributed"),
+            ],
+            ..Analysis::default()
+        };
+        assert!(short.render().contains("  + 1 idle piece(s) under 1.00 us, 0.150 us in all"));
     }
 }

@@ -6,8 +6,8 @@
 //! the clock of the run's [`TraceSpec`], each event carrying the calling
 //! thread's CPU reading. The report's spans are a fold of that track, so
 //! report and trace cannot disagree. Work fanned out to other threads
-//! (ranks, assembly threads) is not in a span's `cpu_seconds`; the
-//! per-rank channels in [`crate::RankReport`] carry it.
+//! (ranks, spawned assembly threads) is not in a span's `cpu_seconds`;
+//! the per-rank channels in [`crate::RankReport`] carry the ranks'.
 
 use crate::cpu::thread_cpu_seconds;
 use crate::json::{Json, JsonError};
@@ -117,7 +117,8 @@ pub struct RunContext {
     label: String,
     /// The run's one span recorder, exported only from a traced run.
     track: Tracer,
-    exported: bool,
+    /// The settings the run's ranks trace under, on the track's clock.
+    spec: TraceSpec,
     /// Name of each open span, innermost last.
     open: Vec<&'static str>,
     counters: BTreeMap<String, u64>,
@@ -133,10 +134,11 @@ impl RunContext {
     /// Fresh context for a run labelled `label` (e.g. the command),
     /// recording on its own clock until [`RunContext::bind_track`].
     pub fn new(label: &str) -> Self {
+        let spec = TraceSpec::off();
         RunContext {
             label: label.to_string(),
-            track: run_track(&TraceSpec::off()),
-            exported: false,
+            track: run_track(&spec),
+            spec,
             open: Vec::new(),
             counters: BTreeMap::new(),
             ranks: Vec::new(),
@@ -146,12 +148,18 @@ impl RunContext {
 
     /// Record on `spec`'s clock, the one its rank tracks share, and
     /// export the track when `spec` is on. A context that has already
-    /// recorded keeps its clock.
+    /// recorded keeps its clock, and its ranks trace on that clock too.
     pub fn bind_track(&mut self, spec: &TraceSpec) {
         if self.track.events().is_empty() {
             self.track = run_track(spec);
+            self.spec.epoch = spec.epoch;
         }
-        self.exported = spec.enabled;
+        self.spec = TraceSpec { epoch: self.spec.epoch, ..*spec };
+    }
+
+    /// What [`RunContext::bind_track`] bound (off until then).
+    pub fn trace_spec(&self) -> TraceSpec {
+        self.spec
     }
 
     /// Time `f` under a span named `name`, nested below whatever span
@@ -184,22 +192,6 @@ impl RunContext {
         self.mark(ts, TraceKind::End, name, nanos(thread_cpu_seconds()));
     }
 
-    /// Put phases measured on other clocks (a distributed stage's ranks')
-    /// on the track as completed `(name, wall, cpu)` intervals inside the
-    /// open span, end to end so the last ends now and none starts before
-    /// the track's last event; a begin reads CPU 0, its end the phase's.
-    pub fn completed(&mut self, phases: &[(&'static str, f64, f64)]) {
-        let now = self.track.now_ns();
-        let floor = self.track.events().last().map_or(0, |e| e.ts_ns);
-        let mut at = now.saturating_sub(phases.iter().map(|p| nanos(p.1)).sum()).max(floor);
-        for &(name, wall, cpu) in phases {
-            let end = (at + nanos(wall)).min(now);
-            self.mark(at, TraceKind::Begin, name, 0);
-            self.mark(end, TraceKind::End, name, nanos(cpu));
-            at = end;
-        }
-    }
-
     /// Sample gauge `name` on the track (rate-limited like every gauge).
     pub fn gauge(&mut self, name: &'static str, value: u64) {
         self.track.counter(TraceCategory::Stage, name, value);
@@ -220,15 +212,34 @@ impl RunContext {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Merge one parallel section's rank channels into the run's,
-    /// matching entries by rank id: CPU and idle seconds add up,
-    /// counters sum on name collision, and per-tag comm rows append in
-    /// stage order (every stage sends on tags of its own, so no two rows
-    /// of a fault-free run share a tag). A rank id with no entry yet is
-    /// appended — the run keeps one channel per rank however many stages
-    /// used that rank.
-    pub fn merge_ranks(&mut self, more: Vec<crate::RankReport>) {
-        for extra in more {
+    /// Fold a stage run on other clocks (a distributed stage's ranks) into
+    /// the run: its phases as completed `(name, wall, cpu)` spans in the
+    /// open one, end to end up to now and never before the track's last
+    /// event; its ranks' fault counters summed into the run's; its rank
+    /// channels and, when traced, tracks merged by rank id — a rank is one
+    /// channel and one track for the whole run: seconds, counters and
+    /// drops add, comm rows (each stage on tags of its own) and events
+    /// (stages run one after the other) append.
+    pub fn merge_stage(
+        &mut self,
+        phases: &[(&'static str, f64, f64)],
+        ranks: Vec<crate::RankReport>,
+        traces: Vec<RankTrace>,
+    ) {
+        let now = self.track.now_ns();
+        let floor = self.track.events().last().map_or(0, |e| e.ts_ns);
+        let mut at = now.saturating_sub(phases.iter().map(|p| nanos(p.1)).sum()).max(floor);
+        for &(name, wall, cpu) in phases {
+            let end = (at + nanos(wall)).min(now);
+            self.mark(at, TraceKind::Begin, name, 0);
+            self.mark(end, TraceKind::End, name, nanos(cpu));
+            at = end;
+        }
+        for extra in ranks {
+            // A rank channel carries a fault counter only when nonzero.
+            for name in crate::names::FAULT_COUNTERS.into_iter().filter(|n| extra.counters.contains_key(*n)) {
+                self.add(name, extra.counters[name]);
+            }
             match self.ranks.iter_mut().find(|r| r.rank == extra.rank) {
                 Some(rank) => {
                     rank.cpu_seconds += extra.cpu_seconds;
@@ -241,14 +252,8 @@ impl RunContext {
                 None => self.ranks.push(extra),
             }
         }
-    }
-
-    /// Merge finished event tracks into the run's, by rank id: a rank
-    /// has one track per run, so a later stage's events append to the
-    /// track the rank already has (stages run one after the other under
-    /// one epoch, so timestamps stay monotonic) and dropped counts add.
-    pub fn merge_traces(&mut self, more: Vec<RankTrace>) {
-        for extra in more {
+        let traces = if self.spec.enabled { traces } else { Vec::new() };
+        for extra in traces {
             match self.traces.iter_mut().find(|t| t.rank == extra.rank) {
                 Some(track) => {
                     track.events.extend(extra.events);
@@ -263,7 +268,7 @@ impl RunContext {
     /// exportable [`Trace`] document (tracks sorted by rank; the run's
     /// one id past the ranks', so the two never collide).
     pub fn trace_document(&self) -> Trace {
-        let own = self.exported.then(|| RankTrace {
+        let own = self.spec.enabled.then(|| RankTrace {
             rank: self.traces.iter().map(|t| t.rank + 1).max().unwrap_or(0),
             label: "pipeline".to_string(),
             events: self.track.events().to_vec(),
@@ -279,7 +284,7 @@ impl RunContext {
     /// trace shows in the metrics too.
     pub fn finish(mut self) -> crate::RunReport {
         let spans = fold(self.track.events());
-        let own = self.exported.then(|| self.track.dropped_events());
+        let own = self.spec.enabled.then(|| self.track.dropped_events());
         if own.is_some() || !self.traces.is_empty() {
             let dropped = self.traces.iter().map(|t| t.dropped_events).sum::<u64>() + own.unwrap_or(0);
             self.set(crate::names::TRACE_EVENTS_DROPPED, dropped);
@@ -358,12 +363,17 @@ mod tests {
             dropped_events,
         };
         let mut ctx = RunContext::new("t");
-        ctx.merge_traces(vec![track(2, 11, 0), track(1, 10, 1)]);
-        ctx.merge_traces(vec![track(1, 20, 2)]);
+        // An untraced run keeps no track.
+        ctx.merge_stage(&[], Vec::new(), vec![track(1, 5, 0)]);
+        assert!(ctx.trace_document().tracks.is_empty());
+        ctx.bind_track(&TraceSpec::on());
+        ctx.merge_stage(&[], Vec::new(), vec![track(2, 11, 0), track(1, 10, 1)]);
+        ctx.merge_stage(&[], Vec::new(), vec![track(1, 20, 2)]);
         let doc = ctx.trace_document();
         let shape: Vec<(usize, Vec<u64>, u64)> = doc
             .tracks
             .iter()
+            .filter(|t| t.label == "worker")
             .map(|t| (t.rank, t.events.iter().map(|e| e.ts_ns).collect(), t.dropped_events))
             .collect();
         assert_eq!(shape, [(1, vec![10, 20], 3), (2, vec![11], 0)]);
@@ -413,10 +423,10 @@ mod tests {
         let mut ctx = RunContext::new("t");
         ctx.push("cluster");
         std::thread::sleep(std::time::Duration::from_millis(5));
-        ctx.completed(&[("gst_build", 0.001, 0.5), ("master_worker", 0.002, 0.25)]);
+        ctx.merge_stage(&[("gst_build", 0.001, 0.5), ("master_worker", 0.002, 0.25)], Vec::new(), Vec::new());
         ctx.pop();
         // A phase longer than the span it is put in is clipped to it.
-        ctx.scope("assemble", |ctx| ctx.completed(&[("dist_assemble", 60.0, 1.0)]));
+        ctx.scope("assemble", |ctx| ctx.merge_stage(&[("dist_assemble", 60.0, 1.0)], Vec::new(), Vec::new()));
         let report = ctx.finish();
         let cluster = report.span("cluster").unwrap();
         let phases: Vec<(&str, f64, f64)> =

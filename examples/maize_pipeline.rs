@@ -9,7 +9,7 @@
 //! ```
 
 use pgasm::cluster::validation::validate_clusters;
-use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig};
+use pgasm::cluster::{ClusterParams, Exec, Pipeline, PipelineConfig};
 use pgasm::gst::GstConfig;
 use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::DnaSeq;
@@ -26,12 +26,11 @@ fn main() {
     let pipeline = Pipeline::new(PipelineConfig {
         preprocess: Some(PreprocessConfig::default()),
         cluster: ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() },
-        parallel_ranks: None,
-        assembly_threads: 2,
+        exec: Exec::Threads(2),
         ..Default::default()
     });
     let mut ctx = RunContext::new("maize_pipeline");
-    let report = pipeline.run_with_context(
+    let report = pipeline.run(
         &dataset.reads,
         &[DnaSeq::from(VECTOR_SEQ)],
         &dataset.genomes[0].repeat_library,

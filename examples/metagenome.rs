@@ -9,12 +9,13 @@
 //! cargo run --release --example metagenome
 //! ```
 
-use pgasm::cluster::{cluster_serial, ClusterParams};
+use pgasm::cluster::{cluster, ClusterParams, Exec};
 use pgasm::gst::GstConfig;
 use pgasm::preprocess::{PreprocessConfig, Preprocessor};
 use pgasm::seq::DnaSeq;
 use pgasm::simgen::presets;
 use pgasm::simgen::vector::VECTOR_SEQ;
+use pgasm::telemetry::RunContext;
 use std::collections::HashMap;
 
 fn main() {
@@ -30,7 +31,8 @@ fn main() {
     println!("fragments after preprocessing: {}", store.num_fragments());
 
     let params = ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() };
-    let (clustering, stats) = cluster_serial(&store, &params);
+    let (part, _) = cluster(&store, &params, &Exec::Threads(1), &mut RunContext::new("metagenome"));
+    let (clustering, stats) = (part.clustering, part.stats);
 
     println!(
         "clusters: {} non-singleton, {} singletons",

@@ -7,13 +7,13 @@
 //! cargo run --release --example parallel_cluster
 //! ```
 
-use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
+use pgasm::cluster::{cluster, ClusterParams, Exec, MasterWorkerConfig};
 use pgasm::gst::GstConfig;
 use pgasm::preprocess::{PreprocessConfig, Preprocessor};
 use pgasm::seq::DnaSeq;
 use pgasm::simgen::presets;
 use pgasm::simgen::vector::VECTOR_SEQ;
-use pgasm::telemetry::TagStat;
+use pgasm::telemetry::{RunContext, TagStat};
 
 fn main() {
     let dataset = presets::drosophila_like(60_000, 6.0, 31);
@@ -25,7 +25,8 @@ fn main() {
     println!("fragments after preprocessing: {}", store.num_fragments());
 
     let params = ClusterParams { gst: GstConfig { psi: 20 }, ..Default::default() };
-    let (serial, serial_stats) = cluster_serial(&store, &params);
+    let (part, _) = cluster(&store, &params, &Exec::Threads(1), &mut RunContext::new("serial"));
+    let (serial, serial_stats) = (part.clustering, part.stats);
     println!(
         "serial: {} clusters / {} singletons, {} aligned of {} generated",
         serial.num_non_singletons(),
@@ -37,9 +38,12 @@ fn main() {
     // A rank's traffic over the whole stage, GST build included.
     let total = |rows: &[TagStat], count: fn(&TagStat) -> u64| rows.iter().map(count).sum::<u64>();
     for p in [2usize, 4, 8] {
-        let cfg = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
-        let report = cluster_parallel(&store, p, &params, &cfg);
-        assert_eq!(report.clustering, serial, "parallel clustering must equal serial");
+        let engine = MasterWorkerConfig { batch: 64, pending_cap: 4096 };
+        let mut ctx = RunContext::new("ranks");
+        let (part, _) =
+            cluster(&store, &params, &Exec::Ranks { p, engine, recovery: Default::default() }, &mut ctx);
+        assert_eq!(part.clustering, serial, "parallel clustering must equal serial");
+        let report = ctx.finish();
         let master = &report.ranks[0].comm;
         let worker_bytes: u64 = report.ranks[1..].iter().map(|r| total(&r.comm, |t| t.bytes_sent)).sum();
         println!(

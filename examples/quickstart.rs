@@ -9,11 +9,12 @@
 //! cluster assembly), and shows that each cluster reassembles into a
 //! contig that matches the genome exactly.
 
-use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig};
+use pgasm::cluster::{ClusterParams, Exec, Pipeline, PipelineConfig};
 use pgasm::gst::GstConfig;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::simgen::ReadKind;
+use pgasm::telemetry::RunContext;
 
 fn main() {
     // 1. A 30 kb genome with four gene islands and no repeats.
@@ -45,11 +46,10 @@ fn main() {
     let pipeline = Pipeline::new(PipelineConfig {
         preprocess: None,
         cluster,
-        parallel_ranks: None,
-        assembly_threads: 2,
+        exec: Exec::Threads(2),
         ..Default::default()
     });
-    let report = pipeline.run(&reads, &[], &[]);
+    let report = pipeline.run(&reads, &[], &[], &mut RunContext::new("quickstart"));
 
     println!(
         "clusters: {} non-singleton, {} singletons, largest holds {:.1}% of reads",

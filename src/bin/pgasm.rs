@@ -11,7 +11,7 @@
 //! produces synthetic projects with the maize/drosophila/sargasso
 //! presets so the whole pipeline can be driven without external data.
 
-use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig};
+use pgasm::cluster::{ClusterParams, Exec, Pipeline, PipelineConfig};
 use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::fasta::{write_fasta, write_fastq, FastaRecord, FastqRecord};
 use pgasm::seq::DnaSeq;
@@ -104,8 +104,8 @@ per-cluster serial assembler and writes contigs as FASTA. With --ranks <p> (p >=
 clustering AND assembly phases both run distributed on p simulated ranks:
 assembly schedules whole clusters largest-first onto worker ranks and ships
 contigs back, so per-rank idle time and per-tag traffic cover both phases;
---assembly-threads <n> (default 4) sizes the OS-thread assembly loop used
-when --ranks is absent. --metrics-json writes the structured run report
+--assembly-threads <n> (default 4) sizes the OS-thread assembly loop, which
+replaces --ranks (not both). --metrics-json writes the structured run report
 (per-stage wall/CPU spans, Table-1 counters, and — with --ranks — per-rank
 idle time and per-tag communication) as JSON. --trace-json records per-rank
 timestamped events (stage, master, worker, comm, gst, align, assemble
@@ -327,29 +327,31 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     if let Some(base) = opts.get("resume") {
         recovery.resume_from = Some(std::path::PathBuf::from(base));
     }
-    if (!recovery.faults.is_empty() || recovery.checkpoint_every.is_some() || recovery.resume_from.is_some())
-        && ranks < 2
-    {
-        return Err("--fault-plan / --checkpoint-every / --resume need --ranks <p> (p >= 2): \
-                    fault tolerance lives in the distributed engine"
-            .to_string());
-    }
-    let assembly_threads = opts.parse_or("assembly-threads", 4)?;
-    if assembly_threads == 0 {
-        return Err("--assembly-threads must be >= 1".to_string());
-    }
+    let recovers =
+        !recovery.faults.is_empty() || recovery.checkpoint_every.is_some() || recovery.resume_from.is_some();
+    let exec = match (ranks, opts.parse_or("assembly-threads", 4)?) {
+        (_, 0) => return Err("--assembly-threads must be >= 1".to_string()),
+        (0, _) if recovers => {
+            return Err("--fault-plan / --checkpoint-every / --resume need --ranks <p> (p >= 2): \
+                        fault tolerance lives in the distributed engine"
+                .to_string())
+        }
+        (0, threads) => Exec::Threads(threads),
+        (_, _) if opts.get("assembly-threads").is_some() => {
+            return Err("--assembly-threads and --ranks: assembly runs on the ranks or on threads".to_string())
+        }
+        (p, _) => Exec::Ranks { p, engine: Default::default(), recovery },
+    };
     Ok(PipelineConfig {
         preprocess,
         cluster,
-        parallel_ranks: if ranks >= 2 { Some(ranks) } else { None },
-        assembly_threads,
+        exec,
         cache_dir,
         trace: if opts.get("trace-json").is_some() {
             pgasm::telemetry::trace::TraceSpec::on()
         } else {
             pgasm::telemetry::trace::TraceSpec::off()
         },
-        recovery,
         ..Default::default()
     })
 }
@@ -364,9 +366,9 @@ fn run_pipeline(opts: &Opts, label: &str, assemble: bool) -> Result<pgasm::clust
     let mut ctx = pgasm::telemetry::RunContext::new(label);
     let vectors = [DnaSeq::from(VECTOR_SEQ)];
     let report = if assemble {
-        pipeline.run_with_context(&reads, &vectors, &[], &mut ctx)
+        pipeline.run(&reads, &vectors, &[], &mut ctx)
     } else {
-        pipeline.cluster_with_context(&reads, &vectors, &[], &mut ctx)
+        pipeline.cluster(&reads, &vectors, &[], &mut ctx)
     };
     if caching {
         use pgasm::telemetry::names;

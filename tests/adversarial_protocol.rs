@@ -5,10 +5,11 @@
 //! configuration must terminate and reproduce the serial clustering
 //! bit-for-bit.
 
-use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
+use pgasm::cluster::{cluster, ClusterParams, Exec, MasterWorkerConfig};
 use pgasm::gst::GstConfig;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
+use pgasm::telemetry::RunContext;
 
 fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
     let genome = Genome::generate(
@@ -33,8 +34,9 @@ fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
 /// (which implies termination).
 fn check(store: &pgasm::seq::FragmentStore, p: usize, cfg: &MasterWorkerConfig) {
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
-    let (serial, _) = cluster_serial(store, &params);
-    let report = cluster_parallel(store, p, &params, cfg);
+    let on = |exec: &Exec| cluster(store, &params, exec, &mut RunContext::new("adversarial")).0;
+    let serial = on(&Exec::Threads(1)).clustering;
+    let report = on(&Exec::Ranks { p, engine: *cfg, recovery: Default::default() });
     assert_eq!(
         report.clustering, serial,
         "p = {p}, batch = {}, pending_cap = {}",

@@ -1,21 +1,18 @@
 //! Distributed-assembly integration: the engine-hosted assembly phase
 //! produces byte-identical contigs to the threaded in-process path at
-//! several rank counts, and largest-first (LPT) dispatch strictly beats
-//! contiguous chunking on a heavy-tailed workload where the dominant
-//! cluster sets the critical path — which the trace analyzer must find
-//! on the worker that drew it, whichever rank's track ends last.
+//! several rank counts, and its largest-first (LPT) dispatch strictly
+//! beats contiguous chunking on a heavy-tailed workload where the
+//! dominant cluster sets the critical path — which the trace analyzer
+//! must find on the worker that drew it, whichever rank's track ends
+//! last.
 
 use pgasm::align::AcceptCriteria;
-use pgasm::assemble::AssemblyConfig;
-use pgasm::cluster::pipeline::assemble_clusters_q;
-use pgasm::cluster::{
-    assemble_parallel, assemble_parallel_with, cluster_serial, AssignPolicy, ClusterParams, Clustering,
-    DistAssembleReport, RunOpts,
-};
+use pgasm::assemble::{Assembly, AssemblyConfig};
+use pgasm::cluster::{assemble, cluster, AssignPolicy, ClusterParams, Clustering, Exec};
 use pgasm::gst::GstConfig;
 use pgasm::seq::{DnaSeq, FragmentStore};
 use pgasm::telemetry::analyze::{analyze, parse_chrome_trace, Analysis};
-use pgasm::telemetry::{names, Trace, TraceKind, TraceSpec};
+use pgasm::telemetry::{names, RankReport, RunContext, Trace, TraceKind, TraceSpec};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// These tests read schedules — which worker drew what, what the run
@@ -67,29 +64,40 @@ fn fixture() -> (FragmentStore, Clustering) {
         criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 30 },
         ..Default::default()
     };
-    let (clustering, _) = cluster_serial(&store, &params);
+    let clustering =
+        cluster(&store, &params, &Exec::Threads(1), &mut RunContext::new("fixture")).0.clustering;
     assert_eq!(clustering.num_non_singletons(), 15, "fixture yields 1 giant + 14 small clusters");
     (store, clustering)
+}
+
+/// The assemble stage on `exec`, into `ctx`.
+fn assemble_on(
+    store: &FragmentStore,
+    clustering: &Clustering,
+    exec: Exec,
+    ctx: &mut RunContext,
+) -> Vec<Assembly> {
+    assemble(store, None, clustering, &AssemblyConfig::default(), &exec, ctx).0
+}
+
+fn ranks(p: usize) -> Exec {
+    Exec::Ranks { p, engine: Default::default(), recovery: Default::default() }
 }
 
 #[test]
 fn distributed_assembly_is_byte_identical_to_threaded() {
     let _alone = alone();
     let (store, clustering) = fixture();
-    let cfg = AssemblyConfig::default();
-    let threaded = assemble_clusters_q(&store, None, &clustering, &cfg, 4);
+    let threaded = assemble_on(&store, &clustering, Exec::Threads(4), &mut RunContext::new("threads"));
     assert!(!threaded.is_empty());
     for p in [2usize, 4, 8] {
-        for policy in [AssignPolicy::Lpt, AssignPolicy::Static] {
-            let dist = assemble_parallel(&store, None, &clustering, &cfg, p, policy);
-            assert_eq!(dist.assemblies, threaded, "p = {p}, policy = {policy:?}");
-        }
+        let dist = assemble_on(&store, &clustering, ranks(p), &mut RunContext::new("ranks"));
+        assert_eq!(dist, threaded, "p = {p}");
     }
 }
 
-/// max / mean of the deterministic per-worker cost-unit counter.
-fn imbalance(report: &DistAssembleReport) -> f64 {
-    let costs: Vec<u64> = report.ranks[1..].iter().map(|r| r.counter(names::ASM_COST_UNITS)).collect();
+/// max / mean of per-worker cost units.
+fn imbalance(costs: &[u64]) -> f64 {
     let max = costs.iter().copied().max().unwrap_or(0) as f64;
     let mean = costs.iter().sum::<u64>() as f64 / costs.len().max(1) as f64;
     max / mean.max(1e-9)
@@ -99,19 +107,28 @@ fn imbalance(report: &DistAssembleReport) -> f64 {
 fn lpt_strictly_beats_static_chunking_at_p8() {
     let _alone = alone();
     let (store, clustering) = fixture();
-    let cfg = AssemblyConfig::default();
-    let lpt = assemble_parallel(&store, None, &clustering, &cfg, 8, AssignPolicy::Lpt);
-    let stat = assemble_parallel(&store, None, &clustering, &cfg, 8, AssignPolicy::Static);
+    let mut ctx = RunContext::new("lpt");
+    assemble_on(&store, &clustering, ranks(8), &mut ctx);
+    let lpt = ctx.finish();
+    let lpt_costs: Vec<u64> = lpt.ranks[1..].iter().map(|r| r.counter(names::ASM_COST_UNITS)).collect();
+    // Static chunking's loads follow from its plan: ⌈15/7⌉ = 3 clusters
+    // per grant makes 5 blocks, and the 7 workers' opening reports take
+    // one block each, so the loads are the blocks' costs and two zeros.
+    let (tasks, batch) = AssignPolicy::Static.plan(&clustering, 7);
+    let mut static_costs: Vec<u64> =
+        tasks.chunks(batch).map(|block| block.iter().map(|t| t.cost_units()).sum()).collect();
+    static_costs.resize(7, 0);
     // Same total work either way, so comparing max/mean compares the
     // worst-loaded worker directly.
-    let (lpt_ratio, stat_ratio) = (imbalance(&lpt), imbalance(&stat));
+    assert_eq!(lpt_costs.iter().sum::<u64>(), static_costs.iter().sum::<u64>());
+    let (lpt_ratio, stat_ratio) = (imbalance(&lpt_costs), imbalance(&static_costs));
     assert!(
         lpt_ratio < stat_ratio,
         "LPT must strictly beat static chunking here: max/mean {lpt_ratio:.3} vs {stat_ratio:.3}"
     );
     // LPT's critical path is exactly the dominant cluster: the worker
     // that drew it gets nothing else while the tail back-fills.
-    let lpt_max: u64 = lpt.ranks[1..].iter().map(|r| r.counter(names::ASM_COST_UNITS)).max().unwrap_or(0);
+    let lpt_max: u64 = lpt_costs.iter().copied().max().unwrap_or(0);
     let giant: u64 =
         clustering.non_singletons().map(|m| (m.len() as u64) * (m.len() as u64 - 1) / 2).max().unwrap_or(0);
     assert_eq!(lpt_max, giant, "the dominant cluster rides alone under LPT");
@@ -121,12 +138,15 @@ fn lpt_strictly_beats_static_chunking_at_p8() {
 fn critical_path_runs_through_the_dominant_clusters_worker() {
     let _alone = alone();
     let (store, clustering) = fixture();
-    let cfg = AssemblyConfig::default();
-    let opts = RunOpts { trace: TraceSpec::on(), ..RunOpts::default() };
-    let dist = assemble_parallel_with(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt, &opts);
+    let mut ctx = RunContext::new("traced");
+    ctx.bind_track(&TraceSpec::on());
+    assemble_on(&store, &clustering, ranks(4), &mut ctx);
+    // The ranks' tracks alone, as the stage recorded them.
+    let traces = ctx.trace_document().tracks.into_iter().filter(|t| t.label != "pipeline").collect();
+    let dist: Vec<RankReport> = ctx.finish().ranks;
     let giant =
-        dist.ranks[1..].iter().max_by_key(|r| r.counter(names::ASM_COST_UNITS)).expect("three workers").rank;
-    let mut tracks = parse_chrome_trace(&Trace::new(dist.traces).to_chrome_json()).expect("a valid trace");
+        dist[1..].iter().max_by_key(|r| r.counter(names::ASM_COST_UNITS)).expect("three workers").rank;
+    let mut tracks = parse_chrome_trace(&Trace::new(traces).to_chrome_json()).expect("a valid trace");
 
     // The dominant cluster's `assemble_cluster` span on that worker's
     // track. The known answer needs it to dominate the run: half a second

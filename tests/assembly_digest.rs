@@ -13,13 +13,18 @@ use pgasm::seq::fasta::{write_fasta, FastaRecord};
 use pgasm::seq::DnaSeq;
 use pgasm::simgen::presets::{self, Dataset};
 use pgasm::simgen::vector::VECTOR_SEQ;
+use pgasm::telemetry::RunContext;
 
 /// The bytes `pgasm assemble --reads <dataset> --out -` would write:
 /// default pipeline, the vector library, no known repeats. At least
 /// `min_contigs` contigs, so that an empty fixture cannot pass.
 fn contigs_fasta(dataset: &Dataset, min_contigs: usize) -> Vec<u8> {
-    let report =
-        Pipeline::new(PipelineConfig::default()).run(&dataset.reads, &[DnaSeq::from(VECTOR_SEQ)], &[]);
+    let report = Pipeline::new(PipelineConfig::default()).run(
+        &dataset.reads,
+        &[DnaSeq::from(VECTOR_SEQ)],
+        &[],
+        &mut RunContext::new("digest"),
+    );
     let mut records = Vec::new();
     for (ci, assembly) in report.assemblies.iter().enumerate() {
         for (j, contig) in assembly.contigs.iter().enumerate() {

@@ -5,7 +5,7 @@
 //! corrupted cache files degrade to a cold run instead of wrong output.
 
 use pgasm::align::AcceptCriteria;
-use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig, PipelineReport};
+use pgasm::cluster::{ClusterParams, Exec, Pipeline, PipelineConfig, PipelineReport};
 use pgasm::gst::GstConfig;
 use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::DnaSeq;
@@ -52,6 +52,10 @@ fn fixture_reads(seed: u64) -> (ReadSet, Genome) {
     (sampler.enriched(120, ReadKind::Hc), genome)
 }
 
+fn ranks(p: usize) -> Exec {
+    Exec::Ranks { p, engine: Default::default(), recovery: Default::default() }
+}
+
 fn cached_config(dir: &Path) -> PipelineConfig {
     PipelineConfig {
         preprocess: Some(PreprocessConfig { stat_repeats: None, min_unmasked_run: 40, ..Default::default() }),
@@ -60,8 +64,7 @@ fn cached_config(dir: &Path) -> PipelineConfig {
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 35 },
             ..Default::default()
         },
-        parallel_ranks: None,
-        assembly_threads: 2,
+        exec: Exec::Threads(2),
         cache_dir: Some(dir.to_path_buf()),
         ..Default::default()
     }
@@ -69,12 +72,8 @@ fn cached_config(dir: &Path) -> PipelineConfig {
 
 fn run(config: PipelineConfig, reads: &ReadSet, genome: &Genome) -> (PipelineReport, RunReport) {
     let mut ctx = RunContext::new("cache-test");
-    let report = Pipeline::new(config).run_with_context(
-        reads,
-        &[DnaSeq::from(VECTOR_SEQ)],
-        &genome.repeat_library,
-        &mut ctx,
-    );
+    let report =
+        Pipeline::new(config).run(reads, &[DnaSeq::from(VECTOR_SEQ)], &genome.repeat_library, &mut ctx);
     (report, ctx.finish())
 }
 
@@ -133,10 +132,10 @@ fn unrelated_flag_change_still_hits() {
     let (reads, genome) = fixture_reads(8);
     let (cold, _) = run(cached_config(&dir.0), &reads, &genome);
 
-    // assembly_threads affects no artifact key — not even the contigs
+    // The assembly thread count affects no artifact key — not even the contigs
     // (the thread count never changes the output bytes).
     let mut config = cached_config(&dir.0);
-    config.assembly_threads = 7;
+    config.exec = Exec::Threads(7);
     let (warm, warm_run) = run(config, &reads, &genome);
     assert_eq!(warm_run.counter(names::CACHE_HIT), 3);
     assert_eq!(warm_run.counter(names::CACHE_MISS), 0);
@@ -315,12 +314,13 @@ fn partition_entries_key_on_the_cluster_params_and_on_the_codec_schema() {
 #[test]
 fn serial_and_distributed_runs_share_the_cache() {
     let (reads, genome) = fixture_reads(14);
-    for (tag, cold_ranks, warm_ranks) in [("serial-first", None, Some(3)), ("ranks-first", Some(3), None)] {
+    for (tag, cold_exec, warm_exec) in
+        [("serial-first", Exec::Threads(2), ranks(3)), ("ranks-first", ranks(3), Exec::Threads(2))]
+    {
         let dir = CacheDir::new(tag);
-        let (cold, _) =
-            run(PipelineConfig { parallel_ranks: cold_ranks, ..cached_config(&dir.0) }, &reads, &genome);
+        let (cold, _) = run(PipelineConfig { exec: cold_exec, ..cached_config(&dir.0) }, &reads, &genome);
         let (warm, warm_run) =
-            run(PipelineConfig { parallel_ranks: warm_ranks, ..cached_config(&dir.0) }, &reads, &genome);
+            run(PipelineConfig { exec: warm_exec, ..cached_config(&dir.0) }, &reads, &genome);
         assert_eq!(warm_run.counter(names::CACHE_HIT), 3, "{tag}");
         assert_eq!(warm_run.counter(names::CACHE_MISS), 0, "{tag}");
         assert_eq!(warm.clustering, cold.clustering, "{tag}");
@@ -339,12 +339,12 @@ fn a_killed_masters_partition_is_never_cached() {
     let dir = CacheDir::new("killed");
     let (reads, genome) = fixture_reads(15);
     let (clean, _) = run(PipelineConfig { cache_dir: None, ..cached_config(&dir.0) }, &reads, &genome);
+    let recovery = StageRecovery {
+        faults: FaultPlan::parse("kill:master,lease=1,stage=cluster").expect("grammar"),
+        ..StageRecovery::default()
+    };
     let killed = PipelineConfig {
-        parallel_ranks: Some(3),
-        recovery: StageRecovery {
-            faults: FaultPlan::parse("kill:master,lease=1,stage=cluster").expect("grammar"),
-            ..StageRecovery::default()
-        },
+        exec: Exec::Ranks { p: 3, engine: Default::default(), recovery },
         ..cached_config(&dir.0)
     };
     let (partial, _) = run(killed, &reads, &genome);
@@ -377,12 +377,7 @@ fn skeleton(config: PipelineConfig, reads: &ReadSet, genome: &Genome) -> Skeleto
         }
     }
     let mut ctx = RunContext::new("skeleton");
-    Pipeline::new(config).run_with_context(
-        reads,
-        &[DnaSeq::from(VECTOR_SEQ)],
-        &genome.repeat_library,
-        &mut ctx,
-    );
+    Pipeline::new(config).run(reads, &[DnaSeq::from(VECTOR_SEQ)], &genome.repeat_library, &mut ctx);
     let tracks = ctx.trace_document().tracks.iter().map(|t| (t.rank, t.label.clone())).collect();
     let run = ctx.finish();
     let mut spans = Vec::new();
@@ -470,11 +465,8 @@ fn run_report_skeleton_is_pinned() {
         "warm"
     );
 
-    let parallel = PipelineConfig {
-        parallel_ranks: Some(3),
-        trace: pgasm::telemetry::trace::TraceSpec::on(),
-        ..uncached
-    };
+    let parallel =
+        PipelineConfig { exec: ranks(3), trace: pgasm::telemetry::trace::TraceSpec::on(), ..uncached };
     let worker = strs(&[
         "align_scratch_bytes_peak",
         "align_scratch_grows",

@@ -9,10 +9,17 @@
 
 use pgasm::align::{overlap_align, AcceptCriteria, Scoring};
 use pgasm::cluster::clustering::cluster_exhaustive;
-use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig, UnionFind};
+use pgasm::cluster::{cluster, ClusterParams, ClusterStats, Clustering, Exec, MasterWorkerConfig, UnionFind};
 use pgasm::gst::GstConfig;
 use pgasm::seq::{DnaSeq, FragmentStore};
+use pgasm::telemetry::RunContext;
 use proptest::prelude::*;
+
+/// The cluster stage in process: the serial engine.
+fn serial(store: &FragmentStore, params: &ClusterParams) -> (Clustering, ClusterStats) {
+    let (part, _) = cluster(store, params, &Exec::Threads(1), &mut RunContext::new("props"));
+    (part.clustering, part.stats)
+}
 
 fn params() -> ClusterParams {
     ClusterParams {
@@ -93,7 +100,7 @@ proptest! {
     #[test]
     fn serial_clustering_matches_reference_components(store in fragment_set()) {
         let p = params();
-        let (clustering, stats) = cluster_serial(&store, &p);
+        let (clustering, stats) = serial(&store, &p);
         let reference = reference_components(&store, &p);
         prop_assert_eq!(&clustering.clusters, &reference);
         prop_assert!(stats.aligned <= stats.generated);
@@ -103,7 +110,7 @@ proptest! {
     #[test]
     fn heuristic_never_does_more_work(store in fragment_set()) {
         let p = params();
-        let (heur, hs) = cluster_serial(&store, &p);
+        let (heur, hs) = serial(&store, &p);
         let (exh, es) = cluster_exhaustive(&store, &p);
         prop_assert_eq!(heur, exh);
         prop_assert!(hs.aligned <= es.aligned);
@@ -113,9 +120,10 @@ proptest! {
     #[test]
     fn parallel_equals_serial(store in fragment_set()) {
         let p = params();
-        let (serial, _) = cluster_serial(&store, &p);
-        let cfg = MasterWorkerConfig { batch: 4, pending_cap: 64 };
-        let report = cluster_parallel(&store, 3, &p, &cfg);
+        let (serial, _) = serial(&store, &p);
+        let engine = MasterWorkerConfig { batch: 4, pending_cap: 64 };
+        let exec = Exec::Ranks { p: 3, engine, recovery: Default::default() };
+        let (report, _) = cluster(&store, &p, &exec, &mut RunContext::new("props"));
         prop_assert_eq!(report.clustering.clusters, serial.clusters);
     }
 }

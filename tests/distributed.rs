@@ -4,10 +4,11 @@
 //! stays consistent — all on simgen data with sequencing errors.
 
 use pgasm::cluster::parallel_gst::{build_distributed_gst, compute_owners, rank_build_gst};
-use pgasm::cluster::{cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig};
+use pgasm::cluster::{cluster, ClusterParams, Exec, MasterWorkerConfig, Partition};
 use pgasm::gst::{GenMode, Gst, GstConfig, PairGenerator};
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
+use pgasm::telemetry::{RunContext, RunReport};
 
 fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
     let genome = Genome::generate(
@@ -26,6 +27,21 @@ fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
     cfg.read_len = (120, 200);
     let mut sampler = Sampler::new(&genome, cfg, seed + 1);
     sampler.wgs(n).to_store()
+}
+
+/// The cluster stage on `exec`: its partition and its run report.
+fn cluster_on(
+    store: &pgasm::seq::FragmentStore,
+    params: &ClusterParams,
+    exec: Exec,
+) -> (Partition, RunReport) {
+    let mut ctx = RunContext::new("distributed");
+    let (part, _) = cluster(store, params, &exec, &mut ctx);
+    (part, ctx.finish())
+}
+
+fn ranks(p: usize, engine: MasterWorkerConfig) -> Exec {
+    Exec::Ranks { p, engine, recovery: Default::default() }
 }
 
 #[test]
@@ -75,10 +91,11 @@ fn gst_traffic_shrinks_per_rank_as_ranks_grow() {
 fn master_worker_scales_worker_count_without_changing_result() {
     let store = test_reads(3, 50);
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
-    let (serial, serial_stats) = cluster_serial(&store, &params);
+    let Partition { clustering: serial, stats: serial_stats, .. } =
+        cluster_on(&store, &params, Exec::Threads(1)).0;
     for workers in [1usize, 3, 6] {
         let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128 };
-        let report = cluster_parallel(&store, workers + 1, &params, &cfg);
+        let (report, _) = cluster_on(&store, &params, ranks(workers + 1, cfg));
         assert_eq!(report.clustering, serial, "workers = {workers}");
         // Work totals agree with the serial run where order-independent.
         assert_eq!(report.stats.generated, serial_stats.generated, "workers = {workers}");
@@ -86,7 +103,7 @@ fn master_worker_scales_worker_count_without_changing_result() {
     }
 }
 
-fn count_rejected(report: &pgasm::cluster::ParallelClusterReport) -> usize {
+fn count_rejected(report: &Partition) -> usize {
     (report.stats.aligned - report.stats.accepted) as usize
 }
 
@@ -95,7 +112,7 @@ fn modelled_comm_time_is_finite_and_positive() {
     let store = test_reads(4, 30);
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
     let cfg = MasterWorkerConfig { batch: 8, pending_cap: 128 };
-    let report = cluster_parallel(&store, 3, &params, &cfg);
+    let (_, report) = cluster_on(&store, &params, ranks(3, cfg));
     for r in &report.ranks {
         let t = r.modelled_comm_seconds();
         assert!(t.is_finite() && t >= 0.0);

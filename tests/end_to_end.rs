@@ -4,7 +4,7 @@
 
 use pgasm::align::AcceptCriteria;
 use pgasm::cluster::validation::validate_clusters;
-use pgasm::cluster::{ClusterParams, Pipeline, PipelineConfig};
+use pgasm::cluster::{ClusterParams, Exec, Pipeline, PipelineConfig};
 use pgasm::gst::GstConfig;
 use pgasm::preprocess::PreprocessConfig;
 use pgasm::seq::DnaSeq;
@@ -12,6 +12,7 @@ use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::simgen::vector::VECTOR_SEQ;
 use pgasm::simgen::ReadKind;
+use pgasm::telemetry::RunContext;
 
 fn test_params() -> ClusterParams {
     ClusterParams {
@@ -47,11 +48,10 @@ fn clean_island_pipeline_reconstructs_regions() {
     let pipeline = Pipeline::new(PipelineConfig {
         preprocess: None,
         cluster: test_params(),
-        parallel_ranks: None,
-        assembly_threads: 2,
+        exec: Exec::Threads(2),
         ..Default::default()
     });
-    let report = pipeline.run(&reads, &[], &[]);
+    let report = pipeline.run(&reads, &[], &[], &mut RunContext::new("e2e"));
     assert!(report.clustering.num_non_singletons() >= 2);
     // Every contig from clean reads is a genome substring.
     let fwd = String::from_utf8(genome.seq.to_ascii()).unwrap();
@@ -81,11 +81,15 @@ fn noisy_reads_with_vector_still_cluster() {
     let pipeline = Pipeline::new(PipelineConfig {
         preprocess: Some(PreprocessConfig { stat_repeats: None, min_unmasked_run: 40, ..Default::default() }),
         cluster: test_params(),
-        parallel_ranks: None,
-        assembly_threads: 2,
+        exec: Exec::Threads(2),
         ..Default::default()
     });
-    let report = pipeline.run(&reads, &[DnaSeq::from(VECTOR_SEQ)], &genome.repeat_library);
+    let report = pipeline.run(
+        &reads,
+        &[DnaSeq::from(VECTOR_SEQ)],
+        &genome.repeat_library,
+        &mut RunContext::new("e2e"),
+    );
     let pp = report.preprocess.as_ref().expect("preprocessing ran");
     let survivors: usize = pp.after.values().map(|v| v.0).sum();
     assert!(survivors >= 40, "too few survivors: {survivors}");
@@ -103,7 +107,7 @@ fn parallel_pipeline_equals_serial_with_artifacts() {
     cfg.read_len = (150, 250);
     let mut sampler = Sampler::new(&genome, cfg, 6);
     let reads = sampler.enriched(60, ReadKind::Mf);
-    let make = |ranks: Option<usize>| {
+    let make = |exec: Exec| {
         Pipeline::new(PipelineConfig {
             preprocess: Some(PreprocessConfig {
                 stat_repeats: None,
@@ -111,14 +115,18 @@ fn parallel_pipeline_equals_serial_with_artifacts() {
                 ..Default::default()
             }),
             cluster: test_params(),
-            parallel_ranks: ranks,
-            assembly_threads: 1,
+            exec,
             ..Default::default()
         })
-        .run(&reads, &[DnaSeq::from(VECTOR_SEQ)], &genome.repeat_library)
+        .run(
+            &reads,
+            &[DnaSeq::from(VECTOR_SEQ)],
+            &genome.repeat_library,
+            &mut RunContext::new("e2e"),
+        )
     };
-    let serial = make(None);
-    let parallel = make(Some(3));
+    let serial = make(Exec::Threads(1));
+    let parallel = make(Exec::Ranks { p: 3, engine: Default::default(), recovery: Default::default() });
     assert_eq!(serial.clustering, parallel.clustering);
     assert_eq!(serial.total_contigs(), parallel.total_contigs());
 }
@@ -190,11 +198,10 @@ fn repeat_masking_prevents_chaining() {
                 ..Default::default()
             }),
             cluster: test_params(),
-            parallel_ranks: None,
-            assembly_threads: 1,
+            exec: Exec::Threads(1),
             ..Default::default()
         })
-        .run(&reads, &[], known)
+        .run(&reads, &[], known, &mut RunContext::new("e2e"))
     };
     let masked = run(std::slice::from_ref(&repeat.seq));
     let unmasked = run(&[]);
@@ -236,9 +243,10 @@ fn cli_rejects_options_a_subcommand_never_reads() {
 fn cli_rejects_spellings_it_used_to_ignore() {
     // `--checkpoint` without a cadence wrote no snapshot and said
     // nothing; `--ranks 1` ran serial although USAGE says p >= 2;
-    // `--assembly-threads 0` ran one thread; a `--min-identity` outside
-    // [0, 1] (or NaN) clustered nothing or accepted every pair. All are
-    // errors before any read is loaded.
+    // `--assembly-threads 0` ran one thread; `--assembly-threads` beside
+    // `--ranks` was ignored; a `--min-identity` outside [0, 1] (or NaN)
+    // clustered nothing or accepted every pair. All are errors before
+    // any read is loaded.
     for (args, names) in [
         (&["cluster", "--min-identity", "nan"][..], "--min-identity must be in [0, 1], not NaN"),
         (&["cluster", "--min-identity", "1.5"][..], "--min-identity must be in [0, 1], not 1.5"),
@@ -253,6 +261,10 @@ fn cli_rejects_spellings_it_used_to_ignore() {
         (
             &["assemble", "--out", "/nonexistent.fasta", "--assembly-threads", "0"][..],
             "--assembly-threads must be >= 1",
+        ),
+        (
+            &["assemble", "--out", "/nonexistent.fasta", "--ranks", "3", "--assembly-threads", "2"][..],
+            "--assembly-threads and --ranks",
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
@@ -400,10 +412,11 @@ fn cli_cluster_stops_after_the_cluster_stage() {
         reads.seqs.push(r.seq);
         reads.quals.push(r.qual);
     }
-    let full = Pipeline::new(PipelineConfig { assembly_threads: 2, ..Default::default() }).run(
+    let full = Pipeline::new(PipelineConfig { exec: Exec::Threads(2), ..Default::default() }).run(
         &reads,
         &[DnaSeq::from(VECTOR_SEQ)],
         &[],
+        &mut RunContext::new("e2e"),
     );
     assert!(full.total_contigs() > 0, "fixture must assemble something");
     let expected: String = full

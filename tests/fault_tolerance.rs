@@ -13,7 +13,7 @@
 use pgasm::align::AcceptCriteria;
 use pgasm::cluster::checkpoint::{read_checkpoint, write_checkpoint};
 use pgasm::cluster::{
-    ClusterParams, MasterWorkerConfig, Pipeline, PipelineConfig, PipelineReport, StageRecovery,
+    ClusterParams, Exec, MasterWorkerConfig, Pipeline, PipelineConfig, PipelineReport, StageRecovery,
 };
 use pgasm::gst::GstConfig;
 use pgasm::mpisim::FaultPlan;
@@ -93,12 +93,9 @@ fn config(p: usize, recovery: StageRecovery) -> PipelineConfig {
             criteria: AcceptCriteria { min_identity: 0.9, min_overlap: 35 },
             ..Default::default()
         },
-        parallel_ranks: Some(p),
         // Small batches: the clustering stage is then certain to issue
         // many leases (see the module docs), not two.
-        master_worker: MasterWorkerConfig { batch: BATCH, ..Default::default() },
-        assembly_threads: 2,
-        recovery,
+        exec: Exec::Ranks { p, engine: MasterWorkerConfig { batch: BATCH, ..Default::default() }, recovery },
         ..Default::default()
     }
 }
@@ -116,12 +113,8 @@ fn run_traced(
     genome: &Genome,
 ) -> (PipelineReport, RunReport, Trace) {
     let mut ctx = RunContext::new("fault-tolerance-test");
-    let report = Pipeline::new(config).run_with_context(
-        reads,
-        &[DnaSeq::from(VECTOR_SEQ)],
-        &genome.repeat_library,
-        &mut ctx,
-    );
+    let report =
+        Pipeline::new(config).run(reads, &[DnaSeq::from(VECTOR_SEQ)], &genome.repeat_library, &mut ctx);
     let trace = ctx.trace_document();
     (report, ctx.finish(), trace)
 }

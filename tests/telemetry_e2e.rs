@@ -3,9 +3,7 @@
 //! engine-independent — a serial run and a master–worker run on the
 //! same seed tally the same pairs generated and merges made.
 
-use pgasm::cluster::{
-    cluster_parallel, cluster_serial, ClusterParams, MasterWorkerConfig, Pipeline, PipelineConfig,
-};
+use pgasm::cluster::{cluster, ClusterParams, Exec, MasterWorkerConfig, Partition, Pipeline, PipelineConfig};
 use pgasm::gst::{GenMode, GstConfig};
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
@@ -30,6 +28,21 @@ fn test_store(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
     sampler.wgs(n).to_store()
 }
 
+/// The cluster stage on `exec`: its partition and its run report.
+fn cluster_on(
+    store: &pgasm::seq::FragmentStore,
+    params: &ClusterParams,
+    exec: Exec,
+) -> (Partition, RunReport) {
+    let mut ctx = RunContext::new("e2e");
+    let (part, _) = cluster(store, params, &exec, &mut ctx);
+    (part, ctx.finish())
+}
+
+fn ranks(p: usize) -> Exec {
+    Exec::Ranks { p, engine: MasterWorkerConfig { batch: 8, pending_cap: 128 }, recovery: Default::default() }
+}
+
 /// §7's protocol reorders alignment work across workers, so *aligned*
 /// and *accepted* legitimately drift between engines (the cluster-check
 /// skip depends on merge timing). What the schedule cannot touch must
@@ -41,9 +54,9 @@ fn work_counters_identical_between_serial_and_parallel() {
     let store = test_store(11, 60);
     let params =
         ClusterParams { gst: GstConfig { psi: 14 }, mode: GenMode::AllMatches, ..Default::default() };
-    let (serial_clustering, serial_stats) = cluster_serial(&store, &params);
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128 };
-    let report = cluster_parallel(&store, 3, &params, &config);
+    let Partition { clustering: serial_clustering, stats: serial_stats, .. } =
+        cluster_on(&store, &params, Exec::Threads(1)).0;
+    let (report, run) = cluster_on(&store, &params, ranks(3));
 
     assert_eq!(report.clustering, serial_clustering);
     assert_eq!(report.stats.generated, serial_stats.generated);
@@ -51,7 +64,7 @@ fn work_counters_identical_between_serial_and_parallel() {
     assert!(report.stats.accepted >= report.stats.merges && report.stats.aligned >= report.stats.accepted);
 
     // The master's totals fall out of the per-rank telemetry channels.
-    let worker_sum = |key: &str| -> u64 { report.ranks[1..].iter().map(|r| r.counter(key)).sum() };
+    let worker_sum = |key: &str| -> u64 { run.ranks[1..].iter().map(|r| r.counter(key)).sum() };
     assert_eq!(worker_sum(names::PAIRS_GENERATED), serial_stats.generated);
     assert_eq!(worker_sum(names::PAIRS_ALIGNED), report.stats.aligned);
     assert_eq!(worker_sum(names::PAIRS_ACCEPTED), report.stats.accepted);
@@ -67,8 +80,7 @@ fn modelled_seconds_sum_prices_each_message_once() {
     use pgasm::mpisim::CostModel;
     let store = test_store(31, 50);
     let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128 };
-    let report = cluster_parallel(&store, 4, &params, &config);
+    let (_, report) = cluster_on(&store, &params, ranks(4));
 
     let model = CostModel::BLUEGENE_L;
     let mut from_rows = 0.0;
@@ -107,13 +119,11 @@ fn pipeline_run_report_survives_json_round_trip() {
     let reads = sampler.wgs(50);
     let config = PipelineConfig {
         cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
-        parallel_ranks: Some(3),
-        master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128 },
-        assembly_threads: 2,
+        exec: ranks(3),
         ..Default::default()
     };
     let mut ctx = RunContext::new("e2e");
-    let report = Pipeline::new(config).run_with_context(&reads, &[], &genome.repeat_library, &mut ctx);
+    let report = Pipeline::new(config).run(&reads, &[], &genome.repeat_library, &mut ctx);
     let run = ctx.finish();
 
     // Stage graph shape and counter consistency.

@@ -1,20 +1,18 @@
 //! End-to-end tracing: a traced pipeline run yields a well-formed
 //! Chrome trace document (one track per rank over both distributed
 //! stages, ≥ 4 categories, ordered timestamps) that the analyzer reads
-//! back, alone, without an unpaired message and with stage rows that sum
-//! to its rank rows, and the event-derived blocked time agrees with the
-//! simulator's own `wait_ns`/`barrier_ns` accounting.
+//! back, alone, without an unpaired message and with the distributed
+//! stages' rows summing to its rank rows, and the event-derived blocked
+//! time agrees with the simulator's own `wait_ns`/`barrier_ns`
+//! accounting.
 
-use pgasm::cluster::{
-    cluster_parallel_with, ClusterParams, MasterWorkerConfig, ParallelClusterReport, Pipeline,
-    PipelineConfig, RunOpts,
-};
+use pgasm::cluster::{cluster, ClusterParams, Exec, MasterWorkerConfig, Pipeline, PipelineConfig};
 use pgasm::gst::GstConfig;
 use pgasm::seq::FragmentStore;
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
 use pgasm::telemetry::analyze::{self, ATrack};
-use pgasm::telemetry::{names, Json, RunContext, RunReport, Trace, TraceKind, TraceSpec};
+use pgasm::telemetry::{names, Json, RankTrace, RunContext, RunReport, Trace, TraceKind, TraceSpec};
 
 fn test_reads(seed: u64, n: usize) -> pgasm::simgen::ReadSet {
     let genome = Genome::generate(
@@ -35,11 +33,19 @@ fn test_reads(seed: u64, n: usize) -> pgasm::simgen::ReadSet {
     sampler.wgs(n)
 }
 
-/// The cluster stage on `p` ranks under `trace`.
-fn cluster_traced(store: &FragmentStore, p: usize, trace: TraceSpec) -> ParallelClusterReport {
+fn on_ranks(p: usize) -> Exec {
+    Exec::Ranks { p, engine: MasterWorkerConfig { batch: 8, pending_cap: 128 }, recovery: Default::default() }
+}
+
+/// The cluster stage on `p` ranks under `trace`: the ranks' tracks and
+/// the run report.
+fn cluster_traced(store: &FragmentStore, p: usize, trace: TraceSpec) -> (Vec<RankTrace>, RunReport) {
     let params = ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() };
-    let config = MasterWorkerConfig { batch: 8, pending_cap: 128 };
-    cluster_parallel_with(store, p, &params, &config, &RunOpts { trace, ..RunOpts::default() })
+    let mut ctx = RunContext::new("traced");
+    ctx.bind_track(&trace);
+    cluster(store, &params, &on_ranks(p), &mut ctx);
+    let tracks = ctx.trace_document().tracks.into_iter().filter(|t| t.label != "pipeline").collect();
+    (tracks, ctx.finish())
 }
 
 /// The whole pipeline on `ranks` ranks, traced: the trace document and
@@ -48,14 +54,12 @@ fn pipeline_traced(reads: &pgasm::simgen::ReadSet, ranks: usize) -> (Trace, RunR
     let config = PipelineConfig {
         preprocess: None,
         cluster: ClusterParams { gst: GstConfig { psi: 18 }, ..Default::default() },
-        parallel_ranks: Some(ranks),
-        master_worker: MasterWorkerConfig { batch: 8, pending_cap: 128 },
-        assembly_threads: 2,
+        exec: on_ranks(ranks),
         trace: TraceSpec::on(),
         ..Default::default()
     };
     let mut ctx = RunContext::new("traced");
-    Pipeline::new(config).run_with_context(reads, &[], &[], &mut ctx);
+    Pipeline::new(config).run(reads, &[], &[], &mut ctx);
     (ctx.trace_document(), ctx.finish())
 }
 
@@ -141,14 +145,18 @@ fn traced_pipeline_exports_valid_chrome_trace() {
     assert!(cluster.iter().all(|b| !b.starts_with("asm_")), "{cluster:?}");
 
     // Rank rows and stage rows are one attribution over two kinds of
-    // window, and every rank's traced time falls inside a stage: for
-    // compute, wait and barrier the stage rows sum to the rank rows (the
-    // pipeline track, which holds the windows, excepted).
+    // window, and every rank's traced time falls inside a distributed
+    // stage: for compute, wait and barrier those stages' rows sum to the
+    // rank rows (the pipeline track, which holds the windows, excepted).
+    // Preprocessing runs before any rank starts, on the pipeline's
+    // thread: its row is the pipeline track's, all compute.
+    let pre = stage("preprocess");
+    assert_eq!((pre.compute_ns, pre.wait_blocked_ns, pre.barrier_ns), (pre.wall_ns, 0, 0));
     let sum = |rows: Vec<[u64; 3]>| rows.iter().fold([0; 3], |t, r| [t[0] + r[0], t[1] + r[1], t[2] + r[2]]);
     let ranks = analysis.ranks.iter().filter(|r| r.label != "pipeline");
     let by_rank = sum(ranks.map(|r| [r.compute_ns, r.wait_blocked_ns, r.barrier_ns]).collect());
-    let by_stage =
-        sum(analysis.stages.iter().map(|s| [s.compute_ns, s.wait_blocked_ns, s.barrier_ns]).collect());
+    let distributed = analysis.stages.iter().filter(|s| s.stage != "preprocess");
+    let by_stage = sum(distributed.map(|s| [s.compute_ns, s.wait_blocked_ns, s.barrier_ns]).collect());
     assert!(by_rank.iter().all(|&ns| ns > 0), "{by_rank:?}");
     assert_eq!(by_stage, by_rank, "[compute, wait, barrier]");
 }
@@ -179,21 +187,23 @@ fn event_blocked_time_matches_wait_ns_accounting() {
 
 /// The GST phase's reported wall bounds what the ranks traced of it:
 /// each rank's window from its `gst_count` begin to its `gst_build` end
-/// lies inside its pre-phase, and `gst_seconds` is the longest of those.
+/// lies inside its pre-phase, and the stage's `gst_build` span, the
+/// longest rank's pre-phase, is at least the longest of those.
 #[test]
 fn gst_seconds_is_wall_time_covering_every_ranks_gst_window() {
     let store = test_reads(31, 160).to_store();
-    let report = cluster_traced(&store, 3, TraceSpec::on());
-    for track in &report.traces {
+    let (traces, run) = cluster_traced(&store, 3, TraceSpec::on());
+    let gst_seconds = run.span("gst_build").expect("the GST phase's span").wall_seconds;
+    for track in &traces {
         let at = |kind, name| {
             track.events.iter().find(|e| e.kind == kind && e.name == name).map(|e| e.ts_ns).unwrap()
         };
         let window = at(TraceKind::End, names::EV_GST_BUILD) - at(TraceKind::Begin, names::EV_GST_COUNT);
         assert!(
-            report.gst_seconds * 1e9 >= window as f64,
+            gst_seconds * 1e9 >= window as f64,
             "rank {}: gst_seconds {:.6} s < traced GST window {window} ns",
             track.rank,
-            report.gst_seconds
+            gst_seconds
         );
     }
 }
@@ -207,8 +217,8 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
     let store = test_reads(29, 150).to_store();
 
     // How many trace-call sites does this workload actually execute?
-    let traced = cluster_traced(&store, 4, TraceSpec::on());
-    let call_sites: u64 = traced.traces.iter().map(|t| t.events.len() as u64 + t.dropped_events).sum::<u64>();
+    let (traced, _) = cluster_traced(&store, 4, TraceSpec::on());
+    let call_sites: u64 = traced.iter().map(|t| t.events.len() as u64 + t.dropped_events).sum::<u64>();
     assert!(call_sites > 0);
 
     // Measured cost of one disabled call in this build profile.
@@ -235,10 +245,13 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
 }
 
 /// Tracing off is the default and must leave no trace artifacts at all
-/// — no events, no drops.
+/// — no track, no events, no drops, no drop counter.
 #[test]
 fn untraced_run_carries_no_trace_artifacts() {
     let store = test_reads(23, 60).to_store();
-    let report = cluster_traced(&store, 3, TraceSpec::off());
-    assert!(report.traces.iter().all(|t| t.events.is_empty() && t.dropped_events == 0));
+    let (traces, run) = cluster_traced(&store, 3, TraceSpec::off());
+    assert!(traces.iter().all(|t| t.events.is_empty() && t.dropped_events == 0));
+    assert!(traces.is_empty(), "an untraced run exports no track");
+    assert!(!run.counters.contains_key(names::TRACE_EVENTS_DROPPED));
+    assert_eq!(run.ranks.len(), 3);
 }
