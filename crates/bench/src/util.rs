@@ -5,7 +5,8 @@ use pgasm_core::{cluster, ClusterParams, Exec, Partition};
 use pgasm_seq::FragmentStore;
 use pgasm_telemetry::RunContext;
 
-/// Run `f`, returning its value and its wall seconds.
+/// Run `f`, returning its value and its wall seconds: the one clock the
+/// experiments that print a time read.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();

@@ -92,19 +92,23 @@ pub struct DistAssembleReport {
     pub assemblies: Vec<Assembly>,
     /// Wall-clock seconds of the assemble phase (max over ranks).
     pub assemble_seconds: f64,
-    /// Per-rank thread-CPU seconds of the phase (rank 0 = master).
+    /// Per-rank thread-CPU seconds of the phase (rank 0 = master): each
+    /// rank channel's `cpu_seconds`.
     pub cpu_seconds: Vec<f64>,
     /// Per-worker idle fraction (blocked time / phase time).
     pub worker_idle_fraction: Vec<f64>,
     /// Fraction of the phase the master spent blocked awaiting reports.
     pub master_availability: f64,
-    /// Per-rank telemetry channels, rank ids 0..p as in clustering.
+    /// Per-rank telemetry channels (rank ids 0..p, merged with the
+    /// clustering stage's by `RunContext::merge_stage`).
     pub ranks: Vec<RankReport>,
-    /// Per-rank event traces on track ids 0..p, as in clustering (empty
-    /// tracks when tracing was off).
+    /// Per-rank event traces on track ids 0..p — the clustering
+    /// stage's, so `RunContext::merge_stage` appends them to the tracks
+    /// those ranks already have; empty tracks when tracing was off.
     pub traces: Vec<RankTrace>,
     /// The fault plan killed the master: unassembled slots hold empty
-    /// placeholders.
+    /// placeholder assemblies and the run should resume from the last
+    /// checkpoint.
     pub killed: bool,
 }
 
@@ -431,12 +435,12 @@ mod tests {
         out
     }
 
-    /// One dominant island plus several small ones — the heavy-tailed
-    /// cluster-size shape real datasets produce.
-    fn heavy_tailed_store() -> FragmentStore {
+    /// One dominant island plus one small one per seed of `small` — the
+    /// heavy-tailed cluster-size shape real datasets produce.
+    fn heavy_tailed_store(small: std::ops::Range<u64>) -> FragmentStore {
         // 400-bp reads: the giant outlasts the dispatch of the tail.
         let mut reads = tile(&genome(7, 4180), 400, 60);
-        for seed in 20..26 {
+        for seed in small {
             reads.extend(tile(&genome(seed, 600), 200, 90));
         }
         FragmentStore::from_seqs(reads)
@@ -450,26 +454,43 @@ mod tests {
         }
     }
 
+    /// One dominant island (64 reads, cost proxy 2016) plus 14 small
+    /// ones (5 reads, cost proxy 10 each): 15 non-singleton clusters, so
+    /// at p = 8 static chunking packs ⌈15/7⌉ = 3 clusters per grant and
+    /// the dominant cluster's chunk always carries extra work, while LPT
+    /// hands the dominant cluster out alone first. The fixture of
+    /// `tests/assembly_balance.rs`, whose `Static` runs are here.
+    fn fifteen_clusters() -> (FragmentStore, Clustering) {
+        let store = heavy_tailed_store(100..114);
+        let (clustering, _) = in_process(&store, &params());
+        assert_eq!(clustering.num_non_singletons(), 15, "fixture yields 1 giant + 14 small clusters");
+        (store, clustering)
+    }
+
     #[test]
     fn distributed_matches_threaded_at_several_rank_counts() {
-        let store = heavy_tailed_store();
+        let store = heavy_tailed_store(20..26);
         let (clustering, _) = in_process(&store, &params());
         assert!(clustering.num_non_singletons() >= 3, "fixture produces several clusters");
+        let fifteen = fifteen_clusters();
         let cfg = AssemblyConfig::default();
         let exec = Exec::Threads(4);
-        let (threaded, _) =
-            crate::assemble(&store, None, &clustering, &cfg, &exec, &mut RunContext::new("test"));
-        for p in [2usize, 4, 8] {
-            for policy in [AssignPolicy::Lpt, AssignPolicy::Static] {
-                let dist = assemble_parallel(&store, None, &clustering, &cfg, p, policy);
-                assert_eq!(dist.assemblies, threaded, "p = {p}, policy = {policy:?}");
+        for (store, clustering) in [(store, clustering), fifteen] {
+            let (threaded, _) =
+                crate::assemble(&store, None, &clustering, &cfg, &exec, &mut RunContext::new("test"));
+            assert!(!threaded.is_empty());
+            for p in [2usize, 4, 8] {
+                for policy in [AssignPolicy::Lpt, AssignPolicy::Static] {
+                    let dist = assemble_parallel(&store, None, &clustering, &cfg, p, policy);
+                    assert_eq!(dist.assemblies, threaded, "p = {p}, policy = {policy:?}");
+                }
             }
         }
     }
 
     #[test]
     fn rank_reports_cover_the_phase() {
-        let store = heavy_tailed_store();
+        let store = heavy_tailed_store(20..26);
         let (clustering, _) = in_process(&store, &params());
         let cfg = AssemblyConfig::default();
         let dist = assemble_parallel(&store, None, &clustering, &cfg, 4, AssignPolicy::Lpt);
@@ -505,7 +526,7 @@ mod tests {
         // spreads the small clusters away from whichever rank holds the
         // giant, while static chunking gives some rank the giant plus
         // its whole neighbouring block.
-        let store = heavy_tailed_store();
+        let store = heavy_tailed_store(20..26);
         let (clustering, _) = in_process(&store, &params());
         let cfg = AssemblyConfig::default();
         let ratio = |policy: AssignPolicy| {
@@ -521,6 +542,38 @@ mod tests {
             lpt <= stat,
             "LPT must not load-balance worse than contiguous chunking: lpt {lpt:.3} vs static {stat:.3}"
         );
+    }
+
+    /// max / mean of the deterministic per-worker cost-unit counter.
+    fn imbalance(report: &DistAssembleReport) -> f64 {
+        let costs: Vec<u64> = report.ranks[1..].iter().map(|r| r.counter(names::ASM_COST_UNITS)).collect();
+        let max = costs.iter().copied().max().unwrap_or(0) as f64;
+        let mean = costs.iter().sum::<u64>() as f64 / costs.len().max(1) as f64;
+        max / mean.max(1e-9)
+    }
+
+    #[test]
+    fn lpt_strictly_beats_static_chunking_at_p8() {
+        let (store, clustering) = fifteen_clusters();
+        let cfg = AssemblyConfig::default();
+        let lpt = assemble_parallel(&store, None, &clustering, &cfg, 8, AssignPolicy::Lpt);
+        let stat = assemble_parallel(&store, None, &clustering, &cfg, 8, AssignPolicy::Static);
+        // Same total work either way, so comparing max/mean compares the
+        // worst-loaded worker directly.
+        let (lpt_ratio, stat_ratio) = (imbalance(&lpt), imbalance(&stat));
+        assert!(
+            lpt_ratio < stat_ratio,
+            "LPT must strictly beat static chunking here: max/mean {lpt_ratio:.3} vs {stat_ratio:.3}"
+        );
+        // LPT's critical path is exactly the dominant cluster: the worker
+        // that drew it gets nothing else while the tail back-fills.
+        let lpt_max: u64 = lpt.ranks[1..].iter().map(|r| r.counter(names::ASM_COST_UNITS)).max().unwrap_or(0);
+        let giant: u64 = clustering
+            .non_singletons()
+            .map(|m| (m.len() as u64) * (m.len() as u64 - 1) / 2)
+            .max()
+            .unwrap_or(0);
+        assert_eq!(lpt_max, giant, "the dominant cluster rides alone under LPT");
     }
 
     #[test]
@@ -597,7 +650,7 @@ mod tests {
         // final assemblies must byte-match the fault-free run — also
         // when K is the last cluster of the stage, granted when the
         // other workers are already parked.
-        let store = heavy_tailed_store();
+        let store = heavy_tailed_store(20..26);
         let (clustering, _) = in_process(&store, &params());
         let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;
         let last = clustering.num_non_singletons();
@@ -628,7 +681,7 @@ mod tests {
 
     #[test]
     fn master_kill_checkpoint_resume_reproduces_assemblies() {
-        let store = heavy_tailed_store();
+        let store = heavy_tailed_store(20..26);
         let (clustering, _) = in_process(&store, &params());
         assert!(clustering.num_non_singletons() >= 4, "lease p = 4 is always issued");
         let expected = run_with(&store, &clustering, StageRecovery::default()).assemblies;

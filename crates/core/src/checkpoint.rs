@@ -76,9 +76,15 @@ impl StageRecovery {
         }
     }
 
-    /// Stage `name`'s settings from a whole run's: the plan narrowed to
-    /// `stage`, the two paths bases of the file `<base>.<name>.pgck`.
-    pub fn for_stage(&self, stage: FaultStage, name: &str) -> StageRecovery {
+    /// `stage`'s settings from a whole run's: the plan narrowed to it,
+    /// the two paths bases of its file `<base>.cluster.pgck` or
+    /// `<base>.assemble.pgck`.
+    pub fn for_stage(&self, stage: FaultStage) -> StageRecovery {
+        let name = match stage {
+            FaultStage::Cluster => STAGE_CLUSTER,
+            FaultStage::Assemble => STAGE_ASSEMBLE,
+            FaultStage::Any => panic!("`Any` scopes fault clauses; it is no stage"),
+        };
         let own = |base: &PathBuf| {
             let mut path = base.clone().into_os_string();
             path.push(format!(".{name}.pgck"));
@@ -176,10 +182,13 @@ mod tests {
             checkpoint_path: Some(PathBuf::from("run")),
             ..StageRecovery::default()
         };
-        let cluster = r.for_stage(FaultStage::Cluster, STAGE_CLUSTER);
+        let cluster = r.for_stage(FaultStage::Cluster);
         assert_eq!(cluster.faults.clauses.len(), 1);
         assert_eq!(cluster.checkpoint_every, Some(10), "other settings survive the narrowing");
         assert_eq!(cluster.checkpoint_path, Some(PathBuf::from("run.cluster.pgck")));
         assert_eq!(cluster.resume_from, None);
+        let assemble = r.for_stage(FaultStage::Assemble);
+        assert_eq!(assemble.faults.clauses[0].lease, 50);
+        assert_eq!(assemble.checkpoint_path, Some(PathBuf::from("run.assemble.pgck")));
     }
 }

@@ -102,13 +102,14 @@ pub trait StageClient: Sync {
 pub struct StageRun<O> {
     /// Each rank's client product.
     pub outputs: Vec<O>,
-    /// Wall-clock seconds of the pre-phase and of the protocol phase
-    /// (each the max over ranks).
+    /// Wall-clock seconds of the pre-phase (max over ranks).
     pub pre_seconds: f64,
+    /// Wall-clock seconds of the protocol phase (max over ranks).
     pub seconds: f64,
     /// Per-worker idle fraction: its channel's `idle_seconds` over its
-    /// protocol-phase wall time; the master's is its availability.
+    /// protocol-phase wall time.
     pub worker_idle_fraction: Vec<f64>,
+    /// Fraction of the phase the master spent blocked awaiting reports.
     pub master_availability: f64,
     /// Per-rank telemetry channels: `cpu_seconds` and `idle_seconds`
     /// cover the protocol phase; the `comm` rows and the

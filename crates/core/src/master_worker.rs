@@ -47,7 +47,10 @@ use pgasm_telemetry::{names, RankReport};
 use std::collections::VecDeque;
 
 /// Master–worker *runtime* configuration: the engine's protocol knobs
-/// and nothing else; what to cluster and how is [`ClusterParams`].
+/// (pairs per grant, pending-buffer capacity) and nothing else. What to
+/// cluster and how (GST window, scoring, acceptance, mode) lives in
+/// [`ClusterParams`], passed alongside — the one place those parameters
+/// are defined.
 pub type MasterWorkerConfig = EngineConfig;
 
 /// Outcome of a parallel clustering run.
@@ -60,22 +63,29 @@ pub struct ParallelClusterReport {
     /// Per-rank GST construction reports.
     pub gst_reports: Vec<RankGstReport>,
     /// Wall-clock seconds of the GST phase: the longest rank's
-    /// pre-phase window, closing barrier included.
+    /// pre-phase window, closing barrier included. (Each rank's thread-CPU
+    /// share is its report's `compute_seconds`.)
     pub gst_seconds: f64,
     /// Wall-clock seconds of the clustering phase (max over ranks).
     pub cluster_seconds: f64,
-    /// Per-worker idle fraction during clustering — §7.2's idle
-    /// percentage.
+    /// Per-worker idle fraction during clustering (blocked time /
+    /// phase time) — the §7.2 idle-percentage metric.
     pub worker_idle_fraction: Vec<f64>,
     /// Fraction of the clustering phase the master spent available
     /// (blocked waiting for requests) — §7.2 reports 90% → 70%.
     pub master_availability: f64,
-    /// Per-rank telemetry channels (rank 0 = master).
+    /// Per-rank telemetry channels: role, thread-CPU and idle seconds
+    /// of the clustering phase (rank 0 = master), rank-local counters
+    /// (pairs generated/aligned/accepted, batch round-trips, peak queue
+    /// depth), and the rank's per-tag traffic with modelled α–β time
+    /// over the whole stage, GST pre-phase included.
     pub ranks: Vec<RankReport>,
-    /// Per-rank event traces of the whole stage (empty tracks when
-    /// tracing was off).
+    /// Per-rank event traces covering the whole stage (GST +
+    /// clustering; spans, instants and the queue-depth / occupancy /
+    /// align-scratch gauges); empty tracks when tracing was off.
     pub traces: Vec<RankTrace>,
-    /// The fault plan killed the master: the clustering is partial.
+    /// The fault plan killed the master: the clustering above is
+    /// partial and the run should resume from the last checkpoint.
     pub killed: bool,
 }
 
@@ -666,6 +676,23 @@ mod tests {
         let mut ctx = traced();
         crate::assemble(store, None, &part.clustering, &Default::default(), &exec, &mut ctx);
         (c, stage(ctx))
+    }
+
+    #[test]
+    fn untraced_ranks_record_no_event_and_drop_none_in_either_stage() {
+        // Tracing off installs a disabled tracer on every rank: the rank
+        // tracks come back empty, with nothing dropped.
+        use crate::assemble_dist::{assemble_on_ranks, AssembleStage, AssignPolicy};
+        let store = test_store();
+        let off = StageRecovery::default();
+        let c = cluster_on_ranks(&store, 3, &params(), &config(), TraceSpec::off(), &off);
+        let (tasks, batch) = AssignPolicy::Lpt.plan(&c.clustering, 2);
+        let job = AssembleStage { store: &store, quals: None, config: &Default::default(), tasks, batch };
+        let a = assemble_on_ranks(job, 3, TraceSpec::off(), &off);
+        assert_eq!((c.traces.len(), a.traces.len()), (3, 3));
+        for track in c.traces.iter().chain(&a.traces) {
+            assert!(track.events.is_empty() && track.dropped_events == 0, "rank {}", track.rank);
+        }
     }
 
     /// What a run of the cluster stage leaves: its product and rank

@@ -25,7 +25,8 @@ use pgasm_telemetry::{names, RunContext};
 pub struct PipelineConfig {
     /// Preprocessing settings; `None` runs clustering on the raw reads.
     pub preprocess: Option<PreprocessConfig>,
-    /// Clustering parameters — the one place they are defined.
+    /// Clustering parameters — the one place they are defined; the
+    /// master–worker runtime borrows these at run time.
     pub cluster: ClusterParams,
     /// Per-cluster assembler settings.
     pub assembly: AssemblyConfig,
@@ -404,7 +405,9 @@ impl Pipeline {
         report
     }
 
-    /// As [`Pipeline::run`], stopping after the cluster stage.
+    /// As [`Pipeline::run`], stopping after the cluster stage: the
+    /// report's `assemblies` stay empty and the run records no
+    /// `assemble` span.
     pub fn cluster(
         &self,
         reads: &ReadSet,

@@ -4,7 +4,7 @@
 //! bound trace settings the ranks trace under.
 
 use crate::assemble_dist::{assemble_on_ranks, AssembleStage, AssignPolicy};
-use crate::checkpoint::{StageRecovery, STAGE_ASSEMBLE, STAGE_CLUSTER};
+use crate::checkpoint::StageRecovery;
 use crate::clustering::{cluster_over_gst, ClusterParams, ClusterStats, Clustering};
 use crate::engine::EngineConfig;
 use crate::master_worker::cluster_on_ranks;
@@ -39,7 +39,8 @@ pub struct Partition {
 /// Cluster the single-stranded fragments of `store` on `exec`, recording
 /// `gst_build` (on ranks also `master_worker`, both on rank clocks).
 /// Returns the partition and whether the fault plan killed the master,
-/// which leaves it partial. Panics on `Threads(0)` or `p < 2`.
+/// which leaves it partial. Panics on `Threads(0)`, `p < 2` or a
+/// double-stranded `store`.
 pub fn cluster(
     store: &FragmentStore,
     params: &ClusterParams,
@@ -49,6 +50,7 @@ pub fn cluster(
     let (partition, killed) = match exec {
         Exec::Threads(n) => {
             assert!(*n >= 1, "Exec::Threads needs at least one thread");
+            assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
             let ds = store.with_reverse_complements();
             let gst = ctx.scope("gst_build", |_| Gst::build(&ds, params.gst));
             let gst_stats = gst.stats();
@@ -56,7 +58,7 @@ pub fn cluster(
             (Partition { clustering, stats, gst: gst_stats }, false)
         }
         Exec::Ranks { p, engine, recovery } => {
-            let recovery = recovery.for_stage(FaultStage::Cluster, STAGE_CLUSTER);
+            let recovery = recovery.for_stage(FaultStage::Cluster);
             let r = cluster_on_ranks(store, *p, params, engine, ctx.trace_spec(), &recovery);
             let gst_cpu = r.gst_reports.iter().map(|g| g.compute_seconds).sum();
             let cpu = r.ranks.iter().map(|rank| rank.cpu_seconds).sum();
@@ -90,7 +92,7 @@ pub fn assemble(
     let (assemblies, killed) = match exec {
         Exec::Threads(n) => (assemble_on_threads(store, quals, clustering, config, *n), false),
         Exec::Ranks { p, recovery, .. } => {
-            let recovery = recovery.for_stage(FaultStage::Assemble, STAGE_ASSEMBLE);
+            let recovery = recovery.for_stage(FaultStage::Assemble);
             let (tasks, batch) = AssignPolicy::Lpt.plan(clustering, p.saturating_sub(1));
             let job = AssembleStage { store, quals, config, tasks, batch };
             let r = assemble_on_ranks(job, *p, ctx.trace_spec(), &recovery);

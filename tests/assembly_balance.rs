@@ -114,6 +114,8 @@ fn lpt_strictly_beats_static_chunking_at_p8() {
     // Static chunking's loads follow from its plan: ⌈15/7⌉ = 3 clusters
     // per grant makes 5 blocks, and the 7 workers' opening reports take
     // one block each, so the loads are the blocks' costs and two zeros.
+    // (Only the crate starts a `Static` run: `assemble_dist`'s unit test
+    // of this name measures one on this fixture.)
     let (tasks, batch) = AssignPolicy::Static.plan(&clustering, 7);
     let mut static_costs: Vec<u64> =
         tasks.chunks(batch).map(|block| block.iter().map(|t| t.cost_units()).sum()).collect();

@@ -245,7 +245,10 @@ fn disabled_tracer_overhead_is_under_one_percent_of_smoke_run() {
 }
 
 /// Tracing off is the default and must leave no trace artifacts at all
-/// — no track, no events, no drops, no drop counter.
+/// — no track, no events, no drops, no drop counter. (The context drops
+/// an untraced stage's tracks; that its ranks recorded nothing in them
+/// is `master_worker`'s unit test
+/// `untraced_ranks_record_no_event_and_drop_none_in_either_stage`.)
 #[test]
 fn untraced_run_carries_no_trace_artifacts() {
     let store = test_reads(23, 60).to_store();
