@@ -127,11 +127,17 @@ cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_cl
   --metrics-json ci.cluster-ranks3.json
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "partition differs between serial and --ranks 3"; exit 1; }
 # The ranks' merged admission table is the serial table: over all ranks
-# they count, index and build exactly what the serial build does.
+# they count, index and build exactly what the serial build does. A
+# serial report holds each counter once; a --ranks 3 report holds the
+# run's value first, then one per rank channel, which sum to it.
+values() { grep -o "\"$1\": [0-9]*" "$2" | grep -o '[0-9]*$' || true; }
 for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
-  serial=$(grep -o "\"$counter\": [0-9]*" ci.cluster-serial.json || true)
-  ranks3=$(grep -o "\"$counter\": [0-9]*" ci.cluster-ranks3.json || true)
-  [ -n "$serial" ] && [ "$serial" = "$ranks3" ] || { echo "$counter: serial '$serial', --ranks 3 '$ranks3'"; exit 1; }
+  serial=$(values "$counter" ci.cluster-serial.json)
+  ranks3=($(values "$counter" ci.cluster-ranks3.json))
+  sum=0
+  for v in "${ranks3[@]:1}"; do sum=$((sum + v)); done
+  [ -n "$serial" ] && [ "${#ranks3[@]}" -eq 4 ] && [ "$serial" = "${ranks3[0]}" ] && [ "$sum" = "$serial" ] \
+    || { echo "$counter: serial '$serial', --ranks 3 run then ranks '${ranks3[*]}'"; exit 1; }
 done
 rm -f ci.cluster-serial.json ci.cluster-ranks3.json
 
@@ -228,6 +234,12 @@ grep -q '"fault_kills": 1' ci.ft.json || { echo "not exactly one worker killed";
 grep -q '"dead_ranks": 1' ci.ft.json || { echo "kill not detected"; exit 1; }
 grep -q '"recovered_tasks": 0' ci.ft.json && { echo "no leases recovered"; exit 1; }
 rm -rf ci_ft_reads.fastq ci_ft_base.fasta ci_ft_killed.fasta ci.ft.json
+
+echo "==> every experiment at a twentieth of its size"
+# No other step runs the experiment binaries; Fig. 5 reads the rank
+# channels of cluster-stage runs, so a change to what a rank reports
+# fails here rather than in the next regeneration of EXPERIMENTS.md.
+PGASM_SCALE=0.05 timeout 600 cargo run --release -q -p pgasm-bench --bin all_experiments > /dev/null
 
 echo "==> benchmark harness smoke (every output check on)"
 # The harness (built above) replays the pipeline through the root

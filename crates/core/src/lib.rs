@@ -11,11 +11,12 @@
 //!   the on-demand promising-pair stream: align a pair only if its
 //!   fragments are currently in different clusters; merge on success
 //!   (paper Fig. 3). Serial engine + shared statistics.
-//! - [`parallel_gst`] — distributed GST construction (§6): bucket
-//!   suffixes by w-prefix, redistribute, fetch the fragments each rank's
-//!   buckets need through two collective steps, build local subtree
-//!   forests. Reports the measured-computation / modelled-communication
-//!   breakdown of Fig. 5.
+//! - [`parallel_gst`] — distributed GST construction (§6) on the
+//!   cluster stage's ranks, `1..p` building beside the master: bucket
+//!   suffixes by ψ-prefix, redistribute, fetch the fragments each
+//!   rank's buckets need through two collective steps, build local
+//!   subtree forests. Each rank files its computation, fetches and tree
+//!   sizes as `gst_*` counters of its channel, which Fig. 5 reads.
 //! - [`engine`] — the generic distributed task engine: the §7
 //!   event-driven master–worker protocol (AR/NP/R/AW messages, flow
 //!   control, park/unpark, termination, leases, protocol tracing)
@@ -65,6 +66,5 @@ pub use checkpoint::StageRecovery;
 pub use clustering::{cluster_serial_with_gst, ClusterParams, ClusterStats, Clustering, CLUSTERING_REVISION};
 pub use engine::EngineConfig;
 pub use master_worker::{cluster_parallel, MasterWorkerConfig};
-pub use parallel_gst::build_distributed_gst;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
 pub use unionfind::UnionFind;

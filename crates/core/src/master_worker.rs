@@ -35,7 +35,7 @@ use crate::engine::{
     run_stage, Counters, EngineConfig, MasterReport, Snapshot, StageClient, StageSpec, Task, TaskSink,
     TaskSource, WorkerReport,
 };
-use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst, RankGstReport};
+use crate::parallel_gst::{bucket_owner, compute_owners, rank_build_gst};
 use crate::unionfind::UnionFind;
 use pgasm_align::AlignScratch;
 use pgasm_gst::{Gst, PairGenerator, PromisingPair};
@@ -60,11 +60,9 @@ pub struct ParallelClusterReport {
     pub clustering: Clustering,
     /// Aggregated work statistics.
     pub stats: ClusterStats,
-    /// Per-rank GST construction reports.
-    pub gst_reports: Vec<RankGstReport>,
     /// Wall-clock seconds of the GST phase: the longest rank's
     /// pre-phase window, closing barrier included. (Each rank's thread-CPU
-    /// share is its report's `compute_seconds`.)
+    /// share is its channel's `gst_compute_ns`.)
     pub gst_seconds: f64,
     /// Wall-clock seconds of the clustering phase (max over ranks).
     pub cluster_seconds: f64,
@@ -76,9 +74,10 @@ pub struct ParallelClusterReport {
     pub master_availability: f64,
     /// Per-rank telemetry channels: role, thread-CPU and idle seconds
     /// of the clustering phase (rank 0 = master), rank-local counters
-    /// (pairs generated/aligned/accepted, batch round-trips, peak queue
-    /// depth), and the rank's per-tag traffic with modelled α–β time
-    /// over the whole stage, GST pre-phase included.
+    /// (the GST build's `gst_*`, pairs generated/aligned/accepted, batch
+    /// round-trips, peak queue depth), and the rank's per-tag traffic
+    /// with modelled α–β time over the whole stage, GST pre-phase
+    /// included.
     pub ranks: Vec<RankReport>,
     /// Per-rank event traces covering the whole stage (GST +
     /// clustering; spans, instants and the queue-depth / occupancy /
@@ -134,7 +133,7 @@ pub(crate) fn cluster_on_ranks(
     assert!(p >= 2, "master–worker needs at least 2 ranks");
     assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
     let ds = store.with_reverse_complements();
-    let owner = compute_owners(&ds, p, 1);
+    let owner = compute_owners(&ds, p);
     let client = ClusterStage { ds: &ds, owner: &owner, n: store.num_fragments(), params: *params };
     let spec = StageSpec {
         name: STAGE_CLUSTER,
@@ -143,13 +142,12 @@ pub(crate) fn cluster_on_ranks(
     };
     let run = run_stage(p, &spec, trace, recovery, &client);
 
-    let (gst_reports, results): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
-    let (clustering, stats) = results.into_iter().flatten().next().expect("master produced the clustering");
+    let (clustering, stats) =
+        run.outputs.into_iter().flatten().next().expect("master produced the clustering");
     ParallelClusterReport {
         clustering,
         stats,
         gst_seconds: run.pre_seconds,
-        gst_reports,
         cluster_seconds: run.seconds,
         worker_idle_fraction: run.worker_idle_fraction,
         master_availability: run.master_availability,
@@ -173,8 +171,8 @@ fn pair_skip(canonical: bool) -> PairSkip {
     }
 }
 
-/// The stage's work, as [`run_stage`] sees it. Every rank hands back
-/// its GST construction report; rank 0 adds the clustering.
+/// The stage's work, as [`run_stage`] sees it. Every rank files its GST
+/// build counters in its channel; rank 0 hands back the clustering.
 struct ClusterStage<'a> {
     /// The double-stranded store.
     ds: &'a FragmentStore,
@@ -188,22 +186,22 @@ impl<'a> StageClient for ClusterStage<'a> {
     type Task = PromisingPair;
     type Source = ClusterSource<'a>;
     type Sink = ClusterSink<'a>;
-    type Pre = (Gst, RankGstReport);
-    type Output = (RankGstReport, Option<(Clustering, ClusterStats)>);
+    type Pre = (Gst, Counters);
+    type Output = Option<(Clustering, ClusterStats)>;
 
     /// Distributed GST over the worker ranks, closed by a barrier.
     fn pre_phase(&self, comm: &mut Comm) -> Self::Pre {
-        let (gst, _text, report) = rank_build_gst(comm, self.ds, self.owner, self.params.gst, 1);
+        let built = rank_build_gst(comm, self.ds, self.owner, self.params.gst);
         comm.barrier();
-        (gst, report)
+        built
     }
 
-    fn source(&self, (_gst, gst_report): Self::Pre) -> ClusterSource<'a> {
+    fn source(&self, (_gst, gst_counters): Self::Pre) -> ClusterSource<'a> {
         ClusterSource {
             ds: self.ds,
             clusters: UnionFind::new(self.n),
             stats: ClusterStats::default(),
-            gst_report,
+            gst_counters,
         }
     }
 
@@ -212,7 +210,7 @@ impl<'a> StageClient for ClusterStage<'a> {
     }
 
     fn master_output(&self, source: ClusterSource<'a>, em: &MasterReport) -> (Self::Output, Counters) {
-        let ClusterSource { mut clusters, mut stats, gst_report, .. } = source;
+        let ClusterSource { mut clusters, mut stats, gst_counters, .. } = source;
         // The engine counts announced tasks; for clustering that *is*
         // the generated-pairs total (every generated pair is announced
         // exactly once). A resumed run adds to the snapshot's tally.
@@ -224,10 +222,11 @@ impl<'a> StageClient for ClusterStage<'a> {
             (names::BATCHES_DISPATCHED, em.batches_dispatched),
             (names::INBOX_DRAIN_DEPTH_MAX, em.inbox_drain_depth_max),
         ]);
-        ((gst_report, Some((Clustering::from_unionfind(&mut clusters), stats))), counters)
+        counters.extend(gst_counters);
+        (Some((Clustering::from_unionfind(&mut clusters), stats)), counters)
     }
 
-    fn sink(&self, comm: &Comm, (gst, gst_report): Self::Pre) -> ClusterSink<'a> {
+    fn sink(&self, comm: &Comm, (gst, gst_counters): Self::Pre) -> ClusterSink<'a> {
         let params = self.params;
         let decider = PairDecider { store: self.ds, params };
         ClusterSink {
@@ -244,12 +243,12 @@ impl<'a> StageClient for ClusterStage<'a> {
             dp_cells: 0,
             pairs_aligned: 0,
             pairs_accepted: 0,
-            gst_report,
+            gst_counters,
         }
     }
 
     fn worker_output(&self, sink: ClusterSink<'a>, ew: &WorkerReport) -> (Self::Output, Counters) {
-        let counters = vec![
+        let mut counters = vec![
             (names::PAIRS_GENERATED, ew.tasks_generated),
             (names::PAIRS_ALIGNED, sink.pairs_aligned),
             (names::PAIRS_ACCEPTED, sink.pairs_accepted),
@@ -258,7 +257,8 @@ impl<'a> StageClient for ClusterStage<'a> {
             (names::ALIGN_SCRATCH_BYTES_PEAK, sink.scratch.high_water_bytes()),
             (names::ALIGN_SCRATCH_GROWS, sink.scratch.grow_events()),
         ];
-        ((sink.gst_report, None), counters)
+        counters.extend(sink.gst_counters);
+        (None, counters)
     }
 }
 
@@ -270,8 +270,8 @@ struct ClusterSource<'a> {
     ds: &'a FragmentStore,
     clusters: UnionFind,
     stats: ClusterStats,
-    /// Rank 0's share of the GST pre-phase, carried to the report.
-    gst_report: RankGstReport,
+    /// Rank 0's GST pre-phase counters, carried to its channel.
+    gst_counters: Counters,
 }
 
 impl TaskSource<PromisingPair> for ClusterSource<'_> {
@@ -372,8 +372,8 @@ struct ClusterSink<'a> {
     dp_cells: u64,
     pairs_aligned: u64,
     pairs_accepted: u64,
-    /// This rank's share of the GST pre-phase, carried to the report.
-    gst_report: RankGstReport,
+    /// This rank's GST pre-phase counters, carried to its channel.
+    gst_counters: Counters,
 }
 
 impl TaskSink<PromisingPair> for ClusterSink<'_> {
@@ -436,8 +436,8 @@ impl TaskSink<PromisingPair> for ClusterSink<'_> {
         // from the redistributed build's, which permutes pair order within
         // the scope — the master's cluster-check absorbs reordering and
         // duplicates, so the final partition is unchanged.
-        let (store, params, builders) = (self.decider.store, self.decider.params, self.world - 1);
-        let gst = Gst::build_where(store, params.gst, |key| bucket_owner(key, builders, 1) == dead_rank);
+        let (store, params, world) = (self.decider.store, self.decider.params, self.world);
+        let gst = Gst::build_where(store, params.gst, |key| bucket_owner(key, world) == dead_rank);
         self.adopted.push_back(PairGenerator::new(gst, params.mode, pair_skip(params.canonical_strands)));
         tracer.end(TraceCategory::Fault, names::EV_ADOPT_REBUILD);
     }
@@ -537,7 +537,6 @@ mod tests {
         let report = cluster_parallel(&store, 4, &params(), &config());
         assert_eq!(report.worker_idle_fraction.len(), 3);
         assert_eq!(report.ranks.len(), 4);
-        assert_eq!(report.gst_reports.len(), 4);
         assert!(report.cluster_seconds > 0.0);
         assert!(report.master_availability >= 0.0 && report.master_availability <= 1.0);
     }
@@ -716,6 +715,13 @@ mod tests {
         // checkpoint counter may appear at all).
         const COMM: [&str; 2] = ["barrier_ns_total", "wait_ns_total"];
         const ALIGN: [&str; 3] = ["dp_cells", "pairs_accepted", "pairs_aligned"];
+        const GST: [&str; 5] = [
+            "gst_compute_ns",
+            "gst_fragments_fetched",
+            "gst_nodes",
+            "gst_suffixes_enumerated",
+            "gst_suffixes_indexed",
+        ];
         let names = |lists: &[&[&str]]| -> Vec<String> {
             let mut v: Vec<String> = lists.iter().flat_map(|l| l.iter().map(|s| s.to_string())).collect();
             v.sort();
@@ -724,6 +730,7 @@ mod tests {
         let cluster_master = names(&[
             &COMM,
             &ALIGN,
+            &GST,
             &[
                 "batches_dispatched",
                 "inbox_drain_depth_max",
@@ -735,6 +742,7 @@ mod tests {
         let cluster_worker = names(&[
             &COMM,
             &ALIGN,
+            &GST,
             &["align_scratch_bytes_peak", "align_scratch_grows", "batch_round_trips", "pairs_generated"],
         ]);
         let asm_master = names(&[&COMM, &["asm_batches_dispatched", "asm_peak_queue_depth"]]);
@@ -859,14 +867,13 @@ mod tests {
         let k = config.bucket_len();
         let every = || (0..store.num_seqs() as u32).map(SeqId);
         for p in [3usize, 4] {
-            let builders = p - 1;
             for dead in 1..p {
                 let mut owned: Vec<_> = pgasm_gst::enumerate_suffixes(&store, every(), k)
-                    .filter(|(key, _)| bucket_owner(*key, builders, 1) == dead)
+                    .filter(|(key, _)| bucket_owner(*key, p) == dead)
                     .collect();
                 pgasm_gst::sort_by_bucket(&mut owned);
                 let direct = Gst::build_from_sorted(&store, &owned, config, owned.len());
-                let owns = |key| bucket_owner(key, builders, 1) == dead;
+                let owns = |key| bucket_owner(key, p) == dead;
                 let (survivors, enumerated) = pgasm_gst::admitted_suffixes(&store, k, owns);
                 assert_eq!(enumerated, owned.len(), "p = {p}, rank {dead}");
                 assert!(direct.stats().suffixes > 0, "p = {p}: rank {dead} built nothing");

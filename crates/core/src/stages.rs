@@ -37,7 +37,8 @@ pub struct Partition {
 }
 
 /// Cluster the single-stranded fragments of `store` on `exec`, recording
-/// `gst_build` (on ranks also `master_worker`, both on rank clocks).
+/// `gst_build` (on ranks also `master_worker`, both on rank clocks, and
+/// every rank's `gst_*` build counters in its channel).
 /// Returns the partition and whether the fault plan killed the master,
 /// which leaves it partial. Panics on `Threads(0)`, `p < 2` or a
 /// double-stranded `store`.
@@ -60,16 +61,18 @@ pub fn cluster(
         Exec::Ranks { p, engine, recovery } => {
             let recovery = recovery.for_stage(FaultStage::Cluster);
             let r = cluster_on_ranks(store, *p, params, engine, ctx.trace_spec(), &recovery);
-            let gst_cpu = r.gst_reports.iter().map(|g| g.compute_seconds).sum();
+            // The GST build's facts are its ranks' counters, summed.
+            let sum = |name| r.ranks.iter().map(|rank| rank.counter(name)).sum::<u64>();
+            let gst = GstStats {
+                enumerated: sum(names::GST_SUFFIXES_ENUMERATED) as usize,
+                suffixes: sum(names::GST_SUFFIXES_INDEXED) as usize,
+                nodes: sum(names::GST_NODES) as usize,
+                ..GstStats::default()
+            };
+            let gst_cpu = sum(names::GST_COMPUTE_NS) as f64 * 1e-9;
             let cpu = r.ranks.iter().map(|rank| rank.cpu_seconds).sum();
             let phases = [("gst_build", r.gst_seconds, gst_cpu), ("master_worker", r.cluster_seconds, cpu)];
             ctx.merge_stage(&phases, r.ranks, r.traces);
-            let mut gst = GstStats::default();
-            for rank in &r.gst_reports {
-                gst.enumerated += rank.gst.enumerated;
-                gst.suffixes += rank.gst.suffixes;
-                gst.nodes += rank.gst.nodes;
-            }
             (Partition { clustering: r.clustering, stats: r.stats, gst }, r.killed)
         }
     };

@@ -791,14 +791,17 @@ impl Analysis {
             }
         }
         out.push_str(&format!("critical path ({} segment(s)):\n", self.critical_path.len()));
-        let (mut folded, mut folded_ns) = (0usize, 0u64);
+        // Pieces of any kind shorter than 1% of the path, or than 1 µs,
+        // fold into one count line; the JSON keeps every piece.
+        let (mut folded, mut folded_ns) = (BTreeMap::<&str, usize>::new(), 0u64);
         let path = self.critical_path.first().zip(self.critical_path.last());
         let path_ns = path.map_or(0, |(first, last)| last.end_ns - first.start_ns);
         let fold_below_ns = (path_ns / 100).max(1_000);
         for seg in &self.critical_path {
             let dur_ns = seg.end_ns - seg.start_ns;
-            if seg.kind == "idle" && dur_ns < fold_below_ns {
-                (folded, folded_ns) = (folded + 1, folded_ns + dur_ns);
+            if dur_ns < fold_below_ns {
+                *folded.entry(seg.kind.as_str()).or_default() += 1;
+                folded_ns += dur_ns;
                 continue;
             }
             out.push_str(&format!(
@@ -811,11 +814,14 @@ impl Analysis {
                 seg.label
             ));
         }
-        if folded > 0 {
+        if !folded.is_empty() {
+            let kinds: Vec<String> = folded.iter().map(|(kind, n)| format!("{kind} {n}")).collect();
             out.push_str(&format!(
-                "  + {folded} idle piece(s) under {:.2} us, {:.3} us in all\n",
+                "  + {} piece(s) under {:.2} us, {:.3} us in all: {}\n",
+                folded.values().sum::<usize>(),
                 fold_below_ns as f64 / 1e3,
-                folded_ns as f64 / 1e3
+                folded_ns as f64 / 1e3,
+                kinds.join(", ")
             ));
         }
         out.push_str(&format!("top idle gaps (of {} edges paired):\n", self.edges_paired));
@@ -1299,9 +1305,11 @@ mod tests {
                 seg("compute", 2_000_400, 3_000_000, "align"),
                 seg("idle", 3_000_000, 3_000_600, "unattributed"),
                 seg("idle", 3_000_600, 3_050_600, "unattributed"),
+                // Short pieces of every kind fold, not only idle ones.
                 seg("comm", 3_050_600, 3_060_000, "asm_m2w_grant"),
-                // Over a microsecond, under 1% of the 3.065 ms path.
-                seg("idle", 3_060_000, 3_065_000, "unattributed"),
+                seg("compute", 3_060_000, 3_062_000, "dispatch"),
+                // Over a microsecond, under 1% of the 3.067 ms path.
+                seg("idle", 3_062_000, 3_067_000, "unattributed"),
             ],
             ..Analysis::default()
         };
@@ -1314,17 +1322,16 @@ mod tests {
         assert_eq!(
             path,
             [
-                "critical path (7 segment(s)):",
+                "critical path (8 segment(s)):",
                 "  rank 1   compute       2.00 ms  [0.00..2.00]  align",
                 "  rank 1   compute       1.00 ms  [2.00..3.00]  align",
                 "  rank 1   idle          0.05 ms  [3.00..3.05]  unattributed",
-                "  rank 1   comm          0.01 ms  [3.05..3.06]  asm_m2w_grant",
-                "  + 3 idle piece(s) under 30.65 us, 6.000 us in all",
+                "  + 5 piece(s) under 30.67 us, 17.400 us in all: comm 1, compute 1, idle 3",
             ]
         );
         // The JSON keeps every piece.
         let doc = Json::parse(&a.to_json().pretty()).unwrap();
-        assert_eq!(doc.get("critical_path").and_then(Json::as_arr).map(|p| p.len()), Some(7));
+        assert_eq!(doc.get("critical_path").and_then(Json::as_arr).map(|p| p.len()), Some(8));
         // On a short path the microsecond floor decides alone.
         let short = Analysis {
             critical_path: vec![
@@ -1333,6 +1340,6 @@ mod tests {
             ],
             ..Analysis::default()
         };
-        assert!(short.render().contains("  + 1 idle piece(s) under 1.00 us, 0.150 us in all"));
+        assert!(short.render().contains("  + 1 piece(s) under 1.00 us, 0.150 us in all: idle 1"));
     }
 }

@@ -32,6 +32,13 @@ pub const GST_SUFFIXES_ENUMERATED: &str = "gst_suffixes_enumerated";
 pub const GST_SUFFIXES_INDEXED: &str = "gst_suffixes_indexed";
 /// Nodes of the GST forest (summed over ranks in the distributed path).
 pub const GST_NODES: &str = "gst_nodes";
+/// Thread-CPU nanoseconds a rank computed in the distributed GST build
+/// (rank channels only; the cluster stage's `gst_build` CPU is their
+/// sum).
+pub const GST_COMPUTE_NS: &str = "gst_compute_ns";
+/// Foreign fragments a rank fetched to build its GST portion (rank
+/// channels only).
+pub const GST_FRAGMENTS_FETCHED: &str = "gst_fragments_fetched";
 /// Total clusters in the final partition.
 pub const CLUSTERS: &str = "clusters";
 /// Clusters with at least two members.

@@ -218,6 +218,9 @@ fn generate(opts: &Opts) -> Result<(), String> {
     let kind = opts.require("kind")?;
     let out = opts.require("out")?.to_string();
     let scale: f64 = opts.parse_or("scale", 1.0)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("--scale must be finite and > 0, not {scale}"));
+    }
     let seed: u64 = opts.parse_or("seed", 42)?;
     let dataset = match kind {
         "maize" => presets::maize_like((200_000.0 * scale) as usize, (400.0 * scale) as usize, seed),
@@ -316,6 +319,9 @@ fn pipeline_config(opts: &Opts) -> Result<PipelineConfig, String> {
     }
     if let Some(n) = opts.get("checkpoint-every") {
         let n: u64 = n.parse().map_err(|_| format!("--checkpoint-every: cannot parse '{n}'"))?;
+        if n == 0 {
+            return Err("--checkpoint-every must be >= 1: a cadence of 0 writes no snapshot".to_string());
+        }
         recovery.checkpoint_every = Some(n);
         let base = opts.require("checkpoint")?;
         recovery.checkpoint_path = Some(std::path::PathBuf::from(base));
@@ -428,6 +434,10 @@ fn peak_rss_kb() -> Option<u64> {
 fn analyze(opts: &Opts) -> Result<(), String> {
     use pgasm::telemetry::{analyze, Json};
     let trace_path = opts.require("trace-json")?;
+    let tol = opts.get("coverage-tol").map(|_| opts.parse_or("coverage-tol", 0.0f64)).transpose()?;
+    if let Some(tol) = tol.filter(|t| !(t.is_finite() && *t >= 0.0)) {
+        return Err(format!("--coverage-tol must be finite and >= 0, not {tol}"));
+    }
     let text = std::fs::read_to_string(trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{trace_path}: {e}"))?;
     let tracks = analyze::parse_chrome_trace(&doc).map_err(|e| format!("{trace_path}: {e}"))?;
@@ -438,8 +448,7 @@ fn analyze(opts: &Opts) -> Result<(), String> {
         std::fs::write(out, analysis.to_json().pretty()).map_err(|e| format!("write {out}: {e}"))?;
         println!("wrote analysis to {out}");
     }
-    if let Some(tol) = opts.get("coverage-tol") {
-        let tol: f64 = tol.parse().map_err(|_| format!("--coverage-tol: cannot parse '{tol}'"))?;
+    if let Some(tol) = tol {
         let err = analysis.max_coverage_error();
         if err > tol {
             return Err(format!(

@@ -478,6 +478,11 @@ fn run_report_skeleton_is_pinned() {
         "barrier_ns_total",
         "batch_round_trips",
         "dp_cells",
+        "gst_compute_ns",
+        "gst_fragments_fetched",
+        "gst_nodes",
+        "gst_suffixes_enumerated",
+        "gst_suffixes_indexed",
         "pairs_accepted",
         "pairs_aligned",
         "pairs_generated",
@@ -489,6 +494,11 @@ fn run_report_skeleton_is_pinned() {
         "barrier_ns_total",
         "batches_dispatched",
         "dp_cells",
+        "gst_compute_ns",
+        "gst_fragments_fetched",
+        "gst_nodes",
+        "gst_suffixes_enumerated",
+        "gst_suffixes_indexed",
         "inbox_drain_depth_max",
         "pairs_accepted",
         "pairs_aligned",

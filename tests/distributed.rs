@@ -1,14 +1,15 @@
 //! Distributed-substrate integration: the per-rank GST forests jointly
-//! generate the serial pair stream, the master–worker protocol scales
-//! worker counts without changing results, and the traffic accounting
-//! stays consistent — all on simgen data with sequencing errors.
+//! generate the serial pair stream and report through their rank
+//! channels, the master–worker protocol scales worker counts without
+//! changing results, and the traffic accounting stays consistent — all
+//! on simgen data with sequencing errors.
 
-use pgasm::cluster::parallel_gst::{build_distributed_gst, compute_owners, rank_build_gst};
+use pgasm::cluster::parallel_gst::{compute_owners, rank_build_gst};
 use pgasm::cluster::{cluster, ClusterParams, Exec, MasterWorkerConfig, Partition};
 use pgasm::gst::{GenMode, Gst, GstConfig, PairGenerator};
 use pgasm::simgen::genome::{Genome, GenomeSpec};
 use pgasm::simgen::sampler::{Sampler, SamplerConfig};
-use pgasm::telemetry::{RunContext, RunReport};
+use pgasm::telemetry::{names, RunContext, RunReport};
 
 fn test_reads(seed: u64, n: usize) -> pgasm::seq::FragmentStore {
     let genome = Genome::generate(
@@ -56,11 +57,12 @@ fn distributed_gst_pairs_equal_serial_on_simulated_reads() {
         v.sort_unstable();
         v
     };
-    for p in [2usize, 4] {
-        let owner = compute_owners(&ds, p, 0);
+    // Two and four builders beside the master.
+    for p in [3usize, 5] {
+        let owner = compute_owners(&ds, p);
         let (owner, ds_ref) = (&owner, &ds);
         let per_rank = pgasm::mpisim::run(p, move |comm| {
-            let (gst, _text, _rep) = rank_build_gst(comm, ds_ref, owner, config, 0);
+            let (gst, _) = rank_build_gst(comm, ds_ref, owner, config);
             PairGenerator::new(gst, GenMode::AllMatches, |_, _| false)
                 .map(|pr| (pr.a.0, pr.b.0, pr.a_pos, pr.b_pos, pr.match_len))
                 .collect::<Vec<_>>()
@@ -73,14 +75,19 @@ fn distributed_gst_pairs_equal_serial_on_simulated_reads() {
 
 #[test]
 fn gst_traffic_shrinks_per_rank_as_ranks_grow() {
-    let ds = test_reads(2, 60).with_reverse_complements();
-    let config = GstConfig { psi: 14 };
-    let r2 = build_distributed_gst(&ds, 2, config);
-    let r8 = build_distributed_gst(&ds, 8, config);
-    let received = |rows: &Vec<pgasm::telemetry::TagStat>| rows.iter().map(|t| t.bytes_recv).sum::<u64>();
-    let max_bytes_2 = r2.comm.iter().map(received).max().unwrap();
-    let max_bytes_8 = r8.comm.iter().map(received).max().unwrap();
-    // With 4x the ranks, the heaviest rank receives less data.
+    let store = test_reads(2, 60);
+    let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
+    // The heaviest rank's bytes received in the GST build's collectives
+    // on `builders` builders beside the master.
+    let max_received = |builders: usize| {
+        let (_, report) = cluster_on(&store, &params, ranks(builders + 1, MasterWorkerConfig::default()));
+        let gst_rows = |r: &pgasm::telemetry::RankReport| {
+            r.comm.iter().filter(|t| t.tag == names::TAG_ALLTOALL).map(|t| t.bytes_recv).sum::<u64>()
+        };
+        report.ranks.iter().map(gst_rows).max().unwrap()
+    };
+    let (max_bytes_2, max_bytes_8) = (max_received(2), max_received(8));
+    // With 4x the builders, the heaviest rank receives less data.
     assert!(
         max_bytes_8 < max_bytes_2,
         "per-rank traffic should drop: p=2 max {max_bytes_2}, p=8 max {max_bytes_8}"
@@ -120,4 +127,43 @@ fn modelled_comm_time_is_finite_and_positive() {
     // The master heard at least one report from each worker.
     let master = &report.ranks[0].comm;
     assert!(master.iter().filter(|t| t.label == "w2m_report").map(|t| t.msgs_recv).sum::<u64>() >= 2);
+}
+
+#[test]
+fn every_rank_reports_its_gst_build_and_the_ranks_sum_to_the_run_and_to_serial() {
+    // The distributed build reports through the rank channels only: every
+    // rank of the stage carries the five `gst_*` counters, and over the
+    // ranks the tree sizes are the run's counters and the serial build's,
+    // while their computation is the `gst_build` span's CPU.
+    let store = test_reads(5, 50);
+    let params = ClusterParams { gst: GstConfig { psi: 14 }, ..Default::default() };
+    let (serial, _) = cluster_on(&store, &params, Exec::Threads(1));
+    const GST: [&str; 5] = [
+        names::GST_SUFFIXES_ENUMERATED,
+        names::GST_SUFFIXES_INDEXED,
+        names::GST_NODES,
+        names::GST_COMPUTE_NS,
+        names::GST_FRAGMENTS_FETCHED,
+    ];
+    for p in [2usize, 3, 5] {
+        let (_, report) = cluster_on(&store, &params, ranks(p, MasterWorkerConfig::default()));
+        assert_eq!(report.ranks.len(), p);
+        for rank in &report.ranks {
+            for name in GST {
+                assert!(rank.counters.contains_key(name), "p = {p}, rank {}: no {name}", rank.rank);
+            }
+        }
+        let sum = |name| report.ranks.iter().map(|r| r.counter(name)).sum::<u64>();
+        for (name, serial) in [
+            (names::GST_SUFFIXES_ENUMERATED, serial.gst.enumerated),
+            (names::GST_SUFFIXES_INDEXED, serial.gst.suffixes),
+            (names::GST_NODES, serial.gst.nodes),
+        ] {
+            assert_eq!(sum(name), report.counter(name), "p = {p}: {name}");
+            assert_eq!(sum(name), serial as u64, "p = {p}: {name}");
+        }
+        let cpu = report.span("gst_build").expect("a gst_build span").cpu_seconds;
+        let ranks_cpu = sum(names::GST_COMPUTE_NS) as f64 * 1e-9;
+        assert!((cpu - ranks_cpu).abs() <= 1e-6, "p = {p}: span {cpu} s, ranks {ranks_cpu} s");
+    }
 }

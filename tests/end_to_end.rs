@@ -266,6 +266,10 @@ fn cli_rejects_spellings_it_used_to_ignore() {
             &["assemble", "--out", "/nonexistent.fasta", "--ranks", "3", "--assembly-threads", "2"][..],
             "--assembly-threads and --ranks",
         ),
+        (
+            &["cluster", "--ranks", "3", "--checkpoint-every", "0", "--checkpoint", "ck"][..],
+            "--checkpoint-every must be >= 1",
+        ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_pgasm"))
             .args(args)
@@ -275,6 +279,38 @@ fn cli_rejects_spellings_it_used_to_ignore() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "pgasm {args:?} was accepted");
         assert!(stderr.contains(names), "pgasm {args:?}: {stderr}");
+    }
+    // A NaN coverage tolerance passed the analyzer's gate and a negative
+    // one failed it with a negative percentage; a NaN, zero or negative
+    // `--scale` wrote an empty FASTQ and an infinite one panicked. Each is
+    // an error naming its flag before any file is read or written (these
+    // subcommands take no `--reads`).
+    let out_file = std::env::temp_dir().join(format!("pgasm-e2e-badscale-{}.fastq", std::process::id()));
+    let out_file = out_file.to_str().unwrap();
+    for (args, names) in [
+        (
+            &["analyze", "--trace-json", "/nonexistent.json", "--coverage-tol", "nan"][..],
+            "--coverage-tol must be",
+        ),
+        (
+            &["analyze", "--trace-json", "/nonexistent.json", "--coverage-tol", "-1"][..],
+            "--coverage-tol must be",
+        ),
+        (
+            &["analyze", "--trace-json", "/nonexistent.json", "--coverage-tol", "inf"][..],
+            "--coverage-tol must be",
+        ),
+        (&["generate", "--kind", "maize", "--out", out_file, "--scale", "nan"][..], "--scale must be"),
+        (&["generate", "--kind", "maize", "--out", out_file, "--scale", "0"][..], "--scale must be"),
+        (&["generate", "--kind", "maize", "--out", out_file, "--scale", "-1"][..], "--scale must be"),
+        (&["generate", "--kind", "maize", "--out", out_file, "--scale", "inf"][..], "--scale must be"),
+    ] {
+        let out =
+            std::process::Command::new(env!("CARGO_BIN_EXE_pgasm")).args(args).output().expect("pgasm runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "pgasm {args:?} was accepted");
+        assert!(stderr.contains(names), "pgasm {args:?}: {stderr}");
+        assert!(!std::path::Path::new(out_file).exists(), "pgasm {args:?} wrote {out_file}");
     }
 }
 
