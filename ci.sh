@@ -189,7 +189,10 @@ echo "==> artifact-cache smoke (cold run populates, warm runs hit, serial and --
 # contigs (cache_hit = 3, cache_miss = 0) — and skip the GST build (no
 # gst_build span). The partition does not depend on the rank count, so
 # a third, --ranks 3 run over the same cache hits three times too. All
-# three write the same contigs.
+# three write the same contigs, and the warm runs leave the cache
+# directory as the cold run left it (names, sizes, mtimes). A --psi 22
+# run then hits the preprocess summary only, decodes the stored
+# fragments, and must write the contigs of an uncached --psi 22 run.
 rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs*.fasta ci.cache-cold.json ci.cache-warm*.json
 cargo run --release -q --bin pgasm -- generate --kind sargasso --out ci_cache_reads.fastq --scale 0.1 --seed 11
 cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.fasta \
@@ -203,6 +206,8 @@ indexed=$(grep -o '"gst_suffixes_indexed": [0-9]*' ci.cache-cold.json | grep -o 
   || { echo "gst indexed '$indexed' of '$enumerated' enumerated suffixes: more than 1 in 100"; exit 1; }
 ls ci_cache/partition-*.pgac > /dev/null || { echo "cold run stored no partition entry"; exit 1; }
 ls ci_cache/gst-*.pgac > /dev/null 2>&1 && { echo "the pipeline must not store a gst entry"; exit 1; }
+cold_listing=$(ls -lA --time-style=full-iso ci_cache)
+[ "$(ls -A ci_cache | wc -l)" -eq 3 ] || { echo "cold run left $(ls -A ci_cache | wc -l) cache files, expected 3"; exit 1; }
 cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.warm.fasta \
   --cache-dir ci_cache --metrics-json ci.cache-warm.json
 cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.ranks3.fasta \
@@ -216,6 +221,15 @@ for warm in ci.cache-warm.json ci.cache-warm-ranks3.json; do
 done
 cmp ci_cache_contigs.fasta ci_cache_contigs.warm.fasta || { echo "warm contigs differ from the cold run's"; exit 1; }
 cmp ci_cache_contigs.fasta ci_cache_contigs.ranks3.fasta || { echo "warm --ranks 3 contigs differ from the cold run's"; exit 1; }
+[ "$(ls -lA --time-style=full-iso ci_cache)" = "$cold_listing" ] || { echo "a warm run changed the cache directory"; exit 1; }
+cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.psi22.fasta \
+  --cache-dir ci_cache --psi 22 --metrics-json ci.cache-warm-psi22.json
+cargo run --release -q --bin pgasm -- assemble --reads ci_cache_reads.fastq --out ci_cache_contigs.psi22-plain.fasta \
+  --psi 22
+grep -q '"cache_hit": [1-3]' ci.cache-warm-psi22.json || { echo "--psi 22 run should hit the preprocess entry"; exit 1; }
+grep -q '"gst_build"' ci.cache-warm-psi22.json || { echo "--psi 22 run should cluster afresh"; exit 1; }
+cmp ci_cache_contigs.psi22.fasta ci_cache_contigs.psi22-plain.fasta \
+  || { echo "--psi 22 contigs over the warm cache differ from an uncached run's"; exit 1; }
 rm -rf ci_cache ci_cache_reads.fastq ci_cache_contigs*.fasta ci.cache-cold.json ci.cache-warm*.json
 
 echo "==> fault-injection smoke (kill 1 of 7 workers; contigs must not change)"

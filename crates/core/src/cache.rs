@@ -3,6 +3,9 @@
 //! A cache *key* is a stable 64-bit [`StableHasher`] digest of
 //! everything a stage's output depends on — input fragments, qualities,
 //! provenance, vector and repeat libraries, and the stage's parameters.
+//! The later stages' keys fold the content digests of their stores
+//! ([`store_digest`], [`quals_digest`]), which the preprocess artifact
+//! carries, so a warm run keys them without decoding a store.
 //! The pipeline keeps three kinds: the preprocess output
 //! ([`preprocess_key`]), the cluster stage's partition
 //! ([`partition_key`]) and the assembled contigs ([`contigs_key`]).
@@ -24,15 +27,18 @@
 //! rename, so a crashed or concurrent run can leave at worst a stale
 //! temp file, not a half-written entry.
 
-use crate::clustering::{ClusterParams, CLUSTERING_REVISION};
+use crate::clustering::{ClusterParams, Clustering, CLUSTERING_REVISION};
+use pgasm_assemble::{AssemblyConfig, ASSEMBLER_REVISION};
 use pgasm_gst::GstConfig;
 use pgasm_preprocess::PreprocessConfig;
 use pgasm_seq::wire::{Reader, Writer};
-use pgasm_seq::{DnaSeq, FragmentStore};
-use pgasm_simgen::ReadSet;
+use pgasm_seq::{quals_digest, store_digest, DnaSeq, FragmentStore, QualityTrack};
+use pgasm_simgen::{Provenance, ReadSet};
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
+
+pub use pgasm_seq::StableHasher;
 
 /// File magic of the container (cache entries and checkpoints).
 pub const CACHE_MAGIC: [u8; 4] = *b"PGAC";
@@ -41,105 +47,6 @@ pub const CACHE_MAGIC: [u8; 4] = *b"PGAC";
 /// Entries written by any other container version are rejected.
 /// 2: the payload checksum is a [`StableHasher`] digest, not FNV-1a.
 pub const CACHE_CONTAINER_SCHEMA: u32 = 2;
-
-/// A stable, dependency-free 64-bit hash whose value is identical
-/// across runs, platforms, and compiler versions (unlike
-/// `std::collections::hash_map::DefaultHasher`, which is randomly
-/// seeded per process and would make every run a miss).
-///
-/// It folds the input a little-endian 8-byte word at a time into a
-/// 128-bit state, one Feistel round per word:
-/// `(a, b) ← (b ^ fold(a ^ word), a ^ word)`, `fold` being a
-/// 64×64→128-bit multiply by an odd constant with its halves XORed.
-/// Each round is a bijection of the state, so no word can erase earlier
-/// input, and a one-bit change leaves it as a dense difference (DESIGN.md
-/// §7 says why one `(state.rotl(r) ^ word) * K` per word is not enough).
-/// A partial last word is buffered, so how the bytes are split across
-/// [`StableHasher::update`] calls never changes the digest; `finish`
-/// runs one round on the zero-padded tail and one on the byte length.
-#[derive(Debug, Clone, Copy)]
-pub struct StableHasher {
-    a: u64,
-    b: u64,
-    /// Bytes folded in so far, the buffered tail included.
-    len: u64,
-    /// The partial word awaiting its remaining bytes; zero past
-    /// `tail_len`.
-    tail: [u8; 8],
-    tail_len: usize,
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher::new()
-    }
-}
-
-impl StableHasher {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-
-    /// Fresh hasher.
-    pub fn new() -> Self {
-        StableHasher { a: 0x243f_6a88_85a3_08d3, b: 0x1319_8a2e_0370_7344, len: 0, tail: [0; 8], tail_len: 0 }
-    }
-
-    /// One Feistel round keyed by `word`.
-    #[inline]
-    fn round(&mut self, word: u64) {
-        let a = self.a ^ word;
-        let wide = a as u128 * Self::K as u128;
-        (self.a, self.b) = (self.b ^ wide as u64 ^ (wide >> 64) as u64, a);
-    }
-
-    /// Fold raw bytes into the state.
-    pub fn update(&mut self, mut bytes: &[u8]) -> &mut Self {
-        self.len += bytes.len() as u64;
-        if self.tail_len > 0 {
-            let take = bytes.len().min(8 - self.tail_len);
-            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
-            self.tail_len += take;
-            bytes = &bytes[take..];
-            if self.tail_len < 8 {
-                return self;
-            }
-            self.round(u64::from_le_bytes(self.tail));
-            (self.tail, self.tail_len) = ([0; 8], 0);
-        }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.round(u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8-byte words")));
-        }
-        let rest = words.remainder();
-        self.tail[..rest.len()].copy_from_slice(rest);
-        self.tail_len = rest.len();
-        self
-    }
-
-    /// Fold a `u64` (little-endian) into the state.
-    pub fn update_u64(&mut self, v: u64) -> &mut Self {
-        self.update(&v.to_le_bytes())
-    }
-
-    /// Fold a length-prefixed byte slice into the state. The prefix
-    /// keeps adjacent variable-length fields unambiguous — without it,
-    /// `("ab", "c")` and `("a", "bc")` would collide by construction.
-    pub fn update_slice(&mut self, bytes: &[u8]) -> &mut Self {
-        self.update_u64(bytes.len() as u64).update(bytes)
-    }
-
-    /// Fold a length-prefixed string into the state.
-    pub fn update_str(&mut self, s: &str) -> &mut Self {
-        self.update_slice(s.as_bytes())
-    }
-
-    /// The digest of everything folded in so far.
-    pub fn finish(&self) -> u64 {
-        let mut h = *self;
-        h.round(u64::from_le_bytes(h.tail));
-        h.round(h.len);
-        h.a
-    }
-}
 
 /// One-shot FNV-1a 64-bit digest of a byte slice, one byte at a time.
 /// The pinned output digests of the test suite are values of this
@@ -180,19 +87,13 @@ fn update_seqs(h: &mut StableHasher, seqs: &[DnaSeq]) {
     }
 }
 
-fn update_store(h: &mut StableHasher, store: &FragmentStore) {
-    h.update_u64(store.is_double_stranded() as u64);
-    h.update_u64(store.num_seqs() as u64);
-    for (_, codes) in store.iter() {
-        h.update_slice(codes);
-    }
-}
-
 /// Cache key of the preprocess stage: every input the
 /// [`pgasm_preprocess::Preprocessor`] reads, plus its parameters.
-/// The parameters enter through their `Debug` rendering — it covers
-/// every field, so a new or changed knob can only change the key
-/// (recompute), never silently alias an old entry.
+/// A read's provenance enters field by field (a new field fails to
+/// compile here until it is hashed); the parameters enter through their
+/// `Debug` rendering — it covers every field, so a new or changed knob
+/// can only change the key (recompute), never silently alias an old
+/// entry.
 pub fn preprocess_key(
     reads: &ReadSet,
     vectors: &[DnaSeq],
@@ -205,7 +106,9 @@ pub fn preprocess_key(
     for ((seq, qual), prov) in reads.seqs.iter().zip(&reads.quals).zip(&reads.provenance) {
         h.update_slice(seq.codes());
         h.update_slice(qual.values());
-        h.update_str(&format!("{prov:?}"));
+        let Provenance { genome, start, end, reverse, kind } = *prov;
+        h.update_u64(genome as u64).update_u64(start as u64).update_u64(end as u64);
+        h.update_u64(reverse as u64).update_str(kind.label());
     }
     update_seqs(&mut h, vectors);
     update_seqs(&mut h, known_repeats);
@@ -219,7 +122,7 @@ pub fn preprocess_key(
 pub fn gst_key(store: &FragmentStore, config: &GstConfig) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("gst");
-    update_store(&mut h, store);
+    h.update_u64(store_digest(store));
     h.update_str(&format!("{config:?}"));
     h.finish()
 }
@@ -228,17 +131,25 @@ pub fn gst_key(store: &FragmentStore, config: &GstConfig) -> u64 {
 /// `store` it clusters, the clustering parameters (via `Debug`, so any
 /// new knob changes the key) and [`CLUSTERING_REVISION`]. The rank count
 /// is not in it: serial and distributed runs write the same partition.
+/// The store's [digest](store_digest) first, then [`partition_key_from`].
 pub fn partition_key(store: &FragmentStore, params: &ClusterParams) -> u64 {
-    partition_key_at_revision(store, params, CLUSTERING_REVISION)
+    partition_key_from(store_digest(store), params, CLUSTERING_REVISION)
 }
 
 /// [`partition_key`] for the clustering at `revision`: a partition
 /// cached by one revision of the algorithm must miss under every other.
 pub fn partition_key_at_revision(store: &FragmentStore, params: &ClusterParams, revision: u32) -> u64 {
+    partition_key_from(store_digest(store), params, revision)
+}
+
+/// [`partition_key_at_revision`] of a store whose [`store_digest`] is
+/// `store` — what a warm run folds, straight from the preprocess
+/// artifact's summary.
+pub fn partition_key_from(store: u64, params: &ClusterParams, revision: u32) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("partition");
     h.update_u64(revision as u64);
-    update_store(&mut h, store);
+    h.update_u64(store);
     h.update_str(&format!("{params:?}"));
     h.finish()
 }
@@ -248,39 +159,45 @@ pub fn partition_key_at_revision(store: &FragmentStore, params: &ClusterParams, 
 /// quality tracks, the clustering partition — plus the assembler
 /// parameters (via `Debug`, so any new knob changes the key) and the
 /// assembler's own [`pgasm_assemble::ASSEMBLER_REVISION`].
+/// The digests first, then [`contigs_key_from`].
 pub fn contigs_key(
     store: &FragmentStore,
-    quals: Option<&[pgasm_seq::QualityTrack]>,
-    clustering: &crate::clustering::Clustering,
-    config: &pgasm_assemble::AssemblyConfig,
+    quals: Option<&[QualityTrack]>,
+    clustering: &Clustering,
+    config: &AssemblyConfig,
 ) -> u64 {
-    contigs_key_at_revision(store, quals, clustering, config, pgasm_assemble::ASSEMBLER_REVISION)
+    contigs_key_at_revision(store, quals, clustering, config, ASSEMBLER_REVISION)
 }
 
 /// [`contigs_key`] for the assembler at `revision`: contigs cached by
 /// one revision of the algorithm must miss under every other.
 pub fn contigs_key_at_revision(
     store: &FragmentStore,
-    quals: Option<&[pgasm_seq::QualityTrack]>,
-    clustering: &crate::clustering::Clustering,
-    config: &pgasm_assemble::AssemblyConfig,
+    quals: Option<&[QualityTrack]>,
+    clustering: &Clustering,
+    config: &AssemblyConfig,
+    revision: u32,
+) -> u64 {
+    contigs_key_from(store_digest(store), quals.map(quals_digest), clustering, config, revision)
+}
+
+/// [`contigs_key_at_revision`] of a store and quality tracks whose
+/// [`store_digest`] and [`quals_digest`] are `store` and `quals`.
+pub fn contigs_key_from(
+    store: u64,
+    quals: Option<u64>,
+    clustering: &Clustering,
+    config: &AssemblyConfig,
     revision: u32,
 ) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("contigs");
     h.update_u64(revision as u64);
-    update_store(&mut h, store);
+    h.update_u64(store);
     match quals {
-        Some(qs) => {
-            h.update_u64(1 + qs.len() as u64);
-            for q in qs {
-                h.update_slice(q.values());
-            }
-        }
-        None => {
-            h.update_u64(0);
-        }
-    }
+        Some(digest) => h.update_u64(1).update_u64(digest),
+        None => h.update_u64(0),
+    };
     h.update_u64(clustering.clusters.len() as u64);
     for members in &clustering.clusters {
         h.update_u64(members.len() as u64);
@@ -352,10 +269,14 @@ pub fn write_entry(path: &Path, kind: &str, schema: u32, key: u64, payload: &[u8
 
 /// Read the container entry at `path` and verify every header field
 /// against what the caller expects, the payload length, and the
-/// checksum. `None` on any mismatch or I/O failure.
+/// checksum. `None` on any mismatch or I/O failure. The header is read
+/// on its own, so the payload lands in the returned buffer directly.
 pub fn read_entry(path: &Path, kind: &str, schema: u32, key: u64) -> Option<Vec<u8>> {
-    let bytes = fs::read(path).ok()?;
-    let mut r = Reader::new(&bytes);
+    let mut file = fs::File::open(path).ok()?;
+    // Magic, both schemas, the kind string, key, length and checksum.
+    let mut header = vec![0u8; 4 + 4 + 4 + (4 + kind.len()) + 8 + 8 + 8];
+    file.read_exact(&mut header).ok()?;
+    let mut r = Reader::new(&header);
     if r.get_raw(4).ok()? != CACHE_MAGIC
         || r.get_u32().ok()? != CACHE_CONTAINER_SCHEMA
         || r.get_u32().ok()? != schema
@@ -364,19 +285,20 @@ pub fn read_entry(path: &Path, kind: &str, schema: u32, key: u64) -> Option<Vec<
     {
         return None;
     }
-    let payload_len = r.get_u64().ok()? as usize;
+    let payload_len = r.get_u64().ok()?;
     let stored = r.get_u64().ok()?;
-    if r.remaining() != payload_len {
+    // Sized from the file, not the header, before anything is allocated.
+    if file.metadata().ok()?.len() != header.len() as u64 + payload_len {
         return None;
     }
-    let payload = r.get_raw(payload_len).ok()?.to_vec();
-    (checksum(&payload) == stored).then_some(payload)
+    let mut payload = Vec::with_capacity(payload_len as usize);
+    file.read_to_end(&mut payload).ok()?;
+    (payload.len() as u64 == payload_len && checksum(&payload) == stored).then_some(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     struct TempDir(PathBuf);
 
@@ -464,85 +386,8 @@ mod tests {
     }
 
     #[test]
-    fn stable_hasher_is_deterministic_and_prefix_safe() {
-        let mut a = StableHasher::new();
-        a.update_str("ab").update_str("c");
-        let mut b = StableHasher::new();
-        b.update_str("a").update_str("bc");
-        assert_ne!(a.finish(), b.finish(), "length prefixes must disambiguate");
-        // Known answer: the digest of the empty input.
-        assert_eq!(StableHasher::new().finish(), 0xa9da_a8eb_9869_23f4);
+    fn fnv1a_known_answer() {
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-    }
-
-    #[test]
-    fn stable_hasher_known_answers() {
-        let word: Vec<u8> = (1..=8).collect();
-        assert_eq!(checksum(b""), 0xa9da_a8eb_9869_23f4);
-        assert_eq!(checksum(&word), 0x0a34_100a_5dcc_e3e7);
-        // A lone tail of 1–7 bytes: no whole word at all.
-        let tails = [
-            0x867a_2727_f134_8760,
-            0x6680_3c43_2d2f_be6b,
-            0xacd1_3f9c_c33d_f19d,
-            0xad61_8b0a_a9a0_a81b,
-            0x4933_eb67_baf8_045a,
-            0xe850_de46_9b58_bb17,
-            0xab3f_f334_37bf_6827,
-        ];
-        for (k, &want) in tails.iter().enumerate() {
-            assert_eq!(checksum(&word[..k + 1]), want, "tail of {} bytes", k + 1);
-        }
-        let mb: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
-        assert_eq!(checksum(&mb), 0x091f_e6c7_2524_9474);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The tail buffer makes `update` calls a stream: however the
-        /// same bytes are cut up, the digest is the one-shot digest.
-        #[test]
-        fn any_split_of_the_input_gives_the_same_checksum(
-            bytes in prop::collection::vec(any::<u8>(), 0..80),
-            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
-        ) {
-            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
-            cuts.sort_unstable();
-            let mut h = StableHasher::new();
-            let mut from = 0;
-            for cut in cuts.into_iter().chain([bytes.len()]) {
-                h.update(&bytes[from..cut]);
-                from = cut;
-            }
-            prop_assert_eq!(h.finish(), checksum(&bytes));
-        }
-    }
-
-    /// No two of these inputs share a digest: every ten-mer over the
-    /// four code bytes, and every one-bit flip of a 4 KB buffer.
-    #[test]
-    fn ten_mers_and_one_bit_flips_do_not_collide() {
-        fn distinct(mut digests: Vec<u64>) {
-            let n = digests.len();
-            digests.sort_unstable();
-            digests.dedup();
-            assert_eq!(digests.len(), n, "{} collisions", n - digests.len());
-        }
-        distinct(
-            (0..1u32 << 20)
-                .map(|m| checksum(&std::array::from_fn::<u8, 10, _>(|i| (m >> (2 * i) & 3) as u8)))
-                .collect(),
-        );
-        let buffer: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(40_503) >> 7) as u8).collect();
-        let mut digests = vec![checksum(&buffer)];
-        let mut flipped = buffer.clone();
-        for bit in 0..buffer.len() * 8 {
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            digests.push(checksum(&flipped));
-            flipped[bit / 8] ^= 1 << (bit % 8);
-        }
-        distinct(digests);
     }
 
     #[test]
@@ -566,8 +411,7 @@ mod tests {
 
     #[test]
     fn keys_change_with_params_and_inputs() {
-        use pgasm_seq::QualityTrack;
-        use pgasm_simgen::{Provenance, ReadKind};
+        use pgasm_simgen::ReadKind;
         let seqs = vec![DnaSeq::from("ACGTACGTACGT")];
         let reads = ReadSet {
             quals: seqs.iter().map(|s| QualityTrack::uniform(s.len(), 40)).collect(),
@@ -586,6 +430,39 @@ mod tests {
         let mut more = reads.clone();
         more.seqs[0] = DnaSeq::from("TTTTTTTTTTTT");
         assert_ne!(base, preprocess_key(&more, &[], &[], &cfg));
+
+        let prov = reads.provenance[0];
+        for other in [
+            Provenance { genome: 1, ..prov },
+            Provenance { start: 1, ..prov },
+            Provenance { end: 1, ..prov },
+            Provenance { reverse: true, ..prov },
+            Provenance { kind: ReadKind::Mf, ..prov },
+        ] {
+            let mut moved = reads.clone();
+            moved.provenance[0] = other;
+            assert_ne!(base, preprocess_key(&moved, &[], &[], &cfg), "{other:?}");
+        }
+
+        // One masked base moves the partition key; one quality value the
+        // contigs key. Both are their digests' keys.
+        let frags = FragmentStore::from_seqs(reads.seqs.clone());
+        let mut masked = reads.seqs[0].clone();
+        masked.mask_range(5, 6);
+        let params = ClusterParams::default();
+        let key = partition_key(&frags, &params);
+        assert_eq!(key, partition_key_from(store_digest(&frags), &params, CLUSTERING_REVISION));
+        assert_ne!(key, partition_key(&FragmentStore::from_seqs([masked]), &params));
+        let (clustering, config) = (Clustering { clusters: vec![vec![0]] }, AssemblyConfig::default());
+        let key = contigs_key(&frags, Some(&reads.quals), &clustering, &config);
+        let (store, quals) = (store_digest(&frags), Some(quals_digest(&reads.quals)));
+        assert_eq!(key, contigs_key_from(store, quals, &clustering, &config, ASSEMBLER_REVISION));
+        let mut requal = reads.quals.clone();
+        let mut values = requal[0].values().to_vec();
+        values[7] -= 1;
+        requal[0] = QualityTrack::from_values(values);
+        assert_ne!(key, contigs_key(&frags, Some(&requal), &clustering, &config));
+        assert_ne!(key, contigs_key(&frags, None, &clustering, &config));
 
         let store = FragmentStore::from_seqs(vec![DnaSeq::from("ACGTACGT")]).with_reverse_complements();
         let g1 = gst_key(&store, &GstConfig { psi: 16 });

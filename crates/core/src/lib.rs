@@ -59,7 +59,7 @@ pub mod stages;
 pub mod unionfind;
 pub mod validation;
 
-pub use stages::{assemble, cluster, Exec, Partition};
+pub use stages::{assemble, cluster, Exec, GstCounts, Partition};
 
 pub use assemble_dist::{assemble_parallel, AssignPolicy};
 pub use checkpoint::StageRecovery;

@@ -715,12 +715,13 @@ mod tests {
         // checkpoint counter may appear at all).
         const COMM: [&str; 2] = ["barrier_ns_total", "wait_ns_total"];
         const ALIGN: [&str; 3] = ["dp_cells", "pairs_accepted", "pairs_aligned"];
-        const GST: [&str; 5] = [
+        const GST: [&str; 6] = [
             "gst_compute_ns",
             "gst_fragments_fetched",
             "gst_nodes",
             "gst_suffixes_enumerated",
             "gst_suffixes_indexed",
+            "gst_suffixes_shipped",
         ];
         let names = |lists: &[&[&str]]| -> Vec<String> {
             let mut v: Vec<String> = lists.iter().flat_map(|l| l.iter().map(|s| s.to_string())).collect();

@@ -97,8 +97,10 @@ impl TextSource for LocalText<'_> {
 /// filtered here. Returns the local forest (suffixes carry *global*
 /// sequence ids) and the rank's counters: the forest's
 /// `gst_suffixes_enumerated` (suffixes of the rank's own fragments; over
-/// all ranks, every suffix of the store once), `gst_suffixes_indexed` and
-/// `gst_nodes`, the foreign fragments it fetched, and `gst_compute_ns`,
+/// all ranks, every suffix of the store once), `gst_suffixes_shipped`
+/// (its survivors of phase 3; over all ranks, those a [`SlotTable`] over
+/// the whole store admits), `gst_suffixes_indexed` and `gst_nodes`, the
+/// foreign fragments it fetched, and `gst_compute_ns`,
 /// its pure computation in *thread CPU time* — the count and filter
 /// passes, the merge of the slots it owns, the admission and sort of the
 /// suffixes it received, and trie building; ranks may timeshare cores,
@@ -112,7 +114,7 @@ pub fn rank_build_gst(
     let rank = comm.rank();
     let p = comm.size();
     let mut compute = 0.0f64;
-    let (mut mine, enumerated) = ship_survivors(comm, store, owner, config, &mut compute);
+    let (mut mine, enumerated, shipped) = ship_survivors(comm, store, owner, config, &mut compute);
 
     // Phase 4: fetch the foreign fragments of admitted buckets (two
     // collective steps). Every survivor of a key is here, so the table
@@ -170,6 +172,7 @@ pub fn rank_build_gst(
     let stats = gst.stats();
     let counters = vec![
         (names::GST_SUFFIXES_ENUMERATED, stats.enumerated as u64),
+        (names::GST_SUFFIXES_SHIPPED, shipped as u64),
         (names::GST_SUFFIXES_INDEXED, stats.suffixes as u64),
         (names::GST_NODES, stats.nodes as u64),
         (names::GST_FRAGMENTS_FETCHED, fragments_fetched as u64),
@@ -179,16 +182,17 @@ pub fn rank_build_gst(
 }
 
 /// Phases 1–3: count, reduce and redistribute. Returns the survivors
-/// of the buckets this rank builds, as received (source-rank order), and
-/// the number of suffixes of its own fragments. Computation is added to
-/// `compute` in thread-CPU seconds.
+/// of the buckets this rank builds, as received (source-rank order), the
+/// number of suffixes of its own fragments and the number of its own
+/// survivors it sent. Computation is added to `compute` in thread-CPU
+/// seconds.
 fn ship_survivors(
     comm: &mut Comm,
     store: &FragmentStore,
     owner: &[u32],
     config: GstConfig,
     compute: &mut f64,
-) -> (Vec<(u64, Suffix)>, usize) {
+) -> (Vec<(u64, Suffix)>, usize, usize) {
     let rank = comm.rank();
     let p = comm.size();
     assert!(p >= 2, "need a master and at least one builder rank");
@@ -220,7 +224,7 @@ fn ship_survivors(
     let t = thread_cpu_seconds();
     let mut local: Vec<(u64, Suffix)> = Vec::new();
     for_each_window(store, k, own, |w| table.admit(w, &mut local));
-    let enumerated = table.enumerated();
+    let (enumerated, shipped) = (table.enumerated(), local.len());
     drop(table);
     sort_walk_by_bucket(&mut local);
     *compute += thread_cpu_seconds() - t;
@@ -250,7 +254,7 @@ fn ship_survivors(
         });
     }
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE);
-    (mine, enumerated)
+    (mine, enumerated, shipped)
 }
 
 /// Phase 2: turn `table`, this rank's part, into what the merged table
@@ -535,7 +539,7 @@ mod tests {
                 ship_survivors(comm, store_ref, owner, config, &mut compute)
             });
             let mut shipped = Vec::new();
-            for (rank, (received, _)) in per_rank.iter().enumerate() {
+            for (rank, (received, _, _)) in per_rank.iter().enumerate() {
                 assert!(
                     received.iter().all(|(key, _)| bucket_owner(*key, p) == rank),
                     "p = {p}: rank {rank} received a foreign bucket"
@@ -544,8 +548,10 @@ mod tests {
             }
             sort_walk_by_bucket(&mut shipped);
             assert_eq!(shipped, whole, "p = {p}");
-            let enumerated: usize = per_rank.iter().map(|(_, n)| n).sum();
+            let enumerated: usize = per_rank.iter().map(|(_, n, _)| n).sum();
             assert_eq!(enumerated, all, "p = {p}: every suffix counted once");
+            let counted: usize = per_rank.iter().map(|(_, _, shipped)| shipped).sum();
+            assert_eq!(counted, whole.len(), "p = {p}: the shipped count is the whole-store table's");
         }
     }
 

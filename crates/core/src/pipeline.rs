@@ -8,12 +8,15 @@
 
 use crate::assemble_dist::{decode_assembly, encode_assembly};
 use crate::cache::{self, ArtifactCache};
+use crate::clustering::CLUSTERING_REVISION;
 use crate::clustering::{ClusterParams, ClusterStats, Clustering};
-use crate::stages::{self, record_contigs, record_partition, Exec, Partition};
-use pgasm_assemble::{Assembly, AssemblyConfig};
-use pgasm_gst::GstStats;
+use crate::stages::{self, record_contigs, record_partition, Exec, GstCounts, Partition};
+use pgasm_assemble::{Assembly, AssemblyConfig, ASSEMBLER_REVISION};
 use pgasm_preprocess::pipeline::PreprocessOutput;
-use pgasm_preprocess::{PreprocessConfig, PreprocessStats, Preprocessor, PREPROCESS_CODEC_SCHEMA};
+use pgasm_preprocess::{
+    PreprocessBulk, PreprocessConfig, PreprocessDigests, PreprocessStats, PreprocessSummary, Preprocessor,
+    PREPROCESS_CODEC_SCHEMA,
+};
 use pgasm_seq::wire::{checked_len, Reader, Writer};
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack};
 use pgasm_simgen::ReadSet;
@@ -128,8 +131,8 @@ fn decode_contigs(payload: &[u8]) -> Option<Vec<Assembly>> {
 pub const PARTITION_CODEC_SCHEMA: u32 = 1;
 
 /// Serialize the cluster stage's output for the artifact cache: the
-/// five [`ClusterStats`] tallies and the three [`GstStats`] counts a run
-/// reports, then the clusters as member lists.
+/// five [`ClusterStats`] tallies and the three [`GstCounts`], then the
+/// clusters as member lists.
 fn encode_partition(part: &Partition) -> Vec<u8> {
     let Partition { clustering, stats, gst } = part;
     let members: usize = clustering.clusters.iter().map(Vec::len).sum();
@@ -160,12 +163,8 @@ fn decode_partition(payload: &[u8], n: usize) -> Option<Partition> {
     }
     let [generated, aligned, accepted, merges, dp_cells, enumerated, suffixes, nodes] = tallies;
     let stats = ClusterStats { generated, aligned, accepted, merges, dp_cells };
-    let gst = GstStats {
-        enumerated: enumerated as usize,
-        suffixes: suffixes as usize,
-        nodes: nodes as usize,
-        ..GstStats::default()
-    };
+    let gst =
+        GstCounts { enumerated: enumerated as usize, suffixes: suffixes as usize, nodes: nodes as usize };
     let mut seen = vec![false; n];
     let mut clusters: Vec<Vec<u32>> = Vec::new();
     for _ in 0..r.get_u32().ok()? {
@@ -185,24 +184,73 @@ fn decode_partition(payload: &[u8], n: usize) -> Option<Partition> {
     seen.iter().all(|&s| s).then_some(Partition { clustering: Clustering { clusters }, stats, gst })
 }
 
-/// What preprocessing hands on: a [`PreprocessOutput`] whose parts a
-/// pass-through run (no [`PreprocessConfig`]) lacks are optional.
+/// What preprocessing hands on. A preprocess cache hit decodes only the
+/// artifact's summary: the stores and quality tracks stay encoded until a
+/// stage misses and needs them ([`Run::decode`]).
 struct Fragments {
+    /// For each fragment, the index of its original read.
+    origin: Vec<usize>,
+    stats: Option<PreprocessStats>,
+    /// What the partition and contigs keys fold: the artifact's, or the
+    /// stored output's; computed at first use on a run that stored none.
+    digests: Option<PreprocessDigests>,
+    bulk: Bulk,
+}
+
+enum Bulk {
+    Decoded(Stores),
+    /// A loaded artifact's payload, whose bulk of `n` fragments starts
+    /// at byte `at`.
+    Encoded {
+        payload: Vec<u8>,
+        at: usize,
+        n: usize,
+    },
+}
+
+struct Stores {
     /// Masked fragments driving clustering.
     store: FragmentStore,
     /// Soft-masked (original-base) fragments feeding the assembler;
     /// `None` = the raw reads in `store` serve both.
     store_unmasked: Option<FragmentStore>,
     quals: Vec<QualityTrack>,
-    origin: Vec<usize>,
-    stats: Option<PreprocessStats>,
 }
 
-/// One run in flight: what every phase reads (the configuration, the
-/// artifact cache — `None` when off or unopenable) and what it records
-/// into (the caller's context, whose track holds the run's spans).
+impl Fragments {
+    fn from_output(out: PreprocessOutput, digests: Option<PreprocessDigests>) -> Fragments {
+        let PreprocessOutput { store, store_unmasked, quals, origin, stats } = out;
+        let stores = Stores { store, store_unmasked: Some(store_unmasked), quals };
+        Fragments { origin, stats: Some(stats), digests, bulk: Bulk::Decoded(stores) }
+    }
+
+    fn digests(&mut self) -> PreprocessDigests {
+        let Bulk::Decoded(s) = &self.bulk else {
+            return self.digests.expect("an artifact carries its digests");
+        };
+        *self.digests.get_or_insert_with(|| {
+            PreprocessDigests::of(&s.store, s.store_unmasked.as_ref().unwrap_or(&s.store), &s.quals)
+        })
+    }
+
+    /// The stores, once [`Run::decode`] has run.
+    fn stores(&self) -> &Stores {
+        match &self.bulk {
+            Bulk::Decoded(stores) => stores,
+            Bulk::Encoded { .. } => unreachable!("a stage reads the stores after Run::decode"),
+        }
+    }
+}
+
+/// One run in flight: what every phase reads (the inputs, the
+/// configuration, the artifact cache — `None` when off or unopenable)
+/// and what it records into (the caller's context, whose track holds the
+/// run's spans).
 struct Run<'a> {
     config: &'a PipelineConfig,
+    reads: &'a ReadSet,
+    vectors: &'a [DnaSeq],
+    known_repeats: &'a [DnaSeq],
     cache: Option<ArtifactCache>,
     ctx: &'a mut RunContext,
 }
@@ -211,13 +259,17 @@ impl<'a> Run<'a> {
     /// Bind the caller's context to the run's trace settings and open the
     /// cache. An unopenable cache directory degrades to an uncached run
     /// and says so: silently it would pass for a cache that never hits.
-    fn start(config: &'a PipelineConfig, ctx: &'a mut RunContext) -> Run<'a> {
+    fn start(
+        config: &'a PipelineConfig,
+        (reads, vectors, known_repeats): (&'a ReadSet, &'a [DnaSeq], &'a [DnaSeq]),
+        ctx: &'a mut RunContext,
+    ) -> Run<'a> {
         ctx.bind_track(&config.trace);
         let cache = config.cache_dir.as_deref().and_then(|dir| {
             let warn = |e: &_| eprintln!("warning: cache directory {}: {e}; running uncached", dir.display());
             ArtifactCache::open(dir).inspect_err(warn).ok()
         });
-        Run { config, cache, ctx }
+        Run { config, reads, vectors, known_repeats, cache, ctx }
     }
 
     /// Run one phase under the span named after it; its wall and CPU
@@ -242,13 +294,14 @@ impl<'a> Run<'a> {
         kind: &str,
         schema: u32,
         key: Option<u64>,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
+        decode: impl FnOnce(Vec<u8>) -> Option<T>,
     ) -> Option<T> {
         let (cache, key) = (self.cache.as_ref()?, key?);
         self.ctx.push("cache");
         let loaded = cache.load(kind, schema, key).and_then(|payload| {
-            let out = decode(&payload)?;
-            self.ctx.add(names::CACHE_BYTES_READ, payload.len() as u64);
+            let bytes = payload.len() as u64;
+            let out = decode(payload)?;
+            self.ctx.add(names::CACHE_BYTES_READ, bytes);
             Some(out)
         });
         self.ctx.add(if loaded.is_some() { names::CACHE_HIT } else { names::CACHE_MISS }, 1);
@@ -268,58 +321,103 @@ impl<'a> Run<'a> {
     }
 
     /// Trim/screen the reads into the masked clustering store and the
-    /// soft-masked assembly store, or reload that output from the cache.
-    /// With no [`PreprocessConfig`] the raw reads pass through.
-    fn preprocess(&mut self, reads: &ReadSet, vectors: &[DnaSeq], known_repeats: &[DnaSeq]) -> Fragments {
+    /// soft-masked assembly store, or reload that output's summary from
+    /// the cache. With no [`PreprocessConfig`] the raw reads pass through.
+    fn preprocess(&mut self) -> Fragments {
+        let reads = self.reads;
         self.ctx.set(names::READS_IN, reads.len() as u64);
         let fragments = match &self.config.preprocess {
             Some(cfg) => {
-                let key =
-                    self.cache.as_ref().map(|_| cache::preprocess_key(reads, vectors, known_repeats, cfg));
+                let key = self.preprocess_key(cfg);
                 let cached = self.load("preprocess", PREPROCESS_CODEC_SCHEMA, key, |payload| {
-                    PreprocessOutput::decode(payload).ok()
+                    let (summary, at) = PreprocessSummary::decode(&payload).ok()?;
+                    Some((summary, payload, at))
                 });
-                let out = cached.unwrap_or_else(|| {
-                    let out = Preprocessor::new(cfg.clone(), vectors, known_repeats).run(reads);
-                    self.store("preprocess", PREPROCESS_CODEC_SCHEMA, key, || out.encode());
-                    out
-                });
-                // Also on a cache hit: the stats travel in the artifact.
-                self.ctx.set(names::PREPROCESS_REJECTED_BY_TRIM, out.stats.rejected_by_trim as u64);
-                self.ctx.set(names::PREPROCESS_REJECTED_BY_MASK, out.stats.rejected_by_mask as u64);
-                self.ctx.set(names::PREPROCESS_MASKED_BASES, out.stats.masked_bases as u64);
-                Fragments {
-                    store: out.store,
-                    store_unmasked: Some(out.store_unmasked),
-                    quals: out.quals,
-                    origin: out.origin,
-                    stats: Some(out.stats),
+                match cached {
+                    Some((PreprocessSummary { origin, stats, digests }, payload, at)) => {
+                        let bulk = Bulk::Encoded { payload, at, n: origin.len() };
+                        Fragments { origin, stats: Some(stats), digests: Some(digests), bulk }
+                    }
+                    None => self.run_preprocessor(cfg, key),
                 }
             }
-            None => Fragments {
-                store: reads.to_store(),
-                store_unmasked: None,
-                quals: reads.quals.clone(),
-                origin: (0..reads.len()).collect(),
-                stats: None,
-            },
+            None => {
+                let stores =
+                    Stores { store: reads.to_store(), store_unmasked: None, quals: reads.quals.clone() };
+                let origin = (0..reads.len()).collect();
+                Fragments { origin, stats: None, digests: None, bulk: Bulk::Decoded(stores) }
+            }
         };
-        self.ctx.set(names::FRAGMENTS, fragments.store.num_fragments() as u64);
+        self.record_preprocess(&fragments);
         fragments
+    }
+
+    fn preprocess_key(&self, cfg: &PreprocessConfig) -> Option<u64> {
+        let key = || cache::preprocess_key(self.reads, self.vectors, self.known_repeats, cfg);
+        self.cache.is_some().then(key)
+    }
+
+    /// Run the preprocessor and store its output under `key`.
+    fn run_preprocessor(&mut self, cfg: &PreprocessConfig, key: Option<u64>) -> Fragments {
+        let out = Preprocessor::new(cfg.clone(), self.vectors, self.known_repeats).run(self.reads);
+        let digests = key.map(|key| {
+            let digests = out.digests();
+            self.store("preprocess", PREPROCESS_CODEC_SCHEMA, Some(key), || out.encode_with(&digests));
+            digests
+        });
+        Fragments::from_output(out, digests)
+    }
+
+    fn record_preprocess(&mut self, fragments: &Fragments) {
+        // Also on a cache hit: the stats travel in the artifact.
+        if let Some(stats) = &fragments.stats {
+            self.ctx.set(names::PREPROCESS_REJECTED_BY_TRIM, stats.rejected_by_trim as u64);
+            self.ctx.set(names::PREPROCESS_REJECTED_BY_MASK, stats.rejected_by_mask as u64);
+            self.ctx.set(names::PREPROCESS_MASKED_BASES, stats.masked_bases as u64);
+        }
+        self.ctx.set(names::FRAGMENTS, fragments.origin.len() as u64);
+    }
+
+    /// Decode the stores a preprocess cache hit left encoded. A bulk that
+    /// passed its checksum but does not decode was written wrong:
+    /// preprocessing runs again and rewrites the entry.
+    fn decode(&mut self, fragments: &mut Fragments) {
+        let Bulk::Encoded { payload, at, n } = &fragments.bulk else { return };
+        let digests = fragments.digests.expect("an artifact carries its digests");
+        match PreprocessBulk::decode(&payload[*at..], *n, &digests) {
+            Ok(PreprocessBulk { store, store_unmasked, quals }) => {
+                let store_unmasked = Some(store_unmasked);
+                fragments.bulk = Bulk::Decoded(Stores { store, store_unmasked, quals });
+            }
+            Err(_) => {
+                let cfg = self.config.preprocess.as_ref().expect("only a preprocess artifact loads encoded");
+                *fragments = self.run_preprocessor(cfg, self.preprocess_key(cfg));
+                self.record_preprocess(fragments);
+            }
+        }
     }
 
     /// Cluster the masked fragments on the configured [`Exec`]. A warm
     /// cache skips the stage: the partition is a function of the
     /// fragments and the parameters — the key — and not of where it ran.
-    fn cluster(&mut self, store: &FragmentStore) -> (Partition, bool) {
-        let params = &self.config.cluster;
-        let key = self.cache.as_ref().map(|_| cache::partition_key(store, params));
-        let n = store.num_fragments();
-        if let Some(part) = self.load("partition", PARTITION_CODEC_SCHEMA, key, |p| decode_partition(p, n)) {
+    fn cluster(&mut self, fragments: &mut Fragments) -> (Partition, bool) {
+        let (config, n) = (self.config, fragments.origin.len());
+        let key = |run: &Self, f: &mut Fragments| {
+            let key = || cache::partition_key_from(f.digests().store, &config.cluster, CLUSTERING_REVISION);
+            run.cache.is_some().then(key)
+        };
+        let cached = key(self, fragments);
+        if let Some(part) =
+            self.load("partition", PARTITION_CODEC_SCHEMA, cached, |p| decode_partition(&p, n))
+        {
             record_partition(self.ctx, &part);
             return (part, false);
         }
-        let (part, killed) = stages::cluster(store, params, &self.config.exec, self.ctx);
+        // Keyed anew: the fragments may come from a rerun preprocessing.
+        self.decode(fragments);
+        let key = key(self, fragments);
+        let (part, killed) =
+            stages::cluster(&fragments.stores().store, &config.cluster, &config.exec, self.ctx);
         // A killed master's partition is partial — never cache it.
         if !killed {
             self.store("partition", PARTITION_CODEC_SCHEMA, key, || encode_partition(&part));
@@ -330,16 +428,32 @@ impl<'a> Run<'a> {
     /// Assemble every non-singleton cluster over the soft-masked
     /// (original-base) fragments on the configured [`Exec`]. A warm cache
     /// skips the stage: the contigs are a function of the key's parts.
-    fn assemble(&mut self, fragments: &Fragments, clustering: &Clustering) -> (Vec<Assembly>, bool) {
-        let store = fragments.store_unmasked.as_ref().unwrap_or(&fragments.store);
-        let (config, quals) = (&self.config.assembly, Some(&fragments.quals[..]));
-        let key = self.cache.as_ref().map(|_| cache::contigs_key(store, quals, clustering, config));
-        if let Some(assemblies) = self.load("contigs", CONTIGS_CODEC_SCHEMA, key, decode_contigs) {
+    fn assemble(&mut self, fragments: &mut Fragments, clustering: &Clustering) -> (Vec<Assembly>, bool) {
+        let config = self.config;
+        let key = |run: &Self, f: &mut Fragments| {
+            let key = || {
+                let PreprocessDigests { store_unmasked, quals, .. } = f.digests();
+                cache::contigs_key_from(
+                    store_unmasked,
+                    Some(quals),
+                    clustering,
+                    &config.assembly,
+                    ASSEMBLER_REVISION,
+                )
+            };
+            run.cache.is_some().then(key)
+        };
+        let cached = key(self, fragments);
+        if let Some(assemblies) = self.load("contigs", CONTIGS_CODEC_SCHEMA, cached, |p| decode_contigs(&p)) {
             record_contigs(self.ctx, &assemblies);
             return (assemblies, false);
         }
+        self.decode(fragments);
+        let key = key(self, fragments);
+        let Stores { store, store_unmasked, quals } = fragments.stores();
+        let store = store_unmasked.as_ref().unwrap_or(store);
         let (assemblies, killed) =
-            stages::assemble(store, quals, clustering, config, &self.config.exec, self.ctx);
+            stages::assemble(store, Some(quals), clustering, &config.assembly, &config.exec, self.ctx);
         // A killed assembly master leaves placeholder slots — never
         // cache those as the real contigs.
         if !killed {
@@ -349,14 +463,9 @@ impl<'a> Run<'a> {
     }
 
     /// Preprocess, then cluster: the report and the fragments to go on.
-    fn front(
-        &mut self,
-        reads: &ReadSet,
-        vectors: &[DnaSeq],
-        known: &[DnaSeq],
-    ) -> (PipelineReport, Fragments) {
-        let mut fragments = self.stage("preprocess", |run| run.preprocess(reads, vectors, known));
-        let (partition, killed) = self.stage("cluster", |run| run.cluster(&fragments.store));
+    fn front(&mut self) -> (PipelineReport, Fragments) {
+        let mut fragments = self.stage("preprocess", |run| run.preprocess());
+        let (partition, killed) = self.stage("cluster", |run| run.cluster(&mut fragments));
         let report = PipelineReport {
             preprocess: fragments.stats.take(),
             clustering: partition.clustering,
@@ -394,11 +503,11 @@ impl Pipeline {
         known_repeats: &[DnaSeq],
         ctx: &mut RunContext,
     ) -> PipelineReport {
-        let mut run = Run::start(&self.config, ctx);
-        let (mut report, fragments) = run.front(reads, vectors, known_repeats);
+        let mut run = Run::start(&self.config, (reads, vectors, known_repeats), ctx);
+        let (mut report, mut fragments) = run.front();
         if report.interrupted.is_none() {
             let (assemblies, killed) =
-                run.stage("assemble", |run| run.assemble(&fragments, &report.clustering));
+                run.stage("assemble", |run| run.assemble(&mut fragments, &report.clustering));
             report.assemblies = assemblies;
             report.interrupted = killed.then(|| "assemble".to_string());
         }
@@ -415,7 +524,7 @@ impl Pipeline {
         known_repeats: &[DnaSeq],
         ctx: &mut RunContext,
     ) -> PipelineReport {
-        Run::start(&self.config, ctx).front(reads, vectors, known_repeats).0
+        Run::start(&self.config, (reads, vectors, known_repeats), ctx).front().0
     }
 }
 
@@ -427,6 +536,7 @@ mod tests {
     use pgasm_simgen::genome::{Genome, GenomeSpec};
     use pgasm_simgen::sampler::{Sampler, SamplerConfig};
     use pgasm_simgen::vector::VECTOR_SEQ;
+    use pgasm_telemetry::RunReport;
 
     fn island_genome(seed: u64) -> Genome {
         Genome::generate(
@@ -616,12 +726,10 @@ mod tests {
     fn partition_payloads_decode_only_as_a_partition_of_the_store() {
         let clustering = Clustering { clusters: vec![vec![0, 2, 3], vec![1], vec![4, 5]] };
         let stats = ClusterStats { generated: 9, aligned: 5, accepted: 3, merges: 3, dp_cells: 1234 };
-        let gst = GstStats { enumerated: 600, suffixes: 40, nodes: 70, ..GstStats::default() };
+        let gst = GstCounts { enumerated: 600, suffixes: 40, nodes: 70 };
         let part = Partition { clustering, stats, gst };
         let payload = encode_partition(&part);
-        let back = decode_partition(&payload, 6).expect("round trip");
-        assert_eq!((&back.clustering, back.stats), (&part.clustering, stats));
-        assert_eq!((back.gst.enumerated, back.gst.suffixes, back.gst.nodes), (600, 40, 70));
+        assert_eq!(decode_partition(&payload, 6), Some(part.clone()), "round trip");
         // The partition of another store's fragments.
         assert!(decode_partition(&payload, 5).is_none(), "an id of at least n");
         assert!(decode_partition(&payload, 7).is_none(), "a fragment in no cluster");
@@ -644,6 +752,26 @@ mod tests {
         assert!(decode_partition(&long, 6).is_none(), "a trailing byte");
     }
 
+    /// One input, one `Partition`: in process, on ranks, and back from
+    /// the cache's codec. Each read overlaps one other only, so no
+    /// schedule aligns a pair the serial engine skips (the tallies of a
+    /// redundant input depend on the schedule).
+    #[test]
+    fn every_path_yields_one_partition() {
+        let genome = island_genome(50).seq;
+        let store = FragmentStore::from_seqs((0..24).flat_map(|i| {
+            let at = 700 * i;
+            [genome.slice(at, at + 250), genome.slice(at + 150, at + 400)]
+        }));
+        let params = fast_config(Exec::Threads(1)).cluster;
+        let on = |exec| stages::cluster(&store, &params, &exec, &mut RunContext::new("test")).0;
+        let serial = on(Exec::Threads(1));
+        assert_eq!(serial.clustering.num_non_singletons(), 24);
+        assert_eq!(on(ranks(3)), serial);
+        let payload = encode_partition(&serial);
+        assert_eq!(decode_partition(&payload, store.num_fragments()), Some(serial));
+    }
+
     #[test]
     fn assembly_threads_do_not_change_results() {
         let reads = island_reads(40);
@@ -654,5 +782,131 @@ mod tests {
         // More threads than clusters: every cluster still on one thread.
         let many = run(fast_config(Exec::Threads(8)), &reads);
         assert_eq!((many.clustering, many.assemblies), outputs[0]);
+    }
+
+    /// A scratch cache directory, removed on drop.
+    struct CacheDir(std::path::PathBuf);
+
+    impl CacheDir {
+        fn new(tag: &str) -> CacheDir {
+            let dir = std::env::temp_dir().join(format!("pgasm-pipeline-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            CacheDir(dir)
+        }
+
+        /// Preprocessing on, cached here.
+        fn config(&self, psi: usize) -> PipelineConfig {
+            let mut config = fast_config(Exec::Threads(1));
+            config.cluster.gst.psi = psi;
+            config.preprocess = Some(PreprocessConfig { stat_repeats: None, ..Default::default() });
+            config.cache_dir = Some(self.0.clone());
+            config
+        }
+    }
+
+    impl Drop for CacheDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Run all three stages over `reads`: the report, the run's counters,
+    /// and whether the fragments' stores were still encoded at the end.
+    fn run_cached(config: &PipelineConfig, reads: &ReadSet) -> (PipelineReport, RunReport, bool) {
+        let mut ctx = RunContext::new("test");
+        let mut run = Run::start(config, (reads, &[], &[]), &mut ctx);
+        let (mut report, mut fragments) = run.front();
+        report.assemblies = run.stage("assemble", |run| run.assemble(&mut fragments, &report.clustering)).0;
+        let encoded = matches!(fragments.bulk, Bulk::Encoded { .. });
+        (report, ctx.finish(), encoded)
+    }
+
+    fn hits_and_misses(run: &RunReport) -> (u64, u64) {
+        (run.counter(names::CACHE_HIT), run.counter(names::CACHE_MISS))
+    }
+
+    #[test]
+    fn a_warm_run_decodes_no_fragment_store() {
+        let (dir, reads) = (CacheDir::new("warm"), island_reads(10));
+        let (cold, cold_run, _) = run_cached(&dir.config(20), &reads);
+        assert_eq!(hits_and_misses(&cold_run), (0, 3));
+        let (warm, warm_run, encoded) = run_cached(&dir.config(20), &reads);
+        assert_eq!(hits_and_misses(&warm_run), (3, 0));
+        assert!(encoded, "a run that hit all three entries decoded the fragment stores");
+        assert_eq!((warm.clustering, warm.assemblies), (cold.clustering, cold.assemblies));
+    }
+
+    /// A summary hit and a partition miss (ψ 20 → 22) decode the stores
+    /// the preprocess entry holds and assemble exactly what an uncached
+    /// run does. (This input clusters alike at both ψ, so the contigs
+    /// entry goes too, and the assembler runs on the decoded stores.)
+    #[test]
+    fn a_partition_miss_assembles_the_uncached_contigs() {
+        let (dir, reads) = (CacheDir::new("psi"), island_reads(20));
+        run_cached(&dir.config(20), &reads);
+        for entry in std::fs::read_dir(&dir.0).unwrap() {
+            let path = entry.unwrap().path();
+            if path.file_name().unwrap().to_string_lossy().starts_with("contigs-") {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        let (cached, run, encoded) = run_cached(&dir.config(22), &reads);
+        assert_eq!(hits_and_misses(&run), (1, 2));
+        assert!(!encoded);
+        let plain = Pipeline::new(PipelineConfig { cache_dir: None, ..dir.config(22) });
+        let plain = plain.run(&reads, &[], &[], &mut RunContext::new("test"));
+        assert!(plain.total_contigs() > 0);
+        assert_eq!((cached.clustering, cached.assemblies), (plain.clustering, plain.assemblies));
+    }
+
+    /// An entry that passes its checksum but whose bulk does not decode
+    /// — a masked run past its fragment's end, a quality track one value
+    /// short — reruns preprocessing, which rewrites the entry.
+    #[test]
+    fn a_checksum_valid_entry_whose_bulk_does_not_decode_is_recomputed() {
+        use pgasm_seq::wire::Reader;
+        let reads = island_reads(30);
+        let probe = CacheDir::new("probe");
+        let cfg = probe.config(20).preprocess.unwrap();
+        let out = Preprocessor::new(cfg.clone(), &[], &[]).run(&reads);
+        let bytes = out.encode();
+        // Fragment 0's (empty) runs, spliced to one past its end.
+        let (_, at) = PreprocessSummary::decode(&bytes).unwrap();
+        let mut r = Reader::new(&bytes[at..]);
+        FragmentStore::decode_from(&mut r).unwrap();
+        let runs = bytes.len() - r.remaining();
+        assert_eq!(r.get_u32_slice().unwrap(), Vec::<u32>::new());
+        let mut past_end = Writer::new();
+        past_end.put_u32_slice(&[0, out.store.len_of(pgasm_seq::SeqId(0)) as u32 + 1]);
+        let past_end = [&bytes[..runs], &past_end.finish(), &bytes[runs + 4..]].concat();
+        let mut short = out.clone();
+        let last = short.quals.pop().unwrap();
+        short.quals.push(QualityTrack::from_values(last.values()[1..].to_vec()));
+        let short = short.encode_with(&out.digests());
+
+        let plain = Pipeline::new(PipelineConfig { cache_dir: None, ..probe.config(20) });
+        let plain = plain.run(&reads, &[], &[], &mut RunContext::new("test"));
+        for (tag, payload) in [("past-end", past_end), ("short", short)] {
+            let dir = CacheDir::new(tag);
+            let cache = ArtifactCache::open(&dir.0).unwrap();
+            let key = cache::preprocess_key(&reads, &[], &[], &cfg);
+            cache.store("preprocess", PREPROCESS_CODEC_SCHEMA, key, &payload).unwrap();
+            let (report, run, _) = run_cached(&dir.config(20), &reads);
+            assert_eq!(hits_and_misses(&run), (1, 2), "{tag}: the summary hits, the stages miss");
+            assert_eq!(
+                (&report.clustering, &report.assemblies),
+                (&plain.clustering, &plain.assemblies),
+                "{tag}"
+            );
+            let rewritten = cache.load("preprocess", PREPROCESS_CODEC_SCHEMA, key).unwrap();
+            assert_eq!(
+                PreprocessOutput::decode(&rewritten),
+                Ok(out.clone()),
+                "{tag}: the entry was rewritten"
+            );
+            let (_, healed, encoded) = run_cached(&dir.config(20), &reads);
+            assert_eq!(hits_and_misses(&healed), (3, 0), "{tag}");
+            assert!(encoded, "{tag}");
+        }
     }
 }

@@ -28,12 +28,23 @@ pub enum Exec {
 }
 
 /// What the cluster stage hands on: the clusters, the work that found
-/// them, and how much input reached the tree (summed over builders).
+/// them, and how much input reached the tree (summed over builders) —
+/// equal on every [`Exec`], and after a trip through the cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     pub clustering: Clustering,
     pub stats: ClusterStats,
-    pub gst: GstStats,
+    pub gst: GstCounts,
+}
+
+/// The GST build's run-level counts, the ones every [`Exec`] reports:
+/// the run's `gst_suffixes_enumerated`, `gst_suffixes_indexed` and
+/// `gst_nodes` counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GstCounts {
+    pub enumerated: usize,
+    pub suffixes: usize,
+    pub nodes: usize,
 }
 
 /// Cluster the single-stranded fragments of `store` on `exec`, recording
@@ -54,20 +65,19 @@ pub fn cluster(
             assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
             let ds = store.with_reverse_complements();
             let gst = ctx.scope("gst_build", |_| Gst::build(&ds, params.gst));
-            let gst_stats = gst.stats();
+            let GstStats { enumerated, suffixes, nodes, .. } = gst.stats();
             let (clustering, stats) = cluster_over_gst(&ds, gst, params);
-            (Partition { clustering, stats, gst: gst_stats }, false)
+            (Partition { clustering, stats, gst: GstCounts { enumerated, suffixes, nodes } }, false)
         }
         Exec::Ranks { p, engine, recovery } => {
             let recovery = recovery.for_stage(FaultStage::Cluster);
             let r = cluster_on_ranks(store, *p, params, engine, ctx.trace_spec(), &recovery);
             // The GST build's facts are its ranks' counters, summed.
             let sum = |name| r.ranks.iter().map(|rank| rank.counter(name)).sum::<u64>();
-            let gst = GstStats {
+            let gst = GstCounts {
                 enumerated: sum(names::GST_SUFFIXES_ENUMERATED) as usize,
                 suffixes: sum(names::GST_SUFFIXES_INDEXED) as usize,
                 nodes: sum(names::GST_NODES) as usize,
-                ..GstStats::default()
             };
             let gst_cpu = sum(names::GST_COMPUTE_NS) as f64 * 1e-9;
             let cpu = r.ranks.iter().map(|rank| rank.cpu_seconds).sum();

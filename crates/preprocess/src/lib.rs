@@ -17,7 +17,7 @@ pub mod lucy;
 pub mod pipeline;
 pub mod repeats;
 
-pub use artifact::PREPROCESS_CODEC_SCHEMA;
+pub use artifact::{PreprocessBulk, PreprocessDigests, PreprocessSummary, PREPROCESS_CODEC_SCHEMA};
 pub use lucy::{LucyConfig, TrimOutcome};
 pub use pipeline::{PreprocessConfig, PreprocessStats, Preprocessor};
 pub use repeats::{RepeatLibrary, StatRepeatConfig};

@@ -69,7 +69,8 @@ impl PreprocessStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreprocessOutput {
     /// Trimmed, masked, surviving fragments — the *clustering* view
-    /// (masked repeats cannot seed or extend matches).
+    /// (masked repeats cannot seed or extend matches): `store_unmasked`
+    /// with repeat runs masked, which is how the artifact stores it.
     pub store: FragmentStore,
     /// The same fragments trimmed but *unmasked* — the *assembly* view
     /// (soft-masking: repeats steer clustering, but the assembler

@@ -27,6 +27,10 @@ pub const ALIGN_SCRATCH_BYTES_PEAK: &str = "align_scratch_bytes_peak";
 pub const ALIGN_SCRATCH_GROWS: &str = "align_scratch_grows";
 /// Suffixes enumerated for the GST, before bucket admission.
 pub const GST_SUFFIXES_ENUMERATED: &str = "gst_suffixes_enumerated";
+/// Suffixes a rank sent in the distributed GST's redistribution: the
+/// survivors of its own windows after the reduce (rank channels only;
+/// over the ranks, what one `SlotTable` over the whole store admits).
+pub const GST_SUFFIXES_SHIPPED: &str = "gst_suffixes_shipped";
 /// Suffixes that reached the tree: those of buckets that can emit a
 /// pair.
 pub const GST_SUFFIXES_INDEXED: &str = "gst_suffixes_indexed";

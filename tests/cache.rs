@@ -483,6 +483,7 @@ fn run_report_skeleton_is_pinned() {
         "gst_nodes",
         "gst_suffixes_enumerated",
         "gst_suffixes_indexed",
+        "gst_suffixes_shipped",
         "pairs_accepted",
         "pairs_aligned",
         "pairs_generated",
@@ -499,6 +500,7 @@ fn run_report_skeleton_is_pinned() {
         "gst_nodes",
         "gst_suffixes_enumerated",
         "gst_suffixes_indexed",
+        "gst_suffixes_shipped",
         "inbox_drain_depth_max",
         "pairs_accepted",
         "pairs_aligned",
