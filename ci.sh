@@ -131,15 +131,18 @@ cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "partition differs b
 # serial report holds each counter once; a --ranks 3 report holds the
 # run's value first, then one per rank channel, which sum to it.
 values() { grep -o "\"$1\": [0-9]*" "$2" | grep -o '[0-9]*$' || true; }
-for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
-  serial=$(values "$counter" ci.cluster-serial.json)
-  ranks3=($(values "$counter" ci.cluster-ranks3.json))
-  sum=0
-  for v in "${ranks3[@]:1}"; do sum=$((sum + v)); done
-  [ -n "$serial" ] && [ "${#ranks3[@]}" -eq 4 ] && [ "$serial" = "${ranks3[0]}" ] && [ "$sum" = "$serial" ] \
-    || { echo "$counter: serial '$serial', --ranks 3 run then ranks '${ranks3[*]}'"; exit 1; }
-done
-rm -f ci.cluster-serial.json ci.cluster-ranks3.json
+same_gst_counters() {
+  for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
+    serial=$(values "$counter" ci.cluster-serial.json)
+    ranks3=($(values "$counter" ci.cluster-ranks3.json))
+    sum=0
+    for v in "${ranks3[@]:1}"; do sum=$((sum + v)); done
+    [ -n "$serial" ] && [ "${#ranks3[@]}" -eq 4 ] && [ "$serial" = "${ranks3[0]}" ] && [ "$sum" = "$serial" ] \
+      || { echo "$1: $counter: serial '$serial', --ranks 3 run then ranks '${ranks3[*]}'"; exit 1; }
+  done
+  rm -f ci.cluster-serial.json ci.cluster-ranks3.json
+}
+same_gst_counters "preprocessed"
 
 echo "==> pgasm cluster --ranks 4 with a worker killed: a survivor rebuilds its scope, the partition holds"
 # The victim of the first lease is still generating, so a survivor must
@@ -176,11 +179,14 @@ echo "==> pgasm cluster --no-preprocess: a rejection-heavy run, serial and --ran
 # Every other input here is preprocessed. Unmasked, untrimmed reads put
 # repeats and vector in the GST, so almost every aligned pair fails the
 # criteria: the workload on which a kernel that decides anything itself
-# would have to be measured.
-cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt --no-preprocess
+# would have to be measured. They are also the densest pairing set any
+# step builds, so the serial admission's counters must match the ranks'.
+cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt --no-preprocess \
+  --metrics-json ci.cluster-serial.json
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3 \
-  --no-preprocess
+  --no-preprocess --metrics-json ci.cluster-ranks3.json
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "--no-preprocess partition differs between serial and --ranks 3"; exit 1; }
+same_gst_counters "--no-preprocess"
 rm -f ci_reads.fastq ci_clusters.serial.txt ci_clusters.ranks3.txt
 
 echo "==> artifact-cache smoke (cold run populates, warm runs hit, serial and --ranks 3)"

@@ -9,7 +9,7 @@ use crate::clustering::{cluster_over_gst, ClusterParams, ClusterStats, Clusterin
 use crate::engine::EngineConfig;
 use crate::master_worker::cluster_on_ranks;
 use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig};
-use pgasm_gst::{Gst, GstStats};
+use pgasm_gst::{admitted_suffixes, Gst, GstStats};
 use pgasm_mpisim::FaultStage;
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
 use pgasm_telemetry::{names, RunContext};
@@ -48,8 +48,9 @@ pub struct GstCounts {
 }
 
 /// Cluster the single-stranded fragments of `store` on `exec`, recording
-/// `gst_build` (on ranks also `master_worker`, both on rank clocks, and
-/// every rank's `gst_*` build counters in its channel).
+/// `gst_build` (in process with children `admit` and `tree`; on ranks
+/// also `master_worker`, both on rank clocks, and every rank's `gst_*`
+/// build counters in its channel).
 /// Returns the partition and whether the fault plan killed the master,
 /// which leaves it partial. Panics on `Threads(0)`, `p < 2` or a
 /// double-stranded `store`.
@@ -64,7 +65,14 @@ pub fn cluster(
             assert!(*n >= 1, "Exec::Threads needs at least one thread");
             assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
             let ds = store.with_reverse_complements();
-            let gst = ctx.scope("gst_build", |_| Gst::build(&ds, params.gst));
+            // `Gst::build`, in two spans: the admission's walks and sort,
+            // then the tree over what it let through.
+            let gst = ctx.scope("gst_build", |ctx| {
+                let bucket_len = params.gst.bucket_len();
+                let (admitted, enumerated) =
+                    ctx.scope("admit", |_| admitted_suffixes(&ds, bucket_len, |_| true));
+                ctx.scope("tree", |_| Gst::build_from_sorted(&ds, &admitted, params.gst, enumerated))
+            });
             let GstStats { enumerated, suffixes, nodes, .. } = gst.stats();
             let (clustering, stats) = cluster_over_gst(&ds, gst, params);
             (Partition { clustering, stats, gst: GstCounts { enumerated, suffixes, nodes } }, false)

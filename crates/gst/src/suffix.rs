@@ -25,12 +25,18 @@
 //! fingerprints match too. The serial build, scope adoption and the
 //! builders of the distributed one admit through it, so only a few more
 //! suffixes than [`admitted_runs`] keeps are sorted into buckets and
-//! judged exactly. The distributed count and reduce fold into a
-//! [`SlotTable`] instead: its slot space is the whole store's and means
-//! the same on every rank, so the ranks' parts merge slot by slot.
+//! judged exactly. The serial build and scope adoption
+//! ([`admitted_suffixes`]) walk the store twice: the first walk folds
+//! every window into the table and notes, in a small [`WordSet`], each
+//! word whose slot could pair after one of its windows; the second asks
+//! the table again only about the windows of those words, and passes
+//! every other window after a bitmap test. The distributed count and
+//! reduce fold into a [`SlotTable`] instead: its slot space is the whole
+//! store's and means the same on every rank, so the ranks' parts merge
+//! slot by slot.
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
-use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter};
+use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter, WordSet};
 use std::ops::Range;
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
@@ -143,12 +149,12 @@ impl TwinClasses {
         LeftClasses(self.0 >> (4 * half) & 15)
     }
 
-    /// Add a suffix of class `left` to half `half`.
+    /// Add a suffix of class `left` to half `half`: one load from a table
+    /// of [`LeftClasses::add`] for every byte and half, since the
+    /// admission's first walk folds every window.
     #[inline]
     pub fn add(&mut self, half: usize, left: u8) {
-        let mut classes = self.get(half);
-        classes.add(left);
-        self.0 = self.0 & !(15 << (4 * half)) | classes.0 << (4 * half);
+        self.0 = TWIN_ADD[self.0 as usize][half][left as usize];
     }
 
     /// The two halves' unions.
@@ -183,6 +189,33 @@ impl TwinClasses {
         (byte & 15 <= LeftClasses::PAIR && byte >> 4 <= LeftClasses::PAIR).then_some(TwinClasses(byte))
     }
 }
+
+/// [`TwinClasses::add`] by state byte, half and class: the byte with that
+/// half stepped by [`LeftClasses::add`]. A byte whose half is not a state
+/// is never stored; its entries leave it as it is.
+static TWIN_ADD: [[[u8; NUM_CLASSES]; 2]; 256] = {
+    let mut table = [[[0; NUM_CLASSES]; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut half = 0;
+        while half < 2 {
+            let state = byte >> (4 * half) & 15;
+            let mut c = 0;
+            while c < NUM_CLASSES {
+                let next = if state <= LeftClasses::PAIR as usize {
+                    LeftClasses::NEXT[state][c] as usize
+                } else {
+                    state
+                };
+                table[byte][half][c] = (byte & !(15 << (4 * half)) | next << (4 * half)) as u8;
+                c += 1;
+            }
+            half += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 /// The window's canonical word — the smaller of its word and its twin's
 /// (its own in a single-stranded store) — and the halves of that word's
@@ -296,9 +329,9 @@ impl SlotTable {
 /// both. [`admitted_suffixes`] — the serial build's and scope adoption's
 /// admission — folds every forward window ([`add`](Self::add): a suffix
 /// and its twin share the slot of their canonical word, as in a
-/// [`SlotTable`]) and then takes each window's
-/// [`admitted`](Self::admitted) suffixes. A distributed
-/// builder folds the suffixes it received by bucket key
+/// [`SlotTable`]) and then takes the [`admitted`](Self::admitted)
+/// suffixes of the windows whose word `add` said could pair. A
+/// distributed builder folds the suffixes it received by bucket key
 /// ([`add_key`](Self::add_key)) and keeps those whose key [can
 /// pair](Self::can_pair).
 pub struct AdmissionTable {
@@ -340,14 +373,19 @@ impl AdmissionTable {
         TwinClasses(self.slots[self.probe(word).0] as u8)
     }
 
-    /// Fold the window's suffix and its twin into their word's slot.
+    /// Fold the window's suffix and its twin into their word's slot, and
+    /// say whether either half of the slot can pair after the fold. PAIR
+    /// absorbs, so a word whose bucket can pair gets `true` at least at
+    /// its last window, even if the slot was PAIR already — through
+    /// another word with its fingerprint — and no fold turned it.
     #[inline]
-    pub fn add(&mut self, w: &Window<'_>) {
+    pub fn add(&mut self, w: &Window<'_>) -> bool {
         let (word, half, twin_half) = canonical(w);
         let (i, fingerprint) = self.probe(word);
         let mut classes = TwinClasses(self.slots[i] as u8);
         fold_window(&mut classes, w, half, twin_half);
         self.slots[i] = fingerprint | classes.0 as u16;
+        classes.verdict() != 0
     }
 
     /// The window's suffix and its twin, each if its half of their word's
@@ -376,18 +414,49 @@ impl AdmissionTable {
     }
 }
 
-/// The local admission of the buckets `keep` selects by key: every
-/// forward window of `store` folds into an [`AdmissionTable`], and a
-/// second walk collects, grouped by [`sort_walk_by_bucket`], the selected
-/// suffixes whose half of their word's slot can pair — few more than are
-/// indexed. Also returns how many suffixes the selected buckets hold.
+/// The local admission of the buckets `keep` selects by key, in two
+/// walks over the forward windows of `store`. The first folds every
+/// window into an [`AdmissionTable`] and notes the canonical word of each
+/// window after whose fold its slot can pair. The second collects,
+/// grouped by [`sort_walk_by_bucket`], the selected suffixes of the noted
+/// words' windows whose half of their word's slot can pair — few more
+/// than are indexed — and passes every other window after a bitmap test.
+/// A word whose bucket can pair is always noted ([`AdmissionTable::add`]),
+/// so the filter stays one-sided; a window passed over belongs to a
+/// bucket that cannot pair. Also returns how many suffixes the selected
+/// buckets hold.
 pub fn admitted_suffixes(
     store: &FragmentStore,
     bucket_len: usize,
     keep: impl Fn(u64) -> bool,
 ) -> (Vec<(u64, Suffix)>, usize) {
     let mut table = AdmissionTable::for_windows(store);
-    for_each_window(store, bucket_len, |_| true, |w| table.add(w));
+    let (mut admitted, enumerated, _) = admit_through(&mut table, store, bucket_len, keep);
+    drop(table);
+    sort_walk_by_bucket(&mut admitted);
+    (admitted, enumerated)
+}
+
+/// The two walks of [`admitted_suffixes`] through `table`, an empty one:
+/// the selected suffixes it lets through, in walk order; how many the
+/// selected buckets hold; and how many words the first walk noted.
+pub(crate) fn admit_through(
+    table: &mut AdmissionTable,
+    store: &FragmentStore,
+    bucket_len: usize,
+    keep: impl Fn(u64) -> bool,
+) -> (Vec<(u64, Suffix)>, usize, usize) {
+    let mut paired = WordSet::default();
+    for_each_window(
+        store,
+        bucket_len,
+        |_| true,
+        |w| {
+            if table.add(w) {
+                paired.insert(canonical(w).0);
+            }
+        },
+    );
     let (mut admitted, mut enumerated) = (Vec::new(), 0);
     for_each_window(
         store,
@@ -395,12 +464,12 @@ pub fn admitted_suffixes(
         |_| true,
         |w| {
             enumerated += [Some(w.key), w.twin_key()].into_iter().flatten().filter(|&key| keep(key)).count();
-            admitted.extend(table.admitted(w).filter(|&(key, _)| keep(key)));
+            if paired.contains(&canonical(w).0) {
+                admitted.extend(table.admitted(w).filter(|&(key, _)| keep(key)));
+            }
         },
     );
-    drop(table);
-    sort_walk_by_bucket(&mut admitted);
-    (admitted, enumerated)
+    (admitted, enumerated, paired.len())
 }
 
 /// Forward bases of `store`: a bound on its distinct canonical words.
@@ -715,6 +784,17 @@ mod tests {
             let verdict = classes.verdict();
             assert_eq!(verdict, classes.get(0).can_pair() as u8 | (classes.get(1).can_pair() as u8) << 1);
             assert_eq!(TwinClasses::from_verdict(verdict).verdict(), verdict);
+            // Adding to one half steps it as a lone state would, and only it.
+            for (half, left) in (0..2).flat_map(|half| (0..=LAMBDA as u8).map(move |left| (half, left))) {
+                let (mut twin, mut stepped) = (classes, classes.get(half));
+                twin.add(half, left);
+                stepped.add(left);
+                assert_eq!(
+                    (twin.get(half), twin.get(1 - half)),
+                    (stepped, classes.get(1 - half)),
+                    "{byte:#x}"
+                );
+            }
         }
     }
 
@@ -844,6 +924,20 @@ mod tests {
         ]
     }
 
+    /// The admitted runs of what the two walks of [`admitted_suffixes`]
+    /// let through `table`, sorted as the build sorts them; how many
+    /// suffixes the selected buckets hold; and how many words were noted.
+    fn admitted_through(
+        table: &mut AdmissionTable,
+        store: &FragmentStore,
+        k: usize,
+        keep: impl Fn(u64) -> bool,
+    ) -> (Vec<Vec<(u64, Suffix)>>, usize, usize) {
+        let (mut walked, enumerated, noted) = admit_through(table, store, k, keep);
+        sort_walk_by_bucket(&mut walked);
+        (admitted_runs(&walked).map(<[_]>::to_vec).collect(), enumerated, noted)
+    }
+
     /// Reads with planted copies and masked bases, both strands.
     fn planted_store(
         state: &mut u64,
@@ -871,13 +965,14 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         /// The admission table drops no suffix of an admitted bucket, in
-        /// either way it is filled, and however crowded it is. Fed the
-        /// windows of reads with planted copies and masked bases, what it
-        /// admits, sorted as a walk, has the admitted runs of every suffix
-        /// of both strands, member for member and in order. Fed those
-        /// suffixes in a shuffled order by key, what it keeps is in input
-        /// order, and its stable sort has the admitted runs of the
-        /// shuffled input.
+        /// either way it is filled, and however crowded it is. Through the
+        /// two walks of the serial admission over reads with planted
+        /// copies and masked bases, what it admits, sorted as a walk, has
+        /// the admitted runs of every suffix of both strands, member for
+        /// member and in order — of the buckets a key predicate selects,
+        /// if it is given one. Fed those suffixes in a shuffled order by
+        /// key, what it keeps is in input order, and its stable sort has
+        /// the admitted runs of the shuffled input.
         #[test]
         fn the_admission_table_keeps_every_admitted_bucket_in_order(
             seed in proptest::any::<u64>(),
@@ -892,13 +987,17 @@ mod tests {
             let store = planted_store(&mut state, &lens, copies, masks);
             let mut all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
             let expected = admitted(all.clone());
+            let even = |key: u64| key.is_multiple_of(2);
+            let selected = admitted(all.iter().copied().filter(|&(key, _)| even(key)).collect());
             for mut table in tables(forward_len(&store)) {
-                for_each_window(&store, k, |_| true, |w| table.add(w));
-                let mut walked = Vec::new();
-                for_each_window(&store, k, |_| true, |w| walked.extend(table.admitted(w)));
-                sort_walk_by_bucket(&mut walked);
-                let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
+                let (runs, enumerated, _) = admitted_through(&mut table, &store, k, |_| true);
                 proptest::prop_assert_eq!(&runs, &expected, "window mode");
+                proptest::prop_assert_eq!(enumerated, all.len());
+            }
+            for mut table in tables(forward_len(&store)) {
+                let (runs, enumerated, _) = admitted_through(&mut table, &store, k, even);
+                proptest::prop_assert_eq!(&runs, &selected, "selected buckets");
+                proptest::prop_assert_eq!(enumerated, all.iter().filter(|&&(key, _)| even(key)).count());
             }
             let (walked, enumerated) = admitted_suffixes(&store, k, |_| true);
             let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
@@ -940,13 +1039,55 @@ mod tests {
             words.len()
         };
         for (i, mut table) in tables(forward_len(&store)).into_iter().enumerate() {
-            for_each_window(&store, k, |_| true, |w| table.add(w));
+            let (runs, _, _) = admitted_through(&mut table, &store, k, |_| true);
             let occupied = table.occupied();
             assert!(i == 0 || 2 * occupied < words, "crowded table {i}: {occupied} slots hold {words} words");
-            let mut walked = Vec::new();
-            for_each_window(&store, k, |_| true, |w| walked.extend(table.admitted(w)));
-            sort_walk_by_bucket(&mut walked);
-            assert_eq!(admitted_runs(&walked).map(<[_]>::to_vec).collect::<Vec<_>>(), expected, "table {i}");
+            assert_eq!(runs, expected, "table {i}");
+        }
+    }
+
+    #[test]
+    fn a_word_that_meets_a_paired_slot_is_noted_though_its_fold_turns_nothing() {
+        // Words A and B share a home and a fingerprint, so in both crowded
+        // tables they meet in one slot. B's two windows, after C and after
+        // G, make both halves of the slot PAIR; A's bucket can pair only
+        // from its second window on, whose fold finds both halves PAIR
+        // already. A recorder that noted a word only when its fold turned
+        // a half to PAIR would skip A's windows, and A's bucket with them.
+        let k = 8;
+        let packed = |seq: &DnaSeq| pgasm_seq::pack_kmer(seq.codes()).unwrap();
+        let mark = |word: u64| {
+            let hash = mix_word(word);
+            (hash >> 60, hash as u8)
+        };
+        let mut state = 5;
+        let mut seen: Vec<DnaSeq> = Vec::new();
+        let (a, b) = loop {
+            let word = DnaSeq::from_codes(random_codes(&mut state, k));
+            if packed(&word) >= packed(&word.reverse_complement()) {
+                continue; // the forward word is the canonical one: half 0
+            }
+            if let Some(b) = seen.iter().find(|b| mark(packed(b)) == mark(packed(&word)) && **b != word) {
+                break (word, b.clone());
+            }
+            seen.push(word);
+        };
+        let read = |left: &str, word: &DnaSeq| {
+            let mut codes = DnaSeq::from(left).codes().to_vec();
+            codes.extend_from_slice(word.codes());
+            DnaSeq::from_codes(codes)
+        };
+        let reads = vec![read("C", &b), read("G", &b), read("C", &a), read("G", &a)];
+        let store = FragmentStore::from_seqs(reads).with_reverse_complements();
+        let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+        let expected = admitted(all);
+        let bucket_a: Vec<_> = expected.iter().filter(|run| run[0].0 == packed(&a)).collect();
+        assert_eq!(bucket_a.iter().map(|run| run.len()).collect::<Vec<_>>(), [2], "A's bucket can pair");
+        for (i, mut table) in tables(forward_len(&store)).into_iter().enumerate() {
+            let (runs, _, _) = admitted_through(&mut table, &store, k, |_| true);
+            let shared = table.probe(packed(&a)).0 == table.probe(packed(&b)).0;
+            assert!(i == 0 || shared, "crowded table {i}: A and B in one slot");
+            assert_eq!(runs, expected, "table {i}");
         }
     }
 
@@ -974,10 +1115,8 @@ mod tests {
         for_each_window(&store, k, |_| true, |w| slot_table.add(w));
         let mut slot_survivors = Vec::new();
         for_each_window(&store, k, |_| true, |w| slot_table.admit(w, &mut slot_survivors));
-        let mut table = AdmissionTable::for_windows(&store);
-        for_each_window(&store, k, |_| true, |w| table.add(w));
-        let mut survivors = Vec::new();
-        for_each_window(&store, k, |_| true, |w| survivors.extend(table.admitted(w)));
+        let (survivors, _, noted) =
+            admit_through(&mut AdmissionTable::for_windows(&store), &store, k, |_| true);
         let (one_table, admitted_count) = (slot_survivors.len(), survivors.len());
         let indexed: usize = admitted(survivors).iter().map(Vec::len).sum();
         assert!(indexed > 0, "the fixture must overlap somewhere");
@@ -987,6 +1126,13 @@ mod tests {
             admitted_count <= 4 * indexed,
             "the admission table passes {admitted_count} for {indexed} indexed"
         );
+        // The second walk asks the table only about the noted words: few,
+        // so it stays cheap and the set small.
+        let mut words = Vec::new();
+        for_each_window(&store, k, |_| true, |w| words.push(canonical(w).0));
+        words.sort_unstable();
+        words.dedup();
+        assert!(50 * noted <= words.len(), "{noted} of {} words noted", words.len());
     }
 
     #[test]

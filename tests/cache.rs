@@ -435,7 +435,17 @@ fn run_report_skeleton_is_pinned() {
     let uncached = PipelineConfig { cache_dir: None, ..cached_config(&dir.0) };
     assert_eq!(
         skeleton(uncached.clone(), &reads, &genome),
-        serial(&["preprocess", "cluster", "cluster/gst_build", "assemble"], &[])
+        serial(
+            &[
+                "preprocess",
+                "cluster",
+                "cluster/gst_build",
+                "cluster/gst_build/admit",
+                "cluster/gst_build/tree",
+                "assemble"
+            ],
+            &[]
+        )
     );
     assert_eq!(
         skeleton(cached_config(&dir.0), &reads, &genome),
@@ -447,6 +457,8 @@ fn run_report_skeleton_is_pinned() {
                 "cluster",
                 "cluster/cache",
                 "cluster/gst_build",
+                "cluster/gst_build/admit",
+                "cluster/gst_build/tree",
                 "cluster/cache",
                 "assemble",
                 "assemble/cache",
