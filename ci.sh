@@ -126,10 +126,11 @@ cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_cl
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3 \
   --metrics-json ci.cluster-ranks3.json
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "partition differs between serial and --ranks 3"; exit 1; }
-# The ranks' merged admission table is the serial table: over all ranks
-# they count, index and build exactly what the serial build does. A
-# serial report holds each counter once; a --ranks 3 report holds the
-# run's value first, then one per rank channel, which sum to it.
+# The ranks' merged count is exact per word: over all ranks they count,
+# index and build exactly what the serial build does, and ship only the
+# suffixes they index. A serial report holds each counter once; a
+# --ranks 3 report holds the run's value first, then one per rank
+# channel, which sum to it (gst_suffixes_shipped is on the channels only).
 values() { grep -o "\"$1\": [0-9]*" "$2" | grep -o '[0-9]*$' || true; }
 same_gst_counters() {
   for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
@@ -140,6 +141,12 @@ same_gst_counters() {
     [ -n "$serial" ] && [ "${#ranks3[@]}" -eq 4 ] && [ "$serial" = "${ranks3[0]}" ] && [ "$sum" = "$serial" ] \
       || { echo "$1: $counter: serial '$serial', --ranks 3 run then ranks '${ranks3[*]}'"; exit 1; }
   done
+  indexed=$(values gst_suffixes_indexed ci.cluster-serial.json)
+  shipped=($(values gst_suffixes_shipped ci.cluster-ranks3.json))
+  sum=0
+  for v in "${shipped[@]}"; do sum=$((sum + v)); done
+  [ "${#shipped[@]}" -eq 3 ] && [ "$sum" = "$indexed" ] \
+    || { echo "$1: the ranks shipped '${shipped[*]}' suffixes for $indexed indexed"; exit 1; }
   rm -f ci.cluster-serial.json ci.cluster-ranks3.json
 }
 same_gst_counters "preprocessed"

@@ -8,7 +8,7 @@
 //! carries, so a warm run keys them without decoding a store.
 //! The pipeline keeps three kinds: the preprocess output
 //! ([`preprocess_key`]), the cluster stage's partition
-//! ([`partition_key`]) and the assembled contigs ([`contigs_key`]).
+//! ([`partition_key_from`]) and the assembled contigs ([`contigs_key`]).
 //! Identical inputs re-running under the same parameters find their
 //! artifact on disk and skip the stage; any change to an input or
 //! parameter changes the key and the stage recomputes (a wrong *hit*
@@ -27,7 +27,7 @@
 //! rename, so a crashed or concurrent run can leave at worst a stale
 //! temp file, not a half-written entry.
 
-use crate::clustering::{ClusterParams, Clustering, CLUSTERING_REVISION};
+use crate::clustering::{ClusterParams, Clustering};
 use pgasm_assemble::{AssemblyConfig, ASSEMBLER_REVISION};
 use pgasm_gst::GstConfig;
 use pgasm_preprocess::PreprocessConfig;
@@ -118,7 +118,7 @@ pub fn preprocess_key(
 
 /// Cache key of a GST built over `store` (the double-stranded view the
 /// serial clustering engine constructs) with `config`. The pipeline
-/// caches the partition instead ([`partition_key`]).
+/// caches the partition instead ([`partition_key_from`]).
 pub fn gst_key(store: &FragmentStore, config: &GstConfig) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("gst");
@@ -127,24 +127,14 @@ pub fn gst_key(store: &FragmentStore, config: &GstConfig) -> u64 {
     h.finish()
 }
 
-/// Cache key of the cluster stage's output: the masked single-stranded
-/// `store` it clusters, the clustering parameters (via `Debug`, so any
-/// new knob changes the key) and [`CLUSTERING_REVISION`]. The rank count
-/// is not in it: serial and distributed runs write the same partition.
-/// The store's [digest](store_digest) first, then [`partition_key_from`].
-pub fn partition_key(store: &FragmentStore, params: &ClusterParams) -> u64 {
-    partition_key_from(store_digest(store), params, CLUSTERING_REVISION)
-}
-
-/// [`partition_key`] for the clustering at `revision`: a partition
-/// cached by one revision of the algorithm must miss under every other.
-pub fn partition_key_at_revision(store: &FragmentStore, params: &ClusterParams, revision: u32) -> u64 {
-    partition_key_from(store_digest(store), params, revision)
-}
-
-/// [`partition_key_at_revision`] of a store whose [`store_digest`] is
-/// `store` — what a warm run folds, straight from the preprocess
-/// artifact's summary.
+/// Cache key of the cluster stage's output: the [digest](store_digest)
+/// `store` of the masked single-stranded store it clusters — what a warm
+/// run folds, straight from the preprocess artifact's summary — the
+/// clustering parameters (via `Debug`, so any new knob changes the key)
+/// and the clustering's `revision` (the pipeline's is
+/// [`CLUSTERING_REVISION`](crate::clustering::CLUSTERING_REVISION)): a partition cached by one revision of the
+/// algorithm must miss under every other. The rank count is not in it:
+/// serial and distributed runs write the same partition.
 pub fn partition_key_from(store: u64, params: &ClusterParams, revision: u32) -> u64 {
     let mut h = StableHasher::new();
     h.update_str("partition");
@@ -166,23 +156,13 @@ pub fn contigs_key(
     clustering: &Clustering,
     config: &AssemblyConfig,
 ) -> u64 {
-    contigs_key_at_revision(store, quals, clustering, config, ASSEMBLER_REVISION)
+    contigs_key_from(store_digest(store), quals.map(quals_digest), clustering, config, ASSEMBLER_REVISION)
 }
 
-/// [`contigs_key`] for the assembler at `revision`: contigs cached by
-/// one revision of the algorithm must miss under every other.
-pub fn contigs_key_at_revision(
-    store: &FragmentStore,
-    quals: Option<&[QualityTrack]>,
-    clustering: &Clustering,
-    config: &AssemblyConfig,
-    revision: u32,
-) -> u64 {
-    contigs_key_from(store_digest(store), quals.map(quals_digest), clustering, config, revision)
-}
-
-/// [`contigs_key_at_revision`] of a store and quality tracks whose
-/// [`store_digest`] and [`quals_digest`] are `store` and `quals`.
+/// [`contigs_key`] of a store and quality tracks whose [`store_digest`]
+/// and [`quals_digest`] are `store` and `quals`, for the assembler at
+/// `revision`: contigs cached by one revision of the algorithm must miss
+/// under every other.
 pub fn contigs_key_from(
     store: u64,
     quals: Option<u64>,
@@ -299,6 +279,7 @@ pub fn read_entry(path: &Path, kind: &str, schema: u32, key: u64) -> Option<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clustering::CLUSTERING_REVISION;
 
     struct TempDir(PathBuf);
 
@@ -450,9 +431,9 @@ mod tests {
         let mut masked = reads.seqs[0].clone();
         masked.mask_range(5, 6);
         let params = ClusterParams::default();
-        let key = partition_key(&frags, &params);
-        assert_eq!(key, partition_key_from(store_digest(&frags), &params, CLUSTERING_REVISION));
-        assert_ne!(key, partition_key(&FragmentStore::from_seqs([masked]), &params));
+        let key = partition_key_from(store_digest(&frags), &params, CLUSTERING_REVISION);
+        let masked = store_digest(&FragmentStore::from_seqs([masked]));
+        assert_ne!(key, partition_key_from(masked, &params, CLUSTERING_REVISION));
         let (clustering, config) = (Clustering { clusters: vec![vec![0]] }, AssemblyConfig::default());
         let key = contigs_key(&frags, Some(&reads.quals), &clustering, &config);
         let (store, quals) = (store_digest(&frags), Some(quals_digest(&reads.quals)));

@@ -197,7 +197,7 @@ impl<'s> PairDecider<'s> {
 }
 
 /// Revision of the clustering algorithm, part of the partition cache
-/// key ([`crate::cache::partition_key`]): bump it whenever a change
+/// key ([`crate::cache::partition_key_from`]): bump it whenever a change
 /// makes the same fragments and [`ClusterParams`] cluster differently,
 /// so partitions an older build cached miss instead of standing in.
 pub const CLUSTERING_REVISION: u32 = 1;

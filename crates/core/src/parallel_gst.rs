@@ -6,35 +6,35 @@
 //! Phases, per rank:
 //!
 //! 1. **Count**: fold the windows of the rank's own fragments into a
-//!    [`SlotTable`], a bare hash of each window's word into a slot space
-//!    sized from the whole store, so a slot means the same on every rank
-//!    whichever words the rank saw. One walk of each forward strand
-//!    serves the reverse strand too, so a fragment's two strands share
-//!    an owner ([`compute_owners`]).
-//! 2. **Reduce**: the slots are split into one contiguous range per
-//!    builder (`slot_range`). Each rank sends the non-empty slots of
-//!    every other builder's range, sparsely, to that builder, which
-//!    [merges](pgasm_gst::TwinClasses::merge) them into its own and
-//!    answers each sender with a 2-bit verdict per slot it sent. Now
-//!    every rank's table says, for each of its own windows, what one
-//!    table folding every window of the store would say: which suffixes
-//!    may sit in an admitted bucket.
-//!    ERA's counting scan before building, and HipMer's "keep
-//!    singletons off the wire".
+//!    [`CountRun`]: one `u64` per window — a hash of its canonical word
+//!    above the classes its suffix and its twin fold to — sorted in
+//!    place, equal hashes folded. Its size follows the rank's own
+//!    windows, not the store. One walk of each forward strand serves the
+//!    reverse strand too, so a fragment's two strands share an owner
+//!    ([`compute_owners`]).
+//! 2. **Reduce**: the hash space is cut into one contiguous range per
+//!    builder (`hash_range`). Each rank sends every other builder the
+//!    entries of its range as `(gap, state)` records; the builder merges
+//!    the parts k-way straight from the payloads, and its own entries
+//!    straight from its run ([`merge_counts`]), and answers each part
+//!    with a 2-bit verdict per record. Now every rank knows, for each of
+//!    its own windows, what one run over every window of the store says:
+//!    whether its suffix's bucket can pair. It keeps the hashes that can,
+//!    and drops its run. ERA's counting scan before building, and
+//!    HipMer's "keep singletons off the wire".
 //! 3. **Redistribute**: each rank walks its windows again and keeps the
-//!    survivors only. A bucket's builder is a static hash of its key
-//!    ([`bucket_owner`]), so no assignment is negotiated; survivors
-//!    travel to their builder with their left class, one `(key, count,
-//!    suffixes)` record per run, via the paper's customised all-to-all
-//!    built from p − 1 point-to-point rounds (bounding send-buffer
-//!    space). The receiver concatenates the records in source-rank
-//!    order, folds them by bucket key into an [`AdmissionTable`] sized
-//!    for what it received and keeps the suffixes whose key can pair
-//!    (every survivor of a key is here; `retain` keeps their order),
-//!    then sorts the rest by key again (stably: in-bucket order is
-//!    source-rank order). Now whole, each bucket is admitted or dropped
-//!    exactly ([`admitted_runs`]) from the records alone — no text is
-//!    needed.
+//!    suffixes whose half of their hash's verdict is set. A bucket's
+//!    builder is a static hash of its key ([`bucket_owner`]), so no
+//!    assignment is negotiated; the suffixes travel to their builder with
+//!    their left class, one `(key, count, suffixes)` record per run, via
+//!    the paper's customised all-to-all built from p − 1 point-to-point
+//!    rounds (bounding send-buffer space). The receiver concatenates the
+//!    records in source-rank order and sorts them by key (stably:
+//!    in-bucket order is source-rank order). Each of its buckets is now
+//!    whole and is admitted or dropped exactly ([`admitted_runs`]) from
+//!    the records alone — no text is needed. The count is exact per
+//!    word, so what arrives is what is indexed, save the rare suffix of a
+//!    word whose hash another word shares.
 //! 4. **Fetch fragments**: each builder requests the fragment sequences
 //!    its *admitted* suffixes refer to "through two collective
 //!    communication steps — the first to request the processors that
@@ -44,7 +44,7 @@
 //!    of the conceptual global GST, by the same sort + LCP builder as
 //!    the serial path ([`Gst::build_from_sorted`]).
 //!
-//! The merged table is the whole store's, so the survivors shipped over
+//! The merged count is the whole store's, so the suffixes shipped over
 //! all ranks do not depend on p, nor do the buckets admitted from them
 //! (exactly the serial build's), the forests, pairs and partitions.
 //!
@@ -54,12 +54,12 @@
 
 use crate::engine::Counters;
 use pgasm_gst::{
-    admitted_runs, for_each_window, sort_by_bucket, sort_walk_by_bucket, AdmissionTable, Gst, GstConfig,
-    SlotTable, Suffix, TextSource, TwinClasses,
+    admitted_by_verdict, admitted_runs, for_each_window, merge_counts, paired_hashes, sort_by_bucket,
+    sort_walk_by_bucket, CountRun, Gst, GstConfig, Suffix, TextSource, TwinClasses, COUNT_HASH_BITS,
 };
 use pgasm_mpisim::{thread_cpu_seconds, Comm};
 use pgasm_seq::wire::{checked_len, Reader, WireError, Writer};
-use pgasm_seq::{FragmentStore, SeqId};
+use pgasm_seq::{FragmentStore, SeqId, WordMap};
 use pgasm_telemetry::names;
 use pgasm_telemetry::trace::TraceCategory;
 use std::collections::HashMap;
@@ -98,13 +98,13 @@ impl TextSource for LocalText<'_> {
 /// sequence ids) and the rank's counters: the forest's
 /// `gst_suffixes_enumerated` (suffixes of the rank's own fragments; over
 /// all ranks, every suffix of the store once), `gst_suffixes_shipped`
-/// (its survivors of phase 3; over all ranks, those a [`SlotTable`] over
-/// the whole store admits), `gst_suffixes_indexed` and `gst_nodes`, the
-/// foreign fragments it fetched, and `gst_compute_ns`,
-/// its pure computation in *thread CPU time* — the count and filter
-/// passes, the merge of the slots it owns, the admission and sort of the
-/// suffixes it received, and trie building; ranks may timeshare cores,
-/// and wall intervals would then overstate it.
+/// (the suffixes it sent in phase 3; over all ranks, the indexed ones
+/// and the rare hash stray), `gst_suffixes_indexed` and `gst_nodes`, the
+/// foreign fragments it fetched, and `gst_compute_ns`, its pure
+/// computation in *thread CPU time* — the count and filter passes, the
+/// merge of the hashes it owns, the sort of the suffixes it received, and
+/// trie building; ranks may timeshare cores, and wall intervals would
+/// then overstate it.
 pub fn rank_build_gst(
     comm: &mut Comm,
     store: &FragmentStore,
@@ -117,15 +117,10 @@ pub fn rank_build_gst(
     let (mut mine, enumerated, shipped) = ship_survivors(comm, store, owner, config, &mut compute);
 
     // Phase 4: fetch the foreign fragments of admitted buckets (two
-    // collective steps). Every survivor of a key is here, so the table
-    // drops only suffixes of buckets that cannot pair; `retain` keeps the
-    // arrival (source-rank) order, and so does the stable sort.
+    // collective steps). The stable sort keeps the arrival (source-rank)
+    // order within a bucket.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_FETCH, &[]);
     let t = thread_cpu_seconds();
-    let mut table = AdmissionTable::with_words(mine.len());
-    mine.iter().for_each(|&(key, s)| table.add_key(key, s.left));
-    mine.retain(|&(key, _)| table.can_pair(key));
-    drop(table);
     sort_by_bucket(&mut mine);
     let mut needed: Vec<u32> = admitted_runs(&mine)
         .flatten()
@@ -181,10 +176,10 @@ pub fn rank_build_gst(
     (gst, counters)
 }
 
-/// Phases 1–3: count, reduce and redistribute. Returns the survivors
+/// Phases 1–3: count, reduce and redistribute. Returns the suffixes
 /// of the buckets this rank builds, as received (source-rank order), the
 /// number of suffixes of its own fragments and the number of its own
-/// survivors it sent. Computation is added to `compute` in thread-CPU
+/// suffixes it sent. Computation is added to `compute` in thread-CPU
 /// seconds.
 fn ship_survivors(
     comm: &mut Comm,
@@ -202,17 +197,18 @@ fn ship_survivors(
     // Phase 1: count own windows.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_COUNT, &[]);
     let t = thread_cpu_seconds();
-    let mut table = SlotTable::new(store);
-    for_each_window(store, k, own, |w| table.add(w));
+    let run = CountRun::new(store, k, own);
     *compute += thread_cpu_seconds() - t;
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_COUNT);
 
     // Phase 2: reduce.
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDUCE, &[]);
-    reduce(comm, &mut table, compute);
+    let paired = judge_counts(comm, &run, compute);
+    let enumerated = run.enumerated();
+    drop(run);
     comm.tracer_mut().end(TraceCategory::Gst, names::EV_GST_REDUCE);
 
-    // Phase 3: filter own windows and redistribute the survivors
+    // Phase 3: filter own windows and redistribute what is kept
     // (customised all-to-all, §6). The bucket → builder assignment is
     // *static* (a hash of the bucket key), relying on the paper's
     // observation that for diverse sequence data the buckets are close
@@ -223,9 +219,9 @@ fn ship_survivors(
     comm.tracer_mut().begin(TraceCategory::Gst, names::EV_GST_REDISTRIBUTE, &[]);
     let t = thread_cpu_seconds();
     let mut local: Vec<(u64, Suffix)> = Vec::new();
-    for_each_window(store, k, own, |w| table.admit(w, &mut local));
-    let (enumerated, shipped) = (table.enumerated(), local.len());
-    drop(table);
+    for_each_window(store, k, own, |w| local.extend(admitted_by_verdict(w, &paired)));
+    let shipped = local.len();
+    drop(paired);
     sort_walk_by_bucket(&mut local);
     *compute += thread_cpu_seconds() - t;
     let mut per_dest: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
@@ -257,68 +253,69 @@ fn ship_survivors(
     (mine, enumerated, shipped)
 }
 
-/// Phase 2: turn `table`, this rank's part, into what the merged table
-/// says of every slot the rank holds a suffix in. The slots are cut into
-/// one range per builder ([`slot_range`]); a rank sends its non-empty
-/// slots of each other builder's range to that builder, which merges
-/// them into its own and answers with one 2-bit verdict per slot sent,
-/// four to a byte, in the order sent. A rank with no windows sends
-/// nothing and never reads its (untouched) table.
-fn reduce(comm: &mut Comm, table: &mut SlotTable, compute: &mut f64) {
+/// Phase 2: the hashes of `run`, this rank's count, whose merged
+/// classes can pair in either half, with their verdicts. Every rank sends
+/// each other builder the entries of its [`hash_range`] as `(gap, state)`
+/// records, and the builder merges the parts straight from the payloads
+/// — its own entries straight from its run — answering each part with
+/// one 2-bit verdict per record, four to a byte, in the order sent. Rank
+/// 0 owns no range and no window: its parts and answers are empty.
+fn judge_counts(comm: &mut Comm, run: &CountRun, compute: &mut f64) -> WordMap<u8> {
     let (rank, p) = (comm.rank(), comm.size());
-    let ranges: Vec<Range<usize>> = (0..p).map(|r| slot_range(table.num_slots(), r, p)).collect();
-    let sender = table.enumerated() > 0;
-    let sent_to = |dest: usize| sender && dest != rank;
-    let mut parts: Vec<Writer> = (0..p).map(|_| Writer::new()).collect();
-    for (dest, part) in parts.iter_mut().enumerate().filter(|(dest, _)| sent_to(*dest)) {
-        let mut next = ranges[dest].start;
-        for (slot, classes) in table.occupied(ranges[dest].clone()) {
-            put_gap(part, slot - next);
-            part.put_u8(classes.to_byte());
-            next = slot + 1;
-        }
-    }
-    let parts = comm.all_to_allv(parts.into_iter().map(Writer::finish).collect());
-
     let t = thread_cpu_seconds();
-    let mine = &ranges[rank];
-    for part in &parts {
-        read_slots(part, mine, |slot, classes| table.set(slot, table.get(slot).merge(classes)));
-    }
-    let verdicts = parts
-        .iter()
-        .map(|part| {
-            let mut each = Vec::new();
-            read_slots(part, mine, |slot, _| each.push(table.get(slot).verdict()));
-            each.chunks(4).map(|four| four.iter().rev().fold(0, |byte, v| byte << 2 | v)).collect()
+    let parts = (0..p)
+        .map(|dest| {
+            let range = if dest == rank { 0..0 } else { hash_range(dest, p) };
+            let (mut part, mut next) = (Writer::new(), range.start);
+            for (hash, classes) in run.entries(range) {
+                put_gap(&mut part, hash - next);
+                part.put_u8(classes.to_byte());
+                next = hash + 1;
+            }
+            part.finish()
         })
         .collect();
     *compute += thread_cpu_seconds() - t;
-    let verdicts = comm.all_to_allv(verdicts);
+    let parts = comm.all_to_allv(parts);
 
     let t = thread_cpu_seconds();
-    for (dest, bits) in verdicts.iter().enumerate().filter(|(dest, _)| sent_to(*dest)) {
-        let sent: Vec<usize> = table.occupied(ranges[dest].clone()).map(|(slot, _)| slot).collect();
-        assert_eq!(bits.len(), sent.len().div_ceil(4), "verdicts from rank {dest}: one per slot sent");
-        for (n, slot) in sent.into_iter().enumerate() {
-            table.set(slot, TwinClasses::from_verdict(bits[n / 4] >> (2 * (n % 4))));
-        }
+    let mine = hash_range(rank, p);
+    let answers = merge_counts(parts.iter().enumerate().map(
+        |(src, part)| -> Box<dyn Iterator<Item = (u64, TwinClasses)> + '_> {
+            if src == rank {
+                Box::new(run.entries(mine.clone()))
+            } else {
+                Box::new(count_records(part, mine.clone()))
+            }
+        },
+    ));
+    drop(parts);
+    *compute += thread_cpu_seconds() - t;
+    let answers = comm.all_to_allv(answers);
+
+    let t = thread_cpu_seconds();
+    let mut paired = WordMap::default();
+    for (dest, answer) in answers.iter().enumerate() {
+        let sent = run.entries(hash_range(dest, p));
+        assert_eq!(answer.len(), sent.len().div_ceil(4), "verdicts from rank {dest}: one per record sent");
+        paired.extend(paired_hashes(sent, answer));
     }
     *compute += thread_cpu_seconds() - t;
+    paired
 }
 
-/// The slots whose parts builder `rank` of `p` merges: the `(rank −
-/// 1)`-th of `p − 1` contiguous ranges of `slots`, and none for rank 0.
-fn slot_range(slots: usize, rank: usize, p: usize) -> Range<usize> {
-    let Some(b) = rank.checked_sub(1) else { return 0..0 };
-    slots * b / (p - 1)..slots * (b + 1) / (p - 1)
+/// The count hashes builder `rank` of `p` merges: the `(rank − 1)`-th of
+/// `p − 1` contiguous ranges of the hash space, and none for rank 0.
+fn hash_range(rank: usize, p: usize) -> Range<u64> {
+    let Some(b) = (rank as u64).checked_sub(1) else { return 0..0 };
+    let (space, builders) = (1u64 << COUNT_HASH_BITS, p as u64 - 1);
+    space * b / builders..space * (b + 1) / builders
 }
 
-/// Append a slot's distance from the one after the previous slot sent
+/// Append a hash's distance from the one after the previous hash sent
 /// (or from its range's start): seven bits a byte, low first, the high
-/// bit set on every byte but the last. Slots are dense, so most gaps
-/// take one byte.
-fn put_gap(w: &mut Writer, mut gap: usize) {
+/// bit set on every byte but the last.
+fn put_gap(w: &mut Writer, mut gap: u64) {
     while gap >= 0x80 {
         w.put_u8(gap as u8 | 0x80);
         gap >>= 7;
@@ -326,32 +323,44 @@ fn put_gap(w: &mut Writer, mut gap: usize) {
     w.put_u8(gap as u8);
 }
 
-/// Decode a reduce payload — `(gap, state)` records for slots of
-/// `range` — calling `slot` on each in order.
-fn read_slots(payload: &[u8], range: &Range<usize>, mut slot: impl FnMut(usize, TwinClasses)) {
-    let mut next = range.start;
-    read_records(payload, "slot parts", |r| {
-        let (mut gap, mut shift) = (0usize, 0);
-        loop {
-            let byte = r.get_u8()?;
-            gap |= ((byte & 0x7f) as usize) << shift;
-            if byte < 0x80 {
-                break;
-            }
-            shift += 7;
-            if shift >= usize::BITS {
-                return Err(WireError::Malformed("slot gap overflows"));
-            }
-        }
-        let at = next.saturating_add(gap);
-        let classes = TwinClasses::from_byte(r.get_u8()?).ok_or(WireError::Malformed("slot state"))?;
-        if !range.contains(&at) {
-            return Err(WireError::Malformed("slot outside the receiver's range"));
-        }
-        slot(at, classes);
-        next = at + 1;
-        Ok(())
-    });
+/// Decode a count part — `(gap, state)` records of hashes in `range` —
+/// lazily, one `(hash, classes)` at a time.
+///
+/// # Panics
+/// As [`read_records`] does, naming the payload: on a gap that
+/// overflows, a byte that is not a state or a hash outside `range`.
+fn count_records(payload: &[u8], range: Range<u64>) -> impl Iterator<Item = (u64, TwinClasses)> + '_ {
+    let (mut rest, mut next) = (payload, range.start);
+    std::iter::from_fn(move || {
+        (!rest.is_empty()).then(|| {
+            let record = read_count(&mut rest, next, &range).unwrap_or_else(|e| panic!("count parts: {e}"));
+            next = record.0 + 1;
+            record
+        })
+    })
+}
+
+/// The record at the front of `rest`, which it then drops; `next` is the
+/// hash its gap counts from. This decode is most of a builder's merge, so
+/// the gap's end is found first and its bytes folded after, which
+/// measured 3.5× faster than reading them one at a time off a [`Reader`].
+fn read_count(rest: &mut &[u8], next: u64, range: &Range<u64>) -> Result<(u64, TwinClasses), WireError> {
+    // Ten bytes hold 64 bits; a gap that needs more overflows.
+    let Some(last) = rest.iter().take(10).position(|&byte| byte < 0x80) else {
+        return Err(match rest.len() {
+            have @ 0..10 => WireError::Truncated { needed: have + 1, have },
+            _ => WireError::Malformed("count gap overflows"),
+        });
+    };
+    let gap = rest[..=last].iter().rev().fold(0u64, |gap, &byte| gap << 7 | (byte & 0x7f) as u64);
+    let byte = *rest.get(last + 1).ok_or(WireError::Truncated { needed: last + 2, have: rest.len() })?;
+    let classes = TwinClasses::from_byte(byte).ok_or(WireError::Malformed("count state"))?;
+    let hash = next.saturating_add(gap);
+    if !range.contains(&hash) {
+        return Err(WireError::Malformed("count outside the receiver's range"));
+    }
+    *rest = &rest[last + 2..];
+    Ok((hash, classes))
 }
 
 /// Decode a collective's payload: `record` is applied until the payload
@@ -517,20 +526,23 @@ mod tests {
     }
 
     #[test]
-    fn the_suffixes_shipped_are_the_whole_store_tables_survivors() {
-        // The reduced table is the one a single rank folding every window
-        // would hold: over all ranks, exactly that table's survivors are
-        // sent, each to the builder of its bucket.
+    fn the_ranks_ship_exactly_the_indexed_suffixes() {
+        // The merged count is exact per word: over all ranks, exactly the
+        // suffixes of admitted buckets are sent, each to the builder of
+        // its bucket, and every suffix of the store is counted once.
         let store = reads_and_copies().with_reverse_complements();
         let config = GstConfig { psi: 16 };
         let k = config.bucket_len();
-        let mut table = SlotTable::new(&store);
-        for_each_window(&store, k, |_| true, |w| table.add(w));
-        let mut whole = Vec::new();
-        for_each_window(&store, k, |_| true, |w| table.admit(w, &mut whole));
-        sort_walk_by_bucket(&mut whole);
-        let all = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).count();
-        assert!(whole.len() < all / 2, "the filter must drop suffixes: {} of {all}", whole.len());
+        let mut all: Vec<_> =
+            enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+        sort_by_bucket(&mut all);
+        let indexed = admitted_runs(&all).collect::<Vec<_>>().concat();
+        assert!(
+            !indexed.is_empty() && indexed.len() < all.len() / 2,
+            "{} of {} indexed",
+            indexed.len(),
+            all.len()
+        );
         for p in [2usize, 3, 4, 5] {
             let owner = compute_owners(&store, p);
             let (owner, store_ref) = (&owner, &store);
@@ -547,12 +559,24 @@ mod tests {
                 shipped.extend_from_slice(received);
             }
             sort_walk_by_bucket(&mut shipped);
-            assert_eq!(shipped, whole, "p = {p}");
+            assert_eq!(shipped, indexed, "p = {p}");
             let enumerated: usize = per_rank.iter().map(|(_, n, _)| n).sum();
-            assert_eq!(enumerated, all, "p = {p}: every suffix counted once");
+            assert_eq!(enumerated, all.len(), "p = {p}: every suffix counted once");
             let counted: usize = per_rank.iter().map(|(_, _, shipped)| shipped).sum();
-            assert_eq!(counted, whole.len(), "p = {p}: the shipped count is the whole-store table's");
+            assert_eq!(counted, indexed.len(), "p = {p}: the shipped count is the indexed one");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "count parts: malformed frame: count gap overflows")]
+    fn a_malformed_count_part_is_a_panic_naming_it() {
+        // One good record, then a gap of ten continuation bytes: more
+        // than 64 bits.
+        let mut part = vec![0x05, 0x11];
+        part.extend([0xff; 10]);
+        part.extend([0x01, 0x11]);
+        let decoded: Vec<_> = count_records(&part, hash_range(1, 2)).collect();
+        unreachable!("decoded {decoded:?}");
     }
 
     #[test]

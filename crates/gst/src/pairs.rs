@@ -322,11 +322,6 @@ impl<F: FnMut(SeqId, SeqId) -> bool> PairGenerator<F> {
             child = self.gst.nodes[child as usize].next_sibling;
         }
     }
-
-    /// Underlying tree statistics (valid also mid-generation).
-    pub fn gst_stats(&self) -> crate::tree::GstStats {
-        self.gst.stats()
-    }
 }
 
 impl<F: FnMut(SeqId, SeqId) -> bool> Iterator for PairGenerator<F> {

@@ -19,24 +19,25 @@
 //! where that extension ends.
 //!
 //! Most buckets of a sparse sample are rejected, so suffixes are judged
-//! before they are sorted, by one table that keeps every suffix of an
-//! admitted bucket: an [`AdmissionTable`], open-addressed over the words
-//! themselves, in which two buckets meet only when their 8-bit
-//! fingerprints match too. The serial build, scope adoption and the
-//! builders of the distributed one admit through it, so only a few more
-//! suffixes than [`admitted_runs`] keeps are sorted into buckets and
-//! judged exactly. The serial build and scope adoption
-//! ([`admitted_suffixes`]) walk the store twice: the first walk folds
-//! every window into the table and notes, in a small [`WordSet`], each
-//! word whose slot could pair after one of its windows; the second asks
-//! the table again only about the windows of those words, and passes
-//! every other window after a bitmap test. The distributed count and
-//! reduce fold into a [`SlotTable`] instead: its slot space is the whole
-//! store's and means the same on every rank, so the ranks' parts merge
-//! slot by slot.
+//! before they are sorted, and only a few more than [`admitted_runs`]
+//! keeps are sorted into buckets and judged exactly. The serial build and
+//! scope adoption ([`admitted_suffixes`]) judge through an
+//! [`AdmissionTable`], open-addressed over the words themselves, in which
+//! two buckets meet only when their 8-bit fingerprints match too. They
+//! walk the store twice: the first walk folds every window into the
+//! table and notes, in a small [`WordSet`], each word whose slot could
+//! pair after one of its windows; the second asks the table again only
+//! about the windows of those words, and passes every other window after
+//! a bitmap test. A rank of the distributed build counts its own windows
+//! in a [`CountRun`] instead, a sorted run of `(hash, classes)` sized by
+//! what the rank holds; the builders [merge](merge_counts) the ranks'
+//! runs hash by hash, and each rank keeps the hashes that can pair
+//! ([`paired_hashes`]) for its second walk ([`admitted_by_verdict`]).
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
-use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter, WordSet};
+use pgasm_seq::{
+    complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter, WordMap, WordSet,
+};
 use std::ops::Range;
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
@@ -138,7 +139,7 @@ impl LeftClasses {
 }
 
 /// Two [`LeftClasses`] in one byte, one per half: the state of one
-/// [`SlotTable`] or [`AdmissionTable`] slot.
+/// [`AdmissionTable`] slot or [`CountRun`] entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwinClasses(u8);
 
@@ -167,14 +168,6 @@ impl TwinClasses {
     #[inline]
     pub fn verdict(self) -> u8 {
         self.get(0).can_pair() as u8 | (self.get(1).can_pair() as u8) << 1
-    }
-
-    /// A state whose [`verdict`](Self::verdict) is `verdict` (its low two
-    /// bits): PAIR in the halves that can pair, empty in the others.
-    #[inline]
-    pub fn from_verdict(verdict: u8) -> TwinClasses {
-        let pair = |bit: u8| if verdict >> bit & 1 == 1 { LeftClasses::PAIR } else { 0 };
-        TwinClasses(pair(0) | pair(1) << 4)
     }
 
     /// The byte this state is stored and sent as.
@@ -227,93 +220,122 @@ fn canonical(w: &Window<'_>) -> (u64, usize, usize) {
     (key.min(twin), (key > twin) as usize, (twin > key) as usize)
 }
 
-/// The distributed count's table: one [`TwinClasses`] byte per hash slot
-/// of a canonical word, one probe serving a window's suffix and its
-/// twin. A slot holds the union of its buckets, and one that cannot pair
-/// holds no bucket that can: the suffixes of windows whose half is not
-/// PAIR are dropped before they are shipped.
-///
-/// A rank folds its own windows, and the owners of slot ranges
-/// [merge](TwinClasses::merge) the parts and hand back each slot's
-/// [verdict](TwinClasses::verdict). That is why a slot is a bare hash
-/// range of the whole store, with no probing and no fingerprint: it
-/// means the same on every rank, whichever words the rank saw, and the
-/// merged table is the one a single rank folding every window would
-/// hold.
-pub struct SlotTable {
-    bits: u32,
-    slots: Vec<u8>,
+/// Bits of the hash that keys a canonical word in a [`CountRun`]. Two
+/// words of one store rarely share a hash, and when they do their
+/// classes merge: PAIR absorbs, so a shared hash may let a stray suffix
+/// through but never holds an indexed one back. A wider hash costs wire
+/// bytes, since a builder's records travel as gaps between hashes.
+pub const COUNT_HASH_BITS: u32 = 40;
+
+/// The count hash of the window's canonical word, and the halves of its
+/// [`TwinClasses`] the window's suffix and its twin take.
+#[inline]
+fn count_hash(w: &Window<'_>) -> (u64, usize, usize) {
+    let (word, half, twin_half) = canonical(w);
+    (mix_word(word) >> (64 - COUNT_HASH_BITS), half, twin_half)
+}
+
+/// A rank's count in the distributed build: one entry per
+/// [count hash](COUNT_HASH_BITS) of the canonical words of the rank's own
+/// windows, ascending, holding the [`TwinClasses`] of every such window
+/// and its twin. It costs 8 bytes per own forward window while it is
+/// built and sorted in place, whatever the size of the store. The runs of
+/// all ranks [merge](merge_counts) into what one run over every window
+/// would hold.
+pub struct CountRun {
+    /// `hash << 8 | classes`, one per hash.
+    entries: Vec<u64>,
     enumerated: usize,
 }
 
-impl SlotTable {
-    /// An empty table for the windows of `store`: one byte per two
-    /// forward windows of the whole store, so at most half full.
-    pub fn new(store: &FragmentStore) -> SlotTable {
-        let bits = slot_bits(forward_len(store));
-        SlotTable { bits, slots: vec![0; 1 << bits], enumerated: 0 }
+impl CountRun {
+    /// The run of the forward windows of `store` that `keep` selects, as
+    /// [`for_each_window`] walks them.
+    pub fn new(store: &FragmentStore, bucket_len: usize, keep: impl FnMut(SeqId) -> bool) -> CountRun {
+        let (mut entries, mut enumerated) = (Vec::new(), 0);
+        for_each_window(store, bucket_len, keep, |w| {
+            let (hash, half, twin_half) = count_hash(w);
+            let mut classes = TwinClasses::default();
+            enumerated += fold_window(&mut classes, w, half, twin_half);
+            entries.push(hash << 8 | classes.0 as u64);
+        });
+        entries.sort_unstable();
+        entries.dedup_by(|next, kept| {
+            let same = *next >> 8 == *kept >> 8;
+            if same {
+                *kept = *kept & !0xff | TwinClasses(*kept as u8).merge(TwinClasses(*next as u8)).0 as u64;
+            }
+            same
+        });
+        CountRun { entries, enumerated }
     }
 
-    /// The window's slot, its suffix's half and its twin's half.
-    #[inline]
-    fn slot(&self, w: &Window<'_>) -> (usize, usize, usize) {
-        let (word, half, twin_half) = canonical(w);
-        ((mix_word(word) >> (64 - self.bits)) as usize, half, twin_half)
-    }
-
-    /// Fold the window's suffix and its twin into their slot.
-    #[inline]
-    pub fn add(&mut self, w: &Window<'_>) {
-        let (i, half, twin_half) = self.slot(w);
-        let mut classes = TwinClasses(self.slots[i]);
-        self.enumerated += fold_window(&mut classes, w, half, twin_half);
-        self.slots[i] = classes.0;
-    }
-
-    /// Push the window's suffix and its twin onto `out`, each if its half
-    /// of the slot can pair.
-    #[inline]
-    pub fn admit(&self, w: &Window<'_>, out: &mut Vec<(u64, Suffix)>) {
-        let (i, half, twin_half) = self.slot(w);
-        out.extend(admit_window(TwinClasses(self.slots[i]), w, half, twin_half));
-    }
-
-    /// Suffixes folded in by [`add`](Self::add).
+    /// Suffixes folded into the run: the selected windows' and their
+    /// twins'.
     pub fn enumerated(&self) -> usize {
         self.enumerated
     }
 
-    /// Number of slots (a power of two).
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The slots of `range` that hold a suffix, in order, with their
-    /// states. Empty stretches are skipped eight bytes at a time.
-    pub fn occupied(&self, range: Range<usize>) -> impl Iterator<Item = (usize, TwinClasses)> + '_ {
-        let start = range.start;
-        self.slots[range].chunks(8).enumerate().filter(|(_, chunk)| chunk.iter().any(|&b| b != 0)).flat_map(
-            move |(i, chunk)| {
-                let at = start + 8 * i;
-                chunk.iter().enumerate().filter(|(_, &b)| b != 0).map(move |(j, &b)| (at + j, TwinClasses(b)))
-            },
-        )
-    }
-
-    /// The state of slot `slot`.
-    #[inline]
-    pub fn get(&self, slot: usize) -> TwinClasses {
-        TwinClasses(self.slots[slot])
-    }
-
-    /// Replace the state of slot `slot`.
-    #[inline]
-    pub fn set(&mut self, slot: usize, classes: TwinClasses) {
-        self.slots[slot] = classes.0;
+    /// The entries whose hash lies in `hashes`, ascending.
+    pub fn entries(&self, hashes: Range<u64>) -> impl ExactSizeIterator<Item = (u64, TwinClasses)> + '_ {
+        let at = |hash: u64| self.entries.partition_point(|&entry| entry >> 8 < hash);
+        self.entries[at(hashes.start)..at(hashes.end)]
+            .iter()
+            .map(|&entry| (entry >> 8, TwinClasses(entry as u8)))
     }
 }
 
-/// The local admission table: open-addressed over words, one `u16` per
+/// A builder's merge of count parts — each ascending by hash, as
+/// [`CountRun::entries`] yields them — and its answer to each part: for
+/// each of the part's entries, in order, the two-bit
+/// [verdict](TwinClasses::verdict) of the union of every part's classes
+/// at that hash, four to a byte, low bits first. One cursor per part, so
+/// no part is copied.
+pub fn merge_counts<I>(parts: impl IntoIterator<Item = I>) -> Vec<Vec<u8>>
+where
+    I: Iterator<Item = (u64, TwinClasses)>,
+{
+    let mut parts: Vec<I> = parts.into_iter().collect();
+    let mut heads: Vec<Option<(u64, TwinClasses)>> = parts.iter_mut().map(Iterator::next).collect();
+    let mut answers: Vec<(Vec<u8>, usize)> = vec![(Vec::new(), 0); parts.len()];
+    while let Some(hash) = heads.iter().flatten().map(|head| head.0).min() {
+        let at_hash = heads.iter().flatten().filter(|head| head.0 == hash);
+        let verdict = at_hash.fold(TwinClasses::default(), |merged, head| merged.merge(head.1)).verdict();
+        for ((part, head), (bits, n)) in parts.iter_mut().zip(&mut heads).zip(&mut answers) {
+            if head.is_some_and(|head| head.0 == hash) {
+                if *n % 4 == 0 {
+                    bits.push(0);
+                }
+                *bits.last_mut().expect("pushed above") |= verdict << (2 * (*n % 4));
+                *n += 1;
+                *head = part.next();
+            }
+        }
+    }
+    answers.into_iter().map(|(bits, _)| bits).collect()
+}
+
+/// The hashes of a part's `entries` whose verdict in `answer`, the
+/// builder's answer to that part ([`merge_counts`]), is nonzero, with
+/// that verdict.
+pub fn paired_hashes<'a>(
+    entries: impl Iterator<Item = (u64, TwinClasses)> + 'a,
+    answer: &'a [u8],
+) -> impl Iterator<Item = (u64, u8)> + 'a {
+    let verdicts = answer.iter().flat_map(|&byte| (0..4).map(move |n| byte >> (2 * n) & 3));
+    entries.zip(verdicts).filter(|&(_, verdict)| verdict != 0).map(|((hash, _), verdict)| (hash, verdict))
+}
+
+/// The window's suffix and its twin, each if its half's bit is set in the
+/// verdict `paired` holds for the window's count hash (none if it holds
+/// none): the distributed build's second walk.
+#[inline]
+pub fn admitted_by_verdict(w: &Window<'_>, paired: &WordMap<u8>) -> impl Iterator<Item = (u64, Suffix)> {
+    let (hash, half, twin_half) = count_hash(w);
+    admit_window(paired.get(&hash).copied().unwrap_or(0), w, half, twin_half)
+}
+
+/// The serial admission table: open-addressed over words, one `u16` per
 /// slot — an 8-bit fingerprint of the word's [`mix_word`] hash above the
 /// [`TwinClasses`] byte of its buckets, a zero byte marking the slot
 /// empty. A word probes linearly from the slot named by its hash's top
@@ -324,16 +346,13 @@ impl SlotTable {
 /// of their buckets. PAIR absorbs, so the filter is one-sided: no suffix
 /// of a bucket that can pair is dropped.
 ///
-/// A table has ≥ 2 slots per word it may be given, so it is at most half
-/// full and every probe ends. It is filled in one of two ways, never
-/// both. [`admitted_suffixes`] — the serial build's and scope adoption's
-/// admission — folds every forward window ([`add`](Self::add): a suffix
-/// and its twin share the slot of their canonical word, as in a
-/// [`SlotTable`]) and then takes the [`admitted`](Self::admitted)
-/// suffixes of the windows whose word `add` said could pair. A
-/// distributed builder folds the suffixes it received by bucket key
-/// ([`add_key`](Self::add_key)) and keeps those whose key [can
-/// pair](Self::can_pair).
+/// A table has ≥ 2 slots per forward window of its store, so it is at
+/// most half full and every probe ends. [`admitted_suffixes`] — the
+/// serial build's and scope adoption's admission — folds every forward
+/// window into it ([`add`](Self::add): a suffix and its twin share the
+/// slot of their canonical word) and then takes the
+/// [`admitted`](Self::admitted) suffixes of the windows whose word `add`
+/// said could pair.
 pub struct AdmissionTable {
     slots: Vec<u16>,
     /// 64 − log2(home slots): a hash shifted by it is its word's home.
@@ -342,14 +361,14 @@ pub struct AdmissionTable {
 
 impl AdmissionTable {
     /// An empty table for the windows of `store`: ≥ 2 slots per forward
-    /// window, as many as a [`SlotTable`] has.
+    /// window.
     pub fn for_windows(store: &FragmentStore) -> AdmissionTable {
         AdmissionTable::with_words(forward_len(store))
     }
 
     /// An empty table for at most `words` distinct words.
-    pub fn with_words(words: usize) -> AdmissionTable {
-        let bits = slot_bits(words);
+    fn with_words(words: usize) -> AdmissionTable {
+        let bits = (2 * words).next_power_of_two().trailing_zeros().max(1);
         AdmissionTable { slots: vec![0; 1 << bits], shift: 64 - bits }
     }
 
@@ -365,12 +384,6 @@ impl AdmissionTable {
             i = (i + 1) & mask;
         }
         (i, fingerprint)
-    }
-
-    /// The classes folded into `word`'s slot.
-    #[inline]
-    fn classes(&self, word: u64) -> TwinClasses {
-        TwinClasses(self.slots[self.probe(word).0] as u8)
     }
 
     /// Fold the window's suffix and its twin into their word's slot, and
@@ -393,24 +406,8 @@ impl AdmissionTable {
     #[inline]
     pub fn admitted(&self, w: &Window<'_>) -> impl Iterator<Item = (u64, Suffix)> {
         let (word, half, twin_half) = canonical(w);
-        admit_window(self.classes(word), w, half, twin_half)
-    }
-
-    /// Fold a suffix of bucket `key` and left class `left` into the
-    /// key's slot.
-    #[inline]
-    pub fn add_key(&mut self, key: u64, left: u8) {
-        let (i, fingerprint) = self.probe(key);
-        let mut classes = TwinClasses(self.slots[i] as u8);
-        classes.add(0, left);
-        self.slots[i] = fingerprint | classes.0 as u16;
-    }
-
-    /// Can the suffixes folded by [`add_key`](Self::add_key) into `key`'s
-    /// slot pair?
-    #[inline]
-    pub fn can_pair(&self, key: u64) -> bool {
-        self.classes(key).get(0).can_pair()
+        let classes = TwinClasses(self.slots[self.probe(word).0] as u8);
+        admit_window(classes.verdict(), w, half, twin_half)
     }
 }
 
@@ -477,11 +474,6 @@ fn forward_len(store: &FragmentStore) -> usize {
     store.total_len() >> store.is_double_stranded() as u32
 }
 
-/// log2 of the slots of a table for `words` words: ≥ 2 slots per word.
-fn slot_bits(words: usize) -> u32 {
-    (2 * words).next_power_of_two().trailing_zeros().max(1)
-}
-
 /// Fold the window's suffix into half `half` of `classes` and its twin,
 /// if any, into half `twin_half`; the number of suffixes folded.
 #[inline]
@@ -494,17 +486,17 @@ fn fold_window(classes: &mut TwinClasses, w: &Window<'_>, half: usize, twin_half
     1
 }
 
-/// The window's suffix and its twin, each if its half of `classes` can
-/// pair.
+/// The window's suffix and its twin, each if its half's bit of
+/// `verdict` ([`TwinClasses::verdict`]) is set.
 #[inline]
 fn admit_window(
-    classes: TwinClasses,
+    verdict: u8,
     w: &Window<'_>,
     half: usize,
     twin_half: usize,
 ) -> impl Iterator<Item = (u64, Suffix)> {
-    let suffix = classes.get(half).can_pair().then(|| w.suffix());
-    let twin = if classes.get(twin_half).can_pair() { w.twin_suffix() } else { None };
+    let suffix = (verdict >> half & 1 == 1).then(|| w.suffix());
+    let twin = if verdict >> twin_half & 1 == 1 { w.twin_suffix() } else { None };
     suffix.into_iter().chain(twin)
 }
 
@@ -783,7 +775,6 @@ mod tests {
             assert_eq!(classes.to_byte(), byte);
             let verdict = classes.verdict();
             assert_eq!(verdict, classes.get(0).can_pair() as u8 | (classes.get(1).can_pair() as u8) << 1);
-            assert_eq!(TwinClasses::from_verdict(verdict).verdict(), verdict);
             // Adding to one half steps it as a lone state would, and only it.
             for (half, left) in (0..2).flat_map(|half| (0..=LAMBDA as u8).map(move |left| (half, left))) {
                 let (mut twin, mut stepped) = (classes, classes.get(half));
@@ -964,15 +955,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
-        /// The admission table drops no suffix of an admitted bucket, in
-        /// either way it is filled, and however crowded it is. Through the
-        /// two walks of the serial admission over reads with planted
-        /// copies and masked bases, what it admits, sorted as a walk, has
-        /// the admitted runs of every suffix of both strands, member for
-        /// member and in order — of the buckets a key predicate selects,
-        /// if it is given one. Fed those suffixes in a shuffled order by
-        /// key, what it keeps is in input order, and its stable sort has
-        /// the admitted runs of the shuffled input.
+        /// The admission table drops no suffix of an admitted bucket,
+        /// however crowded it is. Through the two walks of the serial
+        /// admission over reads with planted copies and masked bases, what
+        /// it admits, sorted as a walk, has the admitted runs of every
+        /// suffix of both strands, member for member and in order — of the
+        /// buckets a key predicate selects, if it is given one. Counted in
+        /// 1–4 runs, one per part of the forward sequences, and merged as
+        /// a builder merges them, the halves with a set verdict hold
+        /// exactly the suffixes of those admitted runs.
         #[test]
         fn the_admission_table_keeps_every_admitted_bucket_in_order(
             seed in proptest::any::<u64>(),
@@ -982,10 +973,11 @@ mod tests {
             masks in proptest::collection::vec(
                 (proptest::any::<proptest::sample::Index>(), 0usize..80, 1usize..4), 0..4),
             k in 2usize..=10,
+            parts in 1usize..=4,
         ) {
             let mut state = seed | 1;
             let store = planted_store(&mut state, &lens, copies, masks);
-            let mut all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+            let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
             let expected = admitted(all.clone());
             let even = |key: u64| key.is_multiple_of(2);
             let selected = admitted(all.iter().copied().filter(|&(key, _)| even(key)).collect());
@@ -1003,17 +995,20 @@ mod tests {
             let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
             proptest::prop_assert_eq!(&runs, &expected, "the serial admission");
             proptest::prop_assert_eq!(enumerated, all.len());
-            for i in (1..all.len()).rev() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                all.swap(i, (state >> 33) as usize % (i + 1));
+            let part_of = |s: SeqId| (s.0 / 2) as usize % parts;
+            let runs: Vec<CountRun> =
+                (0..parts).map(|part| CountRun::new(&store, k, |s| part_of(s) == part)).collect();
+            let every_hash = 0..1 << COUNT_HASH_BITS;
+            let answers = merge_counts(runs.iter().map(|run| run.entries(every_hash.clone())));
+            let mut by_verdict = Vec::new();
+            for (part, (run, answer)) in runs.iter().zip(&answers).enumerate() {
+                let paired: WordMap<u8> = paired_hashes(run.entries(every_hash.clone()), answer).collect();
+                let admit = |w: &Window<'_>| by_verdict.extend(admitted_by_verdict(w, &paired));
+                for_each_window(&store, k, |s| part_of(s) == part, admit);
             }
-            for mut table in tables(all.len()) {
-                all.iter().for_each(|&(key, s)| table.add_key(key, s.left));
-                let kept: Vec<_> = all.iter().copied().filter(|&(key, _)| table.can_pair(key)).collect();
-                let mut order = all.iter().copied().filter(|s| kept.contains(s));
-                proptest::prop_assert!(kept.iter().all(|s| order.next() == Some(*s)), "input order");
-                proptest::prop_assert_eq!(admitted(kept), admitted(all.clone()), "received mode");
-            }
+            sort_walk_by_bucket(&mut by_verdict);
+            proptest::prop_assert_eq!(by_verdict, expected.concat(), "count runs");
+            proptest::prop_assert_eq!(runs.iter().map(CountRun::enumerated).sum::<usize>(), all.len());
         }
     }
 
@@ -1096,9 +1091,8 @@ mod tests {
         // A sparse sample: 300 reads of 400 bp, 6 from each of 50 random
         // 3 kb genomes, some reverse-complemented. Reads of one genome
         // overlap now and then; nearly every other suffix is alone in its
-        // bucket. A half-full slot table lets through a fraction of those
-        // in proportion to its load; the admission table only those whose
-        // word meets another word's fingerprint on its probe.
+        // bucket. The admission table lets through only those whose word
+        // meets another word's fingerprint on its probe.
         let mut state = 7;
         let mut reads = Vec::new();
         for _ in 0..50 {
@@ -1111,17 +1105,11 @@ mod tests {
         }
         let store = FragmentStore::from_seqs(reads).with_reverse_complements();
         let k = 20;
-        let mut slot_table = SlotTable::new(&store);
-        for_each_window(&store, k, |_| true, |w| slot_table.add(w));
-        let mut slot_survivors = Vec::new();
-        for_each_window(&store, k, |_| true, |w| slot_table.admit(w, &mut slot_survivors));
         let (survivors, _, noted) =
             admit_through(&mut AdmissionTable::for_windows(&store), &store, k, |_| true);
-        let (one_table, admitted_count) = (slot_survivors.len(), survivors.len());
+        let admitted_count = survivors.len();
         let indexed: usize = admitted(survivors).iter().map(Vec::len).sum();
         assert!(indexed > 0, "the fixture must overlap somewhere");
-        assert_eq!(indexed, admitted(slot_survivors).iter().map(Vec::len).sum::<usize>());
-        assert!(one_table > 20 * indexed, "the slot table passes {one_table} for {indexed} indexed");
         assert!(
             admitted_count <= 4 * indexed,
             "the admission table passes {admitted_count} for {indexed} indexed"

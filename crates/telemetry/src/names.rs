@@ -27,9 +27,10 @@ pub const ALIGN_SCRATCH_BYTES_PEAK: &str = "align_scratch_bytes_peak";
 pub const ALIGN_SCRATCH_GROWS: &str = "align_scratch_grows";
 /// Suffixes enumerated for the GST, before bucket admission.
 pub const GST_SUFFIXES_ENUMERATED: &str = "gst_suffixes_enumerated";
-/// Suffixes a rank sent in the distributed GST's redistribution: the
-/// survivors of its own windows after the reduce (rank channels only;
-/// over the ranks, what one `SlotTable` over the whole store admits).
+/// Suffixes a rank sent in the distributed GST's redistribution: those
+/// of its own windows whose bucket is indexed, up to hash strays (rank
+/// channels only; over the ranks, the run's `gst_suffixes_indexed` plus
+/// the rare suffix of a word whose count hash another word shares).
 pub const GST_SUFFIXES_SHIPPED: &str = "gst_suffixes_shipped";
 /// Suffixes that reached the tree: those of buckets that can emit a
 /// pair.
@@ -238,9 +239,9 @@ pub const EV_ALIGN_BATCH: &str = "align_batch";
 pub const EV_ALIGN_CELLS: &str = "align_cells";
 /// Worker generating the requested pairs (span, category `worker`).
 pub const EV_GENERATE: &str = "generate";
-/// GST: folding own windows into the slot table (span, category `gst`).
+/// GST: sorting own windows into a count run (span, category `gst`).
 pub const EV_GST_COUNT: &str = "gst_count";
-/// GST: merging slot parts and returning verdicts (span, category `gst`).
+/// GST: merging count parts and returning verdicts (span, category `gst`).
 pub const EV_GST_REDUCE: &str = "gst_reduce";
 /// GST: filtering own suffixes and their all-to-all (span, category `gst`).
 pub const EV_GST_REDISTRIBUTE: &str = "gst_redistribute";

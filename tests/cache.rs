@@ -243,14 +243,16 @@ fn uncached_and_cached_results_agree() {
 #[test]
 fn assembler_revision_is_part_of_the_contigs_key() {
     use pgasm::assemble::{AssemblyConfig, ASSEMBLER_REVISION};
-    use pgasm::cluster::cache::{contigs_key, contigs_key_at_revision};
+    use pgasm::cluster::cache::{contigs_key, contigs_key_from};
     use pgasm::cluster::Clustering;
+    use pgasm::seq::{quals_digest, store_digest};
 
     let (reads, _) = fixture_reads(12);
     let store = reads.to_store();
     let clustering = Clustering { clusters: vec![vec![0, 2], vec![1]] };
     let config = AssemblyConfig::default();
-    let key = |revision| contigs_key_at_revision(&store, Some(&reads.quals), &clustering, &config, revision);
+    let digests = (store_digest(&store), Some(quals_digest(&reads.quals)));
+    let key = |revision| contigs_key_from(digests.0, digests.1, &clustering, &config, revision);
     // Same reads, qualities, partition and parameters: contigs another
     // revision of the assembler cached are never a warm hit.
     assert_eq!(contigs_key(&store, Some(&reads.quals), &clustering, &config), key(ASSEMBLER_REVISION));
@@ -260,19 +262,19 @@ fn assembler_revision_is_part_of_the_contigs_key() {
 
 #[test]
 fn partition_entries_key_on_the_cluster_params_and_on_the_codec_schema() {
-    use pgasm::cluster::cache::{partition_key, partition_key_at_revision, ArtifactCache};
+    use pgasm::cluster::cache::{partition_key_from, ArtifactCache};
     use pgasm::cluster::pipeline::PARTITION_CODEC_SCHEMA;
     use pgasm::cluster::CLUSTERING_REVISION;
     use pgasm::gst::GenMode;
+    use pgasm::seq::store_digest;
 
     let dir = CacheDir::new("partition-schema");
     let (reads, genome) = fixture_reads(13);
     // Same fragments: ψ, the acceptance criteria, the band, the pair
     // generation mode and the algorithm's revision each change the key.
-    let store = reads.to_store();
+    let store = store_digest(&reads.to_store());
     let params = cached_config(&dir.0).cluster;
-    let key = partition_key(&store, &params);
-    assert_eq!(key, partition_key_at_revision(&store, &params, CLUSTERING_REVISION));
+    let key = partition_key_from(store, &params, CLUSTERING_REVISION);
     for other in [
         ClusterParams { gst: GstConfig { psi: params.gst.psi + 2 }, ..params },
         ClusterParams {
@@ -282,9 +284,9 @@ fn partition_entries_key_on_the_cluster_params_and_on_the_codec_schema() {
         ClusterParams { band: params.band + 1, ..params },
         ClusterParams { mode: GenMode::AllMatches, ..params },
     ] {
-        assert_ne!(partition_key(&store, &other), key, "{other:?}");
+        assert_ne!(partition_key_from(store, &other, CLUSTERING_REVISION), key, "{other:?}");
     }
-    assert_ne!(partition_key_at_revision(&store, &params, CLUSTERING_REVISION + 1), key);
+    assert_ne!(partition_key_from(store, &params, CLUSTERING_REVISION + 1), key);
 
     // An entry under this run's own key but written by the previous
     // codec schema is ignored, not trusted: the stage reruns and the
