@@ -111,14 +111,21 @@ rm -f ci_clusters.traced.txt ci.serial.trace.json ci.serial.analysis.json
 
 echo "==> pgasm assemble: --ranks 4, --assembly-threads 1 and --assembly-threads 3 write the same contigs"
 # The traced run above assembled on 4 ranks; threads and ranks only
-# schedule the per-cluster assemblies, so every contig file is one file.
+# schedule the GST admission and the per-cluster assemblies, so every
+# contig file is one file, and the admission on 1 and on 3 threads
+# counts, indexes and builds the same suffixes and nodes.
 cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.threads1.fasta \
-  --assembly-threads 1
+  --assembly-threads 1 --metrics-json ci.threads1.json
 cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.threads3.fasta \
-  --assembly-threads 3
+  --assembly-threads 3 --metrics-json ci.threads3.json
 cmp ci_contigs.threads1.fasta ci_contigs.threads3.fasta || { echo "contigs differ between 1 and 3 assembly threads"; exit 1; }
 cmp ci_contigs.threads1.fasta ci_contigs.fasta || { echo "contigs differ between 1 assembly thread and --ranks 4"; exit 1; }
-rm -f ci_contigs.fasta ci_contigs.threads1.fasta ci_contigs.threads3.fasta
+for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
+  one=$(grep -o "\"$counter\": [0-9]*" ci.threads1.json || true)
+  three=$(grep -o "\"$counter\": [0-9]*" ci.threads3.json || true)
+  [ -n "$one" ] && [ "$one" = "$three" ] || { echo "$counter: '$one' on 1 thread, '$three' on 3"; exit 1; }
+done
+rm -f ci_contigs.fasta ci_contigs.threads1.fasta ci_contigs.threads3.fasta ci.threads1.json ci.threads3.json
 
 echo "==> pgasm cluster: serial and --ranks 3 write the same partition from the same GST"
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.serial.txt \
@@ -193,6 +200,15 @@ cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_cl
 cargo run --release -q --bin pgasm -- cluster --reads ci_reads.fastq --out ci_clusters.ranks3.txt --ranks 3 \
   --no-preprocess --metrics-json ci.cluster-ranks3.json
 cmp ci_clusters.serial.txt ci_clusters.ranks3.txt || { echo "--no-preprocess partition differs between serial and --ranks 3"; exit 1; }
+# Low-complexity minimizers make this input's largest bins: the
+# admission on one thread of `assemble` counts what `cluster`'s does.
+cargo run --release -q --bin pgasm -- assemble --reads ci_reads.fastq --out ci_contigs.raw.fasta --no-preprocess \
+  --assembly-threads 1 --metrics-json ci.assemble-raw.json
+for counter in gst_suffixes_enumerated gst_suffixes_indexed gst_nodes; do
+  [ "$(values "$counter" ci.assemble-raw.json)" = "$(values "$counter" ci.cluster-serial.json)" ] \
+    || { echo "--no-preprocess: $counter differs between assemble on 1 thread and cluster"; exit 1; }
+done
+rm -f ci_contigs.raw.fasta ci.assemble-raw.json
 same_gst_counters "--no-preprocess"
 rm -f ci_reads.fastq ci_clusters.serial.txt ci_clusters.ranks3.txt
 

@@ -857,7 +857,7 @@ mod tests {
     #[test]
     fn an_adopted_scope_is_the_direct_build_of_the_dead_ranks_buckets_from_fewer_suffixes() {
         // A survivor that rebuilds a dead builder's scope sorts only the
-        // suffixes the admission table lets through, yet builds byte for
+        // suffixes the minimizer-bin admission admits, yet builds byte for
         // byte what the shared builder makes of every suffix of the dead
         // rank's buckets in (seq, pos) order, read straight from the
         // store, and counts all of that rank's suffixes as enumerated.
@@ -875,7 +875,7 @@ mod tests {
                 pgasm_gst::sort_by_bucket(&mut owned);
                 let direct = Gst::build_from_sorted(&store, &owned, config, owned.len());
                 let owns = |key| bucket_owner(key, p) == dead;
-                let (survivors, enumerated) = pgasm_gst::admitted_suffixes(&store, k, owns);
+                let (survivors, enumerated, _) = pgasm_gst::admitted_suffixes(&store, k, 1, owns);
                 assert_eq!(enumerated, owned.len(), "p = {p}, rank {dead}");
                 assert!(direct.stats().suffixes > 0, "p = {p}: rank {dead} built nothing");
                 assert!(

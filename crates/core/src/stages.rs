@@ -12,13 +12,14 @@ use pgasm_assemble::{assemble_with_quality, Assembly, AssemblyConfig};
 use pgasm_gst::{admitted_suffixes, Gst, GstStats};
 use pgasm_mpisim::FaultStage;
 use pgasm_seq::{DnaSeq, FragmentStore, QualityTrack, SeqId};
-use pgasm_telemetry::{names, RunContext};
+use pgasm_telemetry::{fan_out, names, RunContext};
 
 /// Where a stage runs.
 #[derive(Debug, Clone)]
 pub enum Exec {
-    /// In process: the serial clustering engine; assembly on `n ≥ 1` OS
-    /// threads, the calling thread one of them.
+    /// In process: the GST admission and the assembly on `n ≥ 1` OS
+    /// threads, the calling thread one of them; the rest of the
+    /// clustering engine serial.
     Threads(usize),
     /// On `p ≥ 2` simulated ranks: the §7 protocol with knobs `engine`
     /// (assembly grants one cluster at a time, largest first); a stage arms
@@ -48,7 +49,8 @@ pub struct GstCounts {
 }
 
 /// Cluster the single-stranded fragments of `store` on `exec`, recording
-/// `gst_build` (in process with children `admit` and `tree`; on ranks
+/// `gst_build` (in process with children `admit`, on the `n` threads, and
+/// `tree`; on ranks
 /// also `master_worker`, both on rank clocks, and every rank's `gst_*`
 /// build counters in its channel).
 /// Returns the partition and whether the fault plan killed the master,
@@ -65,12 +67,15 @@ pub fn cluster(
             assert!(*n >= 1, "Exec::Threads needs at least one thread");
             assert!(!store.is_double_stranded(), "pass the original single-stranded fragments");
             let ds = store.with_reverse_complements();
-            // `Gst::build`, in two spans: the admission's walks and sort,
-            // then the tree over what it let through.
+            // `Gst::build`, in two spans: the admission on the stage's
+            // threads, then the tree over what it admitted.
             let gst = ctx.scope("gst_build", |ctx| {
                 let bucket_len = params.gst.bucket_len();
-                let (admitted, enumerated) =
-                    ctx.scope("admit", |_| admitted_suffixes(&ds, bucket_len, |_| true));
+                let (admitted, enumerated) = ctx.scope("admit", |ctx| {
+                    let (admitted, enumerated, helper_cpu) = admitted_suffixes(&ds, bucket_len, *n, |_| true);
+                    ctx.add_helper_cpu(helper_cpu);
+                    (admitted, enumerated)
+                });
                 ctx.scope("tree", |_| Gst::build_from_sorted(&ds, &admitted, params.gst, enumerated))
             });
             let GstStats { enumerated, suffixes, nodes, .. } = gst.stats();
@@ -111,7 +116,11 @@ pub fn assemble(
     ctx: &mut RunContext,
 ) -> (Vec<Assembly>, bool) {
     let (assemblies, killed) = match exec {
-        Exec::Threads(n) => (assemble_on_threads(store, quals, clustering, config, *n), false),
+        Exec::Threads(n) => {
+            let (assemblies, helper_cpu) = assemble_on_threads(store, quals, clustering, config, *n);
+            ctx.add_helper_cpu(helper_cpu);
+            (assemblies, false)
+        }
         Exec::Ranks { p, recovery, .. } => {
             let recovery = recovery.for_stage(FaultStage::Assemble);
             let (tasks, batch) = AssignPolicy::Lpt.plan(clustering, p.saturating_sub(1));
@@ -149,43 +158,33 @@ pub(crate) fn record_contigs(ctx: &mut RunContext, assemblies: &[Assembly]) {
 
 /// Assemble every non-singleton cluster on `threads` OS threads, one
 /// contiguous chunk each: the calling thread takes the first, so one
-/// thread spawns none and the caller's span counts the assembly's CPU.
+/// thread spawns none. Also returns the CPU seconds the spawned threads
+/// spent.
 fn assemble_on_threads(
     store: &FragmentStore,
     quals: Option<&[QualityTrack]>,
     clustering: &Clustering,
     config: &AssemblyConfig,
     threads: usize,
-) -> Vec<Assembly> {
+) -> (Vec<Assembly>, f64) {
     assert!(threads >= 1, "Exec::Threads needs at least one thread");
     let clusters: Vec<&Vec<u32>> = clustering.non_singletons().collect();
-    let mut results: Vec<Option<Assembly>> = vec![None; clusters.len()];
     let chunk = clusters.len().div_ceil(threads).max(1); // no cluster: no chunk
-    let assemble_chunk = |slots: &mut [Option<Assembly>], chunk: &[&Vec<u32>]| {
-        for (slot, members) in slots.iter_mut().zip(chunk) {
-            let reads: Vec<DnaSeq> = members.iter().map(|&f| store.get_seq(SeqId(f))).collect();
-            let quals: Option<Vec<QualityTrack>> =
-                quals.map(|qs| members.iter().map(|&f| qs[f as usize].clone()).collect());
-            *slot = Some(assemble_with_quality(&reads, quals.as_deref(), config));
-        }
+    let chunks: Vec<&[&Vec<u32>]> = clusters.chunks(chunk).collect();
+    let assemble_chunk = |i: usize| -> Vec<Assembly> {
+        let Some(chunk) = chunks.get(i) else { return Vec::new() };
+        chunk
+            .iter()
+            .map(|members| {
+                let reads: Vec<DnaSeq> = members.iter().map(|&f| store.get_seq(SeqId(f))).collect();
+                let quals: Option<Vec<QualityTrack>> =
+                    quals.map(|qs| members.iter().map(|&f| qs[f as usize].clone()).collect());
+                assemble_with_quality(&reads, quals.as_deref(), config)
+            })
+            .collect()
     };
-    std::thread::scope(|scope| {
-        let mut chunks = results.chunks_mut(chunk).zip(clusters.chunks(chunk));
-        let own = chunks.next();
-        let handles: Vec<_> =
-            chunks.map(|(slots, chunk)| scope.spawn(move || assemble_chunk(slots, chunk))).collect();
-        if let Some((slots, chunk)) = own {
-            assemble_chunk(slots, chunk);
-        }
-        // Re-throw a spawned thread's own payload: the scope's automatic
-        // join would replace it with "a scoped thread panicked".
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every cluster assembled")).collect()
+    let (parts, helper_cpu) = fan_out(chunks.len().max(1), assemble_chunk);
+    (parts.into_iter().flatten().collect(), helper_cpu)
 }
 
 #[cfg(test)]

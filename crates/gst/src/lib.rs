@@ -11,12 +11,14 @@
 //!   strand of a double-stranded store only: each window yields its
 //!   suffix and the reverse strand's twin over the same bases. Before
 //!   any bucket sort, suffixes are judged by their word's classes, so the
-//!   sort sees about what is indexed: the serial build and scope adoption
-//!   fold every window into an [`AdmissionTable`], one open-addressed,
-//!   fingerprinted table of words; a rank of the distributed build counts
-//!   its own windows in a [`CountRun`], a sorted run of `(hash, classes)`
-//!   that the builders [merge](merge_counts) hash by hash, so each rank
-//!   ships only the suffixes of words that can pair.
+//!   sort sees only what is indexed: the serial build and scope adoption
+//!   ([`admitted_suffixes`]) file the windows by minimizer bin in
+//!   super-k-mer records and count each bin apart, on n threads; a bin of
+//!   one record that holds no reverse palindrome's centre cannot pair and
+//!   is skipped unread. A rank of the distributed build counts its own
+//!   windows in a [`CountRun`], a sorted run of `(hash, classes)` that the
+//!   builders [merge](merge_counts) hash by hash, so each rank ships only
+//!   the suffixes of words that can pair.
 //! - [`tree`] — the generalized suffix tree (GST) over a fragment set
 //!   (typically fragments *and* their reverse complements), stored as a
 //!   forest of compacted tries, one per admitted bucket. Each bucket is
@@ -50,7 +52,7 @@ pub use artifact::GST_CODEC_SCHEMA;
 pub use pairs::{GenMode, PairGenerator, PromisingPair};
 pub use suffix::{
     admitted_by_verdict, admitted_runs, admitted_suffixes, enumerate_suffixes, for_each_window, merge_counts,
-    paired_hashes, sort_by_bucket, sort_walk_by_bucket, AdmissionTable, CountRun, LeftClasses, Suffix,
-    TwinClasses, Window, COUNT_HASH_BITS,
+    paired_hashes, sort_by_bucket, sort_walk_by_bucket, CountRun, LeftClasses, Suffix, TwinClasses, Window,
+    COUNT_HASH_BITS,
 };
 pub use tree::{Gst, GstConfig, GstStats, TextSource};

@@ -19,25 +19,34 @@
 //! where that extension ends.
 //!
 //! Most buckets of a sparse sample are rejected, so suffixes are judged
-//! before they are sorted, and only a few more than [`admitted_runs`]
-//! keeps are sorted into buckets and judged exactly. The serial build and
-//! scope adoption ([`admitted_suffixes`]) judge through an
-//! [`AdmissionTable`], open-addressed over the words themselves, in which
-//! two buckets meet only when their 8-bit fingerprints match too. They
-//! walk the store twice: the first walk folds every window into the
-//! table and notes, in a small [`WordSet`], each word whose slot could
-//! pair after one of its windows; the second asks the table again only
-//! about the windows of those words, and passes every other window after
-//! a bitmap test. A rank of the distributed build counts its own windows
-//! in a [`CountRun`] instead, a sorted run of `(hash, classes)` sized by
-//! what the rank holds; the builders [merge](merge_counts) the ranks'
-//! runs hash by hash, and each rank keeps the hashes that can pair
+//! before they are sorted. The serial build and scope adoption
+//! ([`admitted_suffixes`]) count by *minimizer bins* (§6's bucketing by a
+//! short prefix, here by the least canonical 12-mer of a window, so that
+//! every bin is independent work). One walk cuts each unmasked run of
+//! each forward sequence into *super-k-mers* — maximal runs of
+//! consecutive windows that select one minimizer occurrence — and files
+//! each as a 12-byte record under the minimizer's bin. A word and its
+//! reverse complement have one multiset of canonical m-mers, so every
+//! window of a canonical word, on either strand, lands in one bin. A bin
+//! of one record holds two windows of one word only as mirror images
+//! across a reverse palindrome: two windows that select one m-mer
+//! occurrence and hold one word in the same orientation are the same
+//! window. The walk flags a record holding a palindrome's centre — a
+//! window that is its own reverse complement, or that of the window
+//! before, found by its middle m-mer, which then is its own reverse
+//! complement too — so a bin of one unflagged record cannot pair and is
+//! skipped without reading its bases again; every other bin is counted
+//! exactly. The walk and the count run on the stage's threads.
+//!
+//! A rank of the distributed build counts its own windows in a
+//! [`CountRun`] instead, a sorted run of `(hash, classes)` sized by what
+//! the rank holds; the builders [merge](merge_counts) the ranks' runs hash
+//! by hash, and each rank keeps the hashes that can pair
 //! ([`paired_hashes`]) for its second walk ([`admitted_by_verdict`]).
 
 use crate::tree::{LAMBDA, NUM_CLASSES};
-use pgasm_seq::{
-    complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter, WordMap, WordSet,
-};
+use pgasm_seq::{complement_code, is_base_code, mix_word, FragmentStore, SeqId, StrandKmerIter, WordMap};
+use pgasm_telemetry::fan_out;
 use std::ops::Range;
 
 /// One suffix of one stored sequence, bounded by its unmasked run.
@@ -139,7 +148,7 @@ impl LeftClasses {
 }
 
 /// Two [`LeftClasses`] in one byte, one per half: the state of one
-/// [`AdmissionTable`] slot or [`CountRun`] entry.
+/// canonical word in the admission's count or a [`CountRun`] entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwinClasses(u8);
 
@@ -210,14 +219,10 @@ static TWIN_ADD: [[[u8; NUM_CLASSES]; 2]; 256] = {
     table
 };
 
-/// The window's canonical word — the smaller of its word and its twin's
-/// (its own in a single-stranded store) — and the halves of that word's
-/// [`TwinClasses`] its suffix and its twin take: the larger word's bucket
-/// in the high half, a reverse palindrome's one bucket in the low.
+/// The window's canonical word and halves ([`canonical_of`]).
 #[inline]
 fn canonical(w: &Window<'_>) -> (u64, usize, usize) {
-    let (key, twin) = (w.key, w.twin_key().unwrap_or(w.key));
-    (key.min(twin), (key > twin) as usize, (twin > key) as usize)
+    canonical_of(w.key, w.twin_key().unwrap_or(w.key))
 }
 
 /// Bits of the hash that keys a canonical word in a [`CountRun`]. Two
@@ -335,143 +340,494 @@ pub fn admitted_by_verdict(w: &Window<'_>, paired: &WordMap<u8>) -> impl Iterato
     admit_window(paired.get(&hash).copied().unwrap_or(0), w, half, twin_half)
 }
 
-/// The serial admission table: open-addressed over words, one `u16` per
-/// slot — an 8-bit fingerprint of the word's [`mix_word`] hash above the
-/// [`TwinClasses`] byte of its buckets, a zero byte marking the slot
-/// empty. A word probes linearly from the slot named by its hash's top
-/// bits until it meets its own fingerprint, or an empty slot, which it
-/// claims. Nothing is ever removed and a fingerprint never changes, so a
-/// word always resolves to the same slot; two distinct words share one
-/// only when their fingerprints match, and the slot then holds the union
-/// of their buckets. PAIR absorbs, so the filter is one-sided: no suffix
-/// of a bucket that can pair is dropped.
-///
-/// A table has ≥ 2 slots per forward window of its store, so it is at
-/// most half full and every probe ends. [`admitted_suffixes`] — the
-/// serial build's and scope adoption's admission — folds every forward
-/// window into it ([`add`](Self::add): a suffix and its twin share the
-/// slot of their canonical word) and then takes the
-/// [`admitted`](Self::admitted) suffixes of the windows whose word `add`
-/// said could pair.
-pub struct AdmissionTable {
-    slots: Vec<u16>,
-    /// 64 − log2(home slots): a hash shifted by it is its word's home.
-    shift: u32,
+/// Length of a minimizer: a window's bin is its least canonical m-mer,
+/// `m = min(MINIMIZER_LEN, k)`.
+const MINIMIZER_LEN: usize = 12;
+
+/// The odd multiplier that orders canonical m-mers, by the top 59 bits of
+/// the product (the low five carry a window offset while the walk looks
+/// for the leftmost least). The order need only be a function of the
+/// canonical m-mer: a word and its reverse complement hold one multiset
+/// of canonical m-mers, so they select one least order, hence one bin.
+const MINIMIZER_ORDER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Bits of a bin: the top bits of its minimizer's order.
+const BIN_BITS: u32 = 24;
+
+/// One super-k-mer: `len ≤ 20` consecutive windows of one unmasked run of
+/// forward sequence `seq`, the first at `pos`, that select one minimizer
+/// occurrence. Twelve bytes: `head` holds the bin above a flag bit above
+/// `len − 1`. The flag marks a record that may hold two windows of one
+/// canonical word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    head: u32,
+    seq: u32,
+    pos: u32,
 }
 
-impl AdmissionTable {
-    /// An empty table for the windows of `store`: ≥ 2 slots per forward
-    /// window.
-    pub fn for_windows(store: &FragmentStore) -> AdmissionTable {
-        AdmissionTable::with_words(forward_len(store))
-    }
+impl Record {
+    const FLAG: u32 = 1 << 7;
 
-    /// An empty table for at most `words` distinct words.
-    fn with_words(words: usize) -> AdmissionTable {
-        let bits = (2 * words).next_power_of_two().trailing_zeros().max(1);
-        AdmissionTable { slots: vec![0; 1 << bits], shift: 64 - bits }
-    }
-
-    /// The slot `word` resolves to — its own, or the empty slot that
-    /// ends its probe — and its fingerprint, shifted into place.
     #[inline]
-    fn probe(&self, word: u64) -> (usize, u16) {
-        let hash = mix_word(word);
-        let fingerprint = (hash as u16) << 8;
-        let mask = self.slots.len() - 1;
-        let mut i = (hash >> self.shift) as usize;
-        while self.slots[i] as u8 != 0 && self.slots[i] & 0xff00 != fingerprint {
+    fn bin(self) -> u32 {
+        self.head >> 8
+    }
+
+    #[inline]
+    fn flagged(self) -> bool {
+        self.head & Record::FLAG != 0
+    }
+
+    #[inline]
+    fn windows(self) -> usize {
+        (self.head & 0x7f) as usize + 1
+    }
+}
+
+/// One thread's walk: its records grouped by partition, where each
+/// partition's group ends, the unmasked runs of its sequences that hold a
+/// masked base as `(seq, start, end)`, and how many selected suffixes its
+/// windows hold.
+struct Walk {
+    records: Vec<Record>,
+    ends: Vec<usize>,
+    runs: Vec<(u32, u32, u32)>,
+    enumerated: usize,
+}
+
+impl Walk {
+    /// The records of partition `part`.
+    fn part(&self, part: usize) -> &[Record] {
+        &self.records[part.checked_sub(1).map_or(0, |p| self.ends[p])..self.ends[part]]
+    }
+}
+
+/// The geometry of the minimizer bins over one store.
+#[derive(Clone, Copy)]
+struct Bins {
+    k: usize,
+    m: usize,
+    double: bool,
+    /// Bits of the partition number: the low bits of a record's bin. A
+    /// minimizer is the least of its window's orders, so the top bits of
+    /// a bin lean towards zero; bits far below them do not.
+    part_bits: u32,
+}
+
+impl Bins {
+    /// The bins for windows of `k` bases over `store`: about 2 048
+    /// forward bases per partition, so that a partition's tables stay in
+    /// cache.
+    fn new(store: &FragmentStore, k: usize) -> Bins {
+        let double = store.is_double_stranded();
+        let forward = store.total_len() >> double as u32;
+        let part_bits = (forward / 2048).max(1).next_power_of_two().trailing_zeros().min(14);
+        Bins { k, m: k.min(MINIMIZER_LEN), double, part_bits }
+    }
+
+    #[inline]
+    fn partition(self, r: Record) -> usize {
+        (r.bin() & ((1 << self.part_bits) - 1)) as usize
+    }
+
+    /// Records of the forward sequences `seqs` (indices among the
+    /// forward strands), grouped by partition in place.
+    fn walk(self, store: &FragmentStore, seqs: Range<usize>, keep: &impl Fn(u64) -> bool) -> Walk {
+        let stride = 1 + self.double as usize;
+        // A record holds (w + 1) / 2 windows on random sequence: room for
+        // a tenth more than that up front, one allocation.
+        let bases: usize = seqs.clone().map(|i| store.len_of(SeqId((i * stride) as u32))).sum();
+        let records = Vec::with_capacity(bases * 11 / (5 * (self.k - self.m + 2)));
+        let mut walk = Walk { records, ends: Vec::new(), runs: Vec::new(), enumerated: 0 };
+        for seq in seqs.map(|i| (i * stride) as u32) {
+            let codes = store.get(SeqId(seq));
+            let mut at = 0;
+            while at < codes.len() {
+                let start =
+                    at + codes[at..].iter().position(|&c| is_base_code(c)).unwrap_or(codes.len() - at);
+                let end = start
+                    + codes[start..].iter().position(|&c| !is_base_code(c)).unwrap_or(codes.len() - start);
+                if end - start >= self.k {
+                    if end - start < codes.len() {
+                        walk.runs.push((seq, start as u32, end as u32));
+                    }
+                    self.walk_run(&codes[start..end], seq, start, keep, &mut walk);
+                }
+                at = end;
+            }
+        }
+        walk.ends = group_in_place(&mut walk.records, 1 << self.part_bits, |r| self.partition(r));
+        walk
+    }
+
+    /// Cut the windows of one unmasked run of forward sequence `seq`,
+    /// `bases`, starting at `offset`, into records. A window's minimizer is
+    /// the leftmost of its least m-mers by [`MINIMIZER_ORDER`], kept as a
+    /// sliding minimum over a ring of the last 32 m-mers' orders, and a
+    /// record ends where that occurrence changes. It is flagged if the
+    /// m-mer `⌊(w − 1)/2⌋` into one of its windows is its own reverse
+    /// complement: the centre of every window that is its own reverse
+    /// complement, and of every window pair each the other's, is such an
+    /// m-mer (m is even wherever w > 1).
+    fn walk_run(self, bases: &[u8], seq: u32, offset: usize, keep: &impl Fn(u64) -> bool, walk: &mut Walk) {
+        let Bins { k, m, double, .. } = self;
+        let (kmask, mmask, w) = ((1u64 << (2 * k)) - 1, (1u64 << (2 * m)) - 1, k - m + 1);
+        let (mut key, mut twin, mut fwd, mut rev) = (0u64, 0u64, 0u64, 0u64);
+        // The orders of the last 32 m-mers, and which of them are their own
+        // reverse complement.
+        let (mut orders, mut palindromes) = ([0u64; 32], 0u32);
+        let mut roll = |c: u8| {
+            let c = c as u64;
+            key = (key << 2 | c) & kmask;
+            twin = twin >> 2 | (3 - c) << (2 * k - 2);
+            fwd = (fwd << 2 | c) & mmask;
+            rev = rev >> 2 | (3 - c) << (2 * m - 2);
+            (key, twin, fwd.min(rev).wrapping_mul(MINIMIZER_ORDER) & !31, fwd == rev)
+        };
+        let note =
+            |orders: &mut [u64; 32], palindromes: &mut u32, q: usize, (order, palindrome): (u64, bool)| {
+                orders[q % 32] = order;
+                *palindromes = *palindromes & !(1 << (q % 32)) | (palindrome as u32) << (q % 32);
+            };
+        for (i, &c) in bases[..k - 1].iter().enumerate() {
+            let (_, _, order, palindrome) = roll(c);
+            if i + 1 >= m {
+                note(&mut orders, &mut palindromes, i + 1 - m, (order, palindrome));
+            }
+        }
+        let (mut least, mut at_least) = (u64::MAX, 0);
+        // The open record and the minimizer occurrence its windows select.
+        let (mut open, mut open_at) = (Record { head: 0, seq, pos: 0 }, usize::MAX);
+        let mut enumerated = 0;
+        for (t, &c) in bases[k - 1..].iter().enumerate() {
+            let (key, twin, order, palindrome) = roll(c);
+            let q = t + w - 1;
+            note(&mut orders, &mut palindromes, q, (order, palindrome));
+            if t == 0 || at_least < t {
+                let best = (t..=q).map(|p| orders[p % 32] | (p - t) as u64).min().unwrap_or(u64::MAX);
+                (least, at_least) = (best & !31, t + (best & 31) as usize);
+            } else if order < least {
+                (least, at_least) = (order, q);
+            }
+            enumerated += keep(key) as usize + (double && keep(twin)) as usize;
+            let centre = palindromes >> ((t + (w - 1) / 2) % 32) & 1;
+            let flag = if double && centre == 1 { Record::FLAG } else { 0 };
+            if at_least == open_at {
+                open.head = (open.head + 1) | flag;
+            } else {
+                if open_at != usize::MAX {
+                    walk.records.push(open);
+                }
+                let bin = (least >> (64 - BIN_BITS)) as u32;
+                (open, open_at) = (Record { head: bin << 8 | flag, seq, pos: (offset + t) as u32 }, at_least);
+            }
+        }
+        walk.records.push(open);
+        walk.enumerated += enumerated;
+    }
+
+    /// The admitted suffixes of the partitions `parts`, over the records
+    /// of every walk.
+    fn count(
+        self,
+        store: &FragmentStore,
+        walks: &[Walk],
+        runs: &[(u32, u32, u32)],
+        parts: Range<usize>,
+        keep: &impl Fn(u64) -> bool,
+    ) -> Vec<(u64, Suffix)> {
+        let (mut tables, mut admitted) = (Tables::new(), Vec::new());
+        for part in parts {
+            let records = || walks.iter().flat_map(move |walk| walk.part(part));
+            tables.count(self, store, records, runs, keep, &mut admitted);
+        }
+        admitted
+    }
+}
+
+/// An open-addressed table probed linearly from the top bits of a key's
+/// hash, reset for each partition. Keys and values lie apart, so a probe
+/// reads keys only.
+struct Table<K, V> {
+    keys: Vec<K>,
+    values: Vec<V>,
+    bits: u32,
+    empty: K,
+}
+
+impl<K: Copy + Eq, V: Copy + Default> Table<K, V> {
+    fn new(empty: K) -> Self {
+        Table { keys: Vec::new(), values: Vec::new(), bits: 1, empty }
+    }
+
+    /// Empty the table, with room for `n` keys at half load at least.
+    fn reset(&mut self, n: usize) {
+        let size = (2 * n).next_power_of_two().max(2);
+        self.keys.clear();
+        self.keys.resize(size, self.empty);
+        self.values.clear();
+        self.values.resize(size, V::default());
+        self.bits = size.trailing_zeros();
+    }
+
+    /// The slot of `key`, claimed if the key is new.
+    #[inline]
+    fn slot(&mut self, key: K, hash: u64) -> usize {
+        let mask = (1 << self.bits) - 1;
+        let mut i = (hash >> (64 - self.bits)) as usize;
+        while self.keys[i] != key && self.keys[i] != self.empty {
             i = (i + 1) & mask;
         }
-        (i, fingerprint)
-    }
-
-    /// Fold the window's suffix and its twin into their word's slot, and
-    /// say whether either half of the slot can pair after the fold. PAIR
-    /// absorbs, so a word whose bucket can pair gets `true` at least at
-    /// its last window, even if the slot was PAIR already — through
-    /// another word with its fingerprint — and no fold turned it.
-    #[inline]
-    pub fn add(&mut self, w: &Window<'_>) -> bool {
-        let (word, half, twin_half) = canonical(w);
-        let (i, fingerprint) = self.probe(word);
-        let mut classes = TwinClasses(self.slots[i] as u8);
-        fold_window(&mut classes, w, half, twin_half);
-        self.slots[i] = fingerprint | classes.0 as u16;
-        classes.verdict() != 0
-    }
-
-    /// The window's suffix and its twin, each if its half of their word's
-    /// slot can pair.
-    #[inline]
-    pub fn admitted(&self, w: &Window<'_>) -> impl Iterator<Item = (u64, Suffix)> {
-        let (word, half, twin_half) = canonical(w);
-        let classes = TwinClasses(self.slots[self.probe(word).0] as u8);
-        admit_window(classes.verdict(), w, half, twin_half)
+        self.keys[i] = key;
+        i
     }
 }
 
-/// The local admission of the buckets `keep` selects by key, in two
-/// walks over the forward windows of `store`. The first folds every
-/// window into an [`AdmissionTable`] and notes the canonical word of each
-/// window after whose fold its slot can pair. The second collects,
-/// grouped by [`sort_walk_by_bucket`], the selected suffixes of the noted
-/// words' windows whose half of their word's slot can pair — few more
-/// than are indexed — and passes every other window after a bitmap test.
-/// A word whose bucket can pair is always noted ([`AdmissionTable::add`]),
-/// so the filter stays one-sided; a window passed over belongs to a
-/// bucket that cannot pair. Also returns how many suffixes the selected
-/// buckets hold.
+/// A window of a counted bin, read again: its words, where it lies, the
+/// left classes of its suffix and its twin, and its canonical word's slot.
+#[derive(Clone, Copy)]
+struct Met {
+    key: u64,
+    twin: u64,
+    seq: u32,
+    pos: u32,
+    slot: u32,
+    left: u8,
+    twin_left: u8,
+}
+
+/// A count thread's scratch, reset for each partition: its bins with a
+/// mark each, the windows of the bins it counts, and their canonical
+/// words with their [`TwinClasses`].
+struct Tables {
+    bins: Table<u32, u8>,
+    /// The partition's records' bin slots, in record order.
+    slots: Vec<u32>,
+    met: Vec<Met>,
+    words: Table<u64, TwinClasses>,
+}
+
+/// A bin mark: one record, unflagged — skipped.
+const LONE: u8 = 1;
+/// A bin mark: counted.
+const COUNT: u8 = 2;
+
+impl Tables {
+    fn new() -> Tables {
+        Tables { bins: Table::new(u32::MAX), slots: Vec::new(), met: Vec::new(), words: Table::new(u64::MAX) }
+    }
+
+    /// Admit the selected suffixes of one partition's records that can
+    /// pair. A bin of one unflagged record is skipped without reading
+    /// its bases again; the windows of every other bin are read once
+    /// more and counted exactly by canonical word.
+    fn count<'a, I: Iterator<Item = &'a Record>>(
+        &mut self,
+        bins: Bins,
+        store: &FragmentStore,
+        records: impl Fn() -> I,
+        runs: &[(u32, u32, u32)],
+        keep: &impl Fn(u64) -> bool,
+        admitted: &mut Vec<(u64, Suffix)>,
+    ) {
+        let Tables { bins: marks, slots, met, words } = self;
+        marks.reset(records().count());
+        slots.clear();
+        for r in records() {
+            let slot = marks.slot(r.bin(), mix_word(r.bin() as u64));
+            let mark = &mut marks.values[slot];
+            *mark = if r.flagged() { COUNT } else { (*mark + LONE).min(COUNT) };
+            slots.push(slot as u32);
+        }
+        let Bins { k, double, .. } = bins;
+        met.clear();
+        for (r, &slot) in records().zip(slots.iter()) {
+            if marks.values[slot as usize] == COUNT {
+                read_windows(store.get(SeqId(r.seq)), *r, k, met);
+            }
+        }
+        words.reset(met.len());
+        for w in met.iter_mut() {
+            let (word, half, twin_half) = canonical_of(w.key, if double { w.twin } else { w.key });
+            let slot = words.slot(word, mix_word(word));
+            let classes = &mut words.values[slot];
+            classes.add(half, w.left);
+            if double {
+                classes.add(twin_half, w.twin_left);
+            }
+            w.slot = slot as u32;
+        }
+        let mut run = (u32::MAX, 0, 0);
+        for w in met.iter() {
+            let verdict = words.values[w.slot as usize].verdict();
+            if verdict == 0 {
+                continue;
+            }
+            let (_, half, twin_half) = canonical_of(w.key, if double { w.twin } else { w.key });
+            let len = store.len_of(SeqId(w.seq));
+            if run.0 != w.seq || !(run.1..run.2).contains(&(w.pos as usize)) {
+                let (start, end) = run_of(runs, w.seq, w.pos, len);
+                run = (w.seq, start, end);
+            }
+            let pos = w.pos as usize;
+            if verdict >> half & 1 == 1 && keep(w.key) {
+                let suffix = Suffix { seq: w.seq, pos: w.pos, rem: (run.2 - pos) as u32, left: w.left };
+                admitted.push((w.key, suffix));
+            }
+            if double && verdict >> twin_half & 1 == 1 && keep(w.twin) {
+                let (twin_pos, rem) = ((len - pos - k) as u32, (pos + k - run.1) as u32);
+                admitted.push((w.twin, Suffix { seq: w.seq + 1, pos: twin_pos, rem, left: w.twin_left }));
+            }
+        }
+    }
+}
+
+/// Read the windows of record `r` of the forward sequence `codes` into
+/// `met`: the first word packed whole and its twin reverse-complemented,
+/// every later one rolled.
+#[inline]
+fn read_windows(codes: &[u8], r: Record, k: usize, met: &mut Vec<Met>) {
+    let (start, n, kmask) = (r.pos as usize, r.windows(), (1u64 << (2 * k)) - 1);
+    let bases = &codes[start..start + k - 1 + n];
+    let mut key = bases[..k].iter().fold(0, |word, &c| word << 2 | c as u64);
+    let mut twin = reverse_complement(key, k);
+    for j in 0..n {
+        if j > 0 {
+            let c = bases[k - 1 + j] as u64;
+            key = (key << 2 | c) & kmask;
+            twin = twin >> 2 | (3 - c) << (2 * k - 2);
+        }
+        // Inside the record the classes are its own bases; only the first
+        // window's left and the last window's right may be λ.
+        let left = if j == 0 { left_class(codes, start) } else { bases[j - 1] };
+        let twin_left = if j + 1 == n { twin_left_class(codes, start + j + k) } else { 3 - bases[j + k] };
+        met.push(Met { key, twin, seq: r.seq, pos: (start + j) as u32, slot: 0, left, twin_left });
+    }
+}
+
+/// The reverse complement of the packed `k`-mer `word`: complement every
+/// base, then reverse the 2-bit groups.
+#[inline]
+fn reverse_complement(word: u64, k: usize) -> u64 {
+    let x = !word;
+    let x = (x >> 2 & 0x3333_3333_3333_3333) | (x & 0x3333_3333_3333_3333) << 2;
+    let x = (x >> 4 & 0x0F0F_0F0F_0F0F_0F0F) | (x & 0x0F0F_0F0F_0F0F_0F0F) << 4;
+    x.swap_bytes() >> (64 - 2 * k)
+}
+
+/// The canonical word of a window with words `key` and `twin` (`key`
+/// again without a twin) — the smaller of the two — and the halves of its
+/// [`TwinClasses`] the window's suffix and its twin take: the larger
+/// word's bucket in the high half, a reverse palindrome's one bucket in
+/// the low.
+#[inline]
+fn canonical_of(key: u64, twin: u64) -> (u64, usize, usize) {
+    (key.min(twin), (key > twin) as usize, (twin > key) as usize)
+}
+
+/// Group `records` by `part` (below `parts`) in place, in one counting
+/// pass and one pass of swaps; returns where each group ends.
+fn group_in_place(records: &mut [Record], parts: usize, part: impl Fn(Record) -> usize) -> Vec<usize> {
+    let mut ends = vec![0; parts];
+    records.iter().for_each(|&r| ends[part(r)] += 1);
+    let mut next = Vec::with_capacity(parts);
+    let mut at = 0;
+    for end in ends.iter_mut() {
+        next.push(at);
+        at += *end;
+        *end = at;
+    }
+    for p in 0..parts {
+        while next[p] < ends[p] {
+            let q = part(records[next[p]]);
+            if q != p {
+                records.swap(next[p], next[q]);
+            }
+            next[q] += 1;
+        }
+    }
+    ends
+}
+
+/// The unmasked run of forward sequence `seq` (of `len` bases) that holds
+/// the window at `pos`: from the walks' `runs` if the sequence has a
+/// masked base, else all of it.
+fn run_of(runs: &[(u32, u32, u32)], seq: u32, pos: u32, len: usize) -> (usize, usize) {
+    let at = runs.partition_point(|&(s, start, _)| (s, start) <= (seq, pos));
+    match at.checked_sub(1).map(|i| runs[i]) {
+        Some((s, start, end)) if s == seq => (start as usize, end as usize),
+        _ => (0, len),
+    }
+}
+
+/// The forward sequences of `store` cut into `n` ranges (indices among
+/// the forward strands) of about equal bases.
+fn split_by_bases(store: &FragmentStore, n: usize) -> Vec<Range<usize>> {
+    let stride = if store.is_double_stranded() { 2 } else { 1 };
+    let forward = store.num_seqs() / stride;
+    let len = |i: usize| store.len_of(SeqId((i * stride) as u32));
+    let total: usize = (0..forward).map(len).sum();
+    let (mut bounds, mut bases) = (vec![0], 0);
+    for i in 0..forward {
+        while bounds.len() < n && bases * n >= total * bounds.len() {
+            bounds.push(i);
+        }
+        bases += len(i);
+    }
+    bounds.resize(n + 1, forward);
+    bounds.windows(2).map(|b| b[0]..b[1]).collect()
+}
+
+/// The local admission of the buckets `keep` selects by key, on
+/// `threads` threads (the caller's one of them): exactly the suffixes of
+/// the selected buckets that can pair, sorted by `(key, seq, pos)` — what
+/// [`admitted_runs`] keeps of a [`sort_by_bucket`] of every suffix —; how
+/// many suffixes the selected buckets hold; and the CPU seconds the
+/// helper threads spent. The walk gives each thread a range of the
+/// forward sequences of about equal bases, and the count a range of the
+/// minimizer bins (see the module header for why a bin of one unflagged
+/// record is skipped unread); one thread runs the same code and spawns
+/// none.
 pub fn admitted_suffixes(
     store: &FragmentStore,
     bucket_len: usize,
-    keep: impl Fn(u64) -> bool,
-) -> (Vec<(u64, Suffix)>, usize) {
-    let mut table = AdmissionTable::for_windows(store);
-    let (mut admitted, enumerated, _) = admit_through(&mut table, store, bucket_len, keep);
-    drop(table);
+    threads: usize,
+    keep: impl Fn(u64) -> bool + Sync,
+) -> (Vec<(u64, Suffix)>, usize, f64) {
+    assert!(threads >= 1, "the admission needs at least one thread");
+    let bins = Bins::new(store, bucket_len);
+    let seqs = split_by_bases(store, threads);
+    let (mut walks, walk_cpu) = fan_out(threads, |i| bins.walk(store, seqs[i].clone(), &keep));
+    let runs: Vec<_> = walks.iter_mut().flat_map(|walk| std::mem::take(&mut walk.runs)).collect();
+    let share = |i: usize| (i << bins.part_bits) / threads;
+    let (parts, count_cpu) =
+        fan_out(threads, |i| bins.count(store, &walks, &runs, share(i)..share(i + 1), &keep));
+    let enumerated = walks.iter().map(|walk| walk.enumerated).sum();
+    drop(walks);
+    let mut admitted = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    parts.into_iter().for_each(|part| admitted.extend(part));
     sort_walk_by_bucket(&mut admitted);
-    (admitted, enumerated)
+    (admitted, enumerated, walk_cpu + count_cpu)
 }
 
-/// The two walks of [`admitted_suffixes`] through `table`, an empty one:
-/// the selected suffixes it lets through, in walk order; how many the
-/// selected buckets hold; and how many words the first walk noted.
-pub(crate) fn admit_through(
-    table: &mut AdmissionTable,
-    store: &FragmentStore,
-    bucket_len: usize,
-    keep: impl Fn(u64) -> bool,
-) -> (Vec<(u64, Suffix)>, usize, usize) {
-    let mut paired = WordSet::default();
-    for_each_window(
-        store,
-        bucket_len,
-        |_| true,
-        |w| {
-            if table.add(w) {
-                paired.insert(canonical(w).0);
-            }
-        },
-    );
-    let (mut admitted, mut enumerated) = (Vec::new(), 0);
-    for_each_window(
-        store,
-        bucket_len,
-        |_| true,
-        |w| {
-            enumerated += [Some(w.key), w.twin_key()].into_iter().flatten().filter(|&key| keep(key)).count();
-            if paired.contains(&canonical(w).0) {
-                admitted.extend(table.admitted(w).filter(|&(key, _)| keep(key)));
-            }
-        },
-    );
-    (admitted, enumerated, paired.len())
+/// The left class of the suffix at `pos`: the base before it, or λ.
+#[inline]
+fn left_class(codes: &[u8], pos: usize) -> u8 {
+    match pos.checked_sub(1).map(|p| codes[p]) {
+        Some(c) if is_base_code(c) => c,
+        _ => LAMBDA as u8,
+    }
 }
 
-/// Forward bases of `store`: a bound on its distinct canonical words.
-fn forward_len(store: &FragmentStore) -> usize {
-    store.total_len() >> store.is_double_stranded() as u32
+/// The left class of the twin of a window that ends before `end`: the
+/// complement of the base at `end`, or λ.
+#[inline]
+fn twin_left_class(codes: &[u8], end: usize) -> u8 {
+    match codes.get(end) {
+        Some(&c) if is_base_code(c) => complement_code(c),
+        _ => LAMBDA as u8,
+    }
 }
 
 /// Fold the window's suffix into half `half` of `classes` and its twin,
@@ -575,20 +931,14 @@ impl Window<'_> {
     /// The suffix's left class: the base before the window.
     #[inline]
     pub fn left(&self) -> u8 {
-        match self.codes[..self.pos].last() {
-            Some(&c) if is_base_code(c) => c,
-            _ => LAMBDA as u8,
-        }
+        left_class(self.codes, self.pos)
     }
 
     /// The twin's left class: the complement of the base after the
     /// window.
     #[inline]
     pub fn twin_left(&self) -> u8 {
-        match self.codes.get(self.pos + self.k) {
-            Some(&c) if is_base_code(c) => complement_code(c),
-            _ => LAMBDA as u8,
-        }
+        twin_left_class(self.codes, self.pos + self.k)
     }
 
     /// The suffix, bounded by the end of its run.
@@ -888,52 +1238,66 @@ mod tests {
         admitted_runs(&suffixes).map(<[_]>::to_vec).collect()
     }
 
-    impl AdmissionTable {
-        /// A table crowded on purpose: every word's home among the first
-        /// `2^home_bits` slots (at most all of them). Probe chains run
-        /// long, and once 256 words have claimed a fingerprint each, a
-        /// word's chain meets its fingerprint before an empty slot: every
-        /// further word merges with another.
-        fn crowded(words: usize, home_bits: u32) -> AdmissionTable {
-            let table = AdmissionTable::with_words(words);
-            AdmissionTable { shift: table.shift.max(64 - home_bits), ..table }
-        }
-
-        /// Slots holding a word.
-        fn occupied(&self) -> usize {
-            self.slots.iter().filter(|&&slot| slot as u8 != 0).count()
-        }
+    /// The exact admission, with no bins and no skipping: every forward
+    /// window's suffix and twin folded into a map by canonical word, then
+    /// the selected suffixes whose half can pair, sorted as the admission
+    /// sorts them; and how many suffixes the selected buckets hold.
+    fn reference(store: &FragmentStore, k: usize, keep: impl Fn(u64) -> bool) -> (Vec<(u64, Suffix)>, usize) {
+        let mut counts = std::collections::HashMap::<u64, TwinClasses>::new();
+        for_each_window(
+            store,
+            k,
+            |_| true,
+            |w| {
+                let (word, half, twin_half) = canonical(w);
+                fold_window(counts.entry(word).or_default(), w, half, twin_half);
+            },
+        );
+        let (mut admitted, mut enumerated) = (Vec::new(), 0);
+        for_each_window(
+            store,
+            k,
+            |_| true,
+            |w| {
+                let (word, half, twin_half) = canonical(w);
+                enumerated +=
+                    [Some(w.key), w.twin_key()].into_iter().flatten().filter(|&key| keep(key)).count();
+                let verdict = counts[&word].verdict();
+                admitted.extend(admit_window(verdict, w, half, twin_half).filter(|&(key, _)| keep(key)));
+            },
+        );
+        sort_walk_by_bucket(&mut admitted);
+        (admitted, enumerated)
     }
 
-    /// The tables a test folds into: the real one, and crowded ones that
-    /// force long probe chains and fingerprint merges.
-    fn tables(words: usize) -> Vec<AdmissionTable> {
-        vec![
-            AdmissionTable::with_words(words),
-            AdmissionTable::crowded(words, 1),
-            AdmissionTable::crowded(words, 4),
-        ]
+    /// Every record of a one-thread walk of `store`, in walk order.
+    fn records(store: &FragmentStore, k: usize) -> Vec<Record> {
+        let bins = Bins::new(store, k);
+        let mut all: Vec<Record> = bins.walk(store, 0..store.num_fragments(), &|_| true).records;
+        all.sort_by_key(|r| (r.seq, r.pos));
+        all
     }
 
-    /// The admitted runs of what the two walks of [`admitted_suffixes`]
-    /// let through `table`, sorted as the build sorts them; how many
-    /// suffixes the selected buckets hold; and how many words were noted.
-    fn admitted_through(
-        table: &mut AdmissionTable,
-        store: &FragmentStore,
-        k: usize,
-        keep: impl Fn(u64) -> bool,
-    ) -> (Vec<Vec<(u64, Suffix)>>, usize, usize) {
-        let (mut walked, enumerated, noted) = admit_through(table, store, k, keep);
-        sort_walk_by_bucket(&mut walked);
-        (admitted_runs(&walked).map(<[_]>::to_vec).collect(), enumerated, noted)
+    /// The record holding the window at `pos` of forward sequence `seq`.
+    fn record_at(records: &[Record], seq: u32, pos: u32) -> Record {
+        *records
+            .iter()
+            .find(|r| r.seq == seq && (r.pos..r.pos + r.windows() as u32).contains(&pos))
+            .expect("every window lies in a record")
     }
 
-    /// Reads with planted copies and masked bases, both strands.
+    /// The bin of `r` holds no other record of `all`.
+    fn alone(all: &[Record], r: Record) -> bool {
+        all.iter().filter(|o| o.bin() == r.bin()).count() == 1
+    }
+
+    /// Reads with planted copies, tandem repeats, reverse palindromes and
+    /// masked bases, both strands.
     fn planted_store(
         state: &mut u64,
         lens: &[usize],
         copies: Vec<(proptest::sample::Index, usize, usize)>,
+        plants: Vec<(usize, usize, usize)>,
         masks: Vec<(proptest::sample::Index, usize, usize)>,
     ) -> FragmentStore {
         let mut reads: Vec<Vec<u8>> = lens.iter().map(|&len| random_codes(state, len)).collect();
@@ -942,6 +1306,22 @@ mod tests {
             let at = at.min(src.len() - 1);
             let copy = src[at..(at + len).min(src.len())].to_vec();
             reads.push(copy);
+        }
+        // A tandem repeat of a short unit ties the minimum in the windows
+        // over it; `x rc(x)` is a reverse palindrome of even length, whose
+        // centre window is its own reverse complement (k even) or that of
+        // its neighbour (k odd).
+        for (kind, unit, times) in plants {
+            let unit = random_codes(state, unit);
+            let mut read = random_codes(state, 3);
+            if kind == 0 {
+                (0..times).for_each(|_| read.extend_from_slice(&unit));
+            } else {
+                read.extend_from_slice(&unit);
+                read.extend(unit.iter().rev().map(|&c| 3 - c));
+            }
+            read.extend(random_codes(state, 3));
+            reads.push(read);
         }
         let mut seqs: Vec<DnaSeq> = reads.into_iter().map(DnaSeq::from_codes).collect();
         for (i, at, len) in masks {
@@ -955,46 +1335,46 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
-        /// The admission table drops no suffix of an admitted bucket,
-        /// however crowded it is. Through the two walks of the serial
-        /// admission over reads with planted copies and masked bases, what
-        /// it admits, sorted as a walk, has the admitted runs of every
-        /// suffix of both strands, member for member and in order — of the
-        /// buckets a key predicate selects, if it is given one. Counted in
-        /// 1–4 runs, one per part of the forward sequences, and merged as
-        /// a builder merges them, the halves with a set verdict hold
-        /// exactly the suffixes of those admitted runs.
+        /// The admission is exact: on 1–3 threads, what it admits is what
+        /// a map over every canonical window admits, suffix for suffix and
+        /// in order — the admitted runs of every suffix of both strands, of
+        /// the buckets a key predicate selects if it is given one — over
+        /// reads with planted copies, tandem repeats, reverse palindromes
+        /// and masked bases, at k below, at and above the minimizer length
+        /// and at the 31 bases a key holds (every ψ > 31). Counted in 1–4
+        /// runs, one per part of the forward sequences, and merged as a
+        /// builder merges them, the halves with a set verdict hold exactly
+        /// the suffixes of those admitted runs.
         #[test]
-        fn the_admission_table_keeps_every_admitted_bucket_in_order(
+        fn the_admission_is_exact_on_every_thread_count(
             seed in proptest::any::<u64>(),
             lens in proptest::collection::vec(1usize..80, 1..12),
             copies in proptest::collection::vec(
                 (proptest::any::<proptest::sample::Index>(), 0usize..80, 3usize..40), 0..6),
+            plants in proptest::collection::vec((0usize..2, 1usize..18, 2usize..12), 0..4),
             masks in proptest::collection::vec(
                 (proptest::any::<proptest::sample::Index>(), 0usize..80, 1usize..4), 0..4),
-            k in 2usize..=10,
+            psi in 1usize..=36,
             parts in 1usize..=4,
         ) {
+            let k = crate::GstConfig { psi }.bucket_len();
             let mut state = seed | 1;
-            let store = planted_store(&mut state, &lens, copies, masks);
+            let store = planted_store(&mut state, &lens, copies, plants, masks);
             let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
             let expected = admitted(all.clone());
             let even = |key: u64| key.is_multiple_of(2);
-            let selected = admitted(all.iter().copied().filter(|&(key, _)| even(key)).collect());
-            for mut table in tables(forward_len(&store)) {
-                let (runs, enumerated, _) = admitted_through(&mut table, &store, k, |_| true);
-                proptest::prop_assert_eq!(&runs, &expected, "window mode");
-                proptest::prop_assert_eq!(enumerated, all.len());
-            }
-            for mut table in tables(forward_len(&store)) {
-                let (runs, enumerated, _) = admitted_through(&mut table, &store, k, even);
-                proptest::prop_assert_eq!(&runs, &selected, "selected buckets");
-                proptest::prop_assert_eq!(enumerated, all.iter().filter(|&&(key, _)| even(key)).count());
-            }
-            let (walked, enumerated) = admitted_suffixes(&store, k, |_| true);
-            let runs: Vec<Vec<_>> = admitted_runs(&walked).map(<[_]>::to_vec).collect();
-            proptest::prop_assert_eq!(&runs, &expected, "the serial admission");
+            let (exact, enumerated) = reference(&store, k, |_| true);
+            proptest::prop_assert_eq!(&exact, &expected.concat(), "the reference");
             proptest::prop_assert_eq!(enumerated, all.len());
+            let (exact_even, enumerated_even) = reference(&store, k, even);
+            for threads in 1..=3 {
+                let (admitted, enumerated, _) = admitted_suffixes(&store, k, threads, |_| true);
+                proptest::prop_assert_eq!(&admitted, &exact, "{} threads", threads);
+                proptest::prop_assert_eq!(enumerated, all.len());
+                let (admitted, enumerated, _) = admitted_suffixes(&store, k, threads, even);
+                proptest::prop_assert_eq!(&admitted, &exact_even, "{} threads, selected buckets", threads);
+                proptest::prop_assert_eq!(enumerated, enumerated_even);
+            }
             let part_of = |s: SeqId| (s.0 / 2) as usize % parts;
             let runs: Vec<CountRun> =
                 (0..parts).map(|part| CountRun::new(&store, k, |s| part_of(s) == part)).collect();
@@ -1010,89 +1390,149 @@ mod tests {
             proptest::prop_assert_eq!(by_verdict, expected.concat(), "count runs");
             proptest::prop_assert_eq!(runs.iter().map(CountRun::enumerated).sum::<usize>(), all.len());
         }
-    }
 
-    #[test]
-    fn crowded_tables_merge_words_yet_keep_every_admitted_suffix() {
-        // 40 random reads of 60 bases, each stored twice: ≈ 2 000
-        // canonical words, whose buckets pair only at a read start. In a
-        // crowded table every word's home is among the first 2 or 16
-        // slots, so chains run long, and once the chain holds all 256
-        // fingerprints each further word merges with another. Merged or
-        // not, no suffix of a bucket that can pair is dropped.
-        let mut state = 3;
-        let reads: Vec<DnaSeq> = (0..40).map(|_| DnaSeq::from_codes(random_codes(&mut state, 60))).collect();
-        let store = FragmentStore::from_seqs(reads.iter().chain(&reads).cloned()).with_reverse_complements();
-        let k = 8;
-        let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
-        let expected = admitted(all.clone());
-        let words = {
-            let mut words: Vec<u64> = Vec::new();
-            for_each_window(&store, k, |_| true, |w| words.push(w.key.min(w.twin_key().unwrap())));
-            words.sort_unstable();
-            words.dedup();
-            words.len()
-        };
-        for (i, mut table) in tables(forward_len(&store)).into_iter().enumerate() {
-            let (runs, _, _) = admitted_through(&mut table, &store, k, |_| true);
-            let occupied = table.occupied();
-            assert!(i == 0 || 2 * occupied < words, "crowded table {i}: {occupied} slots hold {words} words");
-            assert_eq!(runs, expected, "table {i}");
+        /// A single-stranded store's admission is exact too: its windows
+        /// have no twins, and a word and its reverse complement are two
+        /// unrelated buckets.
+        #[test]
+        fn a_single_stranded_admission_is_exact(
+            seed in proptest::any::<u64>(),
+            lens in proptest::collection::vec(1usize..60, 1..8),
+            copies in proptest::collection::vec(
+                (proptest::any::<proptest::sample::Index>(), 0usize..60, 3usize..40), 0..6),
+            k in 1usize..=20,
+        ) {
+            let mut state = seed | 1;
+            let mut reads: Vec<Vec<u8>> = lens.iter().map(|&len| random_codes(&mut state, len)).collect();
+            for (src, at, len) in copies {
+                let src = &reads[src.index(reads.len())];
+                let copy = src[at.min(src.len() - 1)..].iter().take(len).copied().collect();
+                reads.push(copy);
+            }
+            let store = FragmentStore::from_seqs(reads.into_iter().map(DnaSeq::from_codes));
+            let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
+            let (walked, enumerated, _) = admitted_suffixes(&store, k, 2, |_| true);
+            proptest::prop_assert_eq!(walked, admitted(all.clone()).concat());
+            proptest::prop_assert_eq!(enumerated, all.len());
         }
     }
 
-    #[test]
-    fn a_word_that_meets_a_paired_slot_is_noted_though_its_fold_turns_nothing() {
-        // Words A and B share a home and a fingerprint, so in both crowded
-        // tables they meet in one slot. B's two windows, after C and after
-        // G, make both halves of the slot PAIR; A's bucket can pair only
-        // from its second window on, whose fold finds both halves PAIR
-        // already. A recorder that noted a word only when its fold turned
-        // a half to PAIR would skip A's windows, and A's bucket with them.
-        let k = 8;
-        let packed = |seq: &DnaSeq| pgasm_seq::pack_kmer(seq.codes()).unwrap();
-        let mark = |word: u64| {
-            let hash = mix_word(word);
-            (hash >> 60, hash as u8)
-        };
-        let mut state = 5;
-        let mut seen: Vec<DnaSeq> = Vec::new();
-        let (a, b) = loop {
-            let word = DnaSeq::from_codes(random_codes(&mut state, k));
-            if packed(&word) >= packed(&word.reverse_complement()) {
-                continue; // the forward word is the canonical one: half 0
-            }
-            if let Some(b) = seen.iter().find(|b| mark(packed(b)) == mark(packed(&word)) && **b != word) {
-                break (word, b.clone());
-            }
-            seen.push(word);
-        };
-        let read = |left: &str, word: &DnaSeq| {
-            let mut codes = DnaSeq::from(left).codes().to_vec();
-            codes.extend_from_slice(word.codes());
-            DnaSeq::from_codes(codes)
-        };
-        let reads = vec![read("C", &b), read("G", &b), read("C", &a), read("G", &a)];
-        let store = FragmentStore::from_seqs(reads).with_reverse_complements();
-        let all: Vec<_> = enumerate_suffixes(&store, (0..store.num_seqs() as u32).map(SeqId), k).collect();
-        let expected = admitted(all);
-        let bucket_a: Vec<_> = expected.iter().filter(|run| run[0].0 == packed(&a)).collect();
-        assert_eq!(bucket_a.iter().map(|run| run.len()).collect::<Vec<_>>(), [2], "A's bucket can pair");
-        for (i, mut table) in tables(forward_len(&store)).into_iter().enumerate() {
-            let (runs, _, _) = admitted_through(&mut table, &store, k, |_| true);
-            let shared = table.probe(packed(&a)).0 == table.probe(packed(&b)).0;
-            assert!(i == 0 || shared, "crowded table {i}: A and B in one slot");
-            assert_eq!(runs, expected, "table {i}");
-        }
+    /// A read that is `flank` random bases, then a reverse palindrome
+    /// `x rc(x)` of `2 half` bases, then `flank` more, as a double-stranded
+    /// store; and the palindrome's start.
+    fn palindrome_read(state: &mut u64, half: usize, flank: usize) -> (FragmentStore, usize) {
+        let x = random_codes(state, half);
+        let mut read = random_codes(state, flank);
+        read.extend_from_slice(&x);
+        read.extend(x.iter().rev().map(|&c| 3 - c));
+        read.extend(random_codes(state, flank));
+        (FragmentStore::from_seqs([DnaSeq::from_codes(read)]).with_reverse_complements(), flank)
+    }
+
+    /// The sequences of the suffixes `admitted` holds in the bucket of the
+    /// `k` bases at `at` of forward sequence 0.
+    fn bucket_of(admitted: &[(u64, Suffix)], store: &FragmentStore, at: usize, k: usize) -> Vec<(u32, u32)> {
+        let word = pgasm_seq::pack_kmer(&store.get(SeqId(0))[at..at + k]).unwrap();
+        admitted.iter().filter(|(key, _)| *key == word).map(|(_, s)| (s.seq, s.pos)).collect()
     }
 
     #[test]
-    fn the_admission_table_keeps_few_more_than_the_indexed_suffixes() {
-        // A sparse sample: 300 reads of 400 bp, 6 from each of 50 random
-        // 3 kb genomes, some reverse-complemented. Reads of one genome
-        // overlap now and then; nearly every other suffix is alone in its
-        // bucket. The admission table lets through only those whose word
-        // meets another word's fingerprint on its probe.
+    fn a_window_that_is_its_own_reverse_complement_flags_its_record() {
+        // k = 20 over a 20-base reverse palindrome: the window is its own
+        // twin, so its bucket holds two suffixes — after the base before
+        // it and after the complement of the base behind it — and can
+        // pair. Its record is alone in its bin: skipped unflagged, the
+        // bucket would be lost.
+        let k = 20;
+        let mut state = 11;
+        for _ in 0..100 {
+            let (store, at) = palindrome_read(&mut state, k / 2, 30);
+            let codes = store.get(SeqId(0));
+            let all = records(&store, k);
+            let r = record_at(&all, 0, at as u32);
+            if codes[at - 1] == 3 - codes[at + k] || !alone(&all, r) {
+                continue; // one left class, or a bin counted anyway
+            }
+            assert!(r.flagged(), "{r:?}");
+            let (admitted, ..) = admitted_suffixes(&store, k, 1, |_| true);
+            let twin_pos = (codes.len() - at - k) as u32;
+            assert_eq!(bucket_of(&admitted, &store, at, k), [(0, at as u32), (1, twin_pos)]);
+            assert_eq!(admitted, reference(&store, k, |_| true).0);
+            return;
+        }
+        panic!("no fixture put the palindrome's record alone in its bin");
+    }
+
+    #[test]
+    fn a_window_that_is_its_neighbours_reverse_complement_flags_its_record() {
+        // k = 19 over a 20-base reverse palindrome: its two windows are
+        // each other's reverse complement, so the first window's bucket
+        // holds its suffix and the second window's twin, and can pair.
+        // Both windows lie in one record, alone in its bin: skipped
+        // unflagged, that bucket would be lost.
+        let k: usize = 19;
+        let mut state = 13;
+        for _ in 0..100 {
+            let (store, at) = palindrome_read(&mut state, k.div_ceil(2), 30);
+            let codes = store.get(SeqId(0));
+            let all = records(&store, k);
+            let (first, second) = (record_at(&all, 0, at as u32), record_at(&all, 0, at as u32 + 1));
+            if codes[at - 1] == 3 - codes[at + k + 1] || first != second || !alone(&all, first) {
+                continue;
+            }
+            assert!(first.flagged(), "{first:?}");
+            let (admitted, ..) = admitted_suffixes(&store, k, 1, |_| true);
+            let twin_pos = (codes.len() - at - 1 - k) as u32;
+            assert_eq!(bucket_of(&admitted, &store, at, k), [(0, at as u32), (1, twin_pos)]);
+            assert_eq!(admitted, reference(&store, k, |_| true).0);
+            return;
+        }
+        panic!("no fixture put both windows in one record alone in its bin");
+    }
+
+    #[test]
+    fn a_repeat_one_minimizer_span_apart_lands_in_two_records_of_one_bin() {
+        // A unit of w = k − m + 1 bases repeated: every window holds each
+        // m-mer position modulo w once, so no window ties its minimum and
+        // every window selects the same minimizer word, while windows w
+        // apart are one word. A record holds one minimizer occurrence, so
+        // those two windows fall in two records of one bin, which is
+        // counted. A record cut only where the minimizer word changes
+        // would hold both alone, unflagged, and lose their bucket.
+        let (k, m) = (20, MINIMIZER_LEN);
+        let w = k - m + 1;
+        let mut state = 17;
+        let read = loop {
+            let unit = random_codes(&mut state, w);
+            let read: Vec<u8> = unit.iter().cycle().take(k + w).copied().collect();
+            let order = |p: usize| {
+                let word = pgasm_seq::pack_kmer(&read[p..p + m]).unwrap();
+                let rc = DnaSeq::from_codes(read[p..p + m].to_vec()).reverse_complement();
+                word.min(pgasm_seq::pack_kmer(rc.codes()).unwrap()).wrapping_mul(MINIMIZER_ORDER) & !31
+            };
+            let mut orders: Vec<u64> = (0..w).map(order).collect();
+            orders.sort_unstable();
+            if orders.windows(2).all(|pair| pair[0] < pair[1]) {
+                break read; // w distinct orders: no window ties
+            }
+        };
+        let store = FragmentStore::from_seqs([DnaSeq::from_codes(read)]).with_reverse_complements();
+        let all = records(&store, k);
+        let (first, last) = (record_at(&all, 0, 0), record_at(&all, 0, w as u32));
+        assert_ne!(first, last, "two occurrences, two records");
+        assert_eq!(first.bin(), last.bin(), "one minimizer word, one bin");
+        assert!(!first.flagged() && !last.flagged());
+        let (admitted, ..) = admitted_suffixes(&store, k, 1, |_| true);
+        assert_eq!(bucket_of(&admitted, &store, 0, k), [(0, 0), (0, w as u32)], "the read start (λ) pairs");
+        assert_eq!(admitted, reference(&store, k, |_| true).0);
+    }
+
+    #[test]
+    fn a_sparse_sample_skips_most_records_unread_and_admits_only_what_is_indexed() {
+        // 300 reads of 400 bp, 6 from each of 50 random 3 kb genomes, some
+        // reverse-complemented, at 160-base steps: reads of one genome
+        // often overlap, yet two records in five are alone in their bin
+        // and never read again.
         let mut state = 7;
         let mut reads = Vec::new();
         for _ in 0..50 {
@@ -1105,22 +1545,31 @@ mod tests {
         }
         let store = FragmentStore::from_seqs(reads).with_reverse_complements();
         let k = 20;
-        let (survivors, _, noted) =
-            admit_through(&mut AdmissionTable::for_windows(&store), &store, k, |_| true);
-        let admitted_count = survivors.len();
-        let indexed: usize = admitted(survivors).iter().map(Vec::len).sum();
-        assert!(indexed > 0, "the fixture must overlap somewhere");
-        assert!(
-            admitted_count <= 4 * indexed,
-            "the admission table passes {admitted_count} for {indexed} indexed"
-        );
-        // The second walk asks the table only about the noted words: few,
-        // so it stays cheap and the set small.
-        let mut words = Vec::new();
-        for_each_window(&store, k, |_| true, |w| words.push(canonical(w).0));
-        words.sort_unstable();
-        words.dedup();
-        assert!(50 * noted <= words.len(), "{noted} of {} words noted", words.len());
+        let all = records(&store, k);
+        let lone = all.iter().filter(|&&r| alone(&all, r) && !r.flagged()).count();
+        assert!(5 * lone > 2 * all.len(), "{lone} of {} records skipped", all.len());
+        let (admitted, ..) = admitted_suffixes(&store, k, 2, |_| true);
+        assert!(!admitted.is_empty(), "the fixture must overlap somewhere");
+        let indexed: usize = admitted_runs(&admitted).map(<[_]>::len).sum();
+        assert_eq!(indexed, admitted.len(), "every admitted suffix is indexed");
+    }
+
+    #[test]
+    fn the_forward_sequences_split_into_ranges_of_about_equal_bases() {
+        let lens = [100, 5, 5, 90, 100, 3, 97];
+        let store = FragmentStore::from_seqs(lens.iter().map(|&n| DnaSeq::from_codes(vec![0; n])))
+            .with_reverse_complements();
+        assert_eq!(split_by_bases(&store, 1), vec![0..7]);
+        let parts = split_by_bases(&store, 3);
+        assert_eq!(parts.len(), 3);
+        assert!(parts.windows(2).all(|pair| pair[0].end == pair[1].start), "{parts:?}");
+        for part in &parts {
+            let bases: usize = lens[part.clone()].iter().sum();
+            assert!((90..=200).contains(&bases), "{parts:?}");
+        }
+        // More threads than sequences: some ranges are empty.
+        let many = split_by_bases(&store, 9);
+        assert_eq!((many.len(), many.iter().map(|p| p.len()).sum::<usize>()), (9, 7));
     }
 
     #[test]

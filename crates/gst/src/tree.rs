@@ -102,10 +102,10 @@ pub struct GstStats {
     pub nodes: usize,
     /// Total leaves.
     pub leaves: usize,
-    /// Suffixes folded into the admission filter: every suffix of the
-    /// store in the serial path; in the distributed one, those of the
-    /// building rank's own fragments (summed over ranks, every suffix of
-    /// the store once).
+    /// Suffixes of the selected buckets the admission walked: every
+    /// suffix of the store in the serial path; in the distributed one,
+    /// those of the building rank's own fragments (summed over ranks,
+    /// every suffix of the store once).
     pub enumerated: usize,
     /// Suffix entries indexed: those in admitted buckets.
     pub suffixes: usize,
@@ -150,11 +150,10 @@ impl Gst {
     /// Build the forest of the buckets of `store` that `keep` selects by
     /// key; `enumerated` counts every suffix of those buckets. Most
     /// suffixes of a sparse sample are alone in their bucket, so only
-    /// those that [`admitted_suffixes`] lets through — few more than are
-    /// indexed — are sorted, and [`Gst::build_from_sorted`] judges each
-    /// bucket exactly. Scope adoption selects a dead rank's buckets.
-    pub fn build_where(store: &FragmentStore, config: GstConfig, keep: impl Fn(u64) -> bool) -> Gst {
-        let (admitted, enumerated) = admitted_suffixes(store, config.bucket_len(), keep);
+    /// those that [`admitted_suffixes`] admits, on the calling thread, are
+    /// sorted and built. Scope adoption selects a dead rank's buckets.
+    pub fn build_where(store: &FragmentStore, config: GstConfig, keep: impl Fn(u64) -> bool + Sync) -> Gst {
+        let (admitted, enumerated, _) = admitted_suffixes(store, config.bucket_len(), 1, keep);
         Gst::build_from_sorted(store, &admitted, config, enumerated)
     }
 
@@ -162,8 +161,8 @@ impl Gst {
     /// [`sort_by_bucket`](crate::suffix::sort_by_bucket):
     /// every admitted run of equal keys ([`admitted_runs`]) becomes one
     /// subtree. Identical suffixes keep their order within the run.
-    /// `enumerated` is the number of suffixes the caller's filter saw
-    /// (its table's count; `sorted.len()` when nothing was filtered).
+    /// `enumerated` is the number of suffixes the caller's admission
+    /// walked (`sorted.len()` when nothing was filtered).
     /// Shared by the serial path, the per-rank parallel path and scope
     /// adoption.
     pub fn build_from_sorted<T: TextSource>(

@@ -77,39 +77,69 @@ pub fn write_fasta<W: Write>(mut w: W, records: &[FastaRecord], width: usize) ->
     Ok(())
 }
 
-/// Read FASTQ records (strict 4-line form).
-pub fn read_fastq<R: BufRead>(reader: R) -> io::Result<Vec<FastqRecord>> {
-    let mut lines = reader.lines();
+/// Read FASTQ records (strict 4-line form). Lines end in `\n` or
+/// `\r\n`; blank lines between records are skipped; every line must be
+/// UTF-8. Lines are read as bytes into buffers reused from record to
+/// record, so a record allocates only what it keeps.
+pub fn read_fastq<R: BufRead>(mut reader: R) -> io::Result<Vec<FastqRecord>> {
     let mut records = Vec::new();
-    while let Some(h) = lines.next() {
-        let h = h?;
-        if h.trim().is_empty() {
+    let (mut head, mut seq, mut plus, mut qual) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    while next_line(&mut reader, &mut head)? {
+        let head = utf8(&head)?;
+        if head.trim().is_empty() {
             continue;
         }
-        let header = h
+        let header = head
             .strip_prefix('@')
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "FASTQ record must start with @"))?
             .to_string();
-        let seq_line = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "missing sequence line"))??;
-        let plus =
-            lines.next().ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "missing + line"))??;
-        if !plus.starts_with('+') {
+        let eof = |what: &str| io::Error::new(io::ErrorKind::UnexpectedEof, format!("missing {what} line"));
+        if !next_line(&mut reader, &mut seq)? {
+            return Err(eof("sequence"));
+        }
+        utf8(&seq)?;
+        if !next_line(&mut reader, &mut plus)? {
+            return Err(eof("+"));
+        }
+        if !utf8(&plus)?.starts_with('+') {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "expected + separator"));
         }
-        let qual_line = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "missing quality line"))??;
-        if qual_line.len() != seq_line.len() {
+        if !next_line(&mut reader, &mut qual)? {
+            return Err(eof("quality"));
+        }
+        utf8(&qual)?;
+        if qual.len() != seq.len() {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "quality/sequence length mismatch"));
         }
         let qual = QualityTrack::from_values(
-            qual_line.bytes().map(|b| b.saturating_sub(33).min(MAX_FASTQ_QUAL)).collect(),
+            qual.iter().map(|b| b.saturating_sub(33).min(MAX_FASTQ_QUAL)).collect(),
         );
-        records.push(FastqRecord { header, seq: DnaSeq::from_ascii(seq_line.as_bytes()), qual });
+        records.push(FastqRecord { header, seq: DnaSeq::from_ascii(&seq), qual });
     }
     Ok(records)
+}
+
+/// Read the next line into `buf` without its `\n`, or `\r\n`, as
+/// [`BufRead::lines`] yields it; false at the end of the input.
+fn next_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    if reader.read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(true)
+}
+
+/// The line as text: the error [`BufRead::lines`] gives a line that is not
+/// UTF-8.
+fn utf8(line: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(line)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8"))
 }
 
 /// Write FASTQ records (phred+33).
@@ -208,5 +238,67 @@ mod tests {
     fn fastq_missing_plus_rejected() {
         let text = "@r\nACGT\nXXXX\n!!!!\n";
         assert!(read_fastq(Cursor::new(text)).is_err());
+    }
+
+    fn fastq_error(bytes: &[u8]) -> (io::ErrorKind, String) {
+        let err = read_fastq(Cursor::new(bytes)).expect_err("malformed input");
+        (err.kind(), err.to_string())
+    }
+
+    #[test]
+    fn fastq_header_without_at_rejected() {
+        let (kind, msg) = fastq_error(b">r\nACGT\n+\nIIII\n");
+        assert_eq!((kind, msg.as_str()), (io::ErrorKind::InvalidData, "FASTQ record must start with @"));
+        // Also after a good record.
+        assert_eq!(fastq_error(b"@r\nA\n+\nI\nr2\nA\n+\nI\n").0, io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn fastq_truncated_record_rejected_at_its_missing_line() {
+        for (text, line) in [
+            (&b"@r\n"[..], "missing sequence line"),
+            (b"@r\nACGT\n", "missing + line"),
+            (b"@r\nACGT\n+\n", "missing quality line"),
+            (b"@r\nACGT\n+\nIIII\n@s\nAC", "missing + line"),
+        ] {
+            assert_eq!(fastq_error(text), (io::ErrorKind::UnexpectedEof, line.to_string()), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn fastq_non_utf8_lines_rejected() {
+        let invalid = (io::ErrorKind::InvalidData, "stream did not contain valid UTF-8".to_string());
+        assert_eq!(fastq_error(b"@r\xff\nACGT\n+\nIIII\n"), invalid, "header");
+        assert_eq!(fastq_error(b"@r\nAC\xc3T\n+\nIIII\n"), invalid, "sequence");
+        assert_eq!(fastq_error(b"@r\nACGT\n+\nII\xfeI\n"), invalid, "quality");
+    }
+
+    #[test]
+    fn fastq_crlf_and_blank_lines_parse_as_plain_records() {
+        let plain = read_fastq(Cursor::new("@r1 x\nACGT\n+\nIIII\n@r2\nGG\n+r2\n!~\n")).unwrap();
+        let crlf =
+            read_fastq(Cursor::new("\n  \r\n@r1 x\r\nACGT\r\n+\r\nIIII\r\n\r\n@r2\nGG\n+r2\r\n!~")).unwrap();
+        assert_eq!(crlf, plain);
+        assert_eq!(plain[0].header, "r1 x");
+        assert_eq!(plain[1].qual.values(), [0, MAX_FASTQ_QUAL]);
+    }
+
+    #[test]
+    fn fastq_arbitrary_bytes_are_an_error_or_records_never_a_panic() {
+        // Bytes drawn mostly from the FASTQ alphabet, so that many inputs
+        // get deep into a record before they break.
+        let alphabet = b"@+\n\r ACGTN!I~\xff\xc3";
+        let mut state = 1u64;
+        for len in 0..400 {
+            let bytes: Vec<u8> = (0..len % 40)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    alphabet[(state >> 33) as usize % alphabet.len()]
+                })
+                .collect();
+            if let Ok(records) = read_fastq(Cursor::new(&bytes)) {
+                assert!(records.iter().all(|r| r.seq.len() == r.qual.len()), "{bytes:?}");
+            }
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Thread CPU-time sampling.
+//! Thread CPU-time sampling, and work fanned out to threads that
+//! reports the CPU it spent.
 
 /// `struct timespec` of 64-bit Linux.
 #[repr(C)]
@@ -34,6 +35,37 @@ pub fn thread_cpu_seconds() -> f64 {
     now.tv_sec as f64 + now.tv_nsec as f64 * 1e-9
 }
 
+/// Run `job(i)` for every `i < n`: job 0 on the calling thread, each
+/// other on a scoped thread of its own, so `n = 1` spawns nothing. Returns
+/// the results in job order and the CPU seconds the spawned threads spent,
+/// each read from its own clock as its job ends — what a span of the
+/// calling thread misses ([`crate::RunContext::add_helper_cpu`]). A job's
+/// panic is re-thrown with its own payload.
+pub fn fan_out<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> (Vec<T>, f64) {
+    let job = &job;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..n)
+            .map(|i| {
+                scope.spawn(move || {
+                    let out = job(i);
+                    (out, thread_cpu_seconds())
+                })
+            })
+            .collect();
+        let mut results = Vec::with_capacity(n);
+        results.push(job(0));
+        let mut helper_cpu = 0.0;
+        // Re-throw a helper's own payload: the scope's automatic join
+        // would replace it with "a scoped thread panicked".
+        for handle in helpers {
+            let (out, cpu) = handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            results.push(out);
+            helper_cpu += cpu;
+        }
+        (results, helper_cpu)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,6 +92,25 @@ mod tests {
         // A thread cannot have been on a CPU for longer than the wall
         // time that passed.
         assert!(after - before <= start.elapsed().as_secs_f64(), "{before} -> {after}");
+    }
+
+    #[test]
+    fn fanned_out_jobs_return_in_order_with_their_helpers_cpu() {
+        let (one, none) = fan_out(1, |i| i * 10);
+        assert_eq!((one, none), (vec![0], 0.0), "one job runs on the caller");
+        let (out, helpers) = fan_out(3, |i| {
+            burn(Duration::from_millis(5));
+            i * 10
+        });
+        assert_eq!(out, [0, 10, 20]);
+        assert!(helpers >= 0.005, "two helpers burning 5 ms each read {helpers} s");
+    }
+
+    #[test]
+    fn a_helpers_panic_reaches_the_caller_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| fan_out(2, |i| assert!(i == 0, "job {i} failed")));
+        let payload = caught.expect_err("job 1 panics");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("job 1 failed"));
     }
 
     #[test]

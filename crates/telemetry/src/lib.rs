@@ -31,7 +31,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use cpu::thread_cpu_seconds;
+pub use cpu::{fan_out, thread_cpu_seconds};
 pub use json::{Json, JsonError};
 pub use report::{RankReport, RunReport, TagStat, SCHEMA_VERSION};
 pub use span::{RunContext, Span};

@@ -3,11 +3,12 @@
 //!
 //! A run records its phases as begin/end events on one track, the
 //! pipeline's: a [`Tracer`] that is always on, in a small fixed ring, on
-//! the clock of the run's [`TraceSpec`], each event carrying the calling
-//! thread's CPU reading. The report's spans are a fold of that track, so
-//! report and trace cannot disagree. Work fanned out to other threads
-//! (ranks, spawned assembly threads) is not in a span's `cpu_seconds`;
-//! the per-rank channels in [`crate::RankReport`] carry the ranks'.
+//! the clock of the run's [`TraceSpec`], each event carrying a CPU
+//! reading: the calling thread's, plus what the helper threads of its
+//! fanned-out work ([`crate::cpu::fan_out`]) have reported so far. The
+//! report's spans are a fold of that track, so report and trace cannot
+//! disagree. Ranks are not helpers: the per-rank channels in
+//! [`crate::RankReport`] carry their CPU.
 
 use crate::cpu::thread_cpu_seconds;
 use crate::json::{Json, JsonError};
@@ -36,7 +37,8 @@ pub struct Span {
     pub name: String,
     /// Elapsed wall-clock seconds.
     pub wall_seconds: f64,
-    /// CPU seconds consumed by the thread that ran the span.
+    /// CPU seconds consumed by the thread that ran the span and by the
+    /// helper threads it fanned work out to.
     pub cpu_seconds: f64,
     /// Sub-phases, in execution order.
     pub children: Vec<Span>,
@@ -121,6 +123,9 @@ pub struct RunContext {
     spec: TraceSpec,
     /// Name of each open span, innermost last.
     open: Vec<&'static str>,
+    /// CPU the helper threads of fanned-out work reported, added to
+    /// every reading after it.
+    helper_cpu_ns: u64,
     counters: BTreeMap<String, u64>,
     ranks: Vec<crate::RankReport>,
     traces: Vec<RankTrace>,
@@ -140,6 +145,7 @@ impl RunContext {
             track: run_track(&spec),
             spec,
             open: Vec::new(),
+            helper_cpu_ns: 0,
             counters: BTreeMap::new(),
             ranks: Vec::new(),
             traces: Vec::new(),
@@ -171,16 +177,28 @@ impl RunContext {
         out
     }
 
-    /// A span boundary on the track, with a thread-CPU reading.
+    /// A span boundary on the track, with a CPU reading.
     fn mark(&mut self, ts_ns: u64, kind: TraceKind, name: &'static str, cpu_ns: u64) {
         self.track.push_at(ts_ns, kind, TraceCategory::Stage, name, &[(CPU_NS, cpu_ns)]);
+    }
+
+    /// The CPU reading of a span boundary: the calling thread's clock
+    /// plus every helper's CPU reported so far.
+    fn cpu_now_ns(&self) -> u64 {
+        nanos(thread_cpu_seconds()) + self.helper_cpu_ns
+    }
+
+    /// Count `seconds` of CPU spent by helper threads (the second value of
+    /// [`crate::cpu::fan_out`]) in every span open now.
+    pub fn add_helper_cpu(&mut self, seconds: f64) {
+        self.helper_cpu_ns += nanos(seconds);
     }
 
     /// Open a span manually (for phases that cannot be expressed as a
     /// closure). Must be balanced by [`RunContext::pop`].
     pub fn push(&mut self, name: &'static str) {
         let ts = self.track.now_ns();
-        self.mark(ts, TraceKind::Begin, name, nanos(thread_cpu_seconds()));
+        self.mark(ts, TraceKind::Begin, name, self.cpu_now_ns());
         self.open.push(name);
     }
 
@@ -189,7 +207,7 @@ impl RunContext {
     pub fn pop(&mut self) {
         let name = self.open.pop().expect("RunContext::pop with no open span");
         let ts = self.track.now_ns();
-        self.mark(ts, TraceKind::End, name, nanos(thread_cpu_seconds()));
+        self.mark(ts, TraceKind::End, name, self.cpu_now_ns());
     }
 
     /// Sample gauge `name` on the track (rate-limited like every gauge).
@@ -435,6 +453,21 @@ mod tests {
         let assemble = report.span("assemble").unwrap();
         assert!(assemble.children[0].wall_seconds <= assemble.wall_seconds);
         assert_eq!(assemble.children[0].cpu_seconds, 1.0);
+    }
+
+    #[test]
+    fn helper_cpu_counts_in_every_span_open_when_it_is_added() {
+        let mut ctx = RunContext::new("t");
+        ctx.push("assemble");
+        ctx.scope("before", |_| {});
+        ctx.scope("fan_out", |ctx| ctx.add_helper_cpu(2.0));
+        ctx.scope("after", |_| {});
+        ctx.pop();
+        let report = ctx.finish();
+        let cpu = |path: &str| report.span(path).unwrap().cpu_seconds;
+        assert!((2.0..2.5).contains(&cpu("assemble")), "{}", cpu("assemble"));
+        assert!((2.0..2.5).contains(&cpu("assemble/fan_out")), "{}", cpu("assemble/fan_out"));
+        assert!(cpu("assemble/before") < 0.5 && cpu("assemble/after") < 0.5);
     }
 
     #[test]

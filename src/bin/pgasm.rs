@@ -104,8 +104,10 @@ per-cluster serial assembler and writes contigs as FASTA. With --ranks <p> (p >=
 clustering AND assembly phases both run distributed on p simulated ranks:
 assembly schedules whole clusters largest-first onto worker ranks and ships
 contigs back, so per-rank idle time and per-tag traffic cover both phases;
---assembly-threads <n> (default 4) sizes the OS-thread assembly loop, which
-replaces --ranks (not both). --metrics-json writes the structured run report
+--assembly-threads <n> (default 4) sizes the in-process run on OS threads —
+the GST admission of the cluster stage and the per-cluster assembly loop —
+which replaces --ranks (not both); cluster runs its admission at the
+default of 4, and outputs are the same at every n. --metrics-json writes the structured run report
 (per-stage wall/CPU spans, Table-1 counters, and — with --ranks — per-rank
 idle time and per-tag communication) as JSON. --trace-json records per-rank
 timestamped events (stage, master, worker, comm, gst, align, assemble

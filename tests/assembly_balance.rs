@@ -96,6 +96,27 @@ fn distributed_assembly_is_byte_identical_to_threaded() {
     }
 }
 
+/// A threaded stage counts its helper threads' CPU: on two like
+/// clusters, the `assemble` span on two threads reads about the CPU it
+/// reads on one — not the half the calling thread spends alone.
+#[test]
+fn threaded_assembly_counts_its_helpers_cpu() {
+    let _alone = alone();
+    let mut reads = tile(&genome(21, 2200), 400, 60);
+    reads.extend(tile(&genome(22, 2200), 400, 60));
+    let store = FragmentStore::from_seqs(reads);
+    let params = ClusterParams { gst: GstConfig { psi: 16 }, ..Default::default() };
+    let clustering = cluster(&store, &params, &Exec::Threads(1), &mut RunContext::new("two")).0.clustering;
+    assert_eq!(clustering.num_non_singletons(), 2, "fixture yields two like clusters");
+    let cpu = |threads: usize| {
+        let mut ctx = RunContext::new("cpu");
+        ctx.scope("assemble", |ctx| assemble_on(&store, &clustering, Exec::Threads(threads), ctx));
+        ctx.finish().span("assemble").expect("the assemble span").cpu_seconds
+    };
+    let (one, two) = (cpu(1), cpu(2));
+    assert!((0.7..=1.3).contains(&(two / one)), "assemble CPU: {one:.4} s on one thread, {two:.4} s on two");
+}
+
 /// max / mean of per-worker cost units.
 fn imbalance(costs: &[u64]) -> f64 {
     let max = costs.iter().copied().max().unwrap_or(0) as f64;
